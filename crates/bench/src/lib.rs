@@ -10,6 +10,9 @@
 //!   full gossip rounds.
 //! * `substrate_micro` — PRNG, distributions, DHT routing, Cyclon
 //!   shuffles, event-queue throughput.
+//! * `cluster_scale` — shard-count sweep of every sweep architecture on
+//!   the `fed-cluster` runtime at 1k/10k/100k nodes, plus the
+//!   `BENCH_cluster.json` record pass.
 //!
 //! Run with `cargo bench --workspace`.
 

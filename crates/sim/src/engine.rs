@@ -279,16 +279,21 @@ impl<P: Protocol> Simulation<P> {
         let t0 = profiler.as_ref().map(|_| std::time::Instant::now());
         let mut events = 0u64;
         let mut completed = true;
+        // `target` is inclusive and `pop_before` exclusive, so bound the
+        // pops one tick past it. At `SimTime::MAX` no such tick exists:
+        // every pending event qualifies.
+        let end = target.saturating_add(SimDuration::from_micros(1));
         loop {
             if self.events_processed >= self.max_events {
                 completed = false;
                 break;
             }
-            match self.queue.next_time() {
-                Some(t) if t <= target => {}
-                _ => break,
-            }
-            let (key, kind) = self.queue.pop().expect("peeked");
+            let popped = if target == SimTime::MAX {
+                self.queue.pop()
+            } else {
+                self.queue.pop_before(end)
+            };
+            let Some((key, kind)) = popped else { break };
             self.now = key.time;
             self.events_processed += 1;
             events += 1;

@@ -66,8 +66,8 @@ pub struct TransportStats {
 ///
 /// `pushes` and `pops` count *external* queue traffic — events handed to
 /// the queue and events handed back — never internal reshuffling (a
-/// calendar re-base moves events between internal levels without touching
-/// either counter). Every event enters exactly one queue exactly once on
+/// calendar re-base or a rung split moves events between internal levels
+/// without touching either counter). Every event enters exactly one queue exactly once on
 /// either engine, so summing `pushes`/`pops` across shards reproduces the
 /// sequential engine's counts bit for bit at any shard count.
 ///
@@ -161,74 +161,162 @@ impl<P: Protocol> EventKind<P> {
 /// Number of calendar buckets (a power of two; the occupancy bitmap below
 /// assumes a multiple of 64).
 const CAL_BUCKETS: usize = 512;
-/// Words in the bucket-occupancy bitmap.
+/// Words in a rung's bucket-occupancy bitmap.
 const CAL_WORDS: usize = CAL_BUCKETS / 64;
 /// Largest permitted bucket-width exponent: buckets never exceed
 /// 2^44 µs (~200 days of virtual time), keeping all index arithmetic
 /// comfortably inside `u64`.
 const MAX_BUCKET_SHIFT: u32 = 44;
 /// Initial bucket-width exponent: 2^12 µs ≈ 4 ms buckets, so the first
-/// calendar epoch spans ~2 s — sized for the millisecond-scale latency
-/// models the scenarios use. Later epochs re-derive the width from the
-/// observed event density.
+/// calendar epoch spans ~2 s. Only a hint, like the width a re-base
+/// derives: child rungs refine whichever bucket turns out dense.
 const INITIAL_BUCKET_SHIFT: u32 = 12;
+/// A child rung splits one parent bucket into `2^CHILD_BITS` (64) buckets,
+/// so from [`MAX_BUCKET_SHIFT`] at most ⌈44 / 6⌉ = 8 children nest before
+/// buckets are a single microsecond wide.
+const CHILD_BITS: u32 = 6;
+/// An in-range push that leaves the bottom longer than this re-buckets it
+/// into a child rung. Below it a sorted insert's memmove is cheaper than
+/// the re-distribution.
+const SPLIT_THRESHOLD: usize = 128;
+
+type Entry<P> = (EventKey, EventKind<P>);
+
+/// One level of the ladder: `used` unsorted buckets of `2^shift` µs each,
+/// covering `[start, start + used·2^shift)`.
+///
+/// The calendar is the top rung; a child rung covers exactly its parent's
+/// most recently drained bucket (`cursor - 1`), so no rung needs an
+/// explicit end and every position is a subtraction and a shift.
+struct Rung<P: Protocol> {
+    /// Start (µs) of bucket 0's range.
+    start: u64,
+    /// Bucket width exponent: each bucket spans `2^shift` µs.
+    shift: u32,
+    /// Buckets in use: [`CAL_BUCKETS`] for the calendar, at most
+    /// `2^CHILD_BITS` for a child.
+    used: usize,
+    /// Buckets below `cursor` are drained: their time range belongs to
+    /// the deeper levels (child rungs, then the bottom).
+    cursor: usize,
+    /// One bit per bucket: set iff the bucket is non-empty.
+    occupied: [u64; CAL_WORDS],
+    buckets: Vec<Vec<Entry<P>>>,
+}
+
+impl<P: Protocol> Rung<P> {
+    fn new(buckets: usize, shift: u32) -> Self {
+        Rung {
+            start: 0,
+            shift,
+            used: buckets,
+            cursor: 0,
+            occupied: [0; CAL_WORDS],
+            buckets: (0..buckets).map(|_| Vec::new()).collect(),
+        }
+    }
+
+    /// Appends to bucket `i` in O(1).
+    fn put(&mut self, i: usize, entry: Entry<P>) {
+        self.buckets[i].push(entry);
+        self.occupied[i / 64] |= 1 << (i % 64);
+    }
+
+    /// Index of the first non-empty bucket at or after the cursor, if any.
+    fn next_occupied(&self) -> Option<usize> {
+        if self.cursor >= self.used {
+            return None;
+        }
+        let words = self.used.div_ceil(64);
+        let mut w = self.cursor / 64;
+        let mut bits = self.occupied[w] & (!0u64 << (self.cursor % 64));
+        loop {
+            if bits != 0 {
+                return Some(w * 64 + bits.trailing_zeros() as usize);
+            }
+            w += 1;
+            if w >= words {
+                return None;
+            }
+            bits = self.occupied[w];
+        }
+    }
+
+    /// Earliest event time in the first non-empty bucket — the earliest
+    /// of the whole rung, since buckets partition its range in order.
+    fn min_time(&self) -> Option<SimTime> {
+        let i = self.next_occupied()?;
+        self.buckets[i].iter().map(|e| e.0.time).min()
+    }
+
+    /// Empties bucket `i`, sorted descending (a bottom), and moves the
+    /// cursor past it. The bucket's allocation travels with its entries.
+    fn drain(&mut self, i: usize) -> Vec<Entry<P>> {
+        let mut entries = std::mem::take(&mut self.buckets[i]);
+        self.occupied[i / 64] &= !(1 << (i % 64));
+        self.cursor = i + 1;
+        entries.sort_unstable_by_key(|e| std::cmp::Reverse(e.0));
+        entries
+    }
+}
 
 /// A pending-event queue, popping in [`EventKey`] order.
 ///
-/// Implemented as a two-level calendar ("ladder") queue bucketed by
-/// [`SimTime`] instead of a comparison-based heap:
+/// A ladder queue bucketed by [`SimTime`] instead of a comparison-based
+/// heap. From the pop point outward an event is held in one of:
 ///
-/// * **Front rung.** A vector sorted descending by key (pop takes the
-///   back) holding every pending event with `time < front_end`. The
-///   common pops are O(1); a push landing inside the front range does a
-///   binary-search insert.
-/// * **Calendar.** `CAL_BUCKETS` (512) unsorted buckets of `2^shift` µs each
-///   covering `[base, base + CAL_BUCKETS·2^shift)`. A push into the
-///   future appends to its bucket in O(1); when the front drains, the
-///   next non-empty bucket (found through an occupancy bitmap) is sorted
-///   once and becomes the new front, so each event is sorted exactly once
-///   against its near neighbours instead of paying O(log n) full-key
-///   comparisons on every heap rotation.
+/// * **Bottom.** A vector sorted descending by key (pop takes the back)
+///   holding every pending event below the deepest rung's drain boundary.
+///   Pops are O(1); a push landing in the bottom's range is a
+///   binary-search insert into at most `SPLIT_THRESHOLD` (128) entries —
+///   a longer bottom is re-bucketed into a child rung on the spot, unless
+///   it is a single instant (which no bucket width can divide).
+/// * **Child rungs.** A stack of at most eight rungs of ≤ 64 unsorted
+///   buckets, each covering exactly the bucket its parent drained last at
+///   1/64 of the parent's width. A push inside the drained range tries the
+///   deepest rung first and appends in O(1); pops drain the deepest rung
+///   bucket by bucket (sorting each once) and retire it when empty.
+///   Rungs exist only where events are dense relative to the level above,
+///   so a wide parent bucket costs a few re-distributions per event, not
+///   a memmove per push.
+/// * **Calendar.** The top rung: `CAL_BUCKETS` (512) unsorted buckets of
+///   `2^shift` µs found through an occupancy bitmap. Its width — 4 ms at
+///   first, then span / bucket count of the overflow at each re-base — is
+///   a hint, not load-bearing: where it is too coarse for the link
+///   latencies in play, child rungs refine it.
 /// * **Overflow.** Events beyond the calendar horizon collect unsorted;
-///   when the calendar drains the queue re-bases around the overflow's
-///   minimum, re-deriving the bucket width from the observed density
-///   (span / bucket count), which keeps push/pop amortized O(1) for any
-///   event-time distribution.
+///   when the calendar drains, the queue re-bases around the overflow's
+///   minimum.
 ///
 /// The pop order is exactly the total [`EventKey`] order — identical to
-/// the former binary heap — for *any* push pattern, including pushes
-/// earlier than events already popped (they land in the front rung and
-/// pop next). Internal bucket geometry never affects pop order, so the
-/// queue stays bit-compatible across engines and shard counts.
+/// a binary heap — for *any* push pattern, including pushes earlier than
+/// events already popped (they land in the bottom and pop next). Internal
+/// geometry never affects pop order, so the queue stays bit-compatible
+/// across engines and shard counts.
 pub struct EventQueue<P: Protocol> {
     /// Sorted descending by key; the back is the earliest pending event.
-    /// Holds every pending event with `time < front_end`.
-    front: Vec<(EventKey, EventKind<P>)>,
-    /// Exclusive upper bound (µs) of the front rung's time range.
-    front_end: u64,
-    /// Unsorted buckets; bucket `i` spans
-    /// `[base + i·2^shift, base + (i+1)·2^shift)`.
-    buckets: Vec<Vec<(EventKey, EventKind<P>)>>,
-    /// One bit per bucket: set iff the bucket is non-empty.
-    occupied: [u64; CAL_WORDS],
-    /// Start (µs) of bucket 0's range.
-    base: u64,
-    /// Bucket width exponent: each bucket spans `2^shift` µs.
-    shift: u32,
-    /// Buckets below `cursor` are drained (folded into the front range).
-    cursor: usize,
+    /// Holds every pending event below the deepest rung's cursor.
+    bottom: Vec<Entry<P>>,
+    /// Child rungs, shallowest first. `rungs[0]` refines the calendar
+    /// bucket before the calendar's cursor, `rungs[k + 1]` the bucket
+    /// before `rungs[k]`'s.
+    rungs: Vec<Rung<P>>,
+    /// Retired child rungs (all buckets empty), kept for reuse.
+    spare: Vec<Rung<P>>,
+    /// The top rung.
+    calendar: Rung<P>,
     /// Events at or beyond the calendar horizon, unsorted.
-    overflow: Vec<(EventKey, EventKind<P>)>,
+    overflow: Vec<Entry<P>>,
     /// Minimum event time (µs) in `overflow`; `u64::MAX` when empty.
     overflow_min: u64,
-    /// Cached `(bucket, min time)` of the last bucket probed by a bounded
-    /// settle; kept fresh by pushes, so repeated `pop_before` calls that
-    /// stop short of the same bucket scan it once, not once per window.
-    probed: Option<(usize, u64)>,
-    /// Total pending events across front, buckets and overflow.
+    /// Total pending events across bottom, rungs, calendar and overflow.
     len: usize,
     /// Work counters (external pushes/pops, overflow hits).
     stats: QueueStats,
+    /// Entries moved inside the queue: sorted-insert shifts plus child-rung
+    /// distributions. The work a push causes beyond its own O(1) append.
+    #[cfg(test)]
+    relocations: u64,
 }
 
 impl<P: Protocol> Default for EventQueue<P> {
@@ -241,18 +329,16 @@ impl<P: Protocol> EventQueue<P> {
     /// An empty queue.
     pub fn new() -> Self {
         EventQueue {
-            front: Vec::new(),
-            front_end: 0,
-            buckets: (0..CAL_BUCKETS).map(|_| Vec::new()).collect(),
-            occupied: [0; CAL_WORDS],
-            base: 0,
-            shift: INITIAL_BUCKET_SHIFT,
-            cursor: 0,
+            bottom: Vec::new(),
+            rungs: Vec::new(),
+            spare: Vec::new(),
+            calendar: Rung::new(CAL_BUCKETS, INITIAL_BUCKET_SHIFT),
             overflow: Vec::new(),
             overflow_min: u64::MAX,
-            probed: None,
             len: 0,
             stats: QueueStats::default(),
+            #[cfg(test)]
+            relocations: 0,
         }
     }
 
@@ -265,44 +351,120 @@ impl<P: Protocol> EventQueue<P> {
     pub fn push(&mut self, key: EventKey, kind: EventKind<P>) {
         self.len += 1;
         self.stats.pushes += 1;
+        self.place(key, kind);
+    }
+
+    /// Files an entry at the level its time belongs to. Shared by the
+    /// counting [`EventQueue::push`] and by re-bases, so internal moves
+    /// never count as queue traffic.
+    fn place(&mut self, key: EventKey, kind: EventKind<P>) {
         let t = key.time.as_micros();
-        if t < self.front_end {
-            // An empty front lets us retract the front boundary to the
-            // event's own bucket instead of paying a sorted insert: this
-            // is the hot path for barrier-exchanged batches, which land
-            // after the previous window drained the front clean. Bulk
-            // bursts then collect in a bucket (O(1) per push) and are
-            // sorted once, instead of insertion-sorting into the front
-            // one memmove at a time.
-            if self.front.is_empty() && t >= self.base {
-                let idx = ((t - self.base) >> self.shift) as usize;
-                debug_assert!(idx < CAL_BUCKETS, "t < front_end stays inside the calendar");
-                self.cursor = idx;
-                self.front_end = self.base.saturating_add((idx as u64) << self.shift);
-            } else {
-                // Descending order: find the first entry not greater
-                // than the new key. Conservative windows make these
-                // pushes land near the back (the pop point), so the
-                // memmove is short.
-                let at = self.front.partition_point(|e| e.0 > key);
-                self.front.insert(at, (key, kind));
+        // Deepest rung first: with short links that is where sends land.
+        // A time beyond a child's range belongs to its parent, beyond the
+        // calendar's to the overflow.
+        let mut depth = self.rungs.len();
+        loop {
+            let rung = match depth {
+                0 => &mut self.calendar,
+                d => &mut self.rungs[d - 1],
+            };
+            // Earlier than the deepest rung's start: the bottom's.
+            let Some(offset) = t.checked_sub(rung.start) else {
+                break;
+            };
+            let idx = offset >> rung.shift;
+            if idx >= rung.used as u64 {
+                if depth == 0 {
+                    self.stats.overflow_hits += 1;
+                    self.overflow_min = self.overflow_min.min(t);
+                    self.overflow.push((key, kind));
+                    return;
+                }
+                depth -= 1;
+                continue;
+            }
+            let idx = idx as usize;
+            if idx < rung.cursor {
+                // Inside the drained range (only the deepest rung can
+                // see this: a parent is reached from beyond its drained
+                // bucket). An empty bottom lets us retract the cursor to
+                // the event's own bucket instead: this is the hot path
+                // for barrier-exchanged batches, which land after the
+                // previous window drained the bottom clean. Bulk bursts
+                // then collect in a bucket and are sorted once.
+                if !self.bottom.is_empty() {
+                    break;
+                }
+                rung.cursor = idx;
+            }
+            rung.put(idx, (key, kind));
+            return;
+        }
+        // Descending order: find the first entry not greater than the
+        // new key.
+        let at = self.bottom.partition_point(|e| e.0 > key);
+        #[cfg(test)]
+        {
+            self.relocations += (self.bottom.len() - at) as u64;
+        }
+        self.bottom.insert(at, (key, kind));
+        if self.bottom.len() > SPLIT_THRESHOLD {
+            self.split_bottom();
+        }
+    }
+
+    /// Re-buckets an over-long bottom into child rungs until it is at
+    /// most [`SPLIT_THRESHOLD`] long or cannot be divided (a single
+    /// instant, 1 µs buckets, or only events older than every rung).
+    ///
+    /// Each step refines the deepest rung's last drained bucket — the
+    /// range the bottom holds — into a child at 1/64 of its width. The
+    /// child's first occupied bucket stays in the bottom (it is already
+    /// sorted); everything later is distributed, O(1) per entry.
+    fn split_bottom(&mut self) {
+        while self.bottom.len() > SPLIT_THRESHOLD {
+            let parent = self.rungs.last().unwrap_or(&self.calendar);
+            let latest = self.bottom[0].0.time.as_micros();
+            let earliest = self.bottom[self.bottom.len() - 1].0.time.as_micros();
+            if parent.shift == 0 || parent.cursor == 0 || latest == earliest {
                 return;
             }
-        }
-        let idx = (t - self.base) >> self.shift;
-        if idx < CAL_BUCKETS as u64 {
-            let idx = idx as usize;
-            if let Some((b, m)) = &mut self.probed {
-                if *b == idx {
-                    *m = (*m).min(t);
-                }
+            let start = parent.start + ((parent.cursor as u64 - 1) << parent.shift);
+            if latest < start {
+                return;
             }
-            self.buckets[idx].push((key, kind));
-            self.occupied[idx / 64] |= 1 << (idx % 64);
-        } else {
-            self.stats.overflow_hits += 1;
-            self.overflow_min = self.overflow_min.min(t);
-            self.overflow.push((key, kind));
+            let shift = parent.shift.saturating_sub(CHILD_BITS);
+            let used = 1usize << (parent.shift - shift);
+            // Entries from before the parent's bucket (pushes into the
+            // past) stay in the bottom with the cursor at 0.
+            let cursor = earliest
+                .checked_sub(start)
+                .map_or(0, |offset| (offset >> shift) as usize + 1);
+            let index_of = |e: &Entry<P>| {
+                let offset = e.0.time.as_micros().checked_sub(start)?;
+                Some((offset >> shift) as usize)
+            };
+            let moved = self
+                .bottom
+                .partition_point(|e| index_of(e).is_some_and(|i| i >= cursor));
+            let mut child = self
+                .spare
+                .pop()
+                .unwrap_or_else(|| Rung::new(1 << CHILD_BITS, 0));
+            child.start = start;
+            child.shift = shift;
+            child.used = used;
+            child.cursor = cursor;
+            #[cfg(test)]
+            {
+                self.relocations += self.bottom.len() as u64;
+            }
+            for entry in self.bottom.drain(..moved) {
+                let i = index_of(&entry).expect("moved entries start inside the child");
+                debug_assert!(i < used, "the bottom ends at the parent's cursor");
+                child.put(i, entry);
+            }
+            self.rungs.push(child);
         }
     }
 
@@ -311,28 +473,28 @@ impl<P: Protocol> EventQueue<P> {
         if self.len == 0 {
             return None;
         }
-        self.settle();
+        self.settle(None);
         self.len -= 1;
         self.stats.pops += 1;
-        self.front.pop()
+        self.bottom.pop()
     }
 
     /// Removes the earliest event only if it fires strictly before `end`.
     ///
-    /// One key comparison against the (already sorted) front rung, then an
+    /// One key comparison against the (already sorted) bottom, then an
     /// O(1) pop — no second peek. Settling is bounded by `end`: buckets
-    /// that start at or past the cutoff are left untouched, so the front
-    /// boundary never runs ahead of the caller's window (which would turn
-    /// the next batch of pushes into sorted front inserts).
+    /// holding nothing that fires before the cutoff are left unsorted, so
+    /// the drain boundary never runs ahead of the caller's window and the
+    /// next batch of pushes still appends in O(1).
     pub fn pop_before(&mut self, end: SimTime) -> Option<(EventKey, EventKind<P>)> {
         if self.len == 0 {
             return None;
         }
-        self.settle_before(end.as_micros());
-        if self.front.last()?.0.time < end {
+        self.settle(Some(end.as_micros()));
+        if self.bottom.last()?.0.time < end {
             self.len -= 1;
             self.stats.pops += 1;
-            self.front.pop()
+            self.bottom.pop()
         } else {
             None
         }
@@ -340,24 +502,20 @@ impl<P: Protocol> EventQueue<P> {
 
     /// The firing time of the earliest pending event.
     pub fn next_time(&self) -> Option<SimTime> {
-        if let Some(e) = self.front.last() {
+        if let Some(e) = self.bottom.last() {
             return Some(e.0.time);
         }
-        if let Some(i) = self.next_occupied(self.cursor) {
-            // Buckets before `i` are empty and overflow lies beyond the
-            // calendar horizon, so the earliest event is in bucket `i` —
-            // whose minimum a bounded settle usually just probed.
-            if let Some((b, m)) = self.probed {
-                if b == i {
-                    return Some(SimTime::from_micros(m));
-                }
-            }
-            return self.buckets[i].iter().map(|e| e.0.time).min();
-        }
-        if !self.overflow.is_empty() {
-            return Some(SimTime::from_micros(self.overflow_min));
-        }
-        None
+        // Levels nest deepest-earliest, and the overflow lies beyond the
+        // calendar horizon. (An emptied child is retired by the next pop,
+        // not here.)
+        self.rungs
+            .iter()
+            .rev()
+            .chain(std::iter::once(&self.calendar))
+            .find_map(Rung::min_time)
+            .or_else(|| {
+                (!self.overflow.is_empty()).then(|| SimTime::from_micros(self.overflow_min))
+            })
     }
 
     /// Number of pending events.
@@ -370,100 +528,56 @@ impl<P: Protocol> EventQueue<P> {
         self.len == 0
     }
 
-    /// Index of the first non-empty bucket at or after `from`, if any.
-    fn next_occupied(&self, from: usize) -> Option<usize> {
-        if from >= CAL_BUCKETS {
-            return None;
-        }
-        let mut w = from / 64;
-        let mut bits = self.occupied[w] & (!0u64 << (from % 64));
-        loop {
-            if bits != 0 {
-                return Some(w * 64 + bits.trailing_zeros() as usize);
-            }
-            w += 1;
-            if w >= CAL_WORDS {
-                return None;
-            }
-            bits = self.occupied[w];
-        }
-    }
-
-    /// Refills the front rung from the calendar (re-basing around the
-    /// overflow when the calendar is drained) until it holds the earliest
-    /// pending event. No-op when the front is non-empty or the queue is
+    /// Refills the bottom until it holds the earliest pending event:
+    /// drains the deepest rung's next bucket, retiring emptied child
+    /// rungs and re-basing the calendar around the overflow once it is
+    /// drained too. No-op when the bottom is non-empty or the queue is
     /// empty.
-    fn settle(&mut self) {
-        while self.front.is_empty() && self.len > 0 {
-            match self.next_occupied(self.cursor) {
-                Some(i) => self.drain_bucket(i),
-                None => self.rebase(),
-            }
-        }
-    }
-
-    /// [`EventQueue::settle`], but never touches a bucket (or the
-    /// overflow) whose time range starts at or past `cutoff` µs — their
-    /// entries cannot fire before the cutoff, so leaving them unsorted
-    /// keeps later pushes below the front boundary O(1).
-    fn settle_before(&mut self, cutoff: u64) {
-        while self.front.is_empty() && self.len > 0 {
-            match self.next_occupied(self.cursor) {
+    ///
+    /// With a `cutoff` (µs) it stops short of any bucket — or the
+    /// overflow — holding nothing that fires before it; left unsorted,
+    /// later pushes for that range stay O(1).
+    fn settle(&mut self, cutoff: Option<u64>) {
+        while self.bottom.is_empty() && self.len > 0 {
+            let in_child = !self.rungs.is_empty();
+            let rung = self.rungs.last_mut().unwrap_or(&mut self.calendar);
+            match rung.next_occupied() {
                 Some(i) => {
-                    let bucket_start = self.base.saturating_add((i as u64) << self.shift);
-                    if bucket_start >= cutoff {
-                        return;
-                    }
-                    // The bucket's range straddles the cutoff; drain it
-                    // only if something in it actually fires this early.
-                    // Pre-sorting a next-window burst into the front
-                    // would turn that window's inbound pushes into
-                    // quadratic sorted inserts.
-                    let min = match self.probed {
-                        Some((b, m)) if b == i => m,
-                        _ => {
-                            let m = self.buckets[i]
+                    if let Some(cutoff) = cutoff {
+                        let bucket_start = rung.start.saturating_add((i as u64) << rung.shift);
+                        // A bucket straddling the cutoff is drained only
+                        // if something in it actually fires this early.
+                        if bucket_start >= cutoff
+                            || rung.buckets[i]
                                 .iter()
-                                .map(|e| e.0.time.as_micros())
-                                .min()
-                                .expect("occupied bucket is non-empty");
-                            self.probed = Some((i, m));
-                            m
+                                .all(|e| e.0.time.as_micros() >= cutoff)
+                        {
+                            return;
                         }
-                    };
-                    if min >= cutoff {
-                        return;
                     }
-                    self.drain_bucket(i);
+                    self.bottom = rung.drain(i);
                 }
-                // Everything left is in the overflow; it cannot hold
-                // anything firing before the cutoff, so skip the re-base.
-                None if self.overflow_min >= cutoff => return,
+                None if in_child => {
+                    let retired = self.rungs.pop().expect("in a child rung");
+                    self.spare.push(retired);
+                }
+                // Everything left is in the overflow; skip the re-base
+                // when none of it fires before the cutoff.
+                None if cutoff.is_some_and(|c| self.overflow_min >= c) => return,
                 None => self.rebase(),
             }
         }
     }
 
-    /// Moves bucket `i`'s entries into the front rung, sorted descending.
-    fn drain_bucket(&mut self, i: usize) {
-        self.probed = None;
-        let mut entries = std::mem::take(&mut self.buckets[i]);
-        self.occupied[i / 64] &= !(1 << (i % 64));
-        entries.sort_unstable_by_key(|e| std::cmp::Reverse(e.0));
-        self.front = entries;
-        self.cursor = i + 1;
-        self.front_end = self.base.saturating_add((i as u64 + 1) << self.shift);
-    }
-
-    /// Rebuilds the calendar around the overflow's minimum, re-deriving
-    /// the bucket width from the overflow's observed time span.
+    /// Rebuilds the calendar around the overflow's minimum, with a bucket
+    /// width guessed from the overflow's time span.
     fn rebase(&mut self) {
         assert!(
             !self.overflow.is_empty(),
             "pending events unaccounted for: len says {} remain",
             self.len
         );
-        self.probed = None; // bucket geometry changes below
+        debug_assert!(self.rungs.is_empty() && self.bottom.is_empty());
         let entries = std::mem::take(&mut self.overflow);
         let min = self.overflow_min;
         let max = entries
@@ -473,25 +587,20 @@ impl<P: Protocol> EventQueue<P> {
             .expect("non-empty overflow");
         // Width ≈ span / buckets, rounded up to a power of two so every
         // entry fits the new horizon (entries of a span wider than the
-        // largest bucket geometry simply re-overflow; the minimum always
-        // lands in bucket 0, so each rebase makes progress).
+        // largest bucket geometry simply re-overflow — and count as
+        // overflow hits again; the minimum always lands in bucket 0, so
+        // each rebase makes progress).
         let width = (max - min) / CAL_BUCKETS as u64 + 1;
-        self.shift = if width > 1 << MAX_BUCKET_SHIFT {
+        self.calendar.shift = if width > 1 << MAX_BUCKET_SHIFT {
             MAX_BUCKET_SHIFT
         } else {
             width.next_power_of_two().trailing_zeros()
         };
-        self.base = min;
-        self.cursor = 0;
-        self.front_end = min;
+        self.calendar.start = min;
+        self.calendar.cursor = 0;
         self.overflow_min = u64::MAX;
-        // Re-pushed below: neither `len` nor the external push counter may
-        // double-count them (overflow hits *are* re-counted — a re-park is
-        // another hit on the overflow level).
-        self.len -= entries.len();
-        self.stats.pushes -= entries.len() as u64;
         for (key, kind) in entries {
-            self.push(key, kind);
+            self.place(key, kind);
         }
     }
 }
@@ -1458,6 +1567,202 @@ mod tests {
             assert_eq!(q.len(), 1, "refused pop must not consume");
         }
         assert_eq!(q.next_time(), Some(SimTime::from_millis(5)));
+    }
+
+    fn at(us: u64, src: u32, seq: u64) -> EventKey {
+        EventKey {
+            time: SimTime::from_micros(us),
+            src,
+            seq,
+        }
+    }
+
+    /// Pops everything left, asserting strictly ascending keys; returns
+    /// how many events came out.
+    fn drain_in_order(q: &mut EventQueue<Nop>, mut last: Option<EventKey>) -> usize {
+        let mut n = 0;
+        while let Some((key, _)) = q.pop() {
+            assert!(Some(key) > last, "{key:?} popped after {last:?}");
+            last = Some(key);
+            n += 1;
+        }
+        n
+    }
+
+    /// A hold model far denser than the calendar's buckets: `pending`
+    /// events within `delay` µs of `origin`, every pop re-pushed `delay`
+    /// later. Returns the last popped key and the deepest rung nesting
+    /// seen.
+    fn hold(
+        q: &mut EventQueue<Nop>,
+        origin: u64,
+        pending: u64,
+        delay: u64,
+        ops: u64,
+    ) -> (Option<EventKey>, usize) {
+        for seq in 0..pending {
+            let (key, kind) = cmd(at(origin + (seq * 7) % delay, 0, seq), seq);
+            q.push(key, kind);
+        }
+        let mut last = None;
+        let mut depth = 0;
+        for seq in pending..pending + ops {
+            let (key, _) = q.pop().expect("hold model keeps the queue full");
+            assert!(Some(key) > last, "{key:?} popped after {last:?}");
+            last = Some(key);
+            let (key, kind) = cmd(at(key.time.as_micros() + delay, 0, seq), seq);
+            q.push(key, kind);
+            depth = depth.max(q.rungs.len());
+        }
+        (last, depth)
+    }
+
+    /// A burst at one instant cannot be divided by any bucket width: it
+    /// stays in the bottom, however long, and still pops by `(src, seq)`.
+    #[test]
+    fn same_instant_burst_stays_ordered_without_splitting() {
+        let mut q: EventQueue<Nop> = EventQueue::new();
+        let (key, kind) = cmd(at(10, 0, 0), 0);
+        q.push(key, kind);
+        // Scrambled (src, seq): 2 500 before the instant's bucket is
+        // drained, 2 500 into the sorted bottom after.
+        let burst = |q: &mut EventQueue<Nop>, range: std::ops::Range<u64>| {
+            for i in range {
+                let j = (i * 2_741) % 5_000;
+                let (key, kind) = cmd(at(20, (j % 50) as u32, j / 50), j);
+                q.push(key, kind);
+            }
+        };
+        burst(&mut q, 0..2_500);
+        let (first, _) = q.pop().expect("the early event");
+        assert_eq!(first.time.as_micros(), 10);
+        burst(&mut q, 2_500..5_000);
+        assert!(q.rungs.is_empty(), "one instant must not be re-bucketed");
+        assert_eq!(drain_in_order(&mut q, Some(first)), 5_000);
+    }
+
+    /// `pushes`/`pops` count external traffic only — across a re-base
+    /// (which re-files the overflow) and a rung split (which re-files the
+    /// bottom) — while `overflow_hits` counts every park beyond the
+    /// horizon, re-parks included.
+    #[test]
+    fn stats_count_external_traffic_across_rebase_and_split() {
+        let mut q: EventQueue<Nop> = EventQueue::new();
+        // 300 events past the first epoch's ~2.1 s horizon plus one so far
+        // out that the re-base parks it again: 301 + 1 overflow hits.
+        for seq in 0..300u64 {
+            let (key, kind) = cmd(at(3_000_000 + seq, 0, seq), seq);
+            q.push(key, kind);
+        }
+        let (key, kind) = cmd(at(1 << 60, 0, 300), 300);
+        q.push(key, kind);
+        let mut last = None;
+        for seq in 301..341u64 {
+            let (key, _) = q.pop().expect("pending");
+            assert!(Some(key) > last);
+            last = Some(key);
+            // Inside the drained bucket: sorted inserts, then a split.
+            let (key, kind) = cmd(at(3_000_200 + seq, 1, seq), seq);
+            q.push(key, kind);
+        }
+        assert!(!q.rungs.is_empty(), "a 300-entry bottom must have split");
+        let expect = QueueStats {
+            pushes: 341,
+            pops: 40,
+            overflow_hits: 302,
+        };
+        assert_eq!(q.stats(), expect);
+        assert_eq!(q.len(), 301);
+        assert_eq!(drain_in_order(&mut q, last), 301);
+        assert_eq!(q.stats().pops, 341);
+    }
+
+    /// A refused `pop_before` consumes nothing and moves nothing while
+    /// child rungs are live, at whichever level the head happens to sit.
+    #[test]
+    fn pop_before_never_consumes_on_refusal_with_live_rungs() {
+        let mut q: EventQueue<Nop> = EventQueue::new();
+        let (mut last, _) = hold(&mut q, 0, 1_000, 500, 3_000);
+        assert!(!q.rungs.is_empty(), "the hold model must have split");
+        while !q.is_empty() {
+            let head = q.next_time().expect("pending");
+            let len = q.len();
+            for _ in 0..2 {
+                assert!(q.pop_before(head).is_none(), "bound is exclusive");
+                assert_eq!((q.len(), q.next_time()), (len, Some(head)));
+            }
+            // Take the head's whole instant, then refuse again.
+            let end = head + SimDuration::from_micros(1);
+            while let Some((key, _)) = q.pop_before(end) {
+                assert!(Some(key) > last && key.time == head);
+                last = Some(key);
+            }
+            assert!(q.len() < len);
+        }
+    }
+
+    /// Events at the very end of time, with a child rung live there: no
+    /// position arithmetic may wrap, `pop_before(SimTime::MAX)` must leave
+    /// the events due exactly at `SimTime::MAX`, and a push at
+    /// `SimTime::MAX` after its bucket was drained must not get lost.
+    #[test]
+    fn saturation_edge_with_live_rung() {
+        const MAX: u64 = u64::MAX;
+        let mut q: EventQueue<Nop> = EventQueue::new();
+        // The early event makes the re-base pick 2 µs buckets with
+        // MAX - 1 and MAX sharing one.
+        let (key, kind) = cmd(at(MAX - 1_001, 0, 0), 0);
+        q.push(key, kind);
+        for seq in 0..150u64 {
+            for t in [MAX - 1, MAX] {
+                let (key, kind) = cmd(at(t, 1, seq), seq);
+                q.push(key, kind);
+            }
+        }
+        let (first, _) = q.pop().expect("the early event");
+        assert_eq!(first.time.as_micros(), MAX - 1_001);
+        let (second, _) = q.pop().expect("first of MAX - 1");
+        assert_eq!(second, at(MAX - 1, 1, 0));
+        // Into the drained bucket: splits it into 1 µs buckets.
+        for (t, seq) in [(MAX, 150), (MAX - 1, 150), (MAX, 151)] {
+            let (key, kind) = cmd(at(t, 1, seq), seq);
+            q.push(key, kind);
+        }
+        assert!(
+            !q.rungs.is_empty(),
+            "a 300-entry two-instant bottom must split"
+        );
+        let mut last = Some(second);
+        let mut before_max = 0;
+        while let Some((key, _)) = q.pop_before(SimTime::MAX) {
+            assert!(Some(key) > last);
+            last = Some(key);
+            before_max += 1;
+        }
+        assert_eq!(before_max, 150, "149 left at MAX - 1 plus the late push");
+        assert_eq!(q.next_time(), Some(SimTime::MAX));
+        assert_eq!(drain_in_order(&mut q, last), 152);
+    }
+
+    /// The geometry that made in-range pushes quadratic: one event near
+    /// the end of time makes the re-base pick the widest buckets
+    /// (2^44 µs), so a millisecond-scale hold model lives entirely inside
+    /// one drained bucket. Child rungs must keep the work per push
+    /// constant (a sorted bottom alone shifts ~1 600 entries per push
+    /// here).
+    #[test]
+    fn relocations_per_push_stay_constant_in_coarse_buckets() {
+        let mut q: EventQueue<Nop> = EventQueue::new();
+        let (key, kind) = cmd(at(u64::MAX - 1, 9, 0), 0);
+        q.push(key, kind);
+        // Past the first epoch's horizon, so the first pop re-bases.
+        let (_, depth) = hold(&mut q, 3_000_000, 4_096, 1_000, 50_000);
+        assert_eq!(q.calendar.shift, MAX_BUCKET_SHIFT);
+        assert!(depth >= 2, "rungs nested {depth} deep");
+        assert!(depth <= 8, "rungs nested {depth} deep");
+        let per_push = q.relocations as f64 / 50_000.0;
+        assert!(per_push < 4.0, "{per_push} entries relocated per push");
+        assert_eq!(drain_in_order(&mut q, None), 4_097);
     }
 
     /// A zero-latency network still yields a positive conservative
