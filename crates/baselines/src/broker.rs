@@ -14,7 +14,8 @@ use crate::common::DeliveryLog;
 use fed_core::ledger::FairnessLedger;
 use fed_pubsub::{Event, SubscriptionTable, TopicId};
 use fed_sim::{Context, HopKind, NodeId, Protocol};
-use std::collections::{BTreeSet, HashMap};
+use fed_util::hash::FastMap;
+use std::collections::BTreeSet;
 
 /// Wire messages of the broker system.
 #[derive(Debug, Clone)]
@@ -46,7 +47,7 @@ pub struct BrokerNode {
     id: NodeId,
     broker: NodeId,
     /// Broker-side subscription registry: topic → subscribers.
-    registry: HashMap<TopicId, BTreeSet<NodeId>>,
+    registry: FastMap<TopicId, BTreeSet<NodeId>>,
     /// Client-side view of its own subscriptions.
     subs: SubscriptionTable,
     ledger: FairnessLedger,
@@ -59,7 +60,7 @@ impl BrokerNode {
         BrokerNode {
             id,
             broker,
-            registry: HashMap::new(),
+            registry: FastMap::default(),
             subs: SubscriptionTable::new(),
             ledger: FairnessLedger::new(),
             log: DeliveryLog::new(),

@@ -1,8 +1,31 @@
 //! Shared helpers for the baseline dissemination systems.
 
 use fed_pubsub::{Event, EventId};
-use fed_sim::SimTime;
-use std::collections::HashMap;
+use fed_sim::{NodeId, SimTime};
+use fed_util::hash::FastMap;
+use fed_util::rng::Rng64;
+
+/// Samples up to `k` distinct members of `group` other than `me`, and says
+/// whether `me` is a member.
+///
+/// Draw for draw what sampling from a copy of the group without `me`
+/// would give, without making the copy: indices come from a range one
+/// short and step over the caller's own position. A group lists each node
+/// at most once.
+pub fn pick_peers<'g, R: Rng64>(
+    rng: &mut R,
+    group: &'g [NodeId],
+    me: NodeId,
+    k: usize,
+) -> (impl Iterator<Item = NodeId> + 'g, bool) {
+    let own = group.iter().position(|&p| p == me);
+    let others = group.len() - usize::from(own.is_some());
+    let picked = rng.sample_indices(others, k.min(others));
+    let peers = picked
+        .into_iter()
+        .map(move |i| group[i + usize::from(own.is_some_and(|o| i >= o))]);
+    (peers, own.is_some())
+}
 
 /// Exactly-once delivery log shared by all baseline nodes.
 ///
@@ -12,7 +35,7 @@ use std::collections::HashMap;
 /// [`DeliveryLog::deliver`]).
 #[derive(Debug, Clone, Default)]
 pub struct DeliveryLog {
-    delivered: HashMap<EventId, SimTime>,
+    delivered: FastMap<EventId, SimTime>,
 }
 
 impl DeliveryLog {

@@ -12,16 +12,18 @@
 //! here, so experiments can build both the ideal and the bridged variant
 //! and measure the difference.
 
-use crate::common::DeliveryLog;
+use crate::common::{pick_peers, DeliveryLog};
 use fed_core::ledger::FairnessLedger;
-use fed_pubsub::{Event, EventId, SubscriptionTable, TopicId, TopicSpace};
+use fed_pubsub::{Event, EventBatch, EventId, SubscriptionTable, TopicId, TopicSpace};
 use fed_sim::{Context, HopKind, NodeId, Protocol, SimDuration};
+use fed_util::hash::{FastMap, FastSet};
 use fed_util::rng::Rng64;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Static group table: which nodes gossip for which topic.
-pub type GroupTable = HashMap<TopicId, Vec<NodeId>>;
+/// Static group table: which nodes gossip for which topic (each node at
+/// most once per group). Build with `GroupTable::default()`.
+pub type GroupTable = FastMap<TopicId, Vec<NodeId>>;
 
 /// Timer token for gossip rounds.
 const ROUND_TIMER: u64 = 1;
@@ -33,8 +35,8 @@ pub enum DamMsg {
     Gossip {
         /// Topic the batch belongs to.
         topic: TopicId,
-        /// Events (all on `topic`).
-        events: Vec<Event>,
+        /// Events (all on `topic`), shared by every partner of the round.
+        events: Arc<EventBatch>,
     },
     /// A publisher outside the group hands an event to a member.
     Handoff {
@@ -86,7 +88,7 @@ pub struct DamNode {
     /// deterministic — HashMap iteration order would leak into the RNG
     /// consumption sequence and break replay).
     buffer: BTreeMap<TopicId, Vec<(Event, u32)>>,
-    seen: HashSet<EventId>,
+    seen: FastSet<EventId>,
     ledger: FairnessLedger,
     log: DeliveryLog,
 }
@@ -106,7 +108,7 @@ impl DamNode {
             space,
             subs: SubscriptionTable::new(),
             buffer: BTreeMap::new(),
-            seen: HashSet::new(),
+            seen: FastSet::default(),
             ledger: FairnessLedger::new(),
             log: DeliveryLog::new(),
         }
@@ -130,20 +132,13 @@ impl DamNode {
             .unwrap_or(false)
     }
 
-    fn group_peers(&self, topic: TopicId) -> Vec<NodeId> {
-        self.groups
-            .get(&topic)
-            .map(|g| g.iter().copied().filter(|&p| p != self.id).collect())
-            .unwrap_or_default()
-    }
-
-    fn accept(&mut self, ctx: &mut Context<'_, DamMsg>, event: Event) {
+    fn accept(&mut self, ctx: &mut Context<'_, DamMsg>, event: &Event) {
         if !self.seen.insert(event.id()) {
             return;
         }
-        if self.subs.matches_in(&event, &self.space) {
+        if self.subs.matches_in(event, &self.space) {
             let now = ctx.now();
-            if self.log.deliver(&event, now) {
+            if self.log.deliver(event, now) {
                 self.ledger.record_delivery();
             }
         }
@@ -152,7 +147,7 @@ impl DamNode {
             self.buffer
                 .entry(event.topic())
                 .or_default()
-                .push((event, self.config.ttl_rounds));
+                .push((event.clone(), self.config.ttl_rounds));
         }
     }
 }
@@ -169,39 +164,29 @@ impl Protocol for DamNode {
     fn on_message(&mut self, ctx: &mut Context<'_, DamMsg>, _from: NodeId, msg: DamMsg) {
         match msg {
             DamMsg::Gossip { events, .. } => {
-                for event in events {
+                for event in events.events() {
                     self.accept(ctx, event);
                 }
             }
-            DamMsg::Handoff { event } => self.accept(ctx, event),
+            DamMsg::Handoff { event } => self.accept(ctx, &event),
         }
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_, DamMsg>, token: u64) {
         debug_assert_eq!(token, ROUND_TIMER);
-        let topics: Vec<TopicId> = self.buffer.keys().copied().collect();
-        for topic in topics {
-            let batch: Vec<Event> = self
-                .buffer
-                .get(&topic)
-                .map(|v| v.iter().map(|(e, _)| e.clone()).collect())
-                .unwrap_or_default();
-            if batch.is_empty() {
+        for (&topic, entries) in &self.buffer {
+            let Some(group) = self.groups.get(&topic) else {
                 continue;
-            }
-            let peers = self.group_peers(topic);
-            if peers.is_empty() {
-                continue;
-            }
-            let k = self.config.fanout.min(peers.len());
-            let picked = ctx.rng().sample_indices(peers.len(), k);
-            let size = 12 + batch.iter().map(Event::size_bytes).sum::<usize>();
-            for i in picked {
+            };
+            let (peers, _) = pick_peers(ctx.rng(), group, self.id, self.config.fanout);
+            let batch: Arc<EventBatch> = Arc::new(entries.iter().map(|(e, _)| e.clone()).collect());
+            let size = 12 + batch.size_bytes();
+            for peer in peers {
                 ctx.send(
-                    peers[i],
+                    peer,
                     DamMsg::Gossip {
                         topic,
-                        events: batch.clone(),
+                        events: Arc::clone(&batch),
                     },
                 );
                 self.ledger.record_forward(size);
@@ -223,11 +208,11 @@ impl Protocol for DamNode {
             DamCmd::Publish(event) => {
                 self.ledger.record_publish(event.size_bytes());
                 if self.is_group_member(event.topic()) {
-                    self.accept(ctx, event);
-                } else {
-                    // Bridge into the group through one member.
-                    let peers = self.group_peers(event.topic());
-                    if let Some(&member) = ctx.rng().choose(&peers) {
+                    self.accept(ctx, &event);
+                } else if let Some(group) = self.groups.get(&event.topic()) {
+                    // Bridge into the group through one member (this node
+                    // is not one, so the whole group is eligible).
+                    if let Some(&member) = ctx.rng().choose(group) {
                         ctx.send(member, DamMsg::Handoff { event });
                     }
                 }
@@ -241,9 +226,7 @@ impl Protocol for DamNode {
 
     fn message_size(msg: &DamMsg) -> usize {
         match msg {
-            DamMsg::Gossip { events, .. } => {
-                12 + events.iter().map(Event::size_bytes).sum::<usize>()
-            }
+            DamMsg::Gossip { events, .. } => 12 + events.size_bytes(),
             DamMsg::Handoff { event } => 8 + event.size_bytes(),
         }
     }
@@ -251,7 +234,7 @@ impl Protocol for DamNode {
     fn trace_payload(msg: &DamMsg, emit: &mut dyn FnMut(u64, u32, u32, HopKind)) {
         match msg {
             DamMsg::Gossip { events, .. } => {
-                for e in events {
+                for e in events.events() {
                     emit(
                         e.id().as_u64(),
                         e.topic().as_u32(),
@@ -295,7 +278,7 @@ mod tests {
         let n = 32;
         let topic = TopicId::new(0);
         let members: Vec<NodeId> = (0..8).map(NodeId::new).collect();
-        let mut groups = GroupTable::new();
+        let mut groups = GroupTable::default();
         groups.insert(topic, members.clone());
         let mut sim = build(n, groups, TopicSpace::flat(1));
         for m in &members {
@@ -327,7 +310,7 @@ mod tests {
         let n = 16;
         let topic = TopicId::new(0);
         let members: Vec<NodeId> = (0..4).map(NodeId::new).collect();
-        let mut groups = GroupTable::new();
+        let mut groups = GroupTable::default();
         groups.insert(topic, members.clone());
         let mut sim = build(n, groups, TopicSpace::flat(1));
         for m in &members {
@@ -359,7 +342,7 @@ mod tests {
         let n = 16;
         let mut members: Vec<NodeId> = (1..6).map(NodeId::new).collect();
         members.push(NodeId::new(0)); // the bridge
-        let mut groups = GroupTable::new();
+        let mut groups = GroupTable::default();
         groups.insert(sub, members.clone());
         let mut sim = build(n, groups, space);
         for m in 1..6u32 {
@@ -387,7 +370,7 @@ mod tests {
         let root = space.register("root").unwrap();
         let sub = space.register_under("root/sub", root).unwrap();
         let members: Vec<NodeId> = (0..4).map(NodeId::new).collect();
-        let mut groups = GroupTable::new();
+        let mut groups = GroupTable::default();
         groups.insert(sub, members.clone());
         let mut sim = build(8, groups, space);
         // Node 0 subscribes to the *root*; events arrive on `sub`.
@@ -412,7 +395,7 @@ mod tests {
     fn buffers_drain_after_ttl() {
         let topic = TopicId::new(0);
         let members: Vec<NodeId> = (0..4).map(NodeId::new).collect();
-        let mut groups = GroupTable::new();
+        let mut groups = GroupTable::default();
         groups.insert(topic, members);
         let mut sim = build(8, groups, TopicSpace::flat(1));
         sim.schedule_command(

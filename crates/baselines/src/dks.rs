@@ -15,14 +15,13 @@
 //! epidemic. Group members only handle traffic they want — but index-route
 //! relays and index nodes work for topics they never subscribed to.
 
-use crate::common::DeliveryLog;
+use crate::common::{pick_peers, DeliveryLog};
 use crate::dam::GroupTable;
 use fed_core::ledger::FairnessLedger;
 use fed_dht::{DhtId, DhtNetwork};
 use fed_pubsub::{Event, EventId, SubscriptionTable, TopicId};
 use fed_sim::{Context, HopKind, NodeId, Protocol};
-use fed_util::rng::Rng64;
-use std::collections::HashSet;
+use fed_util::hash::FastSet;
 use std::sync::Arc;
 
 /// Wire messages.
@@ -76,7 +75,7 @@ pub struct DksNode {
     dht: Arc<DhtNetwork>,
     groups: Arc<GroupTable>,
     subs: SubscriptionTable,
-    seen: HashSet<EventId>,
+    seen: FastSet<EventId>,
     ledger: FairnessLedger,
     log: DeliveryLog,
 }
@@ -95,7 +94,7 @@ impl DksNode {
             dht,
             groups,
             subs: SubscriptionTable::new(),
-            seen: HashSet::new(),
+            seen: FastSet::default(),
             ledger: FairnessLedger::new(),
             log: DeliveryLog::new(),
         }
@@ -119,29 +118,31 @@ impl DksNode {
             .map(|n| NodeId::new(n.index as u32))
     }
 
-    fn group_peers(&self, topic: TopicId) -> Vec<NodeId> {
-        self.groups
-            .get(&topic)
-            .map(|g| g.iter().copied().filter(|&p| p != self.id).collect())
-            .unwrap_or_default()
-    }
-
-    fn flood_once(&mut self, ctx: &mut Context<'_, DksMsg>, event: &Event) {
-        let peers = self.group_peers(event.topic());
-        if peers.is_empty() {
-            return;
-        }
-        let k = self.config.group_fanout.min(peers.len());
-        let picked = ctx.rng().sample_indices(peers.len(), k);
+    /// Sends `event` to up to `k` random other members of its topic group;
+    /// returns whether this node is itself a member.
+    fn flood(&mut self, ctx: &mut Context<'_, DksMsg>, event: &Event, k: usize) -> bool {
+        let Some(group) = self.groups.get(&event.topic()) else {
+            return false;
+        };
+        let (peers, is_member) = pick_peers(ctx.rng(), group, self.id, k);
         let size = event.size_bytes();
-        for i in picked {
+        for peer in peers {
             ctx.send(
-                peers[i],
+                peer,
                 DksMsg::GroupFlood {
                     event: event.clone(),
                 },
             );
             self.ledger.record_forward(size);
+        }
+        is_member
+    }
+
+    /// Index-node duty: seed the topic group, and join the epidemic when
+    /// the index node is itself a subscriber.
+    fn seed_group(&mut self, ctx: &mut Context<'_, DksMsg>, event: Event) {
+        if self.flood(ctx, &event, self.config.seeds) {
+            self.accept_in_group(ctx, event);
         }
     }
 
@@ -155,7 +156,7 @@ impl DksNode {
                 self.ledger.record_delivery();
             }
         }
-        self.flood_once(ctx, &event);
+        self.flood(ctx, &event, self.config.group_fanout);
     }
 }
 
@@ -173,31 +174,8 @@ impl Protocol for DksNode {
                     self.ledger.record_forward(event.size_bytes());
                     ctx.send(next, DksMsg::IndexRoute { event });
                 }
-                None => {
-                    // We are the index node for this topic: seed the group.
-                    let peers = self.group_peers(event.topic());
-                    let k = self.config.seeds.min(peers.len());
-                    let picked = ctx.rng().sample_indices(peers.len(), k);
-                    let size = event.size_bytes();
-                    for i in picked {
-                        ctx.send(
-                            peers[i],
-                            DksMsg::GroupFlood {
-                                event: event.clone(),
-                            },
-                        );
-                        self.ledger.record_forward(size);
-                    }
-                    // The index node may itself be a subscriber.
-                    if self
-                        .groups
-                        .get(&event.topic())
-                        .map(|g| g.contains(&self.id))
-                        .unwrap_or(false)
-                    {
-                        self.accept_in_group(ctx, event);
-                    }
-                }
+                // We are the index node for this topic.
+                None => self.seed_group(ctx, event),
             },
             DksMsg::GroupFlood { event } => self.accept_in_group(ctx, event),
         }
@@ -211,34 +189,8 @@ impl Protocol for DksNode {
                 self.ledger.record_publish(event.size_bytes());
                 match self.next_hop(event.topic()) {
                     Some(next) => ctx.send(next, DksMsg::IndexRoute { event }),
-                    None => {
-                        // Publisher is the index node.
-                        let msg = DksMsg::IndexRoute { event };
-                        if let DksMsg::IndexRoute { event } = msg {
-                            // Seed directly.
-                            let peers = self.group_peers(event.topic());
-                            let k = self.config.seeds.min(peers.len());
-                            let picked = ctx.rng().sample_indices(peers.len(), k);
-                            let size = event.size_bytes();
-                            for i in picked {
-                                ctx.send(
-                                    peers[i],
-                                    DksMsg::GroupFlood {
-                                        event: event.clone(),
-                                    },
-                                );
-                                self.ledger.record_forward(size);
-                            }
-                            if self
-                                .groups
-                                .get(&event.topic())
-                                .map(|g| g.contains(&self.id))
-                                .unwrap_or(false)
-                            {
-                                self.accept_in_group(ctx, event);
-                            }
-                        }
-                    }
+                    // Publisher is the index node.
+                    None => self.seed_group(ctx, event),
                 }
             }
             DksCmd::SubscribeTopic(topic) => {
@@ -292,7 +244,7 @@ mod tests {
         let n = 64;
         let topic = TopicId::new(2);
         let members: Vec<NodeId> = (10..30).map(NodeId::new).collect();
-        let mut groups = GroupTable::new();
+        let mut groups = GroupTable::default();
         groups.insert(topic, members.clone());
         let mut s = build(n, groups);
         for m in &members {
@@ -317,7 +269,7 @@ mod tests {
         let n = 128;
         let topic = TopicId::new(5);
         let members: Vec<NodeId> = (0..10).map(NodeId::new).collect();
-        let mut groups = GroupTable::new();
+        let mut groups = GroupTable::default();
         groups.insert(topic, members.clone());
         let mut s = build(n, groups);
         for m in &members {
@@ -350,7 +302,7 @@ mod tests {
         let n = 32;
         let topic = TopicId::new(1);
         let members: Vec<NodeId> = (0..8).map(NodeId::new).collect();
-        let mut groups = GroupTable::new();
+        let mut groups = GroupTable::default();
         groups.insert(topic, members.clone());
         let mut s = build(n, groups);
         for m in &members {
@@ -373,7 +325,7 @@ mod tests {
     #[test]
     fn empty_group_event_dies_at_index() {
         let n = 16;
-        let mut s = build(n, GroupTable::new());
+        let mut s = build(n, GroupTable::default());
         s.schedule_command(
             SimTime::from_millis(50),
             NodeId::new(3),

@@ -17,7 +17,8 @@ use fed_core::ledger::FairnessLedger;
 use fed_dht::{DhtId, DhtNetwork};
 use fed_pubsub::{Event, SubscriptionTable, TopicId};
 use fed_sim::{Context, HopKind, NodeId, Protocol};
-use std::collections::{BTreeSet, HashMap};
+use fed_util::hash::FastMap;
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Wire messages.
@@ -55,7 +56,7 @@ pub struct ScribeNode {
     id: NodeId,
     dht: Arc<DhtNetwork>,
     /// Per-topic children in the multicast tree.
-    children: HashMap<TopicId, BTreeSet<NodeId>>,
+    children: FastMap<TopicId, BTreeSet<NodeId>>,
     /// Topics for which this node already joined (forwarder state).
     in_tree: BTreeSet<TopicId>,
     subs: SubscriptionTable,
@@ -69,7 +70,7 @@ impl ScribeNode {
         ScribeNode {
             id,
             dht,
-            children: HashMap::new(),
+            children: FastMap::default(),
             in_tree: BTreeSet::new(),
             subs: SubscriptionTable::new(),
             ledger: FairnessLedger::new(),
@@ -132,13 +133,11 @@ impl ScribeNode {
     }
 
     fn multicast_down(&mut self, ctx: &mut Context<'_, ScribeMsg>, event: &Event) {
-        let kids = self
-            .children
-            .get(&event.topic())
-            .cloned()
-            .unwrap_or_default();
+        let Some(kids) = self.children.get(&event.topic()) else {
+            return;
+        };
         let size = event.size_bytes();
-        for child in kids {
+        for &child in kids {
             ctx.send(
                 child,
                 ScribeMsg::Multicast {

@@ -24,10 +24,11 @@ use crate::behavior::Behavior;
 use crate::ledger::{FairnessLedger, RatioSpec};
 use fed_membership::swim::{SwimConfig, SwimMsg, SwimObservation, SwimState, SwimUpdate};
 use fed_membership::PeerSampler;
-use fed_pubsub::{Event, EventId, Filter, SubscriptionTable, TopicId};
+use fed_pubsub::{Event, EventBatch, EventId, Filter, SubscriptionTable, TopicId};
 use fed_sim::{Context, HopKind, NodeId, Protocol, SimDuration, SimTime};
+use fed_util::hash::{FastMap, FastSet};
 use fed_util::rng::Rng64;
-use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 /// Timer token for the periodic gossip round.
 const ROUND_TIMER: u64 = 1;
@@ -172,8 +173,8 @@ pub enum GossipCmd {
 pub enum GossipMsg {
     /// A gossip push: events plus the fairness piggyback.
     Push {
-        /// Batch of events.
-        events: Vec<Event>,
+        /// Batch of events, shared by every push of the sender's round.
+        events: Arc<EventBatch>,
         /// Sender's advertised windowed rates (see
         /// [`crate::adaptive`]).
         sample: RateSample,
@@ -195,6 +196,17 @@ pub struct DeliveryRecord {
     pub round: u64,
 }
 
+/// What a node remembers about one sender, for the audit protocol.
+#[derive(Debug, Clone, Copy)]
+struct PeerRecord {
+    /// Pushes received from the sender.
+    msgs: u64,
+    /// This node's round count at the first of them.
+    since_round: u64,
+    /// The sender's most recently advertised rates.
+    claim: RateSample,
+}
+
 /// One buffered event with its remaining forwarding budget.
 #[derive(Debug, Clone)]
 struct Buffered {
@@ -213,8 +225,8 @@ pub struct GossipNode<S> {
     sampler: S,
     subs: SubscriptionTable,
     buffer: Vec<Buffered>,
-    seen: HashSet<EventId>,
-    delivered: HashMap<EventId, DeliveryRecord>,
+    seen: FastSet<EventId>,
+    delivered: FastMap<EventId, DeliveryRecord>,
     ledger: FairnessLedger,
     estimator: GlobalRateEstimator,
     fanout_ctl: Controller,
@@ -223,10 +235,8 @@ pub struct GossipNode<S> {
     behavior: Behavior,
     rounds: u64,
     duplicates: u64,
-    /// Per-sender gossip receipts since round, for the audit protocol.
-    receipts: HashMap<NodeId, (u64, u64)>,
-    /// Last advertised rates per sender (audit evidence).
-    peer_claims: HashMap<NodeId, RateSample>,
+    /// Per-sender receipt counters and last claim (audit evidence).
+    peers: FastMap<NodeId, PeerRecord>,
     /// SWIM failure detector, created in `on_init` when configured.
     swim: Option<SwimState>,
 }
@@ -247,8 +257,8 @@ impl<S: PeerSampler> GossipNode<S> {
             sampler,
             subs: SubscriptionTable::new(),
             buffer: Vec::new(),
-            seen: HashSet::new(),
-            delivered: HashMap::new(),
+            seen: FastSet::default(),
+            delivered: FastMap::default(),
             ledger: FairnessLedger::new(),
             estimator,
             fanout_ctl,
@@ -257,8 +267,7 @@ impl<S: PeerSampler> GossipNode<S> {
             behavior: Behavior::Honest,
             rounds: 0,
             duplicates: 0,
-            receipts: HashMap::new(),
-            peer_claims: HashMap::new(),
+            peers: FastMap::default(),
             swim: None,
         }
     }
@@ -291,7 +300,7 @@ impl<S: PeerSampler> GossipNode<S> {
     }
 
     /// Every delivery with its record.
-    pub fn deliveries(&self) -> &HashMap<EventId, DeliveryRecord> {
+    pub fn deliveries(&self) -> &FastMap<EventId, DeliveryRecord> {
         &self.delivered
     }
 
@@ -337,12 +346,12 @@ impl<S: PeerSampler> GossipNode<S> {
 
     /// Receipt counter snapshot for `peer`: `(messages, since_round)`.
     pub fn receipts_from(&self, peer: NodeId) -> Option<(u64, u64)> {
-        self.receipts.get(&peer).copied()
+        self.peers.get(&peer).map(|r| (r.msgs, r.since_round))
     }
 
     /// Last advertised rate sample seen from `peer`.
     pub fn claim_of(&self, peer: NodeId) -> Option<RateSample> {
-        self.peer_claims.get(&peer).copied()
+        self.peers.get(&peer).map(|r| r.claim)
     }
 
     /// Read access to the peer sampler.
@@ -376,16 +385,48 @@ impl<S: PeerSampler> GossipNode<S> {
         }
     }
 
-    fn accept_event(&mut self, event: Event, now: SimTime) {
+    fn accept_event(&mut self, event: &Event, now: SimTime) {
         if !self.seen.insert(event.id()) {
             self.duplicates += 1;
             return;
         }
-        self.deliver_if_interested(&event, now);
+        self.deliver_if_interested(event, now);
         self.buffer.push(Buffered {
-            event,
+            event: event.clone(),
             ttl: self.config.ttl_rounds,
         });
+    }
+
+    /// Pushes one shared batch to each of `partners`, charging the ledger
+    /// per message.
+    fn push_to(
+        &mut self,
+        ctx: &mut Context<'_, GossipMsg>,
+        partners: Vec<NodeId>,
+        events: Arc<EventBatch>,
+    ) {
+        let sample = self.behavior.advertise(RateSample {
+            benefit_rate: self.own_rates.benefit_rate,
+            contribution_rate: self.own_rates.contribution_rate,
+            benefit_total: self.ledger.benefit(&self.config.spec),
+            contribution_total: self.ledger.contribution(&self.config.spec),
+        });
+        for peer in partners {
+            let swim = match &mut self.swim {
+                Some(s) => s.outgoing_piggyback(),
+                None => Vec::new(),
+            };
+            let bytes = push_size(&events, swim.len());
+            ctx.send(
+                peer,
+                GossipMsg::Push {
+                    events: Arc::clone(&events),
+                    sample,
+                    swim,
+                },
+            );
+            self.ledger.record_forward(bytes);
+        }
     }
 
     fn run_round(&mut self, ctx: &mut Context<'_, GossipMsg>) {
@@ -447,32 +488,11 @@ impl<S: PeerSampler> GossipNode<S> {
         if !partners.is_empty() && !self.buffer.is_empty() {
             let k = n_events.min(self.buffer.len());
             let picked = ctx.rng().sample_indices(self.buffer.len(), k);
-            let events: Vec<Event> = picked
+            let events: EventBatch = picked
                 .into_iter()
                 .map(|i| self.buffer[i].event.clone())
                 .collect();
-            let sample = self.behavior.advertise(RateSample {
-                benefit_rate: self.own_rates.benefit_rate,
-                contribution_rate: self.own_rates.contribution_rate,
-                benefit_total: self.ledger.benefit(&spec),
-                contribution_total: self.ledger.contribution(&spec),
-            });
-            for peer in partners {
-                let swim_piggy = match &mut self.swim {
-                    Some(s) => s.outgoing_piggyback(),
-                    None => Vec::new(),
-                };
-                let bytes = push_size(&events, swim_piggy.len());
-                ctx.send(
-                    peer,
-                    GossipMsg::Push {
-                        events: events.clone(),
-                        sample,
-                        swim: swim_piggy,
-                    },
-                );
-                self.ledger.record_forward(bytes);
-            }
+            self.push_to(ctx, partners, Arc::new(events));
         }
 
         // 4. Age the buffer.
@@ -511,15 +531,19 @@ impl<S: PeerSampler + 'static> Protocol for GossipNode<S> {
                 swim,
             } => {
                 self.estimator.observe(sample);
-                self.peer_claims.insert(from, sample);
-                let entry = self.receipts.entry(from).or_insert((0, self.rounds));
-                entry.0 += 1;
+                let record = self.peers.entry(from).or_insert(PeerRecord {
+                    msgs: 0,
+                    since_round: self.rounds,
+                    claim: sample,
+                });
+                record.msgs += 1;
+                record.claim = sample;
                 self.sampler.note_peer(from);
                 let now = ctx.now();
                 if let Some(detector) = &mut self.swim {
                     detector.absorb_piggyback(now, from, &swim);
                 }
-                for event in events {
+                for event in events.events() {
                     self.accept_event(event, now);
                 }
             }
@@ -584,7 +608,7 @@ impl<S: PeerSampler + 'static> Protocol for GossipNode<S> {
             GossipCmd::Publish(event) => {
                 self.ledger.record_publish(event.size_bytes());
                 let now = ctx.now();
-                self.accept_event(event.clone(), now);
+                self.accept_event(&event, now);
                 // Seed the epidemic immediately: the publisher pushes the
                 // fresh event to `2 × target_mean` random peers at its own
                 // expense. Without this, a publisher whose fair-share
@@ -598,28 +622,7 @@ impl<S: PeerSampler + 'static> Protocol for GossipNode<S> {
                 // seed fanout.
                 let seed_fanout = (2.0 * self.config.fanout.target_mean).round().max(1.0) as usize;
                 let peers = self.sampler.sample_peers(ctx.rng(), seed_fanout);
-                let sample = self.behavior.advertise(RateSample {
-                    benefit_rate: self.own_rates.benefit_rate,
-                    contribution_rate: self.own_rates.contribution_rate,
-                    benefit_total: self.ledger.benefit(&self.config.spec),
-                    contribution_total: self.ledger.contribution(&self.config.spec),
-                });
-                for peer in peers {
-                    let swim_piggy = match &mut self.swim {
-                        Some(s) => s.outgoing_piggyback(),
-                        None => Vec::new(),
-                    };
-                    let bytes = push_size(std::slice::from_ref(&event), swim_piggy.len());
-                    ctx.send(
-                        peer,
-                        GossipMsg::Push {
-                            events: vec![event.clone()],
-                            sample,
-                            swim: swim_piggy,
-                        },
-                    );
-                    self.ledger.record_forward(bytes);
-                }
+                self.push_to(ctx, peers, Arc::new(EventBatch::from_iter([event])));
             }
             GossipCmd::SubscribeTopic(topic) => {
                 self.subs.subscribe_topic(topic);
@@ -649,7 +652,7 @@ impl<S: PeerSampler + 'static> Protocol for GossipNode<S> {
     fn trace_payload(msg: &GossipMsg, emit: &mut dyn FnMut(u64, u32, u32, HopKind)) {
         // SWIM traffic is control plane; only pushes carry events.
         if let GossipMsg::Push { events, .. } = msg {
-            for e in events {
+            for e in events.events() {
                 emit(
                     e.id().as_u64(),
                     e.topic().as_u32(),
@@ -662,9 +665,9 @@ impl<S: PeerSampler + 'static> Protocol for GossipNode<S> {
 }
 
 /// Wire size of a push message: header + piggybacks + event payloads.
-fn push_size(events: &[Event], swim_updates: usize) -> usize {
+fn push_size(events: &EventBatch, swim_updates: usize) -> usize {
     8 + RateSample::WIRE_BYTES
-        + events.iter().map(Event::size_bytes).sum::<usize>()
+        + events.size_bytes()
         + swim_updates * fed_membership::swim::SWIM_UPDATE_BYTES
 }
 
@@ -672,6 +675,7 @@ fn push_size(events: &[Event], swim_updates: usize) -> usize {
 mod tests {
     use super::*;
     use fed_membership::FullMembership;
+    use fed_sim::exec::{seed_streams, EffectSink, EventKey, EventKind, Kernel, EXTERNAL_SRC};
     use fed_sim::network::{LatencyModel, NetworkModel};
     use fed_sim::Simulation;
 
@@ -917,16 +921,203 @@ mod tests {
 
     #[test]
     fn message_size_accounts_events_and_piggyback() {
+        use fed_membership::swim::{SwimStatus, SWIM_UPDATE_BYTES};
         let e = Event::builder(EventId::new(0, 0), TopicId::new(0))
             .payload_bytes(100)
             .build();
-        let msg = GossipMsg::Push {
-            events: vec![e.clone(), e],
-            sample: RateSample::default(),
-            swim: vec![],
+        let update = SwimUpdate {
+            subject: NodeId::new(1),
+            incarnation: 0,
+            status: SwimStatus::Alive,
         };
-        let expect = 8 + RateSample::WIRE_BYTES + 2 * (16 + 100);
+        let msg = GossipMsg::Push {
+            events: Arc::new(EventBatch::from_iter([e.clone(), e])),
+            sample: RateSample::default(),
+            swim: vec![update; 3],
+        };
+        let expect = 8 + RateSample::WIRE_BYTES + 2 * (16 + 100) + 3 * SWIM_UPDATE_BYTES;
         assert_eq!(Node::message_size(&msg), expect);
+    }
+
+    /// Effects of hand-dispatched events, in emission order.
+    struct Captured(Vec<EventKind<Node>>);
+
+    impl EffectSink<Node> for Captured {
+        fn emit(&mut self, _key: EventKey, kind: EventKind<Node>) {
+            self.0.push(kind);
+        }
+    }
+
+    impl Captured {
+        /// Takes the batches of the pushes captured so far.
+        fn take_pushes(&mut self) -> Vec<Arc<EventBatch>> {
+            std::mem::take(&mut self.0)
+                .into_iter()
+                .filter_map(|kind| match kind {
+                    EventKind::Deliver {
+                        msg: GossipMsg::Push { events, .. },
+                        ..
+                    } => Some(events),
+                    _ => None,
+                })
+                .collect()
+        }
+    }
+
+    fn classic_factory(
+        n: usize,
+        fanout: usize,
+    ) -> impl FnMut(NodeId, &mut fed_util::rng::Xoshiro256StarStar) -> Node {
+        let cfg = GossipConfig::classic(fanout, 16, SimDuration::from_millis(100));
+        move |id, _| GossipNode::new(id, cfg.clone(), FullMembership::new(id, n))
+    }
+
+    /// A kernel of `n` classic nodes driven one event at a time.
+    struct Rig {
+        kernel: Kernel<Node>,
+        sink: Captured,
+        n: usize,
+        fanout: usize,
+        seq: u64,
+    }
+
+    impl Rig {
+        fn new(n: usize, fanout: usize) -> Self {
+            let mut sink = Captured(Vec::new());
+            let kernel = Kernel::new(
+                n,
+                (0..n as u32).collect(),
+                seed_streams(9, n),
+                net(10),
+                &mut classic_factory(n, fanout),
+                &mut sink,
+            );
+            sink.0.clear(); // the nodes' first round timers
+            Rig {
+                kernel,
+                sink,
+                n,
+                fanout,
+                seq: 0,
+            }
+        }
+
+        fn dispatch(&mut self, kind: EventKind<Node>) {
+            self.seq += 1;
+            let key = EventKey {
+                time: SimTime::from_millis(self.seq),
+                src: EXTERNAL_SRC,
+                seq: self.seq,
+            };
+            self.kernel.dispatch(
+                key,
+                kind,
+                &mut classic_factory(self.n, self.fanout),
+                &mut self.sink,
+                None,
+                None,
+                None,
+            );
+        }
+
+        fn round(&mut self, node: NodeId) {
+            self.dispatch(EventKind::Timer {
+                node,
+                token: ROUND_TIMER,
+                incarnation: 0,
+            });
+        }
+
+        fn node(&self, id: NodeId) -> &Node {
+            self.kernel.node(id).expect("owned")
+        }
+    }
+
+    #[test]
+    fn a_round_shares_one_batch_across_its_pushes() {
+        let fanout = 5;
+        let mut rig = Rig::new(32, fanout);
+        let publisher = NodeId::new(0);
+        for k in 0..3 {
+            rig.dispatch(EventKind::Command {
+                node: publisher,
+                cmd: GossipCmd::Publish(Event::bare(EventId::new(0, k), TopicId::new(0))),
+            });
+            let seeds = rig.sink.take_pushes();
+            assert_eq!(seeds.len(), 2 * fanout, "seed fanout is twice the mean");
+            assert!(seeds.iter().all(|e| Arc::ptr_eq(e, &seeds[0])));
+            assert_eq!(seeds[0].len(), 1);
+        }
+        rig.round(publisher);
+        let pushes = rig.sink.take_pushes();
+        assert_eq!(pushes.len(), fanout);
+        assert!(pushes.iter().all(|e| Arc::ptr_eq(e, &pushes[0])));
+        assert_eq!(pushes[0].len(), 3, "the round batches the whole buffer");
+        assert_eq!(
+            rig.node(publisher).ledger().totals().forwarded_msgs,
+            (3 * 2 * fanout + fanout) as u64
+        );
+    }
+
+    #[test]
+    fn a_batch_received_twice_is_all_duplicates() {
+        let mut rig = Rig::new(8, 3);
+        let (sender, receiver) = (NodeId::new(0), NodeId::new(1));
+        let events: Arc<EventBatch> = Arc::new(
+            (0..6)
+                .map(|k| Event::bare(EventId::new(0, k), TopicId::new(0)))
+                .collect(),
+        );
+        let push = || EventKind::Deliver {
+            to: receiver,
+            from: sender,
+            msg: GossipMsg::Push {
+                events: Arc::clone(&events),
+                sample: RateSample::default(),
+                swim: vec![],
+            },
+        };
+        rig.dispatch(push());
+        assert_eq!(rig.node(receiver).duplicates(), 0);
+        assert_eq!(rig.node(receiver).buffer.len(), events.len());
+        rig.dispatch(push());
+        assert_eq!(rig.node(receiver).duplicates(), events.len() as u64);
+        assert_eq!(rig.node(receiver).buffer.len(), events.len());
+        assert_eq!(rig.node(receiver).seen.len(), events.len());
+    }
+
+    #[test]
+    fn receipts_keep_first_round_and_last_claim() {
+        let mut rig = Rig::new(4, 2);
+        let (sender, receiver) = (NodeId::new(2), NodeId::new(1));
+        let push = |benefit_rate: f64| EventKind::Deliver {
+            to: receiver,
+            from: sender,
+            msg: GossipMsg::Push {
+                events: Arc::new(EventBatch::from_iter([])),
+                sample: RateSample {
+                    benefit_rate,
+                    ..RateSample::default()
+                },
+                swim: vec![],
+            },
+        };
+        assert_eq!(rig.node(receiver).receipts_from(sender), None);
+        assert_eq!(rig.node(receiver).claim_of(sender), None);
+        rig.round(receiver);
+        rig.dispatch(push(1.0));
+        rig.round(receiver);
+        rig.round(receiver);
+        rig.dispatch(push(7.0));
+        let node = rig.node(receiver);
+        assert_eq!(node.rounds(), 3);
+        assert_eq!(
+            node.receipts_from(sender),
+            Some((2, 1)),
+            "two messages, counted since the round of the first"
+        );
+        assert_eq!(node.claim_of(sender).map(|c| c.benefit_rate), Some(7.0));
+        assert_eq!(node.receipts_from(NodeId::new(3)), None);
     }
 
     #[test]

@@ -598,7 +598,7 @@ impl ArchOutcome {
 /// Builds the per-topic group table the DKS and DAM baselines take as
 /// static input: each topic's group is exactly its subscriber set.
 pub fn groups_of(profile: &InterestProfile) -> GroupTable {
-    let mut groups = GroupTable::new();
+    let mut groups = GroupTable::default();
     for t in 0..profile.num_topics() {
         let topic = TopicId::new(t as u32);
         let members: Vec<NodeId> = profile

@@ -7,16 +7,16 @@
 
 use fed_pubsub::EventId;
 use fed_sim::SimTime;
+use fed_util::hash::{FastMap, FastSet};
 use fed_util::stats::Summary;
-use std::collections::{HashMap, HashSet};
 
 /// Ground truth and observations for one dissemination run.
 #[derive(Debug, Clone, Default)]
 pub struct DeliveryAudit {
     /// event → (publish time, set of interested node indices)
-    expected: HashMap<EventId, (SimTime, HashSet<usize>)>,
+    expected: FastMap<EventId, (SimTime, FastSet<usize>)>,
     /// (event, node) → delivery time
-    observed: HashMap<(EventId, usize), SimTime>,
+    observed: FastMap<(EventId, usize), SimTime>,
     /// deliveries at nodes that were NOT interested
     spurious: u64,
 }
@@ -109,10 +109,13 @@ impl DeliveryAudit {
         Summary::from_values(values)
     }
 
-    /// Per-event delivery ratio, useful for bimodal histograms.
+    /// Per-event delivery ratio, useful for bimodal histograms. Ordered by
+    /// [`EventId`], so equal audits return equal vectors.
     pub fn per_event_ratio(&self) -> Vec<f64> {
-        self.expected
-            .iter()
+        let mut events: Vec<_> = self.expected.iter().collect();
+        events.sort_unstable_by_key(|(id, _)| **id);
+        events
+            .into_iter()
             .map(|(id, (_, interested))| {
                 if interested.is_empty() {
                     return 1.0;
@@ -172,6 +175,43 @@ mod tests {
         let ratios = a.per_event_ratio();
         assert_eq!(ratios.len(), 2);
         assert!(ratios.contains(&1.0) && ratios.contains(&0.5));
+    }
+
+    #[test]
+    fn per_event_ratio_is_ordered_by_event_not_by_insertion() {
+        let expects: Vec<(u32, Vec<usize>)> = (0..40u32)
+            .map(|k| (k, (0..=(k as usize % 5)).collect()))
+            .collect();
+        let records: Vec<(u32, usize)> = expects
+            .iter()
+            .flat_map(|(k, nodes)| nodes.iter().map(move |&n| (*k, n)))
+            .filter(|(k, n)| !(*k as usize + n).is_multiple_of(3))
+            .collect();
+        let feed = |expects: &[(u32, Vec<usize>)], records: &[(u32, usize)]| {
+            let mut a = DeliveryAudit::new();
+            for (k, nodes) in expects {
+                a.expect(id(*k), SimTime::ZERO, nodes.iter().copied());
+            }
+            for &(k, n) in records {
+                a.record(id(k), n, SimTime::from_millis(u64::from(k) + 1));
+            }
+            a
+        };
+        let forward = feed(&expects, &records);
+        let (mut rev_expects, mut rev_records) = (expects.clone(), records.clone());
+        rev_expects.reverse();
+        rev_records.reverse();
+        let backward = feed(&rev_expects, &rev_records);
+        let ratios = forward.per_event_ratio();
+        assert_eq!(ratios, backward.per_event_ratio());
+        // Position i is event i: event 0 has one interested node (0) whose
+        // record was filtered out, event 1 has nodes {0, 1} and kept both.
+        assert_eq!(ratios[0], 0.0);
+        assert_eq!(ratios[1], 1.0);
+        assert_eq!(
+            forward.latency_ms().median(),
+            backward.latency_ms().median()
+        );
     }
 
     #[test]

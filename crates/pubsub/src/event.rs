@@ -2,9 +2,16 @@
 //!
 //! An [`Event`] is published once, carries a topic, a set of typed
 //! attributes (for content-based filtering) and an abstract payload size
-//! (for byte-level contribution accounting). Events are reference-counted:
-//! cloning one into a gossip message is O(1), which matters because gossip
-//! forwards each event many times.
+//! (for byte-level contribution accounting).
+//!
+//! Events are reference-counted, so keeping one — a node buffering an
+//! event it sees for the first time — is an O(1) clone. Forwarding does
+//! not clone per hop at all: a gossip round freezes the events it sends
+//! into one [`EventBatch`], built once by the sender with its wire size
+//! summed once, and every partner's message holds the same
+//! `Arc<EventBatch>`. Nobody owns a batch beyond those messages; receivers
+//! borrow its events, clone the few that are new to them, and the batch is
+//! freed when the last message carrying it has been handled.
 
 use crate::topic::TopicId;
 use std::fmt;
@@ -235,6 +242,59 @@ impl fmt::Display for Event {
     }
 }
 
+/// An immutable run of events sent together, with its wire size pre-summed.
+///
+/// Protocols that push the same events to several partners wrap one batch
+/// in an `Arc` and share it across the messages of a round.
+///
+/// # Examples
+///
+/// ```
+/// use fed_pubsub::event::{Event, EventBatch, EventId};
+/// use fed_pubsub::topic::TopicId;
+///
+/// let batch: EventBatch = (0..3)
+///     .map(|seq| Event::bare(EventId::new(1, seq), TopicId::new(0)))
+///     .collect();
+/// assert_eq!(batch.len(), 3);
+/// assert_eq!(batch.size_bytes(), 3 * 16);
+/// ```
+#[derive(Debug)]
+pub struct EventBatch {
+    events: Box<[Event]>,
+    bytes: usize,
+}
+
+impl EventBatch {
+    /// The batched events, in the order the sender selected them.
+    pub fn events(&self) -> &[Event] {
+        &self.events
+    }
+
+    /// Number of events.
+    pub fn len(&self) -> usize {
+        self.events.len()
+    }
+
+    /// `true` for a batch without events.
+    pub fn is_empty(&self) -> bool {
+        self.events.is_empty()
+    }
+
+    /// Sum of the events' [`Event::size_bytes`], computed at construction.
+    pub fn size_bytes(&self) -> usize {
+        self.bytes
+    }
+}
+
+impl FromIterator<Event> for EventBatch {
+    fn from_iter<I: IntoIterator<Item = Event>>(iter: I) -> Self {
+        let events: Box<[Event]> = iter.into_iter().collect();
+        let bytes = events.iter().map(Event::size_bytes).sum();
+        EventBatch { events, bytes }
+    }
+}
+
 /// Builder for [`Event`].
 #[derive(Debug)]
 pub struct EventBuilder {
@@ -357,6 +417,28 @@ mod tests {
             .build();
         let c = e.clone();
         assert!(Arc::ptr_eq(&e.inner, &c.inner));
+    }
+
+    #[test]
+    fn batch_presums_size_and_keeps_order() {
+        let events: Vec<Event> = (0..4u32)
+            .map(|k| {
+                Event::builder(EventId::new(2, k), TopicId::new(0))
+                    .payload_bytes(10 * k as usize)
+                    .build()
+            })
+            .collect();
+        let batch: EventBatch = events.iter().cloned().collect();
+        assert_eq!(batch.len(), 4);
+        assert!(!batch.is_empty());
+        assert_eq!(batch.events(), &events[..]);
+        assert_eq!(
+            batch.size_bytes(),
+            events.iter().map(Event::size_bytes).sum::<usize>()
+        );
+        let empty: EventBatch = std::iter::empty().collect();
+        assert!(empty.is_empty());
+        assert_eq!(empty.size_bytes(), 0);
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub mod lang;
 pub mod subscription;
 pub mod topic;
 
-pub use event::{AttrValue, Event, EventId};
+pub use event::{AttrValue, Event, EventBatch, EventId};
 pub use filter::{CmpOp, Filter};
 pub use interest::Interest;
 pub use lang::{parse_filter, ParseError};

@@ -2,7 +2,8 @@
 //!
 //! Foundation utilities for the `fed` (fair event dissemination) workspace:
 //! deterministic pseudo-randomness, probability distributions, streaming
-//! statistics and the fairness indices used throughout the experiments.
+//! statistics, a fixed-key hasher for id-keyed maps and the fairness indices
+//! used throughout the experiments.
 //!
 //! The whole workspace is built around **deterministic replay**: a single
 //! `u64` seed fixes every stochastic choice, so any experiment, test failure
@@ -34,10 +35,12 @@
 
 pub mod dist;
 pub mod fairness;
+pub mod hash;
 pub mod histogram;
 pub mod rng;
 pub mod stats;
 
 pub use fairness::FairnessReport;
+pub use hash::{FastMap, FastSet};
 pub use rng::{Rng64, SplitMix64, Xoshiro256StarStar};
 pub use stats::{OnlineStats, Summary};

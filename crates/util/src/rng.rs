@@ -117,9 +117,11 @@ pub trait Rng64 {
     /// Samples `k` distinct indices from `[0, n)` uniformly at random.
     ///
     /// Returns fewer than `k` indices when `k > n`. Order of the returned
-    /// indices is random. Uses a partial Fisher–Yates walk over an index
-    /// array for small `n`, and Floyd's algorithm for large `n` with small
-    /// `k` to avoid the `O(n)` allocation.
+    /// indices is random. Uses a partial Fisher–Yates walk for `n ≤ 4096` —
+    /// over a *virtual* identity array (`O(k)` time and space) when `k` is
+    /// small against `n`, over a real one otherwise; both make the same
+    /// draws and return the same indices — and Floyd's algorithm for large
+    /// `n` with small `k`.
     fn sample_indices(&mut self, n: usize, k: usize) -> Vec<usize> {
         let k = k.min(n);
         if k == 0 {
@@ -138,6 +140,29 @@ pub trait Rng64 {
             }
             self.shuffle(&mut chosen);
             return chosen;
+        }
+        // Few picks from many: the walk below touches at most k positions
+        // beyond its own prefix, so keep just those (`position → value`,
+        // absent = identity) instead of materialising 0..n. Position i is
+        // never read again once step i is done, so only j's side of each
+        // swap is stored; the scan is O(k) per step, hence the k² bound.
+        if k * k <= n {
+            let mut displaced: Vec<(usize, usize)> = Vec::with_capacity(k);
+            let mut picked = Vec::with_capacity(k);
+            for i in 0..k {
+                let j = i + self.range_usize(n - i);
+                let at_i = displaced.iter().find(|d| d.0 == i).map_or(i, |d| d.1);
+                match displaced.iter_mut().find(|d| d.0 == j) {
+                    Some(slot) => picked.push(std::mem::replace(&mut slot.1, at_i)),
+                    None => {
+                        picked.push(j);
+                        if j != i {
+                            displaced.push((j, at_i));
+                        }
+                    }
+                }
+            }
+            return picked;
         }
         let mut idx: Vec<usize> = (0..n).collect();
         for i in 0..k {

@@ -56,6 +56,29 @@ proptest! {
     }
 
     #[test]
+    fn sample_indices_matches_dense_fisher_yates(
+        seed in any::<u64>(),
+        n in 0usize..=4096,
+        extra in 0usize..=4099,
+    ) {
+        // k ≤ n + 3 covers k = 0, both sides of the sparse/dense choice
+        // and k ≥ n; the generator must end in the same state too.
+        let k = extra % (n + 4);
+        let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
+        let mut reference_rng = rng.clone();
+        let picked = rng.sample_indices(n, k);
+        let mut idx: Vec<usize> = (0..n).collect();
+        let take = k.min(n);
+        for i in 0..take {
+            let j = i + reference_rng.range_usize(n - i);
+            idx.swap(i, j);
+        }
+        idx.truncate(take);
+        prop_assert_eq!(picked, idx);
+        prop_assert_eq!(rng, reference_rng);
+    }
+
+    #[test]
     fn zipf_samples_in_range(seed in any::<u64>(), n in 1usize..200, s in 0.0f64..3.0) {
         let z = Zipf::new(n, s).unwrap();
         let mut rng = Xoshiro256StarStar::seed_from_u64(seed);

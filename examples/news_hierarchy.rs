@@ -32,7 +32,7 @@ fn main() {
     let n = 48;
     // Groups: subscribers per leaf topic plus two bridge nodes (0, 1)
     // enrolled everywhere to keep the hierarchy navigable.
-    let mut groups = GroupTable::new();
+    let mut groups = GroupTable::default();
     let football_members: Vec<NodeId> = (10..20).map(NodeId::new).collect();
     let politics_members: Vec<NodeId> = (20..30).map(NodeId::new).collect();
     let bridges: Vec<NodeId> = vec![NodeId::new(0), NodeId::new(1)];

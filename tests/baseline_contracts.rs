@@ -41,7 +41,7 @@ fn net() -> NetworkModel {
 }
 
 fn groups() -> Arc<GroupTable> {
-    let mut g = GroupTable::new();
+    let mut g = GroupTable::default();
     for t in 0..TOPICS {
         let topic = TopicId::new(t);
         g.insert(
