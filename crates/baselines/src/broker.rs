@@ -88,13 +88,11 @@ impl BrokerNode {
     }
 
     fn broker_dispatch(&mut self, ctx: &mut Context<'_, BrokerMsg>, event: Event) {
-        let subscribers = self
-            .registry
-            .get(&event.topic())
-            .cloned()
-            .unwrap_or_default();
+        let Some(subscribers) = self.registry.get(&event.topic()) else {
+            return;
+        };
         let size = event.size_bytes();
-        for subscriber in subscribers {
+        for &subscriber in subscribers {
             if subscriber == self.id {
                 // broker may itself subscribe
                 if self.subs.matches(&event) && self.log.deliver(&event, ctx.now()) {

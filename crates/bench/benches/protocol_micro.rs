@@ -186,15 +186,7 @@ fn bench_handlers(c: &mut Criterion) {
                 },
             };
             k += 1;
-            kernel.dispatch(
-                key(k as u64),
-                kind,
-                &mut factory,
-                &mut Discard,
-                None,
-                None,
-                None,
-            );
+            kernel.dispatch_with(key(k as u64), kind, &mut factory, &mut Discard, &mut ());
         })
     });
 
@@ -231,15 +223,7 @@ fn bench_handlers(c: &mut Criterion) {
                 },
             };
             k += 1;
-            kernel.dispatch(
-                key(u64::from(k)),
-                kind,
-                &mut factory,
-                &mut Discard,
-                None,
-                None,
-                None,
-            );
+            kernel.dispatch_with(key(u64::from(k)), kind, &mut factory, &mut Discard, &mut ());
         })
     });
     g.finish();

@@ -131,8 +131,8 @@ mod shard_map;
 pub use shard_map::ShardMap;
 
 use fed_sim::exec::{
-    seed_streams, EffectSink, EventKey, EventKind, EventQueue, Kernel, NullProbe, NullProfiler,
-    NullTracer, Probe, Profiler, QueueStats, Tracer, TransportStats, WindowWork, EXTERNAL_SRC,
+    seed_streams, EffectSink, EventKey, EventKind, EventQueue, Kernel, Probe, QueueStats,
+    TransportStats, WindowWork, EXTERNAL_SRC,
 };
 use fed_sim::network::NetworkModel;
 use fed_sim::protocol::{NodeId, Protocol};
@@ -204,7 +204,7 @@ pub struct ClusterReport {
 /// event streams); `wall_ns` is a host measurement.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WindowRecord {
-    /// 1-based window number within the `run_until_profiled` call.
+    /// 1-based window number within the `run_until_observed` call.
     pub index: u64,
     /// Global minimum pending time when the window was issued.
     pub start: SimTime,
@@ -226,7 +226,7 @@ pub struct WindowRecord {
 
 /// Schedule trace: every window's sizing decision plus per-shard
 /// straggler attribution, filled in by
-/// [`ShardedSimulation::run_until_profiled`].
+/// [`ShardedSimulation::run_until_observed`].
 ///
 /// Successive runs append; `straggler_windows[s]` counts the windows
 /// shard `s` bounded (held the global minimum head time for).
@@ -258,15 +258,12 @@ fn trace_flag_on(v: Option<&OsStr>) -> bool {
     }
 }
 
-/// Whether FED_TRACE window logging is enabled, reading `FED_TRACE` (and
-/// the legacy alias `FED_TRACE_WINDOWS`) **once per process** — not per
-/// `run_until` call; see docs/OBSERVABILITY.md for the convention.
+/// Whether FED_TRACE window logging is enabled, reading `FED_TRACE`
+/// **once per process** — not per `run_until` call; see
+/// docs/OBSERVABILITY.md for the convention.
 fn trace_enabled() -> bool {
     static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| {
-        trace_flag_on(std::env::var_os("FED_TRACE").as_deref())
-            || trace_flag_on(std::env::var_os("FED_TRACE_WINDOWS").as_deref())
-    })
+    *ENABLED.get_or_init(|| trace_flag_on(std::env::var_os("FED_TRACE").as_deref()))
 }
 
 /// One shard: a kernel for the nodes it owns plus its private queue.
@@ -645,10 +642,12 @@ fn fold_summary(
     }
 }
 
-/// One worker's channel endpoints, all indexed by peer shard (`None` on
-/// the diagonal). Data batches travel `mail`; the drained vectors come
-/// back over `ret` so steady-state windows allocate nothing.
+/// One worker's channel endpoints. The mailbox ends are indexed by peer
+/// shard (`None` on the diagonal): data batches travel `mail`; the drained
+/// vectors come back over `ret` so steady-state windows allocate nothing.
 struct Links<P: Protocol> {
+    /// This worker's window decisions.
+    decisions: Receiver<Decision>,
     /// Outbound data batches, by destination.
     mail_txs: Vec<Option<Sender<Batch<P>>>>,
     /// Inbound data batches, by source.
@@ -659,68 +658,15 @@ struct Links<P: Protocol> {
     ret_rxs: Vec<Option<Receiver<Batch<P>>>>,
 }
 
-/// Dispatches one event through the kernel with a [`ShardSink`] wired to
-/// this worker's queue and outbound mailboxes.
-#[allow(clippy::too_many_arguments)]
-fn dispatch_one<P, C, R, T>(
-    key: EventKey,
-    kind: EventKind<P>,
-    kernel: &mut Kernel<P>,
-    queue: &mut EventQueue<P>,
-    map: &ShardMap,
-    local_shard: usize,
-    lookahead: SimDuration,
-    dyn_end: &mut SimTime,
-    out: &mut Vec<Batch<P>>,
-    out_min: &mut Vec<Option<SimTime>>,
-    factory: &mut dyn FnMut(NodeId, &mut Xoshiro256StarStar) -> P,
-    probe: &mut Option<&mut C>,
-    profiler: &mut Option<&mut R>,
-    tracer: &mut Option<&mut T>,
-) where
-    P: Protocol,
-    C: Probe,
-    R: Profiler,
-    T: Tracer,
-{
-    let mut sink = ShardSink {
-        map,
-        local_shard,
-        lookahead,
-        dyn_end,
-        queue,
-        out,
-        out_min,
-    };
-    kernel.dispatch(
-        key,
-        kind,
-        factory,
-        &mut sink,
-        probe.as_deref_mut().map(|p| p as &mut dyn Probe),
-        profiler.as_deref_mut().map(|p| p as &mut dyn Profiler),
-        tracer.as_deref_mut().map(|t| t as &mut dyn Tracer),
-    );
-}
-
-#[allow(clippy::too_many_arguments)]
-fn worker_loop<P, C, R, T>(
+fn worker_loop<P: Protocol, O: Probe>(
     shard: &mut Shard<P>,
-    mut probe: Option<&mut C>,
-    mut profiler: Option<&mut R>,
-    mut tracer: Option<&mut T>,
+    obs: &mut O,
     factory: &(dyn Fn(NodeId, &mut Xoshiro256StarStar) -> P + Send + Sync),
     map: &ShardMap,
     sched: &Scheduler,
     red: &Mutex<Reduction>,
-    decision_rx: Receiver<Decision>,
     links: Links<P>,
-) where
-    P: Protocol,
-    C: Probe,
-    R: Profiler,
-    T: Tracer,
-{
+) {
     let num_shards = map.num_shards();
     let mut factory = |id: NodeId, rng: &mut Xoshiro256StarStar| factory(id, rng);
     let Shard {
@@ -732,9 +678,9 @@ fn worker_loop<P, C, R, T>(
     let lookahead = kernel.net().min_latency();
     let mut out: Vec<Batch<P>> = (0..num_shards).map(|_| Vec::new()).collect();
     let mut out_min: Vec<Option<SimTime>> = vec![None; num_shards];
-    // Wall clocks are taken only when a profiler is attached, so the
-    // unprofiled hot path pays nothing beyond a `None` branch.
-    let timing = profiler.is_some();
+    // Wall clocks are taken (and mailbox batches sized) only for an
+    // observer that profiles, so the unprofiled hot path pays nothing.
+    let timing = obs.profiles();
     loop {
         // The decision is computed in-place by whichever worker folds the
         // epoch last, so by the time it arrives every peer has already
@@ -743,7 +689,9 @@ fn worker_loop<P, C, R, T>(
         // recv). Blocking here is therefore the *pure* straggler stall:
         // everything local is done and the slowest shard has not folded.
         let wait_t0 = timing.then(Instant::now);
-        let Ok(msg) = decision_rx.recv() else { break };
+        let Ok(msg) = links.decisions.recv() else {
+            break;
+        };
         let wait_ns = wait_t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
         let Decision::Window { end, rim } = msg else {
             // Stop: the final window's batches were absorbed at its end,
@@ -787,25 +735,19 @@ fn worker_loop<P, C, R, T>(
             };
             let Some((key, kind)) = popped else { break };
             events += 1;
-            dispatch_one(
-                key,
-                kind,
-                kernel,
-                queue,
+            let mut sink = ShardSink {
                 map,
-                me,
+                local_shard: me,
                 lookahead,
-                &mut dyn_end,
-                &mut out,
-                &mut out_min,
-                &mut factory,
-                &mut probe,
-                &mut profiler,
-                &mut tracer,
-            );
+                dyn_end: &mut dyn_end,
+                queue,
+                out: &mut out,
+                out_min: &mut out_min,
+            };
+            kernel.dispatch_with(key, kind, &mut factory, &mut sink, obs);
         }
         let execute_ns = exec_t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
-        if let Some(p) = profiler.as_deref_mut() {
+        if timing {
             let (mut msgs, mut bytes) = (0u64, 0u64);
             for batch in &out {
                 msgs += batch.len() as u64;
@@ -816,7 +758,7 @@ fn worker_loop<P, C, R, T>(
                 }
             }
             if msgs > 0 {
-                p.on_mailbox(msgs, bytes);
+                obs.on_mailbox(msgs, bytes);
             }
         }
         // Send one batch (possibly empty) to every peer *before* folding:
@@ -861,8 +803,8 @@ fn worker_loop<P, C, R, T>(
             let _ = ret.send(batch);
             exchange_ns += push_t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
         }
-        if let Some(p) = profiler.as_deref_mut() {
-            p.on_window(WindowWork {
+        if timing {
+            obs.on_window(WindowWork {
                 end: dyn_end,
                 events,
                 execute_ns,
@@ -1176,125 +1118,54 @@ where
     ///
     /// Spawns one worker thread per shard for the duration of the call and
     /// coordinates them through conservative windows (see the crate docs).
+    /// The `()` case of [`ShardedSimulation::run_until_observed`]: with
+    /// the null observer every hook site compiles away.
     pub fn run_until(&mut self, target: SimTime) -> ClusterReport {
-        self.run_until_probed::<NullProbe>(target, &mut [])
+        self.run_until_observed(target, &mut vec![(); self.num_shards()], None)
     }
 
-    /// [`ShardedSimulation::run_until`] with one telemetry [`Probe`] per
-    /// shard: worker `s` threads `probes[s]` through every event it
-    /// dispatches, so each probe observes exactly the nodes its shard
-    /// owns. Pass an empty slice to run unprobed (the plain
-    /// [`ShardedSimulation::run_until`] does exactly that).
-    ///
-    /// Probes are passive — the probed run is bit-identical to an
-    /// unprobed one. A caller wanting global aggregates merges the
-    /// per-shard probes afterwards; the `fed-telemetry` crate's
-    /// collectors are built for exactly that (their merge is exact, so
-    /// the merged result equals a sequential engine's single probe).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `probes` is non-empty with length ≠ the shard count.
-    pub fn run_until_probed<C>(&mut self, target: SimTime, probes: &mut [C]) -> ClusterReport
-    where
-        C: Probe + Send,
-    {
-        self.run_until_profiled::<C, NullProfiler>(target, probes, &mut [], None)
-    }
-
-    /// [`ShardedSimulation::run_until_probed`] with one [`Profiler`] per
+    /// [`ShardedSimulation::run_until`] with exactly one observer per
     /// shard and an optional [`ScheduleTrace`].
     ///
-    /// Worker `s` threads `profilers[s]` through its dispatch loop
-    /// (deterministic [`Profiler::on_event`] per event) and reports its
-    /// per-window phase wall clocks — execute, exchange, pipeline fill,
-    /// and the straggler wait at the reduction — and mailbox traffic to
-    /// it; every window's sizing decision and straggler attribution is
-    /// appended to `schedule` when one is given. Pass empty slices /
-    /// `None` to turn each instrument off individually; with everything
-    /// off this is exactly [`ShardedSimulation::run_until_probed`] —
-    /// profilers are passive and no wall clock is read.
+    /// Worker `s` threads `observers[s]` through every event it
+    /// dispatches, so each observer sees exactly the nodes its shard owns
+    /// — sends and hops on the *sender's* shard, so each is observed
+    /// exactly once across the cluster — and, if it
+    /// [`profiles`](Probe::profiles), the worker's per-window phase wall
+    /// clocks (execute, exchange, pipeline fill, the straggler wait at
+    /// the reduction) and mailbox traffic; otherwise no wall clock is
+    /// read. Observers are passive: the observed run is bit-identical to
+    /// an unobserved one. A caller wanting global aggregates merges the
+    /// per-shard observers afterwards (see [`Probe`]). Every window's
+    /// sizing decision and straggler attribution is appended to
+    /// `schedule` when one is given.
     ///
-    /// Setting `FED_TRACE=1` (or the legacy alias `FED_TRACE_WINDOWS=1`)
-    /// additionally logs one structured
+    /// Setting `FED_TRACE=1` additionally logs one structured
     /// `FED_TRACE window=… start=… width=… straggler=… events=… wall_us=…`
     /// line per window to stderr, with or without a trace attached. The
-    /// variables are read once per process; unset, empty or `0` all mean
+    /// variable is read once per process; unset, empty or `0` all mean
     /// *off* (see docs/OBSERVABILITY.md).
     ///
     /// # Panics
     ///
-    /// Panics if `probes` or `profilers` is non-empty with length ≠ the
-    /// shard count.
-    pub fn run_until_profiled<C, R>(
+    /// Panics if `observers.len()` is not the shard count.
+    pub fn run_until_observed<O>(
         &mut self,
         target: SimTime,
-        probes: &mut [C],
-        profilers: &mut [R],
+        observers: &mut [O],
         schedule: Option<&mut ScheduleTrace>,
     ) -> ClusterReport
     where
-        C: Probe + Send,
-        R: Profiler + Send,
-    {
-        self.run_until_instrumented::<C, R, NullTracer>(
-            target,
-            probes,
-            profilers,
-            &mut [],
-            schedule,
-        )
-    }
-
-    /// [`ShardedSimulation::run_until_profiled`] with one [`Tracer`] per
-    /// shard as well.
-    ///
-    /// Worker `s` threads `tracers[s]` through its dispatch loop: the
-    /// tracer receives one [`fed_sim::HopRecord`] per application event
-    /// per network send of the nodes shard `s` owns. Hops are recorded on
-    /// the *sender's* shard, so each hop is observed exactly once across
-    /// the cluster; a caller wanting the global trace merges the
-    /// shard-local buffers afterwards (the `fed-trace` crate's merge is
-    /// canonical and byte-identical to a sequential engine's single
-    /// buffer). Pass an empty slice to run untraced.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `probes`, `profilers` or `tracers` is non-empty with
-    /// length ≠ the shard count.
-    pub fn run_until_instrumented<C, R, T>(
-        &mut self,
-        target: SimTime,
-        probes: &mut [C],
-        profilers: &mut [R],
-        tracers: &mut [T],
-        schedule: Option<&mut ScheduleTrace>,
-    ) -> ClusterReport
-    where
-        C: Probe + Send,
-        R: Profiler + Send,
-        T: Tracer + Send,
+        O: Probe + Send,
     {
         let num_shards = self.map.num_shards();
-        assert!(
-            probes.is_empty() || probes.len() == num_shards,
-            "need one probe per shard ({} != {num_shards})",
-            probes.len()
-        );
-        assert!(
-            profilers.is_empty() || profilers.len() == num_shards,
-            "need one profiler per shard ({} != {num_shards})",
-            profilers.len()
-        );
-        assert!(
-            tracers.is_empty() || tracers.len() == num_shards,
-            "need one tracer per shard ({} != {num_shards})",
-            tracers.len()
+        assert_eq!(
+            observers.len(),
+            num_shards,
+            "need exactly one observer per shard"
         );
         let lookahead = self.lookahead;
         let policy = self.window;
-        let factory = Arc::clone(&self.factory);
-        let map = Arc::clone(&self.map);
         let next: Vec<Option<SimTime>> = self.shards.iter().map(|s| s.queue.next_time()).collect();
         let log_windows = trace_enabled();
         // Record windows (and read wall clocks for them) only when
@@ -1318,13 +1189,8 @@ where
             log_windows,
             timing,
         };
-        let mut decision_txs = Vec::with_capacity(num_shards);
-        let mut decision_rxs = Vec::with_capacity(num_shards);
-        for _ in 0..num_shards {
-            let (tx, rx) = channel::<Decision>();
-            decision_txs.push(tx);
-            decision_rxs.push(rx);
-        }
+        let (decision_txs, decision_rxs): (Vec<_>, Vec<_>) =
+            (0..num_shards).map(|_| channel::<Decision>()).unzip();
         let mut red = Reduction {
             arrived: 0,
             local_next: vec![None; num_shards],
@@ -1345,21 +1211,6 @@ where
         let spawn = matches!(first, Verdict::Window { .. });
         publish(&sched, &mut red, first);
         if spawn {
-            let mut probe_slots: Vec<Option<&mut C>> = if probes.is_empty() {
-                (0..num_shards).map(|_| None).collect()
-            } else {
-                probes.iter_mut().map(Some).collect()
-            };
-            let mut profiler_slots: Vec<Option<&mut R>> = if profilers.is_empty() {
-                (0..num_shards).map(|_| None).collect()
-            } else {
-                profilers.iter_mut().map(Some).collect()
-            };
-            let mut tracer_slots: Vec<Option<&mut T>> = if tracers.is_empty() {
-                (0..num_shards).map(|_| None).collect()
-            } else {
-                tracers.iter_mut().map(Some).collect()
-            };
             let red_lock = Mutex::new(red);
             let sched = &sched;
             std::thread::scope(|scope| {
@@ -1368,67 +1219,30 @@ where
                 // pipeline keeps at most two batches in flight per link
                 // (a worker can run at most one window ahead of the
                 // slowest shard — the next decision needs its fold).
-                let mut mail_txs: Vec<Vec<Option<Sender<Batch<P>>>>> = (0..num_shards)
-                    .map(|_| (0..num_shards).map(|_| None).collect())
-                    .collect();
-                let mut mail_rxs: Vec<Vec<Option<Receiver<Batch<P>>>>> = (0..num_shards)
-                    .map(|_| (0..num_shards).map(|_| None).collect())
-                    .collect();
-                let mut ret_txs: Vec<Vec<Option<Sender<Batch<P>>>>> = (0..num_shards)
-                    .map(|_| (0..num_shards).map(|_| None).collect())
-                    .collect();
-                let mut ret_rxs: Vec<Vec<Option<Receiver<Batch<P>>>>> = (0..num_shards)
-                    .map(|_| (0..num_shards).map(|_| None).collect())
-                    .collect();
+                let unlinked = |decisions| Links {
+                    decisions,
+                    mail_txs: (0..num_shards).map(|_| None).collect(),
+                    mail_rxs: (0..num_shards).map(|_| None).collect(),
+                    ret_txs: (0..num_shards).map(|_| None).collect(),
+                    ret_rxs: (0..num_shards).map(|_| None).collect(),
+                };
+                let mut links: Vec<Links<P>> = decision_rxs.into_iter().map(unlinked).collect();
                 for src in 0..num_shards {
                     for dest in 0..num_shards {
                         if src == dest {
                             continue;
                         }
-                        let (tx, rx) = channel::<Batch<P>>();
-                        mail_txs[src][dest] = Some(tx);
-                        mail_rxs[dest][src] = Some(rx);
-                        let (tx, rx) = channel::<Batch<P>>();
-                        ret_txs[dest][src] = Some(tx);
-                        ret_rxs[src][dest] = Some(rx);
+                        let (tx, rx) = channel();
+                        links[src].mail_txs[dest] = Some(tx);
+                        links[dest].mail_rxs[src] = Some(rx);
+                        let (tx, rx) = channel();
+                        links[dest].ret_txs[src] = Some(tx);
+                        links[src].ret_rxs[dest] = Some(rx);
                     }
                 }
-                let mut mail_txs = mail_txs.into_iter();
-                let mut mail_rxs = mail_rxs.into_iter();
-                let mut ret_txs = ret_txs.into_iter();
-                let mut ret_rxs = ret_rxs.into_iter();
-                let mut decision_rxs = decision_rxs.into_iter();
-                for (((shard, probe), profiler), tracer) in self
-                    .shards
-                    .iter_mut()
-                    .zip(probe_slots.drain(..))
-                    .zip(profiler_slots.drain(..))
-                    .zip(tracer_slots.drain(..))
-                {
-                    let factory = Arc::clone(&factory);
-                    let map = Arc::clone(&map);
-                    let red = &red_lock;
-                    let decision_rx = decision_rxs.next().expect("one receiver per shard");
-                    let links = Links {
-                        mail_txs: mail_txs.next().expect("one row per shard"),
-                        mail_rxs: mail_rxs.next().expect("one row per shard"),
-                        ret_txs: ret_txs.next().expect("one row per shard"),
-                        ret_rxs: ret_rxs.next().expect("one row per shard"),
-                    };
-                    scope.spawn(move || {
-                        worker_loop(
-                            shard,
-                            probe,
-                            profiler,
-                            tracer,
-                            &*factory,
-                            &map,
-                            sched,
-                            red,
-                            decision_rx,
-                            links,
-                        )
-                    });
+                let (factory, map, red) = (&*self.factory, &*self.map, &red_lock);
+                for ((shard, obs), links) in self.shards.iter_mut().zip(observers).zip(links) {
+                    scope.spawn(move || worker_loop(shard, obs, factory, map, sched, red, links));
                 }
             });
             red = red_lock.into_inner().expect("reduction lock");
@@ -1876,7 +1690,10 @@ mod tests {
         mailbox_msgs: u64,
     }
 
-    impl Profiler for CountEvents {
+    impl Probe for CountEvents {
+        fn profiles(&self) -> bool {
+            true
+        }
         fn on_event(&mut self, _now: SimTime) {
             self.events += 1;
         }
@@ -1904,12 +1721,7 @@ mod tests {
         schedule(&mut profiled);
         let mut profilers: Vec<CountEvents> = (0..4).map(|_| CountEvents::default()).collect();
         let mut trace = ScheduleTrace::default();
-        let report = profiled.run_until_profiled::<NullProbe, _>(
-            horizon,
-            &mut [],
-            &mut profilers,
-            Some(&mut trace),
-        );
+        let report = profiled.run_until_observed(horizon, &mut profilers, Some(&mut trace));
         assert_eq!(
             fingerprint_cluster(&profiled),
             expect,

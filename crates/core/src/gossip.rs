@@ -1009,14 +1009,12 @@ mod tests {
                 src: EXTERNAL_SRC,
                 seq: self.seq,
             };
-            self.kernel.dispatch(
+            self.kernel.dispatch_with(
                 key,
                 kind,
                 &mut classic_factory(self.n, self.fanout),
                 &mut self.sink,
-                None,
-                None,
-                None,
+                &mut (),
             );
         }
 

@@ -7,10 +7,10 @@
 //!
 //! Two layers:
 //!
-//! * **Gossip-specific builders** ([`build_gossip_spec`],
-//!   [`build_gossip_cluster`]) keep the protocol's knobs open
-//!   ([`GossipConfig`], per-node [`Behavior`]) for the experiments that
-//!   study the fair protocol itself.
+//! * **The gossip-specific builder** ([`GossipRun::build`], or
+//!   [`build_gossip_spec`] for the sequential engine) keeps the
+//!   protocol's knobs open ([`GossipConfig`], per-node [`Behavior`]) for
+//!   the experiments that study the fair protocol itself.
 //! * **The architecture-generic runner** ([`run_architecture`]) executes
 //!   whatever [`Architecture`] the spec names — fair/static gossip or any
 //!   of the structured baselines — on either engine and returns an
@@ -18,9 +18,10 @@
 //!   [`ArchProtocol`], which phrases the workload as commands and reads
 //!   the observables (delivery log, fairness ledger) back out.
 //!
-//! Both engines are driven through one scheduling path, so for the same
-//! spec the results are bit-for-bit comparable regardless of engine or
-//! shard count — asserted by the `cross_engine` integration tests.
+//! Both layers are generic over the [`Engine`] seam — build, schedule,
+//! run observed, read back — so each has one body, and for the same spec
+//! the results are bit-for-bit comparable regardless of engine or shard
+//! count — asserted by the `cross_engine` integration tests.
 
 use fed_baselines::broker::{BrokerCmd, BrokerNode};
 use fed_baselines::common::DeliveryLog;
@@ -41,7 +42,7 @@ use fed_profile::{
     CountingProbe, RunProfile, ScheduleSummary, ShardProfile, WindowSlice, WorkCounters,
 };
 use fed_pubsub::{Event, EventId, TopicId, TopicSpace};
-use fed_sim::exec::{Profiler, Tracer};
+use fed_sim::exec::{Probe, QueueStats};
 use fed_sim::{HopRecord, NodeId, Protocol, SimDuration, SimTime, Simulation, TransportStats};
 use fed_telemetry::membership::{DetectorEvent, DetectorEventKind, MembershipSeries};
 use fed_telemetry::{ShardCollector, TelemetrySeries};
@@ -69,24 +70,6 @@ pub fn event_weights(materialized: &MaterializedScenario) -> Vec<u64> {
     weights
 }
 
-/// Maps a spec's scheduler knobs onto the cluster's [`ShardMap`].
-fn shard_map_for(spec: &ScenarioSpec, materialized: &MaterializedScenario) -> ShardMap {
-    match spec.placement {
-        Placement::RoundRobin => ShardMap::round_robin(spec.n, spec.shards),
-        Placement::Block => ShardMap::block(spec.n, spec.shards),
-        Placement::Balanced => ShardMap::balanced(&event_weights(materialized), spec.shards),
-    }
-}
-
-/// Maps a spec's window knob onto the cluster's [`WindowPolicy`].
-fn window_policy_for(spec: &ScenarioSpec) -> WindowPolicy {
-    if spec.adaptive_window {
-        WindowPolicy::adaptive()
-    } else {
-        WindowPolicy::fixed()
-    }
-}
-
 /// The node type every gossip experiment runs.
 pub type Node = GossipNode<FullMembership>;
 
@@ -99,7 +82,7 @@ const ROUND: SimDuration = SimDuration::from_millis(100);
 /// Implementing this is all it takes for a protocol to run on both
 /// engines through [`run_architecture`] and the cross-engine parity
 /// suite.
-pub trait ArchProtocol: Protocol {
+pub trait ArchProtocol: Protocol + 'static {
     /// The command subscribing this node to `topic`.
     fn subscribe_cmd(topic: TopicId) -> Self::Cmd;
     /// The command publishing `event` at this node.
@@ -248,15 +231,57 @@ impl ArchProtocol for SplitStreamNode {
     }
 }
 
-/// Minimal scheduling facade over the two engines, generic over the
-/// protocol.
-trait Engine<P: Protocol> {
+/// The engine seam of the harness: what a scenario run needs from an
+/// engine — build from a spec, schedule, run observed, read back — so
+/// [`run_architecture`] and [`GossipRun`] have one body for both engines.
+///
+/// The sequential [`Simulation`] is the one-shard case: it owns `0..n`,
+/// takes exactly one observer and has no windows.
+pub trait Engine<P: Protocol + 'static>: Sized {
+    /// Builds the engine `spec` describes, constructing nodes with
+    /// `factory` (the sequential engine ignores the shard count,
+    /// placement and window knobs).
+    fn build<F>(spec: &ScenarioSpec, materialized: &MaterializedScenario, factory: F) -> Self
+    where
+        F: Fn(NodeId, &mut Xoshiro256StarStar) -> P + Send + Sync + 'static;
+    /// Schedules an application command.
     fn command(&mut self, at: SimTime, node: NodeId, cmd: P::Cmd);
+    /// Schedules a crash.
     fn crash(&mut self, at: SimTime, node: NodeId);
+    /// Schedules a (re)join.
     fn join(&mut self, at: SimTime, node: NodeId);
+    /// Shards actually in use (the cluster clamps to `1..=n`).
+    fn shards(&self) -> usize;
+    /// The node ids `shard` owns, ascending.
+    fn owned(&self, shard: usize) -> Vec<u32>;
+    /// Runs to `target` with exactly one observer per shard. Returns the
+    /// window schedule when `trace_schedule` is set and the engine has
+    /// windows to trace.
+    fn run_observed<O: Probe + Send>(
+        &mut self,
+        target: SimTime,
+        observers: &mut [O],
+        trace_schedule: bool,
+    ) -> Option<ScheduleTrace>;
+    /// Iterates over `(id, state)` of every node that has state.
+    fn nodes(&self) -> impl Iterator<Item = (NodeId, &P)>;
+    /// Transport statistics of every node, indexed by node.
+    fn stats(&self) -> Vec<TransportStats>;
+    /// Events processed so far.
+    fn events(&self) -> u64;
+    /// Barrier windows executed so far (0 on the sequential engine).
+    fn windows(&self) -> u64;
+    /// Queue counters summed over every shard's queue.
+    fn queue_stats(&self) -> QueueStats;
 }
 
-impl<P: Protocol> Engine<P> for Simulation<P> {
+impl<P: Protocol + 'static> Engine<P> for Simulation<P> {
+    fn build<F>(spec: &ScenarioSpec, _materialized: &MaterializedScenario, factory: F) -> Self
+    where
+        F: Fn(NodeId, &mut Xoshiro256StarStar) -> P + Send + Sync + 'static,
+    {
+        Simulation::new(spec.n, spec.effective_net(), spec.seed, factory)
+    }
     fn command(&mut self, at: SimTime, node: NodeId, cmd: P::Cmd) {
         self.schedule_command(at, node, cmd);
     }
@@ -266,9 +291,70 @@ impl<P: Protocol> Engine<P> for Simulation<P> {
     fn join(&mut self, at: SimTime, node: NodeId) {
         self.schedule_join(at, node);
     }
+    fn shards(&self) -> usize {
+        1
+    }
+    fn owned(&self, _shard: usize) -> Vec<u32> {
+        (0..self.len() as u32).collect()
+    }
+    fn run_observed<O: Probe + Send>(
+        &mut self,
+        target: SimTime,
+        observers: &mut [O],
+        _trace_schedule: bool,
+    ) -> Option<ScheduleTrace> {
+        let [obs] = observers else {
+            panic!("the sequential engine is exactly one shard");
+        };
+        self.run_until_observed(target, obs);
+        None
+    }
+    fn nodes(&self) -> impl Iterator<Item = (NodeId, &P)> {
+        Simulation::nodes(self)
+    }
+    fn stats(&self) -> Vec<TransportStats> {
+        self.transport_stats_all().to_vec()
+    }
+    fn events(&self) -> u64 {
+        self.events_processed()
+    }
+    fn windows(&self) -> u64 {
+        0
+    }
+    fn queue_stats(&self) -> QueueStats {
+        Simulation::queue_stats(self)
+    }
 }
 
-impl<P: Protocol> Engine<P> for ShardedSimulation<P> {
+impl<P> Engine<P> for ShardedSimulation<P>
+where
+    P: Protocol + Send + 'static,
+    P::Msg: Send,
+    P::Cmd: Send,
+{
+    fn build<F>(spec: &ScenarioSpec, materialized: &MaterializedScenario, factory: F) -> Self
+    where
+        F: Fn(NodeId, &mut Xoshiro256StarStar) -> P + Send + Sync + 'static,
+    {
+        let map = match spec.placement {
+            Placement::RoundRobin => ShardMap::round_robin(spec.n, spec.shards),
+            Placement::Block => ShardMap::block(spec.n, spec.shards),
+            Placement::Balanced => ShardMap::balanced(&event_weights(materialized), spec.shards),
+        };
+        let window = if spec.adaptive_window {
+            WindowPolicy::adaptive()
+        } else {
+            WindowPolicy::fixed()
+        };
+        ShardedSimulation::with_scheduler(
+            spec.n,
+            spec.effective_net(),
+            spec.seed,
+            map,
+            window,
+            factory,
+        )
+    }
     fn command(&mut self, at: SimTime, node: NodeId, cmd: P::Cmd) {
         self.schedule_command(at, node, cmd);
     }
@@ -277,6 +363,37 @@ impl<P: Protocol> Engine<P> for ShardedSimulation<P> {
     }
     fn join(&mut self, at: SimTime, node: NodeId) {
         self.schedule_join(at, node);
+    }
+    fn shards(&self) -> usize {
+        self.num_shards()
+    }
+    fn owned(&self, shard: usize) -> Vec<u32> {
+        self.shard_map().owned(shard).to_vec()
+    }
+    fn run_observed<O: Probe + Send>(
+        &mut self,
+        target: SimTime,
+        observers: &mut [O],
+        trace_schedule: bool,
+    ) -> Option<ScheduleTrace> {
+        let mut schedule = trace_schedule.then(ScheduleTrace::default);
+        self.run_until_observed(target, observers, schedule.as_mut());
+        schedule
+    }
+    fn nodes(&self) -> impl Iterator<Item = (NodeId, &P)> {
+        ShardedSimulation::nodes(self)
+    }
+    fn stats(&self) -> Vec<TransportStats> {
+        self.transport_stats_all()
+    }
+    fn events(&self) -> u64 {
+        self.events_processed()
+    }
+    fn windows(&self) -> u64 {
+        ShardedSimulation::windows(self)
+    }
+    fn queue_stats(&self) -> QueueStats {
+        ShardedSimulation::queue_stats(self)
     }
 }
 
@@ -314,10 +431,12 @@ where
     }
 }
 
-/// A prepared run: simulation with workload wired in, plus ground truth.
-pub struct GossipRun {
+/// A prepared gossip run on engine `E` (the sequential [`Simulation`]
+/// unless said otherwise): simulation with workload wired in, plus ground
+/// truth.
+pub struct GossipRun<E = Simulation<Node>> {
     /// The simulation (not yet executed).
-    pub sim: Simulation<Node>,
+    pub sim: E,
     /// Who subscribes to what.
     pub profile: InterestProfile,
     /// Scheduled publications.
@@ -326,11 +445,37 @@ pub struct GossipRun {
     pub horizon: SimTime,
 }
 
-impl GossipRun {
+impl<E: Engine<Node>> GossipRun<E> {
+    /// Builds a gossip run straight from a [`ScenarioSpec`] (shard count,
+    /// churn plan and all).
+    ///
+    /// For the same spec (and scheduling order), the results are
+    /// bit-for-bit identical on every engine regardless of `spec.shards`
+    /// — asserted by the `cross_engine` integration test.
+    pub fn build<B>(spec: &ScenarioSpec, config: GossipConfig, behavior: B) -> Self
+    where
+        B: Fn(NodeId) -> Behavior + Send + Sync + 'static,
+    {
+        let materialized = spec
+            .materialize()
+            .expect("scenario parameters are validated by construction");
+        let n = spec.n;
+        let mut sim = E::build(spec, &materialized, move |id, _| {
+            GossipNode::with_behavior(id, config.clone(), FullMembership::new(id, n), behavior(id))
+        });
+        schedule_workload(&mut sim, &materialized);
+        GossipRun {
+            sim,
+            profile: materialized.profile,
+            schedule: materialized.schedule,
+            horizon: materialized.horizon,
+        }
+    }
+
     /// Runs to the scenario horizon.
     pub fn run(&mut self) {
-        let horizon = self.horizon;
-        self.sim.run_until(horizon);
+        let mut unobserved = vec![(); self.sim.shards()];
+        self.sim.run_observed(self.horizon, &mut unobserved, false);
     }
 
     /// Builds the delivery audit from ground truth and observed state.
@@ -357,108 +502,13 @@ impl GossipRun {
     }
 }
 
-/// Builds a sequential gossip run straight from a [`ScenarioSpec`],
-/// honouring its churn plan — the sequential twin of
-/// [`build_gossip_cluster`] (`spec.shards` is ignored here).
+/// [`GossipRun::build`] on the sequential engine (`spec.shards` is
+/// ignored).
 pub fn build_gossip_spec<B>(spec: &ScenarioSpec, config: GossipConfig, behavior: B) -> GossipRun
-where
-    B: Fn(NodeId) -> Behavior + 'static,
-{
-    let materialized = spec
-        .materialize()
-        .expect("scenario parameters are validated by construction");
-    let n = spec.n;
-    let mut sim = Simulation::new(n, spec.effective_net(), spec.seed, move |id, _| {
-        GossipNode::with_behavior(id, config.clone(), FullMembership::new(id, n), behavior(id))
-    });
-    schedule_workload(&mut sim, &materialized);
-    GossipRun {
-        sim,
-        profile: materialized.profile,
-        schedule: materialized.schedule,
-        horizon: materialized.horizon,
-    }
-}
-
-/// A prepared sharded run: cluster with workload wired in, plus ground
-/// truth. The sharded twin of [`GossipRun`].
-pub struct ClusterGossipRun {
-    /// The sharded simulation (not yet executed).
-    pub sim: ShardedSimulation<Node>,
-    /// Who subscribes to what.
-    pub profile: InterestProfile,
-    /// Scheduled publications.
-    pub schedule: Vec<Publication>,
-    /// Scenario horizon.
-    pub horizon: SimTime,
-}
-
-impl ClusterGossipRun {
-    /// Runs to the scenario horizon.
-    pub fn run(&mut self) {
-        let horizon = self.horizon;
-        self.sim.run_until(horizon);
-    }
-
-    /// Builds the delivery audit from ground truth and observed state.
-    pub fn audit(&self) -> DeliveryAudit {
-        let mut audit = DeliveryAudit::new();
-        for p in &self.schedule {
-            audit.expect(
-                p.event.id(),
-                p.at,
-                self.profile.subscribers_of(p.event.topic()),
-            );
-        }
-        for (id, node) in self.sim.nodes() {
-            for (eid, rec) in node.deliveries() {
-                audit.record(*eid, id.index(), rec.at);
-            }
-        }
-        audit
-    }
-
-    /// Ledgers of all nodes in id order.
-    pub fn ledgers(&self) -> Vec<&FairnessLedger> {
-        self.sim.nodes().map(|(_, n)| n.ledger()).collect()
-    }
-}
-
-/// Builds a sharded gossip run from a [`ScenarioSpec`] (shard count,
-/// churn plan and all).
-///
-/// For the same spec (and scheduling order), the results are bit-for-bit
-/// identical to [`build_gossip_spec`] regardless of `spec.shards` — asserted
-/// by the `cross_engine` integration test.
-pub fn build_gossip_cluster<B>(
-    spec: &ScenarioSpec,
-    config: GossipConfig,
-    behavior: B,
-) -> ClusterGossipRun
 where
     B: Fn(NodeId) -> Behavior + Send + Sync + 'static,
 {
-    let materialized = spec
-        .materialize()
-        .expect("scenario parameters are validated by construction");
-    let n = spec.n;
-    let mut sim = ShardedSimulation::with_scheduler(
-        n,
-        spec.effective_net(),
-        spec.seed,
-        shard_map_for(spec, &materialized),
-        window_policy_for(spec),
-        move |id, _| {
-            GossipNode::with_behavior(id, config.clone(), FullMembership::new(id, n), behavior(id))
-        },
-    );
-    schedule_workload(&mut sim, &materialized);
-    ClusterGossipRun {
-        sim,
-        profile: materialized.profile,
-        schedule: materialized.schedule,
-        horizon: materialized.horizon,
-    }
+    GossipRun::build(spec, config, behavior)
 }
 
 /// Which engine executes a scenario.
@@ -743,7 +793,7 @@ fn schedule_summary(trace: &ScheduleTrace) -> ScheduleSummary {
 /// from the engine's [`fed_sim::exec::QueueStats`].
 fn work_counters(
     stats: &[TransportStats],
-    owned: impl Iterator<Item = u32>,
+    owned: &[u32],
     events: u64,
     probe_calls: u64,
 ) -> WorkCounters {
@@ -752,7 +802,7 @@ fn work_counters(
         probe_calls,
         ..WorkCounters::default()
     };
-    for id in owned {
+    for &id in owned {
         let s = &stats[id as usize];
         w.msgs_sent += s.msgs_sent;
         w.msgs_received += s.msgs_received;
@@ -762,9 +812,17 @@ fn work_counters(
     w
 }
 
-/// Monomorphic worker behind [`run_architecture`]: builds the chosen
-/// engine with `factory`, schedules the workload, runs to the horizon and
-/// collects the outcome.
+/// The per-shard observer every scenario run attaches: the spec's
+/// `[telemetry]`, `[profile]` and `[trace]` sections each switch one
+/// member on.
+type ShardObserver = (
+    Option<CountingProbe<ShardCollector>>,
+    Option<ShardProfile>,
+    Option<ShardTraceBuffer>,
+);
+
+/// Monomorphic worker behind [`run_architecture`]: dispatches onto
+/// [`execute_on`] for the chosen engine.
 fn execute<P, F>(
     spec: &ScenarioSpec,
     materialized: MaterializedScenario,
@@ -777,198 +835,87 @@ where
     P::Cmd: Send,
     F: Fn(NodeId, &mut Xoshiro256StarStar) -> P + Send + Sync + 'static,
 {
-    let horizon = materialized.horizon;
-    let profiling = spec.profile.is_some();
-    let tracing = spec.trace.is_some();
     match engine {
-        EngineKind::Sequential => {
-            let mut sim = Simulation::new(spec.n, spec.effective_net(), spec.seed, factory);
-            schedule_workload(&mut sim, &materialized);
-            let mut shard_profile = profiling.then(ShardProfile::default);
-            let mut tracer = spec.trace.as_ref().map(ShardTraceBuffer::new);
-            let run_start = profiling.then(std::time::Instant::now);
-            let (telemetry, probe_calls) = match spec.telemetry {
-                Some(t) => {
-                    let mut collector = CountingProbe::new(ShardCollector::sequential(t, spec.n));
-                    sim.run_instrumented(
-                        horizon,
-                        Some(&mut collector),
-                        shard_profile.as_mut().map(|p| p as &mut dyn Profiler),
-                        tracer.as_mut().map(|b| b as &mut dyn Tracer),
-                    );
-                    (Some(collector.inner.finalize(horizon)), collector.calls)
-                }
-                None if profiling || tracing => {
-                    sim.run_instrumented(
-                        horizon,
-                        None,
-                        shard_profile.as_mut().map(|p| p as &mut dyn Profiler),
-                        tracer.as_mut().map(|b| b as &mut dyn Tracer),
-                    );
-                    (None, 0)
-                }
-                None => {
-                    sim.run_until(horizon);
-                    (None, 0)
-                }
-            };
-            // The single sequential buffer still goes through the merge
-            // so both engines expose the identical canonical ordering.
-            let trace_hops = tracer.map(|b| merge_hops([b]));
-            let wall_ns = run_start.map_or(0, |t| t.elapsed().as_nanos() as u64);
-            let stats = sim.transport_stats_all().to_vec();
-            let events = sim.events_processed();
-            let profile = shard_profile.map(|shard| RunProfile {
-                work: vec![work_counters(
-                    &stats,
-                    0..spec.n as u32,
-                    shard.events,
-                    probe_calls,
-                )],
-                shards: vec![shard],
-                queue: sim.queue_stats(),
-                schedule: None,
-                wall_ns,
-            });
-            collect(
-                spec,
-                materialized,
-                sim.nodes(),
-                stats,
-                events,
-                0,
-                1,
-                telemetry,
-                profile,
-                trace_hops,
-            )
-        }
+        EngineKind::Sequential => execute_on::<P, Simulation<P>, F>(spec, materialized, factory),
         EngineKind::Cluster => {
-            let map = shard_map_for(spec, &materialized);
-            let num_shards = map.num_shards();
-            let owned: Option<Vec<Vec<u32>>> =
-                profiling.then(|| (0..num_shards).map(|s| map.owned(s).to_vec()).collect());
-            // One shard-local collector per worker, built from the same
-            // owned lists the kernels get; merged (exactly) after the
-            // run into the global series. The counting wrapper feeds the
-            // profiler's `probe_calls` work counter and forwards
-            // everything unchanged.
-            let mut collectors: Vec<CountingProbe<ShardCollector>> = match spec.telemetry {
-                Some(t) => (0..num_shards)
-                    .map(|s| CountingProbe::new(ShardCollector::new(t, spec.n, map.owned(s))))
-                    .collect(),
-                None => Vec::new(),
-            };
-            let mut profilers: Vec<ShardProfile> = if profiling {
-                vec![ShardProfile::default(); num_shards]
-            } else {
-                Vec::new()
-            };
-            // One shard-local trace buffer per worker; each hop is
-            // recorded on the shard owning the sender, and the merge
-            // restores the canonical global order exactly.
-            let mut tracers: Vec<ShardTraceBuffer> = match &spec.trace {
-                Some(t) => (0..num_shards).map(|_| ShardTraceBuffer::new(t)).collect(),
-                None => Vec::new(),
-            };
-            let mut trace = profiling.then(ScheduleTrace::default);
-            let mut sim = ShardedSimulation::with_scheduler(
-                spec.n,
-                spec.effective_net(),
-                spec.seed,
-                map,
-                window_policy_for(spec),
-                factory,
-            );
-            schedule_workload(&mut sim, &materialized);
-            let run_start = profiling.then(std::time::Instant::now);
-            if collectors.is_empty() && !profiling && !tracing {
-                sim.run_until(horizon);
-            } else {
-                sim.run_until_instrumented(
-                    horizon,
-                    &mut collectors,
-                    &mut profilers,
-                    &mut tracers,
-                    trace.as_mut(),
-                );
-            }
-            let wall_ns = run_start.map_or(0, |t| t.elapsed().as_nanos() as u64);
-            let probe_calls: Vec<u64> = collectors.iter().map(|c| c.calls).collect();
-            let telemetry = if collectors.is_empty() {
-                None
-            } else {
-                let mut merged: Option<TelemetrySeries> = None;
-                for series in collectors.drain(..).map(|c| c.inner.finalize(horizon)) {
-                    match merged.as_mut() {
-                        None => merged = Some(series),
-                        Some(m) => m.merge(&series),
-                    }
-                }
-                merged
-            };
-            let stats = sim.transport_stats_all();
-            let events = sim.events_processed();
-            let windows = sim.windows();
-            let shards = sim.num_shards();
-            let profile = owned.map(|owned| RunProfile {
-                work: (0..num_shards)
-                    .map(|s| {
-                        work_counters(
-                            &stats,
-                            owned[s].iter().copied(),
-                            profilers[s].events,
-                            probe_calls.get(s).copied().unwrap_or(0),
-                        )
-                    })
-                    .collect(),
-                shards: std::mem::take(&mut profilers),
-                queue: sim.queue_stats(),
-                schedule: trace.as_ref().map(schedule_summary),
-                wall_ns,
-            });
-            let trace_hops = if tracers.is_empty() {
-                None
-            } else {
-                Some(merge_hops(tracers))
-            };
-            collect(
-                spec,
-                materialized,
-                sim.nodes(),
-                stats,
-                events,
-                windows,
-                shards,
-                telemetry,
-                profile,
-                trace_hops,
-            )
+            execute_on::<P, ShardedSimulation<P>, F>(spec, materialized, factory)
         }
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn collect<'a, P>(
+/// Builds engine `E` with `factory`, schedules the workload, runs to the
+/// horizon with one [`ShardObserver`] per shard and collects the outcome.
+fn execute_on<P, E, F>(
     spec: &ScenarioSpec,
     materialized: MaterializedScenario,
-    nodes: impl Iterator<Item = (NodeId, &'a P)>,
-    stats: Vec<TransportStats>,
-    events: u64,
-    windows: u64,
-    shards: usize,
-    telemetry: Option<TelemetrySeries>,
-    profiling: Option<RunProfile>,
-    trace: Option<Vec<HopRecord>>,
+    factory: F,
 ) -> ArchOutcome
 where
-    P: ArchProtocol + 'a,
+    P: ArchProtocol,
+    E: Engine<P>,
+    F: Fn(NodeId, &mut Xoshiro256StarStar) -> P + Send + Sync + 'static,
 {
+    let horizon = materialized.horizon;
+    let profiling = spec.profile.is_some();
+    let mut sim = E::build(spec, &materialized, factory);
+    schedule_workload(&mut sim, &materialized);
+    // Each shard-local collector is built from the same owned list its
+    // kernel got, and each hop is recorded on the shard owning the
+    // sender; the merges below restore the global series and the
+    // canonical trace order exactly. The counting wrapper feeds the
+    // profiler's `probe_calls` work counter and forwards everything
+    // unchanged.
+    let owned: Vec<Vec<u32>> = (0..sim.shards()).map(|s| sim.owned(s)).collect();
+    let mut observers: Vec<ShardObserver> = owned
+        .iter()
+        .map(|owned| {
+            (
+                spec.telemetry
+                    .map(|t| CountingProbe::new(ShardCollector::new(t, spec.n, owned))),
+                profiling.then(ShardProfile::default),
+                spec.trace.as_ref().map(ShardTraceBuffer::new),
+            )
+        })
+        .collect();
+    let run_start = profiling.then(std::time::Instant::now);
+    let schedule = sim.run_observed(horizon, &mut observers, profiling);
+    let wall_ns = run_start.map_or(0, |t| t.elapsed().as_nanos() as u64);
+
+    let stats = sim.stats();
+    let mut telemetry: Option<TelemetrySeries> = None;
+    let mut work = Vec::new();
+    let mut shard_profiles = Vec::new();
+    let mut buffers = Vec::new();
+    for ((collector, shard_profile, buffer), owned) in observers.into_iter().zip(&owned) {
+        let probe_calls = collector.as_ref().map_or(0, |c| c.calls);
+        if let Some(series) = collector.map(|c| c.inner.finalize(horizon)) {
+            match telemetry.as_mut() {
+                None => telemetry = Some(series),
+                Some(merged) => merged.merge(&series),
+            }
+        }
+        if let Some(shard) = shard_profile {
+            work.push(work_counters(&stats, owned, shard.events, probe_calls));
+            shard_profiles.push(shard);
+        }
+        buffers.extend(buffer);
+    }
+    let profile = profiling.then(|| RunProfile {
+        work,
+        shards: shard_profiles,
+        queue: sim.queue_stats(),
+        schedule: schedule.as_ref().map(schedule_summary),
+        wall_ns,
+    });
+    // A single sequential buffer still goes through the merge, so both
+    // engines expose the identical canonical ordering.
+    let trace = spec.trace.as_ref().map(|_| merge_hops(buffers));
+
     let mut deliveries = vec![Vec::new(); spec.n];
     let mut ledgers = vec![FairnessLedger::new(); spec.n];
     let mut swim = vec![Vec::new(); spec.n];
     let mut handovers = vec![None; spec.n];
-    for (id, node) in nodes {
+    for (id, node) in sim.nodes() {
         deliveries[id.index()] = node.delivery_log();
         ledgers[id.index()] = node.fairness();
         swim[id.index()] = node.swim_observations();
@@ -981,16 +928,16 @@ where
         deliveries,
         ledgers,
         stats,
-        events,
-        windows,
-        shards,
+        events: sim.events(),
+        windows: sim.windows(),
+        shards: owned.len(),
         telemetry,
-        profiling,
+        profiling: profile,
         trace,
         swim,
         handovers,
         churn: materialized.churn,
-        horizon: materialized.horizon,
+        horizon,
     }
 }
 

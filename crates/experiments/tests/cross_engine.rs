@@ -6,7 +6,7 @@
 //! Two layers of assertion:
 //!
 //! * the original 1000-node fair-gossip scenario through the dedicated
-//!   gossip builders ([`build_gossip_spec`]/[`build_gossip_cluster`]);
+//!   gossip builder ([`GossipRun::build`]), generic over the engine;
 //! * every baseline architecture (broker, Scribe, DKS, SplitStream — and
 //!   DAM for good measure) through the architecture-generic
 //!   [`run_architecture`], at shard counts {1, 2, 4, 7}, with and without
@@ -15,13 +15,12 @@
 //! All runs share one workload scheduler, so this asserts the engines
 //! themselves: shard count is a performance knob, never a semantics knob.
 
+use fed_cluster::ShardedSimulation;
 use fed_core::behavior::Behavior;
 use fed_core::gossip::GossipConfig;
 use fed_core::ledger::RatioSpec;
-use fed_experiments::harness::{
-    build_gossip_cluster, build_gossip_spec, run_architecture, EngineKind, Node,
-};
-use fed_sim::{NodeId, SimDuration, SimTime, TransportStats};
+use fed_experiments::harness::{run_architecture, Engine, EngineKind, GossipRun, Node};
+use fed_sim::{NodeId, SimDuration, SimTime, Simulation, TransportStats};
 use fed_util::fairness::jain_index;
 use fed_workload::churn::ChurnPlan;
 use fed_workload::pubs::PubPlan;
@@ -79,19 +78,18 @@ where
     }
 }
 
-fn run_sequential(spec: &ScenarioSpec) -> Fingerprint {
-    let mut run = build_gossip_spec(spec, config(), |_| Behavior::Honest);
+fn run_on<E: Engine<Node>>(spec: &ScenarioSpec) -> Fingerprint {
+    let mut run = GossipRun::<E>::build(spec, config(), |_| Behavior::Honest);
     run.run();
-    let stats = run.sim.transport_stats_all().to_vec();
-    fingerprint(run.sim.nodes(), stats, run.sim.events_processed())
+    fingerprint(run.sim.nodes(), run.sim.stats(), run.sim.events())
+}
+
+fn run_sequential(spec: &ScenarioSpec) -> Fingerprint {
+    run_on::<Simulation<Node>>(spec)
 }
 
 fn run_cluster(spec: &ScenarioSpec, shards: usize) -> Fingerprint {
-    let spec = spec.clone().with_shards(shards);
-    let mut run = build_gossip_cluster(&spec, config(), |_| Behavior::Honest);
-    run.run();
-    let stats = run.sim.transport_stats_all();
-    fingerprint(run.sim.nodes(), stats, run.sim.events_processed())
+    run_on::<ShardedSimulation<Node>>(&spec.clone().with_shards(shards))
 }
 
 #[test]

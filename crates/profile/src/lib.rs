@@ -29,11 +29,11 @@
 //!
 //! ## Pieces
 //!
-//! * [`ShardProfile`] implements [`fed_sim::exec::Profiler`] — attach one
-//!   per shard (or one to a sequential run) and it accumulates phases,
-//!   windows and counters.
-//! * [`CountingProbe`] wraps any [`Probe`] and counts its hook
-//!   invocations — the `probe_calls` work counter.
+//! * [`ShardProfile`] implements the engine hooks of
+//!   [`fed_sim::exec::Probe`] — attach one per shard (or one to a
+//!   sequential run) and it accumulates phases, windows and counters.
+//! * [`CountingProbe`] wraps any [`Probe`] and counts its virtual-world
+//!   hook invocations — the `probe_calls` work counter.
 //! * [`RunProfile`] assembles the per-shard profiles plus engine-level
 //!   counters into the run-level report; [`chrome_trace_json`] renders it
 //!   as Chrome Trace Event JSON loadable in Perfetto or
@@ -46,7 +46,7 @@
 
 pub mod json;
 
-use fed_sim::exec::{Probe, ProfilePhase, Profiler, QueueStats, SendFate, WindowWork};
+use fed_sim::exec::{HopRecord, Probe, ProfilePhase, QueueStats, SendFate, WindowWork};
 use fed_sim::protocol::NodeId;
 use fed_sim::time::SimTime;
 
@@ -187,8 +187,8 @@ pub struct WindowSample {
     pub wait_ns: u64,
 }
 
-/// Per-shard profiler: the [`Profiler`] implementation both engines
-/// drive.
+/// Per-shard profiler: the [`Probe`] both engines drive through its
+/// engine hooks.
 ///
 /// Deterministic state (`events`, mailbox counters) and wall-clock state
 /// (`phases`, per-window samples) accumulate independently; barrier wait
@@ -208,7 +208,11 @@ pub struct ShardProfile {
     pub mailbox_bytes: u64,
 }
 
-impl Profiler for ShardProfile {
+impl Probe for ShardProfile {
+    fn profiles(&self) -> bool {
+        true
+    }
+
     fn on_event(&mut self, _now: SimTime) {
         self.events += 1;
     }
@@ -248,9 +252,10 @@ impl Profiler for ShardProfile {
     }
 }
 
-/// Wraps a [`Probe`], forwarding every hook while counting invocations —
-/// the `probe_calls` work counter. Forwarding changes nothing about what
-/// the inner probe observes, so wrapping is itself passive.
+/// Wraps a [`Probe`], forwarding every hook while counting invocations of
+/// the four virtual-world ones (event, send, receive, liveness) — the
+/// `probe_calls` work counter. Forwarding changes nothing about what the
+/// inner probe observes, so wrapping is itself passive.
 #[derive(Debug, Clone, Default)]
 pub struct CountingProbe<C> {
     /// The wrapped probe.
@@ -282,6 +287,24 @@ impl<C: Probe> Probe for CountingProbe<C> {
     fn on_liveness(&mut self, now: SimTime, node: NodeId, alive: bool) {
         self.calls += 1;
         self.inner.on_liveness(now, node, alive);
+    }
+    fn on_hop(&mut self, hop: HopRecord) {
+        self.inner.on_hop(hop);
+    }
+    fn on_phase(&mut self, phase: ProfilePhase, nanos: u64) {
+        self.inner.on_phase(phase, nanos);
+    }
+    fn on_window(&mut self, work: WindowWork) {
+        self.inner.on_window(work);
+    }
+    fn on_mailbox(&mut self, msgs: u64, bytes: u64) {
+        self.inner.on_mailbox(msgs, bytes);
+    }
+    fn profiles(&self) -> bool {
+        self.inner.profiles()
+    }
+    fn traces(&self) -> bool {
+        self.inner.traces()
     }
 }
 

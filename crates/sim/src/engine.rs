@@ -11,8 +11,8 @@
 //! results.
 
 use crate::exec::{
-    reborrow, reborrow_profiler, reborrow_tracer, seed_streams, EventKey, EventKind, EventQueue,
-    Kernel, Probe, ProfilePhase, Profiler, QueueStats, Tracer, EXTERNAL_SRC,
+    seed_streams, EventKey, EventKind, EventQueue, Kernel, Probe, ProfilePhase, QueueStats,
+    EXTERNAL_SRC,
 };
 use crate::network::NetworkModel;
 use crate::protocol::{NodeId, Protocol};
@@ -231,52 +231,26 @@ impl<P: Protocol> Simulation<P> {
 
     /// Runs until virtual time reaches `target` (inclusive) or the queue
     /// drains or the event budget is exhausted.
+    ///
+    /// The `()` case of [`Simulation::run_until_observed`]: with the null
+    /// observer every hook site compiles away.
     pub fn run_until(&mut self, target: SimTime) -> RunReport {
-        self.run_profiled(target, None, None)
+        self.run_until_observed(target, &mut ())
     }
 
-    /// [`Simulation::run_until`] with a telemetry [`Probe`] attached: the
-    /// probe observes every dispatched event, send, delivery and liveness
-    /// transition without being able to influence the run.
-    ///
-    /// The probed run produces the bit-identical virtual-world outcome of
-    /// an unprobed one; the plain [`Simulation::run_until`] skips even the
-    /// hook-call overhead (a `None` branch per observation site).
-    pub fn run_until_probed(&mut self, target: SimTime, probe: &mut dyn Probe) -> RunReport {
-        self.run_profiled(target, Some(probe), None)
-    }
-
-    /// [`Simulation::run_until`] with an optional [`Probe`] *and* an
-    /// optional [`Profiler`] attached.
-    ///
-    /// The profiler's deterministic hooks ([`Profiler::on_event`]) fire
-    /// exactly once per dispatched event; when a profiler is attached the
-    /// whole dispatch loop's wall clock is reported once per call via
-    /// [`Profiler::on_phase`] as [`ProfilePhase::Execute`] (the sequential
-    /// engine has no exchange or barrier phases). Neither hook can
-    /// influence the run.
-    pub fn run_profiled(
-        &mut self,
-        target: SimTime,
-        probe: Option<&mut dyn Probe>,
-        profiler: Option<&mut dyn Profiler>,
-    ) -> RunReport {
-        self.run_instrumented(target, probe, profiler, None)
-    }
-
-    /// [`Simulation::run_profiled`] with an optional [`Tracer`] attached
-    /// as well: the tracer receives one
+    /// [`Simulation::run_until`] with an observer attached: `obs` sees
+    /// every dispatched event, send, delivery and liveness transition —
+    /// and, when it [`traces`](Probe::traces), one
     /// [`HopRecord`](crate::exec::HopRecord) per application event per
-    /// network send (see [`crate::Protocol::trace_payload`]). Like the
-    /// other hooks it is purely passive and free when absent.
-    pub fn run_instrumented(
-        &mut self,
-        target: SimTime,
-        mut probe: Option<&mut dyn Probe>,
-        mut profiler: Option<&mut dyn Profiler>,
-        mut tracer: Option<&mut dyn Tracer>,
-    ) -> RunReport {
-        let t0 = profiler.as_ref().map(|_| std::time::Instant::now());
+    /// network send — without being able to influence the run, so the
+    /// observed run produces the bit-identical virtual-world outcome.
+    ///
+    /// When `obs` [`profiles`](Probe::profiles), the whole dispatch loop's
+    /// wall clock is reported once per call via [`Probe::on_phase`] as
+    /// [`ProfilePhase::Execute`] (the sequential engine has no exchange or
+    /// barrier phases); otherwise no clock is read.
+    pub fn run_until_observed<O: Probe>(&mut self, target: SimTime, obs: &mut O) -> RunReport {
+        let t0 = obs.profiles().then(std::time::Instant::now);
         let mut events = 0u64;
         let mut completed = true;
         // `target` is inclusive and `pop_before` exclusive, so bound the
@@ -297,21 +271,14 @@ impl<P: Protocol> Simulation<P> {
             self.now = key.time;
             self.events_processed += 1;
             events += 1;
-            self.kernel.dispatch(
-                key,
-                kind,
-                &mut *self.factory,
-                &mut self.queue,
-                reborrow(&mut probe),
-                reborrow_profiler(&mut profiler),
-                reborrow_tracer(&mut tracer),
-            );
+            self.kernel
+                .dispatch_with(key, kind, &mut *self.factory, &mut self.queue, obs);
         }
         if completed {
             self.now = self.now.max(target);
         }
-        if let (Some(p), Some(t0)) = (profiler, t0) {
-            p.on_phase(ProfilePhase::Execute, t0.elapsed().as_nanos() as u64);
+        if let Some(t0) = t0 {
+            obs.on_phase(ProfilePhase::Execute, t0.elapsed().as_nanos() as u64);
         }
         RunReport { events, completed }
     }
@@ -333,15 +300,8 @@ impl<P: Protocol> Simulation<P> {
         let (key, kind) = self.queue.pop()?;
         self.now = key.time;
         self.events_processed += 1;
-        self.kernel.dispatch(
-            key,
-            kind,
-            &mut *self.factory,
-            &mut self.queue,
-            None,
-            None,
-            None,
-        );
+        self.kernel
+            .dispatch_with(key, kind, &mut *self.factory, &mut self.queue, &mut ());
         Some(key.time)
     }
 
@@ -675,7 +635,7 @@ mod tests {
             s.schedule_crash(SimTime::from_millis(41), NodeId::new(1)); // real
             s.schedule_crash(SimTime::from_millis(42), NodeId::new(1)); // no-op
             match probe {
-                Some(p) => s.run_until_probed(SimTime::from_secs(1), p),
+                Some(p) => s.run_until_observed(SimTime::from_secs(1), p),
                 None => s.run_until(SimTime::from_secs(1)),
             };
             (

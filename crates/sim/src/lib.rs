@@ -32,6 +32,6 @@ pub mod protocol;
 pub mod time;
 
 pub use engine::{RunReport, Simulation, TransportStats};
-pub use exec::{HopKind, HopRecord, NullTracer, Tracer};
+pub use exec::{HopKind, HopRecord, Probe};
 pub use protocol::{Context, NodeId, Protocol};
 pub use time::{SimDuration, SimTime};

@@ -199,9 +199,10 @@ pub trait Protocol: Sized {
     }
 
     /// Enumerates the application events `msg` carries, for per-event
-    /// causal tracing ([`crate::Tracer`]).
+    /// causal tracing ([`crate::Probe::on_hop`]).
     ///
-    /// Called only while a tracer is attached, once per network send, on
+    /// Called only while an observer that
+    /// [`traces`](crate::Probe::traces) is attached, once per network send, on
     /// the sender's side. For every application event the message carries,
     /// the implementation calls `emit(event, topic, bytes, kind)` with the
     /// packed event id, its topic, the bytes that event contributes to the

@@ -5,7 +5,7 @@
 //! `fed-telemetry` aggregates per-window load and `fed-profile` times the
 //! scheduler, but neither can answer "show me the dissemination tree of
 //! event X and who paid for it". This crate closes that gap on top of the
-//! [`Tracer`] hook in `fed_sim::exec`: protocols enumerate the
+//! [`Probe::on_hop`] hook in `fed_sim::exec`: protocols enumerate the
 //! application events each network message carries
 //! ([`fed_sim::Protocol::trace_payload`]), the kernel reports one
 //! [`HopRecord`] per event per send, and a [`ShardTraceBuffer`] collects
@@ -39,7 +39,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use fed_sim::{HopRecord, SimDuration, Tracer};
+use fed_sim::{HopRecord, Probe, SimDuration};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Tracing configuration, as carried by a scenario's `[trace]` section.
@@ -118,7 +118,7 @@ pub fn sampled(event: u64, salt: u64, rate: f64) -> bool {
 
 /// One shard's (or a sequential run's) trace collector.
 ///
-/// Implements [`Tracer`]: keeps every reported hop whose event passes the
+/// Implements [`Probe`]: keeps every reported hop whose event passes the
 /// sampling filter. Buffers merge via [`merge_hops`].
 #[derive(Debug, Clone)]
 pub struct ShardTraceBuffer {
@@ -158,7 +158,11 @@ impl ShardTraceBuffer {
     }
 }
 
-impl Tracer for ShardTraceBuffer {
+impl Probe for ShardTraceBuffer {
+    fn traces(&self) -> bool {
+        true
+    }
+
     fn on_hop(&mut self, hop: HopRecord) {
         if sampled(hop.event, self.salt, self.sample_rate) {
             self.hops.push(hop);

@@ -55,7 +55,8 @@
 //! ```
 //!
 //! Run `cargo run --release -p fed-experiments` to regenerate every paper
-//! table; see EXPERIMENTS.md for the recorded results.
+//! table; `cargo run --release -p fed-experiments -- --help` lists the
+//! experiment ids (also under "Available ids" in the README).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
