@@ -10,122 +10,32 @@
 //! against the committed one (`git show HEAD:BENCH_cluster.json`).
 //!
 //! Rows without a throughput rate — the `BENCH_sweep.json` frontier and
-//! aggregate rows — are compared on the directional sweep metrics
-//! instead ([`FRONTIER_METRICS`]): fairness and reliability must not
-//! drop, latency and forwarding cost must not rise, each by more than
-//! the threshold. Those quantities are virtual-world deterministic, so
-//! CI runs the sweep diff with `--threshold 0` — byte-equal or fail.
+//! aggregate rows — are compared on the directional measurements of
+//! [`crate::bench_json::FIELDS`] instead: fairness and reliability must
+//! not drop, latency and forwarding cost must not rise, each by more
+//! than the threshold. Those quantities are virtual-world deterministic,
+//! so CI runs the sweep diff with `--threshold 0` — byte-equal or fail.
 //!
-//! Configurations appear many times in an appended artifact (one record
-//! per historical run); the **last occurrence wins**, so the diff always
-//! compares the most recent measurement on each side.
+//! Which fields are configuration and which are measurements is not
+//! decided here: the row key is [`crate::bench_json::config_key`], the
+//! same identity the artifact splice replaces rows by, so a written
+//! artifact holds one current row per configuration. (A hand-assembled
+//! file that repeats one is read last occurrence wins.)
+//!
+//! A diff that pairs up **no** configuration although both files hold
+//! rows is a failure, not a pass: it means a writer's configuration
+//! fields moved and the gate is comparing nothing.
 
+use crate::bench_json::{config_key, FieldKind, FIELDS};
 use fed_metrics::table::{fmt_f64, Table};
 use fed_profile::json::{self, Value};
 use std::collections::BTreeMap;
 use std::path::Path;
 
-/// Fields that are measurements, not configuration — excluded from the
-/// row key. Everything else (strings, bools, config numbers) identifies
-/// the row.
-const MEASUREMENT_FIELDS: &[&str] = &[
-    "events",
-    "windows",
-    "wall_ms",
-    "events_per_sec",
-    "wall_ms_off",
-    "wall_ms_on",
-    "overhead_frac",
-    "events_per_sec_off",
-    "events_per_sec_on",
-    "execute_ms",
-    "exchange_ms",
-    "fill_ms",
-    "barrier_ms",
-    "idle_ms",
-    "series",
-    "identical",
-    // BENCH_timeseries.json header measurements: the earliest strategy
-    // handover (null until one fires) and the SWIM detector's mean
-    // detection latency. Treating these as configuration would split a
-    // row into spurious added/removed pairs whenever the measurement
-    // moved — and a null handover would drop the row from the diff
-    // entirely, since null has no scalar key representation.
-    "handover_ms",
-    "detection_latency_mean_us",
-    // BENCH_sweep.json measurements: per-frontier-point axes and
-    // per-architecture aggregates. `workload_index` names the generated
-    // workload behind a frontier point — informational, and free to move
-    // when the frontier reshuffles, so it must not split the row.
-    "workload_index",
-    "jain",
-    "latency_p95_ms",
-    "msgs_per_delivery",
-    "reliability",
-    "jain_mean",
-    "latency_p95_mean_ms",
-    "msgs_per_delivery_mean",
-    "reliability_mean",
-    "frontier_points",
-];
-
-/// Directional sweep metrics: `(field, higher_is_better)`. Rows without
-/// a throughput rate (the `BENCH_sweep.json` shape) are compared on
-/// these instead — a row regresses when any metric present on both
-/// sides moves *adversely* past the threshold, so a fairness drop, a
-/// latency increase or a forwarding-cost increase all trip CI, while
-/// improvements of any size pass.
-pub const FRONTIER_METRICS: &[(&str, bool)] = &[
-    ("jain", true),
-    ("jain_mean", true),
-    ("reliability", true),
-    ("reliability_mean", true),
-    ("latency_p95_ms", false),
-    ("latency_p95_mean_ms", false),
-    ("msgs_per_delivery", false),
-    ("msgs_per_delivery_mean", false),
-];
-
 /// Default regression threshold: a row fails when its events/s dropped
 /// by more than this fraction. Generous because wall-clock throughput on
 /// shared CI hardware is noisy.
 pub const DEFAULT_THRESHOLD: f64 = 0.5;
-
-fn scalar_repr(v: &Value) -> Option<String> {
-    match v {
-        Value::Str(s) => Some(s.clone()),
-        Value::Bool(b) => Some(b.to_string()),
-        Value::Num(n) => Some(if n.fract() == 0.0 && n.abs() < 1e15 {
-            format!("{}", *n as i64)
-        } else {
-            format!("{n}")
-        }),
-        _ => None,
-    }
-}
-
-/// The configuration key of one record: every scalar field that is not a
-/// measurement, sorted by name.
-fn row_key(obj: &Value) -> Option<String> {
-    let Value::Obj(map) = obj else { return None };
-    let mut parts: BTreeMap<&str, String> = BTreeMap::new();
-    for (k, v) in map {
-        if MEASUREMENT_FIELDS.contains(&k.as_str()) {
-            continue;
-        }
-        parts.insert(k.as_str(), scalar_repr(v)?);
-    }
-    if parts.is_empty() {
-        return None;
-    }
-    Some(
-        parts
-            .iter()
-            .map(|(k, v)| format!("{k}={v}"))
-            .collect::<Vec<_>>()
-            .join(" "),
-    )
-}
 
 /// The throughput metric of one record, when it carries one.
 fn rate_of(obj: &Value) -> Option<f64> {
@@ -140,12 +50,9 @@ fn index(text: &str, label: &str) -> Result<BTreeMap<String, Value>, String> {
         .as_array()
         .ok_or_else(|| format!("{label}: top level is not a JSON array"))?;
     let mut map = BTreeMap::new();
-    for row in rows {
-        if let Some(key) = row_key(row) {
-            // Later records of the same configuration replace earlier
-            // ones: last occurrence wins.
-            map.insert(key, row.clone());
-        }
+    for (i, row) in rows.iter().enumerate() {
+        let key = config_key(row).map_err(|e| format!("{label}: row {i}: {e}"))?;
+        map.insert(key, row.clone());
     }
     Ok(map)
 }
@@ -159,6 +66,35 @@ pub struct DiffReport {
     pub regressions: Vec<String>,
     /// Configurations compared on both sides.
     pub compared: usize,
+    /// Configurations in the old and in the new artifact.
+    pub rows: (usize, usize),
+}
+
+impl DiffReport {
+    /// Whether the diff passes as a gate.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message when any row regressed past `threshold`, or
+    /// when both artifacts hold rows and none paired up.
+    pub fn verdict(&self, threshold: f64) -> Result<(), String> {
+        let (old, new) = self.rows;
+        if self.compared == 0 && old > 0 && new > 0 {
+            return Err(format!(
+                "bench-diff: compared 0 configurations although the old artifact holds {old} \
+                 row(s) and the new one {new}: no configuration key matches, so nothing \
+                 was gated"
+            ));
+        }
+        if self.regressions.is_empty() {
+            return Ok(());
+        }
+        Err(format!(
+            "bench-diff: measurements regressed past {:.0}% on: {}",
+            threshold * 100.0,
+            self.regressions.join("; ")
+        ))
+    }
 }
 
 /// Diffs two artifact texts. `threshold` is the allowed fractional
@@ -166,7 +102,8 @@ pub struct DiffReport {
 ///
 /// # Errors
 ///
-/// Returns a message when either text is not a JSON array.
+/// Returns a message when either text is not a JSON array of rows
+/// [`config_key`] accepts.
 pub fn diff(old_text: &str, new_text: &str, threshold: f64) -> Result<DiffReport, String> {
     let old = index(old_text, "old")?;
     let new = index(new_text, "new")?;
@@ -212,7 +149,13 @@ pub fn diff(old_text: &str, new_text: &str, threshold: f64) -> Result<DiffReport
                         // directional sweep metrics instead, reporting
                         // the most adverse mover.
                         let mut worst: Option<(&str, f64, f64, f64)> = None;
-                        for &(metric, higher_is_better) in FRONTIER_METRICS {
+                        for &(metric, kind) in FIELDS {
+                            let FieldKind::Measure {
+                                higher_is_better: Some(higher_is_better),
+                            } = kind
+                            else {
+                                continue;
+                            };
                             let o = old_row.get(metric).and_then(Value::as_f64);
                             let n = new_row.get(metric).and_then(Value::as_f64);
                             let (Some(o), Some(n)) = (o, n) else { continue };
@@ -272,6 +215,7 @@ pub fn diff(old_text: &str, new_text: &str, threshold: f64) -> Result<DiffReport
         table,
         regressions,
         compared,
+        rows: (old.len(), new.len()),
     })
 }
 
@@ -348,6 +292,25 @@ mod tests {
         assert_eq!(r.table.len(), 2, "one added + one removed row");
     }
 
+    /// How the 100k smoke gate went blind: the committed row predates the
+    /// `telemetry` field, so the fresh row never pairs with it and a 70 %
+    /// throughput drop used to print `compared 0` and exit 0.
+    #[test]
+    fn a_diff_that_compares_nothing_fails() {
+        let old = r#"[{"suite":"smoke","arch":"scribe","n":100000,"shards":8,"placement":"round-robin","adaptive_window":true,"events":692281,"windows":59,"wall_ms":2488.390,"events_per_sec":278204.4}]"#;
+        let new = r#"[{"suite":"smoke","arch":"scribe","n":100000,"shards":8,"placement":"round-robin","adaptive_window":true,"telemetry":false,"events":692281,"windows":59,"wall_ms":8294.633,"events_per_sec":83461.3}]"#;
+        let r = diff(old, new, DEFAULT_THRESHOLD).unwrap();
+        assert_eq!((r.compared, r.rows), (0, (1, 1)));
+        let err = r.verdict(DEFAULT_THRESHOLD).unwrap_err();
+        assert!(err.contains("holds 1 row(s) and the new one 1"), "{err}");
+        // An empty side is a first recording, not a blind gate; and a
+        // regression is still reported as one.
+        assert!(diff("[]", new, 0.5).unwrap().verdict(0.5).is_ok());
+        let slow = new.replace("\"telemetry\":false,", "");
+        let err = diff(old, &slow, 0.5).unwrap().verdict(0.5).unwrap_err();
+        assert!(err.contains("regressed past 50%"), "{err}");
+    }
+
     #[test]
     fn rows_without_a_rate_metric_are_tolerated() {
         let old = r#"[{"suite":"timeseries","arch":"broker","n":64,"shards":2,"identical":true,"series":[]}]"#;
@@ -382,7 +345,7 @@ mod tests {
         // The key is pure configuration — measured header fields and the
         // series itself stay out of it.
         let doc = json::parse(new).unwrap();
-        let key = row_key(&doc.as_array().unwrap()[1]).unwrap();
+        let key = config_key(&doc.as_array().unwrap()[1]).unwrap();
         assert!(key.contains("arch=hybrid") && key.contains("seed=42"));
         for measured in ["handover_ms=", "detection_latency_mean_us=", "series="] {
             assert!(
@@ -452,5 +415,12 @@ mod tests {
     fn malformed_input_is_an_error() {
         assert!(diff("not json", "[]", 0.2).is_err());
         assert!(diff("{}", "[]", 0.2).is_err());
+        // A field the table does not classify can be neither keyed nor
+        // ignored safely.
+        let err = diff(r#"[{"suite":"smoke","colour":"red"}]"#, "[]", 0.2).unwrap_err();
+        assert!(
+            err.contains("old: row 0") && err.contains("colour"),
+            "{err}"
+        );
     }
 }

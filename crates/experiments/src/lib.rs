@@ -150,11 +150,58 @@ pub fn experiment_ids_line() -> String {
     experiment_ids().collect::<Vec<_>>().join(" ")
 }
 
-/// Runs one experiment by id at a default size, printing its tables.
+/// Every artifact write of every command ends here, so that a failed
+/// write fails the command: CI diffs the written file against the
+/// committed one, and a write that only warned would leave it diffing
+/// the committed file against itself.
+fn write_artifact(
+    path: &str,
+    rows: usize,
+    write: impl FnOnce(&str) -> std::io::Result<()>,
+) -> Result<(), String> {
+    write(path).map_err(|e| format!("could not write {path}: {e}"))?;
+    eprintln!("wrote {rows} row(s) to {path}");
+    Ok(())
+}
+
+/// Splices host-speed rows into the artifact at `path`, one current row
+/// per configuration.
+fn record(path: &str, rows: &[bench_json::Row]) -> Result<(), String> {
+    let lines = bench_json::to_json_lines(rows);
+    write_artifact(path, rows.len(), |p| bench_json::splice(p, &lines, None))
+}
+
+/// Prints a sweep's table and replaces its suite in `BENCH_sweep.json`.
+fn record_sweep(suite: &str, r: &sweep::SweepResult) -> Result<(), String> {
+    println!("{}", r.table);
+    if r.degenerate > 0 {
+        eprintln!(
+            "{suite}: {} degenerate run(s) excluded (no deliveries)",
+            r.degenerate
+        );
+    }
+    assert!(
+        r.identical,
+        "{suite} artifact rows diverged between the engines"
+    );
+    assert!(!r.records.is_empty(), "{suite} rendered no rows");
+    write_artifact(sweep::BENCH_SWEEP_PATH, r.records.len(), |p| {
+        bench_json::splice(p, &r.records, Some(suite))
+    })
+}
+
+/// Runs one experiment by id at a default size, printing its tables and
+/// writing its `BENCH_*` artifact, if it has one, into the invocation
+/// directory.
 ///
-/// Returns `false` for unknown ids. Sizes are chosen so the full suite
-/// finishes in a few minutes on a laptop; the benches sweep larger sizes.
-pub fn run_by_id(id: &str, seed: u64) -> bool {
+/// Sizes are chosen so the full suite finishes in a few minutes on a
+/// laptop.
+///
+/// # Errors
+///
+/// Returns a message for an unknown id, a malformed pseudo-id (see
+/// [`PseudoId`]) or an artifact that could not be written.
+pub fn run_by_id(id: &str, seed: u64) -> Result<(), String> {
     match id {
         "fig1" => {
             let r = fig1::run(256, seed);
@@ -197,14 +244,7 @@ pub fn run_by_id(id: &str, seed: u64) -> bool {
             let r = robust::run(96, seed);
             println!("{}", r.loss_table);
             println!("{}", r.crash_table);
-            match bench_json::append_bench_json(bench_json::BENCH_PATH, &r.records) {
-                Ok(()) => eprintln!(
-                    "appended {} records to {}",
-                    r.records.len(),
-                    bench_json::BENCH_PATH
-                ),
-                Err(e) => eprintln!("could not write {}: {e}", bench_json::BENCH_PATH),
-            }
+            record(bench_json::BENCH_PATH, &r.records)?;
         }
         "bias" => {
             let r = bias::run(128, seed);
@@ -219,45 +259,17 @@ pub fn run_by_id(id: &str, seed: u64) -> bool {
             let r = scale::run(512, &[1, 2, 4], seed);
             println!("{}", r.table);
             assert!(r.identical, "shard count must not change the outcome");
-            match bench_json::append_bench_json(bench_json::BENCH_PATH, &r.records) {
-                Ok(()) => eprintln!(
-                    "appended {} records to {}",
-                    r.records.len(),
-                    bench_json::BENCH_PATH
-                ),
-                Err(e) => eprintln!("could not write {}: {e}", bench_json::BENCH_PATH),
-            }
+            record(bench_json::BENCH_PATH, &r.records)?;
         }
-        "sweep" => {
-            let r = sweep::run("sweep", seed, sweep::FULL_WORKLOADS);
-            println!("{}", r.table);
-            if r.degenerate > 0 {
-                eprintln!(
-                    "sweep: {} degenerate run(s) excluded (no deliveries)",
-                    r.degenerate
-                );
-            }
-            assert!(
-                r.identical,
-                "sweep artifact rows diverged between the engines"
-            );
-            match sweep::replace_suite_rows(sweep::BENCH_SWEEP_PATH, "sweep", &r.records) {
-                Ok(()) => eprintln!(
-                    "wrote {} sweep row(s) to {}",
-                    r.records.len(),
-                    sweep::BENCH_SWEEP_PATH
-                ),
-                Err(e) => eprintln!("could not write {}: {e}", sweep::BENCH_SWEEP_PATH),
-            }
-        }
+        "sweep" => record_sweep("sweep", &sweep::run("sweep", seed, sweep::FULL_WORKLOADS))?,
         "timeseries" => {
             let r = timeseries::run(256, 4, seed);
             println!("{}", r.table);
             assert!(r.identical, "telemetry series diverged between the engines");
-            match timeseries::write_timeseries_json(timeseries::BENCH_TIMESERIES_PATH, &r.json) {
-                Ok(()) => eprintln!("wrote {}", timeseries::BENCH_TIMESERIES_PATH),
-                Err(e) => eprintln!("could not write {}: {e}", timeseries::BENCH_TIMESERIES_PATH),
-            }
+            // Regenerated whole every run: nothing to splice.
+            write_artifact(timeseries::BENCH_TIMESERIES_PATH, r.archs.len(), |p| {
+                std::fs::write(p, &r.json)
+            })?;
         }
         "profile" => {
             let r = profile::run(256, 4, seed);
@@ -266,14 +278,7 @@ pub fn run_by_id(id: &str, seed: u64) -> bool {
             println!("{}", r.stall_table);
             println!("{}", r.work_table);
             assert!(r.identical, "profiled engines diverged");
-            match profile::append_profile_bench(profile::BENCH_PROFILE_PATH, &r.records) {
-                Ok(()) => eprintln!(
-                    "appended {} record(s) to {}",
-                    r.records.len(),
-                    profile::BENCH_PROFILE_PATH
-                ),
-                Err(e) => eprintln!("could not write {}: {e}", profile::BENCH_PROFILE_PATH),
-            }
+            record(profile::BENCH_PROFILE_PATH, &r.records)?;
         }
         "trace" => {
             let r = trace::run(256, 4, seed);
@@ -282,288 +287,235 @@ pub fn run_by_id(id: &str, seed: u64) -> bool {
             println!("{}", r.event_table);
             println!("{}", r.attribution_table);
             assert!(r.identical, "traced engines diverged");
-            match trace::append_trace_bench(trace::BENCH_TRACE_PATH, &r.records) {
-                Ok(()) => eprintln!(
-                    "appended {} record(s) to {}",
-                    r.records.len(),
-                    trace::BENCH_TRACE_PATH
-                ),
-                Err(e) => eprintln!("could not write {}: {e}", trace::BENCH_TRACE_PATH),
+            record(trace::BENCH_TRACE_PATH, &r.records)?;
+        }
+        other => return run_pseudo_id(other, seed),
+    }
+    Ok(())
+}
+
+/// A parsed pseudo-id: a parameterised run that is not part of
+/// [`REGISTRY`], so it never runs in the default all-experiments sweep —
+/// CI invokes each explicitly, time-boxed. Omitted trailing fields take
+/// the defaults of [`scale::SmokeConfig`] and [`sweep::SMOKE_WORKLOADS`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum PseudoId {
+    /// `smoke[:arch[:n[:shards[:placement[:window]]]]]` — one
+    /// large-population cluster run: a liveness line and a
+    /// `BENCH_cluster.json` row. `window` is `adaptive` or `fixed`.
+    Smoke(scale::SmokeConfig),
+    /// `profile-smoke[:arch[:n[:shards]]]` — the smoke workload with
+    /// profiling off then on: the overhead line, a `BENCH_profile.json`
+    /// row and the [`profile::OVERHEAD_BAR`] assertion.
+    ProfileSmoke(scale::SmokeConfig),
+    /// `trace-smoke[:arch[:n[:shards]]]` — the same for the tracer,
+    /// `BENCH_trace.json` and [`trace::OVERHEAD_BAR`].
+    TraceSmoke(scale::SmokeConfig),
+    /// `sweep-smoke[:workloads]` — the sweep downscaled to a prefix of
+    /// the generated workload family, replacing the `sweep-smoke` suite
+    /// of `BENCH_sweep.json`. The rows are deterministic virtual-world
+    /// quantities, so CI diffs them against the committed ones at
+    /// threshold 0: any drift is a behavior change, not noise.
+    SweepSmoke {
+        /// Generated workloads to run.
+        workloads: u64,
+    },
+}
+
+/// The pseudo-ids as `(head, grammar, summary)`: parse errors print the
+/// grammar, `--help` all three.
+pub const PSEUDO_IDS: [(&str, &str, &str); 4] = [
+    (
+        "smoke",
+        "smoke[:arch[:n[:shards[:placement[:window]]]]]",
+        "cluster liveness run (default splitstream:100000:8)",
+    ),
+    (
+        "profile-smoke",
+        "profile-smoke[:arch[:n[:shards]]]",
+        "profiler off/on overhead gate on the same workload",
+    ),
+    (
+        "trace-smoke",
+        "trace-smoke[:arch[:n[:shards]]]",
+        "tracer off/on overhead gate on the same workload",
+    ),
+    (
+        "sweep-smoke",
+        "sweep-smoke[:workloads]",
+        "downscaled generative sweep; regenerates the sweep-smoke suite of BENCH_sweep.json",
+    ),
+];
+
+impl PseudoId {
+    /// Parses `id` when its head names a pseudo-id; `None` otherwise.
+    ///
+    /// # Errors
+    ///
+    /// The inner `Err` names the offending field and the id's grammar.
+    pub fn parse(id: &str) -> Option<Result<PseudoId, String>> {
+        let mut parts = id.split(':');
+        let head = parts.next()?;
+        let (_, grammar, _) = PSEUDO_IDS.iter().find(|g| g.0 == head)?;
+        Some(
+            Self::parse_fields(head, &mut parts)
+                .map_err(|why| format!("malformed id {id:?}: {why}; expected {grammar}")),
+        )
+    }
+
+    fn parse_fields(head: &str, parts: &mut std::str::Split<'_, char>) -> Result<PseudoId, String> {
+        fn field<T>(
+            parts: &mut std::str::Split<'_, char>,
+            name: &str,
+            default: T,
+            parse: impl Fn(&str) -> Option<T>,
+        ) -> Result<T, String> {
+            match parts.next() {
+                None => Ok(default),
+                Some(v) => parse(v).ok_or_else(|| format!("bad {name} {v:?}")),
             }
         }
-        other => {
-            return run_smoke(other, seed)
-                || run_profile_smoke(other, seed)
-                || run_trace_smoke(other, seed)
-                || run_sweep_smoke(other, seed)
+        fn positive<T: std::str::FromStr + PartialOrd + Default>(v: &str) -> Option<T> {
+            v.parse().ok().filter(|x| *x > T::default())
+        }
+        let parsed = if head == "sweep-smoke" {
+            PseudoId::SweepSmoke {
+                workloads: field(parts, "workloads", sweep::SMOKE_WORKLOADS, positive)?,
+            }
+        } else {
+            let default = scale::SmokeConfig::default();
+            let mut config = scale::SmokeConfig {
+                arch: field(
+                    parts,
+                    "arch",
+                    default.arch,
+                    fed_workload::Architecture::parse,
+                )?,
+                n: field(parts, "n", default.n, positive)?,
+                shards: field(parts, "shards", default.shards, positive)?,
+                ..default
+            };
+            match head {
+                "smoke" => {
+                    config.placement = field(
+                        parts,
+                        "placement",
+                        default.placement,
+                        fed_workload::Placement::parse,
+                    )?;
+                    config.adaptive_window = field(parts, "window", true, |v| match v {
+                        "adaptive" => Some(true),
+                        "fixed" => Some(false),
+                        _ => None,
+                    })?;
+                    PseudoId::Smoke(config)
+                }
+                "profile-smoke" => PseudoId::ProfileSmoke(config),
+                _ => PseudoId::TraceSmoke(config),
+            }
+        };
+        match parts.next() {
+            Some(extra) => Err(format!("unexpected extra field {extra:?}")),
+            None => Ok(parsed),
         }
     }
-    true
 }
 
-/// Handles the `smoke[:arch[:n[:shards[:placement[:window]]]]]`
-/// pseudo-id: one large-population cluster run of a single architecture
-/// (default: splitstream at 100 000 nodes on 8 shards, round-robin
-/// placement, adaptive windows), printing a one-line liveness report and
-/// appending a record to `BENCH_cluster.json`. `placement` is a
-/// [`fed_workload::Placement`] name; `window` is `adaptive` or `fixed`.
-/// Not part of [`REGISTRY`], so it never runs in the default
-/// all-experiments sweep — CI invokes it explicitly, time-boxed.
-fn run_smoke(id: &str, seed: u64) -> bool {
-    let mut parts = id.split(':');
-    if parts.next() != Some("smoke") {
-        return false;
+fn run_pseudo_id(id: &str, seed: u64) -> Result<(), String> {
+    let Some(parsed) = PseudoId::parse(id) else {
+        return Err(format!(
+            "unknown experiment {id:?}; available: {}",
+            experiment_ids_line()
+        ));
+    };
+    match parsed? {
+        PseudoId::Smoke(config) => {
+            let p = scale::smoke(config, seed);
+            println!(
+                "SMOKE {} n={} shards={} placement={} window={}: {} events, {} windows, \
+                 {} deliveries, reliability {:.4}, {:.0} ms wall ({:.0} events/s)",
+                config.arch,
+                config.n,
+                p.shards,
+                config.placement,
+                if config.adaptive_window {
+                    "adaptive"
+                } else {
+                    "fixed"
+                },
+                p.events,
+                p.windows,
+                p.deliveries,
+                p.reliability,
+                p.wall_ms,
+                bench_json::events_per_sec(p.events, p.wall_ms),
+            );
+            record(bench_json::BENCH_PATH, std::slice::from_ref(&p.row))?;
+            assert!(p.events > 0, "smoke run processed no events");
+            assert!(p.deliveries > 0, "smoke run delivered nothing");
+            Ok(())
+        }
+        PseudoId::ProfileSmoke(config) => {
+            let p = profile::smoke(config, seed);
+            let counted = (p.on.windows, "windows");
+            let path = profile::BENCH_PROFILE_PATH;
+            overhead_smoke("profile-smoke", &p, counted, profile::bench_row, path)
+        }
+        PseudoId::TraceSmoke(config) => {
+            let p = trace::smoke(config, seed);
+            let counted = (p.on.trace.as_ref().map_or(0, Vec::len) as u64, "hops");
+            let path = trace::BENCH_TRACE_PATH;
+            overhead_smoke("trace-smoke", &p, counted, trace::bench_row, path)
+        }
+        PseudoId::SweepSmoke { workloads } => {
+            record_sweep("sweep-smoke", &sweep::run("sweep-smoke", seed, workloads))
+        }
     }
-    let arch = match parts.next() {
-        None => fed_workload::Architecture::SplitStream,
-        Some(name) => match fed_workload::Architecture::parse(name) {
-            Some(a) => a,
-            None => return false,
-        },
-    };
-    let n: usize = match parts.next() {
-        None => 100_000,
-        Some(v) => match v.parse() {
-            Ok(v) if v > 0 => v,
-            _ => return false,
-        },
-    };
-    let shards: usize = match parts.next() {
-        None => 8,
-        Some(v) => match v.parse() {
-            Ok(v) if v > 0 => v,
-            _ => return false,
-        },
-    };
-    let placement = match parts.next() {
-        None => fed_workload::Placement::RoundRobin,
-        Some(name) => match fed_workload::Placement::parse(name) {
-            Some(p) => p,
-            None => return false,
-        },
-    };
-    let adaptive = match parts.next() {
-        None => true,
-        Some("adaptive") => true,
-        Some("fixed") => false,
-        Some(_) => return false,
-    };
-    if parts.next().is_some() {
-        return false;
-    }
-    let p = scale::smoke_configured(arch, n, shards, placement, adaptive, seed);
-    println!(
-        "SMOKE {} n={} shards={} placement={} window={}: {} events, {} windows, \
-         {} deliveries, reliability {:.4}, {:.0} ms wall ({:.0} events/s)",
-        p.arch,
-        p.n,
-        p.shards,
-        p.placement,
-        if p.adaptive_window {
-            "adaptive"
-        } else {
-            "fixed"
-        },
-        p.events,
-        p.windows,
-        p.deliveries,
-        p.reliability,
-        p.wall_ms,
-        p.events as f64 / (p.wall_ms / 1e3).max(1e-9),
-    );
-    if let Err(e) = bench_json::append_bench_json(bench_json::BENCH_PATH, &[p.record()]) {
-        eprintln!("could not append to {}: {e}", bench_json::BENCH_PATH);
-    }
-    assert!(p.events > 0, "smoke run processed no events");
-    assert!(p.deliveries > 0, "smoke run delivered nothing");
-    true
 }
 
-/// Handles the `profile-smoke[:arch[:n[:shards]]]` pseudo-id: the smoke
-/// configuration run with profiling off then on (default: splitstream at
-/// 100 000 nodes on 8 shards), printing the overhead line, appending a
-/// record to `BENCH_profile.json` and asserting the enabled profiler
-/// stays under [`profile::OVERHEAD_BAR`]. Like `smoke`, not part of
-/// [`REGISTRY`] — CI invokes it explicitly, time-boxed.
-fn run_profile_smoke(id: &str, seed: u64) -> bool {
-    let mut parts = id.split(':');
-    if parts.next() != Some("profile-smoke") {
-        return false;
-    }
-    let arch = match parts.next() {
-        None => fed_workload::Architecture::SplitStream,
-        Some(name) => match fed_workload::Architecture::parse(name) {
-            Some(a) => a,
-            None => return false,
-        },
-    };
-    let n: usize = match parts.next() {
-        None => 100_000,
-        Some(v) => match v.parse() {
-            Ok(v) if v > 0 => v,
-            _ => return false,
-        },
-    };
-    let shards: usize = match parts.next() {
-        None => 8,
-        Some(v) => match v.parse() {
-            Ok(v) if v > 0 => v,
-            _ => return false,
-        },
-    };
-    if parts.next().is_some() {
-        return false;
-    }
-    let s = profile::smoke(arch, n, shards, seed);
-    let rec = &s.record;
+/// The shared tail of `profile-smoke` and `trace-smoke`: prints the
+/// overhead line, records the instrument's `bench_row` in its artifact
+/// at `path` and asserts that the instrumented run was live (`counted`
+/// is what it is counted in, windows or hops), did not perturb the
+/// outcome and stayed under [`profile::OVERHEAD_BAR`], which is the
+/// tracer's bar too.
+fn overhead_smoke(
+    suite: &str,
+    p: &scale::OverheadPoint,
+    counted: (u64, &str),
+    bench_row: fn(&scale::OverheadPoint, &str) -> bench_json::Row,
+    path: &str,
+) -> Result<(), String> {
+    let (count, unit) = counted;
     println!(
-        "PROFILE-SMOKE {} n={} shards={}: {} events, {} windows, \
+        "{} {} n={} shards={}: {} events, {count} {unit}, \
          off {:.0} ms ({:.0} events/s), on {:.0} ms ({:.0} events/s), \
          overhead {:+.1}%",
-        rec.arch,
-        rec.n,
-        rec.shards,
-        rec.events,
-        rec.windows,
-        rec.wall_ms_off,
-        rec.events_per_sec_off,
-        rec.wall_ms_on,
-        rec.events_per_sec_on,
-        rec.overhead_frac * 100.0,
+        suite.to_uppercase(),
+        p.spec.arch,
+        p.spec.n,
+        p.on.shards,
+        p.on.events,
+        p.wall_ms_off,
+        bench_json::events_per_sec(p.off.events, p.wall_ms_off),
+        p.wall_ms_on,
+        bench_json::events_per_sec(p.on.events, p.wall_ms_on),
+        p.overhead_frac() * 100.0,
     );
-    if let Err(e) =
-        profile::append_profile_bench(profile::BENCH_PROFILE_PATH, std::slice::from_ref(rec))
-    {
-        eprintln!("could not append to {}: {e}", profile::BENCH_PROFILE_PATH);
-    }
-    assert!(rec.events > 0, "profile smoke processed no events");
+    record(path, &[bench_row(p, suite)])?;
+    assert!(p.on.events > 0, "{suite} processed no events");
+    assert!(count > 0, "{suite} recorded no {unit}");
     assert!(
-        crate::scenario_run::outcomes_match(&s.point.off, &s.point.on),
-        "profiling changed the outcome"
+        scenario_run::outcomes_match(&p.off, &p.on),
+        "{suite}: instrumenting the run changed its outcome"
     );
     assert!(
-        rec.overhead_frac < profile::OVERHEAD_BAR,
-        "enabled profiler overhead {:.1}% breaches the {:.0}% bar",
-        rec.overhead_frac * 100.0,
+        p.overhead_frac() < profile::OVERHEAD_BAR,
+        "{suite}: enabled overhead {:.1}% breaches the {:.0}% bar",
+        p.overhead_frac() * 100.0,
         profile::OVERHEAD_BAR * 100.0
     );
-    true
-}
-
-/// Handles the `trace-smoke[:arch[:n[:shards]]]` pseudo-id: the smoke
-/// configuration run with tracing off then on (default: splitstream at
-/// 100 000 nodes on 8 shards), printing the overhead line, appending a
-/// record to `BENCH_trace.json` and asserting the enabled tracer stays
-/// under [`trace::OVERHEAD_BAR`]. Like `smoke`, not part of
-/// [`REGISTRY`] — CI invokes it explicitly, time-boxed.
-fn run_trace_smoke(id: &str, seed: u64) -> bool {
-    let mut parts = id.split(':');
-    if parts.next() != Some("trace-smoke") {
-        return false;
-    }
-    let arch = match parts.next() {
-        None => fed_workload::Architecture::SplitStream,
-        Some(name) => match fed_workload::Architecture::parse(name) {
-            Some(a) => a,
-            None => return false,
-        },
-    };
-    let n: usize = match parts.next() {
-        None => 100_000,
-        Some(v) => match v.parse() {
-            Ok(v) if v > 0 => v,
-            _ => return false,
-        },
-    };
-    let shards: usize = match parts.next() {
-        None => 8,
-        Some(v) => match v.parse() {
-            Ok(v) if v > 0 => v,
-            _ => return false,
-        },
-    };
-    if parts.next().is_some() {
-        return false;
-    }
-    let s = trace::smoke(arch, n, shards, seed);
-    let rec = &s.record;
-    println!(
-        "TRACE-SMOKE {} n={} shards={}: {} events, {} hops, \
-         off {:.0} ms ({:.0} events/s), on {:.0} ms ({:.0} events/s), \
-         overhead {:+.1}%",
-        rec.arch,
-        rec.n,
-        rec.shards,
-        rec.events,
-        rec.hops,
-        rec.wall_ms_off,
-        rec.events_per_sec_off,
-        rec.wall_ms_on,
-        rec.events_per_sec_on,
-        rec.overhead_frac * 100.0,
-    );
-    if let Err(e) = trace::append_trace_bench(trace::BENCH_TRACE_PATH, std::slice::from_ref(rec)) {
-        eprintln!("could not append to {}: {e}", trace::BENCH_TRACE_PATH);
-    }
-    assert!(rec.events > 0, "trace smoke processed no events");
-    assert!(rec.hops > 0, "trace smoke recorded no hops");
-    assert!(
-        crate::scenario_run::outcomes_match(&s.point.off, &s.point.on),
-        "tracing changed the outcome"
-    );
-    assert!(
-        rec.overhead_frac < trace::OVERHEAD_BAR,
-        "enabled tracer overhead {:.1}% breaches the {:.0}% bar",
-        rec.overhead_frac * 100.0,
-        trace::OVERHEAD_BAR * 100.0
-    );
-    true
-}
-
-/// Handles the `sweep-smoke[:workloads]` pseudo-id: the sweep downscaled
-/// to a prefix of the generated workload family (default
-/// [`sweep::SMOKE_WORKLOADS`]), written into `BENCH_sweep.json` under
-/// the `sweep-smoke` suite. The rows are deterministic virtual-world
-/// quantities, so CI regenerates them and diffs against the committed
-/// artifact — any drift is a behavior change, not noise. Like `smoke`,
-/// not part of [`REGISTRY`] — CI invokes it explicitly, time-boxed.
-fn run_sweep_smoke(id: &str, seed: u64) -> bool {
-    let mut parts = id.split(':');
-    if parts.next() != Some("sweep-smoke") {
-        return false;
-    }
-    let workloads: u64 = match parts.next() {
-        None => sweep::SMOKE_WORKLOADS,
-        Some(v) => match v.parse() {
-            Ok(v) if v > 0 => v,
-            _ => return false,
-        },
-    };
-    if parts.next().is_some() {
-        return false;
-    }
-    let r = sweep::run("sweep-smoke", seed, workloads);
-    println!("{}", r.table);
-    if r.degenerate > 0 {
-        eprintln!(
-            "sweep-smoke: {} degenerate run(s) excluded (no deliveries)",
-            r.degenerate
-        );
-    }
-    assert!(
-        r.identical,
-        "sweep-smoke artifact rows diverged between the engines"
-    );
-    assert!(!r.records.is_empty(), "sweep-smoke rendered no rows");
-    match sweep::replace_suite_rows(sweep::BENCH_SWEEP_PATH, "sweep-smoke", &r.records) {
-        Ok(()) => eprintln!(
-            "wrote {} sweep-smoke row(s) to {}",
-            r.records.len(),
-            sweep::BENCH_SWEEP_PATH
-        ),
-        Err(e) => eprintln!("could not write {}: {e}", sweep::BENCH_SWEEP_PATH),
-    }
-    true
+    Ok(())
 }
 
 /// The directory generated trace artifacts land in by default —
@@ -673,7 +625,8 @@ pub fn run_scenario_target(
 ///
 /// # Errors
 ///
-/// Returns a message when a file cannot be loaded or any row regressed.
+/// Returns a message when a file cannot be loaded, any row regressed, or
+/// both files hold rows and no configuration paired up.
 pub fn bench_diff_target(old: &str, new: &str, threshold: Option<f64>) -> Result<(), String> {
     let threshold = threshold.unwrap_or(bench_diff::DEFAULT_THRESHOLD);
     let report = bench_diff::diff_files(old, new, threshold)?;
@@ -683,15 +636,7 @@ pub fn bench_diff_target(old: &str, new: &str, threshold: Option<f64>) -> Result
         report.compared,
         report.regressions.len()
     );
-    if report.regressions.is_empty() {
-        Ok(())
-    } else {
-        Err(format!(
-            "bench-diff: measurements regressed past {:.0}% on: {}",
-            threshold * 100.0,
-            report.regressions.join("; ")
-        ))
-    }
+    report.verdict(threshold)
 }
 
 /// Runs the cross-engine parity gate (`parity <target>` / `parity @all`)
@@ -738,5 +683,92 @@ pub fn parity_target(target: &str) -> Result<(), String> {
             "parity gate FAILED for: {} — engines diverged",
             failures.join(", ")
         ))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fed_workload::{Architecture, Placement};
+    use scale::SmokeConfig;
+
+    #[test]
+    fn pseudo_ids_parse_with_defaults_and_name_the_bad_field() {
+        let default = SmokeConfig::default();
+        let dks = SmokeConfig {
+            arch: Architecture::Dks,
+            shards: 4,
+            ..default
+        };
+        let broker = SmokeConfig {
+            arch: Architecture::Broker,
+            n: 20_000,
+            placement: Placement::Balanced,
+            adaptive_window: false,
+            ..default
+        };
+        for (id, expected) in [
+            ("smoke", PseudoId::Smoke(default)),
+            (
+                "smoke:splitstream:100000:8:round-robin:adaptive",
+                PseudoId::Smoke(default),
+            ),
+            (
+                "smoke:broker:20000:8:balanced:fixed",
+                PseudoId::Smoke(broker),
+            ),
+            ("profile-smoke", PseudoId::ProfileSmoke(default)),
+            ("profile-smoke:dks:100000:4", PseudoId::ProfileSmoke(dks)),
+            ("trace-smoke:dks:100000:4", PseudoId::TraceSmoke(dks)),
+            (
+                "sweep-smoke",
+                PseudoId::SweepSmoke {
+                    workloads: sweep::SMOKE_WORKLOADS,
+                },
+            ),
+            ("sweep-smoke:3", PseudoId::SweepSmoke { workloads: 3 }),
+        ] {
+            assert_eq!(PseudoId::parse(id), Some(Ok(expected)), "{id}");
+        }
+        for (id, field, grammar) in [
+            ("smoke:broker:10x", "bad n \"10x\"", PSEUDO_IDS[0].1),
+            (
+                "smoke:broker:10:2:nearest",
+                "bad placement \"nearest\"",
+                PSEUDO_IDS[0].1,
+            ),
+            (
+                "smoke:broker:10:2:block:wide",
+                "bad window \"wide\"",
+                PSEUDO_IDS[0].1,
+            ),
+            (
+                "smoke:broker:10:2:block:fixed:1",
+                "extra field \"1\"",
+                PSEUDO_IDS[0].1,
+            ),
+            ("profile-smoke:nope", "bad arch \"nope\"", PSEUDO_IDS[1].1),
+            (
+                "profile-smoke:dks:10:2:block",
+                "extra field \"block\"",
+                PSEUDO_IDS[1].1,
+            ),
+            (
+                "trace-smoke:dks:1000:0",
+                "bad shards \"0\"",
+                PSEUDO_IDS[2].1,
+            ),
+            ("sweep-smoke:0", "bad workloads \"0\"", PSEUDO_IDS[3].1),
+        ] {
+            let err = PseudoId::parse(id).expect("a pseudo-id head").unwrap_err();
+            assert!(err.contains(field) && err.contains(grammar), "{id}: {err}");
+        }
+        // Anything else is not a pseudo-id, and an unknown experiment.
+        assert_eq!(PseudoId::parse("smokes:broker"), None);
+        let err = run_by_id("fig9", 1).unwrap_err();
+        assert!(
+            err.contains("unknown experiment \"fig9\"; available: fig1 "),
+            "{err}"
+        );
     }
 }

@@ -28,12 +28,9 @@ enum Command {
     },
     /// `parity <path.toml|@name|@all>` — cross-engine parity gate.
     Parity(String),
-    /// `bench-diff <old.json> <new.json> [--threshold F]`.
-    BenchDiff {
-        old: String,
-        new: String,
-        threshold: Option<f64>,
-    },
+    /// `bench-diff <old.json> <new.json>` — the next two positional
+    /// arguments; `--threshold F` may stand anywhere.
+    BenchDiff(Vec<String>),
 }
 
 fn print_help() {
@@ -64,27 +61,30 @@ fn print_help() {
         fed_experiments::bench_diff::DEFAULT_THRESHOLD
     );
     println!("\nlarge-population smoke:");
-    println!("  smoke[:arch[:n[:shards[:placement[:window]]]]]");
-    println!("                              cluster liveness run (default splitstream:100000:8)");
-    println!("  profile-smoke[:arch[:n[:shards]]]");
-    println!("                              profiler off/on overhead gate on the same workload");
-    println!("  trace-smoke[:arch[:n[:shards]]]");
-    println!("                              tracer off/on overhead gate on the same workload");
-    println!("  sweep-smoke[:workloads]");
-    println!("                              downscaled generative sweep; regenerates the");
-    println!("                              sweep-smoke suite of BENCH_sweep.json for CI diffing");
+    for (_, grammar, summary) in fed_experiments::PSEUDO_IDS {
+        println!("  {grammar}");
+        println!("                              {summary}");
+    }
 }
 
 fn main() -> ExitCode {
     let mut seed = 42u64;
+    let mut threshold = None;
     let mut commands: Vec<Command> = Vec::new();
-    let mut args = std::env::args().skip(1).peekable();
+    let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--seed" => match args.next().and_then(|v| v.parse().ok()) {
                 Some(v) => seed = v,
                 None => {
                     eprintln!("--seed requires an integer value");
+                    return ExitCode::FAILURE;
+                }
+            },
+            "--threshold" => match args.next().and_then(|v| v.parse().ok()) {
+                Some(f) => threshold = Some(f),
+                None => {
+                    eprintln!("--threshold requires a fraction (e.g. 0.5)");
                     return ExitCode::FAILURE;
                 }
             },
@@ -120,47 +120,19 @@ fn main() -> ExitCode {
                     Command::Parity(target)
                 });
             }
-            "bench-diff" => {
-                let mut threshold = None;
-                let mut paths = Vec::new();
-                while paths.len() < 2 {
-                    match args.next() {
-                        Some(v) if v == "--threshold" => {
-                            match args.next().and_then(|v| v.parse().ok()) {
-                                Some(f) => threshold = Some(f),
-                                None => {
-                                    eprintln!("--threshold requires a fraction (e.g. 0.5)");
-                                    return ExitCode::FAILURE;
-                                }
-                            }
-                        }
-                        Some(v) => paths.push(v),
-                        None => {
-                            eprintln!("bench-diff requires two paths: <old.json> <new.json>");
-                            return ExitCode::FAILURE;
-                        }
-                    }
-                }
-                if args.peek().map(String::as_str) == Some("--threshold") {
-                    args.next();
-                    match args.next().and_then(|v| v.parse().ok()) {
-                        Some(f) => threshold = Some(f),
-                        None => {
-                            eprintln!("--threshold requires a fraction (e.g. 0.5)");
-                            return ExitCode::FAILURE;
-                        }
-                    }
-                }
-                let new = paths.pop().expect("two paths");
-                let old = paths.pop().expect("two paths");
-                commands.push(Command::BenchDiff {
-                    old,
-                    new,
-                    threshold,
-                });
-            }
-            other => commands.push(Command::Experiment(other.to_string())),
+            "bench-diff" => commands.push(Command::BenchDiff(Vec::new())),
+            other => match commands.last_mut() {
+                Some(Command::BenchDiff(paths)) if paths.len() < 2 => paths.push(other.to_string()),
+                _ => commands.push(Command::Experiment(other.to_string())),
+            },
         }
+    }
+    if commands
+        .iter()
+        .any(|c| matches!(c, Command::BenchDiff(paths) if paths.len() != 2))
+    {
+        eprintln!("bench-diff requires two paths: <old.json> <new.json>");
+        return ExitCode::FAILURE;
     }
     if commands.is_empty() {
         commands = fed_experiments::experiment_ids()
@@ -171,11 +143,8 @@ fn main() -> ExitCode {
         match command {
             Command::Experiment(id) => {
                 eprintln!("=== running {id} (seed {seed}) ===");
-                if !fed_experiments::run_by_id(id, seed) {
-                    eprintln!(
-                        "unknown experiment {id:?}; available: {}",
-                        fed_experiments::experiment_ids_line()
-                    );
+                if let Err(e) = fed_experiments::run_by_id(id, seed) {
+                    eprintln!("{e}");
                     return ExitCode::FAILURE;
                 }
             }
@@ -197,13 +166,10 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             }
-            Command::BenchDiff {
-                old,
-                new,
-                threshold,
-            } => {
+            Command::BenchDiff(paths) => {
+                let (old, new) = (&paths[0], &paths[1]);
                 eprintln!("=== bench-diff {old} vs {new} ===");
-                if let Err(e) = fed_experiments::bench_diff_target(old, new, *threshold) {
+                if let Err(e) = fed_experiments::bench_diff_target(old, new, threshold) {
                     eprintln!("{e}");
                     return ExitCode::FAILURE;
                 }

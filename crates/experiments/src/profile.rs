@@ -6,7 +6,7 @@
 //! reports (a) the per-shard wall-clock phase breakdown, (b) which shard
 //! bounded each conservative window (stall attribution), (c) the merged
 //! deterministic work counters, gated byte-identical between the
-//! engines, and (d) the profiler's own overhead, appended to
+//! engines, and (d) the profiler's own overhead, recorded in
 //! `BENCH_profile.json`.
 //!
 //! The `profile-smoke[:arch[:n[:shards]]]` pseudo-id is the
@@ -14,19 +14,16 @@
 //! on the standard smoke workload, asserting the enabled profiler stays
 //! under [`OVERHEAD_BAR`].
 
-use crate::bench_json::{append_json_objects, escape};
-use crate::harness::{run_architecture, ArchOutcome, EngineKind};
-use crate::scale::smoke_spec;
+use crate::bench_json::{events_per_sec, Row};
+use crate::harness::{run_architecture, EngineKind};
+use crate::scale::{measure_overhead, OverheadPoint, SmokeConfig};
 use crate::scenario_run::outcomes_match;
 use fed_metrics::table::{fmt_f64, Table};
 use fed_profile::{ProfileSpec, RunProfile};
 use fed_sim::SimTime;
 use fed_telemetry::TelemetrySpec;
 use fed_workload::pubs::PubPlan;
-use fed_workload::scenario::{Architecture, Placement, ScenarioSpec};
-use std::io;
-use std::path::Path;
-use std::time::Instant;
+use fed_workload::scenario::ScenarioSpec;
 
 /// Default output path of the profiler benchmark artifact, relative to
 /// the invocation directory.
@@ -153,183 +150,35 @@ pub fn work_table(name: &str, profile: &RunProfile) -> Table {
     t
 }
 
-/// One `BENCH_profile.json` record: a configuration run with profiling
-/// off then on, so the instrumentation overhead is tracked across PRs.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ProfileBenchRecord {
-    /// Which harness produced the record (`profile`, `profile-smoke`).
-    pub suite: String,
-    /// Architecture name.
-    pub arch: String,
-    /// Population size.
-    pub n: usize,
-    /// Shard count in use.
-    pub shards: usize,
-    /// Placement policy name.
-    pub placement: String,
-    /// Whether adaptive window sizing was on.
-    pub adaptive_window: bool,
-    /// Whether streaming telemetry was attached in both runs.
-    pub telemetry: bool,
-    /// Events processed (identical off and on — profiling is passive).
-    pub events: u64,
-    /// Barrier windows executed in the profiled run.
-    pub windows: u64,
-    /// Wall-clock milliseconds with profiling off.
-    pub wall_ms_off: f64,
-    /// Wall-clock milliseconds with profiling on.
-    pub wall_ms_on: f64,
-    /// `wall_ms_on / wall_ms_off - 1`.
-    pub overhead_frac: f64,
-    /// Events per wall-clock second with profiling off.
-    pub events_per_sec_off: f64,
-    /// Events per wall-clock second with profiling on.
-    pub events_per_sec_on: f64,
-    /// Profiled execute phase, milliseconds (summed over shards).
-    pub execute_ms: f64,
-    /// Profiled exchange phase, milliseconds.
-    pub exchange_ms: f64,
-    /// Profiled pipeline-fill phase (waiting mid-window for inbound
-    /// batches still in flight), milliseconds.
-    pub fill_ms: f64,
-    /// Profiled barrier phase (genuine straggler stall at the
-    /// reduction), milliseconds.
-    pub barrier_ms: f64,
-    /// Profiled idle phase, milliseconds.
-    pub idle_ms: f64,
+/// One `BENCH_profile.json` row: the off/on measurement plus the
+/// scheduler knobs and the profiled run's window count and phase split
+/// (milliseconds summed over shards; `fill` is waiting mid-window for
+/// inbound batches still in flight, `barrier` the genuine straggler
+/// stall at the reduction).
+pub fn bench_row(point: &OverheadPoint, suite: &str) -> Row {
+    let phases = point
+        .on
+        .profiling
+        .as_ref()
+        .map(|p| p.phases())
+        .unwrap_or_default();
+    point
+        .row(suite)
+        .knobs(&point.spec)
+        .int("windows", point.on.windows)
+        .float("execute_ms", ms(phases.execute_ns))
+        .float("exchange_ms", ms(phases.exchange_ns))
+        .float("fill_ms", ms(phases.fill_ns))
+        .float("barrier_ms", ms(phases.barrier_ns))
+        .float("idle_ms", ms(phases.idle_ns))
 }
 
-impl ProfileBenchRecord {
-    /// The record as one JSON object.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"suite\":\"{}\",\"arch\":\"{}\",\"n\":{},\"shards\":{},\
-             \"placement\":\"{}\",\"adaptive_window\":{},\"telemetry\":{},\
-             \"events\":{},\"windows\":{},\
-             \"wall_ms_off\":{:.3},\"wall_ms_on\":{:.3},\
-             \"overhead_frac\":{:.4},\
-             \"events_per_sec_off\":{:.1},\"events_per_sec_on\":{:.1},\
-             \"execute_ms\":{:.3},\"exchange_ms\":{:.3},\
-             \"fill_ms\":{:.3},\"barrier_ms\":{:.3},\"idle_ms\":{:.3}}}",
-            escape(&self.suite),
-            escape(&self.arch),
-            self.n,
-            self.shards,
-            escape(&self.placement),
-            self.adaptive_window,
-            self.telemetry,
-            self.events,
-            self.windows,
-            self.wall_ms_off,
-            self.wall_ms_on,
-            self.overhead_frac,
-            self.events_per_sec_off,
-            self.events_per_sec_on,
-            self.execute_ms,
-            self.exchange_ms,
-            self.fill_ms,
-            self.barrier_ms,
-            self.idle_ms,
-        )
-    }
-}
-
-/// Appends profiler benchmark records to the JSON array at `path`.
-///
-/// # Errors
-///
-/// Propagates the underlying filesystem error.
-pub fn append_profile_bench(
-    path: impl AsRef<Path>,
-    records: &[ProfileBenchRecord],
-) -> io::Result<()> {
-    let objects: Vec<String> = records.iter().map(ProfileBenchRecord::to_json).collect();
-    append_json_objects(path, &objects)
-}
-
-/// An off/on overhead measurement of one cluster configuration.
-#[derive(Debug)]
-pub struct OverheadPoint {
-    /// The profiled spec (profiling on).
-    pub spec: ScenarioSpec,
-    /// Outcome of the unprofiled run.
-    pub off: ArchOutcome,
-    /// Outcome of the profiled run.
-    pub on: ArchOutcome,
-    /// Wall-clock milliseconds without profiling (best of `runs`).
-    pub wall_ms_off: f64,
-    /// Wall-clock milliseconds with profiling (best of `runs`).
-    pub wall_ms_on: f64,
-}
-
-impl OverheadPoint {
-    /// `wall_on / wall_off - 1`: the enabled profiler's relative cost.
-    pub fn overhead_frac(&self) -> f64 {
-        self.wall_ms_on / self.wall_ms_off.max(1e-9) - 1.0
-    }
-
-    /// The measurement as one [`ProfileBenchRecord`].
-    pub fn record(&self, suite: &str) -> ProfileBenchRecord {
-        let phases = self
-            .on
-            .profiling
-            .as_ref()
-            .map(|p| p.phases())
-            .unwrap_or_default();
-        ProfileBenchRecord {
-            suite: suite.to_string(),
-            arch: self.spec.arch.name().to_string(),
-            n: self.spec.n,
-            shards: self.on.shards,
-            placement: self.spec.placement.name().to_string(),
-            adaptive_window: self.spec.adaptive_window,
-            telemetry: self.spec.telemetry.is_some(),
-            events: self.on.events,
-            windows: self.on.windows,
-            wall_ms_off: self.wall_ms_off,
-            wall_ms_on: self.wall_ms_on,
-            overhead_frac: self.overhead_frac(),
-            events_per_sec_off: self.off.events as f64 / (self.wall_ms_off / 1e3).max(1e-9),
-            events_per_sec_on: self.on.events as f64 / (self.wall_ms_on / 1e3).max(1e-9),
-            execute_ms: ms(phases.execute_ns),
-            exchange_ms: ms(phases.exchange_ns),
-            fill_ms: ms(phases.fill_ns),
-            barrier_ms: ms(phases.barrier_ns),
-            idle_ms: ms(phases.idle_ns),
-        }
-    }
-}
-
-/// Runs `spec` on the cluster engine with profiling off, then on, `runs`
-/// times each, keeping the best wall clock per configuration (the
-/// repeats damp scheduler noise so the overhead fraction is meaningful).
-pub fn measure_overhead(spec: &ScenarioSpec, runs: usize) -> OverheadPoint {
-    let runs = runs.max(1);
-    let mut spec_off = spec.clone();
-    spec_off.profile = None;
-    let spec_on = spec
-        .clone()
-        .with_profile(spec.profile.clone().unwrap_or_default());
-    let best = |spec: &ScenarioSpec| {
-        let mut wall_ms = f64::INFINITY;
-        let mut outcome = None;
-        for _ in 0..runs {
-            let start = Instant::now();
-            let o = run_architecture(spec, EngineKind::Cluster);
-            wall_ms = wall_ms.min(start.elapsed().as_secs_f64() * 1e3);
-            outcome = Some(o);
-        }
-        (outcome.expect("runs >= 1"), wall_ms)
-    };
-    let (off, wall_ms_off) = best(&spec_off);
-    let (on, wall_ms_on) = best(&spec_on);
-    OverheadPoint {
-        spec: spec_on,
-        off,
-        on,
-        wall_ms_off,
-        wall_ms_on,
-    }
+/// [`measure_overhead`] of the profiler: `spec` as given against `spec`
+/// with its `[profile]` section removed.
+fn profiler_overhead(spec: &ScenarioSpec, runs: usize) -> OverheadPoint {
+    let mut off = spec.clone();
+    off.profile = None;
+    measure_overhead(&off, spec, runs)
 }
 
 /// The scenario the registered `profile` experiment runs: the standard
@@ -365,8 +214,8 @@ pub struct ProfileResult {
     /// Whether the profiled sequential and cluster runs agreed on every
     /// observable *and* on the merged work counters (must be `true`).
     pub identical: bool,
-    /// Machine-readable record for `BENCH_profile.json`.
-    pub records: Vec<ProfileBenchRecord>,
+    /// Machine-readable row for `BENCH_profile.json`.
+    pub records: Vec<Row>,
 }
 
 /// Runs the PROFILE experiment: sequential-vs-cluster work-counter
@@ -374,7 +223,7 @@ pub struct ProfileResult {
 pub fn run(n: usize, shards: usize, seed: u64) -> ProfileResult {
     let spec = profile_spec(n, shards, seed);
     let seq = run_architecture(&spec, EngineKind::Sequential);
-    let point = measure_overhead(&spec, 2);
+    let point = profiler_overhead(&spec, 2);
 
     let seq_profile = seq.profiling.as_ref().expect("profiling on");
     let clu_profile = point.on.profiling.as_ref().expect("profiling on");
@@ -399,7 +248,7 @@ pub fn run(n: usize, shards: usize, seed: u64) -> ProfileResult {
         point.off.events.to_string(),
         point.off.windows.to_string(),
         fmt_f64(point.wall_ms_off),
-        fmt_f64(point.off.events as f64 / (point.wall_ms_off / 1e3).max(1e-9)),
+        fmt_f64(events_per_sec(point.off.events, point.wall_ms_off)),
         "-".to_string(),
         identical.to_string(),
     ]);
@@ -408,7 +257,7 @@ pub fn run(n: usize, shards: usize, seed: u64) -> ProfileResult {
         point.on.events.to_string(),
         point.on.windows.to_string(),
         fmt_f64(point.wall_ms_on),
-        fmt_f64(point.on.events as f64 / (point.wall_ms_on / 1e3).max(1e-9)),
+        fmt_f64(events_per_sec(point.on.events, point.wall_ms_on)),
         fmt_f64(point.overhead_frac()),
         identical.to_string(),
     ]);
@@ -417,7 +266,7 @@ pub fn run(n: usize, shards: usize, seed: u64) -> ProfileResult {
     let phase = phase_table(name, clu_profile);
     let stall = stall_table(name, clu_profile).expect("cluster run has a schedule");
     let work = work_table(name, clu_profile);
-    let records = vec![point.record("profile")];
+    let records = vec![bench_row(&point, "profile")];
     ProfileResult {
         summary,
         phase_table: phase,
@@ -428,27 +277,14 @@ pub fn run(n: usize, shards: usize, seed: u64) -> ProfileResult {
     }
 }
 
-/// Outcome of one `profile-smoke` overhead run.
-#[derive(Debug)]
-pub struct ProfileSmokePoint {
-    /// The off/on measurement.
-    pub point: OverheadPoint,
-    /// The record appended to `BENCH_profile.json`.
-    pub record: ProfileBenchRecord,
-}
-
-/// The large-population profiler smoke: the standard smoke workload
-/// (round-robin placement, adaptive windows, telemetry off) run with
-/// profiling off then on, twice each, keeping the best wall clocks.
+/// The large-population profiler smoke: `config`'s smoke workload
+/// (telemetry off) run with profiling off then on, twice each, keeping
+/// the best wall clocks.
 ///
 /// The caller asserts the overhead bar — see
 /// [`crate::run_by_id`]'s `profile-smoke` pseudo-id.
-pub fn smoke(arch: Architecture, n: usize, shards: usize, seed: u64) -> ProfileSmokePoint {
-    let spec = smoke_spec(arch, n, shards, Placement::RoundRobin, true, seed)
-        .with_profile(ProfileSpec::default());
-    let point = measure_overhead(&spec, 2);
-    let record = point.record("profile-smoke");
-    ProfileSmokePoint { point, record }
+pub fn smoke(config: SmokeConfig, seed: u64) -> OverheadPoint {
+    profiler_overhead(&config.spec(seed).with_profile(ProfileSpec::default()), 2)
 }
 
 #[cfg(test)]
@@ -465,11 +301,6 @@ mod tests {
         assert_eq!(r.stall_table.len(), 3);
         assert_eq!(r.work_table.len(), 13);
         assert_eq!(r.records.len(), 1);
-        let rec = &r.records[0];
-        assert_eq!(rec.suite, "profile");
-        assert!(rec.events > 0);
-        assert!(rec.windows > 0);
-        assert!(rec.wall_ms_on > 0.0 && rec.wall_ms_off > 0.0);
     }
 
     #[test]
@@ -477,18 +308,17 @@ mod tests {
         let r = run(32, 2, 7);
         let text = r.records[0].to_json();
         let v = json::parse(&text).expect("record must parse as JSON");
+        let num = |name: &str| v.get(name).and_then(|x| x.as_f64());
         assert_eq!(v.get("suite").and_then(|s| s.as_str()), Some("profile"));
-        assert!(v.get("overhead_frac").and_then(|o| o.as_f64()).is_some());
-        assert_eq!(
-            v.get("events").and_then(|e| e.as_f64()).unwrap() as u64,
-            r.records[0].events
-        );
+        assert!(num("overhead_frac").is_some());
+        assert!(num("events").unwrap() > 0.0 && num("windows").unwrap() > 0.0);
+        assert!(num("wall_ms_on").unwrap() > 0.0 && num("wall_ms_off").unwrap() > 0.0);
+        assert!(num("execute_ms").unwrap() > 0.0, "phases must be recorded");
     }
 
     #[test]
     fn measure_overhead_is_passive() {
-        let spec = profile_spec(32, 2, 11);
-        let p = measure_overhead(&spec, 1);
+        let p = profiler_overhead(&profile_spec(32, 2, 11), 1);
         assert!(outcomes_match(&p.off, &p.on), "profiling changed a result");
         assert!(p.off.profiling.is_none());
         assert!(p.on.profiling.is_some());

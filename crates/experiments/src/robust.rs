@@ -6,12 +6,12 @@
 //! epidemic. We sweep message-loss rates and crash fractions and compare
 //! delivery reliability of the classic and fair protocols.
 //!
-//! Every sweep point also emits a [`BenchRecord`] (suite
+//! Every sweep point also emits a `BENCH_cluster.json` [`Row`] (suite
 //! `robust-loss-<rate>` / `robust-crash-<fraction>`) so BENCH-DIFF can
 //! flag a robustness-throughput regression between artifacts the same
 //! way it flags the scale sweeps.
 
-use crate::bench_json::BenchRecord;
+use crate::bench_json::Row;
 use crate::harness::build_gossip_spec;
 use fed_core::behavior::Behavior;
 use fed_core::gossip::GossipConfig;
@@ -33,38 +33,20 @@ pub struct RobustResult {
     pub loss_points: Vec<(f64, f64, f64)>,
     /// (crash fraction, classic reliability, fair reliability).
     pub crash_points: Vec<(f64, f64, f64)>,
-    /// Machine-readable records of every sweep point, for
+    /// Machine-readable rows of every sweep point, for
     /// `BENCH_cluster.json` / BENCH-DIFF.
-    pub records: Vec<BenchRecord>,
+    pub records: Vec<Row>,
 }
 
-/// One sweep point's bench record. The sweep parameter is encoded in the
+/// One sweep point's bench row. The sweep parameter is encoded in the
 /// suite name (a configuration field, hence part of the diff key); the
-/// gossip variant rides in `arch`.
-fn point_record(
-    suite: String,
-    arch: &'static str,
-    spec: &ScenarioSpec,
-    events: u64,
-    wall_ms: f64,
-) -> BenchRecord {
-    BenchRecord {
-        suite,
-        arch: arch.into(),
-        n: spec.n,
-        shards: 1,
-        placement: spec.placement.name().into(),
-        adaptive_window: spec.adaptive_window,
-        telemetry: spec.telemetry.is_some(),
-        events,
-        windows: 0,
-        wall_ms,
-        events_per_sec: if wall_ms > 0.0 {
-            events as f64 / (wall_ms / 1e3)
-        } else {
-            0.0
-        },
-    }
+/// gossip variant rides in `arch`. Sequential engine: one shard, no
+/// windows.
+fn point_row(suite: String, arch: &str, spec: &ScenarioSpec, events: u64, wall_ms: f64) -> Row {
+    Row::new(&suite, spec, 1)
+        .knobs(spec)
+        .text("arch", arch)
+        .throughput(events, 0, wall_ms)
 }
 
 /// Runs E-ROBUST at population size `n`.
@@ -94,7 +76,7 @@ pub fn run(n: usize, seed: u64) -> RobustResult {
             let mut run = build_gossip_spec(&scenario, cfg, |_| Behavior::Honest);
             run.run();
             let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-            records.push(point_record(
+            records.push(point_row(
                 format!("robust-loss-{loss:.2}"),
                 arch,
                 &scenario,
@@ -136,7 +118,7 @@ pub fn run(n: usize, seed: u64) -> RobustResult {
                     .schedule_crash(SimTime::from_secs(8), NodeId::new(*v as u32));
             }
             run.run();
-            records.push(point_record(
+            records.push(point_row(
                 format!("robust-crash-{crash_frac:.2}"),
                 arch,
                 &scenario,
@@ -187,21 +169,26 @@ mod tests {
         let r = run(48, 31);
         // 5 loss points + 4 crash points, two protocols each.
         assert_eq!(r.records.len(), (5 + 4) * 2);
-        for rec in &r.records {
-            assert!(
-                rec.suite.starts_with("robust-loss-") || rec.suite.starts_with("robust-crash-"),
-                "sweep parameter must live in the suite key: {}",
-                rec.suite
-            );
-            assert!(rec.events > 0, "{}: dead run", rec.suite);
-            assert!(rec.events_per_sec > 0.0, "{}: no throughput", rec.suite);
-        }
-        // Keys are unique per (suite, arch): BENCH-DIFF must not collapse
-        // distinct sweep points.
-        let mut keys: Vec<String> = r
+        let rows: Vec<_> = r
             .records
             .iter()
-            .map(|rec| format!("{}|{}", rec.suite, rec.arch))
+            .map(|row| fed_profile::json::parse(&row.to_json()).unwrap())
+            .collect();
+        for row in &rows {
+            let suite = row.get("suite").and_then(|s| s.as_str()).unwrap();
+            assert!(
+                suite.starts_with("robust-loss-") || suite.starts_with("robust-crash-"),
+                "sweep parameter must live in the suite key: {suite}"
+            );
+            let num = |name: &str| row.get(name).and_then(|x| x.as_f64()).unwrap();
+            assert!(num("events") > 0.0, "{suite}: dead run");
+            assert!(num("events_per_sec") > 0.0, "{suite}: no throughput");
+        }
+        // Configuration keys are unique: BENCH-DIFF and the splice must
+        // not collapse distinct sweep points.
+        let mut keys: Vec<String> = rows
+            .iter()
+            .map(|row| crate::bench_json::config_key(row).unwrap())
             .collect();
         keys.sort();
         let before = keys.len();

@@ -28,11 +28,8 @@ use crate::harness::{run_architecture, ArchOutcome, EngineKind};
 use fed_core::ledger::RatioSpec;
 use fed_metrics::fairness::ratio_report;
 use fed_metrics::table::{fmt_f64, Table};
-use fed_profile::json::{self, Value};
 use fed_sweep::{frontier_record, mean_of, pareto_frontier, summary_record, RunSummary};
 use fed_workload::{generated_spec, Architecture};
-use std::io;
-use std::path::Path;
 
 /// The committed sweep artifact, relative to the invocation directory.
 pub const BENCH_SWEEP_PATH: &str = "BENCH_sweep.json";
@@ -192,56 +189,6 @@ pub fn run(suite: &str, sweep_seed: u64, workloads: u64) -> SweepResult {
     }
 }
 
-/// The `suite` field of one rendered artifact row, when it parses as a
-/// flat object carrying one.
-fn suite_of(line: &str) -> Option<String> {
-    let doc = json::parse(line).ok()?;
-    match doc.get("suite") {
-        Some(Value::Str(s)) => Some(s.clone()),
-        _ => None,
-    }
-}
-
-/// Replaces every row of `suite` in the artifact at `path` with `rows`,
-/// leaving other suites' rows byte-for-byte untouched.
-///
-/// Frontier sizes move between runs, so a stale higher-numbered `point`
-/// row would outlive a plain append; suite replacement keeps the
-/// artifact canonical — one current row set per suite. A missing or
-/// malformed artifact is rewritten from `rows` alone.
-///
-/// # Errors
-///
-/// Propagates filesystem errors from reading or writing `path`.
-pub fn replace_suite_rows(path: impl AsRef<Path>, suite: &str, rows: &[String]) -> io::Result<()> {
-    let path = path.as_ref();
-    let existing = match std::fs::read_to_string(path) {
-        Ok(s) => s,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => String::new(),
-        Err(e) => return Err(e),
-    };
-    let mut kept: Vec<String> = Vec::new();
-    let is_array = json::parse(&existing)
-        .ok()
-        .is_some_and(|d| d.as_array().is_some());
-    if is_array {
-        // The writer puts one object per line; recover those lines and
-        // keep the ones belonging to other suites verbatim. The parse
-        // above guarantees every kept line is a well-formed object.
-        for line in existing.lines() {
-            let object = line.trim().trim_end_matches(',');
-            if !object.starts_with('{') {
-                continue;
-            }
-            if suite_of(object) != Some(suite.to_string()) {
-                kept.push(object.to_string());
-            }
-        }
-    }
-    kept.extend(rows.iter().cloned());
-    crate::bench_json::write_json_objects(path, &kept)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -297,29 +244,29 @@ mod tests {
             .all(|r| r.contains("\"suite\": \"sweep-test\"")));
     }
 
+    /// Sweep rows are written with suite replacement: frontier sizes
+    /// move between runs, so a stale higher-numbered `point` row would
+    /// outlive a per-configuration replace.
     #[test]
     fn replace_suite_rows_keeps_other_suites_verbatim() {
+        use crate::bench_json::splice;
         let dir = std::env::temp_dir().join(format!("sweep_splice_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("BENCH_sweep.json");
-        let full = "{\"suite\": \"sweep\", \"arch\": \"broker\", \"point\": 0, \"jain\": 0.5}";
-        let smoke_v1 =
-            "{\"suite\": \"sweep-smoke\", \"arch\": \"broker\", \"point\": 0, \"jain\": 0.4}";
-        crate::bench_json::write_json_objects(&path, &[full.to_string(), smoke_v1.to_string()])
-            .unwrap();
-        let smoke_v2 =
-            "{\"suite\": \"sweep-smoke\", \"arch\": \"broker\", \"point\": 0, \"jain\": 0.6}";
-        replace_suite_rows(&path, "sweep-smoke", &[smoke_v2.to_string()]).unwrap();
+        let point = |suite: &str, point: usize, jain: f64| {
+            format!(
+                "{{\"suite\": \"{suite}\", \"arch\": \"broker\", \"point\": {point}, \"jain\": {jain}}}"
+            )
+        };
+        let full = point("sweep", 0, 0.5);
+        let stale = [point("sweep-smoke", 0, 0.4), point("sweep-smoke", 1, 0.3)];
+        splice(&path, std::slice::from_ref(&full), Some("sweep")).unwrap();
+        splice(&path, &stale, Some("sweep-smoke")).unwrap();
+        // A shorter frontier: one point where there were two.
+        let fresh = point("sweep-smoke", 0, 0.6);
+        splice(&path, std::slice::from_ref(&fresh), Some("sweep-smoke")).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains(full), "full-sweep row must survive: {text}");
-        assert!(!text.contains(smoke_v1), "stale smoke row must go: {text}");
-        assert!(text.contains(smoke_v2), "fresh smoke row must land: {text}");
-        // Still one well-formed array.
-        assert_eq!(json::parse(&text).unwrap().as_array().unwrap().len(), 2);
-        // Replacing into a missing file writes it from scratch.
-        let fresh = dir.join("fresh.json");
-        replace_suite_rows(&fresh, "sweep", &[full.to_string()]).unwrap();
-        assert!(std::fs::read_to_string(&fresh).unwrap().contains(full));
+        assert_eq!(text, format!("[\n  {full},\n  {fresh}\n]\n"));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

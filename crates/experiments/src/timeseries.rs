@@ -31,9 +31,6 @@ use fed_workload::churn::ChurnPlan;
 use fed_workload::pubs::{FlashCrowd, PubPlan};
 use fed_workload::scenario::{Architecture, ScenarioSpec};
 use std::fmt::Write as _;
-use std::fs;
-use std::io;
-use std::path::Path;
 
 /// Default output path of the series artifact, relative to the
 /// invocation directory.
@@ -322,12 +319,6 @@ fn render_json(n: usize, shards: usize, seed: u64, archs: &[ArchSeries]) -> Stri
     }
     out.push_str("]\n");
     out
-}
-
-/// Writes the rendered document to `path`, replacing the file (the
-/// artifact is regenerated whole every run).
-pub fn write_timeseries_json(path: impl AsRef<Path>, json: &str) -> io::Result<()> {
-    fs::write(path, json)
 }
 
 #[cfg(test)]

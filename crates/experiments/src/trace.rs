@@ -8,7 +8,7 @@
 //! metrics, (c) the per-node forwarding-cost attribution table — who
 //! forwarded how many bytes for which topics, the paper's fairness
 //! question at per-event resolution — and (d) the tracer's own off/on
-//! overhead at the always-on [`SMOKE_SAMPLE_RATE`], appended to
+//! overhead at the always-on [`SMOKE_SAMPLE_RATE`], recorded in
 //! `BENCH_trace.json` (the full-rate cost is reported alongside,
 //! ungated — it scales with hop volume by design).
 //!
@@ -17,17 +17,14 @@
 //! standard smoke workload, asserting the enabled tracer stays under
 //! [`OVERHEAD_BAR`].
 
-use crate::bench_json::{append_json_objects, escape};
-use crate::harness::{run_architecture, ArchOutcome, EngineKind};
-use crate::scale::smoke_spec;
+use crate::bench_json::{events_per_sec, Row};
+use crate::harness::{run_architecture, EngineKind};
+use crate::scale::{measure_overhead, timed_best_of, OverheadPoint, SmokeConfig};
 use fed_metrics::table::{fmt_f64, Table};
 use fed_sim::{HopRecord, SimDuration, SimTime};
 use fed_trace::{analyze, attribution, EventTrace, TraceSpec};
 use fed_workload::pubs::PubPlan;
-use fed_workload::scenario::{Architecture, Placement, ScenarioSpec};
-use std::io;
-use std::path::Path;
-use std::time::Instant;
+use fed_workload::scenario::ScenarioSpec;
 
 /// Default output path of the tracer benchmark artifact, relative to the
 /// invocation directory.
@@ -195,141 +192,23 @@ pub fn trace_tables(name: &str, hops: &[HopRecord], floor: SimDuration) -> Vec<T
     ]
 }
 
-/// One `BENCH_trace.json` record: a configuration run with tracing off
-/// then on, so the instrumentation overhead is tracked across PRs.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceBenchRecord {
-    /// Which harness produced the record (`trace`, `trace-smoke`).
-    pub suite: String,
-    /// Architecture name.
-    pub arch: String,
-    /// Population size.
-    pub n: usize,
-    /// Shard count in use.
-    pub shards: usize,
-    /// Sampling rate the traced run used.
-    pub sample_rate: f64,
-    /// Events processed (identical off and on — tracing is passive).
-    pub events: u64,
-    /// Hop records the traced run collected.
-    pub hops: u64,
-    /// Wall-clock milliseconds with tracing off.
-    pub wall_ms_off: f64,
-    /// Wall-clock milliseconds with tracing on.
-    pub wall_ms_on: f64,
-    /// `wall_ms_on / wall_ms_off - 1`.
-    pub overhead_frac: f64,
-    /// Events per wall-clock second with tracing off.
-    pub events_per_sec_off: f64,
-    /// Events per wall-clock second with tracing on.
-    pub events_per_sec_on: f64,
+/// One `BENCH_trace.json` row: the off/on measurement plus the sampling
+/// rate the traced run used and the hop records it collected.
+pub fn bench_row(point: &OverheadPoint, suite: &str) -> Row {
+    let sample_rate = point.spec.trace.as_ref().map_or(1.0, |t| t.sample_rate);
+    let hops = point.on.trace.as_ref().map_or(0, Vec::len);
+    point
+        .row(suite)
+        .float("sample_rate", sample_rate)
+        .int("hops", hops as u64)
 }
 
-impl TraceBenchRecord {
-    /// The record as one JSON object.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"suite\":\"{}\",\"arch\":\"{}\",\"n\":{},\"shards\":{},\
-             \"sample_rate\":{},\"events\":{},\"hops\":{},\
-             \"wall_ms_off\":{:.3},\"wall_ms_on\":{:.3},\
-             \"overhead_frac\":{:.4},\
-             \"events_per_sec_off\":{:.1},\"events_per_sec_on\":{:.1}}}",
-            escape(&self.suite),
-            escape(&self.arch),
-            self.n,
-            self.shards,
-            self.sample_rate,
-            self.events,
-            self.hops,
-            self.wall_ms_off,
-            self.wall_ms_on,
-            self.overhead_frac,
-            self.events_per_sec_off,
-            self.events_per_sec_on,
-        )
-    }
-}
-
-/// Appends tracer benchmark records to the JSON array at `path`.
-///
-/// # Errors
-///
-/// Propagates the underlying filesystem error.
-pub fn append_trace_bench(path: impl AsRef<Path>, records: &[TraceBenchRecord]) -> io::Result<()> {
-    let objects: Vec<String> = records.iter().map(TraceBenchRecord::to_json).collect();
-    append_json_objects(path, &objects)
-}
-
-/// An off/on overhead measurement of one cluster configuration.
-#[derive(Debug)]
-pub struct TraceOverheadPoint {
-    /// The traced spec (tracing on).
-    pub spec: ScenarioSpec,
-    /// Outcome of the untraced run.
-    pub off: ArchOutcome,
-    /// Outcome of the traced run.
-    pub on: ArchOutcome,
-    /// Wall-clock milliseconds without tracing (best of `runs`).
-    pub wall_ms_off: f64,
-    /// Wall-clock milliseconds with tracing (best of `runs`).
-    pub wall_ms_on: f64,
-}
-
-impl TraceOverheadPoint {
-    /// `wall_on / wall_off - 1`: the enabled tracer's relative cost.
-    pub fn overhead_frac(&self) -> f64 {
-        self.wall_ms_on / self.wall_ms_off.max(1e-9) - 1.0
-    }
-
-    /// The measurement as one [`TraceBenchRecord`].
-    pub fn record(&self, suite: &str) -> TraceBenchRecord {
-        TraceBenchRecord {
-            suite: suite.to_string(),
-            arch: self.spec.arch.name().to_string(),
-            n: self.spec.n,
-            shards: self.on.shards,
-            sample_rate: self.spec.trace.as_ref().map_or(1.0, |t| t.sample_rate),
-            events: self.on.events,
-            hops: self.on.trace.as_ref().map_or(0, |t| t.len() as u64),
-            wall_ms_off: self.wall_ms_off,
-            wall_ms_on: self.wall_ms_on,
-            overhead_frac: self.overhead_frac(),
-            events_per_sec_off: self.off.events as f64 / (self.wall_ms_off / 1e3).max(1e-9),
-            events_per_sec_on: self.on.events as f64 / (self.wall_ms_on / 1e3).max(1e-9),
-        }
-    }
-}
-
-/// Runs `spec` on the cluster engine with tracing off, then on, `runs`
-/// times each, keeping the best wall clock per configuration (the
-/// repeats damp scheduler noise so the overhead fraction is meaningful).
-pub fn measure_trace_overhead(spec: &ScenarioSpec, runs: usize) -> TraceOverheadPoint {
-    let runs = runs.max(1);
-    let mut spec_off = spec.clone();
-    spec_off.trace = None;
-    let spec_on = spec
-        .clone()
-        .with_trace(spec.trace.clone().unwrap_or_default());
-    let best = |spec: &ScenarioSpec| {
-        let mut wall_ms = f64::INFINITY;
-        let mut outcome = None;
-        for _ in 0..runs {
-            let start = Instant::now();
-            let o = run_architecture(spec, EngineKind::Cluster);
-            wall_ms = wall_ms.min(start.elapsed().as_secs_f64() * 1e3);
-            outcome = Some(o);
-        }
-        (outcome.expect("runs >= 1"), wall_ms)
-    };
-    let (off, wall_ms_off) = best(&spec_off);
-    let (on, wall_ms_on) = best(&spec_on);
-    TraceOverheadPoint {
-        spec: spec_on,
-        off,
-        on,
-        wall_ms_off,
-        wall_ms_on,
-    }
+/// [`measure_overhead`] of the tracer: `spec` as given against `spec`
+/// with its `[trace]` section removed.
+fn tracer_overhead(spec: &ScenarioSpec, runs: usize) -> OverheadPoint {
+    let mut off = spec.clone();
+    off.trace = None;
+    measure_overhead(&off, spec, runs)
 }
 
 /// The scenario the registered `trace` experiment runs: the standard
@@ -367,8 +246,8 @@ pub struct TraceResult {
     /// observable *and* produced byte-identical merged hop traces (must
     /// be `true`).
     pub identical: bool,
-    /// Machine-readable record for `BENCH_trace.json`.
-    pub records: Vec<TraceBenchRecord>,
+    /// Machine-readable row for `BENCH_trace.json`.
+    pub records: Vec<Row>,
 }
 
 /// Runs the TRACE experiment: sequential-vs-cluster byte-identity of the
@@ -384,9 +263,7 @@ pub fn run(n: usize, shards: usize, seed: u64) -> TraceResult {
     // Byte-identity gate and tables at full sampling: every hop traced.
     let spec = trace_scenario(n, shards, seed);
     let seq = run_architecture(&spec, EngineKind::Sequential);
-    let full_start = Instant::now();
-    let clu = run_architecture(&spec, EngineKind::Cluster);
-    let full_wall_ms = full_start.elapsed().as_secs_f64() * 1e3;
+    let (clu, full_wall_ms) = timed_best_of(&spec, EngineKind::Cluster, 1);
 
     // Overhead at the sampled always-on configuration. Whole-event
     // sampling over ~200 events at 2% can legitimately keep none; the
@@ -398,7 +275,7 @@ pub fn run(n: usize, shards: usize, seed: u64) -> TraceResult {
         salt: 47,
         ..TraceSpec::default()
     });
-    let point = measure_trace_overhead(&sampled, 3);
+    let point = tracer_overhead(&sampled, 3);
 
     let seq_trace = seq.trace.as_ref().expect("tracing on");
     let identical = crate::scenario_run::outcomes_match(&seq, &clu)
@@ -423,7 +300,7 @@ pub fn run(n: usize, shards: usize, seed: u64) -> TraceResult {
         point.off.events.to_string(),
         "-".to_string(),
         fmt_f64(point.wall_ms_off),
-        fmt_f64(point.off.events as f64 / (point.wall_ms_off / 1e3).max(1e-9)),
+        fmt_f64(events_per_sec(point.off.events, point.wall_ms_off)),
         "-".to_string(),
         identical.to_string(),
     ]);
@@ -432,7 +309,7 @@ pub fn run(n: usize, shards: usize, seed: u64) -> TraceResult {
         point.on.events.to_string(),
         point.on.trace.as_ref().map_or(0, Vec::len).to_string(),
         fmt_f64(point.wall_ms_on),
-        fmt_f64(point.on.events as f64 / (point.wall_ms_on / 1e3).max(1e-9)),
+        fmt_f64(events_per_sec(point.on.events, point.wall_ms_on)),
         fmt_f64(point.overhead_frac()),
         identical.to_string(),
     ]);
@@ -441,7 +318,7 @@ pub fn run(n: usize, shards: usize, seed: u64) -> TraceResult {
         clu.events.to_string(),
         seq_trace.len().to_string(),
         fmt_f64(full_wall_ms),
-        fmt_f64(clu.events as f64 / (full_wall_ms / 1e3).max(1e-9)),
+        fmt_f64(events_per_sec(clu.events, full_wall_ms)),
         fmt_f64(full_wall_ms / point.wall_ms_off.max(1e-9) - 1.0),
         identical.to_string(),
     ]);
@@ -449,7 +326,7 @@ pub fn run(n: usize, shards: usize, seed: u64) -> TraceResult {
     let name = "fair-gossip";
     let floor = direct_floor(&spec);
     let events = analyze(seq_trace, floor);
-    let records = vec![point.record("trace")];
+    let records = vec![bench_row(&point, "trace")];
     TraceResult {
         summary,
         tree_table: summary_table(name, seq_trace, &events),
@@ -460,19 +337,9 @@ pub fn run(n: usize, shards: usize, seed: u64) -> TraceResult {
     }
 }
 
-/// Outcome of one `trace-smoke` overhead run.
-#[derive(Debug)]
-pub struct TraceSmokePoint {
-    /// The off/on measurement.
-    pub point: TraceOverheadPoint,
-    /// The record appended to `BENCH_trace.json`.
-    pub record: TraceBenchRecord,
-}
-
-/// The large-population tracer smoke: the standard smoke workload
-/// (round-robin placement, adaptive windows, telemetry off) run with
-/// tracing off then on at [`SMOKE_SAMPLE_RATE`], twice each, keeping
-/// the best wall clocks.
+/// The large-population tracer smoke: `config`'s smoke workload
+/// (telemetry off) run with tracing off then on at
+/// [`SMOKE_SAMPLE_RATE`], twice each, keeping the best wall clocks.
 ///
 /// One deviation from the shared smoke plan: the publication rate is
 /// raised to 50 ev/s (~100 distinct events instead of ~10). Sampling is
@@ -485,16 +352,13 @@ pub struct TraceSmokePoint {
 ///
 /// The caller asserts the overhead bar — see [`crate::run_by_id`]'s
 /// `trace-smoke` pseudo-id.
-pub fn smoke(arch: Architecture, n: usize, shards: usize, seed: u64) -> TraceSmokePoint {
-    let mut spec =
-        smoke_spec(arch, n, shards, Placement::RoundRobin, true, seed).with_trace(TraceSpec {
-            sample_rate: SMOKE_SAMPLE_RATE,
-            ..TraceSpec::default()
-        });
+pub fn smoke(config: SmokeConfig, seed: u64) -> OverheadPoint {
+    let mut spec = config.spec(seed).with_trace(TraceSpec {
+        sample_rate: SMOKE_SAMPLE_RATE,
+        ..TraceSpec::default()
+    });
     spec.plan.rate_per_sec = 50.0;
-    let point = measure_trace_overhead(&spec, 2);
-    let record = point.record("trace-smoke");
-    TraceSmokePoint { point, record }
+    tracer_overhead(&spec, 2)
 }
 
 #[cfg(test)]
@@ -511,30 +375,24 @@ mod tests {
         assert!(!r.event_table.is_empty(), "no events traced");
         assert!(r.attribution_table.len() > 1, "no forwarding attributed");
         assert_eq!(r.records.len(), 1);
-        let rec = &r.records[0];
-        assert_eq!(rec.suite, "trace");
-        assert!(rec.events > 0);
-        assert!(rec.hops > 0);
-        assert!(rec.wall_ms_on > 0.0 && rec.wall_ms_off > 0.0);
     }
 
     #[test]
     fn bench_record_renders_parseable_json() {
-        let r = run(32, 2, 7);
+        let r = run(48, 3, 42);
         let text = r.records[0].to_json();
         let v = json::parse(&text).expect("record must parse as JSON");
+        let num = |name: &str| v.get(name).and_then(|x| x.as_f64());
         assert_eq!(v.get("suite").and_then(|s| s.as_str()), Some("trace"));
-        assert!(v.get("overhead_frac").and_then(|o| o.as_f64()).is_some());
-        assert_eq!(
-            v.get("hops").and_then(|h| h.as_f64()).unwrap() as u64,
-            r.records[0].hops
-        );
+        assert!(num("overhead_frac").is_some());
+        assert_eq!(num("sample_rate"), Some(SMOKE_SAMPLE_RATE));
+        assert!(num("events").unwrap() > 0.0 && num("hops").unwrap() > 0.0);
+        assert!(num("wall_ms_on").unwrap() > 0.0 && num("wall_ms_off").unwrap() > 0.0);
     }
 
     #[test]
     fn tracing_is_passive() {
-        let spec = trace_scenario(32, 2, 11);
-        let p = measure_trace_overhead(&spec, 1);
+        let p = tracer_overhead(&trace_scenario(32, 2, 11), 1);
         assert!(
             crate::scenario_run::outcomes_match(&p.off, &p.on),
             "tracing changed a result"

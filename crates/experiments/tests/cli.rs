@@ -1,0 +1,102 @@
+//! The `fed-experiments` binary end to end, on the failure paths a
+//! library test cannot see: what it prints to stderr and how it exits.
+//! Each case runs in its own scratch directory, because the commands
+//! write their `BENCH_*` artifact into the invocation directory.
+
+use std::path::PathBuf;
+use std::process::{Command, Output};
+
+fn scratch(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("fed_cli_{tag}_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+fn run_in(dir: &PathBuf, args: &[&str]) -> (Output, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_fed-experiments"))
+        .args(args)
+        .current_dir(dir)
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    (out, stderr)
+}
+
+/// A write that fails must fail the command: CI diffs the written file
+/// against the committed one, and used to pass on a file nobody wrote.
+#[test]
+fn an_unwritable_artifact_fails_the_command() {
+    let dir = scratch("unwritable");
+    std::fs::create_dir(dir.join("BENCH_cluster.json")).unwrap();
+    let (out, stderr) = run_in(&dir, &["--seed", "7", "smoke:splitstream:64:2"]);
+    assert!(!out.status.success(), "{stderr}");
+    assert!(
+        stderr.contains("could not write BENCH_cluster.json"),
+        "{stderr}"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Recording a configuration again replaces its row; another
+/// configuration of the same suite gets its own.
+#[test]
+fn a_repeated_smoke_leaves_one_row_per_configuration() {
+    let dir = scratch("repeat");
+    for id in [
+        "smoke:splitstream:64:2",
+        "smoke:broker:64:2",
+        "smoke:splitstream:64:2",
+    ] {
+        let (out, stderr) = run_in(&dir, &["--seed", "7", id]);
+        assert!(out.status.success(), "{id}: {stderr}");
+        assert!(String::from_utf8_lossy(&out.stdout).starts_with("SMOKE "));
+    }
+    let text = std::fs::read_to_string(dir.join("BENCH_cluster.json")).unwrap();
+    assert_eq!(text.matches("\"suite\":\"smoke\"").count(), 2, "{text}");
+    // The artifact the run just wrote pairs up with itself.
+    let (out, stderr) = run_in(
+        &dir,
+        &[
+            "bench-diff",
+            "BENCH_cluster.json",
+            "--threshold",
+            "0.9",
+            "BENCH_cluster.json",
+        ],
+    );
+    assert!(out.status.success(), "{stderr}");
+    assert!(
+        stderr.contains("compared 2 configuration(s), 0 regression(s)"),
+        "{stderr}"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn malformed_ids_and_arguments_are_diagnosed() {
+    let dir = scratch("usage");
+    for (args, expected) in [
+        (
+            &["smoke:broker:10x"][..],
+            "bad n \"10x\"; expected smoke[:arch[:n[:shards[:placement[:window]]]]]",
+        ),
+        (&["sweep-smoke:0"][..], "expected sweep-smoke[:workloads]"),
+        (
+            &["fig9"][..],
+            "unknown experiment \"fig9\"; available: fig1 ",
+        ),
+        (
+            &["bench-diff", "only-one.json"][..],
+            "bench-diff requires two paths",
+        ),
+        (
+            &["bench-diff", "a", "b", "--threshold", "much"][..],
+            "--threshold requires a fraction",
+        ),
+    ] {
+        let (out, stderr) = run_in(&dir, args);
+        assert!(!out.status.success(), "{args:?} must fail");
+        assert!(stderr.contains(expected), "{args:?}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
