@@ -28,7 +28,7 @@
 
 use crate::bench_json::{config_key, FieldKind, FIELDS};
 use fed_metrics::table::{fmt_f64, Table};
-use fed_profile::json::{self, Value};
+use fed_util::json::{self, Value};
 use std::collections::BTreeMap;
 use std::path::Path;
 

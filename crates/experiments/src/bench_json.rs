@@ -9,9 +9,9 @@
 //! one table, so a field added to a writer and not to the table fails a
 //! test instead of silently unpairing rows. The writer is hand-rolled
 //! (the build environment is offline — no serde); the reader is
-//! [`fed_profile::json`].
+//! [`fed_util::json`].
 
-use fed_profile::json::{self, Value};
+use fed_util::json::{self, escape, Value};
 use fed_workload::scenario::ScenarioSpec;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
@@ -111,26 +111,6 @@ fn field_index(name: &str) -> Option<usize> {
 /// Events per wall-clock second.
 pub fn events_per_sec(events: u64, wall_ms: f64) -> f64 {
     events as f64 / (wall_ms / 1e3).max(1e-9)
-}
-
-/// Minimal JSON string escaping (the names we write are plain ASCII, but
-/// stay correct for anything).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// One host-speed artifact row: rendered cells in [`FIELDS`] order.

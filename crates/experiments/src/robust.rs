@@ -172,7 +172,7 @@ mod tests {
         let rows: Vec<_> = r
             .records
             .iter()
-            .map(|row| fed_profile::json::parse(&row.to_json()).unwrap())
+            .map(|row| fed_util::json::parse(&row.to_json()).unwrap())
             .collect();
         for row in &rows {
             let suite = row.get("suite").and_then(|s| s.as_str()).unwrap();

@@ -422,7 +422,7 @@ mod tests {
         let rows: Vec<_> = r
             .records
             .iter()
-            .map(|row| fed_profile::json::parse(&row.to_json()).unwrap())
+            .map(|row| fed_util::json::parse(&row.to_json()).unwrap())
             .collect();
         let gates: Vec<_> = rows
             .iter()

@@ -364,7 +364,7 @@ pub fn smoke(config: SmokeConfig, seed: u64) -> OverheadPoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fed_profile::json;
+    use fed_util::json;
 
     #[test]
     fn trace_experiment_gates_parity_and_builds_tables() {

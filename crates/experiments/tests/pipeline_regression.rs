@@ -17,8 +17,8 @@
 
 use fed_experiments::harness::{run_architecture, EngineKind};
 use fed_experiments::scenario_run::{display_name, load_file, resolve_target};
-use fed_profile::json::{self, Value};
 use fed_profile::ProfileSpec;
+use fed_util::json::{self, Value};
 
 /// Sums `field` over every trace slice that carries it in its `args`.
 fn sum_arg(doc: &Value, field: &str) -> f64 {

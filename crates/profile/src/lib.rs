@@ -38,13 +38,15 @@
 //!   counters into the run-level report; [`chrome_trace_json`] renders it
 //!   as Chrome Trace Event JSON loadable in Perfetto or
 //!   `chrome://tracing`.
-//! * [`json`] is the minimal JSON reader used by trace validation and the
-//!   `bench-diff` tool.
+//! * [`json`] re-exports [`fed_util::json`], the reader and the string
+//!   escape: the frozen benchmark still imports it from here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod json;
+// `fedbench/` compiles `fed_profile::json::{parse, Value}` and is frozen
+// between `benchmark` PRs; the next one re-points it and drops this.
+pub use fed_util::json;
 
 use fed_sim::exec::{HopRecord, Probe, ProfilePhase, QueueStats, SendFate, WindowWork};
 use fed_sim::protocol::NodeId;
@@ -397,22 +399,6 @@ impl RunProfile {
     }
 }
 
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders a [`RunProfile`] as Chrome Trace Event JSON (object format,
 /// `{"traceEvents": [...]}`) on the **virtual-time** microsecond
 /// timeline: slices show what each shard did per window of simulated
@@ -429,7 +415,7 @@ pub fn chrome_trace_json(profile: &RunProfile, name: &str) -> String {
     ev.push(format!(
         "{{\"ph\":\"M\",\"pid\":0,\"tid\":0,\"name\":\"process_name\",\
          \"args\":{{\"name\":\"{}\"}}}}",
-        esc(name)
+        json::escape(name)
     ));
     ev.push(
         "{\"ph\":\"M\",\"pid\":0,\"tid\":0,\"name\":\"thread_name\",\

@@ -40,6 +40,7 @@
 #![warn(missing_docs)]
 
 use fed_sim::{HopRecord, Probe, SimDuration};
+use fed_util::json::escape;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Tracing configuration, as carried by a scenario's `[trace]` section.
@@ -378,22 +379,6 @@ pub fn attribution(hops: &[HopRecord]) -> Vec<ForwardingCost> {
         .collect()
 }
 
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders a merged trace as Chrome Trace Event JSON (object format,
 /// `{"traceEvents": [...]}`) on the **virtual-time** microsecond
 /// timeline, loadable in Perfetto (<https://ui.perfetto.dev>) and
@@ -414,7 +399,7 @@ pub fn perfetto_trace_json(hops: &[HopRecord], name: &str) -> String {
     ev.push(format!(
         "{{\"ph\":\"M\",\"pid\":0,\"tid\":0,\"name\":\"process_name\",\
          \"args\":{{\"name\":\"{}\"}}}}",
-        esc(name)
+        escape(name)
     ));
     for (tid0, (event, recs)) in by_event.iter().enumerate() {
         let tid = tid0 + 1;

@@ -1,10 +1,33 @@
-//! A minimal JSON reader — just enough to validate emitted traces and to
+//! A minimal JSON reader and the one string [`escape`] every writer in
+//! the workspace uses — just enough to validate emitted traces and to
 //! let `bench-diff` read the hand-rolled `BENCH_*.json` files without an
 //! external dependency.
 //!
 //! Full JSON value grammar (objects, arrays, strings with escapes,
 //! numbers, booleans, null); numbers are read as `f64`, which is exact
 //! for every integer the bench records emit (< 2⁵³).
+
+use std::fmt::Write as _;
+
+/// Escapes `s` for the inside of a JSON string literal: quote,
+/// backslash and every control character ([`parse`] reads it back).
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out
+}
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -266,6 +289,20 @@ mod tests {
     fn rejects_malformed_documents() {
         for bad in ["", "{", "[1,", "{\"a\" 1}", "12 34", "\"open", "nul"] {
             assert!(parse(bad).is_err(), "{bad:?} must not parse");
+        }
+    }
+
+    #[test]
+    fn escape_round_trips_through_parse() {
+        for s in [
+            "plain",
+            "a\"b\\c",
+            "tab\there\nnewline\r",
+            "x\u{1}\u{1f}",
+            "héllo → wörld",
+        ] {
+            let quoted = format!("\"{}\"", escape(s));
+            assert_eq!(parse(&quoted).unwrap().as_str(), Some(s), "{quoted}");
         }
     }
 

@@ -2,8 +2,9 @@
 //!
 //! Foundation utilities for the `fed` (fair event dissemination) workspace:
 //! deterministic pseudo-randomness, probability distributions, streaming
-//! statistics, a fixed-key hasher for id-keyed maps and the fairness indices
-//! used throughout the experiments.
+//! statistics, a fixed-key hasher for id-keyed maps, the fairness indices
+//! used throughout the experiments, and the workspace's one JSON reader
+//! and string escape ([`json`]).
 //!
 //! The whole workspace is built around **deterministic replay**: a single
 //! `u64` seed fixes every stochastic choice, so any experiment, test failure
@@ -37,6 +38,7 @@ pub mod dist;
 pub mod fairness;
 pub mod hash;
 pub mod histogram;
+pub mod json;
 pub mod rng;
 pub mod stats;
 

@@ -41,12 +41,34 @@
 //! [`to_toml`] ∘ [`parse_scenario`] is the identity on [`ScenarioSpec`]
 //! (property-tested in `tests/scenario_file_props.rs`): floats are
 //! emitted in Rust's shortest round-trip notation, durations in the
-//! coarsest exact unit. The one unrepresentable corner is a
-//! [`NetworkModel`] carrying an active *dynamic* partition (the
-//! `groups` device experiments install mid-run) — for which [`to_toml`]
-//! returns an error. *Scheduled* partitions are different: they are
-//! plain data with a start and a heal time, and live in the
-//! `[faults.partition]` section.
+//! coarsest exact unit, strings with the escapes the lexer reads. The
+//! identity holds by construction, not by a mirrored list of checks:
+//! [`to_toml`] puts every section it writes through the read pass's own
+//! type, range, applicability and cross-field checks, so a spec built in
+//! code that the parser would reject is an error naming `[section] key`,
+//! never text that does not parse back. Beyond that, the unrepresentable
+//! corners are a [`NetworkModel`] carrying an active *dynamic* partition
+//! (the `groups` device experiments install mid-run), faults or a
+//! mobility trace on the base model instead of the spec, and a string
+//! holding a control character the format has no escape for. *Scheduled*
+//! partitions are plain data with a start and a heal time, and live in
+//! the `[faults.partition]` section.
+//!
+//! ## The grammar is written once
+//!
+//! Every section is one static `Section` row in this module — its path,
+//! whether it is required, its selector key if any, and per key the
+//! name, type with range, required / optional / default, and the
+//! selector value it applies under. Two passes read that table:
+//! `conform` (a lexed section, or the pairs [`to_toml`] is about to
+//! write → unknown-key, missing-key, type, range, does-not-apply and
+//! cross-field errors → a typed `Bag`) and `write_section` (pairs →
+//! `conform` → text). Adding a knob to an existing section is **one
+//! schema row, one build line** (`field: b.float("key")` in the
+//! section's `*_of`) **and one list line** (`("key", Value::Float(..))`
+//! in its `*_pairs`); the docs test in this module then fails naming the
+//! row `docs/SCENARIOS.md` lacks. A cross-field rule is the section's
+//! `rule` and runs in both directions.
 
 use crate::churn::ChurnPlan;
 use crate::interest::Appetite;
@@ -100,6 +122,11 @@ impl ScenarioFileError {
             message: message.into(),
         }
     }
+
+    /// With the line a [`Bag`] field came from: `None` on the write side.
+    fn new(line: Option<usize>, message: String) -> Self {
+        ScenarioFileError { line, message }
+    }
 }
 
 impl fmt::Display for ScenarioFileError {
@@ -119,13 +146,16 @@ type Result<T> = std::result::Result<T, ScenarioFileError>;
 // Lexing: lines → sections of (key, value) pairs
 // ---------------------------------------------------------------------------
 
-/// One parsed TOML value.
+/// One TOML value: what the lexer produces and what [`to_toml`] lists.
 #[derive(Debug, Clone, PartialEq)]
 enum Value {
     Str(String),
     Int(i128),
     Float(f64),
     Bool(bool),
+    /// Microseconds of a duration or instant. The lexer reads these as
+    /// [`Value::Str`]; `conform_value` converts where the schema says so.
+    Time(u64),
 }
 
 impl Value {
@@ -135,6 +165,7 @@ impl Value {
             Value::Int(_) => "an integer",
             Value::Float(_) => "a float",
             Value::Bool(_) => "a boolean",
+            Value::Time(_) => "a duration",
         }
     }
 }
@@ -242,16 +273,16 @@ fn parse_value(raw: &str, line: usize) -> Result<Value> {
 
 /// A lexed document: section path → (header line, key → (value, line)).
 struct Document {
-    sections: BTreeMap<String, Section>,
+    sections: BTreeMap<String, Lexed>,
 }
 
-struct Section {
+struct Lexed {
     header_line: usize,
     entries: BTreeMap<String, (Value, usize)>,
 }
 
 fn lex(input: &str) -> Result<Document> {
-    let mut sections: BTreeMap<String, Section> = BTreeMap::new();
+    let mut sections: BTreeMap<String, Lexed> = BTreeMap::new();
     let mut current: Option<String> = None;
     for (idx, raw_line) in input.lines().enumerate() {
         let line = idx + 1;
@@ -278,7 +309,7 @@ fn lex(input: &str) -> Result<Document> {
             }
             sections.insert(
                 name.to_string(),
-                Section {
+                Lexed {
                     header_line: line,
                     entries: BTreeMap::new(),
                 },
@@ -315,272 +346,8 @@ fn lex(input: &str) -> Result<Document> {
 }
 
 // ---------------------------------------------------------------------------
-// Typed access with strict leftover detection
+// Durations, floats and strings as text
 // ---------------------------------------------------------------------------
-
-/// Typed view over one lexed section; every accessor removes the key, and
-/// [`Reader::finish`] rejects whatever was not consumed.
-struct Reader {
-    path: String,
-    header_line: usize,
-    entries: BTreeMap<String, (Value, usize)>,
-    valid_keys: &'static [&'static str],
-}
-
-impl Reader {
-    fn new(path: &str, section: Section, valid_keys: &'static [&'static str]) -> Result<Reader> {
-        // Reject typos up front so "unknown key" wins over "missing
-        // required key" when both apply.
-        for (key, (_, line)) in &section.entries {
-            if !valid_keys.contains(&key.as_str()) {
-                return Err(ScenarioFileError::at(
-                    *line,
-                    format!(
-                        "unknown key `{key}` in [{path}] (valid keys: {})",
-                        valid_keys.join(", ")
-                    ),
-                ));
-            }
-        }
-        Ok(Reader {
-            path: path.to_string(),
-            header_line: section.header_line,
-            entries: section.entries,
-            valid_keys,
-        })
-    }
-
-    fn key_err(&self, key: &str, line: usize, what: String) -> ScenarioFileError {
-        ScenarioFileError::at(line, format!("[{}] {key}: {what}", self.path))
-    }
-
-    fn take(&mut self, key: &str) -> Option<(Value, usize)> {
-        self.entries.remove(key)
-    }
-
-    fn req(&mut self, key: &str) -> Result<(Value, usize)> {
-        self.take(key).ok_or_else(|| {
-            ScenarioFileError::at(
-                self.header_line,
-                format!("[{}] is missing the required key `{key}`", self.path),
-            )
-        })
-    }
-
-    fn str_of(&self, key: &str, v: Value, line: usize) -> Result<(String, usize)> {
-        match v {
-            Value::Str(s) => Ok((s, line)),
-            other => Err(self.key_err(
-                key,
-                line,
-                format!("expected a string, got {}", other.type_name()),
-            )),
-        }
-    }
-
-    fn req_str(&mut self, key: &str) -> Result<(String, usize)> {
-        let (v, line) = self.req(key)?;
-        self.str_of(key, v, line)
-    }
-
-    fn opt_str(&mut self, key: &str) -> Result<Option<(String, usize)>> {
-        match self.take(key) {
-            None => Ok(None),
-            Some((v, line)) => self.str_of(key, v, line).map(Some),
-        }
-    }
-
-    fn int_of(&self, key: &str, v: Value, line: usize) -> Result<(i128, usize)> {
-        match v {
-            Value::Int(i) => Ok((i, line)),
-            other => Err(self.key_err(
-                key,
-                line,
-                format!("expected an integer, got {}", other.type_name()),
-            )),
-        }
-    }
-
-    fn usize_in(
-        &self,
-        key: &str,
-        v: Value,
-        line: usize,
-        range: std::ops::RangeInclusive<usize>,
-    ) -> Result<usize> {
-        let (i, line) = self.int_of(key, v, line)?;
-        if i < *range.start() as i128 || i > *range.end() as i128 {
-            return Err(self.key_err(
-                key,
-                line,
-                format!(
-                    "{i} is out of range (expected {}..={})",
-                    range.start(),
-                    range.end()
-                ),
-            ));
-        }
-        Ok(i as usize)
-    }
-
-    fn req_usize(&mut self, key: &str, range: std::ops::RangeInclusive<usize>) -> Result<usize> {
-        let (v, line) = self.req(key)?;
-        self.usize_in(key, v, line, range)
-    }
-
-    fn opt_usize(
-        &mut self,
-        key: &str,
-        range: std::ops::RangeInclusive<usize>,
-        default: usize,
-    ) -> Result<usize> {
-        match self.take(key) {
-            None => Ok(default),
-            Some((v, line)) => self.usize_in(key, v, line, range),
-        }
-    }
-
-    fn req_u64(&mut self, key: &str) -> Result<u64> {
-        let (v, line) = self.req(key)?;
-        self.u64_of(key, v, line)
-    }
-
-    fn opt_u64(&mut self, key: &str, default: u64) -> Result<u64> {
-        match self.take(key) {
-            None => Ok(default),
-            Some((v, line)) => self.u64_of(key, v, line),
-        }
-    }
-
-    fn u64_of(&self, key: &str, v: Value, line: usize) -> Result<u64> {
-        let (i, line) = self.int_of(key, v, line)?;
-        if i < 0 || i > u64::MAX as i128 {
-            return Err(self.key_err(
-                key,
-                line,
-                format!("{i} does not fit an unsigned 64-bit value"),
-            ));
-        }
-        Ok(i as u64)
-    }
-
-    fn float_of(&self, key: &str, v: Value, line: usize) -> Result<(f64, usize)> {
-        match v {
-            Value::Float(x) => Ok((x, line)),
-            // Integer literals are fine where a float is expected.
-            Value::Int(i) => Ok((i as f64, line)),
-            other => Err(self.key_err(
-                key,
-                line,
-                format!("expected a number, got {}", other.type_name()),
-            )),
-        }
-    }
-
-    fn float_checked(&self, key: &str, v: Value, line: usize, check: FloatCheck) -> Result<f64> {
-        let (x, line) = self.float_of(key, v, line)?;
-        match check {
-            // Values are finite by lexing, so plain comparisons suffice.
-            FloatCheck::Positive if x <= 0.0 => {
-                Err(self.key_err(key, line, format!("{x} must be strictly positive")))
-            }
-            FloatCheck::NonNegative if x < 0.0 => {
-                Err(self.key_err(key, line, format!("{x} must be non-negative")))
-            }
-            FloatCheck::Fraction if !(0.0..=1.0).contains(&x) => {
-                Err(self.key_err(key, line, format!("{x} must be a fraction in [0, 1]")))
-            }
-            FloatCheck::LossProbability if !(0.0..1.0).contains(&x) => Err(self.key_err(
-                key,
-                line,
-                format!("{x} must be a loss probability in [0, 1)"),
-            )),
-            _ => Ok(x),
-        }
-    }
-
-    fn req_float(&mut self, key: &str, check: FloatCheck) -> Result<f64> {
-        let (v, line) = self.req(key)?;
-        self.float_checked(key, v, line, check)
-    }
-
-    fn opt_float(&mut self, key: &str, check: FloatCheck, default: f64) -> Result<f64> {
-        match self.take(key) {
-            None => Ok(default),
-            Some((v, line)) => self.float_checked(key, v, line, check),
-        }
-    }
-
-    fn opt_bool(&mut self, key: &str, default: bool) -> Result<bool> {
-        match self.take(key) {
-            None => Ok(default),
-            Some((Value::Bool(b), _)) => Ok(b),
-            Some((other, line)) => Err(self.key_err(
-                key,
-                line,
-                format!("expected true or false, got {}", other.type_name()),
-            )),
-        }
-    }
-
-    fn duration_of(&self, key: &str, v: Value, line: usize) -> Result<u64> {
-        let (s, line) = self.str_of(key, v, line)?;
-        parse_duration_str(&s).ok_or_else(|| {
-            self.key_err(
-                key,
-                line,
-                format!("bad duration {s:?} (expected an integer count with unit, e.g. \"250us\", \"10ms\", \"2s\")"),
-            )
-        })
-    }
-
-    fn req_duration(&mut self, key: &str) -> Result<SimDuration> {
-        let (v, line) = self.req(key)?;
-        Ok(SimDuration::from_micros(self.duration_of(key, v, line)?))
-    }
-
-    fn opt_duration(&mut self, key: &str, default: SimDuration) -> Result<SimDuration> {
-        match self.take(key) {
-            None => Ok(default),
-            Some((v, line)) => Ok(SimDuration::from_micros(self.duration_of(key, v, line)?)),
-        }
-    }
-
-    fn req_instant(&mut self, key: &str) -> Result<SimTime> {
-        let (v, line) = self.req(key)?;
-        Ok(SimTime::from_micros(self.duration_of(key, v, line)?))
-    }
-
-    fn opt_instant(&mut self, key: &str, default: SimTime) -> Result<SimTime> {
-        match self.take(key) {
-            None => Ok(default),
-            Some((v, line)) => Ok(SimTime::from_micros(self.duration_of(key, v, line)?)),
-        }
-    }
-
-    fn finish(self) -> Result<()> {
-        if let Some((key, (_, line))) = self.entries.into_iter().next() {
-            return Err(ScenarioFileError::at(
-                line,
-                format!(
-                    "key `{key}` in [{}] does not apply to this configuration \
-                     (all keys: {})",
-                    self.path,
-                    self.valid_keys.join(", ")
-                ),
-            ));
-        }
-        Ok(())
-    }
-}
-
-#[derive(Clone, Copy)]
-enum FloatCheck {
-    Positive,
-    NonNegative,
-    Fraction,
-    LossProbability,
-}
 
 /// Parses `"<digits><unit>"` with unit `us`, `ms` or `s` into microseconds.
 fn parse_duration_str(s: &str) -> Option<u64> {
@@ -610,18 +377,976 @@ fn fmt_duration_us(us: u64) -> String {
     }
 }
 
-fn fmt_dur(d: SimDuration) -> String {
-    fmt_duration_us(d.as_micros())
+/// Renders a conformed value as the lexer reads it back: floats in the
+/// shortest notation that round-trips (finite ones always re-lex as a
+/// float or integer literal), strings with exactly the escapes
+/// [`parse_string`] accepts.
+fn render(value: &Value) -> std::result::Result<String, String> {
+    Ok(match value {
+        Value::Int(i) => i.to_string(),
+        Value::Float(x) => format!("{x:?}"),
+        Value::Bool(b) => b.to_string(),
+        Value::Time(us) => fmt_duration_us(*us),
+        Value::Str(s) => {
+            let mut out = String::with_capacity(s.len() + 2);
+            out.push('"');
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\t' => out.push_str("\\t"),
+                    c if c.is_control() => {
+                        return Err(format!(
+                            "{s:?} holds the control character {c:?}, which the format cannot carry"
+                        ))
+                    }
+                    c => out.push(c),
+                }
+            }
+            out.push('"');
+            out
+        }
+    })
 }
 
-fn fmt_time(t: SimTime) -> String {
-    fmt_duration_us(t.as_micros())
+// ---------------------------------------------------------------------------
+// The schema: every section and key of the grammar, spelled once
+// ---------------------------------------------------------------------------
+
+/// A key's type and, with it, its range.
+#[derive(Clone, Copy)]
+enum Ty {
+    Str,
+    /// An integer in `lo..=hi`.
+    Int {
+        lo: u64,
+        hi: u64,
+    },
+    Float(FloatCheck),
+    Bool,
+    /// A duration or instant: `"<count><us|ms|s>"`, held as microseconds.
+    Time,
 }
 
-/// Shortest float notation that round-trips and always re-lexes as a
-/// float or integer literal.
-fn fmt_float(x: f64) -> String {
-    format!("{x:?}")
+#[derive(Clone, Copy)]
+enum FloatCheck {
+    Positive,
+    NonNegative,
+    Fraction,
+    LossProbability,
+}
+
+/// What an absent key means.
+#[derive(Clone, Copy)]
+enum Need {
+    /// An error, blamed on the section header.
+    Req,
+    /// Nothing — unless the section's `defaults` list the key.
+    Opt,
+    /// This value (a `fn` because a [`Value`] cannot sit in a `static`).
+    Def(fn() -> Value),
+}
+
+struct Key {
+    name: &'static str,
+    ty: Ty,
+    need: Need,
+    /// The selector value this key applies under; `None` = always.
+    when: Option<&'static str>,
+}
+
+const fn key(name: &'static str, ty: Ty, need: Need) -> Key {
+    Key {
+        name,
+        ty,
+        need,
+        when: None,
+    }
+}
+
+const fn range(lo: u64, hi: u64) -> Ty {
+    Ty::Int { lo, hi }
+}
+
+const fn when(selected: &'static str, name: &'static str, ty: Ty, need: Need) -> Key {
+    Key {
+        name,
+        ty,
+        need,
+        when: Some(selected),
+    }
+}
+
+type Pair = (&'static str, Value);
+type Rule = fn(&Bag<'_>) -> std::result::Result<(), String>;
+
+struct Section {
+    path: &'static str,
+    /// Whether a file without the section is an error.
+    required: bool,
+    /// The key whose value picks which `when` keys apply, and the noun
+    /// its unknown-value error uses.
+    selector: Option<(&'static str, &'static str)>,
+    /// In the order `valid keys:` lists them and [`to_toml`] writes them.
+    keys: &'static [Key],
+    /// The section's default struct, listed: supplies absent `Opt` keys.
+    defaults: Option<fn() -> Vec<Pair>>,
+    /// The cross-field check, run by [`conform`] — so in both directions
+    /// — once every key has passed its own. Its error is prefixed with
+    /// `[path]` and blamed on the selector's line, else the header's.
+    rule: Option<Rule>,
+}
+
+/// What every section literal below updates: optional, no selector, no
+/// listed defaults, no rule.
+const OPTIONAL: Section = Section {
+    path: "",
+    required: false,
+    selector: None,
+    keys: &[],
+    defaults: None,
+    rule: None,
+};
+
+use FloatCheck::{Fraction, LossProbability, NonNegative, Positive};
+use Need::{Def, Opt, Req};
+use Ty::{Bool, Float, Int, Str, Time};
+
+const U64: Ty = range(0, u64::MAX);
+/// Topics a node subscribes to: at most the largest topic universe.
+const APPETITE: Ty = range(0, 1_000_000);
+/// A node-id boundary (`< split` on one side, the rest on the other).
+const SPLIT: Ty = range(0, MAX_NODES as u64);
+const BUCKETS: Ty = range(1, 100_000);
+
+static SCENARIO: Section = Section {
+    path: "scenario",
+    required: true,
+    keys: &[
+        key("name", Str, Opt),
+        key("summary", Str, Opt),
+        key("arch", Str, Req),
+        key("nodes", range(1, MAX_NODES as u64), Req),
+        key("seed", U64, Req),
+        key("shards", range(1, MAX_SHARDS as u64), Def(|| Value::Int(1))),
+        key("placement", Str, Def(|| Value::Str("round-robin".into()))),
+        key("adaptive_window", Bool, Def(|| Value::Bool(true))),
+    ],
+    ..OPTIONAL
+};
+
+static TOPICS: Section = Section {
+    path: "topics",
+    required: true,
+    keys: &[
+        key("count", range(1, 1_000_000), Req),
+        key("zipf_s", Float(NonNegative), Def(|| Value::Float(1.0))),
+    ],
+    ..OPTIONAL
+};
+
+static INTEREST: Section = Section {
+    path: "interest",
+    required: true,
+    selector: Some(("appetite", "kind")),
+    keys: &[
+        key("appetite", Str, Req),
+        when("fixed", "topics_per_node", APPETITE, Req),
+        when("uniform", "lo", APPETITE, Req),
+        when("uniform", "hi", APPETITE, Req),
+        when("bimodal", "heavy_fraction", Float(Fraction), Req),
+        when("bimodal", "heavy", APPETITE, Req),
+        when("bimodal", "light", APPETITE, Req),
+    ],
+    rule: Some(|b| {
+        if b.str("appetite") == "uniform" && b.int("lo") > b.int("hi") {
+            let (lo, hi) = (b.int("lo"), b.int("hi"));
+            return Err(format!("uniform appetite needs lo <= hi (got {lo} > {hi})"));
+        }
+        Ok(())
+    }),
+    ..OPTIONAL
+};
+
+static PUBLISH: Section = Section {
+    path: "publish",
+    required: true,
+    keys: &[
+        key("rate_per_sec", Float(Positive), Req),
+        key("duration", Time, Req),
+        key("warmup", Time, Def(|| Value::Time(1_000_000))),
+        key(
+            "topic_zipf_s",
+            Float(NonNegative),
+            Def(|| Value::Float(1.0)),
+        ),
+        key("payload_bytes", range(0, 1 << 20), Def(|| Value::Int(64))),
+    ],
+    // The run horizon is `warmup + duration + drain` on the u64
+    // microsecond clock; reject phases that would overflow it so "a file
+    // that parses is guaranteed to run" holds.
+    rule: Some(|b| {
+        let end = b.micros("warmup").checked_add(b.micros("duration"));
+        match end.and_then(|v| v.checked_add(4_000_000)) {
+            Some(_) => Ok(()),
+            None => Err("warmup + duration overflows the simulation clock".to_string()),
+        }
+    }),
+    ..OPTIONAL
+};
+
+static FLASH: Section = Section {
+    path: "publish.flash",
+    keys: &[
+        key("at", Time, Req),
+        key("topic_zipf_s", Float(NonNegative), Req),
+        key("rate_factor", Float(Positive), Def(|| Value::Float(1.0))),
+    ],
+    ..OPTIONAL
+};
+
+/// Its presence enables churn.
+static CHURN: Section = Section {
+    path: "churn",
+    keys: &[
+        key("mean_session_secs", Float(Positive), Opt),
+        key("mean_downtime_secs", Float(Positive), Opt),
+        key("churning_fraction", Float(Fraction), Opt),
+        key("duration", Time, Opt),
+        key("warmup", Time, Opt),
+    ],
+    defaults: Some(|| churn_pairs(&ChurnPlan::default())),
+    ..OPTIONAL
+};
+
+/// Absent, the network is the standard reliable 10 ms one.
+static NETWORK: Section = Section {
+    path: "network",
+    selector: Some(("latency", "model")),
+    keys: &[
+        key("latency", Str, Req),
+        when("constant", "delay", Time, Req),
+        when("uniform", "lo", Time, Req),
+        when("uniform", "hi", Time, Req),
+        when("lognormal", "median_ms", Float(Positive), Req),
+        when("lognormal", "sigma", Float(NonNegative), Req),
+        when("lognormal", "floor", Time, Def(|| Value::Time(0))),
+        key("loss", Float(LossProbability), Def(|| Value::Float(0.0))),
+    ],
+    rule: Some(|b| {
+        if b.str("latency") == "uniform" && b.micros("lo") > b.micros("hi") {
+            let (lo, hi) = (b.micros("lo"), b.micros("hi"));
+            return Err(format!(
+                "uniform latency needs lo <= hi (got {lo}us > {hi}us)"
+            ));
+        }
+        Ok(())
+    }),
+    ..OPTIONAL
+};
+
+// [faults.*] — scheduled faults, applied by the network model as pure
+// functions of (now, from, to). Each subsection is a single fault window.
+
+static FAULT_PARTITION: Section = Section {
+    path: "faults.partition",
+    keys: &[
+        key("at", Time, Req),
+        key("heal", Time, Req),
+        key("split", SPLIT, Req),
+    ],
+    rule: Some(|b| window_rule(b, "heal")),
+    ..OPTIONAL
+};
+
+static FAULT_ONEWAY: Section = Section {
+    path: "faults.oneway",
+    keys: &[
+        key("at", Time, Req),
+        key("until", Time, Req),
+        key("split", SPLIT, Req),
+    ],
+    rule: Some(|b| window_rule(b, "until")),
+    ..OPTIONAL
+};
+
+static FAULT_DELAY: Section = Section {
+    path: "faults.delay",
+    keys: &[
+        key("at", Time, Req),
+        key("until", Time, Req),
+        key("extra", Time, Req),
+    ],
+    rule: Some(|b| window_rule(b, "until")),
+    ..OPTIONAL
+};
+
+/// A fault window must be non-empty: `at` strictly before its `end` key.
+fn window_rule(b: &Bag<'_>, end: &str) -> std::result::Result<(), String> {
+    let (at, to) = (b.micros("at"), b.micros(end));
+    if at >= to {
+        return Err(format!("needs at < {end} (got {at}us >= {to}us)"));
+    }
+    Ok(())
+}
+
+// [mobility] + [mobility.seg0], [mobility.seg1], … — a piecewise
+// cross-split trace. Segments are numbered subsections because the
+// format has no array-of-tables; the rule over the whole trace is
+// `mobility_rule`.
+
+static MOBILITY: Section = Section {
+    path: "mobility",
+    keys: &[key("split", SPLIT, Req), key("period", Time, Opt)],
+    ..OPTIONAL
+};
+
+static MOBILITY_SEGMENT: Section = Section {
+    path: "mobility.seg<k>",
+    keys: &[
+        key("at", Time, Req),
+        key("extra", Time, Def(|| Value::Time(0))),
+        key("disconnected", Bool, Def(|| Value::Bool(false))),
+    ],
+    ..OPTIONAL
+};
+
+/// Its presence enables the SWIM failure detector on gossip-based
+/// architectures.
+static MEMBERSHIP: Section = Section {
+    path: "membership",
+    keys: &[
+        key("probe_period", Time, Opt),
+        key("probe_timeout", Time, Opt),
+        key("ping_req_fanout", range(0, 1_000), Opt),
+        key("suspect_timeout", Time, Opt),
+        key("max_piggyback", range(1, 10_000), Opt),
+        key("gossip_multiplier", range(1, 1_000), Opt),
+    ],
+    defaults: Some(|| swim_pairs(&SwimConfig::standard())),
+    // A zero probe period would re-arm the protocol tick at the same
+    // instant forever; reject it so "a file that parses is guaranteed to
+    // run" holds.
+    rule: Some(|b| match b.micros("probe_period") {
+        0 => Err("probe_period must be positive".to_string()),
+        _ => Ok(()),
+    }),
+    ..OPTIONAL
+};
+
+/// Its presence enables the streaming series.
+static TELEMETRY: Section = Section {
+    path: "telemetry",
+    keys: &[
+        key("window", Time, Opt),
+        key("load_hi", Float(Positive), Opt),
+        key("load_buckets", BUCKETS, Opt),
+        key("latency_hi_ms", Float(Positive), Opt),
+        key("latency_buckets", BUCKETS, Opt),
+    ],
+    defaults: Some(|| telemetry_pairs(&TelemetrySpec::default())),
+    rule: Some(|b| TelemetrySpec::checked(telemetry_of(b)).map(drop)),
+    ..OPTIONAL
+};
+
+/// Its presence (even empty) enables scheduler profiling.
+static PROFILE: Section = Section {
+    path: "profile",
+    keys: &[key("trace", Str, Opt)],
+    rule: Some(|b| ProfileSpec::checked(profile_of(b)).map(drop)),
+    ..OPTIONAL
+};
+
+/// Its presence (even empty) enables per-event dissemination tracing.
+static TRACE: Section = Section {
+    path: "trace",
+    keys: &[
+        key("sample_rate", Float(Fraction), Opt),
+        key("salt", U64, Opt),
+        key("export", Str, Opt),
+    ],
+    defaults: Some(|| trace_pairs(&TraceSpec::default())),
+    rule: Some(|b| TraceSpec::checked(trace_of(b)).map(drop)),
+    ..OPTIONAL
+};
+
+/// All sections a scenario file may contain.
+static SCHEMA: [&Section; 16] = [
+    &SCENARIO,
+    &TOPICS,
+    &INTEREST,
+    &PUBLISH,
+    &FLASH,
+    &CHURN,
+    &NETWORK,
+    &FAULT_PARTITION,
+    &FAULT_ONEWAY,
+    &FAULT_DELAY,
+    &MOBILITY,
+    &MOBILITY_SEGMENT,
+    &MEMBERSHIP,
+    &TELEMETRY,
+    &PROFILE,
+    &TRACE,
+];
+
+// ---------------------------------------------------------------------------
+// The read pass: (section, entries) → checked, typed fields
+// ---------------------------------------------------------------------------
+
+/// Checks one value against its key's type and range, converting what
+/// the lexer cannot know (a duration string, an integer where a float
+/// is expected). Values [`to_toml`] lists are already typed and only
+/// get the check.
+fn conform_value(ty: Ty, value: Value) -> std::result::Result<Value, String> {
+    let expected = |what: &str, got: &Value| format!("expected {what}, got {}", got.type_name());
+    match (ty, value) {
+        (Str, v @ Value::Str(_)) | (Bool, v @ Value::Bool(_)) | (Time, v @ Value::Time(_)) => Ok(v),
+        (Str, other) => Err(expected("a string", &other)),
+        (Bool, other) => Err(expected("true or false", &other)),
+        (Time, Value::Str(s)) => match parse_duration_str(&s) {
+            Some(us) => Ok(Value::Time(us)),
+            None => Err(format!(
+                "bad duration {s:?} (expected an integer count with unit, \
+                 e.g. \"250us\", \"10ms\", \"2s\")"
+            )),
+        },
+        (Time, other) => Err(expected("a string", &other)),
+        (Int { lo, hi }, Value::Int(i)) => {
+            if i >= lo.into() && i <= hi.into() {
+                Ok(Value::Int(i))
+            } else if hi == u64::MAX {
+                // `seed` and `salt` take any u64; say so instead of a range.
+                Err(format!("{i} does not fit an unsigned 64-bit value"))
+            } else {
+                Err(format!("{i} is out of range (expected {lo}..={hi})"))
+            }
+        }
+        (Int { .. }, other) => Err(expected("an integer", &other)),
+        // Integer literals are fine where a float is expected.
+        (Float(check), Value::Int(i)) => check_float(check, i as f64),
+        (Float(check), Value::Float(x)) => check_float(check, x),
+        (Float(_), other) => Err(expected("a number", &other)),
+    }
+}
+
+fn check_float(check: FloatCheck, x: f64) -> std::result::Result<Value, String> {
+    // The lexer only yields finite floats; a spec built in code may not.
+    if !x.is_finite() {
+        return Err(format!("{x} must be finite"));
+    }
+    match check {
+        Positive if x <= 0.0 => Err(format!("{x} must be strictly positive")),
+        NonNegative if x < 0.0 => Err(format!("{x} must be non-negative")),
+        Fraction if !(0.0..=1.0).contains(&x) => Err(format!("{x} must be a fraction in [0, 1]")),
+        LossProbability if !(0.0..1.0).contains(&x) => {
+            Err(format!("{x} must be a loss probability in [0, 1)"))
+        }
+        _ => Ok(Value::Float(x)),
+    }
+}
+
+/// One section's conformed fields in schema order. Every key that
+/// applies and is required, defaulted or given is here with its schema
+/// type, which is what lets the typed getters be infallible.
+struct Bag<'a> {
+    path: &'a str,
+    /// Where the section's rule blames: the selector's line if there is
+    /// one, else the header's; `None` on the write side.
+    blame: Option<usize>,
+    fields: Vec<(&'static str, Value, Option<usize>)>,
+}
+
+impl Bag<'_> {
+    fn get(&self, key: &str) -> Option<&Value> {
+        let field = self.fields.iter().find(|(name, ..)| *name == key);
+        field.map(|(_, value, _)| value)
+    }
+
+    fn val(&self, key: &str) -> &Value {
+        self.get(key)
+            .expect("the schema guarantees a required or defaulted key")
+    }
+
+    fn str(&self, key: &str) -> &str {
+        match self.val(key) {
+            Value::Str(s) => s,
+            _ => unreachable!("conformed to Ty::Str"),
+        }
+    }
+
+    /// An optional `Str` key, owned.
+    fn string(&self, key: &str) -> Option<String> {
+        self.get(key).map(|_| self.str(key).to_string())
+    }
+
+    fn u64(&self, key: &str) -> u64 {
+        match self.val(key) {
+            Value::Int(i) => u64::try_from(*i).expect("every Int range lies within u64"),
+            _ => unreachable!("conformed to Ty::Int"),
+        }
+    }
+
+    fn int(&self, key: &str) -> usize {
+        usize::try_from(self.u64(key)).expect("every bounded Int range fits usize")
+    }
+
+    fn float(&self, key: &str) -> f64 {
+        match self.val(key) {
+            Value::Float(x) => *x,
+            _ => unreachable!("conformed to Ty::Float"),
+        }
+    }
+
+    fn bool(&self, key: &str) -> bool {
+        match self.val(key) {
+            Value::Bool(b) => *b,
+            _ => unreachable!("conformed to Ty::Bool"),
+        }
+    }
+
+    fn micros(&self, key: &str) -> u64 {
+        match self.val(key) {
+            Value::Time(us) => *us,
+            _ => unreachable!("conformed to Ty::Time"),
+        }
+    }
+
+    fn duration(&self, key: &str) -> SimDuration {
+        SimDuration::from_micros(self.micros(key))
+    }
+
+    fn instant(&self, key: &str) -> SimTime {
+        SimTime::from_micros(self.micros(key))
+    }
+
+    /// A `Str` key naming a variant of an enum that has its own `parse`.
+    fn named<T>(
+        &self,
+        key: &str,
+        noun: &str,
+        parse: fn(&str) -> Option<T>,
+        valid: &[&str],
+    ) -> Result<T> {
+        let name = self.str(key);
+        parse(name).ok_or_else(|| {
+            let line = self.fields.iter().find(|f| f.0 == key).and_then(|f| f.2);
+            let (path, valid) = (self.path, valid.join(", "));
+            let what = format!("[{path}] {key}: unknown {noun} {name:?} (valid: {valid})");
+            ScenarioFileError::new(line, what)
+        })
+    }
+}
+
+/// The one check both directions share. `entries` are a lexed section's
+/// `(key, value, line)` triples, or the pairs [`to_toml`] is about to
+/// write (no lines). In order: an unknown key; then, key by key in
+/// schema order, a missing required key (blamed on the header), a wrong
+/// type or an out-of-range value (blamed on the key's line); a key that
+/// belongs to another selector value; the section's cross-field rule.
+fn conform<'a>(
+    sec: &'static Section,
+    path: &'a str,
+    header: Option<usize>,
+    mut entries: Vec<(String, Value, Option<usize>)>,
+) -> Result<Bag<'a>> {
+    let key_list = || {
+        let names: Vec<&str> = sec.keys.iter().map(|k| k.name).collect();
+        names.join(", ")
+    };
+    // Reject typos up front so "unknown key" wins over "missing
+    // required key" when both apply.
+    let known = |name: &str| sec.keys.iter().any(|k| k.name == name);
+    if let Some((key, _, line)) = entries.iter().find(|(key, ..)| !known(key)) {
+        let what = format!(
+            "unknown key `{key}` in [{path}] (valid keys: {})",
+            key_list()
+        );
+        return Err(ScenarioFileError::new(*line, what));
+    }
+    let mut bag = Bag {
+        path,
+        blame: header,
+        fields: Vec::with_capacity(sec.keys.len()),
+    };
+    let mut defaults = None;
+    let mut selected = None;
+    for key in sec.keys {
+        if key.when.is_some() && key.when != selected {
+            continue;
+        }
+        let given = entries.iter().position(|(name, ..)| name == key.name);
+        let (value, line) = match (given, key.need) {
+            (Some(i), _) => {
+                let (_, value, line) = entries.remove(i);
+                let value = conform_value(key.ty, value).map_err(|what| {
+                    ScenarioFileError::new(line, format!("[{path}] {}: {what}", key.name))
+                })?;
+                (value, line)
+            }
+            (None, Req) => {
+                let what = format!("[{path}] is missing the required key `{}`", key.name);
+                return Err(ScenarioFileError::new(header, what));
+            }
+            (None, Def(value)) => (value(), None),
+            (None, Opt) => {
+                let listed: &Vec<Pair> = defaults
+                    .get_or_insert_with(|| sec.defaults.map(|list| list()).unwrap_or_default());
+                match listed.iter().find(|(name, _)| *name == key.name) {
+                    Some((_, value)) => (value.clone(), None),
+                    None => continue,
+                }
+            }
+        };
+        if let (Some((selector, noun)), Value::Str(kind)) = (sec.selector, &value) {
+            if selector == key.name {
+                let mut kinds: Vec<&str> = sec.keys.iter().filter_map(|k| k.when).collect();
+                kinds.dedup();
+                selected = kinds.iter().copied().find(|k| k == kind);
+                if selected.is_none() {
+                    let valid = kinds.join(", ");
+                    let what =
+                        format!("[{path}] {selector}: unknown {noun} {kind:?} (valid: {valid})");
+                    return Err(ScenarioFileError::new(line, what));
+                }
+                bag.blame = line;
+            }
+        }
+        bag.fields.push((key.name, value, line));
+    }
+    if let Some((key, _, line)) = entries.first() {
+        let what = format!(
+            "key `{key}` in [{path}] does not apply to this configuration (all keys: {})",
+            key_list()
+        );
+        return Err(ScenarioFileError::new(*line, what));
+    }
+    if let Some(rule) = sec.rule {
+        rule(&bag).map_err(|what| ScenarioFileError::new(bag.blame, format!("[{path}] {what}")))?;
+    }
+    Ok(bag)
+}
+
+impl Document {
+    /// Takes the section at `path` out of the document and conforms it
+    /// to `sec`; `None` when the file has no such section — an error if
+    /// the schema requires it.
+    fn read<'a>(&mut self, sec: &'static Section, path: &'a str) -> Result<Option<Bag<'a>>> {
+        let Some(lexed) = self.sections.remove(path) else {
+            let missing = format!("missing required section [{path}]");
+            return if sec.required {
+                Err(ScenarioFileError::global(missing))
+            } else {
+                Ok(None)
+            };
+        };
+        let entries = lexed.entries.into_iter();
+        let entries = entries.map(|(key, (value, line))| (key, value, Some(line)));
+        conform(sec, path, Some(lexed.header_line), entries.collect()).map(Some)
+    }
+
+    fn optional(&mut self, sec: &'static Section) -> Result<Option<Bag<'static>>> {
+        self.read(sec, sec.path)
+    }
+
+    fn required(&mut self, sec: &'static Section) -> Result<Bag<'static>> {
+        let bag = self.optional(sec)?;
+        Ok(bag.expect("read() turns an absent required section into an error"))
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Per section: build the struct from its bag, list the struct's values
+// ---------------------------------------------------------------------------
+
+fn int(i: usize) -> Value {
+    Value::Int(i as i128)
+}
+
+fn appetite_of(b: &Bag<'_>) -> Appetite {
+    match b.str("appetite") {
+        "fixed" => Appetite::Fixed(b.int("topics_per_node")),
+        "uniform" => Appetite::Uniform {
+            lo: b.int("lo"),
+            hi: b.int("hi"),
+        },
+        // `conform` admits only the schema's three kinds.
+        _ => Appetite::Bimodal {
+            heavy_fraction: b.float("heavy_fraction"),
+            heavy: b.int("heavy"),
+            light: b.int("light"),
+        },
+    }
+}
+
+fn appetite_pairs(appetite: &Appetite) -> Vec<Pair> {
+    let kind = |name: &str| ("appetite", Value::Str(name.to_string()));
+    match *appetite {
+        Appetite::Fixed(k) => vec![kind("fixed"), ("topics_per_node", int(k))],
+        Appetite::Uniform { lo, hi } => vec![kind("uniform"), ("lo", int(lo)), ("hi", int(hi))],
+        Appetite::Bimodal {
+            heavy_fraction,
+            heavy,
+            light,
+        } => vec![
+            kind("bimodal"),
+            ("heavy_fraction", Value::Float(heavy_fraction)),
+            ("heavy", int(heavy)),
+            ("light", int(light)),
+        ],
+    }
+}
+
+fn plan_of(b: &Bag<'_>, flash: Option<FlashCrowd>) -> PubPlan {
+    PubPlan {
+        rate_per_sec: b.float("rate_per_sec"),
+        duration: b.instant("duration"),
+        topic_zipf_s: b.float("topic_zipf_s"),
+        payload_bytes: b.int("payload_bytes"),
+        warmup: b.instant("warmup"),
+        flash,
+    }
+}
+
+fn plan_pairs(plan: &PubPlan) -> Vec<Pair> {
+    vec![
+        ("rate_per_sec", Value::Float(plan.rate_per_sec)),
+        ("duration", Value::Time(plan.duration.as_micros())),
+        ("warmup", Value::Time(plan.warmup.as_micros())),
+        ("topic_zipf_s", Value::Float(plan.topic_zipf_s)),
+        ("payload_bytes", int(plan.payload_bytes)),
+    ]
+}
+
+fn flash_of(b: &Bag<'_>) -> FlashCrowd {
+    FlashCrowd {
+        at: b.instant("at"),
+        topic_zipf_s: b.float("topic_zipf_s"),
+        rate_factor: b.float("rate_factor"),
+    }
+}
+
+fn flash_pairs(flash: &FlashCrowd) -> Vec<Pair> {
+    vec![
+        ("at", Value::Time(flash.at.as_micros())),
+        ("topic_zipf_s", Value::Float(flash.topic_zipf_s)),
+        ("rate_factor", Value::Float(flash.rate_factor)),
+    ]
+}
+
+fn churn_of(b: &Bag<'_>) -> ChurnPlan {
+    ChurnPlan {
+        mean_session_secs: b.float("mean_session_secs"),
+        mean_downtime_secs: b.float("mean_downtime_secs"),
+        churning_fraction: b.float("churning_fraction"),
+        duration: b.instant("duration"),
+        warmup: b.instant("warmup"),
+    }
+}
+
+fn churn_pairs(churn: &ChurnPlan) -> Vec<Pair> {
+    vec![
+        ("mean_session_secs", Value::Float(churn.mean_session_secs)),
+        ("mean_downtime_secs", Value::Float(churn.mean_downtime_secs)),
+        ("churning_fraction", Value::Float(churn.churning_fraction)),
+        ("duration", Value::Time(churn.duration.as_micros())),
+        ("warmup", Value::Time(churn.warmup.as_micros())),
+    ]
+}
+
+fn net_of(b: &Bag<'_>) -> NetworkModel {
+    let latency = match b.str("latency") {
+        "constant" => LatencyModel::Constant(b.duration("delay")),
+        "uniform" => LatencyModel::Uniform {
+            lo: b.duration("lo"),
+            hi: b.duration("hi"),
+        },
+        // `conform` admits only the schema's three models.
+        _ => LatencyModel::LogNormalMs {
+            median_ms: b.float("median_ms"),
+            sigma: b.float("sigma"),
+            floor: b.duration("floor"),
+        },
+    };
+    match b.float("loss") {
+        loss if loss > 0.0 => NetworkModel::lossy(latency, loss),
+        _ => NetworkModel::reliable(latency),
+    }
+}
+
+fn net_pairs(net: &NetworkModel) -> Vec<Pair> {
+    let model = |name: &str| ("latency", Value::Str(name.to_string()));
+    let mut pairs = match *net.latency_model() {
+        LatencyModel::Constant(d) => vec![model("constant"), ("delay", Value::Time(d.as_micros()))],
+        LatencyModel::Uniform { lo, hi } => vec![
+            model("uniform"),
+            ("lo", Value::Time(lo.as_micros())),
+            ("hi", Value::Time(hi.as_micros())),
+        ],
+        LatencyModel::LogNormalMs {
+            median_ms,
+            sigma,
+            floor,
+        } => vec![
+            model("lognormal"),
+            ("median_ms", Value::Float(median_ms)),
+            ("sigma", Value::Float(sigma)),
+            ("floor", Value::Time(floor.as_micros())),
+        ],
+    };
+    // A reliable network is written without the key. `!=`, not `>`: a
+    // NaN must reach the range check, not be dropped as "no loss".
+    if net.loss_probability() != 0.0 {
+        pairs.push(("loss", Value::Float(net.loss_probability())));
+    }
+    pairs
+}
+
+fn partition_of(b: &Bag<'_>) -> PartitionFault {
+    PartitionFault {
+        at: b.instant("at"),
+        heal: b.instant("heal"),
+        split: b.int("split") as u32,
+    }
+}
+
+fn partition_pairs(f: &PartitionFault) -> Vec<Pair> {
+    vec![
+        ("at", Value::Time(f.at.as_micros())),
+        ("heal", Value::Time(f.heal.as_micros())),
+        ("split", Value::Int(f.split.into())),
+    ]
+}
+
+fn oneway_of(b: &Bag<'_>) -> OnewayFault {
+    OnewayFault {
+        at: b.instant("at"),
+        until: b.instant("until"),
+        split: b.int("split") as u32,
+    }
+}
+
+fn oneway_pairs(f: &OnewayFault) -> Vec<Pair> {
+    vec![
+        ("at", Value::Time(f.at.as_micros())),
+        ("until", Value::Time(f.until.as_micros())),
+        ("split", Value::Int(f.split.into())),
+    ]
+}
+
+fn delay_of(b: &Bag<'_>) -> DelayFault {
+    DelayFault {
+        at: b.instant("at"),
+        until: b.instant("until"),
+        extra: b.duration("extra"),
+    }
+}
+
+fn delay_pairs(f: &DelayFault) -> Vec<Pair> {
+    vec![
+        ("at", Value::Time(f.at.as_micros())),
+        ("until", Value::Time(f.until.as_micros())),
+        ("extra", Value::Time(f.extra.as_micros())),
+    ]
+}
+
+fn segment_of(b: &Bag<'_>) -> MobilitySegment {
+    MobilitySegment {
+        at: b.instant("at"),
+        extra: b.duration("extra"),
+        disconnected: b.bool("disconnected"),
+    }
+}
+
+fn segment_pairs(s: &MobilitySegment) -> Vec<Pair> {
+    vec![
+        ("at", Value::Time(s.at.as_micros())),
+        ("extra", Value::Time(s.extra.as_micros())),
+        ("disconnected", Value::Bool(s.disconnected)),
+    ]
+}
+
+/// The rule over a whole trace — header plus segments, so not a
+/// [`Section::rule`] — blamed on the `[mobility]` header.
+fn mobility_rule(trace: &MobilityTrace, header: Option<usize>) -> Result<()> {
+    let checked = trace.validate();
+    checked.map_err(|e| ScenarioFileError::new(header, format!("[mobility] {e}")))
+}
+
+fn swim_of(b: &Bag<'_>) -> SwimConfig {
+    SwimConfig {
+        probe_period: b.duration("probe_period"),
+        probe_timeout: b.duration("probe_timeout"),
+        ping_req_fanout: b.int("ping_req_fanout"),
+        suspect_timeout: b.duration("suspect_timeout"),
+        max_piggyback: b.int("max_piggyback"),
+        gossip_multiplier: b.int("gossip_multiplier") as u32,
+    }
+}
+
+fn swim_pairs(m: &SwimConfig) -> Vec<Pair> {
+    vec![
+        ("probe_period", Value::Time(m.probe_period.as_micros())),
+        ("probe_timeout", Value::Time(m.probe_timeout.as_micros())),
+        ("ping_req_fanout", int(m.ping_req_fanout)),
+        (
+            "suspect_timeout",
+            Value::Time(m.suspect_timeout.as_micros()),
+        ),
+        ("max_piggyback", int(m.max_piggyback)),
+        ("gossip_multiplier", Value::Int(m.gossip_multiplier.into())),
+    ]
+}
+
+fn telemetry_of(b: &Bag<'_>) -> TelemetrySpec {
+    TelemetrySpec {
+        window: b.duration("window"),
+        load_hi: b.float("load_hi"),
+        load_buckets: b.int("load_buckets"),
+        latency_hi_ms: b.float("latency_hi_ms"),
+        latency_buckets: b.int("latency_buckets"),
+    }
+}
+
+fn telemetry_pairs(t: &TelemetrySpec) -> Vec<Pair> {
+    vec![
+        ("window", Value::Time(t.window.as_micros())),
+        ("load_hi", Value::Float(t.load_hi)),
+        ("load_buckets", int(t.load_buckets)),
+        ("latency_hi_ms", Value::Float(t.latency_hi_ms)),
+        ("latency_buckets", int(t.latency_buckets)),
+    ]
+}
+
+fn profile_of(b: &Bag<'_>) -> ProfileSpec {
+    ProfileSpec {
+        trace: b.string("trace"),
+    }
+}
+
+fn profile_pairs(p: &ProfileSpec) -> Vec<Pair> {
+    let trace = p.trace.clone().map(|path| ("trace", Value::Str(path)));
+    trace.into_iter().collect()
+}
+
+fn trace_of(b: &Bag<'_>) -> TraceSpec {
+    TraceSpec {
+        sample_rate: b.float("sample_rate"),
+        salt: b.u64("salt"),
+        export: b.string("export"),
+    }
+}
+
+fn trace_pairs(t: &TraceSpec) -> Vec<Pair> {
+    let mut pairs = vec![
+        ("sample_rate", Value::Float(t.sample_rate)),
+        ("salt", Value::Int(t.salt.into())),
+    ];
+    if let Some(export) = &t.export {
+        pairs.push(("export", Value::Str(export.clone())));
+    }
+    pairs
 }
 
 // ---------------------------------------------------------------------------
@@ -640,94 +1365,6 @@ pub struct ScenarioFile {
     pub spec: ScenarioSpec,
 }
 
-const SCENARIO_KEYS: &[&str] = &[
-    "name",
-    "summary",
-    "arch",
-    "nodes",
-    "seed",
-    "shards",
-    "placement",
-    "adaptive_window",
-];
-const TOPICS_KEYS: &[&str] = &["count", "zipf_s"];
-const INTEREST_KEYS: &[&str] = &[
-    "appetite",
-    "topics_per_node",
-    "lo",
-    "hi",
-    "heavy_fraction",
-    "heavy",
-    "light",
-];
-const PUBLISH_KEYS: &[&str] = &[
-    "rate_per_sec",
-    "duration",
-    "warmup",
-    "topic_zipf_s",
-    "payload_bytes",
-];
-const FLASH_KEYS: &[&str] = &["at", "topic_zipf_s", "rate_factor"];
-const CHURN_KEYS: &[&str] = &[
-    "mean_session_secs",
-    "mean_downtime_secs",
-    "churning_fraction",
-    "duration",
-    "warmup",
-];
-const NETWORK_KEYS: &[&str] = &[
-    "latency",
-    "delay",
-    "lo",
-    "hi",
-    "median_ms",
-    "sigma",
-    "floor",
-    "loss",
-];
-const TELEMETRY_KEYS: &[&str] = &[
-    "window",
-    "load_hi",
-    "load_buckets",
-    "latency_hi_ms",
-    "latency_buckets",
-];
-const PROFILE_KEYS: &[&str] = &["trace"];
-const TRACE_KEYS: &[&str] = &["sample_rate", "salt", "export"];
-const FAULT_PARTITION_KEYS: &[&str] = &["at", "heal", "split"];
-const FAULT_ONEWAY_KEYS: &[&str] = &["at", "until", "split"];
-const FAULT_DELAY_KEYS: &[&str] = &["at", "until", "extra"];
-const MOBILITY_KEYS: &[&str] = &["split", "period"];
-const MOBILITY_SEGMENT_KEYS: &[&str] = &["at", "extra", "disconnected"];
-const MEMBERSHIP_KEYS: &[&str] = &[
-    "probe_period",
-    "probe_timeout",
-    "ping_req_fanout",
-    "suspect_timeout",
-    "max_piggyback",
-    "gossip_multiplier",
-];
-
-/// All sections a scenario file may contain.
-const SECTIONS: &[&str] = &[
-    "scenario",
-    "topics",
-    "interest",
-    "publish",
-    "publish.flash",
-    "churn",
-    "network",
-    "faults.partition",
-    "faults.oneway",
-    "faults.delay",
-    "mobility",
-    "mobility.seg<k>",
-    "membership",
-    "telemetry",
-    "profile",
-    "trace",
-];
-
 /// Parses a complete scenario file.
 ///
 /// # Errors
@@ -738,446 +1375,46 @@ const SECTIONS: &[&str] = &[
 pub fn parse_scenario(input: &str) -> Result<ScenarioFile> {
     let mut doc = lex(input)?;
 
-    let mut section = |name: &str, keys: &'static [&'static str]| -> Result<Option<Reader>> {
-        doc.sections
-            .remove(name)
-            .map(|s| Reader::new(name, s, keys))
-            .transpose()
-    };
-
-    // [scenario] — required.
-    let Some(mut scenario) = section("scenario", SCENARIO_KEYS)? else {
-        return Err(ScenarioFileError::global(
-            "missing required section [scenario]",
-        ));
-    };
-    let name = scenario.opt_str("name")?.map(|(s, _)| s);
-    let summary = scenario.opt_str("summary")?.map(|(s, _)| s);
-    let (arch_name, arch_line) = scenario.req_str("arch")?;
-    let Some(arch) = Architecture::parse(&arch_name) else {
-        let valid: Vec<&str> = Architecture::ALL.iter().map(|a| a.name()).collect();
-        return Err(ScenarioFileError::at(
-            arch_line,
-            format!(
-                "[scenario] arch: unknown architecture {arch_name:?} (valid: {})",
-                valid.join(", ")
-            ),
-        ));
-    };
-    let n = scenario.req_usize("nodes", 1..=MAX_NODES)?;
-    let seed = scenario.req_u64("seed")?;
-    let shards = scenario.opt_usize("shards", 1..=MAX_SHARDS, 1)?;
-    let placement = match scenario.opt_str("placement")? {
-        None => Placement::RoundRobin,
-        Some((name, line)) => Placement::parse(&name).ok_or_else(|| {
-            let valid: Vec<&str> = Placement::ALL.iter().map(|p| p.name()).collect();
-            ScenarioFileError::at(
-                line,
-                format!(
-                    "[scenario] placement: unknown policy {name:?} (valid: {})",
-                    valid.join(", ")
-                ),
-            )
-        })?,
-    };
-    let adaptive_window = scenario.opt_bool("adaptive_window", true)?;
-    scenario.finish()?;
-
-    // [topics] — required.
-    let Some(mut topics) = section("topics", TOPICS_KEYS)? else {
-        return Err(ScenarioFileError::global(
-            "missing required section [topics]",
-        ));
-    };
-    let num_topics = topics.req_usize("count", 1..=1_000_000)?;
-    let zipf_s = topics.opt_float("zipf_s", FloatCheck::NonNegative, 1.0)?;
-    topics.finish()?;
-
-    // [interest] — required.
-    let Some(mut interest) = section("interest", INTEREST_KEYS)? else {
-        return Err(ScenarioFileError::global(
-            "missing required section [interest]",
-        ));
-    };
-    let (appetite_kind, appetite_line) = interest.req_str("appetite")?;
-    let appetite = match appetite_kind.as_str() {
-        "fixed" => Appetite::Fixed(interest.req_usize("topics_per_node", 0..=1_000_000)?),
-        "uniform" => {
-            let lo = interest.req_usize("lo", 0..=1_000_000)?;
-            let hi = interest.req_usize("hi", 0..=1_000_000)?;
-            if lo > hi {
-                return Err(ScenarioFileError::at(
-                    appetite_line,
-                    format!("[interest] uniform appetite needs lo <= hi (got {lo} > {hi})"),
-                ));
-            }
-            Appetite::Uniform { lo, hi }
-        }
-        "bimodal" => Appetite::Bimodal {
-            heavy_fraction: interest.req_float("heavy_fraction", FloatCheck::Fraction)?,
-            heavy: interest.req_usize("heavy", 0..=1_000_000)?,
-            light: interest.req_usize("light", 0..=1_000_000)?,
-        },
-        other => {
-            return Err(ScenarioFileError::at(
-                appetite_line,
-                format!(
-                    "[interest] appetite: unknown kind {other:?} (valid: fixed, uniform, bimodal)"
-                ),
-            ))
-        }
-    };
-    interest.finish()?;
-
-    // [publish] — required; [publish.flash] — optional.
-    let Some(mut publish) = section("publish", PUBLISH_KEYS)? else {
-        return Err(ScenarioFileError::global(
-            "missing required section [publish]",
-        ));
-    };
-    let publish_header = publish.header_line;
-    let rate_per_sec = publish.req_float("rate_per_sec", FloatCheck::Positive)?;
-    let duration = publish.req_instant("duration")?;
-    let warmup = publish.opt_instant("warmup", SimTime::from_secs(1))?;
-    let topic_zipf_s = publish.opt_float("topic_zipf_s", FloatCheck::NonNegative, 1.0)?;
-    let payload_bytes = publish.opt_usize("payload_bytes", 0..=1 << 20, 64)?;
-    publish.finish()?;
-    let flash = match section("publish.flash", FLASH_KEYS)? {
-        None => None,
-        Some(mut flash) => {
-            let f = FlashCrowd {
-                at: flash.req_instant("at")?,
-                topic_zipf_s: flash.req_float("topic_zipf_s", FloatCheck::NonNegative)?,
-                rate_factor: flash.opt_float("rate_factor", FloatCheck::Positive, 1.0)?,
-            };
-            flash.finish()?;
-            Some(f)
-        }
-    };
-    // The run horizon is `warmup + duration + drain` on the u64
-    // microsecond clock; reject files whose publication phase would
-    // overflow it so "a file that parses is guaranteed to run" holds.
-    if warmup
-        .as_micros()
-        .checked_add(duration.as_micros())
-        .and_then(|v| v.checked_add(4_000_000))
-        .is_none()
-    {
-        return Err(ScenarioFileError::at(
-            publish_header,
-            "[publish] warmup + duration overflows the simulation clock".to_string(),
-        ));
-    }
-    let plan = PubPlan {
-        rate_per_sec,
-        duration,
-        topic_zipf_s,
-        payload_bytes,
-        warmup,
-        flash,
-    };
-
-    // [churn] — optional; its presence enables churn.
-    let churn = match section("churn", CHURN_KEYS)? {
-        None => None,
-        Some(mut churn) => {
-            let d = ChurnPlan::default();
-            let plan = ChurnPlan {
-                mean_session_secs: churn.opt_float(
-                    "mean_session_secs",
-                    FloatCheck::Positive,
-                    d.mean_session_secs,
-                )?,
-                mean_downtime_secs: churn.opt_float(
-                    "mean_downtime_secs",
-                    FloatCheck::Positive,
-                    d.mean_downtime_secs,
-                )?,
-                churning_fraction: churn.opt_float(
-                    "churning_fraction",
-                    FloatCheck::Fraction,
-                    d.churning_fraction,
-                )?,
-                duration: churn.opt_instant("duration", d.duration)?,
-                warmup: churn.opt_instant("warmup", d.warmup)?,
-            };
-            churn.finish()?;
-            Some(plan)
-        }
-    };
-
-    // [network] — optional; defaults to the standard reliable 10 ms net.
-    let net = match section("network", NETWORK_KEYS)? {
+    let head = doc.required(&SCENARIO)?;
+    let arch_names = Architecture::ALL.map(Architecture::name);
+    let arch = head.named("arch", "architecture", Architecture::parse, &arch_names)?;
+    let placement_names = Placement::ALL.map(Placement::name);
+    let placement = head.named("placement", "policy", Placement::parse, &placement_names)?;
+    let topics = doc.required(&TOPICS)?;
+    let appetite = appetite_of(&doc.required(&INTEREST)?);
+    let publish = doc.required(&PUBLISH)?;
+    let flash = doc.optional(&FLASH)?.map(|b| flash_of(&b));
+    let churn = doc.optional(&CHURN)?.map(|b| churn_of(&b));
+    let net = match doc.optional(&NETWORK)? {
+        Some(b) => net_of(&b),
         None => NetworkModel::reliable(LatencyModel::Constant(SimDuration::from_millis(10))),
-        Some(mut network) => {
-            let (kind, kind_line) = network.req_str("latency")?;
-            let latency = match kind.as_str() {
-                "constant" => LatencyModel::Constant(network.req_duration("delay")?),
-                "uniform" => {
-                    let lo = network.req_duration("lo")?;
-                    let hi = network.req_duration("hi")?;
-                    if lo > hi {
-                        return Err(ScenarioFileError::at(
-                            kind_line,
-                            format!(
-                                "[network] uniform latency needs lo <= hi (got {}us > {}us)",
-                                lo.as_micros(),
-                                hi.as_micros()
-                            ),
-                        ));
-                    }
-                    LatencyModel::Uniform { lo, hi }
-                }
-                "lognormal" => LatencyModel::LogNormalMs {
-                    median_ms: network.req_float("median_ms", FloatCheck::Positive)?,
-                    sigma: network.req_float("sigma", FloatCheck::NonNegative)?,
-                    floor: network.opt_duration("floor", SimDuration::ZERO)?,
-                },
-                other => {
-                    return Err(ScenarioFileError::at(
-                        kind_line,
-                        format!(
-                            "[network] latency: unknown model {other:?} (valid: constant, uniform, lognormal)"
-                        ),
-                    ))
-                }
-            };
-            let loss = network.opt_float("loss", FloatCheck::LossProbability, 0.0)?;
-            network.finish()?;
-            if loss > 0.0 {
-                NetworkModel::lossy(latency, loss)
-            } else {
-                NetworkModel::reliable(latency)
-            }
-        }
-    };
-
-    // [faults.*] — optional scheduled faults, applied by the network
-    // model as pure functions of (now, from, to). Each subsection is a
-    // single fault window; the `split` boundary partitions node ids
-    // (`< split` on one side, the rest on the other).
-    let fault_partition = match section("faults.partition", FAULT_PARTITION_KEYS)? {
-        None => None,
-        Some(mut partition) => {
-            let header = partition.header_line;
-            let f = PartitionFault {
-                at: partition.req_instant("at")?,
-                heal: partition.req_instant("heal")?,
-                split: partition.req_usize("split", 0..=MAX_NODES)? as u32,
-            };
-            partition.finish()?;
-            if f.at >= f.heal {
-                return Err(ScenarioFileError::at(
-                    header,
-                    format!(
-                        "[faults.partition] needs at < heal (got {}us >= {}us)",
-                        f.at.as_micros(),
-                        f.heal.as_micros()
-                    ),
-                ));
-            }
-            Some(f)
-        }
-    };
-    let fault_oneway = match section("faults.oneway", FAULT_ONEWAY_KEYS)? {
-        None => None,
-        Some(mut oneway) => {
-            let header = oneway.header_line;
-            let f = OnewayFault {
-                at: oneway.req_instant("at")?,
-                until: oneway.req_instant("until")?,
-                split: oneway.req_usize("split", 0..=MAX_NODES)? as u32,
-            };
-            oneway.finish()?;
-            if f.at >= f.until {
-                return Err(ScenarioFileError::at(
-                    header,
-                    format!(
-                        "[faults.oneway] needs at < until (got {}us >= {}us)",
-                        f.at.as_micros(),
-                        f.until.as_micros()
-                    ),
-                ));
-            }
-            Some(f)
-        }
-    };
-    let fault_delay = match section("faults.delay", FAULT_DELAY_KEYS)? {
-        None => None,
-        Some(mut delay) => {
-            let header = delay.header_line;
-            let f = DelayFault {
-                at: delay.req_instant("at")?,
-                until: delay.req_instant("until")?,
-                extra: delay.req_duration("extra")?,
-            };
-            delay.finish()?;
-            if f.at >= f.until {
-                return Err(ScenarioFileError::at(
-                    header,
-                    format!(
-                        "[faults.delay] needs at < until (got {}us >= {}us)",
-                        f.at.as_micros(),
-                        f.until.as_micros()
-                    ),
-                ));
-            }
-            Some(f)
-        }
     };
     let faults = FaultSchedule {
-        partition: fault_partition,
-        oneway: fault_oneway,
-        delay: fault_delay,
+        partition: doc.optional(&FAULT_PARTITION)?.map(|b| partition_of(&b)),
+        oneway: doc.optional(&FAULT_ONEWAY)?.map(|b| oneway_of(&b)),
+        delay: doc.optional(&FAULT_DELAY)?.map(|b| delay_of(&b)),
     };
-
-    // [mobility] + [mobility.seg0], [mobility.seg1], … — optional
-    // time-varying connectivity: a piecewise cross-split trace, evaluated
-    // by the network model as a pure function of (now, from, to).
-    // Segments are numbered subsections because the format has no
-    // array-of-tables.
-    let mobility = match section("mobility", MOBILITY_KEYS)? {
+    let mobility = match doc.optional(&MOBILITY)? {
         None => None,
-        Some(mut mobility) => {
-            let header = mobility.header_line;
-            let split = mobility.req_usize("split", 0..=MAX_NODES)? as u32;
-            let period = match mobility.take("period") {
-                None => None,
-                Some((v, line)) => Some(SimDuration::from_micros(
-                    mobility.duration_of("period", v, line)?,
-                )),
-            };
-            mobility.finish()?;
+        Some(b) => {
             let mut segments = Vec::new();
-            while let Some(mut seg) = section(
-                &format!("mobility.seg{}", segments.len()),
-                MOBILITY_SEGMENT_KEYS,
-            )? {
-                let s = MobilitySegment {
-                    at: seg.req_instant("at")?,
-                    extra: seg.opt_duration("extra", SimDuration::ZERO)?,
-                    disconnected: seg.opt_bool("disconnected", false)?,
-                };
-                seg.finish()?;
-                segments.push(s);
+            let seg_path = |k: usize| format!("mobility.seg{k}");
+            while let Some(seg) = doc.read(&MOBILITY_SEGMENT, &seg_path(segments.len()))? {
+                segments.push(segment_of(&seg));
             }
             let trace = MobilityTrace {
-                split,
-                period,
+                split: b.int("split") as u32,
+                period: b.get("period").map(|_| b.duration("period")),
                 segments,
             };
-            trace
-                .validate()
-                .map_err(|e| ScenarioFileError::at(header, format!("[mobility] {e}")))?;
+            mobility_rule(&trace, b.blame)?;
             Some(trace)
         }
     };
-
-    // [membership] — optional; its presence enables the SWIM failure
-    // detector on gossip-based architectures. Every key defaults to
-    // [`SwimConfig::standard`].
-    let membership = match section("membership", MEMBERSHIP_KEYS)? {
-        None => None,
-        Some(mut membership) => {
-            let header = membership.header_line;
-            let d = SwimConfig::standard();
-            let cfg = SwimConfig {
-                probe_period: membership.opt_duration("probe_period", d.probe_period)?,
-                probe_timeout: membership.opt_duration("probe_timeout", d.probe_timeout)?,
-                ping_req_fanout: membership.opt_usize(
-                    "ping_req_fanout",
-                    0..=1_000,
-                    d.ping_req_fanout,
-                )?,
-                suspect_timeout: membership.opt_duration("suspect_timeout", d.suspect_timeout)?,
-                max_piggyback: membership.opt_usize(
-                    "max_piggyback",
-                    1..=10_000,
-                    d.max_piggyback,
-                )?,
-                gossip_multiplier: membership.opt_usize(
-                    "gossip_multiplier",
-                    1..=1_000,
-                    d.gossip_multiplier as usize,
-                )? as u32,
-            };
-            membership.finish()?;
-            // A zero probe period would re-arm the protocol tick at the
-            // same instant forever; reject it so "a file that parses is
-            // guaranteed to run" holds.
-            if cfg.probe_period == SimDuration::ZERO {
-                return Err(ScenarioFileError::at(
-                    header,
-                    "[membership] probe_period must be positive".to_string(),
-                ));
-            }
-            Some(cfg)
-        }
-    };
-
-    // [telemetry] — optional; its presence enables the streaming series.
-    let telemetry = match section("telemetry", TELEMETRY_KEYS)? {
-        None => None,
-        Some(mut telemetry) => {
-            let d = TelemetrySpec::default();
-            let window = telemetry.opt_duration("window", d.window)?;
-            let spec = TelemetrySpec {
-                window,
-                load_hi: telemetry.opt_float("load_hi", FloatCheck::Positive, d.load_hi)?,
-                load_buckets: telemetry.opt_usize("load_buckets", 1..=100_000, d.load_buckets)?,
-                latency_hi_ms: telemetry.opt_float(
-                    "latency_hi_ms",
-                    FloatCheck::Positive,
-                    d.latency_hi_ms,
-                )?,
-                latency_buckets: telemetry.opt_usize(
-                    "latency_buckets",
-                    1..=100_000,
-                    d.latency_buckets,
-                )?,
-            };
-            let header = telemetry.header_line;
-            telemetry.finish()?;
-            TelemetrySpec::checked(spec)
-                .map_err(|e| ScenarioFileError::at(header, format!("[telemetry] {e}")))?;
-            Some(spec)
-        }
-    };
-
-    // [profile] — optional; its presence (even empty) enables scheduler
-    // profiling.
-    let profile = match section("profile", PROFILE_KEYS)? {
-        None => None,
-        Some(mut profile) => {
-            let spec = ProfileSpec {
-                trace: profile.opt_str("trace")?.map(|(s, _)| s),
-            };
-            let header = profile.header_line;
-            profile.finish()?;
-            ProfileSpec::checked(spec.clone())
-                .map_err(|e| ScenarioFileError::at(header, format!("[profile] {e}")))?;
-            Some(spec)
-        }
-    };
-
-    // [trace] — optional; its presence (even empty) enables per-event
-    // dissemination tracing.
-    let trace = match section("trace", TRACE_KEYS)? {
-        None => None,
-        Some(mut trace) => {
-            let d = TraceSpec::default();
-            let spec = TraceSpec {
-                sample_rate: trace.opt_float("sample_rate", FloatCheck::Fraction, d.sample_rate)?,
-                salt: trace.opt_u64("salt", d.salt)?,
-                export: trace.opt_str("export")?.map(|(s, _)| s),
-            };
-            let header = trace.header_line;
-            trace.finish()?;
-            TraceSpec::checked(spec.clone())
-                .map_err(|e| ScenarioFileError::at(header, format!("[trace] {e}")))?;
-            Some(spec)
-        }
-    };
+    let membership = doc.optional(&MEMBERSHIP)?.map(|b| swim_of(&b));
+    let telemetry = doc.optional(&TELEMETRY)?.map(|b| telemetry_of(&b));
+    let profile = doc.optional(&PROFILE)?.map(|b| profile_of(&b));
+    let trace = doc.optional(&TRACE)?.map(|b| trace_of(&b));
 
     // Leftover [mobility.*] sections get a targeted diagnosis: a segment
     // without its parent [mobility], a gap in the numbering, or a typo'd
@@ -1203,28 +1440,29 @@ pub fn parse_scenario(input: &str) -> Result<ScenarioFile> {
 
     // Anything left over is an unknown section.
     if let Some((path, sec)) = doc.sections.into_iter().next() {
+        let valid: Vec<&str> = SCHEMA.iter().map(|s| s.path).collect();
         return Err(ScenarioFileError::at(
             sec.header_line,
             format!(
                 "unknown section [{path}] (valid sections: {})",
-                SECTIONS.join(", ")
+                valid.join(", ")
             ),
         ));
     }
 
     Ok(ScenarioFile {
-        name,
-        summary,
+        name: head.string("name"),
+        summary: head.string("summary"),
         spec: ScenarioSpec {
             arch,
-            n,
-            shards,
+            n: head.int("nodes"),
+            shards: head.int("shards"),
             placement,
-            adaptive_window,
-            num_topics,
-            zipf_s,
+            adaptive_window: head.bool("adaptive_window"),
+            num_topics: topics.int("count"),
+            zipf_s: topics.float("zipf_s"),
             appetite,
-            plan,
+            plan: plan_of(&publish, flash),
             churn,
             telemetry,
             profile,
@@ -1233,7 +1471,7 @@ pub fn parse_scenario(input: &str) -> Result<ScenarioFile> {
             membership,
             faults,
             mobility,
-            seed,
+            seed: head.u64("seed"),
         },
     })
 }
@@ -1251,6 +1489,37 @@ pub fn spec_from_toml(input: &str) -> Result<ScenarioSpec> {
 // Serialization: ScenarioSpec → TOML
 // ---------------------------------------------------------------------------
 
+/// The write pass: appends `[path]` and its `pairs` to `out` — after
+/// [`conform`], the read pass's own check, has accepted them, which is
+/// why what is written parses back.
+fn write_section(
+    out: &mut String,
+    sec: &'static Section,
+    path: &str,
+    pairs: Vec<Pair>,
+) -> Result<()> {
+    let mut text = format!("[{path}]\n");
+    for (key, value) in &pairs {
+        let rendered = render(value)
+            .map_err(|what| ScenarioFileError::global(format!("[{path}] {key}: {what}")))?;
+        text.push_str(&format!("{key} = {rendered}\n"));
+    }
+    let entries = pairs
+        .into_iter()
+        .map(|(key, value)| (key.to_string(), value, None));
+    conform(sec, path, None, entries.collect())?;
+    if !out.is_empty() {
+        out.push('\n');
+    }
+    out.push_str(&text);
+    Ok(())
+}
+
+/// Writes a section that sits at its schema path, if the spec has it.
+fn put(out: &mut String, sec: &'static Section, pairs: Option<Vec<Pair>>) -> Result<()> {
+    pairs.map_or(Ok(()), |pairs| write_section(out, sec, sec.path, pairs))
+}
+
 /// Serializes a spec as a scenario file that parses back to an equal
 /// spec ([`parse_scenario`] ∘ [`to_toml`] is the identity — property
 /// tested).
@@ -1259,9 +1528,11 @@ pub fn spec_from_toml(input: &str) -> Result<ScenarioSpec> {
 ///
 /// Returns an error when the spec's network model carries an active
 /// *dynamic* partition (the `groups` device experiments install
-/// mid-run, as opposed to a scheduled `[faults.partition]`), or when a
-/// programmatically built spec carries a fault window or membership
-/// config the parser would reject (`at >= heal`, zero probe period).
+/// mid-run, as opposed to a scheduled `[faults.partition]`), faults or a
+/// mobility trace of its own; when a string holds a control character
+/// the format has no escape for; or when [`parse_scenario`] would
+/// reject the result — a value out of its key's range, a degenerate
+/// fault window, a zero probe period. The message names `[section] key`.
 pub fn to_toml(spec: &ScenarioSpec) -> Result<String> {
     if spec.net.is_partitioned() {
         return Err(ScenarioFileError::global(
@@ -1284,206 +1555,63 @@ pub fn to_toml(spec: &ScenarioSpec) -> Result<String> {
              put it in the spec's mobility field ([mobility])",
         ));
     }
-    // Mirror the parser's semantic checks so to_toml output always
-    // parses back.
-    if spec.faults.partition.is_some_and(|f| f.at >= f.heal) {
-        return Err(ScenarioFileError::global(
-            "[faults.partition] needs at < heal",
-        ));
-    }
-    if spec.faults.oneway.is_some_and(|f| f.at >= f.until) {
-        return Err(ScenarioFileError::global(
-            "[faults.oneway] needs at < until",
-        ));
-    }
-    if spec.faults.delay.is_some_and(|f| f.at >= f.until) {
-        return Err(ScenarioFileError::global("[faults.delay] needs at < until"));
-    }
+    let mut text = String::new();
+    let out = &mut text;
+    let head = vec![
+        ("arch", Value::Str(spec.arch.name().to_string())),
+        ("nodes", int(spec.n)),
+        ("seed", Value::Int(spec.seed.into())),
+        ("shards", int(spec.shards)),
+        ("placement", Value::Str(spec.placement.name().to_string())),
+        ("adaptive_window", Value::Bool(spec.adaptive_window)),
+    ];
+    put(out, &SCENARIO, Some(head))?;
+    let topics = vec![
+        ("count", int(spec.num_topics)),
+        ("zipf_s", Value::Float(spec.zipf_s)),
+    ];
+    put(out, &TOPICS, Some(topics))?;
+    put(out, &INTEREST, Some(appetite_pairs(&spec.appetite)))?;
+    put(out, &PUBLISH, Some(plan_pairs(&spec.plan)))?;
+    put(out, &FLASH, spec.plan.flash.as_ref().map(flash_pairs))?;
+    put(out, &CHURN, spec.churn.as_ref().map(churn_pairs))?;
+    put(out, &NETWORK, Some(net_pairs(&spec.net)))?;
+    put(
+        out,
+        &FAULT_PARTITION,
+        spec.faults.partition.as_ref().map(partition_pairs),
+    )?;
+    put(
+        out,
+        &FAULT_ONEWAY,
+        spec.faults.oneway.as_ref().map(oneway_pairs),
+    )?;
+    put(
+        out,
+        &FAULT_DELAY,
+        spec.faults.delay.as_ref().map(delay_pairs),
+    )?;
     if let Some(m) = &spec.mobility {
-        m.validate()
-            .map_err(|e| ScenarioFileError::global(format!("[mobility] {e}")))?;
-    }
-    if spec
-        .membership
-        .as_ref()
-        .is_some_and(|m| m.probe_period == SimDuration::ZERO)
-    {
-        return Err(ScenarioFileError::global(
-            "[membership] probe_period must be positive",
-        ));
-    }
-    let mut out = String::new();
-    let mut push = |s: String| {
-        out.push_str(&s);
-        out.push('\n');
-    };
-    push("[scenario]".into());
-    push(format!("arch = \"{}\"", spec.arch.name()));
-    push(format!("nodes = {}", spec.n));
-    push(format!("seed = {}", spec.seed));
-    push(format!("shards = {}", spec.shards));
-    push(format!("placement = \"{}\"", spec.placement.name()));
-    push(format!("adaptive_window = {}", spec.adaptive_window));
-
-    push("\n[topics]".into());
-    push(format!("count = {}", spec.num_topics));
-    push(format!("zipf_s = {}", fmt_float(spec.zipf_s)));
-
-    push("\n[interest]".into());
-    match spec.appetite {
-        Appetite::Fixed(k) => {
-            push("appetite = \"fixed\"".into());
-            push(format!("topics_per_node = {k}"));
-        }
-        Appetite::Uniform { lo, hi } => {
-            push("appetite = \"uniform\"".into());
-            push(format!("lo = {lo}"));
-            push(format!("hi = {hi}"));
-        }
-        Appetite::Bimodal {
-            heavy_fraction,
-            heavy,
-            light,
-        } => {
-            push("appetite = \"bimodal\"".into());
-            push(format!("heavy_fraction = {}", fmt_float(heavy_fraction)));
-            push(format!("heavy = {heavy}"));
-            push(format!("light = {light}"));
-        }
-    }
-
-    push("\n[publish]".into());
-    push(format!(
-        "rate_per_sec = {}",
-        fmt_float(spec.plan.rate_per_sec)
-    ));
-    push(format!("duration = {}", fmt_time(spec.plan.duration)));
-    push(format!("warmup = {}", fmt_time(spec.plan.warmup)));
-    push(format!(
-        "topic_zipf_s = {}",
-        fmt_float(spec.plan.topic_zipf_s)
-    ));
-    push(format!("payload_bytes = {}", spec.plan.payload_bytes));
-    if let Some(flash) = spec.plan.flash {
-        push("\n[publish.flash]".into());
-        push(format!("at = {}", fmt_time(flash.at)));
-        push(format!("topic_zipf_s = {}", fmt_float(flash.topic_zipf_s)));
-        push(format!("rate_factor = {}", fmt_float(flash.rate_factor)));
-    }
-
-    if let Some(churn) = &spec.churn {
-        push("\n[churn]".into());
-        push(format!(
-            "mean_session_secs = {}",
-            fmt_float(churn.mean_session_secs)
-        ));
-        push(format!(
-            "mean_downtime_secs = {}",
-            fmt_float(churn.mean_downtime_secs)
-        ));
-        push(format!(
-            "churning_fraction = {}",
-            fmt_float(churn.churning_fraction)
-        ));
-        push(format!("duration = {}", fmt_time(churn.duration)));
-        push(format!("warmup = {}", fmt_time(churn.warmup)));
-    }
-
-    push("\n[network]".into());
-    match spec.net.latency_model() {
-        LatencyModel::Constant(d) => {
-            push("latency = \"constant\"".into());
-            push(format!("delay = {}", fmt_dur(*d)));
-        }
-        LatencyModel::Uniform { lo, hi } => {
-            push("latency = \"uniform\"".into());
-            push(format!("lo = {}", fmt_dur(*lo)));
-            push(format!("hi = {}", fmt_dur(*hi)));
-        }
-        LatencyModel::LogNormalMs {
-            median_ms,
-            sigma,
-            floor,
-        } => {
-            push("latency = \"lognormal\"".into());
-            push(format!("median_ms = {}", fmt_float(*median_ms)));
-            push(format!("sigma = {}", fmt_float(*sigma)));
-            push(format!("floor = {}", fmt_dur(*floor)));
-        }
-    }
-    if spec.net.loss_probability() > 0.0 {
-        push(format!("loss = {}", fmt_float(spec.net.loss_probability())));
-    }
-
-    if let Some(f) = &spec.faults.partition {
-        push("\n[faults.partition]".into());
-        push(format!("at = {}", fmt_time(f.at)));
-        push(format!("heal = {}", fmt_time(f.heal)));
-        push(format!("split = {}", f.split));
-    }
-    if let Some(f) = &spec.faults.oneway {
-        push("\n[faults.oneway]".into());
-        push(format!("at = {}", fmt_time(f.at)));
-        push(format!("until = {}", fmt_time(f.until)));
-        push(format!("split = {}", f.split));
-    }
-    if let Some(f) = &spec.faults.delay {
-        push("\n[faults.delay]".into());
-        push(format!("at = {}", fmt_time(f.at)));
-        push(format!("until = {}", fmt_time(f.until)));
-        push(format!("extra = {}", fmt_dur(f.extra)));
-    }
-
-    if let Some(m) = &spec.mobility {
-        push("\n[mobility]".into());
-        push(format!("split = {}", m.split));
-        if let Some(p) = m.period {
-            push(format!("period = {}", fmt_dur(p)));
-        }
+        mobility_rule(m, None)?;
+        let period = m.period.map(|p| ("period", Value::Time(p.as_micros())));
+        let header = [("split", Value::Int(m.split.into()))]
+            .into_iter()
+            .chain(period);
+        put(out, &MOBILITY, Some(header.collect()))?;
         for (k, s) in m.segments.iter().enumerate() {
-            push(format!("\n[mobility.seg{k}]"));
-            push(format!("at = {}", fmt_time(s.at)));
-            push(format!("extra = {}", fmt_dur(s.extra)));
-            push(format!("disconnected = {}", s.disconnected));
+            let path = format!("mobility.seg{k}");
+            write_section(out, &MOBILITY_SEGMENT, &path, segment_pairs(s))?;
         }
     }
-
-    if let Some(m) = &spec.membership {
-        push("\n[membership]".into());
-        push(format!("probe_period = {}", fmt_dur(m.probe_period)));
-        push(format!("probe_timeout = {}", fmt_dur(m.probe_timeout)));
-        push(format!("ping_req_fanout = {}", m.ping_req_fanout));
-        push(format!("suspect_timeout = {}", fmt_dur(m.suspect_timeout)));
-        push(format!("max_piggyback = {}", m.max_piggyback));
-        push(format!("gossip_multiplier = {}", m.gossip_multiplier));
-    }
-
-    if let Some(t) = &spec.telemetry {
-        push("\n[telemetry]".into());
-        push(format!("window = {}", fmt_dur(t.window)));
-        push(format!("load_hi = {}", fmt_float(t.load_hi)));
-        push(format!("load_buckets = {}", t.load_buckets));
-        push(format!("latency_hi_ms = {}", fmt_float(t.latency_hi_ms)));
-        push(format!("latency_buckets = {}", t.latency_buckets));
-    }
-
-    if let Some(p) = &spec.profile {
-        push("\n[profile]".into());
-        if let Some(trace) = &p.trace {
-            push(format!("trace = \"{trace}\""));
-        }
-    }
-
-    if let Some(t) = &spec.trace {
-        push("\n[trace]".into());
-        push(format!("sample_rate = {}", fmt_float(t.sample_rate)));
-        push(format!("salt = {}", t.salt));
-        if let Some(export) = &t.export {
-            push(format!("export = \"{export}\""));
-        }
-    }
-
-    Ok(out)
+    put(out, &MEMBERSHIP, spec.membership.as_ref().map(swim_pairs))?;
+    put(
+        out,
+        &TELEMETRY,
+        spec.telemetry.as_ref().map(telemetry_pairs),
+    )?;
+    put(out, &PROFILE, spec.profile.as_ref().map(profile_pairs))?;
+    put(out, &TRACE, spec.trace.as_ref().map(trace_pairs))?;
+    Ok(text)
 }
 
 #[cfg(test)]
@@ -2014,5 +2142,280 @@ mod tests {
         assert_eq!(parse_duration_str("-5ms"), None);
         assert_eq!(parse_duration_str("1.5s"), None);
         assert_eq!(parse_duration_str("ms"), None);
+    }
+
+    /// A spec built in code that the parser would reject is an `Err`
+    /// naming `[section] key` — never `Ok(text that does not parse)`.
+    #[test]
+    fn to_toml_rejects_what_the_parser_rejects() {
+        type Edit = fn(&mut ScenarioSpec);
+        let ten_ms = SimDuration::from_millis(10);
+        let cases: [(&str, Edit); 14] = [
+            ("[scenario] shards", |s| *s = s.clone().with_shards(600)),
+            ("[scenario] nodes", |s| s.n = 0),
+            ("[topics] zipf_s", |s| s.zipf_s = f64::NAN),
+            ("[topics] count", |s| s.num_topics = 0),
+            ("[publish] rate_per_sec", |s| s.plan.rate_per_sec = -1.0),
+            ("[publish] rate_per_sec", |s| {
+                s.plan.rate_per_sec = f64::INFINITY
+            }),
+            ("[publish] payload_bytes", |s| {
+                s.plan.payload_bytes = (1 << 20) + 1
+            }),
+            ("[publish] warmup + duration", |s| {
+                s.plan.duration = SimTime::from_micros(u64::MAX)
+            }),
+            ("[interest] uniform appetite needs lo <= hi", |s| {
+                s.appetite = Appetite::Uniform { lo: 5, hi: 2 }
+            }),
+            ("[interest] heavy_fraction", |s| {
+                s.appetite = Appetite::Bimodal {
+                    heavy_fraction: 1.5,
+                    heavy: 3,
+                    light: 1,
+                }
+            }),
+            ("[network] uniform latency needs lo <= hi", |s| {
+                let (lo, hi) = (SimDuration::from_millis(20), SimDuration::from_millis(10));
+                s.net = NetworkModel::reliable(LatencyModel::Uniform { lo, hi })
+            }),
+            ("[network] loss", |s| {
+                s.net = NetworkModel::lossy(s.net.latency_model().clone(), f64::NAN)
+            }),
+            ("[membership] probe_period", |s| {
+                s.membership = Some(SwimConfig {
+                    probe_period: SimDuration::ZERO,
+                    ..SwimConfig::standard()
+                })
+            }),
+            ("[trace] sample_rate", |s| {
+                s.trace = Some(TraceSpec {
+                    sample_rate: 2.0,
+                    ..TraceSpec::default()
+                })
+            }),
+        ];
+        for (names, edit) in cases {
+            let mut spec = ScenarioSpec::fair_gossip(64, 7);
+            edit(&mut spec);
+            let err = to_toml(&spec).expect_err(names);
+            assert_eq!(err.line, None, "{err}");
+            assert!(err.message.contains(names), "{names}: {err}");
+        }
+        // `NetworkModel::lossy` clamps, so a loss of 1.0 cannot reach
+        // `to_toml` inside a spec; the write pass rejects it all the same.
+        let pairs = vec![
+            ("latency", Value::Str("constant".to_string())),
+            ("delay", Value::Time(ten_ms.as_micros())),
+            ("loss", Value::Float(1.0)),
+        ];
+        let err = write_section(&mut String::new(), &NETWORK, "network", pairs).unwrap_err();
+        assert!(
+            err.message
+                .contains("[network] loss: 1 must be a loss probability in [0, 1)"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn strings_are_written_with_the_escapes_the_lexer_reads() {
+        let path = "out\\new \"a\"\t.json";
+        let spec = ScenarioSpec::fair_gossip(64, 7)
+            .with_profile(ProfileSpec {
+                trace: Some(path.to_string()),
+            })
+            .with_trace(TraceSpec {
+                export: Some("a\nb".to_string()),
+                ..TraceSpec::default()
+            });
+        let toml = to_toml(&spec).unwrap();
+        assert!(
+            toml.contains(r#"trace = "out\\new \"a\"\t.json""#),
+            "{toml}"
+        );
+        assert!(toml.contains(r#"export = "a\nb""#), "{toml}");
+        assert_eq!(spec_from_toml(&toml).unwrap(), spec, "{toml}");
+        // A control character the format has no escape for is an error
+        // naming the key, not a file that parses back to something else.
+        for bad in ["a\rb", "bell\u{7}", "nel\u{85}"] {
+            let spec = ScenarioSpec::fair_gossip(64, 7).with_profile(ProfileSpec {
+                trace: Some(bad.to_string()),
+            });
+            let err = to_toml(&spec).unwrap_err();
+            assert!(err.message.contains("[profile] trace"), "{err}");
+            assert!(err.message.contains("control character"), "{err}");
+        }
+    }
+
+    /// Every `Def` and every listed default passes its own key's check,
+    /// and every `when` names a key after its section's selector.
+    #[test]
+    fn schema_defaults_conform_to_their_own_rows() {
+        for sec in SCHEMA {
+            let listed = sec.defaults.map(|list| list()).unwrap_or_default();
+            for (name, _) in &listed {
+                assert!(
+                    sec.keys.iter().any(|k| k.name == *name),
+                    "[{}] {name}",
+                    sec.path
+                );
+            }
+            for key in sec.keys {
+                let default = match key.need {
+                    Def(value) => Some(value()),
+                    _ => listed
+                        .iter()
+                        .find(|(name, _)| *name == key.name)
+                        .map(|(_, v)| v.clone()),
+                };
+                if let Some(value) = default {
+                    let conformed = conform_value(key.ty, value.clone());
+                    assert_eq!(conformed, Ok(value), "[{}] {}", sec.path, key.name);
+                }
+                assert!(
+                    key.when.is_none() || sec.selector.is_some(),
+                    "[{}] {}",
+                    sec.path,
+                    key.name
+                );
+            }
+            if let Some((selector, _)) = sec.selector {
+                assert_eq!(
+                    sec.keys[0].name, selector,
+                    "[{}] selector comes first",
+                    sec.path
+                );
+            }
+        }
+    }
+
+    /// The reference tables of docs/SCENARIOS.md as rows of
+    /// `(key, type cell, default cell)` under `(section, selector value)`,
+    /// plus what each `###` heading says about required / optional.
+    type DocTables = BTreeMap<(String, Option<String>), Vec<(String, String, String)>>;
+
+    fn documented_reference() -> (DocTables, BTreeMap<String, bool>) {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../docs/SCENARIOS.md");
+        let doc = std::fs::read_to_string(path).expect("docs/SCENARIOS.md is readable");
+        let reference = doc
+            .split("\n## ")
+            .find(|chapter| chapter.starts_with("Reference"))
+            .expect("docs/SCENARIOS.md has a `## Reference` chapter");
+        let bracketed = |line: &str| -> Vec<String> {
+            let parts = line.split("`[").skip(1);
+            parts
+                .filter_map(|p| p.split_once("]`").map(|(path, _)| path.to_string()))
+                .collect()
+        };
+        let (mut tables, mut required) = (DocTables::new(), BTreeMap::new());
+        let (mut section, mut when, mut in_table) = (String::new(), None, false);
+        for line in reference.lines() {
+            if line.starts_with("### ") || line.starts_with("`[") {
+                let named = bracketed(line);
+                section = named.first().expect("a heading names its section").clone();
+                when = None;
+                if line.starts_with("### ") {
+                    required.extend(named.into_iter().map(|p| (p, line.contains("— required"))));
+                }
+            } else if let Some(rest) = line.strip_prefix('`') {
+                // "`appetite = "fixed"` — …" opens the tables of one selector value.
+                let selector = SCHEMA
+                    .iter()
+                    .find(|s| s.path == section)
+                    .and_then(|s| s.selector);
+                let value =
+                    selector.and_then(|(key, _)| rest.strip_prefix(key)?.strip_prefix(" = \""));
+                if let Some((value, _)) = value.and_then(|v| v.split_once('"')) {
+                    when = Some(value.to_string());
+                }
+            }
+            if line.starts_with("| Key | Type | Default |") {
+                in_table = true;
+            } else if !line.starts_with('|') {
+                in_table = false;
+            } else if in_table && line.starts_with("| `") {
+                let cells: Vec<&str> = line.split('|').map(str::trim).collect();
+                let row = (
+                    cells[1].trim_matches('`').to_string(),
+                    cells[2].to_string(),
+                    cells[3].to_string(),
+                );
+                tables
+                    .entry((section.clone(), when.clone()))
+                    .or_default()
+                    .push(row);
+            }
+        }
+        (tables, required)
+    }
+
+    /// docs/SCENARIOS.md lists exactly the schema's keys — per selector
+    /// value where a section has one — with the schema's types and the
+    /// defaults the write pass renders. Only the Meaning column is free.
+    #[test]
+    fn scenarios_doc_reference_tables_match_the_schema() {
+        let (tables, required) = documented_reference();
+        for sec in SCHEMA {
+            assert_eq!(
+                required.get(sec.path),
+                Some(&sec.required),
+                "docs/SCENARIOS.md: the `### … [{}]` heading must say `— {}`",
+                sec.path,
+                if sec.required { "required" } else { "optional" }
+            );
+            let listed = sec.defaults.map(|list| list()).unwrap_or_default();
+            let mut whens: Vec<Option<&str>> = sec.keys.iter().map(|k| k.when).collect();
+            whens.dedup();
+            for when in whens {
+                let under = match when {
+                    Some(value) => {
+                        format!("[{}] under `{} = \"{value}\"`", sec.path, sec.keys[0].name)
+                    }
+                    None => format!("[{}]", sec.path),
+                };
+                let rows = tables.get(&(sec.path.to_string(), when.map(str::to_string)));
+                let rows = rows
+                    .unwrap_or_else(|| panic!("docs/SCENARIOS.md has no key table for {under}"));
+                let keys = sec.keys.iter().filter(|k| k.when == when);
+                for key in keys.clone() {
+                    let ty = match key.ty {
+                        Str => "string",
+                        Int { .. } => "integer",
+                        Float(_) => "float",
+                        Bool => "boolean",
+                        Time => "duration",
+                    };
+                    let default = match key.need {
+                        Req => "**required**".to_string(),
+                        Def(value) => format!("`{}`", render(&value()).unwrap()),
+                        Opt => match listed.iter().find(|(name, _)| *name == key.name) {
+                            Some((_, value)) => format!("`{}`", render(value).unwrap()),
+                            None => "—".to_string(),
+                        },
+                    };
+                    let expected = format!("| `{}` | {ty} | {default} | … |", key.name);
+                    let row = rows.iter().find(|(name, ..)| name == key.name);
+                    let (_, doc_ty, doc_default) = row.unwrap_or_else(|| {
+                        panic!("docs/SCENARIOS.md: the table for {under} lacks the row {expected}")
+                    });
+                    assert!(
+                        doc_ty == ty && *doc_default == default,
+                        "docs/SCENARIOS.md: in the table for {under} the row for `{}` must read {expected}",
+                        key.name
+                    );
+                }
+                for (name, ..) in rows {
+                    assert!(
+                        keys.clone().any(|k| k.name == name),
+                        "docs/SCENARIOS.md: the table for {under} documents `{name}`, which is not a key of it"
+                    );
+                }
+            }
+        }
+        for (section, when) in tables.keys() {
+            let sec = SCHEMA.iter().find(|s| s.path == section);
+            let known = sec.is_some_and(|s| s.keys.iter().any(|k| k.when == when.as_deref()));
+            assert!(known, "docs/SCENARIOS.md: a key table under [{section}] {when:?} matches no schema section");
+        }
     }
 }

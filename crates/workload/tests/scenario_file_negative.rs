@@ -171,3 +171,35 @@ fn malformed_documents_blame_the_exact_line_and_key() {
         }
     }
 }
+
+/// A key that is valid for the section but not for the selected variant:
+/// blamed on the key's own line, with the section's full key list. The
+/// `[interest]` case edits [`BASE`] in place (the section is already
+/// there), so it cannot be an appendix in [`CASES`].
+#[test]
+fn keys_of_another_variant_are_blamed_on_their_own_line() {
+    let interest = BASE.replace("topics_per_node = 3\n", "topics_per_node = 3\nlo = 1\n");
+    let network =
+        format!("{BASE}\n[network]\nlatency = \"constant\"\ndelay = \"10ms\"\nsigma = 0.5\n");
+    let cases = [
+        (
+            &interest,
+            "lo = 1",
+            "key `lo` in [interest]",
+            "appetite, topics_per_node, lo, hi, heavy_fraction, heavy, light",
+        ),
+        (
+            &network,
+            "sigma = 0.5",
+            "key `sigma` in [network]",
+            "latency, delay, lo, hi, median_ms, sigma, floor, loss",
+        ),
+    ];
+    for (doc, marker, key, all_keys) in cases {
+        let err = parse_scenario(doc).map(|_| ()).expect_err(marker);
+        assert_eq!(err.line, Some(line_of(doc, marker)), "{err}");
+        for needle in [key, "does not apply to this configuration", all_keys] {
+            assert!(err.message.contains(needle), "{err} lacks {needle:?}");
+        }
+    }
+}

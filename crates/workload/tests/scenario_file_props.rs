@@ -3,7 +3,8 @@
 //! The contract under test: serialization is the *exact* inverse of
 //! parsing — `parse(to_toml(spec)) == spec` for every representable
 //! [`ScenarioSpec`] — plus strict rejection of malformed files (unknown
-//! keys, bad duration units, out-of-range values).
+//! keys, bad duration units, out-of-range values), and a serializer that
+//! refuses what the parser would refuse instead of writing it.
 
 use fed_membership::swim::SwimConfig;
 use fed_profile::ProfileSpec;
@@ -122,11 +123,17 @@ fn telemetry_strategy() -> impl Strategy<Value = Option<TelemetrySpec>> {
     ]
 }
 
+/// File paths as users write them: backslashes, quotes, spaces and
+/// tabs included — everything the serializer must escape. The first
+/// character is never blank, because an all-blank path is not a valid
+/// spec (`ProfileSpec::checked` / `TraceSpec::checked` reject it).
+const PATH: &str = "[A-Za-z0-9_./\\\\\"-][A-Za-z0-9_./\\\\ \"\t-]{0,39}";
+
 fn profile_strategy() -> impl Strategy<Value = Option<ProfileSpec>> {
     prop_oneof![
         Just(None),
         Just(Some(ProfileSpec::default())),
-        "[A-Za-z0-9_./-]{1,40}".prop_map(|path| Some(ProfileSpec { trace: Some(path) })),
+        PATH.prop_map(|path| Some(ProfileSpec { trace: Some(path) })),
     ]
 }
 
@@ -141,7 +148,7 @@ fn trace_strategy() -> impl Strategy<Value = Option<TraceSpec>> {
                 export: None,
             })
         }),
-        (0u32..=1000, any::<u64>(), "[A-Za-z0-9_./-]{1,40}").prop_map(|(rate, salt, path)| {
+        (0u32..=1000, any::<u64>(), PATH).prop_map(|(rate, salt, path)| {
             Some(TraceSpec {
                 sample_rate: fractional(rate, 1000),
                 salt,
@@ -341,8 +348,147 @@ fn spec_strategy() -> impl Strategy<Value = ScenarioSpec> {
     )
 }
 
+/// One way a spec built in code can leave the grammar: a value out of
+/// its key's range, a non-finite float, a cross-field rule broken, a
+/// string the format cannot carry. `how >= SPOILERS` leaves it alone.
+fn spoil(spec: &mut ScenarioSpec, how: usize) {
+    let ms = SimDuration::from_millis;
+    match how {
+        0 => spec.shards = 600,
+        1 => spec.shards = 0,
+        2 => spec.n = 0,
+        3 => spec.num_topics = 0,
+        4 => spec.zipf_s = f64::NAN,
+        5 => spec.zipf_s = -0.5,
+        6 => spec.plan.rate_per_sec = -1.0,
+        7 => spec.plan.rate_per_sec = f64::INFINITY,
+        8 => spec.plan.topic_zipf_s = f64::NEG_INFINITY,
+        9 => spec.plan.payload_bytes = (1 << 20) + 1,
+        10 => spec.plan.duration = SimTime::from_micros(u64::MAX),
+        11 => spec.appetite = Appetite::Uniform { lo: 9, hi: 3 },
+        12 => {
+            spec.appetite = Appetite::Bimodal {
+                heavy_fraction: 1.25,
+                heavy: 4,
+                light: 1,
+            }
+        }
+        13 => spec.appetite = Appetite::Fixed(2_000_000),
+        14 => {
+            spec.net = NetworkModel::reliable(LatencyModel::Uniform {
+                lo: ms(30),
+                hi: ms(10),
+            })
+        }
+        15 => spec.net = NetworkModel::lossy(spec.net.latency_model().clone(), f64::NAN),
+        16 => {
+            spec.net = NetworkModel::reliable(LatencyModel::LogNormalMs {
+                median_ms: 0.0,
+                sigma: 0.5,
+                floor: SimDuration::ZERO,
+            })
+        }
+        17 => {
+            spec.faults.partition = Some(PartitionFault {
+                at: SimTime::from_secs(4),
+                heal: SimTime::from_secs(4),
+                split: 8,
+            })
+        }
+        18 => {
+            spec.faults.oneway = Some(OnewayFault {
+                at: SimTime::from_secs(1),
+                until: SimTime::from_secs(2),
+                split: 20_000_000,
+            })
+        }
+        19 => {
+            spec.membership = Some(SwimConfig {
+                probe_period: SimDuration::ZERO,
+                ..SwimConfig::standard()
+            })
+        }
+        20 => {
+            spec.membership = Some(SwimConfig {
+                max_piggyback: 0,
+                ..SwimConfig::standard()
+            })
+        }
+        21 => {
+            spec.telemetry = Some(TelemetrySpec {
+                load_buckets: 0,
+                ..TelemetrySpec::default()
+            })
+        }
+        22 => {
+            spec.trace = Some(TraceSpec {
+                sample_rate: 2.0,
+                ..TraceSpec::default()
+            })
+        }
+        23 => {
+            spec.profile = Some(ProfileSpec {
+                trace: Some("bell\u{7}.json".to_string()),
+            })
+        }
+        24 => {
+            spec.profile = Some(ProfileSpec {
+                trace: Some(" \t".to_string()),
+            })
+        }
+        25 => {
+            spec.churn = Some(ChurnPlan {
+                churning_fraction: f64::NAN,
+                ..ChurnPlan::default()
+            })
+        }
+        26 => {
+            spec.plan.flash = Some(FlashCrowd {
+                at: SimTime::from_secs(1),
+                topic_zipf_s: 2.0,
+                rate_factor: 0.0,
+            })
+        }
+        27 => {
+            spec.mobility = Some(MobilityTrace {
+                split: 4,
+                period: Some(SimDuration::from_secs(1)),
+                segments: vec![MobilitySegment {
+                    at: SimTime::from_secs(1),
+                    extra: SimDuration::ZERO,
+                    disconnected: true,
+                }],
+            })
+        }
+        // Past the last spoiler the spec stays as it is.
+        _ => {}
+    }
+}
+
+/// How many arms of [`spoil`] spoil.
+const SPOILERS: usize = 28;
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The serializer never emits text the parser rejects or reads
+    /// differently: whenever `to_toml` is `Ok`, the text parses back to
+    /// the very spec — also for specs spoiled with out-of-range values,
+    /// which must come out as `Err` naming a `[section]`.
+    #[test]
+    fn whatever_to_toml_accepts_parses_back(
+        spec in spec_strategy(),
+        first in 0..2 * SPOILERS,
+        second in 0..2 * SPOILERS,
+    ) {
+        let mut spoiled = spec;
+        spoil(&mut spoiled, first);
+        spoil(&mut spoiled, second);
+        match to_toml(&spoiled) {
+            Ok(toml) => prop_assert_eq!(spec_from_toml(&toml), Ok(spoiled), "{}", toml),
+            Err(e) => prop_assert!(e.line.is_none() && e.message.starts_with('['), "{}", e),
+        }
+    }
 
     /// `parse ∘ to_toml` is the identity on every representable spec —
     /// architectures, placements, all three appetites and latency

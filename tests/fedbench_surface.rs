@@ -189,3 +189,57 @@ fn traced_run_exposes_profile_and_trace() {
     );
     assert!(outcome.trace.as_ref().map_or(0, Vec::len) > 0);
 }
+
+/// `fedbench/src/workload.rs::load`: `parse_scenario(text)` with the
+/// error used through `Display` inside a `Result<_, String>`, then
+/// `.spec.with_seed(..)`.
+#[test]
+fn workload_files_load_through_parse_scenario_and_with_seed() {
+    use fed_workload::scenario_file::parse_scenario;
+    fn load(name: &str, toml: &str, seed: u64) -> Result<ScenarioSpec, String> {
+        let file = parse_scenario(toml).map_err(|e| format!("{name}: {e}"))?;
+        Ok(file.spec.with_seed(seed))
+    }
+    let toml = include_str!("../fedbench/workloads/gossip-wan-seq.toml");
+    let spec = load("gossip-wan-seq", toml, 301).expect("workload file parses");
+    assert_eq!((spec.seed, spec.n, spec.shards), (301, 1000, 1));
+    let err = load("typo", &toml.replace("nodes =", "nodez ="), 301).unwrap_err();
+    assert!(
+        err.starts_with("typo: line ") && err.contains("unknown key `nodez`"),
+        "{err}"
+    );
+}
+
+/// `fedbench/src/main.rs::metric_value` and `fedbench/tests/contract.rs`:
+/// the JSON reader under its `fed_profile::json` path, `parse(..)`
+/// returning `Result<Value, String>`, the accessors as methods and as
+/// paths, the `Obj` / `Bool` variants matched by name.
+#[test]
+fn json_reader_keeps_its_fed_profile_path_and_shape() {
+    use fed_profile::json::{parse, Value};
+    fn metric_value(line: &str, name: &str) -> Result<f64, String> {
+        let value = fed_profile::json::parse(line)?;
+        value
+            .get("metrics")
+            .and_then(|m| m.get(name))
+            .and_then(|m| m.get("value"))
+            .and_then(|v| v.as_f64())
+            .ok_or_else(|| format!("result line has no metric {name}"))
+    }
+    let line = r#"{"workload":"w","correct":true,"paths":["fedbench"],
+                   "metrics":{"wall_s":{"value":0.25,"unit":"s"}}}"#;
+    assert_eq!(metric_value(line, "wall_s"), Ok(0.25));
+    assert!(metric_value(line, "setup_s").is_err());
+    assert!(metric_value("{", "wall_s").is_err());
+    let parsed: Value = parse(line).expect("result line is JSON");
+    let Some(Value::Obj(printed)) = parsed.get("metrics") else {
+        panic!("metrics is an object");
+    };
+    assert_eq!(printed.len(), 1);
+    assert_eq!(parsed.get("correct"), Some(&Value::Bool(true)));
+    assert_eq!(parsed.get("workload").and_then(Value::as_str), Some("w"));
+    let paths = parsed.get("paths").and_then(Value::as_array);
+    assert_eq!(paths.map(<[Value]>::len), Some(1));
+    let unit = printed[0].1.get("unit").and_then(Value::as_str);
+    assert_eq!((printed[0].0.as_str(), unit), ("wall_s", Some("s")));
+}
