@@ -46,9 +46,9 @@ impl DhtId {
 
     /// Derives the ring id of a topic (for rendezvous placement).
     pub fn of_topic(topic_index: usize) -> Self {
-        let mut bytes = Vec::with_capacity(14);
-        bytes.extend_from_slice(b"topic:");
-        bytes.extend_from_slice(&(topic_index as u64).to_le_bytes());
+        let mut bytes = [0u8; 14];
+        bytes[..6].copy_from_slice(b"topic:");
+        bytes[6..].copy_from_slice(&(topic_index as u64).to_le_bytes());
         DhtId::hash_of(&bytes)
     }
 
@@ -153,6 +153,28 @@ mod tests {
             min_dist = min_dist.min(d);
         }
         assert!(min_dist > 1 << 32, "min consecutive distance {min_dist}");
+    }
+
+    /// Every Scribe/DKS rendezvous is a function of these: a change to
+    /// either derivation moves every tree.
+    #[test]
+    fn derived_ids_are_pinned() {
+        let topics = [
+            0x2b0f_1abb_5cf2_aa44,
+            0xfaf9_739d_cd16_a73f,
+            0x337f_3d77_46ba_ecc2,
+            0x3e2d_e60a_ff2f_3833,
+        ];
+        let nodes = [
+            0x9b94_1466_0d47_f040,
+            0x238c_373b_d24a_664f,
+            0xebe2_7bef_8518_eaf4,
+            0xbc02_f4db_e240_5c65u64,
+        ];
+        for i in 0..4 {
+            assert_eq!(DhtId::of_topic(i).as_u64(), topics[i], "topic {i}");
+            assert_eq!(DhtId::of_node_index(i).as_u64(), nodes[i], "node {i}");
+        }
     }
 
     #[test]

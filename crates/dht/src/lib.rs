@@ -12,12 +12,13 @@
 //! fairness accounting); routes have the same prefix-routing structure,
 //! `O(log n)` length and rendezvous placement as Pastry's.
 //!
-//! [`DhtNetwork::build`] bulk-builds every node's routing table from one
-//! ring-sorted index in `O(n log n)` — bit-identical to the per-node
-//! reference construction (asserted by tests) — so 100k-node
-//! Scribe/DKS populations are constructible in milliseconds and can be
-//! shared immutably (`Arc`) across the sharded engine's worker threads
-//! without perturbing determinism.
+//! [`DhtNetwork::build`] builds one flat index for the whole population
+//! — ids, the ring order and an arena holding only the table rows that
+//! can be non-empty — by walking the ring-sorted ids as a 16-ary digit
+//! trie; every node's [`RoutingState`] is a view of it, equal slot for
+//! slot to a per-node scan of the population (asserted by tests). At
+//! about 300 bytes per node it is shared immutably (`Arc`) across the
+//! sharded engine's worker threads without perturbing determinism.
 //!
 //! ## Examples
 //!

@@ -1,4 +1,4 @@
-//! The call shapes the frozen benchmark (`fedbench/src/layers.rs`)
+//! The call shapes the frozen benchmark (`fedbench/src/{layers,workload}.rs`)
 //! compiles against, pinned inside tier-1 `cargo test`: `fedbench/` is a
 //! workspace of its own that only its own CI job builds, so without this a
 //! rename or re-typing of anything below would pass here and break there.
@@ -7,6 +7,7 @@
 //! argument lists, method-call syntax, field paths — exactly as they are.
 
 use fed::cluster::ShardedSimulation;
+use fed::dht::{DhtId, DhtNetwork};
 use fed::experiments::harness::{run_architecture, EngineKind};
 use fed::experiments::scenario_run::engine_for;
 use fed::profile::ProfileSpec;
@@ -19,6 +20,7 @@ use fed::telemetry::{ShardCollector, TelemetrySpec};
 use fed::util::rng::Xoshiro256StarStar;
 use fed::workload::scenario::{Architecture, ScenarioSpec};
 use fed_trace::TraceSpec;
+use std::hint::black_box;
 
 fn constant_10ms() -> NetworkModel {
     NetworkModel::reliable(LatencyModel::Constant(SimDuration::from_millis(10)))
@@ -208,6 +210,29 @@ fn workload_files_load_through_parse_scenario_and_with_seed() {
         err.starts_with("typo: line ") && err.contains("unknown key `nodez`"),
         "{err}"
     );
+}
+
+/// `dht.route_ns` and `dht.build_s` (and `shared_build` in
+/// `fedbench/src/workload.rs`): `DhtNetwork::build(n)` through
+/// `black_box`, `state_of(i).expect(..)` bound to a local, `next_hop`
+/// of `DhtId::of_topic(k)` on it.
+#[test]
+fn dht_is_built_by_population_and_routed_through_state_of() {
+    let dht = DhtNetwork::build(64);
+    let mut k = 0usize;
+    for _ in 0..200 {
+        k += 1;
+        let state = dht.state_of(k % 64).expect("index in range");
+        black_box(state.next_hop(DhtId::of_topic(k % 100)));
+    }
+    let key = DhtId::of_topic(7);
+    let root = dht.root_of(key).index;
+    assert!(dht
+        .state_of(root)
+        .expect("index in range")
+        .next_hop(key)
+        .is_none());
+    black_box(DhtNetwork::build(640 / 10));
 }
 
 /// `fedbench/src/main.rs::metric_value` and `fedbench/tests/contract.rs`:
