@@ -14,13 +14,13 @@
 //! quarters of the population hold *no subscriptions at all*, so
 //! fully-throttled peers actually exist and event launches are at risk.
 
-use crate::harness::build_gossip_spec;
+use crate::harness::{prepare_gossip, run_gossip, t_arch_config, EngineKind, Node};
 use fed_core::behavior::Behavior;
-use fed_core::gossip::GossipConfig;
+use fed_core::gossip::{GossipCmd, GossipConfig};
 use fed_core::ledger::RatioSpec;
 use fed_metrics::fairness::ratio_report;
 use fed_metrics::table::{fmt_f64, Table};
-use fed_sim::{NodeId, SimDuration, SimTime};
+use fed_sim::{NodeId, SimTime, Simulation};
 use fed_workload::interest::Appetite;
 use fed_workload::scenario::ScenarioSpec;
 
@@ -49,11 +49,10 @@ pub fn run(n: usize, seed: u64) -> AblationResult {
     let mut gain_points = Vec::new();
     for gain in [0.0, 0.01, 0.05, 0.2] {
         let scenario = ScenarioSpec::fair_gossip(n, seed);
-        let mut cfg = GossipConfig::fair(8, 16, SimDuration::from_millis(100));
+        let mut cfg = t_arch_config(GossipConfig::fair);
         cfg.ratio_correction_gain = gain;
-        let mut run = build_gossip_spec(&scenario, cfg, |_| Behavior::Honest);
-        run.run();
-        let report = ratio_report(run.ledgers(), &spec);
+        let run = run_gossip(&scenario, EngineKind::Sequential, cfg, |_| Behavior::Honest);
+        let report = ratio_report(&run.ledgers, &spec);
         let rel = run.audit().reliability();
         gain_table.row_owned(vec![
             fmt_f64(gain),
@@ -79,38 +78,23 @@ pub fn run(n: usize, seed: u64) -> AblationResult {
         scenario.appetite = Appetite::Fixed(1);
         scenario.num_topics = 8;
         scenario.plan.rate_per_sec = 10.0;
-        let mut cfg = GossipConfig::fair(8, 16, SimDuration::from_millis(100));
+        let mut cfg = t_arch_config(GossipConfig::fair);
         cfg.min_relay_rate = rate;
         cfg.civic_allowance = allowance;
-        let mut run = build_gossip_spec(&scenario, cfg, |_| Behavior::Honest);
+        let mut run = prepare_gossip::<Simulation<Node>>(&scenario, cfg, |_| Behavior::Honest);
         // Strip subscriptions from the last three quarters.
         for i in interested..n {
             run.sim.schedule_command(
                 SimTime::from_micros(1),
                 NodeId::new(i as u32),
-                fed_core::gossip::GossipCmd::ClearSubscriptions,
+                GossipCmd::ClearSubscriptions,
             );
         }
-        run.run();
-        let report = ratio_report(run.ledgers(), &spec);
+        let run = run.finish();
+        let report = ratio_report(&run.ledgers, &spec);
         // Ground truth must reflect the cleared subscriptions: only peers
         // below `interested` can deliver.
-        let mut audit = fed_metrics::delivery::DeliveryAudit::new();
-        for p in &run.schedule {
-            let subs: Vec<usize> = run
-                .profile
-                .subscribers_of(p.event.topic())
-                .into_iter()
-                .filter(|&i| i < interested)
-                .collect();
-            audit.expect(p.event.id(), p.at, subs);
-        }
-        for (id, node) in run.sim.nodes() {
-            for (eid, rec) in node.deliveries() {
-                audit.record(*eid, id.index(), rec.at);
-            }
-        }
-        let rel = audit.reliability();
+        let rel = run.audit_where(|_, node| node < interested).reliability();
         let allowance_label = if allowance == f64::MAX {
             "unbounded".to_string()
         } else {

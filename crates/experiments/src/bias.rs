@@ -9,14 +9,14 @@
 //! Reported: detection recall per behaviour class, false-positive rate on
 //! honest peers, and the residual unfairness the cheats caused.
 
-use crate::harness::build_gossip_spec;
+use crate::harness::{prepare_gossip, t_arch_config, Node};
 use fed_core::audit::{audit_subject, AuditConfig, AuditOutcome, WitnessReport};
 use fed_core::behavior::Behavior;
 use fed_core::gossip::GossipConfig;
 use fed_core::ledger::RatioSpec;
 use fed_metrics::fairness::ratio_report;
 use fed_metrics::table::{fmt_f64, Table};
-use fed_sim::{NodeId, SimDuration};
+use fed_sim::{NodeId, Simulation};
 use fed_util::rng::{Rng64, SplitMix64};
 use fed_workload::scenario::ScenarioSpec;
 
@@ -38,7 +38,7 @@ pub fn run(n: usize, seed: u64) -> BiasResult {
     let free_riders = n / 10;
     let inflators = n / 10;
     let scenario = ScenarioSpec::fair_gossip(n, seed);
-    let cfg = GossipConfig::fair(8, 16, SimDuration::from_millis(100));
+    let cfg = t_arch_config(GossipConfig::fair);
     let behavior = move |id: NodeId| {
         let i = id.index();
         if i < free_riders {
@@ -54,8 +54,11 @@ pub fn run(n: usize, seed: u64) -> BiasResult {
             Behavior::Honest
         }
     };
-    let mut run = build_gossip_spec(&scenario, cfg, behavior);
-    run.run();
+    // The committee reads protocol state the outcome does not carry
+    // (claims, receipt counters, rounds), so run the engine by hand and
+    // interrogate the finished nodes before collecting.
+    let mut run = prepare_gossip::<Simulation<Node>>(&scenario, cfg, behavior);
+    run.sim.run_until(run.horizon());
 
     // Committee audit of every node: sample 16 witnesses, gather receipt
     // counters and the subject's claimed contribution rate.
@@ -126,13 +129,8 @@ pub fn run(n: usize, seed: u64) -> BiasResult {
     let false_positive_rate = honest_flags as f64 / honest_count.max(1) as f64;
 
     let spec = RatioSpec::topic_based();
-    let honest_ledgers: Vec<_> = run
-        .sim
-        .nodes()
-        .filter(|(id, _)| id.index() >= free_riders + inflators)
-        .map(|(_, node)| node.ledger())
-        .collect();
-    let honest_jain = ratio_report(honest_ledgers, &spec).jain;
+    let ledgers = run.finish().ledgers;
+    let honest_jain = ratio_report(&ledgers[free_riders + inflators..], &spec).jain;
 
     let mut table = Table::new(
         format!(

@@ -10,11 +10,12 @@
 //! classic and the fair protocol lose — and what that does to delivery
 //! reliability for the remaining population.
 
-use crate::harness::{build_gossip_spec, GossipRun};
+use crate::harness::{prepare_gossip, t_arch_config, Node};
 use fed_core::behavior::Behavior;
 use fed_core::gossip::GossipConfig;
+use fed_core::ledger::RatioSpec;
 use fed_metrics::table::{fmt_f64, Table};
-use fed_sim::{SimDuration, SimTime};
+use fed_sim::{SimDuration, SimTime, Simulation};
 use fed_workload::scenario::ScenarioSpec;
 
 /// Result of the E-CHURN experiment.
@@ -32,30 +33,28 @@ pub struct ChurnResult {
     pub fair_reliability: f64,
 }
 
-fn drive_with_quitting(run: &mut GossipRun, threshold: f64) -> usize {
-    let horizon = run.horizon;
+/// Runs `sim` to `horizon` in 2 s slices, crashing after each slice every
+/// live peer whose behaviour model (which carries the tolerance) wants to
+/// leave under the `spec` accounting. Returns how many quit.
+fn drive_with_quitting(sim: &mut Simulation<Node>, horizon: SimTime, spec: &RatioSpec) -> usize {
     let poll = SimDuration::from_secs(2);
     let mut quitters = 0usize;
     let mut now = SimTime::ZERO;
     while now < horizon {
         now += poll;
-        run.sim.run_until(now.min(horizon));
-        let unhappy: Vec<_> = run
-            .sim
+        sim.run_until(now.min(horizon));
+        let unhappy: Vec<_> = sim
             .nodes()
             .filter(|(id, node)| {
-                run.sim.is_alive(*id)
-                    && node.behavior().wants_to_leave(
-                        node.ledger(),
-                        &GossipConfig::classic(8, 16, SimDuration::from_millis(100)).spec,
-                        node.rounds(),
-                    )
+                sim.is_alive(*id)
+                    && node
+                        .behavior()
+                        .wants_to_leave(node.ledger(), spec, node.rounds())
             })
             .map(|(id, _)| id)
             .collect();
-        let _ = threshold; // threshold lives inside the behaviour model
         for id in unhappy {
-            run.sim.schedule_crash(now, id);
+            sim.schedule_crash(now, id);
             quitters += 1;
         }
     }
@@ -70,14 +69,14 @@ pub fn run(n: usize, threshold: f64, seed: u64) -> ChurnResult {
         patience_rounds: 50,
     };
 
+    let spec = RatioSpec::topic_based();
     let mut results = Vec::new();
-    for cfg in [
-        GossipConfig::classic(8, 16, SimDuration::from_millis(100)),
-        GossipConfig::fair(8, 16, SimDuration::from_millis(100)),
-    ] {
-        let mut run = build_gossip_spec(&scenario, cfg, behavior);
-        let quitters = drive_with_quitting(&mut run, threshold);
-        let audit = run.audit();
+    for preset in [GossipConfig::classic, GossipConfig::fair] {
+        let mut run =
+            prepare_gossip::<Simulation<Node>>(&scenario, t_arch_config(preset), behavior);
+        let horizon = run.horizon();
+        let quitters = drive_with_quitting(&mut run.sim, horizon, &spec);
+        let audit = run.finish().audit();
         results.push((quitters, audit.reliability()));
     }
 

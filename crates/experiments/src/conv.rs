@@ -6,14 +6,13 @@
 //! rounds the controller needs to move from the floor to (near) its new
 //! steady allocation.
 
+use crate::harness::{t_arch_config, Node};
 use fed_core::gossip::{GossipCmd, GossipConfig, GossipNode};
 use fed_membership::FullMembership;
 use fed_metrics::table::{fmt_f64, Table};
 use fed_pubsub::{Event, EventId, TopicId};
 use fed_sim::network::{LatencyModel, NetworkModel};
 use fed_sim::{NodeId, SimDuration, SimTime, Simulation};
-
-type Node = GossipNode<FullMembership>;
 
 /// Result of the E-CONV experiment.
 #[derive(Debug)]
@@ -31,12 +30,10 @@ pub struct ConvResult {
 
 /// Runs E-CONV at population size `n`.
 pub fn run(n: usize, seed: u64) -> ConvResult {
-    let period = SimDuration::from_millis(100);
-    let cfg = GossipConfig::fair(8, 16, period);
+    let cfg = t_arch_config(GossipConfig::fair);
     let net = NetworkModel::reliable(LatencyModel::Constant(SimDuration::from_millis(10)));
-    let mut sim: Simulation<Node> = Simulation::new(n, net, seed, {
-        let cfg = cfg.clone();
-        move |id, _| GossipNode::new(id, cfg.clone(), FullMembership::new(id, n))
+    let mut sim: Simulation<Node> = Simulation::new(n, net, seed, move |id, _| {
+        GossipNode::new(id, cfg.clone(), FullMembership::new(id, n))
     });
     let topic = TopicId::new(0);
     // A quarter of the population is warm (subscribed from the start); the

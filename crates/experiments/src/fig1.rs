@@ -8,13 +8,12 @@
 //! as much as heavy consumers); the fair protocol compresses the ratio
 //! distribution (Jain → 1, Gini → 0) at equal delivery reliability.
 
-use crate::harness::build_gossip_spec;
+use crate::harness::{run_gossip, t_arch_config, EngineKind};
 use fed_core::behavior::Behavior;
 use fed_core::gossip::GossipConfig;
 use fed_core::ledger::RatioSpec;
 use fed_metrics::fairness::{ratio_report, ratios};
 use fed_metrics::table::{fmt_f64, Table};
-use fed_sim::SimDuration;
 use fed_util::stats::Summary;
 use fed_workload::scenario::ScenarioSpec;
 
@@ -53,21 +52,13 @@ pub fn run(n: usize, seed: u64) -> Fig1Result {
 
     let mut results = Vec::new();
     for (name, cfg) in [
-        (
-            "classic-gossip",
-            GossipConfig::classic(8, 16, SimDuration::from_millis(100)),
-        ),
-        (
-            "fair-gossip",
-            GossipConfig::fair(8, 16, SimDuration::from_millis(100)),
-        ),
+        ("classic-gossip", t_arch_config(GossipConfig::classic)),
+        ("fair-gossip", t_arch_config(GossipConfig::fair)),
     ] {
-        let mut run = build_gossip_spec(&scenario, cfg, |_| Behavior::Honest);
-        run.run();
+        let run = run_gossip(&scenario, EngineKind::Sequential, cfg, |_| Behavior::Honest);
         let audit = run.audit();
-        let ledgers = run.ledgers();
-        let report = ratio_report(ledgers.iter().copied(), &spec);
-        let dist = Summary::from_values(ratios(ledgers.iter().copied(), &spec));
+        let report = ratio_report(&run.ledgers, &spec);
+        let dist = Summary::from_values(ratios(&run.ledgers, &spec));
         table.row_owned(vec![
             name.to_string(),
             fmt_f64(report.jain),

@@ -8,13 +8,12 @@
 //! "although it will subject the system to a higher load"; the fair
 //! protocol makes contribution follow the filter-weighted benefit.
 
-use crate::harness::build_gossip_spec;
+use crate::harness::{run_gossip, t_arch_config, EngineKind};
 use fed_core::behavior::Behavior;
 use fed_core::gossip::GossipConfig;
 use fed_core::ledger::RatioSpec;
 use fed_metrics::fairness::ratio_report;
 use fed_metrics::table::{fmt_f64, Table};
-use fed_sim::SimDuration;
 use fed_workload::interest::Appetite;
 use fed_workload::scenario::ScenarioSpec;
 
@@ -60,19 +59,12 @@ pub fn run(n: usize, seed: u64) -> Fig2Result {
         scenario.appetite = appetite;
         let mut jains = Vec::new();
         for (proto, cfg) in [
-            (
-                "classic",
-                GossipConfig::classic(8, 16, SimDuration::from_millis(100)),
-            ),
-            (
-                "fair",
-                GossipConfig::fair(8, 16, SimDuration::from_millis(100)),
-            ),
+            ("classic", t_arch_config(GossipConfig::classic)),
+            ("fair", t_arch_config(GossipConfig::fair)),
         ] {
-            let mut run = build_gossip_spec(&scenario, cfg, |_| Behavior::Honest);
-            run.run();
+            let run = run_gossip(&scenario, EngineKind::Sequential, cfg, |_| Behavior::Honest);
             let audit = run.audit();
-            let report = ratio_report(run.ledgers(), &spec);
+            let report = ratio_report(&run.ledgers, &spec);
             table.row_owned(vec![
                 label.to_string(),
                 proto.to_string(),

@@ -6,13 +6,12 @@
 //! `{static F, static N}`, `{adaptive F}`, `{adaptive N}` and
 //! `{adaptive both}` under byte-denominated accounting.
 
-use crate::harness::build_gossip_spec;
+use crate::harness::{run_gossip, t_arch_config, EngineKind};
 use fed_core::behavior::Behavior;
 use fed_core::gossip::GossipConfig;
 use fed_core::ledger::RatioSpec;
 use fed_metrics::fairness::ratio_report;
 use fed_metrics::table::{fmt_f64, Table};
-use fed_sim::SimDuration;
 use fed_workload::scenario::ScenarioSpec;
 
 /// Result of the FIG3 experiment.
@@ -25,7 +24,7 @@ pub struct Fig3Result {
 }
 
 fn config_variant(adapt_fanout: bool, adapt_size: bool) -> GossipConfig {
-    let mut cfg = GossipConfig::fair_expressive(8, 16, SimDuration::from_millis(100));
+    let mut cfg = t_arch_config(GossipConfig::fair_expressive);
     cfg.adapt_fanout = adapt_fanout;
     cfg.adapt_msg_size = adapt_size;
     if !adapt_fanout && !adapt_size {
@@ -57,11 +56,11 @@ pub fn run(n: usize, seed: u64) -> Fig3Result {
     ];
     let mut points = Vec::new();
     for (label, af, an) in variants {
-        let mut run = build_gossip_spec(&scenario, config_variant(af, an), |_| Behavior::Honest);
-        run.run();
+        let cfg = config_variant(af, an);
+        let run = run_gossip(&scenario, EngineKind::Sequential, cfg, |_| Behavior::Honest);
         let audit = run.audit();
-        let ledgers = run.ledgers();
-        let report = ratio_report(ledgers.iter().copied(), &spec);
+        let ledgers = &run.ledgers;
+        let report = ratio_report(ledgers, &spec);
         let mean_bytes =
             ledgers.iter().map(|l| l.contribution(&spec)).sum::<f64>() / ledgers.len() as f64;
         table.row_owned(vec![

@@ -12,11 +12,10 @@
 //! Plus the correctness invariant of the algorithm's `ISINTERESTED` line:
 //! zero spurious deliveries in every cell.
 
-use crate::harness::build_gossip_spec;
+use crate::harness::{run_gossip, t_arch_config, EngineKind, ROUND};
 use fed_core::behavior::Behavior;
 use fed_core::gossip::GossipConfig;
 use fed_metrics::table::{fmt_f64, Table};
-use fed_sim::SimDuration;
 use fed_workload::interest::Appetite;
 use fed_workload::scenario::ScenarioSpec;
 
@@ -52,10 +51,9 @@ pub fn run(n: usize, sizes: &[usize], seed: u64) -> Fig4Result {
         scenario.appetite = Appetite::Fixed(1);
         scenario.plan.rate_per_sec = 5.0;
         scenario.plan.duration = fed_sim::SimTime::from_secs(10);
-        let cfg = GossipConfig::classic(fanout, 16, SimDuration::from_millis(100));
-        let mut run = build_gossip_spec(&scenario, cfg, |_| Behavior::Honest);
-        run.run();
-        let audit = run.audit();
+        let cfg = GossipConfig::classic(fanout, 16, ROUND);
+        let audit =
+            run_gossip(&scenario, EngineKind::Sequential, cfg, |_| Behavior::Honest).audit();
         spurious += audit.spurious();
         let lat = audit.latency_ms();
         fanout_table.row_owned(vec![
@@ -78,10 +76,9 @@ pub fn run(n: usize, sizes: &[usize], seed: u64) -> Fig4Result {
         scenario.appetite = Appetite::Fixed(1);
         scenario.plan.rate_per_sec = 5.0;
         scenario.plan.duration = fed_sim::SimTime::from_secs(10);
-        let cfg = GossipConfig::classic(8, 16, SimDuration::from_millis(100));
-        let mut run = build_gossip_spec(&scenario, cfg, |_| Behavior::Honest);
-        run.run();
-        let audit = run.audit();
+        let cfg = t_arch_config(GossipConfig::classic);
+        let audit =
+            run_gossip(&scenario, EngineKind::Sequential, cfg, |_| Behavior::Honest).audit();
         spurious += audit.spurious();
         let lat = audit.latency_ms();
         scale_table.row_owned(vec![

@@ -5,23 +5,31 @@
 //! sequential [`Simulation`] or the sharded [`ShardedSimulation`] — for
 //! *any* architecture the spec selects, and audits the outcome.
 //!
-//! Two layers:
+//! There is **one** body for materialize → [`Engine::build`] →
+//! schedule the workload → observed run → collect, and every run in the
+//! workspace goes through it:
 //!
-//! * **The gossip-specific builder** ([`GossipRun::build`], or
-//!   [`build_gossip_spec`] for the sequential engine) keeps the
-//!   protocol's knobs open ([`GossipConfig`], per-node [`Behavior`]) for
-//!   the experiments that study the fair protocol itself.
-//! * **The architecture-generic runner** ([`run_architecture`]) executes
-//!   whatever [`Architecture`] the spec names — fair/static gossip or any
-//!   of the structured baselines — on either engine and returns an
-//!   engine-agnostic [`ArchOutcome`]. Every node type plugs in through
-//!   [`ArchProtocol`], which phrases the workload as commands and reads
-//!   the observables (delivery log, fairness ledger) back out.
+//! * [`run_architecture`] executes whatever [`Architecture`] the spec
+//!   names — fair/static gossip or any of the structured baselines — on
+//!   either engine and returns an engine-agnostic [`ArchOutcome`]. Every
+//!   node type plugs in through [`ArchProtocol`], which phrases the
+//!   workload as commands and reads the observables (delivery log,
+//!   fairness ledger) back out.
+//! * [`run_gossip`] is its gossip arm with the protocol's knobs open
+//!   ([`GossipConfig`], per-node [`Behavior`]), for the experiments that
+//!   study the fair protocol itself; `run_architecture` calls it with
+//!   [`t_arch_config`] and honest peers.
+//! * [`Prepared`] is that body split at its run step: engine built and
+//!   scheduled, ground truth kept, `sim` reachable, and
+//!   [`Prepared::finish`] yields the same [`ArchOutcome`]. Running a
+//!   scenario *is* "prepare, finish"; the experiments that touch the
+//!   engine in between (extra commands, crash waves, sliced runs, reading
+//!   node state) get the handle from [`prepare_gossip`].
 //!
-//! Both layers are generic over the [`Engine`] seam — build, schedule,
-//! run observed, read back — so each has one body, and for the same spec
-//! the results are bit-for-bit comparable regardless of engine or shard
-//! count — asserted by the `cross_engine` integration tests.
+//! The body is generic over the [`Engine`] seam — build, schedule, run
+//! observed, read back — so for the same spec the results are bit-for-bit
+//! comparable regardless of engine or shard count — asserted by the
+//! `cross_engine` integration tests.
 
 use fed_baselines::broker::{BrokerCmd, BrokerNode};
 use fed_baselines::common::DeliveryLog;
@@ -73,8 +81,18 @@ pub fn event_weights(materialized: &MaterializedScenario) -> Vec<u64> {
 /// The node type every gossip experiment runs.
 pub type Node = GossipNode<FullMembership>;
 
-/// The gossip round period shared by the architecture-generic runs.
-const ROUND: SimDuration = SimDuration::from_millis(100);
+/// The gossip round period every harness run shares.
+pub const ROUND: SimDuration = SimDuration::from_millis(100);
+
+/// The T-ARCH comparison configuration of a gossip `preset`: mean fanout
+/// 8, 16 events per message, [`ROUND`] rounds, so
+/// `t_arch_config(GossipConfig::fair)` is
+/// `GossipConfig::fair(8, 16, ROUND)`. [`run_architecture`] runs the
+/// `fair` and `classic` presets; an experiment starts from one of them
+/// and spells only the knobs it changes.
+pub fn t_arch_config(preset: fn(usize, usize, SimDuration) -> GossipConfig) -> GossipConfig {
+    preset(8, 16, ROUND)
+}
 
 /// Uniform driver interface over every architecture's node type: how the
 /// workload is phrased as commands, and how the observables are read back.
@@ -233,19 +251,21 @@ impl ArchProtocol for SplitStreamNode {
 
 /// The engine seam of the harness: what a scenario run needs from an
 /// engine — build from a spec, schedule, run observed, read back — so
-/// [`run_architecture`] and [`GossipRun`] have one body for both engines.
+/// the harness has one body for both engines.
 ///
 /// The sequential [`Simulation`] is the one-shard case: it owns `0..n`,
 /// takes exactly one observer and has no windows.
-pub trait Engine<P: Protocol + 'static>: Sized {
+pub trait Engine: Sized {
+    /// The node type this engine runs.
+    type Proto: Protocol + 'static;
     /// Builds the engine `spec` describes, constructing nodes with
     /// `factory` (the sequential engine ignores the shard count,
     /// placement and window knobs).
     fn build<F>(spec: &ScenarioSpec, materialized: &MaterializedScenario, factory: F) -> Self
     where
-        F: Fn(NodeId, &mut Xoshiro256StarStar) -> P + Send + Sync + 'static;
+        F: Fn(NodeId, &mut Xoshiro256StarStar) -> Self::Proto + Send + Sync + 'static;
     /// Schedules an application command.
-    fn command(&mut self, at: SimTime, node: NodeId, cmd: P::Cmd);
+    fn command(&mut self, at: SimTime, node: NodeId, cmd: <Self::Proto as Protocol>::Cmd);
     /// Schedules a crash.
     fn crash(&mut self, at: SimTime, node: NodeId);
     /// Schedules a (re)join.
@@ -264,7 +284,7 @@ pub trait Engine<P: Protocol + 'static>: Sized {
         trace_schedule: bool,
     ) -> Option<ScheduleTrace>;
     /// Iterates over `(id, state)` of every node that has state.
-    fn nodes(&self) -> impl Iterator<Item = (NodeId, &P)>;
+    fn nodes(&self) -> impl Iterator<Item = (NodeId, &Self::Proto)>;
     /// Transport statistics of every node, indexed by node.
     fn stats(&self) -> Vec<TransportStats>;
     /// Events processed so far.
@@ -275,7 +295,8 @@ pub trait Engine<P: Protocol + 'static>: Sized {
     fn queue_stats(&self) -> QueueStats;
 }
 
-impl<P: Protocol + 'static> Engine<P> for Simulation<P> {
+impl<P: Protocol + 'static> Engine for Simulation<P> {
+    type Proto = P;
     fn build<F>(spec: &ScenarioSpec, _materialized: &MaterializedScenario, factory: F) -> Self
     where
         F: Fn(NodeId, &mut Xoshiro256StarStar) -> P + Send + Sync + 'static,
@@ -326,12 +347,13 @@ impl<P: Protocol + 'static> Engine<P> for Simulation<P> {
     }
 }
 
-impl<P> Engine<P> for ShardedSimulation<P>
+impl<P> Engine for ShardedSimulation<P>
 where
     P: Protocol + Send + 'static,
     P::Msg: Send,
     P::Cmd: Send,
 {
+    type Proto = P;
     fn build<F>(spec: &ScenarioSpec, materialized: &MaterializedScenario, factory: F) -> Self
     where
         F: Fn(NodeId, &mut Xoshiro256StarStar) -> P + Send + Sync + 'static,
@@ -402,17 +424,17 @@ where
 ///
 /// Both engines must see the same `schedule_*` call order — the external
 /// event sequence number participates in the deterministic event order.
-fn schedule_workload<P, E>(sim: &mut E, materialized: &MaterializedScenario)
+fn schedule_workload<E>(sim: &mut E, materialized: &MaterializedScenario)
 where
-    P: ArchProtocol,
-    E: Engine<P>,
+    E: Engine,
+    E::Proto: ArchProtocol,
 {
     for i in 0..materialized.profile.len() {
         for &topic in materialized.profile.topics_of(i) {
             sim.command(
                 SimTime::ZERO,
                 NodeId::new(i as u32),
-                P::subscribe_cmd(topic),
+                E::Proto::subscribe_cmd(topic),
             );
         }
     }
@@ -420,7 +442,7 @@ where
         sim.command(
             p.at,
             NodeId::new(p.publisher as u32),
-            P::publish_cmd(p.event.clone()),
+            E::Proto::publish_cmd(p.event.clone()),
         );
     }
     for c in &materialized.churn {
@@ -429,86 +451,6 @@ where
             ChurnAction::Join => sim.join(c.at, NodeId::new(c.node as u32)),
         }
     }
-}
-
-/// A prepared gossip run on engine `E` (the sequential [`Simulation`]
-/// unless said otherwise): simulation with workload wired in, plus ground
-/// truth.
-pub struct GossipRun<E = Simulation<Node>> {
-    /// The simulation (not yet executed).
-    pub sim: E,
-    /// Who subscribes to what.
-    pub profile: InterestProfile,
-    /// Scheduled publications.
-    pub schedule: Vec<Publication>,
-    /// Scenario horizon.
-    pub horizon: SimTime,
-}
-
-impl<E: Engine<Node>> GossipRun<E> {
-    /// Builds a gossip run straight from a [`ScenarioSpec`] (shard count,
-    /// churn plan and all).
-    ///
-    /// For the same spec (and scheduling order), the results are
-    /// bit-for-bit identical on every engine regardless of `spec.shards`
-    /// — asserted by the `cross_engine` integration test.
-    pub fn build<B>(spec: &ScenarioSpec, config: GossipConfig, behavior: B) -> Self
-    where
-        B: Fn(NodeId) -> Behavior + Send + Sync + 'static,
-    {
-        let materialized = spec
-            .materialize()
-            .expect("scenario parameters are validated by construction");
-        let n = spec.n;
-        let mut sim = E::build(spec, &materialized, move |id, _| {
-            GossipNode::with_behavior(id, config.clone(), FullMembership::new(id, n), behavior(id))
-        });
-        schedule_workload(&mut sim, &materialized);
-        GossipRun {
-            sim,
-            profile: materialized.profile,
-            schedule: materialized.schedule,
-            horizon: materialized.horizon,
-        }
-    }
-
-    /// Runs to the scenario horizon.
-    pub fn run(&mut self) {
-        let mut unobserved = vec![(); self.sim.shards()];
-        self.sim.run_observed(self.horizon, &mut unobserved, false);
-    }
-
-    /// Builds the delivery audit from ground truth and observed state.
-    pub fn audit(&self) -> DeliveryAudit {
-        let mut audit = DeliveryAudit::new();
-        for p in &self.schedule {
-            audit.expect(
-                p.event.id(),
-                p.at,
-                self.profile.subscribers_of(p.event.topic()),
-            );
-        }
-        for (id, node) in self.sim.nodes() {
-            for (eid, rec) in node.deliveries() {
-                audit.record(*eid, id.index(), rec.at);
-            }
-        }
-        audit
-    }
-
-    /// Ledgers of all nodes in id order.
-    pub fn ledgers(&self) -> Vec<&FairnessLedger> {
-        self.sim.nodes().map(|(_, n)| n.ledger()).collect()
-    }
-}
-
-/// [`GossipRun::build`] on the sequential engine (`spec.shards` is
-/// ignored).
-pub fn build_gossip_spec<B>(spec: &ScenarioSpec, config: GossipConfig, behavior: B) -> GossipRun
-where
-    B: Fn(NodeId) -> Behavior + Send + Sync + 'static,
-{
-    GossipRun::build(spec, config, behavior)
 }
 
 /// Which engine executes a scenario.
@@ -585,12 +527,21 @@ pub struct ArchOutcome {
 impl ArchOutcome {
     /// Builds the delivery audit from ground truth and observed state.
     pub fn audit(&self) -> DeliveryAudit {
+        self.audit_where(|_, _| true)
+    }
+
+    /// [`ArchOutcome::audit`] over a narrowed ground truth: subscriber
+    /// `node` is expected to deliver publication `p` only when
+    /// `expected(p, node)` — for runs that changed who can deliver what
+    /// after the workload was drawn (cleared subscriptions, crash waves).
+    pub fn audit_where(&self, expected: impl Fn(&Publication, usize) -> bool) -> DeliveryAudit {
         let mut audit = DeliveryAudit::new();
         for p in &self.schedule {
+            let subscribers = self.profile.subscribers_of(p.event.topic());
             audit.expect(
                 p.event.id(),
                 p.at,
-                self.profile.subscribers_of(p.event.topic()),
+                subscribers.into_iter().filter(|&node| expected(p, node)),
             );
         }
         for (node, log) in self.deliveries.iter().enumerate() {
@@ -663,11 +614,66 @@ pub fn groups_of(profile: &InterestProfile) -> GroupTable {
     groups
 }
 
+/// Materializes `spec` — the one place the harness draws a workload.
+fn materialize(spec: &ScenarioSpec) -> MaterializedScenario {
+    spec.materialize()
+        .expect("scenario parameters are validated by construction")
+}
+
+/// The spec's `[membership]` section arms the SWIM detector inside every
+/// gossip stack an architecture runs.
+fn with_membership(spec: &ScenarioSpec, config: GossipConfig) -> GossipConfig {
+    match &spec.membership {
+        Some(swim) => config.with_swim(swim.clone()),
+        None => config,
+    }
+}
+
+/// The node factory of a gossip run: `config` (plus the spec's SWIM
+/// section) on every node, `behavior(id)` deciding who is honest.
+fn gossip_factory(
+    spec: &ScenarioSpec,
+    config: GossipConfig,
+    behavior: impl Fn(NodeId) -> Behavior + Send + Sync + 'static,
+) -> impl Fn(NodeId, &mut Xoshiro256StarStar) -> Node + Send + Sync + 'static {
+    let n = spec.n;
+    let config = with_membership(spec, config);
+    move |id, _| {
+        GossipNode::with_behavior(id, config.clone(), FullMembership::new(id, n), behavior(id))
+    }
+}
+
+/// Runs `spec`'s workload under push gossip with the given protocol
+/// `config` and per-node `behavior` on the chosen engine — the gossip arm
+/// of [`run_architecture`] with its knobs open (`spec.arch` only labels
+/// the outcome).
+pub fn run_gossip(
+    spec: &ScenarioSpec,
+    engine: EngineKind,
+    config: GossipConfig,
+    behavior: impl Fn(NodeId) -> Behavior + Send + Sync + 'static,
+) -> ArchOutcome {
+    let factory = gossip_factory(spec, config, behavior);
+    execute(spec, materialize(spec), engine, factory)
+}
+
+/// [`run_gossip`] stopped before its run step: the engine `E` built and
+/// scheduled, for the experiments that act on `sim` before
+/// [`Prepared::finish`].
+pub fn prepare_gossip<E: Engine<Proto = Node>>(
+    spec: &ScenarioSpec,
+    config: GossipConfig,
+    behavior: impl Fn(NodeId) -> Behavior + Send + Sync + 'static,
+) -> Prepared<'_, E> {
+    let factory = gossip_factory(spec, config, behavior);
+    Prepared::new(spec, materialize(spec), factory)
+}
+
 /// Runs the spec's architecture on the chosen engine to the scenario
 /// horizon and returns the observable outcome.
 ///
 /// The gossip variants run the T-ARCH comparison configuration
-/// (`fair`/`classic` with fanout 8, view 16, 100 ms rounds) — note this
+/// ([`t_arch_config`] of `fair`/`classic`) with honest peers — note this
 /// supersedes the fanout-4 config the E-SCALE sweep used before it went
 /// architecture-generic, so absolute event counts differ from pre-PR-2
 /// recordings.
@@ -678,49 +684,23 @@ pub fn groups_of(profile: &InterestProfile) -> GroupTable {
 /// immutable for the whole run, which is what makes it safe to share
 /// across shard threads without perturbing determinism.
 pub fn run_architecture(spec: &ScenarioSpec, engine: EngineKind) -> ArchOutcome {
-    let materialized = spec
-        .materialize()
-        .expect("scenario parameters are validated by construction");
     let n = spec.n;
-    // The spec's `[membership]` section arms the SWIM detector inside
-    // every gossip stack the chosen architecture runs.
-    let with_membership = |config: GossipConfig| match &spec.membership {
-        Some(swim) => config.with_swim(swim.clone()),
-        None => config,
-    };
+    let honest_gossip = |config| run_gossip(spec, engine, config, |_| Behavior::Honest);
     match spec.arch {
-        Architecture::FairGossip => {
-            let config = with_membership(GossipConfig::fair(8, 16, ROUND));
-            execute(spec, materialized, engine, move |id, _| {
-                GossipNode::with_behavior(
-                    id,
-                    config.clone(),
-                    FullMembership::new(id, n),
-                    Behavior::Honest,
-                )
-            })
-        }
-        Architecture::StaticGossip => {
-            let config = with_membership(GossipConfig::classic(8, 16, ROUND));
-            execute(spec, materialized, engine, move |id, _| {
-                GossipNode::with_behavior(
-                    id,
-                    config.clone(),
-                    FullMembership::new(id, n),
-                    Behavior::Honest,
-                )
-            })
-        }
-        Architecture::Broker => execute(spec, materialized, engine, |id, _| {
+        Architecture::FairGossip => honest_gossip(t_arch_config(GossipConfig::fair)),
+        Architecture::StaticGossip => honest_gossip(t_arch_config(GossipConfig::classic)),
+        Architecture::Broker => execute(spec, materialize(spec), engine, |id, _| {
             BrokerNode::new(id, NodeId::new(0))
         }),
         Architecture::Scribe => {
+            let materialized = materialize(spec);
             let dht = Arc::new(DhtNetwork::build(n));
             execute(spec, materialized, engine, move |id, _| {
                 ScribeNode::new(id, Arc::clone(&dht))
             })
         }
         Architecture::Dks => {
+            let materialized = materialize(spec);
             let dht = Arc::new(DhtNetwork::build(n));
             let groups = Arc::new(groups_of(&materialized.profile));
             let cfg = DksConfig {
@@ -732,6 +712,7 @@ pub fn run_architecture(spec: &ScenarioSpec, engine: EngineKind) -> ArchOutcome 
             })
         }
         Architecture::Dam => {
+            let materialized = materialize(spec);
             let groups = Arc::new(groups_of(&materialized.profile));
             let space = Arc::new(TopicSpace::flat(spec.num_topics));
             execute(spec, materialized, engine, move |id, _| {
@@ -744,6 +725,7 @@ pub fn run_architecture(spec: &ScenarioSpec, engine: EngineKind) -> ArchOutcome 
             })
         }
         Architecture::SplitStream => {
+            let materialized = materialize(spec);
             let forest = Arc::new(Forest::build(n, 8, 8));
             execute(spec, materialized, engine, move |id, _| {
                 SplitStreamNode::new(id, Arc::clone(&forest))
@@ -751,8 +733,8 @@ pub fn run_architecture(spec: &ScenarioSpec, engine: EngineKind) -> ArchOutcome 
         }
         Architecture::Hybrid => {
             let mut config = HybridConfig::standard();
-            config.gossip = with_membership(config.gossip);
-            execute(spec, materialized, engine, move |id, _| {
+            config.gossip = with_membership(spec, config.gossip);
+            execute(spec, materialize(spec), engine, move |id, _| {
                 HybridNode::new(id, n, config.clone())
             })
         }
@@ -821,8 +803,8 @@ type ShardObserver = (
     Option<ShardTraceBuffer>,
 );
 
-/// Monomorphic worker behind [`run_architecture`]: dispatches onto
-/// [`execute_on`] for the chosen engine.
+/// Monomorphic worker behind [`run_architecture`] and [`run_gossip`]:
+/// "prepare, finish" on the chosen engine.
 fn execute<P, F>(
     spec: &ScenarioSpec,
     materialized: MaterializedScenario,
@@ -836,108 +818,144 @@ where
     F: Fn(NodeId, &mut Xoshiro256StarStar) -> P + Send + Sync + 'static,
 {
     match engine {
-        EngineKind::Sequential => execute_on::<P, Simulation<P>, F>(spec, materialized, factory),
+        EngineKind::Sequential => {
+            Prepared::<Simulation<P>>::new(spec, materialized, factory).finish()
+        }
         EngineKind::Cluster => {
-            execute_on::<P, ShardedSimulation<P>, F>(spec, materialized, factory)
+            Prepared::<ShardedSimulation<P>>::new(spec, materialized, factory).finish()
         }
     }
 }
 
-/// Builds engine `E` with `factory`, schedules the workload, runs to the
-/// horizon with one [`ShardObserver`] per shard and collects the outcome.
-fn execute_on<P, E, F>(
-    spec: &ScenarioSpec,
+/// A scenario prepared on engine `E`: engine built, workload scheduled,
+/// ground truth kept — the harness's one run body, split at its run step.
+///
+/// Until [`Prepared::finish`] the engine is the caller's: schedule extra
+/// commands or crashes on `sim`, run it in slices, read node state.
+/// Whatever the caller ran itself is run unobserved; `finish` covers the
+/// rest of the way to the horizon under the spec's observers.
+pub struct Prepared<'s, E> {
+    /// The engine, with the scenario's workload scheduled.
+    pub sim: E,
+    spec: &'s ScenarioSpec,
     materialized: MaterializedScenario,
-    factory: F,
-) -> ArchOutcome
+}
+
+impl<'s, E> Prepared<'s, E>
 where
-    P: ArchProtocol,
-    E: Engine<P>,
-    F: Fn(NodeId, &mut Xoshiro256StarStar) -> P + Send + Sync + 'static,
+    E: Engine,
+    E::Proto: ArchProtocol,
 {
-    let horizon = materialized.horizon;
-    let profiling = spec.profile.is_some();
-    let mut sim = E::build(spec, &materialized, factory);
-    schedule_workload(&mut sim, &materialized);
-    // Each shard-local collector is built from the same owned list its
-    // kernel got, and each hop is recorded on the shard owning the
-    // sender; the merges below restore the global series and the
-    // canonical trace order exactly. The counting wrapper feeds the
-    // profiler's `probe_calls` work counter and forwards everything
-    // unchanged.
-    let owned: Vec<Vec<u32>> = (0..sim.shards()).map(|s| sim.owned(s)).collect();
-    let mut observers: Vec<ShardObserver> = owned
-        .iter()
-        .map(|owned| {
-            (
-                spec.telemetry
-                    .map(|t| CountingProbe::new(ShardCollector::new(t, spec.n, owned))),
-                profiling.then(ShardProfile::default),
-                spec.trace.as_ref().map(ShardTraceBuffer::new),
-            )
-        })
-        .collect();
-    let run_start = profiling.then(std::time::Instant::now);
-    let schedule = sim.run_observed(horizon, &mut observers, profiling);
-    let wall_ns = run_start.map_or(0, |t| t.elapsed().as_nanos() as u64);
+    /// Builds engine `E` with `factory` and schedules the workload.
+    fn new<F>(spec: &'s ScenarioSpec, materialized: MaterializedScenario, factory: F) -> Self
+    where
+        F: Fn(NodeId, &mut Xoshiro256StarStar) -> E::Proto + Send + Sync + 'static,
+    {
+        let mut sim = E::build(spec, &materialized, factory);
+        schedule_workload(&mut sim, &materialized);
+        Prepared {
+            sim,
+            spec,
+            materialized,
+        }
+    }
 
-    let stats = sim.stats();
-    let mut telemetry: Option<TelemetrySeries> = None;
-    let mut work = Vec::new();
-    let mut shard_profiles = Vec::new();
-    let mut buffers = Vec::new();
-    for ((collector, shard_profile, buffer), owned) in observers.into_iter().zip(&owned) {
-        let probe_calls = collector.as_ref().map_or(0, |c| c.calls);
-        if let Some(series) = collector.map(|c| c.inner.finalize(horizon)) {
-            match telemetry.as_mut() {
-                None => telemetry = Some(series),
-                Some(merged) => merged.merge(&series),
+    /// The scenario horizon [`Prepared::finish`] runs to.
+    pub fn horizon(&self) -> SimTime {
+        self.materialized.horizon
+    }
+
+    /// Runs to the horizon with one observer per shard (the spec's
+    /// `[telemetry]`, `[profile]` and `[trace]` sections) and collects
+    /// the outcome.
+    pub fn finish(self) -> ArchOutcome {
+        let Prepared {
+            mut sim,
+            spec,
+            materialized,
+        } = self;
+        let horizon = materialized.horizon;
+        let profiling = spec.profile.is_some();
+        // Each shard-local collector is built from the same owned list its
+        // kernel got, and each hop is recorded on the shard owning the
+        // sender; the merges below restore the global series and the
+        // canonical trace order exactly. The counting wrapper feeds the
+        // profiler's `probe_calls` work counter and forwards everything
+        // unchanged.
+        let owned: Vec<Vec<u32>> = (0..sim.shards()).map(|s| sim.owned(s)).collect();
+        let mut observers: Vec<ShardObserver> = owned
+            .iter()
+            .map(|owned| {
+                (
+                    spec.telemetry
+                        .map(|t| CountingProbe::new(ShardCollector::new(t, spec.n, owned))),
+                    profiling.then(ShardProfile::default),
+                    spec.trace.as_ref().map(ShardTraceBuffer::new),
+                )
+            })
+            .collect();
+        let run_start = profiling.then(std::time::Instant::now);
+        let schedule = sim.run_observed(horizon, &mut observers, profiling);
+        let wall_ns = run_start.map_or(0, |t| t.elapsed().as_nanos() as u64);
+
+        let stats = sim.stats();
+        let mut telemetry: Option<TelemetrySeries> = None;
+        let mut work = Vec::new();
+        let mut shard_profiles = Vec::new();
+        let mut buffers = Vec::new();
+        for ((collector, shard_profile, buffer), owned) in observers.into_iter().zip(&owned) {
+            let probe_calls = collector.as_ref().map_or(0, |c| c.calls);
+            if let Some(series) = collector.map(|c| c.inner.finalize(horizon)) {
+                match telemetry.as_mut() {
+                    None => telemetry = Some(series),
+                    Some(merged) => merged.merge(&series),
+                }
             }
+            if let Some(shard) = shard_profile {
+                work.push(work_counters(&stats, owned, shard.events, probe_calls));
+                shard_profiles.push(shard);
+            }
+            buffers.extend(buffer);
         }
-        if let Some(shard) = shard_profile {
-            work.push(work_counters(&stats, owned, shard.events, probe_calls));
-            shard_profiles.push(shard);
-        }
-        buffers.extend(buffer);
-    }
-    let profile = profiling.then(|| RunProfile {
-        work,
-        shards: shard_profiles,
-        queue: sim.queue_stats(),
-        schedule: schedule.as_ref().map(schedule_summary),
-        wall_ns,
-    });
-    // A single sequential buffer still goes through the merge, so both
-    // engines expose the identical canonical ordering.
-    let trace = spec.trace.as_ref().map(|_| merge_hops(buffers));
+        let profile = profiling.then(|| RunProfile {
+            work,
+            shards: shard_profiles,
+            queue: sim.queue_stats(),
+            schedule: schedule.as_ref().map(schedule_summary),
+            wall_ns,
+        });
+        // A single sequential buffer still goes through the merge, so both
+        // engines expose the identical canonical ordering.
+        let trace = spec.trace.as_ref().map(|_| merge_hops(buffers));
 
-    let mut deliveries = vec![Vec::new(); spec.n];
-    let mut ledgers = vec![FairnessLedger::new(); spec.n];
-    let mut swim = vec![Vec::new(); spec.n];
-    let mut handovers = vec![None; spec.n];
-    for (id, node) in sim.nodes() {
-        deliveries[id.index()] = node.delivery_log();
-        ledgers[id.index()] = node.fairness();
-        swim[id.index()] = node.swim_observations();
-        handovers[id.index()] = node.handover_at();
-    }
-    ArchOutcome {
-        arch: spec.arch,
-        profile: materialized.profile,
-        schedule: materialized.schedule,
-        deliveries,
-        ledgers,
-        stats,
-        events: sim.events(),
-        windows: sim.windows(),
-        shards: owned.len(),
-        telemetry,
-        profiling: profile,
-        trace,
-        swim,
-        handovers,
-        churn: materialized.churn,
-        horizon,
+        let mut deliveries = vec![Vec::new(); spec.n];
+        let mut ledgers = vec![FairnessLedger::new(); spec.n];
+        let mut swim = vec![Vec::new(); spec.n];
+        let mut handovers = vec![None; spec.n];
+        for (id, node) in sim.nodes() {
+            deliveries[id.index()] = node.delivery_log();
+            ledgers[id.index()] = node.fairness();
+            swim[id.index()] = node.swim_observations();
+            handovers[id.index()] = node.handover_at();
+        }
+        ArchOutcome {
+            arch: spec.arch,
+            profile: materialized.profile,
+            schedule: materialized.schedule,
+            deliveries,
+            ledgers,
+            stats,
+            events: sim.events(),
+            windows: sim.windows(),
+            shards: owned.len(),
+            telemetry,
+            profiling: profile,
+            trace,
+            swim,
+            handovers,
+            churn: materialized.churn,
+            horizon,
+        }
     }
 }
 
@@ -949,34 +967,67 @@ mod tests {
     #[test]
     fn standard_scenario_runs_and_audits() {
         let spec = ScenarioSpec::fair_gossip(32, 11);
-        let cfg = GossipConfig::classic(5, 16, SimDuration::from_millis(100));
-        let mut run = build_gossip_spec(&spec, cfg, |_| Behavior::Honest);
-        run.run();
-        let audit = run.audit();
+        let cfg = GossipConfig::classic(5, 16, ROUND);
+        let outcome = run_gossip(&spec, EngineKind::Sequential, cfg, |_| Behavior::Honest);
+        let audit = outcome.audit();
         assert!(audit.num_events() > 0);
         assert!(audit.reliability() > 0.99, "r={}", audit.reliability());
         assert_eq!(audit.spurious(), 0);
-        let ledgers = run.ledgers();
-        assert_eq!(ledgers.len(), 32);
+        assert_eq!(outcome.ledgers.len(), 32);
         let spec = RatioSpec::topic_based();
-        assert!(ledgers.iter().any(|l| l.contribution(&spec) > 0.0));
+        assert!(outcome.ledgers.iter().any(|l| l.contribution(&spec) > 0.0));
     }
 
     #[test]
     fn deterministic_across_builds() {
         let spec = ScenarioSpec::fair_gossip(16, 5);
-        let cfg = GossipConfig::classic(4, 16, SimDuration::from_millis(100));
-        let r1 = {
-            let mut run = build_gossip_spec(&spec, cfg.clone(), |_| Behavior::Honest);
-            run.run();
-            run.audit().reliability()
+        let reliability = || {
+            let cfg = GossipConfig::classic(4, 16, ROUND);
+            run_gossip(&spec, EngineKind::Sequential, cfg, |_| Behavior::Honest)
+                .audit()
+                .reliability()
         };
-        let r2 = {
-            let mut run = build_gossip_spec(&spec, cfg, |_| Behavior::Honest);
-            run.run();
-            run.audit().reliability()
-        };
-        assert_eq!(r1, r2);
+        assert_eq!(reliability(), reliability());
+    }
+
+    /// The handle is the run body split in two, not a second body:
+    /// finishing it untouched, or after driving `sim` to the horizon by
+    /// hand, yields what the one-shot entry yields.
+    #[test]
+    fn prepared_handle_finishes_to_the_same_outcome() {
+        let spec = ScenarioSpec::fair_gossip(16, 3);
+        let config = || t_arch_config(GossipConfig::fair);
+        let direct = run_architecture(&spec, EngineKind::Sequential);
+        let untouched =
+            prepare_gossip::<Simulation<Node>>(&spec, config(), |_| Behavior::Honest).finish();
+        let mut driven = prepare_gossip::<Simulation<Node>>(&spec, config(), |_| Behavior::Honest);
+        driven.sim.run_until(driven.horizon());
+        let driven = driven.finish();
+        for outcome in [&untouched, &driven] {
+            assert_eq!(outcome.deliveries, direct.deliveries);
+            assert_eq!(outcome.ledgers, direct.ledgers);
+            assert_eq!(outcome.stats, direct.stats);
+            assert_eq!(outcome.events, direct.events);
+        }
+    }
+
+    /// `audit_where` narrows the expected set and `audit` keeps all of it.
+    #[test]
+    fn filtered_audit_narrows_the_ground_truth() {
+        let spec = ScenarioSpec::fair_gossip(24, 7);
+        let outcome = run_architecture(&spec, EngineKind::Sequential);
+        let all = outcome.audit();
+        let kept = outcome.audit_where(|_, _| true);
+        assert_eq!(kept.expected_deliveries(), all.expected_deliveries());
+        assert_eq!(kept.observed_deliveries(), all.observed_deliveries());
+        let half = outcome.audit_where(|_, node| node < 12);
+        assert!(half.expected_deliveries() < all.expected_deliveries());
+        assert!(half.expected_deliveries() > 0);
+        // Deliveries at the nodes filtered out are no longer expected.
+        assert_eq!(
+            half.spurious() as usize,
+            all.observed_deliveries() - half.observed_deliveries()
+        );
     }
 
     /// Every architecture runs end to end through the generic runner on
@@ -1029,20 +1080,5 @@ mod tests {
             clu.windows,
             "every window has exactly one straggler"
         );
-    }
-
-    /// The generic runner's sequential path and the dedicated gossip
-    /// builder agree — the runner is a façade, not a fork.
-    #[test]
-    fn generic_runner_matches_gossip_builder() {
-        let spec = ScenarioSpec::fair_gossip(16, 3);
-        let outcome = run_architecture(&spec, EngineKind::Sequential);
-        let mut run = build_gossip_spec(&spec, GossipConfig::fair(8, 16, ROUND), |_| {
-            Behavior::Honest
-        });
-        run.run();
-        let builder_deliveries: usize = run.sim.nodes().map(|(_, n)| n.deliveries().len()).sum();
-        assert_eq!(outcome.total_deliveries(), builder_deliveries);
-        assert_eq!(outcome.events, run.sim.events_processed());
     }
 }

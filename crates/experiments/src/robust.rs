@@ -12,13 +12,14 @@
 //! way it flags the scale sweeps.
 
 use crate::bench_json::Row;
-use crate::harness::build_gossip_spec;
+use crate::harness::{prepare_gossip, run_gossip, t_arch_config, EngineKind, Node};
 use fed_core::behavior::Behavior;
 use fed_core::gossip::GossipConfig;
 use fed_metrics::table::{fmt_f64, Table};
 use fed_sim::network::{LatencyModel, NetworkModel};
-use fed_sim::{NodeId, SimDuration, SimTime};
+use fed_sim::{NodeId, SimDuration, SimTime, Simulation};
 use fed_util::rng::{Rng64, SplitMix64};
+use fed_workload::pubs::Publication;
 use fed_workload::scenario::ScenarioSpec;
 use std::time::Instant;
 
@@ -49,6 +50,14 @@ fn point_row(suite: String, arch: &str, spec: &ScenarioSpec, events: u64, wall_m
         .throughput(events, 0, wall_ms)
 }
 
+/// The two protocols every sweep point compares, by their `arch` label.
+fn protocols() -> [(&'static str, GossipConfig); 2] {
+    [
+        ("static-gossip", t_arch_config(GossipConfig::classic)),
+        ("fair-gossip", t_arch_config(GossipConfig::fair)),
+    ]
+}
+
 /// Runs E-ROBUST at population size `n`.
 pub fn run(n: usize, seed: u64) -> RobustResult {
     let mut loss_table = Table::new(
@@ -59,28 +68,18 @@ pub fn run(n: usize, seed: u64) -> RobustResult {
     let mut records = Vec::new();
     for loss in [0.0, 0.1, 0.2, 0.3, 0.4] {
         let mut rel = Vec::new();
-        for (arch, cfg) in [
-            (
-                "static-gossip",
-                GossipConfig::classic(8, 16, SimDuration::from_millis(100)),
-            ),
-            (
-                "fair-gossip",
-                GossipConfig::fair(8, 16, SimDuration::from_millis(100)),
-            ),
-        ] {
+        for (arch, cfg) in protocols() {
             let mut scenario = ScenarioSpec::fair_gossip(n, seed);
             scenario.net =
                 NetworkModel::lossy(LatencyModel::Constant(SimDuration::from_millis(10)), loss);
             let start = Instant::now();
-            let mut run = build_gossip_spec(&scenario, cfg, |_| Behavior::Honest);
-            run.run();
+            let run = run_gossip(&scenario, EngineKind::Sequential, cfg, |_| Behavior::Honest);
             let wall_ms = start.elapsed().as_secs_f64() * 1e3;
             records.push(point_row(
                 format!("robust-loss-{loss:.2}"),
                 arch,
                 &scenario,
-                run.sim.events_processed(),
+                run.events,
                 wall_ms,
             ));
             rel.push(run.audit().reliability());
@@ -96,56 +95,31 @@ pub fn run(n: usize, seed: u64) -> RobustResult {
     let mut crash_points = Vec::new();
     for crash_frac in [0.0, 0.1, 0.2, 0.3] {
         let mut rel = Vec::new();
-        for (arch, cfg) in [
-            (
-                "static-gossip",
-                GossipConfig::classic(8, 16, SimDuration::from_millis(100)),
-            ),
-            (
-                "fair-gossip",
-                GossipConfig::fair(8, 16, SimDuration::from_millis(100)),
-            ),
-        ] {
+        for (arch, cfg) in protocols() {
             let scenario = ScenarioSpec::fair_gossip(n, seed ^ 0x5A5A);
             let start = Instant::now();
-            let mut run = build_gossip_spec(&scenario, cfg, |_| Behavior::Honest);
+            let mut run = prepare_gossip::<Simulation<Node>>(&scenario, cfg, |_| Behavior::Honest);
             // Crash a random fraction mid-stream.
+            let crash_at = SimTime::from_secs(8);
             let mut pick = SplitMix64::seed_from_u64(seed);
             let to_crash = (n as f64 * crash_frac) as usize;
             let victims = pick.sample_indices(n, to_crash);
             for v in &victims {
-                run.sim
-                    .schedule_crash(SimTime::from_secs(8), NodeId::new(*v as u32));
+                run.sim.schedule_crash(crash_at, NodeId::new(*v as u32));
             }
-            run.run();
+            let run = run.finish();
             records.push(point_row(
                 format!("robust-crash-{crash_frac:.2}"),
                 arch,
                 &scenario,
-                run.sim.events_processed(),
+                run.events,
                 start.elapsed().as_secs_f64() * 1e3,
             ));
             // Reliability counted over survivors and pre-crash events only:
             // measure deliveries of events published before the crash wave
             // at nodes that stayed alive.
-            let mut audit = fed_metrics::delivery::DeliveryAudit::new();
-            for p in &run.schedule {
-                if p.at < SimTime::from_secs(8) {
-                    let interested: Vec<usize> = run
-                        .profile
-                        .subscribers_of(p.event.topic())
-                        .into_iter()
-                        .filter(|i| !victims.contains(i))
-                        .collect();
-                    audit.expect(p.event.id(), p.at, interested);
-                }
-            }
-            for (id, node) in run.sim.nodes() {
-                for (eid, rec) in node.deliveries() {
-                    audit.record(*eid, id.index(), rec.at);
-                }
-            }
-            rel.push(audit.reliability());
+            let survived = |p: &Publication, node| p.at < crash_at && !victims.contains(&node);
+            rel.push(run.audit_where(survived).reliability());
         }
         crash_table.row_owned(vec![fmt_f64(crash_frac), fmt_f64(rel[0]), fmt_f64(rel[1])]);
         crash_points.push((crash_frac, rel[0], rel[1]));

@@ -3,14 +3,17 @@
 //! identical delivery logs, fairness ledgers and transport statistics at
 //! any shard count.
 //!
-//! Two layers of assertion:
+//! Three layers of assertion, all through the harness's one run body:
 //!
-//! * the original 1000-node fair-gossip scenario through the dedicated
-//!   gossip builder ([`GossipRun::build`]), generic over the engine;
+//! * the original 1000-node fair-gossip scenario on a
+//!   [`prepare_gossip`] handle, generic over the engine, fingerprinting
+//!   node state the outcome does not carry (duplicate counts);
 //! * every baseline architecture (broker, Scribe, DKS, SplitStream — and
-//!   DAM for good measure) through the architecture-generic
-//!   [`run_architecture`], at shard counts {1, 2, 4, 7}, with and without
-//!   churn.
+//!   DAM for good measure) through [`run_architecture`], at shard counts
+//!   {1, 2, 4, 7}, with and without churn;
+//! * the paper's own gossip configurations — FIG3's four adaptation
+//!   variants, E-ABLATE's correction gains, E-BIAS's cheat mix — through
+//!   [`run_gossip`], at the same shard counts.
 //!
 //! All runs share one workload scheduler, so this asserts the engines
 //! themselves: shard count is a performance knob, never a semantics knob.
@@ -19,7 +22,10 @@ use fed_cluster::ShardedSimulation;
 use fed_core::behavior::Behavior;
 use fed_core::gossip::GossipConfig;
 use fed_core::ledger::RatioSpec;
-use fed_experiments::harness::{run_architecture, Engine, EngineKind, GossipRun, Node};
+use fed_experiments::harness::{
+    prepare_gossip, run_architecture, run_gossip, t_arch_config, Engine, EngineKind, Node,
+};
+use fed_experiments::scenario_run::outcomes_match;
 use fed_sim::{NodeId, SimDuration, SimTime, Simulation, TransportStats};
 use fed_util::fairness::jain_index;
 use fed_workload::churn::ChurnPlan;
@@ -78,9 +84,11 @@ where
     }
 }
 
-fn run_on<E: Engine<Node>>(spec: &ScenarioSpec) -> Fingerprint {
-    let mut run = GossipRun::<E>::build(spec, config(), |_| Behavior::Honest);
-    run.run();
+fn run_on<E: Engine<Proto = Node>>(spec: &ScenarioSpec) -> Fingerprint {
+    let mut run = prepare_gossip::<E>(spec, config(), |_| Behavior::Honest);
+    let horizon = run.horizon();
+    let mut unobserved = vec![(); run.sim.shards()];
+    run.sim.run_observed(horizon, &mut unobserved, false);
     fingerprint(run.sim.nodes(), run.sim.stats(), run.sim.events())
 }
 
@@ -316,4 +324,91 @@ fn zero_lookahead_floor_parity_under_churn() {
              from the sequential engine"
         );
     }
+}
+
+/// Runs `spec` under `config` / `behavior` sequentially and on the
+/// cluster at shards {1, 2, 4, 7}, asserting [`outcomes_match`]: the
+/// gossip knobs and the behaviour mix are as engine-agnostic as the
+/// T-ARCH defaults.
+fn assert_gossip_parity(
+    what: &str,
+    spec: &ScenarioSpec,
+    config: &GossipConfig,
+    behavior: fn(NodeId) -> Behavior,
+) {
+    let expected = run_gossip(spec, EngineKind::Sequential, config.clone(), behavior);
+    assert!(
+        expected.total_deliveries() > 0,
+        "{what}: dead scenario proves nothing"
+    );
+    for shards in [1usize, 2, 4, 7] {
+        let got = run_gossip(
+            &spec.clone().with_shards(shards),
+            EngineKind::Cluster,
+            config.clone(),
+            behavior,
+        );
+        assert!(
+            outcomes_match(&expected, &got),
+            "{what}: cluster with {shards} shards diverged from the sequential engine"
+        );
+    }
+}
+
+/// FIG3's four `(adapt_fanout, adapt_msg_size)` variants of the
+/// expressive fair protocol.
+#[test]
+fn fig3_adaptation_variants_parity_across_shard_counts() {
+    let spec = spec(96);
+    for (adapt_fanout, adapt_msg_size) in
+        [(false, false), (true, false), (false, true), (true, true)]
+    {
+        let mut config = t_arch_config(GossipConfig::fair_expressive);
+        config.adapt_fanout = adapt_fanout;
+        config.adapt_msg_size = adapt_msg_size;
+        if !adapt_fanout && !adapt_msg_size {
+            config.ratio_correction_gain = 0.0;
+        }
+        assert_gossip_parity(
+            &format!("fig3 F={adapt_fanout} N={adapt_msg_size}"),
+            &spec,
+            &config,
+            |_| Behavior::Honest,
+        );
+    }
+}
+
+/// E-ABLATE's extreme correction gains: pure proportional control and the
+/// hardest-reacting setting of the sweep.
+#[test]
+fn ablation_gains_parity_across_shard_counts() {
+    let spec = spec(96);
+    for gain in [0.0, 0.2] {
+        let mut config = t_arch_config(GossipConfig::fair);
+        config.ratio_correction_gain = gain;
+        assert_gossip_parity(&format!("ablation gain {gain}"), &spec, &config, |_| {
+            Behavior::Honest
+        });
+    }
+}
+
+/// E-BIAS's population: a tenth free-riders, a tenth inflators, the rest
+/// honest — no cluster run had a non-honest peer before the harness had
+/// one run body.
+#[test]
+fn bias_behavior_mix_parity_across_shard_counts() {
+    fn mix(id: NodeId) -> Behavior {
+        match id.index() {
+            0..12 => Behavior::FreeRider {
+                fanout_cap: 1.0,
+                advertised_benefit_scale: 0.1,
+            },
+            12..24 => Behavior::Inflator {
+                advertised_contribution_scale: 5.0,
+            },
+            _ => Behavior::Honest,
+        }
+    }
+    let config = t_arch_config(GossipConfig::fair);
+    assert_gossip_parity("bias mix", &spec(128), &config, mix);
 }

@@ -88,12 +88,19 @@ impl Value {
     }
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level and its input can be a file named on a command line, so
+/// the bound is what turns a bracket bomb into an `Err` instead of a stack
+/// overflow; the deepest document the workspace writes nests 4 levels.
+pub const MAX_DEPTH: usize = 64;
+
 /// Parses one JSON document; trailing whitespace is allowed, trailing
-/// content is an error.
+/// content is an error, as are nesting beyond [`MAX_DEPTH`] and numbers
+/// outside the finite `f64` range.
 pub fn parse(text: &str) -> Result<Value, String> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing content at byte {pos}"));
@@ -122,12 +129,17 @@ fn expect(bytes: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+/// Parses the value at `pos`, itself nested inside `depth` containers.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_string()),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {}",
+            *pos
+        )),
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => parse_string(bytes, pos).map(Value::Str),
         Some(b't') => parse_lit(bytes, pos, "true", Value::Bool(true)),
         Some(b'f') => parse_lit(bytes, pos, "false", Value::Bool(false)),
@@ -156,9 +168,11 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
         *pos += 1;
     }
     let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?;
-    text.parse::<f64>()
-        .map(Value::Num)
-        .map_err(|_| format!("invalid number {text:?} at byte {start}"))
+    // `f64::from_str` rounds an out-of-range literal to an infinity.
+    match text.parse::<f64>() {
+        Ok(x) if x.is_finite() => Ok(Value::Num(x)),
+        _ => Err(format!("invalid number {text:?} at byte {start}")),
+    }
 }
 
 fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
@@ -202,17 +216,20 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 }
             }
             Some(_) => {
-                // Consume one UTF-8 character (multi-byte safe).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
+                // Consume the run up to the next quote or escape: both are
+                // ASCII, so the run ends on a UTF-8 character boundary.
+                let start = *pos;
+                while !matches!(bytes.get(*pos), None | Some(b'"' | b'\\')) {
+                    *pos += 1;
+                }
+                let run = std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?;
+                out.push_str(run);
             }
         }
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -221,7 +238,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
         return Ok(Value::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -234,7 +251,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
     expect(bytes, pos, b'{')?;
     let mut members = Vec::new();
     skip_ws(bytes, pos);
@@ -246,7 +263,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
         skip_ws(bytes, pos);
         let key = parse_string(bytes, pos)?;
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         members.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -290,6 +307,30 @@ mod tests {
         for bad in ["", "{", "[1,", "{\"a\" 1}", "12 34", "\"open", "nul"] {
             assert!(parse(bad).is_err(), "{bad:?} must not parse");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded_by_an_error_not_the_stack() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(
+            err,
+            format!("nesting deeper than {MAX_DEPTH} levels at byte {MAX_DEPTH}")
+        );
+        // The bomb that used to abort the process with a stack overflow.
+        assert!(parse(&"[".repeat(200_000)).is_err());
+        assert!(parse(&"{\"k\":".repeat(200_000)).is_err());
+    }
+
+    #[test]
+    fn non_finite_numbers_are_rejected() {
+        for bad in ["1e999", "-1e999", "[1, 1e400]", "{\"x\": -2e308}"] {
+            let err = parse(bad).unwrap_err();
+            assert!(err.starts_with("invalid number"), "{bad}: {err}");
+        }
+        assert_eq!(parse("1e308").unwrap(), Value::Num(1e308));
+        assert_eq!(parse("1e-999").unwrap(), Value::Num(0.0));
     }
 
     #[test]
