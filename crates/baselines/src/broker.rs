@@ -10,9 +10,8 @@
 //! and fault-tolerance bottleneck, which is why the paper's decentralized
 //! premise exists.
 
-use crate::common::DeliveryLog;
-use fed_core::ledger::FairnessLedger;
-use fed_pubsub::{Event, SubscriptionTable, TopicId};
+use fed_core::endpoint::{emit_event, Endpoint};
+use fed_pubsub::{Event, TopicId};
 use fed_sim::{Context, HopKind, NodeId, Protocol};
 use fed_util::hash::FastMap;
 use std::collections::BTreeSet;
@@ -49,9 +48,7 @@ pub struct BrokerNode {
     /// Broker-side subscription registry: topic → subscribers.
     registry: FastMap<TopicId, BTreeSet<NodeId>>,
     /// Client-side view of its own subscriptions.
-    subs: SubscriptionTable,
-    ledger: FairnessLedger,
-    log: DeliveryLog,
+    endpoint: Endpoint,
 }
 
 impl BrokerNode {
@@ -61,9 +58,7 @@ impl BrokerNode {
             id,
             broker,
             registry: FastMap::default(),
-            subs: SubscriptionTable::new(),
-            ledger: FairnessLedger::new(),
-            log: DeliveryLog::new(),
+            endpoint: Endpoint::new(),
         }
     }
 
@@ -72,14 +67,9 @@ impl BrokerNode {
         self.id == self.broker
     }
 
-    /// Fairness ledger.
-    pub fn ledger(&self) -> &FairnessLedger {
-        &self.ledger
-    }
-
-    /// Delivery log.
-    pub fn deliveries(&self) -> &DeliveryLog {
-        &self.log
+    /// The subscriber side: subscriptions, fairness ledger, delivery log.
+    pub fn endpoint(&self) -> &Endpoint {
+        &self.endpoint
     }
 
     /// Broker-side subscriber count for a topic (0 on clients).
@@ -95,13 +85,11 @@ impl BrokerNode {
         for &subscriber in subscribers {
             if subscriber == self.id {
                 // broker may itself subscribe
-                if self.subs.matches(&event) && self.log.deliver(&event, ctx.now()) {
-                    self.ledger.record_delivery();
-                }
+                self.endpoint.offer(&event, ctx.now());
                 continue;
             }
             ctx.send(subscriber, BrokerMsg::Notify(event.clone()));
-            self.ledger.record_forward(size);
+            self.endpoint.ledger_mut().record_forward(size);
         }
     }
 }
@@ -122,7 +110,7 @@ impl Protocol for BrokerNode {
             BrokerMsg::Subscribe(topic) => {
                 if self.is_broker() {
                     self.registry.entry(topic).or_default().insert(from);
-                    self.ledger.record_maintenance();
+                    self.endpoint.ledger_mut().record_maintenance();
                 }
             }
             BrokerMsg::Unsubscribe(topic) => {
@@ -130,13 +118,11 @@ impl Protocol for BrokerNode {
                     if let Some(set) = self.registry.get_mut(&topic) {
                         set.remove(&from);
                     }
-                    self.ledger.record_maintenance();
+                    self.endpoint.ledger_mut().record_maintenance();
                 }
             }
             BrokerMsg::Notify(event) => {
-                if self.subs.matches(&event) && self.log.deliver(&event, ctx.now()) {
-                    self.ledger.record_delivery();
-                }
+                self.endpoint.offer(&event, ctx.now());
             }
         }
     }
@@ -146,7 +132,7 @@ impl Protocol for BrokerNode {
     fn on_command(&mut self, ctx: &mut Context<'_, BrokerMsg>, cmd: BrokerCmd) {
         match cmd {
             BrokerCmd::Publish(event) => {
-                self.ledger.record_publish(event.size_bytes());
+                self.endpoint.published(&event);
                 if self.is_broker() {
                     self.broker_dispatch(ctx, event);
                 } else {
@@ -154,8 +140,7 @@ impl Protocol for BrokerNode {
                 }
             }
             BrokerCmd::SubscribeTopic(topic) => {
-                self.subs.subscribe_topic(topic);
-                self.ledger.set_active_filters(self.subs.len() as u32);
+                self.endpoint.subscribe_topic(topic);
                 if self.is_broker() {
                     let id = self.id;
                     self.registry.entry(topic).or_default().insert(id);
@@ -164,16 +149,7 @@ impl Protocol for BrokerNode {
                 }
             }
             BrokerCmd::UnsubscribeTopic(topic) => {
-                let ids: Vec<_> = self
-                    .subs
-                    .iter()
-                    .filter(|(_, s)| matches!(s, fed_pubsub::Subscription::Topic(t) if *t == topic))
-                    .map(|(id, _)| id)
-                    .collect();
-                for id in ids {
-                    let _ = self.subs.unsubscribe(id);
-                }
-                self.ledger.set_active_filters(self.subs.len() as u32);
+                self.endpoint.unsubscribe_topic(topic);
                 if !self.is_broker() {
                     ctx.send(self.broker, BrokerMsg::Unsubscribe(topic));
                 }
@@ -195,12 +171,7 @@ impl Protocol for BrokerNode {
             BrokerMsg::Notify(e) => (e, HopKind::BrokerNotify),
             BrokerMsg::Subscribe(_) | BrokerMsg::Unsubscribe(_) => return,
         };
-        emit(
-            e.id().as_u64(),
-            e.topic().as_u32(),
-            e.size_bytes() as u32,
-            kind,
-        );
+        emit_event(emit, e, kind);
     }
 }
 
@@ -236,7 +207,11 @@ mod tests {
         s.run_until(SimTime::from_secs(2));
         for (id, node) in s.nodes() {
             let should = matches!(id.as_u32(), 2 | 4 | 6);
-            assert_eq!(node.deliveries().contains(e.id()), should, "{id}");
+            assert_eq!(
+                node.endpoint().deliveries().contains(e.id()),
+                should,
+                "{id}"
+            );
         }
     }
 
@@ -262,13 +237,18 @@ mod tests {
         let broker_fwd = s
             .node(NodeId::new(0))
             .unwrap()
+            .endpoint()
             .ledger()
             .totals()
             .forwarded_msgs;
         assert_eq!(broker_fwd, 10 * 15, "broker forwards every notify");
         for (id, node) in s.nodes() {
             if id.index() != 0 {
-                assert_eq!(node.ledger().totals().forwarded_msgs, 0, "{id} client");
+                assert_eq!(
+                    node.endpoint().ledger().totals().forwarded_msgs,
+                    0,
+                    "{id} client"
+                );
             }
         }
     }
@@ -293,7 +273,12 @@ mod tests {
             BrokerCmd::Publish(Event::bare(EventId::new(1, 1), topic)),
         );
         s.run_until(SimTime::from_secs(2));
-        assert!(s.node(NodeId::new(2)).unwrap().deliveries().is_empty());
+        assert!(s
+            .node(NodeId::new(2))
+            .unwrap()
+            .endpoint()
+            .deliveries()
+            .is_empty());
     }
 
     #[test]
@@ -315,6 +300,7 @@ mod tests {
         assert!(s
             .node(NodeId::new(0))
             .unwrap()
+            .endpoint()
             .deliveries()
             .contains(e.id()));
     }
@@ -337,7 +323,10 @@ mod tests {
             BrokerCmd::Publish(Event::bare(EventId::new(1, 1), topic)),
         );
         s.run_until(SimTime::from_secs(2));
-        let total: usize = s.nodes().map(|(_, n)| n.deliveries().len()).sum();
+        let total: usize = s
+            .nodes()
+            .map(|(_, n)| n.endpoint().deliveries().len())
+            .sum();
         assert_eq!(total, 0, "single point of failure");
     }
 }

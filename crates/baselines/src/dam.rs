@@ -12,9 +12,9 @@
 //! here, so experiments can build both the ideal and the bridged variant
 //! and measure the difference.
 
-use crate::common::{pick_peers, DeliveryLog};
-use fed_core::ledger::FairnessLedger;
-use fed_pubsub::{Event, EventBatch, EventId, SubscriptionTable, TopicId, TopicSpace};
+use crate::common::pick_peers;
+use fed_core::endpoint::{emit_event, Endpoint};
+use fed_pubsub::{Event, EventBatch, EventId, TopicId, TopicSpace};
 use fed_sim::{Context, HopKind, NodeId, Protocol, SimDuration};
 use fed_util::hash::{FastMap, FastSet};
 use fed_util::rng::Rng64;
@@ -83,14 +83,12 @@ pub struct DamNode {
     config: DamConfig,
     groups: Arc<GroupTable>,
     space: Arc<TopicSpace>,
-    subs: SubscriptionTable,
+    endpoint: Endpoint,
     /// Per-topic buffered events with TTL (ordered so round processing is
     /// deterministic — HashMap iteration order would leak into the RNG
     /// consumption sequence and break replay).
     buffer: BTreeMap<TopicId, Vec<(Event, u32)>>,
     seen: FastSet<EventId>,
-    ledger: FairnessLedger,
-    log: DeliveryLog,
 }
 
 impl DamNode {
@@ -106,22 +104,15 @@ impl DamNode {
             config,
             groups,
             space,
-            subs: SubscriptionTable::new(),
+            endpoint: Endpoint::new(),
             buffer: BTreeMap::new(),
             seen: FastSet::default(),
-            ledger: FairnessLedger::new(),
-            log: DeliveryLog::new(),
         }
     }
 
-    /// Fairness ledger.
-    pub fn ledger(&self) -> &FairnessLedger {
-        &self.ledger
-    }
-
-    /// Delivery log.
-    pub fn deliveries(&self) -> &DeliveryLog {
-        &self.log
+    /// The subscriber side: subscriptions, fairness ledger, delivery log.
+    pub fn endpoint(&self) -> &Endpoint {
+        &self.endpoint
     }
 
     /// Whether this node is enrolled in `topic`'s gossip group.
@@ -136,11 +127,8 @@ impl DamNode {
         if !self.seen.insert(event.id()) {
             return;
         }
-        if self.subs.matches_in(event, &self.space) {
-            let now = ctx.now();
-            if self.log.deliver(event, now) {
-                self.ledger.record_delivery();
-            }
+        if self.endpoint.subscriptions().matches_in(event, &self.space) {
+            self.endpoint.deliver(event, ctx.now());
         }
         // Only group members keep forwarding.
         if self.is_group_member(event.topic()) {
@@ -189,7 +177,7 @@ impl Protocol for DamNode {
                         events: Arc::clone(&batch),
                     },
                 );
-                self.ledger.record_forward(size);
+                self.endpoint.ledger_mut().record_forward(size);
             }
         }
         // Age buffers.
@@ -206,7 +194,7 @@ impl Protocol for DamNode {
     fn on_command(&mut self, ctx: &mut Context<'_, DamMsg>, cmd: DamCmd) {
         match cmd {
             DamCmd::Publish(event) => {
-                self.ledger.record_publish(event.size_bytes());
+                self.endpoint.published(&event);
                 if self.is_group_member(event.topic()) {
                     self.accept(ctx, &event);
                 } else if let Some(group) = self.groups.get(&event.topic()) {
@@ -218,8 +206,7 @@ impl Protocol for DamNode {
                 }
             }
             DamCmd::SubscribeTopic(topic) => {
-                self.subs.subscribe_topic(topic);
-                self.ledger.set_active_filters(self.subs.len() as u32);
+                self.endpoint.subscribe_topic(topic);
             }
         }
     }
@@ -235,20 +222,10 @@ impl Protocol for DamNode {
         match msg {
             DamMsg::Gossip { events, .. } => {
                 for e in events.events() {
-                    emit(
-                        e.id().as_u64(),
-                        e.topic().as_u32(),
-                        e.size_bytes() as u32,
-                        HopKind::GossipPush,
-                    );
+                    emit_event(emit, e, HopKind::GossipPush);
                 }
             }
-            DamMsg::Handoff { event } => emit(
-                event.id().as_u64(),
-                event.topic().as_u32(),
-                event.size_bytes() as u32,
-                HopKind::GossipHandoff,
-            ),
+            DamMsg::Handoff { event } => emit_event(emit, event, HopKind::GossipHandoff),
         }
     }
 }
@@ -293,11 +270,14 @@ mod tests {
         sim.run_until(SimTime::from_secs(5));
         for (id, node) in sim.nodes() {
             if members.contains(&id) {
-                assert!(node.deliveries().contains(e.id()), "{id} member missed");
+                assert!(
+                    node.endpoint().deliveries().contains(e.id()),
+                    "{id} member missed"
+                );
             } else {
-                assert!(node.deliveries().is_empty());
+                assert!(node.endpoint().deliveries().is_empty());
                 assert_eq!(
-                    node.ledger().totals().forwarded_msgs,
+                    node.endpoint().ledger().totals().forwarded_msgs,
                     0,
                     "{id} outside the group must do zero work"
                 );
@@ -326,7 +306,13 @@ mod tests {
         sim.run_until(SimTime::from_secs(5));
         let got = members
             .iter()
-            .filter(|m| sim.node(**m).unwrap().deliveries().contains(e.id()))
+            .filter(|m| {
+                sim.node(**m)
+                    .unwrap()
+                    .endpoint()
+                    .deliveries()
+                    .contains(e.id())
+            })
             .count();
         assert_eq!(got, members.len(), "handoff reaches the whole group");
     }
@@ -357,9 +343,12 @@ mod tests {
         }
         sim.run_until(SimTime::from_secs(8));
         let bridge = sim.node(NodeId::new(0)).unwrap();
-        assert!(bridge.deliveries().is_empty(), "bridge has no interest");
         assert!(
-            bridge.ledger().totals().forwarded_msgs > 0,
+            bridge.endpoint().deliveries().is_empty(),
+            "bridge has no interest"
+        );
+        assert!(
+            bridge.endpoint().ledger().totals().forwarded_msgs > 0,
             "bridge is conscripted into forwarding — the paper's critique"
         );
     }
@@ -385,6 +374,7 @@ mod tests {
         assert!(
             sim.node(NodeId::new(0))
                 .unwrap()
+                .endpoint()
                 .deliveries()
                 .contains(e.id()),
             "supertopic subscriber delivers subtopic event"

@@ -15,11 +15,11 @@
 //! epidemic. Group members only handle traffic they want — but index-route
 //! relays and index nodes work for topics they never subscribed to.
 
-use crate::common::{pick_peers, DeliveryLog};
+use crate::common::pick_peers;
 use crate::dam::GroupTable;
-use fed_core::ledger::FairnessLedger;
+use fed_core::endpoint::{emit_event, Endpoint};
 use fed_dht::{DhtId, DhtNetwork};
-use fed_pubsub::{Event, EventId, SubscriptionTable, TopicId};
+use fed_pubsub::{Event, EventId, TopicId};
 use fed_sim::{Context, HopKind, NodeId, Protocol};
 use fed_util::hash::FastSet;
 use std::sync::Arc;
@@ -74,10 +74,8 @@ pub struct DksNode {
     config: DksConfig,
     dht: Arc<DhtNetwork>,
     groups: Arc<GroupTable>,
-    subs: SubscriptionTable,
+    endpoint: Endpoint,
     seen: FastSet<EventId>,
-    ledger: FairnessLedger,
-    log: DeliveryLog,
 }
 
 impl DksNode {
@@ -93,21 +91,14 @@ impl DksNode {
             config,
             dht,
             groups,
-            subs: SubscriptionTable::new(),
+            endpoint: Endpoint::new(),
             seen: FastSet::default(),
-            ledger: FairnessLedger::new(),
-            log: DeliveryLog::new(),
         }
     }
 
-    /// Fairness ledger.
-    pub fn ledger(&self) -> &FairnessLedger {
-        &self.ledger
-    }
-
-    /// Delivery log.
-    pub fn deliveries(&self) -> &DeliveryLog {
-        &self.log
+    /// The subscriber side: subscriptions, fairness ledger, delivery log.
+    pub fn endpoint(&self) -> &Endpoint {
+        &self.endpoint
     }
 
     fn next_hop(&self, topic: TopicId) -> Option<NodeId> {
@@ -133,7 +124,7 @@ impl DksNode {
                     event: event.clone(),
                 },
             );
-            self.ledger.record_forward(size);
+            self.endpoint.ledger_mut().record_forward(size);
         }
         is_member
     }
@@ -150,12 +141,7 @@ impl DksNode {
         if !self.seen.insert(event.id()) {
             return; // infect-and-die: forward only on first receipt
         }
-        if self.subs.matches(&event) {
-            let now = ctx.now();
-            if self.log.deliver(&event, now) {
-                self.ledger.record_delivery();
-            }
-        }
+        self.endpoint.offer(&event, ctx.now());
         self.flood(ctx, &event, self.config.group_fanout);
     }
 }
@@ -171,7 +157,9 @@ impl Protocol for DksNode {
             DksMsg::IndexRoute { event } => match self.next_hop(event.topic()) {
                 Some(next) => {
                     // Index-route relay: work for an arbitrary topic.
-                    self.ledger.record_forward(event.size_bytes());
+                    self.endpoint
+                        .ledger_mut()
+                        .record_forward(event.size_bytes());
                     ctx.send(next, DksMsg::IndexRoute { event });
                 }
                 // We are the index node for this topic.
@@ -186,7 +174,7 @@ impl Protocol for DksNode {
     fn on_command(&mut self, ctx: &mut Context<'_, DksMsg>, cmd: DksCmd) {
         match cmd {
             DksCmd::Publish(event) => {
-                self.ledger.record_publish(event.size_bytes());
+                self.endpoint.published(&event);
                 match self.next_hop(event.topic()) {
                     Some(next) => ctx.send(next, DksMsg::IndexRoute { event }),
                     // Publisher is the index node.
@@ -194,8 +182,7 @@ impl Protocol for DksNode {
                 }
             }
             DksCmd::SubscribeTopic(topic) => {
-                self.subs.subscribe_topic(topic);
-                self.ledger.set_active_filters(self.subs.len() as u32);
+                self.endpoint.subscribe_topic(topic);
             }
         }
     }
@@ -211,12 +198,7 @@ impl Protocol for DksNode {
             DksMsg::IndexRoute { event } => (event, HopKind::DhtRoute),
             DksMsg::GroupFlood { event } => (event, HopKind::GroupFlood),
         };
-        emit(
-            e.id().as_u64(),
-            e.topic().as_u32(),
-            e.size_bytes() as u32,
-            kind,
-        );
+        emit_event(emit, e, kind);
     }
 }
 
@@ -259,7 +241,13 @@ mod tests {
         s.run_until(SimTime::from_secs(5));
         let got = members
             .iter()
-            .filter(|m| s.node(**m).unwrap().deliveries().contains(e.id()))
+            .filter(|m| {
+                s.node(**m)
+                    .unwrap()
+                    .endpoint()
+                    .deliveries()
+                    .contains(e.id())
+            })
             .count();
         assert_eq!(got, members.len(), "epidemic covers the group");
     }
@@ -288,7 +276,7 @@ mod tests {
             .filter(|(id, p)| {
                 !members.contains(id)
                     && id.as_u32() != 100
-                    && p.ledger().totals().forwarded_msgs > 0
+                    && p.endpoint().ledger().totals().forwarded_msgs > 0
             })
             .count();
         assert!(
@@ -317,7 +305,7 @@ mod tests {
         s.run_until(SimTime::from_secs(5));
         for (id, node) in s.nodes() {
             if !members.contains(&id) {
-                assert!(node.deliveries().is_empty(), "{id}");
+                assert!(node.endpoint().deliveries().is_empty(), "{id}");
             }
         }
     }
@@ -332,7 +320,10 @@ mod tests {
             DksCmd::Publish(Event::bare(EventId::new(3, 1), TopicId::new(7))),
         );
         s.run_until(SimTime::from_secs(2));
-        let total: usize = s.nodes().map(|(_, p)| p.deliveries().len()).sum();
+        let total: usize = s
+            .nodes()
+            .map(|(_, p)| p.endpoint().deliveries().len())
+            .sum();
         assert_eq!(total, 0);
     }
 }

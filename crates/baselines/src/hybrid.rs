@@ -27,6 +27,7 @@
 
 use crate::broker::{BrokerCmd, BrokerMsg, BrokerNode};
 use fed_core::behavior::Behavior;
+use fed_core::endpoint::Endpoint;
 use fed_core::gossip::{GossipCmd, GossipConfig, GossipMsg, GossipNode};
 use fed_core::ledger::FairnessLedger;
 use fed_membership::swim::SwimObservation;
@@ -143,23 +144,27 @@ impl HybridNode {
         self.gossip.swim_observations()
     }
 
+    /// The two embedded stacks' subscriber sides, broker first. They
+    /// mirror the same subscriptions but stay separate: sharing one would
+    /// feed broker work into the gossip controllers.
+    pub fn endpoints(&self) -> [&Endpoint; 2] {
+        [self.broker.endpoint(), self.gossip.endpoint()]
+    }
+
     /// Merged fairness ledger of both stacks.
     pub fn merged_ledger(&self) -> FairnessLedger {
-        let mut ledger = self.broker.ledger().clone();
-        ledger.absorb(self.gossip.ledger());
+        let [broker, gossip] = self.endpoints();
+        let mut ledger = broker.ledger().clone();
+        ledger.absorb(gossip.ledger());
         ledger
     }
 
     /// Union of both stacks' delivery logs, deduplicated by event id
     /// (earliest delivery wins), sorted by event id.
     pub fn merged_deliveries(&self) -> Vec<(EventId, SimTime)> {
-        let mut merged: Vec<(EventId, SimTime)> = self.broker.deliveries().iter().collect();
-        merged.extend(
-            self.gossip
-                .deliveries()
-                .iter()
-                .map(|(&id, rec)| (id, rec.at)),
-        );
+        let [broker, gossip] = self.endpoints();
+        let mut merged: Vec<(EventId, SimTime)> = broker.deliveries().iter().collect();
+        merged.extend(gossip.deliveries().iter());
         merged.sort_unstable();
         merged.dedup_by_key(|&mut (id, _)| id);
         merged

@@ -22,7 +22,11 @@
 //! Every node type implements [`fed_sim::Protocol`], so a baseline runs
 //! on either engine exactly like the core protocol; the experiment
 //! harness's `ArchProtocol` adapter (in `fed-experiments`) drives all of
-//! them through one scheduling path. Shared routing infrastructure (the
+//! them through one scheduling path. A node's routing state is its own;
+//! its subscriber side — subscriptions, ledger, exactly-once delivery
+//! log — is one [`fed_core::endpoint::Endpoint`], read through each
+//! node's `endpoint()` ([`hybrid`] runs two stacks and has two).
+//! [`common`] keeps the peer sampling [`dks`] and [`dam`] share. Shared routing infrastructure (the
 //! DHT of [`scribe`]/[`dks`], the [`splitstream`] forest, the group
 //! tables of [`dks`]/[`dam`]) is built deterministically up front and
 //! handed to every node immutably.
@@ -50,7 +54,7 @@
 //! );
 //! sim.run_until(SimTime::from_secs(2));
 //! let subscriber = sim.nodes().find(|(id, _)| *id == NodeId::new(1)).unwrap().1;
-//! assert_eq!(subscriber.deliveries().len(), 1);
+//! assert_eq!(subscriber.endpoint().deliveries().len(), 1);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -65,7 +69,6 @@ pub mod scribe;
 pub mod splitstream;
 
 pub use broker::{BrokerCmd, BrokerMsg, BrokerNode};
-pub use common::DeliveryLog;
 pub use dam::{DamCmd, DamConfig, DamMsg, DamNode, GroupTable};
 pub use dks::{DksCmd, DksConfig, DksMsg, DksNode};
 pub use scribe::{ScribeCmd, ScribeMsg, ScribeNode};

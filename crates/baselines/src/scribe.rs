@@ -12,10 +12,9 @@
 //! may well have no interest at all in the given topic they are involved
 //! in"), and nodes close to popular rendezvous do disproportionate work.
 
-use crate::common::DeliveryLog;
-use fed_core::ledger::FairnessLedger;
+use fed_core::endpoint::{emit_event, Endpoint};
 use fed_dht::{DhtId, DhtNetwork};
-use fed_pubsub::{Event, SubscriptionTable, TopicId};
+use fed_pubsub::{Event, TopicId};
 use fed_sim::{Context, HopKind, NodeId, Protocol};
 use fed_util::hash::FastMap;
 use std::collections::BTreeSet;
@@ -59,9 +58,7 @@ pub struct ScribeNode {
     children: FastMap<TopicId, BTreeSet<NodeId>>,
     /// Topics for which this node already joined (forwarder state).
     in_tree: BTreeSet<TopicId>,
-    subs: SubscriptionTable,
-    ledger: FairnessLedger,
-    log: DeliveryLog,
+    endpoint: Endpoint,
 }
 
 impl ScribeNode {
@@ -72,20 +69,13 @@ impl ScribeNode {
             dht,
             children: FastMap::default(),
             in_tree: BTreeSet::new(),
-            subs: SubscriptionTable::new(),
-            ledger: FairnessLedger::new(),
-            log: DeliveryLog::new(),
+            endpoint: Endpoint::new(),
         }
     }
 
-    /// Fairness ledger.
-    pub fn ledger(&self) -> &FairnessLedger {
-        &self.ledger
-    }
-
-    /// Delivery log.
-    pub fn deliveries(&self) -> &DeliveryLog {
-        &self.log
+    /// The subscriber side: subscriptions, fairness ledger, delivery log.
+    pub fn endpoint(&self) -> &Endpoint {
+        &self.endpoint
     }
 
     /// Children of this node in `topic`'s tree.
@@ -101,7 +91,7 @@ impl ScribeNode {
 
     /// Whether the node actually subscribed to `topic`.
     pub fn is_subscriber(&self, topic: TopicId) -> bool {
-        self.subs.topics().contains(&topic)
+        self.endpoint.subscriptions().topics().contains(&topic)
     }
 
     fn key_of(topic: TopicId) -> DhtId {
@@ -127,7 +117,7 @@ impl ScribeNode {
         self.in_tree.insert(topic);
         if let Some(next) = self.next_hop(topic) {
             ctx.send(next, ScribeMsg::Join { topic });
-            self.ledger.record_maintenance();
+            self.endpoint.ledger_mut().record_maintenance();
         }
         // If next_hop is None we are the rendezvous: tree rooted here.
     }
@@ -144,13 +134,7 @@ impl ScribeNode {
                     event: event.clone(),
                 },
             );
-            self.ledger.record_forward(size);
-        }
-    }
-
-    fn deliver_if_interested(&mut self, event: &Event, now: fed_sim::SimTime) {
-        if self.subs.matches(event) && self.log.deliver(event, now) {
-            self.ledger.record_delivery();
+            self.endpoint.ledger_mut().record_forward(size);
         }
     }
 }
@@ -168,19 +152,19 @@ impl Protocol for ScribeNode {
                 Some(next) => {
                     // Route relay work: forwarding a publication for a topic
                     // this node may care nothing about.
-                    self.ledger.record_forward(event.size_bytes());
+                    self.endpoint
+                        .ledger_mut()
+                        .record_forward(event.size_bytes());
                     ctx.send(next, ScribeMsg::ToRoot { event });
                 }
                 None => {
                     // We are the rendezvous.
-                    let now = ctx.now();
-                    self.deliver_if_interested(&event, now);
+                    self.endpoint.offer(&event, ctx.now());
                     self.multicast_down(ctx, &event);
                 }
             },
             ScribeMsg::Multicast { event } => {
-                let now = ctx.now();
-                self.deliver_if_interested(&event, now);
+                self.endpoint.offer(&event, ctx.now());
                 self.multicast_down(ctx, &event);
             }
         }
@@ -191,25 +175,23 @@ impl Protocol for ScribeNode {
     fn on_command(&mut self, ctx: &mut Context<'_, ScribeMsg>, cmd: ScribeCmd) {
         match cmd {
             ScribeCmd::Publish(event) => {
-                self.ledger.record_publish(event.size_bytes());
+                self.endpoint.published(&event);
                 match self.next_hop(event.topic()) {
                     Some(next) => ctx.send(next, ScribeMsg::ToRoot { event }),
                     None => {
                         // Publisher happens to be the rendezvous.
-                        let now = ctx.now();
-                        self.deliver_if_interested(&event, now);
+                        self.endpoint.offer(&event, ctx.now());
                         self.multicast_down(ctx, &event);
                     }
                 }
             }
             ScribeCmd::SubscribeTopic(topic) => {
-                self.subs.subscribe_topic(topic);
-                self.ledger.set_active_filters(self.subs.len() as u32);
+                self.endpoint.subscribe_topic(topic);
                 if !self.in_tree.contains(&topic) {
                     self.in_tree.insert(topic);
                     if let Some(next) = self.next_hop(topic) {
                         ctx.send(next, ScribeMsg::Join { topic });
-                        self.ledger.record_maintenance();
+                        self.endpoint.ledger_mut().record_maintenance();
                     }
                 }
             }
@@ -230,12 +212,7 @@ impl Protocol for ScribeNode {
             ScribeMsg::Multicast { event } => (event, HopKind::TreeEdge),
             ScribeMsg::Join { .. } => return,
         };
-        emit(
-            e.id().as_u64(),
-            e.topic().as_u32(),
-            e.size_bytes() as u32,
-            kind,
-        );
+        emit_event(emit, e, kind);
     }
 }
 
@@ -278,6 +255,7 @@ mod tests {
             assert!(
                 s.node(NodeId::new(i))
                     .unwrap()
+                    .endpoint()
                     .deliveries()
                     .contains(e.id()),
                 "subscriber {i} missed the event"
@@ -286,7 +264,10 @@ mod tests {
         // Non-subscribers never deliver.
         for (id, node) in s.nodes() {
             if !subscribers.contains(&id.as_u32()) {
-                assert!(node.deliveries().is_empty(), "{id} spurious delivery");
+                assert!(
+                    node.endpoint().deliveries().is_empty(),
+                    "{id} spurious delivery"
+                );
             }
         }
     }
@@ -317,7 +298,8 @@ mod tests {
         let freeloaded: Vec<NodeId> = s
             .nodes()
             .filter(|(id, node)| {
-                !subscribers.contains(&id.as_u32()) && node.ledger().totals().forwarded_msgs > 0
+                !subscribers.contains(&id.as_u32())
+                    && node.endpoint().ledger().totals().forwarded_msgs > 0
             })
             .map(|(id, _)| id)
             .collect();
@@ -352,13 +334,14 @@ mod tests {
         let root_fwd = s
             .node(NodeId::new(root.index as u32))
             .unwrap()
+            .endpoint()
             .ledger()
             .totals()
             .forwarded_msgs;
         assert!(root_fwd > 0, "rendezvous forwards the multicast");
         // all subscribers delivered every event
         for (_, node) in s.nodes() {
-            assert_eq!(node.deliveries().len(), 10);
+            assert_eq!(node.endpoint().deliveries().len(), 10);
         }
     }
 
@@ -378,7 +361,12 @@ mod tests {
             ScribeCmd::Publish(e.clone()),
         );
         s.run_until(SimTime::from_secs(2));
-        assert!(s.node(root_id).unwrap().deliveries().contains(e.id()));
+        assert!(s
+            .node(root_id)
+            .unwrap()
+            .endpoint()
+            .deliveries()
+            .contains(e.id()));
     }
 
     #[test]
@@ -403,6 +391,6 @@ mod tests {
         );
         s.run_until(SimTime::from_secs(3));
         let node = s.node(NodeId::new(5)).unwrap();
-        assert_eq!(node.deliveries().len(), 1);
+        assert_eq!(node.endpoint().deliveries().len(), 1);
     }
 }

@@ -10,9 +10,8 @@
 //! participants": a peer interested in nothing still carries a full
 //! interior position. Load balancing ≠ fairness.
 
-use crate::common::DeliveryLog;
-use fed_core::ledger::FairnessLedger;
-use fed_pubsub::{Event, SubscriptionTable, TopicId};
+use fed_core::endpoint::{emit_event, Endpoint};
+use fed_pubsub::{Event, TopicId};
 use fed_sim::{Context, HopKind, NodeId, Protocol};
 use std::sync::Arc;
 
@@ -132,9 +131,7 @@ pub enum StripeCmd {
 pub struct SplitStreamNode {
     id: NodeId,
     forest: Arc<Forest>,
-    subs: SubscriptionTable,
-    ledger: FairnessLedger,
-    log: DeliveryLog,
+    endpoint: Endpoint,
 }
 
 impl SplitStreamNode {
@@ -143,20 +140,13 @@ impl SplitStreamNode {
         SplitStreamNode {
             id,
             forest,
-            subs: SubscriptionTable::new(),
-            ledger: FairnessLedger::new(),
-            log: DeliveryLog::new(),
+            endpoint: Endpoint::new(),
         }
     }
 
-    /// Fairness ledger.
-    pub fn ledger(&self) -> &FairnessLedger {
-        &self.ledger
-    }
-
-    /// Delivery log.
-    pub fn deliveries(&self) -> &DeliveryLog {
-        &self.log
+    /// The subscriber side: subscriptions, fairness ledger, delivery log.
+    pub fn endpoint(&self) -> &Endpoint {
+        &self.endpoint
     }
 
     fn relay_down(&mut self, ctx: &mut Context<'_, StripeMsg>, event: &Event) {
@@ -164,13 +154,7 @@ impl SplitStreamNode {
         let size = event.size_bytes();
         for child in self.forest.children(stripe, self.id) {
             ctx.send(child, StripeMsg::Down(event.clone()));
-            self.ledger.record_forward(size);
-        }
-    }
-
-    fn deliver_if_interested(&mut self, ctx: &Context<'_, StripeMsg>, event: &Event) {
-        if self.subs.matches(event) && self.log.deliver(event, ctx.now()) {
-            self.ledger.record_delivery();
+            self.endpoint.ledger_mut().record_forward(size);
         }
     }
 }
@@ -184,11 +168,11 @@ impl Protocol for SplitStreamNode {
     fn on_message(&mut self, ctx: &mut Context<'_, StripeMsg>, _from: NodeId, msg: StripeMsg) {
         match msg {
             StripeMsg::ToRoot(event) => {
-                self.deliver_if_interested(ctx, &event);
+                self.endpoint.offer(&event, ctx.now());
                 self.relay_down(ctx, &event);
             }
             StripeMsg::Down(event) => {
-                self.deliver_if_interested(ctx, &event);
+                self.endpoint.offer(&event, ctx.now());
                 self.relay_down(ctx, &event);
             }
         }
@@ -199,19 +183,18 @@ impl Protocol for SplitStreamNode {
     fn on_command(&mut self, ctx: &mut Context<'_, StripeMsg>, cmd: StripeCmd) {
         match cmd {
             StripeCmd::Publish(event) => {
-                self.ledger.record_publish(event.size_bytes());
+                self.endpoint.published(&event);
                 let stripe = self.forest.stripe_of(&event);
                 let root = self.forest.root(stripe);
                 if root == self.id {
-                    self.deliver_if_interested(ctx, &event);
+                    self.endpoint.offer(&event, ctx.now());
                     self.relay_down(ctx, &event);
                 } else {
                     ctx.send(root, StripeMsg::ToRoot(event));
                 }
             }
             StripeCmd::SubscribeTopic(topic) => {
-                self.subs.subscribe_topic(topic);
-                self.ledger.set_active_filters(self.subs.len() as u32);
+                self.endpoint.subscribe_topic(topic);
             }
         }
     }
@@ -227,12 +210,7 @@ impl Protocol for SplitStreamNode {
             StripeMsg::ToRoot(e) => (e, HopKind::StripeToRoot),
             StripeMsg::Down(e) => (e, HopKind::StripeEdge),
         };
-        emit(
-            e.id().as_u64(),
-            e.topic().as_u32(),
-            e.size_bytes() as u32,
-            kind,
-        );
+        emit_event(emit, e, kind);
     }
 }
 
@@ -321,7 +299,7 @@ mod tests {
         }
         s.run_until(SimTime::from_secs(5));
         for (_, node) in s.nodes() {
-            assert_eq!(node.deliveries().len(), 8);
+            assert_eq!(node.endpoint().deliveries().len(), 8);
         }
     }
 
@@ -347,13 +325,13 @@ mod tests {
         // Load balancing works: interior nodes of every stripe forwarded.
         let forwarders = s
             .nodes()
-            .filter(|(_, p)| p.ledger().totals().forwarded_msgs > 0)
+            .filter(|(_, p)| p.endpoint().ledger().totals().forwarded_msgs > 0)
             .count();
         assert!(forwarders >= stripes, "at least the interiors forward");
         // But fairness fails: uninterested nodes did forwarding work.
         let unfair = s
             .nodes()
-            .filter(|(id, p)| id.index() != 1 && p.ledger().totals().forwarded_msgs > 0)
+            .filter(|(id, p)| id.index() != 1 && p.endpoint().ledger().totals().forwarded_msgs > 0)
             .count();
         assert!(unfair > 0, "load-balanced forwarding ignores benefit");
     }
@@ -377,6 +355,11 @@ mod tests {
             StripeCmd::Publish(e.clone()),
         );
         s.run_until(SimTime::from_secs(2));
-        assert!(s.node(root0).unwrap().deliveries().contains(e.id()));
+        assert!(s
+            .node(root0)
+            .unwrap()
+            .endpoint()
+            .deliveries()
+            .contains(e.id()));
     }
 }

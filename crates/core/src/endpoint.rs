@@ -1,0 +1,310 @@
+//! A node's subscriber side, written once.
+//!
+//! The paper's per-node accounting rule (§2, Figures 1–3) is the same in
+//! every architecture: a *matching* event delivered *for the first time*
+//! is one unit of benefit, `#filters` is the size of the subscription
+//! table, and a publication is charged to its publisher. [`Endpoint`]
+//! owns the three pieces of state the rule touches — the
+//! [`SubscriptionTable`], the [`FairnessLedger`] and the exactly-once
+//! [`DeliveryLog`] — and its mutators are the rule. How events *reach* a
+//! node (gossip rounds, trees, brokers, group floods) is the protocol's
+//! business; what a node does with an event that reached it is here.
+//!
+//! Everything else on the ledger (forwarding and maintenance charges,
+//! window rolls, rates) is the protocol's to record, through
+//! [`Endpoint::ledger_mut`].
+
+use crate::ledger::FairnessLedger;
+use fed_pubsub::{Event, EventId, Filter, SubscriptionTable, TopicId};
+use fed_sim::{HopKind, SimTime};
+use fed_util::hash::FastMap;
+use std::collections::hash_map::Entry;
+
+/// Exactly-once delivery log: which events a node delivered, and when.
+#[derive(Debug, Clone, Default)]
+pub struct DeliveryLog {
+    delivered: FastMap<EventId, SimTime>,
+}
+
+impl DeliveryLog {
+    /// Creates an empty log.
+    pub fn new() -> Self {
+        DeliveryLog::default()
+    }
+
+    /// Records delivery of `event` at `now` unless already delivered.
+    /// Returns `true` when this call performed the delivery.
+    #[inline]
+    pub fn deliver(&mut self, event: &Event, now: SimTime) -> bool {
+        match self.delivered.entry(event.id()) {
+            Entry::Occupied(_) => false,
+            Entry::Vacant(v) => {
+                v.insert(now);
+                true
+            }
+        }
+    }
+
+    /// Whether `id` was delivered.
+    pub fn contains(&self, id: EventId) -> bool {
+        self.delivered.contains_key(&id)
+    }
+
+    /// Delivery time of `id`, if delivered.
+    pub fn time_of(&self, id: EventId) -> Option<SimTime> {
+        self.delivered.get(&id).copied()
+    }
+
+    /// Number of deliveries.
+    pub fn len(&self) -> usize {
+        self.delivered.len()
+    }
+
+    /// `true` when nothing was delivered.
+    pub fn is_empty(&self) -> bool {
+        self.delivered.is_empty()
+    }
+
+    /// Iterates `(event id, delivery time)` in no particular order.
+    pub fn iter(&self) -> impl Iterator<Item = (EventId, SimTime)> + '_ {
+        self.delivered.iter().map(|(&id, &t)| (id, t))
+    }
+
+    /// Snapshot of the log sorted by event id.
+    pub fn sorted(&self) -> Vec<(EventId, SimTime)> {
+        let mut v: Vec<(EventId, SimTime)> = self.iter().collect();
+        v.sort_unstable_by_key(|&(id, _)| id);
+        v
+    }
+}
+
+/// The subscriber side of one node: subscriptions, fairness ledger and
+/// delivery log, kept consistent by construction.
+///
+/// Two equalities hold after every call:
+/// `ledger().active_filters() == subscriptions().len()` and
+/// `ledger().totals().delivered_events == deliveries().len()`.
+///
+/// # Examples
+///
+/// ```
+/// use fed_core::endpoint::Endpoint;
+/// use fed_pubsub::{Event, EventId, TopicId};
+/// use fed_sim::SimTime;
+///
+/// let mut endpoint = Endpoint::new();
+/// endpoint.subscribe_topic(TopicId::new(3));
+/// let wanted = Event::bare(EventId::new(0, 0), TopicId::new(3));
+/// let other = Event::bare(EventId::new(0, 1), TopicId::new(4));
+/// assert!(endpoint.offer(&wanted, SimTime::from_millis(5)));
+/// assert!(!endpoint.offer(&wanted, SimTime::from_millis(9)), "once only");
+/// assert!(!endpoint.offer(&other, SimTime::from_millis(9)), "no interest");
+/// assert_eq!(endpoint.ledger().totals().delivered_events, 1);
+/// assert_eq!(endpoint.ledger().active_filters(), 1);
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct Endpoint {
+    subs: SubscriptionTable,
+    ledger: FairnessLedger,
+    log: DeliveryLog,
+}
+
+impl Endpoint {
+    /// Creates an endpoint with no subscriptions and nothing recorded.
+    pub fn new() -> Self {
+        Endpoint::default()
+    }
+
+    /// Active subscriptions.
+    #[inline]
+    pub fn subscriptions(&self) -> &SubscriptionTable {
+        &self.subs
+    }
+
+    /// The fairness ledger.
+    #[inline]
+    pub fn ledger(&self) -> &FairnessLedger {
+        &self.ledger
+    }
+
+    /// The ledger, for the charges the protocol owns (forwarding,
+    /// maintenance, window rolls).
+    #[inline]
+    pub fn ledger_mut(&mut self) -> &mut FairnessLedger {
+        &mut self.ledger
+    }
+
+    /// The delivery log.
+    #[inline]
+    pub fn deliveries(&self) -> &DeliveryLog {
+        &self.log
+    }
+
+    fn sync_filters(&mut self) {
+        self.ledger.set_active_filters(self.subs.len() as u32);
+    }
+
+    /// Adds a topic subscription.
+    pub fn subscribe_topic(&mut self, topic: TopicId) {
+        self.subs.subscribe_topic(topic);
+        self.sync_filters();
+    }
+
+    /// Adds a content subscription.
+    pub fn subscribe_content(&mut self, filter: Filter) {
+        self.subs.subscribe_content(filter);
+        self.sync_filters();
+    }
+
+    /// Drops every topic subscription to `topic`.
+    pub fn unsubscribe_topic(&mut self, topic: TopicId) {
+        self.subs.unsubscribe_topic(topic);
+        self.sync_filters();
+    }
+
+    /// Drops every subscription.
+    pub fn clear(&mut self) {
+        self.subs.clear();
+        self.sync_filters();
+    }
+
+    /// Charges this node for originating `event`.
+    #[inline]
+    pub fn published(&mut self, event: &Event) {
+        self.ledger.record_publish(event.size_bytes());
+    }
+
+    /// An event reached this node: deliver it iff it matches a
+    /// subscription and was not delivered before. Returns whether this
+    /// call delivered it.
+    #[inline]
+    pub fn offer(&mut self, event: &Event, now: SimTime) -> bool {
+        self.subs.matches(event) && self.deliver(event, now)
+    }
+
+    /// [`Endpoint::offer`] for a caller that decided the match itself
+    /// (hierarchical topics): log once, credit once.
+    #[inline]
+    pub fn deliver(&mut self, event: &Event, now: SimTime) -> bool {
+        let first = self.log.deliver(event, now);
+        if first {
+            self.ledger.record_delivery();
+        }
+        first
+    }
+}
+
+/// Reports `event` travelling in a message as one `kind` hop — the tuple
+/// every [`fed_sim::Protocol::trace_payload`] hands its `emit` callback.
+#[inline]
+pub fn emit_event(emit: &mut dyn FnMut(u64, u32, u32, HopKind), event: &Event, kind: HopKind) {
+    emit(
+        event.id().as_u64(),
+        event.topic().as_u32(),
+        event.size_bytes() as u32,
+        kind,
+    );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fed_pubsub::{CmpOp, TopicSpace};
+
+    fn ev(seq: u32, topic: u32) -> Event {
+        Event::bare(EventId::new(1, seq), TopicId::new(topic))
+    }
+
+    #[test]
+    fn delivers_exactly_once() {
+        let mut log = DeliveryLog::new();
+        let e = ev(1, 0);
+        assert!(log.deliver(&e, SimTime::from_millis(5)));
+        assert!(
+            !log.deliver(&e, SimTime::from_millis(9)),
+            "second is a dupe"
+        );
+        assert_eq!(log.time_of(e.id()), Some(SimTime::from_millis(5)));
+        assert!(log.contains(e.id()));
+        assert_eq!(log.len(), 1);
+        assert!(!log.is_empty());
+        assert_eq!(log.iter().count(), 1);
+    }
+
+    #[test]
+    fn empty_log() {
+        let log = DeliveryLog::new();
+        assert!(log.is_empty());
+        assert!(!log.contains(EventId::new(0, 0)));
+        assert_eq!(log.time_of(EventId::new(0, 0)), None);
+        assert!(log.sorted().is_empty());
+    }
+
+    #[test]
+    fn sorted_snapshot_orders_by_event_id() {
+        let mut log = DeliveryLog::new();
+        for seq in [7, 2, 9, 4] {
+            log.deliver(&ev(seq, 0), SimTime::from_millis(seq as u64));
+        }
+        let ids: Vec<u32> = log.sorted().iter().map(|(id, _)| id.seq()).collect();
+        assert_eq!(ids, vec![2, 4, 7, 9]);
+    }
+
+    #[test]
+    fn subscription_changes_track_the_filter_count() {
+        let mut ep = Endpoint::new();
+        ep.subscribe_topic(TopicId::new(1));
+        ep.subscribe_topic(TopicId::new(2));
+        ep.subscribe_content(Filter::cmp("x", CmpOp::Gt, 3i64));
+        assert_eq!(ep.ledger().active_filters(), 3);
+        ep.unsubscribe_topic(TopicId::new(1));
+        assert_eq!(ep.ledger().active_filters(), 2);
+        assert!(!ep.offer(&ev(0, 1), SimTime::ZERO), "no longer subscribed");
+        ep.clear();
+        assert_eq!(ep.ledger().active_filters(), 0);
+        assert!(ep.subscriptions().is_empty());
+    }
+
+    #[test]
+    fn published_charges_the_publisher() {
+        let mut ep = Endpoint::new();
+        let e = ev(0, 0);
+        ep.published(&e);
+        let totals = ep.ledger().totals();
+        assert_eq!(totals.published_msgs, 1);
+        assert_eq!(totals.published_bytes, e.size_bytes() as u64);
+        assert!(ep.deliveries().is_empty(), "publishing is not delivering");
+    }
+
+    #[test]
+    fn deliver_skips_the_flat_match_but_not_the_log() {
+        let mut space = TopicSpace::new();
+        let root = space.register("root").unwrap();
+        let child = space.register_under("root/c", root).unwrap();
+        let mut ep = Endpoint::new();
+        ep.subscribe_topic(root);
+        let e = ev(0, child.as_u32());
+        assert!(!ep.offer(&e, SimTime::ZERO), "flat match misses the child");
+        assert!(ep.subscriptions().matches_in(&e, &space));
+        assert!(ep.deliver(&e, SimTime::from_millis(1)));
+        assert!(!ep.deliver(&e, SimTime::from_millis(2)));
+        assert_eq!(ep.ledger().totals().delivered_events, 1);
+    }
+
+    #[test]
+    fn emit_event_spells_the_hop_tuple() {
+        let e = Event::builder(EventId::new(3, 4), TopicId::new(5))
+            .payload_bytes(100)
+            .build();
+        let mut got = Vec::new();
+        emit_event(
+            &mut |id, topic, bytes, kind| got.push((id, topic, bytes, kind)),
+            &e,
+            HopKind::TreeEdge,
+        );
+        assert_eq!(
+            got,
+            vec![(e.id().as_u64(), 5, e.size_bytes() as u32, HopKind::TreeEdge)]
+        );
+    }
+}

@@ -12,7 +12,7 @@
 //!    `SELECTEVENTS`, and push one gossip message to each partner.
 //!
 //! On receipt, an event is delivered iff `ISINTERESTED(e)` — the node's
-//! [`SubscriptionTable`] — and not yet delivered; *all* fresh events are
+//! [`Endpoint`] — and not yet delivered; *all* fresh events are
 //! buffered and re-forwarded for `ttl_rounds` rounds regardless of local
 //! interest. That unconditional forwarding is exactly the unfairness the
 //! paper identifies: with a static fanout, an uninterested peer works as
@@ -21,10 +21,11 @@
 
 use crate::adaptive::{Controller, ControllerConfig, GlobalRateEstimator, RateSample};
 use crate::behavior::Behavior;
-use crate::ledger::{FairnessLedger, RatioSpec};
+use crate::endpoint::{emit_event, Endpoint};
+use crate::ledger::RatioSpec;
 use fed_membership::swim::{SwimConfig, SwimMsg, SwimObservation, SwimState, SwimUpdate};
 use fed_membership::PeerSampler;
-use fed_pubsub::{Event, EventBatch, EventId, Filter, SubscriptionTable, TopicId};
+use fed_pubsub::{Event, EventBatch, EventId, Filter, TopicId};
 use fed_sim::{Context, HopKind, NodeId, Protocol, SimDuration, SimTime};
 use fed_util::hash::{FastMap, FastSet};
 use fed_util::rng::Rng64;
@@ -186,16 +187,6 @@ pub enum GossipMsg {
     Swim(SwimMsg),
 }
 
-/// Where one delivery came from, with its timestamp.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DeliveryRecord {
-    /// When the event was delivered at this node.
-    pub at: SimTime,
-    /// Gossip hop count is not tracked per-event (events travel in
-    /// batches); rounds since node start serves as the latency proxy.
-    pub round: u64,
-}
-
 /// What a node remembers about one sender, for the audit protocol.
 #[derive(Debug, Clone, Copy)]
 struct PeerRecord {
@@ -223,11 +214,9 @@ pub struct GossipNode<S> {
     id: NodeId,
     config: GossipConfig,
     sampler: S,
-    subs: SubscriptionTable,
+    endpoint: Endpoint,
     buffer: Vec<Buffered>,
     seen: FastSet<EventId>,
-    delivered: FastMap<EventId, DeliveryRecord>,
-    ledger: FairnessLedger,
     estimator: GlobalRateEstimator,
     fanout_ctl: Controller,
     size_ctl: Controller,
@@ -255,11 +244,9 @@ impl<S: PeerSampler> GossipNode<S> {
             id,
             config,
             sampler,
-            subs: SubscriptionTable::new(),
+            endpoint: Endpoint::new(),
             buffer: Vec::new(),
             seen: FastSet::default(),
-            delivered: FastMap::default(),
-            ledger: FairnessLedger::new(),
             estimator,
             fanout_ctl,
             size_ctl,
@@ -284,29 +271,14 @@ impl<S: PeerSampler> GossipNode<S> {
         self.id
     }
 
-    /// The fairness ledger (read access for experiments).
-    pub fn ledger(&self) -> &FairnessLedger {
-        &self.ledger
+    /// The subscriber side: subscriptions, fairness ledger, delivery log.
+    pub fn endpoint(&self) -> &Endpoint {
+        &self.endpoint
     }
 
     /// The lifetime contribution/benefit ratio under the node's spec.
     pub fn ratio(&self) -> f64 {
-        self.ledger.ratio(&self.config.spec)
-    }
-
-    /// Active subscriptions.
-    pub fn subscriptions(&self) -> &SubscriptionTable {
-        &self.subs
-    }
-
-    /// Every delivery with its record.
-    pub fn deliveries(&self) -> &FastMap<EventId, DeliveryRecord> {
-        &self.delivered
-    }
-
-    /// Whether this node delivered `event`.
-    pub fn has_delivered(&self, event: EventId) -> bool {
-        self.delivered.contains_key(&event)
+        self.endpoint.ledger().ratio(&self.config.spec)
     }
 
     /// Current fanout allocation.
@@ -372,25 +344,12 @@ impl<S: PeerSampler> GossipNode<S> {
             .unwrap_or_default()
     }
 
-    fn deliver_if_interested(&mut self, event: &Event, now: SimTime) {
-        if self.subs.matches(event) && !self.delivered.contains_key(&event.id()) {
-            self.delivered.insert(
-                event.id(),
-                DeliveryRecord {
-                    at: now,
-                    round: self.rounds,
-                },
-            );
-            self.ledger.record_delivery();
-        }
-    }
-
     fn accept_event(&mut self, event: &Event, now: SimTime) {
         if !self.seen.insert(event.id()) {
             self.duplicates += 1;
             return;
         }
-        self.deliver_if_interested(event, now);
+        self.endpoint.offer(event, now);
         self.buffer.push(Buffered {
             event: event.clone(),
             ttl: self.config.ttl_rounds,
@@ -408,8 +367,8 @@ impl<S: PeerSampler> GossipNode<S> {
         let sample = self.behavior.advertise(RateSample {
             benefit_rate: self.own_rates.benefit_rate,
             contribution_rate: self.own_rates.contribution_rate,
-            benefit_total: self.ledger.benefit(&self.config.spec),
-            contribution_total: self.ledger.contribution(&self.config.spec),
+            benefit_total: self.endpoint.ledger().benefit(&self.config.spec),
+            contribution_total: self.endpoint.ledger().contribution(&self.config.spec),
         });
         for peer in partners {
             let swim = match &mut self.swim {
@@ -425,7 +384,7 @@ impl<S: PeerSampler> GossipNode<S> {
                     swim,
                 },
             );
-            self.ledger.record_forward(bytes);
+            self.endpoint.ledger_mut().record_forward(bytes);
         }
     }
 
@@ -436,11 +395,12 @@ impl<S: PeerSampler> GossipNode<S> {
         // one-off benefit, so feeding them into the per-round rate would
         // allocate zero-traffic subscribers perpetual work their snapshot
         // benefit can never absorb.
-        self.ledger.roll_window();
+        self.endpoint.ledger_mut().roll_window();
+        let ledger = self.endpoint.ledger();
         let spec = self.config.spec;
-        let window = self.ledger.last_window();
+        let window = ledger.last_window();
         let wb = (window.delivered_events + window.maintenance_credits) as f64;
-        let wc = self.ledger.window_contribution(&spec);
+        let wc = ledger.window_contribution(&spec);
         let a = self.config.own_rate_alpha;
         self.own_rates.benefit_rate += a * (wb - self.own_rates.benefit_rate);
         self.own_rates.contribution_rate += a * (wc - self.own_rates.contribution_rate);
@@ -453,7 +413,7 @@ impl<S: PeerSampler> GossipNode<S> {
                 self.estimator.mean_benefit(),
             );
             let kappa = self.estimator.lifetime_ratio(1e-6);
-            let excess = self.ledger.contribution(&spec) - kappa * self.ledger.benefit(&spec);
+            let excess = ledger.contribution(&spec) - kappa * ledger.benefit(&spec);
             let allocation = proportional - self.config.ratio_correction_gain * excess;
             self.fanout_ctl.steer(allocation);
         }
@@ -476,8 +436,8 @@ impl<S: PeerSampler> GossipNode<S> {
         // bounded constant per peer.
         if fanout == 0 && !self.buffer.is_empty() && self.config.min_relay_rate > 0.0 {
             let kappa = self.estimator.lifetime_ratio(1e-6);
-            let budget = kappa * self.ledger.benefit(&spec) + self.config.civic_allowance;
-            if self.ledger.contribution(&spec) < budget
+            let budget = kappa * ledger.benefit(&spec) + self.config.civic_allowance;
+            if ledger.contribution(&spec) < budget
                 && ctx.rng().bernoulli(self.config.min_relay_rate)
             {
                 fanout = 1;
@@ -606,7 +566,7 @@ impl<S: PeerSampler + 'static> Protocol for GossipNode<S> {
     fn on_command(&mut self, ctx: &mut Context<'_, GossipMsg>, cmd: GossipCmd) {
         match cmd {
             GossipCmd::Publish(event) => {
-                self.ledger.record_publish(event.size_bytes());
+                self.endpoint.published(&event);
                 let now = ctx.now();
                 self.accept_event(&event, now);
                 // Seed the epidemic immediately: the publisher pushes the
@@ -625,20 +585,12 @@ impl<S: PeerSampler + 'static> Protocol for GossipNode<S> {
                 self.push_to(ctx, peers, Arc::new(EventBatch::from_iter([event])));
             }
             GossipCmd::SubscribeTopic(topic) => {
-                self.subs.subscribe_topic(topic);
-                self.ledger.set_active_filters(self.subs.len() as u32);
+                self.endpoint.subscribe_topic(topic);
             }
             GossipCmd::SubscribeContent(filter) => {
-                self.subs.subscribe_content(filter);
-                self.ledger.set_active_filters(self.subs.len() as u32);
+                self.endpoint.subscribe_content(filter);
             }
-            GossipCmd::ClearSubscriptions => {
-                let ids: Vec<_> = self.subs.iter().map(|(id, _)| id).collect();
-                for id in ids {
-                    let _ = self.subs.unsubscribe(id);
-                }
-                self.ledger.set_active_filters(0);
-            }
+            GossipCmd::ClearSubscriptions => self.endpoint.clear(),
         }
     }
 
@@ -653,12 +605,7 @@ impl<S: PeerSampler + 'static> Protocol for GossipNode<S> {
         // SWIM traffic is control plane; only pushes carry events.
         if let GossipMsg::Push { events, .. } = msg {
             for e in events.events() {
-                emit(
-                    e.id().as_u64(),
-                    e.topic().as_u32(),
-                    e.size_bytes() as u32,
-                    HopKind::GossipPush,
-                );
+                emit_event(emit, e, HopKind::GossipPush);
             }
         }
     }
@@ -717,7 +664,7 @@ mod tests {
         sim.run_until(SimTime::from_secs(5));
         let delivered = sim
             .nodes()
-            .filter(|(_, p)| p.has_delivered(event.id()))
+            .filter(|(_, p)| p.endpoint().deliveries().contains(event.id()))
             .count();
         assert_eq!(delivered, n, "atomic delivery expected with fanout 5");
     }
@@ -743,16 +690,22 @@ mod tests {
         sim.run_until(SimTime::from_secs(5));
         for (id, node) in sim.nodes() {
             if id.index() % 2 == 0 {
-                assert!(node.has_delivered(event.id()), "{id} interested");
+                assert!(
+                    node.endpoint().deliveries().contains(event.id()),
+                    "{id} interested"
+                );
             } else {
-                assert!(!node.has_delivered(event.id()), "{id} not interested");
+                assert!(
+                    !node.endpoint().deliveries().contains(event.id()),
+                    "{id} not interested"
+                );
             }
         }
         // Odd (uninterested) nodes still forwarded: that is the unfairness.
         let odd_forwards: u64 = sim
             .nodes()
             .filter(|(id, _)| id.index() % 2 == 1)
-            .map(|(_, p)| p.ledger().totals().forwarded_msgs)
+            .map(|(_, p)| p.endpoint().ledger().totals().forwarded_msgs)
             .sum();
         assert!(odd_forwards > 0, "uninterested peers still do gossip work");
     }
@@ -769,7 +722,12 @@ mod tests {
             GossipCmd::Publish(event.clone()),
         );
         sim.run_until(SimTime::from_millis(120));
-        assert!(sim.node(NodeId::new(0)).unwrap().has_delivered(event.id()));
+        assert!(sim
+            .node(NodeId::new(0))
+            .unwrap()
+            .endpoint()
+            .deliveries()
+            .contains(event.id()));
     }
 
     #[test]
@@ -786,8 +744,12 @@ mod tests {
         }
         sim.run_until(SimTime::from_secs(4));
         for (_, node) in sim.nodes() {
-            assert_eq!(node.deliveries().len(), 5, "each event delivered once");
-            assert_eq!(node.ledger().totals().delivered_events, 5);
+            assert_eq!(
+                node.endpoint().deliveries().len(),
+                5,
+                "each event delivered once"
+            );
+            assert_eq!(node.endpoint().ledger().totals().delivered_events, 5);
         }
     }
 
@@ -830,11 +792,17 @@ mod tests {
             GossipCmd::SubscribeTopic(TopicId::new(2)),
         );
         sim.run_until(SimTime::from_millis(10));
-        assert_eq!(sim.node(id).unwrap().ledger().active_filters(), 2);
+        assert_eq!(
+            sim.node(id).unwrap().endpoint().ledger().active_filters(),
+            2
+        );
         sim.schedule_command(SimTime::from_millis(20), id, GossipCmd::ClearSubscriptions);
         sim.run_until(SimTime::from_millis(30));
-        assert_eq!(sim.node(id).unwrap().ledger().active_filters(), 0);
-        assert!(sim.node(id).unwrap().subscriptions().is_empty());
+        assert_eq!(
+            sim.node(id).unwrap().endpoint().ledger().active_filters(),
+            0
+        );
+        assert!(sim.node(id).unwrap().endpoint().subscriptions().is_empty());
     }
 
     #[test]
@@ -886,13 +854,14 @@ mod tests {
         let w0 = sim
             .node(NodeId::new(0))
             .unwrap()
+            .endpoint()
             .ledger()
             .totals()
             .forwarded_msgs;
         let w_others: Vec<u64> = sim
             .nodes()
             .filter(|(id, _)| id.index() >= 2)
-            .map(|(_, p)| p.ledger().totals().forwarded_msgs)
+            .map(|(_, p)| p.endpoint().ledger().totals().forwarded_msgs)
             .collect();
         let avg_others = w_others.iter().sum::<u64>() as f64 / w_others.len() as f64;
         assert!(
@@ -915,7 +884,7 @@ mod tests {
         let dupes: u64 = sim.nodes().map(|(_, p)| p.duplicates()).sum();
         assert!(dupes > 0, "fanout 7 in n=8 must produce redundancy");
         for (_, node) in sim.nodes() {
-            assert_eq!(node.deliveries().len(), 1);
+            assert_eq!(node.endpoint().deliveries().len(), 1);
         }
     }
 
@@ -1052,7 +1021,11 @@ mod tests {
         assert!(pushes.iter().all(|e| Arc::ptr_eq(e, &pushes[0])));
         assert_eq!(pushes[0].len(), 3, "the round batches the whole buffer");
         assert_eq!(
-            rig.node(publisher).ledger().totals().forwarded_msgs,
+            rig.node(publisher)
+                .endpoint()
+                .ledger()
+                .totals()
+                .forwarded_msgs,
             (3 * 2 * fanout + fanout) as u64
         );
     }

@@ -6,6 +6,9 @@
 //!
 //! * [`ledger`] — contribution/benefit accounting exactly as the paper's
 //!   Figures 1–3 define it (topic-based and expressive variants).
+//! * [`endpoint`] — a node's subscriber side (subscriptions, ledger,
+//!   exactly-once delivery log) with the per-node accounting rule as its
+//!   only mutators; every architecture's node holds one.
 //! * [`gossip`] — the basic push gossip dissemination algorithm (Figure 4)
 //!   and its fairness-adaptive extension: fanout and gossip-message-size
 //!   controllers driven by gossip-aggregated benefit estimates (§5.2).
@@ -43,7 +46,10 @@
 //!     GossipCmd::Publish(Event::bare(EventId::new(0, 1), TopicId::new(0))),
 //! );
 //! sim.run_until(SimTime::from_secs(5));
-//! let delivered = sim.nodes().filter(|(_, p)| p.deliveries().len() == 1).count();
+//! let delivered = sim
+//!     .nodes()
+//!     .filter(|(_, p)| p.endpoint().deliveries().len() == 1)
+//!     .count();
 //! assert_eq!(delivered, n);
 //! ```
 
@@ -53,6 +59,7 @@
 pub mod adaptive;
 pub mod audit;
 pub mod behavior;
+pub mod endpoint;
 pub mod gossip;
 pub mod ledger;
 pub mod submgmt;
@@ -60,7 +67,8 @@ pub mod submgmt;
 pub use adaptive::{Controller, ControllerConfig, GlobalRateEstimator, RateSample};
 pub use audit::{audit_subject, AuditConfig, AuditOutcome, AuditVerdict, WitnessReport};
 pub use behavior::Behavior;
-pub use gossip::{DeliveryRecord, GossipCmd, GossipConfig, GossipMsg, GossipNode};
+pub use endpoint::{emit_event, DeliveryLog, Endpoint};
+pub use gossip::{GossipCmd, GossipConfig, GossipMsg, GossipNode};
 pub use ledger::{ContributionMetric, Counters, FairnessLedger, RatioSpec};
 pub use submgmt::{
     SubWalkCmd, SubWalkConfig, SubWalkMsg, SubWalkNode, WalkAccounting, WalkOutcome,

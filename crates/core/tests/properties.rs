@@ -1,10 +1,12 @@
-//! Property-based tests of the fairness core: ledger arithmetic,
-//! controller behaviour and audit soundness.
+//! Property-based tests of the fairness core: ledger arithmetic, the
+//! endpoint's accounting rule, controller behaviour and audit soundness.
 
 use fed_core::adaptive::{Controller, ControllerConfig, GlobalRateEstimator, RateSample};
 use fed_core::audit::{audit_subject, AuditConfig, AuditOutcome, WitnessReport};
+use fed_core::endpoint::Endpoint;
 use fed_core::ledger::{ContributionMetric, FairnessLedger, RatioSpec};
-use fed_sim::NodeId;
+use fed_pubsub::{Event, EventId, TopicId};
+use fed_sim::{NodeId, SimTime};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -44,7 +46,81 @@ fn apply(ledger: &mut FairnessLedger, ops: &[Op]) {
     }
 }
 
+/// One call on an [`Endpoint`]; topics and event ids come from small
+/// ranges so sequences revisit both.
+#[derive(Debug, Clone)]
+enum EndpointOp {
+    Subscribe(u32),
+    Unsubscribe(u32),
+    Clear,
+    Offer { seq: u32, topic: u32 },
+    Published(u32),
+}
+
+fn endpoint_op_strategy() -> impl Strategy<Value = EndpointOp> {
+    prop_oneof![
+        (0u32..4).prop_map(EndpointOp::Subscribe),
+        (0u32..4).prop_map(EndpointOp::Unsubscribe),
+        Just(EndpointOp::Clear),
+        (0u32..12, 0u32..4).prop_map(|(seq, topic)| EndpointOp::Offer { seq, topic }),
+        (0u32..4).prop_map(EndpointOp::Published),
+    ]
+}
+
 proptest! {
+    /// The per-node accounting rule: whatever the call sequence, `#filters`
+    /// is the subscription count, the delivered counter is the log's
+    /// length, and an event is logged exactly when it matches a live
+    /// subscription and was never logged before.
+    #[test]
+    fn endpoint_keeps_the_accounting_rule(
+        ops in prop::collection::vec(endpoint_op_strategy(), 0..200),
+    ) {
+        let mut endpoint = Endpoint::new();
+        let mut subscribed: Vec<u32> = Vec::new();
+        let mut delivered: Vec<EventId> = Vec::new();
+        let mut published = 0u64;
+        for (step, op) in ops.iter().enumerate() {
+            match *op {
+                EndpointOp::Subscribe(t) => {
+                    endpoint.subscribe_topic(TopicId::new(t));
+                    subscribed.push(t);
+                }
+                EndpointOp::Unsubscribe(t) => {
+                    endpoint.unsubscribe_topic(TopicId::new(t));
+                    subscribed.retain(|&s| s != t);
+                }
+                EndpointOp::Clear => {
+                    endpoint.clear();
+                    subscribed.clear();
+                }
+                EndpointOp::Offer { seq, topic } => {
+                    let event = Event::bare(EventId::new(0, seq), TopicId::new(topic));
+                    let expect = subscribed.contains(&topic) && !delivered.contains(&event.id());
+                    let at = SimTime::from_millis(step as u64);
+                    prop_assert_eq!(endpoint.offer(&event, at), expect);
+                    if expect {
+                        delivered.push(event.id());
+                        prop_assert_eq!(endpoint.deliveries().time_of(event.id()), Some(at));
+                    }
+                }
+                EndpointOp::Published(topic) => {
+                    endpoint.published(&Event::bare(EventId::new(0, 0), TopicId::new(topic)));
+                    published += 1;
+                }
+            }
+            let ledger = endpoint.ledger();
+            prop_assert_eq!(ledger.active_filters() as usize, endpoint.subscriptions().len());
+            prop_assert_eq!(ledger.active_filters() as usize, subscribed.len());
+            prop_assert_eq!(ledger.totals().delivered_events as usize, endpoint.deliveries().len());
+            prop_assert_eq!(endpoint.deliveries().len(), delivered.len());
+            prop_assert_eq!(ledger.totals().published_msgs, published);
+        }
+        for id in delivered {
+            prop_assert!(endpoint.deliveries().contains(id));
+        }
+    }
+
     /// Contribution and benefit are non-negative, monotone under
     /// recording, and the ratio is always finite under a positive epsilon.
     #[test]

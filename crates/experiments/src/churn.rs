@@ -49,7 +49,7 @@ fn drive_with_quitting(sim: &mut Simulation<Node>, horizon: SimTime, spec: &Rati
                 sim.is_alive(*id)
                     && node
                         .behavior()
-                        .wants_to_leave(node.ledger(), spec, node.rounds())
+                        .wants_to_leave(node.endpoint().ledger(), spec, node.rounds())
             })
             .map(|(id, _)| id)
             .collect();

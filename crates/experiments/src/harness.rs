@@ -13,8 +13,8 @@
 //!   names — fair/static gossip or any of the structured baselines — on
 //!   either engine and returns an engine-agnostic [`ArchOutcome`]. Every
 //!   node type plugs in through [`ArchProtocol`], which phrases the
-//!   workload as commands and reads the observables (delivery log,
-//!   fairness ledger) back out.
+//!   workload as commands and names the node's [`Endpoint`] — the
+//!   observables (delivery log, fairness ledger) are read back from it.
 //! * [`run_gossip`] is its gossip arm with the protocol's knobs open
 //!   ([`GossipConfig`], per-node [`Behavior`]), for the experiments that
 //!   study the fair protocol itself; `run_architecture` calls it with
@@ -32,7 +32,6 @@
 //! `cross_engine` integration tests.
 
 use fed_baselines::broker::{BrokerCmd, BrokerNode};
-use fed_baselines::common::DeliveryLog;
 use fed_baselines::dam::{DamCmd, DamConfig, DamNode, GroupTable};
 use fed_baselines::dks::{DksCmd, DksConfig, DksNode};
 use fed_baselines::hybrid::{HybridCmd, HybridConfig, HybridNode};
@@ -40,6 +39,7 @@ use fed_baselines::scribe::{ScribeCmd, ScribeNode};
 use fed_baselines::splitstream::{Forest, SplitStreamNode, StripeCmd};
 use fed_cluster::{ScheduleTrace, ShardMap, ShardedSimulation, WindowPolicy};
 use fed_core::behavior::Behavior;
+use fed_core::endpoint::Endpoint;
 use fed_core::gossip::{GossipCmd, GossipConfig, GossipNode};
 use fed_core::ledger::FairnessLedger;
 use fed_dht::DhtNetwork;
@@ -95,7 +95,8 @@ pub fn t_arch_config(preset: fn(usize, usize, SimDuration) -> GossipConfig) -> G
 }
 
 /// Uniform driver interface over every architecture's node type: how the
-/// workload is phrased as commands, and how the observables are read back.
+/// workload is phrased as commands, and where the node's subscriber side
+/// — the [`Endpoint`] the observables are read back from — lives.
 ///
 /// Implementing this is all it takes for a protocol to run on both
 /// engines through [`run_architecture`] and the cross-engine parity
@@ -105,11 +106,18 @@ pub trait ArchProtocol: Protocol + 'static {
     fn subscribe_cmd(topic: TopicId) -> Self::Cmd;
     /// The command publishing `event` at this node.
     fn publish_cmd(event: Event) -> Self::Cmd;
-    /// The node's fairness ledger (owned: composite architectures
-    /// synthesize a merged ledger on demand).
-    fn fairness(&self) -> FairnessLedger;
+    /// The node's subscriber side. A composite node names its primary
+    /// stack's endpoint and overrides the two read-backs below to merge
+    /// the others in.
+    fn endpoint(&self) -> &Endpoint;
+    /// The node's fairness ledger.
+    fn fairness(&self) -> FairnessLedger {
+        self.endpoint().ledger().clone()
+    }
     /// Snapshot of the node's delivery log, sorted by event id.
-    fn delivery_log(&self) -> Vec<(EventId, SimTime)>;
+    fn delivery_log(&self) -> Vec<(EventId, SimTime)> {
+        self.endpoint().deliveries().sorted()
+    }
     /// The node's SWIM failure-detector observation log, when it runs
     /// one (empty otherwise).
     fn swim_observations(&self) -> Vec<SwimObservation> {
@@ -122,13 +130,6 @@ pub trait ArchProtocol: Protocol + 'static {
     }
 }
 
-/// Sorted snapshot of a baseline [`DeliveryLog`].
-fn snapshot_log(log: &DeliveryLog) -> Vec<(EventId, SimTime)> {
-    let mut v: Vec<(EventId, SimTime)> = log.iter().collect();
-    v.sort_unstable_by_key(|&(id, _)| id);
-    v
-}
-
 impl ArchProtocol for Node {
     fn subscribe_cmd(topic: TopicId) -> GossipCmd {
         GossipCmd::SubscribeTopic(topic)
@@ -136,17 +137,8 @@ impl ArchProtocol for Node {
     fn publish_cmd(event: Event) -> GossipCmd {
         GossipCmd::Publish(event)
     }
-    fn fairness(&self) -> FairnessLedger {
-        self.ledger().clone()
-    }
-    fn delivery_log(&self) -> Vec<(EventId, SimTime)> {
-        let mut v: Vec<(EventId, SimTime)> = self
-            .deliveries()
-            .iter()
-            .map(|(&id, rec)| (id, rec.at))
-            .collect();
-        v.sort_unstable_by_key(|&(id, _)| id);
-        v
+    fn endpoint(&self) -> &Endpoint {
+        GossipNode::endpoint(self)
     }
     fn swim_observations(&self) -> Vec<SwimObservation> {
         GossipNode::swim_observations(self)
@@ -159,6 +151,9 @@ impl ArchProtocol for HybridNode {
     }
     fn publish_cmd(event: Event) -> HybridCmd {
         HybridCmd::Publish(event)
+    }
+    fn endpoint(&self) -> &Endpoint {
+        self.endpoints()[0]
     }
     fn fairness(&self) -> FairnessLedger {
         self.merged_ledger()
@@ -181,11 +176,8 @@ impl ArchProtocol for BrokerNode {
     fn publish_cmd(event: Event) -> BrokerCmd {
         BrokerCmd::Publish(event)
     }
-    fn fairness(&self) -> FairnessLedger {
-        self.ledger().clone()
-    }
-    fn delivery_log(&self) -> Vec<(EventId, SimTime)> {
-        snapshot_log(self.deliveries())
+    fn endpoint(&self) -> &Endpoint {
+        BrokerNode::endpoint(self)
     }
 }
 
@@ -196,11 +188,8 @@ impl ArchProtocol for ScribeNode {
     fn publish_cmd(event: Event) -> ScribeCmd {
         ScribeCmd::Publish(event)
     }
-    fn fairness(&self) -> FairnessLedger {
-        self.ledger().clone()
-    }
-    fn delivery_log(&self) -> Vec<(EventId, SimTime)> {
-        snapshot_log(self.deliveries())
+    fn endpoint(&self) -> &Endpoint {
+        ScribeNode::endpoint(self)
     }
 }
 
@@ -211,11 +200,8 @@ impl ArchProtocol for DksNode {
     fn publish_cmd(event: Event) -> DksCmd {
         DksCmd::Publish(event)
     }
-    fn fairness(&self) -> FairnessLedger {
-        self.ledger().clone()
-    }
-    fn delivery_log(&self) -> Vec<(EventId, SimTime)> {
-        snapshot_log(self.deliveries())
+    fn endpoint(&self) -> &Endpoint {
+        DksNode::endpoint(self)
     }
 }
 
@@ -226,11 +212,8 @@ impl ArchProtocol for DamNode {
     fn publish_cmd(event: Event) -> DamCmd {
         DamCmd::Publish(event)
     }
-    fn fairness(&self) -> FairnessLedger {
-        self.ledger().clone()
-    }
-    fn delivery_log(&self) -> Vec<(EventId, SimTime)> {
-        snapshot_log(self.deliveries())
+    fn endpoint(&self) -> &Endpoint {
+        DamNode::endpoint(self)
     }
 }
 
@@ -241,11 +224,8 @@ impl ArchProtocol for SplitStreamNode {
     fn publish_cmd(event: Event) -> StripeCmd {
         StripeCmd::Publish(event)
     }
-    fn fairness(&self) -> FairnessLedger {
-        self.ledger().clone()
-    }
-    fn delivery_log(&self) -> Vec<(EventId, SimTime)> {
-        snapshot_log(self.deliveries())
+    fn endpoint(&self) -> &Endpoint {
+        SplitStreamNode::endpoint(self)
     }
 }
 

@@ -69,9 +69,9 @@ where
     let mut contributions = Vec::new();
     let ratio_spec = RatioSpec::topic_based();
     for (_, node) in nodes {
-        deliveries.push(node.deliveries().len());
+        deliveries.push(node.endpoint().deliveries().len());
         duplicates.push(node.duplicates());
-        contributions.push(node.ledger().contribution(&ratio_spec));
+        contributions.push(node.endpoint().ledger().contribution(&ratio_spec));
     }
     Fingerprint {
         deliveries,

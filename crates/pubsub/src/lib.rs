@@ -2,8 +2,7 @@
 //!
 //! The publish/subscribe data model of the `fed` workspace: events with
 //! typed attributes, topics with optional hierarchy, content-based filters
-//! with a textual subscription language, interest functions and dynamic
-//! subscription tables.
+//! with a textual subscription language and dynamic subscription tables.
 //!
 //! This crate is pure data — no protocol logic, no I/O — so every
 //! dissemination system (the fair gossip core and all baselines) shares one
@@ -38,14 +37,12 @@
 
 pub mod event;
 pub mod filter;
-pub mod interest;
 pub mod lang;
 pub mod subscription;
 pub mod topic;
 
 pub use event::{AttrValue, Event, EventBatch, EventId};
 pub use filter::{CmpOp, Filter};
-pub use interest::Interest;
 pub use lang::{parse_filter, ParseError};
 pub use subscription::{Subscription, SubscriptionId, SubscriptionTable};
 pub use topic::{TopicId, TopicSpace};

@@ -7,7 +7,6 @@
 
 use crate::event::Event;
 use crate::filter::Filter;
-use crate::interest::Interest;
 use crate::topic::{TopicId, TopicSpace};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -105,9 +104,6 @@ impl std::error::Error for UnknownSubscription {}
 pub struct SubscriptionTable {
     subs: BTreeMap<SubscriptionId, Subscription>,
     next_id: u64,
-    /// Lifetime counters for maintenance-cost accounting.
-    total_subscribes: u64,
-    total_unsubscribes: u64,
 }
 
 impl SubscriptionTable {
@@ -129,7 +125,6 @@ impl SubscriptionTable {
     fn insert(&mut self, sub: Subscription) -> SubscriptionId {
         let id = SubscriptionId(self.next_id);
         self.next_id += 1;
-        self.total_subscribes += 1;
         self.subs.insert(id, sub);
         id
     }
@@ -140,13 +135,18 @@ impl SubscriptionTable {
     ///
     /// Returns [`UnknownSubscription`] if `id` is not active.
     pub fn unsubscribe(&mut self, id: SubscriptionId) -> Result<Subscription, UnknownSubscription> {
-        match self.subs.remove(&id) {
-            Some(sub) => {
-                self.total_unsubscribes += 1;
-                Ok(sub)
-            }
-            None => Err(UnknownSubscription(id)),
-        }
+        self.subs.remove(&id).ok_or(UnknownSubscription(id))
+    }
+
+    /// Removes every topic subscription to `topic`.
+    pub fn unsubscribe_topic(&mut self, topic: TopicId) {
+        self.subs
+            .retain(|_, s| !matches!(s, Subscription::Topic(t) if *t == topic));
+    }
+
+    /// Removes every subscription (ids are still never reused).
+    pub fn clear(&mut self) {
+        self.subs.clear();
     }
 
     /// Number of active subscriptions (the paper's "#filters").
@@ -159,11 +159,6 @@ impl SubscriptionTable {
         self.subs.is_empty()
     }
 
-    /// Lifetime `(subscribes, unsubscribes)` counts.
-    pub fn churn_counts(&self) -> (u64, u64) {
-        (self.total_subscribes, self.total_unsubscribes)
-    }
-
     /// Whether any active subscription matches `event` (flat topics).
     pub fn matches(&self, event: &Event) -> bool {
         self.subs.values().any(|s| s.matches(event))
@@ -173,15 +168,6 @@ impl SubscriptionTable {
     /// hierarchy through `space`.
     pub fn matches_in(&self, event: &Event, space: &TopicSpace) -> bool {
         self.subs.values().any(|s| s.matches_in(event, space))
-    }
-
-    /// Ids of subscriptions matching `event` (flat topics).
-    pub fn matching_ids(&self, event: &Event) -> Vec<SubscriptionId> {
-        self.subs
-            .iter()
-            .filter(|(_, s)| s.matches(event))
-            .map(|(&id, _)| id)
-            .collect()
     }
 
     /// Iterates over `(id, subscription)`.
@@ -208,25 +194,6 @@ impl SubscriptionTable {
     pub fn complexity(&self) -> usize {
         self.subs.values().map(Subscription::complexity).sum()
     }
-
-    /// Snapshot of the table as a static [`Interest`].
-    pub fn as_interest(&self) -> Interest {
-        let mut parts = Vec::new();
-        let topics = self.topics();
-        if !topics.is_empty() {
-            parts.push(Interest::topics(topics));
-        }
-        for sub in self.subs.values() {
-            if let Subscription::Content(f) = sub {
-                parts.push(Interest::Content(f.clone()));
-            }
-        }
-        match parts.len() {
-            0 => Interest::Nothing,
-            1 => parts.pop().expect("one element"),
-            _ => Interest::Any(parts),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -245,11 +212,10 @@ mod tests {
     fn subscribe_and_match() {
         let mut t = SubscriptionTable::new();
         assert!(t.is_empty());
-        let id = t.subscribe_topic(TopicId::new(2));
+        t.subscribe_topic(TopicId::new(2));
         assert_eq!(t.len(), 1);
         assert!(t.matches(&ev(2)));
         assert!(!t.matches(&ev(3)));
-        assert_eq!(t.matching_ids(&ev(2)), vec![id]);
     }
 
     #[test]
@@ -260,7 +226,6 @@ mod tests {
         assert_eq!(sub, Subscription::Topic(TopicId::new(2)));
         assert!(!t.matches(&ev(2)));
         assert_eq!(t.unsubscribe(id), Err(UnknownSubscription(id)));
-        assert_eq!(t.churn_counts(), (1, 1));
     }
 
     #[test]
@@ -278,7 +243,6 @@ mod tests {
         t.subscribe_content(Filter::cmp("x", CmpOp::Gt, 3i64));
         assert!(t.matches(&ev(0)));
         t.subscribe_content(Filter::cmp("x", CmpOp::Gt, 100i64));
-        assert_eq!(t.matching_ids(&ev(0)).len(), 1);
         assert_eq!(t.complexity(), 2);
     }
 
@@ -304,17 +268,18 @@ mod tests {
     }
 
     #[test]
-    fn as_interest_snapshot() {
+    fn unsubscribe_topic_and_clear_keep_ids_fresh() {
         let mut t = SubscriptionTable::new();
-        assert_eq!(t.as_interest(), Interest::Nothing);
         t.subscribe_topic(TopicId::new(1));
-        let i = t.as_interest();
-        assert!(i.is_interested(&ev(1)));
-        assert!(!i.is_interested(&ev(9)));
-        t.subscribe_content(Filter::cmp("x", CmpOp::Eq, 5i64));
-        let i2 = t.as_interest();
-        assert!(i2.is_interested(&ev(9)), "content arm matches any topic");
-        assert_eq!(i2.subscription_count(), 2);
+        t.subscribe_topic(TopicId::new(2));
+        let last = t.subscribe_topic(TopicId::new(1));
+        t.subscribe_content(Filter::True);
+        t.unsubscribe_topic(TopicId::new(1));
+        assert_eq!(t.topics(), vec![TopicId::new(2)]);
+        assert_eq!(t.len(), 2, "topic 2 and the content filter stay");
+        t.clear();
+        assert!(t.is_empty());
+        assert!(t.subscribe_topic(TopicId::new(1)) > last);
     }
 
     #[test]

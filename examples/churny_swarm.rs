@@ -63,7 +63,7 @@ fn run_swarm(config: GossipConfig, label: &str) -> Vec<(u64, usize)> {
             .filter(|(id, node)| {
                 sim.is_alive(*id)
                     && node.behavior().wants_to_leave(
-                        node.ledger(),
+                        node.endpoint().ledger(),
                         &GossipConfig::classic(1, 1, SimDuration::from_millis(100)).spec,
                         node.rounds(),
                     )

@@ -89,13 +89,13 @@ fn main() {
     );
     let show = |label: &str, id: NodeId| {
         let node = sim.node(id).expect("node exists");
-        let t = node.ledger().totals();
+        let t = node.endpoint().ledger().totals();
         println!(
             "{:<22} {:>9} {:>9} {:>8.2}",
             label,
             t.forwarded_msgs,
             t.delivered_events,
-            node.ledger().ratio(&spec)
+            node.endpoint().ledger().ratio(&spec)
         );
     };
     show("bridge (wire service)", NodeId::new(0));

@@ -62,16 +62,19 @@ fn main() {
     let mut spurious = 0usize;
     for (id, node) in sim.nodes() {
         if id.index() % 2 == 0 {
-            delivered += usize::from(node.deliveries().len() == 10);
+            delivered += usize::from(node.endpoint().deliveries().len() == 10);
         } else {
-            spurious += node.deliveries().len();
+            spurious += node.endpoint().deliveries().len();
         }
     }
     println!("subscribers with all 10 events : {delivered}/{}", n / 2);
     println!("spurious deliveries            : {spurious}");
 
     let spec = RatioSpec::topic_based();
-    let ledgers: Vec<_> = sim.nodes().map(|(_, node)| node.ledger()).collect();
+    let ledgers: Vec<_> = sim
+        .nodes()
+        .map(|(_, node)| node.endpoint().ledger())
+        .collect();
     println!("fairness over contribution/benefit ratios:");
     println!("  {}", ratio_report(ledgers.into_iter(), &spec));
     let total_msgs: u64 = sim.transport_stats_all().iter().map(|s| s.msgs_sent).sum();

@@ -78,11 +78,14 @@ fn run_market(config: GossipConfig, label: &str) {
     sim.run_until(SimTime::from_secs(30));
 
     let spec = RatioSpec::expressive();
-    let ledgers: Vec<_> = sim.nodes().map(|(_, node)| node.ledger()).collect();
+    let ledgers: Vec<_> = sim
+        .nodes()
+        .map(|(_, node)| node.endpoint().ledger())
+        .collect();
     let report = ratio_report(ledgers, &spec);
     let deliveries: u64 = sim
         .nodes()
-        .map(|(_, node)| node.deliveries().len() as u64)
+        .map(|(_, node)| node.endpoint().deliveries().len() as u64)
         .sum();
     println!("{label:>15}: deliveries={deliveries:>6}  byte-ratio fairness {report}");
 }

@@ -51,7 +51,7 @@
 //!     GossipCmd::Publish(Event::bare(EventId::new(0, 1), topic)),
 //! );
 //! sim.run_until(SimTime::from_secs(3));
-//! assert!(sim.nodes().all(|(_, node)| node.deliveries().len() == 1));
+//! assert!(sim.nodes().all(|(_, node)| node.endpoint().deliveries().len() == 1));
 //! ```
 //!
 //! Run `cargo run --release -p fed-experiments` to regenerate every paper

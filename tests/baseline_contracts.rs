@@ -98,6 +98,7 @@ fn broker_contract() {
     let (delivered, expected) = check_contract(|i, id| {
         sim.node(NodeId::new(i as u32))
             .expect("exists")
+            .endpoint()
             .deliveries()
             .contains(id)
     });
@@ -124,6 +125,7 @@ fn scribe_contract() {
     let (delivered, expected) = check_contract(|i, id| {
         sim.node(NodeId::new(i as u32))
             .expect("exists")
+            .endpoint()
             .deliveries()
             .contains(id)
     });
@@ -155,6 +157,7 @@ fn dks_contract() {
     let (delivered, expected) = check_contract(|i, id| {
         sim.node(NodeId::new(i as u32))
             .expect("exists")
+            .endpoint()
             .deliveries()
             .contains(id)
     });
@@ -191,6 +194,7 @@ fn dam_contract() {
     let (delivered, expected) = check_contract(|i, id| {
         sim.node(NodeId::new(i as u32))
             .expect("exists")
+            .endpoint()
             .deliveries()
             .contains(id)
     });
@@ -218,6 +222,7 @@ fn splitstream_contract() {
     let (delivered, expected) = check_contract(|i, id| {
         sim.node(NodeId::new(i as u32))
             .expect("exists")
+            .endpoint()
             .deliveries()
             .contains(id)
     });
@@ -271,12 +276,13 @@ fn baselines_disagree_on_fairness_but_agree_on_delivery() {
     // an observation rather than an assertion. The structural fairness
     // contract checked here is DAM's, below.
     let _scribe_unfair = scribe_sim.nodes().any(|(id, node)| {
-        node.ledger().totals().forwarded_msgs > 0 && !node.is_subscriber(topic_of(id.index()))
+        node.endpoint().ledger().totals().forwarded_msgs > 0
+            && !node.is_subscriber(topic_of(id.index()))
     });
     // In ideal DAM, only group members (subscribers) forward dissemination
     // traffic.
     for (id, node) in dam_sim.nodes() {
-        if node.ledger().totals().forwarded_msgs > 0 {
+        if node.endpoint().ledger().totals().forwarded_msgs > 0 {
             assert!(
                 node.is_group_member(topic_of(id.index())),
                 "{id} forwarded without membership"

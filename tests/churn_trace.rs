@@ -74,7 +74,7 @@ fn stable_majority_survives_generated_churn() {
     for i in churners..n {
         let node = sim.node(NodeId::new(i as u32)).expect("exists");
         for e in &events {
-            if !node.has_delivered(e.id()) {
+            if !node.endpoint().deliveries().contains(e.id()) {
                 misses += 1;
             }
         }

@@ -76,8 +76,8 @@ fn audit(setup: &Setup) -> DeliveryAudit {
         );
     }
     for (id, node) in setup.sim.nodes() {
-        for (eid, rec) in node.deliveries() {
-            audit.record(*eid, id.index(), rec.at);
+        for (eid, at) in node.endpoint().deliveries().iter() {
+            audit.record(eid, id.index(), at);
         }
     }
     audit
@@ -117,8 +117,11 @@ fn fair_beats_classic_on_the_same_workload() {
     );
     fair.sim.run_until(SimTime::from_secs(18));
 
-    let classic_fairness = ratio_report(classic.sim.nodes().map(|(_, p)| p.ledger()), &spec);
-    let fair_fairness = ratio_report(fair.sim.nodes().map(|(_, p)| p.ledger()), &spec);
+    let classic_fairness = ratio_report(
+        classic.sim.nodes().map(|(_, p)| p.endpoint().ledger()),
+        &spec,
+    );
+    let fair_fairness = ratio_report(fair.sim.nodes().map(|(_, p)| p.endpoint().ledger()), &spec);
     assert!(
         fair_fairness.jain > classic_fairness.jain + 0.1,
         "fair {} vs classic {}",
@@ -178,8 +181,8 @@ fn free_riders_cannot_crash_reliability() {
         a.expect(p.event.id(), p.at, profile.subscribers_of(p.event.topic()));
     }
     for (id, node) in sim.nodes() {
-        for (eid, rec) in node.deliveries() {
-            a.record(*eid, id.index(), rec.at);
+        for (eid, at) in node.endpoint().deliveries().iter() {
+            a.record(eid, id.index(), at);
         }
     }
     assert!(
@@ -228,7 +231,7 @@ fn churned_nodes_recover_and_catch_new_events() {
             if sub < 20 {
                 expected += 1;
                 let node = setup.sim.node(NodeId::new(sub as u32)).expect("exists");
-                if !node.has_delivered(p.event.id()) {
+                if !node.endpoint().deliveries().contains(p.event.id()) {
                     missed += 1;
                 }
             }
@@ -253,7 +256,7 @@ fn message_counts_match_between_engine_and_ledgers() {
     );
     setup.sim.run_until(SimTime::from_secs(18));
     for (id, node) in setup.sim.nodes() {
-        let ledger = node.ledger().totals();
+        let ledger = node.endpoint().ledger().totals();
         let transport = setup.sim.transport_stats(id);
         assert_eq!(
             ledger.forwarded_msgs, transport.msgs_sent,
@@ -292,9 +295,9 @@ fn topic_isolation_holds_across_the_stack() {
     sim.run_until(SimTime::from_secs(10));
     for (id, node) in sim.nodes() {
         if id.index() % 3 == 0 {
-            assert_eq!(node.deliveries().len(), 20, "{id}");
+            assert_eq!(node.endpoint().deliveries().len(), 20, "{id}");
         } else {
-            assert!(node.deliveries().is_empty(), "{id}");
+            assert!(node.endpoint().deliveries().is_empty(), "{id}");
         }
     }
 }

@@ -53,7 +53,7 @@ fn dissemination_works_over_bounded_views() {
     sim.run_until(SimTime::from_secs(15));
     let complete = sim
         .nodes()
-        .filter(|(_, node)| node.deliveries().len() == 15)
+        .filter(|(_, node)| node.endpoint().deliveries().len() == 15)
         .count();
     assert!(
         complete as f64 >= 0.99 * n as f64,
@@ -92,6 +92,7 @@ fn fair_adaptation_works_over_bounded_views() {
         .filter(|&i| {
             sim.node(NodeId::new(i as u32))
                 .expect("node exists")
+                .endpoint()
                 .deliveries()
                 .len()
                 == 120
@@ -109,6 +110,7 @@ fn fair_adaptation_works_over_bounded_views() {
             .map(|i| {
                 sim.node(NodeId::new(i as u32))
                     .expect("node exists")
+                    .endpoint()
                     .ledger()
                     .totals()
                     .forwarded_msgs

@@ -53,8 +53,8 @@ fn run_partition_scenario(cfg: GossipConfig, seed: u64) -> (usize, usize) {
     let crossed = sim
         .nodes()
         .filter(|(id, node)| {
-            (id.index() < n / 2 && node.has_delivered(right_event.id()))
-                || (id.index() >= n / 2 && node.has_delivered(left_event.id()))
+            (id.index() < n / 2 && node.endpoint().deliveries().contains(right_event.id()))
+                || (id.index() >= n / 2 && node.endpoint().deliveries().contains(left_event.id()))
         })
         .count();
     assert_eq!(crossed, 0, "nothing crosses an active partition");
@@ -63,11 +63,11 @@ fn run_partition_scenario(cfg: GossipConfig, seed: u64) -> (usize, usize) {
     sim.run_until(SimTime::from_secs(8));
     let got_left = sim
         .nodes()
-        .filter(|(_, node)| node.has_delivered(left_event.id()))
+        .filter(|(_, node)| node.endpoint().deliveries().contains(left_event.id()))
         .count();
     let got_right = sim
         .nodes()
-        .filter(|(_, node)| node.has_delivered(right_event.id()))
+        .filter(|(_, node)| node.endpoint().deliveries().contains(right_event.id()))
         .count();
     (got_left, got_right)
 }
