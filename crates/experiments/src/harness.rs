@@ -402,6 +402,11 @@ where
 /// Schedules the materialized workload onto any engine, in the canonical
 /// order: subscriptions, publications, then churn.
 ///
+/// A rejoin rebuilds the node through the factory, which knows nothing of
+/// the interest profile, so every `Join` is followed at the same instant
+/// by the node's subscriptions again: scheduled right after it, the
+/// external sequence number orders them behind the rebuild.
+///
 /// Both engines must see the same `schedule_*` call order — the external
 /// event sequence number participates in the deterministic event order.
 fn schedule_workload<E>(sim: &mut E, materialized: &MaterializedScenario)
@@ -409,14 +414,13 @@ where
     E: Engine,
     E::Proto: ArchProtocol,
 {
-    for i in 0..materialized.profile.len() {
-        for &topic in materialized.profile.topics_of(i) {
-            sim.command(
-                SimTime::ZERO,
-                NodeId::new(i as u32),
-                E::Proto::subscribe_cmd(topic),
-            );
+    let subscribe = |sim: &mut E, at: SimTime, node: usize| {
+        for &topic in materialized.profile.topics_of(node) {
+            sim.command(at, NodeId::new(node as u32), E::Proto::subscribe_cmd(topic));
         }
+    };
+    for i in 0..materialized.profile.len() {
+        subscribe(sim, SimTime::ZERO, i);
     }
     for p in &materialized.schedule {
         sim.command(
@@ -428,7 +432,10 @@ where
     for c in &materialized.churn {
         match c.action {
             ChurnAction::Crash => sim.crash(c.at, NodeId::new(c.node as u32)),
-            ChurnAction::Join => sim.join(c.at, NodeId::new(c.node as u32)),
+            ChurnAction::Join => {
+                sim.join(c.at, NodeId::new(c.node as u32));
+                subscribe(sim, c.at, c.node);
+            }
         }
     }
 }
