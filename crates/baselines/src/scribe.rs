@@ -91,7 +91,7 @@ impl ScribeNode {
 
     /// Whether the node actually subscribed to `topic`.
     pub fn is_subscriber(&self, topic: TopicId) -> bool {
-        self.endpoint.subscriptions().topics().contains(&topic)
+        self.endpoint.subscriptions().has_topic(topic)
     }
 
     fn key_of(topic: TopicId) -> DhtId {

@@ -103,7 +103,7 @@ impl Forest {
 
     /// Whether `node` has children in `stripe` (is interior).
     pub fn is_interior(&self, stripe: usize, node: NodeId) -> bool {
-        !self.children(stripe, node).is_empty()
+        self.pos[stripe][node.index()] * self.branching + 1 < self.n
     }
 }
 

@@ -8,7 +8,6 @@
 use crate::event::Event;
 use crate::filter::Filter;
 use crate::topic::{TopicId, TopicSpace};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Stable identifier of one active subscription within a table.
@@ -86,6 +85,13 @@ impl std::error::Error for UnknownSubscription {}
 
 /// A node's active subscriptions.
 ///
+/// Two flat vectors, each sorted by id because ids are handed out in
+/// increasing order: topic subscriptions (16 B an entry — every
+/// subscription of every shipped scenario) and content filters (an
+/// empty, allocation-free `Vec` when unused). `matches` runs once per
+/// received event on every architecture, so it is a scan of one or two
+/// cache lines rather than a tree walk.
+///
 /// # Examples
 ///
 /// ```
@@ -102,7 +108,8 @@ impl std::error::Error for UnknownSubscription {}
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct SubscriptionTable {
-    subs: BTreeMap<SubscriptionId, Subscription>,
+    topics: Vec<(SubscriptionId, TopicId)>,
+    filters: Vec<(SubscriptionId, Filter)>,
     next_id: u64,
 }
 
@@ -112,20 +119,23 @@ impl SubscriptionTable {
         SubscriptionTable::default()
     }
 
+    fn fresh_id(&mut self) -> SubscriptionId {
+        let id = SubscriptionId(self.next_id);
+        self.next_id += 1;
+        id
+    }
+
     /// Adds a topic subscription; returns its id.
     pub fn subscribe_topic(&mut self, topic: TopicId) -> SubscriptionId {
-        self.insert(Subscription::Topic(topic))
+        let id = self.fresh_id();
+        self.topics.push((id, topic));
+        id
     }
 
     /// Adds a content subscription; returns its id.
     pub fn subscribe_content(&mut self, filter: Filter) -> SubscriptionId {
-        self.insert(Subscription::Content(filter))
-    }
-
-    fn insert(&mut self, sub: Subscription) -> SubscriptionId {
-        let id = SubscriptionId(self.next_id);
-        self.next_id += 1;
-        self.subs.insert(id, sub);
+        let id = self.fresh_id();
+        self.filters.push((id, filter));
         id
     }
 
@@ -135,56 +145,66 @@ impl SubscriptionTable {
     ///
     /// Returns [`UnknownSubscription`] if `id` is not active.
     pub fn unsubscribe(&mut self, id: SubscriptionId) -> Result<Subscription, UnknownSubscription> {
-        self.subs.remove(&id).ok_or(UnknownSubscription(id))
+        if let Ok(i) = self.topics.binary_search_by_key(&id, |&(sid, _)| sid) {
+            return Ok(Subscription::Topic(self.topics.remove(i).1));
+        }
+        match self.filters.binary_search_by_key(&id, |(sid, _)| *sid) {
+            Ok(i) => Ok(Subscription::Content(self.filters.remove(i).1)),
+            Err(_) => Err(UnknownSubscription(id)),
+        }
     }
 
     /// Removes every topic subscription to `topic`.
     pub fn unsubscribe_topic(&mut self, topic: TopicId) {
-        self.subs
-            .retain(|_, s| !matches!(s, Subscription::Topic(t) if *t == topic));
+        self.topics.retain(|&(_, t)| t != topic);
     }
 
     /// Removes every subscription (ids are still never reused).
     pub fn clear(&mut self) {
-        self.subs.clear();
+        self.topics.clear();
+        self.filters.clear();
     }
 
     /// Number of active subscriptions (the paper's "#filters").
     pub fn len(&self) -> usize {
-        self.subs.len()
+        self.topics.len() + self.filters.len()
     }
 
     /// Returns `true` with no active subscriptions.
     pub fn is_empty(&self) -> bool {
-        self.subs.is_empty()
+        self.topics.is_empty() && self.filters.is_empty()
+    }
+
+    /// Whether some topic subscription names exactly `topic`.
+    #[inline]
+    pub fn has_topic(&self, topic: TopicId) -> bool {
+        self.topics.iter().any(|&(_, t)| t == topic)
+    }
+
+    #[inline]
+    fn any_filter_matches(&self, event: &Event) -> bool {
+        self.filters.iter().any(|(_, f)| f.matches(event))
     }
 
     /// Whether any active subscription matches `event` (flat topics).
+    #[inline]
     pub fn matches(&self, event: &Event) -> bool {
-        self.subs.values().any(|s| s.matches(event))
+        self.has_topic(event.topic()) || self.any_filter_matches(event)
     }
 
     /// Whether any active subscription matches `event`, resolving topic
     /// hierarchy through `space`.
     pub fn matches_in(&self, event: &Event, space: &TopicSpace) -> bool {
-        self.subs.values().any(|s| s.matches_in(event, space))
-    }
-
-    /// Iterates over `(id, subscription)`.
-    pub fn iter(&self) -> impl Iterator<Item = (SubscriptionId, &Subscription)> {
-        self.subs.iter().map(|(&id, s)| (id, s))
+        let topic = event.topic();
+        self.topics
+            .iter()
+            .any(|&(_, t)| space.is_descendant(topic, t))
+            || self.any_filter_matches(event)
     }
 
     /// The set of topics with at least one topic subscription.
     pub fn topics(&self) -> Vec<TopicId> {
-        let mut ts: Vec<TopicId> = self
-            .subs
-            .values()
-            .filter_map(|s| match s {
-                Subscription::Topic(t) => Some(*t),
-                Subscription::Content(_) => None,
-            })
-            .collect();
+        let mut ts: Vec<TopicId> = self.topics.iter().map(|&(_, t)| t).collect();
         ts.sort_unstable();
         ts.dedup();
         ts
@@ -192,7 +212,12 @@ impl SubscriptionTable {
 
     /// Total matching cost across active subscriptions.
     pub fn complexity(&self) -> usize {
-        self.subs.values().map(Subscription::complexity).sum()
+        self.topics.len()
+            + self
+                .filters
+                .iter()
+                .map(|(_, f)| f.complexity())
+                .sum::<usize>()
     }
 }
 
@@ -283,17 +308,46 @@ mod tests {
     }
 
     #[test]
-    fn iter_and_display() {
+    fn display_forms() {
         let mut t = SubscriptionTable::new();
         let id = t.subscribe_topic(TopicId::new(3));
-        let items: Vec<_> = t.iter().collect();
-        assert_eq!(items.len(), 1);
-        assert_eq!(items[0].0, id);
-        assert_eq!(format!("{}", items[0].1), "topic(t3)");
+        assert_eq!(
+            format!("{}", Subscription::Topic(TopicId::new(3))),
+            "topic(t3)"
+        );
         assert_eq!(format!("{id}"), "s0");
         assert_eq!(
             format!("{}", UnknownSubscription(id)),
             "unknown subscription s0"
         );
+    }
+
+    #[test]
+    fn has_topic_sees_topic_subscriptions_only() {
+        let mut t = SubscriptionTable::new();
+        t.subscribe_topic(TopicId::new(5));
+        t.subscribe_content(Filter::True);
+        assert!(t.has_topic(TopicId::new(5)));
+        assert!(
+            !t.has_topic(TopicId::new(1)),
+            "a content filter is no topic"
+        );
+        t.unsubscribe_topic(TopicId::new(5));
+        assert!(!t.has_topic(TopicId::new(5)));
+    }
+
+    /// The point of the flat layout: the table is one cache line inline
+    /// and a typical node's subscriptions are one more on the heap.
+    #[test]
+    fn table_stays_small() {
+        assert!(std::mem::size_of::<SubscriptionTable>() <= 64);
+        let mut t = SubscriptionTable::new();
+        assert_eq!(t.topics.capacity() + t.filters.capacity(), 0);
+        let entry = std::mem::size_of::<(SubscriptionId, TopicId)>();
+        for topic in 0..4 {
+            t.subscribe_topic(TopicId::new(topic));
+            assert!(t.topics.capacity() * entry <= 64);
+            assert_eq!(t.filters.capacity(), 0, "unused filters own no heap");
+        }
     }
 }

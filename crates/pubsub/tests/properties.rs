@@ -1,10 +1,13 @@
-//! Property-based tests: filter language round-trips and matching laws.
+//! Property-based tests: filter language round-trips, matching laws and
+//! the subscription table against a map model.
 
 use fed_pubsub::event::{AttrValue, Event, EventId};
 use fed_pubsub::filter::{CmpOp, Filter};
 use fed_pubsub::lang::parse_filter;
-use fed_pubsub::topic::TopicId;
+use fed_pubsub::subscription::{Subscription, SubscriptionTable};
+use fed_pubsub::topic::{TopicId, TopicSpace};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 /// Strategy for attribute names in the language's identifier grammar.
 fn ident() -> impl Strategy<Value = String> {
@@ -69,7 +72,115 @@ fn event_strategy() -> impl Strategy<Value = Event> {
         })
 }
 
+/// One step of a subscription table's life.
+#[derive(Debug, Clone)]
+enum TableOp {
+    SubscribeTopic(u32),
+    SubscribeContent(Filter),
+    /// Unsubscribes id `pick % (ids handed out + 2)`: active, already
+    /// removed and never-issued ids all occur.
+    Unsubscribe(u64),
+    UnsubscribeTopic(u32),
+    Clear,
+}
+
+fn table_op() -> impl Strategy<Value = TableOp> {
+    prop_oneof![
+        (0u32..16).prop_map(TableOp::SubscribeTopic),
+        (0u32..16).prop_map(TableOp::SubscribeTopic),
+        filter_strategy().prop_map(TableOp::SubscribeContent),
+        any::<u64>().prop_map(TableOp::Unsubscribe),
+        any::<u64>().prop_map(TableOp::Unsubscribe),
+        (0u32..16).prop_map(TableOp::UnsubscribeTopic),
+        Just(TableOp::Clear),
+    ]
+}
+
+/// Sixteen topics in a binary heap shape: `t{i}`'s parent is `t{(i-1)/2}`.
+fn heap_space() -> TopicSpace {
+    let mut space = TopicSpace::new();
+    space.register("t0").unwrap();
+    for i in 1u32..16 {
+        space
+            .register_under(format!("t{i}"), TopicId::new((i - 1) / 2))
+            .unwrap();
+    }
+    space
+}
+
 proptest! {
+    /// The flat table answers every question the way a
+    /// `BTreeMap<id, Subscription>` does, and ids only ever grow.
+    #[test]
+    fn subscription_table_matches_a_map_model(
+        ops in prop::collection::vec(table_op(), 0..40),
+        probes in prop::collection::vec(event_strategy(), 1..4),
+    ) {
+        let space = heap_space();
+        // An id is only nameable through a table that issued it: a
+        // scratch table mints every value the run can ask for.
+        let mut mint = SubscriptionTable::new();
+        let ids: Vec<_> = (0..42).map(|_| mint.subscribe_topic(TopicId::new(0))).collect();
+        let mut table = SubscriptionTable::new();
+        let mut model: BTreeMap<u64, Subscription> = BTreeMap::new();
+        let mut issued = 0u64;
+        for op in ops {
+            match op {
+                TableOp::SubscribeTopic(t) => {
+                    let id = table.subscribe_topic(TopicId::new(t)).as_u64();
+                    prop_assert_eq!(id, issued, "ids strictly increase, clear included");
+                    issued += 1;
+                    model.insert(id, Subscription::Topic(TopicId::new(t)));
+                }
+                TableOp::SubscribeContent(f) => {
+                    let id = table.subscribe_content(f.clone()).as_u64();
+                    prop_assert_eq!(id, issued);
+                    issued += 1;
+                    model.insert(id, Subscription::Content(f));
+                }
+                TableOp::Unsubscribe(pick) => {
+                    let raw = pick % (issued + 2);
+                    prop_assert_eq!(table.unsubscribe(ids[raw as usize]).ok(), model.remove(&raw));
+                }
+                TableOp::UnsubscribeTopic(t) => {
+                    table.unsubscribe_topic(TopicId::new(t));
+                    model.retain(|_, s| *s != Subscription::Topic(TopicId::new(t)));
+                }
+                TableOp::Clear => {
+                    table.clear();
+                    model.clear();
+                }
+            }
+            prop_assert_eq!(table.len(), model.len());
+            prop_assert_eq!(table.is_empty(), model.is_empty());
+            prop_assert_eq!(
+                table.complexity(),
+                model.values().map(Subscription::complexity).sum::<usize>()
+            );
+            let mut topics: Vec<TopicId> = model
+                .values()
+                .filter_map(|s| match s {
+                    Subscription::Topic(t) => Some(*t),
+                    Subscription::Content(_) => None,
+                })
+                .collect();
+            topics.sort_unstable();
+            topics.dedup();
+            for t in 0u32..16 {
+                let t = TopicId::new(t);
+                prop_assert_eq!(table.has_topic(t), topics.contains(&t));
+            }
+            prop_assert_eq!(table.topics(), topics);
+            for e in &probes {
+                prop_assert_eq!(table.matches(e), model.values().any(|s| s.matches(e)));
+                prop_assert_eq!(
+                    table.matches_in(e, &space),
+                    model.values().any(|s| s.matches_in(e, &space))
+                );
+            }
+        }
+    }
+
     /// Display output of any filter re-parses to an equal filter.
     #[test]
     fn filter_display_round_trips(f in filter_strategy()) {

@@ -28,8 +28,18 @@
 //! Windows are `[w·W, (w+1)·W)` for the spec's width `W`; an event at
 //! exactly a boundary belongs to the later window. The window width is
 //! also the overhead knob: the only per-window cost is one O(owned
-//! nodes) fold per shard, so wider windows cost less (and per-event cost
-//! is a handful of integer increments either way).
+//! nodes) fold per shard, so wider windows cost less.
+//!
+//! Per event an engine calls about three hooks. The open window's
+//! accumulator is a field of the collector, so a hook is one compare of
+//! `now` against the window's end, its integer increments and — for a
+//! send — one latency-histogram record; the window map is touched only
+//! for a delivery that lands in a later window and once per window close
+//! (no division, no map lookup otherwise). fedbench's
+//! `telemetry.probe_call_ns` on the 2-core recording box: 12–16 ns for
+//! the map-per-hook collector this replaced (kept as the `cfg(test)`
+//! `reference` module the differential tests compare against), 2.5–5 ns
+//! now.
 //!
 //! ## What is measured
 //!
@@ -55,6 +65,8 @@
 #![warn(missing_docs)]
 
 pub mod membership;
+#[cfg(test)]
+mod reference;
 
 use fed_sim::exec::{Probe, SendFate};
 use fed_sim::protocol::NodeId;
@@ -207,6 +219,15 @@ impl WindowStats {
         }
     }
 
+    /// Whether any hook recorded into this window (liveness flips and
+    /// window closes do not count).
+    fn sampled(&self) -> bool {
+        self.events > 0
+            || self.msgs_sent > 0
+            || self.msgs_received > 0
+            || self.latency_hist.count() > 0
+    }
+
     /// Merges another shard's accumulator for the same window into this
     /// one. Exact, associative and commutative (property-tested).
     ///
@@ -247,6 +268,11 @@ impl WindowStats {
 /// closes the remaining windows and the per-shard series are folded with
 /// [`TelemetrySeries::merge`] into the exact global series.
 ///
+/// The open window's accumulator is a field; the map holds the closed
+/// windows and the later ones that scheduled deliveries already reached.
+/// A hook whose `now` (and delivery instant) falls inside the open
+/// window is one compare against `cur_end_us` plus its increments.
+///
 /// [`finalize`]: ShardCollector::finalize
 #[derive(Debug, Clone)]
 pub struct ShardCollector {
@@ -258,8 +284,11 @@ pub struct ShardCollector {
     counts: Vec<u64>,
     /// Per owned node: alive status (everyone starts alive).
     alive: Vec<bool>,
-    /// Current (open) window index.
-    cur: u64,
+    /// The open window's accumulator (`open.index` is the open window).
+    open: WindowStats,
+    /// First microsecond past the open window.
+    cur_end_us: u64,
+    /// Every window but the open one, keyed by index.
     windows: BTreeMap<u64, WindowStats>,
 }
 
@@ -277,13 +306,15 @@ impl ShardCollector {
             assert!((id as usize) < n_global, "owned id {id} out of range");
             local[id as usize] = li as u32;
         }
+        let window_us = spec.window.as_micros();
         ShardCollector {
             spec,
-            window_us: spec.window.as_micros(),
+            window_us,
             local,
             counts: vec![0; owned.len()],
             alive: vec![true; owned.len()],
-            cur: 0,
+            open: WindowStats::empty(&spec, 0),
+            cur_end_us: window_us,
             windows: BTreeMap::new(),
         }
     }
@@ -304,35 +335,41 @@ impl ShardCollector {
         t.as_micros() / self.window_us
     }
 
-    fn entry(&mut self, w: u64) -> &mut WindowStats {
+    /// Closes every window before the one containing `now`.
+    #[inline]
+    fn advance(&mut self, now: SimTime) {
+        if now.as_micros() >= self.cur_end_us {
+            self.advance_to(self.win_of(now));
+        }
+    }
+
+    #[cold]
+    fn advance_to(&mut self, w: u64) {
+        while self.open.index < w {
+            self.close_current();
+        }
+    }
+
+    /// The accumulator of the window past the open one that holds `at`.
+    fn later_window(&mut self, at: SimTime) -> &mut WindowStats {
+        let w = self.win_of(at);
         let spec = self.spec;
         self.windows
             .entry(w)
             .or_insert_with(|| WindowStats::empty(&spec, w))
     }
 
-    /// Closes every window before the one containing `now`.
-    fn advance(&mut self, now: SimTime) {
-        let w = self.win_of(now);
-        while self.cur < w {
-            self.close_current();
-        }
-    }
-
     /// Folds the open window's per-node forward counts and population
-    /// snapshot into its accumulator, then opens the next window.
+    /// snapshot into its accumulator, files it in the map and opens the
+    /// next window — taking over the accumulator that earlier sends'
+    /// deliveries already created for it, if any.
     ///
     /// The distribution covers the nodes alive at window close; a node
     /// that forwarded and then crashed inside the window keeps its
     /// traffic in the global counters but drops out of the distribution
     /// (fairness tracks the live population's load concentration).
     fn close_current(&mut self) {
-        let w = self.cur;
-        let spec = self.spec;
-        let stats = self
-            .windows
-            .entry(w)
-            .or_insert_with(|| WindowStats::empty(&spec, w));
+        let stats = &mut self.open;
         for (count, alive) in self.counts.iter_mut().zip(&self.alive) {
             if *alive {
                 let c = *count;
@@ -347,7 +384,14 @@ impl ShardCollector {
             }
             *count = 0;
         }
-        self.cur += 1;
+        let next = stats.index + 1;
+        let opened = self
+            .windows
+            .remove(&next)
+            .unwrap_or_else(|| WindowStats::empty(&self.spec, next));
+        let closed = std::mem::replace(&mut self.open, opened);
+        self.windows.insert(closed.index, closed);
+        self.cur_end_us = (next + 1).saturating_mul(self.window_us);
     }
 
     /// Closes every window through the one containing `horizon` and
@@ -356,57 +400,61 @@ impl ShardCollector {
     /// Both engines must finalize at the same horizon (the harness uses
     /// the scenario horizon) for their series to compare equal.
     pub fn finalize(mut self, horizon: SimTime) -> TelemetrySeries {
-        let last = self.win_of(horizon);
-        while self.cur <= last {
-            self.close_current();
+        self.advance_to(self.win_of(horizon) + 1);
+        // A window is part of the series if it was closed or sampled:
+        // the one left open counts only when a hook past the horizon
+        // touched it. Trailing windows may hold latency samples of sends
+        // scheduled to deliver past the horizon; keep them (they merge
+        // exactly).
+        let open = self.open;
+        if open.sampled() {
+            self.windows.insert(open.index, open);
         }
-        // Trailing windows may hold latency samples of sends scheduled to
-        // deliver past the horizon; keep them (they merge exactly).
-        let max_w = self.windows.keys().next_back().copied().unwrap_or(last);
         let spec = self.spec;
-        let windows = (0..=max_w)
-            .map(|w| {
-                self.windows
-                    .remove(&w)
-                    .unwrap_or_else(|| WindowStats::empty(&spec, w))
-            })
-            .collect();
+        let mut windows: Vec<WindowStats> = Vec::new();
+        for (w, stats) in self.windows {
+            // Dense from window 0: gaps between sampled windows are empty.
+            windows.extend((windows.len() as u64..w).map(|gap| WindowStats::empty(&spec, gap)));
+            windows.push(stats);
+        }
         TelemetrySeries { spec, windows }
     }
 }
 
 impl Probe for ShardCollector {
+    #[inline]
     fn on_event(&mut self, now: SimTime) {
         self.advance(now);
-        self.entry(self.cur).events += 1;
+        self.open.events += 1;
     }
 
+    #[inline]
     fn on_send(&mut self, now: SimTime, node: NodeId, bytes: u64, fate: SendFate) {
         self.advance(now);
         let li = self.local[node.index()];
         debug_assert_ne!(li, u32::MAX, "send observed for a non-owned node");
         self.counts[li as usize] += 1;
-        let w = self.cur;
-        {
-            let stats = self.entry(w);
-            stats.msgs_sent += 1;
-            stats.bytes_sent += bytes;
-        }
+        self.open.msgs_sent += 1;
+        self.open.bytes_sent += bytes;
         match fate {
             SendFate::Delivered { at } => {
                 let lat_ms = at.duration_since(now).as_secs_f64() * 1e3;
-                let dw = self.win_of(at);
-                self.entry(dw).latency_hist.record(lat_ms);
+                let stats = if at.as_micros() < self.cur_end_us {
+                    &mut self.open
+                } else {
+                    self.later_window(at)
+                };
+                stats.latency_hist.record(lat_ms);
             }
-            SendFate::Lost => self.entry(w).msgs_lost += 1,
+            SendFate::Lost => self.open.msgs_lost += 1,
         }
     }
 
+    #[inline]
     fn on_receive(&mut self, now: SimTime, _node: NodeId, bytes: u64) {
         self.advance(now);
-        let stats = self.entry(self.cur);
-        stats.msgs_received += 1;
-        stats.bytes_received += bytes;
+        self.open.msgs_received += 1;
+        self.open.bytes_received += bytes;
     }
 
     fn on_liveness(&mut self, now: SimTime, node: NodeId, alive: bool) {
@@ -733,6 +781,36 @@ mod tests {
         let mut merged2 = b2.finalize(horizon);
         merged2.merge(&a2.finalize(horizon));
         assert_eq!(merged2, expect, "merge must be commutative");
+    }
+
+    /// `tests/differential.rs` is the suite proper; this keeps the
+    /// reference compared inside the crate as well, on one stream that
+    /// crosses boundaries, skips windows and delivers past the horizon.
+    #[test]
+    fn matches_the_map_reference_on_a_fixed_stream() {
+        fn feed<P: Probe>(c: &mut P) {
+            for step in 0u64..60 {
+                let now = SimTime::from_millis(step * step / 3);
+                let node = NodeId::new((step % 3) as u32);
+                c.on_event(now);
+                let at = now + SimDuration::from_millis(step % 4 * 9);
+                c.on_send(now, node, 8, SendFate::Delivered { at });
+                match step % 5 {
+                    0 => c.on_send(now, node, 8, SendFate::Lost),
+                    1 => c.on_receive(now, node, 16),
+                    2 => c.on_liveness(now, node, step % 2 == 0),
+                    _ => {}
+                }
+            }
+        }
+        let mut new = ShardCollector::sequential(spec(), 3);
+        let mut old = reference::MapCollector::new(spec(), 3, &[0, 1, 2]);
+        feed(&mut new);
+        feed(&mut old);
+        for horizon_ms in [0, 9, 10, 555, 1_160, 1_187, 1_200, 5_000] {
+            let h = SimTime::from_millis(horizon_ms);
+            assert_eq!(new.clone().finalize(h), old.clone().finalize(h), "{h}");
+        }
     }
 
     #[test]
