@@ -8,15 +8,17 @@ use fed_util::rng::Rng64;
 ///
 /// Draw for draw what sampling from a copy of the group without `me`
 /// would give, without making the copy: indices come from a range one
-/// short and step over the caller's own position. A group lists each node
-/// at most once.
+/// short and step over the caller's own position. `group` must be sorted
+/// ascending with each node at most once (the
+/// [`GroupTable`](crate::dam::GroupTable) invariant), so that position is
+/// a binary search.
 pub fn pick_peers<'g, R: Rng64>(
     rng: &mut R,
     group: &'g [NodeId],
     me: NodeId,
     k: usize,
 ) -> (impl Iterator<Item = NodeId> + 'g, bool) {
-    let own = group.iter().position(|&p| p == me);
+    let own = group.binary_search(&me).ok();
     let others = group.len() - usize::from(own.is_some());
     let picked = rng.sample_indices(others, k.min(others));
     let peers = picked

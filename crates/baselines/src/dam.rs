@@ -14,15 +14,20 @@
 
 use crate::common::pick_peers;
 use fed_core::endpoint::{emit_event, Endpoint};
-use fed_pubsub::{Event, EventBatch, EventId, TopicId, TopicSpace};
-use fed_sim::{Context, HopKind, NodeId, Protocol, SimDuration};
-use fed_util::hash::{FastMap, FastSet};
+use fed_pubsub::{Event, EventBatch, TopicId, TopicSpace};
+use fed_sim::{Context, HopKind, LocalIdSet, NodeId, Protocol, SimDuration};
+use fed_util::hash::FastMap;
 use fed_util::rng::Rng64;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Static group table: which nodes gossip for which topic (each node at
-/// most once per group). Build with `GroupTable::default()`.
+/// Static group table: which nodes gossip for which topic. Build with
+/// `GroupTable::default()`.
+///
+/// Invariant: every group is sorted ascending and lists each node at most
+/// once, so membership is a binary search (`is_group_member`,
+/// [`crate::common::pick_peers`]). `harness::groups_of` builds groups that
+/// way and debug-asserts it.
 pub type GroupTable = FastMap<TopicId, Vec<NodeId>>;
 
 /// Timer token for gossip rounds.
@@ -88,7 +93,8 @@ pub struct DamNode {
     /// deterministic — HashMap iteration order would leak into the RNG
     /// consumption sequence and break replay).
     buffer: BTreeMap<TopicId, Vec<(Event, u32)>>,
-    seen: FastSet<EventId>,
+    /// Every event ever accepted, over the kernel's numbering.
+    seen: LocalIdSet,
 }
 
 impl DamNode {
@@ -106,7 +112,7 @@ impl DamNode {
             space,
             endpoint: Endpoint::new(),
             buffer: BTreeMap::new(),
-            seen: FastSet::default(),
+            seen: LocalIdSet::default(),
         }
     }
 
@@ -119,12 +125,11 @@ impl DamNode {
     pub fn is_group_member(&self, topic: TopicId) -> bool {
         self.groups
             .get(&topic)
-            .map(|g| g.contains(&self.id))
-            .unwrap_or(false)
+            .is_some_and(|g| g.binary_search(&self.id).is_ok())
     }
 
     fn accept(&mut self, ctx: &mut Context<'_, DamMsg>, event: &Event) {
-        if !self.seen.insert(event.id()) {
+        if !self.seen.insert(ctx.local_id(event.id().as_u64())) {
             return;
         }
         if self.endpoint.subscriptions().matches_in(event, &self.space) {
@@ -233,6 +238,7 @@ impl Protocol for DamNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fed_pubsub::EventId;
     use fed_sim::network::{LatencyModel, NetworkModel};
     use fed_sim::{SimTime, Simulation};
 
@@ -326,10 +332,10 @@ mod tests {
         let root = space.register("root").unwrap();
         let sub = space.register_under("root/sub", root).unwrap();
         let n = 16;
-        let mut members: Vec<NodeId> = (1..6).map(NodeId::new).collect();
-        members.push(NodeId::new(0)); // the bridge
+        // Node 0 is the bridge; groups are sorted, so it comes first.
+        let members: Vec<NodeId> = (0..6).map(NodeId::new).collect();
         let mut groups = GroupTable::default();
-        groups.insert(sub, members.clone());
+        groups.insert(sub, members);
         let mut sim = build(n, groups, space);
         for m in 1..6u32 {
             sim.schedule_command(SimTime::ZERO, NodeId::new(m), DamCmd::SubscribeTopic(sub));

@@ -19,9 +19,8 @@ use crate::common::pick_peers;
 use crate::dam::GroupTable;
 use fed_core::endpoint::{emit_event, Endpoint};
 use fed_dht::{DhtId, DhtNetwork};
-use fed_pubsub::{Event, EventId, TopicId};
-use fed_sim::{Context, HopKind, NodeId, Protocol};
-use fed_util::hash::FastSet;
+use fed_pubsub::{Event, TopicId};
+use fed_sim::{Context, HopKind, LocalIdSet, NodeId, Protocol};
 use std::sync::Arc;
 
 /// Wire messages.
@@ -75,7 +74,9 @@ pub struct DksNode {
     dht: Arc<DhtNetwork>,
     groups: Arc<GroupTable>,
     endpoint: Endpoint,
-    seen: FastSet<EventId>,
+    /// Events this node has joined the epidemic for, over the kernel's
+    /// numbering.
+    seen: LocalIdSet,
 }
 
 impl DksNode {
@@ -92,7 +93,7 @@ impl DksNode {
             dht,
             groups,
             endpoint: Endpoint::new(),
-            seen: FastSet::default(),
+            seen: LocalIdSet::default(),
         }
     }
 
@@ -138,7 +139,7 @@ impl DksNode {
     }
 
     fn accept_in_group(&mut self, ctx: &mut Context<'_, DksMsg>, event: Event) {
-        if !self.seen.insert(event.id()) {
+        if !self.seen.insert(ctx.local_id(event.id().as_u64())) {
             return; // infect-and-die: forward only on first receipt
         }
         self.endpoint.offer(&event, ctx.now());
@@ -205,6 +206,7 @@ impl Protocol for DksNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fed_pubsub::EventId;
     use fed_sim::network::{LatencyModel, NetworkModel};
     use fed_sim::{SimDuration, SimTime, Simulation};
 

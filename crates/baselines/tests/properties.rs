@@ -57,14 +57,13 @@ proptest! {
     #[test]
     fn pick_peers_matches_sampling_a_copy_without_me(
         seed in any::<u64>(),
-        mut members in prop::collection::vec(0u32..600, 0..500),
+        members in prop::collection::btree_set(0u32..600, 0..500),
         me in 0u32..600,
         k in 0usize..12,
     ) {
-        // Distinct members in arbitrary (unsorted) order; `me` lands inside
-        // or outside the group as the draw has it.
-        let mut seen = std::collections::BTreeSet::new();
-        members.retain(|m| seen.insert(*m));
+        // Distinct members in ascending order (the `GroupTable`
+        // invariant); `me` lands inside or outside the group as the draw
+        // has it.
         let group: Vec<NodeId> = members.into_iter().map(NodeId::new).collect();
         let me = NodeId::new(me);
         let mut rng = Xoshiro256StarStar::seed_from_u64(seed);

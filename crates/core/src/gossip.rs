@@ -25,9 +25,9 @@ use crate::endpoint::{emit_event, Endpoint};
 use crate::ledger::RatioSpec;
 use fed_membership::swim::{SwimConfig, SwimMsg, SwimObservation, SwimState, SwimUpdate};
 use fed_membership::PeerSampler;
-use fed_pubsub::{Event, EventBatch, EventId, Filter, TopicId};
-use fed_sim::{Context, HopKind, NodeId, Protocol, SimDuration, SimTime};
-use fed_util::hash::{FastMap, FastSet};
+use fed_pubsub::{Event, EventBatch, Filter, TopicId};
+use fed_sim::{Context, HopKind, LocalIdSet, NodeId, Protocol, SimDuration};
+use fed_util::hash::FastMap;
 use fed_util::rng::Rng64;
 use std::sync::Arc;
 
@@ -216,7 +216,8 @@ pub struct GossipNode<S> {
     sampler: S,
     endpoint: Endpoint,
     buffer: Vec<Buffered>,
-    seen: FastSet<EventId>,
+    /// Every event ever accepted, over the kernel's numbering.
+    seen: LocalIdSet,
     estimator: GlobalRateEstimator,
     fanout_ctl: Controller,
     size_ctl: Controller,
@@ -246,7 +247,7 @@ impl<S: PeerSampler> GossipNode<S> {
             sampler,
             endpoint: Endpoint::new(),
             buffer: Vec::new(),
-            seen: FastSet::default(),
+            seen: LocalIdSet::default(),
             estimator,
             fanout_ctl,
             size_ctl,
@@ -344,12 +345,12 @@ impl<S: PeerSampler> GossipNode<S> {
             .unwrap_or_default()
     }
 
-    fn accept_event(&mut self, event: &Event, now: SimTime) {
-        if !self.seen.insert(event.id()) {
+    fn accept_event(&mut self, ctx: &mut Context<'_, GossipMsg>, event: &Event) {
+        if !self.seen.insert(ctx.local_id(event.id().as_u64())) {
             self.duplicates += 1;
             return;
         }
-        self.endpoint.offer(event, now);
+        self.endpoint.offer(event, ctx.now());
         self.buffer.push(Buffered {
             event: event.clone(),
             ttl: self.config.ttl_rounds,
@@ -499,12 +500,11 @@ impl<S: PeerSampler + 'static> Protocol for GossipNode<S> {
                 record.msgs += 1;
                 record.claim = sample;
                 self.sampler.note_peer(from);
-                let now = ctx.now();
                 if let Some(detector) = &mut self.swim {
-                    detector.absorb_piggyback(now, from, &swim);
+                    detector.absorb_piggyback(ctx.now(), from, &swim);
                 }
                 for event in events.events() {
-                    self.accept_event(event, now);
+                    self.accept_event(ctx, event);
                 }
             }
             GossipMsg::Swim(m) => {
@@ -567,8 +567,7 @@ impl<S: PeerSampler + 'static> Protocol for GossipNode<S> {
         match cmd {
             GossipCmd::Publish(event) => {
                 self.endpoint.published(&event);
-                let now = ctx.now();
-                self.accept_event(&event, now);
+                self.accept_event(ctx, &event);
                 // Seed the epidemic immediately: the publisher pushes the
                 // fresh event to `2 × target_mean` random peers at its own
                 // expense. Without this, a publisher whose fair-share
@@ -622,9 +621,10 @@ fn push_size(events: &EventBatch, swim_updates: usize) -> usize {
 mod tests {
     use super::*;
     use fed_membership::FullMembership;
+    use fed_pubsub::EventId;
     use fed_sim::exec::{seed_streams, EffectSink, EventKey, EventKind, Kernel, EXTERNAL_SRC};
     use fed_sim::network::{LatencyModel, NetworkModel};
-    use fed_sim::Simulation;
+    use fed_sim::{SimTime, Simulation};
 
     type Node = GossipNode<FullMembership>;
 

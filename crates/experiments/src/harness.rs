@@ -584,7 +584,8 @@ impl ArchOutcome {
 }
 
 /// Builds the per-topic group table the DKS and DAM baselines take as
-/// static input: each topic's group is exactly its subscriber set.
+/// static input: each topic's group is exactly its subscriber set, sorted
+/// ascending (the [`GroupTable`] invariant).
 pub fn groups_of(profile: &InterestProfile) -> GroupTable {
     let mut groups = GroupTable::default();
     for t in 0..profile.num_topics() {
@@ -594,6 +595,10 @@ pub fn groups_of(profile: &InterestProfile) -> GroupTable {
             .into_iter()
             .map(|i| NodeId::new(i as u32))
             .collect();
+        debug_assert!(
+            members.windows(2).all(|w| w[0] < w[1]),
+            "group of {topic:?} is not sorted and distinct"
+        );
         if !members.is_empty() {
             groups.insert(topic, members);
         }

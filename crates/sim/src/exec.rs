@@ -28,6 +28,7 @@
 //! ([`NetworkModel::min_latency`]), which is what allows a sharded engine
 //! to process a full lookahead-wide window per barrier.
 
+use crate::local_id::LocalIds;
 use crate::network::NetworkModel;
 use crate::protocol::{Context, Invoke, NodeId, Outgoing, Protocol};
 use crate::time::{SimDuration, SimTime};
@@ -990,6 +991,10 @@ struct Slot<P> {
 /// their side effects into keyed events emitted through an
 /// [`EffectSink`]; it never owns an event queue, which is what makes it
 /// reusable by both the sequential and the sharded engine.
+///
+/// It also owns the one [`LocalIds`] numbering its nodes share through
+/// [`crate::Context::local_id`]: the sequential engine has one kernel,
+/// the cluster one per shard.
 pub struct Kernel<P: Protocol> {
     n_global: usize,
     owned: Vec<u32>,
@@ -998,6 +1003,7 @@ pub struct Kernel<P: Protocol> {
     slots: Vec<Slot<P>>,
     stats: Vec<TransportStats>,
     net: NetworkModel,
+    ids: LocalIds,
     scratch: Vec<Outgoing<P::Msg>>,
 }
 
@@ -1045,6 +1051,7 @@ impl<P: Protocol> Kernel<P> {
             local,
             slots,
             net,
+            ids: LocalIds::default(),
             scratch: Vec::new(),
         };
         // Time-zero init effects run before any observer can be attached
@@ -1264,6 +1271,7 @@ impl<P: Protocol> Kernel<P> {
                 now,
                 n,
                 rng: &mut slot.rng,
+                ids: &mut self.ids,
                 outbox: &mut effects,
             };
             match what {

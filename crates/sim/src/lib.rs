@@ -27,11 +27,13 @@
 
 pub mod engine;
 pub mod exec;
+pub mod local_id;
 pub mod network;
 pub mod protocol;
 pub mod time;
 
 pub use engine::{RunReport, Simulation, TransportStats};
 pub use exec::{HopKind, HopRecord, Probe};
+pub use local_id::{LocalId, LocalIdSet};
 pub use protocol::{Context, NodeId, Protocol};
 pub use time::{SimDuration, SimTime};

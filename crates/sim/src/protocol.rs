@@ -6,6 +6,7 @@
 //! [`Context`]: sending messages and arming timers. The engine owns
 //! delivery, loss, latency and per-node randomness.
 
+use crate::local_id::{LocalId, LocalIds};
 use crate::time::{SimDuration, SimTime};
 use fed_util::rng::Xoshiro256StarStar;
 use std::fmt;
@@ -80,6 +81,7 @@ pub struct Context<'a, M> {
     pub(crate) now: SimTime,
     pub(crate) n: usize,
     pub(crate) rng: &'a mut Xoshiro256StarStar,
+    pub(crate) ids: &'a mut LocalIds,
     pub(crate) outbox: &'a mut Vec<Outgoing<M>>,
 }
 
@@ -108,6 +110,14 @@ impl<'a, M> Context<'a, M> {
         self.rng
     }
 
+    /// The executing kernel's dense number for `key`, shared by every node
+    /// that kernel owns (see [`crate::local_id`] for the contract: compare
+    /// it, never order or send it).
+    #[inline]
+    pub fn local_id(&mut self, key: u64) -> LocalId {
+        self.ids.id_of(key)
+    }
+
     /// Queues `msg` for delivery to `to`.
     ///
     /// Delivery is asynchronous: latency and loss are decided by the
@@ -134,7 +144,8 @@ impl<'a, M> Context<'a, M> {
     /// This is how composite protocols (e.g. a broker/gossip hybrid) drive
     /// embedded [`Protocol`] implementations without duplicating the
     /// engine's effect plumbing: the inner protocol sees a fully functional
-    /// deterministic context sharing this node's RNG stream and clock.
+    /// deterministic context sharing this node's RNG stream, clock and
+    /// kernel numbering ([`Context::local_id`]).
     pub fn scoped<M2, R>(
         &mut self,
         wrap: impl Fn(M2) -> M,
@@ -147,6 +158,7 @@ impl<'a, M> Context<'a, M> {
                 now: self.now,
                 n: self.n,
                 rng: self.rng,
+                ids: self.ids,
                 outbox: &mut inner_box,
             };
             f(&mut inner)
@@ -230,12 +242,14 @@ mod tests {
     #[test]
     fn context_queues_effects() {
         let mut rng = Xoshiro256StarStar::seed_from_u64(1);
+        let mut ids = LocalIds::default();
         let mut outbox: Vec<Outgoing<&'static str>> = Vec::new();
         let mut ctx = Context {
             node: NodeId::new(0),
             now: SimTime::from_millis(5),
             n: 10,
             rng: &mut rng,
+            ids: &mut ids,
             outbox: &mut outbox,
         };
         assert_eq!(ctx.id(), NodeId::new(0));
@@ -259,6 +273,28 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn scoped_context_shares_the_numbering() {
+        let mut rng = Xoshiro256StarStar::seed_from_u64(1);
+        let mut ids = LocalIds::default();
+        let mut outbox: Vec<Outgoing<u32>> = Vec::new();
+        let mut ctx = Context {
+            node: NodeId::new(0),
+            now: SimTime::ZERO,
+            n: 1,
+            rng: &mut rng,
+            ids: &mut ids,
+            outbox: &mut outbox,
+        };
+        let outer = ctx.local_id(40);
+        let (inner_old, inner_new) = ctx.scoped(u32::from, |c: &mut Context<'_, u8>| {
+            (c.local_id(40), c.local_id(41))
+        });
+        assert_eq!(inner_old, outer, "the inner context sees the same number");
+        assert_eq!(inner_new.index(), 1, "and assigns the next one");
+        assert_eq!(ctx.local_id(41), inner_new);
     }
 
     use fed_util::rng::Rng64;

@@ -31,18 +31,19 @@ fn main() {
 
     let n = 48;
     // Groups: subscribers per leaf topic plus two bridge nodes (0, 1)
-    // enrolled everywhere to keep the hierarchy navigable.
+    // enrolled everywhere to keep the hierarchy navigable. A group lists
+    // its members in ascending order, so the bridges come first.
     let mut groups = GroupTable::default();
     let football_members: Vec<NodeId> = (10..20).map(NodeId::new).collect();
     let politics_members: Vec<NodeId> = (20..30).map(NodeId::new).collect();
     let bridges: Vec<NodeId> = vec![NodeId::new(0), NodeId::new(1)];
     groups.insert(
         football,
-        football_members.iter().chain(&bridges).copied().collect(),
+        bridges.iter().chain(&football_members).copied().collect(),
     );
     groups.insert(
         politics,
-        politics_members.iter().chain(&bridges).copied().collect(),
+        bridges.iter().chain(&politics_members).copied().collect(),
     );
 
     let groups = Arc::new(groups);
