@@ -15,7 +15,7 @@
 //! [`Endpoint::ledger_mut`].
 
 use crate::ledger::FairnessLedger;
-use fed_pubsub::{Event, EventId, Filter, SubscriptionTable, TopicId};
+use fed_pubsub::{Event, EventId, SubscriptionTable, TopicId};
 use fed_sim::{HopKind, SimTime};
 use fed_util::hash::FastMap;
 use std::collections::hash_map::Entry;
@@ -150,12 +150,6 @@ impl Endpoint {
         self.sync_filters();
     }
 
-    /// Adds a content subscription.
-    pub fn subscribe_content(&mut self, filter: Filter) {
-        self.subs.subscribe_content(filter);
-        self.sync_filters();
-    }
-
     /// Drops every topic subscription to `topic`.
     pub fn unsubscribe_topic(&mut self, topic: TopicId) {
         self.subs.unsubscribe_topic(topic);
@@ -209,7 +203,7 @@ pub fn emit_event(emit: &mut dyn FnMut(u64, u32, u32, HopKind), event: &Event, k
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fed_pubsub::{CmpOp, TopicSpace};
+    use fed_pubsub::TopicSpace;
 
     fn ev(seq: u32, topic: u32) -> Event {
         Event::bare(EventId::new(1, seq), TopicId::new(topic))
@@ -255,10 +249,10 @@ mod tests {
         let mut ep = Endpoint::new();
         ep.subscribe_topic(TopicId::new(1));
         ep.subscribe_topic(TopicId::new(2));
-        ep.subscribe_content(Filter::cmp("x", CmpOp::Gt, 3i64));
-        assert_eq!(ep.ledger().active_filters(), 3);
+        ep.subscribe_topic(TopicId::new(1));
+        assert_eq!(ep.ledger().active_filters(), 3, "a repeat counts");
         ep.unsubscribe_topic(TopicId::new(1));
-        assert_eq!(ep.ledger().active_filters(), 2);
+        assert_eq!(ep.ledger().active_filters(), 1, "every copy goes");
         assert!(!ep.offer(&ev(0, 1), SimTime::ZERO), "no longer subscribed");
         ep.clear();
         assert_eq!(ep.ledger().active_filters(), 0);
@@ -293,9 +287,7 @@ mod tests {
 
     #[test]
     fn emit_event_spells_the_hop_tuple() {
-        let e = Event::builder(EventId::new(3, 4), TopicId::new(5))
-            .payload_bytes(100)
-            .build();
+        let e = Event::new(EventId::new(3, 4), TopicId::new(5), 100);
         let mut got = Vec::new();
         emit_event(
             &mut |id, topic, bytes, kind| got.push((id, topic, bytes, kind)),

@@ -25,7 +25,7 @@ use crate::endpoint::{emit_event, Endpoint};
 use crate::ledger::RatioSpec;
 use fed_membership::swim::{SwimConfig, SwimMsg, SwimObservation, SwimState, SwimUpdate};
 use fed_membership::PeerSampler;
-use fed_pubsub::{Event, EventBatch, Filter, TopicId};
+use fed_pubsub::{Event, EventBatch, TopicId};
 use fed_sim::{Context, HopKind, LocalIdSet, NodeId, Protocol, SimDuration};
 use fed_util::hash::FastMap;
 use fed_util::rng::Rng64;
@@ -163,8 +163,6 @@ pub enum GossipCmd {
     Publish(Event),
     /// Add a topic subscription.
     SubscribeTopic(TopicId),
-    /// Add a content subscription.
-    SubscribeContent(Filter),
     /// Drop every active subscription.
     ClearSubscriptions,
 }
@@ -586,9 +584,6 @@ impl<S: PeerSampler + 'static> Protocol for GossipNode<S> {
             GossipCmd::SubscribeTopic(topic) => {
                 self.endpoint.subscribe_topic(topic);
             }
-            GossipCmd::SubscribeContent(filter) => {
-                self.endpoint.subscribe_content(filter);
-            }
             GossipCmd::ClearSubscriptions => self.endpoint.clear(),
         }
     }
@@ -891,9 +886,7 @@ mod tests {
     #[test]
     fn message_size_accounts_events_and_piggyback() {
         use fed_membership::swim::{SwimStatus, SWIM_UPDATE_BYTES};
-        let e = Event::builder(EventId::new(0, 0), TopicId::new(0))
-            .payload_bytes(100)
-            .build();
+        let e = Event::new(EventId::new(0, 0), TopicId::new(0), 100);
         let update = SwimUpdate {
             subject: NodeId::new(1),
             incarnation: 0,

@@ -1,8 +1,7 @@
 //! Events: the unit of dissemination.
 //!
-//! An [`Event`] is published once, carries a topic, a set of typed
-//! attributes (for content-based filtering) and an abstract payload size
-//! (for byte-level contribution accounting).
+//! An [`Event`] is published once and carries an id, a topic and an
+//! abstract payload size (for byte-level contribution accounting).
 //!
 //! Events are reference-counted, so keeping one — a node buffering an
 //! event it sees for the first time — is an O(1) clone. Forwarding does
@@ -61,92 +60,10 @@ impl fmt::Display for EventId {
     }
 }
 
-/// A typed attribute value carried by an event and matched by filters.
-#[derive(Debug, Clone, PartialEq)]
-pub enum AttrValue {
-    /// Signed integer.
-    Int(i64),
-    /// Floating point.
-    Float(f64),
-    /// UTF-8 string.
-    Str(String),
-    /// Boolean.
-    Bool(bool),
-}
-
-impl AttrValue {
-    /// Human-readable type name, used in filter type errors.
-    pub fn type_name(&self) -> &'static str {
-        match self {
-            AttrValue::Int(_) => "int",
-            AttrValue::Float(_) => "float",
-            AttrValue::Str(_) => "str",
-            AttrValue::Bool(_) => "bool",
-        }
-    }
-
-    /// Numeric view: ints and floats compare against each other.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            AttrValue::Int(i) => Some(*i as f64),
-            AttrValue::Float(f) => Some(*f),
-            _ => None,
-        }
-    }
-
-    /// Approximate encoded size in bytes, for message-size accounting.
-    pub fn size_bytes(&self) -> usize {
-        match self {
-            AttrValue::Int(_) => 8,
-            AttrValue::Float(_) => 8,
-            AttrValue::Str(s) => s.len(),
-            AttrValue::Bool(_) => 1,
-        }
-    }
-}
-
-impl fmt::Display for AttrValue {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            AttrValue::Int(i) => write!(f, "{i}"),
-            AttrValue::Float(x) => write!(f, "{x}"),
-            AttrValue::Str(s) => write!(f, "{s:?}"),
-            AttrValue::Bool(b) => write!(f, "{b}"),
-        }
-    }
-}
-
-impl From<i64> for AttrValue {
-    fn from(v: i64) -> Self {
-        AttrValue::Int(v)
-    }
-}
-impl From<f64> for AttrValue {
-    fn from(v: f64) -> Self {
-        AttrValue::Float(v)
-    }
-}
-impl From<&str> for AttrValue {
-    fn from(v: &str) -> Self {
-        AttrValue::Str(v.to_owned())
-    }
-}
-impl From<String> for AttrValue {
-    fn from(v: String) -> Self {
-        AttrValue::Str(v)
-    }
-}
-impl From<bool> for AttrValue {
-    fn from(v: bool) -> Self {
-        AttrValue::Bool(v)
-    }
-}
-
 #[derive(Debug)]
 struct EventInner {
     id: EventId,
     topic: TopicId,
-    attrs: Vec<(String, AttrValue)>,
     payload_bytes: usize,
 }
 
@@ -158,13 +75,9 @@ struct EventInner {
 /// use fed_pubsub::event::{Event, EventId};
 /// use fed_pubsub::topic::TopicId;
 ///
-/// let e = Event::builder(EventId::new(3, 1), TopicId::new(7))
-///     .attr("symbol", "ABC")
-///     .attr("price", 101.5)
-///     .payload_bytes(256)
-///     .build();
+/// let e = Event::new(EventId::new(3, 1), TopicId::new(7), 256);
 /// assert_eq!(e.topic(), TopicId::new(7));
-/// assert!(e.size_bytes() >= 256);
+/// assert_eq!(e.size_bytes(), 16 + 256);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Event {
@@ -172,19 +85,20 @@ pub struct Event {
 }
 
 impl Event {
-    /// Starts building an event.
-    pub fn builder(id: EventId, topic: TopicId) -> EventBuilder {
-        EventBuilder {
-            id,
-            topic,
-            attrs: Vec::new(),
-            payload_bytes: 0,
+    /// An event carrying `payload_bytes` of abstract payload.
+    pub fn new(id: EventId, topic: TopicId, payload_bytes: usize) -> Self {
+        Event {
+            inner: Arc::new(EventInner {
+                id,
+                topic,
+                payload_bytes,
+            }),
         }
     }
 
-    /// A minimal event with no attributes and zero payload.
+    /// A minimal event with zero payload.
     pub fn bare(id: EventId, topic: TopicId) -> Self {
-        Event::builder(id, topic).build()
+        Event::new(id, topic, 0)
     }
 
     /// The event's unique id.
@@ -197,30 +111,10 @@ impl Event {
         self.inner.topic
     }
 
-    /// Attribute lookup by name.
-    pub fn attr(&self, name: &str) -> Option<&AttrValue> {
-        self.inner
-            .attrs
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v)
-    }
-
-    /// All attributes in insertion order.
-    pub fn attrs(&self) -> &[(String, AttrValue)] {
-        &self.inner.attrs
-    }
-
-    /// Abstract wire size: header + attributes + payload.
+    /// Abstract wire size: a 16-byte header (id, topic, framing) plus
+    /// the payload.
     pub fn size_bytes(&self) -> usize {
-        let header = 16; // id + topic + framing
-        let attrs: usize = self
-            .inner
-            .attrs
-            .iter()
-            .map(|(k, v)| k.len() + 1 + v.size_bytes())
-            .sum();
-        header + attrs + self.inner.payload_bytes
+        16 + self.inner.payload_bytes
     }
 }
 
@@ -295,48 +189,6 @@ impl FromIterator<Event> for EventBatch {
     }
 }
 
-/// Builder for [`Event`].
-#[derive(Debug)]
-pub struct EventBuilder {
-    id: EventId,
-    topic: TopicId,
-    attrs: Vec<(String, AttrValue)>,
-    payload_bytes: usize,
-}
-
-impl EventBuilder {
-    /// Adds an attribute; later values override earlier ones with the same
-    /// name at match time (first match wins on lookup, so we replace).
-    pub fn attr(mut self, name: impl Into<String>, value: impl Into<AttrValue>) -> Self {
-        let name = name.into();
-        let value = value.into();
-        if let Some(slot) = self.attrs.iter_mut().find(|(k, _)| *k == name) {
-            slot.1 = value;
-        } else {
-            self.attrs.push((name, value));
-        }
-        self
-    }
-
-    /// Sets the abstract payload size in bytes.
-    pub fn payload_bytes(mut self, bytes: usize) -> Self {
-        self.payload_bytes = bytes;
-        self
-    }
-
-    /// Finishes the event.
-    pub fn build(self) -> Event {
-        Event {
-            inner: Arc::new(EventInner {
-                id: self.id,
-                topic: self.topic,
-                attrs: self.attrs,
-                payload_bytes: self.payload_bytes,
-            }),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -357,53 +209,16 @@ mod tests {
     }
 
     #[test]
-    fn attr_value_conversions_and_types() {
-        assert_eq!(AttrValue::from(3i64).type_name(), "int");
-        assert_eq!(AttrValue::from(3.5f64).type_name(), "float");
-        assert_eq!(AttrValue::from("x").type_name(), "str");
-        assert_eq!(AttrValue::from(true).type_name(), "bool");
-        assert_eq!(AttrValue::Int(3).as_f64(), Some(3.0));
-        assert_eq!(AttrValue::Float(2.5).as_f64(), Some(2.5));
-        assert_eq!(AttrValue::Bool(true).as_f64(), None);
-        assert_eq!(AttrValue::Str("s".into()).as_f64(), None);
-    }
-
-    #[test]
-    fn attr_sizes() {
-        assert_eq!(AttrValue::Int(1).size_bytes(), 8);
-        assert_eq!(AttrValue::Str("abcd".into()).size_bytes(), 4);
-        assert_eq!(AttrValue::Bool(false).size_bytes(), 1);
-    }
-
-    #[test]
-    fn builder_sets_and_overrides_attrs() {
-        let e = Event::builder(EventId::new(1, 1), TopicId::new(0))
-            .attr("a", 1i64)
-            .attr("b", "hello")
-            .attr("a", 2i64)
-            .build();
-        assert_eq!(e.attr("a"), Some(&AttrValue::Int(2)));
-        assert_eq!(e.attr("b"), Some(&AttrValue::Str("hello".into())));
-        assert_eq!(e.attr("missing"), None);
-        assert_eq!(e.attrs().len(), 2);
-    }
-
-    #[test]
-    fn size_includes_header_attrs_payload() {
+    fn size_is_header_plus_payload() {
         let bare = Event::bare(EventId::new(0, 0), TopicId::new(0));
         assert_eq!(bare.size_bytes(), 16);
-        let e = Event::builder(EventId::new(0, 0), TopicId::new(0))
-            .attr("k", 1i64) // 1 + 1 + 8 = 10
-            .payload_bytes(100)
-            .build();
-        assert_eq!(e.size_bytes(), 16 + 10 + 100);
+        let e = Event::new(EventId::new(0, 0), TopicId::new(0), 100);
+        assert_eq!(e.size_bytes(), 16 + 100);
     }
 
     #[test]
     fn equality_is_by_id() {
-        let a = Event::builder(EventId::new(1, 1), TopicId::new(0))
-            .attr("x", 1i64)
-            .build();
+        let a = Event::new(EventId::new(1, 1), TopicId::new(0), 8);
         let b = Event::bare(EventId::new(1, 1), TopicId::new(9));
         assert_eq!(a, b, "same id means same event");
         let c = Event::bare(EventId::new(1, 2), TopicId::new(0));
@@ -412,9 +227,7 @@ mod tests {
 
     #[test]
     fn clone_is_shallow() {
-        let e = Event::builder(EventId::new(1, 1), TopicId::new(0))
-            .payload_bytes(1_000_000)
-            .build();
+        let e = Event::new(EventId::new(1, 1), TopicId::new(0), 1_000_000);
         let c = e.clone();
         assert!(Arc::ptr_eq(&e.inner, &c.inner));
     }
@@ -422,11 +235,7 @@ mod tests {
     #[test]
     fn batch_presums_size_and_keeps_order() {
         let events: Vec<Event> = (0..4u32)
-            .map(|k| {
-                Event::builder(EventId::new(2, k), TopicId::new(0))
-                    .payload_bytes(10 * k as usize)
-                    .build()
-            })
+            .map(|k| Event::new(EventId::new(2, k), TopicId::new(0), 10 * k as usize))
             .collect();
         let batch: EventBatch = events.iter().cloned().collect();
         assert_eq!(batch.len(), 4);
@@ -445,7 +254,5 @@ mod tests {
     fn display_forms() {
         let e = Event::bare(EventId::new(2, 7), TopicId::new(4));
         assert_eq!(format!("{e}"), "e2.7@t4");
-        assert_eq!(format!("{}", AttrValue::Str("hi".into())), "\"hi\"");
-        assert_eq!(format!("{}", AttrValue::Int(-3)), "-3");
     }
 }

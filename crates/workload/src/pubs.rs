@@ -113,9 +113,11 @@ pub fn generate_schedule<R: Rng64>(
             let topic = TopicId::new(zipf.sample(rng) as u32);
             let seq = seqs[publisher];
             seqs[publisher] += 1;
-            let event = Event::builder(EventId::new(publisher as u32, seq), topic)
-                .payload_bytes(plan.payload_bytes)
-                .build();
+            let event = Event::new(
+                EventId::new(publisher as u32, seq),
+                topic,
+                plan.payload_bytes,
+            );
             schedule.push(Publication {
                 at: SimTime::from_micros((t * 1e6) as u64),
                 publisher,
@@ -176,10 +178,8 @@ pub fn regular_schedule(
         .map(|k| {
             let publisher = k % n.max(1);
             let topic = TopicId::new((k % num_topics.max(1)) as u32);
-            let event =
-                Event::builder(EventId::new(publisher as u32, (k / n.max(1)) as u32), topic)
-                    .payload_bytes(payload_bytes)
-                    .build();
+            let id = EventId::new(publisher as u32, (k / n.max(1)) as u32);
+            let event = Event::new(id, topic, payload_bytes);
             Publication {
                 at: SimTime::from_micros(start.as_micros() + interval.as_micros() * k as u64),
                 publisher,

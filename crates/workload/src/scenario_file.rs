@@ -31,7 +31,8 @@
 //!
 //! Parsing is strict by design: unknown sections and unknown keys are
 //! errors (catching typos like `ratez`), every value is range-checked
-//! (`shards` ∈ 1..=512, positive rates, fractions in `[0, 1]`, …) and
+//! (`shards` ∈ 1..=512, positive rates, fractions in `[0, 1]`, …), the
+//! products that size the run's memory are bounded ([`MAX_PRODUCT`]) and
 //! every error carries the line number and the offending key. A file
 //! that parses is guaranteed to materialize: the checks here are a
 //! superset of what [`ScenarioSpec::materialize`] validates.
@@ -95,6 +96,12 @@ pub const MAX_SHARDS: usize = 512;
 
 /// Highest population a scenario file may request.
 pub const MAX_NODES: usize = 10_000_000;
+
+/// Most subscription entries (`nodes × topics per node`) and most
+/// publications (`rate × duration`) a scenario file may request. Each
+/// key is in range on its own; this bounds their products, so a file
+/// that parses cannot ask for more memory than the run can allocate.
+pub const MAX_PRODUCT: u64 = 100_000_000;
 
 /// An error from parsing, validating or serializing a scenario file.
 ///
@@ -1267,6 +1274,55 @@ fn segment_pairs(s: &MobilitySegment) -> Vec<Pair> {
     ]
 }
 
+/// The bounds over products of keys from several sections, so not a
+/// [`Section::rule`]: `nodes × min(largest appetite, topics count)` and
+/// `rate_per_sec × duration × max(1, flash rate_factor)` stay within
+/// [`MAX_PRODUCT`]. Blamed on `[interest]`'s selector and the `[publish]`
+/// header.
+fn product_rule(
+    spec: &ScenarioSpec,
+    interest: Option<usize>,
+    publish: Option<usize>,
+) -> Result<()> {
+    let appetite = match spec.appetite {
+        Appetite::Fixed(k) => ("[interest] topics_per_node", k),
+        Appetite::Uniform { hi, .. } => ("[interest] hi", hi),
+        Appetite::Bimodal { heavy, light, .. } if heavy >= light => ("[interest] heavy", heavy),
+        Appetite::Bimodal { light, .. } => ("[interest] light", light),
+    };
+    let (per_node_key, per_node) = if spec.num_topics < appetite.1 {
+        ("[topics] count", spec.num_topics)
+    } else {
+        appetite
+    };
+    let entries = spec.n as u128 * per_node as u128;
+    if entries > u128::from(MAX_PRODUCT) {
+        let what = format!(
+            "[scenario] nodes × {per_node_key} = {} × {per_node} = {entries} subscription \
+             entries, over the limit of {MAX_PRODUCT}",
+            spec.n
+        );
+        return Err(ScenarioFileError::new(interest, what));
+    }
+    let plan = &spec.plan;
+    let (rate, secs) = (plan.rate_per_sec, plan.duration.as_secs_f64());
+    let factor = plan.flash.map_or(1.0, |f| f.rate_factor.max(1.0));
+    let publications = rate * secs * factor;
+    if publications > MAX_PRODUCT as f64 {
+        let (flash_key, flash_value) = match plan.flash {
+            Some(_) => (" × [publish.flash] rate_factor", format!(" × {factor}")),
+            None => ("", String::new()),
+        };
+        let what = format!(
+            "[publish] rate_per_sec × duration{flash_key} = {rate} × {secs}s{flash_value} = \
+             {publications:e} publications, over the limit of {:e}",
+            MAX_PRODUCT as f64
+        );
+        return Err(ScenarioFileError::new(publish, what));
+    }
+    Ok(())
+}
+
 /// The rule over a whole trace — header plus segments, so not a
 /// [`Section::rule`] — blamed on the `[mobility]` header.
 fn mobility_rule(trace: &MobilityTrace, header: Option<usize>) -> Result<()> {
@@ -1371,7 +1427,8 @@ pub struct ScenarioFile {
 ///
 /// Returns [`ScenarioFileError`] — with the line number and key path —
 /// for syntax errors, unknown sections or keys, type mismatches, bad
-/// duration units and out-of-range values.
+/// duration units, out-of-range values and key products over
+/// [`MAX_PRODUCT`].
 pub fn parse_scenario(input: &str) -> Result<ScenarioFile> {
     let mut doc = lex(input)?;
 
@@ -1381,7 +1438,8 @@ pub fn parse_scenario(input: &str) -> Result<ScenarioFile> {
     let placement_names = Placement::ALL.map(Placement::name);
     let placement = head.named("placement", "policy", Placement::parse, &placement_names)?;
     let topics = doc.required(&TOPICS)?;
-    let appetite = appetite_of(&doc.required(&INTEREST)?);
+    let interest = doc.required(&INTEREST)?;
+    let appetite = appetite_of(&interest);
     let publish = doc.required(&PUBLISH)?;
     let flash = doc.optional(&FLASH)?.map(|b| flash_of(&b));
     let churn = doc.optional(&CHURN)?.map(|b| churn_of(&b));
@@ -1450,7 +1508,7 @@ pub fn parse_scenario(input: &str) -> Result<ScenarioFile> {
         ));
     }
 
-    Ok(ScenarioFile {
+    let file = ScenarioFile {
         name: head.string("name"),
         summary: head.string("summary"),
         spec: ScenarioSpec {
@@ -1473,7 +1531,9 @@ pub fn parse_scenario(input: &str) -> Result<ScenarioFile> {
             mobility,
             seed: head.u64("seed"),
         },
-    })
+    };
+    product_rule(&file.spec, interest.blame, publish.blame)?;
+    Ok(file)
 }
 
 /// Parses a scenario file, discarding the name/summary metadata.
@@ -1532,7 +1592,8 @@ fn put(out: &mut String, sec: &'static Section, pairs: Option<Vec<Pair>>) -> Res
 /// mobility trace of its own; when a string holds a control character
 /// the format has no escape for; or when [`parse_scenario`] would
 /// reject the result — a value out of its key's range, a degenerate
-/// fault window, a zero probe period. The message names `[section] key`.
+/// fault window, a zero probe period, a key product over
+/// [`MAX_PRODUCT`]. The message names `[section] key`.
 pub fn to_toml(spec: &ScenarioSpec) -> Result<String> {
     if spec.net.is_partitioned() {
         return Err(ScenarioFileError::global(
@@ -1611,6 +1672,7 @@ pub fn to_toml(spec: &ScenarioSpec) -> Result<String> {
     )?;
     put(out, &PROFILE, spec.profile.as_ref().map(profile_pairs))?;
     put(out, &TRACE, spec.trace.as_ref().map(trace_pairs))?;
+    product_rule(spec, None, None)?;
     Ok(text)
 }
 
@@ -2150,7 +2212,7 @@ mod tests {
     fn to_toml_rejects_what_the_parser_rejects() {
         type Edit = fn(&mut ScenarioSpec);
         let ten_ms = SimDuration::from_millis(10);
-        let cases: [(&str, Edit); 14] = [
+        let cases: [(&str, Edit); 16] = [
             ("[scenario] shards", |s| *s = s.clone().with_shards(600)),
             ("[scenario] nodes", |s| s.n = 0),
             ("[topics] zipf_s", |s| s.zipf_s = f64::NAN),
@@ -2175,6 +2237,23 @@ mod tests {
                     light: 1,
                 }
             }),
+            ("[scenario] nodes × [topics] count = 5000000 × 30", |s| {
+                s.n = 5_000_000;
+                s.num_topics = 30;
+                s.appetite = Appetite::Fixed(40);
+            }),
+            (
+                "[publish] rate_per_sec × duration × [publish.flash] rate_factor",
+                |s| {
+                    s.plan.rate_per_sec = 1_000.0;
+                    s.plan.duration = SimTime::from_secs(50_000);
+                    s.plan.flash = Some(FlashCrowd {
+                        at: SimTime::from_secs(2),
+                        topic_zipf_s: 2.0,
+                        rate_factor: 3.0,
+                    });
+                },
+            ),
             ("[network] uniform latency needs lo <= hi", |s| {
                 let (lo, hi) = (SimDuration::from_millis(20), SimDuration::from_millis(10));
                 s.net = NetworkModel::reliable(LatencyModel::Uniform { lo, hi })

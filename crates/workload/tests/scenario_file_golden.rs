@@ -45,7 +45,7 @@ fn kitchen_sink() -> ScenarioSpec {
             flash: Some(FlashCrowd {
                 at: SimTime::from_micros(6_000_001),
                 topic_zipf_s: 3.5,
-                rate_factor: 1e21,
+                rate_factor: 1e-7,
             }),
         },
         churn: Some(ChurnPlan {
@@ -186,7 +186,7 @@ payload_bytes = 256
 [publish.flash]
 at = "6000001us"
 topic_zipf_s = 3.5
-rate_factor = 1e21
+rate_factor = 1e-7
 
 [churn]
 mean_session_secs = 12.0

@@ -172,6 +172,40 @@ fn malformed_documents_blame_the_exact_line_and_key() {
     }
 }
 
+/// Keys that are each in range but whose product would exhaust memory —
+/// subscription entries at materialisation, publications in the
+/// schedule — are one error naming every key and the product, blamed on
+/// `[interest]`'s selector and on the `[publish]` header. Both edit
+/// [`BASE`] in place.
+#[test]
+fn oversized_products_name_their_keys() {
+    let subscriptions = BASE
+        .replace("nodes = 64", "nodes = 2000000")
+        .replace("count = 20", "count = 100")
+        .replace("topics_per_node = 3", "topics_per_node = 80");
+    let publications = BASE.replace("rate_per_sec = 10.0", "rate_per_sec = 40000.0")
+        + "\n[publish.flash]\nat = \"2s\"\ntopic_zipf_s = 2.0\nrate_factor = 600.0\n";
+    let cases = [
+        (
+            &subscriptions,
+            "appetite = \"fixed\"",
+            "[scenario] nodes × [interest] topics_per_node = 2000000 × 80 = 160000000 \
+             subscription entries, over the limit of 100000000",
+        ),
+        (
+            &publications,
+            "[publish]",
+            "[publish] rate_per_sec × duration × [publish.flash] rate_factor = \
+             40000 × 5s × 600 = 1.2e8 publications, over the limit of 1e8",
+        ),
+    ];
+    for (doc, marker, message) in cases {
+        let err = parse_scenario(doc).map(|_| ()).expect_err(marker);
+        assert_eq!(err.line, Some(line_of(doc, marker)), "{err}");
+        assert_eq!(err.message, message);
+    }
+}
+
 /// A key that is valid for the section but not for the selected variant:
 /// blamed on the key's own line, with the section's full key list. The
 /// `[interest]` case edits [`BASE`] in place (the section is already

@@ -279,12 +279,14 @@ fn spec_strategy() -> impl Strategy<Value = ScenarioSpec> {
         appetite_strategy(),
     );
     // Publication warmup + duration must not overflow the u64 µs
-    // horizon arithmetic — the parser rejects such files, so the
-    // round-trip property quantifies over valid phases (≈31.7 years
-    // each, far beyond any scenario).
+    // horizon arithmetic, and rate × duration × flash factor must stay
+    // within `MAX_PRODUCT` publications — the parser rejects such files,
+    // so the round-trip property quantifies over valid phases: warmups up
+    // to ≈31.7 years, durations up to 5 000 s at up to 1 000 events/s
+    // and a flash factor up to 20.
     let plan = (
         1u32..=1_000_000,
-        0u64..=1_000_000_000_000_000,
+        0u64..=5_000_000_000,
         0u32..=4000,
         0usize..=65_536,
         0u64..=1_000_000_000_000_000,
@@ -492,8 +494,9 @@ proptest! {
 
     /// `parse ∘ to_toml` is the identity on every representable spec —
     /// architectures, placements, all three appetites and latency
-    /// models, optional flash/churn/telemetry, arbitrary u64 durations
-    /// and seeds, fractional floats.
+    /// models, optional flash/churn/telemetry, durations up to the
+    /// publication bound, arbitrary u64 warmups and seeds, fractional
+    /// floats.
     #[test]
     fn spec_to_toml_round_trips_exactly(spec in spec_strategy()) {
         let toml = to_toml(&spec).expect("unpartitioned specs always serialize");
@@ -578,8 +581,11 @@ mod malformed {
         );
         let err = parse_scenario(&input).unwrap_err();
         assert!(err.message.contains("overflows"), "{err}");
-        // A huge-but-safe duration still parses.
-        let input = base().replace("duration = \"20s\"", "duration = \"1000000000s\"");
+        // A huge-but-safe duration still parses at a rate that keeps the
+        // publication count within bounds.
+        let input = base()
+            .replace("duration = \"20s\"", "duration = \"1000000000s\"")
+            .replace("rate_per_sec = 20.0", "rate_per_sec = 0.05");
         assert!(parse_scenario(&input).is_ok());
     }
 

@@ -44,10 +44,7 @@ fn main() {
 
     // Node 1 publishes ten events, one per second.
     for k in 0..10u32 {
-        let event = Event::builder(EventId::new(1, k), topic)
-            .attr("k", k as i64)
-            .payload_bytes(128)
-            .build();
+        let event = Event::new(EventId::new(1, k), topic, 128);
         sim.schedule_command(
             SimTime::from_secs(1 + k as u64),
             NodeId::new(1),

@@ -17,7 +17,7 @@
 //! | [`cluster`] | `fed-cluster` | sharded multi-threaded runtime, bit-identical to the sequential engine |
 //! | [`telemetry`] | `fed-telemetry` | deterministic streaming time-series observability for both engines |
 //! | [`profile`] | `fed-profile` | scheduler profiler: phase timings, stall attribution, Chrome-trace export |
-//! | [`pubsub`] | `fed-pubsub` | events, topics, filters, the subscription language |
+//! | [`pubsub`] | `fed-pubsub` | events, topics, topic hierarchy |
 //! | [`membership`] | `fed-membership` | peer sampling: full oracle and Cyclon views |
 //! | [`dht`] | `fed-dht` | Pastry-like ring for the structured baselines |
 //! | [`core`] | `fed-core` | **the paper's contribution**: fairness ledger, basic + fair gossip, controllers, audits, subscription walks |
