@@ -13,8 +13,9 @@
 //! flagged.
 //!
 //! The committee logic is pure (no protocol messages in this module): the
-//! gossip node already tracks per-sender receipt counters and last claims,
-//! and the experiment driver — standing in for an in-protocol audit round —
+//! gossip node tracks per-sender receipt counters and last claims when
+//! [`crate::gossip::GossipConfig::audit_receipts`] is set, and the
+//! experiment driver — standing in for an in-protocol audit round —
 //! samples witnesses and calls [`audit_subject`].
 
 use fed_sim::NodeId;
@@ -121,7 +122,9 @@ pub fn audit_subject(
     let estimated_rate = per_witness_rate * (system_size as f64 - 1.0);
     let upper = estimated_rate * (1.0 + config.tolerance);
     let lower = estimated_rate / (1.0 + config.tolerance);
-    let outcome = if claimed_rate > upper {
+    // A claim that is not a number fails both comparisons below; it is no
+    // more checkable than an infinite one, so it is over-claimed too.
+    let outcome = if claimed_rate.is_nan() || claimed_rate > upper {
         AuditOutcome::OverClaimed
     } else if claimed_rate < lower {
         AuditOutcome::UnderClaimed
@@ -221,6 +224,30 @@ mod tests {
         assert_eq!(ok_lo.outcome, AuditOutcome::Consistent);
         let bad_lo = audit_subject(NodeId::new(1), 6.5, &witnesses, 11, &cfg);
         assert_eq!(bad_lo.outcome, AuditOutcome::UnderClaimed);
+    }
+
+    #[test]
+    fn non_finite_claims_are_over_claimed_given_evidence() {
+        let witnesses = vec![witness(10, 100); 20];
+        for claim in [f64::NAN, f64::INFINITY] {
+            let v = audit_subject(
+                NodeId::new(5),
+                claim,
+                &witnesses,
+                101,
+                &AuditConfig::default(),
+            );
+            assert_eq!(v.outcome, AuditOutcome::OverClaimed, "{v}");
+        }
+        let sparse = vec![witness(1, 100); 3];
+        let v = audit_subject(
+            NodeId::new(5),
+            f64::NAN,
+            &sparse,
+            101,
+            &AuditConfig::default(),
+        );
+        assert_eq!(v.outcome, AuditOutcome::InsufficientEvidence);
     }
 
     #[test]

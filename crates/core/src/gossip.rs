@@ -86,6 +86,10 @@ pub struct GossipConfig {
     /// runs probe/ping-req/suspect/confirm rounds beside its gossip
     /// rounds and piggybacks membership updates on gossip pushes.
     pub swim: Option<SwimConfig>,
+    /// Keep per-sender receipt counters and the last advertised claim for
+    /// the audit ([`crate::audit`]). Off in every preset: no protocol
+    /// decision reads them, and a push then touches no per-sender state.
+    pub audit_receipts: bool,
 }
 
 impl GossipConfig {
@@ -111,6 +115,7 @@ impl GossipConfig {
             min_relay_rate: 0.0,
             civic_allowance: 0.0,
             swim: None,
+            audit_receipts: false,
         }
     }
 
@@ -137,6 +142,7 @@ impl GossipConfig {
             min_relay_rate: 0.25,
             civic_allowance: 2.0 * f as f64,
             swim: None,
+            audit_receipts: false,
         }
     }
 
@@ -223,7 +229,8 @@ pub struct GossipNode<S> {
     behavior: Behavior,
     rounds: u64,
     duplicates: u64,
-    /// Per-sender receipt counters and last claim (audit evidence).
+    /// Per-sender receipt counters and last claim (audit evidence); stays
+    /// empty, and unallocated, unless `config.audit_receipts` is set.
     peers: FastMap<NodeId, PeerRecord>,
     /// SWIM failure detector, created in `on_init` when configured.
     swim: Option<SwimState>,
@@ -316,11 +323,13 @@ impl<S: PeerSampler> GossipNode<S> {
     }
 
     /// Receipt counter snapshot for `peer`: `(messages, since_round)`.
+    /// Always `None` unless [`GossipConfig::audit_receipts`] is set.
     pub fn receipts_from(&self, peer: NodeId) -> Option<(u64, u64)> {
         self.peers.get(&peer).map(|r| (r.msgs, r.since_round))
     }
 
-    /// Last advertised rate sample seen from `peer`.
+    /// Last advertised rate sample seen from `peer`. Always `None` unless
+    /// [`GossipConfig::audit_receipts`] is set.
     pub fn claim_of(&self, peer: NodeId) -> Option<RateSample> {
         self.peers.get(&peer).map(|r| r.claim)
     }
@@ -490,13 +499,15 @@ impl<S: PeerSampler + 'static> Protocol for GossipNode<S> {
                 swim,
             } => {
                 self.estimator.observe(sample);
-                let record = self.peers.entry(from).or_insert(PeerRecord {
-                    msgs: 0,
-                    since_round: self.rounds,
-                    claim: sample,
-                });
-                record.msgs += 1;
-                record.claim = sample;
+                if self.config.audit_receipts {
+                    let record = self.peers.entry(from).or_insert(PeerRecord {
+                        msgs: 0,
+                        since_round: self.rounds,
+                        claim: sample,
+                    });
+                    record.msgs += 1;
+                    record.claim = sample;
+                }
                 self.sampler.note_peer(from);
                 if let Some(detector) = &mut self.swim {
                     detector.absorb_piggyback(ctx.now(), from, &swim);
@@ -627,8 +638,12 @@ mod tests {
         NetworkModel::reliable(LatencyModel::Constant(SimDuration::from_millis(ms)))
     }
 
+    fn classic_config(fanout: usize) -> GossipConfig {
+        GossipConfig::classic(fanout, 16, SimDuration::from_millis(100))
+    }
+
     fn classic_sim(n: usize, fanout: usize, seed: u64) -> Simulation<Node> {
-        let cfg = GossipConfig::classic(fanout, 16, SimDuration::from_millis(100));
+        let cfg = classic_config(fanout);
         Simulation::new(n, net(10), seed, move |id, _| {
             GossipNode::new(id, cfg.clone(), FullMembership::new(id, n))
         })
@@ -926,32 +941,47 @@ mod tests {
         }
     }
 
-    fn classic_factory(
+    fn factory(
         n: usize,
-        fanout: usize,
-    ) -> impl FnMut(NodeId, &mut fed_util::rng::Xoshiro256StarStar) -> Node {
-        let cfg = GossipConfig::classic(fanout, 16, SimDuration::from_millis(100));
+        cfg: &GossipConfig,
+    ) -> impl FnMut(NodeId, &mut fed_util::rng::Xoshiro256StarStar) -> Node + '_ {
         move |id, _| GossipNode::new(id, cfg.clone(), FullMembership::new(id, n))
     }
 
-    /// A kernel of `n` classic nodes driven one event at a time.
+    /// A kernel of `n` nodes driven one event at a time.
     struct Rig {
         kernel: Kernel<Node>,
         sink: Captured,
         n: usize,
-        fanout: usize,
+        cfg: GossipConfig,
         seq: u64,
     }
 
     impl Rig {
+        /// `n` classic nodes with the audit evidence off.
         fn new(n: usize, fanout: usize) -> Self {
+            Self::with_config(n, classic_config(fanout))
+        }
+
+        /// `n` classic nodes that keep the audit evidence.
+        fn audited(n: usize, fanout: usize) -> Self {
+            Self::with_config(
+                n,
+                GossipConfig {
+                    audit_receipts: true,
+                    ..classic_config(fanout)
+                },
+            )
+        }
+
+        fn with_config(n: usize, cfg: GossipConfig) -> Self {
             let mut sink = Captured(Vec::new());
             let kernel = Kernel::new(
                 n,
                 (0..n as u32).collect(),
                 seed_streams(9, n),
                 net(10),
-                &mut classic_factory(n, fanout),
+                &mut factory(n, &cfg),
                 &mut sink,
             );
             sink.0.clear(); // the nodes' first round timers
@@ -959,7 +989,7 @@ mod tests {
                 kernel,
                 sink,
                 n,
-                fanout,
+                cfg,
                 seq: 0,
             }
         }
@@ -974,7 +1004,7 @@ mod tests {
             self.kernel.dispatch_with(
                 key,
                 kind,
-                &mut classic_factory(self.n, self.fanout),
+                &mut factory(self.n, &self.cfg),
                 &mut self.sink,
                 &mut (),
             );
@@ -1052,7 +1082,7 @@ mod tests {
 
     #[test]
     fn receipts_keep_first_round_and_last_claim() {
-        let mut rig = Rig::new(4, 2);
+        let mut rig = Rig::audited(4, 2);
         let (sender, receiver) = (NodeId::new(2), NodeId::new(1));
         let push = |benefit_rate: f64| EventKind::Deliver {
             to: receiver,
@@ -1082,6 +1112,37 @@ mod tests {
         );
         assert_eq!(node.claim_of(sender).map(|c| c.benefit_rate), Some(7.0));
         assert_eq!(node.receipts_from(NodeId::new(3)), None);
+    }
+
+    #[test]
+    fn audit_off_keeps_no_per_sender_state() {
+        let senders = 1_000u32;
+        let mut rig = Rig::new(senders as usize + 1, 2);
+        let receiver = NodeId::new(senders);
+        for s in 0..senders {
+            rig.dispatch(EventKind::Deliver {
+                to: receiver,
+                from: NodeId::new(s),
+                msg: GossipMsg::Push {
+                    events: Arc::new(EventBatch::from_iter([Event::bare(
+                        EventId::new(s, 0),
+                        TopicId::new(0),
+                    )])),
+                    sample: RateSample {
+                        contribution_total: 5.0,
+                        ..RateSample::default()
+                    },
+                    swim: vec![],
+                },
+            });
+        }
+        let node = rig.node(receiver);
+        assert_eq!(node.buffer.len(), senders as usize, "every push was taken");
+        for s in 0..senders {
+            assert_eq!(node.receipts_from(NodeId::new(s)), None);
+            assert_eq!(node.claim_of(NodeId::new(s)), None);
+        }
+        assert_eq!(node.peers.capacity(), 0, "no per-sender table allocated");
     }
 
     #[test]
@@ -1127,7 +1188,13 @@ mod tests {
     #[test]
     fn receipts_and_claims_tracked() {
         let n = 4;
-        let mut sim = classic_sim(n, 3, 23);
+        let cfg = GossipConfig {
+            audit_receipts: true,
+            ..classic_config(3)
+        };
+        let mut sim: Simulation<Node> = Simulation::new(n, net(10), 23, move |id, _| {
+            GossipNode::new(id, cfg.clone(), FullMembership::new(id, n))
+        });
         everyone_subscribes(&mut sim, TopicId::new(0));
         sim.schedule_command(
             SimTime::from_millis(100),

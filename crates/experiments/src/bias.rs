@@ -5,7 +5,8 @@
 //! We plant free-riders (work less, under-advertise benefit) and inflators
 //! (claim more contribution than performed) among honest peers, run the
 //! fair protocol, then audit every node with a committee of random
-//! witnesses using the receipt counters the protocol already maintains.
+//! witnesses using the receipt counters the protocol keeps when
+//! `GossipConfig::audit_receipts` is set.
 //! Reported: detection recall per behaviour class, false-positive rate on
 //! honest peers, and the residual unfairness the cheats caused.
 
@@ -38,7 +39,11 @@ pub fn run(n: usize, seed: u64) -> BiasResult {
     let free_riders = n / 10;
     let inflators = n / 10;
     let scenario = ScenarioSpec::fair_gossip(n, seed);
-    let cfg = t_arch_config(GossipConfig::fair);
+    // The one run that keeps the receipt evidence the committee reads.
+    let cfg = GossipConfig {
+        audit_receipts: true,
+        ..t_arch_config(GossipConfig::fair)
+    };
     let behavior = move |id: NodeId| {
         let i = id.index();
         if i < free_riders {
@@ -68,10 +73,12 @@ pub fn run(n: usize, seed: u64) -> BiasResult {
     let mut flagged_over = vec![false; n];
     let mut insufficient = 0usize;
     for (subject, over_flag) in flagged_over.iter_mut().enumerate() {
-        // The subject's most recent claim, as seen by any peer. Lifetime
-        // totals divided by elapsed rounds give the rate the receipt
-        // counters measure (a windowed snapshot would race the workload's
-        // phases and flag honest peers whose rate varies over time).
+        // The last claim held by the lowest-id node that received a push
+        // from the subject (not necessarily the subject's latest claim).
+        // Lifetime totals divided by elapsed rounds give the rate the
+        // receipt counters measure (a windowed snapshot would race the
+        // workload's phases and flag honest peers whose rate varies over
+        // time).
         let claimed = run
             .sim
             .nodes()

@@ -8,6 +8,8 @@
 //! half-size tables of `data/paper_tables_seed42_half.txt` instead. Both
 //! files were captured before the harness had a single runner: any
 //! refactor of the run path must keep them byte for byte.
+//! `data/paper_tables_seed1234.txt` is the same stdout at `--seed 1234`;
+//! only CI diffs it, against the release binary.
 
 use fed_experiments::{ablation, bias, churn, fig1, fig2, fig3, fig4, robust};
 use std::fmt::Write;
