@@ -72,6 +72,11 @@ impl BrokerNode {
         &self.endpoint
     }
 
+    /// The subscriber side, taken out of the finished node.
+    pub fn into_endpoint(self) -> Endpoint {
+        self.endpoint
+    }
+
     /// Broker-side subscriber count for a topic (0 on clients).
     pub fn subscriber_count(&self, topic: TopicId) -> usize {
         self.registry.get(&topic).map(BTreeSet::len).unwrap_or(0)
@@ -85,7 +90,7 @@ impl BrokerNode {
         for &subscriber in subscribers {
             if subscriber == self.id {
                 // broker may itself subscribe
-                self.endpoint.offer(&event, ctx.now());
+                self.endpoint.offer_in(ctx, &event);
                 continue;
             }
             ctx.send(subscriber, BrokerMsg::Notify(event.clone()));
@@ -122,7 +127,7 @@ impl Protocol for BrokerNode {
                 }
             }
             BrokerMsg::Notify(event) => {
-                self.endpoint.offer(&event, ctx.now());
+                self.endpoint.offer_in(ctx, &event);
             }
         }
     }

@@ -121,6 +121,11 @@ impl DamNode {
         &self.endpoint
     }
 
+    /// The subscriber side, taken out of the finished node.
+    pub fn into_endpoint(self) -> Endpoint {
+        self.endpoint
+    }
+
     /// Whether this node is enrolled in `topic`'s gossip group.
     pub fn is_group_member(&self, topic: TopicId) -> bool {
         self.groups
@@ -129,11 +134,12 @@ impl DamNode {
     }
 
     fn accept(&mut self, ctx: &mut Context<'_, DamMsg>, event: &Event) {
-        if !self.seen.insert(ctx.local_id(event.id().as_u64())) {
+        let id = ctx.local_id(event.id().as_u64());
+        if !self.seen.insert(id) {
             return;
         }
         if self.endpoint.subscriptions().matches_in(event, &self.space) {
-            self.endpoint.deliver(event, ctx.now());
+            self.endpoint.deliver(event, id, ctx.now());
         }
         // Only group members keep forwarding.
         if self.is_group_member(event.topic()) {

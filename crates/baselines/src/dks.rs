@@ -102,6 +102,11 @@ impl DksNode {
         &self.endpoint
     }
 
+    /// The subscriber side, taken out of the finished node.
+    pub fn into_endpoint(self) -> Endpoint {
+        self.endpoint
+    }
+
     fn next_hop(&self, topic: TopicId) -> Option<NodeId> {
         self.dht
             .state_of(self.id.index())
@@ -139,10 +144,11 @@ impl DksNode {
     }
 
     fn accept_in_group(&mut self, ctx: &mut Context<'_, DksMsg>, event: Event) {
-        if !self.seen.insert(ctx.local_id(event.id().as_u64())) {
+        let id = ctx.local_id(event.id().as_u64());
+        if !self.seen.insert(id) {
             return; // infect-and-die: forward only on first receipt
         }
-        self.endpoint.offer(&event, ctx.now());
+        self.endpoint.offer(&event, id, ctx.now());
         self.flood(ctx, &event, self.config.group_fanout);
     }
 }

@@ -159,11 +159,17 @@ impl HybridNode {
         ledger
     }
 
+    /// The two subscriber sides, broker first, taken out of the finished
+    /// node.
+    pub fn into_endpoints(self) -> [Endpoint; 2] {
+        [self.broker.into_endpoint(), self.gossip.into_endpoint()]
+    }
+
     /// Union of both stacks' delivery logs, deduplicated by event id
     /// (earliest delivery wins), sorted by event id.
-    pub fn merged_deliveries(&self) -> Vec<(EventId, SimTime)> {
-        let [broker, gossip] = self.endpoints();
-        let mut merged: Vec<(EventId, SimTime)> = broker.deliveries().iter().collect();
+    pub fn into_merged_deliveries(self) -> Vec<(EventId, SimTime)> {
+        let [broker, gossip] = self.into_endpoints();
+        let mut merged = broker.into_deliveries().into_sorted();
         merged.extend(gossip.deliveries().iter());
         merged.sort_unstable();
         merged.dedup_by_key(|&mut (id, _)| id);
@@ -328,9 +334,9 @@ mod tests {
             );
         }
         s.run_until(SimTime::from_secs(3));
-        for (id, node) in s.nodes() {
+        for (id, node) in s.into_nodes() {
             assert_eq!(node.switched_at(), None, "{id:?} switched under no load");
-            assert_eq!(node.merged_deliveries().len(), 10, "{id:?}");
+            assert_eq!(node.into_merged_deliveries().len(), 10, "{id:?}");
         }
     }
 
@@ -366,10 +372,10 @@ mod tests {
             );
         }
         s.run_until(SimTime::from_secs(6));
-        for (id, node) in s.nodes() {
+        for (id, node) in s.into_nodes() {
             let at = node.switched_at().expect("every node switches");
             assert!(at >= SimTime::from_millis(500), "{id:?} switched at {at}");
-            assert_eq!(node.merged_deliveries().len(), 30, "{id:?}");
+            assert_eq!(node.into_merged_deliveries().len(), 30, "{id:?}");
         }
     }
 
@@ -397,9 +403,12 @@ mod tests {
                 );
             }
             s.run_until(SimTime::from_secs(5));
-            let logs: Vec<_> = s.nodes().map(|(_, n)| n.merged_deliveries()).collect();
-            let switches: Vec<_> = s.nodes().map(|(_, n)| n.switched_at()).collect();
-            (logs, switches, s.events_processed())
+            let events = s.events_processed();
+            let (switches, logs): (Vec<_>, Vec<_>) = s
+                .into_nodes()
+                .map(|(_, n)| (n.switched_at(), n.into_merged_deliveries()))
+                .unzip();
+            (logs, switches, events)
         };
         assert_eq!(run(), run());
     }

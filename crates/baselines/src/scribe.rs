@@ -78,6 +78,11 @@ impl ScribeNode {
         &self.endpoint
     }
 
+    /// The subscriber side, taken out of the finished node.
+    pub fn into_endpoint(self) -> Endpoint {
+        self.endpoint
+    }
+
     /// Children of this node in `topic`'s tree.
     pub fn children_of(&self, topic: TopicId) -> usize {
         self.children.get(&topic).map(BTreeSet::len).unwrap_or(0)
@@ -159,12 +164,12 @@ impl Protocol for ScribeNode {
                 }
                 None => {
                     // We are the rendezvous.
-                    self.endpoint.offer(&event, ctx.now());
+                    self.endpoint.offer_in(ctx, &event);
                     self.multicast_down(ctx, &event);
                 }
             },
             ScribeMsg::Multicast { event } => {
-                self.endpoint.offer(&event, ctx.now());
+                self.endpoint.offer_in(ctx, &event);
                 self.multicast_down(ctx, &event);
             }
         }
@@ -180,7 +185,7 @@ impl Protocol for ScribeNode {
                     Some(next) => ctx.send(next, ScribeMsg::ToRoot { event }),
                     None => {
                         // Publisher happens to be the rendezvous.
-                        self.endpoint.offer(&event, ctx.now());
+                        self.endpoint.offer_in(ctx, &event);
                         self.multicast_down(ctx, &event);
                     }
                 }

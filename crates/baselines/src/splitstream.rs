@@ -149,6 +149,11 @@ impl SplitStreamNode {
         &self.endpoint
     }
 
+    /// The subscriber side, taken out of the finished node.
+    pub fn into_endpoint(self) -> Endpoint {
+        self.endpoint
+    }
+
     fn relay_down(&mut self, ctx: &mut Context<'_, StripeMsg>, event: &Event) {
         let stripe = self.forest.stripe_of(event);
         let size = event.size_bytes();
@@ -168,11 +173,11 @@ impl Protocol for SplitStreamNode {
     fn on_message(&mut self, ctx: &mut Context<'_, StripeMsg>, _from: NodeId, msg: StripeMsg) {
         match msg {
             StripeMsg::ToRoot(event) => {
-                self.endpoint.offer(&event, ctx.now());
+                self.endpoint.offer_in(ctx, &event);
                 self.relay_down(ctx, &event);
             }
             StripeMsg::Down(event) => {
-                self.endpoint.offer(&event, ctx.now());
+                self.endpoint.offer_in(ctx, &event);
                 self.relay_down(ctx, &event);
             }
         }
@@ -187,7 +192,7 @@ impl Protocol for SplitStreamNode {
                 let stripe = self.forest.stripe_of(&event);
                 let root = self.forest.root(stripe);
                 if root == self.id {
-                    self.endpoint.offer(&event, ctx.now());
+                    self.endpoint.offer_in(ctx, &event);
                     self.relay_down(ctx, &event);
                 } else {
                     ctx.send(root, StripeMsg::ToRoot(event));

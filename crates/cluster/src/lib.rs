@@ -1044,6 +1044,13 @@ impl<P: Protocol> ShardedSimulation<P> {
         })
     }
 
+    /// Consumes the simulation into `(id, state)` of every node that has
+    /// state, shard by shard (each shard in id order); each shard's queue
+    /// is dropped as its turn comes.
+    pub fn into_nodes(self) -> impl Iterator<Item = (NodeId, P)> {
+        self.shards.into_iter().flat_map(|s| s.kernel.into_nodes())
+    }
+
     /// Whether `id` is currently alive.
     pub fn is_alive(&self, id: NodeId) -> bool {
         id.index() < self.n && self.shards[self.shard_of(id)].kernel.is_alive(id)

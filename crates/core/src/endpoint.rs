@@ -13,17 +13,29 @@
 //! Everything else on the ledger (forwarding and maintenance charges,
 //! window rolls, rates) is the protocol's to record, through
 //! [`Endpoint::ledger_mut`].
+//!
+//! The delivery log is an append-only `(event, time)` record plus a
+//! membership bitset over the executing kernel's event numbering
+//! ([`fed_sim::local_id`]): every delivery call takes the event's
+//! [`LocalId`] next to the time, and deduplicating is one bit test. Its
+//! memory is 1 bit per event the node's shard has numbered plus 16 B per
+//! delivery. A finished run takes the log out of the node
+//! ([`Endpoint::into_deliveries`], [`DeliveryLog::into_sorted`]) rather
+//! than copying it. Because the membership bits are kernel-local, an
+//! `Endpoint` must not move between kernels; a node keeps its shard for
+//! the whole run, so one carried across a crash and rejoin stays valid.
 
 use crate::ledger::FairnessLedger;
 use fed_pubsub::{Event, EventId, SubscriptionTable, TopicId};
-use fed_sim::{HopKind, SimTime};
-use fed_util::hash::FastMap;
-use std::collections::hash_map::Entry;
+use fed_sim::{Context, HopKind, LocalId, LocalIdSet, SimTime};
 
 /// Exactly-once delivery log: which events a node delivered, and when.
 #[derive(Debug, Clone, Default)]
 pub struct DeliveryLog {
-    delivered: FastMap<EventId, SimTime>,
+    /// The delivered events, over the kernel's numbering.
+    seen: LocalIdSet,
+    /// `(event, delivery time)` in delivery order.
+    log: Vec<(EventId, SimTime)>,
 }
 
 impl DeliveryLog {
@@ -32,49 +44,49 @@ impl DeliveryLog {
         DeliveryLog::default()
     }
 
-    /// Records delivery of `event` at `now` unless already delivered.
-    /// Returns `true` when this call performed the delivery.
+    /// Records delivery of `event`, numbered `id` by the executing kernel
+    /// ([`fed_sim::Context::local_id`] of `event.id().as_u64()`), at `now`
+    /// unless already delivered. Returns `true` when this call performed
+    /// the delivery.
     #[inline]
-    pub fn deliver(&mut self, event: &Event, now: SimTime) -> bool {
-        match self.delivered.entry(event.id()) {
-            Entry::Occupied(_) => false,
-            Entry::Vacant(v) => {
-                v.insert(now);
-                true
-            }
+    pub fn deliver(&mut self, event: &Event, id: LocalId, now: SimTime) -> bool {
+        let first = self.seen.insert(id);
+        if first {
+            self.log.push((event.id(), now));
         }
+        first
     }
 
-    /// Whether `id` was delivered.
+    /// Whether `id` was delivered (a scan of the log).
     pub fn contains(&self, id: EventId) -> bool {
-        self.delivered.contains_key(&id)
+        self.time_of(id).is_some()
     }
 
-    /// Delivery time of `id`, if delivered.
+    /// Delivery time of `id`, if delivered (a scan of the log).
     pub fn time_of(&self, id: EventId) -> Option<SimTime> {
-        self.delivered.get(&id).copied()
+        self.iter().find_map(|(e, t)| (e == id).then_some(t))
     }
 
     /// Number of deliveries.
     pub fn len(&self) -> usize {
-        self.delivered.len()
+        self.log.len()
     }
 
     /// `true` when nothing was delivered.
     pub fn is_empty(&self) -> bool {
-        self.delivered.is_empty()
+        self.log.is_empty()
     }
 
-    /// Iterates `(event id, delivery time)` in no particular order.
+    /// Iterates `(event id, delivery time)` in delivery order.
     pub fn iter(&self) -> impl Iterator<Item = (EventId, SimTime)> + '_ {
-        self.delivered.iter().map(|(&id, &t)| (id, t))
+        self.log.iter().copied()
     }
 
-    /// Snapshot of the log sorted by event id.
-    pub fn sorted(&self) -> Vec<(EventId, SimTime)> {
-        let mut v: Vec<(EventId, SimTime)> = self.iter().collect();
-        v.sort_unstable_by_key(|&(id, _)| id);
-        v
+    /// The log sorted by event id, sorted in place.
+    pub fn into_sorted(self) -> Vec<(EventId, SimTime)> {
+        let mut log = self.log;
+        log.sort_unstable_by_key(|&(id, _)| id);
+        log
     }
 }
 
@@ -90,17 +102,25 @@ impl DeliveryLog {
 /// ```
 /// use fed_core::endpoint::Endpoint;
 /// use fed_pubsub::{Event, EventId, TopicId};
+/// use fed_sim::local_id::LocalIds;
 /// use fed_sim::SimTime;
 ///
+/// // A kernel numbers the events its nodes see (`Context::local_id`).
+/// let mut ids = LocalIds::default();
 /// let mut endpoint = Endpoint::new();
 /// endpoint.subscribe_topic(TopicId::new(3));
 /// let wanted = Event::bare(EventId::new(0, 0), TopicId::new(3));
 /// let other = Event::bare(EventId::new(0, 1), TopicId::new(4));
-/// assert!(endpoint.offer(&wanted, SimTime::from_millis(5)));
-/// assert!(!endpoint.offer(&wanted, SimTime::from_millis(9)), "once only");
-/// assert!(!endpoint.offer(&other, SimTime::from_millis(9)), "no interest");
+/// let (w, o) = (ids.id_of(wanted.id().as_u64()), ids.id_of(other.id().as_u64()));
+/// assert!(endpoint.offer(&wanted, w, SimTime::from_millis(5)));
+/// assert!(!endpoint.offer(&wanted, w, SimTime::from_millis(9)), "once only");
+/// assert!(!endpoint.offer(&other, o, SimTime::from_millis(9)), "no interest");
 /// assert_eq!(endpoint.ledger().totals().delivered_events, 1);
 /// assert_eq!(endpoint.ledger().active_filters(), 1);
+/// assert_eq!(
+///     endpoint.into_deliveries().into_sorted(),
+///     vec![(wanted.id(), SimTime::from_millis(5))]
+/// );
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Endpoint {
@@ -140,6 +160,11 @@ impl Endpoint {
         &self.log
     }
 
+    /// The delivery log, taken out of the endpoint.
+    pub fn into_deliveries(self) -> DeliveryLog {
+        self.log
+    }
+
     fn sync_filters(&mut self) {
         self.ledger.set_active_filters(self.subs.len() as u32);
     }
@@ -169,18 +194,30 @@ impl Endpoint {
     }
 
     /// An event reached this node: deliver it iff it matches a
-    /// subscription and was not delivered before. Returns whether this
-    /// call delivered it.
+    /// subscription and was not delivered before. `id` is the event's
+    /// number in the executing kernel (see [`DeliveryLog::deliver`]).
+    /// Returns whether this call delivered it.
     #[inline]
-    pub fn offer(&mut self, event: &Event, now: SimTime) -> bool {
-        self.subs.matches(event) && self.deliver(event, now)
+    pub fn offer(&mut self, event: &Event, id: LocalId, now: SimTime) -> bool {
+        self.subs.matches(event) && self.deliver(event, id, now)
+    }
+
+    /// [`Endpoint::offer`] at `ctx`'s time, for a protocol that keeps no
+    /// seen-set of its own: numbers `event` in `ctx`'s kernel, and only
+    /// when it matches.
+    #[inline]
+    pub fn offer_in<M>(&mut self, ctx: &mut Context<'_, M>, event: &Event) -> bool {
+        self.subs.matches(event) && {
+            let id = ctx.local_id(event.id().as_u64());
+            self.deliver(event, id, ctx.now())
+        }
     }
 
     /// [`Endpoint::offer`] for a caller that decided the match itself
     /// (hierarchical topics): log once, credit once.
     #[inline]
-    pub fn deliver(&mut self, event: &Event, now: SimTime) -> bool {
-        let first = self.log.deliver(event, now);
+    pub fn deliver(&mut self, event: &Event, id: LocalId, now: SimTime) -> bool {
+        let first = self.log.deliver(event, id, now);
         if first {
             self.ledger.record_delivery();
         }
@@ -204,18 +241,26 @@ pub fn emit_event(emit: &mut dyn FnMut(u64, u32, u32, HopKind), event: &Event, k
 mod tests {
     use super::*;
     use fed_pubsub::TopicSpace;
+    use fed_sim::local_id::LocalIds;
 
     fn ev(seq: u32, topic: u32) -> Event {
         Event::bare(EventId::new(1, seq), TopicId::new(topic))
     }
 
+    /// `event`'s number in `ids`, as `Context::local_id` would give it.
+    fn num(ids: &mut LocalIds, event: &Event) -> LocalId {
+        ids.id_of(event.id().as_u64())
+    }
+
     #[test]
     fn delivers_exactly_once() {
+        let mut ids = LocalIds::default();
         let mut log = DeliveryLog::new();
         let e = ev(1, 0);
-        assert!(log.deliver(&e, SimTime::from_millis(5)));
+        let id = num(&mut ids, &e);
+        assert!(log.deliver(&e, id, SimTime::from_millis(5)));
         assert!(
-            !log.deliver(&e, SimTime::from_millis(9)),
+            !log.deliver(&e, id, SimTime::from_millis(9)),
             "second is a dupe"
         );
         assert_eq!(log.time_of(e.id()), Some(SimTime::from_millis(5)));
@@ -231,17 +276,21 @@ mod tests {
         assert!(log.is_empty());
         assert!(!log.contains(EventId::new(0, 0)));
         assert_eq!(log.time_of(EventId::new(0, 0)), None);
-        assert!(log.sorted().is_empty());
+        assert!(log.into_sorted().is_empty());
     }
 
     #[test]
     fn sorted_snapshot_orders_by_event_id() {
+        let mut ids = LocalIds::default();
         let mut log = DeliveryLog::new();
         for seq in [7, 2, 9, 4] {
-            log.deliver(&ev(seq, 0), SimTime::from_millis(seq as u64));
+            let e = ev(seq, 0);
+            log.deliver(&e, num(&mut ids, &e), SimTime::from_millis(seq as u64));
         }
-        let ids: Vec<u32> = log.sorted().iter().map(|(id, _)| id.seq()).collect();
-        assert_eq!(ids, vec![2, 4, 7, 9]);
+        let order: Vec<u32> = log.iter().map(|(id, _)| id.seq()).collect();
+        assert_eq!(order, vec![7, 2, 9, 4], "iter is delivery order");
+        let sorted: Vec<u32> = log.into_sorted().iter().map(|(id, _)| id.seq()).collect();
+        assert_eq!(sorted, vec![2, 4, 7, 9]);
     }
 
     #[test]
@@ -253,7 +302,9 @@ mod tests {
         assert_eq!(ep.ledger().active_filters(), 3, "a repeat counts");
         ep.unsubscribe_topic(TopicId::new(1));
         assert_eq!(ep.ledger().active_filters(), 1, "every copy goes");
-        assert!(!ep.offer(&ev(0, 1), SimTime::ZERO), "no longer subscribed");
+        let e = ev(0, 1);
+        let id = num(&mut LocalIds::default(), &e);
+        assert!(!ep.offer(&e, id, SimTime::ZERO), "no longer subscribed");
         ep.clear();
         assert_eq!(ep.ledger().active_filters(), 0);
         assert!(ep.subscriptions().is_empty());
@@ -278,10 +329,14 @@ mod tests {
         let mut ep = Endpoint::new();
         ep.subscribe_topic(root);
         let e = ev(0, child.as_u32());
-        assert!(!ep.offer(&e, SimTime::ZERO), "flat match misses the child");
+        let id = num(&mut LocalIds::default(), &e);
+        assert!(
+            !ep.offer(&e, id, SimTime::ZERO),
+            "flat match misses the child"
+        );
         assert!(ep.subscriptions().matches_in(&e, &space));
-        assert!(ep.deliver(&e, SimTime::from_millis(1)));
-        assert!(!ep.deliver(&e, SimTime::from_millis(2)));
+        assert!(ep.deliver(&e, id, SimTime::from_millis(1)));
+        assert!(!ep.deliver(&e, id, SimTime::from_millis(2)));
         assert_eq!(ep.ledger().totals().delivered_events, 1);
     }
 

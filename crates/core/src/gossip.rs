@@ -282,6 +282,11 @@ impl<S: PeerSampler> GossipNode<S> {
         &self.endpoint
     }
 
+    /// The subscriber side, taken out of the finished node.
+    pub fn into_endpoint(self) -> Endpoint {
+        self.endpoint
+    }
+
     /// The lifetime contribution/benefit ratio under the node's spec.
     pub fn ratio(&self) -> f64 {
         self.endpoint.ledger().ratio(&self.config.spec)
@@ -353,11 +358,12 @@ impl<S: PeerSampler> GossipNode<S> {
     }
 
     fn accept_event(&mut self, ctx: &mut Context<'_, GossipMsg>, event: &Event) {
-        if !self.seen.insert(ctx.local_id(event.id().as_u64())) {
+        let id = ctx.local_id(event.id().as_u64());
+        if !self.seen.insert(id) {
             self.duplicates += 1;
             return;
         }
-        self.endpoint.offer(event, ctx.now());
+        self.endpoint.offer(event, id, ctx.now());
         self.buffer.push(Buffered {
             event: event.clone(),
             ttl: self.config.ttl_rounds,

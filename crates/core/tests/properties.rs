@@ -1,13 +1,16 @@
 //! Property-based tests of the fairness core: ledger arithmetic, the
-//! endpoint's accounting rule, controller behaviour and audit soundness.
+//! endpoint's accounting rule and delivery log, controller behaviour and
+//! audit soundness.
 
 use fed_core::adaptive::{Controller, ControllerConfig, GlobalRateEstimator, RateSample};
 use fed_core::audit::{audit_subject, AuditConfig, AuditOutcome, WitnessReport};
-use fed_core::endpoint::Endpoint;
+use fed_core::endpoint::{DeliveryLog, Endpoint};
 use fed_core::ledger::{ContributionMetric, FairnessLedger, RatioSpec};
 use fed_pubsub::{Event, EventId, TopicId};
+use fed_sim::local_id::LocalIds;
 use fed_sim::{NodeId, SimTime};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -76,6 +79,7 @@ proptest! {
     fn endpoint_keeps_the_accounting_rule(
         ops in prop::collection::vec(endpoint_op_strategy(), 0..200),
     ) {
+        let mut ids = LocalIds::default();
         let mut endpoint = Endpoint::new();
         let mut subscribed: Vec<u32> = Vec::new();
         let mut delivered: Vec<EventId> = Vec::new();
@@ -98,7 +102,8 @@ proptest! {
                     let event = Event::bare(EventId::new(0, seq), TopicId::new(topic));
                     let expect = subscribed.contains(&topic) && !delivered.contains(&event.id());
                     let at = SimTime::from_millis(step as u64);
-                    prop_assert_eq!(endpoint.offer(&event, at), expect);
+                    let id = ids.id_of(event.id().as_u64());
+                    prop_assert_eq!(endpoint.offer(&event, id, at), expect);
                     if expect {
                         delivered.push(event.id());
                         prop_assert_eq!(endpoint.deliveries().time_of(event.id()), Some(at));
@@ -119,6 +124,52 @@ proptest! {
         for id in delivered {
             prop_assert!(endpoint.deliveries().contains(id));
         }
+    }
+
+    /// The delivery log against a `BTreeMap` model: the same deliver
+    /// sequence (repeats included) fed to two logs whose kernels number the
+    /// keys in different first-sight orders — one as they arrive, one after
+    /// seeing `warm` first — gives the model's answers from both, and the
+    /// same sorted log.
+    #[test]
+    fn delivery_log_matches_a_btree_map(
+        delivers in prop::collection::vec((0u32..3, 0u32..16, 0u64..1_000), 0..120),
+        warm in prop::collection::vec((0u32..3, 0u32..16), 0..48),
+    ) {
+        let key = |publisher: u32, seq: u32| EventId::new(publisher, seq);
+        let mut arrival = LocalIds::default();
+        let mut warmed = LocalIds::default();
+        for &(p, s) in &warm {
+            warmed.id_of(key(p, s).as_u64());
+        }
+        let mut logs = [DeliveryLog::new(), DeliveryLog::new()];
+        let mut model: BTreeMap<EventId, SimTime> = BTreeMap::new();
+        for &(p, s, at) in &delivers {
+            let event = Event::bare(key(p, s), TopicId::new(0));
+            let at = SimTime::from_millis(at);
+            let first = !model.contains_key(&event.id());
+            if first {
+                model.insert(event.id(), at);
+            }
+            for (log, ids) in logs.iter_mut().zip([&mut arrival, &mut warmed]) {
+                prop_assert_eq!(log.deliver(&event, ids.id_of(event.id().as_u64()), at), first);
+                prop_assert_eq!(log.len(), model.len());
+            }
+        }
+        for log in &logs {
+            prop_assert_eq!(log.is_empty(), model.is_empty());
+            for p in 0..3 {
+                for s in 0..16 {
+                    let id = key(p, s);
+                    prop_assert_eq!(log.contains(id), model.contains_key(&id));
+                    prop_assert_eq!(log.time_of(id), model.get(&id).copied());
+                }
+            }
+        }
+        let expected: Vec<(EventId, SimTime)> = model.into_iter().collect();
+        let [by_arrival, by_warmed] = logs.map(DeliveryLog::into_sorted);
+        prop_assert_eq!(&by_arrival, &expected);
+        prop_assert_eq!(&by_warmed, &expected);
     }
 
     /// Contribution and benefit are non-negative, monotone under

@@ -110,13 +110,16 @@ pub trait ArchProtocol: Protocol + 'static {
     /// stack's endpoint and overrides the two read-backs below to merge
     /// the others in.
     fn endpoint(&self) -> &Endpoint;
+    /// [`ArchProtocol::endpoint`], taken out of the finished node.
+    fn into_endpoint(self) -> Endpoint;
     /// The node's fairness ledger.
     fn fairness(&self) -> FairnessLedger {
         self.endpoint().ledger().clone()
     }
-    /// Snapshot of the node's delivery log, sorted by event id.
-    fn delivery_log(&self) -> Vec<(EventId, SimTime)> {
-        self.endpoint().deliveries().sorted()
+    /// The node's delivery log, moved out of the node and sorted by event
+    /// id in place.
+    fn into_delivery_log(self) -> Vec<(EventId, SimTime)> {
+        self.into_endpoint().into_deliveries().into_sorted()
     }
     /// The node's SWIM failure-detector observation log, when it runs
     /// one (empty otherwise).
@@ -140,6 +143,9 @@ impl ArchProtocol for Node {
     fn endpoint(&self) -> &Endpoint {
         GossipNode::endpoint(self)
     }
+    fn into_endpoint(self) -> Endpoint {
+        GossipNode::into_endpoint(self)
+    }
     fn swim_observations(&self) -> Vec<SwimObservation> {
         GossipNode::swim_observations(self)
     }
@@ -155,11 +161,15 @@ impl ArchProtocol for HybridNode {
     fn endpoint(&self) -> &Endpoint {
         self.endpoints()[0]
     }
+    fn into_endpoint(self) -> Endpoint {
+        let [broker, _] = self.into_endpoints();
+        broker
+    }
     fn fairness(&self) -> FairnessLedger {
         self.merged_ledger()
     }
-    fn delivery_log(&self) -> Vec<(EventId, SimTime)> {
-        self.merged_deliveries()
+    fn into_delivery_log(self) -> Vec<(EventId, SimTime)> {
+        self.into_merged_deliveries()
     }
     fn swim_observations(&self) -> Vec<SwimObservation> {
         HybridNode::swim_observations(self)
@@ -179,6 +189,9 @@ impl ArchProtocol for BrokerNode {
     fn endpoint(&self) -> &Endpoint {
         BrokerNode::endpoint(self)
     }
+    fn into_endpoint(self) -> Endpoint {
+        BrokerNode::into_endpoint(self)
+    }
 }
 
 impl ArchProtocol for ScribeNode {
@@ -190,6 +203,9 @@ impl ArchProtocol for ScribeNode {
     }
     fn endpoint(&self) -> &Endpoint {
         ScribeNode::endpoint(self)
+    }
+    fn into_endpoint(self) -> Endpoint {
+        ScribeNode::into_endpoint(self)
     }
 }
 
@@ -203,6 +219,9 @@ impl ArchProtocol for DksNode {
     fn endpoint(&self) -> &Endpoint {
         DksNode::endpoint(self)
     }
+    fn into_endpoint(self) -> Endpoint {
+        DksNode::into_endpoint(self)
+    }
 }
 
 impl ArchProtocol for DamNode {
@@ -215,6 +234,9 @@ impl ArchProtocol for DamNode {
     fn endpoint(&self) -> &Endpoint {
         DamNode::endpoint(self)
     }
+    fn into_endpoint(self) -> Endpoint {
+        DamNode::into_endpoint(self)
+    }
 }
 
 impl ArchProtocol for SplitStreamNode {
@@ -226,6 +248,9 @@ impl ArchProtocol for SplitStreamNode {
     }
     fn endpoint(&self) -> &Endpoint {
         SplitStreamNode::endpoint(self)
+    }
+    fn into_endpoint(self) -> Endpoint {
+        SplitStreamNode::into_endpoint(self)
     }
 }
 
@@ -265,6 +290,9 @@ pub trait Engine: Sized {
     ) -> Option<ScheduleTrace>;
     /// Iterates over `(id, state)` of every node that has state.
     fn nodes(&self) -> impl Iterator<Item = (NodeId, &Self::Proto)>;
+    /// Consumes the engine into `(id, state)` of every node that has
+    /// state, in no particular order.
+    fn into_nodes(self) -> impl Iterator<Item = (NodeId, Self::Proto)>;
     /// Transport statistics of every node, indexed by node.
     fn stats(&self) -> Vec<TransportStats>;
     /// Events processed so far.
@@ -312,6 +340,9 @@ impl<P: Protocol + 'static> Engine for Simulation<P> {
     }
     fn nodes(&self) -> impl Iterator<Item = (NodeId, &P)> {
         Simulation::nodes(self)
+    }
+    fn into_nodes(self) -> impl Iterator<Item = (NodeId, P)> {
+        Simulation::into_nodes(self)
     }
     fn stats(&self) -> Vec<TransportStats> {
         self.transport_stats_all().to_vec()
@@ -385,6 +416,9 @@ where
     fn nodes(&self) -> impl Iterator<Item = (NodeId, &P)> {
         ShardedSimulation::nodes(self)
     }
+    fn into_nodes(self) -> impl Iterator<Item = (NodeId, P)> {
+        ShardedSimulation::into_nodes(self)
+    }
     fn stats(&self) -> Vec<TransportStats> {
         self.transport_stats_all()
     }
@@ -451,7 +485,7 @@ pub enum EngineKind {
 
 /// Engine-agnostic observable outcome of one architecture run.
 ///
-/// Everything here is plain data copied out of the finished simulation,
+/// Everything here is plain data taken out of the finished simulation,
 /// so outcomes from different engines (or shard counts) compare with
 /// `==` field by field: identical `deliveries`, `ledgers` and `stats`
 /// mean the two runs performed the same virtual-world execution.
@@ -920,15 +954,19 @@ where
         // engines expose the identical canonical ordering.
         let trace = spec.trace.as_ref().map(|_| merge_hops(buffers));
 
+        // The engine is consumed last: each node's delivery log moves into
+        // the outcome, and the rest of the node is dropped with it.
+        let (events, windows) = (sim.events(), sim.windows());
         let mut deliveries = vec![Vec::new(); spec.n];
         let mut ledgers = vec![FairnessLedger::new(); spec.n];
         let mut swim = vec![Vec::new(); spec.n];
         let mut handovers = vec![None; spec.n];
-        for (id, node) in sim.nodes() {
-            deliveries[id.index()] = node.delivery_log();
-            ledgers[id.index()] = node.fairness();
-            swim[id.index()] = node.swim_observations();
-            handovers[id.index()] = node.handover_at();
+        for (id, node) in sim.into_nodes() {
+            let i = id.index();
+            ledgers[i] = node.fairness();
+            swim[i] = node.swim_observations();
+            handovers[i] = node.handover_at();
+            deliveries[i] = node.into_delivery_log();
         }
         ArchOutcome {
             arch: spec.arch,
@@ -937,8 +975,8 @@ where
             deliveries,
             ledgers,
             stats,
-            events: sim.events(),
-            windows: sim.windows(),
+            events,
+            windows,
             shards: owned.len(),
             telemetry,
             profiling: profile,

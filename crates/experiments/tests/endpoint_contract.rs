@@ -9,7 +9,9 @@
 //! * `ledgers[i].active_filters() == profile.topics_of(i).len()` — the
 //!   node holds the subscriptions the interest profile drew for it, and
 //!   still holds them after a crash and rejoin (the driver re-subscribes
-//!   a rebuilt node).
+//!   a rebuilt node);
+//! * `deliveries[i]` is strictly ascending by event id — sorted, and no
+//!   event logged twice — and the audit records no duplicate delivery.
 //!
 //! No scenario is exempt. An unoptimised build clamps the large library
 //! populations so `cargo test` stays fast; `cargo test --release` runs
@@ -31,6 +33,10 @@ fn assert_contract(label: &str, outcome: &ArchOutcome) {
             log.len(),
             "{label}: node {i} was credited for a different number of deliveries than it logged"
         );
+        assert!(
+            log.windows(2).all(|w| w[0].0 < w[1].0),
+            "{label}: node {i}'s delivery log is not strictly ascending by event id"
+        );
         if ledger.active_filters() as usize != outcome.profile.topics_of(i).len() {
             rejoined_deaf.push(i);
         }
@@ -42,6 +48,11 @@ fn assert_contract(label: &str, outcome: &ArchOutcome) {
         rejoined_deaf.len(),
         outcome.ledgers.len(),
         &rejoined_deaf[..rejoined_deaf.len().min(8)]
+    );
+    assert_eq!(
+        outcome.audit().duplicates(),
+        0,
+        "{label}: a delivery was repeated"
     );
 }
 

@@ -9,6 +9,7 @@ use fed_pubsub::EventId;
 use fed_sim::SimTime;
 use fed_util::hash::{FastMap, FastSet};
 use fed_util::stats::Summary;
+use std::collections::hash_map::Entry;
 
 /// Ground truth and observations for one dissemination run.
 #[derive(Debug, Clone, Default)]
@@ -19,6 +20,8 @@ pub struct DeliveryAudit {
     observed: FastMap<(EventId, usize), SimTime>,
     /// deliveries at nodes that were NOT interested
     spurious: u64,
+    /// repeated records of an (event, interested node) pair
+    duplicates: u64,
 }
 
 impl DeliveryAudit {
@@ -42,11 +45,17 @@ impl DeliveryAudit {
     /// Records an observed delivery of `event` at `node`.
     ///
     /// Deliveries of unknown events are counted as spurious, as are
-    /// deliveries at nodes outside the interested set.
+    /// deliveries at nodes outside the interested set. A repeat of a
+    /// recorded pair keeps the first time and counts as a duplicate.
     pub fn record(&mut self, event: EventId, node: usize, at: SimTime) {
         match self.expected.get(&event) {
             Some((_, interested)) if interested.contains(&node) => {
-                self.observed.insert((event, node), at);
+                match self.observed.entry((event, node)) {
+                    Entry::Occupied(_) => self.duplicates += 1,
+                    Entry::Vacant(v) => {
+                        v.insert(at);
+                    }
+                }
             }
             _ => self.spurious += 1,
         }
@@ -70,6 +79,12 @@ impl DeliveryAudit {
     /// Deliveries at uninterested nodes (must be 0 for a correct system).
     pub fn spurious(&self) -> u64 {
         self.spurious
+    }
+
+    /// Repeated deliveries of an event at an interested node (must be 0:
+    /// delivery is exactly once).
+    pub fn duplicates(&self) -> u64 {
+        self.duplicates
     }
 
     /// Fraction of expected deliveries that happened, in `[0, 1]`.
@@ -144,6 +159,7 @@ mod tests {
         assert_eq!(a.reliability(), 1.0);
         assert_eq!(a.atomicity(), 1.0);
         assert_eq!(a.spurious(), 0);
+        assert_eq!(a.duplicates(), 0);
         assert!(a.latency_ms().is_empty());
     }
 
@@ -232,6 +248,9 @@ mod tests {
         a.record(id(1), 0, SimTime::from_millis(9));
         assert_eq!(a.observed_deliveries(), 1);
         assert_eq!(a.reliability(), 1.0);
+        assert_eq!(a.duplicates(), 1, "the repeat is counted");
+        assert_eq!(a.latency_ms().median(), Some(5.0), "the first time is kept");
+        assert_eq!(a.spurious(), 0);
     }
 
     #[test]

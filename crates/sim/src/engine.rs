@@ -182,6 +182,12 @@ impl<P: Protocol> Simulation<P> {
         self.kernel.nodes()
     }
 
+    /// Consumes the simulation into `(id, state)` of every node that has
+    /// state, in id order; the queue and the rest are dropped first.
+    pub fn into_nodes(self) -> impl Iterator<Item = (NodeId, P)> {
+        self.kernel.into_nodes()
+    }
+
     /// Transport statistics of one node.
     ///
     /// # Panics

@@ -1107,6 +1107,15 @@ impl<P: Protocol> Kernel<P> {
             .filter_map(|(&id, s)| s.state.as_ref().map(|p| (NodeId::new(id), p)))
     }
 
+    /// Consumes the kernel into `(id, state)` of every owned node that
+    /// has state, ascending by id; everything else it held is dropped.
+    pub fn into_nodes(self) -> impl Iterator<Item = (NodeId, P)> {
+        self.owned
+            .into_iter()
+            .zip(self.slots)
+            .filter_map(|(id, s)| s.state.map(|p| (NodeId::new(id), p)))
+    }
+
     /// Whether owned node `id` is currently alive.
     pub fn is_alive(&self, id: NodeId) -> bool {
         self.local_of(id)
