@@ -77,11 +77,6 @@ impl BrokerNode {
         self.endpoint
     }
 
-    /// Broker-side subscriber count for a topic (0 on clients).
-    pub fn subscriber_count(&self, topic: TopicId) -> usize {
-        self.registry.get(&topic).map(BTreeSet::len).unwrap_or(0)
-    }
-
     fn broker_dispatch(&mut self, ctx: &mut Context<'_, BrokerMsg>, event: Event) {
         let Some(subscribers) = self.registry.get(&event.topic()) else {
             return;

@@ -31,7 +31,6 @@ use fed_core::endpoint::Endpoint;
 use fed_core::gossip::{GossipCmd, GossipConfig, GossipMsg, GossipNode};
 use fed_core::ledger::FairnessLedger;
 use fed_membership::swim::SwimObservation;
-use fed_membership::FullMembership;
 use fed_pubsub::{Event, EventId, TopicId};
 use fed_sim::{Context, NodeId, Protocol, SimDuration, SimTime};
 
@@ -104,7 +103,7 @@ pub struct HybridNode {
     id: NodeId,
     config: HybridConfig,
     broker: BrokerNode,
-    gossip: GossipNode<FullMembership>,
+    gossip: GossipNode,
     mode: Mode,
     /// When this node switched to gossip, if it has.
     switched_at: Option<SimTime>,
@@ -116,12 +115,7 @@ impl HybridNode {
     /// Creates a hybrid node for a system of `n` nodes.
     pub fn new(id: NodeId, n: usize, config: HybridConfig) -> Self {
         let broker = BrokerNode::new(id, config.hub);
-        let gossip = GossipNode::with_behavior(
-            id,
-            config.gossip.clone(),
-            FullMembership::new(id, n),
-            Behavior::Honest,
-        );
+        let gossip = GossipNode::with_behavior(id, n, config.gossip.clone(), Behavior::Honest);
         HybridNode {
             id,
             config,
@@ -281,7 +275,7 @@ impl Protocol for HybridNode {
     fn message_size(msg: &HybridMsg) -> usize {
         match msg {
             HybridMsg::B(m) => BrokerNode::message_size(m),
-            HybridMsg::G(m) => GossipNode::<FullMembership>::message_size(m),
+            HybridMsg::G(m) => GossipNode::message_size(m),
             HybridMsg::Switch => 8,
         }
     }
@@ -291,7 +285,7 @@ impl Protocol for HybridNode {
         // strategy carried each event across the handover.
         match msg {
             HybridMsg::B(m) => BrokerNode::trace_payload(m, emit),
-            HybridMsg::G(m) => GossipNode::<FullMembership>::trace_payload(m, emit),
+            HybridMsg::G(m) => GossipNode::trace_payload(m, emit),
             HybridMsg::Switch => {}
         }
     }

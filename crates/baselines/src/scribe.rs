@@ -83,17 +83,6 @@ impl ScribeNode {
         self.endpoint
     }
 
-    /// Children of this node in `topic`'s tree.
-    pub fn children_of(&self, topic: TopicId) -> usize {
-        self.children.get(&topic).map(BTreeSet::len).unwrap_or(0)
-    }
-
-    /// Whether the node is part of `topic`'s tree (forwarder), regardless
-    /// of interest.
-    pub fn is_forwarder(&self, topic: TopicId) -> bool {
-        self.in_tree.contains(&topic) || self.children.contains_key(&topic)
-    }
-
     /// Whether the node actually subscribed to `topic`.
     pub fn is_subscriber(&self, topic: TopicId) -> bool {
         self.endpoint.subscriptions().has_topic(topic)

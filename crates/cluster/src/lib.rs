@@ -88,9 +88,11 @@
 //!   everything that could causally precede it.
 //!
 //! The equivalence is asserted by this crate's tests and by the
-//! `cross_engine` integration suite in `fed-experiments` (all five
-//! architectures, shard counts {1, 2, 4, 7}, every placement policy,
-//! both window policies, with and without churn).
+//! `cross_engine` integration suite in `fed-experiments` (fair gossip and
+//! the five structured baselines — broker, Scribe, DKS, DAM, SplitStream —
+//! at shard counts {1, 2, 4, 7}, every placement policy, both window
+//! policies, with and without churn); `scenario_properties` draws
+//! randomized scenarios from all eight architectures.
 //!
 //! ## Example
 //!
@@ -921,21 +923,6 @@ impl<P: Protocol> ShardedSimulation<P> {
     /// run stopped by its (event-granular) cap.
     pub fn set_max_events(&mut self, max: u64) {
         self.max_events = max;
-    }
-
-    /// Replaces the window policy; takes effect at the next `run_until`
-    /// call (the adaptive target width resets to the lookahead).
-    ///
-    /// Window sizing cannot affect results — only barrier counts and
-    /// wall-clock time.
-    pub fn set_window_policy(&mut self, window: WindowPolicy) {
-        self.window = window;
-        self.window_width = self.lookahead;
-    }
-
-    /// The active window policy.
-    pub fn window_policy(&self) -> WindowPolicy {
-        self.window
     }
 
     /// The node→shard placement in use.

@@ -7,8 +7,8 @@
 //!    estimates;
 //! 2. if adaptation is enabled, update the fanout / message-size
 //!    controllers from the gossip-aggregated population mean;
-//! 3. pick `F` partners via `SELECTPARTICIPANTS` (a
-//!    [`PeerSampler`]), select up to `N` buffered events via
+//! 3. pick `F` partners via `SELECTPARTICIPANTS` (the
+//!    [`FullMembership`] oracle), select up to `N` buffered events via
 //!    `SELECTEVENTS`, and push one gossip message to each partner.
 //!
 //! On receipt, an event is delivered iff `ISINTERESTED(e)` — the node's
@@ -24,7 +24,7 @@ use crate::behavior::Behavior;
 use crate::endpoint::{emit_event, Endpoint};
 use crate::ledger::RatioSpec;
 use fed_membership::swim::{SwimConfig, SwimMsg, SwimObservation, SwimState, SwimUpdate};
-use fed_membership::PeerSampler;
+use fed_membership::{FullMembership, PeerSampler};
 use fed_pubsub::{Event, EventBatch, TopicId};
 use fed_sim::{Context, HopKind, LocalIdSet, NodeId, Protocol, SimDuration};
 use fed_util::hash::FastMap;
@@ -211,13 +211,13 @@ struct Buffered {
 
 /// A push-gossip dissemination node (Figure 4 + §5.2 adaptation).
 ///
-/// Generic over the peer sampling strategy `S` (full membership oracle or
-/// Cyclon views).
+/// Partners are drawn uniformly from the whole system by a
+/// [`FullMembership`] oracle, the node's `SELECTPARTICIPANTS(F)`.
 #[derive(Debug)]
-pub struct GossipNode<S> {
+pub struct GossipNode {
     id: NodeId,
     config: GossipConfig,
-    sampler: S,
+    members: FullMembership,
     endpoint: Endpoint,
     buffer: Vec<Buffered>,
     /// Every event ever accepted, over the kernel's numbering.
@@ -236,9 +236,13 @@ pub struct GossipNode<S> {
     swim: Option<SwimState>,
 }
 
-impl<S: PeerSampler> GossipNode<S> {
-    /// Creates a node.
-    pub fn new(id: NodeId, config: GossipConfig, sampler: S) -> Self {
+impl GossipNode {
+    /// Creates node `id` of a system of `n` nodes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0`.
+    pub fn new(id: NodeId, n: usize, config: GossipConfig) -> Self {
         // Prior mean benefit 0: a cold system reports no deliveries, which
         // makes the controllers fall back to the classic target fanout
         // until a real benefit signal propagates (bootstrap = Figure 4
@@ -249,7 +253,7 @@ impl<S: PeerSampler> GossipNode<S> {
         GossipNode {
             id,
             config,
-            sampler,
+            members: FullMembership::new(id, n),
             endpoint: Endpoint::new(),
             buffer: Vec::new(),
             seen: LocalIdSet::default(),
@@ -266,8 +270,8 @@ impl<S: PeerSampler> GossipNode<S> {
     }
 
     /// Creates a node with a non-honest behaviour model.
-    pub fn with_behavior(id: NodeId, config: GossipConfig, sampler: S, behavior: Behavior) -> Self {
-        let mut node = Self::new(id, config, sampler);
+    pub fn with_behavior(id: NodeId, n: usize, config: GossipConfig, behavior: Behavior) -> Self {
+        let mut node = Self::new(id, n, config);
         node.behavior = behavior;
         node
     }
@@ -337,11 +341,6 @@ impl<S: PeerSampler> GossipNode<S> {
     /// [`GossipConfig::audit_receipts`] is set.
     pub fn claim_of(&self, peer: NodeId) -> Option<RateSample> {
         self.peers.get(&peer).map(|r| r.claim)
-    }
-
-    /// Read access to the peer sampler.
-    pub fn sampler(&self) -> &S {
-        &self.sampler
     }
 
     /// The SWIM detector state, when enabled (and after `on_init`).
@@ -458,7 +457,7 @@ impl<S: PeerSampler> GossipNode<S> {
             }
         }
         let n_events = self.size_ctl.value_rounded();
-        let partners = self.sampler.sample_peers(ctx.rng(), fanout);
+        let partners = self.members.sample_peers(ctx.rng(), fanout);
         if !partners.is_empty() && !self.buffer.is_empty() {
             let k = n_events.min(self.buffer.len());
             let picked = ctx.rng().sample_indices(self.buffer.len(), k);
@@ -478,7 +477,7 @@ impl<S: PeerSampler> GossipNode<S> {
     }
 }
 
-impl<S: PeerSampler + 'static> Protocol for GossipNode<S> {
+impl Protocol for GossipNode {
     type Msg = GossipMsg;
     type Cmd = GossipCmd;
 
@@ -514,7 +513,6 @@ impl<S: PeerSampler + 'static> Protocol for GossipNode<S> {
                     record.msgs += 1;
                     record.claim = sample;
                 }
-                self.sampler.note_peer(from);
                 if let Some(detector) = &mut self.swim {
                     detector.absorb_piggyback(ctx.now(), from, &swim);
                 }
@@ -595,7 +593,7 @@ impl<S: PeerSampler + 'static> Protocol for GossipNode<S> {
                 // funded peer receives a seed decays exponentially in the
                 // seed fanout.
                 let seed_fanout = (2.0 * self.config.fanout.target_mean).round().max(1.0) as usize;
-                let peers = self.sampler.sample_peers(ctx.rng(), seed_fanout);
+                let peers = self.members.sample_peers(ctx.rng(), seed_fanout);
                 self.push_to(ctx, peers, Arc::new(EventBatch::from_iter([event])));
             }
             GossipCmd::SubscribeTopic(topic) => {
@@ -632,13 +630,10 @@ fn push_size(events: &EventBatch, swim_updates: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fed_membership::FullMembership;
     use fed_pubsub::EventId;
     use fed_sim::exec::{seed_streams, EffectSink, EventKey, EventKind, Kernel, EXTERNAL_SRC};
     use fed_sim::network::{LatencyModel, NetworkModel};
     use fed_sim::{SimTime, Simulation};
-
-    type Node = GossipNode<FullMembership>;
 
     fn net(ms: u64) -> NetworkModel {
         NetworkModel::reliable(LatencyModel::Constant(SimDuration::from_millis(ms)))
@@ -648,14 +643,14 @@ mod tests {
         GossipConfig::classic(fanout, 16, SimDuration::from_millis(100))
     }
 
-    fn classic_sim(n: usize, fanout: usize, seed: u64) -> Simulation<Node> {
+    fn classic_sim(n: usize, fanout: usize, seed: u64) -> Simulation<GossipNode> {
         let cfg = classic_config(fanout);
         Simulation::new(n, net(10), seed, move |id, _| {
-            GossipNode::new(id, cfg.clone(), FullMembership::new(id, n))
+            GossipNode::new(id, n, cfg.clone())
         })
     }
 
-    fn everyone_subscribes(sim: &mut Simulation<Node>, topic: TopicId) {
+    fn everyone_subscribes(sim: &mut Simulation<GossipNode>, topic: TopicId) {
         for i in 0..sim.len() {
             sim.schedule_command(
                 SimTime::ZERO,
@@ -773,8 +768,8 @@ mod tests {
     fn ttl_expires_events_from_buffer() {
         let mut cfg = GossipConfig::classic(2, 8, SimDuration::from_millis(50));
         cfg.ttl_rounds = 2;
-        let mut sim: Simulation<Node> = Simulation::new(8, net(5), 5, move |id, _| {
-            GossipNode::new(id, cfg.clone(), FullMembership::new(id, 8))
+        let mut sim: Simulation<GossipNode> = Simulation::new(8, net(5), 5, move |id, _| {
+            GossipNode::new(id, 8, cfg.clone())
         });
         sim.schedule_command(
             SimTime::from_millis(60),
@@ -847,8 +842,8 @@ mod tests {
         // the mean and everyone else's to the floor.
         let n = 16;
         let cfg = GossipConfig::fair(4, 16, SimDuration::from_millis(100));
-        let mut sim: Simulation<Node> = Simulation::new(n, net(10), 21, move |id, _| {
-            GossipNode::new(id, cfg.clone(), FullMembership::new(id, n))
+        let mut sim: Simulation<GossipNode> = Simulation::new(n, net(10), 21, move |id, _| {
+            GossipNode::new(id, n, cfg.clone())
         });
         sim.schedule_command(
             SimTime::ZERO,
@@ -919,14 +914,14 @@ mod tests {
             swim: vec![update; 3],
         };
         let expect = 8 + RateSample::WIRE_BYTES + 2 * (16 + 100) + 3 * SWIM_UPDATE_BYTES;
-        assert_eq!(Node::message_size(&msg), expect);
+        assert_eq!(GossipNode::message_size(&msg), expect);
     }
 
     /// Effects of hand-dispatched events, in emission order.
-    struct Captured(Vec<EventKind<Node>>);
+    struct Captured(Vec<EventKind<GossipNode>>);
 
-    impl EffectSink<Node> for Captured {
-        fn emit(&mut self, _key: EventKey, kind: EventKind<Node>) {
+    impl EffectSink<GossipNode> for Captured {
+        fn emit(&mut self, _key: EventKey, kind: EventKind<GossipNode>) {
             self.0.push(kind);
         }
     }
@@ -950,13 +945,13 @@ mod tests {
     fn factory(
         n: usize,
         cfg: &GossipConfig,
-    ) -> impl FnMut(NodeId, &mut fed_util::rng::Xoshiro256StarStar) -> Node + '_ {
-        move |id, _| GossipNode::new(id, cfg.clone(), FullMembership::new(id, n))
+    ) -> impl FnMut(NodeId, &mut fed_util::rng::Xoshiro256StarStar) -> GossipNode + '_ {
+        move |id, _| GossipNode::new(id, n, cfg.clone())
     }
 
     /// A kernel of `n` nodes driven one event at a time.
     struct Rig {
-        kernel: Kernel<Node>,
+        kernel: Kernel<GossipNode>,
         sink: Captured,
         n: usize,
         cfg: GossipConfig,
@@ -1000,7 +995,7 @@ mod tests {
             }
         }
 
-        fn dispatch(&mut self, kind: EventKind<Node>) {
+        fn dispatch(&mut self, kind: EventKind<GossipNode>) {
             self.seq += 1;
             let key = EventKey {
                 time: SimTime::from_millis(self.seq),
@@ -1024,7 +1019,7 @@ mod tests {
             });
         }
 
-        fn node(&self, id: NodeId) -> &Node {
+        fn node(&self, id: NodeId) -> &GossipNode {
             self.kernel.node(id).expect("owned")
         }
     }
@@ -1157,8 +1152,8 @@ mod tests {
         let n = 16;
         let cfg = GossipConfig::classic(4, 16, SimDuration::from_millis(100))
             .with_swim(SwimConfig::standard());
-        let mut sim: Simulation<Node> = Simulation::new(n, net(10), 31, move |id, _| {
-            GossipNode::new(id, cfg.clone(), FullMembership::new(id, n))
+        let mut sim: Simulation<GossipNode> = Simulation::new(n, net(10), 31, move |id, _| {
+            GossipNode::new(id, n, cfg.clone())
         });
         let victim = NodeId::new(3);
         sim.schedule_crash(SimTime::from_secs(5), victim);
@@ -1198,8 +1193,8 @@ mod tests {
             audit_receipts: true,
             ..classic_config(3)
         };
-        let mut sim: Simulation<Node> = Simulation::new(n, net(10), 23, move |id, _| {
-            GossipNode::new(id, cfg.clone(), FullMembership::new(id, n))
+        let mut sim: Simulation<GossipNode> = Simulation::new(n, net(10), 23, move |id, _| {
+            GossipNode::new(id, n, cfg.clone())
         });
         everyone_subscribes(&mut sim, TopicId::new(0));
         sim.schedule_command(

@@ -23,7 +23,6 @@
 //!
 //! ```
 //! use fed_core::gossip::{GossipCmd, GossipConfig, GossipNode};
-//! use fed_membership::FullMembership;
 //! use fed_pubsub::{Event, EventId, TopicId};
 //! use fed_sim::network::NetworkModel;
 //! use fed_sim::{NodeId, SimDuration, SimTime, Simulation};
@@ -31,7 +30,7 @@
 //! let n = 32;
 //! let cfg = GossipConfig::fair(4, 16, SimDuration::from_millis(100));
 //! let mut sim = Simulation::new(n, NetworkModel::default(), 7, move |id, _| {
-//!     GossipNode::new(id, cfg.clone(), FullMembership::new(id, n))
+//!     GossipNode::new(id, n, cfg.clone())
 //! });
 //! for i in 0..n {
 //!     sim.schedule_command(

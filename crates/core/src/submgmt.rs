@@ -162,11 +162,6 @@ impl SubWalkNode {
         &self.outcomes
     }
 
-    /// How many walks this node relayed, per topic.
-    pub fn relay_counts(&self) -> &HashMap<TopicId, u64> {
-        &self.relayed
-    }
-
     /// Total relay work performed.
     pub fn total_relayed(&self) -> u64 {
         self.relayed.values().sum()

@@ -14,9 +14,9 @@
 //! quarters of the population hold *no subscriptions at all*, so
 //! fully-throttled peers actually exist and event launches are at risk.
 
-use crate::harness::{prepare_gossip, run_gossip, t_arch_config, EngineKind, Node};
+use crate::harness::{prepare_gossip, run_gossip, t_arch_config, EngineKind};
 use fed_core::behavior::Behavior;
-use fed_core::gossip::{GossipCmd, GossipConfig};
+use fed_core::gossip::{GossipCmd, GossipConfig, GossipNode};
 use fed_core::ledger::RatioSpec;
 use fed_metrics::fairness::ratio_report;
 use fed_metrics::table::{fmt_f64, Table};
@@ -81,7 +81,8 @@ pub fn run(n: usize, seed: u64) -> AblationResult {
         let mut cfg = t_arch_config(GossipConfig::fair);
         cfg.min_relay_rate = rate;
         cfg.civic_allowance = allowance;
-        let mut run = prepare_gossip::<Simulation<Node>>(&scenario, cfg, |_| Behavior::Honest);
+        let mut run =
+            prepare_gossip::<Simulation<GossipNode>>(&scenario, cfg, |_| Behavior::Honest);
         // Strip subscriptions from the last three quarters.
         for i in interested..n {
             run.sim.schedule_command(

@@ -10,9 +10,9 @@
 //! classic and the fair protocol lose — and what that does to delivery
 //! reliability for the remaining population.
 
-use crate::harness::{prepare_gossip, t_arch_config, Node};
+use crate::harness::{prepare_gossip, t_arch_config};
 use fed_core::behavior::Behavior;
-use fed_core::gossip::GossipConfig;
+use fed_core::gossip::{GossipConfig, GossipNode};
 use fed_core::ledger::RatioSpec;
 use fed_metrics::table::{fmt_f64, Table};
 use fed_sim::{SimDuration, SimTime, Simulation};
@@ -36,7 +36,11 @@ pub struct ChurnResult {
 /// Runs `sim` to `horizon` in 2 s slices, crashing after each slice every
 /// live peer whose behaviour model (which carries the tolerance) wants to
 /// leave under the `spec` accounting. Returns how many quit.
-fn drive_with_quitting(sim: &mut Simulation<Node>, horizon: SimTime, spec: &RatioSpec) -> usize {
+fn drive_with_quitting(
+    sim: &mut Simulation<GossipNode>,
+    horizon: SimTime,
+    spec: &RatioSpec,
+) -> usize {
     let poll = SimDuration::from_secs(2);
     let mut quitters = 0usize;
     let mut now = SimTime::ZERO;
@@ -73,7 +77,7 @@ pub fn run(n: usize, threshold: f64, seed: u64) -> ChurnResult {
     let mut results = Vec::new();
     for preset in [GossipConfig::classic, GossipConfig::fair] {
         let mut run =
-            prepare_gossip::<Simulation<Node>>(&scenario, t_arch_config(preset), behavior);
+            prepare_gossip::<Simulation<GossipNode>>(&scenario, t_arch_config(preset), behavior);
         let horizon = run.horizon();
         let quitters = drive_with_quitting(&mut run.sim, horizon, &spec);
         let audit = run.finish().audit();

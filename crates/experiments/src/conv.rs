@@ -6,9 +6,8 @@
 //! rounds the controller needs to move from the floor to (near) its new
 //! steady allocation.
 
-use crate::harness::{t_arch_config, Node};
+use crate::harness::t_arch_config;
 use fed_core::gossip::{GossipCmd, GossipConfig, GossipNode};
-use fed_membership::FullMembership;
 use fed_metrics::table::{fmt_f64, Table};
 use fed_pubsub::{Event, EventId, TopicId};
 use fed_sim::network::{LatencyModel, NetworkModel};
@@ -32,8 +31,8 @@ pub struct ConvResult {
 pub fn run(n: usize, seed: u64) -> ConvResult {
     let cfg = t_arch_config(GossipConfig::fair);
     let net = NetworkModel::reliable(LatencyModel::Constant(SimDuration::from_millis(10)));
-    let mut sim: Simulation<Node> = Simulation::new(n, net, seed, move |id, _| {
-        GossipNode::new(id, cfg.clone(), FullMembership::new(id, n))
+    let mut sim: Simulation<GossipNode> = Simulation::new(n, net, seed, move |id, _| {
+        GossipNode::new(id, n, cfg.clone())
     });
     let topic = TopicId::new(0);
     // A quarter of the population is warm (subscribed from the start); the

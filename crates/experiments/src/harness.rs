@@ -44,7 +44,6 @@ use fed_core::gossip::{GossipCmd, GossipConfig, GossipNode};
 use fed_core::ledger::FairnessLedger;
 use fed_dht::DhtNetwork;
 use fed_membership::swim::{SwimObservation, SwimObservationKind};
-use fed_membership::FullMembership;
 use fed_metrics::delivery::DeliveryAudit;
 use fed_profile::{
     CountingProbe, RunProfile, ScheduleSummary, ShardProfile, WindowSlice, WorkCounters,
@@ -77,9 +76,6 @@ pub fn event_weights(materialized: &MaterializedScenario) -> Vec<u64> {
     }
     weights
 }
-
-/// The node type every gossip experiment runs.
-pub type Node = GossipNode<FullMembership>;
 
 /// The gossip round period every harness run shares.
 pub const ROUND: SimDuration = SimDuration::from_millis(100);
@@ -133,7 +129,7 @@ pub trait ArchProtocol: Protocol + 'static {
     }
 }
 
-impl ArchProtocol for Node {
+impl ArchProtocol for GossipNode {
     fn subscribe_cmd(topic: TopicId) -> GossipCmd {
         GossipCmd::SubscribeTopic(topic)
     }
@@ -661,12 +657,10 @@ fn gossip_factory(
     spec: &ScenarioSpec,
     config: GossipConfig,
     behavior: impl Fn(NodeId) -> Behavior + Send + Sync + 'static,
-) -> impl Fn(NodeId, &mut Xoshiro256StarStar) -> Node + Send + Sync + 'static {
+) -> impl Fn(NodeId, &mut Xoshiro256StarStar) -> GossipNode + Send + Sync + 'static {
     let n = spec.n;
     let config = with_membership(spec, config);
-    move |id, _| {
-        GossipNode::with_behavior(id, config.clone(), FullMembership::new(id, n), behavior(id))
-    }
+    move |id, _| GossipNode::with_behavior(id, n, config.clone(), behavior(id))
 }
 
 /// Runs `spec`'s workload under push gossip with the given protocol
@@ -686,7 +680,7 @@ pub fn run_gossip(
 /// [`run_gossip`] stopped before its run step: the engine `E` built and
 /// scheduled, for the experiments that act on `sim` before
 /// [`Prepared::finish`].
-pub fn prepare_gossip<E: Engine<Proto = Node>>(
+pub fn prepare_gossip<E: Engine<Proto = GossipNode>>(
     spec: &ScenarioSpec,
     config: GossipConfig,
     behavior: impl Fn(NodeId) -> Behavior + Send + Sync + 'static,
@@ -1030,8 +1024,10 @@ mod tests {
         let config = || t_arch_config(GossipConfig::fair);
         let direct = run_architecture(&spec, EngineKind::Sequential);
         let untouched =
-            prepare_gossip::<Simulation<Node>>(&spec, config(), |_| Behavior::Honest).finish();
-        let mut driven = prepare_gossip::<Simulation<Node>>(&spec, config(), |_| Behavior::Honest);
+            prepare_gossip::<Simulation<GossipNode>>(&spec, config(), |_| Behavior::Honest)
+                .finish();
+        let mut driven =
+            prepare_gossip::<Simulation<GossipNode>>(&spec, config(), |_| Behavior::Honest);
         driven.sim.run_until(driven.horizon());
         let driven = driven.finish();
         for outcome in [&untouched, &driven] {

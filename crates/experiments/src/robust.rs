@@ -12,9 +12,9 @@
 //! way it flags the scale sweeps.
 
 use crate::bench_json::Row;
-use crate::harness::{prepare_gossip, run_gossip, t_arch_config, EngineKind, Node};
+use crate::harness::{prepare_gossip, run_gossip, t_arch_config, EngineKind};
 use fed_core::behavior::Behavior;
-use fed_core::gossip::GossipConfig;
+use fed_core::gossip::{GossipConfig, GossipNode};
 use fed_metrics::table::{fmt_f64, Table};
 use fed_sim::network::{LatencyModel, NetworkModel};
 use fed_sim::{NodeId, SimDuration, SimTime, Simulation};
@@ -98,7 +98,8 @@ pub fn run(n: usize, seed: u64) -> RobustResult {
         for (arch, cfg) in protocols() {
             let scenario = ScenarioSpec::fair_gossip(n, seed ^ 0x5A5A);
             let start = Instant::now();
-            let mut run = prepare_gossip::<Simulation<Node>>(&scenario, cfg, |_| Behavior::Honest);
+            let mut run =
+                prepare_gossip::<Simulation<GossipNode>>(&scenario, cfg, |_| Behavior::Honest);
             // Crash a random fraction mid-stream.
             let crash_at = SimTime::from_secs(8);
             let mut pick = SplitMix64::seed_from_u64(seed);

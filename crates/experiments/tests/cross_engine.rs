@@ -20,10 +20,10 @@
 
 use fed_cluster::ShardedSimulation;
 use fed_core::behavior::Behavior;
-use fed_core::gossip::GossipConfig;
+use fed_core::gossip::{GossipConfig, GossipNode};
 use fed_core::ledger::RatioSpec;
 use fed_experiments::harness::{
-    prepare_gossip, run_architecture, run_gossip, t_arch_config, Engine, EngineKind, Node,
+    prepare_gossip, run_architecture, run_gossip, t_arch_config, Engine, EngineKind,
 };
 use fed_experiments::scenario_run::outcomes_match;
 use fed_sim::{NodeId, SimDuration, SimTime, Simulation, TransportStats};
@@ -62,7 +62,7 @@ struct Fingerprint {
 
 fn fingerprint<'a, I>(nodes: I, stats: Vec<TransportStats>, events: u64) -> Fingerprint
 where
-    I: Iterator<Item = (NodeId, &'a Node)>,
+    I: Iterator<Item = (NodeId, &'a GossipNode)>,
 {
     let mut deliveries = Vec::new();
     let mut duplicates = Vec::new();
@@ -84,7 +84,7 @@ where
     }
 }
 
-fn run_on<E: Engine<Proto = Node>>(spec: &ScenarioSpec) -> Fingerprint {
+fn run_on<E: Engine<Proto = GossipNode>>(spec: &ScenarioSpec) -> Fingerprint {
     let mut run = prepare_gossip::<E>(spec, config(), |_| Behavior::Honest);
     let horizon = run.horizon();
     let mut unobserved = vec![(); run.sim.shards()];
@@ -93,11 +93,11 @@ fn run_on<E: Engine<Proto = Node>>(spec: &ScenarioSpec) -> Fingerprint {
 }
 
 fn run_sequential(spec: &ScenarioSpec) -> Fingerprint {
-    run_on::<Simulation<Node>>(spec)
+    run_on::<Simulation<GossipNode>>(spec)
 }
 
 fn run_cluster(spec: &ScenarioSpec, shards: usize) -> Fingerprint {
-    run_on::<ShardedSimulation<Node>>(&spec.clone().with_shards(shards))
+    run_on::<ShardedSimulation<GossipNode>>(&spec.clone().with_shards(shards))
 }
 
 #[test]

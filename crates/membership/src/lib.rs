@@ -1,14 +1,14 @@
 //! # fed-membership
 //!
-//! Membership and peer sampling for gossip dissemination: bounded partial
-//! views, the Cyclon shuffle protocol, and a full-membership oracle — the
-//! `SELECTPARTICIPANTS(F)` of the paper's Figure 4.
+//! Membership for gossip dissemination: the full-membership oracle that
+//! implements the `SELECTPARTICIPANTS(F)` of the paper's Figure 4, and the
+//! SWIM failure detector the gossip node can run beside it.
 //!
-//! The [`PeerSampler`] trait lets dissemination protocols stay agnostic to
-//! how partners are found: the idealized [`FullMembership`] oracle used in
-//! gossip analysis, or the realistic [`cyclon::CyclonState`] partial view.
+//! [`FullMembership`] draws partners uniformly from the whole system, the
+//! standard analytical assumption for push gossip and the one every
+//! experiment here makes.
 //!
-//! Samplers draw only from the node's kernel-provided RNG stream, so
+//! The oracle draws only from the node's kernel-provided RNG stream, so
 //! partner selection is deterministic per `(seed, node id)` — one of the
 //! invariants that keeps the sharded runtime bit-identical to the
 //! sequential engine (see `docs/ARCHITECTURE.md`). Uniformity matters
@@ -34,15 +34,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cyclon;
 pub mod sampler;
 pub mod swim;
-pub mod view;
 
-pub use cyclon::{CyclonMsg, CyclonNode, CyclonState};
 pub use sampler::{FullMembership, PeerSampler};
 pub use swim::{
     SwimConfig, SwimMsg, SwimObservation, SwimObservationKind, SwimState, SwimStatus, SwimTick,
     SwimUpdate,
 };
-pub use view::{PartialView, ViewEntry};

@@ -1,31 +1,17 @@
-//! Peer sampling abstractions.
+//! Peer sampling.
 //!
 //! Gossip needs `SELECTPARTICIPANTS(F)` (paper Figure 4, line 5): pick `F`
 //! communication partners. The paper notes that "a uniform random selection
-//! of communication partners usually requires full knowledge of the system"
-//! and cites the peer-sampling literature for partial-view alternatives.
-//! [`PeerSampler`] abstracts over both:
-//!
-//! * [`FullMembership`] — the idealized oracle (every peer knows everyone).
-//! * [`crate::cyclon::CyclonState`] — a realistic shuffling partial view.
+//! of communication partners usually requires full knowledge of the system";
+//! [`FullMembership`] is that idealized oracle (every peer knows everyone).
 
 use fed_sim::NodeId;
 use fed_util::rng::Rng64;
 
-/// A source of gossip partners.
+/// A source of gossip partners; [`FullMembership`] is the one implementation.
 pub trait PeerSampler {
     /// Samples up to `k` distinct peers (never the owner).
     fn sample_peers<R: Rng64>(&mut self, rng: &mut R, k: usize) -> Vec<NodeId>;
-
-    /// All peers this sampler currently knows.
-    fn known_peers(&self) -> Vec<NodeId>;
-
-    /// Informs the sampler that `peer` exists (e.g. learned from a message).
-    fn note_peer(&mut self, _peer: NodeId) {}
-
-    /// Informs the sampler that `peer` appears dead (e.g. repeated
-    /// timeouts); samplers may evict it.
-    fn note_dead(&mut self, _peer: NodeId) {}
 }
 
 /// The full-knowledge oracle: samples uniformly from all `n` node ids.
@@ -49,16 +35,6 @@ impl FullMembership {
         assert!(n > 0, "system size must be positive");
         FullMembership { owner, n }
     }
-
-    /// System size.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Always `false` (constructor rejects `n == 0`).
-    pub fn is_empty(&self) -> bool {
-        false
-    }
 }
 
 impl PeerSampler for FullMembership {
@@ -75,13 +51,6 @@ impl PeerSampler for FullMembership {
                 let idx = if i >= own { i + 1 } else { i };
                 NodeId::new(idx as u32)
             })
-            .collect()
-    }
-
-    fn known_peers(&self) -> Vec<NodeId> {
-        (0..self.n)
-            .filter(|&i| i != self.owner.index())
-            .map(|i| NodeId::new(i as u32))
             .collect()
     }
 }
@@ -139,16 +108,6 @@ mod tests {
             let dev = (c as f64 - expect).abs() / expect;
             assert!(dev < 0.1, "node {i} count {c} deviates {dev}");
         }
-    }
-
-    #[test]
-    fn known_peers_excludes_owner() {
-        let m = FullMembership::new(NodeId::new(2), 4);
-        assert_eq!(
-            m.known_peers(),
-            vec![NodeId::new(0), NodeId::new(1), NodeId::new(3)]
-        );
-        assert_eq!(m.len(), 4);
     }
 
     #[test]

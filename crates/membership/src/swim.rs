@@ -194,6 +194,12 @@ pub struct SwimTick {
 }
 
 /// The deterministic SWIM detector state of one node.
+///
+/// The detector intentionally does not filter partner selection: the
+/// gossip node samples from its [`FullMembership`](crate::FullMembership)
+/// oracle whatever the detector believes, so enabling it does not perturb
+/// partner selection (and therefore dissemination parity) relative to
+/// detector-off runs of the same seed.
 #[derive(Debug, Clone)]
 pub struct SwimState {
     id: NodeId,
@@ -609,10 +615,6 @@ impl SwimState {
     }
 }
 
-/// A [`PeerSampler`] filter is intentionally *not* implemented here: the
-/// gossip layer keeps its own sampler so that enabling the detector does
-/// not perturb partner selection (and therefore dissemination parity)
-/// relative to detector-off runs of the same seed.
 #[cfg(test)]
 mod tests {
     use super::*;

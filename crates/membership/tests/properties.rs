@@ -1,122 +1,9 @@
-//! Property-based tests of view, shuffle and failure-detector invariants.
+//! Property-based tests of failure-detector invariants.
 
 use fed_membership::swim::{SwimConfig, SwimState, SwimStatus, SwimUpdate};
-use fed_membership::{CyclonState, PartialView, PeerSampler, ViewEntry};
 use fed_sim::{NodeId, SimTime};
 use fed_util::rng::Xoshiro256StarStar;
 use proptest::prelude::*;
-
-#[derive(Debug, Clone)]
-enum ViewOp {
-    Insert(u32),
-    InsertAged(u32, u32),
-    ReplaceOldest(u32, u32),
-    Remove(u32),
-    Age,
-}
-
-fn view_op() -> impl Strategy<Value = ViewOp> {
-    prop_oneof![
-        (0u32..64).prop_map(ViewOp::Insert),
-        (0u32..64, 0u32..100).prop_map(|(id, age)| ViewOp::InsertAged(id, age)),
-        (0u32..64, 0u32..100).prop_map(|(id, age)| ViewOp::ReplaceOldest(id, age)),
-        (0u32..64).prop_map(ViewOp::Remove),
-        Just(ViewOp::Age),
-    ]
-}
-
-proptest! {
-    /// Under any operation sequence a view never contains its owner, never
-    /// holds duplicates and never exceeds capacity.
-    #[test]
-    fn view_invariants(
-        owner in 0u32..64,
-        capacity in 1usize..24,
-        ops in prop::collection::vec(view_op(), 0..200),
-    ) {
-        let mut view = PartialView::new(NodeId::new(owner), capacity);
-        for op in ops {
-            match op {
-                ViewOp::Insert(id) => {
-                    view.insert(NodeId::new(id));
-                }
-                ViewOp::InsertAged(id, age) => {
-                    view.insert_entry(ViewEntry { id: NodeId::new(id), age });
-                }
-                ViewOp::ReplaceOldest(id, age) => {
-                    view.insert_or_replace_oldest(ViewEntry { id: NodeId::new(id), age });
-                }
-                ViewOp::Remove(id) => {
-                    view.remove(NodeId::new(id));
-                }
-                ViewOp::Age => view.increment_ages(),
-            }
-            prop_assert!(view.len() <= capacity);
-            prop_assert!(!view.contains(NodeId::new(owner)));
-            let mut ids = view.ids();
-            ids.sort_unstable();
-            let before = ids.len();
-            ids.dedup();
-            prop_assert_eq!(ids.len(), before, "duplicate entries");
-        }
-    }
-
-    /// Cyclon shuffles preserve the invariants on both sides and never
-    /// leak the owner into its own view.
-    #[test]
-    fn cyclon_shuffle_invariants(
-        seed in any::<u64>(),
-        capacity in 2usize..16,
-        shuffle_len in 1usize..8,
-        rounds in 1usize..40,
-    ) {
-        let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
-        let mut a = CyclonState::new(NodeId::new(0), capacity, shuffle_len);
-        let mut b = CyclonState::new(NodeId::new(1), capacity, shuffle_len);
-        a.bootstrap((1..=capacity as u32).map(NodeId::new));
-        b.bootstrap((2..=capacity as u32 + 1).map(NodeId::new));
-        for _ in 0..rounds {
-            if let Some((q, batch)) = a.start_shuffle(&mut rng) {
-                // In this two-party harness, deliver to b regardless of q
-                // (the network would route it; invariants must hold anyway).
-                let reply = b.handle_request(NodeId::new(0), &batch, &mut rng);
-                a.handle_response(q, &reply);
-            }
-            for (state, owner) in [(&a, 0u32), (&b, 1u32)] {
-                prop_assert!(state.view().len() <= capacity);
-                prop_assert!(!state.view().contains(NodeId::new(owner)));
-                let mut ids = state.view().ids();
-                ids.sort_unstable();
-                let before = ids.len();
-                ids.dedup();
-                prop_assert_eq!(ids.len(), before);
-            }
-        }
-    }
-
-    /// Samples drawn through the PeerSampler interface are distinct, never
-    /// the owner, and always members of the view.
-    #[test]
-    fn cyclon_sampling_sound(
-        seed in any::<u64>(),
-        peers in prop::collection::btree_set(1u32..200, 1..20),
-        k in 0usize..32,
-    ) {
-        let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
-        let mut state = CyclonState::new(NodeId::new(0), 32, 4);
-        state.bootstrap(peers.iter().map(|&p| NodeId::new(p)));
-        let sample = state.sample_peers(&mut rng, k);
-        prop_assert!(sample.len() <= k);
-        let mut sorted = sample.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        prop_assert_eq!(sorted.len(), sample.len());
-        for p in &sample {
-            prop_assert!(peers.contains(&p.as_u32()));
-            prop_assert!(*p != NodeId::new(0));
-        }
-    }
-}
 
 /// One externally-driven step of a SWIM detector, phrased entirely over
 /// its public API.

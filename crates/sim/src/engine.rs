@@ -207,11 +207,6 @@ impl<P: Protocol> Simulation<P> {
         self.kernel.reset_stats();
     }
 
-    /// Mutates the network model mid-run (partitions, healing).
-    pub fn network_mut(&mut self) -> &mut NetworkModel {
-        self.kernel.net_mut()
-    }
-
     /// Schedules an application command for `node` at absolute time `at`.
     pub fn schedule_command(&mut self, at: SimTime, node: NodeId, cmd: P::Cmd) {
         let at = at.max(self.now);
@@ -571,27 +566,6 @@ mod tests {
         s.schedule_command(SimTime::from_millis(2), NodeId::new(0), EchoCmd::Arm(1, 1));
         s.run_until(SimTime::from_secs(1));
         assert!(s.node(NodeId::new(0)).unwrap().timers.is_empty());
-    }
-
-    #[test]
-    fn partition_mid_run() {
-        let mut s = sim(2);
-        s.network_mut().partition(vec![0, 1]);
-        s.schedule_command(
-            SimTime::from_millis(1),
-            NodeId::new(0),
-            EchoCmd::SendTo(NodeId::new(1), 1),
-        );
-        s.run_until(SimTime::from_millis(100));
-        assert!(s.node(NodeId::new(1)).unwrap().msgs.is_empty());
-        s.network_mut().heal();
-        s.schedule_command(
-            SimTime::from_millis(101),
-            NodeId::new(0),
-            EchoCmd::SendTo(NodeId::new(1), 2),
-        );
-        s.run_until(SimTime::from_secs(1));
-        assert_eq!(s.node(NodeId::new(1)).unwrap().msgs.len(), 1);
     }
 
     #[test]

@@ -1145,11 +1145,6 @@ impl<P: Protocol> Kernel<P> {
         &self.net
     }
 
-    /// Mutates the network model mid-run (partitions, healing).
-    pub fn net_mut(&mut self) -> &mut NetworkModel {
-        &mut self.net
-    }
-
     /// Executes one event addressed to an owned node, emitting any produced
     /// events into `sink`. `factory` rebuilds protocol state on
     /// [`EventKind::Join`]; `obs` observes the event and its effects
@@ -1301,7 +1296,7 @@ impl<P: Protocol> Kernel<P> {
                     let at = self
                         .net
                         .transmit(&mut slot.net_rng, now, node.index(), to.index())
-                        .map(|latency| now + latency.max(MIN_NETWORK_LATENCY));
+                        .map(|latency| now.saturating_add(latency.max(MIN_NETWORK_LATENCY)));
                     let fate = at.map_or(SendFate::Lost, |at| SendFate::Delivered { at });
                     obs.on_send(now, node, size, fate);
                     if obs.traces() {

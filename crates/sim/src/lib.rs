@@ -5,7 +5,7 @@
 //! This is the substrate on which every dissemination system in the `fed`
 //! workspace runs — the paper under reproduction ("Towards Fair Event
 //! Dissemination", ICDCS 2007) is a position paper without a testbed, and
-//! the gossip literature it builds on (Bimodal Multicast, lpbcast, Cyclon)
+//! the gossip literature it builds on (Bimodal Multicast, lpbcast)
 //! evaluates protocols exactly this way: simulated nodes, per-message
 //! latency/loss models, and churn schedules.
 //!

@@ -1,9 +1,9 @@
-//! Network models: latency, loss and partitions.
+//! Network models: latency, loss, scheduled faults and mobility.
 //!
 //! The model is deliberately link-agnostic: every message independently
 //! samples a latency and a loss verdict. This matches the abstractions used
 //! to evaluate the gossip protocols the paper builds on (Bimodal Multicast,
-//! lpbcast, Cyclon), where fairness and reliability are properties of the
+//! lpbcast), where fairness and reliability are properties of the
 //! *overlay*, not of individual physical links.
 
 use crate::time::{SimDuration, SimTime};
@@ -318,14 +318,14 @@ impl MobilityTrace {
     }
 }
 
-/// Full network model: latency plus iid loss plus optional partitions.
+/// Full network model: latency plus iid loss plus scheduled faults and an
+/// optional mobility trace.
+///
+/// Every connectivity verdict is a pure function of `(now, from, to)`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NetworkModel {
     latency: LatencyModel,
     loss_probability: f64,
-    /// `groups[i]` is the partition group of node `i`; messages cross groups
-    /// only when no partition is active.
-    groups: Option<Vec<u32>>,
     /// Scheduled deterministic faults.
     faults: FaultSchedule,
     /// Time-varying connectivity trace, if any.
@@ -338,7 +338,6 @@ impl NetworkModel {
         NetworkModel {
             latency,
             loss_probability: 0.0,
-            groups: None,
             faults: FaultSchedule::default(),
             mobility: None,
         }
@@ -350,7 +349,6 @@ impl NetworkModel {
         NetworkModel {
             latency,
             loss_probability: loss.clamp(0.0, 0.999_999),
-            groups: None,
             faults: FaultSchedule::default(),
             mobility: None,
         }
@@ -405,27 +403,12 @@ impl NetworkModel {
             .max(crate::exec::MIN_NETWORK_LATENCY)
     }
 
-    /// Installs a partition: node `i` belongs to `groups[i]`; messages
-    /// between different groups are dropped until [`NetworkModel::heal`].
-    pub fn partition(&mut self, groups: Vec<u32>) {
-        self.groups = Some(groups);
-    }
-
-    /// Removes any active partition.
-    pub fn heal(&mut self) {
-        self.groups = None;
-    }
-
-    /// Returns `true` when a partition is active.
-    pub fn is_partitioned(&self) -> bool {
-        self.groups.is_some()
-    }
-
     /// Decides the fate of one message from `from` to `to` sent at `now`.
     ///
     /// Returns `Some(latency)` when the message is delivered, `None` when it
-    /// is lost (random loss, partition, or a scheduled fault). Nodes outside
-    /// a configured partition vector are treated as group 0.
+    /// is lost (random loss, a scheduled fault or a mobility blackout). The
+    /// latency saturates at `u64::MAX` µs rather than wrapping, however
+    /// large a delay spike or latency draw.
     ///
     /// Fault verdicts are evaluated *before* any randomness is drawn, and a
     /// scheduled drop consumes no randomness at all — so whether a fault
@@ -446,13 +429,6 @@ impl NetworkModel {
                 return None;
             }
         }
-        if let Some(groups) = &self.groups {
-            let gf = groups.get(from).copied().unwrap_or(0);
-            let gt = groups.get(to).copied().unwrap_or(0);
-            if gf != gt {
-                return None;
-            }
-        }
         if self.loss_probability > 0.0 && rng.bernoulli(self.loss_probability) {
             return None;
         }
@@ -462,10 +438,10 @@ impl NetworkModel {
         };
         // Validated at construction; latency sampling cannot fail for the
         // models constructible through the public API.
-        self.latency
-            .sample(rng)
-            .ok()
-            .map(|d| d + self.faults.extra_delay(now) + mobility_extra)
+        self.latency.sample(rng).ok().map(|d| {
+            d.saturating_add(self.faults.extra_delay(now))
+                .saturating_add(mobility_extra)
+        })
     }
 }
 
@@ -579,31 +555,6 @@ mod tests {
         assert!(net.loss_probability() < 1.0);
         let net = NetworkModel::lossy(LatencyModel::default(), -0.5);
         assert_eq!(net.loss_probability(), 0.0);
-    }
-
-    #[test]
-    fn partition_blocks_cross_group_only() {
-        let mut net = NetworkModel::reliable(LatencyModel::default());
-        net.partition(vec![0, 0, 1, 1]);
-        let mut r = rng();
-        let t = SimTime::ZERO;
-        assert!(net.is_partitioned());
-        assert!(net.transmit(&mut r, t, 0, 1).is_some(), "same group passes");
-        assert!(net.transmit(&mut r, t, 0, 2).is_none(), "cross blocked");
-        assert!(net.transmit(&mut r, t, 3, 2).is_some());
-        net.heal();
-        assert!(!net.is_partitioned());
-        assert!(net.transmit(&mut r, t, 0, 2).is_some(), "healed");
-    }
-
-    #[test]
-    fn partition_unknown_nodes_default_group_zero() {
-        let mut net = NetworkModel::reliable(LatencyModel::default());
-        net.partition(vec![1]);
-        let mut r = rng();
-        // node 5 is outside the vector -> group 0, node 0 is group 1.
-        assert!(net.transmit(&mut r, SimTime::ZERO, 0, 5).is_none());
-        assert!(net.transmit(&mut r, SimTime::ZERO, 5, 6).is_some());
     }
 
     #[test]

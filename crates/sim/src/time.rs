@@ -113,6 +113,11 @@ impl SimDuration {
         self.0 as f64 / 1e6
     }
 
+    /// The sum of two spans, saturating at `u64::MAX` µs.
+    pub const fn saturating_add(self, d: SimDuration) -> SimDuration {
+        SimDuration(self.0.saturating_add(d.0))
+    }
+
     /// Multiplies the span by an integer factor, saturating.
     pub const fn saturating_mul(self, k: u64) -> SimDuration {
         SimDuration(self.0.saturating_mul(k))
@@ -199,6 +204,10 @@ mod tests {
         assert_eq!(
             SimTime::MAX.saturating_add(SimDuration::from_secs(1)),
             SimTime::MAX
+        );
+        assert_eq!(
+            SimDuration::from_micros(u64::MAX).saturating_add(SimDuration::from_micros(1)),
+            SimDuration::from_micros(u64::MAX)
         );
         assert_eq!(
             SimDuration::from_secs(u64::MAX / 1_000_000).saturating_mul(u64::MAX),

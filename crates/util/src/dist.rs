@@ -2,8 +2,8 @@
 //!
 //! All distributions sample through the [`Rng64`] trait so streams stay
 //! deterministic. The set covers what the gossip-dissemination literature
-//! needs: Zipf topic popularity, exponential/Poisson event processes,
-//! log-normal network latency and geometric retry counts.
+//! needs: Zipf topic popularity, exponential/Poisson event processes and
+//! log-normal network latency.
 //!
 //! # Examples
 //!
@@ -272,83 +272,6 @@ impl LogNormal {
     }
 }
 
-/// Geometric distribution on `{0, 1, 2, ...}` with success probability `p`:
-/// the number of failures before the first success.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Geometric {
-    p: f64,
-}
-
-impl Geometric {
-    /// Creates a geometric distribution.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`InvalidDistribution`] unless `0 < p <= 1`.
-    pub fn new(p: f64) -> Result<Self, InvalidDistribution> {
-        if !(p > 0.0 && p <= 1.0) {
-            return Err(InvalidDistribution::new("Geometric requires 0 < p <= 1"));
-        }
-        Ok(Geometric { p })
-    }
-
-    /// Samples the number of failures before the first success.
-    pub fn sample<R: Rng64 + ?Sized>(&self, rng: &mut R) -> u64 {
-        if self.p >= 1.0 {
-            return 0;
-        }
-        let u = 1.0 - rng.next_f64(); // in (0, 1]
-        (u.ln() / (1.0 - self.p).ln()).floor() as u64
-    }
-}
-
-/// Discrete distribution over `0..n` given by explicit non-negative weights.
-#[derive(Debug, Clone)]
-pub struct WeightedIndex {
-    cdf: Vec<f64>,
-}
-
-impl WeightedIndex {
-    /// Builds the distribution from weights.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`InvalidDistribution`] if `weights` is empty, any weight is
-    /// negative or non-finite, or all weights are zero.
-    pub fn new(weights: &[f64]) -> Result<Self, InvalidDistribution> {
-        if weights.is_empty() {
-            return Err(InvalidDistribution::new("WeightedIndex requires weights"));
-        }
-        let mut acc = 0.0;
-        let mut cdf = Vec::with_capacity(weights.len());
-        for &w in weights {
-            if !w.is_finite() || w < 0.0 {
-                return Err(InvalidDistribution::new(
-                    "WeightedIndex weights must be finite and non-negative",
-                ));
-            }
-            acc += w;
-            cdf.push(acc);
-        }
-        if acc <= 0.0 {
-            return Err(InvalidDistribution::new(
-                "WeightedIndex requires a positive total weight",
-            ));
-        }
-        for c in &mut cdf {
-            *c /= acc;
-        }
-        *cdf.last_mut().expect("non-empty") = 1.0;
-        Ok(WeightedIndex { cdf })
-    }
-
-    /// Samples an index in `0..weights.len()`.
-    pub fn sample<R: Rng64 + ?Sized>(&self, rng: &mut R) -> usize {
-        let u = rng.next_f64();
-        self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -475,47 +398,6 @@ mod tests {
         assert!(LogNormal::new(0.0, -0.1).is_err());
         assert!(LogNormal::from_median(0.0, 0.5).is_err());
         assert!(LogNormal::from_median(-3.0, 0.5).is_err());
-    }
-
-    #[test]
-    fn geometric_mean() {
-        let g = Geometric::new(0.25).unwrap();
-        let mut r = rng();
-        let n = 100_000;
-        let mean = (0..n).map(|_| g.sample(&mut r)).sum::<u64>() as f64 / n as f64;
-        // mean of failures-before-success = (1-p)/p = 3
-        assert!((mean - 3.0).abs() < 0.1, "mean={mean}");
-        assert_eq!(Geometric::new(1.0).unwrap().sample(&mut r), 0);
-    }
-
-    #[test]
-    fn geometric_rejects_bad_p() {
-        assert!(Geometric::new(0.0).is_err());
-        assert!(Geometric::new(1.5).is_err());
-    }
-
-    #[test]
-    fn weighted_index_respects_weights() {
-        let w = WeightedIndex::new(&[1.0, 0.0, 3.0]).unwrap();
-        let mut r = rng();
-        let n = 100_000;
-        let mut counts = [0usize; 3];
-        for _ in 0..n {
-            counts[w.sample(&mut r)] += 1;
-        }
-        assert_eq!(counts[1], 0);
-        let f0 = counts[0] as f64 / n as f64;
-        let f2 = counts[2] as f64 / n as f64;
-        assert!((f0 - 0.25).abs() < 0.01);
-        assert!((f2 - 0.75).abs() < 0.01);
-    }
-
-    #[test]
-    fn weighted_index_rejects_bad_weights() {
-        assert!(WeightedIndex::new(&[]).is_err());
-        assert!(WeightedIndex::new(&[0.0, 0.0]).is_err());
-        assert!(WeightedIndex::new(&[1.0, -2.0]).is_err());
-        assert!(WeightedIndex::new(&[f64::NAN]).is_err());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property-based tests for fed-util invariants.
 
-use fed_util::dist::{Exponential, Geometric, WeightedIndex, Zipf};
+use fed_util::dist::{Exponential, Zipf};
 use fed_util::fairness::{gini_coefficient, jain_index, max_min_ratio, normalized_entropy};
 use fed_util::rng::{Rng64, SplitMix64, Xoshiro256StarStar};
 use fed_util::stats::{OnlineStats, Summary};
@@ -101,30 +101,6 @@ proptest! {
         for _ in 0..32 {
             let x = e.sample(&mut rng);
             prop_assert!(x.is_finite() && x >= 0.0);
-        }
-    }
-
-    #[test]
-    fn geometric_finite(seed in any::<u64>(), p in 0.01f64..1.0) {
-        let g = Geometric::new(p).unwrap();
-        let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
-        for _ in 0..16 {
-            let _ = g.sample(&mut rng); // must terminate and not panic
-        }
-    }
-
-    #[test]
-    fn weighted_index_never_picks_zero_weight(
-        seed in any::<u64>(),
-        weights in prop::collection::vec(0.0f64..10.0, 1..20),
-    ) {
-        prop_assume!(weights.iter().sum::<f64>() > 0.0);
-        let w = WeightedIndex::new(&weights).unwrap();
-        let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
-        for _ in 0..64 {
-            let i = w.sample(&mut rng);
-            prop_assert!(i < weights.len());
-            prop_assert!(weights[i] > 0.0, "picked zero-weight index {}", i);
         }
     }
 

@@ -48,12 +48,10 @@
 //! type, range, applicability and cross-field checks, so a spec built in
 //! code that the parser would reject is an error naming `[section] key`,
 //! never text that does not parse back. Beyond that, the unrepresentable
-//! corners are a [`NetworkModel`] carrying an active *dynamic* partition
-//! (the `groups` device experiments install mid-run), faults or a
-//! mobility trace on the base model instead of the spec, and a string
-//! holding a control character the format has no escape for. *Scheduled*
-//! partitions are plain data with a start and a heal time, and live in
-//! the `[faults.partition]` section.
+//! corners are a [`NetworkModel`] carrying faults or a mobility trace on
+//! the base model instead of the spec, and a string holding a control
+//! character the format has no escape for. Partitions are plain data with
+//! a start and a heal time, and live in the `[faults.partition]` section.
 //!
 //! ## The grammar is written once
 //!
@@ -1586,21 +1584,13 @@ fn put(out: &mut String, sec: &'static Section, pairs: Option<Vec<Pair>>) -> Res
 ///
 /// # Errors
 ///
-/// Returns an error when the spec's network model carries an active
-/// *dynamic* partition (the `groups` device experiments install
-/// mid-run, as opposed to a scheduled `[faults.partition]`), faults or a
+/// Returns an error when the spec's network model carries faults or a
 /// mobility trace of its own; when a string holds a control character
 /// the format has no escape for; or when [`parse_scenario`] would
 /// reject the result — a value out of its key's range, a degenerate
 /// fault window, a zero probe period, a key product over
 /// [`MAX_PRODUCT`]. The message names `[section] key`.
 pub fn to_toml(spec: &ScenarioSpec) -> Result<String> {
-    if spec.net.is_partitioned() {
-        return Err(ScenarioFileError::global(
-            "network models with active dynamic partitions are not representable in a \
-             scenario file (use [faults.partition] for scheduled partitions)",
-        ));
-    }
     // Scheduled faults belong in `spec.faults` (merged into the network
     // by `ScenarioSpec::effective_net`); a base model already carrying
     // them would be silently lost on round trip.
@@ -1981,14 +1971,6 @@ mod tests {
             let toml = to_toml(&spec).unwrap();
             assert_eq!(spec_from_toml(&toml).unwrap(), spec, "{toml}");
         }
-    }
-
-    #[test]
-    fn partitioned_network_is_unrepresentable() {
-        let mut spec = ScenarioSpec::fair_gossip(8, 1);
-        spec.net.partition(vec![0, 0, 1, 1, 0, 0, 1, 1]);
-        let err = to_toml(&spec).unwrap_err();
-        assert!(err.message.contains("partition"), "{err}");
     }
 
     #[test]

@@ -12,7 +12,6 @@
 
 use fed::core::behavior::Behavior;
 use fed::core::gossip::{GossipCmd, GossipConfig, GossipNode};
-use fed::membership::FullMembership;
 use fed::pubsub::{Event, EventId, TopicId};
 use fed::sim::network::NetworkModel;
 use fed::sim::{NodeId, SimDuration, SimTime, Simulation};
@@ -23,8 +22,8 @@ fn run_swarm(config: GossipConfig, label: &str) -> Vec<(u64, usize)> {
     let mut sim = Simulation::new(n, NetworkModel::default(), 3, move |id, _| {
         GossipNode::with_behavior(
             id,
+            n,
             config.clone(),
-            FullMembership::new(id, n),
             Behavior::Aggrieved {
                 ratio_threshold: tolerance,
                 patience_rounds: 50,

@@ -9,7 +9,6 @@
 
 use fed::core::gossip::{GossipCmd, GossipConfig, GossipNode};
 use fed::core::ledger::RatioSpec;
-use fed::membership::FullMembership;
 use fed::metrics::fairness::ratio_report;
 use fed::pubsub::{Event, EventId, TopicId};
 use fed::sim::network::{LatencyModel, NetworkModel};
@@ -29,7 +28,7 @@ fn main() {
 
     // Every node runs the fair gossip protocol over a full-membership view.
     let mut sim = Simulation::new(n, net, seed, move |id, _| {
-        GossipNode::new(id, config.clone(), FullMembership::new(id, n))
+        GossipNode::new(id, n, config.clone())
     });
 
     // Half the swarm subscribes to the "metrics" topic.

@@ -18,7 +18,7 @@
 //! | [`telemetry`] | `fed-telemetry` | deterministic streaming time-series observability for both engines |
 //! | [`profile`] | `fed-profile` | scheduler profiler: phase timings, stall attribution, Chrome-trace export |
 //! | [`pubsub`] | `fed-pubsub` | events, topics, topic hierarchy |
-//! | [`membership`] | `fed-membership` | peer sampling: full oracle and Cyclon views |
+//! | [`membership`] | `fed-membership` | peer sampling (full-membership oracle) and SWIM failure detection |
 //! | [`dht`] | `fed-dht` | Pastry-like ring for the structured baselines |
 //! | [`core`] | `fed-core` | **the paper's contribution**: fairness ledger, basic + fair gossip, controllers, audits, subscription walks |
 //! | [`baselines`] | `fed-baselines` | broker, Scribe, DKS, data-aware multicast, SplitStream |
@@ -31,7 +31,6 @@
 //!
 //! ```
 //! use fed::core::gossip::{GossipCmd, GossipConfig, GossipNode};
-//! use fed::membership::FullMembership;
 //! use fed::pubsub::{Event, EventId, TopicId};
 //! use fed::sim::network::NetworkModel;
 //! use fed::sim::{NodeId, SimDuration, SimTime, Simulation};
@@ -39,7 +38,7 @@
 //! let n = 16;
 //! let cfg = GossipConfig::fair(4, 16, SimDuration::from_millis(100));
 //! let mut sim = Simulation::new(n, NetworkModel::default(), 1, move |id, _| {
-//!     GossipNode::new(id, cfg.clone(), FullMembership::new(id, n))
+//!     GossipNode::new(id, n, cfg.clone())
 //! });
 //! let topic = TopicId::new(0);
 //! for i in 0..n as u32 {

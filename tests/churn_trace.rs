@@ -4,7 +4,6 @@
 //! *stable* majority must shrug it off.
 
 use fed::core::gossip::{GossipCmd, GossipConfig, GossipNode};
-use fed::membership::FullMembership;
 use fed::pubsub::{Event, EventId, TopicId};
 use fed::sim::network::NetworkModel;
 use fed::sim::{NodeId, SimDuration, SimTime, Simulation};
@@ -16,9 +15,9 @@ fn stable_majority_survives_generated_churn() {
     let n = 72;
     let churners = n / 3; // plan default: 1/3 of the population
     let cfg = GossipConfig::fair(8, 16, SimDuration::from_millis(100));
-    let mut sim: Simulation<GossipNode<FullMembership>> =
+    let mut sim: Simulation<GossipNode> =
         Simulation::new(n, NetworkModel::default(), 91, move |id, _| {
-            GossipNode::new(id, cfg.clone(), FullMembership::new(id, n))
+            GossipNode::new(id, n, cfg.clone())
         });
     let topic = TopicId::new(0);
     for i in 0..n {

@@ -4,7 +4,6 @@
 use fed::core::behavior::Behavior;
 use fed::core::gossip::{GossipCmd, GossipConfig, GossipNode};
 use fed::core::ledger::RatioSpec;
-use fed::membership::FullMembership;
 use fed::metrics::delivery::DeliveryAudit;
 use fed::metrics::fairness::ratio_report;
 use fed::pubsub::TopicId;
@@ -14,10 +13,8 @@ use fed::util::rng::Xoshiro256StarStar;
 use fed::workload::interest::{Appetite, InterestProfile};
 use fed::workload::pubs::{generate_schedule, PubPlan};
 
-type Node = GossipNode<FullMembership>;
-
 struct Setup {
-    sim: Simulation<Node>,
+    sim: Simulation<GossipNode>,
     profile: InterestProfile,
     schedule: Vec<fed::workload::pubs::Publication>,
 }
@@ -41,7 +38,7 @@ fn build(n: usize, cfg: GossipConfig, seed: u64) -> Setup {
         hi: SimDuration::from_millis(40),
     });
     let mut sim = Simulation::new(n, net, seed, move |id, _| {
-        GossipNode::new(id, cfg.clone(), FullMembership::new(id, n))
+        GossipNode::new(id, n, cfg.clone())
     });
     for i in 0..n {
         for &t in profile.topics_of(i) {
@@ -157,7 +154,7 @@ fn free_riders_cannot_crash_reliability() {
         } else {
             Behavior::Honest
         };
-        GossipNode::with_behavior(id, cfg.clone(), FullMembership::new(id, n), behavior)
+        GossipNode::with_behavior(id, n, cfg.clone(), behavior)
     });
     for i in 0..n {
         for &t in profile.topics_of(i) {
@@ -270,9 +267,9 @@ fn topic_isolation_holds_across_the_stack() {
     // Publish on one topic only; subscribers of other topics stay silent.
     let n = 30;
     let cfg = GossipConfig::classic(5, 8, SimDuration::from_millis(100));
-    let mut sim: Simulation<Node> =
+    let mut sim: Simulation<GossipNode> =
         Simulation::new(n, NetworkModel::default(), 6006, move |id, _| {
-            GossipNode::new(id, cfg.clone(), FullMembership::new(id, n))
+            GossipNode::new(id, n, cfg.clone())
         });
     for i in 0..n {
         let topic = TopicId::new((i % 3) as u32);

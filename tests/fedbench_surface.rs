@@ -10,11 +10,15 @@ use fed::cluster::ShardedSimulation;
 use fed::dht::{DhtId, DhtNetwork};
 use fed::experiments::harness::{run_architecture, EngineKind};
 use fed::experiments::scenario_run::engine_for;
+use fed::membership::{FullMembership, PeerSampler};
 use fed::profile::ProfileSpec;
 use fed::sim::exec::{
     seed_streams, EffectSink, EventKey, EventKind, EventQueue, Kernel, Probe, SendFate,
 };
-use fed::sim::network::{LatencyModel, NetworkModel};
+use fed::sim::network::{
+    DelayFault, FaultSchedule, LatencyModel, MobilitySegment, MobilityTrace, NetworkModel,
+    OnewayFault, PartitionFault,
+};
 use fed::sim::{Context, NodeId, Protocol, SimDuration, SimTime, Simulation};
 use fed::telemetry::{ShardCollector, TelemetrySpec};
 use fed::util::rng::Xoshiro256StarStar;
@@ -129,6 +133,85 @@ fn shard_collector_is_driven_through_probe_method_syntax() {
     }
     let series = collector.finalize(SimTime::from_secs(4));
     assert_eq!(series.windows.iter().map(|w| w.events).sum::<u64>(), 10);
+}
+
+/// `sim.net.transmit_*_ns`: each model built by `constant_10ms()` or
+/// `NetworkModel::reliable`, then `.with_faults(FaultSchedule { .. })` and
+/// `.with_mobility(Some(..))` over struct literals of every fault and
+/// mobility type, driven through `transmit(&mut rng, now, from, to)`.
+#[test]
+fn network_models_are_built_from_fault_and_mobility_literals() {
+    fn transmit(net: &NetworkModel) -> usize {
+        let mut rng = Xoshiro256StarStar::seed_from_u64(7);
+        let mut delivered = 0;
+        for k in 1..=1_000u64 {
+            let now = SimTime::from_micros(k * 50);
+            let from = (k % 1_000) as usize;
+            let to = ((k * 7 + 1) % 1_000) as usize;
+            delivered += usize::from(black_box(net.transmit(&mut rng, now, from, to)).is_some());
+        }
+        delivered
+    }
+    let lognormal = || LatencyModel::LogNormalMs {
+        median_ms: 40.0,
+        sigma: 0.6,
+        floor: SimDuration::from_millis(5),
+    };
+    assert_eq!(transmit(&constant_10ms()), 1_000);
+    assert_eq!(transmit(&NetworkModel::reliable(lognormal())), 1_000);
+    let at = SimTime::from_secs(100);
+    let until = SimTime::from_secs(200);
+    let faults = FaultSchedule {
+        partition: Some(PartitionFault {
+            at,
+            heal: until,
+            split: 500,
+        }),
+        oneway: Some(OnewayFault {
+            at,
+            until,
+            split: 500,
+        }),
+        delay: Some(DelayFault {
+            at,
+            until,
+            extra: SimDuration::from_millis(5),
+        }),
+    };
+    // The faults sit beyond the probed times: every message is delivered.
+    assert_eq!(transmit(&constant_10ms().with_faults(faults)), 1_000);
+    let segment = |ms: u64, extra_ms: u64| MobilitySegment {
+        at: SimTime::from_millis(ms),
+        extra: SimDuration::from_millis(extra_ms),
+        disconnected: false,
+    };
+    let mobility = MobilityTrace {
+        split: 500,
+        period: Some(SimDuration::from_secs(2)),
+        segments: vec![
+            segment(0, 0),
+            segment(500, 20),
+            segment(1_000, 5),
+            segment(1_500, 40),
+        ],
+    };
+    assert_eq!(
+        transmit(&constant_10ms().with_mobility(Some(mobility))),
+        1_000
+    );
+}
+
+/// `membership.sample_ns`: a `FullMembership` oracle sampled through the
+/// `PeerSampler` trait's `sample_peers` (method syntax, trait in scope).
+#[test]
+fn full_membership_is_sampled_through_peer_sampler() {
+    let mut rng = Xoshiro256StarStar::seed_from_u64(7);
+    let mut members = FullMembership::new(NodeId::new(0), 2_000);
+    for _ in 0..100 {
+        let peers = black_box(members.sample_peers(&mut rng, 8));
+        assert_eq!(peers.len(), 8);
+        assert!(peers.iter().all(|p| p.index() != 0 && p.index() < 2_000));
+    }
 }
 
 /// `sim.engine.null_event_ns`, `cluster.null_event_ns`,
