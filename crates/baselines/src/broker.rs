@@ -11,7 +11,7 @@
 //! premise exists.
 
 use fed_core::endpoint::{emit_event, Endpoint};
-use fed_pubsub::{Event, TopicId};
+use fed_pubsub::{Command, Event, TopicId};
 use fed_sim::{Context, HopKind, NodeId, Protocol};
 use fed_util::hash::FastMap;
 use std::collections::BTreeSet;
@@ -27,17 +27,6 @@ pub enum BrokerMsg {
     Unsubscribe(TopicId),
     /// Broker → client: an event matching the client's subscription.
     Notify(Event),
-}
-
-/// Commands for the experiment driver.
-#[derive(Debug, Clone)]
-pub enum BrokerCmd {
-    /// Publish an event (client-side entry point).
-    Publish(Event),
-    /// Subscribe to a topic.
-    SubscribeTopic(TopicId),
-    /// Unsubscribe from a topic.
-    UnsubscribeTopic(TopicId),
 }
 
 /// A node in the broker architecture: the broker itself or a client.
@@ -96,7 +85,7 @@ impl BrokerNode {
 
 impl Protocol for BrokerNode {
     type Msg = BrokerMsg;
-    type Cmd = BrokerCmd;
+    type Cmd = Command;
 
     fn on_init(&mut self, _ctx: &mut Context<'_, BrokerMsg>) {}
 
@@ -129,9 +118,9 @@ impl Protocol for BrokerNode {
 
     fn on_timer(&mut self, _ctx: &mut Context<'_, BrokerMsg>, _token: u64) {}
 
-    fn on_command(&mut self, ctx: &mut Context<'_, BrokerMsg>, cmd: BrokerCmd) {
+    fn on_command(&mut self, ctx: &mut Context<'_, BrokerMsg>, cmd: Command) {
         match cmd {
-            BrokerCmd::Publish(event) => {
+            Command::Publish(event) => {
                 self.endpoint.published(&event);
                 if self.is_broker() {
                     self.broker_dispatch(ctx, event);
@@ -139,7 +128,7 @@ impl Protocol for BrokerNode {
                     ctx.send(self.broker, BrokerMsg::Publish(event));
                 }
             }
-            BrokerCmd::SubscribeTopic(topic) => {
+            Command::Subscribe(topic) => {
                 self.endpoint.subscribe_topic(topic);
                 if self.is_broker() {
                     let id = self.id;
@@ -148,7 +137,7 @@ impl Protocol for BrokerNode {
                     ctx.send(self.broker, BrokerMsg::Subscribe(topic));
                 }
             }
-            BrokerCmd::UnsubscribeTopic(topic) => {
+            Command::Unsubscribe(topic) => {
                 self.endpoint.unsubscribe_topic(topic);
                 if !self.is_broker() {
                     ctx.send(self.broker, BrokerMsg::Unsubscribe(topic));
@@ -192,17 +181,13 @@ mod tests {
         let mut s = sim(8);
         let topic = TopicId::new(1);
         for i in [2u32, 4, 6] {
-            s.schedule_command(
-                SimTime::ZERO,
-                NodeId::new(i),
-                BrokerCmd::SubscribeTopic(topic),
-            );
+            s.schedule_command(SimTime::ZERO, NodeId::new(i), Command::Subscribe(topic));
         }
         let e = Event::bare(EventId::new(3, 1), topic);
         s.schedule_command(
             SimTime::from_millis(100),
             NodeId::new(3),
-            BrokerCmd::Publish(e.clone()),
+            Command::Publish(e.clone()),
         );
         s.run_until(SimTime::from_secs(2));
         for (id, node) in s.nodes() {
@@ -220,17 +205,13 @@ mod tests {
         let mut s = sim(16);
         let topic = TopicId::new(0);
         for i in 1..16u32 {
-            s.schedule_command(
-                SimTime::ZERO,
-                NodeId::new(i),
-                BrokerCmd::SubscribeTopic(topic),
-            );
+            s.schedule_command(SimTime::ZERO, NodeId::new(i), Command::Subscribe(topic));
         }
         for k in 0..10u32 {
             s.schedule_command(
                 SimTime::from_millis(100 + k as u64),
                 NodeId::new(1 + (k % 15)),
-                BrokerCmd::Publish(Event::bare(EventId::new(1 + (k % 15), k), topic)),
+                Command::Publish(Event::bare(EventId::new(1 + (k % 15), k), topic)),
             );
         }
         s.run_until(SimTime::from_secs(2));
@@ -257,20 +238,16 @@ mod tests {
     fn unsubscribe_stops_notifications() {
         let mut s = sim(4);
         let topic = TopicId::new(0);
-        s.schedule_command(
-            SimTime::ZERO,
-            NodeId::new(2),
-            BrokerCmd::SubscribeTopic(topic),
-        );
+        s.schedule_command(SimTime::ZERO, NodeId::new(2), Command::Subscribe(topic));
         s.schedule_command(
             SimTime::from_millis(100),
             NodeId::new(2),
-            BrokerCmd::UnsubscribeTopic(topic),
+            Command::Unsubscribe(topic),
         );
         s.schedule_command(
             SimTime::from_millis(500),
             NodeId::new(1),
-            BrokerCmd::Publish(Event::bare(EventId::new(1, 1), topic)),
+            Command::Publish(Event::bare(EventId::new(1, 1), topic)),
         );
         s.run_until(SimTime::from_secs(2));
         assert!(s
@@ -285,16 +262,12 @@ mod tests {
     fn broker_as_subscriber_delivers_locally() {
         let mut s = sim(3);
         let topic = TopicId::new(0);
-        s.schedule_command(
-            SimTime::ZERO,
-            NodeId::new(0),
-            BrokerCmd::SubscribeTopic(topic),
-        );
+        s.schedule_command(SimTime::ZERO, NodeId::new(0), Command::Subscribe(topic));
         let e = Event::bare(EventId::new(1, 1), topic);
         s.schedule_command(
             SimTime::from_millis(100),
             NodeId::new(1),
-            BrokerCmd::Publish(e.clone()),
+            Command::Publish(e.clone()),
         );
         s.run_until(SimTime::from_secs(1));
         assert!(s
@@ -310,17 +283,13 @@ mod tests {
         let mut s = sim(6);
         let topic = TopicId::new(0);
         for i in 1..6u32 {
-            s.schedule_command(
-                SimTime::ZERO,
-                NodeId::new(i),
-                BrokerCmd::SubscribeTopic(topic),
-            );
+            s.schedule_command(SimTime::ZERO, NodeId::new(i), Command::Subscribe(topic));
         }
         s.schedule_crash(SimTime::from_millis(50), NodeId::new(0));
         s.schedule_command(
             SimTime::from_millis(100),
             NodeId::new(1),
-            BrokerCmd::Publish(Event::bare(EventId::new(1, 1), topic)),
+            Command::Publish(Event::bare(EventId::new(1, 1), topic)),
         );
         s.run_until(SimTime::from_secs(2));
         let total: usize = s

@@ -1,20 +1,23 @@
 //! Data-aware multicast (paper §4.2, the paper's own reference \[3\]):
-//! per-topic gossip groups arranged along a topic hierarchy.
+//! per-topic gossip groups.
 //!
 //! Events of topic `t` are gossiped only inside `t`'s **group** — the nodes
-//! enrolled for `t`. In the ideal case the group is exactly the subscriber
-//! set, which "yields fairness with respect to the dissemination since
-//! processes contribute only for messages they deliver". The catch the
-//! paper highlights: to keep a topic *hierarchy* navigable, "some processes
-//! need to subscribe to a supertopic, consequently forced to be interested
-//! in all topics" — these bridge nodes forward subtopic traffic they never
-//! asked for, behaving like mini-brokers. Group assignment is an input
-//! here, so experiments can build both the ideal and the bridged variant
-//! and measure the difference.
+//! the static [`GroupTable`] enrols for `t`. In the ideal case the group is
+//! exactly the subscriber set, which "yields fairness with respect to the
+//! dissemination since processes contribute only for messages they
+//! deliver". The catch the paper highlights: to keep a topic hierarchy
+//! navigable, "some processes need to subscribe to a supertopic,
+//! consequently forced to be interested in all topics" — these bridge
+//! nodes forward subtopic traffic they never asked for, behaving like
+//! mini-brokers. Here a bridge is a group enrolment without interest: a
+//! node in `t`'s group that does not subscribe to `t` gossips `t`'s events
+//! and delivers none of them. Group assignment is an input, so experiments
+//! can build both the ideal and the bridged variant and measure the
+//! difference.
 
 use crate::common::pick_peers;
 use fed_core::endpoint::{emit_event, Endpoint};
-use fed_pubsub::{Event, EventBatch, TopicId, TopicSpace};
+use fed_pubsub::{Command, Event, EventBatch, TopicId};
 use fed_sim::{Context, HopKind, LocalIdSet, NodeId, Protocol, SimDuration};
 use fed_util::hash::FastMap;
 use fed_util::rng::Rng64;
@@ -32,6 +35,12 @@ pub type GroupTable = FastMap<TopicId, Vec<NodeId>>;
 
 /// Timer token for gossip rounds.
 const ROUND_TIMER: u64 = 1;
+/// Gossip round period.
+const PERIOD: SimDuration = SimDuration::from_millis(100);
+/// Partners per round per topic.
+const FANOUT: usize = 4;
+/// Rounds an event stays forwardable.
+const TTL_ROUNDS: u32 = 8;
 
 /// Wire messages.
 #[derive(Debug, Clone)]
@@ -50,44 +59,11 @@ pub enum DamMsg {
     },
 }
 
-/// Driver commands.
-#[derive(Debug, Clone)]
-pub enum DamCmd {
-    /// Publish an event.
-    Publish(Event),
-    /// Subscribe to a topic (delivery-side only; group enrolment is the
-    /// static [`GroupTable`]).
-    SubscribeTopic(TopicId),
-}
-
-/// Configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DamConfig {
-    /// Gossip round period.
-    pub period: SimDuration,
-    /// Partners per round per topic.
-    pub fanout: usize,
-    /// Rounds an event stays forwardable.
-    pub ttl_rounds: u32,
-}
-
-impl Default for DamConfig {
-    fn default() -> Self {
-        DamConfig {
-            period: SimDuration::from_millis(100),
-            fanout: 4,
-            ttl_rounds: 8,
-        }
-    }
-}
-
 /// A data-aware multicast node.
 #[derive(Debug)]
 pub struct DamNode {
     id: NodeId,
-    config: DamConfig,
     groups: Arc<GroupTable>,
-    space: Arc<TopicSpace>,
     endpoint: Endpoint,
     /// Per-topic buffered events with TTL (ordered so round processing is
     /// deterministic — HashMap iteration order would leak into the RNG
@@ -98,18 +74,11 @@ pub struct DamNode {
 }
 
 impl DamNode {
-    /// Creates a node over shared group and topic-space tables.
-    pub fn new(
-        id: NodeId,
-        config: DamConfig,
-        groups: Arc<GroupTable>,
-        space: Arc<TopicSpace>,
-    ) -> Self {
+    /// Creates a node over the shared group table.
+    pub fn new(id: NodeId, groups: Arc<GroupTable>) -> Self {
         DamNode {
             id,
-            config,
             groups,
-            space,
             endpoint: Endpoint::new(),
             buffer: BTreeMap::new(),
             seen: LocalIdSet::default(),
@@ -138,25 +107,23 @@ impl DamNode {
         if !self.seen.insert(id) {
             return;
         }
-        if self.endpoint.subscriptions().matches_in(event, &self.space) {
-            self.endpoint.deliver(event, id, ctx.now());
-        }
+        self.endpoint.offer(event, id, ctx.now());
         // Only group members keep forwarding.
         if self.is_group_member(event.topic()) {
             self.buffer
                 .entry(event.topic())
                 .or_default()
-                .push((event.clone(), self.config.ttl_rounds));
+                .push((event.clone(), TTL_ROUNDS));
         }
     }
 }
 
 impl Protocol for DamNode {
     type Msg = DamMsg;
-    type Cmd = DamCmd;
+    type Cmd = Command;
 
     fn on_init(&mut self, ctx: &mut Context<'_, DamMsg>) {
-        let jitter = ctx.rng().range_u64(self.config.period.as_micros().max(1));
+        let jitter = ctx.rng().range_u64(PERIOD.as_micros().max(1));
         ctx.set_timer(SimDuration::from_micros(jitter), ROUND_TIMER);
     }
 
@@ -177,7 +144,7 @@ impl Protocol for DamNode {
             let Some(group) = self.groups.get(&topic) else {
                 continue;
             };
-            let (peers, _) = pick_peers(ctx.rng(), group, self.id, self.config.fanout);
+            let (peers, _) = pick_peers(ctx.rng(), group, self.id, FANOUT);
             let batch: Arc<EventBatch> = Arc::new(entries.iter().map(|(e, _)| e.clone()).collect());
             let size = 12 + batch.size_bytes();
             for peer in peers {
@@ -199,12 +166,12 @@ impl Protocol for DamNode {
             entries.retain(|(_, ttl)| *ttl > 0);
         }
         self.buffer.retain(|_, v| !v.is_empty());
-        ctx.set_timer(self.config.period, ROUND_TIMER);
+        ctx.set_timer(PERIOD, ROUND_TIMER);
     }
 
-    fn on_command(&mut self, ctx: &mut Context<'_, DamMsg>, cmd: DamCmd) {
+    fn on_command(&mut self, ctx: &mut Context<'_, DamMsg>, cmd: Command) {
         match cmd {
-            DamCmd::Publish(event) => {
+            Command::Publish(event) => {
                 self.endpoint.published(&event);
                 if self.is_group_member(event.topic()) {
                     self.accept(ctx, &event);
@@ -216,9 +183,10 @@ impl Protocol for DamNode {
                     }
                 }
             }
-            DamCmd::SubscribeTopic(topic) => {
-                self.endpoint.subscribe_topic(topic);
-            }
+            // Delivery interest only; group enrolment is the static
+            // `GroupTable`.
+            Command::Subscribe(topic) => self.endpoint.subscribe_topic(topic),
+            Command::Unsubscribe(topic) => self.endpoint.unsubscribe_topic(topic),
         }
     }
 
@@ -248,17 +216,11 @@ mod tests {
     use fed_sim::network::{LatencyModel, NetworkModel};
     use fed_sim::{SimTime, Simulation};
 
-    fn build(n: usize, groups: GroupTable, space: TopicSpace) -> Simulation<DamNode> {
+    fn build(n: usize, groups: GroupTable) -> Simulation<DamNode> {
         let groups = Arc::new(groups);
-        let space = Arc::new(space);
         let net = NetworkModel::reliable(LatencyModel::Constant(SimDuration::from_millis(5)));
         Simulation::new(n, net, 31, move |id, _| {
-            DamNode::new(
-                id,
-                DamConfig::default(),
-                Arc::clone(&groups),
-                Arc::clone(&space),
-            )
+            DamNode::new(id, Arc::clone(&groups))
         })
     }
 
@@ -269,15 +231,15 @@ mod tests {
         let members: Vec<NodeId> = (0..8).map(NodeId::new).collect();
         let mut groups = GroupTable::default();
         groups.insert(topic, members.clone());
-        let mut sim = build(n, groups, TopicSpace::flat(1));
+        let mut sim = build(n, groups);
         for m in &members {
-            sim.schedule_command(SimTime::ZERO, *m, DamCmd::SubscribeTopic(topic));
+            sim.schedule_command(SimTime::ZERO, *m, Command::Subscribe(topic));
         }
         let e = Event::bare(EventId::new(0, 1), topic);
         sim.schedule_command(
             SimTime::from_millis(100),
             NodeId::new(0),
-            DamCmd::Publish(e.clone()),
+            Command::Publish(e.clone()),
         );
         sim.run_until(SimTime::from_secs(5));
         for (id, node) in sim.nodes() {
@@ -304,16 +266,16 @@ mod tests {
         let members: Vec<NodeId> = (0..4).map(NodeId::new).collect();
         let mut groups = GroupTable::default();
         groups.insert(topic, members.clone());
-        let mut sim = build(n, groups, TopicSpace::flat(1));
+        let mut sim = build(n, groups);
         for m in &members {
-            sim.schedule_command(SimTime::ZERO, *m, DamCmd::SubscribeTopic(topic));
+            sim.schedule_command(SimTime::ZERO, *m, Command::Subscribe(topic));
         }
         // Node 10 is not in the group but publishes.
         let e = Event::bare(EventId::new(10, 1), topic);
         sim.schedule_command(
             SimTime::from_millis(100),
             NodeId::new(10),
-            DamCmd::Publish(e.clone()),
+            Command::Publish(e.clone()),
         );
         sim.run_until(SimTime::from_secs(5));
         let got = members
@@ -331,26 +293,23 @@ mod tests {
 
     #[test]
     fn supertopic_bridges_forward_without_delivering() {
-        // Hierarchy: root -> sub. Node 0 is enrolled in `sub`'s group as a
-        // bridge (supertopic member) but only subscribes to an unrelated
-        // topic -> it forwards sub-traffic with zero benefit.
-        let mut space = TopicSpace::new();
-        let root = space.register("root").unwrap();
-        let sub = space.register_under("root/sub", root).unwrap();
+        // Node 0 is enrolled in `sub`'s group as a bridge but subscribes
+        // to nothing -> it forwards sub-traffic with zero benefit.
+        let sub = TopicId::new(1);
         let n = 16;
         // Node 0 is the bridge; groups are sorted, so it comes first.
         let members: Vec<NodeId> = (0..6).map(NodeId::new).collect();
         let mut groups = GroupTable::default();
         groups.insert(sub, members);
-        let mut sim = build(n, groups, space);
+        let mut sim = build(n, groups);
         for m in 1..6u32 {
-            sim.schedule_command(SimTime::ZERO, NodeId::new(m), DamCmd::SubscribeTopic(sub));
+            sim.schedule_command(SimTime::ZERO, NodeId::new(m), Command::Subscribe(sub));
         }
         for k in 0..10u32 {
             sim.schedule_command(
                 SimTime::from_millis(100 * (k as u64 + 1)),
                 NodeId::new(1),
-                DamCmd::Publish(Event::bare(EventId::new(1, k), sub)),
+                Command::Publish(Event::bare(EventId::new(1, k), sub)),
             );
         }
         sim.run_until(SimTime::from_secs(8));
@@ -366,44 +325,16 @@ mod tests {
     }
 
     #[test]
-    fn hierarchical_subscription_delivers_subtopic_events() {
-        let mut space = TopicSpace::new();
-        let root = space.register("root").unwrap();
-        let sub = space.register_under("root/sub", root).unwrap();
-        let members: Vec<NodeId> = (0..4).map(NodeId::new).collect();
-        let mut groups = GroupTable::default();
-        groups.insert(sub, members.clone());
-        let mut sim = build(8, groups, space);
-        // Node 0 subscribes to the *root*; events arrive on `sub`.
-        sim.schedule_command(SimTime::ZERO, NodeId::new(0), DamCmd::SubscribeTopic(root));
-        let e = Event::bare(EventId::new(1, 1), sub);
-        sim.schedule_command(
-            SimTime::from_millis(100),
-            NodeId::new(1),
-            DamCmd::Publish(e.clone()),
-        );
-        sim.run_until(SimTime::from_secs(5));
-        assert!(
-            sim.node(NodeId::new(0))
-                .unwrap()
-                .endpoint()
-                .deliveries()
-                .contains(e.id()),
-            "supertopic subscriber delivers subtopic event"
-        );
-    }
-
-    #[test]
     fn buffers_drain_after_ttl() {
         let topic = TopicId::new(0);
         let members: Vec<NodeId> = (0..4).map(NodeId::new).collect();
         let mut groups = GroupTable::default();
         groups.insert(topic, members);
-        let mut sim = build(8, groups, TopicSpace::flat(1));
+        let mut sim = build(8, groups);
         sim.schedule_command(
             SimTime::from_millis(50),
             NodeId::new(0),
-            DamCmd::Publish(Event::bare(EventId::new(0, 1), topic)),
+            Command::Publish(Event::bare(EventId::new(0, 1), topic)),
         );
         sim.run_until(SimTime::from_secs(3));
         let sent_before: u64 = sim.transport_stats_all().iter().map(|s| s.msgs_sent).sum();

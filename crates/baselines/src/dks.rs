@@ -19,7 +19,7 @@ use crate::common::pick_peers;
 use crate::dam::GroupTable;
 use fed_core::endpoint::{emit_event, Endpoint};
 use fed_dht::{DhtId, DhtNetwork};
-use fed_pubsub::{Event, TopicId};
+use fed_pubsub::{Command, Event, TopicId};
 use fed_sim::{Context, HopKind, LocalIdSet, NodeId, Protocol};
 use std::sync::Arc;
 
@@ -38,16 +38,6 @@ pub enum DksMsg {
     },
 }
 
-/// Driver commands.
-#[derive(Debug, Clone)]
-pub enum DksCmd {
-    /// Publish an event.
-    Publish(Event),
-    /// Subscribe to a topic (delivery interest; group membership comes from
-    /// the static [`GroupTable`], mirroring `fed_baselines::dam`).
-    SubscribeTopic(TopicId),
-}
-
 /// Configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DksConfig {
@@ -55,15 +45,6 @@ pub struct DksConfig {
     pub group_fanout: usize,
     /// How many seed members the index node contacts.
     pub seeds: usize,
-}
-
-impl Default for DksConfig {
-    fn default() -> Self {
-        DksConfig {
-            group_fanout: 4,
-            seeds: 2,
-        }
-    }
 }
 
 /// A DKS-style node.
@@ -155,7 +136,7 @@ impl DksNode {
 
 impl Protocol for DksNode {
     type Msg = DksMsg;
-    type Cmd = DksCmd;
+    type Cmd = Command;
 
     fn on_init(&mut self, _ctx: &mut Context<'_, DksMsg>) {}
 
@@ -178,9 +159,9 @@ impl Protocol for DksNode {
 
     fn on_timer(&mut self, _ctx: &mut Context<'_, DksMsg>, _token: u64) {}
 
-    fn on_command(&mut self, ctx: &mut Context<'_, DksMsg>, cmd: DksCmd) {
+    fn on_command(&mut self, ctx: &mut Context<'_, DksMsg>, cmd: Command) {
         match cmd {
-            DksCmd::Publish(event) => {
+            Command::Publish(event) => {
                 self.endpoint.published(&event);
                 match self.next_hop(event.topic()) {
                     Some(next) => ctx.send(next, DksMsg::IndexRoute { event }),
@@ -188,9 +169,10 @@ impl Protocol for DksNode {
                     None => self.seed_group(ctx, event),
                 }
             }
-            DksCmd::SubscribeTopic(topic) => {
-                self.endpoint.subscribe_topic(topic);
-            }
+            // Delivery interest only; group membership is the static
+            // `GroupTable`.
+            Command::Subscribe(topic) => self.endpoint.subscribe_topic(topic),
+            Command::Unsubscribe(topic) => self.endpoint.unsubscribe_topic(topic),
         }
     }
 
@@ -238,13 +220,13 @@ mod tests {
         groups.insert(topic, members.clone());
         let mut s = build(n, groups);
         for m in &members {
-            s.schedule_command(SimTime::ZERO, *m, DksCmd::SubscribeTopic(topic));
+            s.schedule_command(SimTime::ZERO, *m, Command::Subscribe(topic));
         }
         let e = Event::bare(EventId::new(50, 1), topic);
         s.schedule_command(
             SimTime::from_millis(100),
             NodeId::new(50),
-            DksCmd::Publish(e.clone()),
+            Command::Publish(e.clone()),
         );
         s.run_until(SimTime::from_secs(5));
         let got = members
@@ -269,13 +251,13 @@ mod tests {
         groups.insert(topic, members.clone());
         let mut s = build(n, groups);
         for m in &members {
-            s.schedule_command(SimTime::ZERO, *m, DksCmd::SubscribeTopic(topic));
+            s.schedule_command(SimTime::ZERO, *m, Command::Subscribe(topic));
         }
         for k in 0..20u32 {
             s.schedule_command(
                 SimTime::from_millis(100 + 20 * k as u64),
                 NodeId::new(100),
-                DksCmd::Publish(Event::bare(EventId::new(100, k), topic)),
+                Command::Publish(Event::bare(EventId::new(100, k), topic)),
             );
         }
         s.run_until(SimTime::from_secs(10));
@@ -302,13 +284,13 @@ mod tests {
         groups.insert(topic, members.clone());
         let mut s = build(n, groups);
         for m in &members {
-            s.schedule_command(SimTime::ZERO, *m, DksCmd::SubscribeTopic(topic));
+            s.schedule_command(SimTime::ZERO, *m, Command::Subscribe(topic));
         }
         let e = Event::bare(EventId::new(20, 1), topic);
         s.schedule_command(
             SimTime::from_millis(50),
             NodeId::new(20),
-            DksCmd::Publish(e.clone()),
+            Command::Publish(e.clone()),
         );
         s.run_until(SimTime::from_secs(5));
         for (id, node) in s.nodes() {
@@ -325,7 +307,7 @@ mod tests {
         s.schedule_command(
             SimTime::from_millis(50),
             NodeId::new(3),
-            DksCmd::Publish(Event::bare(EventId::new(3, 1), TopicId::new(7))),
+            Command::Publish(Event::bare(EventId::new(3, 1), TopicId::new(7))),
         );
         s.run_until(SimTime::from_secs(2));
         let total: usize = s

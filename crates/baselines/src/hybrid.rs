@@ -25,13 +25,13 @@
 //! subscribers through the hub, which keeps dispatching broker traffic
 //! in either mode.
 
-use crate::broker::{BrokerCmd, BrokerMsg, BrokerNode};
+use crate::broker::{BrokerMsg, BrokerNode};
 use fed_core::behavior::Behavior;
 use fed_core::endpoint::Endpoint;
-use fed_core::gossip::{GossipCmd, GossipConfig, GossipMsg, GossipNode};
+use fed_core::gossip::{GossipConfig, GossipMsg, GossipNode};
 use fed_core::ledger::FairnessLedger;
 use fed_membership::swim::SwimObservation;
-use fed_pubsub::{Event, EventId, TopicId};
+use fed_pubsub::{Command, EventId};
 use fed_sim::{Context, NodeId, Protocol, SimDuration, SimTime};
 
 /// Timer token of the hub's load-monitor window. Must not collide with
@@ -79,15 +79,6 @@ pub enum HybridMsg {
     G(GossipMsg),
     /// Hub → everyone: publish through gossip from now on.
     Switch,
-}
-
-/// Commands for the experiment driver.
-#[derive(Debug, Clone)]
-pub enum HybridCmd {
-    /// Subscribe to a topic (mirrored into both stacks).
-    SubscribeTopic(TopicId),
-    /// Publish an event through the currently active strategy.
-    Publish(Event),
 }
 
 /// Which strategy the node currently publishes through.
@@ -180,7 +171,7 @@ impl HybridNode {
 
 impl Protocol for HybridNode {
     type Msg = HybridMsg;
-    type Cmd = HybridCmd;
+    type Cmd = Command;
 
     fn on_init(&mut self, ctx: &mut Context<'_, HybridMsg>) {
         let broker = &mut self.broker;
@@ -232,37 +223,27 @@ impl Protocol for HybridNode {
         }
     }
 
-    fn on_command(&mut self, ctx: &mut Context<'_, HybridMsg>, cmd: HybridCmd) {
-        match cmd {
-            HybridCmd::SubscribeTopic(topic) => {
-                let broker = &mut self.broker;
-                ctx.scoped(HybridMsg::B, |c| {
-                    broker.on_command(c, BrokerCmd::SubscribeTopic(topic))
-                });
-                let gossip = &mut self.gossip;
-                ctx.scoped(HybridMsg::G, |c| {
-                    gossip.on_command(c, GossipCmd::SubscribeTopic(topic))
-                });
+    fn on_command(&mut self, ctx: &mut Context<'_, HybridMsg>, cmd: Command) {
+        let broker = &mut self.broker;
+        let gossip = &mut self.gossip;
+        match (&cmd, self.mode) {
+            // Subscriptions are mirrored into both stacks.
+            (Command::Subscribe(_) | Command::Unsubscribe(_), _) => {
+                ctx.scoped(HybridMsg::B, |c| broker.on_command(c, cmd.clone()));
+                ctx.scoped(HybridMsg::G, |c| gossip.on_command(c, cmd));
             }
-            HybridCmd::Publish(event) => match self.mode {
-                Mode::Broker => {
-                    // The hub publishes locally: count it like a remote
-                    // submission so local load also trips the monitor.
-                    if self.id == self.config.hub {
-                        self.window_publishes += 1;
-                    }
-                    let broker = &mut self.broker;
-                    ctx.scoped(HybridMsg::B, |c| {
-                        broker.on_command(c, BrokerCmd::Publish(event))
-                    });
+            // Publishes go through the currently active strategy.
+            (Command::Publish(_), Mode::Broker) => {
+                // The hub publishes locally: count it like a remote
+                // submission so local load also trips the monitor.
+                if self.id == self.config.hub {
+                    self.window_publishes += 1;
                 }
-                Mode::Gossip => {
-                    let gossip = &mut self.gossip;
-                    ctx.scoped(HybridMsg::G, |c| {
-                        gossip.on_command(c, GossipCmd::Publish(event))
-                    });
-                }
-            },
+                ctx.scoped(HybridMsg::B, |c| broker.on_command(c, cmd));
+            }
+            (Command::Publish(_), Mode::Gossip) => {
+                ctx.scoped(HybridMsg::G, |c| gossip.on_command(c, cmd));
+            }
         }
     }
 
@@ -294,7 +275,7 @@ impl Protocol for HybridNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fed_pubsub::EventId;
+    use fed_pubsub::{Event, TopicId};
     use fed_sim::network::{LatencyModel, NetworkModel};
     use fed_sim::Simulation;
 
@@ -314,23 +295,49 @@ mod tests {
         let mut s = sim(8, HybridConfig::standard());
         let topic = TopicId::new(1);
         for i in 0..8u32 {
-            s.schedule_command(
-                SimTime::ZERO,
-                NodeId::new(i),
-                HybridCmd::SubscribeTopic(topic),
-            );
+            s.schedule_command(SimTime::ZERO, NodeId::new(i), Command::Subscribe(topic));
         }
         for seq in 0..10 {
             s.schedule_command(
                 SimTime::from_millis(100 + 50 * seq),
                 NodeId::new(3),
-                HybridCmd::Publish(topic_event(seq as u32, topic)),
+                Command::Publish(topic_event(seq as u32, topic)),
             );
         }
         s.run_until(SimTime::from_secs(3));
         for (id, node) in s.into_nodes() {
             assert_eq!(node.switched_at(), None, "{id:?} switched under no load");
             assert_eq!(node.into_merged_deliveries().len(), 10, "{id:?}");
+        }
+    }
+
+    #[test]
+    fn unsubscribe_reaches_both_stacks() {
+        let mut s = sim(8, HybridConfig::standard());
+        let topic = TopicId::new(1);
+        let quitter = NodeId::new(2);
+        for i in 0..8u32 {
+            s.schedule_command(SimTime::ZERO, NodeId::new(i), Command::Subscribe(topic));
+        }
+        s.schedule_command(
+            SimTime::from_millis(50),
+            quitter,
+            Command::Unsubscribe(topic),
+        );
+        for seq in 0..10 {
+            s.schedule_command(
+                SimTime::from_millis(200 + 50 * seq),
+                NodeId::new(3),
+                Command::Publish(topic_event(seq as u32, topic)),
+            );
+        }
+        s.run_until(SimTime::from_secs(3));
+        for (id, node) in s.into_nodes() {
+            let (filters, deliveries) = if id == quitter { (0, 0) } else { (1, 10) };
+            for endpoint in node.endpoints() {
+                assert_eq!(endpoint.ledger().active_filters(), filters, "{id:?}");
+            }
+            assert_eq!(node.into_merged_deliveries().len(), deliveries, "{id:?}");
         }
     }
 
@@ -343,18 +350,14 @@ mod tests {
         let mut s = sim(8, config);
         let topic = TopicId::new(1);
         for i in 0..8u32 {
-            s.schedule_command(
-                SimTime::ZERO,
-                NodeId::new(i),
-                HybridCmd::SubscribeTopic(topic),
-            );
+            s.schedule_command(SimTime::ZERO, NodeId::new(i), Command::Subscribe(topic));
         }
         // A burst well past the threshold inside one monitor window…
         for seq in 0..20 {
             s.schedule_command(
                 SimTime::from_millis(100 + 5 * seq),
                 NodeId::new(3),
-                HybridCmd::Publish(topic_event(seq as u32, topic)),
+                Command::Publish(topic_event(seq as u32, topic)),
             );
         }
         // …then traffic published long after the switch completed.
@@ -362,7 +365,7 @@ mod tests {
             s.schedule_command(
                 SimTime::from_millis(2_000 + 50 * (seq - 100)),
                 NodeId::new(5),
-                HybridCmd::Publish(topic_event(seq as u32, topic)),
+                Command::Publish(topic_event(seq as u32, topic)),
             );
         }
         s.run_until(SimTime::from_secs(6));
@@ -383,17 +386,13 @@ mod tests {
             let mut s = sim(12, config);
             let topic = TopicId::new(2);
             for i in 0..12u32 {
-                s.schedule_command(
-                    SimTime::ZERO,
-                    NodeId::new(i),
-                    HybridCmd::SubscribeTopic(topic),
-                );
+                s.schedule_command(SimTime::ZERO, NodeId::new(i), Command::Subscribe(topic));
             }
             for seq in 0..30 {
                 s.schedule_command(
                     SimTime::from_millis(100 + 7 * seq),
                     NodeId::new((seq % 12) as u32),
-                    HybridCmd::Publish(topic_event(seq as u32, topic)),
+                    Command::Publish(topic_event(seq as u32, topic)),
                 );
             }
             s.run_until(SimTime::from_secs(5));

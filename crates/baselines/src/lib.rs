@@ -19,10 +19,11 @@
 //! fair protocol with adaptation switched off, so comparisons isolate the
 //! adaptation itself.
 //!
-//! Every node type implements [`fed_sim::Protocol`], so a baseline runs
-//! on either engine exactly like the core protocol; the experiment
-//! harness's `ArchProtocol` adapter (in `fed-experiments`) drives all of
-//! them through one scheduling path. A node's routing state is its own;
+//! Every node type implements [`fed_sim::Protocol`] with the paper's
+//! publish / subscribe / unsubscribe, [`fed_pubsub::Command`], as its
+//! command, so a baseline runs on either engine exactly like the core
+//! protocol; the experiment harness's `ArchProtocol` adapter (in
+//! `fed-experiments`) drives all of them through one scheduling path. A node's routing state is its own;
 //! its subscriber side — subscriptions, ledger, exactly-once delivery
 //! log — is one [`fed_core::endpoint::Endpoint`], read through each
 //! node's `endpoint()` ([`hybrid`] runs two stacks and has two).
@@ -36,8 +37,8 @@
 //! A three-node broker system delivering one event to one subscriber:
 //!
 //! ```
-//! use fed_baselines::broker::{BrokerCmd, BrokerNode};
-//! use fed_pubsub::{Event, EventId, TopicId};
+//! use fed_baselines::broker::BrokerNode;
+//! use fed_pubsub::{Command, Event, EventId, TopicId};
 //! use fed_sim::network::NetworkModel;
 //! use fed_sim::{NodeId, SimTime, Simulation};
 //!
@@ -46,11 +47,11 @@
 //!     BrokerNode::new(id, broker)
 //! });
 //! let topic = TopicId::new(0);
-//! sim.schedule_command(SimTime::ZERO, NodeId::new(1), BrokerCmd::SubscribeTopic(topic));
+//! sim.schedule_command(SimTime::ZERO, NodeId::new(1), Command::Subscribe(topic));
 //! sim.schedule_command(
 //!     SimTime::from_millis(200),
 //!     NodeId::new(2),
-//!     BrokerCmd::Publish(Event::bare(EventId::new(2, 0), topic)),
+//!     Command::Publish(Event::bare(EventId::new(2, 0), topic)),
 //! );
 //! sim.run_until(SimTime::from_secs(2));
 //! let subscriber = sim.nodes().find(|(id, _)| *id == NodeId::new(1)).unwrap().1;
@@ -68,8 +69,8 @@ pub mod hybrid;
 pub mod scribe;
 pub mod splitstream;
 
-pub use broker::{BrokerCmd, BrokerMsg, BrokerNode};
-pub use dam::{DamCmd, DamConfig, DamMsg, DamNode, GroupTable};
-pub use dks::{DksCmd, DksConfig, DksMsg, DksNode};
-pub use scribe::{ScribeCmd, ScribeMsg, ScribeNode};
-pub use splitstream::{Forest, SplitStreamNode, StripeCmd, StripeMsg};
+pub use broker::{BrokerMsg, BrokerNode};
+pub use dam::{DamMsg, DamNode, GroupTable};
+pub use dks::{DksConfig, DksMsg, DksNode};
+pub use scribe::{ScribeMsg, ScribeNode};
+pub use splitstream::{Forest, SplitStreamNode, StripeMsg};

@@ -14,7 +14,7 @@
 
 use fed_core::endpoint::{emit_event, Endpoint};
 use fed_dht::{DhtId, DhtNetwork};
-use fed_pubsub::{Event, TopicId};
+use fed_pubsub::{Command, Event, TopicId};
 use fed_sim::{Context, HopKind, NodeId, Protocol};
 use fed_util::hash::FastMap;
 use std::collections::BTreeSet;
@@ -38,15 +38,6 @@ pub enum ScribeMsg {
         /// The event.
         event: Event,
     },
-}
-
-/// Driver commands.
-#[derive(Debug, Clone)]
-pub enum ScribeCmd {
-    /// Publish an event.
-    Publish(Event),
-    /// Subscribe to a topic (joins the multicast tree).
-    SubscribeTopic(TopicId),
 }
 
 /// A Scribe node.
@@ -135,7 +126,7 @@ impl ScribeNode {
 
 impl Protocol for ScribeNode {
     type Msg = ScribeMsg;
-    type Cmd = ScribeCmd;
+    type Cmd = Command;
 
     fn on_init(&mut self, _ctx: &mut Context<'_, ScribeMsg>) {}
 
@@ -166,9 +157,9 @@ impl Protocol for ScribeNode {
 
     fn on_timer(&mut self, _ctx: &mut Context<'_, ScribeMsg>, _token: u64) {}
 
-    fn on_command(&mut self, ctx: &mut Context<'_, ScribeMsg>, cmd: ScribeCmd) {
+    fn on_command(&mut self, ctx: &mut Context<'_, ScribeMsg>, cmd: Command) {
         match cmd {
-            ScribeCmd::Publish(event) => {
+            Command::Publish(event) => {
                 self.endpoint.published(&event);
                 match self.next_hop(event.topic()) {
                     Some(next) => ctx.send(next, ScribeMsg::ToRoot { event }),
@@ -179,7 +170,7 @@ impl Protocol for ScribeNode {
                     }
                 }
             }
-            ScribeCmd::SubscribeTopic(topic) => {
+            Command::Subscribe(topic) => {
                 self.endpoint.subscribe_topic(topic);
                 if !self.in_tree.contains(&topic) {
                     self.in_tree.insert(topic);
@@ -189,6 +180,9 @@ impl Protocol for ScribeNode {
                     }
                 }
             }
+            // Delivery-side only: the node stays in the tree as a
+            // forwarder.
+            Command::Unsubscribe(topic) => self.endpoint.unsubscribe_topic(topic),
         }
     }
 
@@ -232,17 +226,13 @@ mod tests {
         let topic = TopicId::new(3);
         let subscribers: Vec<u32> = vec![5, 17, 23, 42, 61];
         for &i in &subscribers {
-            s.schedule_command(
-                SimTime::ZERO,
-                NodeId::new(i),
-                ScribeCmd::SubscribeTopic(topic),
-            );
+            s.schedule_command(SimTime::ZERO, NodeId::new(i), Command::Subscribe(topic));
         }
         let e = Event::bare(EventId::new(7, 1), topic);
         s.schedule_command(
             SimTime::from_millis(500),
             NodeId::new(7),
-            ScribeCmd::Publish(e.clone()),
+            Command::Publish(e.clone()),
         );
         s.run_until(SimTime::from_secs(5));
         for &i in &subscribers {
@@ -266,6 +256,43 @@ mod tests {
         }
     }
 
+    /// Unsubscribing is delivery-side: the node stops delivering but
+    /// stays in the tree, so the subscribers below it keep receiving.
+    #[test]
+    fn unsubscribed_node_stays_in_the_tree_as_a_forwarder() {
+        let n = 64;
+        let mut s = sim(n);
+        let topic = TopicId::new(3);
+        let subscribers: Vec<u32> = vec![5, 17, 23, 42, 61];
+        for &i in &subscribers {
+            s.schedule_command(SimTime::ZERO, NodeId::new(i), Command::Subscribe(topic));
+        }
+        let quitter = NodeId::new(17);
+        s.schedule_command(
+            SimTime::from_millis(200),
+            quitter,
+            Command::Unsubscribe(topic),
+        );
+        let e = Event::bare(EventId::new(7, 1), topic);
+        s.schedule_command(
+            SimTime::from_millis(500),
+            NodeId::new(7),
+            Command::Publish(e.clone()),
+        );
+        s.run_until(SimTime::from_secs(5));
+        let node = s.node(quitter).unwrap();
+        assert!(node.endpoint().deliveries().is_empty());
+        assert_eq!(node.endpoint().ledger().active_filters(), 0);
+        assert!(node.in_tree.contains(&topic), "still a tree node");
+        for &i in subscribers.iter().filter(|&&i| NodeId::new(i) != quitter) {
+            let delivered = s.node(NodeId::new(i)).unwrap().endpoint().deliveries();
+            assert!(
+                delivered.contains(e.id()),
+                "subscriber {i} missed the event"
+            );
+        }
+    }
+
     #[test]
     fn interior_nodes_forward_without_interest() {
         let n = 128;
@@ -273,17 +300,13 @@ mod tests {
         let topic = TopicId::new(1);
         let subscribers: Vec<u32> = (0..20).map(|i| i * 6 + 1).collect();
         for &i in &subscribers {
-            s.schedule_command(
-                SimTime::ZERO,
-                NodeId::new(i),
-                ScribeCmd::SubscribeTopic(topic),
-            );
+            s.schedule_command(SimTime::ZERO, NodeId::new(i), Command::Subscribe(topic));
         }
         for k in 0..20u32 {
             s.schedule_command(
                 SimTime::from_millis(500 + 50 * k as u64),
                 NodeId::new(3),
-                ScribeCmd::Publish(Event::bare(EventId::new(3, k), topic)),
+                Command::Publish(Event::bare(EventId::new(3, k), topic)),
             );
         }
         s.run_until(SimTime::from_secs(10));
@@ -309,17 +332,13 @@ mod tests {
         let mut s = sim(n);
         let topic = TopicId::new(9);
         for i in 0..n as u32 {
-            s.schedule_command(
-                SimTime::ZERO,
-                NodeId::new(i),
-                ScribeCmd::SubscribeTopic(topic),
-            );
+            s.schedule_command(SimTime::ZERO, NodeId::new(i), Command::Subscribe(topic));
         }
         for k in 0..10u32 {
             s.schedule_command(
                 SimTime::from_millis(500 + 100 * k as u64),
                 NodeId::new(k % n as u32),
-                ScribeCmd::Publish(Event::bare(EventId::new(k % n as u32, k), topic)),
+                Command::Publish(Event::bare(EventId::new(k % n as u32, k), topic)),
             );
         }
         s.run_until(SimTime::from_secs(10));
@@ -347,12 +366,12 @@ mod tests {
         let root = dht.root_of(DhtId::of_topic(topic.index()));
         let mut s = sim(n);
         let root_id = NodeId::new(root.index as u32);
-        s.schedule_command(SimTime::ZERO, root_id, ScribeCmd::SubscribeTopic(topic));
+        s.schedule_command(SimTime::ZERO, root_id, Command::Subscribe(topic));
         let e = Event::bare(EventId::new(root.index as u32, 1), topic);
         s.schedule_command(
             SimTime::from_millis(100),
             root_id,
-            ScribeCmd::Publish(e.clone()),
+            Command::Publish(e.clone()),
         );
         s.run_until(SimTime::from_secs(2));
         assert!(s
@@ -367,21 +386,17 @@ mod tests {
     fn duplicate_subscribe_is_stable() {
         let mut s = sim(16);
         let topic = TopicId::new(0);
-        s.schedule_command(
-            SimTime::ZERO,
-            NodeId::new(5),
-            ScribeCmd::SubscribeTopic(topic),
-        );
+        s.schedule_command(SimTime::ZERO, NodeId::new(5), Command::Subscribe(topic));
         s.schedule_command(
             SimTime::from_millis(200),
             NodeId::new(5),
-            ScribeCmd::SubscribeTopic(topic),
+            Command::Subscribe(topic),
         );
         let e = Event::bare(EventId::new(1, 1), topic);
         s.schedule_command(
             SimTime::from_millis(600),
             NodeId::new(1),
-            ScribeCmd::Publish(e.clone()),
+            Command::Publish(e.clone()),
         );
         s.run_until(SimTime::from_secs(3));
         let node = s.node(NodeId::new(5)).unwrap();

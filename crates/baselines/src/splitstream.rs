@@ -11,7 +11,7 @@
 //! interior position. Load balancing ≠ fairness.
 
 use fed_core::endpoint::{emit_event, Endpoint};
-use fed_pubsub::{Event, TopicId};
+use fed_pubsub::{Command, Event};
 use fed_sim::{Context, HopKind, NodeId, Protocol};
 use std::sync::Arc;
 
@@ -100,11 +100,6 @@ impl Forest {
             .map(|c| NodeId::new(self.order[stripe][c] as u32))
             .collect()
     }
-
-    /// Whether `node` has children in `stripe` (is interior).
-    pub fn is_interior(&self, stripe: usize, node: NodeId) -> bool {
-        self.pos[stripe][node.index()] * self.branching + 1 < self.n
-    }
 }
 
 /// Wire messages.
@@ -114,16 +109,6 @@ pub enum StripeMsg {
     ToRoot(Event),
     /// Event flowing down the stripe tree.
     Down(Event),
-}
-
-/// Driver commands.
-#[derive(Debug, Clone)]
-pub enum StripeCmd {
-    /// Publish an event.
-    Publish(Event),
-    /// Subscribe (delivery-side interest only; the forest carries all
-    /// events to everyone — SplitStream is a broadcast system).
-    SubscribeTopic(TopicId),
 }
 
 /// A SplitStream-style node.
@@ -166,7 +151,7 @@ impl SplitStreamNode {
 
 impl Protocol for SplitStreamNode {
     type Msg = StripeMsg;
-    type Cmd = StripeCmd;
+    type Cmd = Command;
 
     fn on_init(&mut self, _ctx: &mut Context<'_, StripeMsg>) {}
 
@@ -185,9 +170,9 @@ impl Protocol for SplitStreamNode {
 
     fn on_timer(&mut self, _ctx: &mut Context<'_, StripeMsg>, _token: u64) {}
 
-    fn on_command(&mut self, ctx: &mut Context<'_, StripeMsg>, cmd: StripeCmd) {
+    fn on_command(&mut self, ctx: &mut Context<'_, StripeMsg>, cmd: Command) {
         match cmd {
-            StripeCmd::Publish(event) => {
+            Command::Publish(event) => {
                 self.endpoint.published(&event);
                 let stripe = self.forest.stripe_of(&event);
                 let root = self.forest.root(stripe);
@@ -198,9 +183,10 @@ impl Protocol for SplitStreamNode {
                     ctx.send(root, StripeMsg::ToRoot(event));
                 }
             }
-            StripeCmd::SubscribeTopic(topic) => {
-                self.endpoint.subscribe_topic(topic);
-            }
+            // Delivery-side interest only: the forest carries all events
+            // to everyone (SplitStream is a broadcast system).
+            Command::Subscribe(topic) => self.endpoint.subscribe_topic(topic),
+            Command::Unsubscribe(topic) => self.endpoint.unsubscribe_topic(topic),
         }
     }
 
@@ -222,9 +208,14 @@ impl Protocol for SplitStreamNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fed_pubsub::EventId;
+    use fed_pubsub::{EventId, TopicId};
     use fed_sim::network::{LatencyModel, NetworkModel};
     use fed_sim::{SimDuration, SimTime, Simulation};
+
+    /// Whether `node` has children in `stripe`.
+    fn is_interior(f: &Forest, stripe: usize, node: NodeId) -> bool {
+        !f.children(stripe, node).is_empty()
+    }
 
     #[test]
     fn forest_invariants() {
@@ -243,7 +234,7 @@ mod tests {
             // eligible (index % k == s).
             for i in 0..n {
                 let node = NodeId::new(i as u32);
-                if f.is_interior(s, node) {
+                if is_interior(&f, s, node) {
                     assert_eq!(i % k, s, "node {i} interior outside its stripe");
                 }
             }
@@ -257,14 +248,14 @@ mod tests {
         let f = Forest::build(n, k, 6);
         for i in 0..n {
             let node = NodeId::new(i as u32);
-            let interior_count = (0..k).filter(|&s| f.is_interior(s, node)).count();
+            let interior_count = (0..k).filter(|&s| is_interior(&f, s, node)).count();
             // Nodes late in their stripe ordering can be leaves everywhere
             // (small stripes), but never interior in more than one stripe.
             assert!(interior_count <= 1, "node {i} interior in {interior_count}");
         }
         // And the forwarding positions exist: each stripe has interiors.
         for s in 0..k {
-            assert!(f.is_interior(s, f.root(s)));
+            assert!(is_interior(&f, s, f.root(s)));
         }
     }
 
@@ -288,18 +279,14 @@ mod tests {
         let mut s = sim(n, 4);
         let topic = TopicId::new(0);
         for i in 0..n as u32 {
-            s.schedule_command(
-                SimTime::ZERO,
-                NodeId::new(i),
-                StripeCmd::SubscribeTopic(topic),
-            );
+            s.schedule_command(SimTime::ZERO, NodeId::new(i), Command::Subscribe(topic));
         }
         // publish 8 events -> spread across 4 stripes by seq
         for k in 0..8u32 {
             s.schedule_command(
                 SimTime::from_millis(100 + k as u64),
                 NodeId::new(5),
-                StripeCmd::Publish(Event::bare(EventId::new(5, k), topic)),
+                Command::Publish(Event::bare(EventId::new(5, k), topic)),
             );
         }
         s.run_until(SimTime::from_secs(5));
@@ -317,13 +304,13 @@ mod tests {
         s.schedule_command(
             SimTime::ZERO,
             NodeId::new(1),
-            StripeCmd::SubscribeTopic(TopicId::new(0)),
+            Command::Subscribe(TopicId::new(0)),
         );
         for k in 0..40u32 {
             s.schedule_command(
                 SimTime::from_millis(100 + 10 * k as u64),
                 NodeId::new(2),
-                StripeCmd::Publish(Event::bare(EventId::new(2, k), TopicId::new(0))),
+                Command::Publish(Event::bare(EventId::new(2, k), TopicId::new(0))),
             );
         }
         s.run_until(SimTime::from_secs(10));
@@ -347,18 +334,10 @@ mod tests {
         let forest = Forest::build(n, 2, 4);
         let root0 = forest.root(0);
         let mut s = sim(n, 2);
-        s.schedule_command(
-            SimTime::ZERO,
-            root0,
-            StripeCmd::SubscribeTopic(TopicId::new(0)),
-        );
+        s.schedule_command(SimTime::ZERO, root0, Command::Subscribe(TopicId::new(0)));
         // seq 0 -> stripe 0, whose root is root0.
         let e = Event::bare(EventId::new(root0.as_u32(), 0), TopicId::new(0));
-        s.schedule_command(
-            SimTime::from_millis(50),
-            root0,
-            StripeCmd::Publish(e.clone()),
-        );
+        s.schedule_command(SimTime::from_millis(50), root0, Command::Publish(e.clone()));
         s.run_until(SimTime::from_secs(2));
         assert!(s
             .node(root0)

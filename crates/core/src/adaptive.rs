@@ -115,12 +115,6 @@ impl GlobalRateEstimator {
         self.mean_contribution
     }
 
-    /// Estimated global fair ratio κ̂ = mean contribution / mean benefit
-    /// (windowed rates).
-    pub fn global_ratio(&self, epsilon: f64) -> f64 {
-        self.mean_contribution / self.mean_benefit.max(epsilon)
-    }
-
     /// Estimated population mean lifetime benefit.
     pub fn mean_benefit_total(&self) -> f64 {
         self.mean_benefit_total
@@ -307,7 +301,6 @@ mod tests {
         }
         assert!((e.mean_benefit() - 4.0).abs() < 0.01, "{e}");
         assert!((e.mean_contribution() - 8.0).abs() < 0.01);
-        assert!((e.global_ratio(1e-9) - 2.0).abs() < 0.01);
         assert_eq!(e.samples(), 500);
     }
 

@@ -98,12 +98,6 @@ impl Behavior {
             _ => false,
         }
     }
-
-    /// True for any behaviour that lies in its piggyback (ground truth for
-    /// detector evaluation).
-    pub fn is_liar(&self) -> bool {
-        matches!(self, Behavior::FreeRider { .. } | Behavior::Inflator { .. })
-    }
 }
 
 #[cfg(test)]
@@ -124,7 +118,6 @@ mod tests {
     fn honest_advertises_truth() {
         let r = rates(3.0, 5.0);
         assert_eq!(Behavior::Honest.advertise(r), r);
-        assert!(!Behavior::Honest.is_liar());
     }
 
     #[test]
@@ -137,7 +130,6 @@ mod tests {
         assert_eq!(adv.benefit_rate, 2.0);
         assert_eq!(adv.benefit_total, 20.0);
         assert_eq!(adv.contribution_rate, 2.0);
-        assert!(b.is_liar());
     }
 
     #[test]
@@ -149,7 +141,6 @@ mod tests {
         assert_eq!(adv.contribution_rate, 8.0);
         assert_eq!(adv.contribution_total, 80.0);
         assert_eq!(adv.benefit_rate, 1.0);
-        assert!(b.is_liar());
     }
 
     #[test]
@@ -190,7 +181,6 @@ mod tests {
             ledger.record_delivery();
         }
         assert!(!b.wants_to_leave(&ledger, &spec, 50));
-        assert!(!b.is_liar());
     }
 
     #[test]

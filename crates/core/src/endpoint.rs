@@ -181,12 +181,6 @@ impl Endpoint {
         self.sync_filters();
     }
 
-    /// Drops every subscription.
-    pub fn clear(&mut self) {
-        self.subs.clear();
-        self.sync_filters();
-    }
-
     /// Charges this node for originating `event`.
     #[inline]
     pub fn published(&mut self, event: &Event) {
@@ -213,10 +207,9 @@ impl Endpoint {
         }
     }
 
-    /// [`Endpoint::offer`] for a caller that decided the match itself
-    /// (hierarchical topics): log once, credit once.
+    /// Logs and credits a matching event once.
     #[inline]
-    pub fn deliver(&mut self, event: &Event, id: LocalId, now: SimTime) -> bool {
+    fn deliver(&mut self, event: &Event, id: LocalId, now: SimTime) -> bool {
         let first = self.log.deliver(event, id, now);
         if first {
             self.ledger.record_delivery();
@@ -240,7 +233,6 @@ pub fn emit_event(emit: &mut dyn FnMut(u64, u32, u32, HopKind), event: &Event, k
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fed_pubsub::TopicSpace;
     use fed_sim::local_id::LocalIds;
 
     fn ev(seq: u32, topic: u32) -> Event {
@@ -305,7 +297,7 @@ mod tests {
         let e = ev(0, 1);
         let id = num(&mut LocalIds::default(), &e);
         assert!(!ep.offer(&e, id, SimTime::ZERO), "no longer subscribed");
-        ep.clear();
+        ep.unsubscribe_topic(TopicId::new(2));
         assert_eq!(ep.ledger().active_filters(), 0);
         assert!(ep.subscriptions().is_empty());
     }
@@ -319,25 +311,6 @@ mod tests {
         assert_eq!(totals.published_msgs, 1);
         assert_eq!(totals.published_bytes, e.size_bytes() as u64);
         assert!(ep.deliveries().is_empty(), "publishing is not delivering");
-    }
-
-    #[test]
-    fn deliver_skips_the_flat_match_but_not_the_log() {
-        let mut space = TopicSpace::new();
-        let root = space.register("root").unwrap();
-        let child = space.register_under("root/c", root).unwrap();
-        let mut ep = Endpoint::new();
-        ep.subscribe_topic(root);
-        let e = ev(0, child.as_u32());
-        let id = num(&mut LocalIds::default(), &e);
-        assert!(
-            !ep.offer(&e, id, SimTime::ZERO),
-            "flat match misses the child"
-        );
-        assert!(ep.subscriptions().matches_in(&e, &space));
-        assert!(ep.deliver(&e, id, SimTime::from_millis(1)));
-        assert!(!ep.deliver(&e, id, SimTime::from_millis(2)));
-        assert_eq!(ep.ledger().totals().delivered_events, 1);
     }
 
     #[test]

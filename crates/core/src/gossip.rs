@@ -25,7 +25,7 @@ use crate::endpoint::{emit_event, Endpoint};
 use crate::ledger::RatioSpec;
 use fed_membership::swim::{SwimConfig, SwimMsg, SwimObservation, SwimState, SwimUpdate};
 use fed_membership::{FullMembership, PeerSampler};
-use fed_pubsub::{Event, EventBatch, TopicId};
+use fed_pubsub::{Command, Event, EventBatch};
 use fed_sim::{Context, HopKind, LocalIdSet, NodeId, Protocol, SimDuration};
 use fed_util::hash::FastMap;
 use fed_util::rng::Rng64;
@@ -42,6 +42,10 @@ const SWIM_DIRECT_NS: u64 = 3 << 56;
 const SWIM_INDIRECT_NS: u64 = 4 << 56;
 /// Mask isolating a token's namespace.
 const TOKEN_NS_MASK: u64 = 0xff << 56;
+/// Smoothing for the population-mean estimator.
+const ESTIMATOR_ALPHA: f64 = 0.05;
+/// Smoothing for the node's own rate estimate.
+const OWN_RATE_ALPHA: f64 = 0.2;
 
 /// Configuration of a [`GossipNode`].
 #[derive(Debug, Clone, PartialEq)]
@@ -61,10 +65,6 @@ pub struct GossipConfig {
     pub ttl_rounds: u32,
     /// Accounting rules for the fairness ratio.
     pub spec: RatioSpec,
-    /// Smoothing for the population-mean estimator.
-    pub estimator_alpha: f64,
-    /// Smoothing for the node's own rate estimate.
-    pub own_rate_alpha: f64,
     /// Gain of the lifetime-ratio correction term (0 disables it). With a
     /// positive gain, a peer whose lifetime contribution exceeds
     /// `κ̂ × lifetime benefit` throttles its fanout below the proportional
@@ -109,8 +109,6 @@ impl GossipConfig {
             adapt_msg_size: false,
             ttl_rounds: 8,
             spec: RatioSpec::topic_based(),
-            estimator_alpha: 0.05,
-            own_rate_alpha: 0.2,
             ratio_correction_gain: 0.0,
             min_relay_rate: 0.0,
             civic_allowance: 0.0,
@@ -136,8 +134,6 @@ impl GossipConfig {
             adapt_msg_size: false,
             ttl_rounds: 8,
             spec: RatioSpec::topic_based(),
-            estimator_alpha: 0.05,
-            own_rate_alpha: 0.2,
             ratio_correction_gain: 0.05,
             min_relay_rate: 0.25,
             civic_allowance: 2.0 * f as f64,
@@ -160,17 +156,6 @@ impl GossipConfig {
         cfg.spec = RatioSpec::expressive();
         cfg
     }
-}
-
-/// External commands injected by applications / experiment drivers.
-#[derive(Debug, Clone)]
-pub enum GossipCmd {
-    /// Publish an event into the system at this node.
-    Publish(Event),
-    /// Add a topic subscription.
-    SubscribeTopic(TopicId),
-    /// Drop every active subscription.
-    ClearSubscriptions,
 }
 
 /// Wire messages.
@@ -247,7 +232,7 @@ impl GossipNode {
         // makes the controllers fall back to the classic target fanout
         // until a real benefit signal propagates (bootstrap = Figure 4
         // behaviour, adaptation phases in smoothly).
-        let estimator = GlobalRateEstimator::new(config.estimator_alpha, 0.0);
+        let estimator = GlobalRateEstimator::new(ESTIMATOR_ALPHA, 0.0);
         let fanout_ctl = Controller::new(config.fanout);
         let size_ctl = Controller::new(config.events_per_msg);
         GossipNode {
@@ -343,11 +328,6 @@ impl GossipNode {
         self.peers.get(&peer).map(|r| r.claim)
     }
 
-    /// The SWIM detector state, when enabled (and after `on_init`).
-    pub fn swim_state(&self) -> Option<&SwimState> {
-        self.swim.as_ref()
-    }
-
     /// The SWIM observation log (empty when the detector is off).
     pub fn swim_observations(&self) -> Vec<SwimObservation> {
         self.swim
@@ -414,7 +394,7 @@ impl GossipNode {
         let window = ledger.last_window();
         let wb = (window.delivered_events + window.maintenance_credits) as f64;
         let wc = ledger.window_contribution(&spec);
-        let a = self.config.own_rate_alpha;
+        let a = OWN_RATE_ALPHA;
         self.own_rates.benefit_rate += a * (wb - self.own_rates.benefit_rate);
         self.own_rates.contribution_rate += a * (wc - self.own_rates.contribution_rate);
 
@@ -479,7 +459,7 @@ impl GossipNode {
 
 impl Protocol for GossipNode {
     type Msg = GossipMsg;
-    type Cmd = GossipCmd;
+    type Cmd = Command;
 
     fn on_init(&mut self, ctx: &mut Context<'_, GossipMsg>) {
         // Jittered first round desynchronizes the population.
@@ -576,9 +556,9 @@ impl Protocol for GossipNode {
         }
     }
 
-    fn on_command(&mut self, ctx: &mut Context<'_, GossipMsg>, cmd: GossipCmd) {
+    fn on_command(&mut self, ctx: &mut Context<'_, GossipMsg>, cmd: Command) {
         match cmd {
-            GossipCmd::Publish(event) => {
+            Command::Publish(event) => {
                 self.endpoint.published(&event);
                 self.accept_event(ctx, &event);
                 // Seed the epidemic immediately: the publisher pushes the
@@ -596,10 +576,8 @@ impl Protocol for GossipNode {
                 let peers = self.members.sample_peers(ctx.rng(), seed_fanout);
                 self.push_to(ctx, peers, Arc::new(EventBatch::from_iter([event])));
             }
-            GossipCmd::SubscribeTopic(topic) => {
-                self.endpoint.subscribe_topic(topic);
-            }
-            GossipCmd::ClearSubscriptions => self.endpoint.clear(),
+            Command::Subscribe(topic) => self.endpoint.subscribe_topic(topic),
+            Command::Unsubscribe(topic) => self.endpoint.unsubscribe_topic(topic),
         }
     }
 
@@ -630,7 +608,7 @@ fn push_size(events: &EventBatch, swim_updates: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fed_pubsub::EventId;
+    use fed_pubsub::{EventId, TopicId};
     use fed_sim::exec::{seed_streams, EffectSink, EventKey, EventKind, Kernel, EXTERNAL_SRC};
     use fed_sim::network::{LatencyModel, NetworkModel};
     use fed_sim::{SimTime, Simulation};
@@ -655,7 +633,7 @@ mod tests {
             sim.schedule_command(
                 SimTime::ZERO,
                 NodeId::new(i as u32),
-                GossipCmd::SubscribeTopic(topic),
+                Command::Subscribe(topic),
             );
         }
     }
@@ -670,7 +648,7 @@ mod tests {
         sim.schedule_command(
             SimTime::from_millis(200),
             NodeId::new(0),
-            GossipCmd::Publish(event.clone()),
+            Command::Publish(event.clone()),
         );
         sim.run_until(SimTime::from_secs(5));
         let delivered = sim
@@ -689,14 +667,14 @@ mod tests {
             sim.schedule_command(
                 SimTime::ZERO,
                 NodeId::new(i as u32),
-                GossipCmd::SubscribeTopic(TopicId::new(0)),
+                Command::Subscribe(TopicId::new(0)),
             );
         }
         let event = Event::bare(EventId::new(1, 1), TopicId::new(0));
         sim.schedule_command(
             SimTime::from_millis(150),
             NodeId::new(1),
-            GossipCmd::Publish(event.clone()),
+            Command::Publish(event.clone()),
         );
         sim.run_until(SimTime::from_secs(5));
         for (id, node) in sim.nodes() {
@@ -730,7 +708,7 @@ mod tests {
         sim.schedule_command(
             SimTime::from_millis(100),
             NodeId::new(0),
-            GossipCmd::Publish(event.clone()),
+            Command::Publish(event.clone()),
         );
         sim.run_until(SimTime::from_millis(120));
         assert!(sim
@@ -750,7 +728,7 @@ mod tests {
             sim.schedule_command(
                 SimTime::from_millis(100 + k as u64 * 50),
                 NodeId::new(k),
-                GossipCmd::Publish(Event::bare(EventId::new(k, 1), TopicId::new(0))),
+                Command::Publish(Event::bare(EventId::new(k, 1), TopicId::new(0))),
             );
         }
         sim.run_until(SimTime::from_secs(4));
@@ -774,7 +752,7 @@ mod tests {
         sim.schedule_command(
             SimTime::from_millis(60),
             NodeId::new(0),
-            GossipCmd::Publish(Event::bare(EventId::new(0, 1), TopicId::new(0))),
+            Command::Publish(Event::bare(EventId::new(0, 1), TopicId::new(0))),
         );
         sim.run_until(SimTime::from_secs(3));
         for (_, node) in sim.nodes() {
@@ -792,22 +770,20 @@ mod tests {
     fn subscriptions_update_filter_count() {
         let mut sim = classic_sim(2, 1, 1);
         let id = NodeId::new(0);
-        sim.schedule_command(
-            SimTime::ZERO,
-            id,
-            GossipCmd::SubscribeTopic(TopicId::new(1)),
-        );
-        sim.schedule_command(
-            SimTime::ZERO,
-            id,
-            GossipCmd::SubscribeTopic(TopicId::new(2)),
-        );
+        sim.schedule_command(SimTime::ZERO, id, Command::Subscribe(TopicId::new(1)));
+        sim.schedule_command(SimTime::ZERO, id, Command::Subscribe(TopicId::new(2)));
         sim.run_until(SimTime::from_millis(10));
         assert_eq!(
             sim.node(id).unwrap().endpoint().ledger().active_filters(),
             2
         );
-        sim.schedule_command(SimTime::from_millis(20), id, GossipCmd::ClearSubscriptions);
+        for topic in [1, 2] {
+            sim.schedule_command(
+                SimTime::from_millis(20),
+                id,
+                Command::Unsubscribe(TopicId::new(topic)),
+            );
+        }
         sim.run_until(SimTime::from_millis(30));
         assert_eq!(
             sim.node(id).unwrap().endpoint().ledger().active_filters(),
@@ -825,7 +801,7 @@ mod tests {
             sim.schedule_command(
                 SimTime::from_millis(100 * k as u64),
                 NodeId::new(k % n as u32),
-                GossipCmd::Publish(Event::bare(EventId::new(k, 1), TopicId::new(0))),
+                Command::Publish(Event::bare(EventId::new(k, 1), TopicId::new(0))),
             );
         }
         sim.run_until(SimTime::from_secs(5));
@@ -848,14 +824,14 @@ mod tests {
         sim.schedule_command(
             SimTime::ZERO,
             NodeId::new(0),
-            GossipCmd::SubscribeTopic(TopicId::new(0)),
+            Command::Subscribe(TopicId::new(0)),
         );
         // steady stream of events from node 1
         for k in 0..200u32 {
             sim.schedule_command(
                 SimTime::from_millis(100 * k as u64),
                 NodeId::new(1),
-                GossipCmd::Publish(Event::bare(EventId::new(1, k), TopicId::new(0))),
+                Command::Publish(Event::bare(EventId::new(1, k), TopicId::new(0))),
             );
         }
         sim.run_until(SimTime::from_secs(25));
@@ -889,7 +865,7 @@ mod tests {
         sim.schedule_command(
             SimTime::from_millis(100),
             NodeId::new(0),
-            GossipCmd::Publish(Event::bare(EventId::new(0, 1), TopicId::new(0))),
+            Command::Publish(Event::bare(EventId::new(0, 1), TopicId::new(0))),
         );
         sim.run_until(SimTime::from_secs(3));
         let dupes: u64 = sim.nodes().map(|(_, p)| p.duplicates()).sum();
@@ -1032,7 +1008,7 @@ mod tests {
         for k in 0..3 {
             rig.dispatch(EventKind::Command {
                 node: publisher,
-                cmd: GossipCmd::Publish(Event::bare(EventId::new(0, k), TopicId::new(0))),
+                cmd: Command::Publish(Event::bare(EventId::new(0, k), TopicId::new(0))),
             });
             let seeds = rig.sink.take_pushes();
             assert_eq!(seeds.len(), 2 * fanout, "seed fanout is twice the mean");
@@ -1164,7 +1140,7 @@ mod tests {
             if id == victim {
                 continue;
             }
-            let swim = node.swim_state().expect("detector enabled");
+            let swim = node.swim.as_ref().expect("detector enabled");
             assert!(swim.is_dead(victim), "{id} must confirm {victim} dead");
             for other in 0..n {
                 let other = NodeId::new(other as u32);
@@ -1181,7 +1157,7 @@ mod tests {
         everyone_subscribes(&mut sim, TopicId::new(0));
         sim.run_until(SimTime::from_secs(2));
         for (_, node) in sim.nodes() {
-            assert!(node.swim_state().is_none());
+            assert!(node.swim.as_ref().is_none());
             assert!(node.swim_observations().is_empty());
         }
     }
@@ -1200,7 +1176,7 @@ mod tests {
         sim.schedule_command(
             SimTime::from_millis(100),
             NodeId::new(0),
-            GossipCmd::Publish(Event::bare(EventId::new(0, 1), TopicId::new(0))),
+            Command::Publish(Event::bare(EventId::new(0, 1), TopicId::new(0))),
         );
         sim.run_until(SimTime::from_secs(2));
         // someone must have received from node 0 and recorded its claim

@@ -252,13 +252,6 @@ impl FairnessLedger {
     pub fn window_contribution(&self, spec: &RatioSpec) -> f64 {
         self.completed_window.contribution(spec.metric)
     }
-
-    /// Benefit accumulated in the last completed window.
-    pub fn window_benefit(&self, spec: &RatioSpec) -> f64 {
-        self.completed_window.delivered_events as f64
-            + self.completed_window.maintenance_credits as f64
-            + spec.filter_weight * self.active_filters as f64
-    }
 }
 
 impl fmt::Display for FairnessLedger {
@@ -345,7 +338,7 @@ mod tests {
         assert_eq!(l.benefit(&spec), 10.0);
         assert_eq!(l.ratio(&spec), 1.0);
         l.roll_window();
-        assert_eq!(l.window_benefit(&spec), 10.0);
+        assert_eq!(l.last_window().maintenance_credits, 10);
     }
 
     #[test]
@@ -368,22 +361,12 @@ mod tests {
         assert_eq!(l.window_contribution(&spec), 0.0, "window not closed yet");
         l.roll_window();
         assert_eq!(l.window_contribution(&spec), 10.0);
-        assert_eq!(l.window_benefit(&spec), 1.0);
+        assert_eq!(l.last_window().delivered_events, 1);
         assert_eq!(l.windows_rolled(), 1);
         l.roll_window();
         assert_eq!(l.window_contribution(&spec), 0.0, "fresh empty window");
         // lifetime totals survive rolling
         assert_eq!(l.contribution(&spec), 10.0);
-    }
-
-    #[test]
-    fn filters_count_in_window_benefit() {
-        let mut l = FairnessLedger::new();
-        l.set_active_filters(3);
-        l.roll_window();
-        let spec = RatioSpec::topic_based();
-        assert_eq!(l.window_benefit(&spec), 3.0);
-        assert_eq!(l.window_benefit(&RatioSpec::expressive()), 0.0);
     }
 
     #[test]

@@ -22,8 +22,8 @@
 //! ## Examples
 //!
 //! ```
-//! use fed_core::gossip::{GossipCmd, GossipConfig, GossipNode};
-//! use fed_pubsub::{Event, EventId, TopicId};
+//! use fed_core::gossip::{GossipConfig, GossipNode};
+//! use fed_pubsub::{Command, Event, EventId, TopicId};
 //! use fed_sim::network::NetworkModel;
 //! use fed_sim::{NodeId, SimDuration, SimTime, Simulation};
 //!
@@ -36,13 +36,13 @@
 //!     sim.schedule_command(
 //!         SimTime::ZERO,
 //!         NodeId::new(i as u32),
-//!         GossipCmd::SubscribeTopic(TopicId::new(0)),
+//!         Command::Subscribe(TopicId::new(0)),
 //!     );
 //! }
 //! sim.schedule_command(
 //!     SimTime::from_millis(100),
 //!     NodeId::new(0),
-//!     GossipCmd::Publish(Event::bare(EventId::new(0, 1), TopicId::new(0))),
+//!     Command::Publish(Event::bare(EventId::new(0, 1), TopicId::new(0))),
 //! );
 //! sim.run_until(SimTime::from_secs(5));
 //! let delivered = sim
@@ -67,7 +67,7 @@ pub use adaptive::{Controller, ControllerConfig, GlobalRateEstimator, RateSample
 pub use audit::{audit_subject, AuditConfig, AuditOutcome, AuditVerdict, WitnessReport};
 pub use behavior::Behavior;
 pub use endpoint::{emit_event, DeliveryLog, Endpoint};
-pub use gossip::{GossipCmd, GossipConfig, GossipMsg, GossipNode};
+pub use gossip::{GossipConfig, GossipMsg, GossipNode};
 pub use ledger::{ContributionMetric, Counters, FairnessLedger, RatioSpec};
 pub use submgmt::{
     SubWalkCmd, SubWalkConfig, SubWalkMsg, SubWalkNode, WalkAccounting, WalkOutcome,

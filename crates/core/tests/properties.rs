@@ -55,7 +55,6 @@ fn apply(ledger: &mut FairnessLedger, ops: &[Op]) {
 enum EndpointOp {
     Subscribe(u32),
     Unsubscribe(u32),
-    Clear,
     Offer { seq: u32, topic: u32 },
     Published(u32),
 }
@@ -64,7 +63,6 @@ fn endpoint_op_strategy() -> impl Strategy<Value = EndpointOp> {
     prop_oneof![
         (0u32..4).prop_map(EndpointOp::Subscribe),
         (0u32..4).prop_map(EndpointOp::Unsubscribe),
-        Just(EndpointOp::Clear),
         (0u32..12, 0u32..4).prop_map(|(seq, topic)| EndpointOp::Offer { seq, topic }),
         (0u32..4).prop_map(EndpointOp::Published),
     ]
@@ -93,10 +91,6 @@ proptest! {
                 EndpointOp::Unsubscribe(t) => {
                     endpoint.unsubscribe_topic(TopicId::new(t));
                     subscribed.retain(|&s| s != t);
-                }
-                EndpointOp::Clear => {
-                    endpoint.clear();
-                    subscribed.clear();
                 }
                 EndpointOp::Offer { seq, topic } => {
                     let event = Event::bare(EventId::new(0, seq), TopicId::new(topic));

@@ -16,10 +16,11 @@
 
 use crate::harness::{prepare_gossip, run_gossip, t_arch_config, EngineKind};
 use fed_core::behavior::Behavior;
-use fed_core::gossip::{GossipCmd, GossipConfig, GossipNode};
+use fed_core::gossip::{GossipConfig, GossipNode};
 use fed_core::ledger::RatioSpec;
 use fed_metrics::fairness::ratio_report;
 use fed_metrics::table::{fmt_f64, Table};
+use fed_pubsub::Command;
 use fed_sim::{NodeId, SimTime, Simulation};
 use fed_workload::interest::Appetite;
 use fed_workload::scenario::ScenarioSpec;
@@ -83,13 +84,17 @@ pub fn run(n: usize, seed: u64) -> AblationResult {
         cfg.civic_allowance = allowance;
         let mut run =
             prepare_gossip::<Simulation<GossipNode>>(&scenario, cfg, |_| Behavior::Honest);
-        // Strip subscriptions from the last three quarters.
+        // Strip subscriptions from the last three quarters: one
+        // unsubscribe per topic a node holds (one, at `Fixed(1)`).
         for i in interested..n {
-            run.sim.schedule_command(
-                SimTime::from_micros(1),
-                NodeId::new(i as u32),
-                GossipCmd::ClearSubscriptions,
-            );
+            let topics: Vec<_> = run.profile().topics_of(i).iter().copied().collect();
+            for topic in topics {
+                run.sim.schedule_command(
+                    SimTime::from_micros(1),
+                    NodeId::new(i as u32),
+                    Command::Unsubscribe(topic),
+                );
+            }
         }
         let run = run.finish();
         let report = ratio_report(&run.ledgers, &spec);

@@ -7,9 +7,9 @@
 //! steady allocation.
 
 use crate::harness::t_arch_config;
-use fed_core::gossip::{GossipCmd, GossipConfig, GossipNode};
+use fed_core::gossip::{GossipConfig, GossipNode};
 use fed_metrics::table::{fmt_f64, Table};
-use fed_pubsub::{Event, EventId, TopicId};
+use fed_pubsub::{Command, Event, EventId, TopicId};
 use fed_sim::network::{LatencyModel, NetworkModel};
 use fed_sim::{NodeId, SimDuration, SimTime, Simulation};
 
@@ -41,7 +41,7 @@ pub fn run(n: usize, seed: u64) -> ConvResult {
         sim.schedule_command(
             SimTime::ZERO,
             NodeId::new(i as u32),
-            GossipCmd::SubscribeTopic(topic),
+            Command::Subscribe(topic),
         );
     }
     // Steady publication stream from node 1.
@@ -52,13 +52,13 @@ pub fn run(n: usize, seed: u64) -> ConvResult {
         sim.schedule_command(
             t,
             NodeId::new(1),
-            GossipCmd::Publish(Event::bare(EventId::new(1, k), topic)),
+            Command::Publish(Event::bare(EventId::new(1, k), topic)),
         );
         k += 1;
         t += SimDuration::from_millis(50);
     }
     let t_shift = SimTime::from_secs(30);
-    sim.schedule_command(t_shift, NodeId::new(0), GossipCmd::SubscribeTopic(topic));
+    sim.schedule_command(t_shift, NodeId::new(0), Command::Subscribe(topic));
 
     // Sample node 0's fanout every second.
     let mut table = Table::new(

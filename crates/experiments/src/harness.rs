@@ -31,16 +31,16 @@
 //! comparable regardless of engine or shard count — asserted by the
 //! `cross_engine` integration tests.
 
-use fed_baselines::broker::{BrokerCmd, BrokerNode};
-use fed_baselines::dam::{DamCmd, DamConfig, DamNode, GroupTable};
-use fed_baselines::dks::{DksCmd, DksConfig, DksNode};
-use fed_baselines::hybrid::{HybridCmd, HybridConfig, HybridNode};
-use fed_baselines::scribe::{ScribeCmd, ScribeNode};
-use fed_baselines::splitstream::{Forest, SplitStreamNode, StripeCmd};
+use fed_baselines::broker::BrokerNode;
+use fed_baselines::dam::{DamNode, GroupTable};
+use fed_baselines::dks::{DksConfig, DksNode};
+use fed_baselines::hybrid::{HybridConfig, HybridNode};
+use fed_baselines::scribe::ScribeNode;
+use fed_baselines::splitstream::{Forest, SplitStreamNode};
 use fed_cluster::{ScheduleTrace, ShardMap, ShardedSimulation, WindowPolicy};
 use fed_core::behavior::Behavior;
 use fed_core::endpoint::Endpoint;
-use fed_core::gossip::{GossipCmd, GossipConfig, GossipNode};
+use fed_core::gossip::{GossipConfig, GossipNode};
 use fed_core::ledger::FairnessLedger;
 use fed_dht::DhtNetwork;
 use fed_membership::swim::{SwimObservation, SwimObservationKind};
@@ -48,7 +48,7 @@ use fed_metrics::delivery::DeliveryAudit;
 use fed_profile::{
     CountingProbe, RunProfile, ScheduleSummary, ShardProfile, WindowSlice, WorkCounters,
 };
-use fed_pubsub::{Event, EventId, TopicId, TopicSpace};
+use fed_pubsub::{Command, EventId, TopicId};
 use fed_sim::exec::{Probe, QueueStats};
 use fed_sim::{HopRecord, NodeId, Protocol, SimDuration, SimTime, Simulation, TransportStats};
 use fed_telemetry::membership::{DetectorEvent, DetectorEventKind, MembershipSeries};
@@ -90,18 +90,15 @@ pub fn t_arch_config(preset: fn(usize, usize, SimDuration) -> GossipConfig) -> G
     preset(8, 16, ROUND)
 }
 
-/// Uniform driver interface over every architecture's node type: how the
-/// workload is phrased as commands, and where the node's subscriber side
-/// — the [`Endpoint`] the observables are read back from — lives.
+/// Uniform interface over every architecture's node type: the
+/// workload arrives as the paper's [`Command`]s, and the node names where
+/// its subscriber side — the [`Endpoint`] the observables are read back
+/// from — lives.
 ///
 /// Implementing this is all it takes for a protocol to run on both
 /// engines through [`run_architecture`] and the cross-engine parity
 /// suite.
-pub trait ArchProtocol: Protocol + 'static {
-    /// The command subscribing this node to `topic`.
-    fn subscribe_cmd(topic: TopicId) -> Self::Cmd;
-    /// The command publishing `event` at this node.
-    fn publish_cmd(event: Event) -> Self::Cmd;
+pub trait ArchProtocol: Protocol<Cmd = Command> + 'static {
     /// The node's subscriber side. A composite node names its primary
     /// stack's endpoint and overrides the two read-backs below to merge
     /// the others in.
@@ -130,12 +127,6 @@ pub trait ArchProtocol: Protocol + 'static {
 }
 
 impl ArchProtocol for GossipNode {
-    fn subscribe_cmd(topic: TopicId) -> GossipCmd {
-        GossipCmd::SubscribeTopic(topic)
-    }
-    fn publish_cmd(event: Event) -> GossipCmd {
-        GossipCmd::Publish(event)
-    }
     fn endpoint(&self) -> &Endpoint {
         GossipNode::endpoint(self)
     }
@@ -148,12 +139,6 @@ impl ArchProtocol for GossipNode {
 }
 
 impl ArchProtocol for HybridNode {
-    fn subscribe_cmd(topic: TopicId) -> HybridCmd {
-        HybridCmd::SubscribeTopic(topic)
-    }
-    fn publish_cmd(event: Event) -> HybridCmd {
-        HybridCmd::Publish(event)
-    }
     fn endpoint(&self) -> &Endpoint {
         self.endpoints()[0]
     }
@@ -176,12 +161,6 @@ impl ArchProtocol for HybridNode {
 }
 
 impl ArchProtocol for BrokerNode {
-    fn subscribe_cmd(topic: TopicId) -> BrokerCmd {
-        BrokerCmd::SubscribeTopic(topic)
-    }
-    fn publish_cmd(event: Event) -> BrokerCmd {
-        BrokerCmd::Publish(event)
-    }
     fn endpoint(&self) -> &Endpoint {
         BrokerNode::endpoint(self)
     }
@@ -191,12 +170,6 @@ impl ArchProtocol for BrokerNode {
 }
 
 impl ArchProtocol for ScribeNode {
-    fn subscribe_cmd(topic: TopicId) -> ScribeCmd {
-        ScribeCmd::SubscribeTopic(topic)
-    }
-    fn publish_cmd(event: Event) -> ScribeCmd {
-        ScribeCmd::Publish(event)
-    }
     fn endpoint(&self) -> &Endpoint {
         ScribeNode::endpoint(self)
     }
@@ -206,12 +179,6 @@ impl ArchProtocol for ScribeNode {
 }
 
 impl ArchProtocol for DksNode {
-    fn subscribe_cmd(topic: TopicId) -> DksCmd {
-        DksCmd::SubscribeTopic(topic)
-    }
-    fn publish_cmd(event: Event) -> DksCmd {
-        DksCmd::Publish(event)
-    }
     fn endpoint(&self) -> &Endpoint {
         DksNode::endpoint(self)
     }
@@ -221,12 +188,6 @@ impl ArchProtocol for DksNode {
 }
 
 impl ArchProtocol for DamNode {
-    fn subscribe_cmd(topic: TopicId) -> DamCmd {
-        DamCmd::SubscribeTopic(topic)
-    }
-    fn publish_cmd(event: Event) -> DamCmd {
-        DamCmd::Publish(event)
-    }
     fn endpoint(&self) -> &Endpoint {
         DamNode::endpoint(self)
     }
@@ -236,12 +197,6 @@ impl ArchProtocol for DamNode {
 }
 
 impl ArchProtocol for SplitStreamNode {
-    fn subscribe_cmd(topic: TopicId) -> StripeCmd {
-        StripeCmd::SubscribeTopic(topic)
-    }
-    fn publish_cmd(event: Event) -> StripeCmd {
-        StripeCmd::Publish(event)
-    }
     fn endpoint(&self) -> &Endpoint {
         SplitStreamNode::endpoint(self)
     }
@@ -446,7 +401,7 @@ where
 {
     let subscribe = |sim: &mut E, at: SimTime, node: usize| {
         for &topic in materialized.profile.topics_of(node) {
-            sim.command(at, NodeId::new(node as u32), E::Proto::subscribe_cmd(topic));
+            sim.command(at, NodeId::new(node as u32), Command::Subscribe(topic));
         }
     };
     for i in 0..materialized.profile.len() {
@@ -456,7 +411,7 @@ where
         sim.command(
             p.at,
             NodeId::new(p.publisher as u32),
-            E::Proto::publish_cmd(p.event.clone()),
+            Command::Publish(p.event.clone()),
         );
     }
     for c in &materialized.churn {
@@ -734,14 +689,8 @@ pub fn run_architecture(spec: &ScenarioSpec, engine: EngineKind) -> ArchOutcome 
         Architecture::Dam => {
             let materialized = materialize(spec);
             let groups = Arc::new(groups_of(&materialized.profile));
-            let space = Arc::new(TopicSpace::flat(spec.num_topics));
             execute(spec, materialized, engine, move |id, _| {
-                DamNode::new(
-                    id,
-                    DamConfig::default(),
-                    Arc::clone(&groups),
-                    Arc::clone(&space),
-                )
+                DamNode::new(id, Arc::clone(&groups))
             })
         }
         Architecture::SplitStream => {
@@ -884,6 +833,12 @@ where
     /// The scenario horizon [`Prepared::finish`] runs to.
     pub fn horizon(&self) -> SimTime {
         self.materialized.horizon
+    }
+
+    /// Who subscribes to what: the interest profile the workload
+    /// scheduled.
+    pub fn profile(&self) -> &InterestProfile {
+        &self.materialized.profile
     }
 
     /// Runs to the horizon with one observer per shard (the spec's

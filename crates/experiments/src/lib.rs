@@ -624,10 +624,17 @@ pub fn run_scenario_target(
 ///
 /// # Errors
 ///
-/// Returns a message when a file cannot be loaded, any row regressed, or
-/// both files hold rows and no configuration paired up.
+/// Returns a message when `threshold` is not a finite fraction `>= 0`
+/// (a NaN or infinite threshold would pass every row), a file cannot be
+/// loaded, any row regressed, or both files hold rows and no
+/// configuration paired up.
 pub fn bench_diff_target(old: &str, new: &str, threshold: Option<f64>) -> Result<(), String> {
     let threshold = threshold.unwrap_or(bench_diff::DEFAULT_THRESHOLD);
+    if !(threshold.is_finite() && threshold >= 0.0) {
+        return Err(format!(
+            "--threshold must be a finite fraction >= 0 (e.g. 0.5), got {threshold}"
+        ));
+    }
     let report = bench_diff::diff_files(old, new, threshold)?;
     println!("{}", report.table);
     eprintln!(

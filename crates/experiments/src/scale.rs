@@ -23,6 +23,7 @@
 
 use crate::bench_json::{events_per_sec, Row};
 use crate::harness::{run_architecture, ArchOutcome, EngineKind};
+use crate::scenario_run::outcomes_match;
 use fed_core::ledger::RatioSpec;
 use fed_metrics::fairness::ratio_report;
 use fed_metrics::table::{fmt_f64, Table};
@@ -172,15 +173,12 @@ pub fn measure_overhead(
     }
 }
 
-/// Per-node observable fingerprint used for the shard-invariance check.
-type Fingerprint = Vec<(u64, u64, usize)>;
-
 /// Runs one architecture's sweep at population size `n` over
 /// `shard_counts`.
 pub fn run_arch(arch: Architecture, n: usize, shard_counts: &[usize], seed: u64) -> ArchScale {
     let mut points = Vec::new();
     let mut identical = true;
-    let mut baseline_fingerprint: Option<Fingerprint> = None;
+    let mut baseline: Option<ArchOutcome> = None;
     let mut baseline_wall = 0.0f64;
     let mut jain = 0.0;
     let mut reliability = 0.0;
@@ -188,23 +186,16 @@ pub fn run_arch(arch: Architecture, n: usize, shard_counts: &[usize], seed: u64)
         let spec = scale_spec(n, seed).with_arch(arch).with_shards(shards);
         // Best of two, the same noise discipline as the overhead gates.
         let (outcome, wall_ms) = timed_best_of(&spec, EngineKind::Cluster, 2);
-        // The per-node fingerprint must not depend on the shard count.
-        let fingerprint: Fingerprint = outcome
-            .stats
-            .iter()
-            .zip(&outcome.deliveries)
-            .map(|(st, log)| (st.msgs_sent, st.msgs_received, log.len()))
-            .collect();
-        match &baseline_fingerprint {
+        // The outcome must not depend on the shard count: every run is
+        // the same run as the first one, by the parity gate's definition.
+        match &baseline {
             None => {
-                baseline_fingerprint = Some(fingerprint);
                 baseline_wall = wall_ms;
-                let audit = outcome.audit();
                 let report = ratio_report(outcome.ledgers.iter(), &RatioSpec::topic_based());
                 jain = report.jain;
-                reliability = audit.reliability();
+                reliability = outcome.audit().reliability();
             }
-            Some(base) => identical &= *base == fingerprint,
+            Some(base) => identical &= outcomes_match(base, &outcome),
         }
         points.push(ScalePoint {
             arch,
@@ -215,6 +206,7 @@ pub fn run_arch(arch: Architecture, n: usize, shard_counts: &[usize], seed: u64)
             events_per_sec: events_per_sec(outcome.events, wall_ms),
             speedup: baseline_wall / wall_ms.max(1e-9),
         });
+        baseline.get_or_insert(outcome);
     }
     ArchScale {
         arch,

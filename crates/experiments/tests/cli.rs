@@ -72,6 +72,40 @@ fn a_repeated_smoke_leaves_one_row_per_configuration() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A threshold no regression can cross would turn the gate off: NaN and
+/// infinity compare false against every delta, and a negative threshold
+/// flags unchanged rows. Each is refused before any row is read.
+#[test]
+fn a_threshold_that_disables_the_gate_is_refused() {
+    let dir = scratch("threshold");
+    let row = |events_per_sec: &str| {
+        format!(
+            "[\n  {{\"suite\":\"smoke\",\"arch\":\"splitstream\",\"n\":100000,\
+             \"shards\":8,\"placement\":\"round-robin\",\"adaptive_window\":true,\
+             \"telemetry\":false,\"events\":940007,\"windows\":36,\"wall_ms\":524.984,\
+             \"events_per_sec\":{events_per_sec}}}\n]\n"
+        )
+    };
+    std::fs::write(dir.join("old.json"), row("1790545.0")).unwrap();
+    // Ten times slower: a regression under any sane threshold.
+    std::fs::write(dir.join("new.json"), row("179054.5")).unwrap();
+    let (out, stderr) = run_in(&dir, &["bench-diff", "old.json", "new.json"]);
+    assert!(!out.status.success(), "the default gate fails: {stderr}");
+    assert!(stderr.contains("1 regression(s)"), "{stderr}");
+    for bad in ["nan", "inf", "-0.5"] {
+        let (out, stderr) = run_in(
+            &dir,
+            &["bench-diff", "old.json", "new.json", "--threshold", bad],
+        );
+        assert!(!out.status.success(), "--threshold {bad} must fail");
+        assert!(
+            stderr.contains("--threshold must be a finite fraction >= 0"),
+            "--threshold {bad}: {stderr}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn malformed_ids_and_arguments_are_diagnosed() {
     let dir = scratch("usage");

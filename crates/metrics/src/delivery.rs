@@ -123,26 +123,6 @@ impl DeliveryAudit {
         });
         Summary::from_values(values)
     }
-
-    /// Per-event delivery ratio, useful for bimodal histograms. Ordered by
-    /// [`EventId`], so equal audits return equal vectors.
-    pub fn per_event_ratio(&self) -> Vec<f64> {
-        let mut events: Vec<_> = self.expected.iter().collect();
-        events.sort_unstable_by_key(|(id, _)| **id);
-        events
-            .into_iter()
-            .map(|(id, (_, interested))| {
-                if interested.is_empty() {
-                    return 1.0;
-                }
-                let got = interested
-                    .iter()
-                    .filter(|&&node| self.observed.contains_key(&(*id, node)))
-                    .count();
-                got as f64 / interested.len() as f64
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -188,46 +168,6 @@ mod tests {
         a.record(id(2), 0, SimTime::from_millis(10));
         assert_eq!(a.reliability(), 0.75);
         assert_eq!(a.atomicity(), 0.5, "only event 1 fully delivered");
-        let ratios = a.per_event_ratio();
-        assert_eq!(ratios.len(), 2);
-        assert!(ratios.contains(&1.0) && ratios.contains(&0.5));
-    }
-
-    #[test]
-    fn per_event_ratio_is_ordered_by_event_not_by_insertion() {
-        let expects: Vec<(u32, Vec<usize>)> = (0..40u32)
-            .map(|k| (k, (0..=(k as usize % 5)).collect()))
-            .collect();
-        let records: Vec<(u32, usize)> = expects
-            .iter()
-            .flat_map(|(k, nodes)| nodes.iter().map(move |&n| (*k, n)))
-            .filter(|(k, n)| !(*k as usize + n).is_multiple_of(3))
-            .collect();
-        let feed = |expects: &[(u32, Vec<usize>)], records: &[(u32, usize)]| {
-            let mut a = DeliveryAudit::new();
-            for (k, nodes) in expects {
-                a.expect(id(*k), SimTime::ZERO, nodes.iter().copied());
-            }
-            for &(k, n) in records {
-                a.record(id(k), n, SimTime::from_millis(u64::from(k) + 1));
-            }
-            a
-        };
-        let forward = feed(&expects, &records);
-        let (mut rev_expects, mut rev_records) = (expects.clone(), records.clone());
-        rev_expects.reverse();
-        rev_records.reverse();
-        let backward = feed(&rev_expects, &rev_records);
-        let ratios = forward.per_event_ratio();
-        assert_eq!(ratios, backward.per_event_ratio());
-        // Position i is event i: event 0 has one interested node (0) whose
-        // record was filtered out, event 1 has nodes {0, 1} and kept both.
-        assert_eq!(ratios[0], 0.0);
-        assert_eq!(ratios[1], 1.0);
-        assert_eq!(
-            forward.latency_ms().median(),
-            backward.latency_ms().median()
-        );
     }
 
     #[test]
@@ -260,6 +200,5 @@ mod tests {
         a.expect(id(2), SimTime::ZERO, []);
         assert_eq!(a.num_events(), 2);
         assert_eq!(a.expected_deliveries(), 3);
-        assert_eq!(a.per_event_ratio().len(), 2);
     }
 }

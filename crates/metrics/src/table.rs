@@ -60,33 +60,6 @@ impl Table {
         &self.title
     }
 
-    /// Renders as CSV (headers first; cells quoted when they contain
-    /// commas or quotes).
-    pub fn to_csv(&self) -> String {
-        fn cell(s: &str) -> String {
-            if s.contains(',') || s.contains('"') || s.contains('\n') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.to_string()
-            }
-        }
-        let mut out = String::new();
-        out.push_str(
-            &self
-                .headers
-                .iter()
-                .map(|h| cell(h))
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.iter().map(|c| cell(c)).collect::<Vec<_>>().join(","));
-            out.push('\n');
-        }
-        out
-    }
-
     fn widths(&self) -> Vec<usize> {
         let cols = self
             .headers
@@ -176,16 +149,6 @@ mod tests {
         t.row(&["1", "2", "3"]);
         let s = t.to_string();
         assert!(s.lines().count() >= 4);
-    }
-
-    #[test]
-    fn csv_escaping() {
-        let mut t = Table::new("csv", &["k", "v"]);
-        t.row(&["with,comma", "with\"quote"]);
-        let csv = t.to_csv();
-        assert!(csv.starts_with("k,v\n"));
-        assert!(csv.contains("\"with,comma\""));
-        assert!(csv.contains("\"with\"\"quote\""));
     }
 
     #[test]

@@ -165,11 +165,6 @@ impl PhaseTimes {
         self.barrier_ns += other.barrier_ns;
         self.idle_ns += other.idle_ns;
     }
-
-    /// Total attributed wall time.
-    pub fn total_ns(&self) -> u64 {
-        self.execute_ns + self.exchange_ns + self.fill_ns + self.barrier_ns + self.idle_ns
-    }
 }
 
 /// One window as one shard experienced it (trimmed copy of
@@ -525,7 +520,6 @@ mod tests {
         assert_eq!(p.phases.barrier_ns, 30, "busy window's wait is barrier");
         assert_eq!(p.phases.idle_ns, 50, "empty window's wait is idle");
         assert_eq!(p.windows.len(), 2);
-        assert_eq!(p.phases.total_ns(), 250);
     }
 
     #[test]
@@ -700,7 +694,9 @@ mod tests {
         assert_eq!(sched.mailbox_bytes, 64);
         assert_eq!(sched.windows, 1);
         assert_eq!(sched.straggler_windows, 1);
-        assert_eq!(p.phases().total_ns(), 1_550);
+        let ph = p.phases();
+        let total = ph.execute_ns + ph.exchange_ns + ph.fill_ns + ph.barrier_ns + ph.idle_ns;
+        assert_eq!(total, 1_550);
     }
 
     #[test]

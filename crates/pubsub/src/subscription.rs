@@ -5,7 +5,7 @@
 //! behind that API: the topics a node currently subscribes to.
 
 use crate::event::Event;
-use crate::topic::{TopicId, TopicSpace};
+use crate::topic::TopicId;
 
 /// A node's active topic subscriptions.
 ///
@@ -48,11 +48,6 @@ impl SubscriptionTable {
         self.topics.retain(|&t| t != topic);
     }
 
-    /// Removes every subscription.
-    pub fn clear(&mut self) {
-        self.topics.clear();
-    }
-
     /// Number of active subscriptions (the paper's "#filters").
     pub fn len(&self) -> usize {
         self.topics.len()
@@ -69,17 +64,10 @@ impl SubscriptionTable {
         self.topics.contains(&topic)
     }
 
-    /// Whether any active subscription matches `event` (flat topics).
+    /// Whether any active subscription matches `event`.
     #[inline]
     pub fn matches(&self, event: &Event) -> bool {
         self.has_topic(event.topic())
-    }
-
-    /// Whether any active subscription matches `event`, resolving topic
-    /// hierarchy through `space`.
-    pub fn matches_in(&self, event: &Event, space: &TopicSpace) -> bool {
-        let topic = event.topic();
-        self.topics.iter().any(|&t| space.is_descendant(topic, t))
     }
 }
 
@@ -113,8 +101,8 @@ mod tests {
         assert!(t.is_empty(), "unsubscribing an absent topic is a no-op");
     }
 
-    /// Subscriptions carry no ids any more; "fresh" now means a cleared
-    /// table keeps nothing of its old subscriptions when reused.
+    /// A table emptied by unsubscribing keeps nothing of its old
+    /// subscriptions when reused.
     #[test]
     fn unsubscribe_topic_and_clear_keep_ids_fresh() {
         let mut t = SubscriptionTable::new();
@@ -126,24 +114,13 @@ mod tests {
         assert!(!t.matches(&ev(1)), "every copy goes");
         assert!(t.matches(&ev(2)));
         assert_eq!(t.len(), 1);
-        t.clear();
+        t.unsubscribe_topic(TopicId::new(2));
         assert!(t.is_empty());
         assert!(!t.matches(&ev(2)));
         t.subscribe_topic(TopicId::new(1));
         assert_eq!(t.len(), 1);
         assert!(t.matches(&ev(1)));
-        assert!(!t.matches(&ev(2)), "nothing from before the clear returns");
-    }
-
-    #[test]
-    fn hierarchy_matching() {
-        let mut space = TopicSpace::new();
-        let root = space.register("root").unwrap();
-        let child = space.register_under("root/c", root).unwrap();
-        let mut t = SubscriptionTable::new();
-        t.subscribe_topic(root);
-        assert!(!t.matches(&ev(child.as_u32())), "flat misses child");
-        assert!(t.matches_in(&ev(child.as_u32()), &space), "hierarchy hits");
+        assert!(!t.matches(&ev(2)), "nothing from before returns");
     }
 
     #[test]

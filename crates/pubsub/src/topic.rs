@@ -1,12 +1,9 @@
-//! Topics and topic hierarchies.
+//! Topics.
 //!
 //! A topic is "a filter consisting of a single attribute without conditions"
-//! (paper §2). Topics may form a hierarchy (the paper's §4.2 discusses
-//! data-aware multicast grouping by *supertopics*): `sports/football` is a
-//! subtopic of `sports`, and a subscriber of `sports` is interested in every
-//! event published on any descendant.
+//! (paper §2). Topics are flat: an event matches a subscription when their
+//! topic ids are equal.
 
-use std::collections::HashMap;
 use std::fmt;
 
 /// Dense topic identifier.
@@ -33,250 +30,5 @@ impl TopicId {
 impl fmt::Display for TopicId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "t{}", self.0)
-    }
-}
-
-/// Error returned when registering an invalid topic.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TopicError {
-    /// The topic name is already registered.
-    Duplicate(String),
-    /// The named parent was never registered.
-    UnknownParent(String),
-    /// Empty names (or empty path segments) are not allowed.
-    EmptyName,
-}
-
-impl fmt::Display for TopicError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TopicError::Duplicate(name) => write!(f, "topic {name:?} already registered"),
-            TopicError::UnknownParent(name) => write!(f, "unknown parent topic {name:?}"),
-            TopicError::EmptyName => write!(f, "topic names must be non-empty"),
-        }
-    }
-}
-
-impl std::error::Error for TopicError {}
-
-#[derive(Debug, Clone)]
-struct TopicEntry {
-    name: String,
-    parent: Option<TopicId>,
-}
-
-/// Registry of all topics in a system, with optional hierarchy.
-///
-/// # Examples
-///
-/// ```
-/// use fed_pubsub::topic::TopicSpace;
-///
-/// let mut space = TopicSpace::new();
-/// let sports = space.register("sports")?;
-/// let football = space.register_under("sports/football", sports)?;
-/// assert!(space.is_descendant(football, sports));
-/// # Ok::<(), fed_pubsub::topic::TopicError>(())
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct TopicSpace {
-    entries: Vec<TopicEntry>,
-    by_name: HashMap<String, TopicId>,
-}
-
-impl TopicSpace {
-    /// Creates an empty topic space.
-    pub fn new() -> Self {
-        TopicSpace::default()
-    }
-
-    /// Creates a flat topic space `t0..t{n-1}` named `"topic-<i>"`.
-    ///
-    /// The workhorse for experiments that only need `n` unrelated topics.
-    pub fn flat(n: usize) -> Self {
-        let mut space = TopicSpace::new();
-        for i in 0..n {
-            space
-                .register(format!("topic-{i}"))
-                .expect("generated names are unique");
-        }
-        space
-    }
-
-    /// Registers a root topic.
-    ///
-    /// # Errors
-    ///
-    /// [`TopicError::Duplicate`] if the name exists; [`TopicError::EmptyName`]
-    /// if the name is empty.
-    pub fn register(&mut self, name: impl Into<String>) -> Result<TopicId, TopicError> {
-        self.register_inner(name.into(), None)
-    }
-
-    /// Registers a topic under `parent`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`TopicSpace::register`], plus [`TopicError::UnknownParent`]
-    /// if `parent` is not registered.
-    pub fn register_under(
-        &mut self,
-        name: impl Into<String>,
-        parent: TopicId,
-    ) -> Result<TopicId, TopicError> {
-        if parent.index() >= self.entries.len() {
-            return Err(TopicError::UnknownParent(format!("{parent}")));
-        }
-        self.register_inner(name.into(), Some(parent))
-    }
-
-    fn register_inner(
-        &mut self,
-        name: String,
-        parent: Option<TopicId>,
-    ) -> Result<TopicId, TopicError> {
-        if name.is_empty() {
-            return Err(TopicError::EmptyName);
-        }
-        if self.by_name.contains_key(&name) {
-            return Err(TopicError::Duplicate(name));
-        }
-        let id = TopicId::new(self.entries.len() as u32);
-        self.by_name.insert(name.clone(), id);
-        self.entries.push(TopicEntry { name, parent });
-        Ok(id)
-    }
-
-    /// Number of registered topics.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Returns `true` if no topics are registered.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Looks a topic up by name.
-    pub fn id_of(&self, name: &str) -> Option<TopicId> {
-        self.by_name.get(name).copied()
-    }
-
-    /// The name of a topic, if registered.
-    pub fn name_of(&self, id: TopicId) -> Option<&str> {
-        self.entries.get(id.index()).map(|e| e.name.as_str())
-    }
-
-    /// The parent of a topic (`None` for roots and unknown ids).
-    pub fn parent_of(&self, id: TopicId) -> Option<TopicId> {
-        self.entries.get(id.index()).and_then(|e| e.parent)
-    }
-
-    /// Returns `true` if `topic == ancestor` or `ancestor` lies on the
-    /// parent chain of `topic`.
-    pub fn is_descendant(&self, topic: TopicId, ancestor: TopicId) -> bool {
-        let mut cur = Some(topic);
-        while let Some(t) = cur {
-            if t == ancestor {
-                return true;
-            }
-            cur = self.parent_of(t);
-        }
-        false
-    }
-
-    /// The chain from `topic` up to its root, inclusive.
-    pub fn ancestors(&self, topic: TopicId) -> Vec<TopicId> {
-        let mut chain = Vec::new();
-        let mut cur = Some(topic);
-        while let Some(t) = cur {
-            if t.index() >= self.entries.len() {
-                break;
-            }
-            chain.push(t);
-            cur = self.parent_of(t);
-        }
-        chain
-    }
-
-    /// Ids of all registered topics.
-    pub fn ids(&self) -> impl Iterator<Item = TopicId> + '_ {
-        (0..self.entries.len()).map(|i| TopicId::new(i as u32))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn register_and_lookup() {
-        let mut s = TopicSpace::new();
-        let a = s.register("a").unwrap();
-        assert_eq!(s.id_of("a"), Some(a));
-        assert_eq!(s.name_of(a), Some("a"));
-        assert_eq!(s.len(), 1);
-        assert!(!s.is_empty());
-    }
-
-    #[test]
-    fn duplicate_rejected() {
-        let mut s = TopicSpace::new();
-        s.register("a").unwrap();
-        assert_eq!(s.register("a"), Err(TopicError::Duplicate("a".into())));
-    }
-
-    #[test]
-    fn empty_name_rejected() {
-        let mut s = TopicSpace::new();
-        assert_eq!(s.register(""), Err(TopicError::EmptyName));
-    }
-
-    #[test]
-    fn unknown_parent_rejected() {
-        let mut s = TopicSpace::new();
-        let err = s.register_under("x", TopicId::new(5)).unwrap_err();
-        assert!(matches!(err, TopicError::UnknownParent(_)));
-    }
-
-    #[test]
-    fn hierarchy_descendants() {
-        let mut s = TopicSpace::new();
-        let sports = s.register("sports").unwrap();
-        let foot = s.register_under("sports/football", sports).unwrap();
-        let cl = s.register_under("sports/football/cl", foot).unwrap();
-        let news = s.register("news").unwrap();
-        assert!(s.is_descendant(cl, sports));
-        assert!(s.is_descendant(cl, foot));
-        assert!(s.is_descendant(cl, cl));
-        assert!(!s.is_descendant(sports, cl));
-        assert!(!s.is_descendant(news, sports));
-        assert_eq!(s.ancestors(cl), vec![cl, foot, sports]);
-        assert_eq!(s.parent_of(sports), None);
-        assert_eq!(s.parent_of(foot), Some(sports));
-    }
-
-    #[test]
-    fn flat_space() {
-        let s = TopicSpace::flat(10);
-        assert_eq!(s.len(), 10);
-        assert_eq!(s.id_of("topic-3"), Some(TopicId::new(3)));
-        assert!(s.ids().all(|t| s.parent_of(t).is_none()));
-    }
-
-    #[test]
-    fn ancestors_of_unknown_is_empty() {
-        let s = TopicSpace::new();
-        assert!(s.ancestors(TopicId::new(9)).is_empty());
-        assert_eq!(s.name_of(TopicId::new(9)), None);
-    }
-
-    #[test]
-    fn error_display() {
-        assert_eq!(
-            format!("{}", TopicError::Duplicate("x".into())),
-            "topic \"x\" already registered"
-        );
-        assert!(format!("{}", TopicError::EmptyName).contains("non-empty"));
     }
 }

@@ -202,11 +202,6 @@ impl<P: Protocol> Simulation<P> {
         self.kernel.stats_slice()
     }
 
-    /// Resets all transport statistics to zero (e.g. after a warm-up phase).
-    pub fn reset_transport_stats(&mut self) {
-        self.kernel.reset_stats();
-    }
-
     /// Schedules an application command for `node` at absolute time `at`.
     pub fn schedule_command(&mut self, at: SimTime, node: NodeId, cmd: P::Cmd) {
         let at = at.max(self.now);
@@ -415,8 +410,6 @@ mod tests {
         assert_eq!(st0.bytes_sent, 64);
         assert_eq!(st1.msgs_received, 1);
         assert_eq!(st1.bytes_received, 64);
-        s.reset_transport_stats();
-        assert_eq!(s.transport_stats(NodeId::new(0)), TransportStats::default());
     }
 
     #[test]

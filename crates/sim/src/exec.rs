@@ -1133,13 +1133,6 @@ impl<P: Protocol> Kernel<P> {
         &self.stats
     }
 
-    /// Resets all transport statistics to zero.
-    pub fn reset_stats(&mut self) {
-        for s in &mut self.stats {
-            *s = TransportStats::default();
-        }
-    }
-
     /// The network model.
     pub fn net(&self) -> &NetworkModel {
         &self.net

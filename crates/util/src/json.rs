@@ -241,14 +241,6 @@ impl Value {
             _ => None,
         }
     }
-
-    /// The truth value, when this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
 }
 
 /// Deepest array/object nesting [`parse`] accepts. The parser recurses
@@ -480,7 +472,7 @@ mod tests {
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].get("k").and_then(|k| k.as_str()), Some("v"));
         assert_eq!(rows[0].get("n").and_then(|n| n.as_f64()), Some(3.0));
-        assert_eq!(v.get("ok").and_then(|o| o.as_bool()), Some(true));
+        assert_eq!(v.get("ok"), Some(&Value::Bool(true)));
     }
 
     #[test]

@@ -235,16 +235,6 @@ impl Xoshiro256StarStar {
         Xoshiro256StarStar { s }
     }
 
-    /// Creates a generator from raw state words.
-    ///
-    /// # Panics
-    ///
-    /// Panics if all four words are zero (the sole invalid state).
-    pub fn from_state(s: [u64; 4]) -> Self {
-        assert!(s != [0, 0, 0, 0], "xoshiro256** state must be non-zero");
-        Xoshiro256StarStar { s }
-    }
-
     /// Returns the raw state words (for checkpointing a simulation).
     pub fn state(&self) -> [u64; 4] {
         self.s
@@ -408,20 +398,5 @@ mod tests {
         let va: Vec<u64> = (0..8).map(|_| a.next_u64()).collect();
         let vb: Vec<u64> = (0..8).map(|_| b.next_u64()).collect();
         assert_ne!(va, vb);
-    }
-
-    #[test]
-    fn from_state_roundtrip() {
-        let rng = Xoshiro256StarStar::seed_from_u64(5);
-        let st = rng.state();
-        let mut x = Xoshiro256StarStar::from_state(st);
-        let mut y = rng.clone();
-        assert_eq!(x.next_u64(), y.next_u64());
-    }
-
-    #[test]
-    #[should_panic(expected = "non-zero")]
-    fn from_state_rejects_zero() {
-        let _ = Xoshiro256StarStar::from_state([0; 4]);
     }
 }

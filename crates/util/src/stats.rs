@@ -93,16 +93,6 @@ impl OnlineStats {
         self.variance().sqrt()
     }
 
-    /// Coefficient of variation (`std_dev / mean`); `0.0` when the mean is 0.
-    pub fn cov(&self) -> f64 {
-        let m = self.mean();
-        if m == 0.0 {
-            0.0
-        } else {
-            self.std_dev() / m
-        }
-    }
-
     /// Smallest observation; `None` when empty.
     pub fn min(&self) -> Option<f64> {
         if self.n == 0 {
@@ -231,11 +221,6 @@ impl Summary {
     pub fn max(&self) -> Option<f64> {
         self.sorted.last().copied()
     }
-
-    /// Borrow of the sorted data.
-    pub fn sorted_values(&self) -> &[f64] {
-        &self.sorted
-    }
 }
 
 impl FromIterator<f64> for Summary {
@@ -256,7 +241,6 @@ mod tests {
         assert_eq!(s.variance(), 0.0);
         assert_eq!(s.min(), None);
         assert_eq!(s.max(), None);
-        assert_eq!(s.cov(), 0.0);
     }
 
     #[test]
@@ -270,7 +254,6 @@ mod tests {
         assert!((s.std_dev() - 2.0).abs() < 1e-12);
         assert_eq!(s.min(), Some(2.0));
         assert_eq!(s.max(), Some(9.0));
-        assert!((s.cov() - 0.4).abs() < 1e-12);
     }
 
     #[test]
@@ -341,7 +324,7 @@ mod tests {
     fn summary_drops_non_finite() {
         let s = Summary::from_values([1.0, f64::NAN, 2.0, f64::NEG_INFINITY]);
         assert_eq!(s.len(), 2);
-        assert_eq!(s.sorted_values(), &[1.0, 2.0]);
+        assert_eq!((s.min(), s.max()), (Some(1.0), Some(2.0)));
     }
 
     #[test]

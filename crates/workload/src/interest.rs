@@ -140,14 +140,6 @@ impl InterestProfile {
             .collect()
     }
 
-    /// Whether node `i` is interested in `topic`.
-    pub fn is_interested(&self, i: usize, topic: TopicId) -> bool {
-        self.assignments
-            .get(i)
-            .map(|s| s.contains(&topic))
-            .unwrap_or(false)
-    }
-
     /// Total number of (node, topic) subscription pairs.
     pub fn total_subscriptions(&self) -> usize {
         self.assignments.iter().map(BTreeSet::len).sum()
@@ -223,15 +215,15 @@ mod tests {
     }
 
     #[test]
-    fn subscribers_of_matches_is_interested() {
+    fn subscribers_of_matches_topics_of() {
         let p = InterestProfile::generate(&mut rng(), 40, 10, 1.0, Appetite::Fixed(2)).unwrap();
         for t in 0..10u32 {
             let topic = TopicId::new(t);
-            for i in p.subscribers_of(topic) {
-                assert!(p.is_interested(i, topic));
+            let subscribers = p.subscribers_of(topic);
+            for i in 0..p.len() {
+                assert_eq!(subscribers.contains(&i), p.topics_of(i).contains(&topic));
             }
         }
-        assert!(!p.is_interested(999, TopicId::new(0)), "oob is false");
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! stays. The example prints the population over time for both protocols.
 
 use fed::core::behavior::Behavior;
-use fed::core::gossip::{GossipCmd, GossipConfig, GossipNode};
-use fed::pubsub::{Event, EventId, TopicId};
+use fed::core::gossip::{GossipConfig, GossipNode};
+use fed::pubsub::{Command, Event, EventId, TopicId};
 use fed::sim::network::NetworkModel;
 use fed::sim::{NodeId, SimDuration, SimTime, Simulation};
 
@@ -35,11 +35,7 @@ fn run_swarm(config: GossipConfig, label: &str) -> Vec<(u64, usize)> {
     let niche = TopicId::new(1);
     for i in 0..n {
         let t = if i % 5 == 0 { topic } else { niche };
-        sim.schedule_command(
-            SimTime::ZERO,
-            NodeId::new(i as u32),
-            GossipCmd::SubscribeTopic(t),
-        );
+        sim.schedule_command(SimTime::ZERO, NodeId::new(i as u32), Command::Subscribe(t));
     }
     // The busy topic gets all the traffic; the publishers are themselves
     // busy-topic consumers (multiples of 5), so publishing cost lands on
@@ -49,7 +45,7 @@ fn run_swarm(config: GossipConfig, label: &str) -> Vec<(u64, usize)> {
         sim.schedule_command(
             SimTime::from_millis(1_000 + 50 * k as u64),
             NodeId::new(publisher),
-            GossipCmd::Publish(Event::bare(EventId::new(publisher, k / 7), topic)),
+            Command::Publish(Event::bare(EventId::new(publisher, k / 7), topic)),
         );
     }
 

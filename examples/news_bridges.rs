@@ -1,38 +1,34 @@
-//! News desk: topic hierarchies and data-aware multicast, including the
-//! supertopic-bridge problem the paper's §4.2 highlights.
+//! News desk: data-aware multicast and the supertopic-bridge problem the
+//! paper's §4.2 highlights.
 //!
 //! ```text
-//! cargo run --release --example news_hierarchy
+//! cargo run --release --example news_bridges
 //! ```
 //!
-//! A newsroom topic tree (`news` → `news/sport` → `news/sport/football`,
-//! …) is served by per-topic gossip groups. Desk editors subscribe to
-//! whole subtrees; field reporters publish into leaves. A few "wire
-//! service" nodes are enrolled as supertopic bridges: they keep the
-//! hierarchy connected and pay for it with uncompensated forwarding —
-//! measurably.
+//! A newsroom's leaf topics (`football`, `politics`) are served by
+//! per-topic gossip groups. Desk editors subscribe to the leaf they read;
+//! field reporters publish into the leaves. Two "wire service" nodes are
+//! enrolled in every group as the bridges that keep a topic hierarchy
+//! navigable, without subscribing to anything: they pay for it with
+//! uncompensated forwarding — measurably, and the example asserts it.
 
-use fed::baselines::dam::{DamCmd, DamConfig, DamNode, GroupTable};
+use fed::baselines::dam::{DamNode, GroupTable};
 use fed::core::ledger::RatioSpec;
-use fed::pubsub::{Event, EventId, TopicSpace};
+use fed::pubsub::{Command, Event, EventId, TopicId};
 use fed::sim::network::NetworkModel;
 use fed::sim::{NodeId, SimTime, Simulation};
 use std::sync::Arc;
 
 fn main() {
-    // Build the topic tree.
-    let mut space = TopicSpace::new();
-    let news = space.register("news").expect("fresh space");
-    let sport = space.register_under("news/sport", news).expect("fresh");
-    let football = space
-        .register_under("news/sport/football", sport)
-        .expect("fresh");
-    let politics = space.register_under("news/politics", news).expect("fresh");
+    // The leaves of the newsroom's tree (`news` = 0 and `news/sport` = 1
+    // are the inner topics nobody publishes to).
+    let football = TopicId::new(2);
+    let politics = TopicId::new(3);
 
     let n = 48;
     // Groups: subscribers per leaf topic plus two bridge nodes (0, 1)
-    // enrolled everywhere to keep the hierarchy navigable. A group lists
-    // its members in ascending order, so the bridges come first.
+    // enrolled everywhere. A group lists its members in ascending order,
+    // so the bridges come first.
     let mut groups = GroupTable::default();
     let football_members: Vec<NodeId> = (10..20).map(NodeId::new).collect();
     let politics_members: Vec<NodeId> = (20..30).map(NodeId::new).collect();
@@ -47,23 +43,16 @@ fn main() {
     );
 
     let groups = Arc::new(groups);
-    let space_arc = Arc::new(space.clone());
     let mut sim = Simulation::new(n, NetworkModel::default(), 11, move |id, _| {
-        DamNode::new(
-            id,
-            DamConfig::default(),
-            Arc::clone(&groups),
-            Arc::clone(&space_arc),
-        )
+        DamNode::new(id, Arc::clone(&groups))
     });
 
-    // Desk editors subscribe: the sport desk takes the whole `news/sport`
-    // subtree, the politics desk its own branch.
+    // Desk editors subscribe to the leaf they read.
     for m in &football_members {
-        sim.schedule_command(SimTime::ZERO, *m, DamCmd::SubscribeTopic(sport));
+        sim.schedule_command(SimTime::ZERO, *m, Command::Subscribe(football));
     }
     for m in &politics_members {
-        sim.schedule_command(SimTime::ZERO, *m, DamCmd::SubscribeTopic(politics));
+        sim.schedule_command(SimTime::ZERO, *m, Command::Subscribe(politics));
     }
 
     // Field reporters publish into the leaves.
@@ -76,7 +65,7 @@ fn main() {
         sim.schedule_command(
             SimTime::from_millis(500 + 100 * k as u64),
             reporter,
-            DamCmd::Publish(Event::bare(EventId::new(reporter.as_u32(), k), topic)),
+            Command::Publish(Event::bare(EventId::new(reporter.as_u32(), k), topic)),
         );
     }
 
@@ -98,11 +87,20 @@ fn main() {
             t.delivered_events,
             node.endpoint().ledger().ratio(&spec)
         );
+        (t.forwarded_msgs, t.delivered_events)
     };
-    show("bridge (wire service)", NodeId::new(0));
-    show("bridge (wire service)", NodeId::new(1));
-    show("sport desk editor", NodeId::new(12));
-    show("politics desk editor", NodeId::new(22));
+    for bridge in &bridges {
+        let (forwarded, delivered) = show("bridge (wire service)", *bridge);
+        assert!(forwarded > 0, "{bridge} forwards the desks' traffic");
+        assert_eq!(delivered, 0, "{bridge} has no interest to serve");
+    }
+    for (label, editor) in [
+        ("sport desk editor", NodeId::new(12)),
+        ("politics desk editor", NodeId::new(22)),
+    ] {
+        let (_, delivered) = show(label, editor);
+        assert!(delivered > 0, "the {label} reads its leaf");
+    }
     show("uninvolved node", NodeId::new(45));
     println!();
     println!("the bridges forward both desks' traffic while delivering none of");

@@ -7,10 +7,10 @@
 //! Shows the core API surface: build a simulation, subscribe, publish, run,
 //! then inspect deliveries and the fairness ledger.
 
-use fed::core::gossip::{GossipCmd, GossipConfig, GossipNode};
+use fed::core::gossip::{GossipConfig, GossipNode};
 use fed::core::ledger::RatioSpec;
 use fed::metrics::fairness::ratio_report;
-use fed::pubsub::{Event, EventId, TopicId};
+use fed::pubsub::{Command, Event, EventId, TopicId};
 use fed::sim::network::{LatencyModel, NetworkModel};
 use fed::sim::{NodeId, SimDuration, SimTime, Simulation};
 
@@ -37,7 +37,7 @@ fn main() {
         sim.schedule_command(
             SimTime::ZERO,
             NodeId::new(i as u32),
-            GossipCmd::SubscribeTopic(topic),
+            Command::Subscribe(topic),
         );
     }
 
@@ -47,7 +47,7 @@ fn main() {
         sim.schedule_command(
             SimTime::from_secs(1 + k as u64),
             NodeId::new(1),
-            GossipCmd::Publish(event),
+            Command::Publish(event),
         );
     }
 

@@ -17,7 +17,7 @@
 //! | [`cluster`] | `fed-cluster` | sharded multi-threaded runtime, bit-identical to the sequential engine |
 //! | [`telemetry`] | `fed-telemetry` | deterministic streaming time-series observability for both engines |
 //! | [`profile`] | `fed-profile` | scheduler profiler: phase timings, stall attribution, Chrome-trace export |
-//! | [`pubsub`] | `fed-pubsub` | events, topics, topic hierarchy |
+//! | [`pubsub`] | `fed-pubsub` | events, flat topics, the publish/subscribe `Command` |
 //! | [`membership`] | `fed-membership` | peer sampling (full-membership oracle) and SWIM failure detection |
 //! | [`dht`] | `fed-dht` | Pastry-like ring for the structured baselines |
 //! | [`core`] | `fed-core` | **the paper's contribution**: fairness ledger, basic + fair gossip, controllers, audits, subscription walks |
@@ -30,8 +30,8 @@
 //! ## Quickstart
 //!
 //! ```
-//! use fed::core::gossip::{GossipCmd, GossipConfig, GossipNode};
-//! use fed::pubsub::{Event, EventId, TopicId};
+//! use fed::core::gossip::{GossipConfig, GossipNode};
+//! use fed::pubsub::{Command, Event, EventId, TopicId};
 //! use fed::sim::network::NetworkModel;
 //! use fed::sim::{NodeId, SimDuration, SimTime, Simulation};
 //!
@@ -42,12 +42,12 @@
 //! });
 //! let topic = TopicId::new(0);
 //! for i in 0..n as u32 {
-//!     sim.schedule_command(SimTime::ZERO, NodeId::new(i), GossipCmd::SubscribeTopic(topic));
+//!     sim.schedule_command(SimTime::ZERO, NodeId::new(i), Command::Subscribe(topic));
 //! }
 //! sim.schedule_command(
 //!     SimTime::from_millis(100),
 //!     NodeId::new(0),
-//!     GossipCmd::Publish(Event::bare(EventId::new(0, 1), topic)),
+//!     Command::Publish(Event::bare(EventId::new(0, 1), topic)),
 //! );
 //! sim.run_until(SimTime::from_secs(3));
 //! assert!(sim.nodes().all(|(_, node)| node.endpoint().deliveries().len() == 1));

@@ -3,13 +3,13 @@
 //! deliver (within the system's reliability envelope), no uninterested peer
 //! ever delivers, and delivery happens at most once.
 
-use fed::baselines::broker::{BrokerCmd, BrokerNode};
-use fed::baselines::dam::{DamCmd, DamConfig, DamNode, GroupTable};
-use fed::baselines::dks::{DksCmd, DksConfig, DksNode};
-use fed::baselines::scribe::{ScribeCmd, ScribeNode};
-use fed::baselines::splitstream::{Forest, SplitStreamNode, StripeCmd};
+use fed::baselines::broker::BrokerNode;
+use fed::baselines::dam::{DamNode, GroupTable};
+use fed::baselines::dks::{DksConfig, DksNode};
+use fed::baselines::scribe::ScribeNode;
+use fed::baselines::splitstream::{Forest, SplitStreamNode};
 use fed::dht::DhtNetwork;
-use fed::pubsub::{Event, EventId, TopicId, TopicSpace};
+use fed::pubsub::{Command, Event, EventId, TopicId};
 use fed::sim::network::{LatencyModel, NetworkModel};
 use fed::sim::{NodeId, SimDuration, SimTime, Simulation};
 use std::sync::Arc;
@@ -88,11 +88,11 @@ fn broker_contract() {
         sim.schedule_command(
             SimTime::ZERO,
             NodeId::new(i as u32),
-            BrokerCmd::SubscribeTopic(topic_of(i)),
+            Command::Subscribe(topic_of(i)),
         );
     }
     for (at, publisher, e) in events() {
-        sim.schedule_command(at, NodeId::new(publisher as u32), BrokerCmd::Publish(e));
+        sim.schedule_command(at, NodeId::new(publisher as u32), Command::Publish(e));
     }
     sim.run_until(SimTime::from_secs(10));
     let (delivered, expected) = check_contract(|i, id| {
@@ -115,11 +115,11 @@ fn scribe_contract() {
         sim.schedule_command(
             SimTime::ZERO,
             NodeId::new(i as u32),
-            ScribeCmd::SubscribeTopic(topic_of(i)),
+            Command::Subscribe(topic_of(i)),
         );
     }
     for (at, publisher, e) in events() {
-        sim.schedule_command(at, NodeId::new(publisher as u32), ScribeCmd::Publish(e));
+        sim.schedule_command(at, NodeId::new(publisher as u32), Command::Publish(e));
     }
     sim.run_until(SimTime::from_secs(10));
     let (delivered, expected) = check_contract(|i, id| {
@@ -147,11 +147,11 @@ fn dks_contract() {
         sim.schedule_command(
             SimTime::ZERO,
             NodeId::new(i as u32),
-            DksCmd::SubscribeTopic(topic_of(i)),
+            Command::Subscribe(topic_of(i)),
         );
     }
     for (at, publisher, e) in events() {
-        sim.schedule_command(at, NodeId::new(publisher as u32), DksCmd::Publish(e));
+        sim.schedule_command(at, NodeId::new(publisher as u32), Command::Publish(e));
     }
     sim.run_until(SimTime::from_secs(10));
     let (delivered, expected) = check_contract(|i, id| {
@@ -171,24 +171,18 @@ fn dks_contract() {
 #[test]
 fn dam_contract() {
     let groups = groups();
-    let space = Arc::new(TopicSpace::flat(TOPICS as usize));
     let mut sim = Simulation::new(N, net(), 4, move |id, _| {
-        DamNode::new(
-            id,
-            DamConfig::default(),
-            Arc::clone(&groups),
-            Arc::clone(&space),
-        )
+        DamNode::new(id, Arc::clone(&groups))
     });
     for i in 0..N {
         sim.schedule_command(
             SimTime::ZERO,
             NodeId::new(i as u32),
-            DamCmd::SubscribeTopic(topic_of(i)),
+            Command::Subscribe(topic_of(i)),
         );
     }
     for (at, publisher, e) in events() {
-        sim.schedule_command(at, NodeId::new(publisher as u32), DamCmd::Publish(e));
+        sim.schedule_command(at, NodeId::new(publisher as u32), Command::Publish(e));
     }
     sim.run_until(SimTime::from_secs(12));
     let (delivered, expected) = check_contract(|i, id| {
@@ -212,11 +206,11 @@ fn splitstream_contract() {
         sim.schedule_command(
             SimTime::ZERO,
             NodeId::new(i as u32),
-            StripeCmd::SubscribeTopic(topic_of(i)),
+            Command::Subscribe(topic_of(i)),
         );
     }
     for (at, publisher, e) in events() {
-        sim.schedule_command(at, NodeId::new(publisher as u32), StripeCmd::Publish(e));
+        sim.schedule_command(at, NodeId::new(publisher as u32), Command::Publish(e));
     }
     sim.run_until(SimTime::from_secs(10));
     let (delivered, expected) = check_contract(|i, id| {
@@ -239,34 +233,28 @@ fn baselines_disagree_on_fairness_but_agree_on_delivery() {
         ScribeNode::new(id, Arc::clone(&dht))
     });
     let groups = groups();
-    let space = Arc::new(TopicSpace::flat(TOPICS as usize));
     let mut dam_sim = Simulation::new(N, net(), 6, move |id, _| {
-        DamNode::new(
-            id,
-            DamConfig::default(),
-            Arc::clone(&groups),
-            Arc::clone(&space),
-        )
+        DamNode::new(id, Arc::clone(&groups))
     });
     for i in 0..N {
         scribe_sim.schedule_command(
             SimTime::ZERO,
             NodeId::new(i as u32),
-            ScribeCmd::SubscribeTopic(topic_of(i)),
+            Command::Subscribe(topic_of(i)),
         );
         dam_sim.schedule_command(
             SimTime::ZERO,
             NodeId::new(i as u32),
-            DamCmd::SubscribeTopic(topic_of(i)),
+            Command::Subscribe(topic_of(i)),
         );
     }
     for (at, publisher, e) in events() {
         scribe_sim.schedule_command(
             at,
             NodeId::new(publisher as u32),
-            ScribeCmd::Publish(e.clone()),
+            Command::Publish(e.clone()),
         );
-        dam_sim.schedule_command(at, NodeId::new(publisher as u32), DamCmd::Publish(e));
+        dam_sim.schedule_command(at, NodeId::new(publisher as u32), Command::Publish(e));
     }
     scribe_sim.run_until(SimTime::from_secs(12));
     dam_sim.run_until(SimTime::from_secs(12));

@@ -3,8 +3,8 @@
 //! distributions, a third of the population flapping. Dissemination to the
 //! *stable* majority must shrug it off.
 
-use fed::core::gossip::{GossipCmd, GossipConfig, GossipNode};
-use fed::pubsub::{Event, EventId, TopicId};
+use fed::core::gossip::{GossipConfig, GossipNode};
+use fed::pubsub::{Command, Event, EventId, TopicId};
 use fed::sim::network::NetworkModel;
 use fed::sim::{NodeId, SimDuration, SimTime, Simulation};
 use fed::util::rng::Xoshiro256StarStar;
@@ -24,7 +24,7 @@ fn stable_majority_survives_generated_churn() {
         sim.schedule_command(
             SimTime::ZERO,
             NodeId::new(i as u32),
-            GossipCmd::SubscribeTopic(topic),
+            Command::Subscribe(topic),
         );
     }
 
@@ -48,7 +48,7 @@ fn stable_majority_survives_generated_churn() {
                 sim.schedule_command(
                     ev.at,
                     NodeId::new(ev.node as u32),
-                    GossipCmd::SubscribeTopic(topic),
+                    Command::Subscribe(topic),
                 );
             }
         }
@@ -62,7 +62,7 @@ fn stable_majority_survives_generated_churn() {
         sim.schedule_command(
             SimTime::from_millis(2_000 + 700 * k as u64),
             NodeId::new(e.id().publisher()),
-            GossipCmd::Publish(e.clone()),
+            Command::Publish(e.clone()),
         );
     }
 

@@ -2,11 +2,11 @@
 //! through the `fed` facade, exercising the full crate stack together.
 
 use fed::core::behavior::Behavior;
-use fed::core::gossip::{GossipCmd, GossipConfig, GossipNode};
+use fed::core::gossip::{GossipConfig, GossipNode};
 use fed::core::ledger::RatioSpec;
 use fed::metrics::delivery::DeliveryAudit;
 use fed::metrics::fairness::ratio_report;
-use fed::pubsub::TopicId;
+use fed::pubsub::{Command, TopicId};
 use fed::sim::network::{LatencyModel, NetworkModel};
 use fed::sim::{NodeId, SimDuration, SimTime, Simulation};
 use fed::util::rng::Xoshiro256StarStar;
@@ -42,18 +42,14 @@ fn build(n: usize, cfg: GossipConfig, seed: u64) -> Setup {
     });
     for i in 0..n {
         for &t in profile.topics_of(i) {
-            sim.schedule_command(
-                SimTime::ZERO,
-                NodeId::new(i as u32),
-                GossipCmd::SubscribeTopic(t),
-            );
+            sim.schedule_command(SimTime::ZERO, NodeId::new(i as u32), Command::Subscribe(t));
         }
     }
     for p in &schedule {
         sim.schedule_command(
             p.at,
             NodeId::new(p.publisher as u32),
-            GossipCmd::Publish(p.event.clone()),
+            Command::Publish(p.event.clone()),
         );
     }
     Setup {
@@ -158,18 +154,14 @@ fn free_riders_cannot_crash_reliability() {
     });
     for i in 0..n {
         for &t in profile.topics_of(i) {
-            sim.schedule_command(
-                SimTime::ZERO,
-                NodeId::new(i as u32),
-                GossipCmd::SubscribeTopic(t),
-            );
+            sim.schedule_command(SimTime::ZERO, NodeId::new(i as u32), Command::Subscribe(t));
         }
     }
     for p in &schedule {
         sim.schedule_command(
             p.at,
             NodeId::new(p.publisher as u32),
-            GossipCmd::Publish(p.event.clone()),
+            Command::Publish(p.event.clone()),
         );
     }
     sim.run_until(SimTime::from_secs(16));
@@ -209,7 +201,7 @@ fn churned_nodes_recover_and_catch_new_events() {
             setup.sim.schedule_command(
                 SimTime::from_secs(8),
                 NodeId::new(i),
-                GossipCmd::SubscribeTopic(t),
+                Command::Subscribe(t),
             );
         }
     }
@@ -276,14 +268,14 @@ fn topic_isolation_holds_across_the_stack() {
         sim.schedule_command(
             SimTime::ZERO,
             NodeId::new(i as u32),
-            GossipCmd::SubscribeTopic(topic),
+            Command::Subscribe(topic),
         );
     }
     for k in 0..20u32 {
         sim.schedule_command(
             SimTime::from_millis(500 + 100 * k as u64),
             NodeId::new(0),
-            GossipCmd::Publish(fed::pubsub::Event::bare(
+            Command::Publish(fed::pubsub::Event::bare(
                 fed::pubsub::EventId::new(0, k),
                 TopicId::new(0),
             )),

@@ -9,9 +9,9 @@
 //! until the heal at 3 s.
 
 use fed::cluster::ShardedSimulation;
-use fed::core::gossip::{GossipCmd, GossipConfig, GossipNode};
+use fed::core::gossip::{GossipConfig, GossipNode};
 use fed::experiments::harness::Engine;
-use fed::pubsub::{Event, EventId, TopicId};
+use fed::pubsub::{Command, Event, EventId, TopicId};
 use fed::sim::network::{FaultSchedule, LatencyModel, NetworkModel, PartitionFault};
 use fed::sim::{NodeId, SimDuration, SimTime, Simulation};
 use fed::util::rng::Xoshiro256StarStar;
@@ -61,7 +61,7 @@ fn run_partition_scenario(sim: &mut impl Engine<Proto = GossipNode>) -> (usize, 
         sim.command(
             SimTime::ZERO,
             NodeId::new(i as u32),
-            GossipCmd::SubscribeTopic(topic),
+            Command::Subscribe(topic),
         );
     }
     // Publish on both sides during the partition.
@@ -70,12 +70,12 @@ fn run_partition_scenario(sim: &mut impl Engine<Proto = GossipNode>) -> (usize, 
     sim.command(
         SimTime::from_millis(1_500),
         NodeId::new(0),
-        GossipCmd::Publish(left_event.clone()),
+        Command::Publish(left_event.clone()),
     );
     sim.command(
         SimTime::from_millis(1_500),
         NodeId::new(40),
-        GossipCmd::Publish(right_event.clone()),
+        Command::Publish(right_event.clone()),
     );
     // While split: each side sees only its own event.
     advance(sim, SimTime::from_secs(3));
