@@ -94,6 +94,18 @@
 //! policies, with and without churn); `scenario_properties` draws
 //! randomized scenarios from all eight architectures.
 //!
+//! ## Observation
+//!
+//! [`ShardedSimulation::run_until_observed`] threads one [`Probe`] per
+//! shard through its worker. An observer that
+//! [`profiles`](Probe::profiles) gets one [`Probe::on_window`] per
+//! window: the published decision (index, start, width, straggler and
+//! the end issued to that shard) plus the shard's events, mailbox
+//! traffic and phase wall clocks. The reduction keeps no schedule of its
+//! own: every shard reports every window with the same decision, so the
+//! schedule is the fold of the per-shard reports (`fed-profile`'s
+//! `RunProfile::barrier_windows`).
+//!
 //! ## Example
 //!
 //! ```
@@ -198,57 +210,6 @@ pub struct ClusterReport {
     pub completed: bool,
 }
 
-/// One conservative window as the coordinator decided it.
-///
-/// `index`, `start`, `width`, `straggler`, `ends` and `events` are
-/// deterministic (they follow from the summaries, which follow from the
-/// event streams); `wall_ns` is a host measurement.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WindowRecord {
-    /// 1-based window number within the `run_until_observed` call.
-    pub index: u64,
-    /// Global minimum pending time when the window was issued.
-    pub start: SimTime,
-    /// Target width in effect when the window was issued.
-    pub width: SimDuration,
-    /// The shard holding the global minimum — the shard whose pending
-    /// work bounded every *other* shard's window end. When its head time
-    /// trails the rest of the cluster, it is the straggler the
-    /// conservative scheduler is waiting on.
-    pub straggler: usize,
-    /// Conservative end issued to each shard (exclusive).
-    pub ends: Vec<SimTime>,
-    /// Events each shard executed inside the window.
-    pub events: Vec<u64>,
-    /// Wall clock from publishing the window decision to the last shard
-    /// folding its summary into the reduction.
-    pub wall_ns: u64,
-}
-
-/// Schedule trace: every window's sizing decision plus per-shard
-/// straggler attribution, filled in by
-/// [`ShardedSimulation::run_until_observed`].
-///
-/// Successive runs append; `straggler_windows[s]` counts the windows
-/// shard `s` bounded (held the global minimum head time for).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ScheduleTrace {
-    /// Per-window records, in execution order.
-    pub windows: Vec<WindowRecord>,
-    /// Windows each shard was the straggler for, indexed by shard.
-    pub straggler_windows: Vec<u64>,
-}
-
-impl ScheduleTrace {
-    fn record(&mut self, rec: WindowRecord, num_shards: usize) {
-        if self.straggler_windows.len() < num_shards {
-            self.straggler_windows.resize(num_shards, 0);
-        }
-        self.straggler_windows[rec.straggler] += 1;
-        self.windows.push(rec);
-    }
-}
-
 /// One shard: a kernel for the nodes it owns plus its private queue.
 struct Shard<P: Protocol> {
     index: usize,
@@ -325,6 +286,13 @@ impl<P: Protocol> EffectSink<P> for InitSink<'_, P> {
 enum Decision {
     /// Execute one conservative window.
     Window {
+        /// Global minimum pending time the window starts at.
+        start: SimTime,
+        /// Adaptive target width in effect.
+        width: SimDuration,
+        /// The shard holding the global minimum (see
+        /// [`WindowWork::straggler`]).
+        holder: usize,
         /// Exclusive virtual-time end of the window for this shard.
         end: SimTime,
         /// Inclusive saturated window (see [`Scheduler::decide`]): pop
@@ -336,17 +304,6 @@ enum Decision {
     /// Exit the worker loop. Every in-flight batch was already absorbed
     /// at the end of the final window, so there is nothing to drain.
     Stop,
-}
-
-/// A window record being assembled: opened when the decision is
-/// published, completed when the last shard folds its summary.
-struct PendingWindow {
-    start: SimTime,
-    width: SimDuration,
-    straggler: usize,
-    ends: Vec<SimTime>,
-    events: Vec<u64>,
-    issued: Instant,
 }
 
 /// The shared reduction that replaced the coordinator thread: at the end
@@ -377,10 +334,6 @@ struct Reduction {
     windows: u64,
     /// Cleared when the event budget stops the run early.
     completed: bool,
-    /// Window record in flight (tracing only).
-    pending: Option<PendingWindow>,
-    /// Completed window records, drained by the caller after the join.
-    trace: Vec<WindowRecord>,
     /// One decision sender per worker, used by the last arriver.
     decision_txs: Vec<Sender<Decision>>,
 }
@@ -401,7 +354,6 @@ struct Scheduler {
     adaptive: bool,
     /// Adaptive width cap (`lookahead × max_factor`).
     cap: SimDuration,
-    timing: bool,
 }
 
 /// What [`Scheduler::decide`] concluded from the folded head times.
@@ -503,9 +455,8 @@ impl Scheduler {
     }
 }
 
-/// Publishes `verdict` to every worker: per-shard window ends, or the
-/// stop signal. Opens the window's pending trace record and resets the
-/// epoch accumulator.
+/// Publishes `verdict` to every worker: the window with its per-shard
+/// ends, or the stop signal. Resets the epoch accumulator.
 fn publish(sched: &Scheduler, r: &mut Reduction, verdict: Verdict) {
     match verdict {
         Verdict::Stop { completed } => {
@@ -522,22 +473,15 @@ fn publish(sched: &Scheduler, r: &mut Reduction, verdict: Verdict) {
             m2,
             rim,
         } => {
-            let mut ends = sched.timing.then(|| Vec::with_capacity(sched.num_shards));
+            let width = r.width;
             for (d, tx) in r.decision_txs.iter().enumerate() {
-                let end = sched.end_for(d, start, holder, m2, r.width);
-                if let Some(ends) = ends.as_mut() {
-                    ends.push(end);
-                }
-                let _ = tx.send(Decision::Window { end, rim });
-            }
-            if let Some(ends) = ends {
-                r.pending = Some(PendingWindow {
+                let end = sched.end_for(d, start, holder, m2, width);
+                let _ = tx.send(Decision::Window {
                     start,
-                    width: r.width,
-                    straggler: holder,
-                    ends,
-                    events: vec![0; sched.num_shards],
-                    issued: Instant::now(),
+                    width,
+                    holder,
+                    end,
+                    rim,
                 });
             }
             // The decision has consumed the in-flight minima; reset the
@@ -549,27 +493,15 @@ fn publish(sched: &Scheduler, r: &mut Reduction, verdict: Verdict) {
     }
 }
 
-/// Completes an epoch after the last worker folded: finishes the pending
-/// window record, adapts the width, and decides + publishes the next
-/// window — all under the reduction lock, so the decision is
-/// deterministic and workers always observe a fully-published epoch.
+/// Completes an epoch after the last worker folded: adapts the width,
+/// and decides + publishes the next window — all under the reduction
+/// lock, so the decision is deterministic and workers always observe a
+/// fully-published epoch.
 fn complete_epoch(sched: &Scheduler, r: &mut Reduction) {
     r.arrived = 0;
     let window_events = std::mem::take(&mut r.epoch_events);
     r.events += window_events;
     r.windows += 1;
-    if let Some(p) = r.pending.take() {
-        let wall_ns = p.issued.elapsed().as_nanos() as u64;
-        r.trace.push(WindowRecord {
-            index: r.windows,
-            start: p.start,
-            width: p.width,
-            straggler: p.straggler,
-            ends: p.ends,
-            events: p.events,
-            wall_ns,
-        });
-    }
     r.width = sched.adapt(r.width, window_events);
     let verdict = sched.decide(
         |s| match (r.local_next[s], r.inbound_min[s]) {
@@ -604,9 +536,6 @@ fn fold_summary(
         }
     }
     r.epoch_events += events;
-    if let Some(p) = r.pending.as_mut() {
-        p.events[shard] = events;
-    }
     r.arrived += 1;
     if r.arrived == sched.num_shards {
         complete_epoch(sched, r);
@@ -652,6 +581,7 @@ fn worker_loop<P: Protocol, O: Probe>(
     // Wall clocks are taken (and mailbox batches sized) only for an
     // observer that profiles, so the unprofiled hot path pays nothing.
     let timing = obs.profiles();
+    let mut index = 0u64;
     loop {
         // The decision is computed in-place by whichever worker folds the
         // epoch last, so by the time it arrives every peer has already
@@ -664,12 +594,20 @@ fn worker_loop<P: Protocol, O: Probe>(
             break;
         };
         let wait_ns = wait_t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
-        let Decision::Window { end, rim } = msg else {
+        let Decision::Window {
+            start,
+            width,
+            holder,
+            end,
+            rim,
+        } = msg
+        else {
             // Stop: the final window's batches were absorbed at its end,
             // so the queue already holds every in-flight event for the
             // next `run_until` call.
             break;
         };
+        index += 1;
         // Reclaim batch vectors our peers drained and returned.
         for (dest, ret) in links.ret_rxs.iter().enumerate() {
             if let Some(ret) = ret {
@@ -718,18 +656,15 @@ fn worker_loop<P: Protocol, O: Probe>(
             kernel.dispatch_with(key, kind, &mut factory, &mut sink, obs);
         }
         let execute_ns = exec_t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
+        let (mut mailbox_msgs, mut mailbox_bytes) = (0u64, 0u64);
         if timing {
-            let (mut msgs, mut bytes) = (0u64, 0u64);
             for batch in &out {
-                msgs += batch.len() as u64;
+                mailbox_msgs += batch.len() as u64;
                 for (_, kind) in batch {
                     if let EventKind::Deliver { msg, .. } = kind {
-                        bytes += P::message_size(msg) as u64;
+                        mailbox_bytes += P::message_size(msg) as u64;
                     }
                 }
-            }
-            if msgs > 0 {
-                obs.on_mailbox(msgs, bytes);
             }
         }
         // Send one batch (possibly empty) to every peer *before* folding:
@@ -776,8 +711,15 @@ fn worker_loop<P: Protocol, O: Probe>(
         }
         if timing {
             obs.on_window(WindowWork {
+                index,
+                start,
+                width,
+                straggler: Some(holder),
+                issued_end: end,
                 end: dyn_end,
                 events,
+                mailbox_msgs,
+                mailbox_bytes,
                 execute_ns,
                 exchange_ns,
                 fill_ns,
@@ -1084,34 +1026,31 @@ where
     /// The `()` case of [`ShardedSimulation::run_until_observed`]: with
     /// the null observer every hook site compiles away.
     pub fn run_until(&mut self, target: SimTime) -> ClusterReport {
-        self.run_until_observed(target, &mut vec![(); self.num_shards()], None)
+        self.run_until_observed(target, &mut vec![(); self.num_shards()])
     }
 
     /// [`ShardedSimulation::run_until`] with exactly one observer per
-    /// shard and an optional [`ScheduleTrace`].
+    /// shard.
     ///
     /// Worker `s` threads `observers[s]` through every event it
     /// dispatches, so each observer sees exactly the nodes its shard owns
     /// — sends and hops on the *sender's* shard, so each is observed
     /// exactly once across the cluster — and, if it
-    /// [`profiles`](Probe::profiles), the worker's per-window phase wall
-    /// clocks (execute, exchange, pipeline fill, the straggler wait at
-    /// the reduction) and mailbox traffic; otherwise no wall clock is
-    /// read. Observers are passive: the observed run is bit-identical to
-    /// an unobserved one. A caller wanting global aggregates merges the
-    /// per-shard observers afterwards (see [`Probe`]). Every window's
-    /// sizing decision and straggler attribution is appended to
-    /// `schedule` when one is given.
+    /// [`profiles`](Probe::profiles), one [`Probe::on_window`] per
+    /// window: the decision (index, start, width, straggler, issued end),
+    /// the shard's events and mailbox traffic, and its phase wall clocks
+    /// (execute, exchange, pipeline fill, the straggler wait at the
+    /// reduction); otherwise no wall clock is read. Every shard reports
+    /// every window, so the coordinator's view of a window is the fold
+    /// of its per-shard reports. Observers are passive: the observed run
+    /// is bit-identical to an unobserved one. A caller wanting global
+    /// aggregates merges the per-shard observers afterwards (see
+    /// [`Probe`]).
     ///
     /// # Panics
     ///
     /// Panics if `observers.len()` is not the shard count.
-    pub fn run_until_observed<O>(
-        &mut self,
-        target: SimTime,
-        observers: &mut [O],
-        schedule: Option<&mut ScheduleTrace>,
-    ) -> ClusterReport
+    pub fn run_until_observed<O>(&mut self, target: SimTime, observers: &mut [O]) -> ClusterReport
     where
         O: Probe + Send,
     {
@@ -1124,9 +1063,6 @@ where
         let lookahead = self.lookahead;
         let policy = self.window;
         let next: Vec<Option<SimTime>> = self.shards.iter().map(|s| s.queue.next_time()).collect();
-        // Record windows (and read wall clocks for them) only when
-        // someone is listening.
-        let timing = schedule.is_some();
         let sched = Scheduler {
             num_shards,
             lookahead,
@@ -1142,7 +1078,6 @@ where
             already: self.events_processed,
             adaptive: policy.adaptive,
             cap: lookahead.saturating_mul(policy.max_factor.max(1) as u64),
-            timing,
         };
         let (decision_txs, decision_rxs): (Vec<_>, Vec<_>) =
             (0..num_shards).map(|_| channel::<Decision>()).unzip();
@@ -1155,8 +1090,6 @@ where
             events: 0,
             windows: 0,
             completed: true,
-            pending: None,
-            trace: Vec::new(),
             decision_txs,
         };
         // The first decision is made here on the calling thread (from
@@ -1207,11 +1140,6 @@ where
             windows: red.windows,
             completed: red.completed,
         };
-        if let Some(trace) = schedule {
-            for rec in red.trace.drain(..) {
-                trace.record(rec, num_shards);
-            }
-        }
         self.window_width = red.width;
         if report.completed {
             self.now = self.now.max(target);
@@ -1637,12 +1565,12 @@ mod tests {
         }
     }
 
-    /// A per-shard profiler counting dispatched events.
+    /// A per-shard profiler counting dispatched events and keeping every
+    /// window report.
     #[derive(Debug, Default)]
     struct CountEvents {
         events: u64,
-        windows: u64,
-        mailbox_msgs: u64,
+        windows: Vec<WindowWork>,
     }
 
     impl Probe for CountEvents {
@@ -1652,17 +1580,15 @@ mod tests {
         fn on_event(&mut self, _now: SimTime) {
             self.events += 1;
         }
-        fn on_window(&mut self, _work: WindowWork) {
-            self.windows += 1;
-        }
-        fn on_mailbox(&mut self, msgs: u64, _bytes: u64) {
-            self.mailbox_msgs += msgs;
+        fn on_window(&mut self, work: WindowWork) {
+            self.windows.push(work);
         }
     }
 
-    /// Profiling and schedule tracing are passive (bit-identical run),
-    /// profiler event counts sum to the report, and the schedule trace
-    /// attributes every window to exactly one straggler.
+    /// Profiling is passive (bit-identical run), profiler event counts
+    /// sum to the report, and the per-shard window reports agree on the
+    /// schedule: every shard reports every window with the same index,
+    /// start, width and straggler, and the window events sum to the run.
     #[test]
     fn profilers_and_schedule_trace_are_passive_and_consistent() {
         let horizon = SimTime::from_secs(1);
@@ -1675,8 +1601,7 @@ mod tests {
             ShardedSimulation::new(16, lossy_net(), 42, 4, |_, _| Chatter::default());
         schedule(&mut profiled);
         let mut profilers: Vec<CountEvents> = (0..4).map(|_| CountEvents::default()).collect();
-        let mut trace = ScheduleTrace::default();
-        let report = profiled.run_until_observed(horizon, &mut profilers, Some(&mut trace));
+        let report = profiled.run_until_observed(horizon, &mut profilers);
         assert_eq!(
             fingerprint_cluster(&profiled),
             expect,
@@ -1688,31 +1613,40 @@ mod tests {
             report.events,
             "one on_event per dispatched event, summed over shards"
         );
-        assert_eq!(
-            profilers.iter().map(|p| p.windows).sum::<u64>(),
-            report.windows * 4,
-            "every shard reports every window"
-        );
+        for p in &profilers {
+            assert_eq!(
+                p.windows.len() as u64,
+                report.windows,
+                "every shard reports every window"
+            );
+            for (i, w) in p.windows.iter().enumerate() {
+                let first = &profilers[0].windows[i];
+                assert_eq!(w.index, i as u64 + 1);
+                assert_eq!(
+                    (w.start, w.width, w.straggler),
+                    (first.start, first.width, first.straggler),
+                    "window {} is one decision",
+                    w.index
+                );
+                assert!(w.straggler.is_some_and(|s| s < 4));
+                assert!(w.issued_end > w.start && w.end <= w.issued_end);
+            }
+        }
         assert!(
-            profilers.iter().map(|p| p.mailbox_msgs).sum::<u64>() > 0,
+            profilers
+                .iter()
+                .flat_map(|p| &p.windows)
+                .map(|w| w.mailbox_msgs)
+                .sum::<u64>()
+                > 0,
             "a 4-shard chatter run must exchange cross-shard messages"
         );
-        assert_eq!(trace.windows.len() as u64, report.windows);
-        assert_eq!(trace.straggler_windows.len(), 4);
-        assert_eq!(
-            trace.straggler_windows.iter().sum::<u64>(),
-            report.windows,
-            "each window has exactly one straggler"
-        );
-        for (i, w) in trace.windows.iter().enumerate() {
-            assert_eq!(w.index, i as u64 + 1);
-            assert_eq!(w.ends.len(), 4);
-            assert_eq!(w.events.len(), 4);
-            assert!(w.straggler < 4);
-            assert!(w.ends.iter().all(|&e| e > w.start));
-        }
-        let traced_events: u64 = trace.windows.iter().flat_map(|w| w.events.iter()).sum();
-        assert_eq!(traced_events, report.events);
+        let window_events: u64 = profilers
+            .iter()
+            .flat_map(|p| &p.windows)
+            .map(|w| w.events)
+            .sum();
+        assert_eq!(window_events, report.events);
     }
 
     /// Quiet protocol recording when its handlers fire — no sends, no

@@ -37,21 +37,19 @@ use fed_baselines::dks::{DksConfig, DksNode};
 use fed_baselines::hybrid::{HybridConfig, HybridNode};
 use fed_baselines::scribe::ScribeNode;
 use fed_baselines::splitstream::{Forest, SplitStreamNode};
-use fed_cluster::{ScheduleTrace, ShardMap, ShardedSimulation, WindowPolicy};
+use fed_cluster::{ShardMap, ShardedSimulation, WindowPolicy};
 use fed_core::behavior::Behavior;
 use fed_core::endpoint::Endpoint;
 use fed_core::gossip::{GossipConfig, GossipNode};
 use fed_core::ledger::FairnessLedger;
 use fed_dht::DhtNetwork;
-use fed_membership::swim::{SwimObservation, SwimObservationKind};
+use fed_membership::swim::SwimObservation;
 use fed_metrics::delivery::DeliveryAudit;
-use fed_profile::{
-    CountingProbe, RunProfile, ScheduleSummary, ShardProfile, WindowSlice, WorkCounters,
-};
+use fed_profile::{CountingProbe, RunProfile, ShardProfile, WorkCounters};
 use fed_pubsub::{Command, EventId, TopicId};
 use fed_sim::exec::{Probe, QueueStats};
 use fed_sim::{HopRecord, NodeId, Protocol, SimDuration, SimTime, Simulation, TransportStats};
-use fed_telemetry::membership::{DetectorEvent, DetectorEventKind, MembershipSeries};
+use fed_telemetry::membership::{DetectorEvent, MembershipSeries};
 use fed_telemetry::{ShardCollector, TelemetrySeries};
 use fed_trace::{merge_hops, ShardTraceBuffer};
 use fed_util::rng::Xoshiro256StarStar;
@@ -230,15 +228,8 @@ pub trait Engine: Sized {
     fn shards(&self) -> usize;
     /// The node ids `shard` owns, ascending.
     fn owned(&self, shard: usize) -> Vec<u32>;
-    /// Runs to `target` with exactly one observer per shard. Returns the
-    /// window schedule when `trace_schedule` is set and the engine has
-    /// windows to trace.
-    fn run_observed<O: Probe + Send>(
-        &mut self,
-        target: SimTime,
-        observers: &mut [O],
-        trace_schedule: bool,
-    ) -> Option<ScheduleTrace>;
+    /// Runs to `target` with exactly one observer per shard.
+    fn run_observed<O: Probe + Send>(&mut self, target: SimTime, observers: &mut [O]);
     /// Iterates over `(id, state)` of every node that has state.
     fn nodes(&self) -> impl Iterator<Item = (NodeId, &Self::Proto)>;
     /// Consumes the engine into `(id, state)` of every node that has
@@ -277,17 +268,11 @@ impl<P: Protocol + 'static> Engine for Simulation<P> {
     fn owned(&self, _shard: usize) -> Vec<u32> {
         (0..self.len() as u32).collect()
     }
-    fn run_observed<O: Probe + Send>(
-        &mut self,
-        target: SimTime,
-        observers: &mut [O],
-        _trace_schedule: bool,
-    ) -> Option<ScheduleTrace> {
+    fn run_observed<O: Probe + Send>(&mut self, target: SimTime, observers: &mut [O]) {
         let [obs] = observers else {
             panic!("the sequential engine is exactly one shard");
         };
         self.run_until_observed(target, obs);
-        None
     }
     fn nodes(&self) -> impl Iterator<Item = (NodeId, &P)> {
         Simulation::nodes(self)
@@ -354,15 +339,8 @@ where
     fn owned(&self, shard: usize) -> Vec<u32> {
         self.shard_map().owned(shard).to_vec()
     }
-    fn run_observed<O: Probe + Send>(
-        &mut self,
-        target: SimTime,
-        observers: &mut [O],
-        trace_schedule: bool,
-    ) -> Option<ScheduleTrace> {
-        let mut schedule = trace_schedule.then(ScheduleTrace::default);
-        self.run_until_observed(target, observers, schedule.as_mut());
-        schedule
+    fn run_observed<O: Probe + Send>(&mut self, target: SimTime, observers: &mut [O]) {
+        self.run_until_observed(target, observers);
     }
     fn nodes(&self) -> impl Iterator<Item = (NodeId, &P)> {
         ShardedSimulation::nodes(self)
@@ -553,12 +531,7 @@ impl ArchOutcome {
                     at: o.at,
                     observer,
                     subject: o.subject.index(),
-                    kind: match o.kind {
-                        SwimObservationKind::Suspect => DetectorEventKind::Suspect,
-                        SwimObservationKind::Confirm => DetectorEventKind::Confirm,
-                        SwimObservationKind::Refute => DetectorEventKind::Refute,
-                        SwimObservationKind::SelfRefute => DetectorEventKind::SelfRefute,
-                    },
+                    kind: o.kind,
                 });
             }
         }
@@ -710,33 +683,6 @@ pub fn run_architecture(spec: &ScenarioSpec, engine: EngineKind) -> ArchOutcome 
     }
 }
 
-/// Engine-neutral copy of the coordinator's schedule trace, so
-/// `fed-profile` (and everything reading a [`RunProfile`]) stays
-/// independent of the cluster runtime.
-fn schedule_summary(trace: &ScheduleTrace) -> ScheduleSummary {
-    ScheduleSummary {
-        windows: trace
-            .windows
-            .iter()
-            .map(|w| WindowSlice {
-                index: w.index,
-                start_us: w.start.as_micros(),
-                end_us: w
-                    .ends
-                    .iter()
-                    .map(|e| e.as_micros())
-                    .max()
-                    .unwrap_or_else(|| w.start.as_micros()),
-                width_us: w.width.as_micros(),
-                straggler: w.straggler,
-                events: w.events.iter().sum(),
-                wall_ns: w.wall_ns,
-            })
-            .collect(),
-        straggler_windows: trace.straggler_windows.clone(),
-    }
-}
-
 /// One shard's partition-invariant work counters, assembled from its
 /// profiler's event count and the transport stats of the nodes it owns.
 ///
@@ -871,7 +817,7 @@ where
             })
             .collect();
         let run_start = profiling.then(std::time::Instant::now);
-        let schedule = sim.run_observed(horizon, &mut observers, profiling);
+        sim.run_observed(horizon, &mut observers);
         let wall_ns = run_start.map_or(0, |t| t.elapsed().as_nanos() as u64);
 
         let stats = sim.stats();
@@ -897,7 +843,6 @@ where
             work,
             shards: shard_profiles,
             queue: sim.queue_stats(),
-            schedule: schedule.as_ref().map(schedule_summary),
             wall_ns,
         });
         // A single sequential buffer still goes through the merge, so both
@@ -1046,7 +991,10 @@ mod tests {
         assert_eq!(plain.telemetry, seq.telemetry);
         let p = seq.profiling.as_ref().expect("profiling on");
         assert_eq!(p.shards.len(), 1);
-        assert!(p.schedule.is_none(), "no windows on the sequential engine");
+        assert!(
+            p.barrier_windows().is_empty(),
+            "no windows on the sequential engine"
+        );
         let work = p.merged_work();
         assert_eq!(work.events, seq.events);
         assert!(work.probe_calls > 0, "telemetry hooks counted");
@@ -1055,10 +1003,9 @@ mod tests {
         let q = clu.profiling.as_ref().expect("profiling on");
         assert_eq!(q.shards.len(), 3);
         assert_eq!(work, q.merged_work(), "work counters partition-invariant");
-        let schedule = q.schedule.as_ref().expect("cluster schedule traced");
-        assert_eq!(schedule.windows.len() as u64, clu.windows);
+        assert_eq!(q.barrier_windows().len() as u64, clu.windows);
         assert_eq!(
-            schedule.straggler_windows.iter().sum::<u64>(),
+            q.straggler_windows().iter().sum::<u64>(),
             clu.windows,
             "every window has exactly one straggler"
         );

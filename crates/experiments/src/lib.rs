@@ -377,6 +377,11 @@ impl PseudoId {
         fn positive<T: std::str::FromStr + PartialOrd + Default>(v: &str) -> Option<T> {
             v.parse().ok().filter(|x| *x > T::default())
         }
+        /// A positive count no larger than `max` — the bounds a scenario
+        /// file's `nodes` and `shards` keys enforce.
+        fn at_most(max: usize) -> impl Fn(&str) -> Option<usize> {
+            move |v| positive(v).filter(|x| *x <= max)
+        }
         let parsed = if head == "sweep-smoke" {
             PseudoId::SweepSmoke {
                 workloads: field(parts, "workloads", sweep::SMOKE_WORKLOADS, positive)?,
@@ -390,8 +395,18 @@ impl PseudoId {
                     default.arch,
                     fed_workload::Architecture::parse,
                 )?,
-                n: field(parts, "n", default.n, positive)?,
-                shards: field(parts, "shards", default.shards, positive)?,
+                n: field(
+                    parts,
+                    "n",
+                    default.n,
+                    at_most(fed_workload::scenario_file::MAX_NODES),
+                )?,
+                shards: field(
+                    parts,
+                    "shards",
+                    default.shards,
+                    at_most(fed_workload::scenario_file::MAX_SHARDS),
+                )?,
                 ..default
             };
             match head {
@@ -763,6 +778,16 @@ mod tests {
                 "trace-smoke:dks:1000:0",
                 "bad shards \"0\"",
                 PSEUDO_IDS[2].1,
+            ),
+            (
+                "smoke:broker:5000000000",
+                "bad n \"5000000000\"",
+                PSEUDO_IDS[0].1,
+            ),
+            (
+                "smoke:broker:100000:100000",
+                "bad shards \"100000\"",
+                PSEUDO_IDS[0].1,
             ),
             ("sweep-smoke:0", "bad workloads \"0\"", PSEUDO_IDS[3].1),
         ] {

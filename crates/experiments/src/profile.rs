@@ -54,6 +54,7 @@ pub fn phase_table(name: &str, profile: &RunProfile) -> Table {
         ],
     );
     for (s, shard) in profile.shards.iter().enumerate() {
+        let (mailbox_msgs, mailbox_bytes) = shard.mailbox();
         t.row_owned(vec![
             s.to_string(),
             shard.events.to_string(),
@@ -62,8 +63,8 @@ pub fn phase_table(name: &str, profile: &RunProfile) -> Table {
             fmt_f64(ms(shard.phases.fill_ns)),
             fmt_f64(ms(shard.phases.barrier_ns)),
             fmt_f64(ms(shard.phases.idle_ns)),
-            shard.mailbox_msgs.to_string(),
-            shard.mailbox_bytes.to_string(),
+            mailbox_msgs.to_string(),
+            mailbox_bytes.to_string(),
         ]);
     }
     let phases = profile.phases();
@@ -88,28 +89,25 @@ pub fn phase_table(name: &str, profile: &RunProfile) -> Table {
 }
 
 /// Stall attribution: how many conservative windows each shard bounded
-/// (held the global minimum pending time for). `None` on sequential
-/// runs, which have no windows.
+/// (held the global minimum pending time for), from the per-shard window
+/// reports. `None` when the run had no barrier windows (always on the
+/// sequential engine).
 pub fn stall_table(name: &str, profile: &RunProfile) -> Option<Table> {
-    let schedule = profile.schedule.as_ref()?;
-    let windows = schedule.windows.len().max(1) as f64;
+    let windows = profile.sched().windows;
+    if windows == 0 {
+        return None;
+    }
     let mut t = Table::new(
-        format!(
-            "PROFILE {name}: stall attribution ({} windows)",
-            schedule.windows.len()
-        ),
+        format!("PROFILE {name}: stall attribution ({windows} windows)"),
         &["shard", "straggler windows", "share", "events"],
     );
-    for (s, &bounded) in schedule.straggler_windows.iter().enumerate() {
+    let bounded = profile.straggler_windows();
+    for (s, (bounded, shard)) in bounded.into_iter().zip(&profile.shards).enumerate() {
         t.row_owned(vec![
             s.to_string(),
             bounded.to_string(),
-            fmt_f64(bounded as f64 / windows),
-            profile
-                .shards
-                .get(s)
-                .map(|p| p.events.to_string())
-                .unwrap_or_else(|| "-".to_string()),
+            fmt_f64(bounded as f64 / windows as f64),
+            shard.events.to_string(),
         ]);
     }
     Some(t)

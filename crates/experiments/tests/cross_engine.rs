@@ -88,7 +88,7 @@ fn run_on<E: Engine<Proto = GossipNode>>(spec: &ScenarioSpec) -> Fingerprint {
     let mut run = prepare_gossip::<E>(spec, config(), |_| Behavior::Honest);
     let horizon = run.horizon();
     let mut unobserved = vec![(); run.sim.shards()];
-    run.sim.run_observed(horizon, &mut unobserved, false);
+    run.sim.run_observed(horizon, &mut unobserved);
     fingerprint(run.sim.nodes(), run.sim.stats(), run.sim.events())
 }
 

@@ -12,6 +12,7 @@
 //! reported, not compared.
 
 use fed_experiments::harness::{run_architecture, ArchOutcome, EngineKind};
+use fed_experiments::scenario_run::{load_file, resolve_target};
 use fed_profile::{ProfileSpec, WorkCounters};
 use fed_sim::SimTime;
 use fed_telemetry::TelemetrySpec;
@@ -239,5 +240,70 @@ proptest! {
         );
         prop_assert_eq!(&got.deliveries, &expected.deliveries);
         prop_assert_eq!(got.events, expected.events);
+    }
+}
+
+/// One barrier window as the profile derives it from the per-shard
+/// reports, in the golden file's line format: `index start_us width_us
+/// straggler ends events`, the last two per shard, comma-separated.
+fn schedule_lines(outcome: &ArchOutcome) -> Vec<String> {
+    let profile = outcome.profiling.as_ref().expect("profiling enabled");
+    let joined = |values: Vec<u64>| {
+        let text: Vec<String> = values.iter().map(u64::to_string).collect();
+        text.join(",")
+    };
+    profile
+        .barrier_windows()
+        .into_iter()
+        .map(|reports| {
+            let w = reports[0];
+            let ends = reports.iter().map(|r| r.issued_end.as_micros()).collect();
+            let events = reports.iter().map(|r| r.events).collect();
+            format!(
+                "{} {} {} {} {} {}",
+                w.index,
+                w.start.as_micros(),
+                w.width.as_micros(),
+                w.straggler.expect("a barrier window has a straggler"),
+                joined(ends),
+                joined(events)
+            )
+        })
+        .collect()
+}
+
+/// The schedule derived from the per-shard window reports is exactly
+/// the one the coordinator recorded when it kept its own trace
+/// (`tests/data/schedule_golden.txt`, captured from that coordinator):
+/// window by window, the start, width, straggler, the end issued to
+/// each shard and the events each shard ran.
+#[test]
+fn derived_schedule_matches_the_recorded_coordinator() {
+    let golden = include_str!("data/schedule_golden.txt");
+    let mut sections: Vec<(String, Vec<&str>)> = Vec::new();
+    for line in golden.lines() {
+        if let Some(title) = line.strip_prefix("# ") {
+            if title.contains("shards=") {
+                sections.push((title.to_string(), Vec::new()));
+            }
+        } else if let Some((_, lines)) = sections.last_mut() {
+            lines.push(line);
+        }
+    }
+    assert_eq!(sections.len(), 3, "three captured runs");
+    for (title, expected) in sections {
+        let (name, shards) = title.split_once(" shards=").expect("`name shards=N`");
+        let path = resolve_target(&format!("@{name}"));
+        let spec = load_file(&path).expect("library scenario").spec;
+        let spec = spec
+            .with_shards(shards.parse().expect("shard count"))
+            .with_profile(ProfileSpec::default());
+        let outcome = run_architecture(&spec, EngineKind::Cluster);
+        let derived = schedule_lines(&outcome);
+        assert_eq!(derived.len(), expected.len(), "{title}: windows");
+        assert_eq!(outcome.windows, derived.len() as u64, "{title}: windows");
+        for (got, want) in derived.iter().zip(&expected) {
+            assert_eq!(got, want, "{title}");
+        }
     }
 }

@@ -18,8 +18,8 @@
 //!   the same seed and workload, at any shard count, placement or window
 //!   policy — the same guarantee the engines give for results, extended
 //!   to the profiler, and gated by the same parity suites.
-//! * **Wall-clock measurements** ([`PhaseTimes`], per-window
-//!   `wall_ns`) are host timings. They vary run to run and are never
+//! * **Wall-clock measurements** ([`PhaseTimes`], the per-window phase
+//!   nanoseconds of [`WindowWork`]) are host timings. They vary run to run and are never
 //!   compared for equality; they exist to show *where the time went*.
 //!
 //! A third group ([`SchedCounters`]) is deterministic for a fixed
@@ -29,14 +29,19 @@
 //!
 //! ## Pieces
 //!
-//! * [`ShardProfile`] implements the engine hooks of
-//!   [`fed_sim::exec::Probe`] — attach one per shard (or one to a
-//!   sequential run) and it accumulates phases, windows and counters.
+//! * [`ShardProfile`] implements the one engine hook of
+//!   [`fed_sim::exec::Probe`], `on_window` — attach one per shard (or one
+//!   to a sequential run) and it keeps every [`WindowWork`] report and
+//!   accumulates the phase totals.
 //! * [`CountingProbe`] wraps any [`Probe`] and counts its virtual-world
 //!   hook invocations — the `probe_calls` work counter.
 //! * [`RunProfile`] assembles the per-shard profiles plus engine-level
-//!   counters into the run-level report; [`chrome_trace_json`] renders it
-//!   as Chrome Trace Event JSON loadable in Perfetto or
+//!   counters into the run-level report. The coordinator's schedule is
+//!   not reported separately: every shard reports every barrier window
+//!   with the same index, start, width and straggler, so
+//!   [`RunProfile::barrier_windows`] rebuilds it from the per-shard
+//!   samples, keyed by window index. [`chrome_trace_json`] renders the
+//!   profile as Chrome Trace Event JSON loadable in Perfetto or
 //!   `chrome://tracing`.
 //! * [`json`] re-exports [`fed_util::json`], the workspace's JSON reader
 //!   and writer: the frozen benchmark still imports it from here.
@@ -48,7 +53,7 @@
 // between `benchmark` PRs; the next one re-points it and drops this.
 pub use fed_util::json;
 
-use fed_sim::exec::{HopRecord, Probe, ProfilePhase, QueueStats, SendFate, WindowWork};
+use fed_sim::exec::{HopRecord, Probe, QueueStats, SendFate, WindowWork};
 use fed_sim::protocol::NodeId;
 use fed_sim::time::SimTime;
 use fed_util::json::{ChromeTrace, Object};
@@ -167,43 +172,38 @@ impl PhaseTimes {
     }
 }
 
-/// One window as one shard experienced it (trimmed copy of
-/// [`WindowWork`] kept for trace export).
-#[derive(Debug, Clone, Copy)]
-pub struct WindowSample {
-    /// Exclusive virtual-time end of the window on this shard.
-    pub end: SimTime,
-    /// Events the shard executed inside it.
-    pub events: u64,
-    /// Wall nanoseconds dispatching.
-    pub execute_ns: u64,
-    /// Wall nanoseconds exchanging mailboxes.
-    pub exchange_ns: u64,
-    /// Wall nanoseconds blocked at the absorption point (pipeline fill).
-    pub fill_ns: u64,
-    /// Wall nanoseconds waiting for the window.
-    pub wait_ns: u64,
-}
-
-/// Per-shard profiler: the [`Probe`] both engines drive through its
-/// engine hooks.
+/// Per-shard profiler: the [`Probe`] both engines drive through
+/// [`Probe::on_window`].
 ///
-/// Deterministic state (`events`, mailbox counters) and wall-clock state
-/// (`phases`, per-window samples) accumulate independently; barrier wait
-/// is classified [`PhaseTimes::idle_ns`] when the preceding window
-/// executed nothing on this shard.
+/// Deterministic state (`events`, the decision and work fields of each
+/// window) and wall-clock state (`phases`, the window nanoseconds)
+/// accumulate independently; barrier wait is classified
+/// [`PhaseTimes::idle_ns`] when the window executed nothing on this
+/// shard.
 #[derive(Debug, Clone, Default)]
 pub struct ShardProfile {
     /// Events dispatched on this shard (deterministic).
     pub events: u64,
     /// Wall clock by phase.
     pub phases: PhaseTimes,
-    /// Every window, in execution order (empty on a sequential run).
-    pub windows: Vec<WindowSample>,
-    /// Cross-shard mailbox messages staged by this shard.
-    pub mailbox_msgs: u64,
-    /// Cross-shard mailbox payload bytes staged by this shard.
-    pub mailbox_bytes: u64,
+    /// Every window report, in execution order: the barrier windows of a
+    /// sharded run, one `straggler: None` window per observed call of a
+    /// sequential one.
+    pub windows: Vec<WindowWork>,
+}
+
+impl ShardProfile {
+    /// Cross-shard mailbox `(messages, payload bytes)` this shard staged.
+    pub fn mailbox(&self) -> (u64, u64) {
+        self.windows.iter().fold((0, 0), |(msgs, bytes), w| {
+            (msgs + w.mailbox_msgs, bytes + w.mailbox_bytes)
+        })
+    }
+
+    /// The shard's barrier windows: those a coordinator issued.
+    fn barrier_windows(&self) -> impl Iterator<Item = &WindowWork> {
+        self.windows.iter().filter(|w| w.straggler.is_some())
+    }
 }
 
 impl Probe for ShardProfile {
@@ -215,16 +215,6 @@ impl Probe for ShardProfile {
         self.events += 1;
     }
 
-    fn on_phase(&mut self, phase: ProfilePhase, nanos: u64) {
-        match phase {
-            ProfilePhase::Execute => self.phases.execute_ns += nanos,
-            ProfilePhase::Exchange => self.phases.exchange_ns += nanos,
-            ProfilePhase::Fill => self.phases.fill_ns += nanos,
-            ProfilePhase::Barrier => self.phases.barrier_ns += nanos,
-            ProfilePhase::Idle => self.phases.idle_ns += nanos,
-        }
-    }
-
     fn on_window(&mut self, work: WindowWork) {
         self.phases.execute_ns += work.execute_ns;
         self.phases.exchange_ns += work.exchange_ns;
@@ -234,19 +224,7 @@ impl Probe for ShardProfile {
         } else {
             self.phases.barrier_ns += work.wait_ns;
         }
-        self.windows.push(WindowSample {
-            end: work.end,
-            events: work.events,
-            execute_ns: work.execute_ns,
-            exchange_ns: work.exchange_ns,
-            fill_ns: work.fill_ns,
-            wait_ns: work.wait_ns,
-        });
-    }
-
-    fn on_mailbox(&mut self, msgs: u64, bytes: u64) {
-        self.mailbox_msgs += msgs;
-        self.mailbox_bytes += bytes;
+        self.windows.push(work);
     }
 }
 
@@ -289,14 +267,8 @@ impl<C: Probe> Probe for CountingProbe<C> {
     fn on_hop(&mut self, hop: HopRecord) {
         self.inner.on_hop(hop);
     }
-    fn on_phase(&mut self, phase: ProfilePhase, nanos: u64) {
-        self.inner.on_phase(phase, nanos);
-    }
     fn on_window(&mut self, work: WindowWork) {
         self.inner.on_window(work);
-    }
-    fn on_mailbox(&mut self, msgs: u64, bytes: u64) {
-        self.inner.on_mailbox(msgs, bytes);
     }
     fn profiles(&self) -> bool {
         self.inner.profiles()
@@ -306,40 +278,8 @@ impl<C: Probe> Probe for CountingProbe<C> {
     }
 }
 
-/// One window as the coordinator decided it, in engine-neutral form
-/// (converted from `fed_cluster::ScheduleTrace` by the experiment
-/// harness, which keeps this crate independent of the cluster runtime).
-#[derive(Debug, Clone)]
-pub struct WindowSlice {
-    /// 1-based window number.
-    pub index: u64,
-    /// Window start (global minimum pending time), microseconds.
-    pub start_us: u64,
-    /// Latest conservative end issued to any shard, microseconds.
-    pub end_us: u64,
-    /// Adaptive target width in effect when the window was issued,
-    /// microseconds.
-    pub width_us: u64,
-    /// The shard whose pending work bounded the window.
-    pub straggler: usize,
-    /// Events executed across all shards.
-    pub events: u64,
-    /// Coordinator wall clock for the window.
-    pub wall_ns: u64,
-}
-
-/// Coordinator-side schedule summary: window slices plus per-shard
-/// straggler counts.
-#[derive(Debug, Clone, Default)]
-pub struct ScheduleSummary {
-    /// Every window, in execution order.
-    pub windows: Vec<WindowSlice>,
-    /// Windows each shard was the straggler for, indexed by shard.
-    pub straggler_windows: Vec<u64>,
-}
-
 /// The assembled profile of one run: per-shard work and wall-clock
-/// counters plus the coordinator's schedule (cluster runs only).
+/// counters, with the schedule carried by the per-shard window reports.
 #[derive(Debug, Clone, Default)]
 pub struct RunProfile {
     /// Per-shard work counters (one entry on a sequential run).
@@ -349,8 +289,6 @@ pub struct RunProfile {
     /// Queue counters summed over shards (overflow hits are
     /// geometry-dependent; see [`SchedCounters`]).
     pub queue: QueueStats,
-    /// Coordinator schedule; `None` on sequential runs.
-    pub schedule: Option<ScheduleSummary>,
     /// Whole-run wall clock as the harness measured it.
     pub wall_ns: u64,
 }
@@ -370,21 +308,24 @@ impl RunProfile {
 
     /// The scheduler counters (reported, not parity-gated).
     pub fn sched(&self) -> SchedCounters {
+        let (mailbox_msgs, mailbox_bytes) = self
+            .shards
+            .iter()
+            .map(ShardProfile::mailbox)
+            .fold((0, 0), |(msgs, bytes), (m, b)| (msgs + m, bytes + b));
+        // Each barrier window has exactly one straggler.
         let windows = self
-            .schedule
-            .as_ref()
-            .map(|s| s.windows.len() as u64)
+            .shards
+            .iter()
+            .map(|s| s.barrier_windows().count() as u64)
+            .max()
             .unwrap_or(0);
         SchedCounters {
             overflow_hits: self.queue.overflow_hits,
-            mailbox_msgs: self.shards.iter().map(|s| s.mailbox_msgs).sum(),
-            mailbox_bytes: self.shards.iter().map(|s| s.mailbox_bytes).sum(),
+            mailbox_msgs,
+            mailbox_bytes,
             windows,
-            straggler_windows: self
-                .schedule
-                .as_ref()
-                .map(|s| s.straggler_windows.iter().sum())
-                .unwrap_or(0),
+            straggler_windows: windows,
         }
     }
 
@@ -396,6 +337,37 @@ impl RunProfile {
         }
         total
     }
+
+    /// The coordinator's schedule, rebuilt from the per-shard samples:
+    /// every barrier window in execution order, as the reports of the
+    /// shards that ran it (shard order). The reports of one window agree
+    /// on its index, start, width and straggler; its issued end is their
+    /// latest `issued_end`, its events their sum. Empty on a sequential
+    /// run.
+    pub fn barrier_windows(&self) -> Vec<Vec<&WindowWork>> {
+        let mut windows: Vec<Vec<&WindowWork>> = Vec::new();
+        for shard in &self.shards {
+            for (i, w) in shard.barrier_windows().enumerate() {
+                if i == windows.len() {
+                    windows.push(Vec::new());
+                }
+                windows[i].push(w);
+            }
+        }
+        windows
+    }
+
+    /// Barrier windows each shard was the straggler for, indexed by
+    /// shard.
+    pub fn straggler_windows(&self) -> Vec<u64> {
+        let mut counts = vec![0; self.shards.len()];
+        for window in self.barrier_windows() {
+            if let Some(s) = window[0].straggler {
+                counts[s] += 1;
+            }
+        }
+        counts
+    }
 }
 
 /// Renders a [`RunProfile`] as Chrome Trace Event JSON (object format,
@@ -405,31 +377,37 @@ impl RunProfile {
 /// The result loads in Perfetto (<https://ui.perfetto.dev>) and
 /// `chrome://tracing`.
 ///
-/// Track layout: tid 0 is the coordinator (one slice per conservative
-/// window, annotated with the straggler shard); tid `s + 1` is shard
-/// `s`. Sequential runs have no windows and render a single summary
-/// slice on the shard track.
+/// Track layout: tid 0 is the coordinator (one slice per barrier
+/// window, derived by [`RunProfile::barrier_windows`] and annotated with
+/// the straggler shard); tid `s + 1` is shard `s`. A coordinator slice's
+/// `wall_us` is the slowest shard's `execute_ns + exchange_ns` in that
+/// window — no shard observes the interval from the decision to the last
+/// fold, so the busiest shard's own work stands in for it. A shard track
+/// without barrier windows (a sequential run) renders a single summary
+/// slice.
 pub fn chrome_trace_json(profile: &RunProfile, name: &str) -> String {
     let mut trace = ChromeTrace::new(name);
     trace.thread(0, "coordinator");
     for s in 0..profile.shards.len() {
         trace.thread(s as u64 + 1, &format!("shard {s}"));
     }
-    if let Some(schedule) = &profile.schedule {
-        for w in &schedule.windows {
-            let dur = w.end_us.saturating_sub(w.start_us).max(1);
-            let args = Object::new()
-                .str("straggler", &format!("shard {}", w.straggler))
-                .uint("events", w.events)
-                .uint("wall_us", w.wall_ns / 1_000)
-                .uint("width_us", w.width_us);
-            let label = format!("window {}", w.index);
-            trace.slice(0, &label, w.start_us, dur, args);
-        }
+    for window in profile.barrier_windows() {
+        let w = window[0];
+        let start = w.start.as_micros();
+        let end = window.iter().map(|s| s.issued_end.as_micros()).max();
+        let dur = end.unwrap_or(start).saturating_sub(start).max(1);
+        let straggler = w.straggler.unwrap_or_default();
+        let wall_ns = window.iter().map(|s| s.execute_ns + s.exchange_ns).max();
+        let args = Object::new()
+            .str("straggler", &format!("shard {straggler}"))
+            .uint("events", window.iter().map(|s| s.events).sum())
+            .uint("wall_us", wall_ns.unwrap_or(0) / 1_000)
+            .uint("width_us", w.width.as_micros());
+        trace.slice(0, &format!("window {}", w.index), start, dur, args);
     }
     for (s, shard) in profile.shards.iter().enumerate() {
         let tid = s as u64 + 1;
-        if shard.windows.is_empty() {
+        if shard.barrier_windows().next().is_none() {
             // Sequential run: one summary slice covering the whole
             // execute phase (virtual extent unknown — use wall µs).
             let dur = (shard.phases.execute_ns / 1_000).max(1);
@@ -465,6 +443,7 @@ pub fn chrome_trace_json(profile: &RunProfile, name: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fed_sim::time::SimDuration;
 
     #[test]
     fn work_counters_merge_exactly() {
@@ -495,25 +474,38 @@ mod tests {
         );
     }
 
+    /// A window report with the wall-clock split `[execute, exchange,
+    /// fill, wait]` and no mailbox traffic.
+    fn window(
+        index: u64,
+        straggler: Option<usize>,
+        end_ms: u64,
+        events: u64,
+        [execute_ns, exchange_ns, fill_ns, wait_ns]: [u64; 4],
+    ) -> WindowWork {
+        let end = SimTime::from_millis(end_ms);
+        WindowWork {
+            index,
+            start: SimTime::ZERO,
+            width: end.duration_since(SimTime::ZERO),
+            straggler,
+            issued_end: end,
+            end,
+            events,
+            mailbox_msgs: 0,
+            mailbox_bytes: 0,
+            execute_ns,
+            exchange_ns,
+            fill_ns,
+            wait_ns,
+        }
+    }
+
     #[test]
     fn shard_profile_classifies_idle_windows() {
         let mut p = ShardProfile::default();
-        p.on_window(WindowWork {
-            end: SimTime::from_millis(1),
-            events: 5,
-            execute_ns: 100,
-            exchange_ns: 20,
-            fill_ns: 40,
-            wait_ns: 30,
-        });
-        p.on_window(WindowWork {
-            end: SimTime::from_millis(2),
-            events: 0,
-            execute_ns: 0,
-            exchange_ns: 10,
-            fill_ns: 0,
-            wait_ns: 50,
-        });
+        p.on_window(window(1, Some(0), 1, 5, [100, 20, 40, 30]));
+        p.on_window(window(2, Some(0), 2, 0, [0, 10, 0, 50]));
         assert_eq!(p.phases.execute_ns, 100);
         assert_eq!(p.phases.exchange_ns, 30);
         assert_eq!(p.phases.fill_ns, 40, "absorption wait is pipeline fill");
@@ -550,14 +542,10 @@ mod tests {
         let mut shard = ShardProfile::default();
         shard.on_event(SimTime::ZERO);
         shard.on_window(WindowWork {
-            end: SimTime::from_millis(10),
-            events: 1,
-            execute_ns: 1_000,
-            exchange_ns: 200,
-            fill_ns: 50,
-            wait_ns: 300,
+            mailbox_msgs: 2,
+            mailbox_bytes: 64,
+            ..window(1, Some(0), 10, 1, [1_000, 200, 50, 300])
         });
-        shard.on_mailbox(2, 64);
         RunProfile {
             work: vec![WorkCounters {
                 events: 1,
@@ -569,18 +557,6 @@ mod tests {
                 pops: 3,
                 overflow_hits: 1,
             },
-            schedule: Some(ScheduleSummary {
-                windows: vec![WindowSlice {
-                    index: 1,
-                    start_us: 0,
-                    end_us: 10_000,
-                    width_us: 10_000,
-                    straggler: 0,
-                    events: 1,
-                    wall_ns: 1_500,
-                }],
-                straggler_windows: vec![1],
-            }),
             wall_ns: 2_000,
         }
     }
@@ -604,17 +580,16 @@ mod tests {
     /// A sequential and a windowed profile (busy and idle shard windows
     /// next to a sequential summary track) render what the writer this
     /// one replaced rendered for them — captured from it verbatim — plus
-    /// the coordinator slice's `width_us`.
+    /// the coordinator slice's `width_us`. Both are built from per-shard
+    /// window reports; the idle report carries no straggler, so it shows
+    /// on its shard's track but adds no coordinator slice.
     #[test]
     fn chrome_trace_matches_the_captured_documents() {
-        let sequential = ShardProfile {
-            events: 9,
-            phases: PhaseTimes {
-                execute_ns: 4_200,
-                ..PhaseTimes::default()
-            },
-            ..ShardProfile::default()
-        };
+        let mut sequential = ShardProfile::default();
+        for _ in 0..9 {
+            sequential.on_event(SimTime::ZERO);
+        }
+        sequential.on_window(window(1, None, 1_000, 9, [4_200, 0, 0, 0]));
         let seq = RunProfile {
             shards: vec![sequential.clone()],
             wall_ns: 5_000,
@@ -630,32 +605,13 @@ mod tests {
         assert_eq!(chrome_trace_json(&seq, "seq"), seq_capture);
 
         let mut shard = ShardProfile::default();
-        for (ms, events, execute_ns, exchange_ns, fill_ns, wait_ns) in
-            [(10, 1, 1_000, 200, 50, 300), (12, 0, 0, 10, 0, 30)]
-        {
-            shard.on_window(WindowWork {
-                end: SimTime::from_millis(ms),
-                events,
-                execute_ns,
-                exchange_ns,
-                fill_ns,
-                wait_ns,
-            });
-        }
+        shard.on_window(WindowWork {
+            width: SimDuration::from_millis(8),
+            ..window(1, Some(1), 10, 1, [1_000, 200, 50, 300])
+        });
+        shard.on_window(window(2, None, 12, 0, [0, 10, 0, 30]));
         let windowed = RunProfile {
             shards: vec![shard, sequential],
-            schedule: Some(ScheduleSummary {
-                windows: vec![WindowSlice {
-                    index: 1,
-                    start_us: 0,
-                    end_us: 10_000,
-                    width_us: 8_000,
-                    straggler: 1,
-                    events: 1,
-                    wall_ns: 1_500,
-                }],
-                straggler_windows: vec![0, 1],
-            }),
             wall_ns: 2_000,
             ..RunProfile::default()
         };

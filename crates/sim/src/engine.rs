@@ -11,7 +11,7 @@
 //! results.
 
 use crate::exec::{
-    seed_streams, EventKey, EventKind, EventQueue, Kernel, Probe, ProfilePhase, QueueStats,
+    seed_streams, EventKey, EventKind, EventQueue, Kernel, Probe, QueueStats, WindowWork,
     EXTERNAL_SRC,
 };
 use crate::network::NetworkModel;
@@ -241,11 +241,13 @@ impl<P: Protocol> Simulation<P> {
     /// network send — without being able to influence the run, so the
     /// observed run produces the bit-identical virtual-world outcome.
     ///
-    /// When `obs` [`profiles`](Probe::profiles), the whole dispatch loop's
-    /// wall clock is reported once per call via [`Probe::on_phase`] as
-    /// [`ProfilePhase::Execute`] (the sequential engine has no exchange or
-    /// barrier phases); otherwise no clock is read.
+    /// When `obs` [`profiles`](Probe::profiles), the call is reported as
+    /// one [`Probe::on_window`] with `straggler: None` — its events and
+    /// the whole dispatch loop's wall clock as `execute_ns` (the
+    /// sequential engine has no exchange or barrier phases); otherwise
+    /// no clock is read.
     pub fn run_until_observed<O: Probe>(&mut self, target: SimTime, obs: &mut O) -> RunReport {
+        let start = self.now;
         let t0 = obs.profiles().then(std::time::Instant::now);
         let mut events = 0u64;
         let mut completed = true;
@@ -274,7 +276,21 @@ impl<P: Protocol> Simulation<P> {
             self.now = self.now.max(target);
         }
         if let Some(t0) = t0 {
-            obs.on_phase(ProfilePhase::Execute, t0.elapsed().as_nanos() as u64);
+            obs.on_window(WindowWork {
+                index: 1,
+                start,
+                width: end.duration_since(start),
+                straggler: None,
+                issued_end: end,
+                end,
+                events,
+                mailbox_msgs: 0,
+                mailbox_bytes: 0,
+                execute_ns: t0.elapsed().as_nanos() as u64,
+                exchange_ns: 0,
+                fill_ns: 0,
+                wait_ns: 0,
+            });
         }
         RunReport { events, completed }
     }

@@ -635,41 +635,41 @@ pub enum SendFate {
     Lost,
 }
 
-/// An engine phase wall-clock time can be attributed to.
+/// One window's work, as one shard saw it — the single report an engine
+/// gives a profiling [`Probe`] per window per shard.
 ///
-/// Virtual-world results never depend on these — they classify where the
-/// *host* spends real time, for the `fed-profile` subsystem.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ProfilePhase {
-    /// Popping and dispatching events.
-    Execute,
-    /// Exchanging cross-shard mailbox batches: pushing absorbed events
-    /// into the local queue and staging/sending outbound batches.
-    Exchange,
-    /// Blocked absorbing a peer's next-window batch that is still in
-    /// flight — pipeline fill, not a straggler stall: the shard finished
-    /// its own window and folded, and is overlapping the slower shards'
-    /// execution by pre-merging their outbound batches.
-    Fill,
-    /// Waiting at a barrier for the next window decision — the genuine
-    /// straggler stall: the reduction completes only when the slowest
-    /// shard folds its summary.
-    Barrier,
-    /// Waiting at a barrier with no local work pending (the preceding
-    /// window executed zero events on this shard).
-    Idle,
-}
-
-/// One conservative window's work, as one shard saw it.
+/// On the sharded engine a window is one conservative barrier window:
+/// every shard reports it, with the same `index`, `start`, `width` and
+/// `straggler`, so the coordinator's view of a window is the fold of its
+/// per-shard reports. The sequential engine reports each observed
+/// `run_until_observed` call as one window with `straggler: None`.
 ///
-/// `events` and `end` are deterministic; the wall-clock fields are host
-/// measurements and vary run to run.
-#[derive(Debug, Clone, Copy)]
+/// Everything but the four wall-clock fields is deterministic; those are
+/// host measurements and vary run to run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WindowWork {
-    /// Exclusive virtual-time end of the window for this shard.
+    /// 1-based window number within the `run_until_observed` call.
+    pub index: u64,
+    /// Global minimum pending time when the window was issued.
+    pub start: SimTime,
+    /// Target window width in effect when the window was issued.
+    pub width: SimDuration,
+    /// The shard holding the global minimum when the window was issued —
+    /// the shard whose pending work bounded every *other* shard's end, so
+    /// the straggler the conservative scheduler waits on. `None` on the
+    /// sequential engine, which has no barrier windows.
+    pub straggler: Option<usize>,
+    /// Exclusive conservative end issued to this shard.
+    pub issued_end: SimTime,
+    /// Exclusive virtual-time end the shard actually ran to: the issued
+    /// end, tightened by its own cross-shard sends.
     pub end: SimTime,
     /// Events this shard executed inside the window.
     pub events: u64,
+    /// Cross-shard mailbox messages this shard staged in the window.
+    pub mailbox_msgs: u64,
+    /// Payload bytes of those mailbox messages.
+    pub mailbox_bytes: u64,
     /// Wall nanoseconds spent popping/dispatching.
     pub execute_ns: u64,
     /// Wall nanoseconds spent draining/sending mailbox batches (the
@@ -788,8 +788,8 @@ pub struct HopRecord {
 ///
 /// The virtual-world hooks (`on_event`, `on_send`, `on_receive`,
 /// `on_liveness`) and the causal hook (`on_hop`) are deterministic and
-/// fire identically on both engines; the engine hooks (`on_phase`,
-/// `on_window`, `on_mailbox`) report host measurements. Hops and engine
+/// fire identically on both engines; the one engine hook, `on_window`,
+/// reports each window's work and host measurements. Hops and engine
 /// measurements cost something to *produce* — a payload enumeration per
 /// send, wall-clock reads — so they fire only for observers that ask
 /// through [`traces`](Probe::traces) and [`profiles`](Probe::profiles).
@@ -840,27 +840,14 @@ pub trait Probe {
         let _ = hop;
     }
 
-    /// `nanos` of wall clock attributed to `phase`. Fires only when
-    /// [`Probe::profiles`].
-    fn on_phase(&mut self, phase: ProfilePhase, nanos: u64) {
-        let _ = (phase, nanos);
-    }
-
-    /// One conservative window completed on this shard. Fires only when
-    /// [`Probe::profiles`].
+    /// One window completed on this shard (see [`WindowWork`]). Fires
+    /// only when [`Probe::profiles`].
     fn on_window(&mut self, work: WindowWork) {
         let _ = work;
     }
 
-    /// This shard staged `msgs` cross-shard mailbox messages totalling
-    /// `bytes` payload bytes during the last window. Fires only when
-    /// [`Probe::profiles`].
-    fn on_mailbox(&mut self, msgs: u64, bytes: u64) {
-        let _ = (msgs, bytes);
-    }
-
-    /// Whether this observer consumes the engine hooks. The engines read
-    /// wall clocks and size mailbox batches only when it does.
+    /// Whether this observer consumes [`Probe::on_window`]. The engines
+    /// read wall clocks and size mailbox batches only when it does.
     fn profiles(&self) -> bool {
         false
     }
@@ -913,20 +900,10 @@ macro_rules! forward_probe {
                 $(let $pat = $src else { return };)?
                 $($member.on_hop(hop);)+
             }
-            fn on_phase(&mut self, phase: ProfilePhase, nanos: u64) {
-                let $this = self;
-                $(let $pat = $src else { return };)?
-                $($member.on_phase(phase, nanos);)+
-            }
             fn on_window(&mut self, work: WindowWork) {
                 let $this = self;
                 $(let $pat = $src else { return };)?
                 $($member.on_window(work);)+
-            }
-            fn on_mailbox(&mut self, msgs: u64, bytes: u64) {
-                let $this = self;
-                $(let $pat = $src else { return };)?
-                $($member.on_mailbox(msgs, bytes);)+
             }
             fn profiles(&self) -> bool {
                 let $this = self;
@@ -1072,11 +1049,6 @@ impl<P: Protocol> Kernel<P> {
     /// The global ids this kernel owns, ascending.
     pub fn owned_ids(&self) -> &[u32] {
         &self.owned
-    }
-
-    /// Whether this kernel owns `id`.
-    pub fn owns(&self, id: NodeId) -> bool {
-        self.local.get(id.index()).is_some_and(|&li| li != u32::MAX)
     }
 
     fn local_of(&self, id: NodeId) -> Option<usize> {

@@ -3,7 +3,7 @@
 //! `run_until_observed` sees the same hook tape on both engines.
 
 use fed_cluster::ShardedSimulation;
-use fed_sim::exec::{HopKind, HopRecord, Probe, ProfilePhase, SendFate, WindowWork};
+use fed_sim::exec::{HopKind, HopRecord, Probe, SendFate, WindowWork};
 use fed_sim::network::{LatencyModel, NetworkModel};
 use fed_sim::{Context, NodeId, Protocol, SimDuration, SimTime, Simulation};
 use fed_util::rng::Rng64;
@@ -18,9 +18,7 @@ enum Call {
     Receive(SimTime, NodeId, u64),
     Liveness(SimTime, NodeId, bool),
     Hop(HopRecord),
-    Phase(ProfilePhase, u64),
-    Window(SimTime, u64),
-    Mailbox(u64, u64),
+    Window(WindowWork),
 }
 
 /// Writes `(tag, call)` for every hook into a log shared with its
@@ -72,14 +70,8 @@ impl Probe for Member {
     fn on_hop(&mut self, hop: HopRecord) {
         self.saw(Call::Hop(hop));
     }
-    fn on_phase(&mut self, phase: ProfilePhase, nanos: u64) {
-        self.saw(Call::Phase(phase, nanos));
-    }
     fn on_window(&mut self, work: WindowWork) {
-        self.saw(Call::Window(work.end, work.events));
-    }
-    fn on_mailbox(&mut self, msgs: u64, bytes: u64) {
-        self.saw(Call::Mailbox(msgs, bytes));
+        self.saw(Call::Window(work));
     }
     fn profiles(&self) -> bool {
         self.profiles
@@ -107,8 +99,15 @@ fn hop() -> HopRecord {
 fn fire_all(obs: &mut impl Probe) -> Vec<Call> {
     let (t, node) = (SimTime::from_millis(5), NodeId::new(1));
     let window = WindowWork {
+        index: 1,
+        start: SimTime::ZERO,
+        width: SimDuration::from_millis(5),
+        straggler: Some(0),
+        issued_end: t,
         end: t,
         events: 6,
+        mailbox_msgs: 2,
+        mailbox_bytes: 16,
         execute_ns: 1,
         exchange_ns: 2,
         fill_ns: 3,
@@ -119,18 +118,14 @@ fn fire_all(obs: &mut impl Probe) -> Vec<Call> {
     obs.on_receive(t, node, 8);
     obs.on_liveness(t, node, false);
     obs.on_hop(hop());
-    obs.on_phase(ProfilePhase::Execute, 11);
     obs.on_window(window);
-    obs.on_mailbox(2, 16);
     vec![
         Call::Event(t),
         Call::Send(t, node, 8, SendFate::Lost),
         Call::Receive(t, node, 8),
         Call::Liveness(t, node, false),
         Call::Hop(hop()),
-        Call::Phase(ProfilePhase::Execute, 11),
-        Call::Window(t, 6),
-        Call::Mailbox(2, 16),
+        Call::Window(window),
     ]
 }
 
@@ -340,7 +335,7 @@ fn both_engines_show_an_observer_the_same_tape() {
         let mut cluster = ShardedSimulation::new(N, net(), 42, shards, |_, _| Chatter::default());
         schedule!(cluster);
         let mut tapes: Vec<Tape> = (0..shards).map(|_| Tape::default()).collect();
-        cluster.run_until_observed(horizon, &mut tapes, None);
+        cluster.run_until_observed(horizon, &mut tapes);
         assert_eq!(
             merged(tapes),
             expected,

@@ -24,23 +24,8 @@
 //! Windows are `[w·W, (w+1)·W)` like the main telemetry series; an
 //! observation at exactly a boundary belongs to the later window.
 
+use fed_membership::swim::SwimObservationKind;
 use fed_sim::{SimDuration, SimTime};
-
-/// What a failure detector observed about a peer.
-///
-/// Mirrors `fed-membership`'s observation kinds without depending on the
-/// crate; the experiment layer maps its detector's log into this type.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DetectorEventKind {
-    /// A node became suspected.
-    Suspect,
-    /// A node was confirmed dead.
-    Confirm,
-    /// A suspicion or death claim was refuted.
-    Refute,
-    /// A node refuted a claim about itself.
-    SelfRefute,
-}
 
 /// One observation from one detector instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,7 +37,7 @@ pub struct DetectorEvent {
     /// The node the observation concerns.
     pub subject: usize,
     /// What was observed.
-    pub kind: DetectorEventKind,
+    pub kind: SwimObservationKind,
 }
 
 /// Ground truth: one contiguous downtime of one node, `[down, up)`
@@ -135,21 +120,21 @@ impl MembershipSeries {
                 .find(|d| d.covers(e.subject, e.at))
                 .map(|d| d.down);
             match e.kind {
-                DetectorEventKind::Suspect => {
+                SwimObservationKind::Suspect => {
                     row.suspicions += 1;
                     if down_since.is_none() {
                         row.false_suspicions += 1;
                     }
                 }
-                DetectorEventKind::Confirm => {
+                SwimObservationKind::Confirm => {
                     row.confirms += 1;
                     if let Some(down) = down_since {
                         row.detections += 1;
                         row.detection_latency_us_sum += e.at.as_micros() - down.as_micros();
                     }
                 }
-                DetectorEventKind::Refute => row.refutes += 1,
-                DetectorEventKind::SelfRefute => row.self_refutes += 1,
+                SwimObservationKind::Refute => row.refutes += 1,
+                SwimObservationKind::SelfRefute => row.self_refutes += 1,
             }
         }
         MembershipSeries { window, windows }
@@ -190,7 +175,7 @@ impl MembershipSeries {
 mod tests {
     use super::*;
 
-    fn ev(at_ms: u64, subject: usize, kind: DetectorEventKind) -> DetectorEvent {
+    fn ev(at_ms: u64, subject: usize, kind: SwimObservationKind) -> DetectorEvent {
         DetectorEvent {
             at: SimTime::from_millis(at_ms),
             observer: 0,
@@ -208,15 +193,15 @@ mod tests {
         }];
         let events = [
             // True suspicion and detection of the crashed node.
-            ev(1_400, 3, DetectorEventKind::Suspect),
-            ev(2_000, 3, DetectorEventKind::Confirm),
+            ev(1_400, 3, SwimObservationKind::Suspect),
+            ev(2_000, 3, SwimObservationKind::Confirm),
             // False suspicion of a live node, later refuted.
-            ev(2_100, 4, DetectorEventKind::Suspect),
-            ev(2_600, 4, DetectorEventKind::Refute),
+            ev(2_100, 4, SwimObservationKind::Suspect),
+            ev(2_600, 4, SwimObservationKind::Refute),
             // Confirm of a node that already rejoined: not a detection.
-            ev(6_000, 3, DetectorEventKind::Confirm),
+            ev(6_000, 3, SwimObservationKind::Confirm),
             // Past the horizon: ignored.
-            ev(10_000, 3, DetectorEventKind::Suspect),
+            ev(10_000, 3, SwimObservationKind::Suspect),
         ];
         let s = MembershipSeries::build(
             SimDuration::from_secs(1),
@@ -255,7 +240,7 @@ mod tests {
 
     #[test]
     fn boundary_observation_lands_in_the_later_window() {
-        let events = [ev(500, 1, DetectorEventKind::Suspect)];
+        let events = [ev(500, 1, SwimObservationKind::Suspect)];
         let s = MembershipSeries::build(
             SimDuration::from_millis(500),
             SimTime::from_millis(1_000),

@@ -49,7 +49,6 @@ impl std::error::Error for InvalidDistribution {}
 #[derive(Debug, Clone)]
 pub struct Zipf {
     cdf: Vec<f64>,
-    s: f64,
 }
 
 impl Zipf {
@@ -78,7 +77,7 @@ impl Zipf {
         }
         // Guard against floating point never quite reaching 1.0.
         *cdf.last_mut().expect("n > 0") = 1.0;
-        Ok(Zipf { cdf, s })
+        Ok(Zipf { cdf })
     }
 
     /// Number of ranks.
@@ -89,11 +88,6 @@ impl Zipf {
     /// Returns `true` if the distribution has a single rank.
     pub fn is_empty(&self) -> bool {
         false // constructor guarantees n > 0; kept for clippy convention
-    }
-
-    /// The exponent the distribution was built with.
-    pub fn exponent(&self) -> f64 {
-        self.s
     }
 
     /// Probability of rank `k`, or `0.0` when out of range.

@@ -28,7 +28,7 @@ fn holders(sim: &impl Engine<Proto = GossipNode>, event: EventId) -> Vec<usize> 
 
 fn advance(sim: &mut impl Engine<Proto = GossipNode>, to: SimTime) {
     let mut unobserved = vec![(); sim.shards()];
-    sim.run_observed(to, &mut unobserved, false);
+    sim.run_observed(to, &mut unobserved);
 }
 
 /// A constant 10 ms network split in two halves from 1 s to 3 s.
