@@ -166,30 +166,26 @@ type Batch<P> = Vec<(EventKey, EventKind<P>)>;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WindowPolicy {
     /// Grow the target window width when windows run near-empty and
-    /// shrink it when they are dense. The conservative bound clamps
-    /// every window either way, so this cannot affect results.
+    /// shrink it when they are dense, within `[lookahead, lookahead ×
+    /// 4096]`. The conservative bound clamps every window either way, so
+    /// this cannot affect results.
     pub adaptive: bool,
-    /// Cap on the target width as a multiple of the lookahead.
-    pub max_factor: u32,
 }
+
+/// Cap on the adaptive target width as a multiple of the lookahead.
+const MAX_WIDTH_FACTOR: u64 = 4096;
 
 impl WindowPolicy {
     /// Fixed lookahead-wide windows — the seed-era scheduler's behavior.
     pub fn fixed() -> Self {
-        WindowPolicy {
-            adaptive: false,
-            max_factor: 1,
-        }
+        WindowPolicy { adaptive: false }
     }
 
     /// Adaptive window sizing (the default): target width doubles on
     /// near-empty windows and halves on dense ones, within
     /// `[lookahead, lookahead × 4096]`.
     pub fn adaptive() -> Self {
-        WindowPolicy {
-            adaptive: true,
-            max_factor: 4096,
-        }
+        WindowPolicy { adaptive: true }
     }
 }
 
@@ -352,7 +348,7 @@ struct Scheduler {
     /// Events processed by earlier `run_until` calls.
     already: u64,
     adaptive: bool,
-    /// Adaptive width cap (`lookahead × max_factor`).
+    /// Adaptive width cap (`lookahead × MAX_WIDTH_FACTOR`).
     cap: SimDuration,
 }
 
@@ -1077,7 +1073,7 @@ where
             max_events: self.max_events,
             already: self.events_processed,
             adaptive: policy.adaptive,
-            cap: lookahead.saturating_mul(policy.max_factor.max(1) as u64),
+            cap: lookahead.saturating_mul(MAX_WIDTH_FACTOR),
         };
         let (decision_txs, decision_rxs): (Vec<_>, Vec<_>) =
             (0..num_shards).map(|_| channel::<Decision>()).unzip();

@@ -172,11 +172,6 @@ impl<P: Protocol> Simulation<P> {
         self.kernel.node(id)
     }
 
-    /// Exclusive access to a node's protocol state.
-    pub fn node_mut(&mut self, id: NodeId) -> Option<&mut P> {
-        self.kernel.node_mut(id)
-    }
-
     /// Iterates over `(id, state)` of every node that has state.
     pub fn nodes(&self) -> impl Iterator<Item = (NodeId, &P)> {
         self.kernel.nodes()

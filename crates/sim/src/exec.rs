@@ -1065,12 +1065,6 @@ impl<P: Protocol> Kernel<P> {
             .and_then(|s| s.state.as_ref())
     }
 
-    /// Exclusive access to an owned node's protocol state.
-    pub fn node_mut(&mut self, id: NodeId) -> Option<&mut P> {
-        let li = self.local_of(id)?;
-        self.slots.get_mut(li).and_then(|s| s.state.as_mut())
-    }
-
     /// Iterates over `(id, state)` of every owned node that has state.
     pub fn nodes(&self) -> impl Iterator<Item = (NodeId, &P)> {
         self.owned

@@ -376,11 +376,6 @@ impl NetworkModel {
         &self.faults
     }
 
-    /// Mutable access to the scheduled fault schedule.
-    pub fn faults_mut(&mut self) -> &mut FaultSchedule {
-        &mut self.faults
-    }
-
     /// The configured loss probability.
     pub fn loss_probability(&self) -> f64 {
         self.loss_probability

@@ -55,19 +55,21 @@
 //!
 //! ## The grammar is written once
 //!
-//! Every section is one static `Section` row in this module — its path,
-//! whether it is required, its selector key if any, and per key the
-//! name, type with range, required / optional / default, and the
-//! selector value it applies under. Two passes read that table:
-//! `conform` (a lexed section, or the pairs [`to_toml`] is about to
-//! write → unknown-key, missing-key, type, range, does-not-apply and
-//! cross-field errors → a typed `Bag`) and `write_section` (pairs →
-//! `conform` → text). Adding a knob to an existing section is **one
-//! schema row, one build line** (`field: b.float("key")` in the
-//! section's `*_of`) **and one list line** (`("key", Value::Float(..))`
-//! in its `*_pairs`); the docs test in this module then fails naming the
-//! row `docs/SCENARIOS.md` lacks. A cross-field rule is the section's
-//! `rule` and runs in both directions.
+//! Every section is one static `Section` in this module: its path,
+//! whether it is required, the struct it reads into (`base`), and one
+//! row per key — name, type with range, required or optional, the
+//! selector value it applies under, and the struct field it binds (a
+//! projection to a `Slot`). A default is the base struct's value. The
+//! read pass conforms a lexed section (unknown-key, missing-key, type,
+//! range and does-not-apply errors), stores each value in the field its
+//! row binds and runs the section's cross-field `rule` on the built
+//! struct; the write pass lists each row's field, conforms the list the
+//! same way, runs the same `rule` and renders the text. Only the two
+//! selector sections read and list their variant's keys by hand:
+//! `[interest]` (`appetite_of` / `appetite_pairs`) and `[network]`
+//! (`latency_of` / `latency_pairs`). Adding a knob to a section is **one
+//! row**; the docs test in this module then fails naming the row
+//! `docs/SCENARIOS.md` lacks.
 
 use crate::churn::ChurnPlan;
 use crate::interest::Appetite;
@@ -278,7 +280,10 @@ fn parse_value(raw: &str, line: usize) -> Result<Value> {
 
 /// A lexed document: section path → (header line, key → (value, line)).
 struct Document {
+    /// The sections not read yet.
     sections: BTreeMap<String, Lexed>,
+    /// The sections read, kept for the lines cross-section rules blame.
+    done: BTreeMap<String, Lexed>,
 }
 
 struct Lexed {
@@ -347,7 +352,10 @@ fn lex(input: &str) -> Result<Document> {
             ));
         }
     }
-    Ok(Document { sections })
+    Ok(Document {
+        sections,
+        done: BTreeMap::new(),
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -443,30 +451,146 @@ enum FloatCheck {
 }
 
 /// What an absent key means.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, PartialEq)]
 enum Need {
     /// An error, blamed on the section header.
     Req,
-    /// Nothing — unless the section's `defaults` list the key.
+    /// The base struct's value. The write pass lists the key, unless its
+    /// field is an `Option` holding `None`.
     Opt,
-    /// This value (a `fn` because a [`Value`] cannot sit in a `static`).
-    Def(fn() -> Value),
+    /// Like `Opt`, but the write pass leaves the key out while its field
+    /// holds the base's value.
+    Sparse,
 }
 
-struct Key {
+/// The struct field a key binds, borrowed: the read pass stores the
+/// key's conformed value in it, the write pass lists it.
+enum Slot<'a> {
+    Int(&'a mut usize),
+    U32(&'a mut u32),
+    U64(&'a mut u64),
+    Float(&'a mut f64),
+    Bool(&'a mut bool),
+    Instant(&'a mut SimTime),
+    Duration(&'a mut SimDuration),
+    /// An absent key is `None`.
+    OptDuration(&'a mut Option<SimDuration>),
+    /// An absent key is `None`.
+    OptStr(&'a mut Option<String>),
+    Arch(&'a mut Architecture),
+    Placement(&'a mut Placement),
+    /// The loss probability, which [`NetworkModel`] keeps private.
+    Loss(&'a mut NetworkModel),
+}
+
+impl Slot<'_> {
+    /// The field as the write pass lists it; `None` leaves the key out.
+    fn get(&self) -> Option<Value> {
+        Some(match self {
+            Slot::Int(x) => Value::Int(**x as i128),
+            Slot::U32(x) => Value::Int((**x).into()),
+            Slot::U64(x) => Value::Int((**x).into()),
+            Slot::Float(x) => Value::Float(**x),
+            Slot::Bool(x) => Value::Bool(**x),
+            Slot::Instant(t) => Value::Time(t.as_micros()),
+            Slot::Duration(d) => Value::Time(d.as_micros()),
+            Slot::OptDuration(d) => Value::Time((**d)?.as_micros()),
+            Slot::OptStr(s) => Value::Str((**s).clone()?),
+            Slot::Arch(a) => Value::Str(a.name().to_string()),
+            Slot::Placement(p) => Value::Str(p.name().to_string()),
+            Slot::Loss(net) => Value::Float(net.loss_probability()),
+        })
+    }
+
+    /// Stores a value [`conform`] has checked against the key's row. A
+    /// name no variant of the enum has is the one error left.
+    fn set(self, value: Value) -> std::result::Result<(), String> {
+        match (self, value) {
+            // Every `Int` row's range fits the field it binds.
+            (Slot::Int(x), Value::Int(i)) => *x = i as usize,
+            (Slot::U32(x), Value::Int(i)) => *x = i as u32,
+            (Slot::U64(x), Value::Int(i)) => *x = i as u64,
+            (Slot::Float(x), Value::Float(v)) => *x = v,
+            (Slot::Bool(x), Value::Bool(b)) => *x = b,
+            (Slot::Instant(t), Value::Time(us)) => *t = SimTime::from_micros(us),
+            (Slot::Duration(d), Value::Time(us)) => *d = SimDuration::from_micros(us),
+            (Slot::OptDuration(d), Value::Time(us)) => *d = Some(SimDuration::from_micros(us)),
+            (Slot::OptStr(s), Value::Str(v)) => *s = Some(v),
+            (Slot::Arch(a), Value::Str(name)) => {
+                let valid = Architecture::ALL.map(Architecture::name);
+                *a = named(Architecture::parse(&name), &name, "architecture", &valid)?;
+            }
+            (Slot::Placement(p), Value::Str(name)) => {
+                let valid = Placement::ALL.map(Placement::name);
+                *p = named(Placement::parse(&name), &name, "policy", &valid)?;
+            }
+            (Slot::Loss(net), Value::Float(loss)) => {
+                let latency = net.latency_model().clone();
+                *net = match loss {
+                    loss if loss > 0.0 => NetworkModel::lossy(latency, loss),
+                    _ => NetworkModel::reliable(latency),
+                };
+            }
+            _ => unreachable!("conform gives a key a value of its row's type"),
+        }
+        Ok(())
+    }
+}
+
+/// The variant `name` parsed to, or the error listing the `valid` names.
+fn named<T>(
+    parsed: Option<T>,
+    name: &str,
+    noun: &str,
+    valid: &[&str],
+) -> std::result::Result<T, String> {
+    parsed.ok_or_else(|| format!("unknown {noun} {name:?} (valid: {})", valid.join(", ")))
+}
+
+/// A row's projection from the section's struct to the field it binds.
+type Field<T> = fn(&mut T) -> Slot<'_>;
+
+struct Key<T> {
     name: &'static str,
     ty: Ty,
     need: Need,
     /// The selector value this key applies under; `None` = always.
     when: Option<&'static str>,
+    /// The field the key binds; `None` for the keys the section's
+    /// [`Selector`] reads and lists by hand.
+    field: Option<Field<T>>,
 }
 
-const fn key(name: &'static str, ty: Ty, need: Need) -> Key {
+/// A key bound to the field `field` projects.
+const fn key<T>(name: &'static str, ty: Ty, need: Need, field: Field<T>) -> Key<T> {
     Key {
         name,
         ty,
         need,
         when: None,
+        field: Some(field),
+    }
+}
+
+/// A section's selector key: a required string, read by hand.
+const fn pick<T>(name: &'static str) -> Key<T> {
+    Key {
+        name,
+        ty: Str,
+        need: Req,
+        when: None,
+        field: None,
+    }
+}
+
+/// A key of the variant the selector value `selected` picks, read by hand.
+const fn when<T>(selected: &'static str, name: &'static str, ty: Ty, need: Need) -> Key<T> {
+    Key {
+        name,
+        ty,
+        need,
+        when: Some(selected),
+        field: None,
     }
 }
 
@@ -474,89 +598,134 @@ const fn range(lo: u64, hi: u64) -> Ty {
     Ty::Int { lo, hi }
 }
 
-const fn when(selected: &'static str, name: &'static str, ty: Ty, need: Need) -> Key {
-    Key {
-        name,
-        ty,
-        need,
-        when: Some(selected),
-    }
+type Pair = (&'static str, Value);
+type Rule<T> = fn(&T) -> std::result::Result<(), String>;
+
+/// The hand-written half of a section whose first key picks a variant:
+/// the variant's keys bind no field of their own.
+struct Selector<T> {
+    /// What the unknown-value error calls a value of the selector.
+    noun: &'static str,
+    /// Stores the variant a conformed section selects.
+    read: fn(&Bag, &mut T),
+    /// Lists the selector and its variant's keys.
+    list: fn(&T) -> Vec<Pair>,
 }
 
-type Pair = (&'static str, Value);
-type Rule = fn(&Bag<'_>) -> std::result::Result<(), String>;
-
-struct Section {
+struct Section<T: 'static> {
     path: &'static str,
     /// Whether a file without the section is an error.
     required: bool,
-    /// The key whose value picks which `when` keys apply, and the noun
-    /// its unknown-value error uses.
-    selector: Option<(&'static str, &'static str)>,
-    /// In the order `valid keys:` lists them and [`to_toml`] writes them.
-    keys: &'static [Key],
-    /// The section's default struct, listed: supplies absent `Opt` keys.
-    defaults: Option<fn() -> Vec<Pair>>,
-    /// The cross-field check, run by [`conform`] — so in both directions
-    /// — once every key has passed its own. Its error is prefixed with
-    /// `[path]` and blamed on the selector's line, else the header's.
-    rule: Option<Rule>,
+    /// In the order `valid keys:` lists them and [`to_toml`] writes them
+    /// (the keys a selector lists by hand first).
+    keys: &'static [Key<T>],
+    /// What a read starts from, so every absent key keeps its value here.
+    base: fn() -> T,
+    /// Set when the first key picks a variant.
+    selector: Option<Selector<T>>,
+    /// The cross-field check on the built struct, run in both
+    /// directions. Its error is prefixed with `[path]` and blamed on the
+    /// selector's line, else the header's.
+    rule: Option<Rule<T>>,
 }
 
 /// What every section literal below updates: optional, no selector, no
-/// listed defaults, no rule.
-const OPTIONAL: Section = Section {
-    path: "",
-    required: false,
-    selector: None,
-    keys: &[],
-    defaults: None,
-    rule: None,
-};
+/// rule, reading into copies of `base`.
+const fn bare<T>(base: fn() -> T) -> Section<T> {
+    Section {
+        path: "",
+        required: false,
+        keys: &[],
+        base,
+        selector: None,
+        rule: None,
+    }
+}
+
+impl<T> Section<T> {
+    /// Runs the section's rule on `value`, blaming `line`.
+    fn check(&self, path: &str, value: &T, line: Option<usize>) -> Result<()> {
+        let Some(rule) = self.rule else {
+            return Ok(());
+        };
+        rule(value).map_err(|what| ScenarioFileError::new(line, format!("[{path}] {what}")))
+    }
+}
 
 use FloatCheck::{Fraction, LossProbability, NonNegative, Positive};
-use Need::{Def, Opt, Req};
+use Need::{Opt, Req, Sparse};
 use Ty::{Bool, Float, Int, Str, Time};
 
 const U64: Ty = range(0, u64::MAX);
 /// Topics a node subscribes to: at most the largest topic universe.
 const APPETITE: Ty = range(0, 1_000_000);
-/// A node-id boundary (`< split` on one side, the rest on the other).
+/// A node-id boundary (`< split` on one side, the rest on the other);
+/// [`split_rule`] keeps it inside the population.
 const SPLIT: Ty = range(0, MAX_NODES as u64);
 const BUCKETS: Ty = range(1, 100_000);
 
-static SCENARIO: Section = Section {
+/// What `[scenario]`, `[topics]`, `[interest]`, `[publish]` and
+/// `[network]` read into: their absent keys' defaults, and without a
+/// `[network]` section the standard reliable 10 ms network.
+fn base_spec() -> ScenarioSpec {
+    ScenarioSpec {
+        shards: 1,
+        placement: Placement::RoundRobin,
+        adaptive_window: true,
+        zipf_s: 1.0,
+        plan: PubPlan::default(),
+        net: NetworkModel::reliable(LatencyModel::Constant(SimDuration::from_millis(10))),
+        ..ScenarioSpec::fair_gossip(1, 0)
+    }
+}
+
+static SCENARIO: Section<ScenarioFile> = Section {
     path: "scenario",
     required: true,
     keys: &[
-        key("name", Str, Opt),
-        key("summary", Str, Opt),
-        key("arch", Str, Req),
-        key("nodes", range(1, MAX_NODES as u64), Req),
-        key("seed", U64, Req),
-        key("shards", range(1, MAX_SHARDS as u64), Def(|| Value::Int(1))),
-        key("placement", Str, Def(|| Value::Str("round-robin".into()))),
-        key("adaptive_window", Bool, Def(|| Value::Bool(true))),
+        key("name", Str, Opt, |f| Slot::OptStr(&mut f.name)),
+        key("summary", Str, Opt, |f| Slot::OptStr(&mut f.summary)),
+        key("arch", Str, Req, |f| Slot::Arch(&mut f.spec.arch)),
+        key("nodes", range(1, MAX_NODES as u64), Req, |f| {
+            Slot::Int(&mut f.spec.n)
+        }),
+        key("seed", U64, Req, |f| Slot::U64(&mut f.spec.seed)),
+        key("shards", range(1, MAX_SHARDS as u64), Opt, |f| {
+            Slot::Int(&mut f.spec.shards)
+        }),
+        key("placement", Str, Opt, |f| {
+            Slot::Placement(&mut f.spec.placement)
+        }),
+        key("adaptive_window", Bool, Opt, |f| {
+            Slot::Bool(&mut f.spec.adaptive_window)
+        }),
     ],
-    ..OPTIONAL
+    ..bare(|| ScenarioFile {
+        name: None,
+        summary: None,
+        spec: base_spec(),
+    })
 };
 
-static TOPICS: Section = Section {
+static TOPICS: Section<ScenarioSpec> = Section {
     path: "topics",
     required: true,
     keys: &[
-        key("count", range(1, 1_000_000), Req),
-        key("zipf_s", Float(NonNegative), Def(|| Value::Float(1.0))),
+        key("count", range(1, 1_000_000), Req, |s| {
+            Slot::Int(&mut s.num_topics)
+        }),
+        key("zipf_s", Float(NonNegative), Opt, |s| {
+            Slot::Float(&mut s.zipf_s)
+        }),
     ],
-    ..OPTIONAL
+    ..bare(base_spec)
 };
 
-static INTEREST: Section = Section {
+static INTEREST: Section<ScenarioSpec> = Section {
     path: "interest",
     required: true,
-    selector: Some(("appetite", "kind")),
     keys: &[
-        key("appetite", Str, Req),
+        pick("appetite"),
         when("fixed", "topics_per_node", APPETITE, Req),
         when("uniform", "lo", APPETITE, Req),
         when("uniform", "hi", APPETITE, Req),
@@ -564,132 +733,174 @@ static INTEREST: Section = Section {
         when("bimodal", "heavy", APPETITE, Req),
         when("bimodal", "light", APPETITE, Req),
     ],
-    rule: Some(|b| {
-        if b.str("appetite") == "uniform" && b.int("lo") > b.int("hi") {
-            let (lo, hi) = (b.int("lo"), b.int("hi"));
-            return Err(format!("uniform appetite needs lo <= hi (got {lo} > {hi})"));
-        }
-        Ok(())
+    selector: Some(Selector {
+        noun: "kind",
+        read: |b, s| s.appetite = appetite_of(b),
+        list: |s| appetite_pairs(&s.appetite),
     }),
-    ..OPTIONAL
+    rule: Some(|s| match s.appetite {
+        Appetite::Uniform { lo, hi } if lo > hi => {
+            Err(format!("uniform appetite needs lo <= hi (got {lo} > {hi})"))
+        }
+        _ => Ok(()),
+    }),
+    ..bare(base_spec)
 };
 
-static PUBLISH: Section = Section {
+static PUBLISH: Section<ScenarioSpec> = Section {
     path: "publish",
     required: true,
     keys: &[
-        key("rate_per_sec", Float(Positive), Req),
-        key("duration", Time, Req),
-        key("warmup", Time, Def(|| Value::Time(1_000_000))),
-        key(
-            "topic_zipf_s",
-            Float(NonNegative),
-            Def(|| Value::Float(1.0)),
-        ),
-        key("payload_bytes", range(0, 1 << 20), Def(|| Value::Int(64))),
+        key("rate_per_sec", Float(Positive), Req, |s| {
+            Slot::Float(&mut s.plan.rate_per_sec)
+        }),
+        key("duration", Time, Req, |s| {
+            Slot::Instant(&mut s.plan.duration)
+        }),
+        key("warmup", Time, Opt, |s| Slot::Instant(&mut s.plan.warmup)),
+        key("topic_zipf_s", Float(NonNegative), Opt, |s| {
+            Slot::Float(&mut s.plan.topic_zipf_s)
+        }),
+        key("payload_bytes", range(0, 1 << 20), Opt, |s| {
+            Slot::Int(&mut s.plan.payload_bytes)
+        }),
     ],
     // The run horizon is `warmup + duration + drain` on the u64
     // microsecond clock; reject phases that would overflow it so "a file
     // that parses is guaranteed to run" holds.
-    rule: Some(|b| {
-        let end = b.micros("warmup").checked_add(b.micros("duration"));
-        match end.and_then(|v| v.checked_add(4_000_000)) {
+    rule: Some(|s| {
+        let (warmup, duration) = (s.plan.warmup.as_micros(), s.plan.duration.as_micros());
+        match warmup
+            .checked_add(duration)
+            .and_then(|v| v.checked_add(4_000_000))
+        {
             Some(_) => Ok(()),
             None => Err("warmup + duration overflows the simulation clock".to_string()),
         }
     }),
-    ..OPTIONAL
+    ..bare(base_spec)
 };
 
-static FLASH: Section = Section {
+static FLASH: Section<FlashCrowd> = Section {
     path: "publish.flash",
     keys: &[
-        key("at", Time, Req),
-        key("topic_zipf_s", Float(NonNegative), Req),
-        key("rate_factor", Float(Positive), Def(|| Value::Float(1.0))),
+        key("at", Time, Req, |f| Slot::Instant(&mut f.at)),
+        key("topic_zipf_s", Float(NonNegative), Req, |f| {
+            Slot::Float(&mut f.topic_zipf_s)
+        }),
+        key("rate_factor", Float(Positive), Opt, |f| {
+            Slot::Float(&mut f.rate_factor)
+        }),
     ],
-    ..OPTIONAL
+    ..bare(|| FlashCrowd {
+        at: SimTime::ZERO,
+        topic_zipf_s: 0.0,
+        rate_factor: 1.0,
+    })
 };
 
 /// Its presence enables churn.
-static CHURN: Section = Section {
+static CHURN: Section<ChurnPlan> = Section {
     path: "churn",
     keys: &[
-        key("mean_session_secs", Float(Positive), Opt),
-        key("mean_downtime_secs", Float(Positive), Opt),
-        key("churning_fraction", Float(Fraction), Opt),
-        key("duration", Time, Opt),
-        key("warmup", Time, Opt),
+        key("mean_session_secs", Float(Positive), Opt, |c| {
+            Slot::Float(&mut c.mean_session_secs)
+        }),
+        key("mean_downtime_secs", Float(Positive), Opt, |c| {
+            Slot::Float(&mut c.mean_downtime_secs)
+        }),
+        key("churning_fraction", Float(Fraction), Opt, |c| {
+            Slot::Float(&mut c.churning_fraction)
+        }),
+        key("duration", Time, Opt, |c| Slot::Instant(&mut c.duration)),
+        key("warmup", Time, Opt, |c| Slot::Instant(&mut c.warmup)),
     ],
-    defaults: Some(|| churn_pairs(&ChurnPlan::default())),
-    ..OPTIONAL
+    ..bare(ChurnPlan::default)
 };
 
 /// Absent, the network is the standard reliable 10 ms one.
-static NETWORK: Section = Section {
+static NETWORK: Section<ScenarioSpec> = Section {
     path: "network",
-    selector: Some(("latency", "model")),
     keys: &[
-        key("latency", Str, Req),
+        pick("latency"),
         when("constant", "delay", Time, Req),
         when("uniform", "lo", Time, Req),
         when("uniform", "hi", Time, Req),
         when("lognormal", "median_ms", Float(Positive), Req),
         when("lognormal", "sigma", Float(NonNegative), Req),
-        when("lognormal", "floor", Time, Def(|| Value::Time(0))),
-        key("loss", Float(LossProbability), Def(|| Value::Float(0.0))),
+        when("lognormal", "floor", Time, Opt),
+        // A reliable network is written without the key.
+        key("loss", Float(LossProbability), Sparse, |s| {
+            Slot::Loss(&mut s.net)
+        }),
     ],
-    rule: Some(|b| {
-        if b.str("latency") == "uniform" && b.micros("lo") > b.micros("hi") {
-            let (lo, hi) = (b.micros("lo"), b.micros("hi"));
-            return Err(format!(
-                "uniform latency needs lo <= hi (got {lo}us > {hi}us)"
-            ));
-        }
-        Ok(())
+    selector: Some(Selector {
+        noun: "model",
+        read: |b, s| s.net = NetworkModel::reliable(latency_of(b)),
+        list: |s| latency_pairs(s.net.latency_model()),
     }),
-    ..OPTIONAL
+    rule: Some(|s| match *s.net.latency_model() {
+        LatencyModel::Uniform { lo, hi } if lo > hi => Err(format!(
+            "uniform latency needs lo <= hi (got {}us > {}us)",
+            lo.as_micros(),
+            hi.as_micros()
+        )),
+        _ => Ok(()),
+    }),
+    ..bare(base_spec)
 };
 
 // [faults.*] — scheduled faults, applied by the network model as pure
 // functions of (now, from, to). Each subsection is a single fault window.
 
-static FAULT_PARTITION: Section = Section {
+static FAULT_PARTITION: Section<PartitionFault> = Section {
     path: "faults.partition",
     keys: &[
-        key("at", Time, Req),
-        key("heal", Time, Req),
-        key("split", SPLIT, Req),
+        key("at", Time, Req, |f| Slot::Instant(&mut f.at)),
+        key("heal", Time, Req, |f| Slot::Instant(&mut f.heal)),
+        key("split", SPLIT, Req, |f| Slot::U32(&mut f.split)),
     ],
-    rule: Some(|b| window_rule(b, "heal")),
-    ..OPTIONAL
+    rule: Some(|f| window_rule(f.at, f.heal, "heal")),
+    ..bare(|| PartitionFault {
+        at: SimTime::ZERO,
+        heal: SimTime::ZERO,
+        split: 0,
+    })
 };
 
-static FAULT_ONEWAY: Section = Section {
+static FAULT_ONEWAY: Section<OnewayFault> = Section {
     path: "faults.oneway",
     keys: &[
-        key("at", Time, Req),
-        key("until", Time, Req),
-        key("split", SPLIT, Req),
+        key("at", Time, Req, |f| Slot::Instant(&mut f.at)),
+        key("until", Time, Req, |f| Slot::Instant(&mut f.until)),
+        key("split", SPLIT, Req, |f| Slot::U32(&mut f.split)),
     ],
-    rule: Some(|b| window_rule(b, "until")),
-    ..OPTIONAL
+    rule: Some(|f| window_rule(f.at, f.until, "until")),
+    ..bare(|| OnewayFault {
+        at: SimTime::ZERO,
+        until: SimTime::ZERO,
+        split: 0,
+    })
 };
 
-static FAULT_DELAY: Section = Section {
+static FAULT_DELAY: Section<DelayFault> = Section {
     path: "faults.delay",
     keys: &[
-        key("at", Time, Req),
-        key("until", Time, Req),
-        key("extra", Time, Req),
+        key("at", Time, Req, |f| Slot::Instant(&mut f.at)),
+        key("until", Time, Req, |f| Slot::Instant(&mut f.until)),
+        key("extra", Time, Req, |f| Slot::Duration(&mut f.extra)),
     ],
-    rule: Some(|b| window_rule(b, "until")),
-    ..OPTIONAL
+    rule: Some(|f| window_rule(f.at, f.until, "until")),
+    ..bare(|| DelayFault {
+        at: SimTime::ZERO,
+        until: SimTime::ZERO,
+        extra: SimDuration::ZERO,
+    })
 };
 
 /// A fault window must be non-empty: `at` strictly before its `end` key.
-fn window_rule(b: &Bag<'_>, end: &str) -> std::result::Result<(), String> {
-    let (at, to) = (b.micros("at"), b.micros(end));
+fn window_rule(at: SimTime, to: SimTime, end: &str) -> std::result::Result<(), String> {
+    let (at, to) = (at.as_micros(), to.as_micros());
     if at >= to {
         return Err(format!("needs at < {end} (got {at}us >= {to}us)"));
     }
@@ -701,83 +912,150 @@ fn window_rule(b: &Bag<'_>, end: &str) -> std::result::Result<(), String> {
 // format has no array-of-tables; the rule over the whole trace is
 // `mobility_rule`.
 
-static MOBILITY: Section = Section {
+static MOBILITY: Section<MobilityTrace> = Section {
     path: "mobility",
-    keys: &[key("split", SPLIT, Req), key("period", Time, Opt)],
-    ..OPTIONAL
+    keys: &[
+        key("split", SPLIT, Req, |m| Slot::U32(&mut m.split)),
+        key("period", Time, Opt, |m| Slot::OptDuration(&mut m.period)),
+    ],
+    ..bare(|| MobilityTrace {
+        split: 0,
+        period: None,
+        segments: Vec::new(),
+    })
 };
 
-static MOBILITY_SEGMENT: Section = Section {
+static MOBILITY_SEGMENT: Section<MobilitySegment> = Section {
     path: "mobility.seg<k>",
     keys: &[
-        key("at", Time, Req),
-        key("extra", Time, Def(|| Value::Time(0))),
-        key("disconnected", Bool, Def(|| Value::Bool(false))),
+        key("at", Time, Req, |s| Slot::Instant(&mut s.at)),
+        key("extra", Time, Opt, |s| Slot::Duration(&mut s.extra)),
+        key("disconnected", Bool, Opt, |s| {
+            Slot::Bool(&mut s.disconnected)
+        }),
     ],
-    ..OPTIONAL
+    ..bare(|| MobilitySegment {
+        at: SimTime::ZERO,
+        extra: SimDuration::ZERO,
+        disconnected: false,
+    })
 };
 
 /// Its presence enables the SWIM failure detector on gossip-based
 /// architectures.
-static MEMBERSHIP: Section = Section {
+static MEMBERSHIP: Section<SwimConfig> = Section {
     path: "membership",
     keys: &[
-        key("probe_period", Time, Opt),
-        key("probe_timeout", Time, Opt),
-        key("ping_req_fanout", range(0, 1_000), Opt),
-        key("suspect_timeout", Time, Opt),
-        key("max_piggyback", range(1, 10_000), Opt),
-        key("gossip_multiplier", range(1, 1_000), Opt),
+        key("probe_period", Time, Opt, |m| {
+            Slot::Duration(&mut m.probe_period)
+        }),
+        key("probe_timeout", Time, Opt, |m| {
+            Slot::Duration(&mut m.probe_timeout)
+        }),
+        key("ping_req_fanout", range(0, 1_000), Opt, |m| {
+            Slot::Int(&mut m.ping_req_fanout)
+        }),
+        key("suspect_timeout", Time, Opt, |m| {
+            Slot::Duration(&mut m.suspect_timeout)
+        }),
+        key("max_piggyback", range(1, 10_000), Opt, |m| {
+            Slot::Int(&mut m.max_piggyback)
+        }),
+        key("gossip_multiplier", range(1, 1_000), Opt, |m| {
+            Slot::U32(&mut m.gossip_multiplier)
+        }),
     ],
-    defaults: Some(|| swim_pairs(&SwimConfig::standard())),
     // A zero probe period would re-arm the protocol tick at the same
     // instant forever; reject it so "a file that parses is guaranteed to
     // run" holds.
-    rule: Some(|b| match b.micros("probe_period") {
+    rule: Some(|m| match m.probe_period.as_micros() {
         0 => Err("probe_period must be positive".to_string()),
         _ => Ok(()),
     }),
-    ..OPTIONAL
+    ..bare(SwimConfig::standard)
 };
 
 /// Its presence enables the streaming series.
-static TELEMETRY: Section = Section {
+static TELEMETRY: Section<TelemetrySpec> = Section {
     path: "telemetry",
     keys: &[
-        key("window", Time, Opt),
-        key("load_hi", Float(Positive), Opt),
-        key("load_buckets", BUCKETS, Opt),
-        key("latency_hi_ms", Float(Positive), Opt),
-        key("latency_buckets", BUCKETS, Opt),
+        key("window", Time, Opt, |t| Slot::Duration(&mut t.window)),
+        key("load_hi", Float(Positive), Opt, |t| {
+            Slot::Float(&mut t.load_hi)
+        }),
+        key("load_buckets", BUCKETS, Opt, |t| {
+            Slot::Int(&mut t.load_buckets)
+        }),
+        key("latency_hi_ms", Float(Positive), Opt, |t| {
+            Slot::Float(&mut t.latency_hi_ms)
+        }),
+        key("latency_buckets", BUCKETS, Opt, |t| {
+            Slot::Int(&mut t.latency_buckets)
+        }),
     ],
-    defaults: Some(|| telemetry_pairs(&TelemetrySpec::default())),
-    rule: Some(|b| TelemetrySpec::checked(telemetry_of(b)).map(drop)),
-    ..OPTIONAL
+    rule: Some(|t| TelemetrySpec::checked(*t).map(drop)),
+    ..bare(TelemetrySpec::default)
 };
 
 /// Its presence (even empty) enables scheduler profiling.
-static PROFILE: Section = Section {
+static PROFILE: Section<ProfileSpec> = Section {
     path: "profile",
-    keys: &[key("trace", Str, Opt)],
-    rule: Some(|b| ProfileSpec::checked(profile_of(b)).map(drop)),
-    ..OPTIONAL
+    keys: &[key("trace", Str, Opt, |p| Slot::OptStr(&mut p.trace))],
+    rule: Some(|p| ProfileSpec::checked(p.clone()).map(drop)),
+    ..bare(ProfileSpec::default)
 };
 
 /// Its presence (even empty) enables per-event dissemination tracing.
-static TRACE: Section = Section {
+static TRACE: Section<TraceSpec> = Section {
     path: "trace",
     keys: &[
-        key("sample_rate", Float(Fraction), Opt),
-        key("salt", U64, Opt),
-        key("export", Str, Opt),
+        key("sample_rate", Float(Fraction), Opt, |t| {
+            Slot::Float(&mut t.sample_rate)
+        }),
+        key("salt", U64, Opt, |t| Slot::U64(&mut t.salt)),
+        key("export", Str, Opt, |t| Slot::OptStr(&mut t.export)),
     ],
-    defaults: Some(|| trace_pairs(&TraceSpec::default())),
-    rule: Some(|b| TraceSpec::checked(trace_of(b)).map(drop)),
-    ..OPTIONAL
+    rule: Some(|t| TraceSpec::checked(t.clone()).map(drop)),
+    ..bare(TraceSpec::default)
 };
 
+/// A section with the struct it binds erased, so that all of them fit
+/// one list.
+trait Grammar: Sync {
+    fn path(&self) -> &'static str;
+    #[cfg(test)]
+    fn required(&self) -> bool;
+    /// The selector key, if any.
+    #[cfg(test)]
+    fn selector(&self) -> Option<&'static str>;
+    /// Each row with its default.
+    #[cfg(test)]
+    fn rows(&self) -> Vec<tests::Row>;
+}
+
+impl<T: 'static> Grammar for Section<T> {
+    fn path(&self) -> &'static str {
+        self.path
+    }
+
+    #[cfg(test)]
+    fn required(&self) -> bool {
+        self.required
+    }
+
+    #[cfg(test)]
+    fn selector(&self) -> Option<&'static str> {
+        self.selector.as_ref().map(|_| self.keys[0].name)
+    }
+
+    #[cfg(test)]
+    fn rows(&self) -> Vec<tests::Row> {
+        tests::rows(self)
+    }
+}
+
 /// All sections a scenario file may contain.
-static SCHEMA: [&Section; 16] = [
+static SCHEMA: [&dyn Grammar; 16] = [
     &SCENARIO,
     &TOPICS,
     &INTEREST,
@@ -852,26 +1130,25 @@ fn check_float(check: FloatCheck, x: f64) -> std::result::Result<Value, String> 
     }
 }
 
-/// One section's conformed fields in schema order. Every key that
-/// applies and is required, defaulted or given is here with its schema
-/// type, which is what lets the typed getters be infallible.
-struct Bag<'a> {
-    path: &'a str,
+/// One section's conformed keys in schema order: every key the section
+/// gives, with its schema type — which is what lets the typed getters
+/// the selectors' hand-written reads use be infallible for a required
+/// key.
+struct Bag {
     /// Where the section's rule blames: the selector's line if there is
     /// one, else the header's; `None` on the write side.
     blame: Option<usize>,
     fields: Vec<(&'static str, Value, Option<usize>)>,
 }
 
-impl Bag<'_> {
+impl Bag {
     fn get(&self, key: &str) -> Option<&Value> {
         let field = self.fields.iter().find(|(name, ..)| *name == key);
         field.map(|(_, value, _)| value)
     }
 
     fn val(&self, key: &str) -> &Value {
-        self.get(key)
-            .expect("the schema guarantees a required or defaulted key")
+        self.get(key).expect("the schema guarantees a required key")
     }
 
     fn str(&self, key: &str) -> &str {
@@ -881,20 +1158,11 @@ impl Bag<'_> {
         }
     }
 
-    /// An optional `Str` key, owned.
-    fn string(&self, key: &str) -> Option<String> {
-        self.get(key).map(|_| self.str(key).to_string())
-    }
-
-    fn u64(&self, key: &str) -> u64 {
+    fn int(&self, key: &str) -> usize {
         match self.val(key) {
-            Value::Int(i) => u64::try_from(*i).expect("every Int range lies within u64"),
+            Value::Int(i) => usize::try_from(*i).expect("every bounded Int range fits usize"),
             _ => unreachable!("conformed to Ty::Int"),
         }
-    }
-
-    fn int(&self, key: &str) -> usize {
-        usize::try_from(self.u64(key)).expect("every bounded Int range fits usize")
     }
 
     fn float(&self, key: &str) -> f64 {
@@ -904,43 +1172,11 @@ impl Bag<'_> {
         }
     }
 
-    fn bool(&self, key: &str) -> bool {
+    fn duration(&self, key: &str) -> SimDuration {
         match self.val(key) {
-            Value::Bool(b) => *b,
-            _ => unreachable!("conformed to Ty::Bool"),
-        }
-    }
-
-    fn micros(&self, key: &str) -> u64 {
-        match self.val(key) {
-            Value::Time(us) => *us,
+            Value::Time(us) => SimDuration::from_micros(*us),
             _ => unreachable!("conformed to Ty::Time"),
         }
-    }
-
-    fn duration(&self, key: &str) -> SimDuration {
-        SimDuration::from_micros(self.micros(key))
-    }
-
-    fn instant(&self, key: &str) -> SimTime {
-        SimTime::from_micros(self.micros(key))
-    }
-
-    /// A `Str` key naming a variant of an enum that has its own `parse`.
-    fn named<T>(
-        &self,
-        key: &str,
-        noun: &str,
-        parse: fn(&str) -> Option<T>,
-        valid: &[&str],
-    ) -> Result<T> {
-        let name = self.str(key);
-        parse(name).ok_or_else(|| {
-            let line = self.fields.iter().find(|f| f.0 == key).and_then(|f| f.2);
-            let (path, valid) = (self.path, valid.join(", "));
-            let what = format!("[{path}] {key}: unknown {noun} {name:?} (valid: {valid})");
-            ScenarioFileError::new(line, what)
-        })
     }
 }
 
@@ -949,13 +1185,14 @@ impl Bag<'_> {
 /// write (no lines). In order: an unknown key; then, key by key in
 /// schema order, a missing required key (blamed on the header), a wrong
 /// type or an out-of-range value (blamed on the key's line); a key that
-/// belongs to another selector value; the section's cross-field rule.
-fn conform<'a>(
-    sec: &'static Section,
-    path: &'a str,
+/// belongs to another selector value. The section's cross-field rule
+/// runs on the struct built from the result.
+fn conform<T>(
+    sec: &Section<T>,
+    path: &str,
     header: Option<usize>,
     mut entries: Vec<(String, Value, Option<usize>)>,
-) -> Result<Bag<'a>> {
+) -> Result<Bag> {
     let key_list = || {
         let names: Vec<&str> = sec.keys.iter().map(|k| k.name).collect();
         names.join(", ")
@@ -971,50 +1208,35 @@ fn conform<'a>(
         return Err(ScenarioFileError::new(*line, what));
     }
     let mut bag = Bag {
-        path,
         blame: header,
         fields: Vec::with_capacity(sec.keys.len()),
     };
-    let mut defaults = None;
+    let selector = sec.selector.as_ref().map(|s| (sec.keys[0].name, s.noun));
     let mut selected = None;
     for key in sec.keys {
         if key.when.is_some() && key.when != selected {
             continue;
         }
-        let given = entries.iter().position(|(name, ..)| name == key.name);
-        let (value, line) = match (given, key.need) {
-            (Some(i), _) => {
-                let (_, value, line) = entries.remove(i);
-                let value = conform_value(key.ty, value).map_err(|what| {
-                    ScenarioFileError::new(line, format!("[{path}] {}: {what}", key.name))
-                })?;
-                (value, line)
-            }
-            (None, Req) => {
+        let Some(i) = entries.iter().position(|(name, ..)| name == key.name) else {
+            if key.need == Req {
                 let what = format!("[{path}] is missing the required key `{}`", key.name);
                 return Err(ScenarioFileError::new(header, what));
             }
-            (None, Def(value)) => (value(), None),
-            (None, Opt) => {
-                let listed: &Vec<Pair> = defaults
-                    .get_or_insert_with(|| sec.defaults.map(|list| list()).unwrap_or_default());
-                match listed.iter().find(|(name, _)| *name == key.name) {
-                    Some((_, value)) => (value.clone(), None),
-                    None => continue,
-                }
-            }
+            continue;
         };
-        if let (Some((selector, noun)), Value::Str(kind)) = (sec.selector, &value) {
+        let (_, value, line) = entries.remove(i);
+        let value = conform_value(key.ty, value).map_err(|what| {
+            ScenarioFileError::new(line, format!("[{path}] {}: {what}", key.name))
+        })?;
+        if let (Some((selector, noun)), Value::Str(kind)) = (selector, &value) {
             if selector == key.name {
                 let mut kinds: Vec<&str> = sec.keys.iter().filter_map(|k| k.when).collect();
                 kinds.dedup();
-                selected = kinds.iter().copied().find(|k| k == kind);
-                if selected.is_none() {
-                    let valid = kinds.join(", ");
-                    let what =
-                        format!("[{path}] {selector}: unknown {noun} {kind:?} (valid: {valid})");
-                    return Err(ScenarioFileError::new(line, what));
-                }
+                let found = kinds.iter().copied().find(|k| k == kind);
+                let found = named(found, kind, noun, &kinds).map_err(|what| {
+                    ScenarioFileError::new(line, format!("[{path}] {selector}: {what}"))
+                })?;
+                selected = Some(found);
                 bag.blame = line;
             }
         }
@@ -1027,49 +1249,76 @@ fn conform<'a>(
         );
         return Err(ScenarioFileError::new(*line, what));
     }
-    if let Some(rule) = sec.rule {
-        rule(&bag).map_err(|what| ScenarioFileError::new(bag.blame, format!("[{path}] {what}")))?;
-    }
     Ok(bag)
 }
 
 impl Document {
-    /// Takes the section at `path` out of the document and conforms it
-    /// to `sec`; `None` when the file has no such section — an error if
-    /// the schema requires it.
-    fn read<'a>(&mut self, sec: &'static Section, path: &'a str) -> Result<Option<Bag<'a>>> {
+    /// Takes the section at `path` out of the document, conforms it to
+    /// `sec` and stores it in `into` — the selected variant through the
+    /// selector's hand-written read, every other key it gives in the
+    /// field its row binds — then runs the section's rule on the result.
+    /// `false` when the file has no such section — an error if the
+    /// schema requires it.
+    fn read_at<T>(&mut self, sec: &Section<T>, path: &str, into: &mut T) -> Result<bool> {
         let Some(lexed) = self.sections.remove(path) else {
             let missing = format!("missing required section [{path}]");
             return if sec.required {
                 Err(ScenarioFileError::global(missing))
             } else {
-                Ok(None)
+                Ok(false)
             };
         };
-        let entries = lexed.entries.into_iter();
-        let entries = entries.map(|(key, (value, line))| (key, value, Some(line)));
-        conform(sec, path, Some(lexed.header_line), entries.collect()).map(Some)
+        let entries = lexed.entries.iter();
+        let entries = entries.map(|(key, (value, line))| (key.clone(), value.clone(), Some(*line)));
+        let bag = conform(sec, path, Some(lexed.header_line), entries.collect())?;
+        self.done.insert(path.to_string(), lexed);
+        if let Some(selector) = &sec.selector {
+            (selector.read)(&bag, into);
+        }
+        for (name, value, line) in &bag.fields {
+            let key = sec.keys.iter().find(|k| k.name == *name);
+            if let Some(field) = key.and_then(|k| k.field) {
+                field(into).set(value.clone()).map_err(|what| {
+                    ScenarioFileError::new(*line, format!("[{path}] {name}: {what}"))
+                })?;
+            }
+        }
+        sec.check(path, into, bag.blame)?;
+        Ok(true)
     }
 
-    fn optional(&mut self, sec: &'static Section) -> Result<Option<Bag<'static>>> {
-        self.read(sec, sec.path)
+    /// [`Document::read_at`] the section's schema path.
+    fn read<T>(&mut self, sec: &Section<T>, into: &mut T) -> Result<bool> {
+        self.read_at(sec, sec.path, into)
     }
 
-    fn required(&mut self, sec: &'static Section) -> Result<Bag<'static>> {
-        let bag = self.optional(sec)?;
-        Ok(bag.expect("read() turns an absent required section into an error"))
+    /// The section at `path` read into a copy of its base, if the file
+    /// has it.
+    fn section_at<T>(&mut self, sec: &Section<T>, path: &str) -> Result<Option<T>> {
+        let mut value = (sec.base)();
+        Ok(self.read_at(sec, path, &mut value)?.then_some(value))
+    }
+
+    fn section<T>(&mut self, sec: &Section<T>) -> Result<Option<T>> {
+        self.section_at(sec, sec.path)
+    }
+
+    /// The line of `key` in a section already read, or of its header
+    /// for `None`: where a cross-section rule blames.
+    fn line(&self, path: &str, key: Option<&str>) -> Option<usize> {
+        let lexed = self.done.get(path)?;
+        match key {
+            None => Some(lexed.header_line),
+            Some(key) => lexed.entries.get(key).map(|&(_, line)| line),
+        }
     }
 }
 
 // ---------------------------------------------------------------------------
-// Per section: build the struct from its bag, list the struct's values
+// The selectors' variants, read and listed by hand
 // ---------------------------------------------------------------------------
 
-fn int(i: usize) -> Value {
-    Value::Int(i as i128)
-}
-
-fn appetite_of(b: &Bag<'_>) -> Appetite {
+fn appetite_of(b: &Bag) -> Appetite {
     match b.str("appetite") {
         "fixed" => Appetite::Fixed(b.int("topics_per_node")),
         "uniform" => Appetite::Uniform {
@@ -1087,6 +1336,7 @@ fn appetite_of(b: &Bag<'_>) -> Appetite {
 
 fn appetite_pairs(appetite: &Appetite) -> Vec<Pair> {
     let kind = |name: &str| ("appetite", Value::Str(name.to_string()));
+    let int = |i: usize| Value::Int(i as i128);
     match *appetite {
         Appetite::Fixed(k) => vec![kind("fixed"), ("topics_per_node", int(k))],
         Appetite::Uniform { lo, hi } => vec![kind("uniform"), ("lo", int(lo)), ("hi", int(hi))],
@@ -1103,65 +1353,8 @@ fn appetite_pairs(appetite: &Appetite) -> Vec<Pair> {
     }
 }
 
-fn plan_of(b: &Bag<'_>, flash: Option<FlashCrowd>) -> PubPlan {
-    PubPlan {
-        rate_per_sec: b.float("rate_per_sec"),
-        duration: b.instant("duration"),
-        topic_zipf_s: b.float("topic_zipf_s"),
-        payload_bytes: b.int("payload_bytes"),
-        warmup: b.instant("warmup"),
-        flash,
-    }
-}
-
-fn plan_pairs(plan: &PubPlan) -> Vec<Pair> {
-    vec![
-        ("rate_per_sec", Value::Float(plan.rate_per_sec)),
-        ("duration", Value::Time(plan.duration.as_micros())),
-        ("warmup", Value::Time(plan.warmup.as_micros())),
-        ("topic_zipf_s", Value::Float(plan.topic_zipf_s)),
-        ("payload_bytes", int(plan.payload_bytes)),
-    ]
-}
-
-fn flash_of(b: &Bag<'_>) -> FlashCrowd {
-    FlashCrowd {
-        at: b.instant("at"),
-        topic_zipf_s: b.float("topic_zipf_s"),
-        rate_factor: b.float("rate_factor"),
-    }
-}
-
-fn flash_pairs(flash: &FlashCrowd) -> Vec<Pair> {
-    vec![
-        ("at", Value::Time(flash.at.as_micros())),
-        ("topic_zipf_s", Value::Float(flash.topic_zipf_s)),
-        ("rate_factor", Value::Float(flash.rate_factor)),
-    ]
-}
-
-fn churn_of(b: &Bag<'_>) -> ChurnPlan {
-    ChurnPlan {
-        mean_session_secs: b.float("mean_session_secs"),
-        mean_downtime_secs: b.float("mean_downtime_secs"),
-        churning_fraction: b.float("churning_fraction"),
-        duration: b.instant("duration"),
-        warmup: b.instant("warmup"),
-    }
-}
-
-fn churn_pairs(churn: &ChurnPlan) -> Vec<Pair> {
-    vec![
-        ("mean_session_secs", Value::Float(churn.mean_session_secs)),
-        ("mean_downtime_secs", Value::Float(churn.mean_downtime_secs)),
-        ("churning_fraction", Value::Float(churn.churning_fraction)),
-        ("duration", Value::Time(churn.duration.as_micros())),
-        ("warmup", Value::Time(churn.warmup.as_micros())),
-    ]
-}
-
-fn net_of(b: &Bag<'_>) -> NetworkModel {
-    let latency = match b.str("latency") {
+fn latency_of(b: &Bag) -> LatencyModel {
+    match b.str("latency") {
         "constant" => LatencyModel::Constant(b.duration("delay")),
         "uniform" => LatencyModel::Uniform {
             lo: b.duration("lo"),
@@ -1171,24 +1364,22 @@ fn net_of(b: &Bag<'_>) -> NetworkModel {
         _ => LatencyModel::LogNormalMs {
             median_ms: b.float("median_ms"),
             sigma: b.float("sigma"),
-            floor: b.duration("floor"),
+            floor: match b.get("floor") {
+                Some(_) => b.duration("floor"),
+                None => SimDuration::ZERO,
+            },
         },
-    };
-    match b.float("loss") {
-        loss if loss > 0.0 => NetworkModel::lossy(latency, loss),
-        _ => NetworkModel::reliable(latency),
     }
 }
 
-fn net_pairs(net: &NetworkModel) -> Vec<Pair> {
+fn latency_pairs(latency: &LatencyModel) -> Vec<Pair> {
     let model = |name: &str| ("latency", Value::Str(name.to_string()));
-    let mut pairs = match *net.latency_model() {
-        LatencyModel::Constant(d) => vec![model("constant"), ("delay", Value::Time(d.as_micros()))],
-        LatencyModel::Uniform { lo, hi } => vec![
-            model("uniform"),
-            ("lo", Value::Time(lo.as_micros())),
-            ("hi", Value::Time(hi.as_micros())),
-        ],
+    let time = |d: SimDuration| Value::Time(d.as_micros());
+    match *latency {
+        LatencyModel::Constant(d) => vec![model("constant"), ("delay", time(d))],
+        LatencyModel::Uniform { lo, hi } => {
+            vec![model("uniform"), ("lo", time(lo)), ("hi", time(hi))]
+        }
         LatencyModel::LogNormalMs {
             median_ms,
             sigma,
@@ -1197,80 +1388,14 @@ fn net_pairs(net: &NetworkModel) -> Vec<Pair> {
             model("lognormal"),
             ("median_ms", Value::Float(median_ms)),
             ("sigma", Value::Float(sigma)),
-            ("floor", Value::Time(floor.as_micros())),
+            ("floor", time(floor)),
         ],
-    };
-    // A reliable network is written without the key. `!=`, not `>`: a
-    // NaN must reach the range check, not be dropped as "no loss".
-    if net.loss_probability() != 0.0 {
-        pairs.push(("loss", Value::Float(net.loss_probability())));
-    }
-    pairs
-}
-
-fn partition_of(b: &Bag<'_>) -> PartitionFault {
-    PartitionFault {
-        at: b.instant("at"),
-        heal: b.instant("heal"),
-        split: b.int("split") as u32,
     }
 }
 
-fn partition_pairs(f: &PartitionFault) -> Vec<Pair> {
-    vec![
-        ("at", Value::Time(f.at.as_micros())),
-        ("heal", Value::Time(f.heal.as_micros())),
-        ("split", Value::Int(f.split.into())),
-    ]
-}
-
-fn oneway_of(b: &Bag<'_>) -> OnewayFault {
-    OnewayFault {
-        at: b.instant("at"),
-        until: b.instant("until"),
-        split: b.int("split") as u32,
-    }
-}
-
-fn oneway_pairs(f: &OnewayFault) -> Vec<Pair> {
-    vec![
-        ("at", Value::Time(f.at.as_micros())),
-        ("until", Value::Time(f.until.as_micros())),
-        ("split", Value::Int(f.split.into())),
-    ]
-}
-
-fn delay_of(b: &Bag<'_>) -> DelayFault {
-    DelayFault {
-        at: b.instant("at"),
-        until: b.instant("until"),
-        extra: b.duration("extra"),
-    }
-}
-
-fn delay_pairs(f: &DelayFault) -> Vec<Pair> {
-    vec![
-        ("at", Value::Time(f.at.as_micros())),
-        ("until", Value::Time(f.until.as_micros())),
-        ("extra", Value::Time(f.extra.as_micros())),
-    ]
-}
-
-fn segment_of(b: &Bag<'_>) -> MobilitySegment {
-    MobilitySegment {
-        at: b.instant("at"),
-        extra: b.duration("extra"),
-        disconnected: b.bool("disconnected"),
-    }
-}
-
-fn segment_pairs(s: &MobilitySegment) -> Vec<Pair> {
-    vec![
-        ("at", Value::Time(s.at.as_micros())),
-        ("extra", Value::Time(s.extra.as_micros())),
-        ("disconnected", Value::Bool(s.disconnected)),
-    ]
-}
+// ---------------------------------------------------------------------------
+// Cross-section rules
+// ---------------------------------------------------------------------------
 
 /// The bounds over products of keys from several sections, so not a
 /// [`Section::rule`]: `nodes × min(largest appetite, topics count)` and
@@ -1321,86 +1446,34 @@ fn product_rule(
     Ok(())
 }
 
+/// Every `split` leaves a node on each side: outside `1..nodes` the whole
+/// population sits on one side, so the partition, one-way failure or
+/// mobility trace it bounds never fires. Blamed on the `split` line,
+/// which `line` finds for a section path.
+fn split_rule(spec: &ScenarioSpec, line: impl Fn(&str) -> Option<usize>) -> Result<()> {
+    let splits = [
+        ("faults.partition", spec.faults.partition.map(|f| f.split)),
+        ("faults.oneway", spec.faults.oneway.map(|f| f.split)),
+        ("mobility", spec.mobility.as_ref().map(|m| m.split)),
+    ];
+    let n = spec.n;
+    for (path, split) in splits {
+        if let Some(split) = split.filter(|&s| s == 0 || s as usize >= n) {
+            let what = format!(
+                "[{path}] split: {split} leaves one side empty \
+                 (expected 1..{n}: at least 1 and below [scenario] nodes = {n})"
+            );
+            return Err(ScenarioFileError::new(line(path), what));
+        }
+    }
+    Ok(())
+}
+
 /// The rule over a whole trace — header plus segments, so not a
 /// [`Section::rule`] — blamed on the `[mobility]` header.
 fn mobility_rule(trace: &MobilityTrace, header: Option<usize>) -> Result<()> {
     let checked = trace.validate();
     checked.map_err(|e| ScenarioFileError::new(header, format!("[mobility] {e}")))
-}
-
-fn swim_of(b: &Bag<'_>) -> SwimConfig {
-    SwimConfig {
-        probe_period: b.duration("probe_period"),
-        probe_timeout: b.duration("probe_timeout"),
-        ping_req_fanout: b.int("ping_req_fanout"),
-        suspect_timeout: b.duration("suspect_timeout"),
-        max_piggyback: b.int("max_piggyback"),
-        gossip_multiplier: b.int("gossip_multiplier") as u32,
-    }
-}
-
-fn swim_pairs(m: &SwimConfig) -> Vec<Pair> {
-    vec![
-        ("probe_period", Value::Time(m.probe_period.as_micros())),
-        ("probe_timeout", Value::Time(m.probe_timeout.as_micros())),
-        ("ping_req_fanout", int(m.ping_req_fanout)),
-        (
-            "suspect_timeout",
-            Value::Time(m.suspect_timeout.as_micros()),
-        ),
-        ("max_piggyback", int(m.max_piggyback)),
-        ("gossip_multiplier", Value::Int(m.gossip_multiplier.into())),
-    ]
-}
-
-fn telemetry_of(b: &Bag<'_>) -> TelemetrySpec {
-    TelemetrySpec {
-        window: b.duration("window"),
-        load_hi: b.float("load_hi"),
-        load_buckets: b.int("load_buckets"),
-        latency_hi_ms: b.float("latency_hi_ms"),
-        latency_buckets: b.int("latency_buckets"),
-    }
-}
-
-fn telemetry_pairs(t: &TelemetrySpec) -> Vec<Pair> {
-    vec![
-        ("window", Value::Time(t.window.as_micros())),
-        ("load_hi", Value::Float(t.load_hi)),
-        ("load_buckets", int(t.load_buckets)),
-        ("latency_hi_ms", Value::Float(t.latency_hi_ms)),
-        ("latency_buckets", int(t.latency_buckets)),
-    ]
-}
-
-fn profile_of(b: &Bag<'_>) -> ProfileSpec {
-    ProfileSpec {
-        trace: b.string("trace"),
-    }
-}
-
-fn profile_pairs(p: &ProfileSpec) -> Vec<Pair> {
-    let trace = p.trace.clone().map(|path| ("trace", Value::Str(path)));
-    trace.into_iter().collect()
-}
-
-fn trace_of(b: &Bag<'_>) -> TraceSpec {
-    TraceSpec {
-        sample_rate: b.float("sample_rate"),
-        salt: b.u64("salt"),
-        export: b.string("export"),
-    }
-}
-
-fn trace_pairs(t: &TraceSpec) -> Vec<Pair> {
-    let mut pairs = vec![
-        ("sample_rate", Value::Float(t.sample_rate)),
-        ("salt", Value::Int(t.salt.into())),
-    ];
-    if let Some(export) = &t.export {
-        pairs.push(("export", Value::Str(export.clone())));
-    }
-    pairs
 }
 
 // ---------------------------------------------------------------------------
@@ -1425,52 +1498,36 @@ pub struct ScenarioFile {
 ///
 /// Returns [`ScenarioFileError`] — with the line number and key path —
 /// for syntax errors, unknown sections or keys, type mismatches, bad
-/// duration units, out-of-range values and key products over
-/// [`MAX_PRODUCT`].
+/// duration units, out-of-range values, key products over
+/// [`MAX_PRODUCT`] and a `split` that leaves one side empty.
 pub fn parse_scenario(input: &str) -> Result<ScenarioFile> {
     let mut doc = lex(input)?;
-
-    let head = doc.required(&SCENARIO)?;
-    let arch_names = Architecture::ALL.map(Architecture::name);
-    let arch = head.named("arch", "architecture", Architecture::parse, &arch_names)?;
-    let placement_names = Placement::ALL.map(Placement::name);
-    let placement = head.named("placement", "policy", Placement::parse, &placement_names)?;
-    let topics = doc.required(&TOPICS)?;
-    let interest = doc.required(&INTEREST)?;
-    let appetite = appetite_of(&interest);
-    let publish = doc.required(&PUBLISH)?;
-    let flash = doc.optional(&FLASH)?.map(|b| flash_of(&b));
-    let churn = doc.optional(&CHURN)?.map(|b| churn_of(&b));
-    let net = match doc.optional(&NETWORK)? {
-        Some(b) => net_of(&b),
-        None => NetworkModel::reliable(LatencyModel::Constant(SimDuration::from_millis(10))),
+    let mut file = (SCENARIO.base)();
+    doc.read(&SCENARIO, &mut file)?;
+    let spec = &mut file.spec;
+    doc.read(&TOPICS, spec)?;
+    doc.read(&INTEREST, spec)?;
+    doc.read(&PUBLISH, spec)?;
+    spec.plan.flash = doc.section(&FLASH)?;
+    spec.churn = doc.section(&CHURN)?;
+    doc.read(&NETWORK, spec)?;
+    spec.faults = FaultSchedule {
+        partition: doc.section(&FAULT_PARTITION)?,
+        oneway: doc.section(&FAULT_ONEWAY)?,
+        delay: doc.section(&FAULT_DELAY)?,
     };
-    let faults = FaultSchedule {
-        partition: doc.optional(&FAULT_PARTITION)?.map(|b| partition_of(&b)),
-        oneway: doc.optional(&FAULT_ONEWAY)?.map(|b| oneway_of(&b)),
-        delay: doc.optional(&FAULT_DELAY)?.map(|b| delay_of(&b)),
-    };
-    let mobility = match doc.optional(&MOBILITY)? {
-        None => None,
-        Some(b) => {
-            let mut segments = Vec::new();
-            let seg_path = |k: usize| format!("mobility.seg{k}");
-            while let Some(seg) = doc.read(&MOBILITY_SEGMENT, &seg_path(segments.len()))? {
-                segments.push(segment_of(&seg));
-            }
-            let trace = MobilityTrace {
-                split: b.int("split") as u32,
-                period: b.get("period").map(|_| b.duration("period")),
-                segments,
-            };
-            mobility_rule(&trace, b.blame)?;
-            Some(trace)
+    if let Some(mut trace) = doc.section(&MOBILITY)? {
+        let seg_path = |k: usize| format!("mobility.seg{k}");
+        while let Some(seg) = doc.section_at(&MOBILITY_SEGMENT, &seg_path(trace.segments.len()))? {
+            trace.segments.push(seg);
         }
-    };
-    let membership = doc.optional(&MEMBERSHIP)?.map(|b| swim_of(&b));
-    let telemetry = doc.optional(&TELEMETRY)?.map(|b| telemetry_of(&b));
-    let profile = doc.optional(&PROFILE)?.map(|b| profile_of(&b));
-    let trace = doc.optional(&TRACE)?.map(|b| trace_of(&b));
+        mobility_rule(&trace, doc.line("mobility", None))?;
+        spec.mobility = Some(trace);
+    }
+    spec.membership = doc.section(&MEMBERSHIP)?;
+    spec.telemetry = doc.section(&TELEMETRY)?;
+    spec.profile = doc.section(&PROFILE)?;
+    spec.trace = doc.section(&TRACE)?;
 
     // Leftover [mobility.*] sections get a targeted diagnosis: a segment
     // without its parent [mobility], a gap in the numbering, or a typo'd
@@ -1480,7 +1537,7 @@ pub fn parse_scenario(input: &str) -> Result<ScenarioFile> {
         .iter()
         .find(|(p, _)| p.starts_with("mobility."))
     {
-        let hint = match &mobility {
+        let hint = match &spec.mobility {
             None => "segments need a parent [mobility] section".to_string(),
             Some(m) => format!(
                 "segments must be numbered contiguously from [mobility.seg0] \
@@ -1495,8 +1552,8 @@ pub fn parse_scenario(input: &str) -> Result<ScenarioFile> {
     }
 
     // Anything left over is an unknown section.
-    if let Some((path, sec)) = doc.sections.into_iter().next() {
-        let valid: Vec<&str> = SCHEMA.iter().map(|s| s.path).collect();
+    if let Some((path, sec)) = doc.sections.iter().next() {
+        let valid: Vec<&str> = SCHEMA.iter().map(|s| s.path()).collect();
         return Err(ScenarioFileError::at(
             sec.header_line,
             format!(
@@ -1506,31 +1563,9 @@ pub fn parse_scenario(input: &str) -> Result<ScenarioFile> {
         ));
     }
 
-    let file = ScenarioFile {
-        name: head.string("name"),
-        summary: head.string("summary"),
-        spec: ScenarioSpec {
-            arch,
-            n: head.int("nodes"),
-            shards: head.int("shards"),
-            placement,
-            adaptive_window: head.bool("adaptive_window"),
-            num_topics: topics.int("count"),
-            zipf_s: topics.float("zipf_s"),
-            appetite,
-            plan: plan_of(&publish, flash),
-            churn,
-            telemetry,
-            profile,
-            trace,
-            net,
-            membership,
-            faults,
-            mobility,
-            seed: head.u64("seed"),
-        },
-    };
-    product_rule(&file.spec, interest.blame, publish.blame)?;
+    let interest = doc.line("interest", Some("appetite"));
+    product_rule(spec, interest, doc.line("publish", None))?;
+    split_rule(spec, |path| doc.line(path, Some("split")))?;
     Ok(file)
 }
 
@@ -1547,25 +1582,40 @@ pub fn spec_from_toml(input: &str) -> Result<ScenarioSpec> {
 // Serialization: ScenarioSpec → TOML
 // ---------------------------------------------------------------------------
 
-/// The write pass: appends `[path]` and its `pairs` to `out` — after
-/// [`conform`], the read pass's own check, has accepted them, which is
-/// why what is written parses back.
-fn write_section(
-    out: &mut String,
-    sec: &'static Section,
-    path: &str,
-    pairs: Vec<Pair>,
-) -> Result<()> {
+/// The write pass: lists `value` — the selected variant through the
+/// selector's hand-written list, every other key from the field its row
+/// binds — and appends `[path]` with the keys to `out` once [`conform`]
+/// and the section's rule, the read pass's own checks, have accepted
+/// them, which is why what is written parses back. `value` is borrowed
+/// mutably only because a row's projection is; nothing is stored.
+fn write_section<T>(out: &mut String, sec: &Section<T>, path: &str, value: &mut T) -> Result<()> {
+    let mut pairs = sec
+        .selector
+        .as_ref()
+        .map_or_else(Vec::new, |s| (s.list)(value));
+    for key in sec.keys {
+        let Some(field) = key.field else {
+            continue;
+        };
+        let Some(listed) = field(value).get() else {
+            continue;
+        };
+        if key.need == Sparse && field(&mut (sec.base)()).get().as_ref() == Some(&listed) {
+            continue;
+        }
+        pairs.push((key.name, listed));
+    }
     let mut text = format!("[{path}]\n");
-    for (key, value) in &pairs {
-        let rendered = render(value)
+    for (key, listed) in &pairs {
+        let rendered = render(listed)
             .map_err(|what| ScenarioFileError::global(format!("[{path}] {key}: {what}")))?;
         text.push_str(&format!("{key} = {rendered}\n"));
     }
     let entries = pairs
         .into_iter()
-        .map(|(key, value)| (key.to_string(), value, None));
+        .map(|(key, listed)| (key.to_string(), listed, None));
     conform(sec, path, None, entries.collect())?;
+    sec.check(path, value, None)?;
     if !out.is_empty() {
         out.push('\n');
     }
@@ -1573,9 +1623,14 @@ fn write_section(
     Ok(())
 }
 
+/// [`write_section`] at the section's schema path.
+fn write<T>(out: &mut String, sec: &Section<T>, value: &mut T) -> Result<()> {
+    write_section(out, sec, sec.path, value)
+}
+
 /// Writes a section that sits at its schema path, if the spec has it.
-fn put(out: &mut String, sec: &'static Section, pairs: Option<Vec<Pair>>) -> Result<()> {
-    pairs.map_or(Ok(()), |pairs| write_section(out, sec, sec.path, pairs))
+fn put<T>(out: &mut String, sec: &Section<T>, value: Option<&mut T>) -> Result<()> {
+    value.map_or(Ok(()), |value| write(out, sec, value))
 }
 
 /// Serializes a spec as a scenario file that parses back to an equal
@@ -1589,7 +1644,8 @@ fn put(out: &mut String, sec: &'static Section, pairs: Option<Vec<Pair>>) -> Res
 /// the format has no escape for; or when [`parse_scenario`] would
 /// reject the result — a value out of its key's range, a degenerate
 /// fault window, a zero probe period, a key product over
-/// [`MAX_PRODUCT`]. The message names `[section] key`.
+/// [`MAX_PRODUCT`], a `split` that leaves one side empty. The message
+/// names `[section] key`.
 pub fn to_toml(spec: &ScenarioSpec) -> Result<String> {
     // Scheduled faults belong in `spec.faults` (merged into the network
     // by `ScenarioSpec::effective_net`); a base model already carrying
@@ -1608,61 +1664,35 @@ pub fn to_toml(spec: &ScenarioSpec) -> Result<String> {
     }
     let mut text = String::new();
     let out = &mut text;
-    let head = vec![
-        ("arch", Value::Str(spec.arch.name().to_string())),
-        ("nodes", int(spec.n)),
-        ("seed", Value::Int(spec.seed.into())),
-        ("shards", int(spec.shards)),
-        ("placement", Value::Str(spec.placement.name().to_string())),
-        ("adaptive_window", Value::Bool(spec.adaptive_window)),
-    ];
-    put(out, &SCENARIO, Some(head))?;
-    let topics = vec![
-        ("count", int(spec.num_topics)),
-        ("zipf_s", Value::Float(spec.zipf_s)),
-    ];
-    put(out, &TOPICS, Some(topics))?;
-    put(out, &INTEREST, Some(appetite_pairs(&spec.appetite)))?;
-    put(out, &PUBLISH, Some(plan_pairs(&spec.plan)))?;
-    put(out, &FLASH, spec.plan.flash.as_ref().map(flash_pairs))?;
-    put(out, &CHURN, spec.churn.as_ref().map(churn_pairs))?;
-    put(out, &NETWORK, Some(net_pairs(&spec.net)))?;
-    put(
-        out,
-        &FAULT_PARTITION,
-        spec.faults.partition.as_ref().map(partition_pairs),
-    )?;
-    put(
-        out,
-        &FAULT_ONEWAY,
-        spec.faults.oneway.as_ref().map(oneway_pairs),
-    )?;
-    put(
-        out,
-        &FAULT_DELAY,
-        spec.faults.delay.as_ref().map(delay_pairs),
-    )?;
-    if let Some(m) = &spec.mobility {
+    let mut file = ScenarioFile {
+        name: None,
+        summary: None,
+        spec: spec.clone(),
+    };
+    write(out, &SCENARIO, &mut file)?;
+    let s = &mut file.spec;
+    write(out, &TOPICS, s)?;
+    write(out, &INTEREST, s)?;
+    write(out, &PUBLISH, s)?;
+    put(out, &FLASH, s.plan.flash.as_mut())?;
+    put(out, &CHURN, s.churn.as_mut())?;
+    write(out, &NETWORK, s)?;
+    put(out, &FAULT_PARTITION, s.faults.partition.as_mut())?;
+    put(out, &FAULT_ONEWAY, s.faults.oneway.as_mut())?;
+    put(out, &FAULT_DELAY, s.faults.delay.as_mut())?;
+    if let Some(m) = &mut s.mobility {
         mobility_rule(m, None)?;
-        let period = m.period.map(|p| ("period", Value::Time(p.as_micros())));
-        let header = [("split", Value::Int(m.split.into()))]
-            .into_iter()
-            .chain(period);
-        put(out, &MOBILITY, Some(header.collect()))?;
-        for (k, s) in m.segments.iter().enumerate() {
-            let path = format!("mobility.seg{k}");
-            write_section(out, &MOBILITY_SEGMENT, &path, segment_pairs(s))?;
+        write(out, &MOBILITY, m)?;
+        for (k, seg) in m.segments.iter_mut().enumerate() {
+            write_section(out, &MOBILITY_SEGMENT, &format!("mobility.seg{k}"), seg)?;
         }
     }
-    put(out, &MEMBERSHIP, spec.membership.as_ref().map(swim_pairs))?;
-    put(
-        out,
-        &TELEMETRY,
-        spec.telemetry.as_ref().map(telemetry_pairs),
-    )?;
-    put(out, &PROFILE, spec.profile.as_ref().map(profile_pairs))?;
-    put(out, &TRACE, spec.trace.as_ref().map(trace_pairs))?;
+    put(out, &MEMBERSHIP, s.membership.as_mut())?;
+    put(out, &TELEMETRY, s.telemetry.as_mut())?;
+    put(out, &PROFILE, s.profile.as_mut())?;
+    put(out, &TRACE, s.trace.as_mut())?;
     product_rule(spec, None, None)?;
+    split_rule(spec, |_| None)?;
     Ok(text)
 }
 
@@ -2046,10 +2076,13 @@ mod tests {
     #[test]
     fn net_carrying_faults_directly_is_unrepresentable() {
         let mut spec = ScenarioSpec::fair_gossip(8, 1);
-        spec.net.faults_mut().delay = Some(DelayFault {
-            at: SimTime::from_secs(1),
-            until: SimTime::from_secs(2),
-            extra: SimDuration::from_millis(5),
+        spec.net = spec.net.clone().with_faults(FaultSchedule {
+            delay: Some(DelayFault {
+                at: SimTime::from_secs(1),
+                until: SimTime::from_secs(2),
+                extra: SimDuration::from_millis(5),
+            }),
+            ..FaultSchedule::default()
         });
         let err = to_toml(&spec).unwrap_err();
         assert!(err.message.contains("fault schedule"), "{err}");
@@ -2264,13 +2297,17 @@ mod tests {
             assert!(err.message.contains(names), "{names}: {err}");
         }
         // `NetworkModel::lossy` clamps, so a loss of 1.0 cannot reach
-        // `to_toml` inside a spec; the write pass rejects it all the same.
-        let pairs = vec![
+        // `to_toml` inside a spec; the write pass's check rejects it all
+        // the same.
+        let pairs = [
             ("latency", Value::Str("constant".to_string())),
             ("delay", Value::Time(ten_ms.as_micros())),
             ("loss", Value::Float(1.0)),
         ];
-        let err = write_section(&mut String::new(), &NETWORK, "network", pairs).unwrap_err();
+        let entries = pairs.map(|(key, value)| (key.to_string(), value, None));
+        let err = conform(&NETWORK, "network", None, entries.to_vec())
+            .map(drop)
+            .unwrap_err();
         assert!(
             err.message
                 .contains("[network] loss: 1 must be a loss probability in [0, 1)"),
@@ -2308,43 +2345,94 @@ mod tests {
         }
     }
 
-    /// Every `Def` and every listed default passes its own key's check,
-    /// and every `when` names a key after its section's selector.
+    /// One row as the schema tests see it.
+    pub(super) struct Row {
+        name: &'static str,
+        ty: Ty,
+        need: Need,
+        when: Option<&'static str>,
+        /// Whether the row binds a field (else its selector reads it).
+        bound: bool,
+        /// The base's value of the field a bound row binds; for a row its
+        /// selector reads, what the selector lists after reading the
+        /// variant's required keys alone (`None` for a required row).
+        default: Option<Value>,
+    }
+
+    pub(super) fn rows<T>(sec: &Section<T>) -> Vec<Row> {
+        let row = |key: &Key<T>| {
+            let mut base = (sec.base)();
+            let default = match (key.field, &sec.selector) {
+                (Some(field), _) => field(&mut base).get(),
+                (None, Some(selector)) if key.need != Req => {
+                    let given = sec.keys.iter().filter(|k| k.need == Req);
+                    let given = given.filter(|k| k.when.is_none() || k.when == key.when);
+                    let fields = given.map(|k| (k.name, placeholder(k.ty, key.when), None));
+                    let bag = Bag {
+                        blame: None,
+                        fields: fields.collect(),
+                    };
+                    (selector.read)(&bag, &mut base);
+                    let listed = (selector.list)(&base);
+                    listed
+                        .into_iter()
+                        .find(|(name, _)| *name == key.name)
+                        .map(|(_, v)| v)
+                }
+                _ => None,
+            };
+            Row {
+                name: key.name,
+                ty: key.ty,
+                need: key.need,
+                when: key.when,
+                bound: key.field.is_some(),
+                default,
+            }
+        };
+        sec.keys.iter().map(row).collect()
+    }
+
+    /// A value every check of type `ty` accepts; a string is the
+    /// selector value `when`.
+    fn placeholder(ty: Ty, when: Option<&'static str>) -> Value {
+        match ty {
+            Str => Value::Str(when.unwrap_or_default().to_string()),
+            Int { lo, .. } => Value::Int(lo.into()),
+            Float(_) => Value::Float(0.5),
+            Bool => Value::Bool(false),
+            Time => Value::Time(0),
+        }
+    }
+
+    /// Every row's default passes its own key's check — which also
+    /// checks that each bound row's field holds its row's type — and a
+    /// selector section is the only kind with rows it reads by hand: its
+    /// first row is the selector, the rest of them are its variants'.
     #[test]
     fn schema_defaults_conform_to_their_own_rows() {
         for sec in SCHEMA {
-            let listed = sec.defaults.map(|list| list()).unwrap_or_default();
-            for (name, _) in &listed {
-                assert!(
-                    sec.keys.iter().any(|k| k.name == *name),
-                    "[{}] {name}",
-                    sec.path
-                );
-            }
-            for key in sec.keys {
-                let default = match key.need {
-                    Def(value) => Some(value()),
-                    _ => listed
-                        .iter()
-                        .find(|(name, _)| *name == key.name)
-                        .map(|(_, v)| v.clone()),
-                };
-                if let Some(value) = default {
-                    let conformed = conform_value(key.ty, value.clone());
-                    assert_eq!(conformed, Ok(value), "[{}] {}", sec.path, key.name);
+            let rows = sec.rows();
+            for row in &rows {
+                let at = format!("[{}] {}", sec.path(), row.name);
+                if let Some(value) = &row.default {
+                    assert_eq!(
+                        conform_value(row.ty, value.clone()),
+                        Ok(value.clone()),
+                        "{at}"
+                    );
                 }
-                assert!(
-                    key.when.is_none() || sec.selector.is_some(),
-                    "[{}] {}",
-                    sec.path,
-                    key.name
-                );
+                assert!(row.bound || sec.selector().is_some(), "{at}");
+                assert!(row.when.is_none() || !row.bound, "{at}");
+                assert!(row.need != Sparse || row.default.is_some(), "{at}");
             }
-            if let Some((selector, _)) = sec.selector {
-                assert_eq!(
-                    sec.keys[0].name, selector,
+            if sec.selector().is_some() {
+                let first = &rows[0];
+                let picks = !first.bound && first.when.is_none() && first.need == Req;
+                assert!(
+                    picks && matches!(first.ty, Str),
                     "[{}] selector comes first",
-                    sec.path
+                    sec.path()
                 );
             }
         }
@@ -2382,10 +2470,9 @@ mod tests {
                 // "`appetite = "fixed"` — …" opens the tables of one selector value.
                 let selector = SCHEMA
                     .iter()
-                    .find(|s| s.path == section)
-                    .and_then(|s| s.selector);
-                let value =
-                    selector.and_then(|(key, _)| rest.strip_prefix(key)?.strip_prefix(" = \""));
+                    .find(|s| s.path() == section)
+                    .and_then(|s| s.selector());
+                let value = selector.and_then(|key| rest.strip_prefix(key)?.strip_prefix(" = \""));
                 if let Some((value, _)) = value.and_then(|v| v.split_once('"')) {
                     when = Some(value.to_string());
                 }
@@ -2417,27 +2504,29 @@ mod tests {
     fn scenarios_doc_reference_tables_match_the_schema() {
         let (tables, required) = documented_reference();
         for sec in SCHEMA {
+            let path = sec.path();
             assert_eq!(
-                required.get(sec.path),
-                Some(&sec.required),
-                "docs/SCENARIOS.md: the `### … [{}]` heading must say `— {}`",
-                sec.path,
-                if sec.required { "required" } else { "optional" }
+                required.get(path),
+                Some(&sec.required()),
+                "docs/SCENARIOS.md: the `### … [{path}]` heading must say `— {}`",
+                if sec.required() {
+                    "required"
+                } else {
+                    "optional"
+                }
             );
-            let listed = sec.defaults.map(|list| list()).unwrap_or_default();
-            let mut whens: Vec<Option<&str>> = sec.keys.iter().map(|k| k.when).collect();
+            let rows = sec.rows();
+            let mut whens: Vec<Option<&str>> = rows.iter().map(|r| r.when).collect();
             whens.dedup();
             for when in whens {
                 let under = match when {
-                    Some(value) => {
-                        format!("[{}] under `{} = \"{value}\"`", sec.path, sec.keys[0].name)
-                    }
-                    None => format!("[{}]", sec.path),
+                    Some(value) => format!("[{path}] under `{} = \"{value}\"`", rows[0].name),
+                    None => format!("[{path}]"),
                 };
-                let rows = tables.get(&(sec.path.to_string(), when.map(str::to_string)));
-                let rows = rows
+                let doc_rows = tables.get(&(path.to_string(), when.map(str::to_string)));
+                let doc_rows = doc_rows
                     .unwrap_or_else(|| panic!("docs/SCENARIOS.md has no key table for {under}"));
-                let keys = sec.keys.iter().filter(|k| k.when == when);
+                let keys = rows.iter().filter(|r| r.when == when);
                 for key in keys.clone() {
                     let ty = match key.ty {
                         Str => "string",
@@ -2446,16 +2535,13 @@ mod tests {
                         Bool => "boolean",
                         Time => "duration",
                     };
-                    let default = match key.need {
-                        Req => "**required**".to_string(),
-                        Def(value) => format!("`{}`", render(&value()).unwrap()),
-                        Opt => match listed.iter().find(|(name, _)| *name == key.name) {
-                            Some((_, value)) => format!("`{}`", render(value).unwrap()),
-                            None => "—".to_string(),
-                        },
+                    let default = match (key.need, &key.default) {
+                        (Req, _) => "**required**".to_string(),
+                        (_, Some(value)) => format!("`{}`", render(value).unwrap()),
+                        (_, None) => "—".to_string(),
                     };
                     let expected = format!("| `{}` | {ty} | {default} | … |", key.name);
-                    let row = rows.iter().find(|(name, ..)| name == key.name);
+                    let row = doc_rows.iter().find(|(name, ..)| name == key.name);
                     let (_, doc_ty, doc_default) = row.unwrap_or_else(|| {
                         panic!("docs/SCENARIOS.md: the table for {under} lacks the row {expected}")
                     });
@@ -2465,7 +2551,7 @@ mod tests {
                         key.name
                     );
                 }
-                for (name, ..) in rows {
+                for (name, ..) in doc_rows {
                     assert!(
                         keys.clone().any(|k| k.name == name),
                         "docs/SCENARIOS.md: the table for {under} documents `{name}`, which is not a key of it"
@@ -2474,8 +2560,8 @@ mod tests {
             }
         }
         for (section, when) in tables.keys() {
-            let sec = SCHEMA.iter().find(|s| s.path == section);
-            let known = sec.is_some_and(|s| s.keys.iter().any(|k| k.when == when.as_deref()));
+            let sec = SCHEMA.iter().find(|s| s.path() == section);
+            let known = sec.is_some_and(|s| s.rows().iter().any(|r| r.when == when.as_deref()));
             assert!(known, "docs/SCENARIOS.md: a key table under [{section}] {when:?} matches no schema section");
         }
     }

@@ -6,7 +6,9 @@
 //! One kitchen-sink spec carries every optional section (flash crowd,
 //! churn, all three faults, a periodic three-segment mobility trace,
 //! membership, telemetry, profile, trace); two small specs cover the
-//! remaining `appetite` / `latency` variants.
+//! remaining `appetite` / `latency` variants. Every library file under
+//! `scenarios/` and `fedbench/workloads/` is pinned too, against the
+//! text in `tests/data/to_toml/`.
 
 use fed_membership::swim::SwimConfig;
 use fed_profile::ProfileSpec;
@@ -17,10 +19,12 @@ use fed_sim::network::{
 use fed_sim::{SimDuration, SimTime};
 use fed_telemetry::TelemetrySpec;
 use fed_trace::TraceSpec;
-use fed_workload::scenario_file::{spec_from_toml, to_toml};
+use fed_workload::scenario_file::{parse_scenario, spec_from_toml, to_toml};
 use fed_workload::{
     Appetite, Architecture, ChurnPlan, FlashCrowd, Placement, PubPlan, ScenarioSpec,
 };
+use std::fs;
+use std::path::Path;
 
 fn kitchen_sink() -> ScenarioSpec {
     ScenarioSpec {
@@ -342,4 +346,37 @@ fn to_toml_output_is_byte_identical_to_the_hand_written_serializer() {
         assert_eq!(to_toml(&spec).unwrap(), golden, "{name}");
         assert_eq!(spec_from_toml(golden).unwrap(), spec, "{name}");
     }
+}
+
+/// `to_toml ∘ parse_scenario` of every library scenario and benchmark
+/// workload is byte-identical to its text in `tests/data/to_toml/`,
+/// captured from the serializer whose rows did not bind fields yet; and
+/// every captured text still has its file.
+#[test]
+fn library_files_serialize_to_their_captured_text() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let captured = root.join("tests/data/to_toml");
+    let mut checked = 0;
+    for dir in ["scenarios", "fedbench/workloads"] {
+        let dir = root.join("../..").join(dir);
+        for entry in fs::read_dir(&dir).expect("the library directory is listable") {
+            let path = entry.expect("directory entry").path();
+            if path.extension().is_none_or(|ext| ext != "toml") {
+                continue;
+            }
+            let name = path.file_name().expect("a file name");
+            let text = fs::read_to_string(&path).expect("library file is readable");
+            let spec = parse_scenario(&text).expect("library file parses").spec;
+            let golden = fs::read_to_string(captured.join(name))
+                .unwrap_or_else(|e| panic!("no captured text for {}: {e}", path.display()));
+            assert_eq!(to_toml(&spec).unwrap(), golden, "{}", path.display());
+            checked += 1;
+        }
+    }
+    let captured = fs::read_dir(&captured).expect("tests/data/to_toml is listable");
+    assert_eq!(
+        checked,
+        captured.count(),
+        "a captured text lost its library file"
+    );
 }

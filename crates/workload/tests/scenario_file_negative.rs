@@ -8,6 +8,7 @@
 //! a refactor cannot silently degrade them into vague global errors.
 
 use fed_workload::parse_scenario;
+use fed_workload::scenario_file::to_toml;
 
 /// A complete, valid document the corpus mutates. Every line is
 /// flush-left so line numbers are stable and countable.
@@ -236,4 +237,58 @@ fn keys_of_another_variant_are_blamed_on_their_own_line() {
             assert!(err.message.contains(needle), "{err} lacks {needle:?}");
         }
     }
+}
+
+/// A `split` outside `1..nodes` puts every node on one side, so the
+/// partition, one-way failure or mobility trace it bounds would never
+/// fire: rejected, blamed on the `split` line and naming
+/// `[scenario] nodes` ([`BASE`] has 64). The bounds of the valid range
+/// still parse.
+#[test]
+fn degenerate_splits_are_blamed_on_the_split_line() {
+    let sections = [
+        (
+            "[faults.partition]",
+            "\n[faults.partition]\nat = \"1s\"\nheal = \"2s\"\nsplit = SPLIT\n",
+        ),
+        (
+            "[faults.oneway]",
+            "\n[faults.oneway]\nat = \"1s\"\nuntil = \"2s\"\nsplit = SPLIT\n",
+        ),
+        (
+            "[mobility]",
+            "\n[mobility]\nsplit = SPLIT\n\n[mobility.seg0]\nat = \"0ms\"\n",
+        ),
+    ];
+    for (path, appendix) in sections {
+        for split in [0, 64, 5000, 9999] {
+            let doc = format!("{BASE}{}", appendix.replace("SPLIT", &split.to_string()));
+            let err = parse_scenario(&doc).map(|_| ()).expect_err(path);
+            let marker = format!("split = {split}");
+            assert_eq!(err.line, Some(line_of(&doc, &marker)), "{err}");
+            let key = format!("{path} split: {split}");
+            for needle in [
+                key.as_str(),
+                "leaves one side empty",
+                "[scenario] nodes = 64",
+            ] {
+                assert!(err.message.contains(needle), "{err} lacks {needle:?}");
+            }
+        }
+        for split in [1, 63] {
+            let doc = format!("{BASE}{}", appendix.replace("SPLIT", &split.to_string()));
+            parse_scenario(&doc).unwrap_or_else(|e| panic!("{path} split = {split}: {e}"));
+        }
+    }
+    // The serializer refuses the same spec instead of writing it.
+    let doc = format!("{BASE}{}", sections[0].1.replace("SPLIT", "8"));
+    let mut spec = parse_scenario(&doc).unwrap().spec;
+    spec.faults.partition.as_mut().unwrap().split = 64;
+    let err = to_toml(&spec).unwrap_err();
+    assert_eq!(err.line, None, "{err}");
+    assert!(
+        err.message
+            .starts_with("[faults.partition] split: 64 leaves one side empty"),
+        "{err}"
+    );
 }

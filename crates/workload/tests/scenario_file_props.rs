@@ -161,10 +161,11 @@ fn trace_strategy() -> impl Strategy<Value = Option<TraceSpec>> {
 fn faults_strategy() -> impl Strategy<Value = FaultSchedule> {
     // Fault windows must satisfy `at < heal`/`at < until` — the parser
     // rejects degenerate windows, so the round-trip property quantifies
-    // over valid ones.
+    // over valid ones. A split is drawn raw and folded into `1..n` by
+    // `spec_strategy`, which knows `n`.
     let partition = prop_oneof![
         Just(None),
-        (0u64..=1_000_000_000, 1u64..=1_000_000_000, 0u32..=10_000).prop_map(|(at, len, split)| {
+        (0u64..=1_000_000_000, 1u64..=1_000_000_000, any::<u32>()).prop_map(|(at, len, split)| {
             Some(PartitionFault {
                 at: SimTime::from_micros(at),
                 heal: SimTime::from_micros(at + len),
@@ -174,7 +175,7 @@ fn faults_strategy() -> impl Strategy<Value = FaultSchedule> {
     ];
     let oneway = prop_oneof![
         Just(None),
-        (0u64..=1_000_000_000, 1u64..=1_000_000_000, 0u32..=10_000).prop_map(|(at, len, split)| {
+        (0u64..=1_000_000_000, 1u64..=1_000_000_000, any::<u32>()).prop_map(|(at, len, split)| {
             Some(OnewayFault {
                 at: SimTime::from_micros(at),
                 until: SimTime::from_micros(at + len),
@@ -234,13 +235,14 @@ fn mobility_strategy() -> impl Strategy<Value = Option<MobilityTrace>> {
     // traces, stay below the period — the parser rejects anything else,
     // so the round-trip property quantifies over valid traces. Strictly
     // increasing positive gaps make the instants a strictly increasing
-    // prefix-sum; a period is one more gap past the last segment.
+    // prefix-sum; a period is one more gap past the last segment. The
+    // split is drawn raw and folded into `1..n` by `spec_strategy`.
     let segments =
         proptest::collection::vec((1u64..=1_000_000, 0u64..=100_000, any::<bool>()), 1..6);
     prop_oneof![
         Just(None),
         (
-            0u32..=10_000,
+            any::<u32>(),
             segments,
             any::<bool>(),
             0u64..=100_000,
@@ -306,13 +308,26 @@ fn spec_strategy() -> impl Strategy<Value = ScenarioSpec> {
         trace_strategy(),
         mobility_strategy(),
     );
-    (head, plan, tail, robust).prop_map(
+    let specs = (head, plan, tail, robust).prop_map(
         |(
             (arch, n, shards, placement, adaptive_window, num_topics, zipf, appetite),
             (rate, duration, topic_zipf, payload_bytes, warmup, flash),
             (churn, telemetry, profile, latency, loss, seed),
-            (faults, membership, trace, mobility),
+            (mut faults, membership, trace, mut mobility),
         )| {
+            // A split must leave a node on each side: fold the raw draws
+            // into `1..n` (an `n = 1` population has no valid split and
+            // is filtered out below).
+            let side = |raw: u32| 1 + raw % (n as u32 - 1).max(1);
+            if let Some(f) = &mut faults.partition {
+                f.split = side(f.split);
+            }
+            if let Some(f) = &mut faults.oneway {
+                f.split = side(f.split);
+            }
+            if let Some(m) = &mut mobility {
+                m.split = side(m.split);
+            }
             let loss = fractional(loss, 1_000_000);
             let net = if loss > 0.0 {
                 NetworkModel::lossy(latency, loss)
@@ -347,7 +362,11 @@ fn spec_strategy() -> impl Strategy<Value = ScenarioSpec> {
                 seed,
             }
         },
-    )
+    );
+    specs.prop_filter("a split needs a node on each side", |s| {
+        let f = &s.faults;
+        s.n > 1 || (f.partition.is_none() && f.oneway.is_none() && s.mobility.is_none())
+    })
 }
 
 /// One way a spec built in code can leave the grammar: a value out of
