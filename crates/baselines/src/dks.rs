@@ -38,20 +38,15 @@ pub enum DksMsg {
     },
 }
 
-/// Configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DksConfig {
-    /// Infect-and-die fanout inside the group.
-    pub group_fanout: usize,
-    /// How many seed members the index node contacts.
-    pub seeds: usize,
-}
+/// Infect-and-die fanout inside the group.
+pub const GROUP_FANOUT: usize = 5;
+/// How many seed members the index node contacts.
+pub const SEEDS: usize = 3;
 
 /// A DKS-style node.
 #[derive(Debug)]
 pub struct DksNode {
     id: NodeId,
-    config: DksConfig,
     dht: Arc<DhtNetwork>,
     groups: Arc<GroupTable>,
     endpoint: Endpoint,
@@ -62,15 +57,9 @@ pub struct DksNode {
 
 impl DksNode {
     /// Creates a node over shared index DHT and group tables.
-    pub fn new(
-        id: NodeId,
-        config: DksConfig,
-        dht: Arc<DhtNetwork>,
-        groups: Arc<GroupTable>,
-    ) -> Self {
+    pub fn new(id: NodeId, dht: Arc<DhtNetwork>, groups: Arc<GroupTable>) -> Self {
         DksNode {
             id,
-            config,
             dht,
             groups,
             endpoint: Endpoint::new(),
@@ -119,7 +108,7 @@ impl DksNode {
     /// Index-node duty: seed the topic group, and join the epidemic when
     /// the index node is itself a subscriber.
     fn seed_group(&mut self, ctx: &mut Context<'_, DksMsg>, event: Event) {
-        if self.flood(ctx, &event, self.config.seeds) {
+        if self.flood(ctx, &event, SEEDS) {
             self.accept_in_group(ctx, event);
         }
     }
@@ -130,7 +119,7 @@ impl DksNode {
             return; // infect-and-die: forward only on first receipt
         }
         self.endpoint.offer(&event, id, ctx.now());
-        self.flood(ctx, &event, self.config.group_fanout);
+        self.flood(ctx, &event, GROUP_FANOUT);
     }
 }
 
@@ -202,12 +191,8 @@ mod tests {
         let dht = Arc::new(DhtNetwork::build(n));
         let groups = Arc::new(groups);
         let net = NetworkModel::reliable(LatencyModel::Constant(SimDuration::from_millis(5)));
-        let cfg = DksConfig {
-            group_fanout: 5,
-            seeds: 3,
-        };
         Simulation::new(n, net, 41, move |id, _| {
-            DksNode::new(id, cfg, Arc::clone(&dht), Arc::clone(&groups))
+            DksNode::new(id, Arc::clone(&dht), Arc::clone(&groups))
         })
     }
 

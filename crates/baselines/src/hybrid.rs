@@ -5,7 +5,7 @@
 //! chattier). This architecture runs *both* stacks on every node and
 //! switches strategy at runtime: the system starts in broker mode, the
 //! hub self-monitors its publish load per window, and when a window
-//! exceeds the configured threshold (a flash crowd) the hub broadcasts a
+//! exceeds [`SPIKE_THRESHOLD`] (a flash crowd) the hub broadcasts a
 //! [`HybridMsg::Switch`] — after which every node publishes through fair
 //! gossip instead.
 //!
@@ -39,35 +39,16 @@ use fed_sim::{Context, NodeId, Protocol, SimDuration, SimTime};
 /// `4 << 56 | seq`); the broker has no timers.
 const MONITOR_TIMER: u64 = 5 << 56;
 
-/// Configuration of the [`HybridNode`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct HybridConfig {
-    /// The broker hub (also the node that monitors load and triggers
-    /// the switch).
-    pub hub: NodeId,
-    /// Configuration of the embedded fair-gossip stack.
-    pub gossip: GossipConfig,
-    /// Length of the hub's load-monitoring window.
-    pub monitor_window: SimDuration,
-    /// Publish submissions per monitor window above which the hub
-    /// declares a load spike and broadcasts the switch.
-    pub spike_threshold: u64,
-}
-
-impl HybridConfig {
-    /// The comparison configuration: hub 0, the T-ARCH fair-gossip
-    /// stack, and a spike threshold of 64 publishes per 500 ms window
-    /// (128/s) — comfortably above the standard scenarios' base rates
-    /// and comfortably below their flash-crowd rates.
-    pub fn standard() -> Self {
-        HybridConfig {
-            hub: NodeId::new(0),
-            gossip: GossipConfig::fair(8, 16, SimDuration::from_millis(100)),
-            monitor_window: SimDuration::from_millis(500),
-            spike_threshold: 64,
-        }
-    }
-}
+/// The broker hub, also the node that monitors load and triggers the
+/// switch.
+pub const HUB: NodeId = NodeId::new(0);
+/// Length of the hub's load-monitoring window.
+pub const MONITOR_WINDOW: SimDuration = SimDuration::from_millis(500);
+/// Publish submissions per monitor window above which the hub declares a
+/// load spike and broadcasts the switch: 64 per 500 ms window (128/s) is
+/// comfortably above the standard scenarios' base rates and comfortably
+/// below their flash-crowd rates.
+pub const SPIKE_THRESHOLD: u64 = 64;
 
 /// Wire messages of the hybrid: each embedded stack's traffic wrapped in
 /// its own variant, plus the strategy-switch broadcast.
@@ -92,7 +73,6 @@ enum Mode {
 #[derive(Debug)]
 pub struct HybridNode {
     id: NodeId,
-    config: HybridConfig,
     broker: BrokerNode,
     gossip: GossipNode,
     mode: Mode,
@@ -103,13 +83,18 @@ pub struct HybridNode {
 }
 
 impl HybridNode {
-    /// Creates a hybrid node for a system of `n` nodes.
-    pub fn new(id: NodeId, n: usize, config: HybridConfig) -> Self {
-        let broker = BrokerNode::new(id, config.hub);
-        let gossip = GossipNode::with_behavior(id, n, config.gossip.clone(), Behavior::Honest);
+    /// Creates a hybrid node for a system of `n` nodes. Its gossip stack
+    /// is the T-ARCH fair configuration (`fair(8, 16, 100 ms)`), running
+    /// the SWIM detector when `swim` is set.
+    pub fn new(id: NodeId, n: usize, swim: bool) -> Self {
+        let broker = BrokerNode::new(id, HUB);
+        let config = GossipConfig {
+            swim,
+            ..GossipConfig::fair(8, 16, SimDuration::from_millis(100))
+        };
+        let gossip = GossipNode::with_behavior(id, n, config, Behavior::Honest);
         HybridNode {
             id,
-            config,
             broker,
             gossip,
             mode: Mode::Broker,
@@ -178,8 +163,8 @@ impl Protocol for HybridNode {
         ctx.scoped(HybridMsg::B, |c| broker.on_init(c));
         let gossip = &mut self.gossip;
         ctx.scoped(HybridMsg::G, |c| gossip.on_init(c));
-        if self.id == self.config.hub {
-            ctx.set_timer(self.config.monitor_window, MONITOR_TIMER);
+        if self.id == HUB {
+            ctx.set_timer(MONITOR_WINDOW, MONITOR_TIMER);
         }
     }
 
@@ -203,7 +188,7 @@ impl Protocol for HybridNode {
     fn on_timer(&mut self, ctx: &mut Context<'_, HybridMsg>, token: u64) {
         if token == MONITOR_TIMER {
             if self.mode == Mode::Broker {
-                if self.window_publishes > self.config.spike_threshold {
+                if self.window_publishes > SPIKE_THRESHOLD {
                     // Load spike: hand the system over to fair gossip.
                     for peer in 0..ctx.system_size() {
                         let peer = NodeId::new(peer as u32);
@@ -214,7 +199,7 @@ impl Protocol for HybridNode {
                     self.switch(ctx.now());
                 } else {
                     self.window_publishes = 0;
-                    ctx.set_timer(self.config.monitor_window, MONITOR_TIMER);
+                    ctx.set_timer(MONITOR_WINDOW, MONITOR_TIMER);
                 }
             }
         } else {
@@ -236,7 +221,7 @@ impl Protocol for HybridNode {
             (Command::Publish(_), Mode::Broker) => {
                 // The hub publishes locally: count it like a remote
                 // submission so local load also trips the monitor.
-                if self.id == self.config.hub {
+                if self.id == HUB {
                     self.window_publishes += 1;
                 }
                 ctx.scoped(HybridMsg::B, |c| broker.on_command(c, cmd));
@@ -279,11 +264,9 @@ mod tests {
     use fed_sim::network::{LatencyModel, NetworkModel};
     use fed_sim::Simulation;
 
-    fn sim(n: usize, config: HybridConfig) -> Simulation<HybridNode> {
+    fn sim(n: usize) -> Simulation<HybridNode> {
         let net = NetworkModel::reliable(LatencyModel::Constant(SimDuration::from_millis(10)));
-        Simulation::new(n, net, 11, move |id, _| {
-            HybridNode::new(id, n, config.clone())
-        })
+        Simulation::new(n, net, 11, move |id, _| HybridNode::new(id, n, false))
     }
 
     fn topic_event(seq: u32, topic: TopicId) -> Event {
@@ -292,7 +275,7 @@ mod tests {
 
     #[test]
     fn broker_mode_delivers_without_switching() {
-        let mut s = sim(8, HybridConfig::standard());
+        let mut s = sim(8);
         let topic = TopicId::new(1);
         for i in 0..8u32 {
             s.schedule_command(SimTime::ZERO, NodeId::new(i), Command::Subscribe(topic));
@@ -313,7 +296,7 @@ mod tests {
 
     #[test]
     fn unsubscribe_reaches_both_stacks() {
-        let mut s = sim(8, HybridConfig::standard());
+        let mut s = sim(8);
         let topic = TopicId::new(1);
         let quitter = NodeId::new(2);
         for i in 0..8u32 {
@@ -343,19 +326,15 @@ mod tests {
 
     #[test]
     fn load_spike_triggers_switch_and_gossip_still_delivers() {
-        let config = HybridConfig {
-            spike_threshold: 5,
-            ..HybridConfig::standard()
-        };
-        let mut s = sim(8, config);
+        let mut s = sim(8);
         let topic = TopicId::new(1);
         for i in 0..8u32 {
             s.schedule_command(SimTime::ZERO, NodeId::new(i), Command::Subscribe(topic));
         }
-        // A burst well past the threshold inside one monitor window…
-        for seq in 0..20 {
+        // A burst well past the threshold inside the first monitor window…
+        for seq in 0..100 {
             s.schedule_command(
-                SimTime::from_millis(100 + 5 * seq),
+                SimTime::from_millis(100 + 3 * seq),
                 NodeId::new(3),
                 Command::Publish(topic_event(seq as u32, topic)),
             );
@@ -372,25 +351,22 @@ mod tests {
         for (id, node) in s.into_nodes() {
             let at = node.switched_at().expect("every node switches");
             assert!(at >= SimTime::from_millis(500), "{id:?} switched at {at}");
-            assert_eq!(node.into_merged_deliveries().len(), 30, "{id:?}");
+            assert_eq!(node.into_merged_deliveries().len(), 110, "{id:?}");
         }
     }
 
     #[test]
     fn deterministic_across_runs() {
         let run = || {
-            let config = HybridConfig {
-                spike_threshold: 5,
-                ..HybridConfig::standard()
-            };
-            let mut s = sim(12, config);
+            let mut s = sim(12);
             let topic = TopicId::new(2);
             for i in 0..12u32 {
                 s.schedule_command(SimTime::ZERO, NodeId::new(i), Command::Subscribe(topic));
             }
-            for seq in 0..30 {
+            // A burst past the threshold, so the handover is replayed too.
+            for seq in 0..80 {
                 s.schedule_command(
-                    SimTime::from_millis(100 + 7 * seq),
+                    SimTime::from_millis(100 + 4 * seq),
                     NodeId::new((seq % 12) as u32),
                     Command::Publish(topic_event(seq as u32, topic)),
                 );
@@ -403,6 +379,11 @@ mod tests {
                 .unzip();
             (logs, switches, events)
         };
+        let (_, switches, _) = run();
+        assert!(
+            switches.iter().all(Option::is_some),
+            "the burst must switch"
+        );
         assert_eq!(run(), run());
     }
 }

@@ -71,6 +71,6 @@ pub mod splitstream;
 
 pub use broker::{BrokerMsg, BrokerNode};
 pub use dam::{DamMsg, DamNode, GroupTable};
-pub use dks::{DksConfig, DksMsg, DksNode};
+pub use dks::{DksMsg, DksNode};
 pub use scribe::{ScribeMsg, ScribeNode};
 pub use splitstream::{Forest, SplitStreamNode, StripeMsg};

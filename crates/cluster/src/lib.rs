@@ -61,20 +61,17 @@
 //! fill*), and the only wait left at the decision channel is the genuine
 //! straggler stall. See docs/ARCHITECTURE.md for the full protocol.
 //!
-//! With the default **adaptive window policy** the target window width
-//! grows when windows run near-empty and shrinks when they are dense
-//! (always floored at `L`), letting sparse phases and shards with mostly
-//! node-local traffic batch far more virtual time per barrier; the two
-//! bounds above clamp every window, so adaptivity is a pure performance
-//! knob. The fixed policy ([`WindowPolicy::fixed`]) pins the width to
-//! `L`, reproducing the uniform `[W, W + L)` windows of the seed-era
-//! scheduler.
+//! The target window width is **adaptive**: it grows when windows run
+//! near-empty and shrinks when they are dense (always within `[L, L ×
+//! 4096]`), letting sparse phases and shards with mostly node-local
+//! traffic batch far more virtual time per barrier; the two bounds above
+//! clamp every window, so the width cannot affect results.
 //!
 //! ## Determinism
 //!
 //! Results are **bit-for-bit identical** to the sequential engine for the
-//! same seed, workload and population, regardless of shard count,
-//! placement policy or window policy:
+//! same seed, workload and population, regardless of shard count or
+//! placement policy:
 //!
 //! * events carry canonical `(time, source, per-source seq)` keys
 //!   ([`fed_sim::exec::EventKey`]) assigned at production time, and every
@@ -90,8 +87,8 @@
 //! The equivalence is asserted by this crate's tests and by the
 //! `cross_engine` integration suite in `fed-experiments` (fair gossip and
 //! the five structured baselines — broker, Scribe, DKS, DAM, SplitStream —
-//! at shard counts {1, 2, 4, 7}, every placement policy, both window
-//! policies, with and without churn); `scenario_properties` draws
+//! at shard counts {1, 2, 4, 7}, every placement policy, with and
+//! without churn); `scenario_properties` draws
 //! randomized scenarios from all eight architectures.
 //!
 //! ## Observation
@@ -162,38 +159,8 @@ type SharedFactory<P> = Arc<dyn Fn(NodeId, &mut Xoshiro256StarStar) -> P + Send 
 /// A batch of events exchanged shard-to-shard at a window barrier.
 type Batch<P> = Vec<(EventKey, EventKind<P>)>;
 
-/// How the coordinator sizes barrier windows; see the crate docs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WindowPolicy {
-    /// Grow the target window width when windows run near-empty and
-    /// shrink it when they are dense, within `[lookahead, lookahead ×
-    /// 4096]`. The conservative bound clamps every window either way, so
-    /// this cannot affect results.
-    pub adaptive: bool,
-}
-
 /// Cap on the adaptive target width as a multiple of the lookahead.
 const MAX_WIDTH_FACTOR: u64 = 4096;
-
-impl WindowPolicy {
-    /// Fixed lookahead-wide windows — the seed-era scheduler's behavior.
-    pub fn fixed() -> Self {
-        WindowPolicy { adaptive: false }
-    }
-
-    /// Adaptive window sizing (the default): target width doubles on
-    /// near-empty windows and halves on dense ones, within
-    /// `[lookahead, lookahead × 4096]`.
-    pub fn adaptive() -> Self {
-        WindowPolicy { adaptive: true }
-    }
-}
-
-impl Default for WindowPolicy {
-    fn default() -> Self {
-        WindowPolicy::adaptive()
-    }
-}
 
 /// Result of a [`ShardedSimulation::run_until`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -347,7 +314,6 @@ struct Scheduler {
     max_events: u64,
     /// Events processed by earlier `run_until` calls.
     already: u64,
-    adaptive: bool,
     /// Adaptive width cap (`lookahead × MAX_WIDTH_FACTOR`).
     cap: SimDuration,
 }
@@ -436,9 +402,6 @@ impl Scheduler {
     /// Deterministic grow/shrink of the target width from the observed
     /// events per window, floored at the lookahead.
     fn adapt(&self, width: SimDuration, window_events: u64) -> SimDuration {
-        if !self.adaptive {
-            return width;
-        }
         let sparse = 8 * self.num_shards as u64;
         let dense = 128 * self.num_shards as u64;
         if window_events < sparse {
@@ -733,7 +696,6 @@ pub struct ShardedSimulation<P: Protocol> {
     now: SimTime,
     external_seq: u64,
     lookahead: SimDuration,
-    window: WindowPolicy,
     /// Current adaptive target width; persists across `run_until` calls.
     window_width: SimDuration,
     factory: SharedFactory<P>,
@@ -744,8 +706,7 @@ pub struct ShardedSimulation<P: Protocol> {
 
 impl<P: Protocol> ShardedSimulation<P> {
     /// Creates a simulation of `n` nodes split round-robin across
-    /// `shards` shards with the default (adaptive) window policy, and
-    /// runs every node's `on_init` at time zero.
+    /// `shards` shards, and runs every node's `on_init` at time zero.
     ///
     /// Unlike [`fed_sim::Simulation::new`], the factory must be `Fn` (not
     /// `FnMut`) and thread-safe, because crashed nodes can be rebuilt
@@ -762,18 +723,10 @@ impl<P: Protocol> ShardedSimulation<P> {
     where
         F: Fn(NodeId, &mut Xoshiro256StarStar) -> P + Send + Sync + 'static,
     {
-        Self::with_scheduler(
-            n,
-            net,
-            seed,
-            ShardMap::round_robin(n, shards),
-            WindowPolicy::default(),
-            factory,
-        )
+        Self::with_scheduler(n, net, seed, ShardMap::round_robin(n, shards), factory)
     }
 
-    /// Creates a simulation with an explicit placement ([`ShardMap`]) and
-    /// [`WindowPolicy`] — the fully-specified scheduler constructor.
+    /// Creates a simulation with an explicit placement ([`ShardMap`]).
     ///
     /// # Panics
     ///
@@ -783,7 +736,6 @@ impl<P: Protocol> ShardedSimulation<P> {
         net: NetworkModel,
         seed: u64,
         map: ShardMap,
-        window: WindowPolicy,
         factory: F,
     ) -> Self
     where
@@ -841,7 +793,6 @@ impl<P: Protocol> ShardedSimulation<P> {
             now: SimTime::ZERO,
             external_seq: 0,
             lookahead,
-            window,
             window_width: lookahead,
             factory,
             events_processed: 0,
@@ -1057,7 +1008,6 @@ where
             "need exactly one observer per shard"
         );
         let lookahead = self.lookahead;
-        let policy = self.window;
         let next: Vec<Option<SimTime>> = self.shards.iter().map(|s| s.queue.next_time()).collect();
         let sched = Scheduler {
             num_shards,
@@ -1072,7 +1022,6 @@ where
             hard_end: target.saturating_add(SimDuration::from_micros(1)),
             max_events: self.max_events,
             already: self.events_processed,
-            adaptive: policy.adaptive,
             cap: lookahead.saturating_mul(MAX_WIDTH_FACTOR),
         };
         let (decision_txs, decision_rxs): (Vec<_>, Vec<_>) =
@@ -1158,7 +1107,6 @@ impl<P: Protocol> std::fmt::Debug for ShardedSimulation<P> {
             .field("shards", &self.map.num_shards())
             .field("now", &self.now)
             .field("lookahead", &self.lookahead)
-            .field("window", &self.window)
             .field("events_processed", &self.events_processed)
             .field("windows", &self.windows)
             .finish()
@@ -1340,14 +1288,10 @@ mod tests {
                 ("balanced", ShardMap::balanced(&weights, shards)),
             ];
             for (name, map) in maps {
-                let mut cluster = ShardedSimulation::with_scheduler(
-                    16,
-                    lossy_net(),
-                    42,
-                    map,
-                    WindowPolicy::default(),
-                    |_, _| Chatter::default(),
-                );
+                let mut cluster =
+                    ShardedSimulation::with_scheduler(16, lossy_net(), 42, map, |_, _| {
+                        Chatter::default()
+                    });
                 schedule(&mut cluster);
                 cluster.run_until(horizon);
                 assert_eq!(
@@ -1357,33 +1301,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    /// Adaptive windows are a pure performance knob: identical results,
-    /// never more barriers than the fixed policy.
-    #[test]
-    fn adaptive_windows_match_fixed_with_fewer_barriers() {
-        let horizon = SimTime::from_secs(1);
-        let run = |window: WindowPolicy| {
-            let mut cluster = ShardedSimulation::with_scheduler(
-                16,
-                lossy_net(),
-                42,
-                ShardMap::round_robin(16, 4),
-                window,
-                |_, _| Chatter::default(),
-            );
-            schedule(&mut cluster);
-            cluster.run_until(horizon);
-            (fingerprint_cluster(&cluster), cluster.windows())
-        };
-        let (fixed, fixed_windows) = run(WindowPolicy::fixed());
-        let (adaptive, adaptive_windows) = run(WindowPolicy::adaptive());
-        assert_eq!(adaptive, fixed, "window policy changed the outcome");
-        assert!(
-            adaptive_windows <= fixed_windows,
-            "adaptive ({adaptive_windows}) ran more barriers than fixed ({fixed_windows})"
-        );
     }
 
     #[test]
@@ -1452,9 +1369,8 @@ mod tests {
 
     /// A zero-latency network model must not stall the barrier loop: the
     /// 1 µs delivery floor gives a positive lookahead, every window makes
-    /// progress, and the outcome still matches the sequential engine —
-    /// under both window policies (the adaptive clamp gets a hard workout
-    /// at a 1 µs lookahead).
+    /// progress, and the outcome still matches the sequential engine (the
+    /// adaptive clamp gets a hard workout at a 1 µs lookahead).
     #[test]
     fn zero_latency_network_terminates_and_matches_sequential() {
         let net = || NetworkModel::reliable(LatencyModel::Constant(SimDuration::ZERO));
@@ -1464,29 +1380,26 @@ mod tests {
         seq.run_until(horizon);
         let expect = fingerprint_seq(&seq);
         for shards in [1, 2, 4] {
-            for window in [WindowPolicy::fixed(), WindowPolicy::adaptive()] {
-                let mut cluster = ShardedSimulation::with_scheduler(
-                    8,
-                    net(),
-                    11,
-                    ShardMap::round_robin(8, shards),
-                    window,
-                    |_, _| Chatter::default(),
-                );
-                assert_eq!(
-                    cluster.lookahead(),
-                    fed_sim::exec::MIN_NETWORK_LATENCY,
-                    "zero-latency lookahead must be floored"
-                );
-                schedule(&mut cluster);
-                let report = cluster.run_until(horizon);
-                assert!(report.completed, "{shards} shards: run must terminate");
-                assert_eq!(
-                    fingerprint_cluster(&cluster),
-                    expect,
-                    "zero-latency cluster with {shards} shards ({window:?}) diverged"
-                );
-            }
+            let mut cluster = ShardedSimulation::with_scheduler(
+                8,
+                net(),
+                11,
+                ShardMap::round_robin(8, shards),
+                |_, _| Chatter::default(),
+            );
+            assert_eq!(
+                cluster.lookahead(),
+                fed_sim::exec::MIN_NETWORK_LATENCY,
+                "zero-latency lookahead must be floored"
+            );
+            schedule(&mut cluster);
+            let report = cluster.run_until(horizon);
+            assert!(report.completed, "{shards} shards: run must terminate");
+            assert_eq!(
+                fingerprint_cluster(&cluster),
+                expect,
+                "zero-latency cluster with {shards} shards diverged"
+            );
         }
     }
 

@@ -23,7 +23,9 @@ use crate::adaptive::{Controller, ControllerConfig, GlobalRateEstimator, RateSam
 use crate::behavior::Behavior;
 use crate::endpoint::{emit_event, Endpoint};
 use crate::ledger::RatioSpec;
-use fed_membership::swim::{SwimConfig, SwimMsg, SwimObservation, SwimState, SwimUpdate};
+use fed_membership::swim::{
+    SwimMsg, SwimObservation, SwimState, SwimUpdate, PROBE_PERIOD, PROBE_TIMEOUT,
+};
 use fed_membership::{FullMembership, PeerSampler};
 use fed_pubsub::{Command, Event, EventBatch};
 use fed_sim::{Context, HopKind, LocalIdSet, NodeId, Protocol, SimDuration};
@@ -82,10 +84,10 @@ pub struct GossipConfig {
     /// peer can accumulate to a constant, instead of letting it grow with
     /// stream length.
     pub civic_allowance: f64,
-    /// Optional in-protocol SWIM failure detection. When set, the node
-    /// runs probe/ping-req/suspect/confirm rounds beside its gossip
-    /// rounds and piggybacks membership updates on gossip pushes.
-    pub swim: Option<SwimConfig>,
+    /// In-protocol SWIM failure detection. When set, the node runs
+    /// probe/ping-req/suspect/confirm rounds beside its gossip rounds and
+    /// piggybacks membership updates on gossip pushes.
+    pub swim: bool,
     /// Keep per-sender receipt counters and the last advertised claim for
     /// the audit ([`crate::audit`]). Off in every preset: no protocol
     /// decision reads them, and a push then touches no per-sender state.
@@ -112,7 +114,7 @@ impl GossipConfig {
             ratio_correction_gain: 0.0,
             min_relay_rate: 0.0,
             civic_allowance: 0.0,
-            swim: None,
+            swim: false,
             audit_receipts: false,
         }
     }
@@ -137,15 +139,9 @@ impl GossipConfig {
             ratio_correction_gain: 0.05,
             min_relay_rate: 0.25,
             civic_allowance: 2.0 * f as f64,
-            swim: None,
+            swim: false,
             audit_receipts: false,
         }
-    }
-
-    /// Enables the SWIM failure detector (builder style).
-    pub fn with_swim(mut self, swim: SwimConfig) -> Self {
-        self.swim = Some(swim);
-        self
     }
 
     /// Fair protocol adapting both knobs with expressive (byte) accounting
@@ -465,13 +461,11 @@ impl Protocol for GossipNode {
         // Jittered first round desynchronizes the population.
         let jitter = ctx.rng().range_u64(self.config.period.as_micros().max(1));
         ctx.set_timer(SimDuration::from_micros(jitter), ROUND_TIMER);
-        if let Some(swim_cfg) = &self.config.swim {
+        if self.config.swim {
             // Fresh detector per (re)start: a rejoining node begins with a
             // clean view and converges via dissemination + contact revival.
-            self.swim = Some(SwimState::new(self.id, ctx.system_size(), swim_cfg.clone()));
-            let sj = ctx
-                .rng()
-                .range_u64(swim_cfg.probe_period.as_micros().max(1));
+            self.swim = Some(SwimState::new(self.id, ctx.system_size()));
+            let sj = ctx.rng().range_u64(PROBE_PERIOD.as_micros());
             ctx.set_timer(SimDuration::from_micros(sj), SWIM_TICK_TIMER);
         }
     }
@@ -517,9 +511,9 @@ impl Protocol for GossipNode {
                 ctx.set_timer(self.config.period, ROUND_TIMER);
             }
             SWIM_TICK_TIMER => {
-                let Some(swim_cfg) = self.config.swim.clone() else {
+                if !self.config.swim {
                     return;
-                };
+                }
                 if let Some(detector) = &mut self.swim {
                     let now = ctx.now();
                     let tick = detector.on_tick(now, ctx.rng());
@@ -527,15 +521,12 @@ impl Protocol for GossipNode {
                         ctx.send(to, GossipMsg::Swim(m));
                     }
                     if let Some(seq) = tick.probe_seq {
-                        ctx.set_timer(swim_cfg.probe_timeout, SWIM_DIRECT_NS | seq);
+                        ctx.set_timer(PROBE_TIMEOUT, SWIM_DIRECT_NS | seq);
                     }
                 }
-                ctx.set_timer(swim_cfg.probe_period, SWIM_TICK_TIMER);
+                ctx.set_timer(PROBE_PERIOD, SWIM_TICK_TIMER);
             }
             t if t & TOKEN_NS_MASK == SWIM_DIRECT_NS => {
-                let Some(swim_cfg) = self.config.swim.clone() else {
-                    return;
-                };
                 if let Some(detector) = &mut self.swim {
                     let seq = t & !TOKEN_NS_MASK;
                     let relays = detector.on_probe_timeout(ctx.now(), ctx.rng(), seq);
@@ -543,7 +534,7 @@ impl Protocol for GossipNode {
                         for (to, m) in relays {
                             ctx.send(to, GossipMsg::Swim(m));
                         }
-                        ctx.set_timer(swim_cfg.probe_timeout, SWIM_INDIRECT_NS | seq);
+                        ctx.set_timer(PROBE_TIMEOUT, SWIM_INDIRECT_NS | seq);
                     }
                 }
             }
@@ -1124,10 +1115,11 @@ mod tests {
 
     #[test]
     fn swim_detects_a_crashed_node() {
-        use fed_membership::swim::SwimConfig;
         let n = 16;
-        let cfg = GossipConfig::classic(4, 16, SimDuration::from_millis(100))
-            .with_swim(SwimConfig::standard());
+        let cfg = GossipConfig {
+            swim: true,
+            ..GossipConfig::classic(4, 16, SimDuration::from_millis(100))
+        };
         let mut sim: Simulation<GossipNode> = Simulation::new(n, net(10), 31, move |id, _| {
             GossipNode::new(id, n, cfg.clone())
         });

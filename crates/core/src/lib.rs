@@ -69,6 +69,4 @@ pub use behavior::Behavior;
 pub use endpoint::{emit_event, DeliveryLog, Endpoint};
 pub use gossip::{GossipConfig, GossipMsg, GossipNode};
 pub use ledger::{ContributionMetric, Counters, FairnessLedger, RatioSpec};
-pub use submgmt::{
-    SubWalkCmd, SubWalkConfig, SubWalkMsg, SubWalkNode, WalkAccounting, WalkOutcome,
-};
+pub use submgmt::{SubWalkCmd, SubWalkMsg, SubWalkNode, WalkAccounting, WalkOutcome};

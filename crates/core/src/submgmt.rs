@@ -36,23 +36,8 @@ pub enum WalkAccounting {
     Compensated,
 }
 
-/// Configuration of the subscription-walk protocol.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SubWalkConfig {
-    /// Maximum hops before a walk gives up.
-    pub walk_budget: u32,
-    /// Accounting policy.
-    pub accounting: WalkAccounting,
-}
-
-impl Default for SubWalkConfig {
-    fn default() -> Self {
-        SubWalkConfig {
-            walk_budget: 64,
-            accounting: WalkAccounting::Uncompensated,
-        }
-    }
-}
+/// Maximum hops before a walk gives up.
+pub const WALK_BUDGET: u32 = 256;
 
 /// Why a walk was started.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -120,7 +105,7 @@ pub struct WalkOutcome {
 #[derive(Debug)]
 pub struct SubWalkNode {
     id: NodeId,
-    config: SubWalkConfig,
+    accounting: WalkAccounting,
     sampler: FullMembership,
     member_of: BTreeSet<TopicId>,
     ledger: FairnessLedger,
@@ -133,12 +118,12 @@ impl SubWalkNode {
     pub fn new<I: IntoIterator<Item = TopicId>>(
         id: NodeId,
         n: usize,
-        config: SubWalkConfig,
+        accounting: WalkAccounting,
         initial_topics: I,
     ) -> Self {
         SubWalkNode {
             id,
-            config,
+            accounting,
             sampler: FullMembership::new(id, n),
             member_of: initial_topics.into_iter().collect(),
             ledger: FairnessLedger::new(),
@@ -207,7 +192,7 @@ impl SubWalkNode {
         // Relay: this is the maintenance work the paper talks about.
         *self.relayed.entry(topic).or_insert(0) += 1;
         self.ledger.record_maintenance();
-        if self.config.accounting == WalkAccounting::Compensated {
+        if self.accounting == WalkAccounting::Compensated {
             self.ledger.record_maintenance_credit();
         }
         let next = self.sampler.sample_peers(ctx.rng(), 1).into_iter().next();
@@ -263,7 +248,7 @@ impl Protocol for SubWalkNode {
                     self.member_of.insert(topic);
                     self.ledger.set_active_filters(self.member_of.len() as u32);
                 }
-                if self.config.accounting == WalkAccounting::Compensated {
+                if self.accounting == WalkAccounting::Compensated {
                     // Bill the subscriber for the relay path it consumed.
                     self.ledger.record_maintenance_bulk(hops as u64);
                 }
@@ -315,7 +300,7 @@ impl SubWalkNode {
                     purpose,
                     topic,
                     origin,
-                    remaining: self.config.walk_budget,
+                    remaining: WALK_BUDGET,
                     hops: 1,
                 },
             ),
@@ -344,17 +329,13 @@ mod tests {
         members: usize,
         accounting: WalkAccounting,
     ) -> Simulation<SubWalkNode> {
-        let config = SubWalkConfig {
-            walk_budget: 128,
-            accounting,
-        };
         Simulation::new(n, net(), 99, move |id, _| {
             let initial = if id.index() < members {
                 vec![TopicId::new(0)]
             } else {
                 vec![]
             };
-            SubWalkNode::new(id, n, config, initial)
+            SubWalkNode::new(id, n, accounting, initial)
         })
     }
 
@@ -398,12 +379,8 @@ mod tests {
 
     #[test]
     fn walk_exhausts_budget_when_no_member_exists() {
-        let config = SubWalkConfig {
-            walk_budget: 10,
-            accounting: WalkAccounting::Uncompensated,
-        };
-        let mut sim: Simulation<SubWalkNode> = Simulation::new(16, net(), 5, move |id, _| {
-            SubWalkNode::new(id, 16, config, vec![])
+        let mut sim: Simulation<SubWalkNode> = Simulation::new(16, net(), 5, |id, _| {
+            SubWalkNode::new(id, 16, WalkAccounting::Uncompensated, vec![])
         });
         let sub = NodeId::new(3);
         sim.schedule_command(SimTime::ZERO, sub, SubWalkCmd::Subscribe(TopicId::new(9)));

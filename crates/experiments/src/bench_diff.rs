@@ -305,8 +305,8 @@ mod tests {
     /// throughput drop used to print `compared 0` and exit 0.
     #[test]
     fn a_diff_that_compares_nothing_fails() {
-        let old = r#"[{"suite":"smoke","arch":"scribe","n":100000,"shards":8,"placement":"round-robin","adaptive_window":true,"events":692281,"windows":59,"wall_ms":2488.390,"events_per_sec":278204.4}]"#;
-        let new = r#"[{"suite":"smoke","arch":"scribe","n":100000,"shards":8,"placement":"round-robin","adaptive_window":true,"telemetry":false,"events":692281,"windows":59,"wall_ms":8294.633,"events_per_sec":83461.3}]"#;
+        let old = r#"[{"suite":"smoke","arch":"scribe","n":100000,"shards":8,"placement":"round-robin","events":692281,"windows":59,"wall_ms":2488.390,"events_per_sec":278204.4}]"#;
+        let new = r#"[{"suite":"smoke","arch":"scribe","n":100000,"shards":8,"placement":"round-robin","telemetry":false,"events":692281,"windows":59,"wall_ms":8294.633,"events_per_sec":83461.3}]"#;
         let r = diff(old, new, DEFAULT_THRESHOLD).unwrap();
         assert_eq!((r.compared, r.rows), (0, (1, 1)));
         let err = r.verdict(DEFAULT_THRESHOLD).unwrap_err();

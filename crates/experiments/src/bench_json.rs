@@ -54,7 +54,6 @@ pub const FIELDS: &[(&str, FieldKind)] = &[
     ("n", Config),
     ("shards", Config),
     ("placement", Config),
-    ("adaptive_window", Config),
     ("telemetry", Config),
     ("sample_rate", Config),
     // BENCH_timeseries.json / BENCH_sweep.json configuration.
@@ -141,11 +140,10 @@ impl Row {
             .int("shards", shards as u64)
     }
 
-    /// Adds the scheduler knobs of `spec`: placement, window policy and
-    /// whether telemetry was attached.
+    /// Adds the scheduler knobs of `spec`: placement and whether
+    /// telemetry was attached.
     pub fn knobs(self, spec: &ScenarioSpec) -> Row {
         self.text("placement", spec.placement.name())
-            .flag("adaptive_window", spec.adaptive_window)
             .flag("telemetry", spec.telemetry.is_some())
     }
 
@@ -355,7 +353,7 @@ mod tests {
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"suite\":\"scale\""));
         assert!(json.contains("\"events\":7"));
-        assert!(json.contains("\"adaptive_window\":true"));
+        assert!(json.contains("\"telemetry\":false"));
         assert!(json.contains("\"wall_ms\":12.500"));
         assert!(json.contains("\"events_per_sec\":80000.0"));
         // Ratio-valued rows (shard-gate) keep four decimals.
@@ -372,16 +370,16 @@ mod tests {
     fn golden_rows_render_the_committed_bytes() {
         for line in [
             "{\"suite\":\"scale\",\"arch\":\"fair-gossip\",\"n\":512,\"shards\":1,\
-             \"placement\":\"round-robin\",\"adaptive_window\":true,\"telemetry\":false,\
+             \"placement\":\"round-robin\",\"telemetry\":false,\
              \"events\":153494,\"windows\":987,\"wall_ms\":117.096,\"events_per_sec\":1310842.3}",
             "{\"suite\":\"shard-gate\",\"arch\":\"fair-gossip\",\"n\":512,\"shards\":4,\
-             \"placement\":\"round-robin\",\"adaptive_window\":true,\"telemetry\":false,\
+             \"placement\":\"round-robin\",\"telemetry\":false,\
              \"events\":153494,\"windows\":987,\"wall_ms\":124.517,\"events_per_sec\":0.8383}",
             "{\"suite\":\"robust-loss-0.10\",\"arch\":\"static-gossip\",\"n\":96,\"shards\":1,\
-             \"placement\":\"round-robin\",\"adaptive_window\":true,\"telemetry\":false,\
+             \"placement\":\"round-robin\",\"telemetry\":false,\
              \"events\":175071,\"windows\":0,\"wall_ms\":156.605,\"events_per_sec\":1117916.3}",
             "{\"suite\":\"profile\",\"arch\":\"fair-gossip\",\"n\":256,\"shards\":4,\
-             \"placement\":\"round-robin\",\"adaptive_window\":true,\"telemetry\":true,\
+             \"placement\":\"round-robin\",\"telemetry\":true,\
              \"events\":81516,\"windows\":968,\"wall_ms_off\":68.491,\"wall_ms_on\":69.055,\
              \"overhead_frac\":0.0082,\"events_per_sec_off\":1190172.4,\
              \"events_per_sec_on\":1180448.7,\"execute_ms\":53.315,\"exchange_ms\":8.992,\

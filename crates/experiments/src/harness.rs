@@ -33,11 +33,11 @@
 
 use fed_baselines::broker::BrokerNode;
 use fed_baselines::dam::{DamNode, GroupTable};
-use fed_baselines::dks::{DksConfig, DksNode};
-use fed_baselines::hybrid::{HybridConfig, HybridNode};
+use fed_baselines::dks::DksNode;
+use fed_baselines::hybrid::HybridNode;
 use fed_baselines::scribe::ScribeNode;
 use fed_baselines::splitstream::{Forest, SplitStreamNode};
-use fed_cluster::{ShardMap, ShardedSimulation, WindowPolicy};
+use fed_cluster::{ShardMap, ShardedSimulation};
 use fed_core::behavior::Behavior;
 use fed_core::endpoint::Endpoint;
 use fed_core::gossip::{GossipConfig, GossipNode};
@@ -310,19 +310,7 @@ where
             Placement::Block => ShardMap::block(spec.n, spec.shards),
             Placement::Balanced => ShardMap::balanced(&event_weights(materialized), spec.shards),
         };
-        let window = if spec.adaptive_window {
-            WindowPolicy::adaptive()
-        } else {
-            WindowPolicy::fixed()
-        };
-        ShardedSimulation::with_scheduler(
-            spec.n,
-            spec.effective_net(),
-            spec.seed,
-            map,
-            window,
-            factory,
-        )
+        ShardedSimulation::with_scheduler(spec.n, spec.effective_net(), spec.seed, map, factory)
     }
     fn command(&mut self, at: SimTime, node: NodeId, cmd: P::Cmd) {
         self.schedule_command(at, node, cmd);
@@ -570,15 +558,6 @@ fn materialize(spec: &ScenarioSpec) -> MaterializedScenario {
         .expect("scenario parameters are validated by construction")
 }
 
-/// The spec's `[membership]` section arms the SWIM detector inside every
-/// gossip stack an architecture runs.
-fn with_membership(spec: &ScenarioSpec, config: GossipConfig) -> GossipConfig {
-    match &spec.membership {
-        Some(swim) => config.with_swim(swim.clone()),
-        None => config,
-    }
-}
-
 /// The node factory of a gossip run: `config` (plus the spec's SWIM
 /// section) on every node, `behavior(id)` deciding who is honest.
 fn gossip_factory(
@@ -587,7 +566,12 @@ fn gossip_factory(
     behavior: impl Fn(NodeId) -> Behavior + Send + Sync + 'static,
 ) -> impl Fn(NodeId, &mut Xoshiro256StarStar) -> GossipNode + Send + Sync + 'static {
     let n = spec.n;
-    let config = with_membership(spec, config);
+    // The spec's `[membership]` section arms the SWIM detector inside
+    // every gossip stack an architecture runs.
+    let config = GossipConfig {
+        swim: config.swim || spec.membership,
+        ..config
+    };
     move |id, _| GossipNode::with_behavior(id, n, config.clone(), behavior(id))
 }
 
@@ -651,12 +635,8 @@ pub fn run_architecture(spec: &ScenarioSpec, engine: EngineKind) -> ArchOutcome 
             let materialized = materialize(spec);
             let dht = Arc::new(DhtNetwork::build(n));
             let groups = Arc::new(groups_of(&materialized.profile));
-            let cfg = DksConfig {
-                group_fanout: 5,
-                seeds: 3,
-            };
             execute(spec, materialized, engine, move |id, _| {
-                DksNode::new(id, cfg, Arc::clone(&dht), Arc::clone(&groups))
+                DksNode::new(id, Arc::clone(&dht), Arc::clone(&groups))
             })
         }
         Architecture::Dam => {
@@ -674,10 +654,9 @@ pub fn run_architecture(spec: &ScenarioSpec, engine: EngineKind) -> ArchOutcome 
             })
         }
         Architecture::Hybrid => {
-            let mut config = HybridConfig::standard();
-            config.gossip = with_membership(spec, config.gossip);
+            let swim = spec.membership;
             execute(spec, materialize(spec), engine, move |id, _| {
-                HybridNode::new(id, n, config.clone())
+                HybridNode::new(id, n, swim)
             })
         }
     }

@@ -299,9 +299,8 @@ pub fn run_by_id(id: &str, seed: u64) -> Result<(), String> {
 /// the defaults of [`scale::SmokeConfig`] and [`sweep::SMOKE_WORKLOADS`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PseudoId {
-    /// `smoke[:arch[:n[:shards[:placement[:window]]]]]` — one
-    /// large-population cluster run: a liveness line and a
-    /// `BENCH_cluster.json` row. `window` is `adaptive` or `fixed`.
+    /// `smoke[:arch[:n[:shards[:placement]]]]` — one large-population
+    /// cluster run: a liveness line and a `BENCH_cluster.json` row.
     Smoke(scale::SmokeConfig),
     /// `profile-smoke[:arch[:n[:shards]]]` — the smoke workload with
     /// profiling off then on: the overhead line, a `BENCH_profile.json`
@@ -326,7 +325,7 @@ pub enum PseudoId {
 pub const PSEUDO_IDS: [(&str, &str, &str); 4] = [
     (
         "smoke",
-        "smoke[:arch[:n[:shards[:placement[:window]]]]]",
+        "smoke[:arch[:n[:shards[:placement]]]]",
         "cluster liveness run (default splitstream:100000:8)",
     ),
     (
@@ -417,11 +416,6 @@ impl PseudoId {
                         default.placement,
                         fed_workload::Placement::parse,
                     )?;
-                    config.adaptive_window = field(parts, "window", true, |v| match v {
-                        "adaptive" => Some(true),
-                        "fixed" => Some(false),
-                        _ => None,
-                    })?;
                     PseudoId::Smoke(config)
                 }
                 "profile-smoke" => PseudoId::ProfileSmoke(config),
@@ -446,17 +440,12 @@ fn run_pseudo_id(id: &str, seed: u64) -> Result<(), String> {
         PseudoId::Smoke(config) => {
             let p = scale::smoke(config, seed);
             println!(
-                "SMOKE {} n={} shards={} placement={} window={}: {} events, {} windows, \
+                "SMOKE {} n={} shards={} placement={}: {} events, {} windows, \
                  {} deliveries, reliability {:.4}, {:.0} ms wall ({:.0} events/s)",
                 config.arch,
                 config.n,
                 p.shards,
                 config.placement,
-                if config.adaptive_window {
-                    "adaptive"
-                } else {
-                    "fixed"
-                },
                 p.events,
                 p.windows,
                 p.deliveries,
@@ -725,19 +714,15 @@ mod tests {
             arch: Architecture::Broker,
             n: 20_000,
             placement: Placement::Balanced,
-            adaptive_window: false,
             ..default
         };
         for (id, expected) in [
             ("smoke", PseudoId::Smoke(default)),
             (
-                "smoke:splitstream:100000:8:round-robin:adaptive",
+                "smoke:splitstream:100000:8:round-robin",
                 PseudoId::Smoke(default),
             ),
-            (
-                "smoke:broker:20000:8:balanced:fixed",
-                PseudoId::Smoke(broker),
-            ),
+            ("smoke:broker:20000:8:balanced", PseudoId::Smoke(broker)),
             ("profile-smoke", PseudoId::ProfileSmoke(default)),
             ("profile-smoke:dks:100000:4", PseudoId::ProfileSmoke(dks)),
             ("trace-smoke:dks:100000:4", PseudoId::TraceSmoke(dks)),
@@ -759,13 +744,8 @@ mod tests {
                 PSEUDO_IDS[0].1,
             ),
             (
-                "smoke:broker:10:2:block:wide",
-                "bad window \"wide\"",
-                PSEUDO_IDS[0].1,
-            ),
-            (
-                "smoke:broker:10:2:block:fixed:1",
-                "extra field \"1\"",
+                "smoke:broker:10:2:block:fixed",
+                "extra field \"fixed\"",
                 PSEUDO_IDS[0].1,
             ),
             ("profile-smoke:nope", "bad arch \"nope\"", PSEUDO_IDS[1].1),

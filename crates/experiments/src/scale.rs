@@ -306,8 +306,6 @@ pub struct SmokeConfig {
     pub shards: usize,
     /// Placement policy.
     pub placement: Placement,
-    /// Whether adaptive window sizing is on.
-    pub adaptive_window: bool,
 }
 
 impl Default for SmokeConfig {
@@ -317,7 +315,6 @@ impl Default for SmokeConfig {
             n: 100_000,
             shards: 8,
             placement: Placement::RoundRobin,
-            adaptive_window: true,
         }
     }
 }
@@ -330,8 +327,7 @@ impl SmokeConfig {
     pub fn spec(&self, seed: u64) -> ScenarioSpec {
         let mut spec = ScenarioSpec::standard(self.arch, self.n, seed)
             .with_shards(self.shards)
-            .with_placement(self.placement)
-            .with_adaptive_window(self.adaptive_window);
+            .with_placement(self.placement);
         spec.plan = PubPlan {
             rate_per_sec: 5.0,
             duration: SimTime::from_secs(2),

@@ -257,7 +257,7 @@ pub fn run_scenario(name: &str, spec: &ScenarioSpec) -> ScenarioReport {
         t
     });
 
-    let membership = spec.membership.as_ref().map(|_| {
+    let membership = spec.membership.then(|| {
         let window = spec
             .telemetry
             .as_ref()

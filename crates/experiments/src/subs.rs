@@ -7,7 +7,7 @@
 //! relays' ratios stay at 1 and the cost lands on the subscribers.
 
 use fed_core::ledger::RatioSpec;
-use fed_core::submgmt::{SubWalkCmd, SubWalkConfig, SubWalkNode, WalkAccounting};
+use fed_core::submgmt::{SubWalkCmd, SubWalkNode, WalkAccounting};
 use fed_metrics::table::{fmt_f64, Table};
 use fed_pubsub::TopicId;
 use fed_sim::network::{LatencyModel, NetworkModel};
@@ -34,10 +34,6 @@ fn scenario(n: usize, accounting: WalkAccounting, seed: u64) -> (Simulation<SubW
     let rare = TopicId::new(1);
     let popular_members = n / 4;
     let rare_members = 2;
-    let config = SubWalkConfig {
-        walk_budget: 256,
-        accounting,
-    };
     let net = NetworkModel::reliable(LatencyModel::Constant(SimDuration::from_millis(5)));
     let mut sim = Simulation::new(n, net, seed, move |id, _| {
         let mut initial = Vec::new();
@@ -47,7 +43,7 @@ fn scenario(n: usize, accounting: WalkAccounting, seed: u64) -> (Simulation<SubW
         if id.index() >= popular_members && id.index() < popular_members + rare_members {
             initial.push(rare);
         }
-        SubWalkNode::new(id, n, config, initial)
+        SubWalkNode::new(id, n, accounting, initial)
     });
     // The last quarter of the population subscribes (alternating popular
     // and rare targets, spread over time); everyone between the initial

@@ -23,7 +23,6 @@
 
 use crate::bench_json::Row;
 use crate::harness::{run_architecture, EngineKind};
-use fed_membership::swim::SwimConfig;
 use fed_metrics::table::{fmt_f64, Table};
 use fed_sim::{SimDuration, SimTime};
 use fed_telemetry::membership::MembershipSeries;
@@ -63,7 +62,7 @@ pub fn timeseries_spec(arch: Architecture, n: usize, seed: u64) -> ScenarioSpec 
         warmup: SimTime::from_secs(1),
     });
     spec.telemetry = Some(TelemetrySpec::default().with_window(SimDuration::from_millis(500)));
-    spec.membership = Some(SwimConfig::standard());
+    spec.membership = true;
     spec
 }
 

@@ -81,8 +81,8 @@ fn a_threshold_that_disables_the_gate_is_refused() {
     let row = |events_per_sec: &str| {
         format!(
             "[\n  {{\"suite\":\"smoke\",\"arch\":\"splitstream\",\"n\":100000,\
-             \"shards\":8,\"placement\":\"round-robin\",\"adaptive_window\":true,\
-             \"telemetry\":false,\"events\":940007,\"windows\":36,\"wall_ms\":524.984,\
+             \"shards\":8,\"placement\":\"round-robin\",\"telemetry\":false,\
+             \"events\":940007,\"windows\":36,\"wall_ms\":524.984,\
              \"events_per_sec\":{events_per_sec}}}\n]\n"
         )
     };
@@ -112,7 +112,7 @@ fn malformed_ids_and_arguments_are_diagnosed() {
     for (args, expected) in [
         (
             &["smoke:broker:10x"][..],
-            "bad n \"10x\"; expected smoke[:arch[:n[:shards[:placement[:window]]]]]",
+            "bad n \"10x\"; expected smoke[:arch[:n[:shards[:placement]]]]",
         ),
         (&["sweep-smoke:0"][..], "expected sweep-smoke[:workloads]"),
         (

@@ -134,11 +134,10 @@ fn baseline_spec(arch: Architecture, n: usize) -> ScenarioSpec {
 }
 
 /// Runs `spec` sequentially and on the cluster at shard counts
-/// {1, 2, 4, 7} plus a scheduler-knob matrix covering every placement
-/// policy and both window policies, asserting bit-identical delivery
-/// logs, fairness-ledger totals, transport statistics and event counts
-/// throughout: shard count, placement and window sizing are performance
-/// knobs, never semantics knobs.
+/// {1, 2, 4, 7} plus every placement policy, asserting bit-identical
+/// delivery logs, fairness-ledger totals, transport statistics and event
+/// counts throughout: shard count and placement are performance knobs,
+/// never semantics knobs.
 fn assert_arch_parity(spec: &ScenarioSpec) {
     let expected = run_architecture(spec, EngineKind::Sequential);
     assert!(
@@ -175,21 +174,14 @@ fn assert_arch_parity(spec: &ScenarioSpec) {
             &format!("with {shards} shards"),
         );
     }
-    for (shards, placement, adaptive) in [
-        (4, Placement::Block, true),
-        (7, Placement::Balanced, true),
-        (2, Placement::RoundRobin, false),
-        (4, Placement::Balanced, false),
+    for (shards, placement) in [
+        (4, Placement::Block),
+        (7, Placement::Balanced),
+        (4, Placement::Balanced),
     ] {
         check(
-            spec.clone()
-                .with_shards(shards)
-                .with_placement(placement)
-                .with_adaptive_window(adaptive),
-            &format!(
-                "with {shards} shards, {placement} placement, {} windows",
-                if adaptive { "adaptive" } else { "fixed" }
-            ),
+            spec.clone().with_shards(shards).with_placement(placement),
+            &format!("with {shards} shards, {placement} placement"),
         );
     }
 }
@@ -270,8 +262,7 @@ fn cross_engine_determinism_under_churn() {
 /// minimum — the narrowest conservative windows the scheduler can issue.
 /// Under the pipelined exchange every absorption point sits 1 µs past
 /// the window start, so this is the harshest test of the overlapped
-/// path: parity must hold at shards {1, 2, 4, 7} under both window
-/// policies.
+/// path: parity must hold at shards {1, 2, 4, 7}.
 #[test]
 fn zero_lookahead_floor_parity_across_shard_counts() {
     use fed_sim::network::{LatencyModel, NetworkModel};
@@ -284,17 +275,11 @@ fn zero_lookahead_floor_parity_across_shard_counts() {
         "dead zero-latency scenario proves nothing"
     );
     for shards in [1, 2, 4, 7] {
-        for adaptive in [true, false] {
-            let cluster_spec = spec.clone().with_adaptive_window(adaptive);
-            let got = run_cluster(&cluster_spec, shards);
-            assert_eq!(
-                got,
-                expected,
-                "zero-lookahead cluster with {shards} shards \
-                 ({} windows) diverged from the sequential engine",
-                if adaptive { "adaptive" } else { "fixed" }
-            );
-        }
+        let got = run_cluster(&spec, shards);
+        assert_eq!(
+            got, expected,
+            "zero-lookahead cluster with {shards} shards diverged from the sequential engine"
+        );
     }
 }
 

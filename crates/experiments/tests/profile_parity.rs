@@ -1,9 +1,9 @@
 //! Work-counter parity: for the same spec, the sequential engine's
 //! profiler and the sharded engine's merged per-shard profilers must
 //! produce **bit-identical** deterministic [`WorkCounters`] at every
-//! shard count — across placements, window policies, churn and a
-//! flash-crowd burst — and attaching a profiler must never perturb the
-//! virtual-world outcome.
+//! shard count — across placements, churn and a flash-crowd burst —
+//! and attaching a profiler must never perturb the virtual-world
+//! outcome.
 //!
 //! This is the profiling twin of `telemetry_parity.rs`: that suite pins
 //! what the probes see, this one pins what the profiler counts. Only
@@ -132,25 +132,6 @@ fn work_parity_is_placement_invariant() {
             &format!("broker {placement:?}"),
         );
         assert_eq!(got, expected, "placement {placement:?} moved the counters");
-    }
-}
-
-/// Window sizing is a pure scheduling knob; adaptive vs fixed must agree
-/// on every deterministic counter, including under churn.
-#[test]
-fn work_parity_is_window_policy_invariant() {
-    let base = spec(Architecture::FairGossip, 96, true, false);
-    let expected = live_work(
-        &run_architecture(&base, EngineKind::Sequential),
-        "fair-gossip sequential",
-    );
-    for adaptive in [true, false] {
-        let sharded = base.clone().with_shards(4).with_adaptive_window(adaptive);
-        let got = live_work(
-            &run_architecture(&sharded, EngineKind::Cluster),
-            &format!("fair-gossip adaptive={adaptive}"),
-        );
-        assert_eq!(got, expected, "adaptive={adaptive} moved the counters");
     }
 }
 

@@ -11,7 +11,6 @@
 
 use fed_experiments::harness::{run_architecture, ArchOutcome, EngineKind};
 use fed_experiments::scenario_run::outcomes_match;
-use fed_membership::swim::SwimConfig;
 use fed_sim::network::{
     DelayFault, FaultSchedule, MobilitySegment, MobilityTrace, OnewayFault, PartitionFault,
 };
@@ -35,7 +34,7 @@ fn detector_spec(arch: Architecture, n: usize, seed: u64) -> ScenarioSpec {
         warmup: SimTime::from_secs(1),
         flash: None,
     };
-    spec.with_membership(SwimConfig::standard())
+    spec.with_membership()
 }
 
 /// Runs the parity sweep and returns the sequential outcome for further

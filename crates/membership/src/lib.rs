@@ -39,6 +39,5 @@ pub mod swim;
 
 pub use sampler::{FullMembership, PeerSampler};
 pub use swim::{
-    SwimConfig, SwimMsg, SwimObservation, SwimObservationKind, SwimState, SwimStatus, SwimTick,
-    SwimUpdate,
+    SwimMsg, SwimObservation, SwimObservationKind, SwimState, SwimStatus, SwimTick, SwimUpdate,
 };

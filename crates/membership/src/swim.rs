@@ -15,7 +15,7 @@
 //! All randomness comes through the caller's [`Rng64`] stream, so the
 //! detector inherits the engine's determinism: given the same seed it
 //! observes bit-identical histories on the sequential and sharded engines,
-//! across shard counts, placements and window policies.
+//! across shard counts and placements.
 //!
 //! Detection history is recorded as [`SwimObservation`]s — the raw
 //! material for detection-latency and false-suspicion telemetry.
@@ -23,39 +23,24 @@
 use fed_sim::{NodeId, SimDuration, SimTime};
 use fed_util::rng::Rng64;
 
-/// Configuration of a SWIM failure detector.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SwimConfig {
-    /// Protocol period: one direct probe is issued per period.
-    pub probe_period: SimDuration,
-    /// How long to wait for a direct ack before falling back to
-    /// indirect probing.
-    pub probe_timeout: SimDuration,
-    /// How many members relay an indirect probe (`k` in the paper).
-    pub ping_req_fanout: usize,
-    /// How long a member stays suspected before it is confirmed dead.
-    pub suspect_timeout: SimDuration,
-    /// Maximum membership updates piggybacked per message.
-    pub max_piggyback: usize,
-    /// An update is retransmitted `gossip_multiplier * ceil(log2 n)`
-    /// times before leaving the dissemination queue.
-    pub gossip_multiplier: u32,
-}
+// The detector's tunables, set for the workspace's simulated WAN (10 ms
+// links, multi-second scenario horizons).
 
-impl SwimConfig {
-    /// Defaults tuned for the workspace's simulated WAN (10 ms links,
-    /// multi-second scenario horizons).
-    pub fn standard() -> Self {
-        SwimConfig {
-            probe_period: SimDuration::from_millis(500),
-            probe_timeout: SimDuration::from_millis(120),
-            ping_req_fanout: 3,
-            suspect_timeout: SimDuration::from_millis(2000),
-            max_piggyback: 8,
-            gossip_multiplier: 3,
-        }
-    }
-}
+/// Protocol period: one direct probe is issued per period.
+pub const PROBE_PERIOD: SimDuration = SimDuration::from_millis(500);
+/// How long to wait for a direct ack before falling back to indirect
+/// probing.
+pub const PROBE_TIMEOUT: SimDuration = SimDuration::from_millis(120);
+/// How many members relay an indirect probe (`k` in the paper).
+pub const PING_REQ_FANOUT: usize = 3;
+/// How long a member stays suspected before it is confirmed dead.
+pub const SUSPECT_TIMEOUT: SimDuration = SimDuration::from_millis(2000);
+/// Maximum membership updates piggybacked per message.
+pub const MAX_PIGGYBACK: usize = 8;
+/// An update is retransmitted `GOSSIP_MULTIPLIER × (⌊log₂ n⌋ + 1)` times
+/// (the bit length of `max(n, 2)`) before leaving the dissemination
+/// queue.
+pub const GOSSIP_MULTIPLIER: u32 = 3;
 
 /// Liveness verdict carried by a membership update.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -203,7 +188,6 @@ pub struct SwimTick {
 #[derive(Debug, Clone)]
 pub struct SwimState {
     id: NodeId,
-    config: SwimConfig,
     members: Vec<Member>,
     my_incarnation: u64,
     queue: Vec<Queued>,
@@ -216,14 +200,10 @@ pub struct SwimState {
 impl SwimState {
     /// Creates a detector for a system of `n` nodes; everyone starts
     /// alive at incarnation 0.
-    pub fn new(id: NodeId, n: usize, config: SwimConfig) -> Self {
-        let gossip_limit = {
-            let log2 = usize::BITS - n.max(2).leading_zeros();
-            config.gossip_multiplier.max(1) * log2
-        };
+    pub fn new(id: NodeId, n: usize) -> Self {
+        let bits = usize::BITS - n.max(2).leading_zeros();
         SwimState {
             id,
-            config,
             members: vec![
                 Member {
                     state: MemberState::Alive,
@@ -236,7 +216,7 @@ impl SwimState {
             next_seq: 0,
             pending: None,
             observations: Vec::new(),
-            gossip_limit,
+            gossip_limit: GOSSIP_MULTIPLIER * bits,
         }
     }
 
@@ -291,11 +271,11 @@ impl SwimState {
         }
     }
 
-    /// Selects up to `max_piggyback` updates, preferring the least-sent
+    /// Selects up to [`MAX_PIGGYBACK`] updates, preferring the least-sent
     /// (ties broken by subject id), incrementing their counters and
     /// retiring exhausted entries. Deterministic by construction.
     fn take_piggyback(&mut self) -> Vec<SwimUpdate> {
-        let k = self.config.max_piggyback.min(self.queue.len());
+        let k = MAX_PIGGYBACK.min(self.queue.len());
         if k == 0 {
             return Vec::new();
         }
@@ -417,7 +397,7 @@ impl SwimState {
     /// direct probe to a non-dead peer chosen uniformly at random.
     pub fn on_tick<R: Rng64>(&mut self, now: SimTime, rng: &mut R) -> SwimTick {
         // 1. Confirm suspicions that outlived the suspect timeout.
-        let timeout = self.config.suspect_timeout;
+        let timeout = SUSPECT_TIMEOUT;
         let expired: Vec<(NodeId, u64)> = self
             .members
             .iter()
@@ -472,9 +452,9 @@ impl SwimState {
     }
 
     /// The direct-probe timeout for `seq` fired without an ack: fan out
-    /// `PingReq`s to `k` other members. Returns the relays to send;
-    /// empty when the probe already resolved (stale timer) — in which
-    /// case the host must not arm the indirect timeout.
+    /// `PingReq`s to [`PING_REQ_FANOUT`] other members. Returns the
+    /// relays to send; empty when the probe already resolved (stale
+    /// timer) — in which case the host must not arm the indirect timeout.
     pub fn on_probe_timeout<R: Rng64>(
         &mut self,
         _now: SimTime,
@@ -498,7 +478,7 @@ impl SwimState {
             })
             .map(|(i, _)| NodeId::new(i as u32))
             .collect();
-        let k = self.config.ping_req_fanout.min(relays.len());
+        let k = PING_REQ_FANOUT.min(relays.len());
         let mut msgs = Vec::with_capacity(k.max(1));
         for idx in rng.sample_indices(relays.len(), k) {
             let updates = self.take_piggyback();
@@ -624,13 +604,9 @@ mod tests {
         Xoshiro256StarStar::seed_from_u64(seed)
     }
 
-    fn cfg() -> SwimConfig {
-        SwimConfig::standard()
-    }
-
     #[test]
     fn tick_probes_one_peer_and_times_out_to_suspicion() {
-        let mut s = SwimState::new(NodeId::new(0), 4, cfg());
+        let mut s = SwimState::new(NodeId::new(0), 4);
         let mut r = rng(1);
         let t0 = SimTime::from_millis(100);
         let tick = s.on_tick(t0, &mut r);
@@ -653,7 +629,7 @@ mod tests {
 
     #[test]
     fn ack_cancels_the_probe() {
-        let mut s = SwimState::new(NodeId::new(0), 4, cfg());
+        let mut s = SwimState::new(NodeId::new(0), 4);
         let mut r = rng(2);
         let t0 = SimTime::from_millis(100);
         let tick = s.on_tick(t0, &mut r);
@@ -678,7 +654,7 @@ mod tests {
 
     #[test]
     fn ping_is_acked_to_reply_to() {
-        let mut s = SwimState::new(NodeId::new(2), 4, cfg());
+        let mut s = SwimState::new(NodeId::new(2), 4);
         let out = s.on_message(
             SimTime::from_millis(5),
             NodeId::new(3),
@@ -695,7 +671,7 @@ mod tests {
 
     #[test]
     fn ping_req_relays_to_target() {
-        let mut s = SwimState::new(NodeId::new(2), 4, cfg());
+        let mut s = SwimState::new(NodeId::new(2), 4);
         let out = s.on_message(
             SimTime::from_millis(5),
             NodeId::new(0),
@@ -718,7 +694,7 @@ mod tests {
 
     #[test]
     fn suspicion_expires_to_confirm_on_tick() {
-        let mut s = SwimState::new(NodeId::new(0), 3, cfg());
+        let mut s = SwimState::new(NodeId::new(0), 3);
         let t0 = SimTime::from_secs(1);
         s.apply(
             t0,
@@ -744,7 +720,7 @@ mod tests {
 
     #[test]
     fn refutation_is_monotone_in_incarnation() {
-        let mut s = SwimState::new(NodeId::new(0), 3, cfg());
+        let mut s = SwimState::new(NodeId::new(0), 3);
         let t = SimTime::from_secs(1);
         let j = NodeId::new(1);
         assert!(s.apply(
@@ -790,7 +766,7 @@ mod tests {
     #[test]
     fn self_suspicion_triggers_refutation() {
         let me = NodeId::new(2);
-        let mut s = SwimState::new(me, 4, cfg());
+        let mut s = SwimState::new(me, 4);
         assert_eq!(s.incarnation(), 0);
         s.absorb(
             SimTime::from_secs(1),
@@ -813,7 +789,7 @@ mod tests {
 
     #[test]
     fn contact_revives_a_dead_member() {
-        let mut s = SwimState::new(NodeId::new(0), 3, cfg());
+        let mut s = SwimState::new(NodeId::new(0), 3);
         let j = NodeId::new(1);
         let t = SimTime::from_secs(2);
         s.apply(
@@ -840,7 +816,7 @@ mod tests {
 
     #[test]
     fn piggyback_counters_retire_updates() {
-        let mut s = SwimState::new(NodeId::new(0), 4, cfg());
+        let mut s = SwimState::new(NodeId::new(0), 4);
         s.apply(
             SimTime::from_secs(1),
             SwimUpdate {
@@ -862,7 +838,7 @@ mod tests {
     #[test]
     fn deterministic_given_identical_inputs() {
         let run = || {
-            let mut s = SwimState::new(NodeId::new(0), 16, cfg());
+            let mut s = SwimState::new(NodeId::new(0), 16);
             let mut r = rng(77);
             let mut log = Vec::new();
             for step in 0..50u64 {

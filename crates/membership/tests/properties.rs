@@ -1,6 +1,6 @@
 //! Property-based tests of failure-detector invariants.
 
-use fed_membership::swim::{SwimConfig, SwimState, SwimStatus, SwimUpdate};
+use fed_membership::swim::{SwimState, SwimStatus, SwimUpdate, PROBE_PERIOD};
 use fed_sim::{NodeId, SimTime};
 use fed_util::rng::Xoshiro256StarStar;
 use proptest::prelude::*;
@@ -40,14 +40,12 @@ fn swim_op(n: u32) -> impl Strategy<Value = SwimOp> {
 /// state (time advances one probe period per op so suspicions can
 /// expire).
 fn drive_swim(me: u32, n: usize, seed: u64, ops: &[SwimOp]) -> SwimState {
-    let config = SwimConfig::standard();
-    let period = config.probe_period;
-    let mut s = SwimState::new(NodeId::new(me), n, config);
+    let mut s = SwimState::new(NodeId::new(me), n);
     let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
     let mut now = SimTime::ZERO;
     let mut probe = None;
     for op in ops {
-        now += period;
+        now += PROBE_PERIOD;
         match *op {
             SwimOp::Absorb(from, subject, incarnation, status) => {
                 s.absorb_piggyback(

@@ -302,16 +302,6 @@ impl<P: Protocol> Simulation<P> {
         self.run_until(self.now + d)
     }
 
-    /// Processes exactly one event; returns its time, or `None` if drained.
-    pub fn step(&mut self) -> Option<SimTime> {
-        let (key, kind) = self.queue.pop()?;
-        self.now = key.time;
-        self.events_processed += 1;
-        self.kernel
-            .dispatch_with(key, kind, &mut *self.factory, &mut self.queue, &mut ());
-        Some(key.time)
-    }
-
     fn push_external(&mut self, time: SimTime, kind: EventKind<P>) {
         let seq = self.external_seq;
         self.external_seq += 1;
@@ -541,19 +531,6 @@ mod tests {
         let report = s.run_until(SimTime::from_secs(1));
         assert!(!report.completed);
         assert!(report.events <= 2);
-    }
-
-    #[test]
-    fn step_processes_single_event() {
-        let mut s = sim(1);
-        s.schedule_command(SimTime::from_millis(3), NodeId::new(0), EchoCmd::Arm(1, 1));
-        let t = s.step().unwrap();
-        assert_eq!(t, SimTime::from_millis(3));
-        assert_eq!(s.node(NodeId::new(0)).unwrap().timers.len(), 0);
-        let t2 = s.step().unwrap();
-        assert_eq!(t2, SimTime::from_millis(4));
-        assert_eq!(s.node(NodeId::new(0)).unwrap().timers, vec![1]);
-        assert!(s.step().is_none());
     }
 
     #[test]

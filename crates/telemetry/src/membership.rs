@@ -18,7 +18,7 @@
 //! Every accumulator is an integer, classification is a pure function of
 //! the observation stream and the ground truth, and both inputs are
 //! deterministic simulation data — so the series is byte-identical
-//! across engines, shard counts, placements and window policies whenever
+//! across engines, shard counts and placements whenever
 //! the observation streams are (which the parity suites assert).
 //!
 //! Windows are `[w·W, (w+1)·W)` like the main telemetry series; an

@@ -12,7 +12,6 @@
 use crate::churn::{generate_churn, ChurnEvent, ChurnPlan};
 use crate::interest::{Appetite, InterestProfile};
 use crate::pubs::{generate_schedule, PubPlan, Publication};
-use fed_membership::swim::SwimConfig;
 use fed_profile::ProfileSpec;
 use fed_sim::network::{FaultSchedule, LatencyModel, MobilityTrace, NetworkModel};
 use fed_sim::{SimDuration, SimTime};
@@ -163,11 +162,6 @@ pub struct ScenarioSpec {
     /// Node→shard placement policy on the sharded engine (performance
     /// only; never changes the outcome).
     pub placement: Placement,
-    /// Whether the sharded engine grows/shrinks barrier windows from
-    /// observed events-per-window (performance only; never changes the
-    /// outcome). `false` pins windows to the lookahead, the seed-era
-    /// behavior.
-    pub adaptive_window: bool,
     /// Topic universe size.
     pub num_topics: usize,
     /// Topic popularity skew for subscriptions.
@@ -178,11 +172,12 @@ pub struct ScenarioSpec {
     pub plan: PubPlan,
     /// Optional churn trace parameters.
     pub churn: Option<ChurnPlan>,
-    /// Optional in-protocol SWIM failure detection for the gossip-based
-    /// architectures (fair/static gossip and the hybrid's gossip mode).
-    /// Protocol-level: enabling it changes message traffic, but stays
-    /// bit-identical across engines, shard counts and placements.
-    pub membership: Option<SwimConfig>,
+    /// In-protocol SWIM failure detection for the gossip-based
+    /// architectures (fair/static gossip and the hybrid's gossip mode),
+    /// at the constants of `fed_membership::swim`. Protocol-level:
+    /// enabling it changes message traffic, but stays bit-identical
+    /// across engines, shard counts and placements.
+    pub membership: bool,
     /// Scheduled deterministic faults (partitions, one-way failures,
     /// delay spikes) applied by the network model. Empty by default.
     pub faults: FaultSchedule,
@@ -239,7 +234,6 @@ impl ScenarioSpec {
             n,
             shards: 1,
             placement: Placement::RoundRobin,
-            adaptive_window: true,
             num_topics: 20,
             zipf_s: 1.0,
             appetite: Appetite::Bimodal {
@@ -256,7 +250,7 @@ impl ScenarioSpec {
                 flash: None,
             },
             churn: None,
-            membership: None,
+            membership: false,
             faults: FaultSchedule::default(),
             mobility: None,
             telemetry: None,
@@ -296,12 +290,6 @@ impl ScenarioSpec {
         self
     }
 
-    /// Returns the spec with adaptive window sizing switched on or off.
-    pub fn with_adaptive_window(mut self, adaptive: bool) -> Self {
-        self.adaptive_window = adaptive;
-        self
-    }
-
     /// Returns the spec with a different seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -330,8 +318,8 @@ impl ScenarioSpec {
     }
 
     /// Returns the spec with the SWIM failure detector enabled.
-    pub fn with_membership(mut self, swim: SwimConfig) -> Self {
-        self.membership = Some(swim);
+    pub fn with_membership(mut self) -> Self {
+        self.membership = true;
         self
     }
 
@@ -475,12 +463,9 @@ mod tests {
 
     #[test]
     fn scheduler_knobs_are_performance_only_fields() {
-        let spec = ScenarioSpec::fair_gossip(8, 1)
-            .with_placement(Placement::Balanced)
-            .with_adaptive_window(false);
+        let spec = ScenarioSpec::fair_gossip(8, 1).with_placement(Placement::Balanced);
         assert_eq!(spec.placement, Placement::Balanced);
-        assert!(!spec.adaptive_window);
-        // The knobs never enter materialization: ground truth is
+        // The knob never enters materialization: ground truth is
         // identical whatever the scheduler does.
         let base = ScenarioSpec::fair_gossip(8, 1).materialize().unwrap();
         let knobbed = spec.materialize().unwrap();

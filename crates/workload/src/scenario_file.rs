@@ -1,8 +1,8 @@
 //! Declarative scenario files: a TOML format for [`ScenarioSpec`].
 //!
 //! Scenarios are *data, not code*: everything a [`ScenarioSpec`] can
-//! express — architecture, population, shards, placement, adaptive
-//! window, interest profile, publication plan (flash crowd included),
+//! express — architecture, population, shards, placement, interest
+//! profile, publication plan (flash crowd included),
 //! churn plan, latency/loss model, scheduled faults (partitions, one-way
 //! link failures, delay spikes), time-varying connectivity (`[mobility]`
 //! piecewise traces), SWIM failure detection and telemetry —
@@ -75,7 +75,6 @@ use crate::churn::ChurnPlan;
 use crate::interest::Appetite;
 use crate::pubs::{FlashCrowd, PubPlan};
 use crate::scenario::{Architecture, Placement, ScenarioSpec};
-use fed_membership::swim::SwimConfig;
 use fed_profile::ProfileSpec;
 use fed_sim::network::{
     DelayFault, FaultSchedule, LatencyModel, MobilitySegment, MobilityTrace, NetworkModel,
@@ -97,11 +96,17 @@ pub const MAX_SHARDS: usize = 512;
 /// Highest population a scenario file may request.
 pub const MAX_NODES: usize = 10_000_000;
 
-/// Most subscription entries (`nodes × topics per node`) and most
-/// publications (`rate × duration`) a scenario file may request. Each
-/// key is in range on its own; this bounds their products, so a file
-/// that parses cannot ask for more memory than the run can allocate.
+/// Most subscription entries (`nodes × topics per node`), most
+/// publications (`rate × duration`) and most node-windows (`nodes ×`
+/// telemetry windows) a scenario file may request. Each key is in range
+/// on its own; this bounds their products, so a file that parses cannot
+/// ask for more memory or work than the run can afford.
 pub const MAX_PRODUCT: u64 = 100_000_000;
+
+/// Most telemetry windows (`⌈horizon / [telemetry] window⌉`) a scenario
+/// file may request: each window keeps its series row (≈ 1.5 KB at the
+/// default histogram geometry), so this caps the series near 150 MB.
+pub const MAX_WINDOWS: u64 = 100_000;
 
 /// An error from parsing, validating or serializing a scenario file.
 ///
@@ -671,7 +676,6 @@ fn base_spec() -> ScenarioSpec {
     ScenarioSpec {
         shards: 1,
         placement: Placement::RoundRobin,
-        adaptive_window: true,
         zipf_s: 1.0,
         plan: PubPlan::default(),
         net: NetworkModel::reliable(LatencyModel::Constant(SimDuration::from_millis(10))),
@@ -695,9 +699,6 @@ static SCENARIO: Section<ScenarioFile> = Section {
         }),
         key("placement", Str, Opt, |f| {
             Slot::Placement(&mut f.spec.placement)
-        }),
-        key("adaptive_window", Bool, Opt, |f| {
-            Slot::Bool(&mut f.spec.adaptive_window)
         }),
     ],
     ..bare(|| ScenarioFile {
@@ -941,38 +942,11 @@ static MOBILITY_SEGMENT: Section<MobilitySegment> = Section {
     })
 };
 
-/// Its presence enables the SWIM failure detector on gossip-based
-/// architectures.
-static MEMBERSHIP: Section<SwimConfig> = Section {
+/// Takes no keys: its presence enables the SWIM failure detector on
+/// gossip-based architectures, at the constants of `fed_membership::swim`.
+static MEMBERSHIP: Section<()> = Section {
     path: "membership",
-    keys: &[
-        key("probe_period", Time, Opt, |m| {
-            Slot::Duration(&mut m.probe_period)
-        }),
-        key("probe_timeout", Time, Opt, |m| {
-            Slot::Duration(&mut m.probe_timeout)
-        }),
-        key("ping_req_fanout", range(0, 1_000), Opt, |m| {
-            Slot::Int(&mut m.ping_req_fanout)
-        }),
-        key("suspect_timeout", Time, Opt, |m| {
-            Slot::Duration(&mut m.suspect_timeout)
-        }),
-        key("max_piggyback", range(1, 10_000), Opt, |m| {
-            Slot::Int(&mut m.max_piggyback)
-        }),
-        key("gossip_multiplier", range(1, 1_000), Opt, |m| {
-            Slot::U32(&mut m.gossip_multiplier)
-        }),
-    ],
-    // A zero probe period would re-arm the protocol tick at the same
-    // instant forever; reject it so "a file that parses is guaranteed to
-    // run" holds.
-    rule: Some(|m| match m.probe_period.as_micros() {
-        0 => Err("probe_period must be positive".to_string()),
-        _ => Ok(()),
-    }),
-    ..bare(SwimConfig::standard)
+    ..bare(|| ())
 };
 
 /// Its presence enables the streaming series.
@@ -1193,9 +1167,9 @@ fn conform<T>(
     header: Option<usize>,
     mut entries: Vec<(String, Value, Option<usize>)>,
 ) -> Result<Bag> {
-    let key_list = || {
-        let names: Vec<&str> = sec.keys.iter().map(|k| k.name).collect();
-        names.join(", ")
+    let key_list = || match sec.keys {
+        [] => "none".to_string(),
+        keys => keys.iter().map(|k| k.name).collect::<Vec<_>>().join(", "),
     };
     // Reject typos up front so "unknown key" wins over "missing
     // required key" when both apply.
@@ -1469,6 +1443,38 @@ fn split_rule(spec: &ScenarioSpec, line: impl Fn(&str) -> Option<usize>) -> Resu
     Ok(())
 }
 
+/// The telemetry series keeps one row per window, and closing a window
+/// folds every node: `⌈horizon / window⌉` stays within [`MAX_WINDOWS`]
+/// and `nodes × windows` within [`MAX_PRODUCT`]. The horizon is
+/// `[publish] warmup + duration` plus the 4 s drain. Blamed on `line`,
+/// the `[telemetry] window` line or else the section header.
+fn telemetry_rule(spec: &ScenarioSpec, line: Option<usize>) -> Result<()> {
+    let Some(telemetry) = &spec.telemetry else {
+        return Ok(());
+    };
+    // `[publish]`'s rule keeps the horizon on the clock and
+    // `[telemetry]`'s keeps the window positive; both have run.
+    let (horizon, window) = (spec.horizon().as_micros(), telemetry.window.as_micros());
+    let windows = horizon.div_ceil(window);
+    let over = if windows > MAX_WINDOWS {
+        format!("{windows} windows, over the limit of {MAX_WINDOWS}")
+    } else if spec.n as u128 * windows as u128 > u128::from(MAX_PRODUCT) {
+        format!(
+            "{windows} windows; [scenario] nodes × windows = {} × {windows} = {} \
+             node-windows, over the limit of {MAX_PRODUCT}",
+            spec.n,
+            spec.n as u128 * windows as u128
+        )
+    } else {
+        return Ok(());
+    };
+    let what = format!(
+        "[telemetry] window: ⌈([publish] warmup + duration + 4s drain) / window⌉ = \
+         ⌈{horizon}us / {window}us⌉ = {over}"
+    );
+    Err(ScenarioFileError::new(line, what))
+}
+
 /// The rule over a whole trace — header plus segments, so not a
 /// [`Section::rule`] — blamed on the `[mobility]` header.
 fn mobility_rule(trace: &MobilityTrace, header: Option<usize>) -> Result<()> {
@@ -1499,7 +1505,8 @@ pub struct ScenarioFile {
 /// Returns [`ScenarioFileError`] — with the line number and key path —
 /// for syntax errors, unknown sections or keys, type mismatches, bad
 /// duration units, out-of-range values, key products over
-/// [`MAX_PRODUCT`] and a `split` that leaves one side empty.
+/// [`MAX_PRODUCT`], a `split` that leaves one side empty and more
+/// telemetry windows than [`MAX_WINDOWS`].
 pub fn parse_scenario(input: &str) -> Result<ScenarioFile> {
     let mut doc = lex(input)?;
     let mut file = (SCENARIO.base)();
@@ -1524,7 +1531,7 @@ pub fn parse_scenario(input: &str) -> Result<ScenarioFile> {
         mobility_rule(&trace, doc.line("mobility", None))?;
         spec.mobility = Some(trace);
     }
-    spec.membership = doc.section(&MEMBERSHIP)?;
+    spec.membership = doc.section(&MEMBERSHIP)?.is_some();
     spec.telemetry = doc.section(&TELEMETRY)?;
     spec.profile = doc.section(&PROFILE)?;
     spec.trace = doc.section(&TRACE)?;
@@ -1566,6 +1573,8 @@ pub fn parse_scenario(input: &str) -> Result<ScenarioFile> {
     let interest = doc.line("interest", Some("appetite"));
     product_rule(spec, interest, doc.line("publish", None))?;
     split_rule(spec, |path| doc.line(path, Some("split")))?;
+    let window = doc.line("telemetry", Some("window"));
+    telemetry_rule(spec, window.or_else(|| doc.line("telemetry", None)))?;
     Ok(file)
 }
 
@@ -1643,9 +1652,9 @@ fn put<T>(out: &mut String, sec: &Section<T>, value: Option<&mut T>) -> Result<(
 /// mobility trace of its own; when a string holds a control character
 /// the format has no escape for; or when [`parse_scenario`] would
 /// reject the result — a value out of its key's range, a degenerate
-/// fault window, a zero probe period, a key product over
-/// [`MAX_PRODUCT`], a `split` that leaves one side empty. The message
-/// names `[section] key`.
+/// fault window, a key product over [`MAX_PRODUCT`], a `split` that
+/// leaves one side empty, more telemetry windows than [`MAX_WINDOWS`].
+/// The message names `[section] key`.
 pub fn to_toml(spec: &ScenarioSpec) -> Result<String> {
     // Scheduled faults belong in `spec.faults` (merged into the network
     // by `ScenarioSpec::effective_net`); a base model already carrying
@@ -1687,12 +1696,13 @@ pub fn to_toml(spec: &ScenarioSpec) -> Result<String> {
             write_section(out, &MOBILITY_SEGMENT, &format!("mobility.seg{k}"), seg)?;
         }
     }
-    put(out, &MEMBERSHIP, s.membership.as_mut())?;
+    put(out, &MEMBERSHIP, s.membership.then_some(&mut ()))?;
     put(out, &TELEMETRY, s.telemetry.as_mut())?;
     put(out, &PROFILE, s.profile.as_mut())?;
     put(out, &TRACE, s.trace.as_mut())?;
     product_rule(spec, None, None)?;
     split_rule(spec, |_| None)?;
+    telemetry_rule(spec, None)?;
     Ok(text)
 }
 
@@ -1726,7 +1736,6 @@ mod tests {
         assert_eq!(f.spec.seed, 7);
         assert_eq!(f.spec.shards, 1);
         assert_eq!(f.spec.placement, Placement::RoundRobin);
-        assert!(f.spec.adaptive_window);
         assert_eq!(f.spec.appetite, Appetite::Fixed(3));
         assert_eq!(f.spec.plan.warmup, SimTime::from_secs(1));
         assert_eq!(f.spec.plan.payload_bytes, 64);
@@ -1751,7 +1760,6 @@ mod tests {
             seed = 99
             shards = 4
             placement = "balanced"
-            adaptive_window = false
 
             [topics]
             count = 50
@@ -1806,7 +1814,6 @@ mod tests {
         assert_eq!(s.arch, Architecture::Scribe);
         assert_eq!((s.n, s.shards, s.seed), (128, 4, 99));
         assert_eq!(s.placement, Placement::Balanced);
-        assert!(!s.adaptive_window);
         assert_eq!((s.num_topics, s.zipf_s), (50, 1.2));
         assert_eq!(
             s.appetite,
@@ -2010,7 +2017,7 @@ mod tests {
              [faults.partition]\nat = \"2s\"\nheal = \"4s\"\nsplit = 8\n\n\
              [faults.oneway]\nat = \"1s\"\nuntil = \"3s\"\nsplit = 32\n\n\
              [faults.delay]\nat = \"500ms\"\nuntil = \"2500ms\"\nextra = \"40ms\"\n\n\
-             [membership]\nprobe_period = \"250ms\"\nping_req_fanout = 2\n"
+             [membership]\n"
         );
         let f = parse_scenario(&input).unwrap();
         let faults = &f.spec.faults;
@@ -2038,11 +2045,7 @@ mod tests {
                 extra: SimDuration::from_millis(40),
             })
         );
-        // Unset [membership] keys fall back to the standard config.
-        let m = f.spec.membership.as_ref().unwrap();
-        assert_eq!(m.probe_period, SimDuration::from_millis(250));
-        assert_eq!(m.ping_req_fanout, 2);
-        assert_eq!(m.suspect_timeout, SwimConfig::standard().suspect_timeout);
+        assert!(f.spec.membership);
         // And the whole thing survives a round trip.
         let toml = to_toml(&f.spec).unwrap();
         assert_eq!(spec_from_toml(&toml).unwrap(), f.spec, "{toml}");
@@ -2063,14 +2066,12 @@ mod tests {
     }
 
     #[test]
-    fn zero_probe_period_is_rejected() {
-        let bad = format!("{MINIMAL}\n[membership]\nprobe_period = \"0ms\"\n");
-        let err = parse_scenario(&bad).unwrap_err();
-        assert!(err.message.contains("probe_period"), "{err}");
-        // An empty [membership] section enables the standard detector.
+    fn membership_is_a_presence_only_section() {
+        // An empty [membership] section enables the detector; none, not.
+        // (`scenario_file_negative.rs` rejects each former key.)
         let ok = format!("{MINIMAL}\n[membership]\n");
-        let f = parse_scenario(&ok).unwrap();
-        assert_eq!(f.spec.membership, Some(SwimConfig::standard()));
+        assert!(parse_scenario(&ok).unwrap().spec.membership);
+        assert!(!parse_scenario(MINIMAL).unwrap().spec.membership);
     }
 
     #[test]
@@ -2276,12 +2277,15 @@ mod tests {
             ("[network] loss", |s| {
                 s.net = NetworkModel::lossy(s.net.latency_model().clone(), f64::NAN)
             }),
-            ("[membership] probe_period", |s| {
-                s.membership = Some(SwimConfig {
-                    probe_period: SimDuration::ZERO,
-                    ..SwimConfig::standard()
-                })
-            }),
+            (
+                "[telemetry] window: ⌈([publish] warmup + duration + 4s drain)",
+                |s| {
+                    s.telemetry = Some(TelemetrySpec {
+                        window: SimDuration::from_micros(1),
+                        ..TelemetrySpec::default()
+                    })
+                },
+            ),
             ("[trace] sample_rate", |s| {
                 s.trace = Some(TraceSpec {
                     sample_rate: 2.0,

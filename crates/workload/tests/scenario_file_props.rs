@@ -6,7 +6,6 @@
 //! keys, bad duration units, out-of-range values), and a serializer that
 //! refuses what the parser would refuse instead of writing it.
 
-use fed_membership::swim::SwimConfig;
 use fed_profile::ProfileSpec;
 use fed_sim::network::{
     DelayFault, FaultSchedule, LatencyModel, MobilitySegment, MobilityTrace, NetworkModel,
@@ -15,7 +14,9 @@ use fed_sim::network::{
 use fed_sim::{SimDuration, SimTime};
 use fed_telemetry::TelemetrySpec;
 use fed_trace::TraceSpec;
-use fed_workload::scenario_file::{parse_scenario, spec_from_toml, to_toml};
+use fed_workload::scenario_file::{
+    parse_scenario, spec_from_toml, to_toml, MAX_PRODUCT, MAX_WINDOWS,
+};
 use fed_workload::{
     Appetite, Architecture, ChurnPlan, FlashCrowd, Placement, PubPlan, ScenarioSpec,
 };
@@ -205,31 +206,6 @@ fn faults_strategy() -> impl Strategy<Value = FaultSchedule> {
     })
 }
 
-fn membership_strategy() -> impl Strategy<Value = Option<SwimConfig>> {
-    prop_oneof![
-        Just(None),
-        Just(Some(SwimConfig::standard())),
-        (
-            1u64..=10_000_000,
-            0u64..=10_000_000,
-            0usize..=1_000,
-            0u64..=100_000_000,
-            1usize..=10_000,
-            1usize..=1_000
-        )
-            .prop_map(|(period, timeout, fanout, suspect, piggy, mult)| {
-                Some(SwimConfig {
-                    probe_period: SimDuration::from_micros(period),
-                    probe_timeout: SimDuration::from_micros(timeout),
-                    ping_req_fanout: fanout,
-                    suspect_timeout: SimDuration::from_micros(suspect),
-                    max_piggyback: piggy,
-                    gossip_multiplier: mult as u32,
-                })
-            }),
-    ]
-}
-
 fn mobility_strategy() -> impl Strategy<Value = Option<MobilityTrace>> {
     // Segment instants must be strictly increasing and, for periodic
     // traces, stay below the period — the parser rejects anything else,
@@ -275,7 +251,6 @@ fn spec_strategy() -> impl Strategy<Value = ScenarioSpec> {
         1usize..=100_000,
         1usize..=512,
         placement_strategy(),
-        any::<bool>(),
         1usize..=10_000,
         0u32..=4000,
         appetite_strategy(),
@@ -304,15 +279,15 @@ fn spec_strategy() -> impl Strategy<Value = ScenarioSpec> {
     );
     let robust = (
         faults_strategy(),
-        membership_strategy(),
+        any::<bool>(),
         trace_strategy(),
         mobility_strategy(),
     );
     let specs = (head, plan, tail, robust).prop_map(
         |(
-            (arch, n, shards, placement, adaptive_window, num_topics, zipf, appetite),
+            (arch, n, shards, placement, num_topics, zipf, appetite),
             (rate, duration, topic_zipf, payload_bytes, warmup, flash),
-            (churn, telemetry, profile, latency, loss, seed),
+            (churn, mut telemetry, profile, latency, loss, seed),
             (mut faults, membership, trace, mut mobility),
         )| {
             // A split must leave a node on each side: fold the raw draws
@@ -328,6 +303,16 @@ fn spec_strategy() -> impl Strategy<Value = ScenarioSpec> {
             if let Some(m) = &mut mobility {
                 m.split = side(m.split);
             }
+            // At most `MAX_WINDOWS` telemetry windows over the horizon
+            // and `MAX_PRODUCT` node-windows: widen a window drawn too
+            // narrow for the phases.
+            if let Some(t) = &mut telemetry {
+                let horizon = warmup + duration + 4_000_000;
+                let cap = MAX_WINDOWS.min(MAX_PRODUCT / n as u64);
+                t.window = t
+                    .window
+                    .max(SimDuration::from_micros(horizon.div_ceil(cap)));
+            }
             let loss = fractional(loss, 1_000_000);
             let net = if loss > 0.0 {
                 NetworkModel::lossy(latency, loss)
@@ -339,7 +324,6 @@ fn spec_strategy() -> impl Strategy<Value = ScenarioSpec> {
                 n,
                 shards,
                 placement,
-                adaptive_window,
                 num_topics,
                 zipf_s: fractional(zipf, 1000),
                 appetite,
@@ -423,16 +407,19 @@ fn spoil(spec: &mut ScenarioSpec, how: usize) {
                 split: 20_000_000,
             })
         }
+        // A horizon of at least 4 s is over 100 000 windows of 1 µs…
         19 => {
-            spec.membership = Some(SwimConfig {
-                probe_period: SimDuration::ZERO,
-                ..SwimConfig::standard()
+            spec.telemetry = Some(TelemetrySpec {
+                window: SimDuration::from_micros(1),
+                ..TelemetrySpec::default()
             })
         }
+        // …and over 10⁸ node-windows of 1 ms at 100 000 nodes.
         20 => {
-            spec.membership = Some(SwimConfig {
-                max_piggyback: 0,
-                ..SwimConfig::standard()
+            spec.n = 100_000;
+            spec.telemetry = Some(TelemetrySpec {
+                window: ms(1),
+                ..TelemetrySpec::default()
             })
         }
         21 => {

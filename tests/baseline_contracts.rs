@@ -5,7 +5,7 @@
 
 use fed::baselines::broker::BrokerNode;
 use fed::baselines::dam::{DamNode, GroupTable};
-use fed::baselines::dks::{DksConfig, DksNode};
+use fed::baselines::dks::DksNode;
 use fed::baselines::scribe::ScribeNode;
 use fed::baselines::splitstream::{Forest, SplitStreamNode};
 use fed::dht::DhtNetwork;
@@ -136,12 +136,8 @@ fn scribe_contract() {
 fn dks_contract() {
     let dht = Arc::new(DhtNetwork::build(N));
     let groups = groups();
-    let cfg = DksConfig {
-        group_fanout: 6,
-        seeds: 3,
-    };
     let mut sim = Simulation::new(N, net(), 3, move |id, _| {
-        DksNode::new(id, cfg, Arc::clone(&dht), Arc::clone(&groups))
+        DksNode::new(id, Arc::clone(&dht), Arc::clone(&groups))
     });
     for i in 0..N {
         sim.schedule_command(
