@@ -85,11 +85,12 @@
 //!   everything that could causally precede it.
 //!
 //! The equivalence is asserted by this crate's tests and by the
-//! `cross_engine` integration suite in `fed-experiments` (fair gossip and
-//! the five structured baselines — broker, Scribe, DKS, DAM, SplitStream —
-//! at shard counts {1, 2, 4, 7}, every placement policy, with and
-//! without churn); `scenario_properties` draws
-//! randomized scenarios from all eight architectures.
+//! parity matrix in `fed-experiments` (`tests/parity/mod.rs`): one table of
+//! cells — every architecture, the paper's gossip configurations, churn,
+//! flash crowds, faults, mobility, every instrument subset, generated and
+//! drawn scenarios and the scenario library — each run sequentially and
+//! at shard counts up to 8 under every placement policy, and compared
+//! observable by observable.
 //!
 //! ## Observation
 //!
@@ -142,13 +143,14 @@ mod shard_map;
 pub use shard_map::ShardMap;
 
 use fed_sim::exec::{
-    seed_streams, EffectSink, EventKey, EventKind, EventQueue, Kernel, Probe, QueueStats,
-    TransportStats, WindowWork, EXTERNAL_SRC,
+    seed_streams, EffectSink, EventKey, EventKind, EventQueue, HandlerPanic, Kernel, Probe,
+    QueueStats, TransportStats, WindowWork, EXTERNAL_SRC,
 };
 use fed_sim::network::NetworkModel;
 use fed_sim::protocol::{NodeId, Protocol};
 use fed_sim::time::{SimDuration, SimTime};
 use fed_util::rng::Xoshiro256StarStar;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -178,6 +180,9 @@ struct Shard<P: Protocol> {
     index: usize,
     kernel: Kernel<P>,
     queue: EventQueue<P>,
+    /// The event the worker is dispatching, so that a handler's panic can
+    /// name it.
+    handling: Option<(EventKey, NodeId)>,
 }
 
 /// Sink used while a shard dispatches mid-window: local events go straight
@@ -532,6 +537,7 @@ fn worker_loop<P: Protocol, O: Probe>(
         index,
         kernel,
         queue,
+        handling,
     } = shard;
     let me = *index;
     let lookahead = kernel.net().min_latency();
@@ -603,6 +609,7 @@ fn worker_loop<P: Protocol, O: Probe>(
             };
             let Some((key, kind)) = popped else { break };
             events += 1;
+            *handling = Some((key, kind.dest()));
             let mut sink = ShardSink {
                 map,
                 local_shard: me,
@@ -613,6 +620,7 @@ fn worker_loop<P: Protocol, O: Probe>(
                 out_min: &mut out_min,
             };
             kernel.dispatch_with(key, kind, &mut factory, &mut sink, obs);
+            *handling = None;
         }
         let execute_ns = exec_t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
         let (mut mailbox_msgs, mut mailbox_bytes) = (0u64, 0u64);
@@ -779,6 +787,7 @@ impl<P: Protocol> ShardedSimulation<P> {
                 index: s,
                 kernel,
                 queue,
+                handling: None,
             });
         }
         // Deliver cross-shard init effects now that every queue exists;
@@ -996,7 +1005,10 @@ where
     ///
     /// # Panics
     ///
-    /// Panics if `observers.len()` is not the shard count.
+    /// Panics if `observers.len()` is not the shard count. A protocol
+    /// handler's panic on any shard stops every worker and is re-raised
+    /// on the caller as a [`HandlerPanic`] naming the shard, the event
+    /// being handled (its key and virtual time) and the original message.
     pub fn run_until_observed<O>(&mut self, target: SimTime, observers: &mut [O]) -> ClusterReport
     where
         O: Probe + Send,
@@ -1074,8 +1086,41 @@ where
                     }
                 }
                 let (factory, map, red) = (&*self.factory, &*self.map, &red_lock);
-                for ((shard, obs), links) in self.shards.iter_mut().zip(observers).zip(links) {
-                    scope.spawn(move || worker_loop(shard, obs, factory, map, sched, red, links));
+                // Each worker runs its windows under `catch_unwind`: a
+                // handler's panic unwinds the worker alone, dropping its
+                // channel ends so every peer stops at its next receive,
+                // and comes back here with the event it was handling.
+                let workers: Vec<_> = self
+                    .shards
+                    .iter_mut()
+                    .zip(observers)
+                    .zip(links)
+                    .map(|((shard, obs), links)| {
+                        scope.spawn(move || {
+                            let run = || worker_loop(shard, obs, factory, map, sched, red, links);
+                            catch_unwind(AssertUnwindSafe(run))
+                                .map_err(|payload| (shard.index, shard.handling, payload))
+                        })
+                    })
+                    .collect();
+                let failures = workers
+                    .into_iter()
+                    .filter_map(|w| w.join().expect("worker panics are caught").err());
+                // A handler's panic is the cause; any other is a symptom.
+                let (mut cause, mut other) = (None, None);
+                for (shard, handling, payload) in failures {
+                    match handling {
+                        Some(event) if cause.is_none() => {
+                            cause = Some(HandlerPanic::new(shard, event, &*payload));
+                        }
+                        _ => other = other.or(Some(payload)),
+                    }
+                }
+                if let Some(cause) = cause {
+                    panic!("{cause}");
+                }
+                if let Some(payload) = other {
+                    resume_unwind(payload);
                 }
             });
             red = red_lock.into_inner().expect("reduction lock");

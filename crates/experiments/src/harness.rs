@@ -29,7 +29,8 @@
 //! The body is generic over the [`Engine`] seam — build, schedule, run
 //! observed, read back — so for the same spec the results are bit-for-bit
 //! comparable regardless of engine or shard count — asserted by the
-//! `cross_engine` integration tests.
+//! parity matrix (`tests/parity/mod.rs`), which compares every cell's runs
+//! with [`crate::scenario_run::first_divergence`].
 
 use fed_baselines::broker::BrokerNode;
 use fed_baselines::dam::{DamNode, GroupTable};
@@ -94,8 +95,7 @@ pub fn t_arch_config(preset: fn(usize, usize, SimDuration) -> GossipConfig) -> G
 /// from — lives.
 ///
 /// Implementing this is all it takes for a protocol to run on both
-/// engines through [`run_architecture`] and the cross-engine parity
-/// suite.
+/// engines through [`run_architecture`] and the parity matrix.
 pub trait ArchProtocol: Protocol<Cmd = Command> + 'static {
     /// The node's subscriber side. A composite node names its primary
     /// stack's endpoint and overrides the two read-backs below to merge
@@ -430,27 +430,27 @@ pub struct ArchOutcome {
     /// Streaming telemetry series, when the spec enabled it.
     ///
     /// Byte-identical across engines and shard counts for the same spec
-    /// (asserted by the `telemetry_parity` integration suite).
+    /// (asserted by the `telemetry_parity` integration test).
     pub telemetry: Option<TelemetrySeries>,
     /// Scheduler profile, when the spec enabled `[profile]`.
     ///
     /// Its [`RunProfile::merged_work`] counters are partition-invariant
-    /// (gated by the `profile_parity` integration suite); the wall-clock
-    /// phase timings are host measurements and intentionally excluded
-    /// from [`crate::scenario_run::outcomes_match`].
+    /// (gated by the `profile_parity` integration test); the wall-clock
+    /// phase timings are host measurements and never compared by
+    /// [`crate::scenario_run::first_divergence`].
     pub profiling: Option<RunProfile>,
     /// Merged per-event hop trace, when the spec enabled `[trace]`.
     ///
     /// Already in the canonical (sorted) order, so traces from different
     /// engines or shard counts compare with `==`: byte-identical for the
-    /// same spec (gated by the `trace_parity` integration suite).
+    /// same spec (gated by the `trace_parity` integration test).
     pub trace: Option<Vec<HopRecord>>,
     /// Per-node SWIM failure-detector observation logs, indexed by node
     /// id; all empty unless the spec enabled `[membership]` on an
     /// architecture that runs the detector.
     ///
     /// Deterministic data, byte-identical across engines and shard
-    /// counts (asserted by the parity suites).
+    /// counts (asserted by the `robustness` integration test).
     pub swim: Vec<Vec<SwimObservation>>,
     /// Per-node strategy-handover instants, indexed by node id; all
     /// `None` except for architectures with runtime switching
@@ -955,7 +955,7 @@ mod tests {
 
     /// Enabling `[profile]` perturbs nothing, and the merged work
     /// counters are partition-invariant across the engines — the
-    /// `profile_parity` suite sweeps this wider.
+    /// `profile_parity` integration test sweeps this wider.
     #[test]
     fn profiling_is_passive_and_partition_invariant() {
         let base = ScenarioSpec::standard(Architecture::FairGossip, 24, 7)

@@ -257,14 +257,18 @@ pub fn run_by_id(id: &str, seed: u64) -> Result<(), String> {
         "scale" => {
             let r = scale::run(512, &[1, 2, 4], seed);
             println!("{}", r.table);
-            assert!(r.identical, "shard count must not change the outcome");
+            if let Some((arch, d)) = &r.divergence {
+                panic!("shard count must not change the outcome: {arch}: {d}");
+            }
             record(bench_json::BENCH_PATH, &r.records)?;
         }
         "sweep" => record_sweep("sweep", &sweep::run("sweep", seed, sweep::FULL_WORKLOADS))?,
         "timeseries" => {
             let r = timeseries::run(256, 4, seed);
             println!("{}", r.table);
-            assert!(r.identical, "telemetry series diverged between the engines");
+            if let Some((arch, d)) = &r.divergence {
+                panic!("telemetry series diverged between the engines: {arch}: {d}");
+            }
             // Regenerated whole every run: nothing to splice.
             write_artifact(timeseries::BENCH_TIMESERIES_PATH, r.archs.len(), |p| {
                 std::fs::write(p, &r.json)
@@ -276,7 +280,9 @@ pub fn run_by_id(id: &str, seed: u64) -> Result<(), String> {
             println!("{}", r.phase_table);
             println!("{}", r.stall_table);
             println!("{}", r.work_table);
-            assert!(r.identical, "profiled engines diverged");
+            if let Some(d) = &r.divergence {
+                panic!("profiled engines diverged: {d}");
+            }
             record(profile::BENCH_PROFILE_PATH, &r.records)?;
         }
         "trace" => {
@@ -285,7 +291,9 @@ pub fn run_by_id(id: &str, seed: u64) -> Result<(), String> {
             println!("{}", r.tree_table);
             println!("{}", r.event_table);
             println!("{}", r.attribution_table);
-            assert!(r.identical, "traced engines diverged");
+            if let Some(d) = &r.divergence {
+                panic!("traced engines diverged: {d}");
+            }
             record(trace::BENCH_TRACE_PATH, &r.records)?;
         }
         other => return run_pseudo_id(other, seed),
@@ -508,10 +516,9 @@ fn overhead_smoke(
     record(path, &[bench_row(p, suite)])?;
     assert!(p.on.events > 0, "{suite} processed no events");
     assert!(count > 0, "{suite} recorded no {unit}");
-    assert!(
-        scenario_run::outcomes_match(&p.off, &p.on),
-        "{suite}: instrumenting the run changed its outcome"
-    );
+    if let Some(d) = scenario_run::first_divergence(&p.off, &p.on) {
+        panic!("{suite}: instrumenting the run changed its outcome: {d}");
+    }
     assert!(
         p.overhead_frac() < profile::OVERHEAD_BAR,
         "{suite}: enabled overhead {:.1}% breaches the {:.0}% bar",
@@ -677,7 +684,10 @@ pub fn parity_target(target: &str) -> Result<(), String> {
         let shards = scenario_run::parity_shards_for(&file.spec);
         let report = scenario_run::parity_gate(&name, &file.spec, &shards);
         println!("{}", report.table);
-        if !report.identical {
+        for (shards, divergence) in &report.divergences {
+            println!("  cluster at {shards} shards: {divergence}\n");
+        }
+        if !report.divergences.is_empty() {
             failures.push(name);
         }
     }

@@ -17,7 +17,7 @@
 use crate::bench_json::{events_per_sec, Row};
 use crate::harness::{run_architecture, EngineKind};
 use crate::scale::{measure_overhead, OverheadPoint, SmokeConfig};
-use crate::scenario_run::outcomes_match;
+use crate::scenario_run::{first_divergence, Divergence};
 use fed_metrics::table::{fmt_f64, Table};
 use fed_profile::{ProfileSpec, RunProfile};
 use fed_sim::SimTime;
@@ -209,9 +209,9 @@ pub struct ProfileResult {
     pub stall_table: Table,
     /// Merged work/scheduler counters of the profiled cluster run.
     pub work_table: Table,
-    /// Whether the profiled sequential and cluster runs agreed on every
-    /// observable *and* on the merged work counters (must be `true`).
-    pub identical: bool,
+    /// Where the profiled sequential and cluster runs first differ, on
+    /// the virtual world or the merged work counters (must be `None`).
+    pub divergence: Option<Divergence>,
     /// Machine-readable row for `BENCH_profile.json`.
     pub records: Vec<Row>,
 }
@@ -223,11 +223,10 @@ pub fn run(n: usize, shards: usize, seed: u64) -> ProfileResult {
     let seq = run_architecture(&spec, EngineKind::Sequential);
     let point = profiler_overhead(&spec, 2);
 
-    let seq_profile = seq.profiling.as_ref().expect("profiling on");
+    let divergence =
+        first_divergence(&seq, &point.on).or_else(|| first_divergence(&seq, &point.off));
+    let identical = divergence.is_none();
     let clu_profile = point.on.profiling.as_ref().expect("profiling on");
-    let identical = outcomes_match(&seq, &point.on)
-        && outcomes_match(&seq, &point.off)
-        && seq_profile.merged_work() == clu_profile.merged_work();
 
     let mut summary = Table::new(
         format!("PROFILE: instrumentation overhead (n={n}, shards={shards})"),
@@ -270,7 +269,7 @@ pub fn run(n: usize, shards: usize, seed: u64) -> ProfileResult {
         phase_table: phase,
         stall_table: stall,
         work_table: work,
-        identical,
+        divergence,
         records,
     }
 }
@@ -293,7 +292,7 @@ mod tests {
     #[test]
     fn profile_experiment_gates_parity_and_builds_tables() {
         let r = run(48, 3, 42);
-        assert!(r.identical, "profiled engines diverged");
+        assert_eq!(r.divergence, None, "profiled engines diverged");
         assert_eq!(r.summary.len(), 2);
         assert_eq!(r.phase_table.len(), 3 + 1, "3 shards + total row");
         assert_eq!(r.stall_table.len(), 3);
@@ -317,7 +316,11 @@ mod tests {
     #[test]
     fn measure_overhead_is_passive() {
         let p = profiler_overhead(&profile_spec(32, 2, 11), 1);
-        assert!(outcomes_match(&p.off, &p.on), "profiling changed a result");
+        assert_eq!(
+            first_divergence(&p.off, &p.on),
+            None,
+            "profiling changed a result"
+        );
         assert!(p.off.profiling.is_none());
         assert!(p.on.profiling.is_some());
     }

@@ -23,7 +23,7 @@
 
 use crate::bench_json::{events_per_sec, Row};
 use crate::harness::{run_architecture, ArchOutcome, EngineKind};
-use crate::scenario_run::outcomes_match;
+use crate::scenario_run::{first_divergence, Divergence};
 use fed_core::ledger::RatioSpec;
 use fed_metrics::fairness::ratio_report;
 use fed_metrics::table::{fmt_f64, Table};
@@ -63,9 +63,9 @@ pub struct ArchScale {
     pub reliability: f64,
     /// The sweep points, in shard-count order.
     pub points: Vec<ScalePoint>,
-    /// Whether every shard count produced identical per-node deliveries,
-    /// ledgers and transport statistics (must be `true`).
-    pub identical: bool,
+    /// Where a shard count's outcome first differs from the first shard
+    /// count's (must be `None`).
+    pub divergence: Option<Divergence>,
 }
 
 /// Result of the E-SCALE experiment.
@@ -75,8 +75,9 @@ pub struct ScaleResult {
     pub table: Table,
     /// Per-architecture sweeps, in [`Architecture::SWEEP`] order.
     pub archs: Vec<ArchScale>,
-    /// Whether *every* architecture was shard-invariant.
-    pub identical: bool,
+    /// The first architecture that was not shard-invariant, and where it
+    /// diverged (must be `None`).
+    pub divergence: Option<(Architecture, Divergence)>,
     /// Machine-readable rows of every point, for `BENCH_cluster.json`.
     pub records: Vec<Row>,
 }
@@ -177,7 +178,7 @@ pub fn measure_overhead(
 /// `shard_counts`.
 pub fn run_arch(arch: Architecture, n: usize, shard_counts: &[usize], seed: u64) -> ArchScale {
     let mut points = Vec::new();
-    let mut identical = true;
+    let mut divergence = None;
     let mut baseline: Option<ArchOutcome> = None;
     let mut baseline_wall = 0.0f64;
     let mut jain = 0.0;
@@ -195,7 +196,7 @@ pub fn run_arch(arch: Architecture, n: usize, shard_counts: &[usize], seed: u64)
                 jain = report.jain;
                 reliability = outcome.audit().reliability();
             }
-            Some(base) => identical &= outcomes_match(base, &outcome),
+            Some(base) => divergence = divergence.or_else(|| first_divergence(base, &outcome)),
         }
         points.push(ScalePoint {
             arch,
@@ -213,7 +214,7 @@ pub fn run_arch(arch: Architecture, n: usize, shard_counts: &[usize], seed: u64)
         jain,
         reliability,
         points,
-        identical,
+        divergence,
     }
 }
 
@@ -257,12 +258,12 @@ pub fn run(n: usize, shard_counts: &[usize], seed: u64) -> ScaleResult {
         ],
     );
     let mut archs = Vec::new();
-    let mut identical = true;
+    let mut divergence = None;
     let mut records = Vec::new();
     for arch in Architecture::SWEEP {
         let spec = scale_spec(n, seed).with_arch(arch);
         let sweep = run_arch(arch, n, shard_counts, seed);
-        identical &= sweep.identical;
+        divergence = divergence.or_else(|| Some((arch, sweep.divergence.clone()?)));
         for p in &sweep.points {
             table.row_owned(vec![
                 p.arch.name().to_string(),
@@ -274,7 +275,7 @@ pub fn run(n: usize, shard_counts: &[usize], seed: u64) -> ScaleResult {
                 fmt_f64(p.speedup),
                 fmt_f64(sweep.jain),
                 fmt_f64(sweep.reliability),
-                sweep.identical.to_string(),
+                sweep.divergence.is_none().to_string(),
             ]);
             records.push(
                 Row::new("scale", &spec, p.shards)
@@ -288,7 +289,7 @@ pub fn run(n: usize, shard_counts: &[usize], seed: u64) -> ScaleResult {
     ScaleResult {
         table,
         archs,
-        identical,
+        divergence,
         records,
     }
 }
@@ -384,10 +385,14 @@ mod tests {
     #[test]
     fn sweep_is_shard_invariant_for_every_architecture() {
         let r = run(48, &[1, 2, 4], 42);
-        assert!(r.identical, "shard count changed a virtual outcome");
+        assert_eq!(r.divergence, None, "shard count changed a virtual outcome");
         assert_eq!(r.archs.len(), Architecture::SWEEP.len());
         for sweep in &r.archs {
-            assert!(sweep.identical, "{} diverged across shards", sweep.arch);
+            assert_eq!(
+                sweep.divergence, None,
+                "{} diverged across shards",
+                sweep.arch
+            );
             assert_eq!(sweep.points.len(), 3);
             let events = sweep.points[0].events;
             assert!(

@@ -12,11 +12,13 @@
 //! `parity <target>` (or `parity @all` for the whole library) is the
 //! determinism gate: the same file runs on the sequential engine and on
 //! the cluster at shard counts {1, 4} plus the file's own shard count
-//! (the configuration `run` actually uses), and every observable — delivery
-//! logs, fairness ledgers, transport statistics, event count and the
-//! telemetry series — must be bit-identical. CI runs `parity @all`
-//! time-boxed, so every scenario in the library is continuously proven
-//! runnable *and* engine-agnostic.
+//! (the configuration `run` actually uses), and every observable —
+//! delivery logs, fairness ledgers, transport statistics, SWIM logs,
+//! handovers, event count and every instrument artifact — must be
+//! bit-identical
+//! ([`first_divergence`]; a diverging run prints where it diverged). CI
+//! runs `parity @all` time-boxed, so every scenario in the library is
+//! continuously proven runnable *and* engine-agnostic.
 
 use crate::harness::{run_architecture, ArchOutcome, EngineKind};
 use fed_core::ledger::RatioSpec;
@@ -330,42 +332,132 @@ pub fn run_scenario(name: &str, spec: &ScenarioSpec) -> ScenarioReport {
 pub struct ParityReport {
     /// One row per engine/shard combination.
     pub table: Table,
-    /// Whether every combination matched the sequential run bit for bit.
-    pub identical: bool,
+    /// The first divergence of each cluster run that differs from the
+    /// sequential run, by shard count; empty when every run matched.
+    pub divergences: Vec<(usize, Divergence)>,
 }
 
-/// `true` when two outcomes describe the same virtual-world execution.
+/// Where two runs of one scenario first differ: the observable, the node
+/// whose record differs (`None` for a run-wide observable) and the first
+/// index at which the two records differ, with both values (`-` where
+/// one record ends early).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Divergence {
+    /// What differs: `nodes`, `deliveries`, `ledgers`, `stats`, `swim`,
+    /// `handovers`, `events`, `telemetry`, `trace` or `work`.
+    pub observable: &'static str,
+    /// The node whose record differs, for per-node observables.
+    pub node: Option<usize>,
+    /// The first differing position in that record: an entry of a
+    /// node's log, a telemetry window, a hop (0 for a single value).
+    pub index: usize,
+    /// The first run's value there.
+    pub left: String,
+    /// The second run's value there.
+    pub right: String,
+}
+
+impl std::fmt::Display for Divergence {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{} differ", self.observable)?;
+        if let Some(node) = self.node {
+            write!(f, " at node {node}")?;
+        }
+        write!(f, ", index {}: {} vs {}", self.index, self.left, self.right)
+    }
+}
+
+/// The first position at which `a` and `b` differ, if any.
+fn first_in<T: PartialEq + std::fmt::Debug>(
+    observable: &'static str,
+    node: Option<usize>,
+    a: &[T],
+    b: &[T],
+) -> Option<Divergence> {
+    let index = a
+        .iter()
+        .zip(b)
+        .position(|(x, y)| x != y)
+        .or_else(|| (a.len() != b.len()).then(|| a.len().min(b.len())))?;
+    let show = |s: &[T]| {
+        s.get(index)
+            .map_or_else(|| "-".into(), |v| format!("{v:?}"))
+    };
+    Some(Divergence {
+        observable,
+        node,
+        index,
+        left: show(a),
+        right: show(b),
+    })
+}
+
+/// The first node whose `record` differs, at its first differing entry.
+fn first_per_node<R, T: PartialEq + std::fmt::Debug>(
+    observable: &'static str,
+    a: &[R],
+    b: &[R],
+    record: impl Fn(&R) -> &[T],
+) -> Option<Divergence> {
+    a.iter()
+        .zip(b)
+        .enumerate()
+        .find_map(|(node, (x, y))| first_in(observable, Some(node), record(x), record(y)))
+}
+
+/// Where two outcomes of the same scenario first differ, or `None` when
+/// they describe the same run.
 ///
-/// Compares every observable that must be engine-invariant: per-node
-/// delivery logs, fairness ledgers, transport statistics, the engine's
-/// event count, (when enabled) the full telemetry series, the SWIM
-/// observation logs and the strategy-handover instants. Barrier window
-/// counts are intentionally excluded — they are scheduling artifacts,
-/// not observables. Hop traces are compared separately (see
-/// [`traces_match`]): they are an *observation* whose presence depends
-/// on the instrumentation config, so an untraced run can still match a
-/// traced one in the virtual world — which is exactly what the tracer's
-/// passivity tests assert.
-pub fn outcomes_match(a: &ArchOutcome, b: &ArchOutcome) -> bool {
-    a.deliveries == b.deliveries
-        && a.ledgers == b.ledgers
-        && a.stats == b.stats
-        && a.events == b.events
-        && a.telemetry == b.telemetry
-        && a.swim == b.swim
-        && a.handovers == b.handovers
+/// The virtual world is compared in a fixed order — per-node delivery
+/// logs, fairness ledgers, transport statistics, SWIM observation logs,
+/// strategy-handover instants, then the event count — and then every
+/// instrument artifact that *both* runs carry: the telemetry series, the
+/// merged hop trace and the profile's merged work counters.
+///
+/// The event count is a run-wide total that almost any divergence moves,
+/// so it comes after the per-node records: a divergence names a node
+/// whenever a node's record differs. An artifact only one run carries is
+/// an instrumentation choice, not a divergence, so an uninstrumented run
+/// can match an instrumented one in the virtual world. `probe_calls`
+/// counts telemetry hook calls, so it is compared only when both runs
+/// carry telemetry. Barrier windows, shard counts and the profile's
+/// wall-clock timings are scheduling artifacts and host measurements,
+/// never compared.
+pub fn first_divergence(a: &ArchOutcome, b: &ArchOutcome) -> Option<Divergence> {
+    use std::slice::from_ref;
+    let (n, m) = (a.deliveries.len(), b.deliveries.len());
+    first_in("nodes", None, from_ref(&n), from_ref(&m))
+        .or_else(|| first_per_node("deliveries", &a.deliveries, &b.deliveries, Vec::as_slice))
+        .or_else(|| first_per_node("ledgers", &a.ledgers, &b.ledgers, from_ref))
+        .or_else(|| first_per_node("stats", &a.stats, &b.stats, from_ref))
+        .or_else(|| first_per_node("swim", &a.swim, &b.swim, Vec::as_slice))
+        .or_else(|| first_per_node("handovers", &a.handovers, &b.handovers, from_ref))
+        .or_else(|| first_in("events", None, from_ref(&a.events), from_ref(&b.events)))
+        .or_else(|| {
+            let (x, y) = (a.telemetry.as_ref()?, b.telemetry.as_ref()?);
+            first_in("telemetry", None, from_ref(&x.spec), from_ref(&y.spec))
+                .or_else(|| first_in("telemetry", None, &x.windows, &y.windows))
+        })
+        .or_else(|| first_in("trace", None, a.trace.as_ref()?, b.trace.as_ref()?))
+        .or_else(|| {
+            let mut x = a.profiling.as_ref()?.merged_work();
+            let mut y = b.profiling.as_ref()?.merged_work();
+            if a.telemetry.is_none() || b.telemetry.is_none() {
+                (x.probe_calls, y.probe_calls) = (0, 0);
+            }
+            first_in("work", None, from_ref(&x), from_ref(&y))
+        })
 }
 
-/// `true` when two outcomes carry byte-identical merged hop traces —
-/// including both being untraced. Used alongside [`outcomes_match`]
-/// wherever the two runs share the same `[trace]` config (the parity
-/// gate, the TRACE experiment, the `trace_parity` suite).
-pub fn traces_match(a: &ArchOutcome, b: &ArchOutcome) -> bool {
-    a.trace == b.trace
+/// `true` when two outcomes describe the same run: no
+/// [`first_divergence`].
+pub fn outcomes_match(a: &ArchOutcome, b: &ArchOutcome) -> bool {
+    first_divergence(a, b).is_none()
 }
 
 /// Runs the parity gate for one scenario: sequential baseline, then the
-/// cluster at each of `shard_counts`, all compared bit for bit.
+/// cluster at each of `shard_counts`, each compared by
+/// [`first_divergence`].
 pub fn parity_gate(name: &str, spec: &ScenarioSpec, shard_counts: &[usize]) -> ParityReport {
     let mut table = Table::new(
         format!("PARITY {name}: {} (n={})", spec.arch, spec.n),
@@ -389,24 +481,24 @@ pub fn parity_gate(name: &str, spec: &ScenarioSpec, shard_counts: &[usize]) -> P
         fmt_f64(base_wall),
         "baseline".to_string(),
     ]);
-    let mut identical = true;
+    let mut divergences = Vec::new();
     for &shards in shard_counts {
         let spec = spec.clone().with_shards(shards);
         let start = Instant::now();
         let outcome = run_architecture(&spec, EngineKind::Cluster);
         let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-        let same = outcomes_match(&baseline, &outcome) && traces_match(&baseline, &outcome);
-        identical &= same;
+        let divergence = first_divergence(&baseline, &outcome);
         table.row_owned(vec![
             "cluster".to_string(),
             shards.to_string(),
             outcome.events.to_string(),
             outcome.total_deliveries().to_string(),
             fmt_f64(wall_ms),
-            same.to_string(),
+            divergence.is_none().to_string(),
         ]);
+        divergences.extend(divergence.map(|d| (shards, d)));
     }
-    ParityReport { table, identical }
+    ParityReport { table, divergences }
 }
 
 /// Display name of a scenario file: its `[scenario] name`, else the file
@@ -425,7 +517,7 @@ mod tests {
     use fed_telemetry::TelemetrySpec;
     use fed_workload::scenario::Architecture;
 
-    fn small_spec() -> ScenarioSpec {
+    fn splitstream_spec() -> ScenarioSpec {
         let mut spec = ScenarioSpec::standard(Architecture::SplitStream, 32, 9)
             .with_telemetry(TelemetrySpec::default());
         spec.plan.duration = fed_sim::SimTime::from_secs(2);
@@ -434,7 +526,7 @@ mod tests {
 
     #[test]
     fn run_scenario_builds_all_tables() {
-        let report = run_scenario("unit", &small_spec());
+        let report = run_scenario("unit", &splitstream_spec());
         assert_eq!(report.engine, EngineKind::Sequential);
         assert_eq!(report.summary.len(), 1);
         assert_eq!(report.fairness.len(), 2);
@@ -446,7 +538,7 @@ mod tests {
 
     #[test]
     fn profiled_scenario_adds_profile_tables() {
-        let spec = small_spec().with_profile(fed_profile::ProfileSpec::default());
+        let spec = splitstream_spec().with_profile(fed_profile::ProfileSpec::default());
         let seq = run_scenario("unit", &spec);
         assert_eq!(seq.profile_tables.len(), 2, "phases + work, no stalls");
         let clu = run_scenario("unit", &spec.with_shards(3));
@@ -456,16 +548,96 @@ mod tests {
 
     #[test]
     fn cluster_engine_used_when_shards_requested() {
-        let report = run_scenario("unit", &small_spec().with_shards(3));
+        let report = run_scenario("unit", &splitstream_spec().with_shards(3));
         assert_eq!(report.engine, EngineKind::Cluster);
         assert!(report.outcome.windows > 0);
     }
 
     #[test]
     fn parity_gate_passes_for_a_small_scenario() {
-        let report = parity_gate("unit", &small_spec(), PARITY_SHARDS);
-        assert!(report.identical, "{}", report.table);
+        let report = parity_gate("unit", &splitstream_spec(), PARITY_SHARDS);
+        assert!(report.divergences.is_empty(), "{:?}", report.divergences);
         assert_eq!(report.table.len(), 1 + PARITY_SHARDS.len());
+    }
+
+    /// One small outcome carrying every artifact: fair gossip with the
+    /// detector, telemetry, the profiler and the tracer on.
+    fn armed_outcome() -> ArchOutcome {
+        let mut spec = ScenarioSpec::standard(Architecture::FairGossip, 16, 3)
+            .with_membership()
+            .with_telemetry(TelemetrySpec::default())
+            .with_profile(fed_profile::ProfileSpec::default())
+            .with_trace(fed_trace::TraceSpec::default());
+        spec.plan.duration = fed_sim::SimTime::from_secs(1);
+        run_architecture(&spec, EngineKind::Sequential)
+    }
+
+    /// Each single-field perturbation is reported as exactly that
+    /// observable, node and index; an identical copy, or one that differs
+    /// only in wall-clock profile timings, is no divergence.
+    #[test]
+    fn first_divergence_names_each_perturbed_field() {
+        use fed_membership::swim::{SwimObservation, SwimObservationKind};
+        use fed_sim::{NodeId, SimTime};
+        let base = armed_outcome();
+        let (node, entry) = (5, 2);
+        assert!(base.deliveries[node].len() > entry, "node {node} delivers");
+        let window = 3;
+        let hop = base.trace.as_ref().expect("traced").len() / 2;
+        let swim_len = base.swim[node].len();
+        type Perturb = fn(&mut ArchOutcome);
+        let cases: [(&str, Option<usize>, usize, Perturb); 9] = [
+            ("deliveries", Some(node), entry, |o| {
+                let at = &mut o.deliveries[5][2].1;
+                *at = SimTime::from_micros(at.as_micros() + 1);
+            }),
+            ("ledgers", Some(node), 0, |o| o.ledgers[5].record_publish(1)),
+            ("stats", Some(node), 0, |o| o.stats[5].bytes_received += 1),
+            ("swim", Some(node), swim_len, |o| {
+                o.swim[5].push(SwimObservation {
+                    at: SimTime::from_secs(1),
+                    subject: NodeId::new(0),
+                    kind: SwimObservationKind::Suspect,
+                });
+            }),
+            ("handovers", Some(node), 0, |o| {
+                o.handovers[5] = Some(SimTime::from_secs(1));
+            }),
+            ("events", None, 0, |o| o.events += 1),
+            ("telemetry", None, window, |o| {
+                o.telemetry.as_mut().unwrap().windows[3].events += 1;
+            }),
+            ("trace", None, hop, |o| {
+                let hops = o.trace.as_mut().unwrap();
+                let h = hops.len() / 2;
+                hops[h].bytes += 1;
+            }),
+            ("work", None, 0, |o| {
+                o.profiling.as_mut().unwrap().work[0].msgs_sent += 1;
+            }),
+        ];
+        for (observable, node, index, perturb) in cases {
+            let mut changed = base.clone();
+            perturb(&mut changed);
+            let d = first_divergence(&base, &changed).expect(observable);
+            assert_eq!(
+                (d.observable, d.node, d.index),
+                (observable, node, index),
+                "{d}"
+            );
+            assert_ne!(d.left, d.right, "{d}");
+        }
+        assert_eq!(first_divergence(&base, &base.clone()), None);
+        let mut timed = base.clone();
+        let profile = timed.profiling.as_mut().unwrap();
+        profile.wall_ns += 12_345;
+        for shard in &mut profile.shards {
+            shard.phases.execute_ns += 1;
+            for w in &mut shard.windows {
+                w.execute_ns += 1;
+            }
+        }
+        assert_eq!(first_divergence(&base, &timed), None);
     }
 
     #[test]

@@ -209,7 +209,7 @@ pub fn run(suite: &str, sweep_seed: u64, workloads: u64) -> SweepResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario_run::outcomes_match;
+    use crate::scenario_run::first_divergence;
     use fed_workload::ScenarioSpec;
 
     /// One tiny generated workload, summarized on both engines: the
@@ -221,7 +221,11 @@ mod tests {
             let spec = spec.clone().with_arch(arch);
             let seq = run_architecture(&spec, EngineKind::Sequential);
             let clu = run_architecture(&spec, EngineKind::Cluster);
-            assert!(outcomes_match(&seq, &clu), "{arch} outcomes diverged");
+            assert_eq!(
+                first_divergence(&seq, &clu),
+                None,
+                "{arch} outcomes diverged"
+            );
             assert_eq!(
                 summarize(&seq, 3),
                 summarize(&clu, 3),

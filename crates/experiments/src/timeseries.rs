@@ -23,6 +23,7 @@
 
 use crate::bench_json::Row;
 use crate::harness::{run_architecture, EngineKind};
+use crate::scenario_run::{first_divergence, Divergence};
 use fed_metrics::table::{fmt_f64, Table};
 use fed_sim::{SimDuration, SimTime};
 use fed_telemetry::membership::MembershipSeries;
@@ -71,9 +72,8 @@ pub fn timeseries_spec(arch: Architecture, n: usize, seed: u64) -> ScenarioSpec 
 pub struct ArchSeries {
     /// The architecture.
     pub arch: Architecture,
-    /// Whether the sequential and sharded observables (telemetry series,
-    /// SWIM observation logs, handover instants) are byte-identical
-    /// (must be `true`).
+    /// Whether the sequential and sharded runs are byte-identical, the
+    /// telemetry series included (must be `true`).
     pub identical: bool,
     /// The (shared) series, from the sharded run.
     pub series: TelemetrySeries,
@@ -163,8 +163,9 @@ pub struct TimeseriesResult {
     pub table: Table,
     /// Sampled series, in [`Architecture::ALL`] order.
     pub archs: Vec<ArchSeries>,
-    /// Whether every architecture passed the series parity gate.
-    pub identical: bool,
+    /// The first architecture whose sequential and sharded runs differ,
+    /// and where (must be `None`).
+    pub divergence: Option<(Architecture, Divergence)>,
     /// The rendered `BENCH_timeseries.json` document.
     pub json: String,
 }
@@ -189,15 +190,14 @@ pub fn run(n: usize, shards: usize, seed: u64) -> TimeseriesResult {
         ],
     );
     let mut archs = Vec::new();
-    let mut identical = true;
+    let mut divergence = None;
     for arch in Architecture::ALL {
         let spec = timeseries_spec(arch, n, seed);
         let sequential = run_architecture(&spec, EngineKind::Sequential);
         let cluster = run_architecture(&spec.clone().with_shards(shards), EngineKind::Cluster);
-        let series_match = sequential.telemetry == cluster.telemetry
-            && sequential.swim == cluster.swim
-            && sequential.handovers == cluster.handovers;
-        identical &= series_match;
+        let diverged = first_divergence(&sequential, &cluster);
+        let series_match = diverged.is_none();
+        divergence = divergence.or(diverged.map(|d| (arch, d)));
         let membership = cluster.membership_series(SimDuration::from_millis(500));
         let entry = ArchSeries {
             arch,
@@ -227,7 +227,7 @@ pub fn run(n: usize, shards: usize, seed: u64) -> TimeseriesResult {
     TimeseriesResult {
         table,
         archs,
-        identical,
+        divergence,
         json,
     }
 }
@@ -327,7 +327,7 @@ mod tests {
     fn json_document_renders_every_architecture() {
         // Tiny run: the document structure matters here, not the data.
         let r = run(24, 2, 11);
-        assert!(r.identical, "parity gate failed");
+        assert_eq!(r.divergence, None, "parity gate failed");
         assert_eq!(r.archs.len(), Architecture::ALL.len());
         for arch in Architecture::ALL {
             assert!(

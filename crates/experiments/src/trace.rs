@@ -20,6 +20,7 @@
 use crate::bench_json::{events_per_sec, Row};
 use crate::harness::{run_architecture, EngineKind};
 use crate::scale::{measure_overhead, timed_best_of, OverheadPoint, SmokeConfig};
+use crate::scenario_run::{first_divergence, Divergence};
 use fed_metrics::table::{fmt_f64, Table};
 use fed_sim::{HopRecord, SimDuration, SimTime};
 use fed_trace::{analyze, attribution, EventTrace, TraceSpec};
@@ -242,10 +243,10 @@ pub struct TraceResult {
     pub event_table: Table,
     /// Per-node forwarding-cost attribution of the traced run.
     pub attribution_table: Table,
-    /// Whether the sequential and cluster runs agreed on every
-    /// observable *and* produced byte-identical merged hop traces (must
-    /// be `true`).
-    pub identical: bool,
+    /// Where the runs first differ: the full-rate sequential and cluster
+    /// runs on the virtual world and the merged hop trace, the untraced
+    /// and sampled runs on the virtual world (must be `None`).
+    pub divergence: Option<Divergence>,
     /// Machine-readable row for `BENCH_trace.json`.
     pub records: Vec<Row>,
 }
@@ -278,10 +279,12 @@ pub fn run(n: usize, shards: usize, seed: u64) -> TraceResult {
     let point = tracer_overhead(&sampled, 3);
 
     let seq_trace = seq.trace.as_ref().expect("tracing on");
-    let identical = crate::scenario_run::outcomes_match(&seq, &clu)
-        && crate::scenario_run::traces_match(&seq, &clu)
-        && crate::scenario_run::outcomes_match(&seq, &point.on)
-        && crate::scenario_run::outcomes_match(&seq, &point.off);
+    // The sampled run's trace is a subset of the full one, so it is
+    // compared with the untraced run, which carries no trace.
+    let divergence = first_divergence(&seq, &clu)
+        .or_else(|| first_divergence(&seq, &point.off))
+        .or_else(|| first_divergence(&point.off, &point.on));
+    let identical = divergence.is_none();
 
     let mut summary = Table::new(
         format!("TRACE: instrumentation overhead (n={n}, shards={shards})"),
@@ -332,7 +335,7 @@ pub fn run(n: usize, shards: usize, seed: u64) -> TraceResult {
         tree_table: summary_table(name, seq_trace, &events),
         event_table: event_table(name, &events, 10),
         attribution_table: attribution_table(name, seq_trace, 15),
-        identical,
+        divergence,
         records,
     }
 }
@@ -369,7 +372,7 @@ mod tests {
     #[test]
     fn trace_experiment_gates_parity_and_builds_tables() {
         let r = run(48, 3, 42);
-        assert!(r.identical, "traced engines diverged");
+        assert_eq!(r.divergence, None, "traced engines diverged");
         assert_eq!(r.summary.len(), 3);
         assert_eq!(r.tree_table.len(), 1);
         assert!(!r.event_table.is_empty(), "no events traced");
@@ -393,8 +396,9 @@ mod tests {
     #[test]
     fn tracing_is_passive() {
         let p = tracer_overhead(&trace_scenario(32, 2, 11), 1);
-        assert!(
-            crate::scenario_run::outcomes_match(&p.off, &p.on),
+        assert_eq!(
+            first_divergence(&p.off, &p.on),
+            None,
             "tracing changed a result"
         );
         assert!(p.off.trace.is_none());
@@ -403,16 +407,16 @@ mod tests {
 
     #[test]
     fn sampling_cuts_the_buffer_without_perturbing_the_run() {
-        let full = run_architecture(&trace_scenario(32, 1, 5), EngineKind::Sequential);
+        let mut full = run_architecture(&trace_scenario(32, 1, 5), EngineKind::Sequential);
         let mut spec = trace_scenario(32, 1, 5);
         spec.trace = Some(TraceSpec {
             sample_rate: 0.25,
             ..TraceSpec::default()
         });
-        let sampled = run_architecture(&spec, EngineKind::Sequential);
-        assert!(crate::scenario_run::outcomes_match(&full, &sampled));
-        let full_hops = full.trace.unwrap();
-        let some_hops = sampled.trace.unwrap();
+        let mut sampled = run_architecture(&spec, EngineKind::Sequential);
+        let full_hops = full.trace.take().unwrap();
+        let some_hops = sampled.trace.take().unwrap();
+        assert_eq!(first_divergence(&full, &sampled), None);
         assert!(!some_hops.is_empty() && some_hops.len() < full_hops.len());
         // The sampled buffer is exactly the filtered full buffer.
         let filtered: Vec<_> = full_hops

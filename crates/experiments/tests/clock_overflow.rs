@@ -8,7 +8,7 @@
 //! arithmetic) and without a wrapped sum delivering a message early.
 
 use fed_experiments::harness::{run_architecture, ArchOutcome, EngineKind};
-use fed_experiments::scenario_run::outcomes_match;
+use fed_experiments::scenario_run::first_divergence;
 use fed_workload::scenario_file::parse_scenario;
 
 /// A small splitstream world on the given `[network]` body.
@@ -28,7 +28,11 @@ fn run_both(text: &str) -> ArchOutcome {
     let spec = parse_scenario(text).expect("scenario parses").spec;
     let sequential = run_architecture(&spec, EngineKind::Sequential);
     let cluster = run_architecture(&spec.clone().with_shards(2), EngineKind::Cluster);
-    assert!(outcomes_match(&sequential, &cluster), "engines diverge");
+    assert_eq!(
+        first_divergence(&sequential, &cluster),
+        None,
+        "engines diverge"
+    );
     sequential
 }
 

@@ -2,18 +2,12 @@
 //!
 //! * every `scenarios/*.toml` parses strictly, materializes, and
 //!   round-trips through the serializer;
-//! * every library scenario is engine-agnostic (seq vs cluster at
-//!   shards {1, 4} plus the file's own shard count, bit-identical) when
-//!   downscaled to test size — CI runs the full-size gate via
-//!   `fed-experiments parity @all`;
 //! * the README's "Available ids" sentence matches the experiment
 //!   registry, so the hand-written line can never go stale;
 //! * every complete TOML example in `docs/SCENARIOS.md` parses with the
 //!   shipped parser (fragments are marked `# fragment` and skipped).
 
-use fed_experiments::scenario_run::{
-    display_name, library, load_file, parity_gate, parity_shards_for,
-};
+use fed_experiments::scenario_run::{display_name, library, load_file};
 use fed_workload::scenario_file::{parse_scenario, spec_from_toml, to_toml};
 use std::path::{Path, PathBuf};
 
@@ -66,21 +60,6 @@ fn every_library_file_parses_materializes_and_round_trips() {
             "{}: round trip diverged",
             path.display()
         );
-    }
-}
-
-/// Downscaled twin of `fed-experiments parity @all`: the same files, the
-/// same gate, population clamped so `cargo test` stays fast. CI runs the
-/// full-size sweep in the `scenario-library` job.
-#[test]
-fn every_library_scenario_is_engine_agnostic_at_test_size() {
-    for path in library().expect("library readable") {
-        let file = load_file(&path).unwrap_or_else(|e| panic!("{e}"));
-        let name = display_name(&path, &file);
-        let mut spec = file.spec;
-        spec.n = spec.n.min(48);
-        let report = parity_gate(&name, &spec, &parity_shards_for(&spec));
-        assert!(report.identical, "{}:\n{}", path.display(), report.table);
     }
 }
 

@@ -1,80 +1,13 @@
-//! Property-based cross-engine parity: for *randomized* small scenarios —
-//! arbitrary seed, population, architecture, shard count, optional churn —
-//! the sequential engine and the sharded cluster must agree bit for bit
-//! on delivery logs, fairness ledgers and transport statistics.
-//!
-//! This generalizes the fixed-scenario `cross_engine` suite: rather than
-//! hand-picked workloads, the shard-invariance contract is hammered over
-//! the scenario space the spec can describe.
+//! Cross-engine parity over drawn small scenarios (architecture,
+//! population, seed, shard count, optional churn), frozen in
+//! `parity/mod.rs` as drawn: the sequential engine and the cluster must
+//! agree bit for bit on the whole outcome.
 
-use fed_experiments::harness::{run_architecture, EngineKind};
-use fed_sim::SimTime;
-use fed_workload::churn::ChurnPlan;
-use fed_workload::pubs::PubPlan;
-use fed_workload::scenario::{Architecture, ScenarioSpec};
-use proptest::prelude::*;
+mod parity;
 
-fn arch_strategy() -> impl Strategy<Value = Architecture> {
-    (0..Architecture::ALL.len()).prop_map(|i| Architecture::ALL[i])
-}
+use parity::check_family;
 
-/// A small, fast scenario: n ≤ 64, a two-second publication burst.
-fn small_spec(arch: Architecture, n: usize, seed: u64, churn: bool) -> ScenarioSpec {
-    let mut spec = ScenarioSpec::standard(arch, n, seed);
-    spec.plan = PubPlan {
-        rate_per_sec: 8.0,
-        duration: SimTime::from_secs(2),
-        topic_zipf_s: 1.0,
-        payload_bytes: 32,
-        warmup: SimTime::from_millis(500),
-        flash: None,
-    };
-    if churn {
-        spec.churn = Some(ChurnPlan {
-            mean_session_secs: 2.0,
-            mean_downtime_secs: 1.0,
-            churning_fraction: 0.2,
-            duration: SimTime::from_secs(2),
-            warmup: SimTime::from_millis(500),
-        });
-    }
-    spec
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Randomized scenarios agree across engines at an arbitrary shard
-    /// count.
-    #[test]
-    fn randomized_scenarios_are_engine_agnostic(
-        arch in arch_strategy(),
-        n in 2usize..=64,
-        seed in any::<u64>(),
-        shards in 1usize..=8,
-        churn in any::<bool>(),
-    ) {
-        let spec = small_spec(arch, n, seed, churn);
-        let expected = run_architecture(&spec, EngineKind::Sequential);
-        let got = run_architecture(&spec.clone().with_shards(shards), EngineKind::Cluster);
-        prop_assert_eq!(
-            &got.deliveries,
-            &expected.deliveries,
-            "{} n={} shards={} churn={}: delivery logs diverged",
-            arch, n, shards, churn
-        );
-        prop_assert_eq!(
-            &got.ledgers,
-            &expected.ledgers,
-            "{} n={} shards={} churn={}: ledgers diverged",
-            arch, n, shards, churn
-        );
-        prop_assert_eq!(
-            &got.stats,
-            &expected.stats,
-            "{} n={} shards={} churn={}: transport stats diverged",
-            arch, n, shards, churn
-        );
-        prop_assert_eq!(got.events, expected.events);
-    }
+#[test]
+fn randomized_scenarios_are_engine_agnostic() {
+    check_family("scenario_properties::randomized_scenarios_are_engine_agnostic");
 }

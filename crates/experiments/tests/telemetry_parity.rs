@@ -1,149 +1,53 @@
 //! Telemetry series parity: for the same spec, the sequential engine's
 //! single collector and the sharded engine's merged per-shard collectors
-//! must produce **byte-identical** [`TelemetrySeries`] at every shard
-//! count — including under churn and through a flash-crowd burst — and
-//! attaching telemetry must never perturb the virtual-world outcome.
+//! must produce the same `TelemetrySeries` at every shard count,
+//! including under churn and through a flash-crowd burst, and attaching
+//! telemetry must never perturb the virtual-world outcome.
 //!
-//! This is the observability twin of `cross_engine.rs`: that suite pins
-//! the execution itself, this one pins what the probes see of it.
+//! The cells live in `parity/mod.rs`; each reference run must see sends
+//! and delivery latencies.
 
-use fed_experiments::harness::{run_architecture, ArchOutcome, EngineKind};
-use fed_experiments::timeseries::timeseries_spec;
-use fed_sim::{SimDuration, SimTime};
-use fed_telemetry::TelemetrySpec;
-use fed_workload::churn::ChurnPlan;
-use fed_workload::pubs::{FlashCrowd, PubPlan};
-use fed_workload::scenario::{Architecture, ScenarioSpec};
+mod parity;
 
-/// A small, busy scenario with telemetry at 250 ms windows.
-fn spec(arch: Architecture, n: usize, churn: bool, flash: bool) -> ScenarioSpec {
-    let mut spec = ScenarioSpec::standard(arch, n, 42);
-    spec.plan = PubPlan {
-        rate_per_sec: 12.0,
-        duration: SimTime::from_secs(3),
-        topic_zipf_s: 1.0,
-        payload_bytes: 64,
-        warmup: SimTime::from_secs(1),
-        flash: flash.then_some(FlashCrowd {
-            at: SimTime::from_millis(2_500),
-            topic_zipf_s: 3.0,
-            rate_factor: 3.0,
-        }),
-    };
-    if churn {
-        spec.churn = Some(ChurnPlan {
-            mean_session_secs: 2.0,
-            mean_downtime_secs: 1.0,
-            churning_fraction: 0.25,
-            duration: SimTime::from_secs(3),
-            warmup: SimTime::from_secs(1),
-        });
-    }
-    spec.telemetry = Some(TelemetrySpec::default().with_window(SimDuration::from_millis(250)));
-    spec
-}
-
-/// Sanity guard: a parity assertion over a dead or idle series proves
-/// nothing.
-fn assert_series_is_live(outcome: &ArchOutcome, what: &str) {
-    let series = outcome.telemetry.as_ref().expect("telemetry enabled");
-    assert!(
-        series.windows.iter().any(|w| w.msgs_sent > 0),
-        "{what}: series never saw a send"
-    );
-    assert!(
-        series.windows.iter().any(|w| w.latency_hist.count() > 0),
-        "{what}: series never saw a delivery latency"
-    );
-}
-
-fn assert_telemetry_parity(spec: &ScenarioSpec, shard_counts: &[usize]) {
-    let expected = run_architecture(spec, EngineKind::Sequential);
-    assert_series_is_live(&expected, &format!("{} sequential", spec.arch));
-    for &shards in shard_counts {
-        let got = run_architecture(&spec.clone().with_shards(shards), EngineKind::Cluster);
-        assert_eq!(
-            got.telemetry, expected.telemetry,
-            "{} with {shards} shards: telemetry series diverged",
-            spec.arch
-        );
-        // Telemetry is passive: the virtual world itself must also match.
-        assert_eq!(
-            got.deliveries, expected.deliveries,
-            "{} with {shards} shards: deliveries diverged under telemetry",
-            spec.arch
-        );
-        assert_eq!(
-            got.events, expected.events,
-            "{} with {shards} shards: event counts diverged under telemetry",
-            spec.arch
-        );
-    }
-}
+use parity::check_family;
 
 #[test]
 fn fair_gossip_series_parity_across_shard_counts() {
-    assert_telemetry_parity(
-        &spec(Architecture::FairGossip, 96, false, false),
-        &[1, 2, 4, 7],
-    );
+    check_family("telemetry_parity::fair_gossip_series_parity_across_shard_counts");
 }
 
 #[test]
 fn fair_gossip_series_parity_under_churn_and_flash_crowd() {
-    assert_telemetry_parity(
-        &spec(Architecture::FairGossip, 96, true, true),
-        &[1, 2, 4, 7],
-    );
+    check_family("telemetry_parity::fair_gossip_series_parity_under_churn_and_flash_crowd");
 }
 
 #[test]
 fn splitstream_series_parity_under_churn_and_flash_crowd() {
-    assert_telemetry_parity(
-        &spec(Architecture::SplitStream, 96, true, true),
-        &[1, 2, 4, 7],
-    );
+    check_family("telemetry_parity::splitstream_series_parity_under_churn_and_flash_crowd");
 }
 
 #[test]
 fn broker_hotspot_series_parity() {
-    // The broker concentrates everything on node 0 — the worst case for
-    // per-node load accounting split across shards.
-    assert_telemetry_parity(&spec(Architecture::Broker, 96, false, true), &[2, 7]);
+    check_family("telemetry_parity::broker_hotspot_series_parity");
 }
 
-/// Every architecture passes the gate at one representative shard count
-/// with both stressors on.
+/// Every architecture at three shards with both stressors on; fair
+/// gossip's cell is `telemetry_never_perturbs_the_run`'s.
 #[test]
 fn every_architecture_series_parity_at_three_shards() {
-    for arch in Architecture::ALL {
-        assert_telemetry_parity(&spec(arch, 64, true, true), &[3]);
-    }
+    check_family("telemetry_parity::every_architecture_series_parity_at_three_shards");
 }
 
-/// Telemetry attached vs detached: the observable outcome (deliveries,
-/// ledgers, stats, events) is bit-identical — the probe is free of
-/// side effects on either engine.
+/// Telemetry attached and detached, on both engines: the outcome is the
+/// same.
 #[test]
 fn telemetry_never_perturbs_the_run() {
-    let with = spec(Architecture::FairGossip, 64, true, true);
-    let mut without = with.clone();
-    without.telemetry = None;
-    for engine in [EngineKind::Sequential, EngineKind::Cluster] {
-        let probed = run_architecture(&with.clone().with_shards(3), engine);
-        let bare = run_architecture(&without.clone().with_shards(3), engine);
-        assert_eq!(probed.deliveries, bare.deliveries);
-        assert_eq!(probed.ledgers, bare.ledgers);
-        assert_eq!(probed.stats, bare.stats);
-        assert_eq!(probed.events, bare.events);
-        assert!(probed.telemetry.is_some() && bare.telemetry.is_none());
-    }
+    check_family("telemetry_parity::telemetry_never_perturbs_the_run");
 }
 
-/// The timeseries experiment's own scenario holds the parity gate at the
-/// shard counts the experiment does not sweep.
+/// The timeseries experiment's own scenario at the shard counts the
+/// experiment does not sweep.
 #[test]
 fn experiment_scenario_series_parity() {
-    let spec = timeseries_spec(Architecture::Dam, 64, 42);
-    assert_telemetry_parity(&spec, &[2, 7]);
+    check_family("telemetry_parity::experiment_scenario_series_parity");
 }

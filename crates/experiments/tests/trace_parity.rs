@@ -1,251 +1,68 @@
 //! Hop-trace parity: for the same traced spec, the sequential engine's
-//! trace buffer and the sharded engine's merged per-shard buffers must
-//! be **byte-identical** at every shard count — across architectures,
-//! churn, scheduled faults and sampling rates — and attaching a tracer
-//! must never perturb the virtual-world outcome.
+//! trace buffer and the sharded engine's merged per-shard buffers must be
+//! the same at every shard count, across architectures, churn, scheduled
+//! faults and sampling rates, and attaching a tracer must never perturb
+//! the virtual-world outcome.
 //!
-//! This is the tracing sibling of `profile_parity.rs` (work counters)
-//! and `telemetry_parity.rs` (probe series): each suite pins one
-//! instrument's view of the run. Hop records are emitted on the
+//! The cells live in `parity/mod.rs`. Hop records are emitted on the
 //! sender-owning shard and merged in canonical order, so the merged
-//! cluster buffer is not merely equivalent to the sequential one — it is
-//! the same byte sequence.
+//! cluster buffer is the same sequence as the sequential one.
 
-use fed_experiments::harness::{run_architecture, ArchOutcome, EngineKind};
-use fed_experiments::scenario_run::{outcomes_match, traces_match};
-use fed_sim::network::{DelayFault, FaultSchedule, OnewayFault, PartitionFault};
-use fed_sim::{HopKind, SimDuration, SimTime};
+mod parity;
+
+use fed_experiments::harness::{run_architecture, EngineKind};
 use fed_trace::TraceSpec;
-use fed_workload::churn::ChurnPlan;
-use fed_workload::pubs::{FlashCrowd, PubPlan};
-use fed_workload::scenario::{Architecture, ScenarioSpec};
-use std::collections::BTreeSet;
+use fed_workload::scenario::Architecture;
+use parity::{check_family, sampled_spec, workload};
 
-/// The acceptance shard sweep: one-shard cluster, powers of two, and a
-/// prime that leaves shards unevenly populated.
-const SHARDS: &[usize] = &[1, 2, 4, 7];
-
-/// A small, busy traced scenario (full sampling unless overridden).
-fn traced_spec(arch: Architecture, n: usize, seed: u64) -> ScenarioSpec {
-    let mut spec = ScenarioSpec::standard(arch, n, seed);
-    spec.plan = PubPlan {
-        rate_per_sec: 10.0,
-        duration: SimTime::from_secs(3),
-        topic_zipf_s: 1.0,
-        payload_bytes: 64,
-        warmup: SimTime::from_secs(1),
-        flash: None,
-    };
-    spec.with_trace(TraceSpec::default())
-}
-
-/// Gates `spec` across [`SHARDS`]: every cluster run must match the
-/// sequential baseline on every virtual-world observable *and* on the
-/// merged hop trace, byte for byte. Returns the sequential outcome so
-/// callers can make further assertions about what was traced.
-fn assert_trace_parity(spec: &ScenarioSpec, what: &str) -> ArchOutcome {
-    let baseline = run_architecture(spec, EngineKind::Sequential);
-    let hops = baseline.trace.as_ref().expect("tracing enabled");
-    assert!(!hops.is_empty(), "{what}: nothing was traced");
-    for &shards in SHARDS {
-        let got = run_architecture(&spec.clone().with_shards(shards), EngineKind::Cluster);
-        assert!(
-            outcomes_match(&baseline, &got),
-            "{what} at {shards} shards: virtual world diverged"
-        );
-        assert!(
-            traces_match(&baseline, &got),
-            "{what} at {shards} shards: merged hop trace is not byte-identical"
-        );
-    }
-    baseline
-}
-
-/// The hop kinds `outcome`'s trace contains.
-fn kinds_of(outcome: &ArchOutcome) -> BTreeSet<HopKind> {
-    outcome
-        .trace
-        .as_ref()
-        .expect("tracing enabled")
-        .iter()
-        .map(|h| h.kind)
-        .collect()
-}
-
-/// Every architecture's hop trace merges byte-identically, and each
-/// baseline tags its hops with its own distinguishable vocabulary.
+/// Every architecture's hop trace merges identically, and each tags its
+/// hops with its own vocabulary.
 #[test]
 fn every_architecture_trace_parity_with_distinct_hop_kinds() {
-    use HopKind::*;
-    let expected_kinds: &[(Architecture, &[HopKind])] = &[
-        (Architecture::FairGossip, &[GossipPush]),
-        (Architecture::StaticGossip, &[GossipPush]),
-        (Architecture::Broker, &[BrokerIngress, BrokerNotify]),
-        (Architecture::Scribe, &[TreeToRoot, TreeEdge]),
-        (Architecture::Dks, &[DhtRoute, GroupFlood]),
-        (Architecture::Dam, &[GossipHandoff, GossipPush]),
-        (Architecture::SplitStream, &[StripeToRoot, StripeEdge]),
-        (Architecture::Hybrid, &[BrokerIngress, BrokerNotify]),
-    ];
-    for &(arch, kinds) in expected_kinds {
-        let outcome = assert_trace_parity(&traced_spec(arch, 48, 42), arch.name());
-        let seen = kinds_of(&outcome);
-        for kind in kinds {
-            assert!(
-                seen.contains(kind),
-                "{arch}: expected {kind:?} hops, saw {seen:?}"
-            );
-        }
-    }
+    check_family("trace_parity::every_architecture_trace_parity_with_distinct_hop_kinds");
 }
 
 /// Churn plus a flash crowd: nodes leave and rejoin mid-dissemination
-/// and the hot topic bursts, yet the merged trace stays byte-identical.
+/// and the hot topic bursts.
 #[test]
 fn trace_parity_under_churn_and_flash_crowd() {
-    let mut spec = traced_spec(Architecture::FairGossip, 80, 7);
-    spec.plan.flash = Some(FlashCrowd {
-        at: SimTime::from_millis(2_500),
-        topic_zipf_s: 3.0,
-        rate_factor: 3.0,
-    });
-    spec.churn = Some(ChurnPlan {
-        mean_session_secs: 2.0,
-        mean_downtime_secs: 1.0,
-        churning_fraction: 0.25,
-        duration: SimTime::from_secs(3),
-        warmup: SimTime::from_secs(1),
-    });
-    assert_trace_parity(&spec, "churn + flash crowd");
+    check_family("trace_parity::trace_parity_under_churn_and_flash_crowd");
 }
 
-/// The full fault vocabulary — partition, one-way failure, delay spike —
-/// layered on churn: dropped hops are recorded with `deliver_time: None`
-/// on every engine, identically.
+/// Partition, one-way failure and delay spike layered on churn: dropped
+/// hops are recorded with `deliver_time: None` on every engine.
 #[test]
 fn trace_parity_under_scheduled_faults() {
-    let mut spec = traced_spec(Architecture::FairGossip, 64, 11);
-    spec.churn = Some(ChurnPlan {
-        mean_session_secs: 2.0,
-        mean_downtime_secs: 1.0,
-        churning_fraction: 0.15,
-        duration: SimTime::from_secs(3),
-        warmup: SimTime::from_secs(1),
-    });
-    spec = spec.with_faults(FaultSchedule {
-        partition: Some(PartitionFault {
-            at: SimTime::from_millis(1_200),
-            heal: SimTime::from_millis(2_000),
-            split: 32,
-        }),
-        oneway: Some(OnewayFault {
-            at: SimTime::from_millis(2_200),
-            until: SimTime::from_millis(2_800),
-            split: 16,
-        }),
-        delay: Some(DelayFault {
-            at: SimTime::from_millis(2_800),
-            until: SimTime::from_millis(3_400),
-            extra: SimDuration::from_millis(40),
-        }),
-    });
-    let outcome = assert_trace_parity(&spec, "partition + oneway + delay");
-    let hops = outcome.trace.as_ref().expect("tracing enabled");
-    assert!(
-        hops.iter().any(|h| h.deliver_time.is_none()),
-        "a partitioned run must trace some dropped hops"
-    );
-    assert!(
-        hops.iter().any(|h| h.deliver_time.is_some()),
-        "the run must still deliver something"
-    );
+    check_family("trace_parity::trace_parity_under_scheduled_faults");
 }
 
-/// Sampling keeps parity: a fractional rate with a custom salt selects
-/// the same whole-event subset on every engine and shard count, and the
-/// sampled buffer is a strict subset of the full one.
+/// Sampling keeps parity, and selects whole events by hash: the sampled
+/// trace is exactly the full trace filtered by `fed_trace::sampled`, and
+/// smaller.
 #[test]
 fn trace_parity_is_sampling_invariant() {
-    let full = assert_trace_parity(&traced_spec(Architecture::FairGossip, 64, 5), "full rate");
-    let mut spec = traced_spec(Architecture::FairGossip, 64, 5);
-    spec.trace = Some(TraceSpec {
-        sample_rate: 0.3,
-        salt: 0xFED,
-        export: None,
-    });
-    let sampled = assert_trace_parity(&spec, "sample_rate 0.3");
-    let full_hops = full.trace.as_ref().expect("tracing enabled");
-    let some_hops = sampled.trace.as_ref().expect("tracing enabled");
+    check_family("trace_parity::trace_parity_is_sampling_invariant");
+    let full_spec =
+        workload(Architecture::FairGossip, 64, 5, 10.0, 3).with_trace(TraceSpec::default());
+    let full = run_architecture(&full_spec, EngineKind::Sequential);
+    let sampled = run_architecture(&sampled_spec(), EngineKind::Sequential);
+    let (full, some) = (full.trace.expect("traced"), sampled.trace.expect("traced"));
     assert!(
-        some_hops.len() < full_hops.len(),
+        some.len() < full.len(),
         "sampling at 0.3 must shrink the buffer"
     );
-    let expected: Vec<_> = full_hops
+    let expected: Vec<_> = full
         .iter()
         .filter(|h| fed_trace::sampled(h.event, 0xFED, 0.3))
         .copied()
         .collect();
-    assert_eq!(
-        some_hops, &expected,
-        "the sampled buffer must be exactly the hash-filtered full buffer"
-    );
+    assert_eq!(some, expected);
 }
 
-/// The hybrid architecture under a mid-run partition: the broker→gossip
-/// handover fires at the same instant on both engines at shards {1, 4},
-/// and the hop trace shows the regime change — broker-tagged hops before
-/// the handover, gossip-tagged hops after.
+/// The hybrid under a mid-run partition at shards {1, 4}: the handover
+/// fires at the same instant everywhere, and the trace shows broker hops
+/// and gossip hops.
 #[test]
 fn hybrid_partition_handover_instant_parity() {
-    let mut spec = traced_spec(Architecture::Hybrid, 64, 3);
-    spec.plan = PubPlan {
-        rate_per_sec: 20.0,
-        duration: SimTime::from_secs(5),
-        topic_zipf_s: 1.0,
-        payload_bytes: 64,
-        warmup: SimTime::from_secs(1),
-        flash: Some(FlashCrowd {
-            at: SimTime::from_secs(2),
-            topic_zipf_s: 3.0,
-            rate_factor: 12.0,
-        }),
-    };
-    spec = spec.with_faults(FaultSchedule {
-        partition: Some(PartitionFault {
-            at: SimTime::from_millis(3_000),
-            heal: SimTime::from_millis(4_000),
-            split: 32,
-        }),
-        oneway: None,
-        delay: None,
-    });
-    let baseline = run_architecture(&spec, EngineKind::Sequential);
-    let handover = baseline
-        .handover_time()
-        .expect("the flash crowd must trip the broker's load spike threshold");
-    for &shards in &[1usize, 4] {
-        let got = run_architecture(&spec.clone().with_shards(shards), EngineKind::Cluster);
-        assert_eq!(
-            got.handover_time(),
-            Some(handover),
-            "handover instant diverged at {shards} shards"
-        );
-        assert_eq!(
-            got.handovers, baseline.handovers,
-            "per-node handover instants diverged at {shards} shards"
-        );
-        assert!(
-            outcomes_match(&baseline, &got) && traces_match(&baseline, &got),
-            "hybrid partition run diverged at {shards} shards"
-        );
-    }
-    let kinds = kinds_of(&baseline);
-    assert!(
-        kinds.contains(&HopKind::BrokerNotify),
-        "the broker regime must appear in the trace ({kinds:?})"
-    );
-    assert!(
-        kinds.contains(&HopKind::GossipPush),
-        "the gossip regime after handover must appear in the trace ({kinds:?})"
-    );
+    check_family("trace_parity::hybrid_partition_handover_instant_parity");
 }

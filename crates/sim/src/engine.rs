@@ -11,13 +11,14 @@
 //! results.
 
 use crate::exec::{
-    seed_streams, EventKey, EventKind, EventQueue, Kernel, Probe, QueueStats, WindowWork,
-    EXTERNAL_SRC,
+    seed_streams, EventKey, EventKind, EventQueue, HandlerPanic, Kernel, Probe, QueueStats,
+    WindowWork, EXTERNAL_SRC,
 };
 use crate::network::NetworkModel;
 use crate::protocol::{NodeId, Protocol};
 use crate::time::{SimDuration, SimTime};
 use fed_util::rng::Xoshiro256StarStar;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 pub use crate::exec::TransportStats;
 
@@ -72,6 +73,8 @@ pub struct Simulation<P: Protocol> {
     factory: BoxedFactory<P>,
     events_processed: u64,
     max_events: u64,
+    /// The event being dispatched, so that a handler's panic can name it.
+    handling: Option<(EventKey, NodeId)>,
 }
 
 impl<P: Protocol> std::fmt::Debug for Simulation<P> {
@@ -120,6 +123,7 @@ impl<P: Protocol> Simulation<P> {
             factory,
             events_processed: 0,
             max_events: 500_000_000,
+            handling: None,
         }
     }
 
@@ -241,32 +245,24 @@ impl<P: Protocol> Simulation<P> {
     /// the whole dispatch loop's wall clock as `execute_ns` (the
     /// sequential engine has no exchange or barrier phases); otherwise
     /// no clock is read.
+    ///
+    /// # Panics
+    ///
+    /// A protocol handler's panic is re-raised as a [`HandlerPanic`]
+    /// naming the event being handled (its key and virtual time, shard 0)
+    /// and the original message.
     pub fn run_until_observed<O: Probe>(&mut self, target: SimTime, obs: &mut O) -> RunReport {
         let start = self.now;
         let t0 = obs.profiles().then(std::time::Instant::now);
-        let mut events = 0u64;
-        let mut completed = true;
         // `target` is inclusive and `pop_before` exclusive, so bound the
         // pops one tick past it. At `SimTime::MAX` no such tick exists:
         // every pending event qualifies.
         let end = target.saturating_add(SimDuration::from_micros(1));
-        loop {
-            if self.events_processed >= self.max_events {
-                completed = false;
-                break;
-            }
-            let popped = if target == SimTime::MAX {
-                self.queue.pop()
-            } else {
-                self.queue.pop_before(end)
-            };
-            let Some((key, kind)) = popped else { break };
-            self.now = key.time;
-            self.events_processed += 1;
-            events += 1;
-            self.kernel
-                .dispatch_with(key, kind, &mut *self.factory, &mut self.queue, obs);
-        }
+        let drained = catch_unwind(AssertUnwindSafe(|| self.drain(target, end, obs)));
+        let (events, completed) = drained.unwrap_or_else(|payload| match self.handling {
+            Some(event) => panic!("{}", HandlerPanic::new(0, event, &*payload)),
+            None => resume_unwind(payload),
+        });
         if completed {
             self.now = self.now.max(target);
         }
@@ -288,6 +284,33 @@ impl<P: Protocol> Simulation<P> {
             });
         }
         RunReport { events, completed }
+    }
+
+    /// Pops and dispatches every event before `end` (every event, when
+    /// `target` is `SimTime::MAX`) within the event budget: the events
+    /// dispatched, and whether the budget held.
+    fn drain<O: Probe>(&mut self, target: SimTime, end: SimTime, obs: &mut O) -> (u64, bool) {
+        let mut events = 0u64;
+        loop {
+            if self.events_processed >= self.max_events {
+                return (events, false);
+            }
+            let popped = if target == SimTime::MAX {
+                self.queue.pop()
+            } else {
+                self.queue.pop_before(end)
+            };
+            let Some((key, kind)) = popped else {
+                return (events, true);
+            };
+            self.now = key.time;
+            self.events_processed += 1;
+            events += 1;
+            self.handling = Some((key, kind.dest()));
+            self.kernel
+                .dispatch_with(key, kind, &mut *self.factory, &mut self.queue, obs);
+            self.handling = None;
+        }
     }
 
     /// Push/pop/overflow counters of the global event queue since

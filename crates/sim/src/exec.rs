@@ -33,6 +33,7 @@ use crate::network::NetworkModel;
 use crate::protocol::{Context, Invoke, NodeId, Outgoing, Protocol};
 use crate::time::{SimDuration, SimTime};
 use fed_util::rng::{Rng64, Xoshiro256StarStar};
+use std::any::Any;
 
 /// The minimum virtual-time latency of any delivered message.
 ///
@@ -156,6 +157,61 @@ impl<P: Protocol> EventKind<P> {
             EventKind::Timer { node, .. } | EventKind::Command { node, .. } => *node,
             EventKind::Crash(node) | EventKind::Join(node) => *node,
         }
+    }
+}
+
+/// A protocol handler that panicked: the shard that ran it, the event it
+/// was handling — its key, which carries the virtual time, and the node it
+/// was addressed to — and the panic's own message. Both engines catch a
+/// handler's panic and re-panic on the caller with this report, so the
+/// failure names its event instead of a bare "a scoped thread panicked".
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct HandlerPanic {
+    /// The shard whose worker ran the handler (0 on the sequential engine).
+    pub shard: usize,
+    /// The event being handled.
+    pub key: EventKey,
+    /// The node the event was addressed to.
+    pub node: NodeId,
+    /// The panic's message (its `&str` or `String` payload).
+    pub message: String,
+}
+
+impl HandlerPanic {
+    /// The report of a panic with `payload` while `shard` handled the
+    /// event `key` addressed to `node`.
+    pub fn new(shard: usize, (key, node): (EventKey, NodeId), payload: &(dyn Any + Send)) -> Self {
+        let message = payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".to_string());
+        HandlerPanic {
+            shard,
+            key,
+            node,
+            message,
+        }
+    }
+}
+
+impl std::fmt::Display for HandlerPanic {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let EventKey { time, src, seq } = self.key;
+        let src = if src == EXTERNAL_SRC {
+            "external".to_string()
+        } else {
+            src.to_string()
+        };
+        write!(
+            f,
+            "shard {}: handler panicked at virtual time {}us, event (src {src}, seq {seq}) \
+             for node {}: {}",
+            self.shard,
+            time.as_micros(),
+            self.node.index(),
+            self.message
+        )
     }
 }
 

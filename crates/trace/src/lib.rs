@@ -23,8 +23,8 @@
 //!   sequential engine's single buffer as a *set* at any shard count.
 //! * **Merging** ([`merge_hops`]) sorts by the canonical full-record
 //!   order, so the merged buffer is *byte-identical* across engines,
-//!   shard counts and placements (gated by `trace_parity.rs` in
-//!   `fed-experiments`).
+//!   shard counts and placements (gated by the parity matrix,
+//!   `tests/parity/mod.rs` in `fed-experiments`).
 //!
 //! ## Analysis
 //!

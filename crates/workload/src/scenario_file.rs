@@ -97,15 +97,19 @@ pub const MAX_SHARDS: usize = 512;
 pub const MAX_NODES: usize = 10_000_000;
 
 /// Most subscription entries (`nodes × topics per node`), most
-/// publications (`rate × duration`) and most node-windows (`nodes ×`
-/// telemetry windows) a scenario file may request. Each key is in range
+/// publications (`rate × duration`), most node-windows (`nodes ×`
+/// telemetry windows) and most telemetry histogram buckets (`windows ×
+/// (load_buckets + latency_buckets)`) a scenario file may request. Each key is in range
 /// on its own; this bounds their products, so a file that parses cannot
 /// ask for more memory or work than the run can afford.
 pub const MAX_PRODUCT: u64 = 100_000_000;
 
 /// Most telemetry windows (`⌈horizon / [telemetry] window⌉`) a scenario
-/// file may request: each window keeps its series row (≈ 1.5 KB at the
-/// default histogram geometry), so this caps the series near 150 MB.
+/// file may request. Each window keeps its series row: a fixed ~200 B of
+/// counters plus 8 B per bucket of its two histograms (`load_buckets +
+/// latency_buckets`, bounded with the windows by [`MAX_PRODUCT`]). At the
+/// default 64 + 40 buckets a row is ≈ 1 KB, so this caps the default
+/// series near 100 MB.
 pub const MAX_WINDOWS: u64 = 100_000;
 
 /// An error from parsing, validating or serializing a scenario file.
@@ -1445,10 +1449,17 @@ fn split_rule(spec: &ScenarioSpec, line: impl Fn(&str) -> Option<usize>) -> Resu
 
 /// The telemetry series keeps one row per window, and closing a window
 /// folds every node: `⌈horizon / window⌉` stays within [`MAX_WINDOWS`]
-/// and `nodes × windows` within [`MAX_PRODUCT`]. The horizon is
-/// `[publish] warmup + duration` plus the 4 s drain. Blamed on `line`,
-/// the `[telemetry] window` line or else the section header.
-fn telemetry_rule(spec: &ScenarioSpec, line: Option<usize>) -> Result<()> {
+/// and `nodes × windows` within [`MAX_PRODUCT`]; both are blamed on
+/// `window`, the `[telemetry] window` line or else the section header.
+/// The horizon is `[publish] warmup + duration` plus the 4 s drain. Each
+/// row holds both histograms, so `windows × (load_buckets +
+/// latency_buckets)` stays within [`MAX_PRODUCT`] too, blamed on
+/// `header`, the `[telemetry]` line.
+fn telemetry_rule(
+    spec: &ScenarioSpec,
+    window_line: Option<usize>,
+    header_line: Option<usize>,
+) -> Result<()> {
     let Some(telemetry) = &spec.telemetry else {
         return Ok(());
     };
@@ -1456,23 +1467,38 @@ fn telemetry_rule(spec: &ScenarioSpec, line: Option<usize>) -> Result<()> {
     // `[telemetry]`'s keeps the window positive; both have run.
     let (horizon, window) = (spec.horizon().as_micros(), telemetry.window.as_micros());
     let windows = horizon.div_ceil(window);
+    let node_windows = spec.n as u128 * windows as u128;
     let over = if windows > MAX_WINDOWS {
-        format!("{windows} windows, over the limit of {MAX_WINDOWS}")
-    } else if spec.n as u128 * windows as u128 > u128::from(MAX_PRODUCT) {
-        format!(
-            "{windows} windows; [scenario] nodes × windows = {} × {windows} = {} \
+        Some(format!(
+            "{windows} windows, over the limit of {MAX_WINDOWS}"
+        ))
+    } else if node_windows > u128::from(MAX_PRODUCT) {
+        Some(format!(
+            "{windows} windows; [scenario] nodes × windows = {} × {windows} = {node_windows} \
              node-windows, over the limit of {MAX_PRODUCT}",
-            spec.n,
-            spec.n as u128 * windows as u128
-        )
+            spec.n
+        ))
     } else {
-        return Ok(());
+        None
     };
-    let what = format!(
-        "[telemetry] window: ⌈([publish] warmup + duration + 4s drain) / window⌉ = \
-         ⌈{horizon}us / {window}us⌉ = {over}"
-    );
-    Err(ScenarioFileError::new(line, what))
+    if let Some(over) = over {
+        let what = format!(
+            "[telemetry] window: ⌈([publish] warmup + duration + 4s drain) / window⌉ = \
+             ⌈{horizon}us / {window}us⌉ = {over}"
+        );
+        return Err(ScenarioFileError::new(window_line, what));
+    }
+    let (load, latency) = (telemetry.load_buckets, telemetry.latency_buckets);
+    let buckets = windows as u128 * (load as u128 + latency as u128);
+    if buckets > u128::from(MAX_PRODUCT) {
+        let what = format!(
+            "[telemetry] load_buckets + latency_buckets: {windows} windows × \
+             ({load} + {latency}) buckets = {buckets} histogram buckets, over the limit of \
+             {MAX_PRODUCT}"
+        );
+        return Err(ScenarioFileError::new(header_line, what));
+    }
+    Ok(())
 }
 
 /// The rule over a whole trace — header plus segments, so not a
@@ -1506,7 +1532,8 @@ pub struct ScenarioFile {
 /// for syntax errors, unknown sections or keys, type mismatches, bad
 /// duration units, out-of-range values, key products over
 /// [`MAX_PRODUCT`], a `split` that leaves one side empty and more
-/// telemetry windows than [`MAX_WINDOWS`].
+/// telemetry windows than [`MAX_WINDOWS`] (or, with their histogram
+/// buckets, than [`MAX_PRODUCT`] buckets).
 pub fn parse_scenario(input: &str) -> Result<ScenarioFile> {
     let mut doc = lex(input)?;
     let mut file = (SCENARIO.base)();
@@ -1573,8 +1600,9 @@ pub fn parse_scenario(input: &str) -> Result<ScenarioFile> {
     let interest = doc.line("interest", Some("appetite"));
     product_rule(spec, interest, doc.line("publish", None))?;
     split_rule(spec, |path| doc.line(path, Some("split")))?;
-    let window = doc.line("telemetry", Some("window"));
-    telemetry_rule(spec, window.or_else(|| doc.line("telemetry", None)))?;
+    let header = doc.line("telemetry", None);
+    let window = doc.line("telemetry", Some("window")).or(header);
+    telemetry_rule(spec, window, header)?;
     Ok(file)
 }
 
@@ -1653,8 +1681,9 @@ fn put<T>(out: &mut String, sec: &Section<T>, value: Option<&mut T>) -> Result<(
 /// the format has no escape for; or when [`parse_scenario`] would
 /// reject the result — a value out of its key's range, a degenerate
 /// fault window, a key product over [`MAX_PRODUCT`], a `split` that
-/// leaves one side empty, more telemetry windows than [`MAX_WINDOWS`].
-/// The message names `[section] key`.
+/// leaves one side empty, more telemetry windows than [`MAX_WINDOWS`]
+/// or more telemetry histogram buckets than [`MAX_PRODUCT`]. The message
+/// names `[section] key`.
 pub fn to_toml(spec: &ScenarioSpec) -> Result<String> {
     // Scheduled faults belong in `spec.faults` (merged into the network
     // by `ScenarioSpec::effective_net`); a base model already carrying
@@ -1702,7 +1731,7 @@ pub fn to_toml(spec: &ScenarioSpec) -> Result<String> {
     put(out, &TRACE, s.trace.as_mut())?;
     product_rule(spec, None, None)?;
     split_rule(spec, |_| None)?;
-    telemetry_rule(spec, None)?;
+    telemetry_rule(spec, None, None)?;
     Ok(text)
 }
 

@@ -385,3 +385,44 @@ fn telemetry_windows_are_bounded() {
     assert_eq!(err.line, None, "{err}");
     assert!(err.message.starts_with(horizon), "{err}");
 }
+
+/// Every window keeps both telemetry histograms, so `windows ×
+/// (load_buckets + latency_buckets)` is capped at `MAX_PRODUCT` too,
+/// blamed on the `[telemetry]` line. The repro asks for 10⁵ windows of
+/// 10⁵ + 10⁵ buckets: 2·10¹⁰ eight-byte buckets, about 160 GB.
+#[test]
+fn telemetry_histogram_buckets_are_bounded() {
+    let doc = |load: u32, latency: u32| {
+        BASE.replace("duration = \"5s\"", "duration = \"1s\"")
+            + "\n[telemetry]\nwindow = \"60us\"\n"
+            + &format!("load_buckets = {load}\nlatency_buckets = {latency}\n")
+    };
+    let buckets = "[telemetry] load_buckets + latency_buckets: 100000 windows × ";
+    let cases = [
+        (
+            doc(100_000, 100_000),
+            "(100000 + 100000) buckets = 20000000000 histogram buckets, \
+             over the limit of 100000000",
+        ),
+        (
+            doc(961, 40),
+            "(961 + 40) buckets = 100100000 histogram buckets, over the limit of 100000000",
+        ),
+    ];
+    for (doc, over) in cases {
+        let err = parse_scenario(&doc).map(|_| ()).expect_err(over);
+        assert_eq!(err.line, Some(line_of(&doc, "[telemetry]")), "{err}");
+        assert_eq!(err.message, format!("{buckets}{over}"));
+    }
+    // On the bound: 100 000 windows × (960 + 40) buckets.
+    let ok = doc(960, 40);
+    let spec = parse_scenario(&ok)
+        .unwrap_or_else(|e| panic!("{e}\n{ok}"))
+        .spec;
+    // The serializer refuses a spec one bucket past it.
+    let mut over = spec;
+    over.telemetry.as_mut().unwrap().load_buckets = 961;
+    let err = to_toml(&over).unwrap_err();
+    assert_eq!(err.line, None, "{err}");
+    assert!(err.message.starts_with(buckets), "{err}");
+}

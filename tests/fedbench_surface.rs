@@ -8,8 +8,8 @@
 
 use fed::cluster::ShardedSimulation;
 use fed::dht::{DhtId, DhtNetwork};
-use fed::experiments::harness::{run_architecture, EngineKind};
-use fed::experiments::scenario_run::engine_for;
+use fed::experiments::harness::{run_architecture, ArchOutcome, EngineKind};
+use fed::experiments::scenario_run::{engine_for, outcomes_match};
 use fed::membership::{FullMembership, PeerSampler};
 use fed::profile::ProfileSpec;
 use fed::sim::exec::{
@@ -273,6 +273,20 @@ fn traced_run_exposes_profile_and_trace() {
         phases.idle_ns,
     );
     assert!(outcome.trace.as_ref().map_or(0, Vec::len) > 0);
+}
+
+/// The check after the timed runs: the sequential reference, an
+/// `Option<(ArchOutcome, f64)>` from the runner, is compared with the
+/// timed cluster outcome through `outcomes_match(&r, &outcome)` inside
+/// `is_some_and`.
+#[test]
+fn cluster_outcome_is_checked_through_outcomes_match() {
+    let spec = ScenarioSpec::standard(Architecture::Broker, 16, 3).with_shards(2);
+    let outcome = run_architecture(&spec, engine_for(&spec));
+    let reference: Option<(ArchOutcome, f64)> =
+        Some((run_architecture(&spec, EngineKind::Sequential), 0.0));
+    let same = reference.is_some_and(|(r, _)| outcomes_match(&r, &outcome));
+    assert!(same);
 }
 
 /// `fedbench/src/workload.rs::load`: `parse_scenario(text)` with the
