@@ -84,13 +84,13 @@ pub struct HybridNode {
 
 impl HybridNode {
     /// Creates a hybrid node for a system of `n` nodes. Its gossip stack
-    /// is the T-ARCH fair configuration (`fair(8, 16, 100 ms)`), running
+    /// is the T-ARCH fair configuration (`fair(8, 16)`), running
     /// the SWIM detector when `swim` is set.
     pub fn new(id: NodeId, n: usize, swim: bool) -> Self {
         let broker = BrokerNode::new(id, HUB);
         let config = GossipConfig {
             swim,
-            ..GossipConfig::fair(8, 16, SimDuration::from_millis(100))
+            ..GossipConfig::fair(8, 16)
         };
         let gossip = GossipNode::with_behavior(id, n, config, Behavior::Honest);
         HybridNode {

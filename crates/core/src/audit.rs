@@ -21,25 +21,13 @@
 use fed_sim::NodeId;
 use std::fmt;
 
-/// Tuning of the audit decision rule.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AuditConfig {
-    /// Minimum total receipts across the committee before a verdict is
-    /// allowed (protects against flagging on noise).
-    pub min_evidence: u64,
-    /// Acceptable multiplicative deviation: a claim is consistent when
-    /// `estimate / (1 + tolerance) <= claim <= estimate * (1 + tolerance)`.
-    pub tolerance: f64,
-}
+/// Minimum total receipts across the committee before a verdict is
+/// allowed (protects against flagging on noise).
+pub const MIN_EVIDENCE: u64 = 10;
 
-impl Default for AuditConfig {
-    fn default() -> Self {
-        AuditConfig {
-            min_evidence: 10,
-            tolerance: 0.7,
-        }
-    }
-}
+/// Acceptable multiplicative deviation: a claim is consistent when
+/// `estimate / (1 + TOLERANCE) <= claim <= estimate * (1 + TOLERANCE)`.
+pub const TOLERANCE: f64 = 0.7;
 
 /// One witness's evidence about a subject.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,12 +91,11 @@ pub fn audit_subject(
     claimed_rate: f64,
     witnesses: &[WitnessReport],
     system_size: usize,
-    config: &AuditConfig,
 ) -> AuditVerdict {
     assert!(system_size >= 2, "audit requires at least two nodes");
     let total_msgs: u64 = witnesses.iter().map(|w| w.messages).sum();
     let total_rounds: u64 = witnesses.iter().map(|w| w.rounds).sum();
-    if total_msgs < config.min_evidence || total_rounds == 0 {
+    if total_msgs < MIN_EVIDENCE || total_rounds == 0 {
         return AuditVerdict {
             subject,
             estimated_rate: 0.0,
@@ -120,8 +107,8 @@ pub fn audit_subject(
     // Receipt rate per witness-round, scaled to the full population.
     let per_witness_rate = total_msgs as f64 / total_rounds as f64;
     let estimated_rate = per_witness_rate * (system_size as f64 - 1.0);
-    let upper = estimated_rate * (1.0 + config.tolerance);
-    let lower = estimated_rate / (1.0 + config.tolerance);
+    let upper = estimated_rate * (1.0 + TOLERANCE);
+    let lower = estimated_rate / (1.0 + TOLERANCE);
     // A claim that is not a number fails both comparisons below; it is no
     // more checkable than an infinite one, so it is over-claimed too.
     let outcome = if claimed_rate.is_nan() || claimed_rate > upper {
@@ -153,13 +140,7 @@ mod tests {
         // n = 101, claimed 10 msgs/round -> each witness sees 0.1/round.
         // 20 witnesses × 100 rounds -> expect 200 receipts.
         let witnesses = vec![witness(10, 100); 20];
-        let v = audit_subject(
-            NodeId::new(5),
-            10.0,
-            &witnesses,
-            101,
-            &AuditConfig::default(),
-        );
+        let v = audit_subject(NodeId::new(5), 10.0, &witnesses, 101);
         assert_eq!(v.outcome, AuditOutcome::Consistent);
         assert!((v.estimated_rate - 10.0).abs() < 1e-9);
         assert_eq!(v.evidence, 200);
@@ -169,13 +150,7 @@ mod tests {
     fn inflator_is_over_claimed() {
         // True rate 2/round, claims 10/round.
         let witnesses = vec![witness(2, 100); 20];
-        let v = audit_subject(
-            NodeId::new(5),
-            10.0,
-            &witnesses,
-            101,
-            &AuditConfig::default(),
-        );
+        let v = audit_subject(NodeId::new(5), 10.0, &witnesses, 101);
         assert_eq!(v.outcome, AuditOutcome::OverClaimed);
         assert!((v.estimated_rate - 2.0).abs() < 1e-9);
     }
@@ -183,46 +158,31 @@ mod tests {
     #[test]
     fn altruist_is_under_claimed() {
         let witnesses = vec![witness(10, 100); 20];
-        let v = audit_subject(
-            NodeId::new(5),
-            1.0,
-            &witnesses,
-            101,
-            &AuditConfig::default(),
-        );
+        let v = audit_subject(NodeId::new(5), 1.0, &witnesses, 101);
         assert_eq!(v.outcome, AuditOutcome::UnderClaimed);
     }
 
     #[test]
     fn sparse_evidence_withholds_judgement() {
         let witnesses = vec![witness(1, 100); 3];
-        let v = audit_subject(
-            NodeId::new(5),
-            50.0,
-            &witnesses,
-            101,
-            &AuditConfig::default(),
-        );
+        let v = audit_subject(NodeId::new(5), 50.0, &witnesses, 101);
         assert_eq!(v.outcome, AuditOutcome::InsufficientEvidence);
-        let empty = audit_subject(NodeId::new(5), 0.0, &[], 101, &AuditConfig::default());
+        let empty = audit_subject(NodeId::new(5), 0.0, &[], 101);
         assert_eq!(empty.outcome, AuditOutcome::InsufficientEvidence);
     }
 
     #[test]
     fn tolerance_band_is_two_sided() {
-        let cfg = AuditConfig {
-            min_evidence: 1,
-            tolerance: 0.5,
-        };
-        let witnesses = vec![witness(100, 100); 10]; // est = 100 * (n-1=10)/10 … let's compute
-                                                     // per witness rate = 1.0/round; n=11 -> estimate 10/round.
-        let ok_hi = audit_subject(NodeId::new(1), 14.9, &witnesses, 11, &cfg);
+        // Per-witness rate 1.0/round with n = 11: estimate 10/round, so
+        // the band is [10 / 1.7, 17] ≈ [5.88, 17].
+        let witnesses = vec![witness(100, 100); 10];
+        let ok_hi = audit_subject(NodeId::new(1), 16.9, &witnesses, 11);
         assert_eq!(ok_hi.outcome, AuditOutcome::Consistent);
-        let bad_hi = audit_subject(NodeId::new(1), 15.1, &witnesses, 11, &cfg);
+        let bad_hi = audit_subject(NodeId::new(1), 17.1, &witnesses, 11);
         assert_eq!(bad_hi.outcome, AuditOutcome::OverClaimed);
-        let ok_lo = audit_subject(NodeId::new(1), 6.7, &witnesses, 11, &cfg);
+        let ok_lo = audit_subject(NodeId::new(1), 5.9, &witnesses, 11);
         assert_eq!(ok_lo.outcome, AuditOutcome::Consistent);
-        let bad_lo = audit_subject(NodeId::new(1), 6.5, &witnesses, 11, &cfg);
+        let bad_lo = audit_subject(NodeId::new(1), 5.8, &witnesses, 11);
         assert_eq!(bad_lo.outcome, AuditOutcome::UnderClaimed);
     }
 
@@ -230,23 +190,11 @@ mod tests {
     fn non_finite_claims_are_over_claimed_given_evidence() {
         let witnesses = vec![witness(10, 100); 20];
         for claim in [f64::NAN, f64::INFINITY] {
-            let v = audit_subject(
-                NodeId::new(5),
-                claim,
-                &witnesses,
-                101,
-                &AuditConfig::default(),
-            );
+            let v = audit_subject(NodeId::new(5), claim, &witnesses, 101);
             assert_eq!(v.outcome, AuditOutcome::OverClaimed, "{v}");
         }
         let sparse = vec![witness(1, 100); 3];
-        let v = audit_subject(
-            NodeId::new(5),
-            f64::NAN,
-            &sparse,
-            101,
-            &AuditConfig::default(),
-        );
+        let v = audit_subject(NodeId::new(5), f64::NAN, &sparse, 101);
         assert_eq!(v.outcome, AuditOutcome::InsufficientEvidence);
     }
 
@@ -261,25 +209,19 @@ mod tests {
             witness(5, 60),
             witness(9, 90),
         ];
-        let v = audit_subject(NodeId::new(9), 5.0, &witnesses, 51, &AuditConfig::default());
+        let v = audit_subject(NodeId::new(9), 5.0, &witnesses, 51);
         assert_eq!(v.outcome, AuditOutcome::Consistent, "{v}");
     }
 
     #[test]
     #[should_panic(expected = "at least two nodes")]
     fn tiny_system_rejected() {
-        let _ = audit_subject(NodeId::new(0), 1.0, &[], 1, &AuditConfig::default());
+        let _ = audit_subject(NodeId::new(0), 1.0, &[], 1);
     }
 
     #[test]
     fn display_is_informative() {
-        let v = audit_subject(
-            NodeId::new(3),
-            10.0,
-            &[witness(100, 100)],
-            11,
-            &AuditConfig::default(),
-        );
+        let v = audit_subject(NodeId::new(3), 10.0, &[witness(100, 100)], 11);
         let s = format!("{v}");
         assert!(s.contains("n3") && s.contains("claimed"), "{s}");
     }

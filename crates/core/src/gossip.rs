@@ -1,7 +1,7 @@
 //! The push gossip dissemination protocol — basic (paper Figure 4) and
 //! fairness-adaptive (paper §5.2) in one implementation.
 //!
-//! Every `period` the node runs a **round**:
+//! Every 100 ms (`ROUND`) the node runs a **round**:
 //!
 //! 1. close the ledger window and update its own benefit/contribution rate
 //!    estimates;
@@ -33,6 +33,8 @@ use fed_util::hash::FastMap;
 use fed_util::rng::Rng64;
 use std::sync::Arc;
 
+/// Gossip round period.
+const ROUND: SimDuration = SimDuration::from_millis(100);
 /// Timer token for the periodic gossip round.
 const ROUND_TIMER: u64 = 1;
 /// Timer token for the SWIM protocol period.
@@ -52,8 +54,6 @@ const OWN_RATE_ALPHA: f64 = 0.2;
 /// Configuration of a [`GossipNode`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct GossipConfig {
-    /// Gossip round period.
-    pub period: SimDuration,
     /// Fanout controller bounds/target (`target_mean` is the static fanout
     /// when adaptation is off).
     pub fanout: ControllerConfig,
@@ -97,9 +97,8 @@ pub struct GossipConfig {
 impl GossipConfig {
     /// The classic static protocol of Figure 4: fixed fanout `f`, fixed
     /// message size `n_events`, no adaptation.
-    pub fn classic(f: usize, n_events: usize, period: SimDuration) -> Self {
+    pub fn classic(f: usize, n_events: usize) -> Self {
         GossipConfig {
-            period,
             fanout: ControllerConfig::new(f as f64, f as f64, f as f64, 1.0),
             events_per_msg: ControllerConfig::new(
                 n_events as f64,
@@ -123,9 +122,8 @@ impl GossipConfig {
     ///
     /// `f` and `n_events` become *population means*; individual nodes move
     /// inside `[1, 4f]` and `[1, 4n]` respectively.
-    pub fn fair(f: usize, n_events: usize, period: SimDuration) -> Self {
+    pub fn fair(f: usize, n_events: usize) -> Self {
         GossipConfig {
-            period,
             // Zero floor + stochastic rounding: a peer whose fair share is
             // zero stops forwarding entirely; the benefit-weighted majority
             // carries the epidemic (paper §5.2 Q3 — the fanout requirement
@@ -146,8 +144,8 @@ impl GossipConfig {
 
     /// Fair protocol adapting both knobs with expressive (byte) accounting
     /// — the full Figure 3 configuration.
-    pub fn fair_expressive(f: usize, n_events: usize, period: SimDuration) -> Self {
-        let mut cfg = Self::fair(f, n_events, period);
+    pub fn fair_expressive(f: usize, n_events: usize) -> Self {
+        let mut cfg = Self::fair(f, n_events);
         cfg.adapt_msg_size = true;
         cfg.spec = RatioSpec::expressive();
         cfg
@@ -459,7 +457,7 @@ impl Protocol for GossipNode {
 
     fn on_init(&mut self, ctx: &mut Context<'_, GossipMsg>) {
         // Jittered first round desynchronizes the population.
-        let jitter = ctx.rng().range_u64(self.config.period.as_micros().max(1));
+        let jitter = ctx.rng().range_u64(ROUND.as_micros());
         ctx.set_timer(SimDuration::from_micros(jitter), ROUND_TIMER);
         if self.config.swim {
             // Fresh detector per (re)start: a rejoining node begins with a
@@ -508,7 +506,7 @@ impl Protocol for GossipNode {
         match token {
             ROUND_TIMER => {
                 self.run_round(ctx);
-                ctx.set_timer(self.config.period, ROUND_TIMER);
+                ctx.set_timer(ROUND, ROUND_TIMER);
             }
             SWIM_TICK_TIMER => {
                 if !self.config.swim {
@@ -609,7 +607,7 @@ mod tests {
     }
 
     fn classic_config(fanout: usize) -> GossipConfig {
-        GossipConfig::classic(fanout, 16, SimDuration::from_millis(100))
+        GossipConfig::classic(fanout, 16)
     }
 
     fn classic_sim(n: usize, fanout: usize, seed: u64) -> Simulation<GossipNode> {
@@ -735,7 +733,7 @@ mod tests {
 
     #[test]
     fn ttl_expires_events_from_buffer() {
-        let mut cfg = GossipConfig::classic(2, 8, SimDuration::from_millis(50));
+        let mut cfg = GossipConfig::classic(2, 8);
         cfg.ttl_rounds = 2;
         let mut sim: Simulation<GossipNode> = Simulation::new(8, net(5), 5, move |id, _| {
             GossipNode::new(id, 8, cfg.clone())
@@ -808,7 +806,7 @@ mod tests {
         // publications the fair protocol should push node 0's fanout above
         // the mean and everyone else's to the floor.
         let n = 16;
-        let cfg = GossipConfig::fair(4, 16, SimDuration::from_millis(100));
+        let cfg = GossipConfig::fair(4, 16);
         let mut sim: Simulation<GossipNode> = Simulation::new(n, net(10), 21, move |id, _| {
             GossipNode::new(id, n, cfg.clone())
         });
@@ -1118,7 +1116,7 @@ mod tests {
         let n = 16;
         let cfg = GossipConfig {
             swim: true,
-            ..GossipConfig::classic(4, 16, SimDuration::from_millis(100))
+            ..GossipConfig::classic(4, 16)
         };
         let mut sim: Simulation<GossipNode> = Simulation::new(n, net(10), 31, move |id, _| {
             GossipNode::new(id, n, cfg.clone())

@@ -18,53 +18,46 @@
 
 use std::fmt;
 
-/// Which quantity counts as contribution (paper Fig. 2 vs Fig. 3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ContributionMetric {
-    /// Count forwarded/published messages (topic-based accounting, Fig. 2).
-    #[default]
-    Messages,
-    /// Count forwarded/published bytes (expressive accounting: fanout ×
-    /// message size, Fig. 3).
-    Bytes,
+/// Benefit floor protecting the ratio against division by zero for
+/// peers that delivered nothing.
+const EPSILON: f64 = 1.0;
+
+/// The paper's two accountings (Fig. 2 vs Fig. 3).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Accounting {
+    /// Contribution counts messages; each active filter adds one to the
+    /// benefit.
+    TopicBased,
+    /// Contribution counts bytes (fanout × message size); benefit is
+    /// deliveries only.
+    Expressive,
 }
 
-/// Parameters of the ratio computation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RatioSpec {
-    /// Contribution metric.
-    pub metric: ContributionMetric,
-    /// Weight of one active filter in the benefit (Fig. 2 adds `#filters`
-    /// to the benefit; Fig. 3 uses 0).
-    pub filter_weight: f64,
-    /// Benefit floor protecting the ratio against division by zero for
-    /// peers that delivered nothing.
-    pub epsilon: f64,
-}
+/// The rule a contribution/benefit ratio is computed by: one of the
+/// paper's two accountings, built by [`RatioSpec::topic_based`] or
+/// [`RatioSpec::expressive`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RatioSpec(Accounting);
 
 impl RatioSpec {
-    /// Topic-based accounting per Figure 2 (`filter_weight = 1`).
+    /// Topic-based accounting per Figure 2: messages published, forwarded
+    /// and relayed for maintenance against deliveries plus one per filter.
     pub fn topic_based() -> Self {
-        RatioSpec {
-            metric: ContributionMetric::Messages,
-            filter_weight: 1.0,
-            epsilon: 1.0,
-        }
+        RatioSpec(Accounting::TopicBased)
     }
 
     /// Expressive accounting per Figure 3 (bytes, deliveries only).
     pub fn expressive() -> Self {
-        RatioSpec {
-            metric: ContributionMetric::Bytes,
-            filter_weight: 0.0,
-            epsilon: 1.0,
-        }
+        RatioSpec(Accounting::Expressive)
     }
-}
 
-impl Default for RatioSpec {
-    fn default() -> Self {
-        RatioSpec::topic_based()
+    /// Weight of one active filter in the benefit: Fig. 2 adds
+    /// `#filters`, Fig. 3 nothing.
+    fn filter_weight(self) -> f64 {
+        match self.0 {
+            Accounting::TopicBased => 1.0,
+            Accounting::Expressive => 0.0,
+        }
     }
 }
 
@@ -92,12 +85,12 @@ pub struct Counters {
 }
 
 impl Counters {
-    fn contribution(&self, metric: ContributionMetric) -> f64 {
-        match metric {
-            ContributionMetric::Messages => {
+    fn contribution(&self, spec: RatioSpec) -> f64 {
+        match spec.0 {
+            Accounting::TopicBased => {
                 (self.published_msgs + self.forwarded_msgs + self.maintenance_msgs) as f64
             }
-            ContributionMetric::Bytes => (self.published_bytes + self.forwarded_bytes) as f64,
+            Accounting::Expressive => (self.published_bytes + self.forwarded_bytes) as f64,
         }
     }
 }
@@ -232,7 +225,7 @@ impl FairnessLedger {
 
     /// Lifetime contribution under `spec` (the numerator of Figs. 1–3).
     pub fn contribution(&self, spec: &RatioSpec) -> f64 {
-        self.total.contribution(spec.metric)
+        self.total.contribution(*spec)
     }
 
     /// Lifetime benefit under `spec` (the denominator of Figs. 1–3, plus
@@ -240,17 +233,17 @@ impl FairnessLedger {
     pub fn benefit(&self, spec: &RatioSpec) -> f64 {
         self.total.delivered_events as f64
             + self.total.maintenance_credits as f64
-            + spec.filter_weight * self.active_filters as f64
+            + spec.filter_weight() * self.active_filters as f64
     }
 
-    /// Lifetime contribution/benefit ratio with the spec's epsilon floor.
+    /// Lifetime contribution/benefit ratio, the benefit floored at 1.
     pub fn ratio(&self, spec: &RatioSpec) -> f64 {
-        self.contribution(spec) / self.benefit(spec).max(spec.epsilon)
+        self.contribution(spec) / self.benefit(spec).max(EPSILON)
     }
 
     /// Contribution accumulated in the last completed window.
     pub fn window_contribution(&self, spec: &RatioSpec) -> f64 {
-        self.completed_window.contribution(spec.metric)
+        self.completed_window.contribution(*spec)
     }
 }
 
@@ -345,11 +338,10 @@ mod tests {
     fn epsilon_floors_zero_benefit() {
         let mut l = FairnessLedger::new();
         l.record_forward(10);
-        let spec = RatioSpec {
-            epsilon: 0.5,
-            ..RatioSpec::expressive()
-        };
-        assert_eq!(l.ratio(&spec), 10.0 / 0.5);
+        // No delivery and no filter: both benefits are 0, floored at 1.
+        assert_eq!(l.benefit(&RatioSpec::expressive()), 0.0);
+        assert_eq!(l.ratio(&RatioSpec::expressive()), 10.0);
+        assert_eq!(l.ratio(&RatioSpec::topic_based()), 1.0);
     }
 
     #[test]
@@ -381,11 +373,9 @@ mod tests {
     #[test]
     fn spec_presets() {
         let t = RatioSpec::topic_based();
-        assert_eq!(t.metric, ContributionMetric::Messages);
-        assert_eq!(t.filter_weight, 1.0);
+        assert_eq!(t.filter_weight(), 1.0);
         let e = RatioSpec::expressive();
-        assert_eq!(e.metric, ContributionMetric::Bytes);
-        assert_eq!(e.filter_weight, 0.0);
-        assert_eq!(RatioSpec::default(), RatioSpec::topic_based());
+        assert_eq!(e.filter_weight(), 0.0);
+        assert_ne!(t, e);
     }
 }

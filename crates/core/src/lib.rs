@@ -25,10 +25,10 @@
 //! use fed_core::gossip::{GossipConfig, GossipNode};
 //! use fed_pubsub::{Command, Event, EventId, TopicId};
 //! use fed_sim::network::NetworkModel;
-//! use fed_sim::{NodeId, SimDuration, SimTime, Simulation};
+//! use fed_sim::{NodeId, SimTime, Simulation};
 //!
 //! let n = 32;
-//! let cfg = GossipConfig::fair(4, 16, SimDuration::from_millis(100));
+//! let cfg = GossipConfig::fair(4, 16);
 //! let mut sim = Simulation::new(n, NetworkModel::default(), 7, move |id, _| {
 //!     GossipNode::new(id, n, cfg.clone())
 //! });
@@ -64,9 +64,9 @@ pub mod ledger;
 pub mod submgmt;
 
 pub use adaptive::{Controller, ControllerConfig, GlobalRateEstimator, RateSample};
-pub use audit::{audit_subject, AuditConfig, AuditOutcome, AuditVerdict, WitnessReport};
+pub use audit::{audit_subject, AuditOutcome, AuditVerdict, WitnessReport};
 pub use behavior::Behavior;
 pub use endpoint::{emit_event, DeliveryLog, Endpoint};
 pub use gossip::{GossipConfig, GossipMsg, GossipNode};
-pub use ledger::{ContributionMetric, Counters, FairnessLedger, RatioSpec};
+pub use ledger::{Counters, FairnessLedger, RatioSpec};
 pub use submgmt::{SubWalkCmd, SubWalkMsg, SubWalkNode, WalkAccounting, WalkOutcome};

@@ -3,9 +3,9 @@
 //! audit soundness.
 
 use fed_core::adaptive::{Controller, ControllerConfig, GlobalRateEstimator, RateSample};
-use fed_core::audit::{audit_subject, AuditConfig, AuditOutcome, WitnessReport};
+use fed_core::audit::{audit_subject, AuditOutcome, WitnessReport, MIN_EVIDENCE};
 use fed_core::endpoint::{DeliveryLog, Endpoint};
-use fed_core::ledger::{ContributionMetric, FairnessLedger, RatioSpec};
+use fed_core::ledger::{FairnessLedger, RatioSpec};
 use fed_pubsub::{Event, EventId, TopicId};
 use fed_sim::local_id::LocalIds;
 use fed_sim::{NodeId, SimTime};
@@ -207,8 +207,7 @@ proptest! {
         for _ in 0..k {
             ledger.record_forward(b);
         }
-        let msgs = RatioSpec { metric: ContributionMetric::Messages, ..RatioSpec::topic_based() };
-        let bytes = RatioSpec { metric: ContributionMetric::Bytes, ..RatioSpec::expressive() };
+        let (msgs, bytes) = (RatioSpec::topic_based(), RatioSpec::expressive());
         prop_assert_eq!(ledger.contribution(&msgs), k as f64);
         prop_assert_eq!(ledger.contribution(&bytes), (k * b) as f64);
     }
@@ -288,16 +287,13 @@ proptest! {
                 rounds,
             })
             .collect();
-        let verdict = audit_subject(
-            NodeId::new(0),
-            rate,
-            &reports,
-            n,
-            &AuditConfig { min_evidence: 1, tolerance: 0.7 },
-        );
-        if verdict.evidence >= 10 {
-            prop_assert_eq!(verdict.outcome, AuditOutcome::Consistent, "{}", verdict);
-        }
+        let verdict = audit_subject(NodeId::new(0), rate, &reports, n);
+        let expect = if verdict.evidence >= MIN_EVIDENCE {
+            AuditOutcome::Consistent
+        } else {
+            AuditOutcome::InsufficientEvidence
+        };
+        prop_assert_eq!(verdict.outcome, expect, "{}", verdict);
     }
 
     /// Audit sensitivity: claims k× above the witnessed rate are flagged
@@ -316,15 +312,12 @@ proptest! {
                 rounds,
             })
             .collect();
-        let verdict = audit_subject(
-            NodeId::new(0),
-            rate * factor,
-            &reports,
-            n,
-            &AuditConfig { min_evidence: 1, tolerance: 0.7 },
-        );
-        if verdict.evidence >= 10 {
-            prop_assert_eq!(verdict.outcome, AuditOutcome::OverClaimed, "{}", verdict);
-        }
+        let verdict = audit_subject(NodeId::new(0), rate * factor, &reports, n);
+        let expect = if verdict.evidence >= MIN_EVIDENCE {
+            AuditOutcome::OverClaimed
+        } else {
+            AuditOutcome::InsufficientEvidence
+        };
+        prop_assert_eq!(verdict.outcome, expect, "{}", verdict);
     }
 }

@@ -1,5 +1,5 @@
-//! E-ABLATE — ablation of the fair protocol's own design choices (the
-//! knobs DESIGN.md calls out beyond the paper's text):
+//! E-ABLATE — ablation of the fair protocol's own design choices (knobs
+//! of `GossipConfig` beyond the paper's text):
 //!
 //! 1. **Lifetime-ratio correction gain** — the term that turns
 //!    rate-proportional allocation into snapshot-ratio equality. Gain 0 is

@@ -11,7 +11,7 @@
 //! honest peers, and the residual unfairness the cheats caused.
 
 use crate::harness::{prepare_gossip, t_arch_config};
-use fed_core::audit::{audit_subject, AuditConfig, AuditOutcome, WitnessReport};
+use fed_core::audit::{audit_subject, AuditOutcome, WitnessReport};
 use fed_core::behavior::Behavior;
 use fed_core::gossip::{GossipConfig, GossipNode};
 use fed_core::ledger::RatioSpec;
@@ -68,7 +68,6 @@ pub fn run(n: usize, seed: u64) -> BiasResult {
     // Committee audit of every node: sample 16 witnesses, gather receipt
     // counters and the subject's claimed contribution rate.
     let committee = 16usize.min(n - 1);
-    let audit_cfg = AuditConfig::default();
     let mut picker = SplitMix64::seed_from_u64(seed ^ 0xB1A5);
     let mut flagged_over = vec![false; n];
     let mut insufficient = 0usize;
@@ -111,13 +110,7 @@ pub fn run(n: usize, seed: u64) -> BiasResult {
                 });
             }
         }
-        let verdict = audit_subject(
-            NodeId::new(subject as u32),
-            claimed_rate,
-            &witnesses,
-            n,
-            &audit_cfg,
-        );
+        let verdict = audit_subject(NodeId::new(subject as u32), claimed_rate, &witnesses, n);
         match verdict.outcome {
             AuditOutcome::OverClaimed => *over_flag = true,
             AuditOutcome::InsufficientEvidence => insufficient += 1,

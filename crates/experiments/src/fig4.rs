@@ -12,7 +12,7 @@
 //! Plus the correctness invariant of the algorithm's `ISINTERESTED` line:
 //! zero spurious deliveries in every cell.
 
-use crate::harness::{run_gossip, t_arch_config, EngineKind, ROUND};
+use crate::harness::{run_gossip, t_arch_config, EngineKind};
 use fed_core::behavior::Behavior;
 use fed_core::gossip::GossipConfig;
 use fed_metrics::table::{fmt_f64, Table};
@@ -51,7 +51,7 @@ pub fn run(n: usize, sizes: &[usize], seed: u64) -> Fig4Result {
         scenario.appetite = Appetite::Fixed(1);
         scenario.plan.rate_per_sec = 5.0;
         scenario.plan.duration = fed_sim::SimTime::from_secs(10);
-        let cfg = GossipConfig::classic(fanout, 16, ROUND);
+        let cfg = GossipConfig::classic(fanout, 16);
         let audit =
             run_gossip(&scenario, EngineKind::Sequential, cfg, |_| Behavior::Honest).audit();
         spurious += audit.spurious();

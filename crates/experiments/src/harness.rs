@@ -76,17 +76,13 @@ pub fn event_weights(materialized: &MaterializedScenario) -> Vec<u64> {
     weights
 }
 
-/// The gossip round period every harness run shares.
-pub const ROUND: SimDuration = SimDuration::from_millis(100);
-
 /// The T-ARCH comparison configuration of a gossip `preset`: mean fanout
-/// 8, 16 events per message, [`ROUND`] rounds, so
-/// `t_arch_config(GossipConfig::fair)` is
-/// `GossipConfig::fair(8, 16, ROUND)`. [`run_architecture`] runs the
-/// `fair` and `classic` presets; an experiment starts from one of them
-/// and spells only the knobs it changes.
-pub fn t_arch_config(preset: fn(usize, usize, SimDuration) -> GossipConfig) -> GossipConfig {
-    preset(8, 16, ROUND)
+/// 8 and 16 events per message, so `t_arch_config(GossipConfig::fair)`
+/// is `GossipConfig::fair(8, 16)`. [`run_architecture`] runs the `fair`
+/// and `classic` presets; an experiment starts from one of them and
+/// spells only the knobs it changes.
+pub fn t_arch_config(preset: fn(usize, usize) -> GossipConfig) -> GossipConfig {
+    preset(8, 16)
 }
 
 /// Uniform interface over every architecture's node type: the
@@ -871,7 +867,7 @@ mod tests {
     #[test]
     fn standard_scenario_runs_and_audits() {
         let spec = ScenarioSpec::fair_gossip(32, 11);
-        let cfg = GossipConfig::classic(5, 16, ROUND);
+        let cfg = GossipConfig::classic(5, 16);
         let outcome = run_gossip(&spec, EngineKind::Sequential, cfg, |_| Behavior::Honest);
         let audit = outcome.audit();
         assert!(audit.num_events() > 0);
@@ -886,7 +882,7 @@ mod tests {
     fn deterministic_across_builds() {
         let spec = ScenarioSpec::fair_gossip(16, 5);
         let reliability = || {
-            let cfg = GossipConfig::classic(4, 16, ROUND);
+            let cfg = GossipConfig::classic(4, 16);
             run_gossip(&spec, EngineKind::Sequential, cfg, |_| Behavior::Honest)
                 .audit()
                 .reliability()

@@ -1,6 +1,6 @@
 //! # fed-experiments
 //!
-//! One module per paper artifact (see DESIGN.md §4 for the full index):
+//! One module per paper artifact:
 //!
 //! | Id | Module | Paper artifact |
 //! |---|---|---|
@@ -64,14 +64,15 @@ pub mod trace;
 /// One runnable experiment: its CLI id and a one-line description.
 #[derive(Debug, Clone, Copy)]
 pub struct ExperimentInfo {
-    /// The CLI id (also the row key in DESIGN.md).
+    /// The CLI id.
     pub id: &'static str,
     /// One-line description shown by `--help`.
     pub summary: &'static str,
 }
 
-/// The experiment registry, in DESIGN.md order — the single source of
-/// truth for every id listing (CLI help, default sweep, README).
+/// The experiment registry, in the order of the crate doc's table — the
+/// single source of truth for every id listing (CLI help, default sweep,
+/// README).
 pub const REGISTRY: &[ExperimentInfo] = &[
     ExperimentInfo {
         id: "fig1",

@@ -451,6 +451,13 @@ pub fn first_divergence(a: &ArchOutcome, b: &ArchOutcome) -> Option<Divergence> 
 
 /// `true` when two outcomes describe the same run: no
 /// [`first_divergence`].
+///
+/// Kept only because the frozen benchmark (`fedbench/src/workload.rs`)
+/// checks its timed cluster outcome through exactly this call, and
+/// `tests/fedbench_surface.rs` pins that call shape; nothing under
+/// `crates/`, `src/` or `examples/` may become another caller. The next
+/// PR allowed to edit `fedbench/` calls `first_divergence` there and
+/// deletes this.
 pub fn outcomes_match(a: &ArchOutcome, b: &ArchOutcome) -> bool {
     first_divergence(a, b).is_none()
 }

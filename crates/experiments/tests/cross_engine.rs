@@ -16,7 +16,7 @@ mod parity;
 
 use fed_cluster::ShardedSimulation;
 use fed_core::gossip::{GossipConfig, GossipNode};
-use fed_experiments::harness::{prepare_gossip, Engine, ROUND};
+use fed_experiments::harness::{prepare_gossip, Engine};
 use fed_sim::Simulation;
 use fed_workload::scenario::ScenarioSpec;
 use parity::{cells, check_family, honest};
@@ -24,7 +24,7 @@ use parity::{cells, check_family, honest};
 /// Per-node duplicate receipts of `spec` under fair(4, 16) gossip on
 /// engine `E`: node state no outcome carries.
 fn duplicates<E: Engine<Proto = GossipNode>>(spec: &ScenarioSpec) -> Vec<u64> {
-    let mut run = prepare_gossip::<E>(spec, GossipConfig::fair(4, 16, ROUND), honest);
+    let mut run = prepare_gossip::<E>(spec, GossipConfig::fair(4, 16), honest);
     let horizon = run.horizon();
     run.sim
         .run_observed(horizon, &mut vec![(); run.sim.shards()]);

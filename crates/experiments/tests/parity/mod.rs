@@ -39,7 +39,7 @@
 use fed_core::behavior::Behavior;
 use fed_core::gossip::GossipConfig;
 use fed_experiments::harness::{
-    run_architecture, run_gossip, t_arch_config, ArchOutcome, EngineKind, ROUND,
+    run_architecture, run_gossip, t_arch_config, ArchOutcome, EngineKind,
 };
 use fed_experiments::scenario_run::{
     first_divergence, library, load_file, parity_shards_for, Divergence,
@@ -528,6 +528,23 @@ fn drawn(arch: Architecture, n: usize, seed: u64, with_churn: bool) -> ScenarioS
 /// full size.
 const LIBRARY_NODES: usize = 48;
 
+/// A library spec at [`LIBRARY_NODES`] nodes at most. Every fault and
+/// mobility split scales with the population, so it cuts off the same
+/// share of the nodes as at full size and stays inside `1..nodes`.
+fn downscaled(mut spec: ScenarioSpec) -> ScenarioSpec {
+    let (from, to) = (spec.n, spec.n.min(LIBRARY_NODES));
+    let scale = |split: &mut u32| *split = (*split as usize * to / from).clamp(1, to - 1) as u32;
+    let faults = &mut spec.faults;
+    faults
+        .partition
+        .iter_mut()
+        .for_each(|f| scale(&mut f.split));
+    faults.oneway.iter_mut().for_each(|f| scale(&mut f.split));
+    spec.mobility.iter_mut().for_each(|m| scale(&mut m.split));
+    spec.n = to;
+    spec
+}
+
 /// The sweep seed of the generated cells.
 const FUZZ_SEED: u64 = 0xF0D5;
 /// Generated cells; each index also picks the architecture and the
@@ -568,6 +585,13 @@ fn anything(_: &ArchOutcome) -> Result<(), String> {
 
 fn live(o: &ArchOutcome) -> Result<(), String> {
     ensure(o.total_deliveries() > 0, "dead scenario proves nothing")
+}
+
+/// A fault that cuts links fired: some message was lost.
+fn loses(o: &ArchOutcome) -> Result<(), String> {
+    live(o)?;
+    let lost: u64 = o.stats.iter().map(|s| s.msgs_lost).sum();
+    ensure(lost > 0, "no message lost: the fault never fired")
 }
 
 fn ensure(holds: bool, what: &str) -> Result<(), String> {
@@ -715,7 +739,7 @@ fn every_artifact_live(o: &ArchOutcome) -> Result<(), String> {
 pub fn cells() -> Vec<Cell> {
     use Architecture::*;
     let mut cells = Vec::new();
-    let fair4 = || GossipConfig::fair(4, 16, ROUND);
+    let fair4 = || GossipConfig::fair(4, 16);
     let placements = &Placement::ALL;
 
     // The paper's gossip configurations.
@@ -1095,8 +1119,7 @@ pub fn cells() -> Vec<Cell> {
 
     // The scenario library at a reduced population, at the parity gate's
     // shard counts plus the file's own, under the file's placement. A
-    // fault or mobility split at or past the reduced population leaves
-    // that fault idle here; `parity @all` runs it at full size.
+    // cell whose faults or mobility cut links must lose messages.
     for path in library().expect("scenario library") {
         let file = load_file(&path).expect("library scenario");
         let stem = path
@@ -1106,13 +1129,18 @@ pub fn cells() -> Vec<Cell> {
             .into_owned();
         let shards = parity_shards_for(&file.spec);
         let placement = file.spec.placement;
-        let mut spec = file.spec;
-        spec.n = spec.n.min(LIBRARY_NODES);
+        let spec = downscaled(file.spec);
+        let cuts = spec.faults.partition.is_some()
+            || spec.faults.oneway.is_some()
+            || spec
+                .mobility
+                .as_ref()
+                .is_some_and(|m| m.segments.iter().any(|seg| seg.disconnected));
         let cell = Cell::new(format!("parity_matrix::library_cells/{stem}"), spec);
         cells.push(
             cell.shards(&shards)
                 .placements(&[placement])
-                .expect(anything),
+                .expect(if cuts { loses } else { anything }),
         );
     }
     cells

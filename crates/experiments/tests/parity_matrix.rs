@@ -60,6 +60,25 @@ fn library_cells() {
     check_family("parity_matrix::library_cells");
 }
 
+/// Every downscaled library spec is one `to_toml` writes and reads back
+/// unchanged, so a failing library cell writes its repro file.
+#[test]
+fn library_repro_dumps_round_trip() {
+    for cell in cells()
+        .into_iter()
+        .filter(|c| c.family() == "parity_matrix::library_cells")
+    {
+        let toml = to_toml(&cell.spec)
+            .unwrap_or_else(|e| panic!("{}: downscaled spec is not representable: {e}", cell.name));
+        assert_eq!(
+            fed_workload::spec_from_toml(&toml).expect("dump parses"),
+            cell.spec,
+            "{}: repro dump diverged from the spec that ran",
+            cell.name
+        );
+    }
+}
+
 /// The repro path stays honest: a generated spec dumped with `to_toml`
 /// parses back to the exact spec that ran, so the file a failing
 /// generated cell writes replays the same simulation.

@@ -74,40 +74,37 @@ use fed_sim::time::{SimDuration, SimTime};
 use fed_util::histogram::Histogram;
 use std::collections::BTreeMap;
 
+/// Upper bound (exclusive) of the per-node forward-load histogram:
+/// `[0, LOAD_HI)` in `LOAD_BUCKETS` unit-width buckets plus an overflow
+/// bucket. Unit width captures integer forward counts below 64 exactly,
+/// which (together with the exact residual mass for the overflow) keeps
+/// the derived Gini faithful even for hotspot architectures.
+const LOAD_HI: f64 = 64.0;
+/// Bucket count of the forward-load histogram.
+const LOAD_BUCKETS: usize = 64;
+/// Upper bound (exclusive, milliseconds) of the delivery-latency
+/// histogram.
+const LATENCY_HI_MS: f64 = 200.0;
+/// Bucket count of the delivery-latency histogram.
+const LATENCY_BUCKETS: usize = 40;
+
 /// Configuration of the telemetry pipeline, fixed for a whole run.
 ///
-/// The histogram geometries are part of the spec so that shard-local
-/// sketches are always mergeable; two series compare equal only if their
-/// specs agree.
+/// The histogram geometry is fixed (forward load: 64 unit buckets over
+/// `[0, 64)`; latency: 40 buckets over `[0, 200)` ms; each plus an
+/// overflow bucket), so shard-local sketches are always mergeable; two
+/// series compare equal only if their windows agree.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TelemetrySpec {
     /// Sampling window width (must be positive). Doubles as the overhead
     /// knob: the per-window fold is the only O(nodes) cost.
     pub window: SimDuration,
-    /// Exclusive upper bound of the per-node forward-load histogram
-    /// (`[0, load_hi)` plus an overflow bucket).
-    pub load_hi: f64,
-    /// Bucket count of the forward-load histogram.
-    pub load_buckets: usize,
-    /// Exclusive upper bound (milliseconds) of the delivery-latency
-    /// histogram.
-    pub latency_hi_ms: f64,
-    /// Bucket count of the delivery-latency histogram.
-    pub latency_buckets: usize,
 }
 
 impl Default for TelemetrySpec {
     fn default() -> Self {
         TelemetrySpec {
             window: SimDuration::from_millis(500),
-            // Unit-width buckets: integer forward counts below 64 are
-            // captured exactly, which (together with the exact residual
-            // mass for the overflow) keeps the derived Gini faithful
-            // even for hotspot architectures.
-            load_hi: 64.0,
-            load_buckets: 64,
-            latency_hi_ms: 200.0,
-            latency_buckets: 40,
         }
     }
 }
@@ -119,14 +116,6 @@ impl TelemetrySpec {
         self
     }
 
-    fn load_hist(&self) -> Histogram {
-        Histogram::new(0.0, self.load_hi, self.load_buckets).expect("validated in new()")
-    }
-
-    fn latency_hist(&self) -> Histogram {
-        Histogram::new(0.0, self.latency_hi_ms, self.latency_buckets).expect("validated in new()")
-    }
-
     /// Checks a spec without panicking — the validation entry point for
     /// declarative sources like `fed-workload`'s scenario files, which
     /// must turn a bad `[telemetry]` section into an actionable parse
@@ -134,18 +123,12 @@ impl TelemetrySpec {
     ///
     /// # Errors
     ///
-    /// Returns a human-readable description of the first invalid field:
-    /// a non-positive window, or histogram geometry (`load_hi`,
-    /// `load_buckets`, `latency_hi_ms`, `latency_buckets`) that does not
-    /// describe a well-formed sketch.
+    /// Returns a human-readable description when the window is not
+    /// positive.
     pub fn checked(spec: TelemetrySpec) -> Result<TelemetrySpec, String> {
         if spec.window <= SimDuration::ZERO {
             return Err("telemetry window must be positive".to_string());
         }
-        Histogram::new(0.0, spec.load_hi, spec.load_buckets)
-            .map_err(|e| format!("invalid load histogram spec: {e}"))?;
-        Histogram::new(0.0, spec.latency_hi_ms, spec.latency_buckets)
-            .map_err(|e| format!("invalid latency histogram spec: {e}"))?;
         Ok(spec)
     }
 
@@ -198,8 +181,8 @@ pub struct WindowStats {
 }
 
 impl WindowStats {
-    /// An empty window for `spec` at `index`.
-    pub fn empty(spec: &TelemetrySpec, index: u64) -> Self {
+    /// An empty window at `index`.
+    pub fn empty(index: u64) -> Self {
         WindowStats {
             index,
             events: 0,
@@ -214,8 +197,9 @@ impl WindowStats {
             load_sumsq: 0,
             load_min: u64::MAX,
             load_max: 0,
-            load_hist: spec.load_hist(),
-            latency_hist: spec.latency_hist(),
+            load_hist: Histogram::new(0.0, LOAD_HI, LOAD_BUCKETS).expect("valid geometry"),
+            latency_hist: Histogram::new(0.0, LATENCY_HI_MS, LATENCY_BUCKETS)
+                .expect("valid geometry"),
         }
     }
 
@@ -233,8 +217,7 @@ impl WindowStats {
     ///
     /// # Panics
     ///
-    /// Panics if the windows disagree on index or histogram geometry —
-    /// collectors built from one [`TelemetrySpec`] always agree.
+    /// Panics if the windows disagree on index.
     pub fn merge(&mut self, other: &WindowStats) {
         assert_eq!(self.index, other.index, "merging different windows");
         self.events += other.events;
@@ -251,10 +234,10 @@ impl WindowStats {
         self.load_max = self.load_max.max(other.load_max);
         self.load_hist
             .merge(&other.load_hist)
-            .expect("same spec, same geometry");
+            .expect("one geometry");
         self.latency_hist
             .merge(&other.latency_hist)
-            .expect("same spec, same geometry");
+            .expect("one geometry");
     }
 }
 
@@ -313,7 +296,7 @@ impl ShardCollector {
             local,
             counts: vec![0; owned.len()],
             alive: vec![true; owned.len()],
-            open: WindowStats::empty(&spec, 0),
+            open: WindowStats::empty(0),
             cur_end_us: window_us,
             windows: BTreeMap::new(),
         }
@@ -353,10 +336,9 @@ impl ShardCollector {
     /// The accumulator of the window past the open one that holds `at`.
     fn later_window(&mut self, at: SimTime) -> &mut WindowStats {
         let w = self.win_of(at);
-        let spec = self.spec;
         self.windows
             .entry(w)
-            .or_insert_with(|| WindowStats::empty(&spec, w))
+            .or_insert_with(|| WindowStats::empty(w))
     }
 
     /// Folds the open window's per-node forward counts and population
@@ -388,7 +370,7 @@ impl ShardCollector {
         let opened = self
             .windows
             .remove(&next)
-            .unwrap_or_else(|| WindowStats::empty(&self.spec, next));
+            .unwrap_or_else(|| WindowStats::empty(next));
         let closed = std::mem::replace(&mut self.open, opened);
         self.windows.insert(closed.index, closed);
         self.cur_end_us = (next + 1).saturating_mul(self.window_us);
@@ -410,14 +392,16 @@ impl ShardCollector {
         if open.sampled() {
             self.windows.insert(open.index, open);
         }
-        let spec = self.spec;
         let mut windows: Vec<WindowStats> = Vec::new();
         for (w, stats) in self.windows {
             // Dense from window 0: gaps between sampled windows are empty.
-            windows.extend((windows.len() as u64..w).map(|gap| WindowStats::empty(&spec, gap)));
+            windows.extend((windows.len() as u64..w).map(WindowStats::empty));
             windows.push(stats);
         }
-        TelemetrySeries { spec, windows }
+        TelemetrySeries {
+            spec: self.spec,
+            windows,
+        }
     }
 }
 
@@ -488,7 +472,7 @@ impl TelemetrySeries {
         assert_eq!(self.spec, other.spec, "merging series of different specs");
         while self.windows.len() < other.windows.len() {
             let w = self.windows.len() as u64;
-            self.windows.push(WindowStats::empty(&self.spec, w));
+            self.windows.push(WindowStats::empty(w));
         }
         for (mine, theirs) in self.windows.iter_mut().zip(&other.windows) {
             mine.merge(theirs);
@@ -536,9 +520,9 @@ pub struct WindowRow {
     pub jain: f64,
     /// Gini coefficient over the per-node forward counts, derived from
     /// the load histogram plus the exact total mass (see
-    /// [`gini_from_load_sketch`]). Exact for integer counts below
-    /// `load_hi` at unit bucket width (the default geometry); the
-    /// overflow collapses to its exact mean.
+    /// [`gini_from_load_sketch`]). Exact for integer counts below 64,
+    /// which get unit-wide buckets; the overflow collapses to its exact
+    /// mean.
     pub gini: f64,
     /// Max/min forward count; `f64::INFINITY` when some node idled while
     /// another forwarded.
@@ -597,8 +581,8 @@ impl WindowRow {
 ///
 /// Grouped computation over the (already sorted) buckets, valuing each
 /// in-range group at its bucket's **lower bound** — exact for integer
-/// counts when buckets are unit-wide (the default
-/// [`TelemetrySpec`] geometry), so idle nodes are valued at 0, not at a
+/// counts when buckets are unit-wide (the forward-load histogram's
+/// geometry), so idle nodes are valued at 0, not at a
 /// midpoint. The overflow group is valued at its **exact mean**,
 /// recovered from the residual of `total` (the true Σx, tracked
 /// separately as an integer): a hotspot node forwarding thousands of
@@ -656,10 +640,6 @@ mod tests {
     fn spec() -> TelemetrySpec {
         TelemetrySpec {
             window: SimDuration::from_millis(10),
-            load_hi: 8.0,
-            load_buckets: 8,
-            latency_hi_ms: 50.0,
-            latency_buckets: 10,
         }
     }
 
@@ -898,7 +878,6 @@ mod tests {
     fn zero_window_rejected() {
         let bad = TelemetrySpec {
             window: SimDuration::ZERO,
-            ..TelemetrySpec::default()
         };
         let _ = ShardCollector::sequential(bad, 1);
     }

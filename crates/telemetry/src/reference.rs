@@ -47,10 +47,9 @@ impl MapCollector {
     }
 
     fn entry(&mut self, w: u64) -> &mut WindowStats {
-        let spec = self.spec;
         self.windows
             .entry(w)
-            .or_insert_with(|| WindowStats::empty(&spec, w))
+            .or_insert_with(|| WindowStats::empty(w))
     }
 
     fn advance(&mut self, now: SimTime) {
@@ -62,11 +61,10 @@ impl MapCollector {
 
     fn close_current(&mut self) {
         let w = self.cur;
-        let spec = self.spec;
         let stats = self
             .windows
             .entry(w)
-            .or_insert_with(|| WindowStats::empty(&spec, w));
+            .or_insert_with(|| WindowStats::empty(w));
         for (count, alive) in self.counts.iter_mut().zip(&self.alive) {
             if *alive {
                 let c = *count;
@@ -90,15 +88,17 @@ impl MapCollector {
             self.close_current();
         }
         let max_w = self.windows.keys().next_back().copied().unwrap_or(last);
-        let spec = self.spec;
         let windows = (0..=max_w)
             .map(|w| {
                 self.windows
                     .remove(&w)
-                    .unwrap_or_else(|| WindowStats::empty(&spec, w))
+                    .unwrap_or_else(|| WindowStats::empty(w))
             })
             .collect();
-        TelemetrySeries { spec, windows }
+        TelemetrySeries {
+            spec: self.spec,
+            windows,
+        }
     }
 }
 

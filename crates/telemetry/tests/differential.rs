@@ -20,10 +20,6 @@ const NODES: u32 = 6;
 fn spec() -> TelemetrySpec {
     TelemetrySpec {
         window: SimDuration::from_micros(W),
-        load_hi: 8.0,
-        load_buckets: 8,
-        latency_hi_ms: 50.0,
-        latency_buckets: 10,
     }
 }
 
@@ -254,5 +250,5 @@ fn open_window_is_emitted_only_when_sampled() {
     assert_eq!(latencies, vec![0, 0, 1, 0, 0, 0, 1]);
     let indices: Vec<u64> = series.windows.iter().map(|w| w.index).collect();
     assert_eq!(indices, (0..7).collect::<Vec<u64>>());
-    assert_eq!(series.windows[5], WindowStats::empty(&spec(), 5));
+    assert_eq!(series.windows[5], WindowStats::empty(5));
 }

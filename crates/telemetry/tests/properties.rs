@@ -13,10 +13,6 @@ use proptest::prelude::*;
 fn spec() -> TelemetrySpec {
     TelemetrySpec {
         window: SimDuration::from_millis(20),
-        load_hi: 16.0,
-        load_buckets: 16,
-        latency_hi_ms: 40.0,
-        latency_buckets: 8,
     }
 }
 

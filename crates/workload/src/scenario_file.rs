@@ -97,19 +97,17 @@ pub const MAX_SHARDS: usize = 512;
 pub const MAX_NODES: usize = 10_000_000;
 
 /// Most subscription entries (`nodes × topics per node`), most
-/// publications (`rate × duration`), most node-windows (`nodes ×`
-/// telemetry windows) and most telemetry histogram buckets (`windows ×
-/// (load_buckets + latency_buckets)`) a scenario file may request. Each key is in range
+/// publications (`rate × duration`) and most node-windows (`nodes ×`
+/// telemetry windows) a scenario file may request. Each key is in range
 /// on its own; this bounds their products, so a file that parses cannot
 /// ask for more memory or work than the run can afford.
 pub const MAX_PRODUCT: u64 = 100_000_000;
 
 /// Most telemetry windows (`⌈horizon / [telemetry] window⌉`) a scenario
 /// file may request. Each window keeps its series row: a fixed ~200 B of
-/// counters plus 8 B per bucket of its two histograms (`load_buckets +
-/// latency_buckets`, bounded with the windows by [`MAX_PRODUCT`]). At the
-/// default 64 + 40 buckets a row is ≈ 1 KB, so this caps the default
-/// series near 100 MB.
+/// counters plus 8 B per bucket of its two histograms, whose geometry is
+/// fixed at 64 + 40 buckets. A row is ≈ 1 KB, so this caps the series
+/// near 100 MB.
 pub const MAX_WINDOWS: u64 = 100_000;
 
 /// An error from parsing, validating or serializing a scenario file.
@@ -671,7 +669,6 @@ const APPETITE: Ty = range(0, 1_000_000);
 /// A node-id boundary (`< split` on one side, the rest on the other);
 /// [`split_rule`] keeps it inside the population.
 const SPLIT: Ty = range(0, MAX_NODES as u64);
-const BUCKETS: Ty = range(1, 100_000);
 
 /// What `[scenario]`, `[topics]`, `[interest]`, `[publish]` and
 /// `[network]` read into: their absent keys' defaults, and without a
@@ -956,21 +953,7 @@ static MEMBERSHIP: Section<()> = Section {
 /// Its presence enables the streaming series.
 static TELEMETRY: Section<TelemetrySpec> = Section {
     path: "telemetry",
-    keys: &[
-        key("window", Time, Opt, |t| Slot::Duration(&mut t.window)),
-        key("load_hi", Float(Positive), Opt, |t| {
-            Slot::Float(&mut t.load_hi)
-        }),
-        key("load_buckets", BUCKETS, Opt, |t| {
-            Slot::Int(&mut t.load_buckets)
-        }),
-        key("latency_hi_ms", Float(Positive), Opt, |t| {
-            Slot::Float(&mut t.latency_hi_ms)
-        }),
-        key("latency_buckets", BUCKETS, Opt, |t| {
-            Slot::Int(&mut t.latency_buckets)
-        }),
-    ],
+    keys: &[key("window", Time, Opt, |t| Slot::Duration(&mut t.window))],
     rule: Some(|t| TelemetrySpec::checked(*t).map(drop)),
     ..bare(TelemetrySpec::default)
 };
@@ -1451,15 +1434,8 @@ fn split_rule(spec: &ScenarioSpec, line: impl Fn(&str) -> Option<usize>) -> Resu
 /// folds every node: `⌈horizon / window⌉` stays within [`MAX_WINDOWS`]
 /// and `nodes × windows` within [`MAX_PRODUCT`]; both are blamed on
 /// `window`, the `[telemetry] window` line or else the section header.
-/// The horizon is `[publish] warmup + duration` plus the 4 s drain. Each
-/// row holds both histograms, so `windows × (load_buckets +
-/// latency_buckets)` stays within [`MAX_PRODUCT`] too, blamed on
-/// `header`, the `[telemetry]` line.
-fn telemetry_rule(
-    spec: &ScenarioSpec,
-    window_line: Option<usize>,
-    header_line: Option<usize>,
-) -> Result<()> {
+/// The horizon is `[publish] warmup + duration` plus the 4 s drain.
+fn telemetry_rule(spec: &ScenarioSpec, window_line: Option<usize>) -> Result<()> {
     let Some(telemetry) = &spec.telemetry else {
         return Ok(());
     };
@@ -1487,16 +1463,6 @@ fn telemetry_rule(
              ⌈{horizon}us / {window}us⌉ = {over}"
         );
         return Err(ScenarioFileError::new(window_line, what));
-    }
-    let (load, latency) = (telemetry.load_buckets, telemetry.latency_buckets);
-    let buckets = windows as u128 * (load as u128 + latency as u128);
-    if buckets > u128::from(MAX_PRODUCT) {
-        let what = format!(
-            "[telemetry] load_buckets + latency_buckets: {windows} windows × \
-             ({load} + {latency}) buckets = {buckets} histogram buckets, over the limit of \
-             {MAX_PRODUCT}"
-        );
-        return Err(ScenarioFileError::new(header_line, what));
     }
     Ok(())
 }
@@ -1600,9 +1566,8 @@ pub fn parse_scenario(input: &str) -> Result<ScenarioFile> {
     let interest = doc.line("interest", Some("appetite"));
     product_rule(spec, interest, doc.line("publish", None))?;
     split_rule(spec, |path| doc.line(path, Some("split")))?;
-    let header = doc.line("telemetry", None);
-    let window = doc.line("telemetry", Some("window")).or(header);
-    telemetry_rule(spec, window, header)?;
+    let window = doc.line("telemetry", Some("window"));
+    telemetry_rule(spec, window.or(doc.line("telemetry", None)))?;
     Ok(file)
 }
 
@@ -1731,7 +1696,7 @@ pub fn to_toml(spec: &ScenarioSpec) -> Result<String> {
     put(out, &TRACE, s.trace.as_mut())?;
     product_rule(spec, None, None)?;
     split_rule(spec, |_| None)?;
-    telemetry_rule(spec, None, None)?;
+    telemetry_rule(spec, None)?;
     Ok(text)
 }
 
@@ -1828,10 +1793,6 @@ mod tests {
 
             [telemetry]
             window = "250ms"
-            load_hi = 128.0
-            load_buckets = 128
-            latency_hi_ms = 400.0
-            latency_buckets = 80
 
             [profile]
             trace = "TRACE_kitchen-sink.json"
@@ -1873,7 +1834,6 @@ mod tests {
         assert_eq!(s.net.loss_probability(), 0.01);
         let t = s.telemetry.unwrap();
         assert_eq!(t.window, SimDuration::from_millis(250));
-        assert_eq!((t.load_buckets, t.latency_buckets), (128, 80));
         let p = s.profile.clone().unwrap();
         assert_eq!(p.trace.as_deref(), Some("TRACE_kitchen-sink.json"));
         // And it round-trips exactly.
@@ -2311,7 +2271,6 @@ mod tests {
                 |s| {
                     s.telemetry = Some(TelemetrySpec {
                         window: SimDuration::from_micros(1),
-                        ..TelemetrySpec::default()
                     })
                 },
             ),

@@ -98,10 +98,6 @@ fn kitchen_sink() -> ScenarioSpec {
         }),
         telemetry: Some(TelemetrySpec {
             window: SimDuration::from_millis(250),
-            load_hi: 128.0,
-            load_buckets: 128,
-            latency_hi_ms: 400.5,
-            latency_buckets: 80,
         }),
         profile: Some(ProfileSpec {
             trace: Some("traces/TRACE_kitchen-sink.json".to_string()),
@@ -234,10 +230,6 @@ disconnected = false
 
 [telemetry]
 window = "250ms"
-load_hi = 128.0
-load_buckets = 128
-latency_hi_ms = 400.5
-latency_buckets = 80
 
 [profile]
 trace = "traces/TRACE_kitchen-sink.json"

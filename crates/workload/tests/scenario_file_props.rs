@@ -105,22 +105,9 @@ fn churn_strategy() -> impl Strategy<Value = Option<ChurnPlan>> {
 fn telemetry_strategy() -> impl Strategy<Value = Option<TelemetrySpec>> {
     prop_oneof![
         Just(None),
-        (
-            1u64..=10_000_000,
-            1u32..=100_000,
-            1usize..=512,
-            1u32..=1_000_000,
-            1usize..=512
-        )
-            .prop_map(|(window, load_hi, load_buckets, lat_hi, lat_buckets)| {
-                Some(TelemetrySpec {
-                    window: SimDuration::from_micros(window),
-                    load_hi: fractional(load_hi, 10),
-                    load_buckets,
-                    latency_hi_ms: fractional(lat_hi, 100),
-                    latency_buckets: lat_buckets,
-                })
-            }),
+        (1u64..=10_000_000).prop_map(|window| Some(TelemetrySpec {
+            window: SimDuration::from_micros(window),
+        })),
     ]
 }
 
@@ -411,53 +398,43 @@ fn spoil(spec: &mut ScenarioSpec, how: usize) {
         19 => {
             spec.telemetry = Some(TelemetrySpec {
                 window: SimDuration::from_micros(1),
-                ..TelemetrySpec::default()
             })
         }
         // …and over 10⁸ node-windows of 1 ms at 100 000 nodes.
         20 => {
             spec.n = 100_000;
-            spec.telemetry = Some(TelemetrySpec {
-                window: ms(1),
-                ..TelemetrySpec::default()
-            })
+            spec.telemetry = Some(TelemetrySpec { window: ms(1) })
         }
         21 => {
-            spec.telemetry = Some(TelemetrySpec {
-                load_buckets: 0,
-                ..TelemetrySpec::default()
-            })
-        }
-        22 => {
             spec.trace = Some(TraceSpec {
                 sample_rate: 2.0,
                 ..TraceSpec::default()
             })
         }
-        23 => {
+        22 => {
             spec.profile = Some(ProfileSpec {
                 trace: Some("bell\u{7}.json".to_string()),
             })
         }
-        24 => {
+        23 => {
             spec.profile = Some(ProfileSpec {
                 trace: Some(" \t".to_string()),
             })
         }
-        25 => {
+        24 => {
             spec.churn = Some(ChurnPlan {
                 churning_fraction: f64::NAN,
                 ..ChurnPlan::default()
             })
         }
-        26 => {
+        25 => {
             spec.plan.flash = Some(FlashCrowd {
                 at: SimTime::from_secs(1),
                 topic_zipf_s: 2.0,
                 rate_factor: 0.0,
             })
         }
-        27 => {
+        26 => {
             spec.mobility = Some(MobilityTrace {
                 split: 4,
                 period: Some(SimDuration::from_secs(1)),
@@ -474,7 +451,7 @@ fn spoil(spec: &mut ScenarioSpec, how: usize) {
 }
 
 /// How many arms of [`spoil`] spoil.
-const SPOILERS: usize = 28;
+const SPOILERS: usize = 27;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]

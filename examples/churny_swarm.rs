@@ -59,7 +59,7 @@ fn run_swarm(config: GossipConfig, label: &str) -> Vec<(u64, usize)> {
                 sim.is_alive(*id)
                     && node.behavior().wants_to_leave(
                         node.endpoint().ledger(),
-                        &GossipConfig::classic(1, 1, SimDuration::from_millis(100)).spec,
+                        &GossipConfig::classic(1, 1).spec,
                         node.rounds(),
                     )
             })
@@ -78,14 +78,8 @@ fn run_swarm(config: GossipConfig, label: &str) -> Vec<(u64, usize)> {
 
 fn main() {
     println!("selfish peers quit above ratio 25 (patience: 50 rounds)\n");
-    let classic = run_swarm(
-        GossipConfig::classic(8, 16, SimDuration::from_millis(100)),
-        "classic gossip",
-    );
-    let fair = run_swarm(
-        GossipConfig::fair(8, 16, SimDuration::from_millis(100)),
-        "fair gossip",
-    );
+    let classic = run_swarm(GossipConfig::classic(8, 16), "classic gossip");
+    let fair = run_swarm(GossipConfig::fair(8, 16), "fair gossip");
 
     println!("\n   t(s)   classic   fair");
     for ((t, c), (_, f)) in classic.iter().zip(&fair) {

@@ -17,7 +17,7 @@ use fed::sim::{NodeId, SimDuration, SimTime, Simulation};
 fn main() {
     let n = 64;
     let seed = 2007; // ICDCS 2007
-    let config = GossipConfig::fair(6, 16, SimDuration::from_millis(100));
+    let config = GossipConfig::fair(6, 16);
     let net = NetworkModel::reliable(LatencyModel::LogNormalMs {
         median_ms: 40.0,
         sigma: 0.4,

@@ -33,10 +33,10 @@
 //! use fed::core::gossip::{GossipConfig, GossipNode};
 //! use fed::pubsub::{Command, Event, EventId, TopicId};
 //! use fed::sim::network::NetworkModel;
-//! use fed::sim::{NodeId, SimDuration, SimTime, Simulation};
+//! use fed::sim::{NodeId, SimTime, Simulation};
 //!
 //! let n = 16;
-//! let cfg = GossipConfig::fair(4, 16, SimDuration::from_millis(100));
+//! let cfg = GossipConfig::fair(4, 16);
 //! let mut sim = Simulation::new(n, NetworkModel::default(), 1, move |id, _| {
 //!     GossipNode::new(id, n, cfg.clone())
 //! });

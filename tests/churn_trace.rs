@@ -6,7 +6,7 @@
 use fed::core::gossip::{GossipConfig, GossipNode};
 use fed::pubsub::{Command, Event, EventId, TopicId};
 use fed::sim::network::NetworkModel;
-use fed::sim::{NodeId, SimDuration, SimTime, Simulation};
+use fed::sim::{NodeId, SimTime, Simulation};
 use fed::util::rng::Xoshiro256StarStar;
 use fed::workload::churn::{generate_churn, ChurnAction, ChurnPlan};
 
@@ -14,7 +14,7 @@ use fed::workload::churn::{generate_churn, ChurnAction, ChurnPlan};
 fn stable_majority_survives_generated_churn() {
     let n = 72;
     let churners = n / 3; // plan default: 1/3 of the population
-    let cfg = GossipConfig::fair(8, 16, SimDuration::from_millis(100));
+    let cfg = GossipConfig::fair(8, 16);
     let mut sim: Simulation<GossipNode> =
         Simulation::new(n, NetworkModel::default(), 91, move |id, _| {
             GossipNode::new(id, n, cfg.clone())

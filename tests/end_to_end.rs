@@ -78,11 +78,7 @@ fn audit(setup: &Setup) -> DeliveryAudit {
 
 #[test]
 fn full_stack_delivers_reliably_and_selectively() {
-    let mut setup = build(
-        80,
-        GossipConfig::fair(8, 16, SimDuration::from_millis(100)),
-        1001,
-    );
+    let mut setup = build(80, GossipConfig::fair(8, 16), 1001);
     setup.sim.run_until(SimTime::from_secs(18));
     let a = audit(&setup);
     assert!(a.num_events() > 100, "workload produced {}", a.num_events());
@@ -97,17 +93,9 @@ fn full_stack_delivers_reliably_and_selectively() {
 #[test]
 fn fair_beats_classic_on_the_same_workload() {
     let spec = RatioSpec::topic_based();
-    let mut classic = build(
-        80,
-        GossipConfig::classic(8, 16, SimDuration::from_millis(100)),
-        2002,
-    );
+    let mut classic = build(80, GossipConfig::classic(8, 16), 2002);
     classic.sim.run_until(SimTime::from_secs(18));
-    let mut fair = build(
-        80,
-        GossipConfig::fair(8, 16, SimDuration::from_millis(100)),
-        2002,
-    );
+    let mut fair = build(80, GossipConfig::fair(8, 16), 2002);
     fair.sim.run_until(SimTime::from_secs(18));
 
     let classic_fairness = ratio_report(
@@ -140,7 +128,7 @@ fn free_riders_cannot_crash_reliability() {
         flash: None,
     };
     let schedule = generate_schedule(&mut rng, n, 12, &plan).expect("valid");
-    let cfg = GossipConfig::fair(8, 16, SimDuration::from_millis(100));
+    let cfg = GossipConfig::fair(8, 16);
     let mut sim = Simulation::new(n, NetworkModel::default(), 3003, move |id, _| {
         let behavior = if id.index() % 5 == 0 {
             Behavior::FreeRider {
@@ -183,11 +171,7 @@ fn free_riders_cannot_crash_reliability() {
 
 #[test]
 fn churned_nodes_recover_and_catch_new_events() {
-    let mut setup = build(
-        60,
-        GossipConfig::fair(8, 16, SimDuration::from_millis(100)),
-        4004,
-    );
+    let mut setup = build(60, GossipConfig::fair(8, 16), 4004);
     // Crash a third of the population mid-run, rejoin them later.
     for i in 0..20u32 {
         setup
@@ -238,11 +222,7 @@ fn churned_nodes_recover_and_catch_new_events() {
 fn message_counts_match_between_engine_and_ledgers() {
     // Cross-crate consistency: the engine's transport stats and the
     // protocol's own fairness ledger must agree on messages sent.
-    let mut setup = build(
-        40,
-        GossipConfig::classic(6, 16, SimDuration::from_millis(100)),
-        5005,
-    );
+    let mut setup = build(40, GossipConfig::classic(6, 16), 5005);
     setup.sim.run_until(SimTime::from_secs(18));
     for (id, node) in setup.sim.nodes() {
         let ledger = node.endpoint().ledger().totals();
@@ -258,7 +238,7 @@ fn message_counts_match_between_engine_and_ledgers() {
 fn topic_isolation_holds_across_the_stack() {
     // Publish on one topic only; subscribers of other topics stay silent.
     let n = 30;
-    let cfg = GossipConfig::classic(5, 8, SimDuration::from_millis(100));
+    let cfg = GossipConfig::classic(5, 8);
     let mut sim: Simulation<GossipNode> =
         Simulation::new(n, NetworkModel::default(), 6006, move |id, _| {
             GossipNode::new(id, n, cfg.clone())

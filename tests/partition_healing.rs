@@ -106,13 +106,10 @@ fn heals_on_both_engines(cfg: GossipConfig, seed: u64) {
 
 #[test]
 fn classic_gossip_heals_partitions() {
-    heals_on_both_engines(
-        GossipConfig::classic(6, 16, SimDuration::from_millis(100)),
-        81,
-    );
+    heals_on_both_engines(GossipConfig::classic(6, 16), 81);
 }
 
 #[test]
 fn fair_gossip_heals_partitions() {
-    heals_on_both_engines(GossipConfig::fair(6, 16, SimDuration::from_millis(100)), 82);
+    heals_on_both_engines(GossipConfig::fair(6, 16), 82);
 }
