@@ -8,6 +8,10 @@
 //! runs under a 10 s watchdog, and its panic must name the shard that
 //! ran the handler, the virtual time and source of the event, the node it
 //! was addressed to and the original message.
+//!
+//! An exhausted event budget fails the run the same way: a zero-delay
+//! timer cycle, which never leaves its virtual instant, must fail with
+//! the budget message on the sequential engine and at shards {1, 2, 4}.
 
 use fed_cluster::{ShardMap, ShardedSimulation};
 use fed_sim::network::{LatencyModel, NetworkModel};
@@ -150,7 +154,7 @@ fn panic_of(what: &str, run: impl FnOnce() + Send + 'static) -> String {
     });
     match rx.recv_timeout(WATCHDOG) {
         Ok(Some(message)) => message,
-        Ok(None) => panic!("{what}: the run finished without the handler's panic"),
+        Ok(None) => panic!("{what}: the run finished without panicking"),
         Err(_) => panic!("{what}: the run hung past the {WATCHDOG:?} watchdog"),
     }
 }
@@ -194,5 +198,46 @@ fn a_handler_panic_names_its_event_on_every_engine_and_placement() {
                 assert_names(&what, &message, &case.expected(owner));
             }
         }
+    }
+}
+
+/// Re-arms a zero-delay timer forever, so every event is due at 0 µs and
+/// only the event budget can end the run.
+struct Spin;
+
+impl Protocol for Spin {
+    type Msg = ();
+    type Cmd = ();
+    fn on_init(&mut self, ctx: &mut Context<'_, ()>) {
+        ctx.set_timer(SimDuration::ZERO, 0);
+    }
+    fn on_message(&mut self, _ctx: &mut Context<'_, ()>, _from: NodeId, _msg: ()) {}
+    fn on_timer(&mut self, ctx: &mut Context<'_, ()>, _token: u64) {
+        ctx.set_timer(SimDuration::ZERO, 0);
+    }
+}
+
+#[test]
+fn an_exhausted_event_budget_fails_a_same_time_cycle_on_every_engine() {
+    const BUDGET: u64 = 10_000;
+    let net = || NetworkModel::reliable(LatencyModel::Constant(SimDuration::from_millis(1)));
+    let horizon = SimTime::from_secs(1);
+    let expected = [format!(
+        "event budget of {BUDGET} events exhausted at virtual time 0us"
+    )];
+    let message = panic_of("sequential", move || {
+        let mut sim = Simulation::new(NODES as usize, net(), 7, |_, _| Spin);
+        sim.set_max_events(BUDGET);
+        sim.run_until(horizon);
+    });
+    assert_names("sequential", &message, &expected);
+    for shards in [1, 2, 4] {
+        let what = format!("{shards} shards");
+        let message = panic_of(&what, move || {
+            let mut sim = ShardedSimulation::new(NODES as usize, net(), 7, shards, |_, _| Spin);
+            sim.set_max_events(BUDGET);
+            sim.run_until(horizon);
+        });
+        assert_names(&what, &message, &expected);
     }
 }

@@ -224,7 +224,10 @@ pub trait Engine: Sized {
     fn shards(&self) -> usize;
     /// The node ids `shard` owns, ascending.
     fn owned(&self, shard: usize) -> Vec<u32>;
-    /// Runs to `target` with exactly one observer per shard.
+    /// Runs every event due at or before `target` with exactly one
+    /// observer per shard, and returns only with the engine at `target`:
+    /// a handler's panic or an exhausted event budget fails the run
+    /// instead, so a caller never collects a truncated one.
     fn run_observed<O: Probe + Send>(&mut self, target: SimTime, observers: &mut [O]);
     /// Iterates over `(id, state)` of every node that has state.
     fn nodes(&self) -> impl Iterator<Item = (NodeId, &Self::Proto)>;
@@ -911,6 +914,29 @@ mod tests {
             assert_eq!(outcome.stats, direct.stats);
             assert_eq!(outcome.events, direct.events);
         }
+    }
+
+    /// A run that exhausts its event budget fails through the harness,
+    /// on either engine, instead of collecting a truncated outcome.
+    #[test]
+    #[should_panic(expected = "event budget of 1000 events exhausted at virtual time")]
+    fn exhausted_budget_fails_the_sequential_run() {
+        let spec = ScenarioSpec::fair_gossip(16, 3);
+        let config = t_arch_config(GossipConfig::fair);
+        let mut run = prepare_gossip::<Simulation<GossipNode>>(&spec, config, |_| Behavior::Honest);
+        run.sim.set_max_events(1_000);
+        run.finish();
+    }
+
+    #[test]
+    #[should_panic(expected = "event budget of 1000 events exhausted at virtual time")]
+    fn exhausted_budget_fails_the_cluster_run() {
+        let spec = ScenarioSpec::fair_gossip(16, 3).with_shards(2);
+        let config = t_arch_config(GossipConfig::fair);
+        let mut run =
+            prepare_gossip::<ShardedSimulation<GossipNode>>(&spec, config, |_| Behavior::Honest);
+        run.sim.set_max_events(1_000);
+        run.finish();
     }
 
     /// `audit_where` narrows the expected set and `audit` keeps all of it.

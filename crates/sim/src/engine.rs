@@ -11,8 +11,8 @@
 //! results.
 
 use crate::exec::{
-    seed_streams, EventKey, EventKind, EventQueue, HandlerPanic, Kernel, Probe, QueueStats,
-    WindowWork, EXTERNAL_SRC,
+    budget_exhausted, seed_streams, EventKey, EventKind, EventQueue, HandlerPanic, Kernel, Probe,
+    QueueStats, WindowWork, EXTERNAL_SRC,
 };
 use crate::network::NetworkModel;
 use crate::protocol::{NodeId, Protocol};
@@ -30,8 +30,6 @@ type BoxedFactory<P> = Box<dyn FnMut(NodeId, &mut Xoshiro256StarStar) -> P>;
 pub struct RunReport {
     /// Events processed during this call.
     pub events: u64,
-    /// `false` when the event budget was exhausted before the target time.
-    pub completed: bool,
 }
 
 /// The discrete-event simulator for one protocol.
@@ -129,9 +127,10 @@ impl<P: Protocol> Simulation<P> {
 
     /// Caps the total number of events this simulation will process.
     ///
-    /// [`Simulation::run_until`] reports `completed == false` when the cap
-    /// is hit; a safety net against protocol bugs that generate unbounded
-    /// message storms.
+    /// [`Simulation::run_until`] panics with [`budget_exhausted`] instead
+    /// of dispatching one event past the cap: a safety net against
+    /// protocol bugs that generate unbounded message storms, which fails
+    /// the run rather than return it truncated.
     pub fn set_max_events(&mut self, max: u64) {
         self.max_events = max;
     }
@@ -224,8 +223,11 @@ impl<P: Protocol> Simulation<P> {
         self.push_external(at, EventKind::Join(node));
     }
 
-    /// Runs until virtual time reaches `target` (inclusive) or the queue
-    /// drains or the event budget is exhausted.
+    /// Runs every event due at or before `target` and leaves the clock
+    /// at `target`.
+    ///
+    /// The run pops only events due before `target + 1 µs`, saturating:
+    /// events due exactly at [`SimTime::MAX`] are never dispatched.
     ///
     /// The `()` case of [`Simulation::run_until_observed`]: with the null
     /// observer every hook site compiles away.
@@ -250,22 +252,21 @@ impl<P: Protocol> Simulation<P> {
     ///
     /// A protocol handler's panic is re-raised as a [`HandlerPanic`]
     /// naming the event being handled (its key and virtual time, shard 0)
-    /// and the original message.
+    /// and the original message. Running out of the event budget (see
+    /// [`Simulation::set_max_events`]) panics with
+    /// [`budget_exhausted`].
     pub fn run_until_observed<O: Probe>(&mut self, target: SimTime, obs: &mut O) -> RunReport {
         let start = self.now;
         let t0 = obs.profiles().then(std::time::Instant::now);
         // `target` is inclusive and `pop_before` exclusive, so bound the
-        // pops one tick past it. At `SimTime::MAX` no such tick exists:
-        // every pending event qualifies.
+        // pops one tick past it.
         let end = target.saturating_add(SimDuration::from_micros(1));
-        let drained = catch_unwind(AssertUnwindSafe(|| self.drain(target, end, obs)));
-        let (events, completed) = drained.unwrap_or_else(|payload| match self.handling {
+        let drained = catch_unwind(AssertUnwindSafe(|| self.drain(end, obs)));
+        let events = drained.unwrap_or_else(|payload| match self.handling {
             Some(event) => panic!("{}", HandlerPanic::new(0, event, &*payload)),
             None => resume_unwind(payload),
         });
-        if completed {
-            self.now = self.now.max(target);
-        }
+        self.now = self.now.max(target);
         if let Some(t0) = t0 {
             obs.on_window(WindowWork {
                 index: 1,
@@ -283,26 +284,18 @@ impl<P: Protocol> Simulation<P> {
                 wait_ns: 0,
             });
         }
-        RunReport { events, completed }
+        RunReport { events }
     }
 
-    /// Pops and dispatches every event before `end` (every event, when
-    /// `target` is `SimTime::MAX`) within the event budget: the events
-    /// dispatched, and whether the budget held.
-    fn drain<O: Probe>(&mut self, target: SimTime, end: SimTime, obs: &mut O) -> (u64, bool) {
+    /// Pops and dispatches every event due before `end`, and returns how
+    /// many it dispatched. Panics rather than dispatch one event past the
+    /// event budget.
+    fn drain<O: Probe>(&mut self, end: SimTime, obs: &mut O) -> u64 {
         let mut events = 0u64;
-        loop {
+        while let Some((key, kind)) = self.queue.pop_before(end) {
             if self.events_processed >= self.max_events {
-                return (events, false);
+                budget_exhausted(self.max_events, key.time);
             }
-            let popped = if target == SimTime::MAX {
-                self.queue.pop()
-            } else {
-                self.queue.pop_before(end)
-            };
-            let Some((key, kind)) = popped else {
-                return (events, true);
-            };
             self.now = key.time;
             self.events_processed += 1;
             events += 1;
@@ -311,6 +304,7 @@ impl<P: Protocol> Simulation<P> {
                 .dispatch_with(key, kind, &mut *self.factory, &mut self.queue, obs);
             self.handling = None;
         }
+        events
     }
 
     /// Push/pop/overflow counters of the global event queue since
@@ -544,6 +538,8 @@ mod tests {
         assert_eq!(received + st.msgs_lost, 200);
     }
 
+    /// The third event is the first past a budget of two: it is due at
+    /// 1 ms, and the run fails there instead of returning truncated.
     #[test]
     fn event_budget_stops_run() {
         let mut s = sim(1);
@@ -551,9 +547,17 @@ mod tests {
         for i in 0..10 {
             s.schedule_command(SimTime::from_millis(i), NodeId::new(0), EchoCmd::Arm(1, i));
         }
-        let report = s.run_until(SimTime::from_secs(1));
-        assert!(!report.completed);
-        assert!(report.events <= 2);
+        let payload = catch_unwind(AssertUnwindSafe(|| s.run_until(SimTime::from_secs(1))))
+            .expect_err("a run past its event budget returned");
+        let message = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|m| m.to_string()))
+            .unwrap_or_default();
+        assert_eq!(
+            message,
+            "event budget of 2 events exhausted at virtual time 1000us"
+        );
     }
 
     #[test]

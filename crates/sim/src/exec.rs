@@ -160,6 +160,18 @@ impl<P: Protocol> EventKind<P> {
     }
 }
 
+/// Fails a run that ran out of its event budget, with the one message
+/// both engines use: the budget and the virtual time of the first event
+/// past it. A run panics here rather than return truncated.
+#[cold]
+#[inline(never)]
+pub fn budget_exhausted(max_events: u64, at: SimTime) -> ! {
+    panic!(
+        "event budget of {max_events} events exhausted at virtual time {}us",
+        at.as_micros()
+    )
+}
+
 /// A protocol handler that panicked: the shard that ran it, the event it
 /// was handling — its key, which carries the virtual time, and the node it
 /// was addressed to — and the panic's own message. Both engines catch a

@@ -3,7 +3,7 @@
 //! A *sweep* runs many generated scenarios (see
 //! `fed_workload::generate`) across every architecture and summarizes
 //! each run into a [`RunSummary`] — fairness (Jain index over per-node
-//! forwarding contribution), delivery latency (p95) and forwarding cost
+//! contribution/benefit ratios), delivery latency (p95) and forwarding cost
 //! (messages sent per delivery). This crate reduces those summaries:
 //! [`pareto_frontier`] keeps the non-dominated set per architecture
 //! (maximize fairness, minimize latency, minimize cost) and [`mean_of`]
@@ -24,7 +24,7 @@
 pub struct RunSummary {
     /// Index of the generated workload in the sweep.
     pub index: u64,
-    /// Jain fairness index over per-node forwarding contribution
+    /// Jain fairness index over per-node contribution/benefit ratios
     /// (1 = perfectly fair; higher is better).
     pub jain: f64,
     /// 95th-percentile delivery latency in milliseconds (lower is

@@ -20,6 +20,10 @@ use fed_trace::TraceSpec;
 use fed_util::dist::InvalidDistribution;
 use fed_util::rng::{Rng64, Xoshiro256StarStar};
 
+/// Virtual time a run keeps going after its publication phase, so that
+/// the last publications drain (TTL rounds plus latency slack).
+pub const DRAIN: SimDuration = SimDuration::from_secs(4);
+
 /// The dissemination architecture a scenario runs.
 ///
 /// The spec names the architecture; the experiment harness maps each
@@ -344,12 +348,22 @@ impl ScenarioSpec {
             .with_mobility(self.mobility.clone())
     }
 
-    /// End of the publication phase plus a drain margin (TTL rounds plus
-    /// latency slack).
+    /// End of the publication phase plus [`DRAIN`], saturating at
+    /// [`SimTime::MAX`].
     pub fn horizon(&self) -> SimTime {
-        SimTime::from_micros(
-            self.plan.warmup.as_micros() + self.plan.duration.as_micros() + 4_000_000,
-        )
+        self.checked_horizon().unwrap_or(SimTime::MAX)
+    }
+
+    /// End of the publication phase plus [`DRAIN`], or `None` when the
+    /// sum overflows the microsecond clock (`[publish]` rejects such a
+    /// file).
+    pub(crate) fn checked_horizon(&self) -> Option<SimTime> {
+        self.plan
+            .warmup
+            .as_micros()
+            .checked_add(self.plan.duration.as_micros())
+            .and_then(|end| end.checked_add(DRAIN.as_micros()))
+            .map(SimTime::from_micros)
     }
 
     /// Generates the scenario's ground truth.
@@ -494,10 +508,13 @@ mod tests {
 
     #[test]
     fn horizon_covers_plan_plus_drain() {
-        let spec = ScenarioSpec::fair_gossip(8, 1);
+        let mut spec = ScenarioSpec::fair_gossip(8, 1);
         assert_eq!(
             spec.horizon().as_micros(),
-            spec.plan.warmup.as_micros() + spec.plan.duration.as_micros() + 4_000_000
+            spec.plan.warmup.as_micros() + spec.plan.duration.as_micros() + DRAIN.as_micros()
         );
+        spec.plan.warmup = SimTime::MAX;
+        assert_eq!(spec.checked_horizon(), None);
+        assert_eq!(spec.horizon(), SimTime::MAX);
     }
 }

@@ -770,15 +770,9 @@ static PUBLISH: Section<ScenarioSpec> = Section {
     // The run horizon is `warmup + duration + drain` on the u64
     // microsecond clock; reject phases that would overflow it so "a file
     // that parses is guaranteed to run" holds.
-    rule: Some(|s| {
-        let (warmup, duration) = (s.plan.warmup.as_micros(), s.plan.duration.as_micros());
-        match warmup
-            .checked_add(duration)
-            .and_then(|v| v.checked_add(4_000_000))
-        {
-            Some(_) => Ok(()),
-            None => Err("warmup + duration overflows the simulation clock".to_string()),
-        }
+    rule: Some(|s| match s.checked_horizon() {
+        Some(_) => Ok(()),
+        None => Err("warmup + duration overflows the simulation clock".to_string()),
     }),
     ..bare(base_spec)
 };

@@ -294,7 +294,7 @@ fn spec_strategy() -> impl Strategy<Value = ScenarioSpec> {
             // and `MAX_PRODUCT` node-windows: widen a window drawn too
             // narrow for the phases.
             if let Some(t) = &mut telemetry {
-                let horizon = warmup + duration + 4_000_000;
+                let horizon = warmup + duration + fed_workload::scenario::DRAIN.as_micros();
                 let cap = MAX_WINDOWS.min(MAX_PRODUCT / n as u64);
                 t.window = t
                     .window
