@@ -35,8 +35,9 @@ pub type GroupTable = FastMap<TopicId, Vec<NodeId>>;
 
 /// Timer token for gossip rounds.
 const ROUND_TIMER: u64 = 1;
-/// Gossip round period.
-const PERIOD: SimDuration = SimDuration::from_millis(100);
+/// Gossip round period: every node re-arms its round timer at this
+/// period for as long as it lives.
+pub const PERIOD: SimDuration = SimDuration::from_millis(100);
 /// Partners per round per topic.
 const FANOUT: usize = 4;
 /// Rounds an event stays forwardable.

@@ -144,7 +144,7 @@ pub use shard_map::ShardMap;
 
 use fed_sim::exec::{
     budget_exhausted, seed_streams, EffectSink, EventKey, EventKind, EventQueue, HandlerPanic,
-    Kernel, Probe, QueueStats, TransportStats, WindowWork, EXTERNAL_SRC,
+    Kernel, Probe, QueueStats, TransportStats, WindowWork, DEFAULT_MAX_EVENTS, EXTERNAL_SRC,
 };
 use fed_sim::network::NetworkModel;
 use fed_sim::protocol::{NodeId, Protocol};
@@ -761,15 +761,15 @@ impl<P: Protocol> ShardedSimulation<P> {
             window_width: lookahead,
             factory,
             events_processed: 0,
-            max_events: 500_000_000,
+            max_events: DEFAULT_MAX_EVENTS,
             windows: 0,
         }
     }
 
-    /// Caps the total number of events this cluster will process, as a
-    /// safety net against protocol bugs that generate unbounded message
-    /// storms (the sequential engine's [`fed_sim::Simulation::set_max_events`]
-    /// twin).
+    /// Caps the total number of events this cluster will process
+    /// ([`DEFAULT_MAX_EVENTS`] unless set), as a safety net against
+    /// protocol bugs that generate unbounded message storms (the
+    /// sequential engine's [`fed_sim::Simulation::set_max_events`] twin).
     ///
     /// A run that would process more events panics with
     /// [`budget_exhausted`] instead of returning truncated. Each shard

@@ -33,8 +33,9 @@ use fed_util::hash::FastMap;
 use fed_util::rng::Rng64;
 use std::sync::Arc;
 
-/// Gossip round period.
-const ROUND: SimDuration = SimDuration::from_millis(100);
+/// Gossip round period: every node re-arms its round timer at this
+/// period for as long as it lives.
+pub const ROUND: SimDuration = SimDuration::from_millis(100);
 /// Timer token for the periodic gossip round.
 const ROUND_TIMER: u64 = 1;
 /// Timer token for the SWIM protocol period.

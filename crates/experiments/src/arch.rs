@@ -10,68 +10,31 @@
 //! Every system runs through [`run_architecture`] on the identical
 //! [`ScenarioSpec`] workload, so the rows differ only in architecture.
 
-use crate::harness::{run_architecture, ArchOutcome, EngineKind};
-use fed_core::ledger::{FairnessLedger, RatioSpec};
-use fed_metrics::fairness::{contribution_report, ratio_report};
+use crate::harness::{run_architecture, EngineKind, RunSummary};
 use fed_metrics::table::{fmt_f64, Table};
 use fed_workload::scenario::{Architecture, ScenarioSpec};
-
-/// One system's measured row.
-#[derive(Debug, Clone)]
-pub struct ArchPoint {
-    /// System name.
-    pub system: String,
-    /// Jain index over contribution/benefit ratios.
-    pub ratio_jain: f64,
-    /// Jain index over raw contributions (load balance).
-    pub load_jain: f64,
-    /// Delivery reliability.
-    pub reliability: f64,
-    /// Total messages sent by all nodes.
-    pub total_msgs: u64,
-    /// Largest single-node share of total messages.
-    pub hottest_share: f64,
-}
 
 /// Result of the T-ARCH experiment.
 #[derive(Debug)]
 pub struct ArchResult {
     /// The comparison table.
     pub table: Table,
-    /// Raw rows.
-    pub points: Vec<ArchPoint>,
-}
-
-fn point(outcome: &ArchOutcome) -> ArchPoint {
-    let spec = RatioSpec::topic_based();
-    let ledgers: Vec<&FairnessLedger> = outcome.ledgers.iter().collect();
-    let ratio = ratio_report(ledgers.iter().copied(), &spec);
-    let load = contribution_report(ledgers.iter().copied(), &spec);
-    let audit = outcome.audit();
-    let total: u64 = outcome.stats.iter().map(|s| s.msgs_sent).sum();
-    let hottest = outcome.stats.iter().map(|s| s.msgs_sent).max().unwrap_or(0);
-    ArchPoint {
-        system: outcome.arch.name().to_string(),
-        ratio_jain: ratio.jain,
-        load_jain: load.jain,
-        reliability: audit.reliability(),
-        total_msgs: total,
-        hottest_share: if total == 0 {
-            0.0
-        } else {
-            hottest as f64 / total as f64
-        },
-    }
+    /// Each system's run summary, in [`Architecture::ALL`] order.
+    pub rows: Vec<(Architecture, RunSummary)>,
 }
 
 /// Runs the full architecture comparison.
 pub fn run(n: usize, seed: u64) -> ArchResult {
-    let mut points = Vec::new();
-    for arch in Architecture::ALL {
-        let spec = ScenarioSpec::standard(arch, n, seed);
-        let outcome = run_architecture(&spec, EngineKind::Sequential);
-        points.push(point(&outcome));
-    }
+    let rows: Vec<(Architecture, RunSummary)> = Architecture::ALL
+        .into_iter()
+        .map(|arch| {
+            let spec = ScenarioSpec::standard(arch, n, seed);
+            (
+                arch,
+                run_architecture(&spec, EngineKind::Sequential).summary(),
+            )
+        })
+        .collect();
 
     let mut table = Table::new(
         format!("T-ARCH: fairness across architectures (n={n})"),
@@ -84,17 +47,17 @@ pub fn run(n: usize, seed: u64) -> ArchResult {
             "hottest node share",
         ],
     );
-    for p in &points {
+    for (arch, s) in &rows {
         table.row_owned(vec![
-            p.system.clone(),
-            fmt_f64(p.ratio_jain),
-            fmt_f64(p.load_jain),
-            fmt_f64(p.reliability),
-            p.total_msgs.to_string(),
-            fmt_f64(p.hottest_share),
+            arch.name().to_string(),
+            fmt_f64(s.ratio.jain),
+            fmt_f64(s.load.jain),
+            fmt_f64(s.reliability),
+            s.total_msgs.to_string(),
+            fmt_f64(s.hottest_share),
         ]);
     }
-    ArchResult { table, points }
+    ArchResult { table, rows }
 }
 
 #[cfg(test)]
@@ -104,33 +67,33 @@ mod tests {
     #[test]
     fn paper_section4_verdicts_hold() {
         let r = run(64, 5);
-        let by_name = |name: &str| {
-            r.points
+        let of = |arch: Architecture| {
+            &r.rows
                 .iter()
-                .find(|p| p.system == name)
-                .unwrap_or_else(|| panic!("{name} missing"))
-                .clone()
+                .find(|(a, _)| *a == arch)
+                .unwrap_or_else(|| panic!("{arch} missing"))
+                .1
         };
-        let broker = by_name("broker");
-        let fair = by_name("fair-gossip");
-        let stat = by_name("static-gossip");
-        let scribe = by_name("scribe");
-        let split = by_name("splitstream");
+        let broker = of(Architecture::Broker);
+        let fair = of(Architecture::FairGossip);
+        let stat = of(Architecture::StaticGossip);
+        let scribe = of(Architecture::Scribe);
+        let split = of(Architecture::SplitStream);
 
         // Every architecture produced a row.
-        assert_eq!(r.points.len(), Architecture::ALL.len());
+        assert_eq!(r.rows.len(), Architecture::ALL.len());
         // Broker: one node does nearly everything.
         assert!(broker.hottest_share > 0.5, "{}", r.table);
         // Fair gossip beats static gossip on ratio fairness.
-        assert!(fair.ratio_jain > stat.ratio_jain, "{}", r.table);
+        assert!(fair.ratio.jain > stat.ratio.jain, "{}", r.table);
         // Fair gossip is the fairest decentralized system in the table.
-        assert!(fair.ratio_jain > scribe.ratio_jain, "{}", r.table);
-        assert!(fair.ratio_jain > split.ratio_jain, "{}", r.table);
+        assert!(fair.ratio.jain > scribe.ratio.jain, "{}", r.table);
+        assert!(fair.ratio.jain > split.ratio.jain, "{}", r.table);
         // SplitStream balances load yet stays ratio-unfair (§3 distinction)
-        assert!(split.load_jain > split.ratio_jain, "{}", r.table);
+        assert!(split.load.jain > split.ratio.jain, "{}", r.table);
         // Everything except broker-after-crash delivers reliably here.
-        for p in &r.points {
-            assert!(p.reliability > 0.95, "{}: {}", p.system, p.reliability);
+        for (arch, s) in &r.rows {
+            assert!(s.reliability > 0.95, "{arch}: {}", s.reliability);
         }
     }
 }

@@ -42,22 +42,25 @@ use fed_cluster::{ShardMap, ShardedSimulation};
 use fed_core::behavior::Behavior;
 use fed_core::endpoint::Endpoint;
 use fed_core::gossip::{GossipConfig, GossipNode};
-use fed_core::ledger::FairnessLedger;
+use fed_core::ledger::{FairnessLedger, RatioSpec};
 use fed_dht::DhtNetwork;
 use fed_membership::swim::SwimObservation;
 use fed_metrics::delivery::DeliveryAudit;
+use fed_metrics::fairness::{contribution_report, ratio_report};
 use fed_profile::{CountingProbe, RunProfile, ShardProfile, WorkCounters};
 use fed_pubsub::{Command, EventId, TopicId};
-use fed_sim::exec::{Probe, QueueStats};
+use fed_sim::exec::{Probe, QueueStats, DEFAULT_MAX_EVENTS};
 use fed_sim::{HopRecord, NodeId, Protocol, SimDuration, SimTime, Simulation, TransportStats};
 use fed_telemetry::membership::{DetectorEvent, MembershipSeries};
-use fed_telemetry::{ShardCollector, TelemetrySeries};
+use fed_telemetry::{ShardCollector, TelemetrySeries, WindowRow};
 use fed_trace::{merge_hops, ShardTraceBuffer};
+use fed_util::fairness::FairnessReport;
 use fed_util::rng::Xoshiro256StarStar;
 use fed_workload::churn::{downtime_intervals, ChurnAction, ChurnEvent};
 use fed_workload::interest::InterestProfile;
 use fed_workload::pubs::Publication;
 use fed_workload::scenario::{Architecture, MaterializedScenario, Placement, ScenarioSpec};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 /// Expected per-node event-count profile of a materialized scenario:
@@ -118,6 +121,10 @@ pub trait ArchProtocol: Protocol<Cmd = Command> + 'static {
     fn handover_at(&self) -> Option<SimTime> {
         None
     }
+    /// The period of the round timer the node re-arms for as long as it
+    /// lives, when it runs one: a node that never crashes dispatches at
+    /// least ⌊horizon / period⌋ of its timer events.
+    const ROUND: Option<SimDuration> = None;
 }
 
 impl ArchProtocol for GossipNode {
@@ -130,6 +137,7 @@ impl ArchProtocol for GossipNode {
     fn swim_observations(&self) -> Vec<SwimObservation> {
         GossipNode::swim_observations(self)
     }
+    const ROUND: Option<SimDuration> = Some(fed_core::gossip::ROUND);
 }
 
 impl ArchProtocol for HybridNode {
@@ -152,6 +160,8 @@ impl ArchProtocol for HybridNode {
     fn handover_at(&self) -> Option<SimTime> {
         self.switched_at()
     }
+    // The gossip stack runs its rounds in either mode.
+    const ROUND: Option<SimDuration> = Some(fed_core::gossip::ROUND);
 }
 
 impl ArchProtocol for BrokerNode {
@@ -188,6 +198,7 @@ impl ArchProtocol for DamNode {
     fn into_endpoint(self) -> Endpoint {
         DamNode::into_endpoint(self)
     }
+    const ROUND: Option<SimDuration> = Some(fed_baselines::dam::PERIOD);
 }
 
 impl ArchProtocol for SplitStreamNode {
@@ -526,6 +537,176 @@ impl ArchOutcome {
         let downtime = downtime_intervals(&self.churn, self.horizon);
         MembershipSeries::build(window, self.horizon, &events, &downtime)
     }
+
+    /// The run's measured values, computed once: what every report
+    /// renders instead of re-deriving it from the outcome.
+    pub fn summary(&self) -> RunSummary {
+        let audit = self.audit();
+        let latency = audit.latency_ms();
+        let spec = RatioSpec::topic_based();
+        let deliveries = self.total_deliveries();
+        let total_msgs: u64 = self.stats.iter().map(|s| s.msgs_sent).sum();
+        let hottest = self.stats.iter().map(|s| s.msgs_sent).max().unwrap_or(0);
+        // The detection totals do not depend on the window width, so one
+        // window spanning the horizon counts them without a per-window
+        // series.
+        let whole_run = SimDuration::from_micros(self.horizon.as_micros().max(1));
+        let detection = self.membership_series(whole_run);
+        RunSummary {
+            deliveries,
+            reliability: audit.reliability(),
+            spurious: audit.spurious(),
+            ratio: ratio_report(&self.ledgers, &spec),
+            load: contribution_report(&self.ledgers, &spec),
+            total_msgs,
+            hottest_share: if total_msgs == 0 {
+                0.0
+            } else {
+                hottest as f64 / total_msgs as f64
+            },
+            msgs_per_delivery: (deliveries > 0).then(|| total_msgs as f64 / deliveries as f64),
+            latency_samples: latency.len(),
+            latency_mean_ms: latency.mean(),
+            latency_p50_ms: latency.percentile(50.0),
+            latency_p95_ms: latency.percentile(95.0),
+            latency_p99_ms: latency.percentile(99.0),
+            latency_max_ms: latency.max(),
+            handover: self.handover_time(),
+            transients: self.telemetry.as_ref().map(Transients::of),
+            detection: DetectionTotals {
+                observations: self.total_swim_observations(),
+                detections: detection.total_detections(),
+                latency_mean_us: detection.detection_latency_mean_us(),
+                false_suspicions: detection.total_false_suspicions(),
+                refutes: detection.total_refutes(),
+                self_refutes: detection.windows.iter().map(|w| w.self_refutes).sum(),
+            },
+        }
+    }
+}
+
+/// One run's measured values, named: deliveries, fairness, cost,
+/// latency and, when the run carried them, its telemetry transients.
+/// [`ArchOutcome::summary`] computes it once; `run`, `arch`, `sweep`,
+/// `scale`, `smoke` and `timeseries` render its fields.
+///
+/// Fairness is the paper's: Jain (and the other indices) over per-node
+/// contribution/benefit ratios under topic-based accounting. Load balance
+/// is the same indices over raw contributions — the §3 distinction.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct RunSummary {
+    /// Deliveries across all nodes.
+    pub deliveries: usize,
+    /// Fraction of expected deliveries that arrived.
+    pub reliability: f64,
+    /// Deliveries at nodes not interested in the event.
+    pub spurious: u64,
+    /// Fairness over per-node contribution/benefit ratios.
+    pub ratio: FairnessReport,
+    /// Fairness over raw contributions (load balance).
+    pub load: FairnessReport,
+    /// Messages sent by all nodes.
+    pub total_msgs: u64,
+    /// Largest single-node share of the messages sent (0 when none were).
+    pub hottest_share: f64,
+    /// Messages sent per delivery; `None` when nothing was delivered.
+    pub msgs_per_delivery: Option<f64>,
+    /// Expected deliveries that arrived: the latency samples.
+    pub latency_samples: usize,
+    /// Mean delivery latency in milliseconds (0 without a sample).
+    pub latency_mean_ms: f64,
+    /// Median delivery latency in milliseconds.
+    pub latency_p50_ms: Option<f64>,
+    /// 95th-percentile delivery latency in milliseconds.
+    pub latency_p95_ms: Option<f64>,
+    /// 99th-percentile delivery latency in milliseconds.
+    pub latency_p99_ms: Option<f64>,
+    /// Largest delivery latency in milliseconds.
+    pub latency_max_ms: Option<f64>,
+    /// Earliest strategy handover, when one happened.
+    pub handover: Option<SimTime>,
+    /// Per-window transients, when the run carried a telemetry series.
+    pub transients: Option<Transients>,
+    /// Failure-detection totals over the SWIM logs (all zero when no node
+    /// ran the detector).
+    pub detection: DetectionTotals,
+}
+
+/// What a telemetry series says about the run's transients.
+///
+/// Fairness extremes are taken over *active* windows only: those with at
+/// least a tenth of the peak window's sends. Round timers keep firing
+/// until the horizon, and a drain tail of a handful of sends over
+/// hundreds of nodes would post a near-zero Jain — the transients must
+/// describe the system under load, not the silence after it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Transients {
+    /// Windows in the series.
+    pub windows: usize,
+    /// Active windows.
+    pub active: usize,
+    /// Worst (minimum) per-window Jain index over the active windows;
+    /// `None` when no window sent anything.
+    pub jain_min: Option<f64>,
+    /// Peak per-window Gini over the active windows (0 without one).
+    pub gini_peak: f64,
+    /// Peak p99 scheduled delivery latency in milliseconds over all
+    /// windows (0 when no window sampled one).
+    pub p99_ms_peak: f64,
+    /// Peak single-node forward load in any window.
+    pub load_max_peak: u64,
+    /// Most messages sent in one window.
+    pub msgs_peak: u64,
+    /// Smallest alive population over the windows that sampled it.
+    pub alive_min: u64,
+}
+
+impl Transients {
+    /// The transients of `series`.
+    fn of(series: &TelemetrySeries) -> Transients {
+        let msgs_peak = series.windows.iter().map(|w| w.msgs_sent).max();
+        let floor = (msgs_peak.unwrap_or(0) / 10).max(1);
+        let rows = series.rows();
+        let active: Vec<&WindowRow> = rows.iter().filter(|r| r.msgs_sent >= floor).collect();
+        Transients {
+            windows: rows.len(),
+            active: active.len(),
+            jain_min: active.iter().map(|r| r.jain).reduce(f64::min),
+            gini_peak: active.iter().map(|r| r.gini).fold(0.0, f64::max),
+            p99_ms_peak: rows
+                .iter()
+                .filter_map(|r| r.latency_p99_ms)
+                .fold(0.0, f64::max),
+            load_max_peak: series.windows.iter().map(|w| w.load_max).max().unwrap_or(0),
+            msgs_peak: msgs_peak.unwrap_or(0),
+            alive_min: series
+                .windows
+                .iter()
+                .filter(|w| w.alive + w.crashed > 0)
+                .map(|w| w.alive)
+                .min()
+                .unwrap_or(0),
+        }
+    }
+}
+
+/// A run's failure-detection totals: its SWIM observations classified
+/// against the churn ground truth.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct DetectionTotals {
+    /// SWIM observations logged across all nodes.
+    pub observations: usize,
+    /// Confirmations of nodes that were actually down.
+    pub detections: u64,
+    /// Mean confirmation delay after the crash, in microseconds; `None`
+    /// without a detection.
+    pub latency_mean_us: Option<f64>,
+    /// Suspicions of nodes that were actually alive.
+    pub false_suspicions: u64,
+    /// Suspicion/death refutations.
+    pub refutes: u64,
+    /// Live nodes clearing their own name.
+    pub self_refutes: u64,
 }
 
 /// Builds the per-topic group table the DKS and DAM baselines take as
@@ -741,10 +922,35 @@ where
     E::Proto: ArchProtocol,
 {
     /// Builds engine `E` with `factory` and schedules the workload.
+    ///
+    /// # Panics
+    ///
+    /// Before building anything, when the round timers alone would
+    /// exhaust the [`DEFAULT_MAX_EVENTS`] budget: the nodes the churn
+    /// trace never crashes, times ⌊horizon / period⌋ rounds each (see
+    /// [`ArchProtocol::ROUND`]), a lower bound on the run's events.
     fn new<F>(spec: &'s ScenarioSpec, materialized: MaterializedScenario, factory: F) -> Self
     where
         F: Fn(NodeId, &mut Xoshiro256StarStar) -> E::Proto + Send + Sync + 'static,
     {
+        if let Some(period) = E::Proto::ROUND {
+            let crashed: HashSet<usize> = materialized
+                .churn
+                .iter()
+                .filter(|c| c.action == ChurnAction::Crash)
+                .map(|c| c.node)
+                .collect();
+            let survivors = (spec.n - crashed.len()) as u64;
+            let rounds = materialized.horizon.as_micros() / period.as_micros();
+            let floor = survivors.saturating_mul(rounds);
+            assert!(
+                floor <= DEFAULT_MAX_EVENTS,
+                "{survivors} node(s) re-arm a {} ms round timer up to the horizon at {}us: \
+                 at least {floor} events, past the event budget of {DEFAULT_MAX_EVENTS} events",
+                period.as_millis(),
+                materialized.horizon.as_micros()
+            );
+        }
         let mut sim = E::build(spec, &materialized, factory);
         schedule_workload(&mut sim, &materialized);
         Prepared {
@@ -937,6 +1143,19 @@ mod tests {
             prepare_gossip::<ShardedSimulation<GossipNode>>(&spec, config, |_| Behavior::Honest);
         run.sim.set_max_events(1_000);
         run.finish();
+    }
+
+    /// A world whose round timers alone pass the event budget is refused
+    /// before its engine is built: 64 DAM nodes × 10⁷ rounds of 100 ms.
+    #[test]
+    #[should_panic(expected = "at least 640000000 events, past the event budget of 500000000")]
+    fn round_timers_past_the_budget_are_refused() {
+        let mut spec = ScenarioSpec::standard(Architecture::Dam, 64, 3);
+        spec.plan.rate_per_sec = 1e-6;
+        // Horizon: 1 s warmup + publication + 4 s drain = 10⁶ s.
+        spec.plan.warmup = SimTime::from_secs(1);
+        spec.plan.duration = SimTime::from_secs(1_000_000 - 5);
+        run_architecture(&spec, EngineKind::Cluster);
     }
 
     /// `audit_where` narrows the expected set and `audit` keeps all of it.

@@ -180,11 +180,12 @@ fn record_sweep(suite: &str, r: &sweep::SweepResult) -> Result<(), String> {
             r.degenerate
         );
     }
-    assert!(
-        r.identical,
-        "{suite} artifact rows diverged between the engines"
-    );
-    assert!(!r.records.is_empty(), "{suite} rendered no rows");
+    if let Some(d) = &r.divergence {
+        return Err(format!("{suite} diverged between the engines: {d}"));
+    }
+    if r.records.is_empty() {
+        return Err(format!("{suite} rendered no rows"));
+    }
     write_artifact(sweep::BENCH_SWEEP_PATH, r.records.len(), |p| {
         bench_json::splice(p, &r.records, Some(suite))
     })
@@ -200,7 +201,9 @@ fn record_sweep(suite: &str, r: &sweep::SweepResult) -> Result<(), String> {
 /// # Errors
 ///
 /// Returns a message for an unknown id, a malformed pseudo-id (see
-/// [`PseudoId`]) or an artifact that could not be written.
+/// [`PseudoId`]), an artifact that could not be written, or a gate the
+/// run failed: engines or shard counts that diverged, a smoke run that
+/// was not live, an instrument over its overhead bar.
 pub fn run_by_id(id: &str, seed: u64) -> Result<(), String> {
     match id {
         "fig1" => {
@@ -259,7 +262,9 @@ pub fn run_by_id(id: &str, seed: u64) -> Result<(), String> {
             let r = scale::run(512, &[1, 2, 4], seed);
             println!("{}", r.table);
             if let Some((arch, d)) = &r.divergence {
-                panic!("shard count must not change the outcome: {arch}: {d}");
+                return Err(format!(
+                    "shard count must not change the outcome: {arch}: {d}"
+                ));
             }
             record(bench_json::BENCH_PATH, &r.records)?;
         }
@@ -268,7 +273,9 @@ pub fn run_by_id(id: &str, seed: u64) -> Result<(), String> {
             let r = timeseries::run(256, 4, seed);
             println!("{}", r.table);
             if let Some((arch, d)) = &r.divergence {
-                panic!("telemetry series diverged between the engines: {arch}: {d}");
+                return Err(format!(
+                    "telemetry series diverged between the engines: {arch}: {d}"
+                ));
             }
             // Regenerated whole every run: nothing to splice.
             write_artifact(timeseries::BENCH_TIMESERIES_PATH, r.archs.len(), |p| {
@@ -282,7 +289,7 @@ pub fn run_by_id(id: &str, seed: u64) -> Result<(), String> {
             println!("{}", r.stall_table);
             println!("{}", r.work_table);
             if let Some(d) = &r.divergence {
-                panic!("profiled engines diverged: {d}");
+                return Err(format!("profiled engines diverged: {d}"));
             }
             record(profile::BENCH_PROFILE_PATH, &r.records)?;
         }
@@ -293,7 +300,7 @@ pub fn run_by_id(id: &str, seed: u64) -> Result<(), String> {
             println!("{}", r.event_table);
             println!("{}", r.attribution_table);
             if let Some(d) = &r.divergence {
-                panic!("traced engines diverged: {d}");
+                return Err(format!("traced engines diverged: {d}"));
             }
             record(trace::BENCH_TRACE_PATH, &r.records)?;
         }
@@ -313,7 +320,7 @@ pub enum PseudoId {
     Smoke(scale::SmokeConfig),
     /// `profile-smoke[:arch[:n[:shards]]]` — the smoke workload with
     /// profiling off then on: the overhead line, a `BENCH_profile.json`
-    /// row and the [`profile::OVERHEAD_BAR`] assertion.
+    /// row and the [`profile::OVERHEAD_BAR`] gate.
     ProfileSmoke(scale::SmokeConfig),
     /// `trace-smoke[:arch[:n[:shards]]]` — the same for the tracer,
     /// `BENCH_trace.json` and [`trace::OVERHEAD_BAR`].
@@ -457,14 +464,18 @@ fn run_pseudo_id(id: &str, seed: u64) -> Result<(), String> {
                 config.placement,
                 p.events,
                 p.windows,
-                p.deliveries,
-                p.reliability,
+                p.summary.deliveries,
+                p.summary.reliability,
                 p.wall_ms,
                 bench_json::events_per_sec(p.events, p.wall_ms),
             );
             record(bench_json::BENCH_PATH, std::slice::from_ref(&p.row))?;
-            assert!(p.events > 0, "smoke run processed no events");
-            assert!(p.deliveries > 0, "smoke run delivered nothing");
+            if p.events == 0 {
+                return Err("smoke run processed no events".into());
+            }
+            if p.summary.deliveries == 0 {
+                return Err("smoke run delivered nothing".into());
+            }
             Ok(())
         }
         PseudoId::ProfileSmoke(config) => {
@@ -487,7 +498,7 @@ fn run_pseudo_id(id: &str, seed: u64) -> Result<(), String> {
 
 /// The shared tail of `profile-smoke` and `trace-smoke`: prints the
 /// overhead line, records the instrument's `bench_row` in its artifact
-/// at `path` and asserts that the instrumented run was live (`counted`
+/// at `path` and fails unless the instrumented run was live (`counted`
 /// is what it is counted in, windows or hops), did not perturb the
 /// outcome and stayed under [`profile::OVERHEAD_BAR`], which is the
 /// tracer's bar too.
@@ -515,17 +526,25 @@ fn overhead_smoke(
         p.overhead_frac() * 100.0,
     );
     record(path, &[bench_row(p, suite)])?;
-    assert!(p.on.events > 0, "{suite} processed no events");
-    assert!(count > 0, "{suite} recorded no {unit}");
-    if let Some(d) = scenario_run::first_divergence(&p.off, &p.on) {
-        panic!("{suite}: instrumenting the run changed its outcome: {d}");
+    if p.on.events == 0 {
+        return Err(format!("{suite} processed no events"));
     }
-    assert!(
-        p.overhead_frac() < profile::OVERHEAD_BAR,
-        "{suite}: enabled overhead {:.1}% breaches the {:.0}% bar",
-        p.overhead_frac() * 100.0,
-        profile::OVERHEAD_BAR * 100.0
-    );
+    if count == 0 {
+        return Err(format!("{suite} recorded no {unit}"));
+    }
+    if let Some(d) = scenario_run::first_divergence(&p.off, &p.on) {
+        return Err(format!(
+            "{suite}: instrumenting the run changed its outcome: {d}"
+        ));
+    }
+    let within_bar = p.overhead_frac() < profile::OVERHEAD_BAR;
+    if !within_bar {
+        return Err(format!(
+            "{suite}: enabled overhead {:.1}% breaches the {:.0}% bar",
+            p.overhead_frac() * 100.0,
+            profile::OVERHEAD_BAR * 100.0
+        ));
+    }
     Ok(())
 }
 

@@ -139,42 +139,44 @@ fn main() -> ExitCode {
             .map(|id| Command::Experiment(id.to_string()))
             .collect();
     }
+    // One failure path: a command's error and a panic under it (an
+    // engine's exhausted event budget or a handler's panic) both print
+    // one `error:` line and exit 1. The silent hook keeps the panic's
+    // location and backtrace off stderr; its message is the line.
+    std::panic::set_hook(Box::new(|_| {}));
     for command in &commands {
-        match command {
-            Command::Experiment(id) => {
-                eprintln!("=== running {id} (seed {seed}) ===");
-                if let Err(e) = fed_experiments::run_by_id(id, seed) {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-            Command::Run {
-                target,
-                profile,
-                trace,
-            } => {
-                eprintln!("=== running scenario {target} ===");
-                if let Err(e) = fed_experiments::run_scenario_target(target, *profile, *trace) {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-            Command::Parity(target) => {
-                eprintln!("=== parity gate {target} ===");
-                if let Err(e) = fed_experiments::parity_target(target) {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-            Command::BenchDiff(paths) => {
-                let (old, new) = (&paths[0], &paths[1]);
-                eprintln!("=== bench-diff {old} vs {new} ===");
-                if let Err(e) = fed_experiments::bench_diff_target(old, new, threshold) {
-                    eprintln!("{e}");
-                    return ExitCode::FAILURE;
-                }
-            }
+        let result = std::panic::catch_unwind(|| execute(command, seed, threshold))
+            .unwrap_or_else(|payload| Err(fed_sim::exec::panic_message(&*payload)));
+        if let Err(e) = result {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
         }
     }
     ExitCode::SUCCESS
+}
+
+fn execute(command: &Command, seed: u64, threshold: Option<f64>) -> Result<(), String> {
+    match command {
+        Command::Experiment(id) => {
+            eprintln!("=== running {id} (seed {seed}) ===");
+            fed_experiments::run_by_id(id, seed)
+        }
+        Command::Run {
+            target,
+            profile,
+            trace,
+        } => {
+            eprintln!("=== running scenario {target} ===");
+            fed_experiments::run_scenario_target(target, *profile, *trace)
+        }
+        Command::Parity(target) => {
+            eprintln!("=== parity gate {target} ===");
+            fed_experiments::parity_target(target)
+        }
+        Command::BenchDiff(paths) => {
+            let (old, new) = (&paths[0], &paths[1]);
+            eprintln!("=== bench-diff {old} vs {new} ===");
+            fed_experiments::bench_diff_target(old, new, threshold)
+        }
+    }
 }

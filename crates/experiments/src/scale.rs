@@ -22,10 +22,8 @@
 //! instrument comparison (profiler and tracer both use it).
 
 use crate::bench_json::{events_per_sec, Row};
-use crate::harness::{run_architecture, ArchOutcome, EngineKind};
+use crate::harness::{run_architecture, ArchOutcome, EngineKind, RunSummary};
 use crate::scenario_run::{first_divergence, Divergence};
-use fed_core::ledger::RatioSpec;
-use fed_metrics::fairness::ratio_report;
 use fed_metrics::table::{fmt_f64, Table};
 use fed_sim::SimTime;
 use fed_workload::pubs::PubPlan;
@@ -57,10 +55,8 @@ pub struct ScalePoint {
 pub struct ArchScale {
     /// The architecture.
     pub arch: Architecture,
-    /// Jain fairness index of the (shared) outcome.
-    pub jain: f64,
-    /// Delivery reliability of the (shared) outcome.
-    pub reliability: f64,
+    /// Summary of the (shared) outcome, from the first shard count's run.
+    pub summary: RunSummary,
     /// The sweep points, in shard-count order.
     pub points: Vec<ScalePoint>,
     /// Where a shard count's outcome first differs from the first shard
@@ -175,29 +171,21 @@ pub fn measure_overhead(
 }
 
 /// Runs one architecture's sweep at population size `n` over
-/// `shard_counts`.
+/// `shard_counts` (at least one).
 pub fn run_arch(arch: Architecture, n: usize, shard_counts: &[usize], seed: u64) -> ArchScale {
     let mut points = Vec::new();
     let mut divergence = None;
-    let mut baseline: Option<ArchOutcome> = None;
-    let mut baseline_wall = 0.0f64;
-    let mut jain = 0.0;
-    let mut reliability = 0.0;
+    let mut baseline: Option<(ArchOutcome, f64)> = None;
     for &shards in shard_counts {
         let spec = scale_spec(n, seed).with_arch(arch).with_shards(shards);
         // Best of two, the same noise discipline as the overhead gates.
         let (outcome, wall_ms) = timed_best_of(&spec, EngineKind::Cluster, 2);
         // The outcome must not depend on the shard count: every run is
         // the same run as the first one, by the parity gate's definition.
-        match &baseline {
-            None => {
-                baseline_wall = wall_ms;
-                let report = ratio_report(outcome.ledgers.iter(), &RatioSpec::topic_based());
-                jain = report.jain;
-                reliability = outcome.audit().reliability();
-            }
-            Some(base) => divergence = divergence.or_else(|| first_divergence(base, &outcome)),
+        if let Some((base, _)) = &baseline {
+            divergence = divergence.or_else(|| first_divergence(base, &outcome));
         }
+        let baseline_wall = baseline.as_ref().map_or(wall_ms, |(_, ms)| *ms);
         points.push(ScalePoint {
             arch,
             shards: outcome.shards,
@@ -207,12 +195,12 @@ pub fn run_arch(arch: Architecture, n: usize, shard_counts: &[usize], seed: u64)
             events_per_sec: events_per_sec(outcome.events, wall_ms),
             speedup: baseline_wall / wall_ms.max(1e-9),
         });
-        baseline.get_or_insert(outcome);
+        baseline.get_or_insert((outcome, wall_ms));
     }
+    let (baseline, _) = baseline.expect("at least one shard count");
     ArchScale {
         arch,
-        jain,
-        reliability,
+        summary: baseline.summary(),
         points,
         divergence,
     }
@@ -273,8 +261,8 @@ pub fn run(n: usize, shard_counts: &[usize], seed: u64) -> ScaleResult {
                 p.windows.to_string(),
                 fmt_f64(p.events_per_sec),
                 fmt_f64(p.speedup),
-                fmt_f64(sweep.jain),
-                fmt_f64(sweep.reliability),
+                fmt_f64(sweep.summary.ratio.jain),
+                fmt_f64(sweep.summary.reliability),
                 sweep.divergence.is_none().to_string(),
             ]);
             records.push(
@@ -352,16 +340,15 @@ pub struct SmokePoint {
     pub events: u64,
     /// Barrier windows executed.
     pub windows: u64,
-    /// Total deliveries across all nodes.
-    pub deliveries: usize,
-    /// Delivery reliability.
-    pub reliability: f64,
+    /// The run's summary.
+    pub summary: RunSummary,
     /// The point as a `BENCH_cluster.json` row.
     pub row: Row,
 }
 
-/// Runs one configuration once on the cluster engine, asserting liveness
-/// rather than statistics. This is the 100 k-node CI smoke entry point.
+/// Runs one configuration once on the cluster engine. This is the 100
+/// k-node CI smoke entry point: its caller checks liveness rather than
+/// statistics.
 pub fn smoke(config: SmokeConfig, seed: u64) -> SmokePoint {
     let spec = config.spec(seed);
     let (outcome, wall_ms) = timed_best_of(&spec, EngineKind::Cluster, 1);
@@ -370,8 +357,7 @@ pub fn smoke(config: SmokeConfig, seed: u64) -> SmokePoint {
         wall_ms,
         events: outcome.events,
         windows: outcome.windows,
-        deliveries: outcome.total_deliveries(),
-        reliability: outcome.audit().reliability(),
+        summary: outcome.summary(),
         row: Row::new("smoke", &spec, outcome.shards)
             .knobs(&spec)
             .throughput(outcome.events, outcome.windows, wall_ms),
@@ -400,12 +386,8 @@ mod tests {
                 "{} event counts differ across shard counts",
                 sweep.arch
             );
-            assert!(
-                sweep.reliability > 0.95,
-                "{} r={}",
-                sweep.arch,
-                sweep.reliability
-            );
+            let reliability = sweep.summary.reliability;
+            assert!(reliability > 0.95, "{} r={reliability}", sweep.arch);
         }
     }
 
@@ -444,8 +426,9 @@ mod tests {
         };
         let p = smoke(config, 7);
         assert!(p.events > 0);
-        assert!(p.deliveries > 0);
+        assert!(p.summary.deliveries > 0);
         assert!(p.windows > 0, "cluster path must be exercised");
-        assert!(p.reliability > 0.95, "r={}", p.reliability);
+        let reliability = p.summary.reliability;
+        assert!(reliability > 0.95, "r={reliability}");
     }
 }

@@ -21,8 +21,6 @@
 //! continuously proven runnable *and* engine-agnostic.
 
 use crate::harness::{run_architecture, ArchOutcome, EngineKind};
-use fed_core::ledger::RatioSpec;
-use fed_metrics::fairness::{contribution_report, ratio_report};
 use fed_metrics::table::{fmt_f64, Table};
 use fed_workload::scenario_file::{parse_scenario, ScenarioFile};
 use fed_workload::ScenarioSpec;
@@ -136,13 +134,15 @@ pub struct ScenarioReport {
     pub outcome: ArchOutcome,
 }
 
-/// Runs one parsed scenario and builds the report tables.
+/// Runs one parsed scenario and builds the report tables from its
+/// [`RunSummary`](crate::harness::RunSummary).
 pub fn run_scenario(name: &str, spec: &ScenarioSpec) -> ScenarioReport {
     let engine = engine_for(spec);
     let start = Instant::now();
     let outcome = run_architecture(spec, engine);
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    let audit = outcome.audit();
+    let s = outcome.summary();
+    let or_dash = |v: Option<f64>| v.map_or_else(|| "-".into(), fmt_f64);
 
     let mut summary = Table::new(
         format!("RUN {name}: {} (n={})", spec.arch, spec.n),
@@ -166,63 +166,50 @@ pub fn run_scenario(name: &str, spec: &ScenarioSpec) -> ScenarioReport {
         outcome.shards.to_string(),
         outcome.events.to_string(),
         outcome.windows.to_string(),
-        outcome.total_deliveries().to_string(),
-        fmt_f64(audit.reliability()),
-        audit.spurious().to_string(),
-        outcome
-            .handover_time()
+        s.deliveries.to_string(),
+        fmt_f64(s.reliability),
+        s.spurious.to_string(),
+        s.handover
             .map_or_else(|| "-".into(), |t| t.as_millis().to_string()),
         fmt_f64(wall_ms),
     ]);
 
-    let ratio_spec = RatioSpec::topic_based();
-    let ratio = ratio_report(outcome.ledgers.iter(), &ratio_spec);
-    let load = contribution_report(outcome.ledgers.iter(), &ratio_spec);
-    let total_msgs: u64 = outcome.stats.iter().map(|s| s.msgs_sent).sum();
-    let hottest = outcome.stats.iter().map(|s| s.msgs_sent).max().unwrap_or(0);
     let mut fairness = Table::new(
         format!("RUN {name}: fairness"),
         &["view", "jain", "gini", "max/min", "hottest node share"],
     );
-    let hottest_share = if total_msgs == 0 {
-        0.0
-    } else {
-        hottest as f64 / total_msgs as f64
-    };
     // The hottest-node share is a raw-load quantity; the ratio view has
     // no analogue, so that row leaves the column empty.
     fairness.row_owned(vec![
         "contribution/benefit ratio".to_string(),
-        fmt_f64(ratio.jain),
-        fmt_f64(ratio.gini),
-        fmt_f64(ratio.max_min),
+        fmt_f64(s.ratio.jain),
+        fmt_f64(s.ratio.gini),
+        fmt_f64(s.ratio.max_min),
         "-".to_string(),
     ]);
     fairness.row_owned(vec![
         "raw load".to_string(),
-        fmt_f64(load.jain),
-        fmt_f64(load.gini),
-        fmt_f64(load.max_min),
-        fmt_f64(hottest_share),
+        fmt_f64(s.load.jain),
+        fmt_f64(s.load.gini),
+        fmt_f64(s.load.max_min),
+        fmt_f64(s.hottest_share),
     ]);
 
-    let lat = audit.latency_ms();
     let mut latency = Table::new(
         format!("RUN {name}: delivery latency (ms)"),
         &["deliveries", "mean", "p50", "p95", "p99", "max"],
     );
-    let pct = |p: f64| lat.percentile(p).map(fmt_f64).unwrap_or_else(|| "-".into());
     latency.row_owned(vec![
-        lat.len().to_string(),
-        fmt_f64(lat.mean()),
-        pct(50.0),
-        pct(95.0),
-        pct(99.0),
-        lat.max().map(fmt_f64).unwrap_or_else(|| "-".into()),
+        s.latency_samples.to_string(),
+        fmt_f64(s.latency_mean_ms),
+        or_dash(s.latency_p50_ms),
+        or_dash(s.latency_p95_ms),
+        or_dash(s.latency_p99_ms),
+        or_dash(s.latency_max_ms),
     ]);
 
-    let telemetry = outcome.telemetry.as_ref().map(|series| {
-        let mut t = Table::new(
+    let telemetry = s.transients.map(|t| {
+        let mut table = Table::new(
             format!("RUN {name}: telemetry transients"),
             &[
                 "windows",
@@ -233,38 +220,19 @@ pub fn run_scenario(name: &str, spec: &ScenarioSpec) -> ScenarioReport {
                 "peak window msgs",
             ],
         );
-        let rows = series.rows();
-        let active: Vec<_> = rows.iter().filter(|r| r.events > 0).collect();
-        let jain_min = active.iter().map(|r| r.jain).fold(f64::INFINITY, f64::min);
-        let gini_peak = active.iter().map(|r| r.gini).fold(0.0, f64::max);
-        let peak_load = series.windows.iter().map(|w| w.load_max).max().unwrap_or(0);
-        let peak_msgs = series
-            .windows
-            .iter()
-            .map(|w| w.msgs_sent)
-            .max()
-            .unwrap_or(0);
-        t.row_owned(vec![
-            rows.len().to_string(),
-            active.len().to_string(),
-            if active.is_empty() {
-                "-".into()
-            } else {
-                fmt_f64(jain_min)
-            },
-            fmt_f64(gini_peak),
-            peak_load.to_string(),
-            peak_msgs.to_string(),
+        table.row_owned(vec![
+            t.windows.to_string(),
+            t.active.to_string(),
+            or_dash(t.jain_min),
+            fmt_f64(t.gini_peak),
+            t.load_max_peak.to_string(),
+            t.msgs_peak.to_string(),
         ]);
-        t
+        table
     });
 
     let membership = spec.membership.then(|| {
-        let window = spec
-            .telemetry
-            .as_ref()
-            .map_or(fed_sim::SimDuration::from_millis(500), |t| t.window);
-        let series = outcome.membership_series(window);
+        let d = s.detection;
         let mut t = Table::new(
             format!("RUN {name}: failure detection"),
             &[
@@ -277,19 +245,12 @@ pub fn run_scenario(name: &str, spec: &ScenarioSpec) -> ScenarioReport {
             ],
         );
         t.row_owned(vec![
-            outcome.total_swim_observations().to_string(),
-            series.total_detections().to_string(),
-            series
-                .detection_latency_mean_us()
-                .map_or_else(|| "-".into(), |us| fmt_f64(us / 1e3)),
-            series.total_false_suspicions().to_string(),
-            series.total_refutes().to_string(),
-            series
-                .windows
-                .iter()
-                .map(|w| w.self_refutes)
-                .sum::<u64>()
-                .to_string(),
+            d.observations.to_string(),
+            d.detections.to_string(),
+            or_dash(d.latency_mean_us.map(|us| us / 1e3)),
+            d.false_suspicions.to_string(),
+            d.refutes.to_string(),
+            d.self_refutes.to_string(),
         ]);
         t
     });

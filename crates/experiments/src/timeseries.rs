@@ -6,11 +6,14 @@
 //! `fed-telemetry` attached and the SWIM failure detector armed, on
 //! **both** engines. For each architecture the experiment:
 //!
-//! * asserts the **series parity gate**: the sequential engine's
+//! * checks the **series parity gate**: the sequential engine's
 //!   telemetry series, SWIM observation logs and handover instants must
 //!   be byte-identical to the sharded engine's (the `identical` column);
 //! * prints a per-architecture transient summary (worst-window fairness,
-//!   peak latency tail, population dip) distilled from the full series;
+//!   peak latency tail, population dip): the
+//!   [`Transients`](crate::harness::Transients) of the run's
+//!   [`RunSummary`], the same row `run` prints for a file with
+//!   `[telemetry]`;
 //! * writes the complete per-window series of every architecture to
 //!   [`BENCH_TIMESERIES_PATH`], the machine-readable artifact tracked
 //!   across PRs.
@@ -22,12 +25,12 @@
 //! exposes.
 
 use crate::bench_json::Row;
-use crate::harness::{run_architecture, EngineKind};
+use crate::harness::{run_architecture, EngineKind, RunSummary};
 use crate::scenario_run::{first_divergence, Divergence};
 use fed_metrics::table::{fmt_f64, Table};
 use fed_sim::{SimDuration, SimTime};
 use fed_telemetry::membership::MembershipSeries;
-use fed_telemetry::{TelemetrySeries, TelemetrySpec, WindowRow};
+use fed_telemetry::{TelemetrySeries, TelemetrySpec};
 use fed_util::json::{self, Object};
 use fed_workload::churn::ChurnPlan;
 use fed_workload::pubs::{FlashCrowd, PubPlan};
@@ -80,79 +83,31 @@ pub struct ArchSeries {
     /// The failure-detection series (same 500 ms windows), all-zero on
     /// architectures without the SWIM detector.
     pub membership: MembershipSeries,
-    /// Earliest strategy handover, when the architecture switched.
-    pub handover: Option<SimTime>,
+    /// The sharded run's summary: its transients, detection totals and
+    /// handover instant.
+    pub summary: RunSummary,
 }
 
 impl ArchSeries {
-    /// Worst (minimum) per-window Jain index over *loaded* windows
-    /// (1.0 when the series never carried load).
-    pub fn worst_jain(&self) -> f64 {
-        let worst = self
-            .active_rows()
-            .map(|r| r.jain)
-            .fold(f64::INFINITY, f64::min);
-        if worst.is_finite() {
-            worst
-        } else {
-            1.0
-        }
-    }
-
-    /// Peak (maximum) per-window Gini over *loaded* windows.
-    pub fn peak_gini(&self) -> f64 {
-        self.active_rows().map(|r| r.gini).fold(0.0, f64::max)
-    }
-
-    /// Peak p99 scheduled delivery latency (ms) over the run.
-    pub fn peak_p99_ms(&self) -> f64 {
-        self.series
-            .rows()
-            .iter()
-            .filter_map(|r| r.latency_p99_ms)
-            .fold(0.0, f64::max)
-    }
-
-    /// Peak single-node forward load in any window.
-    pub fn peak_node_load(&self) -> u64 {
-        self.series
-            .windows
-            .iter()
-            .map(|w| w.load_max)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Minimum alive population over windows that sampled the population.
-    pub fn min_alive(&self) -> u64 {
-        self.series
-            .windows
-            .iter()
-            .filter(|w| w.alive + w.crashed > 0)
-            .map(|w| w.alive)
-            .min()
-            .unwrap_or(0)
-    }
-
-    /// Windows carrying real load: at least 10 % of the peak window's
-    /// sends. A handful of drain-tail stragglers (5 sends over 250
-    /// nodes) would otherwise post a near-zero Jain and make every
-    /// protocol's worst-window summary read like a hotspot — the
-    /// fairness summaries must describe the system under load, not the
-    /// silence after it.
-    fn active_rows(&self) -> impl Iterator<Item = WindowRow> + '_ {
-        let peak = self
-            .series
-            .windows
-            .iter()
-            .map(|w| w.msgs_sent)
-            .max()
-            .unwrap_or(0);
-        let floor = (peak / 10).max(1);
-        self.series
-            .rows()
-            .into_iter()
-            .filter(move |r| r.msgs_sent >= floor)
+    /// The architecture's row of the transient table.
+    fn row(&self) -> Vec<String> {
+        let t = self.summary.transients.expect("spec enables telemetry");
+        let detection = self.summary.detection;
+        vec![
+            self.arch.name().to_string(),
+            t.windows.to_string(),
+            t.jain_min.map_or_else(|| "-".into(), fmt_f64),
+            fmt_f64(t.gini_peak),
+            fmt_f64(t.p99_ms_peak),
+            t.load_max_peak.to_string(),
+            t.alive_min.to_string(),
+            detection.detections.to_string(),
+            detection.false_suspicions.to_string(),
+            self.summary
+                .handover
+                .map_or_else(|| "-".into(), |t| t.as_millis().to_string()),
+            self.identical.to_string(),
+        ]
     }
 }
 
@@ -198,29 +153,14 @@ pub fn run(n: usize, shards: usize, seed: u64) -> TimeseriesResult {
         let diverged = first_divergence(&sequential, &cluster);
         let series_match = diverged.is_none();
         divergence = divergence.or(diverged.map(|d| (arch, d)));
-        let membership = cluster.membership_series(SimDuration::from_millis(500));
         let entry = ArchSeries {
             arch,
             identical: series_match,
             series: cluster.telemetry.clone().expect("spec enables telemetry"),
-            membership,
-            handover: cluster.handover_time(),
+            membership: cluster.membership_series(SimDuration::from_millis(500)),
+            summary: cluster.summary(),
         };
-        table.row_owned(vec![
-            arch.name().to_string(),
-            entry.series.windows.len().to_string(),
-            fmt_f64(entry.worst_jain()),
-            fmt_f64(entry.peak_gini()),
-            fmt_f64(entry.peak_p99_ms()),
-            entry.peak_node_load().to_string(),
-            entry.min_alive().to_string(),
-            entry.membership.total_detections().to_string(),
-            entry.membership.total_false_suspicions().to_string(),
-            entry
-                .handover
-                .map_or_else(|| "-".into(), |t| t.as_millis().to_string()),
-            series_match.to_string(),
-        ]);
+        table.row_owned(entry.row());
         archs.push(entry);
     }
     let json = document(n, shards, seed, &archs);
@@ -278,10 +218,10 @@ fn document(n: usize, shards: usize, seed: u64, archs: &[ArchSeries]) -> String 
             .int("seed", seed)
             .int("window_us", a.series.spec.window.as_micros())
             .flag("identical", a.identical)
-            .int("handover_ms", a.handover.map(|t| t.as_millis()))
+            .int("handover_ms", a.summary.handover.map(|t| t.as_millis()))
             .float(
                 "detection_latency_mean_us",
-                a.membership.detection_latency_mean_us(),
+                a.summary.detection.latency_mean_us,
             )
             .put("series", json::lines(series, "    ", "  "))
             .put("membership", json::lines(membership, "    ", "  "))
@@ -321,6 +261,51 @@ mod tests {
             series.windows.iter().any(|w| w.crashed > 0),
             "churn must dent the live population"
         );
+    }
+
+    /// `run`'s telemetry row and this experiment's row read the same
+    /// transients off one outcome. Round timers keep dispatching events
+    /// after the publication phase, so a window is active only when it
+    /// carries a tenth of the peak window's sends, in both reports.
+    #[test]
+    fn run_and_timeseries_rows_read_the_same_transients() {
+        let spec = timeseries_spec(Architecture::FairGossip, 32, 7);
+        let report = crate::scenario_run::run_scenario("unit", &spec);
+        let series = report.outcome.telemetry.as_ref().expect("telemetry");
+        let peak = series.windows.iter().map(|w| w.msgs_sent).max().unwrap();
+        let loaded = series
+            .windows
+            .iter()
+            .filter(|w| w.msgs_sent >= (peak / 10).max(1))
+            .count();
+        let busy = series.windows.iter().filter(|w| w.events > 0).count();
+        assert!(loaded < busy, "the drain tail still dispatches events");
+
+        let last_row = |table: &Table| -> Vec<String> {
+            let text = table.to_string();
+            let line = text.lines().rfind(|l| l.starts_with('|')).unwrap();
+            line.split('|')
+                .map(|c| c.trim().to_string())
+                .filter(|c| !c.is_empty())
+                .collect()
+        };
+        let run = last_row(report.telemetry.as_ref().expect("telemetry table"));
+        let timeseries = ArchSeries {
+            arch: Architecture::FairGossip,
+            identical: true,
+            series: series.clone(),
+            membership: report
+                .outcome
+                .membership_series(SimDuration::from_millis(500)),
+            summary: report.outcome.summary(),
+        }
+        .row();
+        // run: windows, active, jain_min, gini_peak, ...;
+        // timeseries: arch, windows, jain_min, gini_peak, ...
+        assert_eq!(run[0], timeseries[1], "windows");
+        assert_eq!(run[1], loaded.to_string(), "active windows");
+        assert_eq!(run[2], timeseries[2], "jain_min");
+        assert_eq!(run[3], timeseries[3], "gini_peak");
     }
 
     #[test]

@@ -134,3 +134,37 @@ fn malformed_ids_and_arguments_are_diagnosed() {
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// A scenario whose round timers alone would exhaust the event budget is
+/// refused before the engine is built, in one `error:` line that names
+/// the budget, instead of running until the budget runs out and
+/// panicking with a backtrace.
+#[test]
+fn a_run_the_round_timers_would_exhaust_fails_fast() {
+    let dir = scratch("budget");
+    std::fs::write(
+        dir.join("endless.toml"),
+        "[scenario]\narch = \"fair-gossip\"\nnodes = 2\nseed = 1\n\n\
+         [topics]\ncount = 1\n\n\
+         [interest]\nappetite = \"fixed\"\ntopics_per_node = 1\n\n\
+         [publish]\nrate_per_sec = 1e-12\nduration = \"18446744073705551615us\"\n\
+         warmup = \"0us\"\n",
+    )
+    .unwrap();
+    let start = std::time::Instant::now();
+    let (out, stderr) = run_in(&dir, &["run", "endless.toml"]);
+    let elapsed = start.elapsed();
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    let budget: Vec<&str> = stderr
+        .lines()
+        .filter(|l| l.contains("event budget"))
+        .collect();
+    assert_eq!(budget.len(), 1, "{stderr}");
+    assert!(
+        budget[0].starts_with("error: ") && budget[0].contains("500000000 events"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(elapsed.as_secs() < 10, "took {elapsed:?}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}

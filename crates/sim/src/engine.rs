@@ -12,7 +12,7 @@
 
 use crate::exec::{
     budget_exhausted, seed_streams, EventKey, EventKind, EventQueue, HandlerPanic, Kernel, Probe,
-    QueueStats, WindowWork, EXTERNAL_SRC,
+    QueueStats, WindowWork, DEFAULT_MAX_EVENTS, EXTERNAL_SRC,
 };
 use crate::network::NetworkModel;
 use crate::protocol::{NodeId, Protocol};
@@ -120,12 +120,13 @@ impl<P: Protocol> Simulation<P> {
             external_seq: 0,
             factory,
             events_processed: 0,
-            max_events: 500_000_000,
+            max_events: DEFAULT_MAX_EVENTS,
             handling: None,
         }
     }
 
-    /// Caps the total number of events this simulation will process.
+    /// Caps the total number of events this simulation will process
+    /// ([`DEFAULT_MAX_EVENTS`] unless set).
     ///
     /// [`Simulation::run_until`] panics with [`budget_exhausted`] instead
     /// of dispatching one event past the cap: a safety net against

@@ -160,6 +160,11 @@ impl<P: Protocol> EventKind<P> {
     }
 }
 
+/// The event budget of a run on either engine unless `set_max_events`
+/// changes it: a safety net against protocol bugs that generate
+/// unbounded event storms.
+pub const DEFAULT_MAX_EVENTS: u64 = 500_000_000;
+
 /// Fails a run that ran out of its event budget, with the one message
 /// both engines use: the budget and the virtual time of the first event
 /// past it. A run panics here rather than return truncated.
@@ -193,18 +198,22 @@ impl HandlerPanic {
     /// The report of a panic with `payload` while `shard` handled the
     /// event `key` addressed to `node`.
     pub fn new(shard: usize, (key, node): (EventKey, NodeId), payload: &(dyn Any + Send)) -> Self {
-        let message = payload
-            .downcast_ref::<&str>()
-            .map(|s| s.to_string())
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_else(|| "non-string panic payload".to_string());
         HandlerPanic {
             shard,
             key,
             node,
-            message,
+            message: panic_message(payload),
         }
     }
+}
+
+/// The message a panic was raised with: its `&str` or `String` payload.
+pub fn panic_message(payload: &(dyn Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
 impl std::fmt::Display for HandlerPanic {
@@ -1020,7 +1029,7 @@ pub fn seed_streams(seed: u64, n: usize) -> Vec<NodeStreams> {
 }
 
 struct Slot<P> {
-    state: Option<P>,
+    state: P,
     rng: Xoshiro256StarStar,
     net_rng: Xoshiro256StarStar,
     alive: bool,
@@ -1081,7 +1090,7 @@ impl<P: Protocol> Kernel<P> {
             let mut rng = s.rng;
             let state = factory(NodeId::new(id), &mut rng);
             slots.push(Slot {
-                state: Some(state),
+                state,
                 rng,
                 net_rng: s.net_rng,
                 alive: true,
@@ -1128,26 +1137,24 @@ impl<P: Protocol> Kernel<P> {
 
     /// Shared access to an owned node's protocol state (alive or crashed).
     pub fn node(&self, id: NodeId) -> Option<&P> {
-        self.slots
-            .get(self.local_of(id)?)
-            .and_then(|s| s.state.as_ref())
+        Some(&self.slots[self.local_of(id)?].state)
     }
 
-    /// Iterates over `(id, state)` of every owned node that has state.
+    /// Iterates over `(id, state)` of every owned node, ascending by id.
     pub fn nodes(&self) -> impl Iterator<Item = (NodeId, &P)> {
         self.owned
             .iter()
             .zip(&self.slots)
-            .filter_map(|(&id, s)| s.state.as_ref().map(|p| (NodeId::new(id), p)))
+            .map(|(&id, s)| (NodeId::new(id), &s.state))
     }
 
-    /// Consumes the kernel into `(id, state)` of every owned node that
-    /// has state, ascending by id; everything else it held is dropped.
+    /// Consumes the kernel into `(id, state)` of every owned node,
+    /// ascending by id; everything else it held is dropped.
     pub fn into_nodes(self) -> impl Iterator<Item = (NodeId, P)> {
         self.owned
             .into_iter()
             .zip(self.slots)
-            .filter_map(|(id, s)| s.state.map(|p| (NodeId::new(id), p)))
+            .map(|(id, s)| (NodeId::new(id), s.state))
     }
 
     /// Whether owned node `id` is currently alive.
@@ -1231,9 +1238,7 @@ impl<P: Protocol> Kernel<P> {
                     return;
                 }
                 self.slots[li].alive = false;
-                if let Some(state) = self.slots[li].state.as_mut() {
-                    state.on_crash(now);
-                }
+                self.slots[li].state.on_crash(now);
                 obs.on_liveness(now, node, false);
             }
             EventKind::Join(node) => {
@@ -1246,8 +1251,7 @@ impl<P: Protocol> Kernel<P> {
                 let slot = &mut self.slots[li];
                 slot.alive = true;
                 slot.incarnation = slot.incarnation.wrapping_add(1);
-                let state = factory(node, &mut slot.rng);
-                slot.state = Some(state);
+                slot.state = factory(node, &mut slot.rng);
                 obs.on_liveness(now, node, true);
                 self.invoke(node, Invoke::Init, now, sink, obs);
             }
@@ -1293,10 +1297,7 @@ impl<P: Protocol> Kernel<P> {
         let mut effects = std::mem::take(&mut self.scratch);
         {
             let slot = &mut self.slots[li];
-            let Some(state) = slot.state.as_mut() else {
-                self.scratch = effects;
-                return;
-            };
+            let state = &mut slot.state;
             let mut ctx = Context {
                 node,
                 now,

@@ -124,7 +124,7 @@ pub fn normalized_entropy(values: &[f64]) -> f64 {
 /// A compact, displayable bundle of every fairness index over one vector.
 ///
 /// This is what experiment tables print per system/configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FairnessReport {
     /// Jain's index in `(0, 1]`.
     pub jain: f64,

@@ -24,8 +24,7 @@
 //! | [`baselines`] | `fed-baselines` | broker, Scribe, DKS, data-aware multicast, SplitStream |
 //! | [`metrics`] | `fed-metrics` | delivery audits, fairness reports, result tables |
 //! | [`workload`] | `fed-workload` | interest profiles, publication schedules, churn traces, generated sweeps |
-//! | [`sweep`] | `fed-sweep` | sweep summaries, Pareto frontiers, the `BENCH_sweep.json` format |
-//! | [`experiments`] | `fed-experiments` | one module per paper figure/claim |
+//! | [`experiments`] | `fed-experiments` | one module per paper figure/claim; run summaries, generative sweeps and their Pareto frontiers |
 //!
 //! ## Quickstart
 //!
@@ -70,7 +69,6 @@ pub use fed_metrics as metrics;
 pub use fed_profile as profile;
 pub use fed_pubsub as pubsub;
 pub use fed_sim as sim;
-pub use fed_sweep as sweep;
 pub use fed_telemetry as telemetry;
 pub use fed_util as util;
 pub use fed_workload as workload;
