@@ -13,6 +13,9 @@
 //! `fed_sim::exec`); node-local events (timers, commands, same-shard
 //! messages) never leave the shard.
 //!
+//! [`Engine`] holds this runtime or the sequential [`fed_sim::Simulation`],
+//! picked by value: a caller drives either without naming its type.
+//!
 //! Cross-shard messages flow through **double-buffered per-destination
 //! mailboxes**: during a window each shard batches the events it
 //! produces for every other shard, and at the end of the window the
@@ -149,6 +152,7 @@ use fed_sim::exec::{
 use fed_sim::network::NetworkModel;
 use fed_sim::protocol::{NodeId, Protocol};
 use fed_sim::time::{SimDuration, SimTime};
+use fed_sim::Simulation;
 use fed_util::rng::Xoshiro256StarStar;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -164,7 +168,7 @@ type Batch<P> = Vec<(EventKey, EventKind<P>)>;
 /// Cap on the adaptive target width as a multiple of the lookahead.
 const MAX_WIDTH_FACTOR: u64 = 4096;
 
-/// Result of a [`ShardedSimulation::run_until`] call.
+/// Result of a `run_until` call on a [`ShardedSimulation`] or [`Engine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClusterReport {
     /// Events processed during this call, summed over all shards.
@@ -1118,12 +1122,165 @@ impl<P: Protocol> std::fmt::Debug for ShardedSimulation<P> {
     }
 }
 
+/// The sequential [`Simulation`] or the sharded [`ShardedSimulation`],
+/// picked by value. Every method forwards to the engine's method of the
+/// same name; the sequential engine is the one-shard case.
+// One engine lives per run, so the unboxed sequential variant costs nothing.
+#[allow(clippy::large_enum_variant)]
+pub enum Engine<P: Protocol> {
+    /// The sequential engine: one shard, owning `0..n`, with no windows.
+    Sequential(Simulation<P>),
+    /// The sharded engine.
+    Cluster(ShardedSimulation<P>),
+}
+
+/// `$call` on whichever engine `$engine` holds, bound to `$sim`.
+macro_rules! both {
+    ($engine:expr, $sim:ident => $call:expr) => {
+        match $engine {
+            Engine::Sequential($sim) => $call,
+            Engine::Cluster($sim) => $call,
+        }
+    };
+}
+
+impl<P: Protocol> Engine<P> {
+    /// Schedules an application command for `node` at absolute time `at`.
+    pub fn schedule_command(&mut self, at: SimTime, node: NodeId, cmd: P::Cmd) {
+        both!(self, sim => sim.schedule_command(at, node, cmd))
+    }
+
+    /// Schedules a crash of `node` at absolute time `at`.
+    pub fn schedule_crash(&mut self, at: SimTime, node: NodeId) {
+        both!(self, sim => sim.schedule_crash(at, node))
+    }
+
+    /// Schedules a (re)join of `node` at absolute time `at`.
+    pub fn schedule_join(&mut self, at: SimTime, node: NodeId) {
+        both!(self, sim => sim.schedule_join(at, node))
+    }
+
+    /// Current virtual time.
+    pub fn now(&self) -> SimTime {
+        both!(self, sim => sim.now())
+    }
+
+    /// Shards in use.
+    pub fn num_shards(&self) -> usize {
+        match self {
+            Engine::Sequential(_) => 1,
+            Engine::Cluster(sim) => sim.num_shards(),
+        }
+    }
+
+    /// The node ids `shard` owns, ascending.
+    pub fn owned(&self, shard: usize) -> Vec<u32> {
+        match self {
+            Engine::Sequential(sim) => (0..sim.len() as u32).collect(),
+            Engine::Cluster(sim) => sim.shard_map().owned(shard).to_vec(),
+        }
+    }
+
+    /// Shared access to a node's protocol state (alive or crashed).
+    pub fn node(&self, id: NodeId) -> Option<&P> {
+        both!(self, sim => sim.node(id))
+    }
+
+    /// Iterates over `(id, state)` of every node with state, in id order.
+    pub fn nodes(&self) -> impl Iterator<Item = (NodeId, &P)> {
+        let n = both!(self, sim => sim.len()) as u32;
+        (0..n).filter_map(move |i| self.node(NodeId::new(i)).map(|p| (NodeId::new(i), p)))
+    }
+
+    /// Consumes the engine into `(id, state)` of every node with state,
+    /// lazily: the cluster drops each shard's queue as its turn comes.
+    pub fn into_nodes(self) -> impl Iterator<Item = (NodeId, P)> {
+        let (sequential, cluster) = match self {
+            Engine::Sequential(sim) => (Some(sim.into_nodes()), None),
+            Engine::Cluster(sim) => (None, Some(sim.into_nodes())),
+        };
+        let sequential = sequential.into_iter().flatten();
+        sequential.chain(cluster.into_iter().flatten())
+    }
+
+    /// Whether `id` is currently alive.
+    pub fn is_alive(&self, id: NodeId) -> bool {
+        both!(self, sim => sim.is_alive(id))
+    }
+
+    /// Transport statistics of every node, indexed by node.
+    pub fn transport_stats_all(&self) -> Vec<TransportStats> {
+        match self {
+            Engine::Sequential(sim) => sim.transport_stats_all().to_vec(),
+            Engine::Cluster(sim) => sim.transport_stats_all(),
+        }
+    }
+
+    /// Total events processed so far.
+    pub fn events_processed(&self) -> u64 {
+        both!(self, sim => sim.events_processed())
+    }
+
+    /// Barrier windows executed so far.
+    pub fn windows(&self) -> u64 {
+        match self {
+            Engine::Sequential(_) => 0,
+            Engine::Cluster(sim) => sim.windows(),
+        }
+    }
+
+    /// Queue counters summed over every shard's queue.
+    pub fn queue_stats(&self) -> QueueStats {
+        both!(self, sim => sim.queue_stats())
+    }
+
+    /// Caps the events the engine will process; a run past it panics.
+    pub fn set_max_events(&mut self, max: u64) {
+        both!(self, sim => sim.set_max_events(max))
+    }
+}
+
+impl<P> Engine<P>
+where
+    P: Protocol + Send,
+    P::Msg: Send,
+    P::Cmd: Send,
+{
+    /// Runs every event due at or before `target` and leaves the clock at
+    /// `target`.
+    pub fn run_until(&mut self, target: SimTime) -> ClusterReport {
+        self.run_until_observed(target, &mut vec![(); self.num_shards()])
+    }
+
+    /// [`Engine::run_until`] with exactly one observer per shard.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `observers.len()` is not [`Engine::num_shards`], and
+    /// wherever the engine's own `run_until_observed` panics.
+    pub fn run_until_observed<O: Probe + Send>(
+        &mut self,
+        target: SimTime,
+        observers: &mut [O],
+    ) -> ClusterReport {
+        match self {
+            Engine::Sequential(sim) => {
+                let [obs] = observers else {
+                    panic!("the sequential engine is exactly one shard");
+                };
+                let events = sim.run_until_observed(target, obs).events;
+                ClusterReport { events, windows: 0 }
+            }
+            Engine::Cluster(sim) => sim.run_until_observed(target, observers),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use fed_sim::network::LatencyModel;
     use fed_sim::protocol::Context;
-    use fed_sim::Simulation;
     use fed_util::rng::Rng64;
 
     /// Chatty protocol exercising sends, timers, randomness and churn.
@@ -1180,45 +1337,33 @@ mod tests {
         )
     }
 
-    /// Tiny façade so the same workload drives both engines.
-    trait Engine {
-        fn command(&mut self, at: SimTime, node: NodeId, cmd: u64);
-        fn crash(&mut self, at: SimTime, node: NodeId);
-        fn join(&mut self, at: SimTime, node: NodeId);
-    }
-    impl Engine for Simulation<Chatter> {
-        fn command(&mut self, at: SimTime, node: NodeId, cmd: u64) {
-            self.schedule_command(at, node, cmd);
-        }
-        fn crash(&mut self, at: SimTime, node: NodeId) {
-            self.schedule_crash(at, node);
-        }
-        fn join(&mut self, at: SimTime, node: NodeId) {
-            self.schedule_join(at, node);
-        }
-    }
-    impl Engine for ShardedSimulation<Chatter> {
-        fn command(&mut self, at: SimTime, node: NodeId, cmd: u64) {
-            self.schedule_command(at, node, cmd);
-        }
-        fn crash(&mut self, at: SimTime, node: NodeId) {
-            self.schedule_crash(at, node);
-        }
-        fn join(&mut self, at: SimTime, node: NodeId) {
-            self.schedule_join(at, node);
-        }
+    /// The sequential engine over chatter nodes.
+    fn sequential(n: usize, net: NetworkModel, seed: u64) -> Engine<Chatter> {
+        Engine::Sequential(Simulation::new(n, net, seed, |_, _| Chatter::default()))
     }
 
-    fn schedule<S: Engine>(sim: &mut S) {
+    /// The cluster over chatter nodes, placed by `map`.
+    fn cluster(map: ShardMap, net: NetworkModel, seed: u64) -> Engine<Chatter> {
+        Engine::Cluster(ShardedSimulation::with_scheduler(
+            map.len(),
+            net,
+            seed,
+            map,
+            |_, _| Chatter::default(),
+        ))
+    }
+
+    /// The same workload on either engine.
+    fn schedule(sim: &mut Engine<Chatter>) {
         for i in 0..40u64 {
-            sim.command(
+            sim.schedule_command(
                 SimTime::from_millis(i * 7),
                 NodeId::new((i % 16) as u32),
                 i % 5,
             );
         }
-        sim.crash(SimTime::from_millis(50), NodeId::new(3));
-        sim.join(SimTime::from_millis(140), NodeId::new(3));
+        sim.schedule_crash(SimTime::from_millis(50), NodeId::new(3));
+        sim.schedule_join(SimTime::from_millis(140), NodeId::new(3));
     }
 
     /// Order-sensitive digest of a node's message log — strict enough for
@@ -1236,15 +1381,7 @@ mod tests {
 
     type Fingerprint = (Vec<u64>, Vec<TransportStats>, u64);
 
-    fn fingerprint_seq(sim: &Simulation<Chatter>) -> Fingerprint {
-        (
-            sim.nodes().map(|(_, p)| digest_msgs(&p.msgs)).collect(),
-            sim.transport_stats_all().to_vec(),
-            sim.events_processed(),
-        )
-    }
-
-    fn fingerprint_cluster(sim: &ShardedSimulation<Chatter>) -> Fingerprint {
+    fn fingerprint(sim: &Engine<Chatter>) -> Fingerprint {
         (
             sim.nodes().map(|(_, p)| digest_msgs(&p.msgs)).collect(),
             sim.transport_stats_all(),
@@ -1252,21 +1389,22 @@ mod tests {
         )
     }
 
+    /// Schedules the chatter workload on `sim`, runs it to `horizon` and
+    /// fingerprints the result.
+    fn run_chatter(mut sim: Engine<Chatter>, horizon: SimTime) -> Fingerprint {
+        schedule(&mut sim);
+        sim.run_until(horizon);
+        fingerprint(&sim)
+    }
+
     #[test]
     fn matches_sequential_engine_bit_for_bit() {
         let horizon = SimTime::from_secs(1);
-        let mut seq = Simulation::new(16, lossy_net(), 42, |_, _| Chatter::default());
-        schedule(&mut seq);
-        seq.run_until(horizon);
-        let expect = fingerprint_seq(&seq);
-
+        let expect = run_chatter(sequential(16, lossy_net(), 42), horizon);
         for shards in [1, 2, 4, 7] {
-            let mut cluster =
-                ShardedSimulation::new(16, lossy_net(), 42, shards, |_, _| Chatter::default());
-            schedule(&mut cluster);
-            cluster.run_until(horizon);
+            let map = ShardMap::round_robin(16, shards);
             assert_eq!(
-                fingerprint_cluster(&cluster),
+                run_chatter(cluster(map, lossy_net(), 42), horizon),
                 expect,
                 "cluster with {shards} shards diverged from sequential engine"
             );
@@ -1279,10 +1417,7 @@ mod tests {
     #[test]
     fn placement_policies_match_sequential_engine() {
         let horizon = SimTime::from_secs(1);
-        let mut seq = Simulation::new(16, lossy_net(), 42, |_, _| Chatter::default());
-        schedule(&mut seq);
-        seq.run_until(horizon);
-        let expect = fingerprint_seq(&seq);
+        let expect = run_chatter(sequential(16, lossy_net(), 42), horizon);
 
         // An arbitrary deterministic non-uniform weight profile.
         let weights: Vec<u64> = (0..16u64).map(|i| (i * i) % 7 + 1).collect();
@@ -1293,14 +1428,8 @@ mod tests {
                 ("balanced", ShardMap::balanced(&weights, shards)),
             ];
             for (name, map) in maps {
-                let mut cluster =
-                    ShardedSimulation::with_scheduler(16, lossy_net(), 42, map, |_, _| {
-                        Chatter::default()
-                    });
-                schedule(&mut cluster);
-                cluster.run_until(horizon);
                 assert_eq!(
-                    fingerprint_cluster(&cluster),
+                    run_chatter(cluster(map, lossy_net(), 42), horizon),
                     expect,
                     "{name} placement with {shards} shards diverged"
                 );
@@ -1310,16 +1439,17 @@ mod tests {
 
     #[test]
     fn multiple_run_calls_match_single_run() {
-        let mut one = ShardedSimulation::new(8, lossy_net(), 9, 2, |_, _| Chatter::default());
-        let mut two = ShardedSimulation::new(8, lossy_net(), 9, 2, |_, _| Chatter::default());
-        schedule(&mut one);
+        let one = run_chatter(
+            cluster(ShardMap::round_robin(8, 2), lossy_net(), 9),
+            SimTime::from_secs(1),
+        );
+        let mut two = cluster(ShardMap::round_robin(8, 2), lossy_net(), 9);
         schedule(&mut two);
-        one.run_until(SimTime::from_secs(1));
         for step in 1..=10 {
             two.run_until(SimTime::from_millis(step * 100));
         }
-        assert_eq!(fingerprint_cluster(&one), fingerprint_cluster(&two));
-        assert_eq!(one.now(), two.now());
+        assert_eq!(fingerprint(&two), one);
+        assert_eq!(two.now(), SimTime::from_secs(1));
     }
 
     #[test]
@@ -1346,7 +1476,7 @@ mod tests {
     /// returning truncated.
     #[test]
     fn event_budget_stops_run() {
-        let mut sim = ShardedSimulation::new(8, lossy_net(), 3, 2, |_, _| Chatter::default());
+        let mut sim = cluster(ShardMap::round_robin(8, 2), lossy_net(), 3);
         schedule(&mut sim);
         sim.set_max_events(10);
         let payload = catch_unwind(AssertUnwindSafe(|| sim.run_until(SimTime::from_secs(1))))
@@ -1384,27 +1514,19 @@ mod tests {
     fn zero_latency_network_terminates_and_matches_sequential() {
         let net = || NetworkModel::reliable(LatencyModel::Constant(SimDuration::ZERO));
         let horizon = SimTime::from_millis(500);
-        let mut seq = Simulation::new(8, net(), 11, |_, _| Chatter::default());
-        schedule(&mut seq);
-        seq.run_until(horizon);
-        let expect = fingerprint_seq(&seq);
+        let expect = run_chatter(sequential(8, net(), 11), horizon);
         for shards in [1, 2, 4] {
-            let mut cluster = ShardedSimulation::with_scheduler(
-                8,
-                net(),
-                11,
-                ShardMap::round_robin(8, shards),
-                |_, _| Chatter::default(),
-            );
+            let cluster = cluster(ShardMap::round_robin(8, shards), net(), 11);
+            let Engine::Cluster(sim) = &cluster else {
+                unreachable!("built as a cluster")
+            };
             assert_eq!(
-                cluster.lookahead(),
+                sim.lookahead(),
                 fed_sim::exec::MIN_NETWORK_LATENCY,
                 "zero-latency lookahead must be floored"
             );
-            schedule(&mut cluster);
-            cluster.run_until(horizon);
             assert_eq!(
-                fingerprint_cluster(&cluster),
+                run_chatter(cluster, horizon),
                 expect,
                 "zero-latency cluster with {shards} shards diverged"
             );
@@ -1420,32 +1542,28 @@ mod tests {
         let lat = SimDuration::from_millis(10);
         let net = || NetworkModel::reliable(LatencyModel::Constant(lat));
         let horizon = SimTime::from_secs(1);
-        let mut seq = Simulation::new(16, net(), 23, |_, _| Chatter::default());
         // Commands on exact multiples of the latency keep every event in
         // the run aligned with window boundaries.
-        for i in 0..20u64 {
-            seq.schedule_command(
-                SimTime::from_millis(i * 10),
-                NodeId::new((i % 16) as u32),
-                2,
-            );
-        }
-        seq.run_until(horizon);
-        let expect = fingerprint_seq(&seq);
-        for shards in [2, 4, 7] {
-            let mut cluster =
-                ShardedSimulation::new(16, net(), 23, shards, |_, _| Chatter::default());
-            assert_eq!(cluster.lookahead(), lat);
+        let aligned = |mut sim: Engine<Chatter>| {
             for i in 0..20u64 {
-                cluster.schedule_command(
+                sim.schedule_command(
                     SimTime::from_millis(i * 10),
                     NodeId::new((i % 16) as u32),
                     2,
                 );
             }
-            cluster.run_until(horizon);
+            sim.run_until(horizon);
+            fingerprint(&sim)
+        };
+        let expect = aligned(sequential(16, net(), 23));
+        for shards in [2, 4, 7] {
+            let cluster = cluster(ShardMap::round_robin(16, shards), net(), 23);
+            let Engine::Cluster(sim) = &cluster else {
+                unreachable!("built as a cluster")
+            };
+            assert_eq!(sim.lookahead(), lat);
             assert_eq!(
-                fingerprint_cluster(&cluster),
+                aligned(cluster),
                 expect,
                 "boundary-aligned cluster with {shards} shards diverged"
             );
@@ -1457,23 +1575,21 @@ mod tests {
     #[test]
     fn queue_stats_match_sequential_engine() {
         let horizon = SimTime::from_secs(1);
-        let mut seq = Simulation::new(16, lossy_net(), 42, |_, _| Chatter::default());
-        schedule(&mut seq);
-        seq.run_until(horizon);
-        let expect = seq.queue_stats();
+        let queue_stats = |mut sim: Engine<Chatter>| {
+            schedule(&mut sim);
+            sim.run_until(horizon);
+            (sim.queue_stats(), sim.events_processed())
+        };
+        let (expect, events) = queue_stats(sequential(16, lossy_net(), 42));
         assert!(expect.pushes > 0 && expect.pops > 0);
         assert!(
             expect.pops <= expect.pushes,
             "cannot pop more than was pushed"
         );
-        assert_eq!(expect.pops, seq.events_processed());
+        assert_eq!(expect.pops, events);
 
         for shards in [1, 2, 4, 7] {
-            let mut cluster =
-                ShardedSimulation::new(16, lossy_net(), 42, shards, |_, _| Chatter::default());
-            schedule(&mut cluster);
-            cluster.run_until(horizon);
-            let got = cluster.queue_stats();
+            let (got, _) = queue_stats(cluster(ShardMap::round_robin(16, shards), lossy_net(), 42));
             assert_eq!(
                 (got.pushes, got.pops),
                 (expect.pushes, expect.pops),
@@ -1509,18 +1625,18 @@ mod tests {
     #[test]
     fn profilers_and_schedule_trace_are_passive_and_consistent() {
         let horizon = SimTime::from_secs(1);
-        let mut plain = ShardedSimulation::new(16, lossy_net(), 42, 4, |_, _| Chatter::default());
+        let four = || cluster(ShardMap::round_robin(16, 4), lossy_net(), 42);
+        let mut plain = four();
         schedule(&mut plain);
         let plain_report = plain.run_until(horizon);
-        let expect = fingerprint_cluster(&plain);
+        let expect = fingerprint(&plain);
 
-        let mut profiled =
-            ShardedSimulation::new(16, lossy_net(), 42, 4, |_, _| Chatter::default());
+        let mut profiled = four();
         schedule(&mut profiled);
         let mut profilers: Vec<CountEvents> = (0..4).map(|_| CountEvents::default()).collect();
         let report = profiled.run_until_observed(horizon, &mut profilers);
         assert_eq!(
-            fingerprint_cluster(&profiled),
+            fingerprint(&profiled),
             expect,
             "profiling perturbed the run"
         );
@@ -1589,18 +1705,27 @@ mod tests {
         }
     }
 
-    fn recorder_logs_cluster(sim: &ShardedSimulation<Recorder>) -> Vec<Vec<(SimTime, u64)>> {
+    fn recorder_logs(sim: &Engine<Recorder>) -> Vec<Vec<(SimTime, u64)>> {
         sim.nodes().map(|(_, p)| p.log.clone()).collect()
     }
 
-    /// Commands at 1 ms, one tick before saturation and (twice) exactly
-    /// at [`SimTime::MAX`].
-    fn schedule_saturating<F: FnMut(SimTime, NodeId, u64)>(mut cmd: F) {
+    /// Four recorders on `shards` shards (the sequential engine at 0),
+    /// with commands at 1 ms, one tick before saturation and (twice)
+    /// exactly at [`SimTime::MAX`].
+    fn saturating(shards: usize) -> Engine<Recorder> {
+        let net = NetworkModel::default();
+        let mut sim = match shards {
+            0 => Engine::Sequential(Simulation::new(4, net, 7, |_, _| Recorder::default())),
+            _ => Engine::Cluster(ShardedSimulation::new(4, net, 7, shards, |_, _| {
+                Recorder::default()
+            })),
+        };
         let near = SimTime::from_micros(u64::MAX - 1);
-        cmd(SimTime::from_millis(1), NodeId::new(0), 1);
-        cmd(near, NodeId::new(1), 2);
-        cmd(SimTime::MAX, NodeId::new(2), 3);
-        cmd(SimTime::MAX, NodeId::new(3), 4);
+        sim.schedule_command(SimTime::from_millis(1), NodeId::new(0), 1);
+        sim.schedule_command(near, NodeId::new(1), 2);
+        sim.schedule_command(SimTime::MAX, NodeId::new(2), 3);
+        sim.schedule_command(SimTime::MAX, NodeId::new(3), 4);
+        sim
     }
 
     /// A run to `SimTime::MAX` terminates on both engines and leaves the
@@ -1610,25 +1735,20 @@ mod tests {
     /// sequential engine.
     #[test]
     fn saturation_boundary_matches_sequential() {
-        let mut seq = Simulation::new(4, NetworkModel::default(), 7, |_, _| Recorder::default());
-        schedule_saturating(|at, node, cmd| seq.schedule_command(at, node, cmd));
+        let mut seq = saturating(0);
         seq.run_until(SimTime::MAX);
         assert_eq!(seq.now(), SimTime::MAX);
-        let expect: Vec<Vec<(SimTime, u64)>> = seq.nodes().map(|(_, p)| p.log.clone()).collect();
+        let expect = recorder_logs(&seq);
         let expect_events = seq.events_processed();
         assert_eq!(expect_events, 2, "the two commands due at MAX never run");
         assert!(expect.iter().flatten().all(|&(at, _)| at < SimTime::MAX));
 
         for shards in [1, 2, 4] {
-            let mut cluster =
-                ShardedSimulation::new(4, NetworkModel::default(), 7, shards, |_, _| {
-                    Recorder::default()
-                });
-            schedule_saturating(|at, node, cmd| cluster.schedule_command(at, node, cmd));
+            let mut cluster = saturating(shards);
             cluster.run_until(SimTime::MAX);
             assert_eq!(cluster.now(), SimTime::MAX);
             assert_eq!(
-                recorder_logs_cluster(&cluster),
+                recorder_logs(&cluster),
                 expect,
                 "run to MAX with {shards} shards diverged from sequential"
             );
@@ -1644,10 +1764,9 @@ mod tests {
     #[test]
     fn adjacent_to_saturation_two_phase_matches_sequential() {
         let near = SimTime::from_micros(u64::MAX - 1);
-        let mut seq = Simulation::new(4, NetworkModel::default(), 7, |_, _| Recorder::default());
-        schedule_saturating(|at, node, cmd| seq.schedule_command(at, node, cmd));
+        let mut seq = saturating(0);
         seq.run_until(near);
-        let expect: Vec<Vec<(SimTime, u64)>> = seq.nodes().map(|(_, p)| p.log.clone()).collect();
+        let expect = recorder_logs(&seq);
         let expect_events = seq.events_processed();
         assert_eq!(expect_events, 2);
         assert_eq!(
@@ -1658,21 +1777,17 @@ mod tests {
         assert_eq!(seq.now(), SimTime::MAX);
 
         for shards in [1, 2, 4] {
-            let mut cluster =
-                ShardedSimulation::new(4, NetworkModel::default(), 7, shards, |_, _| {
-                    Recorder::default()
-                });
-            schedule_saturating(|at, node, cmd| cluster.schedule_command(at, node, cmd));
+            let mut cluster = saturating(shards);
             cluster.run_until(near);
             assert_eq!(
-                recorder_logs_cluster(&cluster),
+                recorder_logs(&cluster),
                 expect,
                 "run to MAX-1µs with {shards} shards diverged"
             );
             let second = cluster.run_until(SimTime::MAX);
             assert_eq!(second.events, 0, "{shards} shards: events at MAX never run");
             assert_eq!(cluster.now(), SimTime::MAX);
-            assert_eq!(recorder_logs_cluster(&cluster), expect);
+            assert_eq!(recorder_logs(&cluster), expect);
             assert_eq!(cluster.events_processed(), expect_events);
         }
     }

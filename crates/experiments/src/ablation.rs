@@ -16,12 +16,10 @@
 
 use crate::harness::{prepare_gossip, run_gossip, t_arch_config, EngineKind};
 use fed_core::behavior::Behavior;
-use fed_core::gossip::{GossipConfig, GossipNode};
-use fed_core::ledger::RatioSpec;
-use fed_metrics::fairness::ratio_report;
+use fed_core::gossip::GossipConfig;
 use fed_metrics::table::{fmt_f64, Table};
 use fed_pubsub::Command;
-use fed_sim::{NodeId, SimTime, Simulation};
+use fed_sim::{NodeId, SimTime};
 use fed_workload::interest::Appetite;
 use fed_workload::scenario::ScenarioSpec;
 
@@ -40,8 +38,6 @@ pub struct AblationResult {
 
 /// Runs the ablation at population size `n`.
 pub fn run(n: usize, seed: u64) -> AblationResult {
-    let spec = RatioSpec::topic_based();
-
     // --- 1. correction gain sweep on the standard workload ---
     let mut gain_table = Table::new(
         format!("E-ABLATE-a: lifetime-ratio correction gain (n={n})"),
@@ -52,15 +48,15 @@ pub fn run(n: usize, seed: u64) -> AblationResult {
         let scenario = ScenarioSpec::fair_gossip(n, seed);
         let mut cfg = t_arch_config(GossipConfig::fair);
         cfg.ratio_correction_gain = gain;
-        let run = run_gossip(&scenario, EngineKind::Sequential, cfg, |_| Behavior::Honest);
-        let report = ratio_report(&run.ledgers, &spec);
-        let rel = run.audit().reliability();
+        let summary =
+            run_gossip(&scenario, EngineKind::Sequential, cfg, |_| Behavior::Honest).summary();
+        let report = summary.ratio;
         gain_table.row_owned(vec![
             fmt_f64(gain),
             fmt_f64(report.jain),
             fmt_f64(report.gini),
             fmt_f64(report.max_min),
-            fmt_f64(rel),
+            fmt_f64(summary.reliability),
         ]);
         gain_points.push((gain, report.jain));
     }
@@ -82,8 +78,7 @@ pub fn run(n: usize, seed: u64) -> AblationResult {
         let mut cfg = t_arch_config(GossipConfig::fair);
         cfg.min_relay_rate = rate;
         cfg.civic_allowance = allowance;
-        let mut run =
-            prepare_gossip::<Simulation<GossipNode>>(&scenario, cfg, |_| Behavior::Honest);
+        let mut run = prepare_gossip(&scenario, EngineKind::Sequential, cfg, |_| Behavior::Honest);
         // Strip subscriptions from the last three quarters: one
         // unsubscribe per topic a node holds (one, at `Fixed(1)`).
         for i in interested..n {
@@ -97,7 +92,7 @@ pub fn run(n: usize, seed: u64) -> AblationResult {
             }
         }
         let run = run.finish();
-        let report = ratio_report(&run.ledgers, &spec);
+        let report = run.summary().ratio;
         // Ground truth must reflect the cleared subscriptions: only peers
         // below `interested` can deliver.
         let rel = run.audit_where(|_, node| node < interested).reliability();

@@ -10,14 +10,14 @@
 //! Reported: detection recall per behaviour class, false-positive rate on
 //! honest peers, and the residual unfairness the cheats caused.
 
-use crate::harness::{prepare_gossip, t_arch_config};
+use crate::harness::{prepare_gossip, t_arch_config, EngineKind};
 use fed_core::audit::{audit_subject, AuditOutcome, WitnessReport};
 use fed_core::behavior::Behavior;
-use fed_core::gossip::{GossipConfig, GossipNode};
+use fed_core::gossip::GossipConfig;
 use fed_core::ledger::RatioSpec;
 use fed_metrics::fairness::ratio_report;
 use fed_metrics::table::{fmt_f64, Table};
-use fed_sim::{NodeId, Simulation};
+use fed_sim::NodeId;
 use fed_util::rng::{Rng64, SplitMix64};
 use fed_workload::scenario::ScenarioSpec;
 
@@ -62,7 +62,7 @@ pub fn run(n: usize, seed: u64) -> BiasResult {
     // The committee reads protocol state the outcome does not carry
     // (claims, receipt counters, rounds), so run the engine by hand and
     // interrogate the finished nodes before collecting.
-    let mut run = prepare_gossip::<Simulation<GossipNode>>(&scenario, cfg, behavior);
+    let mut run = prepare_gossip(&scenario, EngineKind::Sequential, cfg, behavior);
     run.sim.run_until(run.horizon());
 
     // Committee audit of every node: sample 16 witnesses, gather receipt

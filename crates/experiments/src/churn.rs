@@ -10,12 +10,13 @@
 //! classic and the fair protocol lose — and what that does to delivery
 //! reliability for the remaining population.
 
-use crate::harness::{prepare_gossip, t_arch_config};
+use crate::harness::{prepare_gossip, t_arch_config, ArchOutcome, EngineKind};
+use fed_cluster::Engine;
 use fed_core::behavior::Behavior;
 use fed_core::gossip::{GossipConfig, GossipNode};
 use fed_core::ledger::RatioSpec;
 use fed_metrics::table::{fmt_f64, Table};
-use fed_sim::{SimDuration, SimTime, Simulation};
+use fed_sim::{SimDuration, SimTime};
 use fed_workload::scenario::ScenarioSpec;
 
 /// Result of the E-CHURN experiment.
@@ -36,11 +37,7 @@ pub struct ChurnResult {
 /// Runs `sim` to `horizon` in 2 s slices, crashing after each slice every
 /// live peer whose behaviour model (which carries the tolerance) wants to
 /// leave under the `spec` accounting. Returns how many quit.
-fn drive_with_quitting(
-    sim: &mut Simulation<GossipNode>,
-    horizon: SimTime,
-    spec: &RatioSpec,
-) -> usize {
+fn drive_with_quitting(sim: &mut Engine<GossipNode>, horizon: SimTime, spec: &RatioSpec) -> usize {
     let poll = SimDuration::from_secs(2);
     let mut quitters = 0usize;
     let mut now = SimTime::ZERO;
@@ -65,24 +62,32 @@ fn drive_with_quitting(
     quitters
 }
 
-/// Runs E-CHURN at population size `n` with the given tolerance threshold.
-pub fn run(n: usize, threshold: f64, seed: u64) -> ChurnResult {
-    let scenario = ScenarioSpec::fair_gossip(n, seed);
+/// One E-CHURN run of `preset`, every peer aggrieved past `threshold`,
+/// driven with quitting on `engine`: how many quit, and the outcome.
+fn quitting_run(
+    scenario: &ScenarioSpec,
+    engine: EngineKind,
+    preset: fn(usize, usize) -> GossipConfig,
+    threshold: f64,
+) -> (usize, ArchOutcome) {
     let behavior = move |_| Behavior::Aggrieved {
         ratio_threshold: threshold,
         patience_rounds: 50,
     };
+    let mut run = prepare_gossip(scenario, engine, t_arch_config(preset), behavior);
+    let horizon = run.horizon();
+    let quitters = drive_with_quitting(&mut run.sim, horizon, &RatioSpec::topic_based());
+    (quitters, run.finish())
+}
 
-    let spec = RatioSpec::topic_based();
-    let mut results = Vec::new();
-    for preset in [GossipConfig::classic, GossipConfig::fair] {
-        let mut run =
-            prepare_gossip::<Simulation<GossipNode>>(&scenario, t_arch_config(preset), behavior);
-        let horizon = run.horizon();
-        let quitters = drive_with_quitting(&mut run.sim, horizon, &spec);
-        let audit = run.finish().audit();
-        results.push((quitters, audit.reliability()));
-    }
+/// Runs E-CHURN at population size `n` with the given tolerance threshold.
+pub fn run(n: usize, threshold: f64, seed: u64) -> ChurnResult {
+    let scenario = ScenarioSpec::fair_gossip(n, seed);
+    let results = [GossipConfig::classic, GossipConfig::fair].map(|preset| {
+        let (quitters, outcome) =
+            quitting_run(&scenario, EngineKind::Sequential, preset, threshold);
+        (quitters, outcome.summary().reliability)
+    });
 
     let mut table = Table::new(
         format!("E-CHURN: unfairness-driven churn (n={n}, tolerance={threshold})"),
@@ -108,6 +113,7 @@ pub fn run(n: usize, threshold: f64, seed: u64) -> ChurnResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario_run::first_divergence;
 
     #[test]
     fn fair_protocol_retains_more_peers() {
@@ -123,5 +129,25 @@ mod tests {
             r.classic_quitters > 0,
             "the classic protocol must aggrieve someone at tolerance 15"
         );
+    }
+
+    /// The quitting loop acts between slices on node state, yet runs
+    /// bit-identically on the cluster: equal quitters and an outcome with
+    /// no first divergence, for both presets.
+    #[test]
+    fn quitting_runs_identically_on_the_cluster() {
+        let scenario = ScenarioSpec::fair_gossip(64, 9);
+        let sharded = scenario.clone().with_shards(3);
+        for preset in [GossipConfig::classic, GossipConfig::fair] {
+            let sequential = quitting_run(&scenario, EngineKind::Sequential, preset, 15.0);
+            let cluster = quitting_run(&sharded, EngineKind::Cluster, preset, 15.0);
+            assert!(sequential.0 > 0, "tolerance 15 must aggrieve someone");
+            assert_eq!(cluster.0, sequential.0, "quitters differ on 3 shards");
+            assert_eq!(
+                first_divergence(&sequential.1, &cluster.1),
+                None,
+                "the 3-shard run diverged"
+            );
+        }
     }
 }

@@ -12,7 +12,7 @@ use crate::harness::{run_gossip, t_arch_config, EngineKind};
 use fed_core::behavior::Behavior;
 use fed_core::gossip::GossipConfig;
 use fed_core::ledger::RatioSpec;
-use fed_metrics::fairness::{ratio_report, ratios};
+use fed_metrics::fairness::ratios;
 use fed_metrics::table::{fmt_f64, Table};
 use fed_util::stats::Summary;
 use fed_workload::scenario::ScenarioSpec;
@@ -56,8 +56,8 @@ pub fn run(n: usize, seed: u64) -> Fig1Result {
         ("fair-gossip", t_arch_config(GossipConfig::fair)),
     ] {
         let run = run_gossip(&scenario, EngineKind::Sequential, cfg, |_| Behavior::Honest);
-        let audit = run.audit();
-        let report = ratio_report(&run.ledgers, &spec);
+        let summary = run.summary();
+        let report = summary.ratio;
         let dist = Summary::from_values(ratios(&run.ledgers, &spec));
         table.row_owned(vec![
             name.to_string(),
@@ -67,9 +67,9 @@ pub fn run(n: usize, seed: u64) -> Fig1Result {
             fmt_f64(dist.percentile(10.0).unwrap_or(0.0)),
             fmt_f64(dist.percentile(50.0).unwrap_or(0.0)),
             fmt_f64(dist.percentile(90.0).unwrap_or(0.0)),
-            fmt_f64(audit.reliability()),
+            fmt_f64(summary.reliability),
         ]);
-        results.push((report.jain, audit.reliability()));
+        results.push((report.jain, summary.reliability));
     }
     Fig1Result {
         table,

@@ -11,8 +11,6 @@
 use crate::harness::{run_gossip, t_arch_config, EngineKind};
 use fed_core::behavior::Behavior;
 use fed_core::gossip::GossipConfig;
-use fed_core::ledger::RatioSpec;
-use fed_metrics::fairness::ratio_report;
 use fed_metrics::table::{fmt_f64, Table};
 use fed_workload::interest::Appetite;
 use fed_workload::scenario::ScenarioSpec;
@@ -28,7 +26,6 @@ pub struct Fig2Result {
 
 /// Runs FIG2 at population size `n`.
 pub fn run(n: usize, seed: u64) -> Fig2Result {
-    let spec = RatioSpec::topic_based();
     let mut table = Table::new(
         format!("FIG2: fairness with filter-weighted benefit (n={n})"),
         &[
@@ -62,16 +59,16 @@ pub fn run(n: usize, seed: u64) -> Fig2Result {
             ("classic", t_arch_config(GossipConfig::classic)),
             ("fair", t_arch_config(GossipConfig::fair)),
         ] {
-            let run = run_gossip(&scenario, EngineKind::Sequential, cfg, |_| Behavior::Honest);
-            let audit = run.audit();
-            let report = ratio_report(&run.ledgers, &spec);
+            let summary =
+                run_gossip(&scenario, EngineKind::Sequential, cfg, |_| Behavior::Honest).summary();
+            let report = summary.ratio;
             table.row_owned(vec![
                 label.to_string(),
                 proto.to_string(),
                 fmt_f64(report.jain),
                 fmt_f64(report.gini),
                 fmt_f64(report.max_min),
-                fmt_f64(audit.reliability()),
+                fmt_f64(summary.reliability),
             ]);
             jains.push(report.jain);
         }

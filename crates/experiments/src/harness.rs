@@ -5,7 +5,7 @@
 //! sequential [`Simulation`] or the sharded [`ShardedSimulation`] — for
 //! *any* architecture the spec selects, and audits the outcome.
 //!
-//! There is **one** body for materialize → [`Engine::build`] →
+//! There is **one** body for materialize → build the chosen [`Engine`] →
 //! schedule the workload → observed run → collect, and every run in the
 //! workspace goes through it:
 //!
@@ -26,11 +26,11 @@
 //!   engine in between (extra commands, crash waves, sliced runs, reading
 //!   node state) get the handle from [`prepare_gossip`].
 //!
-//! The body is generic over the [`Engine`] seam — build, schedule, run
-//! observed, read back — so for the same spec the results are bit-for-bit
-//! comparable regardless of engine or shard count — asserted by the
-//! parity matrix (`tests/parity/mod.rs`), which compares every cell's runs
-//! with [`crate::scenario_run::first_divergence`].
+//! [`EngineKind`] picks the engine by value, and for the same spec the
+//! results are bit-for-bit comparable regardless of engine or shard
+//! count — asserted by the parity matrix (`tests/parity/mod.rs`), which
+//! compares every cell's runs with
+//! [`crate::scenario_run::first_divergence`].
 
 use fed_baselines::broker::BrokerNode;
 use fed_baselines::dam::{DamNode, GroupTable};
@@ -38,7 +38,7 @@ use fed_baselines::dks::DksNode;
 use fed_baselines::hybrid::HybridNode;
 use fed_baselines::scribe::ScribeNode;
 use fed_baselines::splitstream::{Forest, SplitStreamNode};
-use fed_cluster::{ShardMap, ShardedSimulation};
+use fed_cluster::{Engine, ShardMap, ShardedSimulation};
 use fed_core::behavior::Behavior;
 use fed_core::endpoint::Endpoint;
 use fed_core::gossip::{GossipConfig, GossipNode};
@@ -49,7 +49,7 @@ use fed_metrics::delivery::DeliveryAudit;
 use fed_metrics::fairness::{contribution_report, ratio_report};
 use fed_profile::{CountingProbe, RunProfile, ShardProfile, WorkCounters};
 use fed_pubsub::{Command, EventId, TopicId};
-use fed_sim::exec::{Probe, QueueStats, DEFAULT_MAX_EVENTS};
+use fed_sim::exec::DEFAULT_MAX_EVENTS;
 use fed_sim::{HopRecord, NodeId, Protocol, SimDuration, SimTime, Simulation, TransportStats};
 use fed_telemetry::membership::{DetectorEvent, MembershipSeries};
 use fed_telemetry::{ShardCollector, TelemetrySeries, WindowRow};
@@ -210,156 +210,6 @@ impl ArchProtocol for SplitStreamNode {
     }
 }
 
-/// The engine seam of the harness: what a scenario run needs from an
-/// engine — build from a spec, schedule, run observed, read back — so
-/// the harness has one body for both engines.
-///
-/// The sequential [`Simulation`] is the one-shard case: it owns `0..n`,
-/// takes exactly one observer and has no windows.
-pub trait Engine: Sized {
-    /// The node type this engine runs.
-    type Proto: Protocol + 'static;
-    /// Builds the engine `spec` describes, constructing nodes with
-    /// `factory` (the sequential engine ignores the shard count,
-    /// placement and window knobs).
-    fn build<F>(spec: &ScenarioSpec, materialized: &MaterializedScenario, factory: F) -> Self
-    where
-        F: Fn(NodeId, &mut Xoshiro256StarStar) -> Self::Proto + Send + Sync + 'static;
-    /// Schedules an application command.
-    fn command(&mut self, at: SimTime, node: NodeId, cmd: <Self::Proto as Protocol>::Cmd);
-    /// Schedules a crash.
-    fn crash(&mut self, at: SimTime, node: NodeId);
-    /// Schedules a (re)join.
-    fn join(&mut self, at: SimTime, node: NodeId);
-    /// Shards actually in use (the cluster clamps to `1..=n`).
-    fn shards(&self) -> usize;
-    /// The node ids `shard` owns, ascending.
-    fn owned(&self, shard: usize) -> Vec<u32>;
-    /// Runs every event due at or before `target` with exactly one
-    /// observer per shard, and returns only with the engine at `target`:
-    /// a handler's panic or an exhausted event budget fails the run
-    /// instead, so a caller never collects a truncated one.
-    fn run_observed<O: Probe + Send>(&mut self, target: SimTime, observers: &mut [O]);
-    /// Iterates over `(id, state)` of every node that has state.
-    fn nodes(&self) -> impl Iterator<Item = (NodeId, &Self::Proto)>;
-    /// Consumes the engine into `(id, state)` of every node that has
-    /// state, in no particular order.
-    fn into_nodes(self) -> impl Iterator<Item = (NodeId, Self::Proto)>;
-    /// Transport statistics of every node, indexed by node.
-    fn stats(&self) -> Vec<TransportStats>;
-    /// Events processed so far.
-    fn events(&self) -> u64;
-    /// Barrier windows executed so far (0 on the sequential engine).
-    fn windows(&self) -> u64;
-    /// Queue counters summed over every shard's queue.
-    fn queue_stats(&self) -> QueueStats;
-}
-
-impl<P: Protocol + 'static> Engine for Simulation<P> {
-    type Proto = P;
-    fn build<F>(spec: &ScenarioSpec, _materialized: &MaterializedScenario, factory: F) -> Self
-    where
-        F: Fn(NodeId, &mut Xoshiro256StarStar) -> P + Send + Sync + 'static,
-    {
-        Simulation::new(spec.n, spec.effective_net(), spec.seed, factory)
-    }
-    fn command(&mut self, at: SimTime, node: NodeId, cmd: P::Cmd) {
-        self.schedule_command(at, node, cmd);
-    }
-    fn crash(&mut self, at: SimTime, node: NodeId) {
-        self.schedule_crash(at, node);
-    }
-    fn join(&mut self, at: SimTime, node: NodeId) {
-        self.schedule_join(at, node);
-    }
-    fn shards(&self) -> usize {
-        1
-    }
-    fn owned(&self, _shard: usize) -> Vec<u32> {
-        (0..self.len() as u32).collect()
-    }
-    fn run_observed<O: Probe + Send>(&mut self, target: SimTime, observers: &mut [O]) {
-        let [obs] = observers else {
-            panic!("the sequential engine is exactly one shard");
-        };
-        self.run_until_observed(target, obs);
-    }
-    fn nodes(&self) -> impl Iterator<Item = (NodeId, &P)> {
-        Simulation::nodes(self)
-    }
-    fn into_nodes(self) -> impl Iterator<Item = (NodeId, P)> {
-        Simulation::into_nodes(self)
-    }
-    fn stats(&self) -> Vec<TransportStats> {
-        self.transport_stats_all().to_vec()
-    }
-    fn events(&self) -> u64 {
-        self.events_processed()
-    }
-    fn windows(&self) -> u64 {
-        0
-    }
-    fn queue_stats(&self) -> QueueStats {
-        Simulation::queue_stats(self)
-    }
-}
-
-impl<P> Engine for ShardedSimulation<P>
-where
-    P: Protocol + Send + 'static,
-    P::Msg: Send,
-    P::Cmd: Send,
-{
-    type Proto = P;
-    fn build<F>(spec: &ScenarioSpec, materialized: &MaterializedScenario, factory: F) -> Self
-    where
-        F: Fn(NodeId, &mut Xoshiro256StarStar) -> P + Send + Sync + 'static,
-    {
-        let map = match spec.placement {
-            Placement::RoundRobin => ShardMap::round_robin(spec.n, spec.shards),
-            Placement::Block => ShardMap::block(spec.n, spec.shards),
-            Placement::Balanced => ShardMap::balanced(&event_weights(materialized), spec.shards),
-        };
-        ShardedSimulation::with_scheduler(spec.n, spec.effective_net(), spec.seed, map, factory)
-    }
-    fn command(&mut self, at: SimTime, node: NodeId, cmd: P::Cmd) {
-        self.schedule_command(at, node, cmd);
-    }
-    fn crash(&mut self, at: SimTime, node: NodeId) {
-        self.schedule_crash(at, node);
-    }
-    fn join(&mut self, at: SimTime, node: NodeId) {
-        self.schedule_join(at, node);
-    }
-    fn shards(&self) -> usize {
-        self.num_shards()
-    }
-    fn owned(&self, shard: usize) -> Vec<u32> {
-        self.shard_map().owned(shard).to_vec()
-    }
-    fn run_observed<O: Probe + Send>(&mut self, target: SimTime, observers: &mut [O]) {
-        self.run_until_observed(target, observers);
-    }
-    fn nodes(&self) -> impl Iterator<Item = (NodeId, &P)> {
-        ShardedSimulation::nodes(self)
-    }
-    fn into_nodes(self) -> impl Iterator<Item = (NodeId, P)> {
-        ShardedSimulation::into_nodes(self)
-    }
-    fn stats(&self) -> Vec<TransportStats> {
-        self.transport_stats_all()
-    }
-    fn events(&self) -> u64 {
-        self.events_processed()
-    }
-    fn windows(&self) -> u64 {
-        ShardedSimulation::windows(self)
-    }
-    fn queue_stats(&self) -> QueueStats {
-        ShardedSimulation::queue_stats(self)
-    }
-}
-
 /// Schedules the materialized workload onto any engine, in the canonical
 /// order: subscriptions, publications, then churn.
 ///
@@ -370,21 +220,17 @@ where
 ///
 /// Both engines must see the same `schedule_*` call order — the external
 /// event sequence number participates in the deterministic event order.
-fn schedule_workload<E>(sim: &mut E, materialized: &MaterializedScenario)
-where
-    E: Engine,
-    E::Proto: ArchProtocol,
-{
-    let subscribe = |sim: &mut E, at: SimTime, node: usize| {
+fn schedule_workload<P: ArchProtocol>(sim: &mut Engine<P>, materialized: &MaterializedScenario) {
+    let subscribe = |sim: &mut Engine<P>, at: SimTime, node: usize| {
         for &topic in materialized.profile.topics_of(node) {
-            sim.command(at, NodeId::new(node as u32), Command::Subscribe(topic));
+            sim.schedule_command(at, NodeId::new(node as u32), Command::Subscribe(topic));
         }
     };
     for i in 0..materialized.profile.len() {
         subscribe(sim, SimTime::ZERO, i);
     }
     for p in &materialized.schedule {
-        sim.command(
+        sim.schedule_command(
             p.at,
             NodeId::new(p.publisher as u32),
             Command::Publish(p.event.clone()),
@@ -392,9 +238,9 @@ where
     }
     for c in &materialized.churn {
         match c.action {
-            ChurnAction::Crash => sim.crash(c.at, NodeId::new(c.node as u32)),
+            ChurnAction::Crash => sim.schedule_crash(c.at, NodeId::new(c.node as u32)),
             ChurnAction::Join => {
-                sim.join(c.at, NodeId::new(c.node as u32));
+                sim.schedule_join(c.at, NodeId::new(c.node as u32));
                 subscribe(sim, c.at, c.node);
             }
         }
@@ -765,20 +611,20 @@ pub fn run_gossip(
     config: GossipConfig,
     behavior: impl Fn(NodeId) -> Behavior + Send + Sync + 'static,
 ) -> ArchOutcome {
-    let factory = gossip_factory(spec, config, behavior);
-    execute(spec, materialize(spec), engine, factory)
+    prepare_gossip(spec, engine, config, behavior).finish()
 }
 
-/// [`run_gossip`] stopped before its run step: the engine `E` built and
-/// scheduled, for the experiments that act on `sim` before
+/// [`run_gossip`] stopped before its run step: the chosen engine built
+/// and scheduled, for the experiments that act on `sim` before
 /// [`Prepared::finish`].
-pub fn prepare_gossip<E: Engine<Proto = GossipNode>>(
+pub fn prepare_gossip(
     spec: &ScenarioSpec,
+    engine: EngineKind,
     config: GossipConfig,
     behavior: impl Fn(NodeId) -> Behavior + Send + Sync + 'static,
-) -> Prepared<'_, E> {
+) -> Prepared<'_, GossipNode> {
     let factory = gossip_factory(spec, config, behavior);
-    Prepared::new(spec, materialize(spec), factory)
+    Prepared::new(spec, materialize(spec), engine, factory)
 }
 
 /// Runs the spec's architecture on the chosen engine to the scenario
@@ -801,43 +647,49 @@ pub fn run_architecture(spec: &ScenarioSpec, engine: EngineKind) -> ArchOutcome 
     match spec.arch {
         Architecture::FairGossip => honest_gossip(t_arch_config(GossipConfig::fair)),
         Architecture::StaticGossip => honest_gossip(t_arch_config(GossipConfig::classic)),
-        Architecture::Broker => execute(spec, materialize(spec), engine, |id, _| {
+        Architecture::Broker => Prepared::new(spec, materialize(spec), engine, |id, _| {
             BrokerNode::new(id, NodeId::new(0))
-        }),
+        })
+        .finish(),
         Architecture::Scribe => {
             let materialized = materialize(spec);
             let dht = Arc::new(DhtNetwork::build(n));
-            execute(spec, materialized, engine, move |id, _| {
+            Prepared::new(spec, materialized, engine, move |id, _| {
                 ScribeNode::new(id, Arc::clone(&dht))
             })
+            .finish()
         }
         Architecture::Dks => {
             let materialized = materialize(spec);
             let dht = Arc::new(DhtNetwork::build(n));
             let groups = Arc::new(groups_of(&materialized.profile));
-            execute(spec, materialized, engine, move |id, _| {
+            Prepared::new(spec, materialized, engine, move |id, _| {
                 DksNode::new(id, Arc::clone(&dht), Arc::clone(&groups))
             })
+            .finish()
         }
         Architecture::Dam => {
             let materialized = materialize(spec);
             let groups = Arc::new(groups_of(&materialized.profile));
-            execute(spec, materialized, engine, move |id, _| {
+            Prepared::new(spec, materialized, engine, move |id, _| {
                 DamNode::new(id, Arc::clone(&groups))
             })
+            .finish()
         }
         Architecture::SplitStream => {
             let materialized = materialize(spec);
             let forest = Arc::new(Forest::build(n, 8, 8));
-            execute(spec, materialized, engine, move |id, _| {
+            Prepared::new(spec, materialized, engine, move |id, _| {
                 SplitStreamNode::new(id, Arc::clone(&forest))
             })
+            .finish()
         }
         Architecture::Hybrid => {
             let swim = spec.membership;
-            execute(spec, materialize(spec), engine, move |id, _| {
+            Prepared::new(spec, materialize(spec), engine, move |id, _| {
                 HybridNode::new(id, n, swim)
             })
+            .finish()
         }
     }
 }
@@ -878,50 +730,27 @@ type ShardObserver = (
     Option<ShardTraceBuffer>,
 );
 
-/// Monomorphic worker behind [`run_architecture`] and [`run_gossip`]:
-/// "prepare, finish" on the chosen engine.
-fn execute<P, F>(
-    spec: &ScenarioSpec,
-    materialized: MaterializedScenario,
-    engine: EngineKind,
-    factory: F,
-) -> ArchOutcome
-where
-    P: ArchProtocol + Send,
-    P::Msg: Send,
-    P::Cmd: Send,
-    F: Fn(NodeId, &mut Xoshiro256StarStar) -> P + Send + Sync + 'static,
-{
-    match engine {
-        EngineKind::Sequential => {
-            Prepared::<Simulation<P>>::new(spec, materialized, factory).finish()
-        }
-        EngineKind::Cluster => {
-            Prepared::<ShardedSimulation<P>>::new(spec, materialized, factory).finish()
-        }
-    }
-}
-
-/// A scenario prepared on engine `E`: engine built, workload scheduled,
-/// ground truth kept — the harness's one run body, split at its run step.
+/// A scenario prepared on its engine: built, scheduled, ground truth
+/// kept — the harness's one run body, split at its run step.
 ///
 /// Until [`Prepared::finish`] the engine is the caller's: schedule extra
 /// commands or crashes on `sim`, run it in slices, read node state.
 /// Whatever the caller ran itself is run unobserved; `finish` covers the
 /// rest of the way to the horizon under the spec's observers.
-pub struct Prepared<'s, E> {
+pub struct Prepared<'s, P: Protocol> {
     /// The engine, with the scenario's workload scheduled.
-    pub sim: E,
+    pub sim: Engine<P>,
     spec: &'s ScenarioSpec,
     materialized: MaterializedScenario,
 }
 
-impl<'s, E> Prepared<'s, E>
+impl<'s, P> Prepared<'s, P>
 where
-    E: Engine,
-    E::Proto: ArchProtocol,
+    P: ArchProtocol + Send,
+    P::Msg: Send,
 {
-    /// Builds engine `E` with `factory` and schedules the workload.
+    /// Builds `engine` as `spec` describes it (the sequential engine has no
+    /// shard knobs) with `factory`, and schedules the workload.
     ///
     /// # Panics
     ///
@@ -929,11 +758,16 @@ where
     /// exhaust the [`DEFAULT_MAX_EVENTS`] budget: the nodes the churn
     /// trace never crashes, times ⌊horizon / period⌋ rounds each (see
     /// [`ArchProtocol::ROUND`]), a lower bound on the run's events.
-    fn new<F>(spec: &'s ScenarioSpec, materialized: MaterializedScenario, factory: F) -> Self
+    fn new<F>(
+        spec: &'s ScenarioSpec,
+        materialized: MaterializedScenario,
+        engine: EngineKind,
+        factory: F,
+    ) -> Self
     where
-        F: Fn(NodeId, &mut Xoshiro256StarStar) -> E::Proto + Send + Sync + 'static,
+        F: Fn(NodeId, &mut Xoshiro256StarStar) -> P + Send + Sync + 'static,
     {
-        if let Some(period) = E::Proto::ROUND {
+        if let Some(period) = P::ROUND {
             let crashed: HashSet<usize> = materialized
                 .churn
                 .iter()
@@ -951,7 +785,21 @@ where
                 materialized.horizon.as_micros()
             );
         }
-        let mut sim = E::build(spec, &materialized, factory);
+        let (n, shards, net, seed) = (spec.n, spec.shards, spec.effective_net(), spec.seed);
+        let mut sim = match engine {
+            EngineKind::Sequential => Engine::Sequential(Simulation::new(n, net, seed, factory)),
+            EngineKind::Cluster => {
+                let map = match spec.placement {
+                    Placement::RoundRobin => ShardMap::round_robin(n, shards),
+                    Placement::Block => ShardMap::block(n, shards),
+                    Placement::Balanced => {
+                        ShardMap::balanced(&event_weights(&materialized), shards)
+                    }
+                };
+                let cluster = ShardedSimulation::with_scheduler(n, net, seed, map, factory);
+                Engine::Cluster(cluster)
+            }
+        };
         schedule_workload(&mut sim, &materialized);
         Prepared {
             sim,
@@ -988,7 +836,7 @@ where
         // canonical trace order exactly. The counting wrapper feeds the
         // profiler's `probe_calls` work counter and forwards everything
         // unchanged.
-        let owned: Vec<Vec<u32>> = (0..sim.shards()).map(|s| sim.owned(s)).collect();
+        let owned: Vec<Vec<u32>> = (0..sim.num_shards()).map(|s| sim.owned(s)).collect();
         let mut observers: Vec<ShardObserver> = owned
             .iter()
             .map(|owned| {
@@ -1001,10 +849,10 @@ where
             })
             .collect();
         let run_start = profiling.then(std::time::Instant::now);
-        sim.run_observed(horizon, &mut observers);
+        sim.run_until_observed(horizon, &mut observers);
         let wall_ns = run_start.map_or(0, |t| t.elapsed().as_nanos() as u64);
 
-        let stats = sim.stats();
+        let stats = sim.transport_stats_all();
         let mut telemetry: Option<TelemetrySeries> = None;
         let mut work = Vec::new();
         let mut shard_profiles = Vec::new();
@@ -1035,7 +883,7 @@ where
 
         // The engine is consumed last: each node's delivery log moves into
         // the outcome, and the rest of the node is dropped with it.
-        let (events, windows) = (sim.events(), sim.windows());
+        let (events, windows) = (sim.events_processed(), sim.windows());
         let mut deliveries = vec![Vec::new(); spec.n];
         let mut ledgers = vec![FairnessLedger::new(); spec.n];
         let mut swim = vec![Vec::new(); spec.n];
@@ -1107,11 +955,13 @@ mod tests {
         let spec = ScenarioSpec::fair_gossip(16, 3);
         let config = || t_arch_config(GossipConfig::fair);
         let direct = run_architecture(&spec, EngineKind::Sequential);
-        let untouched =
-            prepare_gossip::<Simulation<GossipNode>>(&spec, config(), |_| Behavior::Honest)
-                .finish();
-        let mut driven =
-            prepare_gossip::<Simulation<GossipNode>>(&spec, config(), |_| Behavior::Honest);
+        let prepare = || {
+            prepare_gossip(&spec, EngineKind::Sequential, config(), |_| {
+                Behavior::Honest
+            })
+        };
+        let untouched = prepare().finish();
+        let mut driven = prepare();
         driven.sim.run_until(driven.horizon());
         let driven = driven.finish();
         for outcome in [&untouched, &driven] {
@@ -1124,25 +974,24 @@ mod tests {
 
     /// A run that exhausts its event budget fails through the harness,
     /// on either engine, instead of collecting a truncated outcome.
-    #[test]
-    #[should_panic(expected = "event budget of 1000 events exhausted at virtual time")]
-    fn exhausted_budget_fails_the_sequential_run() {
-        let spec = ScenarioSpec::fair_gossip(16, 3);
+    fn exhaust_the_budget(spec: &ScenarioSpec, engine: EngineKind) {
         let config = t_arch_config(GossipConfig::fair);
-        let mut run = prepare_gossip::<Simulation<GossipNode>>(&spec, config, |_| Behavior::Honest);
+        let mut run = prepare_gossip(spec, engine, config, |_| Behavior::Honest);
         run.sim.set_max_events(1_000);
         run.finish();
     }
 
     #[test]
     #[should_panic(expected = "event budget of 1000 events exhausted at virtual time")]
+    fn exhausted_budget_fails_the_sequential_run() {
+        exhaust_the_budget(&ScenarioSpec::fair_gossip(16, 3), EngineKind::Sequential);
+    }
+
+    #[test]
+    #[should_panic(expected = "event budget of 1000 events exhausted at virtual time")]
     fn exhausted_budget_fails_the_cluster_run() {
         let spec = ScenarioSpec::fair_gossip(16, 3).with_shards(2);
-        let config = t_arch_config(GossipConfig::fair);
-        let mut run =
-            prepare_gossip::<ShardedSimulation<GossipNode>>(&spec, config, |_| Behavior::Honest);
-        run.sim.set_max_events(1_000);
-        run.finish();
+        exhaust_the_budget(&spec, EngineKind::Cluster);
     }
 
     /// A world whose round timers alone pass the event budget is refused

@@ -145,7 +145,7 @@ fn main() -> ExitCode {
     // location and backtrace off stderr; its message is the line.
     std::panic::set_hook(Box::new(|_| {}));
     for command in &commands {
-        let result = std::panic::catch_unwind(|| execute(command, seed, threshold))
+        let result = std::panic::catch_unwind(|| run_command(command, seed, threshold))
             .unwrap_or_else(|payload| Err(fed_sim::exec::panic_message(&*payload)));
         if let Err(e) = result {
             eprintln!("error: {e}");
@@ -155,7 +155,7 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn execute(command: &Command, seed: u64, threshold: Option<f64>) -> Result<(), String> {
+fn run_command(command: &Command, seed: u64, threshold: Option<f64>) -> Result<(), String> {
     match command {
         Command::Experiment(id) => {
             eprintln!("=== running {id} (seed {seed}) ===");

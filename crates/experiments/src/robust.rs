@@ -14,10 +14,10 @@
 use crate::bench_json::Row;
 use crate::harness::{prepare_gossip, run_gossip, t_arch_config, EngineKind};
 use fed_core::behavior::Behavior;
-use fed_core::gossip::{GossipConfig, GossipNode};
+use fed_core::gossip::GossipConfig;
 use fed_metrics::table::{fmt_f64, Table};
 use fed_sim::network::{LatencyModel, NetworkModel};
-use fed_sim::{NodeId, SimDuration, SimTime, Simulation};
+use fed_sim::{NodeId, SimDuration, SimTime};
 use fed_util::rng::{Rng64, SplitMix64};
 use fed_workload::pubs::Publication;
 use fed_workload::scenario::ScenarioSpec;
@@ -82,7 +82,7 @@ pub fn run(n: usize, seed: u64) -> RobustResult {
                 run.events,
                 wall_ms,
             ));
-            rel.push(run.audit().reliability());
+            rel.push(run.summary().reliability);
         }
         loss_table.row_owned(vec![fmt_f64(loss), fmt_f64(rel[0]), fmt_f64(rel[1])]);
         loss_points.push((loss, rel[0], rel[1]));
@@ -99,7 +99,7 @@ pub fn run(n: usize, seed: u64) -> RobustResult {
             let scenario = ScenarioSpec::fair_gossip(n, seed ^ 0x5A5A);
             let start = Instant::now();
             let mut run =
-                prepare_gossip::<Simulation<GossipNode>>(&scenario, cfg, |_| Behavior::Honest);
+                prepare_gossip(&scenario, EngineKind::Sequential, cfg, |_| Behavior::Honest);
             // Crash a random fraction mid-stream.
             let crash_at = SimTime::from_secs(8);
             let mut pick = SplitMix64::seed_from_u64(seed);

@@ -14,20 +14,16 @@
 
 mod parity;
 
-use fed_cluster::ShardedSimulation;
-use fed_core::gossip::{GossipConfig, GossipNode};
-use fed_experiments::harness::{prepare_gossip, Engine};
-use fed_sim::Simulation;
+use fed_core::gossip::GossipConfig;
+use fed_experiments::harness::{prepare_gossip, EngineKind};
 use fed_workload::scenario::ScenarioSpec;
 use parity::{cells, check_family, honest};
 
 /// Per-node duplicate receipts of `spec` under fair(4, 16) gossip on
-/// engine `E`: node state no outcome carries.
-fn duplicates<E: Engine<Proto = GossipNode>>(spec: &ScenarioSpec) -> Vec<u64> {
-    let mut run = prepare_gossip::<E>(spec, GossipConfig::fair(4, 16), honest);
-    let horizon = run.horizon();
-    run.sim
-        .run_observed(horizon, &mut vec![(); run.sim.shards()]);
+/// `engine`: node state no outcome carries.
+fn duplicates(spec: &ScenarioSpec, engine: EngineKind) -> Vec<u64> {
+    let mut run = prepare_gossip(spec, engine, GossipConfig::fair(4, 16), honest);
+    run.sim.run_until(run.horizon());
     run.sim.nodes().map(|(_, node)| node.duplicates()).collect()
 }
 
@@ -41,14 +37,14 @@ fn cross_engine_determinism_1k_nodes() {
         .into_iter()
         .find(|c| c.family() == FAMILY)
         .expect("cell");
-    let expected = duplicates::<Simulation<GossipNode>>(&cell.spec);
+    let expected = duplicates(&cell.spec, EngineKind::Sequential);
     assert!(
         expected.iter().sum::<u64>() > 0,
         "gossip without duplicates"
     );
     for &shards in &cell.shards {
         let spec = cell.spec.clone().with_shards(shards);
-        let got = duplicates::<ShardedSimulation<GossipNode>>(&spec);
+        let got = duplicates(&spec, EngineKind::Cluster);
         assert_eq!(
             got, expected,
             "duplicate counts diverged at {shards} shards"

@@ -268,7 +268,7 @@ impl Cell {
             .with_placement(at.placement)
     }
 
-    fn execute(&self, at: RunAt) -> ArchOutcome {
+    fn run_at(&self, at: RunAt) -> ArchOutcome {
         let spec = self.spec_at(at);
         let engine = match at.shards {
             None => EngineKind::Sequential,
@@ -328,14 +328,14 @@ impl std::fmt::Display for Failure {
 /// sequential reference run.
 fn check(cell: &Cell) -> Result<(), Failure> {
     let placement = cell.placements[0];
-    let reference = cell.execute(RunAt {
+    let reference = cell.run_at(RunAt {
         armed: configured(&cell.spec),
         shards: None,
         placement,
     });
     (cell.expect)(&reference).map_err(Failure::Expectation)?;
     let compare = |at: RunAt| {
-        let got = cell.execute(at);
+        let got = cell.run_at(at);
         let carried = carried(&got);
         // Profiling without telemetry counts no telemetry hook calls.
         let stray_calls = carried & TELEMETRY == 0

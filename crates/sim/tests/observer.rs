@@ -2,7 +2,7 @@
 //! and tuples compose, and that an observer attached through
 //! `run_until_observed` sees the same hook tape on both engines.
 
-use fed_cluster::ShardedSimulation;
+use fed_cluster::{Engine, ShardedSimulation};
 use fed_sim::exec::{HopKind, HopRecord, Probe, SendFate, WindowWork};
 use fed_sim::network::{LatencyModel, NetworkModel};
 use fed_sim::{Context, NodeId, Protocol, SimDuration, SimTime, Simulation};
@@ -298,29 +298,27 @@ fn both_engines_show_an_observer_the_same_tape() {
         )
     };
     let horizon = SimTime::from_secs(1);
-    // The engines share the `schedule_*` names but no trait.
-    macro_rules! schedule {
-        ($sim:ident) => {
-            for i in 0..40u64 {
-                let node = NodeId::new((i % 16) as u32);
-                $sim.schedule_command(SimTime::from_millis(i * 7), node, i % 5);
-            }
-            $sim.schedule_crash(SimTime::from_millis(50), NodeId::new(3));
-            $sim.schedule_join(SimTime::from_millis(140), NodeId::new(3));
-        };
-    }
+    // Runs the workload on `sim` with one tape per shard.
+    let taped = |mut sim: Engine<Chatter>| {
+        for i in 0..40u64 {
+            let node = NodeId::new((i % 16) as u32);
+            sim.schedule_command(SimTime::from_millis(i * 7), node, i % 5);
+        }
+        sim.schedule_crash(SimTime::from_millis(50), NodeId::new(3));
+        sim.schedule_join(SimTime::from_millis(140), NodeId::new(3));
+        let mut tapes: Vec<Tape> = (0..sim.num_shards()).map(|_| Tape::default()).collect();
+        let report = sim.run_until_observed(horizon, &mut tapes);
+        (merged(tapes), report.events)
+    };
 
-    let mut seq = Simulation::new(N, net(), 42, |_, _| Chatter::default());
-    schedule!(seq);
-    let mut tape = Tape::default();
-    let report = seq.run_until_observed(horizon, &mut tape);
-    let expected = merged([tape]);
+    let seq = Simulation::new(N, net(), 42, |_, _| Chatter::default());
+    let (expected, events) = taped(Engine::Sequential(seq));
     let count = |tape: &[(SimTime, Option<u32>, Call)], pick: fn(&Call) -> bool| {
         tape.iter().filter(|(_, _, c)| pick(c)).count()
     };
     assert_eq!(
         count(&expected, |c| matches!(c, Call::Event(_))) as u64,
-        report.events
+        events
     );
     assert!(count(&expected, |c| matches!(c, Call::Send(.., SendFate::Lost))) > 0);
     assert!(count(&expected, |c| matches!(c, Call::Receive(..))) > 0);
@@ -332,12 +330,9 @@ fn both_engines_show_an_observer_the_same_tape() {
     );
 
     for shards in [1, 2, 4, 7] {
-        let mut cluster = ShardedSimulation::new(N, net(), 42, shards, |_, _| Chatter::default());
-        schedule!(cluster);
-        let mut tapes: Vec<Tape> = (0..shards).map(|_| Tape::default()).collect();
-        cluster.run_until_observed(horizon, &mut tapes);
+        let cluster = ShardedSimulation::new(N, net(), 42, shards, |_, _| Chatter::default());
         assert_eq!(
-            merged(tapes),
+            taped(Engine::Cluster(cluster)).0,
             expected,
             "{shards} shards showed their observers a different tape"
         );
