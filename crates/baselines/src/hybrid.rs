@@ -232,12 +232,6 @@ impl Protocol for HybridNode {
         }
     }
 
-    fn on_crash(&mut self, at: SimTime) {
-        self.broker.on_crash(at);
-        self.gossip.on_crash(at);
-        self.window_publishes = 0;
-    }
-
     fn message_size(msg: &HybridMsg) -> usize {
         match msg {
             HybridMsg::B(m) => BrokerNode::message_size(m),

@@ -16,12 +16,12 @@
 //! [`Engine`] holds this runtime or the sequential [`fed_sim::Simulation`],
 //! picked by value: a caller drives either without naming its type.
 //!
-//! Cross-shard messages flow through **double-buffered per-destination
-//! mailboxes**: during a window each shard batches the events it
-//! produces for every other shard, and at the end of the window the
-//! batches are sent **directly shard-to-shard** over dedicated channels
-//! (drained batch vectors return over a paired channel, so steady-state
-//! windows allocate nothing). Nothing central touches event payloads —
+//! Cross-shard messages flow through **per-destination mailboxes**:
+//! during a window each shard batches the events it produces for every
+//! other shard, and at the end of the window each batch is sent
+//! **directly shard-to-shard** over one channel per ordered shard pair;
+//! the receiver drains it into its queue and drops it. Nothing central
+//! touches event payloads —
 //! or anything else: the scheduling state is one compact summary per
 //! shard per window (events processed, local queue head, per-destination
 //! outbound minimum times, all tracked incrementally), min-folded into a
@@ -146,36 +146,25 @@ mod shard_map;
 pub use shard_map::ShardMap;
 
 use fed_sim::exec::{
-    budget_exhausted, seed_streams, EffectSink, EventKey, EventKind, EventQueue, HandlerPanic,
-    Kernel, Probe, QueueStats, TransportStats, WindowWork, DEFAULT_MAX_EVENTS, EXTERNAL_SRC,
+    budget_exhausted, seed_streams, EffectSink, EventKey, EventKind, EventQueue, Factory,
+    HandlerPanic, Kernel, Probe, QueueStats, TransportStats, WindowWork, DEFAULT_MAX_EVENTS,
+    EXTERNAL_SRC,
 };
 use fed_sim::network::NetworkModel;
 use fed_sim::protocol::{NodeId, Protocol};
 use fed_sim::time::{SimDuration, SimTime};
-use fed_sim::Simulation;
+use fed_sim::{RunReport, Simulation};
 use fed_util::rng::Xoshiro256StarStar;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// The shared, thread-safe node-state factory of a cluster.
-type SharedFactory<P> = Arc<dyn Fn(NodeId, &mut Xoshiro256StarStar) -> P + Send + Sync>;
-
 /// A batch of events exchanged shard-to-shard at a window barrier.
 type Batch<P> = Vec<(EventKey, EventKind<P>)>;
 
 /// Cap on the adaptive target width as a multiple of the lookahead.
 const MAX_WIDTH_FACTOR: u64 = 4096;
-
-/// Result of a `run_until` call on a [`ShardedSimulation`] or [`Engine`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ClusterReport {
-    /// Events processed during this call, summed over all shards.
-    pub events: u64,
-    /// Time windows executed (each window is one cross-shard barrier).
-    pub windows: u64,
-}
 
 /// One shard: a kernel for the nodes it owns plus its private queue.
 struct Shard<P: Protocol> {
@@ -476,8 +465,7 @@ fn fold_summary(
 }
 
 /// One worker's channel endpoints. The mailbox ends are indexed by peer
-/// shard (`None` on the diagonal): data batches travel `mail`; the drained
-/// vectors come back over `ret` so steady-state windows allocate nothing.
+/// shard (`None` on the diagonal).
 struct Links<P: Protocol> {
     /// This worker's window decisions.
     decisions: Receiver<Decision>,
@@ -485,23 +473,18 @@ struct Links<P: Protocol> {
     mail_txs: Vec<Option<Sender<Batch<P>>>>,
     /// Inbound data batches, by source.
     mail_rxs: Vec<Option<Receiver<Batch<P>>>>,
-    /// Returns a drained batch vector to its sender, by source.
-    ret_txs: Vec<Option<Sender<Batch<P>>>>,
-    /// Reclaims our own vectors from the destination that drained them.
-    ret_rxs: Vec<Option<Receiver<Batch<P>>>>,
 }
 
 fn worker_loop<P: Protocol, O: Probe>(
     shard: &mut Shard<P>,
     obs: &mut O,
-    factory: &(dyn Fn(NodeId, &mut Xoshiro256StarStar) -> P + Send + Sync),
+    mut factory: &(dyn Fn(NodeId, &mut Xoshiro256StarStar) -> P + Send + Sync),
     map: &ShardMap,
     sched: &Scheduler,
     red: &Mutex<Reduction>,
     links: Links<P>,
 ) {
     let num_shards = map.num_shards();
-    let mut factory = |id: NodeId, rng: &mut Xoshiro256StarStar| factory(id, rng);
     let Shard {
         index,
         kernel,
@@ -542,16 +525,6 @@ fn worker_loop<P: Protocol, O: Probe>(
             break;
         };
         index += 1;
-        // Reclaim batch vectors our peers drained and returned.
-        for (dest, ret) in links.ret_rxs.iter().enumerate() {
-            if let Some(ret) = ret {
-                if out[dest].capacity() == 0 {
-                    if let Ok(v) = ret.try_recv() {
-                        out[dest] = v;
-                    }
-                }
-            }
-        }
         let mut dyn_end = end;
         let mut events = 0u64;
         let mut exchange_ns = 0u64;
@@ -620,20 +593,16 @@ fn worker_loop<P: Protocol, O: Probe>(
         // window, so pushing them while this window is closed is safe.
         // Blocking here is pipeline fill (the peer has not reached its
         // send yet), not a straggler stall.
-        for (rx, ret) in links.mail_rxs.iter().zip(&links.ret_txs) {
-            let (Some(rx), Some(ret)) = (rx, ret) else {
-                continue;
-            };
+        for rx in links.mail_rxs.iter().flatten() {
             let fill_t0 = timing.then(Instant::now);
-            let Ok(mut batch) = rx.recv() else {
+            let Ok(batch) = rx.recv() else {
                 return; // peer gone, run shutting down
             };
             fill_ns += fill_t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
             let push_t0 = timing.then(Instant::now);
-            for (key, kind) in batch.drain(..) {
+            for (key, kind) in batch {
                 queue.push(key, kind);
             }
-            let _ = ret.send(batch);
             exchange_ns += push_t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
         }
         if timing {
@@ -666,7 +635,7 @@ pub struct ShardedSimulation<P: Protocol> {
     lookahead: SimDuration,
     /// Current adaptive target width; persists across `run_until` calls.
     window_width: SimDuration,
-    factory: SharedFactory<P>,
+    factory: Factory<P>,
     events_processed: u64,
     max_events: u64,
     windows: u64,
@@ -676,11 +645,10 @@ impl<P: Protocol> ShardedSimulation<P> {
     /// Creates a simulation of `n` nodes split round-robin across
     /// `shards` shards, and runs every node's `on_init` at time zero.
     ///
-    /// Unlike [`fed_sim::Simulation::new`], the factory must be `Fn` (not
-    /// `FnMut`) and thread-safe, because crashed nodes can be rebuilt
-    /// concurrently on any shard. Stateless factories — the common case —
-    /// satisfy this as-is and make a sharded run bit-identical to a
-    /// sequential one.
+    /// The factory has [`fed_sim::Simulation::new`]'s bound — `Fn` and
+    /// thread-safe, because crashed nodes can be rebuilt concurrently on
+    /// any shard — so the same factory makes a sharded run bit-identical
+    /// to a sequential one.
     ///
     /// `shards` is clamped to `1..=n`.
     ///
@@ -714,7 +682,7 @@ impl<P: Protocol> ShardedSimulation<P> {
         let map = Arc::new(map);
         let num_shards = map.num_shards();
         let lookahead = net.min_latency();
-        let factory: SharedFactory<P> = Arc::new(factory);
+        let factory: Factory<P> = Arc::new(factory);
         let mut streams: Vec<Option<_>> = seed_streams(seed, n).into_iter().map(Some).collect();
         let mut shard_list = Vec::with_capacity(num_shards);
         let mut staged: Vec<(usize, EventKey, EventKind<P>)> = Vec::new();
@@ -725,8 +693,6 @@ impl<P: Protocol> ShardedSimulation<P> {
                 .map(|&id| streams[id as usize].take().expect("each node on one shard"))
                 .collect();
             let mut queue = EventQueue::new();
-            let shared = &*factory;
-            let mut factory = |id: NodeId, rng: &mut Xoshiro256StarStar| shared(id, rng);
             let kernel = {
                 let mut sink = InitSink {
                     map: &map,
@@ -739,7 +705,7 @@ impl<P: Protocol> ShardedSimulation<P> {
                     owned,
                     shard_streams,
                     net.clone(),
-                    &mut factory,
+                    &mut &*factory,
                     &mut sink,
                 )
             };
@@ -946,7 +912,7 @@ where
     /// coordinates them through conservative windows (see the crate docs).
     /// The `()` case of [`ShardedSimulation::run_until_observed`]: with
     /// the null observer every hook site compiles away.
-    pub fn run_until(&mut self, target: SimTime) -> ClusterReport {
+    pub fn run_until(&mut self, target: SimTime) -> RunReport {
         self.run_until_observed(target, &mut vec![(); self.num_shards()])
     }
 
@@ -977,7 +943,7 @@ where
     /// Running out of the event budget (see
     /// [`ShardedSimulation::set_max_events`]) panics with
     /// [`budget_exhausted`].
-    pub fn run_until_observed<O>(&mut self, target: SimTime, observers: &mut [O]) -> ClusterReport
+    pub fn run_until_observed<O>(&mut self, target: SimTime, observers: &mut [O]) -> RunReport
     where
         O: Probe + Send,
     {
@@ -1022,17 +988,15 @@ where
             let red_lock = Mutex::new(red);
             let sched = &sched;
             std::thread::scope(|scope| {
-                // Double-buffered shard-to-shard mailboxes: data batches
-                // travel src→dest, drained vectors return dest→src. The
-                // pipeline keeps at most two batches in flight per link
-                // (a worker can run at most one window ahead of the
-                // slowest shard — the next decision needs its fold).
+                // One shard-to-shard mailbox per ordered pair: batches
+                // travel src→dest. The pipeline keeps at most two batches
+                // in flight per link (a worker can run at most one window
+                // ahead of the slowest shard — the next decision needs its
+                // fold).
                 let unlinked = |decisions| Links {
                     decisions,
                     mail_txs: (0..num_shards).map(|_| None).collect(),
                     mail_rxs: (0..num_shards).map(|_| None).collect(),
-                    ret_txs: (0..num_shards).map(|_| None).collect(),
-                    ret_rxs: (0..num_shards).map(|_| None).collect(),
                 };
                 let mut links: Vec<Links<P>> = decision_rxs.into_iter().map(unlinked).collect();
                 for src in 0..num_shards {
@@ -1043,9 +1007,6 @@ where
                         let (tx, rx) = channel();
                         links[src].mail_txs[dest] = Some(tx);
                         links[dest].mail_rxs[src] = Some(rx);
-                        let (tx, rx) = channel();
-                        links[dest].ret_txs[src] = Some(tx);
-                        links[src].ret_rxs[dest] = Some(rx);
                     }
                 }
                 let (factory, map, red) = (&*self.factory, &*self.map, &red_lock);
@@ -1088,7 +1049,7 @@ where
             });
             red = red_lock.into_inner().expect("reduction lock");
         }
-        let report = ClusterReport {
+        let report = RunReport {
             events: red.events,
             windows: red.windows,
         };
@@ -1104,7 +1065,7 @@ where
     }
 
     /// Runs for a span of virtual time from the current instant.
-    pub fn run_for(&mut self, d: SimDuration) -> ClusterReport {
+    pub fn run_for(&mut self, d: SimDuration) -> RunReport {
         self.run_until(self.now + d)
     }
 }
@@ -1248,7 +1209,7 @@ where
 {
     /// Runs every event due at or before `target` and leaves the clock at
     /// `target`.
-    pub fn run_until(&mut self, target: SimTime) -> ClusterReport {
+    pub fn run_until(&mut self, target: SimTime) -> RunReport {
         self.run_until_observed(target, &mut vec![(); self.num_shards()])
     }
 
@@ -1262,14 +1223,13 @@ where
         &mut self,
         target: SimTime,
         observers: &mut [O],
-    ) -> ClusterReport {
+    ) -> RunReport {
         match self {
             Engine::Sequential(sim) => {
                 let [obs] = observers else {
                     panic!("the sequential engine is exactly one shard");
                 };
-                let events = sim.run_until_observed(target, obs).events;
-                ClusterReport { events, windows: 0 }
+                sim.run_until_observed(target, obs)
             }
             Engine::Cluster(sim) => sim.run_until_observed(target, observers),
         }

@@ -13,8 +13,9 @@
 //!   names — fair/static gossip or any of the structured baselines — on
 //!   either engine and returns an engine-agnostic [`ArchOutcome`]. Every
 //!   node type plugs in through [`ArchProtocol`], which phrases the
-//!   workload as commands and names the node's [`Endpoint`] — the
-//!   observables (delivery log, fairness ledger) are read back from it.
+//!   workload as commands and hands the finished node back as one
+//!   [`NodeRecord`] — its fairness ledger, delivery log, SWIM log and
+//!   handover instant.
 //! * [`run_gossip`] is its gossip arm with the protocol's knobs open
 //!   ([`GossipConfig`], per-node [`Behavior`]), for the experiments that
 //!   study the fair protocol itself; `run_architecture` calls it with
@@ -89,124 +90,98 @@ pub fn t_arch_config(preset: fn(usize, usize) -> GossipConfig) -> GossipConfig {
 }
 
 /// Uniform interface over every architecture's node type: the
-/// workload arrives as the paper's [`Command`]s, and the node names where
-/// its subscriber side — the [`Endpoint`] the observables are read back
-/// from — lives.
+/// workload arrives as the paper's [`Command`]s, and the finished node
+/// comes back as one [`NodeRecord`] of its observables.
 ///
 /// Implementing this is all it takes for a protocol to run on both
 /// engines through [`run_architecture`] and the parity matrix.
 pub trait ArchProtocol: Protocol<Cmd = Command> + 'static {
-    /// The node's subscriber side. A composite node names its primary
-    /// stack's endpoint and overrides the two read-backs below to merge
-    /// the others in.
-    fn endpoint(&self) -> &Endpoint;
-    /// [`ArchProtocol::endpoint`], taken out of the finished node.
-    fn into_endpoint(self) -> Endpoint;
-    /// The node's fairness ledger.
-    fn fairness(&self) -> FairnessLedger {
-        self.endpoint().ledger().clone()
-    }
-    /// The node's delivery log, moved out of the node and sorted by event
-    /// id in place.
-    fn into_delivery_log(self) -> Vec<(EventId, SimTime)> {
-        self.into_endpoint().into_deliveries().into_sorted()
-    }
-    /// The node's SWIM failure-detector observation log, when it runs
-    /// one (empty otherwise).
-    fn swim_observations(&self) -> Vec<SwimObservation> {
-        Vec::new()
-    }
-    /// When the node switched dissemination strategy, for architectures
-    /// with runtime handover (`None` otherwise).
-    fn handover_at(&self) -> Option<SimTime> {
-        None
-    }
+    /// The finished node's observables, taken out of it.
+    fn into_record(self) -> NodeRecord;
     /// The period of the round timer the node re-arms for as long as it
     /// lives, when it runs one: a node that never crashes dispatches at
     /// least ⌊horizon / period⌋ of its timer events.
     const ROUND: Option<SimDuration> = None;
 }
 
+/// What a finished node leaves to its [`ArchOutcome`].
+#[derive(Debug, Default)]
+pub struct NodeRecord {
+    /// The node's fairness ledger.
+    pub ledger: FairnessLedger,
+    /// The node's delivery log, sorted by event id.
+    pub deliveries: Vec<(EventId, SimTime)>,
+    /// The node's SWIM failure-detector observation log, when it runs
+    /// one (empty otherwise).
+    pub swim: Vec<SwimObservation>,
+    /// When the node switched dissemination strategy, for architectures
+    /// with runtime handover (`None` otherwise).
+    pub handover: Option<SimTime>,
+}
+
+/// A node with one subscriber side records its ledger and delivery log.
+impl From<Endpoint> for NodeRecord {
+    fn from(endpoint: Endpoint) -> Self {
+        NodeRecord {
+            ledger: endpoint.ledger().clone(),
+            deliveries: endpoint.into_deliveries().into_sorted(),
+            ..NodeRecord::default()
+        }
+    }
+}
+
 impl ArchProtocol for GossipNode {
-    fn endpoint(&self) -> &Endpoint {
-        GossipNode::endpoint(self)
-    }
-    fn into_endpoint(self) -> Endpoint {
-        GossipNode::into_endpoint(self)
-    }
-    fn swim_observations(&self) -> Vec<SwimObservation> {
-        GossipNode::swim_observations(self)
+    fn into_record(self) -> NodeRecord {
+        let swim = self.swim_observations();
+        NodeRecord {
+            swim,
+            ..self.into_endpoint().into()
+        }
     }
     const ROUND: Option<SimDuration> = Some(fed_core::gossip::ROUND);
 }
 
 impl ArchProtocol for HybridNode {
-    fn endpoint(&self) -> &Endpoint {
-        self.endpoints()[0]
-    }
-    fn into_endpoint(self) -> Endpoint {
-        let [broker, _] = self.into_endpoints();
-        broker
-    }
-    fn fairness(&self) -> FairnessLedger {
-        self.merged_ledger()
-    }
-    fn into_delivery_log(self) -> Vec<(EventId, SimTime)> {
-        self.into_merged_deliveries()
-    }
-    fn swim_observations(&self) -> Vec<SwimObservation> {
-        HybridNode::swim_observations(self)
-    }
-    fn handover_at(&self) -> Option<SimTime> {
-        self.switched_at()
+    fn into_record(self) -> NodeRecord {
+        NodeRecord {
+            ledger: self.merged_ledger(),
+            swim: self.swim_observations(),
+            handover: self.switched_at(),
+            deliveries: self.into_merged_deliveries(),
+        }
     }
     // The gossip stack runs its rounds in either mode.
     const ROUND: Option<SimDuration> = Some(fed_core::gossip::ROUND);
 }
 
 impl ArchProtocol for BrokerNode {
-    fn endpoint(&self) -> &Endpoint {
-        BrokerNode::endpoint(self)
-    }
-    fn into_endpoint(self) -> Endpoint {
-        BrokerNode::into_endpoint(self)
+    fn into_record(self) -> NodeRecord {
+        self.into_endpoint().into()
     }
 }
 
 impl ArchProtocol for ScribeNode {
-    fn endpoint(&self) -> &Endpoint {
-        ScribeNode::endpoint(self)
-    }
-    fn into_endpoint(self) -> Endpoint {
-        ScribeNode::into_endpoint(self)
+    fn into_record(self) -> NodeRecord {
+        self.into_endpoint().into()
     }
 }
 
 impl ArchProtocol for DksNode {
-    fn endpoint(&self) -> &Endpoint {
-        DksNode::endpoint(self)
-    }
-    fn into_endpoint(self) -> Endpoint {
-        DksNode::into_endpoint(self)
+    fn into_record(self) -> NodeRecord {
+        self.into_endpoint().into()
     }
 }
 
 impl ArchProtocol for DamNode {
-    fn endpoint(&self) -> &Endpoint {
-        DamNode::endpoint(self)
-    }
-    fn into_endpoint(self) -> Endpoint {
-        DamNode::into_endpoint(self)
+    fn into_record(self) -> NodeRecord {
+        self.into_endpoint().into()
     }
     const ROUND: Option<SimDuration> = Some(fed_baselines::dam::PERIOD);
 }
 
 impl ArchProtocol for SplitStreamNode {
-    fn endpoint(&self) -> &Endpoint {
-        SplitStreamNode::endpoint(self)
-    }
-    fn into_endpoint(self) -> Endpoint {
-        SplitStreamNode::into_endpoint(self)
+    fn into_record(self) -> NodeRecord {
+        self.into_endpoint().into()
     }
 }
 
@@ -890,10 +865,11 @@ where
         let mut handovers = vec![None; spec.n];
         for (id, node) in sim.into_nodes() {
             let i = id.index();
-            ledgers[i] = node.fairness();
-            swim[i] = node.swim_observations();
-            handovers[i] = node.handover_at();
-            deliveries[i] = node.into_delivery_log();
+            let record = node.into_record();
+            ledgers[i] = record.ledger;
+            deliveries[i] = record.deliveries;
+            swim[i] = record.swim;
+            handovers[i] = record.handover;
         }
         ArchOutcome {
             arch: spec.arch,

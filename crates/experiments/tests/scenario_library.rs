@@ -5,9 +5,11 @@
 //! * the README's "Available ids" sentence matches the experiment
 //!   registry, so the hand-written line can never go stale;
 //! * every complete TOML example in `docs/SCENARIOS.md` parses with the
-//!   shipped parser (fragments are marked `# fragment` and skipped).
+//!   shipped parser (fragments are marked `# fragment` and skipped);
+//! * the two files with `[churn]` reproduce their recorded summaries.
 
-use fed_experiments::scenario_run::{display_name, library, load_file};
+use fed_experiments::harness::run_architecture;
+use fed_experiments::scenario_run::{display_name, engine_for, library, load_file, resolve_target};
 use fed_workload::scenario_file::{parse_scenario, spec_from_toml, to_toml};
 use std::path::{Path, PathBuf};
 
@@ -109,5 +111,32 @@ fn scenarios_doc_examples_match_the_shipped_parser() {
         parse_scenario(&block).unwrap_or_else(|e| {
             panic!("docs/SCENARIOS.md example at line {line} does not parse: {e}")
         });
+    }
+}
+
+/// The crash path, pinned where the library runs it: `@mega-churn` and
+/// `@asymmetric-failure` are the only files with `[churn]`, and at file
+/// size they reproduce these summaries exactly. A change to what a crash
+/// does to a node updates this pin together with its table of moved
+/// numbers.
+#[test]
+fn churn_files_reproduce_their_recorded_summaries() {
+    for (name, events, deliveries, reliability) in [
+        ("mega-churn", 298_952, 24_051, "0.7220"),
+        ("asymmetric-failure", 177_335, 10_556, "0.9073"),
+    ] {
+        let file =
+            load_file(&resolve_target(&format!("@{name}"))).unwrap_or_else(|e| panic!("{e}"));
+        let outcome = run_architecture(&file.spec, engine_for(&file.spec));
+        let summary = outcome.summary();
+        assert_eq!(
+            (
+                outcome.events,
+                summary.deliveries,
+                format!("{:.4}", summary.reliability)
+            ),
+            (events, deliveries, reliability.to_string()),
+            "{name}: (events, deliveries, reliability)"
+        );
     }
 }

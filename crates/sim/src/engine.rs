@@ -11,25 +11,26 @@
 //! results.
 
 use crate::exec::{
-    budget_exhausted, seed_streams, EventKey, EventKind, EventQueue, HandlerPanic, Kernel, Probe,
-    QueueStats, WindowWork, DEFAULT_MAX_EVENTS, EXTERNAL_SRC,
+    budget_exhausted, seed_streams, EventKey, EventKind, EventQueue, Factory, HandlerPanic, Kernel,
+    Probe, QueueStats, WindowWork, DEFAULT_MAX_EVENTS, EXTERNAL_SRC,
 };
 use crate::network::NetworkModel;
 use crate::protocol::{NodeId, Protocol};
 use crate::time::{SimDuration, SimTime};
 use fed_util::rng::Xoshiro256StarStar;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 
 pub use crate::exec::TransportStats;
 
-/// The boxed node-state factory owned by a [`Simulation`].
-type BoxedFactory<P> = Box<dyn FnMut(NodeId, &mut Xoshiro256StarStar) -> P>;
-
-/// Result of a [`Simulation::run_until`] call.
+/// Result of a `run_until` call on either engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunReport {
-    /// Events processed during this call.
+    /// Events processed during this call, summed over all shards.
     pub events: u64,
+    /// Time windows executed, each one cross-shard barrier (always 0 on
+    /// the sequential engine).
+    pub windows: u64,
 }
 
 /// The discrete-event simulator for one protocol.
@@ -68,7 +69,7 @@ pub struct Simulation<P: Protocol> {
     queue: EventQueue<P>,
     now: SimTime,
     external_seq: u64,
-    factory: BoxedFactory<P>,
+    factory: Factory<P>,
     events_processed: u64,
     max_events: u64,
     /// The event being dispatched, so that a handler's panic can name it.
@@ -91,26 +92,28 @@ impl<P: Protocol> Simulation<P> {
     /// time zero.
     ///
     /// `factory` builds the protocol state for a node; it is also invoked
-    /// when a crashed node rejoins. Each node receives its own random stream
-    /// forked deterministically from `seed`.
+    /// when a crashed node rejoins. It has the bound of `fed-cluster`'s
+    /// engine, so one factory builds the same run on either engine. Each
+    /// node receives its own random stream forked deterministically from
+    /// `seed`.
     ///
     /// # Panics
     ///
     /// Panics if `n == 0` or `n > u32::MAX as usize`.
     pub fn new<F>(n: usize, net: NetworkModel, seed: u64, factory: F) -> Self
     where
-        F: FnMut(NodeId, &mut Xoshiro256StarStar) -> P + 'static,
+        F: Fn(NodeId, &mut Xoshiro256StarStar) -> P + Send + Sync + 'static,
     {
         assert!(n > 0, "simulation requires at least one node");
         assert!(n <= u32::MAX as usize, "too many nodes");
-        let mut factory: BoxedFactory<P> = Box::new(factory);
+        let factory: Factory<P> = Arc::new(factory);
         let mut queue = EventQueue::new();
         let kernel = Kernel::new(
             n,
             (0..n as u32).collect(),
             seed_streams(seed, n),
             net,
-            &mut *factory,
+            &mut &*factory,
             &mut queue,
         );
         Simulation {
@@ -285,7 +288,7 @@ impl<P: Protocol> Simulation<P> {
                 wait_ns: 0,
             });
         }
-        RunReport { events }
+        RunReport { events, windows: 0 }
     }
 
     /// Pops and dispatches every event due before `end`, and returns how
@@ -302,7 +305,7 @@ impl<P: Protocol> Simulation<P> {
             events += 1;
             self.handling = Some((key, kind.dest()));
             self.kernel
-                .dispatch_with(key, kind, &mut *self.factory, &mut self.queue, obs);
+                .dispatch_with(key, kind, &mut &*self.factory, &mut self.queue, obs);
             self.handling = None;
         }
         events
@@ -346,7 +349,6 @@ mod tests {
         msgs: Vec<(NodeId, u32)>,
         timers: Vec<u64>,
         inits: u32,
-        crashed_at: Option<SimTime>,
     }
 
     #[derive(Debug, Clone)]
@@ -373,9 +375,6 @@ mod tests {
                 EchoCmd::SendTo(to, v) => ctx.send(to, v),
                 EchoCmd::Arm(ms, token) => ctx.set_timer(SimDuration::from_millis(ms), token),
             }
-        }
-        fn on_crash(&mut self, at: SimTime) {
-            self.crashed_at = Some(at);
         }
         fn message_size(msg: &u32) -> usize {
             *msg as usize
@@ -460,14 +459,13 @@ mod tests {
     }
 
     #[test]
-    fn crash_hook_sees_time() {
+    fn crash_keeps_state_for_inspection() {
         let mut s = sim(1);
         s.schedule_crash(SimTime::from_millis(25), NodeId::new(0));
         s.run_until(SimTime::from_secs(1));
-        // state preserved post-crash for inspection
         let p = s.node(NodeId::new(0)).unwrap();
         assert_eq!(p.inits, 1);
-        assert_eq!(p.crashed_at, Some(SimTime::from_millis(25)));
+        assert!(!s.is_alive(NodeId::new(0)));
     }
 
     #[test]

@@ -34,6 +34,7 @@ use crate::protocol::{Context, Invoke, NodeId, Outgoing, Protocol};
 use crate::time::{SimDuration, SimTime};
 use fed_util::rng::{Rng64, Xoshiro256StarStar};
 use std::any::Any;
+use std::sync::Arc;
 
 /// The minimum virtual-time latency of any delivered message.
 ///
@@ -1002,6 +1003,12 @@ forward_probe!([T: Probe + ?Sized] &mut T, |p| **p);
 forward_probe!([A: Probe, B: Probe] (A, B), |t| t.0, t.1);
 forward_probe!([A: Probe, B: Probe, C: Probe] (A, B, C), |t| t.0, t.1, t.2);
 
+/// The node-state factory both engines hold: it builds every node at
+/// construction and rebuilds a node on [`EventKind::Join`]. Shared and
+/// thread-safe, so a cluster's shards call one factory concurrently and a
+/// run is bit-identical on either engine.
+pub type Factory<P> = Arc<dyn Fn(NodeId, &mut Xoshiro256StarStar) -> P + Send + Sync>;
+
 /// The deterministic random streams of one node.
 #[derive(Debug, Clone)]
 pub struct NodeStreams {
@@ -1238,7 +1245,6 @@ impl<P: Protocol> Kernel<P> {
                     return;
                 }
                 self.slots[li].alive = false;
-                self.slots[li].state.on_crash(now);
                 obs.on_liveness(now, node, false);
             }
             EventKind::Join(node) => {

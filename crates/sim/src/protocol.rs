@@ -200,9 +200,6 @@ pub trait Protocol: Sized {
     /// Called when an external command is injected for this node.
     fn on_command(&mut self, _ctx: &mut Context<'_, Self::Msg>, _cmd: Self::Cmd) {}
 
-    /// Called when the node crashes (no context: a crashed node cannot act).
-    fn on_crash(&mut self, _at: SimTime) {}
-
     /// Abstract size of a message in bytes, used for byte-level contribution
     /// accounting (the paper's Figure 3 modulates contribution by message
     /// size). The default charges one unit per message.
