@@ -6,9 +6,11 @@
 //! Every statement mirrors one the benchmark makes; keep the shapes —
 //! argument lists, method-call syntax, field paths — exactly as they are.
 
+use fed::baselines::Forest;
 use fed::cluster::ShardedSimulation;
+use fed::core::ledger::{Counters, FairnessLedger, RatioSpec};
 use fed::dht::{DhtId, DhtNetwork};
-use fed::experiments::harness::{run_architecture, ArchOutcome, EngineKind};
+use fed::experiments::harness::{groups_of, run_architecture, ArchOutcome, EngineKind};
 use fed::experiments::scenario_run::{engine_for, outcomes_match};
 use fed::membership::{FullMembership, PeerSampler};
 use fed::profile::ProfileSpec;
@@ -21,8 +23,11 @@ use fed::sim::network::{
 };
 use fed::sim::{Context, NodeId, Protocol, SimDuration, SimTime, Simulation};
 use fed::telemetry::{ShardCollector, TelemetrySpec};
-use fed::util::rng::Xoshiro256StarStar;
-use fed::workload::scenario::{Architecture, ScenarioSpec};
+use fed::util::dist::{InvalidDistribution, LogNormal, Zipf};
+use fed::util::histogram::Histogram;
+use fed::util::rng::{Rng64, SplitMix64, Xoshiro256StarStar};
+use fed::util::stats::Summary;
+use fed::workload::scenario::{Architecture, MaterializedScenario, ScenarioSpec};
 use fed_trace::TraceSpec;
 use std::hint::black_box;
 
@@ -364,4 +369,158 @@ fn json_reader_keeps_its_fed_profile_path_and_shape() {
     assert_eq!(paths.map(<[Value]>::len), Some(1));
     let unit = printed[0].1.get("unit").and_then(Value::as_str);
     assert_eq!((printed[0].0.as_str(), unit), ("wall_s", Some("s")));
+}
+
+/// `fedbench/src/workload.rs::audit`: `outcome.audit()` read through
+/// `.spurious()`, `.latency_ms()` (`.mean()`, `.percentile(95.0)`) and
+/// `.reliability()`, beside `fed_metrics::ratio_report` over
+/// `outcome.ledgers.iter()` with `&RatioSpec::topic_based()`, read as `.jain`.
+#[test]
+fn outcome_is_audited_through_audit_and_ratio_report() {
+    let spec = ScenarioSpec::standard(Architecture::Broker, 16, 3);
+    let outcome = run_architecture(&spec, engine_for(&spec));
+    let audit = outcome.audit();
+    assert_eq!(audit.spurious(), 0);
+    let latency = audit.latency_ms();
+    let delivery_mean_ms: f64 = latency.mean();
+    let delivery_p95_ms: f64 = latency.percentile(95.0).unwrap_or(0.0);
+    let reliability: f64 = audit.reliability();
+    let fair_jain: f64 =
+        fed::metrics::ratio_report(outcome.ledgers.iter(), &RatioSpec::topic_based()).jain;
+    assert!(delivery_p95_ms >= delivery_mean_ms.min(delivery_p95_ms));
+    assert!((0.0..=1.0).contains(&reliability) && fair_jain > 0.0);
+}
+
+fn fnv(h: &mut u64, x: u64) {
+    for b in x.to_le_bytes() {
+        *h ^= u64::from(b);
+        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+fn fnv_counters(h: &mut u64, c: &Counters) {
+    for x in [
+        c.published_msgs,
+        c.published_bytes,
+        c.forwarded_msgs,
+        c.forwarded_bytes,
+        c.delivered_events,
+        c.maintenance_msgs,
+        c.maintenance_credits,
+    ] {
+        fnv(h, x);
+    }
+}
+
+/// `fedbench/src/workload.rs::outcome_digest`: `o.events`, `o.deliveries`
+/// iterated as `(id, at)` with `id.publisher()` / `id.seq()` and
+/// `at.as_micros()`, every `o.stats` field, and each ledger's `totals()`,
+/// `last_window()` (every `Counters` field), `active_filters()` and
+/// `windows_rolled()`.
+#[test]
+fn outcome_digest_reads_its_field_paths() {
+    fn outcome_digest(o: &ArchOutcome) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325;
+        fnv(&mut h, o.events);
+        for log in &o.deliveries {
+            fnv(&mut h, log.len() as u64);
+            for (id, at) in log {
+                fnv(
+                    &mut h,
+                    u64::from(id.publisher()) << 32 | u64::from(id.seq()),
+                );
+                fnv(&mut h, at.as_micros());
+            }
+        }
+        for s in &o.stats {
+            for x in [
+                s.msgs_sent,
+                s.bytes_sent,
+                s.msgs_received,
+                s.bytes_received,
+                s.msgs_lost,
+            ] {
+                fnv(&mut h, x);
+            }
+        }
+        for l in &o.ledgers {
+            fnv_counters(&mut h, l.totals());
+            fnv_counters(&mut h, l.last_window());
+            fnv(&mut h, u64::from(l.active_filters()));
+            fnv(&mut h, l.windows_rolled());
+        }
+        h
+    }
+    let spec = ScenarioSpec::standard(Architecture::FairGossip, 16, 3).with_shards(2);
+    let sequential = run_architecture(&spec, EngineKind::Sequential);
+    let cluster = run_architecture(&spec, EngineKind::Cluster);
+    assert!(sequential.total_deliveries() > 0);
+    assert_eq!(outcome_digest(&sequential), outcome_digest(&cluster));
+}
+
+/// `fedbench/src/workload.rs::{delivery_obligations, pin_seed,
+/// shared_build}`: `spec.materialize()` read through
+/// `materialized.profile.{len, topics_of}` and `.schedule`,
+/// `Zipf::new(..)?` in a function returning `InvalidDistribution` and its
+/// `.pmf`, `SplitMix64::seed_from_u64` drawn with `next_u64`,
+/// `groups_of(&materialized.profile)` and `Forest::build(spec.n, 8, 8)`.
+#[test]
+fn workload_set_up_reads_the_materialized_scenario() {
+    fn obligations(
+        spec: &ScenarioSpec,
+        materialized: &MaterializedScenario,
+    ) -> Result<(f64, f64), InvalidDistribution> {
+        let mut subscribers = vec![0.0f64; spec.num_topics];
+        for node in 0..materialized.profile.len() {
+            for topic in materialized.profile.topics_of(node) {
+                subscribers[topic.index()] += 1.0;
+            }
+        }
+        let obliged: f64 = materialized
+            .schedule
+            .iter()
+            .map(|p| subscribers[p.event.topic().index()])
+            .sum();
+        let zipf = Zipf::new(spec.num_topics, spec.plan.topic_zipf_s)?;
+        let per_publication: f64 = subscribers
+            .iter()
+            .enumerate()
+            .map(|(topic, n)| zipf.pmf(topic) * n)
+            .sum();
+        Ok((obliged, per_publication))
+    }
+    let mut derived = SplitMix64::seed_from_u64(42);
+    let spec = ScenarioSpec::standard(Architecture::Dks, 32, 3).with_seed(derived.next_u64());
+    let (obliged, per_publication) = spec
+        .materialize()
+        .and_then(|m| obligations(&spec, &m))
+        .expect("standard spec holds valid distributions");
+    assert!(obliged > 0.0 && per_publication > 0.0);
+    let materialized = spec.materialize().expect("valid distributions");
+    black_box(groups_of(&materialized.profile));
+    black_box(Forest::build(spec.n, 8, 8));
+}
+
+/// `fedbench/src/layers.rs::small_layers` and the wall summary:
+/// `LogNormal::from_median(40.0, 0.6)` sampled with `sample`,
+/// `Histogram::new(0.0, 200.0, 40)` fed with `record`,
+/// `FairnessLedger::new` with `record_forward` / `record_delivery` and
+/// `totals()`, and `Summary::from_values` read by `min`, `median`, `max`.
+#[test]
+fn small_layers_keep_their_constructors() {
+    let mut rng = Xoshiro256StarStar::seed_from_u64(7);
+    let ln = LogNormal::from_median(40.0, 0.6).expect("valid parameters");
+    assert!(black_box(ln.sample(&mut rng)) > 0.0);
+    let mut hist = Histogram::new(0.0, 200.0, 40).expect("valid geometry");
+    hist.record(black_box(73.0));
+    let mut ledger = FairnessLedger::new();
+    ledger.record_forward(black_box(64));
+    ledger.record_delivery();
+    assert_eq!(ledger.totals().delivered_events, 1);
+    let walls = Summary::from_values(vec![0.3, 0.1, 0.2]);
+    let (Some(fastest), Some(wall), Some(slowest)) = (walls.min(), walls.median(), walls.max())
+    else {
+        panic!("three values");
+    };
+    assert_eq!((fastest, wall, slowest), (0.1, 0.2, 0.3));
 }
