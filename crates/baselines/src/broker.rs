@@ -87,8 +87,6 @@ impl Protocol for BrokerNode {
     type Msg = BrokerMsg;
     type Cmd = Command;
 
-    fn on_init(&mut self, _ctx: &mut Context<'_, BrokerMsg>) {}
-
     fn on_message(&mut self, ctx: &mut Context<'_, BrokerMsg>, from: NodeId, msg: BrokerMsg) {
         match msg {
             BrokerMsg::Publish(event) => {
@@ -115,8 +113,6 @@ impl Protocol for BrokerNode {
             }
         }
     }
-
-    fn on_timer(&mut self, _ctx: &mut Context<'_, BrokerMsg>, _token: u64) {}
 
     fn on_command(&mut self, ctx: &mut Context<'_, BrokerMsg>, cmd: Command) {
         match cmd {

@@ -127,8 +127,6 @@ impl Protocol for DksNode {
     type Msg = DksMsg;
     type Cmd = Command;
 
-    fn on_init(&mut self, _ctx: &mut Context<'_, DksMsg>) {}
-
     fn on_message(&mut self, ctx: &mut Context<'_, DksMsg>, _from: NodeId, msg: DksMsg) {
         match msg {
             DksMsg::IndexRoute { event } => match self.next_hop(event.topic()) {
@@ -145,8 +143,6 @@ impl Protocol for DksNode {
             DksMsg::GroupFlood { event } => self.accept_in_group(ctx, event),
         }
     }
-
-    fn on_timer(&mut self, _ctx: &mut Context<'_, DksMsg>, _token: u64) {}
 
     fn on_command(&mut self, ctx: &mut Context<'_, DksMsg>, cmd: Command) {
         match cmd {

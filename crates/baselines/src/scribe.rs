@@ -128,8 +128,6 @@ impl Protocol for ScribeNode {
     type Msg = ScribeMsg;
     type Cmd = Command;
 
-    fn on_init(&mut self, _ctx: &mut Context<'_, ScribeMsg>) {}
-
     fn on_message(&mut self, ctx: &mut Context<'_, ScribeMsg>, from: NodeId, msg: ScribeMsg) {
         match msg {
             ScribeMsg::Join { topic } => self.handle_join(ctx, topic, from),
@@ -154,8 +152,6 @@ impl Protocol for ScribeNode {
             }
         }
     }
-
-    fn on_timer(&mut self, _ctx: &mut Context<'_, ScribeMsg>, _token: u64) {}
 
     fn on_command(&mut self, ctx: &mut Context<'_, ScribeMsg>, cmd: Command) {
         match cmd {

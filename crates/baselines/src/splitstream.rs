@@ -153,8 +153,6 @@ impl Protocol for SplitStreamNode {
     type Msg = StripeMsg;
     type Cmd = Command;
 
-    fn on_init(&mut self, _ctx: &mut Context<'_, StripeMsg>) {}
-
     fn on_message(&mut self, ctx: &mut Context<'_, StripeMsg>, _from: NodeId, msg: StripeMsg) {
         match msg {
             StripeMsg::ToRoot(event) => {
@@ -167,8 +165,6 @@ impl Protocol for SplitStreamNode {
             }
         }
     }
-
-    fn on_timer(&mut self, _ctx: &mut Context<'_, StripeMsg>, _token: u64) {}
 
     fn on_command(&mut self, ctx: &mut Context<'_, StripeMsg>, cmd: Command) {
         match cmd {

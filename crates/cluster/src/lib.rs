@@ -128,7 +128,6 @@
 //!     fn on_message(&mut self, _ctx: &mut Context<'_, ()>, _from: NodeId, _msg: ()) {
 //!         self.got = true;
 //!     }
-//!     fn on_timer(&mut self, _ctx: &mut Context<'_, ()>, _token: u64) {}
 //! }
 //!
 //! let mut sim = ShardedSimulation::new(64, NetworkModel::default(), 1, 4, |_, _| {
@@ -1653,7 +1652,6 @@ mod tests {
     impl Protocol for Recorder {
         type Msg = u64;
         type Cmd = u64;
-        fn on_init(&mut self, _ctx: &mut Context<'_, u64>) {}
         fn on_message(&mut self, ctx: &mut Context<'_, u64>, _from: NodeId, msg: u64) {
             self.log.push((ctx.now(), msg));
         }

@@ -225,8 +225,6 @@ impl Protocol for SubWalkNode {
     type Msg = SubWalkMsg;
     type Cmd = SubWalkCmd;
 
-    fn on_init(&mut self, _ctx: &mut Context<'_, SubWalkMsg>) {}
-
     fn on_message(&mut self, ctx: &mut Context<'_, SubWalkMsg>, _from: NodeId, msg: SubWalkMsg) {
         match msg {
             SubWalkMsg::Walk {
@@ -255,8 +253,6 @@ impl Protocol for SubWalkNode {
             }
         }
     }
-
-    fn on_timer(&mut self, _ctx: &mut Context<'_, SubWalkMsg>, _token: u64) {}
 
     fn on_command(&mut self, ctx: &mut Context<'_, SubWalkMsg>, cmd: SubWalkCmd) {
         match cmd {

@@ -57,7 +57,6 @@ pub struct RunReport {
 ///     fn on_message(&mut self, _ctx: &mut Context<'_, ()>, _from: NodeId, _msg: ()) {
 ///         self.got = true;
 ///     }
-///     fn on_timer(&mut self, _ctx: &mut Context<'_, ()>, _token: u64) {}
 /// }
 ///
 /// let mut sim = Simulation::new(8, NetworkModel::default(), 1, |_, _| Ping { got: false });

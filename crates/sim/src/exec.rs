@@ -1398,9 +1398,7 @@ mod tests {
     impl Protocol for Nop {
         type Msg = ();
         type Cmd = u64;
-        fn on_init(&mut self, _ctx: &mut Context<'_, ()>) {}
         fn on_message(&mut self, _ctx: &mut Context<'_, ()>, _from: NodeId, _msg: ()) {}
-        fn on_timer(&mut self, _ctx: &mut Context<'_, ()>, _token: u64) {}
     }
 
     fn cmd(key: EventKey, tag: u64) -> (EventKey, EventKind<Nop>) {
@@ -1849,7 +1847,6 @@ mod tests {
                 }
             }
             fn on_message(&mut self, _ctx: &mut Context<'_, ()>, _from: NodeId, _msg: ()) {}
-            fn on_timer(&mut self, _ctx: &mut Context<'_, ()>, _token: u64) {}
         }
 
         let net = NetworkModel::reliable(LatencyModel::Constant(SimDuration::ZERO));

@@ -189,13 +189,13 @@ pub trait Protocol: Sized {
     type Cmd: Clone;
 
     /// Called once when the node starts (also after a rejoin).
-    fn on_init(&mut self, ctx: &mut Context<'_, Self::Msg>);
+    fn on_init(&mut self, _ctx: &mut Context<'_, Self::Msg>) {}
 
     /// Called when a message arrives.
     fn on_message(&mut self, ctx: &mut Context<'_, Self::Msg>, from: NodeId, msg: Self::Msg);
 
     /// Called when a timer armed via [`Context::set_timer`] fires.
-    fn on_timer(&mut self, ctx: &mut Context<'_, Self::Msg>, token: u64);
+    fn on_timer(&mut self, _ctx: &mut Context<'_, Self::Msg>, _token: u64) {}
 
     /// Called when an external command is injected for this node.
     fn on_command(&mut self, _ctx: &mut Context<'_, Self::Msg>, _cmd: Self::Cmd) {}

@@ -140,11 +140,7 @@ impl Protocol for Numberer {
     type Msg = ();
     type Cmd = Number;
 
-    fn on_init(&mut self, _ctx: &mut Context<'_, ()>) {}
-
     fn on_message(&mut self, _ctx: &mut Context<'_, ()>, _from: NodeId, _msg: ()) {}
-
-    fn on_timer(&mut self, _ctx: &mut Context<'_, ()>, _token: u64) {}
 
     fn on_command(&mut self, ctx: &mut Context<'_, ()>, cmd: Number) {
         let (key, id) = match cmd {

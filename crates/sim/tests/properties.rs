@@ -177,9 +177,7 @@ mod event_key_sharding {
     impl Protocol for Nop {
         type Msg = ();
         type Cmd = u64;
-        fn on_init(&mut self, _ctx: &mut Context<'_, ()>) {}
         fn on_message(&mut self, _ctx: &mut Context<'_, ()>, _from: NodeId, _msg: ()) {}
-        fn on_timer(&mut self, _ctx: &mut Context<'_, ()>, _token: u64) {}
     }
 
     fn key_strategy() -> impl Strategy<Value = EventKey> {
