@@ -49,7 +49,8 @@ impl RateSample {
     pub const WIRE_BYTES: usize = 32;
 }
 
-/// EWMA estimator of the population's mean benefit and contribution rates.
+/// EWMA estimator of the population's mean benefit rate and of its mean
+/// lifetime benefit and contribution.
 ///
 /// Deterministic, O(1) state; seeded with a prior so early rounds are not
 /// dominated by the first few samples.
@@ -57,7 +58,6 @@ impl RateSample {
 pub struct GlobalRateEstimator {
     alpha: f64,
     mean_benefit: f64,
-    mean_contribution: f64,
     mean_benefit_total: f64,
     mean_contribution_total: f64,
     samples: u64,
@@ -76,7 +76,6 @@ impl GlobalRateEstimator {
         GlobalRateEstimator {
             alpha,
             mean_benefit: prior_benefit,
-            mean_contribution: 0.0,
             mean_benefit_total: 0.0,
             mean_contribution_total: 0.0,
             samples: 0,
@@ -98,7 +97,6 @@ impl GlobalRateEstimator {
             return;
         }
         self.mean_benefit += self.alpha * (sample.benefit_rate - self.mean_benefit);
-        self.mean_contribution += self.alpha * (sample.contribution_rate - self.mean_contribution);
         self.mean_benefit_total += self.alpha * (sample.benefit_total - self.mean_benefit_total);
         self.mean_contribution_total +=
             self.alpha * (sample.contribution_total - self.mean_contribution_total);
@@ -108,11 +106,6 @@ impl GlobalRateEstimator {
     /// Estimated population mean benefit rate.
     pub fn mean_benefit(&self) -> f64 {
         self.mean_benefit
-    }
-
-    /// Estimated population mean contribution rate.
-    pub fn mean_contribution(&self) -> f64 {
-        self.mean_contribution
     }
 
     /// Estimated population mean lifetime benefit.
@@ -139,11 +132,7 @@ impl GlobalRateEstimator {
 
 impl fmt::Display for GlobalRateEstimator {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "est(b̄={:.3}, c̄={:.3}, n={})",
-            self.mean_benefit, self.mean_contribution, self.samples
-        )
+        write!(f, "est(b̄={:.3}, n={})", self.mean_benefit, self.samples)
     }
 }
 
@@ -300,7 +289,6 @@ mod tests {
             });
         }
         assert!((e.mean_benefit() - 4.0).abs() < 0.01, "{e}");
-        assert!((e.mean_contribution() - 8.0).abs() < 0.01);
         assert_eq!(e.samples(), 500);
     }
 
