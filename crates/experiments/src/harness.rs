@@ -304,21 +304,14 @@ impl ArchOutcome {
     /// `expected(p, node)` — for runs that changed who can deliver what
     /// after the workload was drawn (cleared subscriptions, crash waves).
     pub fn audit_where(&self, expected: impl Fn(&Publication, usize) -> bool) -> DeliveryAudit {
-        let mut audit = DeliveryAudit::new();
-        for p in &self.schedule {
-            let subscribers = self.profile.subscribers_of(p.event.topic());
-            audit.expect(
-                p.event.id(),
-                p.at,
-                subscribers.into_iter().filter(|&node| expected(p, node)),
-            );
-        }
-        for (node, log) in self.deliveries.iter().enumerate() {
-            for &(eid, at) in log {
-                audit.record(eid, node, at);
-            }
-        }
-        audit
+        DeliveryAudit::from_logs(
+            self.schedule.iter().map(|p| (p.event.id(), p.at)),
+            self.deliveries.iter().map(|log| log.iter().copied()),
+            |i, node| {
+                let p = &self.schedule[i];
+                self.profile.topics_of(node).contains(&p.event.topic()) && expected(p, node)
+            },
+        )
     }
 
     /// Total deliveries across all nodes.

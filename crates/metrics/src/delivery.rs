@@ -2,78 +2,102 @@
 //!
 //! The dissemination contract (paper §2): every interested process
 //! eventually delivers every matching event; no process delivers an event
-//! it did not subscribe to. [`DeliveryAudit`] checks both sides against
-//! ground truth and summarizes latency.
+//! it did not subscribe to. [`DeliveryAudit::from_logs`] checks both sides
+//! in one pass over the per-node delivery logs, against the publications
+//! and a predicate naming who should deliver what, and keeps the counts
+//! and latencies every query reads.
 
 use fed_pubsub::EventId;
 use fed_sim::SimTime;
-use fed_util::hash::{FastMap, FastSet};
 use fed_util::stats::Summary;
-use std::collections::hash_map::Entry;
 
-/// Ground truth and observations for one dissemination run.
+/// The counts of one audit pass over a run's delivery logs.
 #[derive(Debug, Clone, Default)]
 pub struct DeliveryAudit {
-    /// event → (publish time, set of interested node indices)
-    expected: FastMap<EventId, (SimTime, FastSet<usize>)>,
-    /// (event, node) → delivery time
-    observed: FastMap<(EventId, usize), SimTime>,
-    /// deliveries at nodes that were NOT interested
+    /// Per publication: (nodes that should deliver it, nodes that did).
+    events: Vec<(usize, usize)>,
+    /// Deliveries of unknown events or at nodes that should not deliver.
     spurious: u64,
-    /// repeated records of an (event, interested node) pair
+    /// Repeats of a counted (event, node) pair.
     duplicates: u64,
+    /// Delivery − publish in milliseconds, one per counted delivery.
+    latencies_ms: Vec<f64>,
 }
 
 impl DeliveryAudit {
-    /// Creates an empty audit.
-    pub fn new() -> Self {
-        DeliveryAudit::default()
-    }
-
-    /// Registers a published event with the set of nodes that should
-    /// deliver it.
-    pub fn expect(
-        &mut self,
-        event: EventId,
-        published_at: SimTime,
-        interested: impl IntoIterator<Item = usize>,
-    ) {
-        self.expected
-            .insert(event, (published_at, interested.into_iter().collect()));
-    }
-
-    /// Records an observed delivery of `event` at `node`.
+    /// Audits `logs` — node `i`'s deliveries as `(event, time)`, in any
+    /// order — against `publications` (`(event, publish time)`, distinct
+    /// events): node `i` should deliver publication `p` exactly when
+    /// `expected(p, i)`, with `p` the publication's position.
     ///
-    /// Deliveries of unknown events are counted as spurious, as are
-    /// deliveries at nodes outside the interested set. A repeat of a
-    /// recorded pair keeps the first time and counts as a duplicate.
-    pub fn record(&mut self, event: EventId, node: usize, at: SimTime) {
-        match self.expected.get(&event) {
-            Some((_, interested)) if interested.contains(&node) => {
-                match self.observed.entry((event, node)) {
-                    Entry::Occupied(_) => self.duplicates += 1,
-                    Entry::Vacant(v) => {
-                        v.insert(at);
-                    }
+    /// A delivery of an unknown event, or at a node that should not deliver
+    /// it, is spurious. A repeat of a counted (event, node) pair is a
+    /// duplicate; the first delivery in the log is the one counted.
+    pub fn from_logs<L>(
+        publications: impl IntoIterator<Item = (EventId, SimTime)>,
+        logs: impl IntoIterator<Item = L>,
+        expected: impl Fn(usize, usize) -> bool,
+    ) -> Self
+    where
+        L: IntoIterator<Item = (EventId, SimTime)>,
+    {
+        let published: Vec<(EventId, SimTime)> = publications.into_iter().collect();
+        let mut by_id: Vec<usize> = (0..published.len()).collect();
+        by_id.sort_unstable_by_key(|&p| published[p].0);
+        debug_assert!(
+            by_id
+                .windows(2)
+                .all(|w| published[w[0]].0 != published[w[1]].0),
+            "publication ids are distinct"
+        );
+        let mut audit = DeliveryAudit {
+            events: vec![(0, 0); published.len()],
+            ..DeliveryAudit::default()
+        };
+        // Per publication: the last node that should deliver it, and the
+        // last node whose delivery of it was counted.
+        let mut last = vec![(usize::MAX, usize::MAX); published.len()];
+        for (node, log) in logs.into_iter().enumerate() {
+            for (p, (should, _)) in audit.events.iter_mut().enumerate() {
+                if expected(p, node) {
+                    *should += 1;
+                    last[p].0 = node;
                 }
             }
-            _ => self.spurious += 1,
+            for (event, at) in log {
+                let found = by_id.binary_search_by_key(&event, |&p| published[p].0);
+                let Some(p) = found.ok().map(|k| by_id[k]).filter(|&p| last[p].0 == node) else {
+                    audit.spurious += 1;
+                    continue;
+                };
+                if last[p].1 == node {
+                    audit.duplicates += 1;
+                    continue;
+                }
+                last[p].1 = node;
+                audit.events[p].1 += 1;
+                let latency = at.duration_since(published[p].1);
+                audit
+                    .latencies_ms
+                    .push(latency.as_micros() as f64 / 1_000.0);
+            }
         }
+        audit
     }
 
-    /// Number of registered events.
+    /// Number of audited publications.
     pub fn num_events(&self) -> usize {
-        self.expected.len()
+        self.events.len()
     }
 
     /// Total expected (event, node) deliveries.
     pub fn expected_deliveries(&self) -> usize {
-        self.expected.values().map(|(_, s)| s.len()).sum()
+        self.events.iter().map(|&(should, _)| should).sum()
     }
 
     /// Total correct observed deliveries.
     pub fn observed_deliveries(&self) -> usize {
-        self.observed.len()
+        self.latencies_ms.len()
     }
 
     /// Deliveries at uninterested nodes (must be 0 for a correct system).
@@ -100,42 +124,48 @@ impl DeliveryAudit {
     /// Fraction of events delivered by *all* their interested nodes
     /// (the "atomicity" of Bimodal Multicast).
     pub fn atomicity(&self) -> f64 {
-        if self.expected.is_empty() {
+        if self.events.is_empty() {
             return 1.0;
         }
-        let complete = self
-            .expected
-            .iter()
-            .filter(|(id, (_, interested))| {
-                interested
-                    .iter()
-                    .all(|&node| self.observed.contains_key(&(**id, node)))
-            })
-            .count();
-        complete as f64 / self.expected.len() as f64
+        let complete = self.events.iter().filter(|(should, did)| should == did);
+        complete.count() as f64 / self.events.len() as f64
     }
 
     /// Summary of delivery latencies in milliseconds (delivery − publish).
     pub fn latency_ms(&self) -> Summary {
-        let values = self.observed.iter().filter_map(|((event, _), &at)| {
-            let (published, _) = self.expected.get(event)?;
-            Some(at.duration_since(*published).as_micros() as f64 / 1_000.0)
-        });
-        Summary::from_values(values)
+        Summary::from_values(self.latencies_ms.iter().copied())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::MapAudit;
+    use proptest::prelude::*;
 
     fn id(k: u32) -> EventId {
         EventId::new(0, k)
     }
 
+    /// Audits `logs` (per node: `(event, ms)`) against events `k` published
+    /// at `ms` (`published[p] = (k, ms)`) that `interested[p]` should
+    /// deliver.
+    fn audit(
+        published: &[(u32, u64)],
+        interested: &[&[usize]],
+        logs: &[&[(u32, u64)]],
+    ) -> DeliveryAudit {
+        let at = |&(k, ms): &(u32, u64)| (id(k), SimTime::from_millis(ms));
+        DeliveryAudit::from_logs(
+            published.iter().map(at),
+            logs.iter().map(|log| log.iter().map(at)),
+            |p, node| interested[p].contains(&node),
+        )
+    }
+
     #[test]
     fn empty_audit_is_vacuously_perfect() {
-        let a = DeliveryAudit::new();
+        let a = audit(&[], &[], &[]);
         assert_eq!(a.reliability(), 1.0);
         assert_eq!(a.atomicity(), 1.0);
         assert_eq!(a.spurious(), 0);
@@ -145,11 +175,8 @@ mod tests {
 
     #[test]
     fn full_delivery() {
-        let mut a = DeliveryAudit::new();
-        a.expect(id(1), SimTime::from_millis(100), [0, 1, 2]);
-        for node in 0..3 {
-            a.record(id(1), node, SimTime::from_millis(150));
-        }
+        let log: &[(u32, u64)] = &[(1, 150)];
+        let a = audit(&[(1, 100)], &[&[0, 1, 2]], &[log, log, log]);
         assert_eq!(a.reliability(), 1.0);
         assert_eq!(a.atomicity(), 1.0);
         assert_eq!(a.observed_deliveries(), 3);
@@ -160,32 +187,28 @@ mod tests {
 
     #[test]
     fn partial_delivery_and_atomicity() {
-        let mut a = DeliveryAudit::new();
-        a.expect(id(1), SimTime::ZERO, [0, 1]);
-        a.expect(id(2), SimTime::ZERO, [0, 1]);
-        a.record(id(1), 0, SimTime::from_millis(10));
-        a.record(id(1), 1, SimTime::from_millis(10));
-        a.record(id(2), 0, SimTime::from_millis(10));
+        let a = audit(
+            &[(1, 0), (2, 0)],
+            &[&[0, 1], &[0, 1]],
+            &[&[(1, 10), (2, 10)], &[(1, 10)]],
+        );
         assert_eq!(a.reliability(), 0.75);
         assert_eq!(a.atomicity(), 0.5, "only event 1 fully delivered");
     }
 
     #[test]
     fn spurious_detection() {
-        let mut a = DeliveryAudit::new();
-        a.expect(id(1), SimTime::ZERO, [0]);
-        a.record(id(1), 5, SimTime::from_millis(1)); // uninterested node
-        a.record(id(9), 0, SimTime::from_millis(1)); // unknown event
+        let mut logs: Vec<&[(u32, u64)]> = vec![&[(9, 1)]]; // unknown event
+        logs.resize(5, &[]);
+        logs.push(&[(1, 1)]); // uninterested node 5
+        let a = audit(&[(1, 0)], &[&[0]], &logs);
         assert_eq!(a.spurious(), 2);
         assert_eq!(a.observed_deliveries(), 0);
     }
 
     #[test]
     fn duplicate_records_do_not_double_count() {
-        let mut a = DeliveryAudit::new();
-        a.expect(id(1), SimTime::ZERO, [0]);
-        a.record(id(1), 0, SimTime::from_millis(5));
-        a.record(id(1), 0, SimTime::from_millis(9));
+        let a = audit(&[(1, 0)], &[&[0]], &[&[(1, 5), (1, 9)]]);
         assert_eq!(a.observed_deliveries(), 1);
         assert_eq!(a.reliability(), 1.0);
         assert_eq!(a.duplicates(), 1, "the repeat is counted");
@@ -195,10 +218,73 @@ mod tests {
 
     #[test]
     fn counts() {
-        let mut a = DeliveryAudit::new();
-        a.expect(id(1), SimTime::ZERO, [0, 1, 2]);
-        a.expect(id(2), SimTime::ZERO, []);
+        let a = audit(&[(1, 0), (2, 0)], &[&[0, 1, 2], &[]], &[&[], &[], &[]]);
         assert_eq!(a.num_events(), 2);
         assert_eq!(a.expected_deliveries(), 3);
+    }
+
+    const NODES: usize = 5;
+
+    /// `(event, publish ms, mask of the nodes that should deliver it)`.
+    type Published = (u32, u64, u8);
+    /// Per node: `(event, delivery ms)`.
+    type Logs = Vec<Vec<(u32, u64)>>;
+
+    /// A random audit instance: publications of distinct events (a subset
+    /// of `0..8` in rotated order, so deliveries of `8..12` are unknown) at
+    /// random times, each with the mask of nodes that should deliver it
+    /// (possibly none), and per-node logs in random order with repeats.
+    fn instance() -> impl Strategy<Value = (Vec<Published>, Logs)> {
+        let slots = prop::collection::vec((any::<bool>(), 0u64..1_000, 0u8..32), 8..9);
+        let published = (slots, 0usize..8).prop_map(|(slots, rotation)| {
+            let mut published: Vec<Published> = (0..)
+                .zip(slots)
+                .filter(|(_, (on, _, _))| *on)
+                .map(|(k, (_, ms, mask))| (k, ms, mask))
+                .collect();
+            let rotation = rotation % published.len().max(1);
+            published.rotate_left(rotation);
+            published
+        });
+        let log = prop::collection::vec((0u32..12, 0u64..2_000), 0..24);
+        (published, prop::collection::vec(log, NODES..NODES + 1))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// One pass over the logs answers every query as the map-based
+        /// audit fed the same ground truth and deliveries does.
+        #[test]
+        fn one_pass_equals_the_map_reference((published, logs) in instance()) {
+            let should = |mask: u8, node: usize| mask & (1 << node) != 0;
+            let at = |&(k, ms): &(u32, u64)| (id(k), SimTime::from_millis(ms));
+            let new = DeliveryAudit::from_logs(
+                published.iter().map(|&(k, ms, _)| at(&(k, ms))),
+                logs.iter().map(|log| log.iter().map(at)),
+                |p, node| should(published[p].2, node),
+            );
+            let mut old = MapAudit::new();
+            for &(k, ms, mask) in &published {
+                let interested = (0..NODES).filter(|&node| should(mask, node));
+                old.expect(id(k), SimTime::from_millis(ms), interested);
+            }
+            for (node, log) in logs.iter().enumerate() {
+                for delivery in log {
+                    let (event, time) = at(delivery);
+                    old.record(event, node, time);
+                }
+            }
+            prop_assert_eq!(new.num_events(), old.num_events());
+            prop_assert_eq!(new.expected_deliveries(), old.expected_deliveries());
+            prop_assert_eq!(new.observed_deliveries(), old.observed_deliveries());
+            prop_assert_eq!(new.spurious(), old.spurious());
+            prop_assert_eq!(new.duplicates(), old.duplicates());
+            prop_assert_eq!(new.reliability(), old.reliability());
+            prop_assert_eq!(new.atomicity(), old.atomicity());
+            // A `Summary` holds its values sorted: equal summaries are
+            // equal sorted latency lists.
+            prop_assert_eq!(new.latency_ms(), old.latency_ms());
+        }
     }
 }

@@ -16,10 +16,12 @@
 //! the canonical example — so experiments print both.
 //!
 //! [`DeliveryAudit`] checks the dissemination contract itself (every
-//! interested process delivers, nobody else does) against the
-//! materialized ground truth and summarizes delivery latency; it is
-//! engine-agnostic, so the same audit code gates both the sequential and
-//! the sharded runtime.
+//! interested process delivers, nobody else does) and summarizes delivery
+//! latency. Its one constructor, [`DeliveryAudit::from_logs`], takes the
+//! publications, the per-node delivery logs and a predicate naming which
+//! node should deliver which publication, and reads the logs in one pass;
+//! it is engine-agnostic, so the same audit code gates both the
+//! sequential and the sharded runtime.
 //!
 //! ## Examples
 //!
@@ -42,6 +44,8 @@
 
 pub mod delivery;
 pub mod fairness;
+#[cfg(test)]
+mod reference;
 pub mod table;
 
 pub use delivery::DeliveryAudit;

@@ -11,12 +11,12 @@ use fed::sim::network::{LatencyModel, NetworkModel};
 use fed::sim::{NodeId, SimDuration, SimTime, Simulation};
 use fed::util::rng::Xoshiro256StarStar;
 use fed::workload::interest::{Appetite, InterestProfile};
-use fed::workload::pubs::{generate_schedule, PubPlan};
+use fed::workload::pubs::{generate_schedule, PubPlan, Publication};
 
 struct Setup {
     sim: Simulation<GossipNode>,
     profile: InterestProfile,
-    schedule: Vec<fed::workload::pubs::Publication>,
+    schedule: Vec<Publication>,
 }
 
 fn build(n: usize, cfg: GossipConfig, seed: u64) -> Setup {
@@ -59,28 +59,26 @@ fn build(n: usize, cfg: GossipConfig, seed: u64) -> Setup {
     }
 }
 
-fn audit(setup: &Setup) -> DeliveryAudit {
-    let mut audit = DeliveryAudit::new();
-    for p in &setup.schedule {
-        audit.expect(
-            p.event.id(),
-            p.at,
-            setup.profile.subscribers_of(p.event.topic()),
-        );
-    }
-    for (id, node) in setup.sim.nodes() {
-        for (eid, at) in node.endpoint().deliveries().iter() {
-            audit.record(eid, id.index(), at);
-        }
-    }
-    audit
+/// Audits every node's delivery log against the schedule: a node should
+/// deliver exactly the publications on its topics.
+fn audit(
+    sim: &Simulation<GossipNode>,
+    profile: &InterestProfile,
+    schedule: &[Publication],
+) -> DeliveryAudit {
+    DeliveryAudit::from_logs(
+        schedule.iter().map(|p| (p.event.id(), p.at)),
+        sim.nodes()
+            .map(|(_, node)| node.endpoint().deliveries().iter()),
+        |i, node| profile.topics_of(node).contains(&schedule[i].event.topic()),
+    )
 }
 
 #[test]
 fn full_stack_delivers_reliably_and_selectively() {
     let mut setup = build(80, GossipConfig::fair(8, 16), 1001);
     setup.sim.run_until(SimTime::from_secs(18));
-    let a = audit(&setup);
+    let a = audit(&setup.sim, &setup.profile, &setup.schedule);
     assert!(a.num_events() > 100, "workload produced {}", a.num_events());
     assert!(a.reliability() > 0.999, "reliability {}", a.reliability());
     assert_eq!(a.spurious(), 0, "ISINTERESTED never violated");
@@ -109,8 +107,8 @@ fn fair_beats_classic_on_the_same_workload() {
         fair_fairness.jain,
         classic_fairness.jain
     );
-    assert!(audit(&classic).reliability() > 0.999);
-    assert!(audit(&fair).reliability() > 0.999);
+    assert!(audit(&classic.sim, &classic.profile, &classic.schedule).reliability() > 0.999);
+    assert!(audit(&fair.sim, &fair.profile, &fair.schedule).reliability() > 0.999);
 }
 
 #[test]
@@ -153,15 +151,7 @@ fn free_riders_cannot_crash_reliability() {
         );
     }
     sim.run_until(SimTime::from_secs(16));
-    let mut a = DeliveryAudit::new();
-    for p in &schedule {
-        a.expect(p.event.id(), p.at, profile.subscribers_of(p.event.topic()));
-    }
-    for (id, node) in sim.nodes() {
-        for (eid, at) in node.endpoint().deliveries().iter() {
-            a.record(eid, id.index(), at);
-        }
-    }
+    let a = audit(&sim, &profile, &schedule);
     assert!(
         a.reliability() > 0.98,
         "20% free riders must not sink dissemination: {}",
