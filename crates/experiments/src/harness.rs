@@ -48,7 +48,7 @@ use fed_dht::DhtNetwork;
 use fed_membership::swim::SwimObservation;
 use fed_metrics::delivery::DeliveryAudit;
 use fed_metrics::fairness::{contribution_report, ratio_report};
-use fed_profile::{CountingProbe, RunProfile, ShardProfile, WorkCounters};
+use fed_profile::{RunProfile, ShardProfile, WorkCounters};
 use fed_pubsub::{Command, EventId, TopicId};
 use fed_sim::exec::DEFAULT_MAX_EVENTS;
 use fed_sim::{HopRecord, NodeId, Protocol, SimDuration, SimTime, Simulation, TransportStats};
@@ -265,7 +265,7 @@ pub struct ArchOutcome {
     pub telemetry: Option<TelemetrySeries>,
     /// Scheduler profile, when the spec enabled `[profile]`.
     ///
-    /// Its [`RunProfile::merged_work`] counters are partition-invariant
+    /// Its [`RunProfile::work`] counters are partition-invariant
     /// (gated by the `profile_parity` integration test); the wall-clock
     /// phase timings are host measurements and never compared by
     /// [`crate::scenario_run::first_divergence`].
@@ -662,38 +662,12 @@ pub fn run_architecture(spec: &ScenarioSpec, engine: EngineKind) -> ArchOutcome 
     }
 }
 
-/// One shard's partition-invariant work counters, assembled from its
-/// profiler's event count and the transport stats of the nodes it owns.
-///
-/// Queue pushes/pops live on the engine's queues, not here — they stay
-/// zero per shard and [`RunProfile::merged_work`] fills the merged totals
-/// from the engine's [`fed_sim::exec::QueueStats`].
-fn work_counters(
-    stats: &[TransportStats],
-    owned: &[u32],
-    events: u64,
-    probe_calls: u64,
-) -> WorkCounters {
-    let mut w = WorkCounters {
-        events,
-        probe_calls,
-        ..WorkCounters::default()
-    };
-    for &id in owned {
-        let s = &stats[id as usize];
-        w.msgs_sent += s.msgs_sent;
-        w.msgs_received += s.msgs_received;
-        w.msgs_lost += s.msgs_lost;
-        w.bytes_sent += s.bytes_sent;
-    }
-    w
-}
-
 /// The per-shard observer every scenario run attaches: the spec's
 /// `[telemetry]`, `[profile]` and `[trace]` sections each switch one
-/// member on.
+/// member on. The collector counts its own hook calls and the profiler
+/// keeps the window reports, which count the shard's events.
 type ShardObserver = (
-    Option<CountingProbe<ShardCollector>>,
+    Option<ShardCollector>,
     Option<ShardProfile>,
     Option<ShardTraceBuffer>,
 );
@@ -789,7 +763,8 @@ where
 
     /// Runs to the horizon with one observer per shard (the spec's
     /// `[telemetry]`, `[profile]` and `[trace]` sections) and collects
-    /// the outcome.
+    /// the outcome. A profiled run's [`WorkCounters`] are built once, at
+    /// the end, from counts the run already holds.
     pub fn finish(self) -> ArchOutcome {
         let Prepared {
             mut sim,
@@ -801,16 +776,14 @@ where
         // Each shard-local collector is built from the same owned list its
         // kernel got, and each hop is recorded on the shard owning the
         // sender; the merges below restore the global series and the
-        // canonical trace order exactly. The counting wrapper feeds the
-        // profiler's `probe_calls` work counter and forwards everything
-        // unchanged.
+        // canonical trace order exactly.
         let owned: Vec<Vec<u32>> = (0..sim.num_shards()).map(|s| sim.owned(s)).collect();
         let mut observers: Vec<ShardObserver> = owned
             .iter()
             .map(|owned| {
                 (
                     spec.telemetry
-                        .map(|t| CountingProbe::new(ShardCollector::new(t, spec.n, owned))),
+                        .map(|t| ShardCollector::new(t, spec.n, owned)),
                     profiling.then(ShardProfile::default),
                     spec.trace.as_ref().map(ShardTraceBuffer::new),
                 )
@@ -822,28 +795,45 @@ where
 
         let stats = sim.transport_stats_all();
         let mut telemetry: Option<TelemetrySeries> = None;
-        let mut work = Vec::new();
+        let mut probe_calls = 0;
         let mut shard_profiles = Vec::new();
         let mut buffers = Vec::new();
-        for ((collector, shard_profile, buffer), owned) in observers.into_iter().zip(&owned) {
-            let probe_calls = collector.as_ref().map_or(0, |c| c.calls);
-            if let Some(series) = collector.map(|c| c.inner.finalize(horizon)) {
+        for (collector, shard_profile, buffer) in observers {
+            if let Some(collector) = collector {
+                probe_calls += collector.calls();
+                let series = collector.finalize(horizon);
                 match telemetry.as_mut() {
                     None => telemetry = Some(series),
                     Some(merged) => merged.merge(&series),
                 }
             }
-            if let Some(shard) = shard_profile {
-                work.push(work_counters(&stats, owned, shard.events, probe_calls));
-                shard_profiles.push(shard);
-            }
+            shard_profiles.extend(shard_profile);
             buffers.extend(buffer);
         }
-        let profile = profiling.then(|| RunProfile {
-            work,
-            shards: shard_profiles,
-            queue: sim.queue_stats(),
-            wall_ns,
+        // The run's work counters, built once from what the run already
+        // counts: the window reports' events, every node's transport
+        // stats, the collectors' hook calls and the engine's queues.
+        let profile = profiling.then(|| {
+            let queue = sim.queue_stats();
+            let mut work = WorkCounters {
+                events: shard_profiles.iter().map(ShardProfile::events).sum(),
+                queue_pushes: queue.pushes,
+                queue_pops: queue.pops,
+                probe_calls,
+                ..WorkCounters::default()
+            };
+            for s in &stats {
+                work.msgs_sent += s.msgs_sent;
+                work.msgs_received += s.msgs_received;
+                work.msgs_lost += s.msgs_lost;
+                work.bytes_sent += s.bytes_sent;
+            }
+            RunProfile {
+                work,
+                shards: shard_profiles,
+                overflow_hits: queue.overflow_hits,
+                wall_ns,
+            }
         });
         // A single sequential buffer still goes through the merge, so both
         // engines expose the identical canonical ordering.
@@ -1033,14 +1023,14 @@ mod tests {
             p.barrier_windows().is_empty(),
             "no windows on the sequential engine"
         );
-        let work = p.merged_work();
+        let work = p.work;
         assert_eq!(work.events, seq.events);
         assert!(work.probe_calls > 0, "telemetry hooks counted");
         assert!(work.queue_pops > 0 && work.queue_pushes >= work.queue_pops);
         let clu = run_architecture(&spec.with_shards(3), EngineKind::Cluster);
         let q = clu.profiling.as_ref().expect("profiling on");
         assert_eq!(q.shards.len(), 3);
-        assert_eq!(work, q.merged_work(), "work counters partition-invariant");
+        assert_eq!(work, q.work, "work counters partition-invariant");
         assert_eq!(q.barrier_windows().len() as u64, clu.windows);
         assert_eq!(
             q.straggler_windows().iter().sum::<u64>(),

@@ -55,14 +55,15 @@ pub fn phase_table(name: &str, profile: &RunProfile) -> Table {
     );
     for (s, shard) in profile.shards.iter().enumerate() {
         let (mailbox_msgs, mailbox_bytes) = shard.mailbox();
+        let phases = shard.phases();
         t.row_owned(vec![
             s.to_string(),
-            shard.events.to_string(),
-            fmt_f64(ms(shard.phases.execute_ns)),
-            fmt_f64(ms(shard.phases.exchange_ns)),
-            fmt_f64(ms(shard.phases.fill_ns)),
-            fmt_f64(ms(shard.phases.barrier_ns)),
-            fmt_f64(ms(shard.phases.idle_ns)),
+            shard.events().to_string(),
+            fmt_f64(ms(phases.execute_ns)),
+            fmt_f64(ms(phases.exchange_ns)),
+            fmt_f64(ms(phases.fill_ns)),
+            fmt_f64(ms(phases.barrier_ns)),
+            fmt_f64(ms(phases.idle_ns)),
             mailbox_msgs.to_string(),
             mailbox_bytes.to_string(),
         ]);
@@ -71,12 +72,7 @@ pub fn phase_table(name: &str, profile: &RunProfile) -> Table {
     let sched = profile.sched();
     t.row_owned(vec![
         "all".to_string(),
-        profile
-            .shards
-            .iter()
-            .map(|s| s.events)
-            .sum::<u64>()
-            .to_string(),
+        profile.work.events.to_string(),
         fmt_f64(ms(phases.execute_ns)),
         fmt_f64(ms(phases.exchange_ns)),
         fmt_f64(ms(phases.fill_ns)),
@@ -107,7 +103,7 @@ pub fn stall_table(name: &str, profile: &RunProfile) -> Option<Table> {
             s.to_string(),
             bounded.to_string(),
             fmt_f64(bounded as f64 / windows as f64),
-            shard.events.to_string(),
+            shard.events().to_string(),
         ]);
     }
     Some(t)
@@ -120,7 +116,7 @@ pub fn work_table(name: &str, profile: &RunProfile) -> Table {
         format!("PROFILE {name}: work counters"),
         &["counter", "value", "class"],
     );
-    let work = profile.merged_work();
+    let work = profile.work;
     let sched = profile.sched();
     let det = "deterministic";
     let rep = "scheduler";

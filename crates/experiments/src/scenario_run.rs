@@ -401,8 +401,8 @@ pub fn first_divergence(a: &ArchOutcome, b: &ArchOutcome) -> Option<Divergence> 
         })
         .or_else(|| first_in("trace", None, a.trace.as_ref()?, b.trace.as_ref()?))
         .or_else(|| {
-            let mut x = a.profiling.as_ref()?.merged_work();
-            let mut y = b.profiling.as_ref()?.merged_work();
+            let mut x = a.profiling.as_ref()?.work;
+            let mut y = b.profiling.as_ref()?.work;
             if a.telemetry.is_none() || b.telemetry.is_none() {
                 (x.probe_calls, y.probe_calls) = (0, 0);
             }
@@ -581,7 +581,7 @@ mod tests {
                 hops[h].bytes += 1;
             }),
             ("work", None, 0, |o| {
-                o.profiling.as_mut().unwrap().work[0].msgs_sent += 1;
+                o.profiling.as_mut().unwrap().work.msgs_sent += 1;
             }),
         ];
         for (observable, node, index, perturb) in cases {
@@ -600,7 +600,6 @@ mod tests {
         let profile = timed.profiling.as_mut().unwrap();
         profile.wall_ns += 12_345;
         for shard in &mut profile.shards {
-            shard.phases.execute_ns += 1;
             for w in &mut shard.windows {
                 w.execute_ns += 1;
             }

@@ -342,7 +342,7 @@ fn check(cell: &Cell) -> Result<(), Failure> {
             && got
                 .profiling
                 .as_ref()
-                .is_some_and(|p| p.merged_work().probe_calls != 0);
+                .is_some_and(|p| p.work.probe_calls != 0);
         if carried != at.armed || stray_calls {
             return Err(Failure::Instruments { at, carried });
         }
@@ -651,7 +651,7 @@ fn series_live(o: &ArchOutcome) -> Result<(), String> {
 }
 
 fn work_live(o: &ArchOutcome) -> Result<(), String> {
-    let work = o.profiling.as_ref().ok_or("no profile")?.merged_work();
+    let work = o.profiling.as_ref().ok_or("no profile")?.work;
     ensure(
         work.events > 0 && work.queue_pops > 0,
         "profiler saw no events",
@@ -727,7 +727,7 @@ fn every_artifact_live(o: &ArchOutcome) -> Result<(), String> {
     series_live(o)?;
     work_live(o)?;
     traced(o)?;
-    let work = o.profiling.as_ref().ok_or("no profile")?.merged_work();
+    let work = o.profiling.as_ref().ok_or("no profile")?.work;
     ensure(work.msgs_lost < work.msgs_sent, "every message was lost")
 }
 

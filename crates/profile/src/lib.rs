@@ -14,7 +14,7 @@
 //!
 //! * **Deterministic work counters** ([`WorkCounters`]) are integers
 //!   derived from the event streams only. They are *partition-invariant*:
-//!   merged across shards they are byte-identical to a sequential run of
+//!   a sharded run's totals are byte-identical to a sequential run of
 //!   the same seed and workload, at any shard count, placement or window
 //!   policy — the same guarantee the engines give for results, extended
 //!   to the profiler, and gated by the same parity suites.
@@ -31,18 +31,18 @@
 //!
 //! * [`ShardProfile`] implements the one engine hook of
 //!   [`fed_sim::exec::Probe`], `on_window` — attach one per shard (or one
-//!   to a sequential run) and it keeps every [`WindowWork`] report and
-//!   accumulates the phase totals.
-//! * [`CountingProbe`] wraps any [`Probe`] and counts its virtual-world
-//!   hook invocations — the `probe_calls` work counter.
-//! * [`RunProfile`] assembles the per-shard profiles plus engine-level
-//!   counters into the run-level report. The coordinator's schedule is
-//!   not reported separately: every shard reports every barrier window
-//!   with the same index, start, width and straggler, so
-//!   [`RunProfile::barrier_windows`] rebuilds it from the per-shard
-//!   samples, keyed by window index. [`chrome_trace_json`] renders the
-//!   profile as Chrome Trace Event JSON loadable in Perfetto or
-//!   `chrome://tracing`.
+//!   to a sequential run) and it keeps every [`WindowWork`] report; its
+//!   event count and phase totals are sums over those reports.
+//! * [`RunProfile`] holds the per-shard profiles next to the run's one
+//!   [`WorkCounters`], which the caller assembles from what the run
+//!   already counts: the window reports' events, the transport stats,
+//!   the telemetry collectors' hook calls and the engine's queue stats.
+//!   The coordinator's schedule is not reported separately: every shard
+//!   reports every barrier window with the same index, start, width and
+//!   straggler, so [`RunProfile::barrier_windows`] rebuilds it from the
+//!   per-shard samples, keyed by window index. [`chrome_trace_json`]
+//!   renders the profile as Chrome Trace Event JSON loadable in Perfetto
+//!   or `chrome://tracing`.
 //! * [`json`] re-exports [`fed_util::json`], the workspace's JSON reader
 //!   and writer: the frozen benchmark still imports it from here.
 
@@ -53,9 +53,7 @@
 // between `benchmark` PRs; the next one re-points it and drops this.
 pub use fed_util::json;
 
-use fed_sim::exec::{HopRecord, Probe, QueueStats, SendFate, WindowWork};
-use fed_sim::protocol::NodeId;
-use fed_sim::time::SimTime;
+use fed_sim::exec::{Probe, WindowWork};
 use fed_util::json::{ChromeTrace, Object};
 
 /// Profiling configuration, as carried by a scenario's `[profile]`
@@ -103,22 +101,9 @@ pub struct WorkCounters {
     pub msgs_lost: u64,
     /// Payload bytes sent.
     pub bytes_sent: u64,
-    /// Telemetry-probe hook invocations (zero when no probe attached).
+    /// Telemetry-collector hook invocations (zero when no collector
+    /// attached).
     pub probe_calls: u64,
-}
-
-impl WorkCounters {
-    /// Exact merge: sums every counter.
-    pub fn merge(&mut self, other: &WorkCounters) {
-        self.events += other.events;
-        self.queue_pushes += other.queue_pushes;
-        self.queue_pops += other.queue_pops;
-        self.msgs_sent += other.msgs_sent;
-        self.msgs_received += other.msgs_received;
-        self.msgs_lost += other.msgs_lost;
-        self.bytes_sent += other.bytes_sent;
-        self.probe_calls += other.probe_calls;
-    }
 }
 
 /// Scheduler counters: deterministic for a fixed configuration but
@@ -162,30 +147,29 @@ pub struct PhaseTimes {
 }
 
 impl PhaseTimes {
-    /// Sums every phase.
-    pub fn merge(&mut self, other: &PhaseTimes) {
-        self.execute_ns += other.execute_ns;
-        self.exchange_ns += other.exchange_ns;
-        self.fill_ns += other.fill_ns;
-        self.barrier_ns += other.barrier_ns;
-        self.idle_ns += other.idle_ns;
+    /// Sums the phases of `windows`; barrier wait is classified
+    /// [`PhaseTimes::idle_ns`] after a window that executed nothing.
+    fn of<'a>(windows: impl IntoIterator<Item = &'a WindowWork>) -> PhaseTimes {
+        let mut p = PhaseTimes::default();
+        for w in windows {
+            p.execute_ns += w.execute_ns;
+            p.exchange_ns += w.exchange_ns;
+            p.fill_ns += w.fill_ns;
+            if w.events == 0 {
+                p.idle_ns += w.wait_ns;
+            } else {
+                p.barrier_ns += w.wait_ns;
+            }
+        }
+        p
     }
 }
 
 /// Per-shard profiler: the [`Probe`] both engines drive through
-/// [`Probe::on_window`].
-///
-/// Deterministic state (`events`, the decision and work fields of each
-/// window) and wall-clock state (`phases`, the window nanoseconds)
-/// accumulate independently; barrier wait is classified
-/// [`PhaseTimes::idle_ns`] when the window executed nothing on this
-/// shard.
+/// [`Probe::on_window`]. It keeps the window reports and nothing else;
+/// the shard's event count and phase totals are sums over them.
 #[derive(Debug, Clone, Default)]
 pub struct ShardProfile {
-    /// Events dispatched on this shard (deterministic).
-    pub events: u64,
-    /// Wall clock by phase.
-    pub phases: PhaseTimes,
     /// Every window report, in execution order: the barrier windows of a
     /// sharded run, one `straggler: None` window per observed call of a
     /// sequential one.
@@ -193,6 +177,17 @@ pub struct ShardProfile {
 }
 
 impl ShardProfile {
+    /// Events dispatched on this shard (deterministic): the window
+    /// reports' events, which count every event the shard's observer saw.
+    pub fn events(&self) -> u64 {
+        self.windows.iter().map(|w| w.events).sum()
+    }
+
+    /// This shard's wall clock by phase.
+    pub fn phases(&self) -> PhaseTimes {
+        PhaseTimes::of(&self.windows)
+    }
+
     /// Cross-shard mailbox `(messages, payload bytes)` this shard staged.
     pub fn mailbox(&self) -> (u64, u64) {
         self.windows.iter().fold((0, 0), |(msgs, bytes), w| {
@@ -211,99 +206,32 @@ impl Probe for ShardProfile {
         true
     }
 
-    fn on_event(&mut self, _now: SimTime) {
-        self.events += 1;
-    }
-
     fn on_window(&mut self, work: WindowWork) {
-        self.phases.execute_ns += work.execute_ns;
-        self.phases.exchange_ns += work.exchange_ns;
-        self.phases.fill_ns += work.fill_ns;
-        if work.events == 0 {
-            self.phases.idle_ns += work.wait_ns;
-        } else {
-            self.phases.barrier_ns += work.wait_ns;
-        }
         self.windows.push(work);
     }
 }
 
-/// Wraps a [`Probe`], forwarding every hook while counting invocations of
-/// the four virtual-world ones (event, send, receive, liveness) — the
-/// `probe_calls` work counter. Forwarding changes nothing about what the
-/// inner probe observes, so wrapping is itself passive.
-#[derive(Debug, Clone, Default)]
-pub struct CountingProbe<C> {
-    /// The wrapped probe.
-    pub inner: C,
-    /// Hook invocations so far.
-    pub calls: u64,
-}
-
-impl<C> CountingProbe<C> {
-    /// Wraps `inner`.
-    pub fn new(inner: C) -> Self {
-        CountingProbe { inner, calls: 0 }
-    }
-}
-
-impl<C: Probe> Probe for CountingProbe<C> {
-    fn on_event(&mut self, now: SimTime) {
-        self.calls += 1;
-        self.inner.on_event(now);
-    }
-    fn on_send(&mut self, now: SimTime, node: NodeId, bytes: u64, fate: SendFate) {
-        self.calls += 1;
-        self.inner.on_send(now, node, bytes, fate);
-    }
-    fn on_receive(&mut self, now: SimTime, node: NodeId, bytes: u64) {
-        self.calls += 1;
-        self.inner.on_receive(now, node, bytes);
-    }
-    fn on_liveness(&mut self, now: SimTime, node: NodeId, alive: bool) {
-        self.calls += 1;
-        self.inner.on_liveness(now, node, alive);
-    }
-    fn on_hop(&mut self, hop: HopRecord) {
-        self.inner.on_hop(hop);
-    }
-    fn on_window(&mut self, work: WindowWork) {
-        self.inner.on_window(work);
-    }
-    fn profiles(&self) -> bool {
-        self.inner.profiles()
-    }
-    fn traces(&self) -> bool {
-        self.inner.traces()
-    }
-}
-
-/// The assembled profile of one run: per-shard work and wall-clock
-/// counters, with the schedule carried by the per-shard window reports.
+/// The assembled profile of one run: the run's work counters and the
+/// per-shard window reports, which carry the schedule and the wall clock.
 #[derive(Debug, Clone, Default)]
 pub struct RunProfile {
-    /// Per-shard work counters (one entry on a sequential run).
-    pub work: Vec<WorkCounters>,
-    /// Per-shard phase/window profiles.
+    /// The run's partition-invariant work counters — the quantity the
+    /// parity suites gate byte-identical across engines.
+    pub work: WorkCounters,
+    /// Per-shard window profiles (one on a sequential run).
     pub shards: Vec<ShardProfile>,
-    /// Queue counters summed over shards (overflow hits are
-    /// geometry-dependent; see [`SchedCounters`]).
-    pub queue: QueueStats,
+    /// Calendar-queue overflow hits summed over shards (geometry-dependent;
+    /// see [`SchedCounters`]).
+    pub overflow_hits: u64,
     /// Whole-run wall clock as the harness measured it.
     pub wall_ns: u64,
 }
 
 impl RunProfile {
-    /// The merged, partition-invariant work counters — the quantity the
-    /// parity suites gate byte-identical across engines.
+    /// [`RunProfile::work`], under the name the frozen benchmark
+    /// (`fedbench/src/layers.rs`) compiles.
     pub fn merged_work(&self) -> WorkCounters {
-        let mut total = WorkCounters::default();
-        for w in &self.work {
-            total.merge(w);
-        }
-        total.queue_pushes = self.queue.pushes;
-        total.queue_pops = self.queue.pops;
-        total
+        self.work
     }
 
     /// The scheduler counters (reported, not parity-gated).
@@ -321,7 +249,7 @@ impl RunProfile {
             .max()
             .unwrap_or(0);
         SchedCounters {
-            overflow_hits: self.queue.overflow_hits,
+            overflow_hits: self.overflow_hits,
             mailbox_msgs,
             mailbox_bytes,
             windows,
@@ -331,11 +259,7 @@ impl RunProfile {
 
     /// Phase totals summed over shards.
     pub fn phases(&self) -> PhaseTimes {
-        let mut total = PhaseTimes::default();
-        for s in &self.shards {
-            total.merge(&s.phases);
-        }
-        total
+        PhaseTimes::of(self.shards.iter().flat_map(|s| &s.windows))
     }
 
     /// The coordinator's schedule, rebuilt from the per-shard samples:
@@ -410,10 +334,11 @@ pub fn chrome_trace_json(profile: &RunProfile, name: &str) -> String {
         if shard.barrier_windows().next().is_none() {
             // Sequential run: one summary slice covering the whole
             // execute phase (virtual extent unknown — use wall µs).
-            let dur = (shard.phases.execute_ns / 1_000).max(1);
+            let execute_ns = shard.phases().execute_ns;
+            let dur = (execute_ns / 1_000).max(1);
             let args = Object::new()
-                .uint("events", shard.events)
-                .uint("execute_ns", shard.phases.execute_ns);
+                .uint("events", shard.events())
+                .uint("execute_ns", execute_ns);
             trace.slice(tid, "execute", 0, dur, args);
             continue;
         }
@@ -443,36 +368,7 @@ pub fn chrome_trace_json(profile: &RunProfile, name: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fed_sim::time::SimDuration;
-
-    #[test]
-    fn work_counters_merge_exactly() {
-        let a = WorkCounters {
-            events: 1,
-            queue_pushes: 2,
-            queue_pops: 3,
-            msgs_sent: 4,
-            msgs_received: 5,
-            msgs_lost: 6,
-            bytes_sent: 7,
-            probe_calls: 8,
-        };
-        let mut m = a;
-        m.merge(&a);
-        assert_eq!(
-            m,
-            WorkCounters {
-                events: 2,
-                queue_pushes: 4,
-                queue_pops: 6,
-                msgs_sent: 8,
-                msgs_received: 10,
-                msgs_lost: 12,
-                bytes_sent: 14,
-                probe_calls: 16,
-            }
-        );
-    }
+    use fed_sim::time::{SimDuration, SimTime};
 
     /// A window report with the wall-clock split `[execute, exchange,
     /// fill, wait]` and no mailbox traffic.
@@ -506,57 +402,32 @@ mod tests {
         let mut p = ShardProfile::default();
         p.on_window(window(1, Some(0), 1, 5, [100, 20, 40, 30]));
         p.on_window(window(2, Some(0), 2, 0, [0, 10, 0, 50]));
-        assert_eq!(p.phases.execute_ns, 100);
-        assert_eq!(p.phases.exchange_ns, 30);
-        assert_eq!(p.phases.fill_ns, 40, "absorption wait is pipeline fill");
-        assert_eq!(p.phases.barrier_ns, 30, "busy window's wait is barrier");
-        assert_eq!(p.phases.idle_ns, 50, "empty window's wait is idle");
+        let phases = p.phases();
+        assert_eq!(phases.execute_ns, 100);
+        assert_eq!(phases.exchange_ns, 30);
+        assert_eq!(phases.fill_ns, 40, "absorption wait is pipeline fill");
+        assert_eq!(phases.barrier_ns, 30, "busy window's wait is barrier");
+        assert_eq!(phases.idle_ns, 50, "empty window's wait is idle");
+        assert_eq!(p.events(), 5);
         assert_eq!(p.windows.len(), 2);
-    }
-
-    #[test]
-    fn counting_probe_counts_and_forwards() {
-        #[derive(Default)]
-        struct Tape {
-            events: u64,
-            liveness: u64,
-        }
-        impl Probe for Tape {
-            fn on_event(&mut self, _now: SimTime) {
-                self.events += 1;
-            }
-            fn on_liveness(&mut self, _now: SimTime, _node: NodeId, _alive: bool) {
-                self.liveness += 1;
-            }
-        }
-        let mut p = CountingProbe::new(Tape::default());
-        p.on_event(SimTime::ZERO);
-        p.on_receive(SimTime::ZERO, NodeId::new(0), 8);
-        p.on_liveness(SimTime::ZERO, NodeId::new(0), true);
-        assert_eq!(p.calls, 3);
-        assert_eq!(p.inner.events, 1);
-        assert_eq!(p.inner.liveness, 1);
     }
 
     fn sample_profile() -> RunProfile {
         let mut shard = ShardProfile::default();
-        shard.on_event(SimTime::ZERO);
         shard.on_window(WindowWork {
             mailbox_msgs: 2,
             mailbox_bytes: 64,
             ..window(1, Some(0), 10, 1, [1_000, 200, 50, 300])
         });
         RunProfile {
-            work: vec![WorkCounters {
+            work: WorkCounters {
                 events: 1,
+                queue_pushes: 4,
+                queue_pops: 3,
                 ..WorkCounters::default()
-            }],
-            shards: vec![shard],
-            queue: QueueStats {
-                pushes: 4,
-                pops: 3,
-                overflow_hits: 1,
             },
+            shards: vec![shard],
+            overflow_hits: 1,
             wall_ns: 2_000,
         }
     }
@@ -586,9 +457,6 @@ mod tests {
     #[test]
     fn chrome_trace_matches_the_captured_documents() {
         let mut sequential = ShardProfile::default();
-        for _ in 0..9 {
-            sequential.on_event(SimTime::ZERO);
-        }
         sequential.on_window(window(1, None, 1_000, 9, [4_200, 0, 0, 0]));
         let seq = RunProfile {
             shards: vec![sequential.clone()],

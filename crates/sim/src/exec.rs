@@ -1118,9 +1118,9 @@ impl<P: Protocol> Kernel<P> {
         // Time-zero init effects run before any observer can be attached
         // (both engines attach observers per run call), so they are
         // consistently unobserved on every engine.
-        for i in 0..kernel.owned.len() {
-            let id = NodeId::new(kernel.owned[i]);
-            kernel.invoke(id, Invoke::Init, SimTime::ZERO, sink, &mut ());
+        for li in 0..kernel.owned.len() {
+            let id = NodeId::new(kernel.owned[li]);
+            kernel.invoke(li, id, Invoke::Init, SimTime::ZERO, sink, &mut ());
         }
         kernel
     }
@@ -1191,8 +1191,13 @@ impl<P: Protocol> Kernel<P> {
     /// [`EventKind::Join`]; `obs` observes the event and its effects
     /// without being able to influence them (`&mut ()` observes nothing).
     ///
-    /// Events for nodes this kernel does not own are ignored (the router
-    /// upstream is responsible for addressing).
+    /// The event's node is looked up once. Events for nodes this kernel
+    /// does not own are ignored (the router upstream is responsible for
+    /// addressing); for an owned node one `match` applies the liveness
+    /// rules: a `Join` wakes a dead node (and is a no-op on a live one),
+    /// any other event for a dead node is dropped, a `Crash` marks the
+    /// node dead, a timer armed by an earlier incarnation is dropped, and
+    /// a message, timer or command runs the node's handler.
     pub fn dispatch_with<O: Probe>(
         &mut self,
         key: EventKey,
@@ -1203,65 +1208,38 @@ impl<P: Protocol> Kernel<P> {
     ) {
         let now = key.time;
         obs.on_event(now);
-        match kind {
-            EventKind::Deliver { to, from, msg } => {
-                let Some(li) = self.local_of(to) else { return };
-                if !self.slots[li].alive {
-                    return;
-                }
-                let size = P::message_size(&msg) as u64;
-                self.stats[li].msgs_received += 1;
-                self.stats[li].bytes_received += size;
-                obs.on_receive(now, to, size);
-                self.invoke(to, Invoke::Message { from, msg }, now, sink, obs);
-            }
-            EventKind::Timer {
-                node,
-                token,
-                incarnation,
-            } => {
-                let Some(li) = self.local_of(node) else {
-                    return;
-                };
-                if !self.slots[li].alive || self.slots[li].incarnation != incarnation {
-                    return; // stale timer from a previous incarnation
-                }
-                self.invoke(node, Invoke::Timer(token), now, sink, obs);
-            }
-            EventKind::Command { node, cmd } => {
-                let Some(li) = self.local_of(node) else {
-                    return;
-                };
-                if !self.slots[li].alive {
-                    return;
-                }
-                self.invoke(node, Invoke::Command(cmd), now, sink, obs);
-            }
-            EventKind::Crash(node) => {
-                let Some(li) = self.local_of(node) else {
-                    return;
-                };
-                if !self.slots[li].alive {
-                    return;
-                }
-                self.slots[li].alive = false;
-                obs.on_liveness(now, node, false);
-            }
-            EventKind::Join(node) => {
-                let Some(li) = self.local_of(node) else {
-                    return;
-                };
-                if self.slots[li].alive {
-                    return;
-                }
-                let slot = &mut self.slots[li];
+        let node = kind.dest();
+        let Some(li) = self.local_of(node) else {
+            return;
+        };
+        let slot = &mut self.slots[li];
+        let what = match kind {
+            EventKind::Join(_) if !slot.alive => {
                 slot.alive = true;
                 slot.incarnation = slot.incarnation.wrapping_add(1);
                 slot.state = factory(node, &mut slot.rng);
                 obs.on_liveness(now, node, true);
-                self.invoke(node, Invoke::Init, now, sink, obs);
+                Invoke::Init
             }
-        }
+            _ if !slot.alive => return,
+            EventKind::Join(_) => return,
+            EventKind::Crash(_) => {
+                slot.alive = false;
+                obs.on_liveness(now, node, false);
+                return;
+            }
+            EventKind::Timer { incarnation, .. } if incarnation != slot.incarnation => return,
+            EventKind::Timer { token, .. } => Invoke::Timer(token),
+            EventKind::Command { cmd, .. } => Invoke::Command(cmd),
+            EventKind::Deliver { from, msg, .. } => {
+                let size = P::message_size(&msg) as u64;
+                self.stats[li].msgs_received += 1;
+                self.stats[li].bytes_received += size;
+                obs.on_receive(now, node, size);
+                Invoke::Message { from, msg }
+            }
+        };
+        self.invoke(li, node, what, now, sink, obs);
     }
 
     /// [`Kernel::dispatch_with`] behind the seven-parameter signature of
@@ -1287,8 +1265,11 @@ impl<P: Protocol> Kernel<P> {
         self.dispatch_with(key, kind, factory, sink, &mut (probe, profiler, tracer));
     }
 
+    /// Runs one handler of `node`, which sits in slot `li`, and turns its
+    /// effects into events.
     fn invoke(
         &mut self,
+        li: usize,
         node: NodeId,
         what: Invoke<P>,
         now: SimTime,
@@ -1296,9 +1277,6 @@ impl<P: Protocol> Kernel<P> {
         obs: &mut impl Probe,
     ) {
         debug_assert!(self.scratch.is_empty());
-        let Some(li) = self.local_of(node) else {
-            return;
-        };
         let n = self.n_global;
         let mut effects = std::mem::take(&mut self.scratch);
         {

@@ -338,3 +338,74 @@ fn both_engines_show_an_observer_the_same_tape() {
         );
     }
 }
+
+/// Counts the `on_event` calls a shard's observer sees next to the
+/// events its window reports claim.
+#[derive(Debug, Default)]
+struct WindowCount {
+    seen: u64,
+    reported: u64,
+    windows: u64,
+}
+
+impl Probe for WindowCount {
+    fn profiles(&self) -> bool {
+        true
+    }
+    fn on_event(&mut self, _now: SimTime) {
+        self.seen += 1;
+    }
+    fn on_window(&mut self, work: WindowWork) {
+        self.windows += 1;
+        self.reported += work.events;
+    }
+}
+
+/// Each shard's window reports count exactly the events its observer saw,
+/// the dropped ones included (for a dead node, from a stale timer, a join
+/// of a live node), on both engines and over more than one run call.
+/// `fed_profile::ShardProfile::events` sums the reports on this ground.
+#[test]
+fn window_reports_count_every_event_the_observer_saw() {
+    const N: usize = 16;
+    let net = || {
+        NetworkModel::lossy(
+            LatencyModel::Uniform {
+                lo: SimDuration::from_millis(2),
+                hi: SimDuration::from_millis(40),
+            },
+            0.1,
+        )
+    };
+    let counted = |mut sim: Engine<Chatter>| {
+        for i in 0..40u64 {
+            let node = NodeId::new((i % 16) as u32);
+            sim.schedule_command(SimTime::from_millis(i * 7), node, i % 5);
+        }
+        sim.schedule_crash(SimTime::from_millis(50), NodeId::new(3));
+        sim.schedule_join(SimTime::from_millis(60), NodeId::new(5));
+        sim.schedule_join(SimTime::from_millis(140), NodeId::new(3));
+        sim.schedule_crash(SimTime::from_millis(200), NodeId::new(9));
+        sim.schedule_command(SimTime::from_millis(300), NodeId::new(9), 2);
+        let mut counts: Vec<WindowCount> = (0..sim.num_shards())
+            .map(|_| WindowCount::default())
+            .collect();
+        let mut events = 0;
+        for target in [SimTime::from_millis(250), SimTime::from_secs(1)] {
+            events += sim.run_until_observed(target, &mut counts).events;
+        }
+        for (s, c) in counts.iter().enumerate() {
+            assert!(c.windows > 0, "shard {s} reported no window");
+            assert_eq!(c.reported, c.seen, "shard {s}: window events vs on_event");
+        }
+        assert_eq!(counts.iter().map(|c| c.seen).sum::<u64>(), events);
+        events
+    };
+
+    let seq = Simulation::new(N, net(), 42, |_, _| Chatter::default());
+    let events = counted(Engine::Sequential(seq));
+    for shards in [2, 3] {
+        let cluster = ShardedSimulation::new(N, net(), 42, shards, |_, _| Chatter::default());
+        assert_eq!(counted(Engine::Cluster(cluster)), events, "{shards} shards");
+    }
+}

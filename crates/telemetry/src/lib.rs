@@ -273,6 +273,8 @@ pub struct ShardCollector {
     cur_end_us: u64,
     /// Every window but the open one, keyed by index.
     windows: BTreeMap<u64, WindowStats>,
+    /// Event, send, receive and liveness hook calls so far.
+    calls: u64,
 }
 
 impl ShardCollector {
@@ -299,6 +301,7 @@ impl ShardCollector {
             open: WindowStats::empty(0),
             cur_end_us: window_us,
             windows: BTreeMap::new(),
+            calls: 0,
         }
     }
 
@@ -312,6 +315,13 @@ impl ShardCollector {
     /// The spec this collector samples under.
     pub fn spec(&self) -> TelemetrySpec {
         self.spec
+    }
+
+    /// How many of the four virtual-world hooks (event, send, receive,
+    /// liveness) were called on this collector: the `probe_calls` work
+    /// counter of a profiled run.
+    pub fn calls(&self) -> u64 {
+        self.calls
     }
 
     fn win_of(&self, t: SimTime) -> u64 {
@@ -408,12 +418,14 @@ impl ShardCollector {
 impl Probe for ShardCollector {
     #[inline]
     fn on_event(&mut self, now: SimTime) {
+        self.calls += 1;
         self.advance(now);
         self.open.events += 1;
     }
 
     #[inline]
     fn on_send(&mut self, now: SimTime, node: NodeId, bytes: u64, fate: SendFate) {
+        self.calls += 1;
         self.advance(now);
         let li = self.local[node.index()];
         debug_assert_ne!(li, u32::MAX, "send observed for a non-owned node");
@@ -436,12 +448,14 @@ impl Probe for ShardCollector {
 
     #[inline]
     fn on_receive(&mut self, now: SimTime, _node: NodeId, bytes: u64) {
+        self.calls += 1;
         self.advance(now);
         self.open.msgs_received += 1;
         self.open.bytes_received += bytes;
     }
 
     fn on_liveness(&mut self, now: SimTime, node: NodeId, alive: bool) {
+        self.calls += 1;
         self.advance(now);
         let li = self.local[node.index()];
         debug_assert_ne!(li, u32::MAX, "liveness observed for a non-owned node");
@@ -636,6 +650,7 @@ pub fn gini_from_load_sketch(h: &Histogram, total: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fed_sim::exec::{HopKind, HopRecord};
 
     fn spec() -> TelemetrySpec {
         TelemetrySpec {
@@ -700,6 +715,31 @@ mod tests {
             .map(|w| (w.alive, w.crashed))
             .collect();
         assert_eq!(pops, vec![(2, 1), (2, 1), (3, 0), (3, 0)]);
+    }
+
+    /// `calls` counts the event, send, receive and liveness hooks, once
+    /// per call, and nothing else a probe can be handed.
+    #[test]
+    fn calls_count_the_four_virtual_world_hooks() {
+        let mut c = ShardCollector::sequential(spec(), 2);
+        let (t, node) = (SimTime::from_millis(1), NodeId::new(0));
+        c.on_event(t);
+        c.on_event(t);
+        c.on_send(t, node, 8, SendFate::Lost);
+        c.on_receive(t, node, 8);
+        c.on_liveness(t, node, false);
+        assert_eq!(c.calls(), 5);
+        c.on_hop(HopRecord {
+            send_time: t,
+            from: 0,
+            to: 1,
+            event: 0,
+            topic: 0,
+            kind: HopKind::GossipPush,
+            bytes: 8,
+            deliver_time: None,
+        });
+        assert_eq!(c.calls(), 5, "a hop is not a virtual-world hook call");
     }
 
     #[test]
