@@ -20,10 +20,10 @@
 //! Subscriptions are mirrored into both stacks at all times; only the
 //! *publish* path switches. In-flight broker traffic keeps being served
 //! after the switch (the broker stack stays alive), so no event is
-//! stranded by the handover. A node that was crashed during the switch
-//! broadcast rejoins in broker mode; its publishes still reach
-//! subscribers through the hub, which keeps dispatching broker traffic
-//! in either mode.
+//! stranded by the handover. A node rejoins in the mode it crashed in:
+//! one that was down during the switch broadcast misses it and stays in
+//! broker mode, and its publishes still reach subscribers through the
+//! hub, which keeps dispatching broker traffic in either mode.
 
 use crate::broker::{BrokerMsg, BrokerNode};
 use fed_core::behavior::Behavior;

@@ -145,9 +145,8 @@ mod shard_map;
 pub use shard_map::ShardMap;
 
 use fed_sim::exec::{
-    budget_exhausted, seed_streams, EffectSink, EventKey, EventKind, EventQueue, Factory,
-    HandlerPanic, Kernel, Probe, QueueStats, TransportStats, WindowWork, DEFAULT_MAX_EVENTS,
-    EXTERNAL_SRC,
+    budget_exhausted, seed_streams, EffectSink, EventKey, EventKind, EventQueue, HandlerPanic,
+    Kernel, Probe, QueueStats, TransportStats, WindowWork, DEFAULT_MAX_EVENTS, EXTERNAL_SRC,
 };
 use fed_sim::network::NetworkModel;
 use fed_sim::protocol::{NodeId, Protocol};
@@ -477,7 +476,6 @@ struct Links<P: Protocol> {
 fn worker_loop<P: Protocol, O: Probe>(
     shard: &mut Shard<P>,
     obs: &mut O,
-    mut factory: &(dyn Fn(NodeId, &mut Xoshiro256StarStar) -> P + Send + Sync),
     map: &ShardMap,
     sched: &Scheduler,
     red: &Mutex<Reduction>,
@@ -551,7 +549,7 @@ fn worker_loop<P: Protocol, O: Probe>(
                 out: &mut out,
                 out_min: &mut out_min,
             };
-            kernel.dispatch_with(key, kind, &mut factory, &mut sink, obs);
+            kernel.dispatch_with(key, kind, &mut sink, obs);
             *handling = None;
         }
         let execute_ns = exec_t0.map_or(0, |t| t.elapsed().as_nanos() as u64);
@@ -634,7 +632,6 @@ pub struct ShardedSimulation<P: Protocol> {
     lookahead: SimDuration,
     /// Current adaptive target width; persists across `run_until` calls.
     window_width: SimDuration,
-    factory: Factory<P>,
     events_processed: u64,
     max_events: u64,
     windows: u64,
@@ -644,10 +641,10 @@ impl<P: Protocol> ShardedSimulation<P> {
     /// Creates a simulation of `n` nodes split round-robin across
     /// `shards` shards, and runs every node's `on_init` at time zero.
     ///
-    /// The factory has [`fed_sim::Simulation::new`]'s bound — `Fn` and
-    /// thread-safe, because crashed nodes can be rebuilt concurrently on
-    /// any shard — so the same factory makes a sharded run bit-identical
-    /// to a sequential one.
+    /// `factory` builds each node once, here, as
+    /// [`fed_sim::Simulation::new`] does, so the same factory makes a
+    /// sharded run bit-identical to a sequential one; a crashed node that
+    /// rejoins wakes with the state it crashed with.
     ///
     /// `shards` is clamped to `1..=n`.
     ///
@@ -656,7 +653,7 @@ impl<P: Protocol> ShardedSimulation<P> {
     /// Panics if `n == 0` or `n > u32::MAX as usize`.
     pub fn new<F>(n: usize, net: NetworkModel, seed: u64, shards: usize, factory: F) -> Self
     where
-        F: Fn(NodeId, &mut Xoshiro256StarStar) -> P + Send + Sync + 'static,
+        F: FnMut(NodeId, &mut Xoshiro256StarStar) -> P,
     {
         Self::with_scheduler(n, net, seed, ShardMap::round_robin(n, shards), factory)
     }
@@ -671,17 +668,16 @@ impl<P: Protocol> ShardedSimulation<P> {
         net: NetworkModel,
         seed: u64,
         map: ShardMap,
-        factory: F,
+        mut factory: F,
     ) -> Self
     where
-        F: Fn(NodeId, &mut Xoshiro256StarStar) -> P + Send + Sync + 'static,
+        F: FnMut(NodeId, &mut Xoshiro256StarStar) -> P,
     {
         assert!(n > 0, "simulation requires at least one node");
         assert_eq!(map.len(), n, "shard map must cover the population");
         let map = Arc::new(map);
         let num_shards = map.num_shards();
         let lookahead = net.min_latency();
-        let factory: Factory<P> = Arc::new(factory);
         let mut streams: Vec<Option<_>> = seed_streams(seed, n).into_iter().map(Some).collect();
         let mut shard_list = Vec::with_capacity(num_shards);
         let mut staged: Vec<(usize, EventKey, EventKind<P>)> = Vec::new();
@@ -704,7 +700,7 @@ impl<P: Protocol> ShardedSimulation<P> {
                     owned,
                     shard_streams,
                     net.clone(),
-                    &mut &*factory,
+                    &mut factory,
                     &mut sink,
                 )
             };
@@ -728,7 +724,6 @@ impl<P: Protocol> ShardedSimulation<P> {
             external_seq: 0,
             lookahead,
             window_width: lookahead,
-            factory,
             events_processed: 0,
             max_events: DEFAULT_MAX_EVENTS,
             windows: 0,
@@ -876,7 +871,8 @@ impl<P: Protocol> ShardedSimulation<P> {
         self.push_external(at, EventKind::Crash(node));
     }
 
-    /// Schedules a (re)join of `node` at absolute time `at`.
+    /// Schedules a (re)join of `node` at absolute time `at`: the node
+    /// wakes as [`fed_sim::Simulation::schedule_join`] describes.
     pub fn schedule_join(&mut self, at: SimTime, node: NodeId) {
         let at = at.max(self.now);
         self.push_external(at, EventKind::Join(node));
@@ -1008,7 +1004,7 @@ where
                         links[dest].mail_rxs[src] = Some(rx);
                     }
                 }
-                let (factory, map, red) = (&*self.factory, &*self.map, &red_lock);
+                let (map, red) = (&*self.map, &red_lock);
                 // Each worker runs its windows under `catch_unwind`: a
                 // handler's panic unwinds the worker alone, dropping its
                 // channel ends so every peer stops at its next receive,
@@ -1020,7 +1016,7 @@ where
                     .zip(links)
                     .map(|((shard, obs), links)| {
                         scope.spawn(move || {
-                            let run = || worker_loop(shard, obs, factory, map, sched, red, links);
+                            let run = || worker_loop(shard, obs, map, sched, red, links);
                             catch_unwind(AssertUnwindSafe(run))
                                 .map_err(|payload| (shard.index, shard.handling, payload))
                         })
@@ -1429,6 +1425,65 @@ mod tests {
         sim.run_until(SimTime::from_secs(1));
         assert!(sim.is_alive(NodeId::new(6)));
         assert_eq!(sim.nodes().count(), 8);
+    }
+
+    /// Records what it handles; a command sends or arms a timer.
+    #[derive(Debug, Default)]
+    struct Wake {
+        msgs: Vec<(NodeId, u64)>,
+        timers: Vec<u64>,
+        inits: u32,
+    }
+
+    #[derive(Debug, Clone)]
+    enum WakeCmd {
+        SendTo(NodeId, u64),
+        Arm(u64, u64), // delay ms, token
+    }
+
+    impl Protocol for Wake {
+        type Msg = u64;
+        type Cmd = WakeCmd;
+
+        fn on_init(&mut self, _ctx: &mut Context<'_, u64>) {
+            self.inits += 1;
+        }
+        fn on_message(&mut self, _ctx: &mut Context<'_, u64>, from: NodeId, msg: u64) {
+            self.msgs.push((from, msg));
+        }
+        fn on_timer(&mut self, _ctx: &mut Context<'_, u64>, token: u64) {
+            self.timers.push(token);
+        }
+        fn on_command(&mut self, ctx: &mut Context<'_, u64>, cmd: WakeCmd) {
+            match cmd {
+                WakeCmd::SendTo(to, v) => ctx.send(to, v),
+                WakeCmd::Arm(ms, token) => ctx.set_timer(SimDuration::from_millis(ms), token),
+            }
+        }
+    }
+
+    /// `fed_sim`'s `rejoin_keeps_state_and_reruns_init` across two
+    /// shards: the sender and the rejoining node sit on different ones.
+    #[test]
+    fn rejoin_keeps_state_and_reruns_init_across_shards() {
+        let net = NetworkModel::reliable(LatencyModel::Constant(SimDuration::from_millis(10)));
+        let mut sim = ShardedSimulation::new(2, net, 7, 2, |_, _| Wake::default());
+        let (zero, one) = (NodeId::new(0), NodeId::new(1));
+        let map = sim.shard_map();
+        assert_ne!(map.shard_of(zero), map.shard_of(one));
+        sim.schedule_command(SimTime::ZERO, zero, WakeCmd::SendTo(one, 3));
+        sim.schedule_command(SimTime::ZERO, one, WakeCmd::Arm(5, 1));
+        sim.schedule_command(SimTime::ZERO, one, WakeCmd::Arm(100, 7));
+        sim.schedule_crash(SimTime::from_millis(20), one);
+        sim.schedule_command(SimTime::from_millis(30), zero, WakeCmd::SendTo(one, 5));
+        sim.schedule_join(SimTime::from_millis(50), one);
+        sim.schedule_command(SimTime::from_millis(60), zero, WakeCmd::SendTo(one, 9));
+        sim.run_until(SimTime::from_secs(1));
+        let p = sim.node(one).unwrap();
+        assert_eq!(p.inits, 2, "on_init runs once per incarnation");
+        assert_eq!(p.timers, [1], "a pre-crash timer never fires");
+        assert_eq!(p.msgs, [(zero, 3), (zero, 9)], "none while down");
+        assert!(sim.is_alive(one));
     }
 
     /// A run that needs more events than its budget fails instead of

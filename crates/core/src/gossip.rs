@@ -908,19 +908,10 @@ mod tests {
         }
     }
 
-    fn factory(
-        n: usize,
-        cfg: &GossipConfig,
-    ) -> impl FnMut(NodeId, &mut fed_util::rng::Xoshiro256StarStar) -> GossipNode + '_ {
-        move |id, _| GossipNode::new(id, n, cfg.clone())
-    }
-
     /// A kernel of `n` nodes driven one event at a time.
     struct Rig {
         kernel: Kernel<GossipNode>,
         sink: Captured,
-        n: usize,
-        cfg: GossipConfig,
         seq: u64,
     }
 
@@ -948,15 +939,13 @@ mod tests {
                 (0..n as u32).collect(),
                 seed_streams(9, n),
                 net(10),
-                &mut factory(n, &cfg),
+                &mut |id, _| GossipNode::new(id, n, cfg.clone()),
                 &mut sink,
             );
             sink.0.clear(); // the nodes' first round timers
             Rig {
                 kernel,
                 sink,
-                n,
-                cfg,
                 seq: 0,
             }
         }
@@ -968,13 +957,8 @@ mod tests {
                 src: EXTERNAL_SRC,
                 seq: self.seq,
             };
-            self.kernel.dispatch_with(
-                key,
-                kind,
-                &mut factory(self.n, &self.cfg),
-                &mut self.sink,
-                &mut (),
-            );
+            self.kernel
+                .dispatch_with(key, kind, &mut self.sink, &mut ());
         }
 
         fn round(&mut self, node: NodeId) {

@@ -188,21 +188,14 @@ impl ArchProtocol for SplitStreamNode {
 /// Schedules the materialized workload onto any engine, in the canonical
 /// order: subscriptions, publications, then churn.
 ///
-/// A rejoin rebuilds the node through the factory, which knows nothing of
-/// the interest profile, so every `Join` is followed at the same instant
-/// by the node's subscriptions again: scheduled right after it, the
-/// external sequence number orders them behind the rebuild.
-///
 /// Both engines must see the same `schedule_*` call order — the external
 /// event sequence number participates in the deterministic event order.
 fn schedule_workload<P: ArchProtocol>(sim: &mut Engine<P>, materialized: &MaterializedScenario) {
-    let subscribe = |sim: &mut Engine<P>, at: SimTime, node: usize| {
-        for &topic in materialized.profile.topics_of(node) {
-            sim.schedule_command(at, NodeId::new(node as u32), Command::Subscribe(topic));
-        }
-    };
     for i in 0..materialized.profile.len() {
-        subscribe(sim, SimTime::ZERO, i);
+        let node = NodeId::new(i as u32);
+        for &topic in materialized.profile.topics_of(i) {
+            sim.schedule_command(SimTime::ZERO, node, Command::Subscribe(topic));
+        }
     }
     for p in &materialized.schedule {
         sim.schedule_command(
@@ -214,10 +207,7 @@ fn schedule_workload<P: ArchProtocol>(sim: &mut Engine<P>, materialized: &Materi
     for c in &materialized.churn {
         match c.action {
             ChurnAction::Crash => sim.schedule_crash(c.at, NodeId::new(c.node as u32)),
-            ChurnAction::Join => {
-                sim.schedule_join(c.at, NodeId::new(c.node as u32));
-                subscribe(sim, c.at, c.node);
-            }
+            ChurnAction::Join => sim.schedule_join(c.at, NodeId::new(c.node as u32)),
         }
     }
 }
@@ -245,9 +235,11 @@ pub struct ArchOutcome {
     pub profile: InterestProfile,
     /// Scheduled publications (ground truth).
     pub schedule: Vec<Publication>,
-    /// Per-node delivery logs, indexed by node id, sorted by event id.
+    /// Per-node delivery logs, indexed by node id, sorted by event id:
+    /// whole-run logs, since a rejoin wakes the node that crashed.
     pub deliveries: Vec<Vec<(EventId, SimTime)>>,
-    /// Per-node fairness ledgers, indexed by node id.
+    /// Per-node fairness ledgers, indexed by node id, over the whole run
+    /// (crashes and rejoins included).
     pub ledgers: Vec<FairnessLedger>,
     /// Per-node transport statistics, indexed by node id.
     pub stats: Vec<TransportStats>,
@@ -557,8 +549,8 @@ fn materialize(spec: &ScenarioSpec) -> MaterializedScenario {
 fn gossip_factory(
     spec: &ScenarioSpec,
     config: GossipConfig,
-    behavior: impl Fn(NodeId) -> Behavior + Send + Sync + 'static,
-) -> impl Fn(NodeId, &mut Xoshiro256StarStar) -> GossipNode + Send + Sync + 'static {
+    behavior: impl Fn(NodeId) -> Behavior,
+) -> impl FnMut(NodeId, &mut Xoshiro256StarStar) -> GossipNode {
     let n = spec.n;
     // The spec's `[membership]` section arms the SWIM detector inside
     // every gossip stack an architecture runs.
@@ -577,7 +569,7 @@ pub fn run_gossip(
     spec: &ScenarioSpec,
     engine: EngineKind,
     config: GossipConfig,
-    behavior: impl Fn(NodeId) -> Behavior + Send + Sync + 'static,
+    behavior: impl Fn(NodeId) -> Behavior,
 ) -> ArchOutcome {
     prepare_gossip(spec, engine, config, behavior).finish()
 }
@@ -589,7 +581,7 @@ pub fn prepare_gossip(
     spec: &ScenarioSpec,
     engine: EngineKind,
     config: GossipConfig,
-    behavior: impl Fn(NodeId) -> Behavior + Send + Sync + 'static,
+    behavior: impl Fn(NodeId) -> Behavior,
 ) -> Prepared<'_, GossipNode> {
     let factory = gossip_factory(spec, config, behavior);
     Prepared::new(spec, materialize(spec), engine, factory)
@@ -707,7 +699,7 @@ where
         factory: F,
     ) -> Self
     where
-        F: Fn(NodeId, &mut Xoshiro256StarStar) -> P + Send + Sync + 'static,
+        F: FnMut(NodeId, &mut Xoshiro256StarStar) -> P,
     {
         if let Some(period) = P::ROUND {
             let crashed: HashSet<usize> = materialized

@@ -78,8 +78,8 @@ fn dam_parity_across_shard_counts() {
 }
 
 /// Every baseline stays engine-agnostic under churn: crashes drop nodes
-/// mid-dissemination and rejoins rebuild state from the per-node stream,
-/// identically on both engines.
+/// mid-dissemination and rejoins wake the same node state, identically
+/// on both engines.
 #[test]
 fn baseline_parity_under_churn() {
     check_family("cross_engine::baseline_parity_under_churn");

@@ -8,18 +8,30 @@
 //!   unit of benefit is exactly one logged delivery;
 //! * `ledgers[i].active_filters() == profile.topics_of(i).len()` — the
 //!   node holds the subscriptions the interest profile drew for it, and
-//!   still holds them after a crash and rejoin (the driver re-subscribes
-//!   a rebuilt node);
+//!   still holds them after a crash and rejoin;
 //! * `deliveries[i]` is strictly ascending by event id — sorted, and no
 //!   event logged twice — and the audit records no duplicate delivery.
+//!
+//! A rejoin wakes the node that crashed: on the churn files, a node's
+//! final log holds every delivery it logged at any point of the run, at
+//! the same time, and the node came back up exactly once per `Join` of
+//! the churn trace.
 //!
 //! No scenario is exempt. An unoptimised build clamps the large library
 //! populations so `cargo test` stays fast; `cargo test --release` runs
 //! every file at its own size.
 
-use fed_experiments::harness::{run_architecture, ArchOutcome, EngineKind};
-use fed_experiments::scenario_run::{display_name, library, load_file};
+use fed_core::behavior::Behavior;
+use fed_core::gossip::GossipConfig;
+use fed_experiments::harness::{
+    prepare_gossip, run_architecture, t_arch_config, ArchOutcome, EngineKind,
+};
+use fed_experiments::scenario_run::{display_name, library, load_file, resolve_target};
+use fed_pubsub::EventId;
+use fed_sim::{NodeId, Probe, SimDuration, SimTime};
+use fed_workload::churn::ChurnAction;
 use fed_workload::scenario::{Architecture, ScenarioSpec};
+use std::collections::BTreeSet;
 
 /// Library files above this population are left to `parity @all`.
 const MAX_NODES: usize = 5_000;
@@ -88,4 +100,76 @@ fn every_library_scenario_keeps_the_rule() {
         checked += 1;
     }
     assert!(checked >= 8, "only {checked} library scenarios checked");
+}
+
+/// Counts, per node, the transitions back up (`on_liveness(.., true)`).
+struct Wakes(Vec<u32>);
+
+impl Probe for Wakes {
+    fn on_liveness(&mut self, _now: SimTime, node: NodeId, alive: bool) {
+        if alive {
+            self.0[node.index()] += 1;
+        }
+    }
+}
+
+/// Runs a churn file's fair gossip in 1 s slices, remembering every
+/// delivery any snapshot of a node's log held, and checks the run's
+/// outcome against them and against the trace's joins.
+fn check_rejoins_keep_the_books(label: &str, spec: &ScenarioSpec, engine: EngineKind) {
+    let config = t_arch_config(GossipConfig::fair);
+    let mut prepared = prepare_gossip(spec, engine, config, |_| Behavior::Honest);
+    let horizon = prepared.horizon();
+    let mut wakes: Vec<Wakes> = (0..prepared.sim.num_shards())
+        .map(|_| Wakes(vec![0; spec.n]))
+        .collect();
+    let mut seen: Vec<BTreeSet<(EventId, SimTime)>> = vec![BTreeSet::new(); spec.n];
+    let mut at = SimTime::ZERO;
+    while at < horizon {
+        at = (at + SimDuration::from_secs(1)).min(horizon);
+        prepared.sim.run_until_observed(at, &mut wakes);
+        for (id, node) in prepared.sim.nodes() {
+            seen[id.index()].extend(node.endpoint().deliveries().iter());
+        }
+    }
+    let outcome = prepared.finish();
+    for (i, (seen, log)) in seen.iter().zip(&outcome.deliveries).enumerate() {
+        let lost = seen
+            .iter()
+            .filter(|entry| log.binary_search(entry).is_err())
+            .count();
+        assert_eq!(
+            lost, 0,
+            "{label}: node {i}'s final log lost {lost} delivery(ies) an earlier snapshot held"
+        );
+    }
+    let mut joins = vec![0u32; spec.n];
+    for c in &outcome.churn {
+        if c.action == ChurnAction::Join && c.at <= horizon {
+            joins[c.node] += 1;
+        }
+    }
+    assert!(joins.iter().any(|&j| j > 0), "{label}: no node rejoins");
+    for (i, &expected) in joins.iter().enumerate() {
+        let woke: u32 = wakes.iter().map(|w| w.0[i]).sum();
+        assert_eq!(
+            woke, expected,
+            "{label}: node {i} woke {woke} times for {expected} join(s)"
+        );
+    }
+}
+
+#[test]
+fn a_rejoined_node_keeps_its_log_on_both_engines() {
+    for name in ["@mega-churn", "@asymmetric-failure"] {
+        let mut spec = load_file(&resolve_target(name))
+            .unwrap_or_else(|e| panic!("{e}"))
+            .spec;
+        if cfg!(debug_assertions) {
+            spec.n = spec.n.min(300);
+        }
+        for engine in [EngineKind::Sequential, EngineKind::Cluster] {
+            check_rejoins_keep_the_books(&format!("{name} on {engine:?}"), &spec, engine);
+        }
+    }
 }

@@ -122,8 +122,8 @@ fn scenarios_doc_examples_match_the_shipped_parser() {
 #[test]
 fn churn_files_reproduce_their_recorded_summaries() {
     for (name, events, deliveries, reliability) in [
-        ("mega-churn", 298_952, 24_051, "0.7220"),
-        ("asymmetric-failure", 177_335, 10_556, "0.9073"),
+        ("mega-churn", 309_523, 26_044, "0.7818"),
+        ("asymmetric-failure", 185_460, 10_852, "0.9327"),
     ] {
         let file =
             load_file(&resolve_target(&format!("@{name}"))).unwrap_or_else(|e| panic!("{e}"));

@@ -11,15 +11,14 @@
 //! results.
 
 use crate::exec::{
-    budget_exhausted, seed_streams, EventKey, EventKind, EventQueue, Factory, HandlerPanic, Kernel,
-    Probe, QueueStats, WindowWork, DEFAULT_MAX_EVENTS, EXTERNAL_SRC,
+    budget_exhausted, seed_streams, EventKey, EventKind, EventQueue, HandlerPanic, Kernel, Probe,
+    QueueStats, WindowWork, DEFAULT_MAX_EVENTS, EXTERNAL_SRC,
 };
 use crate::network::NetworkModel;
 use crate::protocol::{NodeId, Protocol};
 use crate::time::{SimDuration, SimTime};
 use fed_util::rng::Xoshiro256StarStar;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::Arc;
 
 pub use crate::exec::TransportStats;
 
@@ -68,7 +67,6 @@ pub struct Simulation<P: Protocol> {
     queue: EventQueue<P>,
     now: SimTime,
     external_seq: u64,
-    factory: Factory<P>,
     events_processed: u64,
     max_events: u64,
     /// The event being dispatched, so that a handler's panic can name it.
@@ -90,29 +88,27 @@ impl<P: Protocol> Simulation<P> {
     /// Creates a simulation of `n` nodes and runs every node's `on_init` at
     /// time zero.
     ///
-    /// `factory` builds the protocol state for a node; it is also invoked
-    /// when a crashed node rejoins. It has the bound of `fed-cluster`'s
-    /// engine, so one factory builds the same run on either engine. Each
-    /// node receives its own random stream forked deterministically from
-    /// `seed`.
+    /// `factory` builds the protocol state for each node once, here: a
+    /// crashed node that rejoins wakes with the state it crashed with.
+    /// Each node receives its own random stream forked deterministically
+    /// from `seed`, and the factory draws from it before `on_init` does.
     ///
     /// # Panics
     ///
     /// Panics if `n == 0` or `n > u32::MAX as usize`.
-    pub fn new<F>(n: usize, net: NetworkModel, seed: u64, factory: F) -> Self
+    pub fn new<F>(n: usize, net: NetworkModel, seed: u64, mut factory: F) -> Self
     where
-        F: Fn(NodeId, &mut Xoshiro256StarStar) -> P + Send + Sync + 'static,
+        F: FnMut(NodeId, &mut Xoshiro256StarStar) -> P,
     {
         assert!(n > 0, "simulation requires at least one node");
         assert!(n <= u32::MAX as usize, "too many nodes");
-        let factory: Factory<P> = Arc::new(factory);
         let mut queue = EventQueue::new();
         let kernel = Kernel::new(
             n,
             (0..n as u32).collect(),
             seed_streams(seed, n),
             net,
-            &mut &*factory,
+            &mut factory,
             &mut queue,
         );
         Simulation {
@@ -120,7 +116,6 @@ impl<P: Protocol> Simulation<P> {
             queue,
             now: SimTime::ZERO,
             external_seq: 0,
-            factory,
             events_processed: 0,
             max_events: DEFAULT_MAX_EVENTS,
             handling: None,
@@ -219,8 +214,10 @@ impl<P: Protocol> Simulation<P> {
 
     /// Schedules a (re)join of `node` at absolute time `at`.
     ///
-    /// The node gets fresh protocol state from the factory and runs
-    /// `on_init`. Joining an alive node is a no-op at processing time.
+    /// The node wakes with the state it crashed with, in a new
+    /// incarnation, and runs `on_init` again; timers it armed and
+    /// messages sent to it while it was down are gone. Joining an alive
+    /// node is a no-op at processing time.
     pub fn schedule_join(&mut self, at: SimTime, node: NodeId) {
         let at = at.max(self.now);
         self.push_external(at, EventKind::Join(node));
@@ -303,8 +300,7 @@ impl<P: Protocol> Simulation<P> {
             self.events_processed += 1;
             events += 1;
             self.handling = Some((key, kind.dest()));
-            self.kernel
-                .dispatch_with(key, kind, &mut &*self.factory, &mut self.queue, obs);
+            self.kernel.dispatch_with(key, kind, &mut self.queue, obs);
             self.handling = None;
         }
         events
@@ -468,19 +464,22 @@ mod tests {
     }
 
     #[test]
-    fn rejoin_gets_fresh_state_and_reinit() {
+    fn rejoin_keeps_state_and_reruns_init() {
+        let (zero, one) = (NodeId::new(0), NodeId::new(1));
         let mut s = sim(2);
-        s.schedule_command(SimTime::ZERO, NodeId::new(1), EchoCmd::Arm(100, 7));
-        s.schedule_crash(SimTime::from_millis(10), NodeId::new(1));
-        s.schedule_join(SimTime::from_millis(50), NodeId::new(1));
+        s.schedule_command(SimTime::ZERO, zero, EchoCmd::SendTo(one, 3));
+        s.schedule_command(SimTime::ZERO, one, EchoCmd::Arm(5, 1));
+        s.schedule_command(SimTime::ZERO, one, EchoCmd::Arm(100, 7));
+        s.schedule_crash(SimTime::from_millis(20), one);
+        s.schedule_command(SimTime::from_millis(30), zero, EchoCmd::SendTo(one, 5));
+        s.schedule_join(SimTime::from_millis(50), one);
+        s.schedule_command(SimTime::from_millis(60), zero, EchoCmd::SendTo(one, 9));
         s.run_until(SimTime::from_secs(1));
-        let p = s.node(NodeId::new(1)).unwrap();
-        assert_eq!(p.inits, 1, "fresh state from factory");
-        assert!(
-            p.timers.is_empty(),
-            "timer armed before crash must not fire in the new incarnation"
-        );
-        assert!(s.is_alive(NodeId::new(1)));
+        let p = s.node(one).unwrap();
+        assert_eq!(p.inits, 2, "on_init runs once per incarnation");
+        assert_eq!(p.timers, [1], "a pre-crash timer never fires");
+        assert_eq!(p.msgs, [(zero, 3), (zero, 9)], "none while down");
+        assert!(s.is_alive(one));
     }
 
     #[test]

@@ -34,7 +34,6 @@ use crate::protocol::{Context, Invoke, NodeId, Outgoing, Protocol};
 use crate::time::{SimDuration, SimTime};
 use fed_util::rng::{Rng64, Xoshiro256StarStar};
 use std::any::Any;
-use std::sync::Arc;
 
 /// The minimum virtual-time latency of any delivered message.
 ///
@@ -144,9 +143,10 @@ pub enum EventKind<P: Protocol> {
         /// The command.
         cmd: P::Cmd,
     },
-    /// Crash the node (timers die, state is kept for inspection).
+    /// Crash the node: it freezes, keeping its state, and its timers die.
     Crash(NodeId),
-    /// (Re)join the node with fresh state from the factory.
+    /// Wake a crashed node: the same state, a new incarnation, and
+    /// `on_init` run again.
     Join(NodeId),
 }
 
@@ -1003,12 +1003,6 @@ forward_probe!([T: Probe + ?Sized] &mut T, |p| **p);
 forward_probe!([A: Probe, B: Probe] (A, B), |t| t.0, t.1);
 forward_probe!([A: Probe, B: Probe, C: Probe] (A, B, C), |t| t.0, t.1, t.2);
 
-/// The node-state factory both engines hold: it builds every node at
-/// construction and rebuilds a node on [`EventKind::Join`]. Shared and
-/// thread-safe, so a cluster's shards call one factory concurrently and a
-/// run is bit-identical on either engine.
-pub type Factory<P> = Arc<dyn Fn(NodeId, &mut Xoshiro256StarStar) -> P + Send + Sync>;
-
 /// The deterministic random streams of one node.
 #[derive(Debug, Clone)]
 pub struct NodeStreams {
@@ -1187,22 +1181,21 @@ impl<P: Protocol> Kernel<P> {
     }
 
     /// Executes one event addressed to an owned node, emitting any produced
-    /// events into `sink`. `factory` rebuilds protocol state on
-    /// [`EventKind::Join`]; `obs` observes the event and its effects
+    /// events into `sink`. `obs` observes the event and its effects
     /// without being able to influence them (`&mut ()` observes nothing).
     ///
     /// The event's node is looked up once. Events for nodes this kernel
     /// does not own are ignored (the router upstream is responsible for
     /// addressing); for an owned node one `match` applies the liveness
-    /// rules: a `Join` wakes a dead node (and is a no-op on a live one),
-    /// any other event for a dead node is dropped, a `Crash` marks the
-    /// node dead, a timer armed by an earlier incarnation is dropped, and
-    /// a message, timer or command runs the node's handler.
+    /// rules: a `Join` wakes a dead node with its state as it crashed, a
+    /// new incarnation and `on_init` run again (and is a no-op on a live
+    /// one), any other event for a dead node is dropped, a `Crash` marks
+    /// the node dead, a timer armed by an earlier incarnation is dropped,
+    /// and a message, timer or command runs the node's handler.
     pub fn dispatch_with<O: Probe>(
         &mut self,
         key: EventKey,
         kind: EventKind<P>,
-        factory: &mut dyn FnMut(NodeId, &mut Xoshiro256StarStar) -> P,
         sink: &mut dyn EffectSink<P>,
         obs: &mut O,
     ) {
@@ -1217,7 +1210,6 @@ impl<P: Protocol> Kernel<P> {
             EventKind::Join(_) if !slot.alive => {
                 slot.alive = true;
                 slot.incarnation = slot.incarnation.wrapping_add(1);
-                slot.state = factory(node, &mut slot.rng);
                 obs.on_liveness(now, node, true);
                 Invoke::Init
             }
@@ -1244,6 +1236,8 @@ impl<P: Protocol> Kernel<P> {
 
     /// [`Kernel::dispatch_with`] behind the seven-parameter signature of
     /// the three-hook era: the slots compose into one tuple observer.
+    /// `_factory` is ignored: a rejoin wakes the node it crashed, so no
+    /// node is built after [`Kernel::new`].
     ///
     /// Kept only because the frozen benchmark (`fedbench/src/layers.rs`,
     /// `sim.kernel.dispatch_noop_ns`) compiles exactly this call with
@@ -1256,13 +1250,13 @@ impl<P: Protocol> Kernel<P> {
         &mut self,
         key: EventKey,
         kind: EventKind<P>,
-        factory: &mut dyn FnMut(NodeId, &mut Xoshiro256StarStar) -> P,
+        _factory: &mut dyn FnMut(NodeId, &mut Xoshiro256StarStar) -> P,
         sink: &mut dyn EffectSink<P>,
         probe: Option<&mut dyn Probe>,
         profiler: Option<&mut dyn Probe>,
         tracer: Option<&mut dyn Probe>,
     ) {
-        self.dispatch_with(key, kind, factory, sink, &mut (probe, profiler, tracer));
+        self.dispatch_with(key, kind, sink, &mut (probe, profiler, tracer));
     }
 
     /// Runs one handler of `node`, which sits in slot `li`, and turns its

@@ -17,8 +17,9 @@
 //!   decides latency and loss via a [`network::NetworkModel`].
 //! * Virtual time ([`SimTime`]) is microsecond-granular and never touches
 //!   the wall clock; a single `u64` seed determines the entire execution.
-//! * Churn is first-class: crashes destroy timers, rejoins rebuild state via
-//!   the node factory and re-run `on_init`.
+//! * Churn is first-class: a crash freezes a node and destroys its timers;
+//!   a rejoin wakes the same state in a new incarnation and re-runs
+//!   `on_init`.
 //!
 //! See [`Simulation`] for a runnable example.
 

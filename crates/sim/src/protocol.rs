@@ -129,8 +129,9 @@ impl<'a, M> Context<'a, M> {
 
     /// Arms a one-shot timer; `on_timer(token)` fires after `delay`.
     ///
-    /// Timers do not survive a crash: a node that crashes and rejoins starts
-    /// with a clean timer set (its `on_init` runs again).
+    /// Timers do not survive a crash: a node that crashes and rejoins keeps
+    /// its state but starts with a clean timer set, and its `on_init` runs
+    /// again to re-arm whatever it needs.
     pub fn set_timer(&mut self, delay: SimDuration, token: u64) {
         self.outbox.push(Outgoing::Timer { delay, token });
     }

@@ -178,13 +178,7 @@ fn number(kernel: &mut Kernel<Numberer>, cmds: &[(u32, Number)]) -> Vec<(u32, u6
             node: NodeId::new(*node),
             cmd: cmd.clone(),
         };
-        kernel.dispatch_with(
-            key,
-            kind,
-            &mut |_, _| Numberer::default(),
-            &mut EventQueue::new(),
-            &mut (),
-        );
+        kernel.dispatch_with(key, kind, &mut EventQueue::new(), &mut ());
     }
     kernel
         .nodes()

@@ -10,7 +10,7 @@ use fed_util::rng::Rng64;
 pub enum ChurnAction {
     /// The node crashes/leaves.
     Crash,
-    /// The node rejoins with fresh state.
+    /// The node rejoins with the state it crashed with.
     Join,
 }
 

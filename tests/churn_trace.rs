@@ -42,15 +42,7 @@ fn stable_majority_survives_generated_churn() {
     for ev in &trace {
         match ev.action {
             ChurnAction::Crash => sim.schedule_crash(ev.at, NodeId::new(ev.node as u32)),
-            ChurnAction::Join => {
-                sim.schedule_join(ev.at, NodeId::new(ev.node as u32));
-                // Fresh state: re-subscribe on rejoin.
-                sim.schedule_command(
-                    ev.at,
-                    NodeId::new(ev.node as u32),
-                    Command::Subscribe(topic),
-                );
-            }
+            ChurnAction::Join => sim.schedule_join(ev.at, NodeId::new(ev.node as u32)),
         }
     }
 

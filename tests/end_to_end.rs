@@ -170,14 +170,6 @@ fn churned_nodes_recover_and_catch_new_events() {
         setup
             .sim
             .schedule_join(SimTime::from_secs(8), NodeId::new(i));
-        // Rejoined nodes need their subscriptions re-issued (fresh state).
-        for &t in setup.profile.topics_of(i as usize) {
-            setup.sim.schedule_command(
-                SimTime::from_secs(8),
-                NodeId::new(i),
-                Command::Subscribe(t),
-            );
-        }
     }
     setup.sim.run_until(SimTime::from_secs(20));
     // Events published after the rejoin must reach rejoined subscribers.
