@@ -77,7 +77,7 @@ impl BrokerNode {
                 self.endpoint.offer_in(ctx, &event);
                 continue;
             }
-            ctx.send(subscriber, BrokerMsg::Notify(event.clone()));
+            ctx.send(subscriber, BrokerMsg::Notify(event));
             self.endpoint.ledger_mut().record_forward(size);
         }
     }
@@ -183,7 +183,7 @@ mod tests {
         s.schedule_command(
             SimTime::from_millis(100),
             NodeId::new(3),
-            Command::Publish(e.clone()),
+            Command::Publish(e),
         );
         s.run_until(SimTime::from_secs(2));
         for (id, node) in s.nodes() {
@@ -263,7 +263,7 @@ mod tests {
         s.schedule_command(
             SimTime::from_millis(100),
             NodeId::new(1),
-            Command::Publish(e.clone()),
+            Command::Publish(e),
         );
         s.run_until(SimTime::from_secs(1));
         assert!(s

@@ -114,7 +114,7 @@ impl DamNode {
             self.buffer
                 .entry(event.topic())
                 .or_default()
-                .push((event.clone(), TTL_ROUNDS));
+                .push((*event, TTL_ROUNDS));
         }
     }
 }
@@ -146,7 +146,7 @@ impl Protocol for DamNode {
                 continue;
             };
             let (peers, _) = pick_peers(ctx.rng(), group, self.id, FANOUT);
-            let batch: Arc<EventBatch> = Arc::new(entries.iter().map(|(e, _)| e.clone()).collect());
+            let batch: Arc<EventBatch> = Arc::new(entries.iter().map(|(e, _)| *e).collect());
             let size = 12 + batch.size_bytes();
             for peer in peers {
                 ctx.send(
@@ -240,7 +240,7 @@ mod tests {
         sim.schedule_command(
             SimTime::from_millis(100),
             NodeId::new(0),
-            Command::Publish(e.clone()),
+            Command::Publish(e),
         );
         sim.run_until(SimTime::from_secs(5));
         for (id, node) in sim.nodes() {
@@ -276,7 +276,7 @@ mod tests {
         sim.schedule_command(
             SimTime::from_millis(100),
             NodeId::new(10),
-            Command::Publish(e.clone()),
+            Command::Publish(e),
         );
         sim.run_until(SimTime::from_secs(5));
         let got = members

@@ -94,12 +94,7 @@ impl DksNode {
         let (peers, is_member) = pick_peers(ctx.rng(), group, self.id, k);
         let size = event.size_bytes();
         for peer in peers {
-            ctx.send(
-                peer,
-                DksMsg::GroupFlood {
-                    event: event.clone(),
-                },
-            );
+            ctx.send(peer, DksMsg::GroupFlood { event: *event });
             self.endpoint.ledger_mut().record_forward(size);
         }
         is_member
@@ -207,7 +202,7 @@ mod tests {
         s.schedule_command(
             SimTime::from_millis(100),
             NodeId::new(50),
-            Command::Publish(e.clone()),
+            Command::Publish(e),
         );
         s.run_until(SimTime::from_secs(5));
         let got = members
@@ -271,7 +266,7 @@ mod tests {
         s.schedule_command(
             SimTime::from_millis(50),
             NodeId::new(20),
-            Command::Publish(e.clone()),
+            Command::Publish(e),
         );
         s.run_until(SimTime::from_secs(5));
         for (id, node) in s.nodes() {

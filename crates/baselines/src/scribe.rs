@@ -113,12 +113,7 @@ impl ScribeNode {
         };
         let size = event.size_bytes();
         for &child in kids {
-            ctx.send(
-                child,
-                ScribeMsg::Multicast {
-                    event: event.clone(),
-                },
-            );
+            ctx.send(child, ScribeMsg::Multicast { event: *event });
             self.endpoint.ledger_mut().record_forward(size);
         }
     }
@@ -228,7 +223,7 @@ mod tests {
         s.schedule_command(
             SimTime::from_millis(500),
             NodeId::new(7),
-            Command::Publish(e.clone()),
+            Command::Publish(e),
         );
         s.run_until(SimTime::from_secs(5));
         for &i in &subscribers {
@@ -273,7 +268,7 @@ mod tests {
         s.schedule_command(
             SimTime::from_millis(500),
             NodeId::new(7),
-            Command::Publish(e.clone()),
+            Command::Publish(e),
         );
         s.run_until(SimTime::from_secs(5));
         let node = s.node(quitter).unwrap();
@@ -364,11 +359,7 @@ mod tests {
         let root_id = NodeId::new(root.index as u32);
         s.schedule_command(SimTime::ZERO, root_id, Command::Subscribe(topic));
         let e = Event::bare(EventId::new(root.index as u32, 1), topic);
-        s.schedule_command(
-            SimTime::from_millis(100),
-            root_id,
-            Command::Publish(e.clone()),
-        );
+        s.schedule_command(SimTime::from_millis(100), root_id, Command::Publish(e));
         s.run_until(SimTime::from_secs(2));
         assert!(s
             .node(root_id)
@@ -392,7 +383,7 @@ mod tests {
         s.schedule_command(
             SimTime::from_millis(600),
             NodeId::new(1),
-            Command::Publish(e.clone()),
+            Command::Publish(e),
         );
         s.run_until(SimTime::from_secs(3));
         let node = s.node(NodeId::new(5)).unwrap();

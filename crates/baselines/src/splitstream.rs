@@ -143,7 +143,7 @@ impl SplitStreamNode {
         let stripe = self.forest.stripe_of(event);
         let size = event.size_bytes();
         for child in self.forest.children(stripe, self.id) {
-            ctx.send(child, StripeMsg::Down(event.clone()));
+            ctx.send(child, StripeMsg::Down(*event));
             self.endpoint.ledger_mut().record_forward(size);
         }
     }
@@ -333,7 +333,7 @@ mod tests {
         s.schedule_command(SimTime::ZERO, root0, Command::Subscribe(TopicId::new(0)));
         // seq 0 -> stripe 0, whose root is root0.
         let e = Event::bare(EventId::new(root0.as_u32(), 0), TopicId::new(0));
-        s.schedule_command(SimTime::from_millis(50), root0, Command::Publish(e.clone()));
+        s.schedule_command(SimTime::from_millis(50), root0, Command::Publish(e));
         s.run_until(SimTime::from_secs(2));
         assert!(s
             .node(root0)

@@ -339,7 +339,7 @@ impl GossipNode {
         }
         self.endpoint.offer(event, id, ctx.now());
         self.buffer.push(Buffered {
-            event: event.clone(),
+            event: *event,
             ttl: self.config.ttl_rounds,
         });
     }
@@ -436,10 +436,7 @@ impl GossipNode {
         if !partners.is_empty() && !self.buffer.is_empty() {
             let k = n_events.min(self.buffer.len());
             let picked = ctx.rng().sample_indices(self.buffer.len(), k);
-            let events: EventBatch = picked
-                .into_iter()
-                .map(|i| self.buffer[i].event.clone())
-                .collect();
+            let events: EventBatch = picked.into_iter().map(|i| self.buffer[i].event).collect();
             self.push_to(ctx, partners, Arc::new(events));
         }
 
@@ -638,7 +635,7 @@ mod tests {
         sim.schedule_command(
             SimTime::from_millis(200),
             NodeId::new(0),
-            Command::Publish(event.clone()),
+            Command::Publish(event),
         );
         sim.run_until(SimTime::from_secs(5));
         let delivered = sim
@@ -664,7 +661,7 @@ mod tests {
         sim.schedule_command(
             SimTime::from_millis(150),
             NodeId::new(1),
-            Command::Publish(event.clone()),
+            Command::Publish(event),
         );
         sim.run_until(SimTime::from_secs(5));
         for (id, node) in sim.nodes() {
@@ -698,7 +695,7 @@ mod tests {
         sim.schedule_command(
             SimTime::from_millis(100),
             NodeId::new(0),
-            Command::Publish(event.clone()),
+            Command::Publish(event),
         );
         sim.run_until(SimTime::from_millis(120));
         assert!(sim
@@ -875,7 +872,7 @@ mod tests {
             status: SwimStatus::Alive,
         };
         let msg = GossipMsg::Push {
-            events: Arc::new(EventBatch::from_iter([e.clone(), e])),
+            events: Arc::new(EventBatch::from_iter([e, e])),
             sample: RateSample::default(),
             swim: vec![update; 3],
         };

@@ -201,7 +201,7 @@ fn schedule_workload<P: ArchProtocol>(sim: &mut Engine<P>, materialized: &Materi
         sim.schedule_command(
             p.at,
             NodeId::new(p.publisher as u32),
-            Command::Publish(p.event.clone()),
+            Command::Publish(p.event),
         );
     }
     for c in &materialized.churn {

@@ -3,18 +3,18 @@
 //! An [`Event`] is published once and carries an id, a topic and an
 //! abstract payload size (for byte-level contribution accounting).
 //!
-//! Events are reference-counted, so keeping one — a node buffering an
-//! event it sees for the first time — is an O(1) clone. Forwarding does
-//! not clone per hop at all: a gossip round freezes the events it sends
-//! into one [`EventBatch`], built once by the sender with its wire size
-//! summed once, and every partner's message holds the same
-//! `Arc<EventBatch>`. Nobody owns a batch beyond those messages; receivers
-//! borrow its events, clone the few that are new to them, and the batch is
-//! freed when the last message carrying it has been handled.
+//! Events are 16-byte `Copy` values, so keeping one — a node buffering an
+//! event it sees for the first time — copies those bytes and touches no
+//! shared count. A gossip round freezes the events it sends into one
+//! [`EventBatch`], built once by the sender with its wire size summed
+//! once, and every partner's message holds the same `Arc<EventBatch>`: the
+//! batch is the one shared allocation per round. Nobody owns a batch
+//! beyond those messages; receivers borrow its events, copy the few that
+//! are new to them, and the batch is freed when the last message carrying
+//! it has been handled.
 
 use crate::topic::TopicId;
 use std::fmt;
-use std::sync::Arc;
 
 /// Globally unique event identifier: publishing node index + local sequence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -60,14 +60,9 @@ impl fmt::Display for EventId {
     }
 }
 
-#[derive(Debug)]
-struct EventInner {
-    id: EventId,
-    topic: TopicId,
-    payload_bytes: usize,
-}
-
-/// An immutable published event (cheap to clone).
+/// An immutable published event: a 16-byte value, copied wherever it goes.
+///
+/// Equality and hashing are by id alone.
 ///
 /// # Examples
 ///
@@ -79,20 +74,27 @@ struct EventInner {
 /// assert_eq!(e.topic(), TopicId::new(7));
 /// assert_eq!(e.size_bytes(), 16 + 256);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct Event {
-    inner: Arc<EventInner>,
+    id: EventId,
+    topic: TopicId,
+    payload_bytes: u32,
 }
 
 impl Event {
     /// An event carrying `payload_bytes` of abstract payload.
+    ///
+    /// # Panics
+    ///
+    /// If `payload_bytes` exceeds `u32::MAX` (the scenario grammar caps
+    /// payloads at 2^20 bytes).
     pub fn new(id: EventId, topic: TopicId, payload_bytes: usize) -> Self {
+        let payload_bytes =
+            u32::try_from(payload_bytes).expect("event payload exceeds u32::MAX bytes");
         Event {
-            inner: Arc::new(EventInner {
-                id,
-                topic,
-                payload_bytes,
-            }),
+            id,
+            topic,
+            payload_bytes,
         }
     }
 
@@ -103,36 +105,36 @@ impl Event {
 
     /// The event's unique id.
     pub fn id(&self) -> EventId {
-        self.inner.id
+        self.id
     }
 
     /// The topic the event was published under.
     pub fn topic(&self) -> TopicId {
-        self.inner.topic
+        self.topic
     }
 
     /// Abstract wire size: a 16-byte header (id, topic, framing) plus
     /// the payload.
     pub fn size_bytes(&self) -> usize {
-        16 + self.inner.payload_bytes
+        16 + self.payload_bytes as usize
     }
 }
 
 impl PartialEq for Event {
     fn eq(&self, other: &Self) -> bool {
-        self.inner.id == other.inner.id
+        self.id == other.id
     }
 }
 impl Eq for Event {}
 impl std::hash::Hash for Event {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.inner.id.hash(state);
+        self.id.hash(state);
     }
 }
 
 impl fmt::Display for Event {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}@{}", self.inner.id, self.inner.topic)
+        write!(f, "{}@{}", self.id, self.topic)
     }
 }
 
@@ -226,10 +228,11 @@ mod tests {
     }
 
     #[test]
-    fn clone_is_shallow() {
-        let e = Event::new(EventId::new(1, 1), TopicId::new(0), 1_000_000);
-        let c = e.clone();
-        assert!(Arc::ptr_eq(&e.inner, &c.inner));
+    fn event_is_a_16_byte_copy_value() {
+        fn assert_copy<T: Copy>() {}
+        assert_copy::<Event>();
+        assert_eq!(std::mem::size_of::<Event>(), 16);
+        assert_eq!(std::mem::align_of::<Event>(), 4);
     }
 
     #[test]
@@ -237,7 +240,7 @@ mod tests {
         let events: Vec<Event> = (0..4u32)
             .map(|k| Event::new(EventId::new(2, k), TopicId::new(0), 10 * k as usize))
             .collect();
-        let batch: EventBatch = events.iter().cloned().collect();
+        let batch: EventBatch = events.iter().copied().collect();
         assert_eq!(batch.len(), 4);
         assert!(!batch.is_empty());
         assert_eq!(batch.events(), &events[..]);

@@ -34,6 +34,7 @@ use crate::protocol::{Context, Invoke, NodeId, Outgoing, Protocol};
 use crate::time::{SimDuration, SimTime};
 use fed_util::rng::{Rng64, Xoshiro256StarStar};
 use std::any::Any;
+use std::collections::VecDeque;
 
 /// The minimum virtual-time latency of any delivered message.
 ///
@@ -255,7 +256,7 @@ const INITIAL_BUCKET_SHIFT: u32 = 12;
 /// buckets are a single microsecond wide.
 const CHILD_BITS: u32 = 6;
 /// An in-range push that leaves the bottom longer than this re-buckets it
-/// into a child rung. Below it a sorted insert's memmove is cheaper than
+/// into a child rung. Below it a sorted insert's shift is cheaper than
 /// the re-distribution.
 const SPLIT_THRESHOLD: usize = 128;
 
@@ -330,12 +331,12 @@ impl<P: Protocol> Rung<P> {
 
     /// Empties bucket `i`, sorted descending (a bottom), and moves the
     /// cursor past it. The bucket's allocation travels with its entries.
-    fn drain(&mut self, i: usize) -> Vec<Entry<P>> {
+    fn drain(&mut self, i: usize) -> VecDeque<Entry<P>> {
         let mut entries = std::mem::take(&mut self.buckets[i]);
         self.occupied[i / 64] &= !(1 << (i % 64));
         self.cursor = i + 1;
         entries.sort_unstable_by_key(|e| std::cmp::Reverse(e.0));
-        entries
+        VecDeque::from(entries)
     }
 }
 
@@ -344,12 +345,14 @@ impl<P: Protocol> Rung<P> {
 /// A ladder queue bucketed by [`SimTime`] instead of a comparison-based
 /// heap. From the pop point outward an event is held in one of:
 ///
-/// * **Bottom.** A vector sorted descending by key (pop takes the back)
+/// * **Bottom.** A deque sorted descending by key (pop takes the back)
 ///   holding every pending event below the deepest rung's drain boundary.
 ///   Pops are O(1); a push landing in the bottom's range is a
 ///   binary-search insert into at most `SPLIT_THRESHOLD` (128) entries —
 ///   a longer bottom is re-bucketed into a child rung on the spot, unless
-///   it is a single instant (which no bucket width can divide).
+///   it is a single instant (which no bucket width can divide). An insert
+///   shifts whichever side of its slot is shorter, so a push that sorts
+///   after a whole single-instant burst costs O(1), however long it is.
 /// * **Child rungs.** A stack of at most eight rungs of ≤ 64 unsorted
 ///   buckets, each covering exactly the bucket its parent drained last at
 ///   1/64 of the parent's width. A push inside the drained range tries the
@@ -375,7 +378,7 @@ impl<P: Protocol> Rung<P> {
 pub struct EventQueue<P: Protocol> {
     /// Sorted descending by key; the back is the earliest pending event.
     /// Holds every pending event below the deepest rung's cursor.
-    bottom: Vec<Entry<P>>,
+    bottom: VecDeque<Entry<P>>,
     /// Child rungs, shallowest first. `rungs[0]` refines the calendar
     /// bucket before the calendar's cursor, `rungs[k + 1]` the bucket
     /// before `rungs[k]`'s.
@@ -408,7 +411,7 @@ impl<P: Protocol> EventQueue<P> {
     /// An empty queue.
     pub fn new() -> Self {
         EventQueue {
-            bottom: Vec::new(),
+            bottom: VecDeque::new(),
             rungs: Vec::new(),
             spare: Vec::new(),
             calendar: Rung::new(CAL_BUCKETS, INITIAL_BUCKET_SHIFT),
@@ -484,7 +487,7 @@ impl<P: Protocol> EventQueue<P> {
         let at = self.bottom.partition_point(|e| e.0 > key);
         #[cfg(test)]
         {
-            self.relocations += (self.bottom.len() - at) as u64;
+            self.relocations += at.min(self.bottom.len() - at) as u64;
         }
         self.bottom.insert(at, (key, kind));
         if self.bottom.len() > SPLIT_THRESHOLD {
@@ -536,7 +539,7 @@ impl<P: Protocol> EventQueue<P> {
             child.cursor = cursor;
             #[cfg(test)]
             {
-                self.relocations += self.bottom.len() as u64;
+                self.relocations += moved as u64;
             }
             for entry in self.bottom.drain(..moved) {
                 let i = index_of(&entry).expect("moved entries start inside the child");
@@ -555,7 +558,7 @@ impl<P: Protocol> EventQueue<P> {
         self.settle(None);
         self.len -= 1;
         self.stats.pops += 1;
-        self.bottom.pop()
+        self.bottom.pop_back()
     }
 
     /// Removes the earliest event only if it fires strictly before `end`.
@@ -570,10 +573,10 @@ impl<P: Protocol> EventQueue<P> {
             return None;
         }
         self.settle(Some(end.as_micros()));
-        if self.bottom.last()?.0.time < end {
+        if self.bottom.back()?.0.time < end {
             self.len -= 1;
             self.stats.pops += 1;
-            self.bottom.pop()
+            self.bottom.pop_back()
         } else {
             None
         }
@@ -581,7 +584,7 @@ impl<P: Protocol> EventQueue<P> {
 
     /// The firing time of the earliest pending event.
     pub fn next_time(&self) -> Option<SimTime> {
-        if let Some(e) = self.bottom.last() {
+        if let Some(e) = self.bottom.back() {
             return Some(e.0.time);
         }
         // Levels nest deepest-earliest, and the overflow lies beyond the
@@ -1656,6 +1659,36 @@ mod tests {
         burst(&mut q, 2_500..5_000);
         assert!(q.rungs.is_empty(), "one instant must not be re-bucketed");
         assert_eq!(drain_in_order(&mut q, Some(first)), 5_000);
+    }
+
+    /// Pushes at a drained single instant that sort after all of it (larger
+    /// `(src, seq)`) land at the front of the descending bottom: each moves
+    /// nothing, however long the burst, and the pop order is still exact.
+    #[test]
+    fn a_same_instant_push_ahead_of_the_burst_moves_nothing() {
+        let mut q: EventQueue<Nop> = EventQueue::new();
+        let (key, kind) = cmd(at(10, 0, 0), 0);
+        q.push(key, kind);
+        for seq in 0..5_000u64 {
+            let (key, kind) = cmd(at(20, 1, seq), seq);
+            q.push(key, kind);
+        }
+        let (first, _) = q.pop().expect("the early event");
+        assert_eq!(first, at(10, 0, 0));
+        assert_eq!(q.bottom.len(), 5_000, "the burst is the drained bottom");
+        let before = q.relocations;
+        for seq in 0..1_000u64 {
+            let (key, kind) = cmd(at(20, 2, seq), seq);
+            q.push(key, kind);
+        }
+        let per_push = (q.relocations - before) as f64 / 1_000.0;
+        assert!(per_push <= 1.0, "{per_push} entries relocated per push");
+        let expect: Vec<EventKey> = (0..5_000u64)
+            .map(|seq| at(20, 1, seq))
+            .chain((0..1_000u64).map(|seq| at(20, 2, seq)))
+            .collect();
+        let popped: Vec<EventKey> = std::iter::from_fn(|| q.pop().map(|(key, _)| key)).collect();
+        assert_eq!(popped, expect);
     }
 
     /// `pushes`/`pops` count external traffic only — across a re-base

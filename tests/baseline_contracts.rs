@@ -245,11 +245,7 @@ fn baselines_disagree_on_fairness_but_agree_on_delivery() {
         );
     }
     for (at, publisher, e) in events() {
-        scribe_sim.schedule_command(
-            at,
-            NodeId::new(publisher as u32),
-            Command::Publish(e.clone()),
-        );
+        scribe_sim.schedule_command(at, NodeId::new(publisher as u32), Command::Publish(e));
         dam_sim.schedule_command(at, NodeId::new(publisher as u32), Command::Publish(e));
     }
     scribe_sim.run_until(SimTime::from_secs(12));

@@ -54,7 +54,7 @@ fn stable_majority_survives_generated_churn() {
         sim.schedule_command(
             SimTime::from_millis(2_000 + 700 * k as u64),
             NodeId::new(e.id().publisher()),
-            Command::Publish(e.clone()),
+            Command::Publish(*e),
         );
     }
 

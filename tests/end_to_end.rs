@@ -49,7 +49,7 @@ fn build(n: usize, cfg: GossipConfig, seed: u64) -> Setup {
         sim.schedule_command(
             p.at,
             NodeId::new(p.publisher as u32),
-            Command::Publish(p.event.clone()),
+            Command::Publish(p.event),
         );
     }
     Setup {
@@ -147,7 +147,7 @@ fn free_riders_cannot_crash_reliability() {
         sim.schedule_command(
             p.at,
             NodeId::new(p.publisher as u32),
-            Command::Publish(p.event.clone()),
+            Command::Publish(p.event),
         );
     }
     sim.run_until(SimTime::from_secs(16));

@@ -64,12 +64,12 @@ fn run_partition_scenario(mut sim: Engine<GossipNode>) -> (usize, usize) {
     sim.schedule_command(
         SimTime::from_millis(1_500),
         NodeId::new(0),
-        Command::Publish(left_event.clone()),
+        Command::Publish(left_event),
     );
     sim.schedule_command(
         SimTime::from_millis(1_500),
         NodeId::new(40),
-        Command::Publish(right_event.clone()),
+        Command::Publish(right_event),
     );
     // While split: each side sees only its own event.
     sim.run_until(SimTime::from_secs(3));
