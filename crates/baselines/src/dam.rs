@@ -72,6 +72,8 @@ pub struct DamNode {
     buffer: BTreeMap<TopicId, Vec<(Event, u32)>>,
     /// Every event ever accepted, over the kernel's numbering.
     seen: LocalIdSet,
+    /// Scratch for [`pick_peers`], reused by every round.
+    picked: Vec<usize>,
 }
 
 impl DamNode {
@@ -83,6 +85,7 @@ impl DamNode {
             endpoint: Endpoint::new(),
             buffer: BTreeMap::new(),
             seen: LocalIdSet::default(),
+            picked: Vec::new(),
         }
     }
 
@@ -145,7 +148,7 @@ impl Protocol for DamNode {
             let Some(group) = self.groups.get(&topic) else {
                 continue;
             };
-            let (peers, _) = pick_peers(ctx.rng(), group, self.id, FANOUT);
+            let (peers, _) = pick_peers(ctx.rng(), group, self.id, FANOUT, &mut self.picked);
             let batch: Arc<EventBatch> = Arc::new(entries.iter().map(|(e, _)| *e).collect());
             let size = 12 + batch.size_bytes();
             for peer in peers {

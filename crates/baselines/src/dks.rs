@@ -53,6 +53,8 @@ pub struct DksNode {
     /// Events this node has joined the epidemic for, over the kernel's
     /// numbering.
     seen: LocalIdSet,
+    /// Scratch for [`pick_peers`], reused by every flood.
+    picked: Vec<usize>,
 }
 
 impl DksNode {
@@ -64,6 +66,7 @@ impl DksNode {
             groups,
             endpoint: Endpoint::new(),
             seen: LocalIdSet::default(),
+            picked: Vec::new(),
         }
     }
 
@@ -91,7 +94,7 @@ impl DksNode {
         let Some(group) = self.groups.get(&event.topic()) else {
             return false;
         };
-        let (peers, is_member) = pick_peers(ctx.rng(), group, self.id, k);
+        let (peers, is_member) = pick_peers(ctx.rng(), group, self.id, k, &mut self.picked);
         let size = event.size_bytes();
         for peer in peers {
             ctx.send(peer, DksMsg::GroupFlood { event: *event });

@@ -68,7 +68,8 @@ proptest! {
         let me = NodeId::new(me);
         let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
         let mut reference_rng = rng.clone();
-        let (peers, is_member) = pick_peers(&mut rng, &group, me, k);
+        let mut picked = vec![7; 9];
+        let (peers, is_member) = pick_peers(&mut rng, &group, me, k, &mut picked);
         let peers: Vec<NodeId> = peers.collect();
         prop_assert_eq!(peers, pick_by_copy(&mut reference_rng, &group, me, k));
         prop_assert_eq!(is_member, group.contains(&me));
@@ -80,11 +81,12 @@ proptest! {
         let me = NodeId::new(3);
         let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
         let untouched = rng.clone();
-        let (peers, is_member) = pick_peers(&mut rng, &[], me, k);
+        let mut picked = vec![7; 9];
+        let (peers, is_member) = pick_peers(&mut rng, &[], me, k, &mut picked);
         prop_assert_eq!(peers.count(), 0);
         prop_assert!(!is_member);
         let solo = [me];
-        let (peers, is_member) = pick_peers(&mut rng, &solo, me, k);
+        let (peers, is_member) = pick_peers(&mut rng, &solo, me, k, &mut picked);
         prop_assert_eq!(peers.count(), 0);
         prop_assert!(is_member);
         prop_assert_eq!(rng, untouched);

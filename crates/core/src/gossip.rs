@@ -458,9 +458,13 @@ impl Protocol for GossipNode {
         let jitter = ctx.rng().range_u64(ROUND.as_micros());
         ctx.set_timer(SimDuration::from_micros(jitter), ROUND_TIMER);
         if self.config.swim {
-            // Fresh detector per (re)start: a rejoining node begins with a
-            // clean view and converges via dissemination + contact revival.
-            self.swim = Some(SwimState::new(self.id, ctx.system_size()));
+            // Fresh view per (re)start: a rejoining node converges via
+            // dissemination + contact revival. Its observation log lives
+            // on, as its deliveries and ledger do.
+            match &mut self.swim {
+                Some(detector) => detector.restart(),
+                None => self.swim = Some(SwimState::new(self.id, ctx.system_size())),
+            }
             let sj = ctx.rng().range_u64(PROBE_PERIOD.as_micros());
             ctx.set_timer(SimDuration::from_micros(sj), SWIM_TICK_TIMER);
         }

@@ -15,7 +15,9 @@
 //! A rejoin wakes the node that crashed: on the churn files, a node's
 //! final log holds every delivery it logged at any point of the run, at
 //! the same time, and the node came back up exactly once per `Join` of
-//! the churn trace.
+//! the churn trace. Its SWIM observation log only grows, so detection
+//! telemetry still sees what a rejoined node observed before its last
+//! `Join`.
 //!
 //! No scenario is exempt. An unoptimised build clamps the large library
 //! populations so `cargo test` stays fast; `cargo test --release` runs
@@ -27,6 +29,7 @@ use fed_experiments::harness::{
     prepare_gossip, run_architecture, t_arch_config, ArchOutcome, EngineKind,
 };
 use fed_experiments::scenario_run::{display_name, library, load_file, resolve_target};
+use fed_membership::swim::SwimObservation;
 use fed_pubsub::EventId;
 use fed_sim::{NodeId, Probe, SimDuration, SimTime};
 use fed_workload::churn::ChurnAction;
@@ -124,12 +127,20 @@ fn check_rejoins_keep_the_books(label: &str, spec: &ScenarioSpec, engine: Engine
         .map(|_| Wakes(vec![0; spec.n]))
         .collect();
     let mut seen: Vec<BTreeSet<(EventId, SimTime)>> = vec![BTreeSet::new(); spec.n];
+    let mut observed: Vec<Vec<SwimObservation>> = vec![Vec::new(); spec.n];
     let mut at = SimTime::ZERO;
     while at < horizon {
         at = (at + SimDuration::from_secs(1)).min(horizon);
         prepared.sim.run_until_observed(at, &mut wakes);
         for (id, node) in prepared.sim.nodes() {
             seen[id.index()].extend(node.endpoint().deliveries().iter());
+            let log = node.swim_observations();
+            assert!(
+                log.starts_with(&observed[id.index()]),
+                "{label}: node {} lost SWIM observations by {at}",
+                id.index()
+            );
+            observed[id.index()] = log;
         }
     }
     let outcome = prepared.finish();
@@ -143,13 +154,31 @@ fn check_rejoins_keep_the_books(label: &str, spec: &ScenarioSpec, engine: Engine
             "{label}: node {i}'s final log lost {lost} delivery(ies) an earlier snapshot held"
         );
     }
+    for (i, (observed, log)) in observed.iter().zip(&outcome.swim).enumerate() {
+        assert!(
+            log.starts_with(observed),
+            "{label}: node {i}'s final SWIM log lost observations a snapshot held"
+        );
+    }
     let mut joins = vec![0u32; spec.n];
+    let mut last_join = vec![None; spec.n];
     for c in &outcome.churn {
         if c.action == ChurnAction::Join && c.at <= horizon {
             joins[c.node] += 1;
+            last_join[c.node] = last_join[c.node].max(Some(c.at));
         }
     }
     assert!(joins.iter().any(|&j| j > 0), "{label}: no node rejoins");
+    if spec.membership {
+        let kept = last_join
+            .iter()
+            .zip(&outcome.swim)
+            .any(|(join, log)| join.is_some_and(|join| log.iter().any(|o| o.at < join)));
+        assert!(
+            kept,
+            "{label}: no rejoined node kept an observation from before its last join"
+        );
+    }
     for (i, &expected) in joins.iter().enumerate() {
         let woke: u32 = wakes.iter().map(|w| w.0[i]).sum();
         assert_eq!(

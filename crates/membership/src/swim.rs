@@ -220,6 +220,18 @@ impl SwimState {
         }
     }
 
+    /// Restarts the detector for a node that rejoins: everything but the
+    /// observation log goes back to [`SwimState::new`]'s fresh view, and
+    /// the log keeps what this node observed before, so detection
+    /// telemetry covers the whole run.
+    pub fn restart(&mut self) {
+        let observations = std::mem::take(&mut self.observations);
+        *self = SwimState {
+            observations,
+            ..SwimState::new(self.id, self.members.len())
+        };
+    }
+
     /// The full observation log, in observation order.
     pub fn observations(&self) -> &[SwimObservation] {
         &self.observations

@@ -331,12 +331,106 @@ impl<P: Protocol> Rung<P> {
 
     /// Empties bucket `i`, sorted descending (a bottom), and moves the
     /// cursor past it. The bucket's allocation travels with its entries.
-    fn drain(&mut self, i: usize) -> VecDeque<Entry<P>> {
+    fn drain(&mut self, i: usize, orderer: &mut BucketOrderer) -> VecDeque<Entry<P>> {
         let mut entries = std::mem::take(&mut self.buckets[i]);
         self.occupied[i / 64] &= !(1 << (i % 64));
         self.cursor = i + 1;
-        entries.sort_unstable_by_key(|e| std::cmp::Reverse(e.0));
+        orderer.order(&mut entries);
         VecDeque::from(entries)
+    }
+}
+
+/// Sorts drained buckets descending by key, using the runs they arrive
+/// in (see [`EventQueue`]).
+///
+/// A run is a maximal stretch of a bucket with one `(time, src)` and
+/// strictly ascending `seq`: what one handler invocation sends for one
+/// arrival time. The kernel pushes a run together and both engines'
+/// exchange keeps it in order. Buckets whose runs interleave (only
+/// arbitrary pushes do that) or average fewer than two entries (jittered
+/// links) are sorted entry by entry.
+#[derive(Default)]
+struct BucketOrderer {
+    /// `(head key, start, end)` of each run of the bucket being ordered.
+    runs: Vec<(EventKey, u32, u32)>,
+    /// The runs' starts while the bucket is scanned, then where each of
+    /// its entries goes.
+    dest: Vec<u32>,
+    /// Buckets ordered by their runs rather than by a sort.
+    #[cfg(test)]
+    by_runs: u64,
+}
+
+impl BucketOrderer {
+    /// Sorts `entries` descending by key.
+    fn order<P: Protocol>(&mut self, entries: &mut [Entry<P>]) {
+        if !self.order_by_runs(entries) {
+            entries.sort_unstable_by_key(|e| std::cmp::Reverse(e.0));
+        }
+    }
+
+    /// Sorts `entries` descending by permuting whole runs, or returns
+    /// `false` having moved nothing when that would not pay or not work.
+    fn order_by_runs<P: Protocol>(&mut self, entries: &mut [Entry<P>]) -> bool {
+        let n = entries.len();
+        if u32::try_from(n).is_err() {
+            return false;
+        }
+        let BucketOrderer { runs, dest, .. } = self;
+        // Run starts go in `dest` first: a bucket of short runs then costs
+        // no run buffer.
+        dest.clear();
+        dest.push(0);
+        for j in 1..n {
+            let (prev, next) = (entries[j - 1].0, entries[j].0);
+            if next.time != prev.time || next.src != prev.src || next.seq <= prev.seq {
+                if 2 * (dest.len() + 1) > n {
+                    return false;
+                }
+                dest.push(j as u32);
+            }
+        }
+        if 2 * dest.len() > n {
+            return false;
+        }
+        dest.push(n as u32);
+        runs.clear();
+        runs.extend(
+            dest.windows(2)
+                .map(|w| (entries[w[0] as usize].0, w[0], w[1])),
+        );
+        runs.sort_unstable_by_key(|r| std::cmp::Reverse(r.0));
+        // Runs sorted by head concatenate into a sorted bucket only if each
+        // ends below the head of the run sorted above it.
+        if runs
+            .windows(2)
+            .any(|w| entries[w[1].2 as usize - 1].0 >= w[0].0)
+        {
+            return false;
+        }
+        dest.clear();
+        dest.resize(n, 0);
+        let mut at = 0;
+        for &(_, start, end) in runs.iter() {
+            // Reversed: the bottom is descending.
+            for (j, d) in dest[start as usize..end as usize].iter_mut().enumerate() {
+                *d = at + end - start - 1 - j as u32;
+            }
+            at += end - start;
+        }
+        // Each swap puts one entry in its place.
+        for i in 0..n {
+            while dest[i] as usize != i {
+                let d = dest[i] as usize;
+                entries.swap(i, d);
+                dest.swap(i, d);
+            }
+        }
+        #[cfg(test)]
+        {
+            self.by_runs += 1;
+        }
+        true
     }
 }
 
@@ -357,10 +451,10 @@ impl<P: Protocol> Rung<P> {
 ///   buckets, each covering exactly the bucket its parent drained last at
 ///   1/64 of the parent's width. A push inside the drained range tries the
 ///   deepest rung first and appends in O(1); pops drain the deepest rung
-///   bucket by bucket (sorting each once) and retire it when empty.
-///   Rungs exist only where events are dense relative to the level above,
-///   so a wide parent bucket costs a few re-distributions per event, not
-///   a memmove per push.
+///   bucket by bucket and retire it when empty. Rungs exist only where
+///   events are dense relative to the level above, so a wide parent
+///   bucket costs a few re-distributions per event, not a memmove per
+///   push.
 /// * **Calendar.** The top rung: `CAL_BUCKETS` (512) unsorted buckets of
 ///   `2^shift` µs found through an occupancy bitmap. Its width — 4 ms at
 ///   first, then span / bucket count of the overflow at each re-base — is
@@ -369,6 +463,16 @@ impl<P: Protocol> Rung<P> {
 /// * **Overflow.** Events beyond the calendar horizon collect unsorted;
 ///   when the calendar drains, the queue re-bases around the overflow's
 ///   minimum.
+///
+/// A bucket keeps its entries in push order until a pop drains it into
+/// the bottom. A handler's sends for one arrival time reach it as one run
+/// of ascending `seq` at one `(time, src)`, and a split re-buckets the
+/// bottom in ascending order so it keeps them. A drain therefore sorts
+/// the run heads and moves each entry once into place; only a bucket
+/// whose runs interleave or average under two entries is sorted entry by
+/// entry. This is what makes a flood wave over constant links cheap:
+/// thousands of sends at one instant, which no bucket width can divide,
+/// but only a few hundred runs.
 ///
 /// The pop order is exactly the total [`EventKey`] order — identical to
 /// a binary heap — for *any* push pattern, including pushes earlier than
@@ -395,6 +499,8 @@ pub struct EventQueue<P: Protocol> {
     len: usize,
     /// Work counters (external pushes/pops, overflow hits).
     stats: QueueStats,
+    /// Sorts each drained bucket into the bottom, reusing its buffers.
+    orderer: BucketOrderer,
     /// Entries moved inside the queue: sorted-insert shifts plus child-rung
     /// distributions. The work a push causes beyond its own O(1) append.
     #[cfg(test)]
@@ -419,6 +525,7 @@ impl<P: Protocol> EventQueue<P> {
             overflow_min: u64::MAX,
             len: 0,
             stats: QueueStats::default(),
+            orderer: BucketOrderer::default(),
             #[cfg(test)]
             relocations: 0,
         }
@@ -541,7 +648,9 @@ impl<P: Protocol> EventQueue<P> {
             {
                 self.relocations += moved as u64;
             }
-            for entry in self.bottom.drain(..moved) {
+            // Ascending, as pushes arrive, so the child's buckets keep
+            // their runs.
+            for entry in self.bottom.drain(..moved).rev() {
                 let i = index_of(&entry).expect("moved entries start inside the child");
                 debug_assert!(i < used, "the bottom ends at the parent's cursor");
                 child.put(i, entry);
@@ -637,7 +746,7 @@ impl<P: Protocol> EventQueue<P> {
                             return;
                         }
                     }
-                    self.bottom = rung.drain(i);
+                    self.bottom = rung.drain(i, &mut self.orderer);
                 }
                 None if in_child => {
                     let retired = self.rungs.pop().expect("in a child rung");
@@ -1813,6 +1922,85 @@ mod tests {
         let per_push = q.relocations as f64 / 50_000.0;
         assert!(per_push < 4.0, "{per_push} entries relocated per push");
         assert_eq!(drain_in_order(&mut q, None), 4_097);
+    }
+
+    /// Pushes a flood wave as the kernel does: 400 sources in scrambled
+    /// order, each one run of five consecutive `seq` at `time(src)`. The
+    /// source `split`, if any, pushes its run as two interleaving halves
+    /// (evens, then odds). Returns the wave's keys, sorted.
+    fn push_wave(
+        q: &mut EventQueue<Nop>,
+        time: impl Fn(u32) -> u64,
+        split: Option<u32>,
+    ) -> Vec<EventKey> {
+        let mut keys = Vec::new();
+        for i in 0..400u32 {
+            let src = (i * 263) % 400;
+            let mut seqs: Vec<u64> = (0..5).collect();
+            if split == Some(src) {
+                seqs.sort_by_key(|s| (s % 2, *s));
+            }
+            for seq in seqs {
+                let (key, kind) = cmd(at(time(src), src, seq), seq);
+                q.push(key, kind);
+                keys.push(key);
+            }
+        }
+        keys.sort_unstable();
+        keys
+    }
+
+    fn pop_all(q: &mut EventQueue<Nop>) -> Vec<EventKey> {
+        std::iter::from_fn(|| q.pop().map(|(key, _)| key)).collect()
+    }
+
+    /// A single-instant wave of 400 runs of 5 is one calendar bucket; its
+    /// drain orders the runs instead of sorting the entries.
+    #[test]
+    fn a_single_instant_wave_drains_by_its_runs() {
+        let mut q: EventQueue<Nop> = EventQueue::new();
+        let keys = push_wave(&mut q, |_| 10_000, None);
+        assert_eq!(pop_all(&mut q), keys);
+        assert_eq!(q.orderer.by_runs, 1);
+    }
+
+    /// One source whose run arrives as two interleaving halves: ordering
+    /// by run heads would be wrong, so the drain sorts the entries.
+    #[test]
+    fn an_interleaved_wave_falls_back_to_sorting() {
+        let mut q: EventQueue<Nop> = EventQueue::new();
+        let keys = push_wave(&mut q, |_| 10_000, Some(17));
+        assert_eq!(pop_all(&mut q), keys);
+        assert_eq!(q.orderer.by_runs, 0);
+    }
+
+    /// A wave into the drained range while the bottom is busy splits the
+    /// bottom into a child rung. The split re-buckets in ascending order,
+    /// so each `(time, src)` keeps ascending `seq` in its child bucket, and
+    /// that bucket's drain still goes by runs.
+    #[test]
+    fn a_bottom_split_keeps_runs_ascending() {
+        let mut q: EventQueue<Nop> = EventQueue::new();
+        for seq in 0..2 {
+            let (key, kind) = cmd(at(10 + seq, 0, 100 + seq), seq);
+            q.push(key, kind);
+        }
+        let (first, _) = q.pop().expect("the early event");
+        let keys = push_wave(&mut q, |src| 100 + u64::from(src % 4), None);
+        let child = q.rungs.last().expect("the bottom split");
+        let mut last_seq = std::collections::HashMap::new();
+        let mut bucketed = 0;
+        for entry in child.buckets.iter().flatten() {
+            let (key, _) = entry;
+            let last = last_seq.insert((key.time, key.src), key.seq);
+            assert!(last < Some(key.seq), "{key:?} after seq {last:?}");
+            bucketed += 1;
+        }
+        assert_eq!(bucketed, keys.len(), "the whole wave is in the child");
+        let popped = pop_all(&mut q);
+        assert_eq!(popped[0], at(11, 0, 101));
+        assert_eq!(popped[1..], keys[..]);
+        assert!(first < popped[0] && q.orderer.by_runs >= 1);
     }
 
     /// A zero-latency network still yields a positive conservative

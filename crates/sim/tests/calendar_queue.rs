@@ -6,11 +6,18 @@
 //! observationally identical: for any interleaving of pushes and pops —
 //! including same-time and same-`(time, src)` key collisions, pushes
 //! behind the pop point, far-future times that force calendar re-bases,
-//! and hold-model floods dense enough to nest child rungs — the pop
-//! sequence is exactly the reference key order.
+//! hold-model floods dense enough to nest child rungs, and flood waves
+//! shaped like the kernel's sends (runs of ascending `seq` per
+//! `(time, src)`, which a drain orders by run) — the pop sequence is
+//! exactly the reference key order.
+//!
+//! The wave cases reach thousands of entries per bucket in an optimised
+//! build (`cargo test -p fed-sim --release --test calendar_queue`) and
+//! stay small in a debug one.
 
 use fed_sim::exec::{EventKey, EventKind, EventQueue};
 use fed_sim::{Context, NodeId, Protocol, SimTime};
+use fed_util::rng::{Rng64, Xoshiro256StarStar};
 use proptest::prelude::*;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -195,6 +202,92 @@ fn resolve_hold(delay: u64, jittered: bool, steps: &[HoldStep]) -> Vec<Op> {
     ops
 }
 
+/// Flood waves as the kernel pushes them: each wave, a shuffled set of
+/// sources each push one run of consecutive `seq` at one of a few
+/// instants `delay` past the pop point. In some cases some runs are
+/// pushed in reverse, and some `(time, src)` pairs come as two
+/// interleaving runs (evens, then odds) — what a drain must notice and
+/// sort entry by entry. Between waves, part of the queue is popped.
+fn wave_ops() -> impl Strategy<Value = Vec<Op>> {
+    let max_sources = if cfg!(debug_assertions) { 40 } else { 700 };
+    let delay = prop_oneof![Just(1u64), Just(37), Just(4_096), Just(10_000)];
+    // One in this many runs is reversed or split; 0 for never.
+    let odd_one_in = || prop_oneof![Just(0u64), Just(0), Just(300), Just(8)];
+    (
+        any::<u64>(),
+        1usize..max_sources,
+        delay,
+        odd_one_in(),
+        odd_one_in(),
+        2usize..7,
+    )
+        .prop_map(|(seed, sources, delay, reversed, split, waves)| {
+            flood_waves(seed, sources, delay, reversed, split, waves)
+        })
+}
+
+/// The ops of [`wave_ops`], drawn from `seed`.
+fn flood_waves(
+    seed: u64,
+    sources: usize,
+    delay: u64,
+    reversed: u64,
+    split: u64,
+    waves: usize,
+) -> Vec<Op> {
+    let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
+    let one_in = |rng: &mut Xoshiro256StarStar, n: u64| n > 0 && rng.range_u64(n) == 0;
+    let mut reference = RefQueue::default();
+    let mut ops = Vec::new();
+    let mut seqs = vec![0u64; sources];
+    let mut order: Vec<usize> = (0..sources).collect();
+    let mut now = 0u64;
+    for _ in 0..waves {
+        let instants = 1 + rng.range_u64(3);
+        rng.shuffle(&mut order);
+        for &src in &order {
+            let time = SimTime::from_micros(now + delay + rng.range_u64(instants));
+            let len = 1 + rng.range_u64(9);
+            let mut run: Vec<EventKey> = (0..len)
+                .map(|_| {
+                    seqs[src] += 1;
+                    EventKey {
+                        time,
+                        src: src as u32,
+                        seq: seqs[src],
+                    }
+                })
+                .collect();
+            if one_in(&mut rng, reversed) {
+                run.reverse();
+            } else if len > 1 && one_in(&mut rng, split) {
+                let (evens, odds): (Vec<_>, Vec<_>) =
+                    run.iter().enumerate().partition(|(i, _)| i % 2 == 0);
+                run = evens.into_iter().chain(odds).map(|(_, &key)| key).collect();
+            }
+            for key in run {
+                reference.push(key, 0);
+                ops.push(Op::Push(key));
+            }
+        }
+        // Pop part of the queue, the last few by window.
+        let pops = rng.range_usize(reference.heap.len() + 1);
+        for _ in 0..pops {
+            if let Some((key, _)) = reference.pop() {
+                now = key.time.as_micros();
+            }
+            ops.push(Op::Pop);
+        }
+        let bound = now + rng.range_u64(delay + 2);
+        while let Some((key, _)) = reference.pop_before(SimTime::from_micros(bound)) {
+            now = key.time.as_micros();
+            ops.push(Op::PopBefore(bound));
+        }
+        ops.push(Op::PopBefore(bound));
+    }
+    ops
+}
+
 /// Reference queue: the seed-era `BinaryHeap` with the reversed
 /// comparator, popping `(key, tag)` min-first. Ties on the full key pop
 /// in unspecified tag order there too, so comparisons below only demand
@@ -317,6 +410,13 @@ proptest! {
     /// drained range and nests child rungs.
     #[test]
     fn matches_reference_heap_under_hold_model(workload in hold_ops()) {
+        assert_equivalent(workload)?;
+    }
+
+    /// Flood waves: thousands of sends per instant, in runs per
+    /// `(time, src)`, some reversed or interleaved.
+    #[test]
+    fn matches_reference_heap_under_flood_waves(workload in wave_ops()) {
         assert_equivalent(workload)?;
     }
 

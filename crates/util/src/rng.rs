@@ -123,54 +123,66 @@ pub trait Rng64 {
     /// draws and return the same indices — and Floyd's algorithm for large
     /// `n` with small `k`.
     fn sample_indices(&mut self, n: usize, k: usize) -> Vec<usize> {
+        let mut picked = Vec::new();
+        self.sample_indices_into(n, k, &mut picked);
+        picked
+    }
+
+    /// [`Rng64::sample_indices`] into a caller-owned buffer: replaces the
+    /// contents of `out` with the indices it would return, from the same
+    /// draws. A buffer reused across calls stops allocating once it has
+    /// grown to the largest sample (to `n` on the dense walk).
+    fn sample_indices_into(&mut self, n: usize, k: usize, out: &mut Vec<usize>) {
+        out.clear();
         let k = k.min(n);
         if k == 0 {
-            return Vec::new();
+            return;
         }
         // Floyd's algorithm when the index array would dominate.
         if n > 4096 && k * 8 < n {
-            let mut chosen: Vec<usize> = Vec::with_capacity(k);
+            out.reserve(k);
             for j in (n - k)..n {
                 let t = self.range_usize(j + 1);
-                if chosen.contains(&t) {
-                    chosen.push(j);
-                } else {
-                    chosen.push(t);
-                }
+                out.push(if out.contains(&t) { j } else { t });
             }
-            self.shuffle(&mut chosen);
-            return chosen;
+            self.shuffle(out);
+            return;
         }
         // Few picks from many: the walk below touches at most k positions
         // beyond its own prefix, so keep just those (`position → value`,
         // absent = identity) instead of materialising 0..n. Position i is
         // never read again once step i is done, so only j's side of each
         // swap is stored; the scan is O(k) per step, hence the k² bound.
+        // The pairs live in `out` past the k picks, flattened.
         if k * k <= n {
-            let mut displaced: Vec<(usize, usize)> = Vec::with_capacity(k);
-            let mut picked = Vec::with_capacity(k);
+            out.reserve(3 * k);
+            out.resize(k, 0);
             for i in 0..k {
                 let j = i + self.range_usize(n - i);
-                let at_i = displaced.iter().find(|d| d.0 == i).map_or(i, |d| d.1);
-                match displaced.iter_mut().find(|d| d.0 == j) {
-                    Some(slot) => picked.push(std::mem::replace(&mut slot.1, at_i)),
+                let displaced = &mut out[k..];
+                let at_i = displaced
+                    .chunks_exact(2)
+                    .find(|d| d[0] == i)
+                    .map_or(i, |d| d[1]);
+                out[i] = match displaced.chunks_exact_mut(2).find(|d| d[0] == j) {
+                    Some(slot) => std::mem::replace(&mut slot[1], at_i),
                     None => {
-                        picked.push(j);
                         if j != i {
-                            displaced.push((j, at_i));
+                            out.extend([j, at_i]);
                         }
+                        j
                     }
-                }
+                };
             }
-            return picked;
+            out.truncate(k);
+            return;
         }
-        let mut idx: Vec<usize> = (0..n).collect();
+        out.extend(0..n);
         for i in 0..k {
             let j = i + self.range_usize(n - i);
-            idx.swap(i, j);
+            out.swap(i, j);
         }
-        idx.truncate(k);
-        idx
+        out.truncate(k);
     }
 
     /// Forks a new independent stream seeded from this stream.

@@ -6,6 +6,53 @@ use fed_util::rng::{Rng64, SplitMix64, Xoshiro256StarStar};
 use fed_util::stats::{OnlineStats, Summary};
 use proptest::prelude::*;
 
+/// `Rng64::sample_indices` as it was before it wrapped
+/// `sample_indices_into`: a fresh `Vec` per call (two on the sparse walk).
+fn sample_indices_by_value<R: Rng64>(rng: &mut R, n: usize, k: usize) -> Vec<usize> {
+    let k = k.min(n);
+    if k == 0 {
+        return Vec::new();
+    }
+    if n > 4096 && k * 8 < n {
+        let mut chosen: Vec<usize> = Vec::with_capacity(k);
+        for j in (n - k)..n {
+            let t = rng.range_usize(j + 1);
+            if chosen.contains(&t) {
+                chosen.push(j);
+            } else {
+                chosen.push(t);
+            }
+        }
+        rng.shuffle(&mut chosen);
+        return chosen;
+    }
+    if k * k <= n {
+        let mut displaced: Vec<(usize, usize)> = Vec::with_capacity(k);
+        let mut picked = Vec::with_capacity(k);
+        for i in 0..k {
+            let j = i + rng.range_usize(n - i);
+            let at_i = displaced.iter().find(|d| d.0 == i).map_or(i, |d| d.1);
+            match displaced.iter_mut().find(|d| d.0 == j) {
+                Some(slot) => picked.push(std::mem::replace(&mut slot.1, at_i)),
+                None => {
+                    picked.push(j);
+                    if j != i {
+                        displaced.push((j, at_i));
+                    }
+                }
+            }
+        }
+        return picked;
+    }
+    let mut idx: Vec<usize> = (0..n).collect();
+    for i in 0..k {
+        let j = i + rng.range_usize(n - i);
+        idx.swap(i, j);
+    }
+    idx.truncate(k);
+    idx
+}
+
 proptest! {
     #[test]
     fn rng_range_always_below_bound(seed in any::<u64>(), bound in 1u64..1_000_000) {
@@ -75,6 +122,31 @@ proptest! {
         }
         idx.truncate(take);
         prop_assert_eq!(picked, idx);
+        prop_assert_eq!(rng, reference_rng);
+    }
+
+    /// Floyd (`n > 4096`, `k < n / 8`), the sparse walk (`k² ≤ n`) and the
+    /// dense walk all draw and pick as the by-value form did, whether the
+    /// buffer is fresh or reused dirty from a previous, larger sample.
+    #[test]
+    fn sample_indices_into_matches_the_by_value_sample(
+        seed in any::<u64>(),
+        n in prop_oneof![0usize..64, 64usize..4_200, 4_097usize..20_000],
+        k in prop_oneof![0usize..8, 0usize..200, 0usize..3_000],
+        dirt in prop::collection::vec(any::<usize>(), 0..300),
+    ) {
+        let mut rng = Xoshiro256StarStar::seed_from_u64(seed);
+        let want = sample_indices_by_value(&mut rng.clone(), n, k);
+        let mut wrapped_rng = rng.clone();
+        prop_assert_eq!(wrapped_rng.sample_indices(n, k), want.clone());
+        let mut buffer = dirt;
+        rng.sample_indices_into(n, k, &mut buffer);
+        prop_assert_eq!(&buffer, &want);
+        // Again into the now-used buffer, from where the first left off.
+        let mut reference_rng = rng.clone();
+        let again = sample_indices_by_value(&mut reference_rng, n, k / 2 + 1);
+        rng.sample_indices_into(n, k / 2 + 1, &mut buffer);
+        prop_assert_eq!(buffer, again);
         prop_assert_eq!(rng, reference_rng);
     }
 
